@@ -364,10 +364,51 @@
 // Hot paths avoid the allocator: columnar.Pool recycles vectors and chunks
 // between morsels. The ownership contract is documented on columnar.Pool —
 // in short, only the operator that got a chunk from the pool may recycle
-// it, and only at a pipeline breaker once the morsel is fully consumed.
+// it, and only at a pipeline breaker once the morsel is fully consumed. A
+// Pool is a mutex and free lists that die with the operator owning it, not
+// a sync.Pool: per-query sync.Pools stay reachable through the runtime's
+// registry for two collections after the query is gone.
 //
-// See README.md for the architecture overview, DESIGN.md for the system
-// inventory and per-experiment index, and EXPERIMENTS.md for paper-vs-
-// measured results. The benchmarks in bench_test.go regenerate every table
-// and figure of the paper's evaluation section.
+// # The byte path
+//
+// Every step between a chunk and the bytes of an object — encode, compress,
+// partition, decode — allocates in proportion to the rows it handles, and
+// each buffer has one owner that reuses it:
+//
+//   - An lpq.Writer owns its row-group buffer (grown by doubling, emptied by
+//     a flush, never reallocated), the hash set of its one-pass column
+//     profile (sortedness, runs, exact distinct count, min/max — which decide
+//     the encoding, fill the footer and seed the dictionary), the encode
+//     scratch, and one gzip compressor, Reset from page to page. Row groups
+//     that arrive whole are encoded from Slice views of the caller's chunk;
+//     lpq.WriteFile and AppendFile take every row group of their last chunk
+//     that way, so a one-chunk file — every partition, result post and
+//     cached result — is never copied before it is encoded.
+//   - An lpq.DecodeState owns the inflate buffer and one gzip reader, Reset
+//     from page to page. Whoever decodes holds one per goroutine:
+//     Reader.AppendTo (and ReadAll on top of it) for a whole file, a
+//     scan.Source a free list of them for its row-group and page fetchers.
+//     Pages are decoded onto the destination vector directly; decoded
+//     values never alias the state.
+//   - A publishing worker partitions in one pass (exchange's scatter: a slot
+//     id per row, a histogram, prefix sums, one permuted copy per column,
+//     stable within a slot), so a partition and a §4.4.2 group of
+//     consecutive partitions are Slice views of the one scattered chunk,
+//     and encodes slot after slot into a single buffer. Write-combining
+//     senders Put that buffer whole with the slot offsets in the object
+//     name; the others Put its slices. A collecting worker opens the footers
+//     of what it fetched, sizes the output chunk once from their row counts
+//     and decodes every blob into its place.
+//
+// None of this moved a byte: the writer's output and every boundary's
+// object names, sizes and contents are pinned by golden tables recorded
+// before the byte path was rebuilt (internal/lpq/testdata,
+// internal/exchange/testdata), which is why shaped transfer times, billed
+// bytes and therefore every modeled latency and dollar stayed bit-identical
+// across the change. Allocation-regression tests in both packages bound the
+// bytes a small file, a streamed file, a page decode and a publish may cost.
+//
+// The benchmarks in bench_test.go regenerate every table and figure of the
+// paper's evaluation section; bench/ holds the repository's two-clock
+// benchmark (see bench/README.md).
 package lambada

@@ -12,6 +12,7 @@ package columnar
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -195,6 +196,43 @@ func (v *Vector) AppendVector(src *Vector) {
 	}
 }
 
+// AppendRange bulk-appends values [lo, hi) of src (same type) onto v.
+func (v *Vector) AppendRange(src *Vector, lo, hi int) {
+	switch v.Type {
+	case Int64:
+		v.Int64s = append(v.Int64s, src.Int64s[lo:hi]...)
+	case Float64:
+		v.Float64s = append(v.Float64s, src.Float64s[lo:hi]...)
+	case Bool:
+		v.Bools = append(v.Bools, src.Bools[lo:hi]...)
+	}
+}
+
+// Cap returns the number of values v can hold without reallocating.
+func (v *Vector) Cap() int {
+	switch v.Type {
+	case Int64:
+		return cap(v.Int64s)
+	case Float64:
+		return cap(v.Float64s)
+	default:
+		return cap(v.Bools)
+	}
+}
+
+// Grow makes room for n more values, so that appending them does not
+// reallocate.
+func (v *Vector) Grow(n int) {
+	switch v.Type {
+	case Int64:
+		v.Int64s = slices.Grow(v.Int64s, n)
+	case Float64:
+		v.Float64s = slices.Grow(v.Float64s, n)
+	case Bool:
+		v.Bools = slices.Grow(v.Bools, n)
+	}
+}
+
 // AppendGather bulk-appends the rows of src selected by idx onto v.
 func (v *Vector) AppendGather(src *Vector, idx []int) {
 	switch v.Type {
@@ -249,6 +287,30 @@ func (v *Vector) Gather(idx []int) *Vector {
 	case Bool:
 		for _, i := range idx {
 			out.Bools = append(out.Bools, v.Bools[i])
+		}
+	}
+	return out
+}
+
+// Scatter returns a new vector holding value i of v at position dest[i];
+// dest must be a permutation of [0, v.Len()). It is Gather's inverse.
+func (v *Vector) Scatter(dest []int) *Vector {
+	out := &Vector{Type: v.Type}
+	switch v.Type {
+	case Int64:
+		out.Int64s = make([]int64, len(dest))
+		for i, d := range dest {
+			out.Int64s[d] = v.Int64s[i]
+		}
+	case Float64:
+		out.Float64s = make([]float64, len(dest))
+		for i, d := range dest {
+			out.Float64s[d] = v.Float64s[i]
+		}
+	case Bool:
+		out.Bools = make([]bool, len(dest))
+		for i, d := range dest {
+			out.Bools[d] = v.Bools[i]
 		}
 	}
 	return out
@@ -351,6 +413,16 @@ func (c *Chunk) Gather(idx []int) *Chunk {
 	out := &Chunk{Schema: c.Schema, Columns: make([]*Vector, len(c.Columns))}
 	for i, col := range c.Columns {
 		out.Columns[i] = col.Gather(idx)
+	}
+	return out
+}
+
+// Scatter returns a new chunk holding row i of c at position dest[i]; dest
+// must be a permutation of [0, c.NumRows()).
+func (c *Chunk) Scatter(dest []int) *Chunk {
+	out := &Chunk{Schema: c.Schema, Columns: make([]*Vector, len(c.Columns))}
+	for i, col := range c.Columns {
+		out.Columns[i] = col.Scatter(dest)
 	}
 	return out
 }

@@ -17,9 +17,15 @@ import "sync"
 //     by) someone else. PutChunk on an aliased chunk is a use-after-free.
 //   - After PutChunk returns, the caller must not touch the chunk or any of
 //     its vectors again.
+//
+// A Pool belongs to one query operator and holds plain free lists, not
+// sync.Pools: what it recycled dies with it, instead of staying reachable
+// through the runtime's pool registry for two collections after the query.
+// It is safe for concurrent use.
 type Pool struct {
-	vecs   [3]sync.Pool // indexed by Type
-	chunks sync.Pool
+	mu     sync.Mutex
+	vecs   [3][]*Vector // indexed by Type
+	chunks []*Chunk
 }
 
 // NewPool returns an empty pool.
@@ -29,13 +35,17 @@ func NewPool() *Pool { return &Pool{} }
 // available (its capacity is whatever its previous life grew to; n is only a
 // hint for fresh allocations).
 func (p *Pool) GetVector(t Type, n int) *Vector {
-	if x := p.vecs[t].Get(); x != nil {
-		v := x.(*Vector)
-		v.Type = t
-		v.Reset()
-		return v
+	p.mu.Lock()
+	free := p.vecs[t]
+	if len(free) == 0 {
+		p.mu.Unlock()
+		return NewVector(t, n)
 	}
-	return NewVector(t, n)
+	v := free[len(free)-1]
+	p.vecs[t] = free[:len(free)-1]
+	p.mu.Unlock()
+	v.Reset()
+	return v
 }
 
 // PutVector recycles v. The caller must not use v afterwards.
@@ -43,15 +53,22 @@ func (p *Pool) PutVector(v *Vector) {
 	if v == nil {
 		return
 	}
-	p.vecs[v.Type].Put(v)
+	p.mu.Lock()
+	p.vecs[v.Type] = append(p.vecs[v.Type], v)
+	p.mu.Unlock()
 }
 
 // GetChunk returns an empty chunk for schema with capacity hint n, reusing
 // recycled vectors and chunk shells when available.
 func (p *Pool) GetChunk(schema *Schema, n int) *Chunk {
 	var c *Chunk
-	if x := p.chunks.Get(); x != nil {
-		c = x.(*Chunk)
+	p.mu.Lock()
+	if n := len(p.chunks); n > 0 {
+		c = p.chunks[n-1]
+		p.chunks = p.chunks[:n-1]
+	}
+	p.mu.Unlock()
+	if c != nil {
 		if cap(c.Columns) < schema.Len() {
 			c.Columns = make([]*Vector, schema.Len())
 		}
@@ -77,5 +94,7 @@ func (p *Pool) PutChunk(c *Chunk) {
 		c.Columns[i] = nil
 	}
 	c.Schema = nil
-	p.chunks.Put(c)
+	p.mu.Lock()
+	p.chunks = append(p.chunks, c)
+	p.mu.Unlock()
 }

@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"bytes"
 	"fmt"
 
 	"lambada/internal/awssim/simenv"
@@ -31,17 +30,13 @@ func (d *Session) UploadTable(env simenv.Env, bucket, prefix string, data *colum
 		if hi > n {
 			hi = n
 		}
-		var buf bytes.Buffer
-		w := lpq.NewWriter(&buf, data.Schema, opts)
-		if err := w.Write(data.Slice(lo, hi)); err != nil {
-			return nil, err
-		}
-		if err := w.Close(); err != nil {
+		blob, err := lpq.WriteFile(data.Schema, opts, data.Slice(lo, hi))
+		if err != nil {
 			return nil, err
 		}
 		key := fmt.Sprintf("%s/part-%05d.lpq", prefix, idx)
 		if err := retry.policy.Do(env, "s3.Put", func() error {
-			return d.dep.S3.Put(env, bucket, key, buf.Bytes())
+			return d.dep.S3.Put(env, bucket, key, blob)
 		}); err != nil {
 			return nil, err
 		}

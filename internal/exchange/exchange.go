@@ -1,7 +1,6 @@
 package exchange
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -11,7 +10,6 @@ import (
 
 	"lambada/internal/awssim/s3"
 	"lambada/internal/columnar"
-	"lambada/internal/lpq"
 )
 
 // Options configure one exchange execution.
@@ -132,36 +130,25 @@ func (o *Options) wcPrefix(round, group int) string {
 // wcName encodes the sender and the cumulative part offsets in the file
 // name (§4.4.3 second variant: "we encode the offsets into the file name").
 func (o *Options) wcName(round, group, sender int, offsets []int64) string {
-	parts := make([]string, len(offsets))
-	for i, off := range offsets {
-		parts[i] = strconv.FormatInt(off, 10)
-	}
-	return fmt.Sprintf("%s%d-off%s", o.wcPrefix(round, group), sender, strings.Join(parts, "_"))
+	return string(appendOffsets(fmt.Appendf(nil, "%s%d-off", o.wcPrefix(round, group), sender), offsets))
 }
 
-// parseWcName extracts sender and offsets from a write-combined file name.
-func parseWcName(key string) (sender int, offsets []int64, err error) {
+// parseWcName extracts the sender and slot's byte range from a
+// write-combined file name carrying slots+1 offsets.
+func parseWcName(key string, slots, slot int) (sender int, lo, hi int64, err error) {
 	base := key[strings.LastIndex(key, "/")+1:]
-	if !strings.HasPrefix(base, "snd") {
-		return 0, nil, fmt.Errorf("exchange: bad wc file name %q", key)
-	}
-	rest := base[3:]
+	rest, ok := strings.CutPrefix(base, "snd")
 	i := strings.Index(rest, "-off")
-	if i < 0 {
-		return 0, nil, fmt.Errorf("exchange: bad wc file name %q", key)
+	if !ok || i < 0 {
+		return 0, 0, 0, fmt.Errorf("exchange: bad wc file name %q", key)
 	}
-	sender, err = strconv.Atoi(rest[:i])
-	if err != nil {
-		return 0, nil, err
+	if sender, err = strconv.Atoi(rest[:i]); err != nil {
+		return 0, 0, 0, err
 	}
-	for _, s := range strings.Split(rest[i+4:], "_") {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return 0, nil, err
-		}
-		offsets = append(offsets, v)
+	if lo, hi, err = slotRange(rest[i+4:], slots, slot); err != nil {
+		return 0, 0, 0, fmt.Errorf("exchange: bad wc file name %q: %w", key, err)
 	}
-	return sender, offsets, nil
+	return sender, lo, hi, nil
 }
 
 // Run executes the exchange for one worker on real data: rows of input are
@@ -193,35 +180,21 @@ func (w Worker) runRound(opts Options, g grid, round int, cur *columnar.Chunk, k
 	group := g.groupID(w.ID, round)
 	bucket := opts.bucketFor(round, group)
 
-	// In-memory partitioning by the receiver within this round's group.
-	sel := make(map[int][]int) // receiver -> row indices
+	// In-memory partitioning by the receiver within this round's group:
+	// slot c is the member whose coordinate in this round's dimension is c.
 	keys := cur.Column(key)
-	for i := 0; i < cur.NumRows(); i++ {
-		f := PartitionOf(keys.Int64At(i), w.P)
-		recv := g.withCoord(w.ID, round, g.coord(f, round))
-		sel[recv] = append(sel[recv], i)
+	slot := make([]int, cur.NumRows())
+	for i := range slot {
+		slot[i] = g.coord(PartitionOf(keys.Int64At(i), w.P), round)
 	}
-
-	// Serialize each partition as an lpq blob.
-	blobs := make(map[int][]byte, len(members))
-	for _, m := range members {
-		part := cur.Gather(sel[m])
-		data, err := lpq.WriteFile(cur.Schema, lpq.WriterOptions{}, part)
-		if err != nil {
-			return nil, err
-		}
-		blobs[m] = data
+	scattered, bounds := scatter(cur, slot, len(members))
+	combined, offsets, err := encodeSlots(scattered, bounds)
+	if err != nil {
+		return nil, err
 	}
 
 	if opts.Variant.WriteCombining {
 		// One combined file; cumulative offsets (member-order) in the name.
-		var combined []byte
-		offsets := make([]int64, 0, len(members)+1)
-		for _, m := range members {
-			offsets = append(offsets, int64(len(combined)))
-			combined = append(combined, blobs[m]...)
-		}
-		offsets = append(offsets, int64(len(combined)))
 		name := opts.wcName(round, group, w.ID, offsets)
 		if err := w.Client.Put(bucket, name, combined); err != nil {
 			return nil, err
@@ -230,26 +203,22 @@ func (w Worker) runRound(opts Options, g grid, round int, cur *columnar.Chunk, k
 	}
 
 	// Basic variant: one file per (sender, receiver) pair.
-	for _, m := range members {
-		if err := w.Client.Put(bucket, opts.fileName(round, group, w.ID, m), blobs[m]); err != nil {
+	for i, m := range members {
+		if err := w.Client.Put(bucket, opts.fileName(round, group, w.ID, m), combined[offsets[i]:offsets[i+1]]); err != nil {
 			return nil, err
 		}
 	}
-	out := columnar.NewChunk(cur.Schema, 0)
-	for _, m := range members {
+	blobs := make([][]byte, len(members))
+	for i, m := range members {
 		name := opts.fileName(round, group, m, w.ID)
 		if _, err := w.Client.WaitFor(bucket, name, opts.Poll, opts.MaxWait); err != nil {
 			return nil, fmt.Errorf("waiting for %s: %w", name, err)
 		}
-		data, _, err := w.Client.Get(bucket, name, 1)
-		if err != nil {
-			return nil, err
-		}
-		if err := appendLpqBlob(out, data); err != nil {
+		if blobs[i], _, err = w.Client.Get(bucket, name, 1); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return decodeBlobs(cur.Schema, blobs)
 }
 
 // wcSlice is one sender's byte range of a combined object for one slot.
@@ -295,14 +264,11 @@ func listCombined(client *s3.Client, opts Options, buckets []string, prefix stri
 	}
 	files := make([]wcSlice, 0, len(found))
 	for _, e := range found {
-		sender, offsets, err := parseWcName(e.key)
+		sender, lo, hi, err := parseWcName(e.key, slots, slot)
 		if err != nil {
 			return nil, err
 		}
-		if len(offsets) != slots+1 {
-			return nil, fmt.Errorf("exchange: %d offsets for %d slots in %q", len(offsets), slots, e.key)
-		}
-		files = append(files, wcSlice{sender: sender, bucket: e.bucket, key: e.key, lo: offsets[slot], hi: offsets[slot+1]})
+		files = append(files, wcSlice{sender: sender, bucket: e.bucket, key: e.key, lo: lo, hi: hi})
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].sender < files[j].sender })
 	return files, nil
@@ -323,7 +289,7 @@ func (w Worker) receiveCombined(opts Options, g grid, round, group int, bucket s
 	if err != nil {
 		return nil, err
 	}
-	out := columnar.NewChunk(schema, 0)
+	var blobs [][]byte
 	for _, f := range files {
 		if f.hi == f.lo {
 			continue
@@ -332,33 +298,9 @@ func (w Worker) receiveCombined(opts Options, g grid, round, group int, bucket s
 		if err != nil {
 			return nil, err
 		}
-		if err := appendLpqBlob(out, data); err != nil {
-			return nil, err
-		}
+		blobs = append(blobs, data)
 	}
-	return out, nil
-}
-
-func appendLpqBlob(dst *columnar.Chunk, blob []byte) error {
-	r, err := lpq.OpenReader(bytes.NewReader(blob), int64(len(blob)))
-	if err != nil {
-		return err
-	}
-	c, err := r.ReadAll()
-	if err != nil {
-		return err
-	}
-	for j := range dst.Columns {
-		switch dst.Columns[j].Type {
-		case columnar.Int64:
-			dst.Columns[j].Int64s = append(dst.Columns[j].Int64s, c.Columns[j].Int64s...)
-		case columnar.Float64:
-			dst.Columns[j].Float64s = append(dst.Columns[j].Float64s, c.Columns[j].Float64s...)
-		case columnar.Bool:
-			dst.Columns[j].Bools = append(dst.Columns[j].Bools, c.Columns[j].Bools...)
-		}
-	}
-	return nil
+	return decodeBlobs(schema, blobs)
 }
 
 // RoundTrace is the phase breakdown of one exchange round (Figure 13).
@@ -439,12 +381,11 @@ func (w Worker) RunSyntheticTraced(opts Options, inputBytes int64) (int64, *Trac
 			slot := indexOf(members, w.ID)
 			var got int64
 			for _, e := range entries {
-				_, offsets, err := parseWcName(e.Key)
+				_, lo, hi, err := parseWcName(e.Key, len(members), slot)
 				if err != nil {
 					return 0, trace, err
 				}
-				lo, hi := offsets[slot], offsets[slot+1]
-				if hi <= lo {
+				if hi == lo {
 					continue
 				}
 				_, n, err := w.Client.GetRange(bucket, e.Key, lo, hi-lo, 1)

@@ -138,15 +138,17 @@ func TestGridCoordinates(t *testing.T) {
 func TestParseWcNameRoundTrip(t *testing.T) {
 	o := Options{Prefix: "x"}
 	name := o.wcName(1, 7, 42, []int64{0, 100, 250, 999})
-	sender, offs, err := parseWcName(name)
+	sender, lo, hi, err := parseWcName(name, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sender != 42 || len(offs) != 4 || offs[2] != 250 {
-		t.Errorf("parsed %d %v", sender, offs)
+	if sender != 42 || lo != 100 || hi != 250 {
+		t.Errorf("parsed sender %d range [%d, %d)", sender, lo, hi)
 	}
-	if _, _, err := parseWcName("garbage"); err == nil {
-		t.Error("garbage parsed")
+	for _, bad := range []string{"garbage", "x/snd42-off0_100", "x/snd42-off0_9_5_9", "x/snd42-off0__5_9", "x/snd42-off"} {
+		if _, _, _, err := parseWcName(bad, 3, 1); err == nil {
+			t.Errorf("%q parsed", bad)
+		}
 	}
 }
 

@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
 	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
-	"lambada/internal/lpq"
 )
 
 // Multi-level stage boundaries (§4.4.2, adapted to the asymmetric S→P
@@ -90,7 +88,7 @@ func (o *Options) stageR1WcPrefix(stage int) string {
 }
 
 func (o *Options) stageR1WcName(stage, attempt, sender int, offsets []int64) string {
-	return fmt.Sprintf("%s%d-a%d-off%s", o.stageR1WcPrefix(stage), sender, attempt, offsetString(offsets))
+	return wcObjectName(o.stageR1WcPrefix(stage), sender, attempt, offsets)
 }
 
 // stageGroupFile names the round-1 basic-variant object of (group, sender,
@@ -117,7 +115,7 @@ func (o *Options) stageRgPrefix(stage, group int) string {
 }
 
 func (o *Options) stageRgName(stage, group, attempt int, offsets []int64) string {
-	return fmt.Sprintf("%sa%d-off%s", o.stageRgPrefix(stage, group), attempt, offsetString(offsets))
+	return string(appendOffsets(fmt.Appendf(nil, "%sa%d-off", o.stageRgPrefix(stage, group), attempt), offsets))
 }
 
 // stageRgFile names the regroup round's basic-variant object of one
@@ -139,46 +137,30 @@ func (o *Options) stageRgCommitPrefix(stage, group int) string {
 }
 
 // publishStageGrouped writes round 1 of a multi-level boundary: the
-// sender's rows hash-partitioned into P as usual, then concatenated per
-// group (ascending partition, row order preserved) into one object per
-// group. PublishStage routes here when the variant is multi-level.
-func publishStageGrouped(client *s3.Client, opts Options, b Boundary, sender int, chunk *columnar.Chunk, keys []string) error {
-	sel, err := partitionRows(chunk, keys, b.Partitions)
+// sender's rows, already scattered by partition (bounds are the partitions'
+// row bounds), go out as one object per group — the group's partitions in
+// ascending order, row order preserved, which is one contiguous run of the
+// scattered chunk. PublishStage routes here when the variant is multi-level.
+func publishStageGrouped(client *s3.Client, opts Options, b Boundary, sender int, scattered *columnar.Chunk, bounds []int) error {
+	groups := Groups(b.Partitions)
+	groupBounds := make([]int, groups+1)
+	for g := range groupBounds {
+		groupBounds[g] = bounds[min(g*GroupSize(b.Partitions), b.Partitions)]
+	}
+	combined, offsets, err := encodeSlots(scattered, groupBounds)
 	if err != nil {
 		return err
-	}
-	groups := Groups(b.Partitions)
-	blobs := make([][]byte, groups)
-	for g := 0; g < groups; g++ {
-		lo, hi := groupSpan(g, b.Partitions)
-		var rows []int
-		for p := lo; p < hi; p++ {
-			rows = append(rows, sel[p]...)
-		}
-		part := chunk.Gather(rows)
-		data, err := lpq.WriteFile(chunk.Schema, lpq.WriterOptions{}, part)
-		if err != nil {
-			return err
-		}
-		blobs[g] = data
 	}
 
 	if opts.Variant.WriteCombining {
 		// One combined object per sender with cumulative group offsets in
 		// the name; the single atomic Put commits the attempt.
-		var combined []byte
-		offsets := make([]int64, 0, groups+1)
-		for g := 0; g < groups; g++ {
-			offsets = append(offsets, int64(len(combined)))
-			combined = append(combined, blobs[g]...)
-		}
-		offsets = append(offsets, int64(len(combined)))
 		name := opts.stageR1WcName(b.Stage, b.Attempt, sender, offsets)
 		return client.Put(opts.stageBucket(b.Stage, sender), name, combined)
 	}
 
 	for g := 0; g < groups; g++ {
-		if err := client.Put(opts.stageBucket(b.Stage, g), opts.stageGroupFile(b.Stage, b.Attempt, g, sender), blobs[g]); err != nil {
+		if err := client.Put(opts.stageBucket(b.Stage, g), opts.stageGroupFile(b.Stage, b.Attempt, g, sender), combined[offsets[g]:offsets[g+1]]); err != nil {
 			return err
 		}
 	}
@@ -190,51 +172,26 @@ func publishStageGrouped(client *s3.Client, opts Options, b Boundary, sender int
 // order, each sender's first committed round-1 attempt winning — the
 // regroup worker's input.
 func collectGroup(client *s3.Client, opts Options, b Boundary, group int) (*columnar.Chunk, error) {
-	groups := Groups(b.Partitions)
 	if opts.Variant.WriteCombining {
-		best, err := discoverCombined(client, opts, b, opts.stageR1WcPrefix(b.Stage), "r1snd", groups)
+		best, err := discoverCombined(client, opts, b, opts.stageR1WcPrefix(b.Stage), "r1snd", Groups(b.Partitions), group)
 		if err != nil {
 			return nil, err
 		}
-		senders := make([]int, 0, len(best))
-		for s := range best {
-			senders = append(senders, s)
-		}
-		sort.Ints(senders)
-		var out *columnar.Chunk
-		for _, s := range senders {
-			f := best[s]
-			lo, hi := f.offsets[group], f.offsets[group+1]
-			if hi < lo {
-				return nil, fmt.Errorf("exchange: inverted offsets in %q", f.key)
-			}
-			data, _, err := client.GetRange(f.bucket, f.key, lo, hi-lo, 1)
-			if err != nil {
-				return nil, err
-			}
-			if out, err = appendStageBlob(out, data); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
+		return readSlots(client, best)
 	}
 	attempts, err := waitAllCommitted(client, opts, b, opts.stageR1CommitDir(b.Stage))
 	if err != nil {
 		return nil, err
 	}
-	var out *columnar.Chunk
+	blobs := make([][]byte, b.Senders)
 	bucket := opts.stageBucket(b.Stage, group)
-	for s := 0; s < b.Senders; s++ {
+	for s := range blobs {
 		name := opts.stageGroupFile(b.Stage, attempts[s], group, s)
-		data, _, err := client.Get(bucket, name, 1)
-		if err != nil {
+		if blobs[s], _, err = client.Get(bucket, name, 1); err != nil {
 			return nil, fmt.Errorf("exchange: reading %s: %w", name, err)
 		}
-		if out, err = appendStageBlob(out, data); err != nil {
-			return nil, err
-		}
 	}
-	return out, nil
+	return decodeBlobs(nil, blobs)
 }
 
 // RegroupStage runs the intermediate round of a multi-level boundary for
@@ -259,41 +216,30 @@ func RegroupStage(client *s3.Client, opts Options, b Boundary, group int, keys [
 	if err != nil {
 		return err
 	}
-	sel, err := partitionRows(merged, keys, b.Partitions)
+	slot, err := hashSlots(merged, keys, b.Partitions)
 	if err != nil {
 		return err
 	}
+	scattered, bounds := scatter(merged, slot, b.Partitions)
 	lo, hi := groupSpan(group, b.Partitions)
-	for p := range sel {
-		if (p < lo || p >= hi) && len(sel[p]) > 0 {
+	for p := 0; p < b.Partitions; p++ {
+		if rows := bounds[p+1] - bounds[p]; (p < lo || p >= hi) && rows > 0 {
 			return fmt.Errorf("exchange: stage %d group %d holds %d rows hashed to partition %d (boundary shape mismatch)",
-				b.Stage, group, len(sel[p]), p)
+				b.Stage, group, rows, p)
 		}
 	}
-	blobs := make([][]byte, hi-lo)
-	for p := lo; p < hi; p++ {
-		part := merged.Gather(sel[p])
-		data, err := lpq.WriteFile(merged.Schema, lpq.WriterOptions{}, part)
-		if err != nil {
-			return err
-		}
-		blobs[p-lo] = data
+	combined, offsets, err := encodeSlots(scattered, bounds[lo:hi+1])
+	if err != nil {
+		return err
 	}
 
 	if opts.Variant.WriteCombining {
-		var combined []byte
-		offsets := make([]int64, 0, hi-lo+1)
-		for _, blob := range blobs {
-			offsets = append(offsets, int64(len(combined)))
-			combined = append(combined, blob...)
-		}
-		offsets = append(offsets, int64(len(combined)))
 		name := opts.stageRgName(b.Stage, group, b.Attempt, offsets)
 		return client.Put(opts.stageBucket(b.Stage, group), name, combined)
 	}
 
 	for p := lo; p < hi; p++ {
-		if err := client.Put(opts.stageBucket(b.Stage, p), opts.stageRgFile(b.Stage, b.Attempt, p, group), blobs[p-lo]); err != nil {
+		if err := client.Put(opts.stageBucket(b.Stage, p), opts.stageRgFile(b.Stage, b.Attempt, p, group), combined[offsets[p-lo]:offsets[p-lo+1]]); err != nil {
 			return err
 		}
 	}
@@ -322,15 +268,12 @@ func collectStageMultiLevel(client *s3.Client, opts Options, b Boundary, part in
 			for _, e := range entries {
 				// The base name is `rg<g>-a<n>-off<…>`; the id parses back
 				// to this group by construction of the listed prefix.
-				_, attempt, offsets, err := parseWcTail(e.Key, "rg")
+				_, attempt, flo, fhi, err := parseWcTail(e.Key, "rg", hi-lo, slot)
 				if err != nil {
 					return nil, err
 				}
-				if len(offsets) != hi-lo+1 {
-					return nil, fmt.Errorf("exchange: %d offsets for %d partitions in %q", len(offsets), hi-lo, e.Key)
-				}
 				if !found || attempt < won.attempt {
-					won = stageWcFile{bucket: bucket, key: e.Key, attempt: attempt, offsets: offsets}
+					won = stageWcFile{bucket: bucket, key: e.Key, attempt: attempt, lo: flo, hi: fhi}
 					found = true
 				}
 			}
@@ -342,15 +285,11 @@ func collectStageMultiLevel(client *s3.Client, opts Options, b Boundary, part in
 			}
 			simenv.WaitNotifyKey(client.Env(), "s3/"+prefix, opts.Poll)
 		}
-		flo, fhi := won.offsets[slot], won.offsets[slot+1]
-		if fhi < flo {
-			return nil, fmt.Errorf("exchange: inverted offsets in %q", won.key)
-		}
-		data, _, err := client.GetRange(won.bucket, won.key, flo, fhi-flo, 1)
+		data, _, err := client.GetRange(won.bucket, won.key, won.lo, won.hi-won.lo, 1)
 		if err != nil {
 			return nil, err
 		}
-		return appendStageBlob(nil, data)
+		return decodeBlobs(nil, [][]byte{data})
 	}
 
 	prefix := opts.stageRgCommitPrefix(b.Stage, group)
@@ -382,5 +321,5 @@ func collectStageMultiLevel(client *s3.Client, opts Options, b Boundary, part in
 	if err != nil {
 		return nil, fmt.Errorf("exchange: reading %s: %w", name, err)
 	}
-	return appendStageBlob(nil, data)
+	return decodeBlobs(nil, [][]byte{data})
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package exchange
+
+// raceEnabled: the race detector pads allocations, so tests that bound
+// allocated bytes skip themselves under it.
+const raceEnabled = true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -113,43 +114,79 @@ func (o *Options) stageWcPrefix(stage int) string {
 // in the combined object's name (§4.4.3). The single Put is atomic, so the
 // object doubles as its own commit marker.
 func (o *Options) stageWcName(stage, attempt, sender int, offsets []int64) string {
-	return fmt.Sprintf("%s%d-a%d-off%s", o.stageWcPrefix(stage), sender, attempt, offsetString(offsets))
+	return wcObjectName(o.stageWcPrefix(stage), sender, attempt, offsets)
 }
 
-// parseStageWcName extracts sender, attempt and offsets from a combined
-// stage-boundary object name (`snd<s>-a<n>-off<o0_o1_…>`).
-func parseStageWcName(key string) (sender, attempt int, offsets []int64, err error) {
-	return parseWcTail(key, "snd")
+// wcObjectName renders `<prefix><id>-a<attempt>-off<o0_o1_…>`, the name of a
+// write-combined boundary object.
+func wcObjectName(prefix string, id, attempt int, offsets []int64) string {
+	return string(appendOffsets(fmt.Appendf(nil, "%s%d-a%d-off", prefix, id, attempt), offsets))
+}
+
+// appendOffsets appends the offsets in decimal, joined by underscores.
+func appendOffsets(b []byte, offsets []int64) []byte {
+	for i, off := range offsets {
+		if i > 0 {
+			b = append(b, '_')
+		}
+		b = strconv.AppendInt(b, off, 10)
+	}
+	return b
+}
+
+// slotRange walks the offset list appendOffsets rendered — no allocation: a
+// receiver reads one such name per sender — and returns slot's byte range
+// [o[slot], o[slot+1]). The list must hold slots+1 ascending offsets.
+func slotRange(list string, slots, slot int) (lo, hi int64, err error) {
+	n := 0
+	for more := true; more; n++ {
+		var field string
+		field, list, more = strings.Cut(list, "_")
+		v, err := strconv.ParseInt(field, 10, 64)
+		if err != nil {
+			return 0, 0, err
+		}
+		switch n {
+		case slot:
+			lo = v
+		case slot + 1:
+			hi = v
+		}
+	}
+	if n != slots+1 {
+		return 0, 0, fmt.Errorf("%d offsets for %d slots", n, slots)
+	}
+	if hi < lo {
+		return 0, 0, errors.New("inverted offsets")
+	}
+	return lo, hi, nil
 }
 
 // parseWcTail parses a `<tag><id>-a<n>-off<o0_o1_…>` combined-object base
 // name — the shared shape of single-round (`snd`), round-1 grouped
-// (`r1snd`) and regroup (`rg`) write-combined objects.
-func parseWcTail(key, tag string) (id, attempt int, offsets []int64, err error) {
-	base := key[strings.LastIndex(key, "/")+1:]
-	if !strings.HasPrefix(base, tag) {
-		return 0, 0, nil, fmt.Errorf("exchange: bad stage wc file name %q", key)
+// (`r1snd`) and regroup (`rg`) write-combined objects — into the writer's
+// id, its attempt and slot's byte range of the object's slots.
+func parseWcTail(key, tag string, slots, slot int) (id, attempt int, lo, hi int64, err error) {
+	bad := func(err error) (int, int, int64, int64, error) {
+		return 0, 0, 0, 0, fmt.Errorf("exchange: bad stage wc file name %q: %w", key, err)
 	}
-	rest := base[len(tag):]
+	base := key[strings.LastIndex(key, "/")+1:]
+	rest, ok := strings.CutPrefix(base, tag)
 	ai := strings.Index(rest, "-a")
 	oi := strings.Index(rest, "-off")
-	if ai < 0 || oi < 0 || oi < ai {
-		return 0, 0, nil, fmt.Errorf("exchange: bad stage wc file name %q", key)
+	if !ok || ai < 0 || oi < ai {
+		return bad(errors.New("want <tag><id>-a<n>-off<offsets>"))
 	}
 	if id, err = strconv.Atoi(rest[:ai]); err != nil {
-		return 0, 0, nil, err
+		return bad(err)
 	}
 	if attempt, err = strconv.Atoi(rest[ai+2 : oi]); err != nil {
-		return 0, 0, nil, err
+		return bad(err)
 	}
-	for _, s := range strings.Split(rest[oi+4:], "_") {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		offsets = append(offsets, v)
+	if lo, hi, err = slotRange(rest[oi+4:], slots, slot); err != nil {
+		return bad(err)
 	}
-	return id, attempt, offsets, nil
+	return id, attempt, lo, hi, nil
 }
 
 // HashPartition maps row i of the key columns to its partition in
@@ -163,9 +200,9 @@ func HashPartition(keys []*columnar.Vector, i, parts int) int {
 	return int(h % uint64(parts))
 }
 
-// partitionRows returns, per partition, the row indices of chunk in row
-// order. All key columns must be Int64.
-func partitionRows(chunk *columnar.Chunk, keys []string, parts int) ([][]int, error) {
+// hashSlots returns every row's partition in [0, parts) under the boundary
+// hash. All key columns must be Int64.
+func hashSlots(chunk *columnar.Chunk, keys []string, parts int) ([]int, error) {
 	cols := make([]*columnar.Vector, len(keys))
 	for i, k := range keys {
 		v := chunk.Column(k)
@@ -177,13 +214,55 @@ func partitionRows(chunk *columnar.Chunk, keys []string, parts int) ([][]int, er
 		}
 		cols[i] = v
 	}
-	sel := make([][]int, parts)
-	n := chunk.NumRows()
-	for i := 0; i < n; i++ {
-		p := HashPartition(cols, i, parts)
-		sel[p] = append(sel[p], i)
+	slot := make([]int, chunk.NumRows())
+	for i := range slot {
+		slot[i] = HashPartition(cols, i, parts)
 	}
-	return sel, nil
+	return slot, nil
+}
+
+// scatter partitions chunk in a single pass: given every row's slot in
+// [0, slots), it returns a copy of chunk with the rows of each slot
+// contiguous — slots ascending, row order kept within a slot — and the
+// slots+1 row bounds, slot s being rows [bounds[s], bounds[s+1]). A slot, and
+// any run of consecutive slots (a §4.4.2 group), is then a Slice view of the
+// one scattered chunk. Histogram, prefix sums, one permuted copy per column;
+// slot is overwritten with each row's destination.
+func scatter(chunk *columnar.Chunk, slot []int, slots int) (*columnar.Chunk, []int) {
+	bounds := make([]int, slots+1)
+	for _, s := range slot {
+		bounds[s+1]++
+	}
+	for s := 0; s < slots; s++ {
+		bounds[s+1] += bounds[s]
+	}
+	next := slices.Clone(bounds[:slots])
+	for i, s := range slot {
+		slot[i] = next[s]
+		next[s]++
+	}
+	return chunk.Scatter(slot), bounds
+}
+
+// encodeSlots serializes rows [bounds[i], bounds[i+1]) of chunk as the lpq
+// file of slot i, one file after another in a single buffer, and returns the
+// buffer with the len(bounds) cumulative byte offsets of the files: slot i is
+// combined[offsets[i]:offsets[i+1]]. Write-combining senders Put the buffer
+// whole, with the offsets in the name; the others Put its slices. Every
+// slot's rows are encoded in place from a Slice view (lpq.AppendFile).
+func encodeSlots(chunk *columnar.Chunk, bounds []int) (combined []byte, offsets []int64, err error) {
+	slots := len(bounds) - 1
+	// Capacity hint: plain-encoded values plus a footer per slot.
+	combined = make([]byte, 0, int(chunk.ByteSize())+slots*(64+64*chunk.Schema.Len()))
+	offsets = make([]int64, len(bounds))
+	for i := 0; i < slots; i++ {
+		combined, err = lpq.AppendFile(combined, chunk.Schema, lpq.WriterOptions{}, chunk.Slice(bounds[i], bounds[i+1]))
+		if err != nil {
+			return nil, nil, err
+		}
+		offsets[i+1] = int64(len(combined))
+	}
+	return combined, offsets, nil
 }
 
 // PublishStage hash-partitions chunk by the key columns and writes this
@@ -201,21 +280,17 @@ func PublishStage(client *s3.Client, opts Options, b Boundary, sender int, chunk
 	if b.Partitions < 1 {
 		return fmt.Errorf("exchange: boundary with %d partitions", b.Partitions)
 	}
-	if opts.Variant.Levels >= 2 {
-		return publishStageGrouped(client, opts, b, sender, chunk, keys)
-	}
-	sel, err := partitionRows(chunk, keys, b.Partitions)
+	slot, err := hashSlots(chunk, keys, b.Partitions)
 	if err != nil {
 		return err
 	}
-	blobs := make([][]byte, b.Partitions)
-	for p := 0; p < b.Partitions; p++ {
-		part := chunk.Gather(sel[p])
-		data, err := lpq.WriteFile(chunk.Schema, lpq.WriterOptions{}, part)
-		if err != nil {
-			return err
-		}
-		blobs[p] = data
+	scattered, bounds := scatter(chunk, slot, b.Partitions)
+	if opts.Variant.Levels >= 2 {
+		return publishStageGrouped(client, opts, b, sender, scattered, bounds)
+	}
+	combined, offsets, err := encodeSlots(scattered, bounds)
+	if err != nil {
+		return err
 	}
 
 	if opts.Variant.WriteCombining {
@@ -224,19 +299,12 @@ func PublishStage(client *s3.Client, opts Options, b Boundary, sender int, chunk
 		// spreading senders keeps the §4.4.1 rate-limit multiplication);
 		// cumulative partition offsets travel in the name. The single Put is
 		// atomic: the object existing means the attempt is committed.
-		var combined []byte
-		offsets := make([]int64, 0, b.Partitions+1)
-		for p := 0; p < b.Partitions; p++ {
-			offsets = append(offsets, int64(len(combined)))
-			combined = append(combined, blobs[p]...)
-		}
-		offsets = append(offsets, int64(len(combined)))
 		name := opts.stageWcName(b.Stage, b.Attempt, sender, offsets)
 		return client.Put(opts.stageBucket(b.Stage, sender), name, combined)
 	}
 
 	for p := 0; p < b.Partitions; p++ {
-		if err := client.Put(opts.stageBucket(b.Stage, p), opts.stageFile(b.Stage, b.Attempt, p, sender), blobs[p]); err != nil {
+		if err := client.Put(opts.stageBucket(b.Stage, p), opts.stageFile(b.Stage, b.Attempt, p, sender), combined[offsets[p]:offsets[p+1]]); err != nil {
 			return err
 		}
 	}
@@ -270,19 +338,15 @@ func CollectStage(client *s3.Client, opts Options, b Boundary, part int) (*colum
 	if err != nil {
 		return nil, err
 	}
-	var out *columnar.Chunk
+	blobs := make([][]byte, b.Senders)
 	bucket := opts.stageBucket(b.Stage, part)
-	for s := 0; s < b.Senders; s++ {
+	for s := range blobs {
 		name := opts.stageFile(b.Stage, attempts[s], part, s)
-		data, _, err := client.Get(bucket, name, 1)
-		if err != nil {
+		if blobs[s], _, err = client.Get(bucket, name, 1); err != nil {
 			return nil, fmt.Errorf("exchange: reading %s: %w", name, err)
 		}
-		if out, err = appendStageBlob(out, data); err != nil {
-			return nil, err
-		}
 	}
-	return out, nil
+	return decodeBlobs(nil, blobs)
 }
 
 // bucketSenders is one shard bucket and the senders sharded into it.
@@ -370,12 +434,13 @@ func waitAllCommitted(client *s3.Client, opts Options, b Boundary, dir string) (
 	}
 }
 
-// stageWcFile is one committed combined object of a sender.
+// stageWcFile is one committed combined object of a sender: where it is
+// and the byte range [lo, hi) of the slot being collected.
 type stageWcFile struct {
 	bucket  string
 	key     string
 	attempt int
-	offsets []int64
+	lo, hi  int64
 }
 
 // discoverCombined lists a boundary's write-combined objects across the
@@ -386,8 +451,9 @@ type stageWcFile struct {
 // senders, and the caller parks on the completion signal between rounds.
 // The prefix/tag pair selects the round (single-round `snd` objects with
 // slots = partitions, or round-1 `r1snd` grouped objects with slots =
-// groups); every object must carry slots+1 cumulative offsets.
-func discoverCombined(client *s3.Client, opts Options, b Boundary, prefix, tag string, slots int) (map[int]stageWcFile, error) {
+// groups); every object must carry slots+1 cumulative offsets, of which
+// slot's range is kept.
+func discoverCombined(client *s3.Client, opts Options, b Boundary, prefix, tag string, slots, slot int) (map[int]stageWcFile, error) {
 	byBucket := senderBuckets(opts, b)
 	deadline := client.Env().Now() + opts.MaxWait
 	best := make(map[int]stageWcFile, b.Senders)
@@ -402,15 +468,12 @@ func discoverCombined(client *s3.Client, opts Options, b Boundary, prefix, tag s
 				return nil, err
 			}
 			for _, e := range entries {
-				sender, attempt, offsets, err := parseWcTail(e.Key, tag)
+				sender, attempt, lo, hi, err := parseWcTail(e.Key, tag, slots, slot)
 				if err != nil {
 					return nil, err
 				}
-				if len(offsets) != slots+1 {
-					return nil, fmt.Errorf("exchange: %d offsets for %d slots in %q", len(offsets), slots, e.Key)
-				}
 				if cur, ok := best[sender]; !ok || attempt < cur.attempt {
-					best[sender] = stageWcFile{bucket: bs.bucket, key: e.Key, attempt: attempt, offsets: offsets}
+					best[sender] = stageWcFile{bucket: bs.bucket, key: e.Key, attempt: attempt, lo: lo, hi: hi}
 					found[sender] = attempt
 				}
 			}
@@ -436,31 +499,30 @@ func discoverCombined(client *s3.Client, opts Options, b Boundary, prefix, tag s
 // it still hosts unfound senders, and the receiver parks on the completion
 // signal between rounds.
 func collectStageCombined(client *s3.Client, opts Options, b Boundary, part int) (*columnar.Chunk, error) {
-	best, err := discoverCombined(client, opts, b, opts.stageWcPrefix(b.Stage), "snd", b.Partitions)
+	best, err := discoverCombined(client, opts, b, opts.stageWcPrefix(b.Stage), "snd", b.Partitions, part)
 	if err != nil {
 		return nil, err
 	}
+	return readSlots(client, best)
+}
+
+// readSlots range-reads the collected slot's bytes of every sender's
+// combined object and concatenates the rows in ascending sender order.
+func readSlots(client *s3.Client, best map[int]stageWcFile) (*columnar.Chunk, error) {
 	senders := make([]int, 0, len(best))
 	for s := range best {
 		senders = append(senders, s)
 	}
 	sort.Ints(senders)
-	var out *columnar.Chunk
-	for _, s := range senders {
+	blobs := make([][]byte, len(senders))
+	for i, s := range senders {
 		f := best[s]
-		lo, hi := f.offsets[part], f.offsets[part+1]
-		if hi < lo {
-			return nil, fmt.Errorf("exchange: inverted offsets in %q", f.key)
-		}
-		data, _, err := client.GetRange(f.bucket, f.key, lo, hi-lo, 1)
-		if err != nil {
-			return nil, err
-		}
-		if out, err = appendStageBlob(out, data); err != nil {
+		var err error
+		if blobs[i], _, err = client.GetRange(f.bucket, f.key, f.lo, f.hi-f.lo, 1); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return decodeBlobs(nil, blobs)
 }
 
 // Sweep is the stale-drain collector: it deletes every object under prefix
@@ -493,29 +555,33 @@ func Sweep(client *s3.Client, buckets []string, prefix string) (int, error) {
 	return removed, nil
 }
 
-// appendStageBlob decodes an lpq blob and appends its rows to dst,
-// allocating dst from the blob's own schema on first use.
-func appendStageBlob(dst *columnar.Chunk, blob []byte) (*columnar.Chunk, error) {
-	if dst == nil {
+// decodeBlobs concatenates the rows of the lpq blobs, in order, into one
+// chunk of the given schema — nil takes the first blob's, lpq files being
+// self-describing, so boundaries need no schema plumbing. The chunk is sized
+// once from the footers' row counts and every page is decoded straight into
+// its place.
+func decodeBlobs(schema *columnar.Schema, blobs [][]byte) (*columnar.Chunk, error) {
+	readers := make([]*lpq.Reader, len(blobs))
+	var rows int64
+	for i, blob := range blobs {
 		r, err := lpq.OpenReader(bytes.NewReader(blob), int64(len(blob)))
 		if err != nil {
 			return nil, err
 		}
-		return r.ReadAll()
+		readers[i] = r
+		rows += r.Meta().TotalRows
 	}
-	if err := appendLpqBlob(dst, blob); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-func offsetString(offsets []int64) string {
-	s := ""
-	for i, off := range offsets {
-		if i > 0 {
-			s += "_"
+	if schema == nil {
+		if len(readers) == 0 {
+			return nil, nil
 		}
-		s += fmt.Sprintf("%d", off)
+		schema = readers[0].Schema()
 	}
-	return s
+	out := columnar.NewChunk(schema, int(rows))
+	for _, r := range readers {
+		if err := r.AppendTo(out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -20,7 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"lambada/internal/columnar"
 )
@@ -55,11 +55,7 @@ func (e Encoding) String() string {
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-func putUvarint(buf []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(buf, tmp[:n]...)
-}
+func putUvarint(buf []byte, v uint64) []byte { return binary.AppendUvarint(buf, v) }
 
 type byteReader struct {
 	b   []byte
@@ -98,363 +94,275 @@ func (r *byteReader) remaining() int { return len(r.b) - r.pos }
 // type constrains the valid encodings: Delta applies to Int64 only; Dict to
 // Int64 and Float64; RLE to Int64 and Bool.
 func EncodeColumn(v *columnar.Vector, enc Encoding) ([]byte, error) {
-	switch enc {
+	return appendEncoded(nil, v, enc, new(valueSet), false)
+}
+
+// encodes reports whether the encoding can serialize columns of type t.
+func (e Encoding) encodes(t columnar.Type) bool {
+	switch e {
 	case Plain:
-		return encodePlain(v), nil
+		return true
 	case RLE:
-		return encodeRLE(v)
+		return t != columnar.Float64
 	case Delta:
-		return encodeDelta(v)
+		return t == columnar.Int64
 	case Dict:
-		return encodeDict(v)
+		return t != columnar.Bool
 	default:
-		return nil, fmt.Errorf("lpq: unknown encoding %v", enc)
+		return false
+	}
+}
+
+// check is encodes as an error.
+func (e Encoding) check(t columnar.Type) error {
+	switch {
+	case e.encodes(t):
+		return nil
+	case e > Dict:
+		return fmt.Errorf("lpq: unknown encoding %v", e)
+	default:
+		return fmt.Errorf("lpq: %v unsupported for %v", e, t)
+	}
+}
+
+// appendEncoded appends v's serialization under enc to dst. Dict reads the
+// column's distinct values from set; profiled says the caller's profile pass
+// over this very vector has just filled it, otherwise it is filled here.
+func appendEncoded(dst []byte, v *columnar.Vector, enc Encoding, set *valueSet, profiled bool) ([]byte, error) {
+	if err := enc.check(v.Type); err != nil {
+		return nil, err
+	}
+	switch enc {
+	case RLE:
+		return appendRLE(dst, v), nil
+	case Delta:
+		return appendDelta(dst, v), nil
+	case Dict:
+		if !profiled {
+			set.profile(v)
+		}
+		return set.appendDict(dst, v), nil
+	default:
+		return appendPlain(dst, v), nil
 	}
 }
 
 // DecodeColumn deserializes n values of type t from data.
 func DecodeColumn(data []byte, t columnar.Type, enc Encoding, n int) (*columnar.Vector, error) {
-	switch enc {
-	case Plain:
-		return decodePlain(data, t, n)
-	case RLE:
-		return decodeRLE(data, t, n)
-	case Delta:
-		return decodeDelta(data, t, n)
-	case Dict:
-		return decodeDict(data, t, n)
-	default:
-		return nil, fmt.Errorf("lpq: unknown encoding %v", enc)
-	}
-}
-
-func encodePlain(v *columnar.Vector) []byte {
-	switch v.Type {
-	case columnar.Int64:
-		out := make([]byte, 8*len(v.Int64s))
-		for i, x := range v.Int64s {
-			binary.LittleEndian.PutUint64(out[8*i:], uint64(x))
-		}
-		return out
-	case columnar.Float64:
-		out := make([]byte, 8*len(v.Float64s))
-		for i, x := range v.Float64s {
-			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
-		}
-		return out
-	default:
-		out := make([]byte, len(v.Bools))
-		for i, x := range v.Bools {
-			if x {
-				out[i] = 1
-			}
-		}
-		return out
-	}
-}
-
-// decodePlain bulk-decodes fixed-width values: one length check up front,
-// then direct index writes into the preallocated value slice (no per-value
-// append bookkeeping — this is the hottest decode loop in the system).
-func decodePlain(data []byte, t columnar.Type, n int) (*columnar.Vector, error) {
 	v := columnar.NewVector(t, n)
-	switch t {
-	case columnar.Int64:
-		if len(data) < 8*n {
-			return nil, fmt.Errorf("lpq: plain int64 column truncated: %d < %d", len(data), 8*n)
-		}
-		v.Int64s = v.Int64s[:n]
-		for i := range v.Int64s {
-			v.Int64s[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
-		}
-	case columnar.Float64:
-		if len(data) < 8*n {
-			return nil, fmt.Errorf("lpq: plain float64 column truncated")
-		}
-		v.Float64s = v.Float64s[:n]
-		for i := range v.Float64s {
-			v.Float64s[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-		}
-	default:
-		if len(data) < n {
-			return nil, fmt.Errorf("lpq: plain bool column truncated")
-		}
-		v.Bools = v.Bools[:n]
-		for i := range v.Bools {
-			v.Bools[i] = data[i] != 0
-		}
+	if err := decodeOnto(v, data, enc, n); err != nil {
+		return nil, err
 	}
 	return v, nil
 }
 
-func encodeRLE(v *columnar.Vector) ([]byte, error) {
-	var out []byte
+// decodeOnto appends the n values serialized in data to dst.
+func decodeOnto(dst *columnar.Vector, data []byte, enc Encoding, n int) error {
+	if err := enc.check(dst.Type); err != nil {
+		return err
+	}
+	switch enc {
+	case RLE:
+		return decodeRLE(dst, data, n)
+	case Delta:
+		return decodeDelta(dst, data, n)
+	case Dict:
+		return decodeDict(dst, data, n)
+	default:
+		return decodePlain(dst, data, n)
+	}
+}
+
+func appendPlain(dst []byte, v *columnar.Vector) []byte {
+	off := len(dst)
 	switch v.Type {
 	case columnar.Int64:
+		dst = slices.Grow(dst, 8*len(v.Int64s))[:off+8*len(v.Int64s)]
+		for i, x := range v.Int64s {
+			binary.LittleEndian.PutUint64(dst[off+8*i:], uint64(x))
+		}
+	case columnar.Float64:
+		dst = slices.Grow(dst, 8*len(v.Float64s))[:off+8*len(v.Float64s)]
+		for i, x := range v.Float64s {
+			binary.LittleEndian.PutUint64(dst[off+8*i:], math.Float64bits(x))
+		}
+	default:
+		dst = slices.Grow(dst, len(v.Bools))[:off+len(v.Bools)]
+		for i, x := range v.Bools {
+			dst[off+i] = 0
+			if x {
+				dst[off+i] = 1
+			}
+		}
+	}
+	return dst
+}
+
+// decodePlain bulk-decodes fixed-width values: one length check up front,
+// then direct index writes into the grown value slice (no per-value append
+// bookkeeping — this is the hottest decode loop in the system).
+func decodePlain(dst *columnar.Vector, data []byte, n int) error {
+	switch dst.Type {
+	case columnar.Int64:
+		if len(data) < 8*n {
+			return fmt.Errorf("lpq: plain int64 column truncated: %d < %d", len(data), 8*n)
+		}
+		off := len(dst.Int64s)
+		dst.Int64s = slices.Grow(dst.Int64s, n)[:off+n]
+		for i, out := 0, dst.Int64s[off:]; i < n; i++ {
+			out[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+	case columnar.Float64:
+		if len(data) < 8*n {
+			return fmt.Errorf("lpq: plain float64 column truncated")
+		}
+		off := len(dst.Float64s)
+		dst.Float64s = slices.Grow(dst.Float64s, n)[:off+n]
+		for i, out := 0, dst.Float64s[off:]; i < n; i++ {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+	default:
+		if len(data) < n {
+			return fmt.Errorf("lpq: plain bool column truncated")
+		}
+		off := len(dst.Bools)
+		dst.Bools = slices.Grow(dst.Bools, n)[:off+n]
+		for i, out := 0, dst.Bools[off:]; i < n; i++ {
+			out[i] = data[i] != 0
+		}
+	}
+	return nil
+}
+
+func appendRLE(dst []byte, v *columnar.Vector) []byte {
+	if v.Type == columnar.Int64 {
 		for i := 0; i < len(v.Int64s); {
 			j := i + 1
 			for j < len(v.Int64s) && v.Int64s[j] == v.Int64s[i] {
 				j++
 			}
-			out = putUvarint(out, uint64(j-i))
-			out = putUvarint(out, zigzag(v.Int64s[i]))
+			dst = putUvarint(dst, uint64(j-i))
+			dst = putUvarint(dst, zigzag(v.Int64s[i]))
 			i = j
 		}
-	case columnar.Bool:
-		for i := 0; i < len(v.Bools); {
-			j := i + 1
-			for j < len(v.Bools) && v.Bools[j] == v.Bools[i] {
-				j++
-			}
-			out = putUvarint(out, uint64(j-i))
-			if v.Bools[i] {
-				out = append(out, 1)
-			} else {
-				out = append(out, 0)
-			}
-			i = j
-		}
-	default:
-		return nil, fmt.Errorf("lpq: RLE unsupported for %v", v.Type)
+		return dst
 	}
-	return out, nil
+	for i := 0; i < len(v.Bools); {
+		j := i + 1
+		for j < len(v.Bools) && v.Bools[j] == v.Bools[i] {
+			j++
+		}
+		dst = putUvarint(dst, uint64(j-i))
+		if v.Bools[i] {
+			dst = append(dst, 1)
+		} else {
+			dst = append(dst, 0)
+		}
+		i = j
+	}
+	return dst
 }
 
-func decodeRLE(data []byte, t columnar.Type, n int) (*columnar.Vector, error) {
-	v := columnar.NewVector(t, n)
+func decodeRLE(dst *columnar.Vector, data []byte, n int) error {
 	r := &byteReader{b: data}
-	for v.Len() < n {
+	for got := 0; got < n; {
 		run, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if run == 0 || v.Len()+int(run) > n {
-			return nil, fmt.Errorf("lpq: RLE run %d overflows %d values", run, n)
+		if run == 0 || run > uint64(n-got) {
+			return fmt.Errorf("lpq: RLE run %d overflows %d values", run, n)
 		}
-		switch t {
-		case columnar.Int64:
+		if dst.Type == columnar.Int64 {
 			u, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			x := unzigzag(u)
 			for k := uint64(0); k < run; k++ {
-				v.Int64s = append(v.Int64s, x)
+				dst.Int64s = append(dst.Int64s, x)
 			}
-		case columnar.Bool:
+		} else {
 			b, err := r.byte()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			for k := uint64(0); k < run; k++ {
-				v.Bools = append(v.Bools, b != 0)
+				dst.Bools = append(dst.Bools, b != 0)
 			}
-		default:
-			return nil, fmt.Errorf("lpq: RLE unsupported for %v", t)
 		}
+		got += int(run)
 	}
-	return v, nil
+	return nil
 }
 
-func encodeDelta(v *columnar.Vector) ([]byte, error) {
-	if v.Type != columnar.Int64 {
-		return nil, fmt.Errorf("lpq: delta unsupported for %v", v.Type)
-	}
-	var out []byte
+func appendDelta(dst []byte, v *columnar.Vector) []byte {
 	prev := int64(0)
-	for i, x := range v.Int64s {
-		if i == 0 {
-			out = putUvarint(out, zigzag(x))
-		} else {
-			out = putUvarint(out, zigzag(x-prev))
-		}
+	for _, x := range v.Int64s {
+		dst = putUvarint(dst, zigzag(x-prev))
 		prev = x
 	}
-	return out, nil
+	return dst
 }
 
-func decodeDelta(data []byte, t columnar.Type, n int) (*columnar.Vector, error) {
-	if t != columnar.Int64 {
-		return nil, fmt.Errorf("lpq: delta unsupported for %v", t)
-	}
-	v := columnar.NewVector(t, n)
+func decodeDelta(dst *columnar.Vector, data []byte, n int) error {
 	r := &byteReader{b: data}
 	prev := int64(0)
 	for i := 0; i < n; i++ {
 		u, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		d := unzigzag(u)
-		if i == 0 {
-			prev = d
-		} else {
-			prev += d
-		}
-		v.Int64s = append(v.Int64s, prev)
+		prev += unzigzag(u)
+		dst.Int64s = append(dst.Int64s, prev)
 	}
-	return v, nil
+	return nil
 }
 
-func encodeDict(v *columnar.Vector) ([]byte, error) {
-	var out []byte
-	switch v.Type {
-	case columnar.Int64:
-		dict := map[int64]uint64{}
-		var values []int64
-		for _, x := range v.Int64s {
-			if _, ok := dict[x]; !ok {
-				dict[x] = 0
-				values = append(values, x)
-			}
-		}
-		sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
-		for i, x := range values {
-			dict[x] = uint64(i)
-		}
-		out = putUvarint(out, uint64(len(values)))
-		for _, x := range values {
-			out = putUvarint(out, zigzag(x))
-		}
-		for _, x := range v.Int64s {
-			out = putUvarint(out, dict[x])
-		}
-	case columnar.Float64:
-		dict := map[float64]uint64{}
-		var values []float64
-		for _, x := range v.Float64s {
-			if _, ok := dict[x]; !ok {
-				dict[x] = 0
-				values = append(values, x)
-			}
-		}
-		sort.Float64s(values)
-		for i, x := range values {
-			dict[x] = uint64(i)
-		}
-		out = putUvarint(out, uint64(len(values)))
-		for _, x := range values {
-			var tmp [8]byte
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(x))
-			out = append(out, tmp[:]...)
-		}
-		for _, x := range v.Float64s {
-			out = putUvarint(out, dict[x])
-		}
-	default:
-		return nil, fmt.Errorf("lpq: dict unsupported for %v", v.Type)
-	}
-	return out, nil
-}
-
-func decodeDict(data []byte, t columnar.Type, n int) (*columnar.Vector, error) {
+func decodeDict(dst *columnar.Vector, data []byte, n int) error {
 	r := &byteReader{b: data}
 	size, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	v := columnar.NewVector(t, n)
-	switch t {
-	case columnar.Int64:
+	if dst.Type == columnar.Int64 {
 		dict := make([]int64, size)
 		for i := range dict {
 			u, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			dict[i] = unzigzag(u)
 		}
 		for i := 0; i < n; i++ {
 			idx, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if idx >= size {
-				return nil, fmt.Errorf("lpq: dict index %d out of range %d", idx, size)
+				return fmt.Errorf("lpq: dict index %d out of range %d", idx, size)
 			}
-			v.Int64s = append(v.Int64s, dict[idx])
+			dst.Int64s = append(dst.Int64s, dict[idx])
 		}
-	case columnar.Float64:
-		dict := make([]float64, size)
-		for i := range dict {
-			b, err := r.bytes(8)
-			if err != nil {
-				return nil, err
-			}
-			dict[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		}
-		for i := 0; i < n; i++ {
-			idx, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if idx >= size {
-				return nil, fmt.Errorf("lpq: dict index %d out of range %d", idx, size)
-			}
-			v.Float64s = append(v.Float64s, dict[idx])
-		}
-	default:
-		return nil, fmt.Errorf("lpq: dict unsupported for %v", t)
+		return nil
 	}
-	return v, nil
-}
-
-// ChooseEncoding picks a light-weight encoding for a vector by simple
-// analysis: sorted ints get Delta, runs get RLE, low-cardinality columns get
-// Dict, everything else Plain.
-func ChooseEncoding(v *columnar.Vector) Encoding {
-	n := v.Len()
-	if n == 0 {
-		return Plain
+	dict := make([]float64, size)
+	for i := range dict {
+		b, err := r.bytes(8)
+		if err != nil {
+			return err
+		}
+		dict[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
-	switch v.Type {
-	case columnar.Int64:
-		sorted := true
-		runs := 1
-		distinct := map[int64]struct{}{v.Int64s[0]: {}}
-		for i := 1; i < n; i++ {
-			if v.Int64s[i] < v.Int64s[i-1] {
-				sorted = false
-			}
-			if v.Int64s[i] != v.Int64s[i-1] {
-				runs++
-			}
-			if len(distinct) <= 4096 {
-				distinct[v.Int64s[i]] = struct{}{}
-			}
+	for i := 0; i < n; i++ {
+		idx, err := r.uvarint()
+		if err != nil {
+			return err
 		}
-		switch {
-		case runs <= n/4:
-			return RLE
-		case sorted:
-			return Delta
-		case len(distinct) <= 4096 && len(distinct) <= n/4:
-			return Dict
-		default:
-			return Plain
+		if idx >= size {
+			return fmt.Errorf("lpq: dict index %d out of range %d", idx, size)
 		}
-	case columnar.Float64:
-		distinct := map[float64]struct{}{}
-		for _, x := range v.Float64s {
-			distinct[x] = struct{}{}
-			if len(distinct) > 4096 {
-				return Plain
-			}
-		}
-		if len(distinct) <= n/4 {
-			return Dict
-		}
-		return Plain
-	default:
-		runs := 1
-		for i := 1; i < n; i++ {
-			if v.Bools[i] != v.Bools[i-1] {
-				runs++
-			}
-		}
-		if runs <= n/4 {
-			return RLE
-		}
-		return Plain
+		dst.Float64s = append(dst.Float64s, dict[idx])
 	}
+	return nil
 }

@@ -288,11 +288,10 @@ func readPageIndex(r *byteReader, t columnar.Type, groupRows int64) ([]PageMeta,
 	return pages, nil
 }
 
-// encodeFooter serializes the footer body (without length/magic trailer).
-// A v2 footer is the v1 layout plus, per column chunk, a distinct-count
-// estimate and the page index.
-func encodeFooter(m *FileMeta, v2 bool) []byte {
-	var out []byte
+// appendFooter appends the serialized footer body (without length/magic
+// trailer) to out. A v2 footer is the v1 layout plus, per column chunk, a
+// distinct-count estimate and the page index.
+func appendFooter(out []byte, m *FileMeta, v2 bool) []byte {
 	out = putUvarint(out, uint64(m.Schema.Len()))
 	for _, f := range m.Schema.Fields {
 		out = putUvarint(out, uint64(len(f.Name)))
@@ -329,7 +328,7 @@ func decodeFooter(data []byte, v2 bool) (*FileMeta, error) {
 	if nf == 0 || nf > 1<<16 {
 		return nil, fmt.Errorf("lpq: implausible field count %d", nf)
 	}
-	schema := &columnar.Schema{}
+	schema := &columnar.Schema{Fields: make([]columnar.Field, 0, nf)}
 	for i := uint64(0); i < nf; i++ {
 		nameLen, err := r.uvarint()
 		if err != nil {
@@ -352,14 +351,15 @@ func decodeFooter(data []byte, v2 bool) (*FileMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &FileMeta{Schema: schema}
+	// Sized up front; a corrupt count cannot reserve more than the footer
+	// has bytes for.
+	m := &FileMeta{Schema: schema, RowGroups: make([]RowGroupMeta, 0, min(nrg, uint64(r.remaining())))}
 	for g := uint64(0); g < nrg; g++ {
-		var rg RowGroupMeta
 		rows, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		rg.NumRows = int64(rows)
+		rg := RowGroupMeta{NumRows: int64(rows), Columns: make([]ColumnChunkMeta, 0, schema.Len())}
 		for c := 0; c < schema.Len(); c++ {
 			var cc ColumnChunkMeta
 			off, err := r.uvarint()
@@ -417,48 +417,8 @@ func decodeFooter(data []byte, v2 bool) (*FileMeta, error) {
 	return m, nil
 }
 
-// distinctEstimate counts a vector's distinct values. Exact: row groups
-// hold at most WriterOptions.RowGroupRows values, small enough for a map
-// pass at write time.
-func distinctEstimate(v *columnar.Vector) int64 {
-	switch v.Type {
-	case columnar.Int64:
-		seen := make(map[int64]struct{}, 64)
-		for _, x := range v.Int64s {
-			seen[x] = struct{}{}
-		}
-		return int64(len(seen))
-	case columnar.Float64:
-		seen := make(map[float64]struct{}, 64)
-		for _, x := range v.Float64s {
-			seen[x] = struct{}{}
-		}
-		return int64(len(seen))
-	case columnar.Bool:
-		var t, f bool
-		for _, x := range v.Bools {
-			if x {
-				t = true
-			} else {
-				f = true
-			}
-			if t && f {
-				break
-			}
-		}
-		n := int64(0)
-		if t {
-			n++
-		}
-		if f {
-			n++
-		}
-		return n
-	}
-	return 0
-}
-
-// computeStats derives min/max statistics for a vector.
+// computeStats derives min/max statistics for a vector — the page-level
+// pass; whole column chunks get theirs from the writer's profile pass.
 func computeStats(v *columnar.Vector) Stats {
 	var s Stats
 	switch v.Type {

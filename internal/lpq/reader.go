@@ -89,99 +89,145 @@ func (r *Reader) Schema() *columnar.Schema { return r.meta.Schema }
 
 // ReadColumn reads, decompresses and decodes one column chunk.
 func (r *Reader) ReadColumn(rowGroup, col int) (*columnar.Vector, error) {
-	if rowGroup < 0 || rowGroup >= len(r.meta.RowGroups) {
-		return nil, fmt.Errorf("lpq: row group %d out of range", rowGroup)
-	}
-	rg := &r.meta.RowGroups[rowGroup]
-	if col < 0 || col >= len(rg.Columns) {
-		return nil, fmt.Errorf("lpq: column %d out of range", col)
-	}
-	cc := rg.Columns[col]
-	stored := make([]byte, cc.CompressedLen)
-	if _, err := r.r.ReadAt(stored, cc.Offset); err != nil {
-		return nil, fmt.Errorf("lpq: reading column chunk: %w", err)
-	}
-	return DecodeColumnChunk(stored, r.meta.Schema.Fields[col].Type, cc, rg.NumRows)
-}
-
-// DecodeColumnChunk decompresses and decodes stored column-chunk bytes. It
-// is exported so the S3 scan operator can download bytes itself (with its
-// own concurrency strategy) and still reuse the decode path.
-func DecodeColumnChunk(stored []byte, t columnar.Type, cc ColumnChunkMeta, numRows int64) (*columnar.Vector, error) {
-	v, _, err := DecodeColumnChunkBuf(stored, t, cc, numRows, nil)
+	v, _, err := r.readColumn(rowGroup, col, new(DecodeState), nil)
 	return v, err
 }
 
-// DecodeColumnChunkBuf is DecodeColumnChunk with a reusable decompression
-// scratch buffer: gzip output is inflated into scratch (grown as needed)
-// instead of a fresh io.ReadAll allocation per chunk. It returns the
-// (possibly grown) scratch for the caller to thread through subsequent
-// calls. The returned vector never aliases scratch — every decoder copies
-// values out — so reusing scratch immediately is safe.
-func DecodeColumnChunkBuf(stored []byte, t columnar.Type, cc ColumnChunkMeta, numRows int64, scratch []byte) (*columnar.Vector, []byte, error) {
-	if len(cc.Pages) > 0 {
-		// Paged v2 chunk: every page is independently encoded and
-		// compressed, so decode page by page and concatenate.
-		out := columnar.NewVector(t, int(numRows))
-		var total int64
-		for i := range cc.Pages {
-			pg := &cc.Pages[i]
-			if pg.RelOff+pg.CompressedLen > int64(len(stored)) {
-				return nil, scratch, fmt.Errorf("lpq: page %d spans [%d,%d) beyond chunk of %d bytes",
-					i, pg.RelOff, pg.RelOff+pg.CompressedLen, len(stored))
-			}
-			var v *columnar.Vector
-			var err error
-			v, scratch, err = DecodePage(stored[pg.RelOff:pg.RelOff+pg.CompressedLen], t, cc, *pg, scratch)
-			if err != nil {
-				return nil, scratch, err
-			}
-			appendAll(out, v)
-			total += pg.NumRows
-		}
-		if total != numRows {
-			return nil, scratch, fmt.Errorf("lpq: page rows sum to %d, row group has %d", total, numRows)
-		}
-		return out, scratch, nil
+// readColumn is ReadColumn through the caller's decode state and read
+// buffer (returned, possibly grown, for the next call).
+func (r *Reader) readColumn(rowGroup, col int, st *DecodeState, buf []byte) (*columnar.Vector, []byte, error) {
+	if rowGroup < 0 || rowGroup >= len(r.meta.RowGroups) {
+		return nil, buf, fmt.Errorf("lpq: row group %d out of range", rowGroup)
 	}
-	raw := stored
-	if cc.Compression == Gzip {
-		zr, err := gzip.NewReader(bytes.NewReader(stored))
+	rg := &r.meta.RowGroups[rowGroup]
+	if col < 0 || col >= len(rg.Columns) {
+		return nil, buf, fmt.Errorf("lpq: column %d out of range", col)
+	}
+	v := columnar.NewVector(r.meta.Schema.Fields[col].Type, int(rg.NumRows))
+	buf, err := r.appendColumn(v, rg, col, st, buf)
+	if err != nil {
+		return nil, buf, err
+	}
+	return v, buf, nil
+}
+
+// appendColumn reads column chunk col of rg into buf (grown as needed and
+// returned for the next call) and decodes it onto dst.
+func (r *Reader) appendColumn(dst *columnar.Vector, rg *RowGroupMeta, col int, st *DecodeState, buf []byte) ([]byte, error) {
+	cc := &rg.Columns[col]
+	if int64(cap(buf)) < cc.CompressedLen {
+		buf = make([]byte, cc.CompressedLen)
+	}
+	stored := buf[:cc.CompressedLen]
+	if _, err := r.r.ReadAt(stored, cc.Offset); err != nil {
+		return buf, fmt.Errorf("lpq: reading column chunk: %w", err)
+	}
+	return buf, st.appendColumnChunk(dst, stored, cc, rg.NumRows)
+}
+
+// DecodeState is what decoding carries from one column chunk or page to the
+// next: the buffer gzip output is inflated into and the gzip reader itself,
+// whose 32 KiB window and Huffman tables Reset keeps. The zero value is
+// ready to use; one goroutine uses a state at a time. Decoded vectors never
+// alias it — every decoder copies values out — so a state is free for the
+// next page as soon as a call returns.
+type DecodeState struct {
+	raw []byte
+	src bytes.Reader
+	zr  *gzip.Reader
+}
+
+// inflate returns the uncompressed bytes of one stored blob; the result is
+// valid until the next call.
+func (s *DecodeState) inflate(stored []byte, comp Compression, uncompressedLen int64) ([]byte, error) {
+	if comp != Gzip {
+		if int64(len(stored)) != uncompressedLen {
+			return nil, fmt.Errorf("lpq: uncompressed length %d != expected %d", len(stored), uncompressedLen)
+		}
+		return stored, nil
+	}
+	s.src.Reset(stored)
+	if s.zr == nil {
+		zr, err := gzip.NewReader(&s.src)
 		if err != nil {
-			return nil, scratch, fmt.Errorf("lpq: gzip: %w", err)
+			return nil, fmt.Errorf("lpq: gzip: %w", err)
 		}
-		if int64(cap(scratch)) < cc.UncompressedLen {
-			scratch = make([]byte, cc.UncompressedLen)
-		}
-		raw = scratch[:cc.UncompressedLen]
-		if _, err := io.ReadFull(zr, raw); err != nil {
-			return nil, scratch, fmt.Errorf("lpq: gunzip: %w", err)
-		}
-		var extra [1]byte
-		if n, _ := zr.Read(extra[:]); n != 0 {
-			return nil, scratch, fmt.Errorf("lpq: uncompressed data longer than expected %d", cc.UncompressedLen)
-		}
-		if err := zr.Close(); err != nil {
-			return nil, scratch, err
-		}
-	} else if int64(len(raw)) != cc.UncompressedLen {
-		return nil, scratch, fmt.Errorf("lpq: uncompressed length %d != expected %d", len(raw), cc.UncompressedLen)
+		s.zr = zr
+	} else if err := s.zr.Reset(&s.src); err != nil {
+		return nil, fmt.Errorf("lpq: gzip: %w", err)
 	}
-	v, err := DecodeColumn(raw, t, cc.Encoding, int(numRows))
-	return v, scratch, err
+	if int64(cap(s.raw)) < uncompressedLen {
+		s.raw = make([]byte, uncompressedLen)
+	}
+	raw := s.raw[:uncompressedLen]
+	if _, err := io.ReadFull(s.zr, raw); err != nil {
+		return nil, fmt.Errorf("lpq: gunzip: %w", err)
+	}
+	var extra [1]byte
+	if n, _ := s.zr.Read(extra[:]); n != 0 {
+		return nil, fmt.Errorf("lpq: uncompressed data longer than expected %d", uncompressedLen)
+	}
+	if err := s.zr.Close(); err != nil {
+		return nil, err
+	}
+	return raw, nil
+}
+
+// DecodeColumnChunk decompresses and decodes the stored bytes of one column
+// chunk of numRows values. It is exported so the S3 scan operator can
+// download bytes itself (with its own concurrency strategy) and still reuse
+// the decode path.
+func (s *DecodeState) DecodeColumnChunk(stored []byte, t columnar.Type, cc ColumnChunkMeta, numRows int64) (*columnar.Vector, error) {
+	v := columnar.NewVector(t, int(numRows))
+	if err := s.appendColumnChunk(v, stored, &cc, numRows); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // DecodePage decompresses and decodes one page of a paged column chunk.
 // stored must hold exactly the page's compressed bytes
 // (chunk bytes sliced at [pg.RelOff, pg.RelOff+pg.CompressedLen)).
-func DecodePage(stored []byte, t columnar.Type, cc ColumnChunkMeta, pg PageMeta, scratch []byte) (*columnar.Vector, []byte, error) {
-	one := ColumnChunkMeta{
-		CompressedLen:   pg.CompressedLen,
-		UncompressedLen: pg.UncompressedLen,
-		Encoding:        cc.Encoding,
-		Compression:     cc.Compression,
+func (s *DecodeState) DecodePage(stored []byte, t columnar.Type, cc ColumnChunkMeta, pg PageMeta) (*columnar.Vector, error) {
+	v := columnar.NewVector(t, int(pg.NumRows))
+	if err := s.appendBlob(v, stored, &cc, pg.UncompressedLen, pg.NumRows); err != nil {
+		return nil, err
 	}
-	return DecodeColumnChunkBuf(stored, t, one, pg.NumRows, scratch)
+	return v, nil
+}
+
+// appendBlob decodes one independently encoded and compressed blob — an
+// unpaged column chunk or one page — onto dst.
+func (s *DecodeState) appendBlob(dst *columnar.Vector, stored []byte, cc *ColumnChunkMeta, uncompressedLen, numRows int64) error {
+	raw, err := s.inflate(stored, cc.Compression, uncompressedLen)
+	if err != nil {
+		return err
+	}
+	return decodeOnto(dst, raw, cc.Encoding, int(numRows))
+}
+
+// appendColumnChunk decodes a column chunk onto dst, page by page when it is
+// paged: every value is written once, where it stays.
+func (s *DecodeState) appendColumnChunk(dst *columnar.Vector, stored []byte, cc *ColumnChunkMeta, numRows int64) error {
+	if len(cc.Pages) == 0 {
+		return s.appendBlob(dst, stored, cc, cc.UncompressedLen, numRows)
+	}
+	var total int64
+	for i := range cc.Pages {
+		pg := &cc.Pages[i]
+		if pg.RelOff+pg.CompressedLen > int64(len(stored)) {
+			return fmt.Errorf("lpq: page %d spans [%d,%d) beyond chunk of %d bytes",
+				i, pg.RelOff, pg.RelOff+pg.CompressedLen, len(stored))
+		}
+		if err := s.appendBlob(dst, stored[pg.RelOff:pg.RelOff+pg.CompressedLen], cc, pg.UncompressedLen, pg.NumRows); err != nil {
+			return err
+		}
+		total += pg.NumRows
+	}
+	if total != numRows {
+		return fmt.Errorf("lpq: page rows sum to %d, row group has %d", total, numRows)
+	}
+	return nil
 }
 
 // ReadRowGroup reads the given columns (by index; nil means all) of one row
@@ -197,13 +243,14 @@ func (r *Reader) ReadRowGroup(rowGroup int, cols []int) (*columnar.Chunk, error)
 	for i, c := range cols {
 		fields[i] = r.meta.Schema.Fields[c]
 	}
-	out := &columnar.Chunk{Schema: columnar.NewSchema(fields...)}
-	for _, c := range cols {
-		v, err := r.ReadColumn(rowGroup, c)
-		if err != nil {
+	out := &columnar.Chunk{Schema: columnar.NewSchema(fields...), Columns: make([]*columnar.Vector, len(cols))}
+	var st DecodeState
+	var buf []byte
+	for i, c := range cols {
+		var err error
+		if out.Columns[i], buf, err = r.readColumn(rowGroup, c, &st, buf); err != nil {
 			return nil, err
 		}
-		out.Columns = append(out.Columns, v)
 	}
 	return out, nil
 }
@@ -212,16 +259,33 @@ func (r *Reader) ReadRowGroup(rowGroup int, cols []int) (*columnar.Chunk, error)
 // small driver-side scans).
 func (r *Reader) ReadAll() (*columnar.Chunk, error) {
 	out := columnar.NewChunk(r.meta.Schema, int(r.meta.TotalRows))
-	for g := range r.meta.RowGroups {
-		c, err := r.ReadRowGroup(g, nil)
-		if err != nil {
-			return nil, err
-		}
-		for j := range out.Columns {
-			appendAll(out.Columns[j], c.Columns[j])
-		}
+	if err := r.AppendTo(out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// AppendTo decodes every row of the file onto dst, whose schema must equal
+// the file's. Values are decoded where they stay — no per-row-group chunk in
+// between — through one DecodeState and one read buffer, so a caller that
+// sized dst for the rows to come (FileMeta.TotalRows) allocates nothing more
+// per page. On error dst may hold part of the file's rows.
+func (r *Reader) AppendTo(dst *columnar.Chunk) error {
+	if !dst.Schema.Equal(r.meta.Schema) {
+		return fmt.Errorf("lpq: file schema %q != destination schema %q", r.meta.Schema, dst.Schema)
+	}
+	var st DecodeState
+	var buf []byte
+	for g := range r.meta.RowGroups {
+		rg := &r.meta.RowGroups[g]
+		for col := range rg.Columns {
+			var err error
+			if buf, err = r.appendColumn(dst.Columns[col], rg, col, &st, buf); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Predicate is a min/max-testable condition on one column, used for

@@ -145,7 +145,7 @@ func TestV2PageIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg := cc.Pages[2]
-	v, _, err := DecodePage(stored[pg.RelOff:pg.RelOff+pg.CompressedLen], columnar.Int64, *cc, pg, nil)
+	v, err := new(DecodeState).DecodePage(stored[pg.RelOff:pg.RelOff+pg.CompressedLen], columnar.Int64, *cc, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestDeltaPagesSelfContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg := cc.Pages[3] // decode the last page alone
-	v, _, err := DecodePage(stored[pg.RelOff:pg.RelOff+pg.CompressedLen], columnar.Int64, cc, pg, nil)
+	v, err := new(DecodeState).DecodePage(stored[pg.RelOff:pg.RelOff+pg.CompressedLen], columnar.Int64, cc, pg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,14 +359,14 @@ func TestNullCountFooterRoundTrip(t *testing.T) {
 			{Offset: 35, CompressedLen: 5, UncompressedLen: 5, NullCount: 1},
 		}},
 	}}
-	got, err := decodeFooter(encodeFooter(m, true), true)
+	got, err := decodeFooter(appendFooter(nil, m, true), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, m) {
 		t.Errorf("v2 footer round trip:\n got %+v\nwant %+v", got, m)
 	}
-	got1, err := decodeFooter(encodeFooter(m, false), false)
+	got1, err := decodeFooter(appendFooter(nil, m, false), false)
 	if err != nil {
 		t.Fatal(err)
 	}

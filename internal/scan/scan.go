@@ -102,8 +102,10 @@ type Source struct {
 	// billed request/byte counters without touching the opens map.
 	handles []*s3fs.File
 
-	// scratch pools decompression buffers across row-group reads.
-	scratch sync.Pool
+	// idle holds the decode states no goroutine is using. It is a plain
+	// free list, not a sync.Pool: the states die with the Source instead of
+	// lingering in the runtime's pool registry for two GC cycles after it.
+	idle []*lpq.DecodeState
 
 	// Stats.
 	rowGroupsRead   int64
@@ -590,8 +592,10 @@ func (s *Source) readRowGroup(r *lpq.Reader, h *s3fs.File, meta *lpq.FileMeta, g
 	if err != nil {
 		return nil, err
 	}
+	st := s.decodeState()
+	defer s.releaseState(st)
 	for slot, ci := range cols {
-		v, err := s.decodeChunk(bufs[slot], meta.Schema.Fields[ci].Type, rg.Columns[ci], rg.NumRows)
+		v, err := st.DecodeColumnChunk(bufs[slot], meta.Schema.Fields[ci].Type, rg.Columns[ci], rg.NumRows)
 		if err != nil {
 			return nil, err
 		}
@@ -600,34 +604,24 @@ func (s *Source) readRowGroup(r *lpq.Reader, h *s3fs.File, meta *lpq.FileMeta, g
 	return out, nil
 }
 
-// decodeChunk decodes stored column-chunk bytes with a pooled decompression
-// scratch buffer; decoders copy values out, so the buffer is recycled
-// immediately.
-func (s *Source) decodeChunk(stored []byte, t columnar.Type, cc lpq.ColumnChunkMeta, numRows int64) (*columnar.Vector, error) {
-	var bp *[]byte
-	if x := s.scratch.Get(); x != nil {
-		bp = x.(*[]byte)
-	} else {
-		bp = new([]byte)
+// decodeState hands the calling goroutine a decode state of its own — an
+// idle one when there is one — to thread through the pages it decodes and
+// give back with releaseState.
+func (s *Source) decodeState() *lpq.DecodeState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.idle); n > 0 {
+		st := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		return st
 	}
-	v, buf, err := lpq.DecodeColumnChunkBuf(stored, t, cc, numRows, *bp)
-	*bp = buf
-	s.scratch.Put(bp)
-	return v, err
+	return new(lpq.DecodeState)
 }
 
-// decodePage decodes one page of a paged chunk with the pooled scratch.
-func (s *Source) decodePage(stored []byte, t columnar.Type, cc lpq.ColumnChunkMeta, pg lpq.PageMeta) (*columnar.Vector, error) {
-	var bp *[]byte
-	if x := s.scratch.Get(); x != nil {
-		bp = x.(*[]byte)
-	} else {
-		bp = new([]byte)
-	}
-	v, buf, err := lpq.DecodePage(stored, t, cc, pg, *bp)
-	*bp = buf
-	s.scratch.Put(bp)
-	return v, err
+func (s *Source) releaseState(st *lpq.DecodeState) {
+	s.mu.Lock()
+	s.idle = append(s.idle, st)
+	s.mu.Unlock()
 }
 
 // readRangesMaybeParallel fetches the ranges through coalesced spans: a gap
@@ -857,6 +851,8 @@ func (s *Source) fetchPages(h *s3fs.File, meta *lpq.FileMeta, g int, cols, slots
 	if err != nil {
 		return nil, err
 	}
+	st := s.decodeState()
+	defer s.releaseState(st)
 	read := 0
 	for i, slot := range slots {
 		ci := cols[slot]
@@ -869,7 +865,7 @@ func (s *Source) fetchPages(h *s3fs.File, meta *lpq.FileMeta, g int, cols, slots
 			}
 			pg := pages[p]
 			off := pg.RelOff - base
-			v, err := s.decodePage(bufs[i][off:off+pg.CompressedLen], meta.Schema.Fields[ci].Type, cc, pg)
+			v, err := st.DecodePage(bufs[i][off:off+pg.CompressedLen], meta.Schema.Fields[ci].Type, cc, pg)
 			if err != nil {
 				return nil, err
 			}
