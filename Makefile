@@ -70,11 +70,13 @@ print-bench-json:
 
 # bench-check keeps the repository's benchmark (bench/, a Go module of its
 # own that the root `go test ./...` does not reach) building and honest: its
-# unit tests, then one tiny end-to-end run through bench/run.sh, which exits
+# unit tests, then one tiny end-to-end run through bench/run.sh per entrance
+# of the executor — a staged plan and a single-scope one — each exiting
 # non-zero when any result differs from the single-node reference.
 bench-check:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload staged_des --scale tiny --seconds 1
+	bash bench/run.sh --workload scan_local --scale tiny --seconds 1
 
 # serve-smoke boots the resident query service end to end in both modes
 # (goroutine workers in real time; DES virtual time with request batching),

@@ -84,7 +84,6 @@ func main() {
 		useXchg  = flag.Bool("exchange", false, "run through the stage planner: joins shuffle through the serverless exchange when both sides are large, grouped aggregations repartition on their group keys")
 		parts    = flag.Int("partitions", 0, "exchange boundary fan-in (workers per join/final-merge stage, with -exchange); 0 = autotune from footer row counts")
 		bcast    = flag.Int64("broadcast-limit", 0, "build sides up to this many rows broadcast instead of shuffling (0 = default, negative = always shuffle; with -exchange)")
-		pipe     = flag.Bool("pipelined", true, "launch consumer stages before their producers seal (with -exchange); false = wave-gated launch")
 		spec     = flag.Bool("speculate", false, "re-invoke stragglers as backup attempts once a quorum reported (single-scope and staged runs)")
 		stgWait  = flag.Duration("max-stage-wait", time.Minute, "no-progress liveness cap: a runnable stage with no worker response for this long (window restarts per response) has its missing workers re-invoked as the next attempt (with -exchange -speculate; 0 disables)")
 		xlevels  = flag.Int("exchange-levels", 0, "force every stage boundary's round count: 1 = single-round, 2 = multi-level (intermediate regroup round); 0 = resolve per boundary from the analytic request model (with -exchange)")
@@ -185,7 +184,6 @@ func main() {
 			scfg := driver.DefaultStageConfig()
 			scfg.Partitions = *parts
 			scfg.BroadcastRowLimit = *bcast
-			scfg.Pipelined = *pipe
 			scfg.MaxStageWait = *stgWait
 			scfg.ExchangeLevels = *xlevels
 			scfg.Exchange.Variant.WriteCombining = *xcomb

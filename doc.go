@@ -91,6 +91,44 @@
 // deployments all levels are forced off (worker code must not spawn
 // goroutines); the bandwidth shaper models their timing effect instead.
 //
+// # One executor
+//
+// The paper has one execution model — the driver compiles a plan, invokes a
+// fleet, and "polls until it has heard back from all workers" (§3.2–3.3),
+// with the exchange as just another operator between fragments (§4.4) — and
+// internal/driver has one executor for it: the stage scheduler (runStages).
+// Every query reaches it as a stage plan (internal/stageplan) through one
+// of two planning entrances:
+//
+//	RunSQL/RunPlan[Broadcast]   single-scope: the schema comes from the first
+//	                            file's footer, engine.SplitDistributed cuts
+//	                            the plan into a worker scope and a driver
+//	                            merge scope, caller-supplied small tables
+//	                            ride in the payloads — a one-stage plan
+//	                            with no boundary
+//	RunSQLStaged/RunPlanStaged  stageplan.Decompose cuts the plan into a
+//	                            DAG of stages connected by exchange
+//	                            boundaries, sized and pruned from the lpq
+//	                            footers of every table
+//
+// From there on there is one payload shape, one launch path, one loop that
+// reads the result queue, one speculation policy, one failure-seal relaunch
+// and one merge — in worker order, so results are deterministic. A plan
+// pays only for the machinery it uses, by two rules that hold for every
+// plan rather than by a single-scope special case:
+//
+//  1. The boundary namespace — shard buckets, the stages table, the durable
+//     epoch fence, the result-queue purge and both boundary sweeps — exists
+//     iff some stage has an exchange output. A plan without boundaries runs
+//     at epoch 0, ships no stage spec, and issues no DynamoDB request and
+//     no S3 LIST at all: a single-scope query bills its footer read, its
+//     invocations, its workers' scans and its result polls, nothing else.
+//  2. A stage's DynamoDB ready marker is written iff some other stage run
+//     waits on it. Nobody waits on the result stage, so it writes none.
+//
+// TestExecutorRequestGuard pins both as integer billed-request counts per
+// pricing label.
+//
 // # Stage planner and exchange data flow
 //
 // Queries whose shapes exceed one distribution scope — joins with two
@@ -150,15 +188,14 @@
 // the rest, §4.2), so driver-side launch work per stage is O(fanout) while
 // the event loop stays O(1) per completion event at 4k workers.
 //
-// The driver runs the DAG on an event-driven stage scheduler (pending →
-// launched → sealed) rather than in lock-step dependency waves. Every
-// stage's payloads are computable up front, so under pipelined launch
-// (StageConfig.Pipelined, the default) all eager stages are invoked the
-// moment the query starts: consumer cold starts and invocation pacing
-// overlap upstream execution, and the DynamoDB ready marker — written when
-// the driver has seen every producer seal through the SQS result queue —
-// gates each worker's collect instead of its launch. Wave-gated launch
-// remains available for comparison (BenchmarkStagedWaves).
+// The scheduler is event-driven (pending → launched → sealed) rather than
+// lock-step dependency waves. Every stage's payloads are computable up
+// front, so all eager stages are invoked the moment the query starts:
+// consumer cold starts and invocation pacing overlap upstream execution,
+// and the DynamoDB ready marker — written when the driver has seen every
+// producer seal through the SQS result queue — gates each worker's collect
+// instead of its launch. (Wave-gated launch survives only as a test seam,
+// for the tests that need barrier reads in a known order.)
 //
 // Straggler speculation (§5.5's aggressive-timeouts-and-retries theme)
 // applies per stage: once a quorum of a stage's workers sealed and a
@@ -191,7 +228,10 @@
 // purge/sweep clears an aborted identically-numbered run's at-rest debris,
 // one of its workers still in flight could post a seal — or publish
 // boundary files — after that purge, under the same query ID. The epoch
-// fence closes this structurally. Each staged query's lifecycle:
+// fence closes this structurally. The lifecycle of every query whose plan
+// has a boundary (a plan without one publishes nothing a zombie could
+// poison, posts at epoch 0 to a queue that dies with the query, and takes
+// no fence):
 //
 //	acquire   the driver atomically increments the query's epoch item in
 //	          the <fn>-stages DynamoDB table (conditional Put; the durable
@@ -257,10 +297,11 @@
 // Admission replaces per-query invocation pacing with a deployment-wide
 // budget (invoke.Admission, Config.MaxInFlight): every invocation across
 // all live queries acquires a slot, released by the Lambda service's
-// completion hook. Staged launches acquire partially — a stage launches
-// as many workers as there are free slots and the remainder as slots free
-// up — so N queries make progress under one cap instead of deadlocking on
-// whole-fleet acquisition; recovery and speculation re-invokes use an
+// completion hook. Every stage — a single-scope query's one stage included
+// — acquires partially and never blocks: it launches as many workers as
+// there are free slots and the remainder as slots free up, so N queries
+// make progress under one cap instead of deadlocking on whole-fleet
+// acquisition; recovery and speculation re-invokes use an
 // overflow class that may exceed the cap rather than wait behind the very
 // queries they are unsticking. The interleaved-session test pins the
 // meter: the in-flight peak never exceeds the cap, and K = 4 concurrent
@@ -314,7 +355,8 @@
 // Degradation is graceful and typed: a worker that exhausts its budget
 // posts a failure seal marked retryable, and the stage scheduler re-invokes
 // it through the same attempt-versioned machinery speculation uses (the
-// failure path works with speculation disabled); a worker that dies without
+// failure path works with speculation disabled, and for single-scope
+// queries like any other); a worker that dies without
 // posting anything is recovered by the MaxStageWait liveness cap. A query
 // that cannot progress fails fast with a structured *StageFailure and the
 // usual sweeps reclaim its debris. Epoch fence items themselves are
@@ -329,8 +371,9 @@
 // no-op tracer, so the instrumented call sites cost nothing when tracing
 // is off. Spans form a tree:
 //
-//	query    one driver query (RunPlan/RunPlanStaged/RunPlanExchanged)
-//	stage    one stage of a staged execution
+//	query    one driver query, whichever entrance planned it
+//	stage    one stage run of its plan (a single-scope query has one; a
+//	         multi-level boundary adds a regroup run)
 //	invoke   one Lambda worker invocation (an attempt; tags carry worker,
 //	         cold, attempt, fault/timeout outcomes, rows and bytes moved)
 //	op       one substrate call (s3.getrange, sqs.Receive, dynamo.PutIf,

@@ -52,13 +52,13 @@ func BenchmarkShuffleJoin(b *testing.B) {
 	}
 }
 
-// benchStagedLaunch runs the q12 shuffle end-to-end on the DES deployment
-// and reports the modeled query latency as vms/op (virtual milliseconds):
+// BenchmarkStagedPipelined runs the q12 shuffle end-to-end on the DES
+// deployment — every stage invoked up front, ready barriers gating collects
+// — and reports the modeled query latency as vms/op (virtual milliseconds):
 // ns/op only measures how fast the simulation executes, while the virtual
-// latency is what pipelined launch actually improves — consumer cold starts
-// and barrier round trips overlap upstream execution instead of serializing
-// behind the wave barrier.
-func benchStagedLaunch(b *testing.B, pipelined bool) {
+// latency is what pipelined launch buys — consumer cold starts and barrier
+// round trips overlap upstream execution.
+func BenchmarkStagedPipelined(b *testing.B) {
 	g := tpch.Gen{SF: 0.002, Seed: 33}
 	li := g.Generate()
 	orders := g.OrdersFor(li)
@@ -88,7 +88,6 @@ func benchStagedLaunch(b *testing.B, pipelined bool) {
 			scfg := DefaultStageConfig()
 			scfg.Partitions = 4
 			scfg.BroadcastRowLimit = -1
-			scfg.Pipelined = pipelined
 			scfg.Exchange.Poll = 20 * time.Millisecond
 			out, rep, err := d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 			if err != nil {
@@ -105,14 +104,6 @@ func benchStagedLaunch(b *testing.B, pipelined bool) {
 	}
 	b.ReportMetric(float64(virtual)/float64(b.N)/1e6, "vms/op")
 }
-
-// BenchmarkStagedPipelined: event-driven scheduler with pipelined launch —
-// every stage invoked up front, ready barriers gating collects.
-func BenchmarkStagedPipelined(b *testing.B) { benchStagedLaunch(b, true) }
-
-// BenchmarkStagedWaves: the PR 3 wave-barrier baseline — a stage launches
-// only after its producers sealed.
-func BenchmarkStagedWaves(b *testing.B) { benchStagedLaunch(b, false) }
 
 // BenchmarkBroadcastJoin is the same query through the driver-broadcast
 // path — the baseline the shuffle pays its exchange overhead against on

@@ -23,12 +23,28 @@ type chaosRun struct {
 	s3Requests int64
 	sqsReqs    int64
 	injected   int
+	// sess is the session the query ran on; err is the query's own error
+	// (only tryStagedChaosQ12 lets one through).
+	sess *Session
+	err  error
 }
 
 // runStagedChaosQ12 executes the staged q12 shuffle join on a fresh DES
 // kernel against the given deployment and returns the run's observables.
-// mut tweaks the driver/stage configs before the query runs.
+// mut tweaks the driver/stage configs before the query runs. The query must
+// succeed.
 func runStagedChaosQ12(t *testing.T, mkDep func(k *simclock.Kernel) *Deployment, mut func(cfg *Config, scfg *StageConfig)) chaosRun {
+	t.Helper()
+	res := tryStagedChaosQ12(t, mkDep, mut)
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	return res
+}
+
+// tryStagedChaosQ12 is runStagedChaosQ12 for scenarios where the query
+// itself may fail: its error comes back in the run.
+func tryStagedChaosQ12(t *testing.T, mkDep func(k *simclock.Kernel) *Deployment, mut func(cfg *Config, scfg *StageConfig)) chaosRun {
 	t.Helper()
 	k := simclock.New()
 	dep := mkDep(k)
@@ -45,6 +61,7 @@ func runStagedChaosQ12(t *testing.T, mkDep func(k *simclock.Kernel) *Deployment,
 			mut(&cfg, &scfg)
 		}
 		d := New(dep, p, cfg)
+		res.sess = d.Session()
 		if err := d.Install(); err != nil {
 			t.Error(err)
 			return
@@ -62,12 +79,7 @@ func runStagedChaosQ12(t *testing.T, mkDep func(k *simclock.Kernel) *Deployment,
 			t.Error(err)
 			return
 		}
-		out, rep, err := d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		res.out, res.rep = out, rep
+		res.out, res.rep, res.err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		res.s3Requests = dep.Meter.Count(pricing.LabelS3Read) + dep.Meter.Count(pricing.LabelS3Write)
 		res.sqsReqs = dep.Meter.Count(pricing.LabelSQS)
 		res.injected = dep.Faults.TotalInjected()
@@ -294,8 +306,8 @@ func TestStagedChaosCrashRecovery(t *testing.T) {
 func TestStagedChaosBudgetExhaustionFailureSeal(t *testing.T) {
 	mut := func(cfg *Config, scfg *StageConfig) {
 		cfg.RetryBudget = 3
-		scfg.Pipelined = false // waves: barrier reads happen in a known order
-		scfg.Partitions = 1    // exactly one consumer hits the storm
+		cfg.testWaveLaunch = true // waves: barrier reads happen in a known order
+		scfg.Partitions = 1       // exactly one consumer hits the storm
 	}
 	clean := runStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment { return NewSimulated(k, 71) }, mut)
 	// Skip 1 exempts the driver's epoch fence read; the next six dynamo
@@ -314,11 +326,30 @@ func TestStagedChaosBudgetExhaustionFailureSeal(t *testing.T) {
 	if storm.rep.InjectedFaults["dynamo.Get/throttle"] != 6 {
 		t.Errorf("injected = %v, want 6 dynamo.Get throttles", storm.rep.InjectedFaults)
 	}
+	assertQueryClean(t, storm.sess, storm.rep.QueryID)
+
+	// A storm that outlasts the relaunch too: attempt 0 and attempt 1 each
+	// die of exhaustion after four throttles, the relaunch budget is spent,
+	// and the query ends in a typed, retryable StageFailure — with the
+	// substrate as clean as after a success.
+	dead := tryStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment {
+		return NewChaos(k, 71, faults.Plan{Seed: 4, Rules: []faults.Rule{
+			{Op: faults.OpDynamoGet, Kind: faults.KindThrottle, Skip: 1, Count: 8},
+		}})
+	}, mut)
+	var sf *StageFailure
+	if !errors.As(dead.err, &sf) {
+		t.Fatalf("err = %v, want a *StageFailure", dead.err)
+	}
+	if !sf.Retryable || sf.Attempt != 1 || sf.QueryID == "" {
+		t.Errorf("stage failure = %+v, want the retryable failure of attempt 1", sf)
+	}
+	assertQueryClean(t, dead.sess, sf.QueryID)
 }
 
-// TestSingleScopeDuplicateResultDelivery is the satellite-1 regression: an
-// at-least-once result queue that redelivers EVERY worker result must not
-// corrupt single-scope collection — drainResults dedups by worker identity.
+// TestSingleScopeDuplicateResultDelivery: an at-least-once result queue that
+// redelivers EVERY worker result must not corrupt single-scope collection —
+// the scheduler keeps the first seal per worker and discards the rest.
 func TestSingleScopeDuplicateResultDelivery(t *testing.T) {
 	const sql = `
 SELECT l_suppkey, COUNT(*) AS n, MIN(l_orderkey) AS first_ord
@@ -368,6 +399,69 @@ GROUP BY l_suppkey ORDER BY l_suppkey`
 		}})
 	})
 	chunksIdentical(t, dup, clean)
+}
+
+// TestSingleScopeChaosFailureSealRelaunched: an S3 500 storm over the first
+// worker reads of a single-scope q6 exhausts one worker's (deliberately
+// tiny) retry budget. The worker posts a typed retryable failure seal; the
+// scheduler re-invokes the fragment as the next attempt — speculation off,
+// the failure path alone recovers — and the answer is byte-identical to the
+// fault-free run. Before single-scope queries ran on the stage scheduler
+// their collector failed the query on any worker error, retryable or not.
+func TestSingleScopeChaosFailureSealRelaunched(t *testing.T) {
+	run := func(mkDep func(k *simclock.Kernel) *Deployment) (*columnar.Chunk, *Report) {
+		k := simclock.New()
+		dep := mkDep(k)
+		var out *columnar.Chunk
+		var rep *Report
+		var sess *Session
+		k.Go("driver", func(p *simclock.Proc) {
+			cfg := DefaultConfig()
+			cfg.PollInterval = 50 * time.Millisecond
+			cfg.RetryBudget = 2
+			d := New(dep, p, cfg)
+			sess = d.Session()
+			if err := d.Install(); err != nil {
+				t.Error(err)
+				return
+			}
+			li := tpch.Gen{SF: 0.002, Seed: 11}.Generate()
+			refs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if out, rep, err = d.RunSQL(q6SQL, "lineitem", refs); err != nil {
+				t.Error(err)
+			}
+		})
+		k.Run()
+		if k.Deadlocked() {
+			t.Fatal("DES deadlocked")
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+		assertQueryClean(t, sess, rep.QueryID)
+		return out, rep
+	}
+	clean, cleanRep := run(func(k *simclock.Kernel) *Deployment { return NewSimulated(k, 71) })
+	// Skip 2 exempts the driver's footer read; the storm then covers the
+	// first six worker reads. Only the invocation tree's first generation —
+	// two workers — is reading by then, and a budget of 2 absorbs two faults
+	// each, so one of them takes a third and dies of exhaustion.
+	storm, stormRep := run(func(k *simclock.Kernel) *Deployment {
+		return NewChaos(k, 71, faults.Plan{Seed: 3, Rules: []faults.Rule{
+			{Op: faults.OpS3Get, Kind: faults.KindTransient, Skip: 2, Count: 6},
+		}})
+	})
+	chunksIdentical(t, storm, clean)
+	if cleanRep.FailureSeals != 0 {
+		t.Errorf("fault-free run absorbed %d failure seals", cleanRep.FailureSeals)
+	}
+	if stormRep.FailureSeals == 0 {
+		t.Errorf("no failure seal absorbed: injected %v, worker retries %d", stormRep.InjectedFaults, stormRep.WorkerRetries)
+	}
 }
 
 // TestEpochSweepTTL is the satellite-2 test: the lazy sweep in acquireEpoch

@@ -2,7 +2,9 @@ package driver
 
 import (
 	"testing"
+	"time"
 
+	"lambada/internal/awssim/pricing"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
 	"lambada/internal/exchange"
@@ -112,4 +114,121 @@ func TestStagedSelectiveScanCostGuard(t *testing.T) {
 				wc, newRep.S3GetRequests, newRep.S3ReadBytes, newRep2.S3GetRequests, newRep2.S3ReadBytes)
 		}
 	}
+}
+
+// requestLabels are the pricing labels billed per request.
+var requestLabels = []string{
+	pricing.LabelS3Read, pricing.LabelS3Write, pricing.LabelS3List,
+	pricing.LabelSQS, pricing.LabelDynamoRead, pricing.LabelDynamoWrite,
+}
+
+// billedRequests runs one query on a fresh DES deployment (fixed seeds, 4
+// lineitem and 2 orders files) and returns the integer billed-request
+// count per pricing label of the query alone — uploads excluded.
+func billedRequests(t *testing.T, query func(d *Driver, tables TableFiles) error) map[string]int64 {
+	t.Helper()
+	k := simclock.New()
+	dep := NewSimulated(k, 47)
+	got := map[string]int64{}
+	k.Go("driver", func(p *simclock.Proc) {
+		cfg := DefaultConfig()
+		cfg.PollInterval = 50 * time.Millisecond
+		d := New(dep, p, cfg)
+		if err := d.Install(); err != nil {
+			t.Error(err)
+			return
+		}
+		g := tpch.Gen{SF: 0.002, Seed: 33}
+		li := g.Generate()
+		opts := lpq.WriterOptions{RowGroupRows: 2000, Compression: lpq.Gzip}
+		liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, opts)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ordRefs, err := d.UploadTable("tpch", "orders", g.OrdersFor(li), 2, opts)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		before := map[string]int64{}
+		for _, l := range requestLabels {
+			before[l] = dep.Meter.Count(l)
+		}
+		if err := query(d, TableFiles{"lineitem": liRefs, "orders": ordRefs}); err != nil {
+			t.Error(err)
+			return
+		}
+		for _, l := range requestLabels {
+			got[l] = dep.Meter.Count(l) - before[l]
+		}
+	})
+	k.Run()
+	if k.Deadlocked() {
+		t.Fatal("DES deadlocked")
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	return got
+}
+
+func assertRequests(t *testing.T, name string, got, want map[string]int64) {
+	t.Helper()
+	for _, l := range requestLabels {
+		if got[l] != want[l] {
+			t.Errorf("%s: %s = %d billed requests, want %d", name, l, got[l], want[l])
+		}
+	}
+}
+
+// TestExecutorRequestGuard pins what a query bills per pricing label, as
+// recorded on the commit before single-scope queries moved onto the stage
+// scheduler (PR 13). A plan without boundaries pays for no boundary
+// machinery — zero DynamoDB requests, zero S3 LISTs, the same GETs and SQS
+// polls as the collector it replaced — and a staged plan sheds exactly the
+// one DynamoDB write of the result stage's ready marker nobody read.
+func TestExecutorRequestGuard(t *testing.T) {
+	single := func(sql string) func(*Driver, TableFiles) error {
+		return func(d *Driver, tables TableFiles) error {
+			_, _, err := d.RunSQL(sql, "lineitem", tables["lineitem"])
+			return err
+		}
+	}
+	assertRequests(t, "single-scope q1", billedRequests(t, single(q1SQL)), map[string]int64{
+		pricing.LabelS3Read: 26, pricing.LabelSQS: 22,
+	})
+	assertRequests(t, "single-scope q6", billedRequests(t, single(q6SQL)), map[string]int64{
+		pricing.LabelS3Read: 18, pricing.LabelSQS: 20,
+	})
+
+	// The rules follow the plan, not the entrance: q6 planned by the staged
+	// entrance is still one stage without a boundary, and pays for none —
+	// only the planner's footer reads of every file come on top.
+	assertRequests(t, "staged-entrance q6", billedRequests(t, func(d *Driver, tables TableFiles) error {
+		_, rep, err := d.RunSQLStaged(q6SQL, TableFiles{"lineitem": tables["lineitem"]}, DefaultStageConfig())
+		if err == nil && (rep.Stages != 1 || rep.Epoch != 0) {
+			t.Errorf("staged-entrance q6: stages = %d, epoch = %d, want one unfenced stage", rep.Stages, rep.Epoch)
+		}
+		return err
+	}), map[string]int64{
+		pricing.LabelS3Read: 18, pricing.LabelSQS: 12,
+	})
+
+	staged := billedRequests(t, func(d *Driver, tables TableFiles) error {
+		scfg := DefaultStageConfig()
+		scfg.Partitions = 2
+		scfg.BroadcastRowLimit = -1
+		scfg.Exchange.Poll = 100 * time.Millisecond
+		_, _, err := d.RunSQLStaged(q12ExactSQL, tables, scfg)
+		return err
+	})
+	// The parent wrote 5 items: the epoch fence plus one ready marker per
+	// stage, the result stage's included.
+	const parentDynamoWrites = 5
+	assertRequests(t, "staged q12", staged, map[string]int64{
+		pricing.LabelS3Read: 48, pricing.LabelS3Write: 6, pricing.LabelS3List: 22,
+		pricing.LabelSQS: 31, pricing.LabelDynamoRead: 26,
+		pricing.LabelDynamoWrite: parentDynamoWrites - 1,
+	})
 }

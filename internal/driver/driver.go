@@ -139,11 +139,9 @@ type Config struct {
 	FunctionName string
 	// WorkerMemoryMiB is M of §5.2 (default 1792: exactly one vCPU).
 	WorkerMemoryMiB int
-	// FilesPerWorker is F of §5.2; the worker count is
-	// ceil(len(files)/F) unless Workers overrides it.
+	// FilesPerWorker is F of §5.2; a scan fleet has ceil(len(files)/F)
+	// workers.
 	FilesPerWorker int
-	// Workers pins the worker count (0 = derive from FilesPerWorker).
-	Workers int
 	// TreeInvoke enables the two-level invocation tree (§4.2).
 	TreeInvoke bool
 	// InvokeThreads is the driver's requester thread count for pacing.
@@ -186,8 +184,8 @@ type Config struct {
 	// controller (invoke.Admission) before launching, and each settling
 	// container releases one. It replaces per-query DriverPacing as the
 	// launch governor — the shared pacer splits the region's Invoke API
-	// rate across concurrent queries. 0 keeps the legacy per-query pacing
-	// with no concurrency cap.
+	// rate across concurrent queries. 0 paces each query on its own with no
+	// concurrency cap.
 	MaxInFlight int
 	// ResultCacheEntries, when positive, enables the session's result
 	// cache: staged query results are memoized by (plan fingerprint, table
@@ -200,6 +198,11 @@ type Config struct {
 	// Stage is 0 for single-scope queries; attempt 0 is the original
 	// invocation, higher attempts are speculation backups.
 	testWorkerDelay func(stage, workerID, attempt int) time.Duration
+	// testWaveLaunch, when set by tests, holds every stage back until its
+	// producers sealed instead of invoking eager stages up front — barrier
+	// reads then happen in a known order, and the pipelined ≡ waves identity
+	// stays checkable.
+	testWaveLaunch bool
 }
 
 // DefaultConfig mirrors the paper's default setup (M=1792, F=1).
@@ -273,13 +276,11 @@ type workerPayload struct {
 	Files       []scan.FileRef    `json:"files"`
 	ResultQueue string            `json:"resultQueue"`
 	Children    []json.RawMessage `json:"children,omitempty"`
-	// Exchange, when present, makes the worker shuffle its partial result
-	// through S3 by group key and finalize its partitions locally.
-	Exchange json.RawMessage `json:"exchange,omitempty"`
-	// StageID and StageSpec mark a stage fragment of a stage-decomposed
-	// plan (internal/stageplan): the worker collects its exchange inputs,
-	// executes the fragment, and either publishes its partitioned output
-	// or posts it to the result queue.
+	// StageID names the fragment's stage in the stage plan
+	// (internal/stageplan); StageSpec, present when the stage touches an
+	// exchange boundary, tells the worker what to collect before executing
+	// the fragment and where to publish its partitioned output after —
+	// without one the fragment's output goes to the result queue.
 	StageID   int             `json:"stageId,omitempty"`
 	StageSpec json.RawMessage `json:"stageSpec,omitempty"`
 	// Regroup marks a plan-less regroup invocation of a multi-level stage
@@ -296,7 +297,7 @@ type workerPayload struct {
 	// produces — seal message, boundary prefix — carries it, and artifacts
 	// of an older epoch are discarded. A zombie worker of an aborted
 	// identically-numbered run is structurally unable to satisfy this run's
-	// barriers, no matter when it wakes. 0 for single-scope queries.
+	// barriers, no matter when it wakes. 0 for plans without a boundary.
 	Epoch int `json:"epoch,omitempty"`
 	// Broadcast carries small driver-side tables (lpq blobs by table name)
 	// referenced by join plans.
@@ -481,22 +482,9 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws *retryScope, p *workerP
 		}
 		cat[name] = engine.NewMemSource(c.Schema, c)
 	}
-	// Stage fragments collect their exchange inputs before executing and
-	// publish their partitioned output after (driver/stage.go).
-	if len(p.StageSpec) > 0 {
-		return d.runStageFragment(ctx, ws, client, p, plan, cat)
-	}
-	// Every fragment — joins included — runs on the pipeline-graph
-	// scheduler; parallelism 1 (forced in DES deployments) executes the
-	// whole graph inline without spawning goroutines.
-	partial, err := engine.ExecuteParallel(plan, cat, engine.ParallelConfig{Pipelines: d.cfg.PipelineParallelism})
-	if err != nil {
-		return nil, err
-	}
-	if len(p.Exchange) == 0 {
-		return partial, nil
-	}
-	return d.runExchange(client, p, partial)
+	// Fragments collect their exchange inputs before executing and publish
+	// their partitioned output after (driver/stage.go).
+	return d.runStageFragment(ctx, ws, client, p, plan, cat)
 }
 
 func (d *Session) postResult(env simenv.Env, ws *retryScope, p workerPayload, execErr error, chunk *columnar.Chunk, processing time.Duration, cold bool) error {

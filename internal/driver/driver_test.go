@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -73,6 +74,12 @@ func TestEndToEndQ1Local(t *testing.T) {
 	if rep.Workers != 8 {
 		t.Errorf("workers = %d, want 8 (F=1, 8 files)", rep.Workers)
 	}
+	// A single-scope query is a one-stage plan without a boundary: no epoch
+	// fence, one stage in the report.
+	if rep.Stages != 1 || rep.Epoch != 0 || len(rep.StageStats) != 1 || rep.StageStats[0].Workers != 8 {
+		t.Errorf("stages = %d, epoch = %d, stage stats = %+v, want one unfenced 8-worker stage", rep.Stages, rep.Epoch, rep.StageStats)
+	}
+	assertQueryClean(t, d.sess, rep.QueryID)
 	if len(rep.WorkerProcessing) != 8 {
 		t.Errorf("processing samples = %d", len(rep.WorkerProcessing))
 	}
@@ -144,6 +151,13 @@ func TestWorkerErrorPropagates(t *testing.T) {
 	if !strings.Contains(err.Error(), "worker") {
 		t.Errorf("error %q does not identify the failing worker", err)
 	}
+	// A corrupt file is a data error no relaunch would fix: the failure is
+	// typed, not retryable, and names the worker that read the file.
+	var sf *StageFailure
+	if !errors.As(err, &sf) || sf.Retryable || sf.Worker != 1 {
+		t.Fatalf("err = %#v, want a non-retryable *StageFailure of worker 1", err)
+	}
+	assertQueryClean(t, d.sess, sf.QueryID)
 }
 
 func TestPlanErrorCaughtBeforeInvocation(t *testing.T) {

@@ -54,9 +54,9 @@ type regroupSpec struct {
 // regroup fleet: Groups(P) attempt-0 payloads, depending on the producing
 // stage (the fleet is invoked pipelined like any eager stage and parks on
 // the producer's ready marker).
-func (d *query) regroupRun(queryID string, epoch int, st *stageplan.Stage, senders int, buckets []string, sealTable string, cfg StageConfig) (*stageRun, error) {
+func (d *query) regroupRun(epoch int, st *stageplan.Stage, senders int, buckets []string, sealTable string, cfg StageConfig) (*stageRun, error) {
 	spec := regroupSpec{
-		QueryID:    queryID,
+		QueryID:    d.id,
 		Epoch:      epoch,
 		Stage:      st.ID,
 		Senders:    senders,
@@ -64,7 +64,7 @@ func (d *query) regroupRun(queryID string, epoch int, st *stageplan.Stage, sende
 		Keys:       st.Output.Keys,
 		Variant:    st.Output.Variant,
 		Buckets:    buckets,
-		Prefix:     fmt.Sprintf("%s/%s/e%d", d.cfg.FunctionName, queryID, epoch),
+		Prefix:     fmt.Sprintf("%s/%s/e%d", d.cfg.FunctionName, d.id, epoch),
 		PollNs:     int64(cfg.Exchange.Poll),
 		MaxWaitNs:  int64(cfg.Exchange.MaxWait),
 		SealTable:  sealTable,
@@ -78,7 +78,7 @@ func (d *query) regroupRun(queryID string, epoch int, st *stageplan.Stage, sende
 	payloads := make([]workerPayload, groups)
 	for g := 0; g < groups; g++ {
 		payloads[g] = workerPayload{
-			QueryID:     queryID,
+			QueryID:     d.id,
 			WorkerID:    g,
 			NumWorkers:  groups,
 			ResultQueue: d.cfg.ResultQueue,

@@ -4,21 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"lambada/internal/awssim/lambdasvc"
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
-	"lambada/internal/awssim/sqs"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
 	"lambada/internal/invoke"
 	"lambada/internal/lpq"
 	"lambada/internal/obs"
 	"lambada/internal/scan"
-	"lambada/internal/sqlfe"
+	"lambada/internal/stageplan"
 )
 
 // Report summarizes one query execution.
@@ -27,14 +25,15 @@ type Report struct {
 	// CacheHit marks a staged result served from the session's result cache
 	// — no workers ran, and every other field except Duration is zero.
 	CacheHit bool
-	// Epoch is the query's durable fence token (staged executions): the
-	// DynamoDB epoch item's value after the driver's atomic increment at
-	// query start. 1 on a clean deployment; higher when an aborted
-	// identically-numbered run came before. 0 for single-scope queries.
+	// Epoch is the query's durable fence token: the DynamoDB epoch item's
+	// value after the driver's atomic increment at query start. 1 on a
+	// clean deployment; higher when an aborted identically-numbered run
+	// came before. 0 for plans without a stage boundary (single-scope
+	// queries), which take no fence.
 	Epoch   int
 	Workers int
-	// Stages is the stage count of a stage-decomposed (shuffle) execution
-	// (0 for single-scope queries).
+	// Stages is the stage count of the executed plan (1 for single-scope
+	// queries).
 	Stages   int
 	Duration time.Duration
 	// Invocation is the driver-side time spent launching workers.
@@ -46,9 +45,9 @@ type Report struct {
 	// Speculated counts backup invocations issued for stragglers (summed
 	// over stages in staged executions).
 	Speculated int
-	// FailureSeals counts retryable worker failure seals the staged
-	// scheduler absorbed by re-invoking the fragment (0 when every worker
-	// succeeded first try).
+	// FailureSeals counts retryable worker failure seals the scheduler
+	// absorbed by re-invoking the fragment (0 when every worker succeeded
+	// first try).
 	FailureSeals int
 	// DriverRetries and WorkerRetries count substrate-call retries the
 	// resilience layer spent on this query, on the driver side and summed
@@ -60,7 +59,7 @@ type Report struct {
 	// queries: the injector's schedule spans the deployment.
 	InjectedFaults map[string]int
 	// StageStats records per-stage launch/seal timing and speculation
-	// counters of a staged execution (nil for single-scope queries).
+	// counters, one entry per stage run (regroup fleets included).
 	StageStats []StageStat
 	// CostBefore/CostAfter snapshot the meter around the query; the
 	// difference is what the query cost.
@@ -87,7 +86,7 @@ type Report struct {
 	Span  obs.SpanID
 }
 
-// StageStat is one stage's slice of a staged execution.
+// StageStat is one stage's slice of an execution.
 type StageStat struct {
 	StageID int
 	Workers int
@@ -120,6 +119,21 @@ type costSnap struct {
 	s3ReadBytes int64
 	lambdaMiBNs int64
 	wakeups     uint64
+}
+
+// begin opens the query's measurement window: the meter snapshot and start
+// instant every Report figure is taken against, and — on traced deployments
+// — the root query span. Binding the span to the driver environment routes
+// every driver-side billed request (schema reads, the epoch fence, sweeps,
+// invokes, result polling) into op spans beneath it; close releases the
+// binding, closing any span an error path left open.
+func (d *query) begin() {
+	d.costBefore = d.costSnapshot()
+	d.start = d.env.Now()
+	if tr := d.dep.Trace; tr.Enabled() {
+		d.span = tr.StartSpan(obs.KindQuery, d.id, 0, d.start)
+		tr.Bind(d.env, d.span)
+	}
 }
 
 // costSnapshot captures the meter's current per-label totals.
@@ -160,12 +174,13 @@ func (d *query) quiesce() {
 	}
 }
 
-// fillCostDelta records what the query cost: the meter movement since the
-// snapshot, per label and in total.
+// fillCostDelta records what the query cost: the meter movement since
+// begin, per label and in total.
 // Note that the meters are deployment-wide: when other queries of the
 // session overlap this one's window, their spend shows up in this delta
 // too — exact per-query attribution needs tracing (Report.Profile).
-func (d *query) fillCostDelta(rep *Report, before costSnap) {
+func (d *query) fillCostDelta(rep *Report) {
+	before := d.costBefore
 	rep.CostDelta = map[string]float64{}
 	for _, l := range d.dep.Meter.Labels() {
 		delta := float64(d.dep.Meter.Get(l)) - before.cost[l]
@@ -185,95 +200,6 @@ func (d *query) fillCostDelta(rep *Report, before costSnap) {
 	}
 }
 
-// drainResults polls the result queue until n distinct workers of the query
-// have reported, discarding leftovers of earlier aborted queries (a query
-// failing mid-flight returns before its remaining workers post; their
-// messages must not poison the next query on the same driver) and — SQS
-// being at-least-once — duplicate deliveries of a worker's completion
-// message, which would otherwise under-collect the remaining workers.
-// Worker errors fail the query; every first-per-worker message is handed to
-// onMsg. The single-scope and exchanged collectors run through it; the
-// staged scheduler has its own event loop (stage.go) with the same queryID
-// discard plus per-(stage,worker) attempt dedup.
-func (d *query) drainResults(queryID string, n int, onMsg func(rm resultMsg) error) error {
-	deadline := d.env.Now() + d.cfg.MaxWait
-	seen := make(map[int]bool, n)
-	for n > 0 {
-		var msgs []sqs.Message
-		if err := d.retry.policy.Do(d.env, "sqs.Receive", func() error {
-			var rerr error
-			msgs, rerr = d.dep.SQS.Receive(d.env, d.cfg.ResultQueue, 10)
-			return rerr
-		}); err != nil {
-			return fmt.Errorf("driver: collecting results: %w", err)
-		}
-		for _, m := range msgs {
-			var rm resultMsg
-			if err := json.Unmarshal(m.Body, &rm); err != nil {
-				return err
-			}
-			if rm.QueryID != queryID || rm.Stage != 0 || rm.Epoch != 0 {
-				// Leftover of an earlier aborted query — including a zombie
-				// worker of an aborted STAGED run whose query numbering
-				// collides with this single-scope query's: its message
-				// carries a stage or epoch and single-scope workers post
-				// neither. (A single-scope zombie against a single-scope
-				// retry remains indistinguishable — only staged runs carry
-				// the epoch fence.)
-				continue
-			}
-			if seen[rm.WorkerID] {
-				continue // duplicate delivery of an already-counted worker
-			}
-			if rm.Err != "" {
-				return fmt.Errorf("driver: worker %d failed: %s", rm.WorkerID, rm.Err)
-			}
-			seen[rm.WorkerID] = true
-			d.workerRetries += rm.Retries
-			if err := onMsg(rm); err != nil {
-				return err
-			}
-			n--
-		}
-		if n == 0 {
-			return nil
-		}
-		if d.env.Now() >= deadline {
-			return fmt.Errorf("driver: %d results missing after %v", n, d.cfg.MaxWait)
-		}
-		if len(msgs) == 0 {
-			// Park on the result queue's completion topic — wake at the next
-			// message's exact arrival instant, timed poll fallback; sends to
-			// other queues (or other substrate writes) leave us parked.
-			simenv.WaitNotifyKey(d.env, "sqs/"+d.cfg.ResultQueue, d.cfg.PollInterval)
-		}
-	}
-	return nil
-}
-
-// collectResults drains n results and decodes their chunks in arrival
-// order.
-func (d *query) collectResults(queryID string, n int) (chunks []*columnar.Chunk, processing []time.Duration, cold int, err error) {
-	err = d.drainResults(queryID, n, func(rm resultMsg) error {
-		if rm.Cold {
-			cold++
-		}
-		processing = append(processing, time.Duration(rm.ProcessingNs))
-		if len(rm.Chunk) > 0 {
-			c, err := decodeChunk(rm.Chunk)
-			if err != nil {
-				return err
-			}
-			chunks = append(chunks, c)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return chunks, processing, cold, nil
-}
-
 // decodeChunk reads a result message's lpq blob.
 func decodeChunk(blob []byte) (*columnar.Chunk, error) {
 	r, err := lpq.OpenReader(bytes.NewReader(blob), int64(len(blob)))
@@ -282,9 +208,6 @@ func decodeChunk(blob []byte) (*columnar.Chunk, error) {
 	}
 	return r.ReadAll()
 }
-
-// parseSQL fronts the SQL frontend for the session-level API.
-func parseSQL(sql string) (engine.Plan, error) { return sqlfe.Parse(sql) }
 
 // RunSQL parses, optimizes, distributes and runs a SQL query against the
 // lpq files of one table.
@@ -316,31 +239,18 @@ func (d *Driver) RunPlanBroadcast(plan engine.Plan, table string, files []scan.F
 	return d.sess.RunPlanBroadcast(d.env, plan, table, files, broadcast)
 }
 
+// runPlan is the planning half of a single-scope query: the schema comes
+// from the first file's footer alone (one driver-side metadata read), the
+// plan splits into a worker scope and a driver merge scope (§3.2), and the
+// caller's broadcast chunks become payload blobs. That is a one-stage plan
+// with no boundary; runStages executes it like any other.
 func (d *query) runPlan(plan engine.Plan, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
 	if len(files) == 0 {
 		return nil, nil, fmt.Errorf("driver: no input files")
 	}
-	queryID := d.id
+	d.begin()
 
-	costBefore := d.costSnapshot()
-	startTime := d.env.Now()
-
-	// Query span: the root of this query's span tree. Binding it to the
-	// driver environment routes every driver-side billed request (schema
-	// reads, invokes, result polling) into op spans beneath it; Release in
-	// the defer closes any still-open driver-side span on error paths.
-	tr := d.dep.Trace
-	var qspan obs.SpanID
-	if tr.Enabled() {
-		qspan = tr.StartSpan(obs.KindQuery, queryID, 0, startTime)
-		tr.Bind(d.env, qspan)
-		defer func() { tr.Release(d.env, d.env.Now()) }()
-	}
-
-	// Resolve the table schema from the first file's footer (driver-side
-	// metadata read).
-	driverClient := s3.NewClient(d.dep.S3, d.env)
-	metaSrc := scan.New(driverClient, d.cfg.Scan, files[0])
+	metaSrc := scan.New(s3.NewClient(d.dep.S3, d.env), d.cfg.Scan, files[0])
 	schema, err := metaSrc.Schema()
 	if err != nil {
 		return nil, nil, fmt.Errorf("driver: resolving schema: %w", err)
@@ -365,178 +275,64 @@ func (d *query) runPlan(plan engine.Plan, table string, files []scan.FileRef, br
 	if err != nil {
 		return nil, nil, err
 	}
-	workerPlanJSON, err := engine.MarshalPlan(dist.Worker)
-	if err != nil {
-		return nil, nil, err
+	sp := &stageplan.Plan{
+		Stages: []*stageplan.Stage{{ID: 0, Plan: dist.Worker, Table: table, Eager: true}},
+		Driver: dist.Driver,
 	}
-
-	// Assign files to workers (contiguous ranges of F files each).
-	workers := d.cfg.Workers
-	if workers <= 0 {
-		f := d.cfg.FilesPerWorker
-		workers = (len(files) + f - 1) / f
-	}
-	if workers > len(files) {
-		workers = len(files)
-	}
-	payloads := make([][]byte, workers)
-	per := (len(files) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(files) {
-			hi = len(files)
-		}
-		if lo > hi {
-			lo = hi
-		}
-		p := workerPayload{
-			QueryID:     queryID,
-			WorkerID:    w,
-			NumWorkers:  workers,
-			Plan:        workerPlanJSON,
-			Table:       table,
-			Files:       files[lo:hi],
-			ResultQueue: d.cfg.ResultQueue,
-			Broadcast:   blobs,
-		}
-		body, err := json.Marshal(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		payloads[w] = body
-	}
-
-	// Invoke the fleet.
-	invokeStart := d.env.Now()
-	if err := d.invokeAll(payloads, qspan); err != nil {
-		return nil, nil, err
-	}
-	invocation := d.env.Now() - invokeStart
-
-	// Collect results from the SQS queue (§3.3: "the driver polls until it
-	// has heard back from all workers"), with optional straggler
-	// speculation (backup requests).
-	var chunks []*columnar.Chunk
-	var processing []time.Duration
-	var cold, speculated int
-	if d.cfg.Speculate.Enabled {
-		var err error
-		chunks, processing, cold, speculated, err = d.collectWithSpeculation(queryID, payloads, invokeStart, d.cfg.Speculate, qspan)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		var err error
-		chunks, processing, cold, err = d.collectResults(queryID, workers)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	sort.Slice(processing, func(i, j int) bool { return processing[i] < processing[j] })
-
-	// Driver scope: merge worker results.
-	ws, err := dist.Worker.OutSchema()
-	if err != nil {
-		return nil, nil, err
-	}
-	dcat := engine.Catalog{engine.WorkerResultTable: engine.NewMemSource(ws, chunks...)}
-	result, err := engine.Execute(dist.Driver, dcat)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Close the cost window only after every invocation — speculation
-	// losers included — finished billing, so per-span attribution and the
-	// Report deltas agree exactly (no-op when tracing is off).
-	d.quiesce()
-	endTime := d.env.Now()
-	rep := &Report{
-		QueryID:          queryID,
-		Workers:          workers,
-		Duration:         endTime - startTime,
-		Invocation:       invocation,
-		WorkerProcessing: processing,
-		ColdWorkers:      cold,
-		Speculated:       speculated,
-	}
-	if tr.Enabled() {
-		tr.EndSpan(qspan, endTime)
-		rep.Trace, rep.Span = tr, qspan
-	}
-	d.fillCostDelta(rep, costBefore)
-	return result, rep, nil
+	return d.runStages(sp, TableFiles{table: files}, blobs, StageConfig{})
 }
 
 // invokeOne launches a single worker payload (used by backup requests).
 // Like every substrate call the driver makes, it runs under the query's
 // retry policy: transient invoke errors retry with backoff, quota
 // rejections (throttle-class Invoke errors are permanent capacity answers,
-// not blips) and payload errors stay fatal. span parents the invocation's
-// trace span — the stage span on staged runs, the query span otherwise.
+// not blips) and payload errors stay fatal. span — the stage span — parents
+// the invocation's trace span.
 func (d *query) invokeOne(payload []byte, workerID int, span obs.SpanID) error {
 	adm := d.s.admission
 	// Recovery traffic — failure relaunches and speculation backups — must
 	// not queue behind tokens held by workers parked on the very fragment
 	// being recovered, so it is admitted past the cap (counted in Overflow)
 	// instead of blocking.
-	adm.AcquireOverflow(d.env)
+	adm.AcquireOverflow()
 	adm.Pace(d.env)
 	if err := d.retry.policy.Do(d.env, "lambda.Invoke", func() error {
 		return d.dep.Lambda.Invoke(d.env, d.cfg.FunctionName, payload,
 			lambdasvc.InvokeOptions{WorkerID: workerID, Pipelined: true, Span: span})
 	}); err != nil {
 		// Invoke fails before any container spawns: hand the token back.
-		adm.Release(d.env, 1)
+		adm.Release(1)
 		return err
 	}
 	return nil
 }
 
-// invokeAll launches the fleet, directly or via the two-level tree; span
-// parents the invocation spans (tree children parent under their invoking
-// first-generation worker instead, mirroring the real invocation topology).
+// invokeAll launches a whole stage fleet on a session without admission,
+// directly or via the two-level tree; span parents the invocation spans
+// (tree children parent under their invoking first-generation worker
+// instead, mirroring the real invocation topology). Under admission the
+// scheduler launches worker by worker instead (runStages).
 func (d *query) invokeAll(payloads [][]byte, span obs.SpanID) error {
-	adm := d.s.admission
 	if !invoke.UseTree(d.cfg.TreeInvoke, len(payloads)) {
 		pacing := invoke.DriverPacing(d.cfg.Region, d.cfg.InvokeThreads)
-		// Whole-fleet admission: single-scope fleets interdepend (an
-		// exchanged fleet shuffles all-to-all through S3), so launching a
-		// partial fleet could park token-holding workers behind peers that
-		// cannot launch. Acquire every token up front instead — one blocking
-		// call the workers of other queries unblock as they settle. Nil
-		// admission (MaxInFlight 0) keeps the legacy per-query pacing.
-		adm.Acquire(d.env, len(payloads))
-		spawned := 0
 		for i, p := range payloads {
 			// Pipelined: the driver's requester thread pool overlaps the
-			// round trips; the loop paces at the effective rate (Table 1) —
-			// via the shared pacer under admission, per-query otherwise.
+			// round trips; the loop paces at the effective rate (Table 1).
 			body, id := p, i
-			adm.Pace(d.env)
 			if err := d.retry.policy.Do(d.env, "lambda.Invoke", func() error {
 				return d.dep.Lambda.Invoke(d.env, d.cfg.FunctionName, body, lambdasvc.InvokeOptions{WorkerID: id, Pipelined: true, Span: span})
 			}); err != nil {
-				// Invoke errors fail before any container spawns: hand the
-				// whole un-launched remainder's tokens back.
-				adm.Release(d.env, len(payloads)-spawned)
 				return err
 			}
-			spawned++
-			if adm == nil {
-				d.env.Sleep(pacing.Gap())
-			}
+			d.env.Sleep(pacing.Gap())
 		}
 		return nil
 	}
 
 	firstGen, children := invoke.TreeFanout(len(payloads))
-	adm.Acquire(d.env, len(payloads))
-	spawned := 0
 	for gi, fg := range firstGen {
 		var p workerPayload
 		if err := json.Unmarshal(payloads[fg], &p); err != nil {
-			adm.Release(d.env, len(payloads)-spawned)
 			return err
 		}
 		for _, child := range children[gi] {
@@ -544,22 +340,14 @@ func (d *query) invokeAll(payloads [][]byte, span obs.SpanID) error {
 		}
 		body, err := json.Marshal(p)
 		if err != nil {
-			adm.Release(d.env, len(payloads)-spawned)
 			return err
 		}
 		id := fg
-		adm.Pace(d.env)
 		if err := d.retry.policy.Do(d.env, "lambda.Invoke", func() error {
 			return d.dep.Lambda.Invoke(d.env, d.cfg.FunctionName, body, lambdasvc.InvokeOptions{WorkerID: id, Span: span})
 		}); err != nil {
-			// The failed node spawned nothing; its token and every
-			// un-invoked node's (1 + children each) go back.
-			adm.Release(d.env, len(payloads)-spawned)
 			return err
 		}
-		// A tree node's Invoke spawns the first-generation worker plus its
-		// embedded children (invoked worker-side, past the driver).
-		spawned += 1 + len(children[gi])
 	}
 	return nil
 }

@@ -13,8 +13,10 @@ import (
 	"lambada/internal/invoke"
 	"lambada/internal/lpq"
 	"lambada/internal/netmodel"
+	"lambada/internal/obs"
 	"lambada/internal/resilience"
 	"lambada/internal/scan"
+	"lambada/internal/sqlfe"
 	"lambada/internal/stageplan"
 )
 
@@ -42,7 +44,7 @@ type Session struct {
 	epochAcquires int
 
 	// admission is the deployment-wide invocation budget (nil when
-	// Config.MaxInFlight is 0: legacy per-query pacing).
+	// Config.MaxInFlight is 0: each query paces its own launches).
 	admission *invoke.Admission
 	// cache memoizes staged query results by (plan fingerprint, table
 	// files); nil when Config.ResultCacheEntries is 0.
@@ -99,13 +101,12 @@ func NewSession(dep *Deployment, cfg Config) *Session {
 	}
 	if cfg.MaxInFlight > 0 {
 		s.admission = invoke.NewAdmission(cfg.MaxInFlight,
-			invoke.DriverPacing(cfg.Region, cfg.InvokeThreads),
-			cfg.FunctionName, cfg.PollInterval)
+			invoke.DriverPacing(cfg.Region, cfg.InvokeThreads))
 		// Exact release accounting: one token back per settling container,
 		// crash paths included — the hook fires wherever the Lambda
 		// service's running gauge decrements.
 		adm := s.admission
-		dep.Lambda.SetCompletionHook(func(env simenv.Env) { adm.Release(env, 1) })
+		dep.Lambda.SetCompletionHook(func(env simenv.Env) { adm.Release(1) })
 	}
 	return s
 }
@@ -158,12 +159,10 @@ func (d *Session) bumpEpochAcquires() bool {
 	return d.epochAcquires%d.cfg.EpochGCInterval == 0
 }
 
-// query is one per-query scheduler instance carved out of the old
-// monolithic Driver: the driver-side state of a single query running on a
-// resident session. Its cfg is the session's with ResultQueue rewritten to
-// the query-private queue, so every driver- and payload-side reference
-// routes automatically; the receiver is named d so the run/stage/exchange
-// method bodies moved here read unchanged.
+// query is one per-query scheduler instance: the driver-side state of a
+// single query running on a resident session. Its cfg is the session's with
+// ResultQueue rewritten to the query-private queue, so every driver- and
+// payload-side reference routes automatically.
 type query struct {
 	s   *Session
 	dep *Deployment
@@ -177,6 +176,13 @@ type query struct {
 	// workerRetries accumulates the substrate retries this query's workers
 	// reported in their completion messages.
 	workerRetries int64
+
+	// costBefore, start and span are the measurement window begin opened:
+	// the meter snapshot and instant the Report's deltas are taken against,
+	// and the root query span (0 when tracing is off).
+	costBefore costSnap
+	start      time.Duration
+	span       obs.SpanID
 }
 
 // queryQueueName derives a query's private result-queue name.
@@ -200,11 +206,14 @@ func (s *Session) newQuery(env simenv.Env) *query {
 	return q
 }
 
-// close tears down the query's private queue. A zombie worker posting to
-// the deleted queue gets a harmless ErrNoSuchQueue; a later same-named
-// query (fresh driver restart reusing the counter) starts from an empty
-// queue either way, and its epoch fence discards any zombie that does land.
+// close releases the query's span binding — back-filling the end of any
+// driver-side span an error path left open — and tears down its private
+// queue. A zombie worker posting to the deleted queue gets a harmless
+// ErrNoSuchQueue; a later same-named query (fresh driver restart reusing
+// the counter) starts from an empty queue either way, and its epoch fence
+// discards any zombie that does land.
 func (d *query) close() {
+	d.dep.Trace.Release(d.env, d.env.Now())
 	d.dep.SQS.DeleteQueue(d.cfg.ResultQueue)
 }
 
@@ -362,7 +371,7 @@ func (d *Session) RunSQL(env simenv.Env, sql, table string, files []scan.FileRef
 
 // RunSQLBroadcast is RunSQL with extra driver-side broadcast tables.
 func (d *Session) RunSQLBroadcast(env simenv.Env, sql, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
-	plan, err := parseSQL(sql)
+	plan, err := sqlfe.Parse(sql)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -381,17 +390,9 @@ func (d *Session) RunPlanBroadcast(env simenv.Env, plan engine.Plan, table strin
 	return q.runPlan(plan, table, files, broadcast)
 }
 
-// RunPlanExchanged runs a distributed plan whose workers shuffle through
-// the S3 exchange.
-func (d *Session) RunPlanExchanged(env simenv.Env, plan engine.Plan, table string, files []scan.FileRef, xcfg ExchangeConfig) (*columnar.Chunk, *Report, error) {
-	q := d.newQuery(env)
-	defer q.close()
-	return q.runPlanExchanged(plan, table, files, xcfg)
-}
-
 // RunSQLStaged parses and runs a SQL query as a staged distributed plan.
 func (d *Session) RunSQLStaged(env simenv.Env, sql string, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
-	plan, err := parseSQL(sql)
+	plan, err := sqlfe.Parse(sql)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,6 +3,7 @@ package driver
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -153,6 +154,7 @@ func TestSessionConcurrentStagedByteIdentical(t *testing.T) {
 			}
 			chunksIdentical(t, r1.outs[i], oneShot[levels])
 			chunksIdentical(t, r2.outs[i], r1.outs[i])
+			assertQueryClean(t, s1, r1.reps[i].QueryID)
 			if r1.reps[i].Duration != r2.reps[i].Duration || r1.reps[i].TotalCost != r2.reps[i].TotalCost {
 				t.Errorf("levels=%d: query %d not deterministic: (%v, %v) vs (%v, %v)", levels, i,
 					r1.reps[i].Duration, r1.reps[i].TotalCost, r2.reps[i].Duration, r2.reps[i].TotalCost)
@@ -374,4 +376,58 @@ func TestSessionResultCache(t *testing.T) {
 	} else if rep4.CacheHit {
 		t.Error("run after re-upload still hit the cache")
 	}
+}
+
+// TestSingleScopeUnderAdmission: a single-scope fleet larger than the
+// admission cap launches like any stage — as many workers as tokens are
+// free, the rest as containers settle — instead of taking the whole fleet's
+// tokens at once: the cap holds, the answer is exact, nothing leaks.
+func TestSingleScopeUnderAdmission(t *testing.T) {
+	const maxInFlight = 2
+	k := simclock.New()
+	dep := NewSimulated(k, 71)
+	cfg := DefaultConfig()
+	cfg.PollInterval = 50 * time.Millisecond
+	cfg.MaxInFlight = maxInFlight
+	sess := NewSession(dep, cfg)
+	data := tpch.Gen{SF: 0.002, Seed: 33}.Generate()
+	var rep *Report
+	k.Go("driver", func(p *simclock.Proc) {
+		if err := sess.Install(); err != nil {
+			t.Error(err)
+			return
+		}
+		refs, err := sess.UploadTable(p, "tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var out *columnar.Chunk
+		if out, rep, err = sess.RunSQL(p, q6SQL, "lineitem", refs); err != nil {
+			t.Error(err)
+			return
+		}
+		want := tpch.Q6Reference(data)
+		if got := out.Column("revenue").Float64s[0]; math.Abs(got-want) > 1e-6*want {
+			t.Errorf("revenue = %v, want %v", got, want)
+		}
+	})
+	k.Run()
+	if k.Deadlocked() {
+		t.Fatal("DES deadlocked")
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	if rep.Workers != 6 {
+		t.Errorf("workers = %d, want 6", rep.Workers)
+	}
+	adm := sess.Admission()
+	if adm.Peak() > maxInFlight || adm.Oversized() != 0 {
+		t.Errorf("admission peak %d (oversized %d) exceeded cap %d", adm.Peak(), adm.Oversized(), maxInFlight)
+	}
+	if adm.Blocked() == 0 {
+		t.Errorf("cap %d never held back a 6-worker fleet — test too weak", maxInFlight)
+	}
+	assertQueryClean(t, sess, rep.QueryID)
 }

@@ -1,17 +1,8 @@
 package driver
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"sort"
 	"time"
-
-	"lambada/internal/awssim/simenv"
-	"lambada/internal/awssim/sqs"
-	"lambada/internal/columnar"
-	"lambada/internal/lpq"
-	"lambada/internal/obs"
 )
 
 // SpeculateConfig enables driver-side straggler mitigation: once a quorum
@@ -21,11 +12,10 @@ import (
 // counterpart of the aggressive-timeouts-and-retries theme of §5.5
 // (footnote 17): tail latencies propagate, so the driver cuts the tail.
 //
-// The same policy drives both single-scope fleets and the event-driven
-// stage scheduler: each stage of a staged query arms independently over its
-// own fleet, and backups are launched as a new attempt whose exchange
-// boundary names cannot race the original's (first committed attempt wins,
-// the stale-drain collector sweeps the losers).
+// Each stage of a plan arms independently over its own fleet (a
+// single-scope query is one stage), and backups are launched as a new
+// attempt whose exchange boundary names cannot race the original's (first
+// committed attempt wins, the stale-drain collector sweeps the losers).
 type SpeculateConfig struct {
 	// Enabled turns speculation on.
 	Enabled bool
@@ -45,10 +35,10 @@ func DefaultSpeculateConfig() SpeculateConfig {
 	return SpeculateConfig{Enabled: true, QuorumFraction: 0.75, LatencyFactor: 3, MaxRetries: 1}
 }
 
-// stragglerPolicy applies SpeculateConfig to one fleet (a single-scope
-// query's workers, or one stage's workers): it records response times as
-// seals arrive and, once a quorum reported and the median-based deadline
-// passed, nominates the missing workers for a backup attempt.
+// stragglerPolicy applies SpeculateConfig to one stage's fleet: it records
+// response times as seals arrive and, once a quorum reported and the
+// median-based deadline passed, nominates the missing workers for a backup
+// attempt.
 type stragglerPolicy struct {
 	cfg      SpeculateConfig
 	workers  int
@@ -79,7 +69,7 @@ func newStragglerPolicy(cfg SpeculateConfig, workers int, launchAt time.Duration
 }
 
 // armCap installs the liveness cap with its clock starting at from. The
-// staged scheduler arms it when the stage becomes runnable — its producers
+// scheduler arms it when the stage becomes runnable — its producers
 // sealed — not at its (possibly pipelined, hence much earlier) launch, so
 // consumers legitimately idling on the ready barrier are not re-invoked.
 func (sp *stragglerPolicy) armCap(cap, from time.Duration) {
@@ -153,98 +143,4 @@ func (sp *stragglerPolicy) stragglers(now time.Duration, reported func(w int) bo
 		out = append(out, w)
 	}
 	return out
-}
-
-// reattempt rewrites a worker payload with the given attempt number — the
-// backup invocation's body. Attempt numbers namespace the worker's exchange
-// publishes and travel back in its seal message.
-func reattempt(payload []byte, attempt int) ([]byte, error) {
-	var p workerPayload
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return nil, err
-	}
-	p.Attempt = attempt
-	return json.Marshal(p)
-}
-
-// collectWithSpeculation gathers one result per worker of a single-scope
-// query, re-invoking stragglers per the shared policy. It returns the first
-// result chunk per worker plus bookkeeping for the report. span parents the
-// backup invocations' trace spans (the query span; 0 when tracing is off).
-func (d *query) collectWithSpeculation(queryID string, payloads [][]byte, launchAt time.Duration, spec SpeculateConfig, span obs.SpanID) ([]*columnar.Chunk, []time.Duration, int, int, error) {
-	workers := len(payloads)
-	got := make(map[int]bool, workers)
-	pol := newStragglerPolicy(spec, workers, launchAt)
-	var chunks []*columnar.Chunk
-	var processing []time.Duration
-	cold := 0
-	speculated := 0
-
-	for len(got) < workers {
-		var msgs []sqs.Message
-		if err := d.retry.policy.Do(d.env, "sqs.Receive", func() error {
-			var rerr error
-			msgs, rerr = d.dep.SQS.Receive(d.env, d.cfg.ResultQueue, 10)
-			return rerr
-		}); err != nil {
-			return nil, nil, 0, 0, err
-		}
-		for _, m := range msgs {
-			var rm resultMsg
-			if err := json.Unmarshal(m.Body, &rm); err != nil {
-				return nil, nil, 0, 0, err
-			}
-			if rm.QueryID != queryID || rm.Stage != 0 || rm.Epoch != 0 || got[rm.WorkerID] {
-				// Stale query (staged-run zombies carry a stage/epoch that
-				// single-scope workers never post) or the duplicate half of
-				// a backup pair.
-				continue
-			}
-			if rm.Err != "" {
-				return nil, nil, 0, 0, fmt.Errorf("driver: worker %d failed: %s", rm.WorkerID, rm.Err)
-			}
-			got[rm.WorkerID] = true
-			d.workerRetries += rm.Retries
-			if rm.Cold {
-				cold++
-			}
-			processing = append(processing, time.Duration(rm.ProcessingNs))
-			pol.record(d.env.Now())
-			if len(rm.Chunk) > 0 {
-				r, err := lpq.OpenReader(bytes.NewReader(rm.Chunk), int64(len(rm.Chunk)))
-				if err != nil {
-					return nil, nil, 0, 0, err
-				}
-				c, err := r.ReadAll()
-				if err != nil {
-					return nil, nil, 0, 0, err
-				}
-				chunks = append(chunks, c)
-			}
-		}
-		if len(got) >= workers {
-			break
-		}
-
-		// Speculation: quorum reached and the stragglers are past the
-		// deadline — re-invoke their payloads as the next attempt.
-		for _, w := range pol.stragglers(d.env.Now(), func(w int) bool { return got[w] }, 0) {
-			speculated++
-			body, err := reattempt(payloads[w], pol.attempts[w])
-			if err != nil {
-				return nil, nil, 0, 0, err
-			}
-			if err := d.invokeOne(body, w, span); err != nil {
-				return nil, nil, 0, 0, fmt.Errorf("driver: backup invocation of worker %d: %w", w, err)
-			}
-		}
-		if d.env.Now()-launchAt > d.cfg.MaxWait {
-			return nil, nil, 0, 0, fmt.Errorf("driver: timed out with %d/%d workers", len(got), workers)
-		}
-		// Park on the result queue's completion topic — wake at the next
-		// result's exact arrival instant, timed poll fallback (the timed
-		// wake also paces the straggler checks above).
-		simenv.WaitNotifyKey(d.env, "sqs/"+d.cfg.ResultQueue, d.cfg.PollInterval)
-	}
-	return chunks, processing, cold, speculated, nil
 }

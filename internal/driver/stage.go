@@ -43,12 +43,6 @@ type StageConfig struct {
 	// worker payloads instead of shuffled (0 = stageplan's default;
 	// negative = never broadcast).
 	BroadcastRowLimit int64
-	// Pipelined launches eager stages the moment the query starts — before
-	// their producers seal — overlapping worker cold starts with upstream
-	// execution; the DynamoDB ready barrier gates each worker's collect.
-	// False restores wave-gated launch: a stage is invoked only once every
-	// producer sealed (the pre-PR 4 behavior, kept for comparison).
-	Pipelined bool
 	// MaxStageWait is the no-progress liveness cap: under speculation, a
 	// runnable stage (producers sealed) that goes this long without ANY
 	// worker response — the window restarts on every response — has its
@@ -73,10 +67,9 @@ type StageConfig struct {
 }
 
 // DefaultStageConfig shuffles through the write-combining exchange with
-// pipelined stage launch, autotuned partition counts, and a one-minute
-// all-stragglers cap.
+// autotuned partition counts and a one-minute all-stragglers cap.
 func DefaultStageConfig() StageConfig {
-	return StageConfig{Exchange: DefaultExchangeConfig(), Pipelined: true, MaxStageWait: time.Minute}
+	return StageConfig{Exchange: DefaultExchangeConfig(), MaxStageWait: time.Minute}
 }
 
 // TableFiles maps each base table of a query to its lpq files on S3.
@@ -257,7 +250,7 @@ type stageState int
 const (
 	stagePending  stageState = iota // not yet invoked
 	stageLaunched                   // fleet invoked, seals outstanding
-	stageSealed                     // every worker sealed, ready marker written
+	stageSealed                     // every worker sealed
 )
 
 // stageRun is the scheduler's bookkeeping for one stage of one query.
@@ -267,10 +260,10 @@ type stageRun struct {
 	state    stageState
 	// bodies are the marshaled attempt-0 payloads, built on first launch.
 	bodies [][]byte
-	// launched counts workers invoked so far: always the full fleet after
-	// one launch() in legacy mode, possibly a prefix under admission (the
-	// scheduler launches as many as TryAcquire grants and resumes from the
-	// cursor on later passes).
+	// launched counts workers invoked so far: the full fleet after one
+	// launch() without admission, possibly a prefix under it (the scheduler
+	// launches as many as TryAcquire grants and resumes from the cursor on
+	// later passes).
 	launched int
 
 	launchedAt time.Duration
@@ -295,49 +288,23 @@ type stageRun struct {
 }
 
 // RunPlanStaged optimizes plan against the tables' footer schemas,
-// decomposes it into a stage DAG, and runs it on the event-driven stage
-// scheduler: the driver first fences the run with a durable query epoch
-// (an atomic DynamoDB increment stamped into every payload, seal, ready
-// marker and boundary prefix, so leftovers — at rest or still in flight —
-// of an aborted identically-numbered run are structurally discarded), then
-// invokes every eager stage up front (pipelined launch — consumer cold
-// starts overlap upstream execution), workers report completion through the
-// SQS result queue (seal), the driver records stage readiness in DynamoDB
-// (the notify-driven barrier gating consumer collects), and
-// Config.Speculate re-invokes any stage's stragglers as attempt-versioned
-// backups whose boundary publishes cannot race the originals' — the first
-// sealed attempt per worker wins, and the stale-drain collector sweeps the
-// boundary namespace afterwards.
+// decomposes it into a stage DAG (joins shuffle or broadcast per the footer
+// row counts, grouped aggregations repartition on their group keys), prunes
+// the scan fleets to the files the pushed-down predicates can match, and
+// runs the DAG on the stage scheduler (runStages).
 func (d *Driver) RunPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	return d.sess.RunPlanStaged(d.env, plan, tables, cfg)
 }
 
-// runPlanStaged is the per-query scheduler instance: the whole staged state
-// machine runs on the query's private result queue and retry scope, so N of
-// these can interleave on one session, isolated by queryID+epoch and
-// queue-level routing.
+// runPlanStaged is the planning half of a staged query: footer schemas and
+// row estimates, Decompose, pruned file assignment, and the broadcast blobs
+// the planner asked for. Everything after the stage plan exists is
+// runStages.
 func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	if len(tables) == 0 {
 		return nil, nil, fmt.Errorf("driver: no input tables")
 	}
-	queryID := d.id
-
-	costBefore := d.costSnapshot()
-	startTime := d.env.Now()
-
-	// Query span: root of the span tree. Bound to the driver environment so
-	// every driver-side billed request — schema reads, the epoch fence,
-	// sweeps, invokes, seal polling — lands in op spans beneath it; the
-	// deferred Release closes any still-open driver-side span on error
-	// paths. Registered before the boundary-sweep defer below, so the
-	// error-path sweep's requests are still attributed (defers run LIFO).
-	tr := d.dep.Trace
-	var qspan obs.SpanID
-	if tr.Enabled() {
-		qspan = tr.StartSpan(obs.KindQuery, queryID, 0, startTime)
-		tr.Bind(d.env, qspan)
-		defer func() { tr.Release(d.env, d.env.Now()) }()
-	}
+	d.begin()
 
 	// Resolve every table's schema from its lpq footers — driver-side
 	// metadata reads only.
@@ -432,40 +399,96 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		}
 		blobs[name] = blob
 	}
+	return d.runStages(sp, scanFiles, blobs, cfg)
+}
 
-	buckets := d.s.InstallExchange(cfg.Exchange)
-	sealTable := stagesTableName(d.cfg.FunctionName)
-	d.dep.Dynamo.CreateTable(sealTable)
+// runStages is the executor — the one place a query's fleet is launched and
+// its result queue is read. It runs any stage plan, from the one-stage plan
+// of a single-scope query to a multi-level shuffle DAG, on an event-driven
+// scheduler: every eager stage is invoked up front (consumer cold starts
+// overlap upstream execution), workers report completion through the SQS
+// result queue (seal), the driver records stage readiness in DynamoDB (the
+// notify-driven barrier gating consumer collects), retryable failure seals
+// are re-invoked, and Config.Speculate re-invokes any stage's stragglers as
+// attempt-versioned backups whose boundary publishes cannot race the
+// originals' — the first sealed attempt per worker wins. The whole state
+// machine runs on the query's private result queue and retry scope, so N of
+// these interleave on one session.
+//
+// A plan pays only for the machinery it uses, by two rules that hold for
+// every plan:
+//
+//  1. The boundary namespace — shard buckets, stages table, the durable
+//     epoch fence, the result-queue purge and both boundary sweeps — exists
+//     iff some stage has an Output. A plan without boundaries runs at epoch
+//     0 and issues no DynamoDB or S3 LIST request at all.
+//  2. A stage writes its DynamoDB ready marker iff some other stage run
+//     depends on it; nobody waits on the result stage, so it writes none.
+//
+// scanFiles assigns each scanned table its files; blobs are the broadcast
+// tables (lpq blobs by name) shipped inside the payloads that scan them.
+func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[string][]byte, cfg StageConfig) (*columnar.Chunk, *Report, error) {
+	queryID := d.id
+	tr := d.dep.Trace
+	qspan := d.span
 
-	// Epoch fence: durably increment this query ID's epoch before anything
-	// else. Every artifact of the run — worker payloads, seal messages,
-	// ready markers, the exchange boundary prefix — carries the epoch, and
-	// the scheduler discards artifacts of older epochs, so an in-flight
-	// worker of an aborted identically-numbered run cannot poison this one
-	// no matter when it wakes. The purge and sweep below are then hygiene
-	// (reclaiming queue slots and at-rest debris), not a correctness
-	// mechanism racing zombie workers.
-	epoch, err := d.acquireEpoch(sealTable, queryID)
-	if err != nil {
-		return nil, nil, fmt.Errorf("driver: acquiring epoch for %s: %w", queryID, err)
+	resultStage := sp.ResultStage()
+	if resultStage == nil {
+		return nil, nil, fmt.Errorf("driver: stage plan has no result stage")
 	}
-	// prefix scopes the query across all epochs — sweeps cover every
-	// epoch's debris — while the boundary namespace the payloads carry is
-	// the fenced e<epoch> sub-prefix (built in stagePayloads).
-	prefix := d.cfg.FunctionName + "/" + queryID
-
-	if err := d.purgeResults(); err != nil {
-		return nil, nil, err
+	bounded := false
+	for _, st := range sp.Stages {
+		bounded = bounded || st.Output != nil
 	}
-	if _, err := exchange.Sweep(driverClient, buckets, prefix); err != nil {
-		return nil, nil, fmt.Errorf("driver: sweeping stale boundary %s: %w", prefix, err)
+
+	var (
+		buckets   []string
+		sealTable string
+		epoch     int
+	)
+	// sweep drains the query's boundary namespace across all epochs — every
+	// epoch's debris — while the namespace the payloads carry is the fenced
+	// e<epoch> sub-prefix (built in stagePayloads).
+	sweep := func() error { return nil }
+	if bounded {
+		buckets = d.s.InstallExchange(cfg.Exchange)
+		sealTable = stagesTableName(d.cfg.FunctionName)
+		d.dep.Dynamo.CreateTable(sealTable)
+
+		// Epoch fence: durably increment this query ID's epoch before
+		// anything else. Every artifact of the run — worker payloads, seal
+		// messages, ready markers, the exchange boundary prefix — carries
+		// the epoch, and the scheduler discards artifacts of older epochs,
+		// so an in-flight worker of an aborted identically-numbered run
+		// cannot poison this one no matter when it wakes. The purge and
+		// sweep below are then hygiene (reclaiming queue slots and at-rest
+		// debris), not a correctness mechanism racing zombie workers.
+		var err error
+		epoch, err = d.acquireEpoch(sealTable, queryID)
+		if err != nil {
+			return nil, nil, fmt.Errorf("driver: acquiring epoch for %s: %w", queryID, err)
+		}
+		if err := d.purgeResults(); err != nil {
+			return nil, nil, err
+		}
+		driverClient := s3.NewClient(d.dep.S3, d.env)
+		prefix := d.cfg.FunctionName + "/" + queryID + "/"
+		sweep = func() error {
+			if _, err := exchange.Sweep(driverClient, buckets, prefix); err != nil {
+				return fmt.Errorf("driver: sweeping boundary %s: %w", prefix, err)
+			}
+			return nil
+		}
+		if err := sweep(); err != nil {
+			return nil, nil, err
+		}
 	}
 	swept := false
 	defer func() {
 		// Stale-drain collector: reclaim the boundary namespace — winner
 		// files and loser attempts alike — even when the query fails.
 		if !swept {
-			exchange.Sweep(driverClient, buckets, prefix)
+			sweep()
 		}
 	}()
 
@@ -502,11 +525,6 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		workers[st.ID] = parts
 	}
 
-	resultStage := sp.ResultStage()
-	if resultStage == nil {
-		return nil, nil, fmt.Errorf("driver: stage plan has no result stage")
-	}
-
 	// Resolve every boundary's exchange variant now that fleet sizes are
 	// known: plan-pinned variants (Output.Variant.Levels > 0) stand, the
 	// rest come from the analytic request model — multi-level only when the
@@ -529,7 +547,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 	runs := make([]*stageRun, 0, len(sp.Stages))
 	byID := map[int]*stageRun{}
 	for _, st := range sp.Stages {
-		ps, err := d.stagePayloads(queryID, epoch, st, sp, scanFiles, workers, blobs, buckets, sealTable, cfg)
+		ps, err := d.stagePayloads(epoch, st, sp, scanFiles, workers, blobs, buckets, sealTable, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -553,7 +571,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		if st.Output == nil || st.Output.Variant.Levels < 2 {
 			continue
 		}
-		r, err := d.regroupRun(queryID, epoch, st, workers[st.ID], buckets, sealTable, cfg)
+		r, err := d.regroupRun(epoch, st, workers[st.ID], buckets, sealTable, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -569,6 +587,14 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 					break
 				}
 			}
+		}
+	}
+
+	// Rule 2: only stage runs somebody waits on write a ready marker.
+	awaited := map[int]bool{}
+	for _, r := range runs {
+		for _, dep := range r.st.DependsOn {
+			awaited[dep] = true
 		}
 	}
 
@@ -607,7 +633,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		} else if r.launched == len(r.payloads) {
 			return false // fully launched; partial fleets stay launchable
 		}
-		if cfg.Pipelined && r.st.Eager {
+		if r.st.Eager && !d.cfg.testWaveLaunch {
 			if adm != nil {
 				return depsLaunched(r)
 			}
@@ -642,7 +668,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 			r.launched = len(r.bodies)
 		} else {
 			// Admission-governed partial launch: take tokens one worker at a
-			// time without ever blocking — a driver blocked in Acquire could
+			// time without ever blocking — a driver parked on the pool could
 			// not consume the seal messages that token-holding consumers are
 			// waiting on. Whatever the pool denies stays at the cursor; the
 			// event loop retries every pass as other containers settle.
@@ -653,7 +679,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 					return d.dep.Lambda.Invoke(d.env, d.cfg.FunctionName, r.bodies[w],
 						lambdasvc.InvokeOptions{WorkerID: r.payloads[w].WorkerID, Pipelined: true, Span: r.span})
 				}); err != nil {
-					adm.Release(d.env, 1)
+					adm.Release(1)
 					return err
 				}
 				r.launched++
@@ -790,10 +816,12 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 				// Ready: record it in DynamoDB for the consumers' barrier
 				// (the Put broadcasts the completion signal, waking workers
 				// parked in waitSealed at this exact instant).
-				if err := d.retry.policy.Do(d.env, "dynamo.Put", func() error {
-					return d.dep.Dynamo.Put(d.env, sealTable, sealKey(queryID, epoch, r.st.ID), []byte("sealed"))
-				}); err != nil {
-					return nil, nil, err
+				if awaited[r.st.ID] {
+					if err := d.retry.policy.Do(d.env, "dynamo.Put", func() error {
+						return d.dep.Dynamo.Put(d.env, sealTable, sealKey(queryID, epoch, r.st.ID), []byte("sealed"))
+					}); err != nil {
+						return nil, nil, err
+					}
 				}
 				r.state = stageSealed
 				r.sealedAt = d.env.Now()
@@ -898,8 +926,8 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 
 	// All stages sealed, so no winner is still publishing: drain the
 	// boundary namespace now and let its requests count toward the query.
-	if _, err := exchange.Sweep(driverClient, buckets, prefix); err != nil {
-		return nil, nil, fmt.Errorf("driver: sweeping boundary %s: %w", prefix, err)
+	if err := sweep(); err != nil {
+		return nil, nil, err
 	}
 	swept = true
 
@@ -914,7 +942,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		Epoch:            epoch,
 		Workers:          totalWorkers,
 		Stages:           len(sp.Stages),
-		Duration:         endTime - startTime,
+		Duration:         endTime - d.start,
 		Invocation:       invocation,
 		WorkerProcessing: processing,
 		ColdWorkers:      cold,
@@ -925,8 +953,8 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		ss := StageStat{
 			StageID:    r.st.ID,
 			Workers:    len(r.payloads),
-			Launched:   r.launchedAt - startTime,
-			Sealed:     r.sealedAt - startTime,
+			Launched:   r.launchedAt - d.start,
+			Sealed:     r.sealedAt - d.start,
 			Speculated: r.speculated,
 			Span:       r.span,
 		}
@@ -949,13 +977,13 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		tr.EndSpan(qspan, endTime)
 		rep.Trace, rep.Span = tr, qspan
 	}
-	d.fillCostDelta(rep, costBefore)
+	d.fillCostDelta(rep)
 	return result, rep, nil
 }
 
 // purgeResults drains every leftover message from the result queue. Called
-// before a staged query launches (no workers of this query are in flight
-// yet, so everything received is stale). With the epoch fence this is queue
+// before a plan with boundaries launches (no workers of this query are in
+// flight yet, so everything received is stale). With the epoch fence this is queue
 // hygiene, not a correctness mechanism: even a message posted after the
 // purge by a zombie worker of an aborted identically-numbered run is
 // discarded by its older epoch.
@@ -989,39 +1017,43 @@ func stageCap(st *stageplan.Stage, cfg StageConfig) time.Duration {
 }
 
 // stagePayloads builds the invocation payloads of one stage (attempt 0),
-// every one stamped with the query's epoch fence token.
-func (d *query) stagePayloads(queryID string, epoch int, st *stageplan.Stage, sp *stageplan.Plan, tables TableFiles, workers map[int]int, blobs map[string][]byte, buckets []string, sealTable string, cfg StageConfig) ([]workerPayload, error) {
+// every one stamped with the query's epoch fence token. A stage that
+// touches no boundary — no inputs to collect, no output to publish — ships
+// no stageSpec: its payload is the bare fragment plus its files.
+func (d *query) stagePayloads(epoch int, st *stageplan.Stage, sp *stageplan.Plan, tables TableFiles, workers map[int]int, blobs map[string][]byte, buckets []string, sealTable string, cfg StageConfig) ([]workerPayload, error) {
 	planJSON, err := engine.MarshalPlan(st.Plan)
 	if err != nil {
 		return nil, err
 	}
-	spec := stageSpec{
-		StageID:   st.ID,
-		Variant:   exchange.Variant{Levels: 1, WriteCombining: cfg.Exchange.Variant.WriteCombining},
-		Buckets:   buckets,
-		Prefix:    fmt.Sprintf("%s/%s/e%d", d.cfg.FunctionName, queryID, epoch),
-		PollNs:    int64(cfg.Exchange.Poll),
-		MaxWaitNs: int64(cfg.Exchange.MaxWait),
-		SealTable: sealTable,
-		QueryID:   queryID,
-		Epoch:     epoch,
-	}
-	for _, in := range st.Inputs {
-		is := stageInputSpec{Input: in, Senders: workers[in.StageID]}
-		for _, up := range sp.Stages {
-			if up.ID == in.StageID && up.Output != nil {
-				is.Variant = up.Output.Variant
-				if up.Output.Variant.Levels >= 2 {
-					is.RegroupStage = regroupStageID(in.StageID)
+	var specJSON json.RawMessage
+	if len(st.Inputs) > 0 || st.Output != nil {
+		spec := stageSpec{
+			StageID:   st.ID,
+			Output:    st.Output,
+			Variant:   exchange.Variant{Levels: 1, WriteCombining: cfg.Exchange.Variant.WriteCombining},
+			Buckets:   buckets,
+			Prefix:    fmt.Sprintf("%s/%s/e%d", d.cfg.FunctionName, d.id, epoch),
+			PollNs:    int64(cfg.Exchange.Poll),
+			MaxWaitNs: int64(cfg.Exchange.MaxWait),
+			SealTable: sealTable,
+			QueryID:   d.id,
+			Epoch:     epoch,
+		}
+		for _, in := range st.Inputs {
+			is := stageInputSpec{Input: in, Senders: workers[in.StageID]}
+			for _, up := range sp.Stages {
+				if up.ID == in.StageID && up.Output != nil {
+					is.Variant = up.Output.Variant
+					if up.Output.Variant.Levels >= 2 {
+						is.RegroupStage = regroupStageID(in.StageID)
+					}
 				}
 			}
+			spec.Inputs = append(spec.Inputs, is)
 		}
-		spec.Inputs = append(spec.Inputs, is)
-	}
-	spec.Output = st.Output
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
+		if specJSON, err = json.Marshal(spec); err != nil {
+			return nil, err
+		}
 	}
 
 	// Only ship the broadcast blobs the fragment references.
@@ -1044,7 +1076,7 @@ func (d *query) stagePayloads(queryID string, epoch int, st *stageplan.Stage, sp
 	}
 	for w := 0; w < n; w++ {
 		p := workerPayload{
-			QueryID:     queryID,
+			QueryID:     d.id,
 			WorkerID:    w,
 			NumWorkers:  n,
 			Plan:        planJSON,
@@ -1108,11 +1140,14 @@ func fragmentScans(p engine.Plan, table string) bool {
 // ready markers, collect this worker's partition of every input boundary,
 // execute the fragment on the pipeline-graph scheduler, and either publish
 // the partitioned output into this stage's attempt namespace or hand the
-// chunk back for the SQS result post.
+// chunk back for the SQS result post. A payload without a stageSpec touches
+// no boundary: the zero spec has nothing to collect and nothing to publish.
 func (d *Session) runStageFragment(ctx *lambdasvc.Ctx, ws *retryScope, client *s3.Client, p *workerPayload, plan engine.Plan, cat engine.Catalog) (*columnar.Chunk, error) {
 	var spec stageSpec
-	if err := json.Unmarshal(p.StageSpec, &spec); err != nil {
-		return nil, err
+	if len(p.StageSpec) > 0 {
+		if err := json.Unmarshal(p.StageSpec, &spec); err != nil {
+			return nil, err
+		}
 	}
 	opts := exchange.Options{
 		Variant: spec.Variant,
@@ -1174,6 +1209,9 @@ func (d *Session) runStageFragment(ctx *lambdasvc.Ctx, ws *retryScope, client *s
 		cat[in.Table] = engine.NewMemSource(chunk.Schema, chunk)
 	}
 
+	// Every fragment — joins included — runs on the pipeline-graph
+	// scheduler; parallelism 1 (forced in DES deployments) executes the
+	// whole graph inline without spawning goroutines.
 	out, err := engine.ExecuteParallel(plan, cat, engine.ParallelConfig{Pipelines: d.cfg.PipelineParallelism})
 	if err != nil {
 		return nil, err

@@ -22,11 +22,12 @@ FROM lineitem
 GROUP BY l_suppkey
 ORDER BY l_suppkey`
 
-func TestExchangedGroupByMatchesSingleNode(t *testing.T) {
-	for _, variant := range []exchange.Variant{
-		{Levels: 1, WriteCombining: false},
-		{Levels: 2, WriteCombining: true},
-	} {
+// TestStagedGroupByShuffleMatchesSingleNode: a grouped aggregation shuffled
+// by group key — partial aggregate in the scan stage, repartition on the
+// group key, final merge stage — equals single-node execution on both
+// write-combining settings of the exchange.
+func TestStagedGroupByShuffleMatchesSingleNode(t *testing.T) {
+	for _, wc := range []bool{false, true} {
 		d, refs, data := localSetup(t, DefaultConfig(), 0.002, 9)
 		plan, err := sqlfe.Parse(groupBySuppkeySQL)
 		if err != nil {
@@ -43,55 +44,48 @@ func TestExchangedGroupByMatchesSingleNode(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		xcfg := DefaultExchangeConfig()
-		xcfg.Variant = variant
-		got, rep, err := d.RunPlanExchanged(plan, "lineitem", refs, xcfg)
+		scfg := DefaultStageConfig()
+		scfg.Partitions = 3
+		scfg.Exchange.Variant = exchange.Variant{Levels: 1, WriteCombining: wc}
+		got, rep, err := d.RunPlanStaged(plan, TableFiles{"lineitem": refs}, scfg)
 		if err != nil {
-			t.Fatalf("%v: %v", variant, err)
+			t.Fatalf("wc=%v: %v", wc, err)
 		}
 		if got.NumRows() != want.NumRows() {
-			t.Fatalf("%v: groups = %d, want %d", variant, got.NumRows(), want.NumRows())
+			t.Fatalf("wc=%v: groups = %d, want %d", wc, got.NumRows(), want.NumRows())
 		}
 		for i := 0; i < want.NumRows(); i++ {
 			if got.Column("l_suppkey").Int64s[i] != want.Column("l_suppkey").Int64s[i] {
-				t.Fatalf("%v: row %d key mismatch", variant, i)
+				t.Fatalf("wc=%v: row %d key mismatch", wc, i)
 			}
 			g, w := got.Column("total").Float64s[i], want.Column("total").Float64s[i]
 			if math.Abs(g-w) > 1e-6*math.Max(1, w) {
-				t.Errorf("%v: row %d total = %v, want %v", variant, i, g, w)
+				t.Errorf("wc=%v: row %d total = %v, want %v", wc, i, g, w)
 			}
 			if got.Column("n").Int64s[i] != want.Column("n").Int64s[i] {
-				t.Errorf("%v: row %d count mismatch", variant, i)
+				t.Errorf("wc=%v: row %d count mismatch", wc, i)
 			}
 			ga, wa := got.Column("ad").Float64s[i], want.Column("ad").Float64s[i]
 			if math.Abs(ga-wa) > 1e-9 {
-				t.Errorf("%v: row %d avg = %v, want %v", variant, i, ga, wa)
+				t.Errorf("wc=%v: row %d avg = %v, want %v", wc, i, ga, wa)
 			}
 		}
-		if rep.Workers != 9 {
-			t.Errorf("%v: workers = %d", variant, rep.Workers)
+		if rep.Stages != 2 || rep.Workers != 9+3 {
+			t.Errorf("wc=%v: stages = %d, workers = %d, want 2 stages of 9 scan + 3 merge workers", wc, rep.Stages, rep.Workers)
 		}
 		// The shuffle leaves request traces: write requests beyond the
 		// table upload must have happened.
 		if rep.CostDelta[pricing.LabelS3Write] <= 0 {
-			t.Errorf("%v: no exchange writes recorded", variant)
+			t.Errorf("wc=%v: no exchange writes recorded", wc)
 		}
+		assertQueryClean(t, d.sess, rep.QueryID)
 	}
 }
 
-func TestExchangedRejectsGlobalAggregate(t *testing.T) {
-	d, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
-	plan, err := sqlfe.Parse("SELECT COUNT(*) AS n FROM lineitem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := d.RunPlanExchanged(plan, "lineitem", refs, DefaultExchangeConfig()); err == nil {
-		t.Error("global aggregate accepted by exchange path")
-	}
-}
-
-func TestExchangedGroupByDES(t *testing.T) {
-	run := func() (int, time.Duration, float64) {
+// TestStagedGroupByShuffleDES: the same shuffle under the DES kernel is
+// exact and deterministic — rows, virtual duration and cost repeat.
+func TestStagedGroupByShuffleDES(t *testing.T) {
+	run := func(wc bool) (int, time.Duration, float64) {
 		k := simclock.New()
 		dep := NewSimulated(k, 17)
 		var rows int
@@ -116,9 +110,11 @@ func TestExchangedGroupByDES(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			xcfg := DefaultExchangeConfig()
-			xcfg.Poll = 100 * time.Millisecond
-			out, rep, err := d.RunPlanExchanged(plan, "lineitem", refs, xcfg)
+			scfg := DefaultStageConfig()
+			scfg.Partitions = 3
+			scfg.Exchange.Variant = exchange.Variant{Levels: 1, WriteCombining: wc}
+			scfg.Exchange.Poll = 100 * time.Millisecond
+			out, rep, err := d.RunPlanStaged(plan, TableFiles{"lineitem": refs}, scfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -141,50 +137,17 @@ func TestExchangedGroupByDES(t *testing.T) {
 		}
 		return rows, dur, cost
 	}
-	r1, d1, c1 := run()
-	r2, d2, c2 := run()
-	if r1 != 3 {
-		t.Errorf("groups = %d, want 3 return flags", r1)
-	}
-	if r1 != r2 || d1 != d2 || c1 != c2 {
-		t.Error("exchanged DES run not deterministic")
-	}
-	if d1 <= 0 || d1 > 2*time.Minute {
-		t.Errorf("virtual duration = %v", d1)
-	}
-}
-
-func TestSplitExchangedShape(t *testing.T) {
-	plan, err := sqlfe.Parse(groupBySuppkeySQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := engine.Catalog{"lineitem": engine.NewMemSource(tpch.Schema())}
-	opt, err := engine.Optimize(plan, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xp, err := engine.SplitExchanged(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xp.Key != "l_suppkey" {
-		t.Errorf("key = %q", xp.Key)
-	}
-	ws, err := xp.Worker.OutSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws.Index(xp.Key) < 0 {
-		t.Error("partition key missing from partial schema")
-	}
-	fs, err := xp.WorkerFinal.OutSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"l_suppkey", "total", "n", "ad"} {
-		if fs.Index(name) < 0 {
-			t.Errorf("final schema missing %q (has %v)", name, fs)
+	for _, wc := range []bool{false, true} {
+		r1, d1, c1 := run(wc)
+		r2, d2, c2 := run(wc)
+		if r1 != 3 {
+			t.Errorf("wc=%v: groups = %d, want 3 return flags", wc, r1)
+		}
+		if r1 != r2 || d1 != d2 || c1 != c2 {
+			t.Errorf("wc=%v: shuffled DES run not deterministic", wc)
+		}
+		if d1 <= 0 || d1 > 2*time.Minute {
+			t.Errorf("wc=%v: virtual duration = %v", wc, d1)
 		}
 	}
 }

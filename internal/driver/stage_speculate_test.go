@@ -235,12 +235,19 @@ func TestStagedSweepClearsBoundaries(t *testing.T) {
 	cfg := DefaultStageConfig()
 	cfg.Partitions = 2
 	cfg.BroadcastRowLimit = -1
+	// A concurrent query whose ID merely starts with this one's (q10 next to
+	// q1) owns a different namespace: q1's sweeps must leave it alone.
+	buckets := d.InstallExchange(cfg.Exchange)
+	client := s3.NewClient(d.dep.S3, d.env)
+	sibling := d.cfg.FunctionName + "/q10/e1/live-boundary-object"
+	if err := client.Put(buckets[0], sibling, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := d.RunSQLStaged(q12ExactSQL, tables, cfg); err != nil {
 		t.Fatal(err)
 	}
-	client := s3.NewClient(d.dep.S3, d.env)
-	prefix := d.cfg.FunctionName + "/q1"
-	for _, b := range d.InstallExchange(cfg.Exchange) {
+	prefix := d.cfg.FunctionName + "/q1/"
+	for _, b := range buckets {
 		entries, err := client.List(b, prefix)
 		if err != nil {
 			t.Fatal(err)
@@ -248,5 +255,8 @@ func TestStagedSweepClearsBoundaries(t *testing.T) {
 		if len(entries) != 0 {
 			t.Errorf("bucket %s still holds %d objects under %s (first: %s)", b, len(entries), prefix, entries[0].Key)
 		}
+	}
+	if _, _, err := client.Get(buckets[0], sibling, 1); err != nil {
+		t.Errorf("q1's sweep took query q10's object %s: %v", sibling, err)
 	}
 }

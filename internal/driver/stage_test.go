@@ -464,7 +464,7 @@ func TestStagedPipelinedMatchesWaves(t *testing.T) {
 		cfg := DefaultStageConfig()
 		cfg.Partitions = 3
 		cfg.BroadcastRowLimit = -1
-		cfg.Pipelined = pipelined
+		d.sess.cfg.testWaveLaunch = !pipelined
 		got, rep, err := d.RunSQLStaged(q12ExactSQL, tables, cfg)
 		if err != nil {
 			t.Fatalf("pipelined=%v: %v", pipelined, err)

@@ -6,14 +6,16 @@ import (
 	"time"
 
 	"lambada/internal/awssim/pricing"
+	"lambada/internal/columnar"
 	"lambada/internal/lpq"
 	"lambada/internal/obs"
 	"lambada/internal/simclock"
 	"lambada/internal/tpch"
 )
 
-// tracedRun is one traced staged q12 execution plus the exact billed
-// request counts the test window observed on the meter.
+// tracedRun is one traced execution — staged q12, or single-scope q1 —
+// plus the exact billed request counts the test window observed on the
+// meter.
 type tracedRun struct {
 	rep   *Report
 	trace []byte // Chrome trace-event export
@@ -24,16 +26,17 @@ type tracedRun struct {
 	lambdaInvokes            int64
 }
 
-// tracedOpts parameterizes runTracedQ12.
+// tracedOpts parameterizes runTraced.
 type tracedOpts struct {
+	single  bool // single-scope q1 over lineitem instead of staged q12
 	chaos   bool // seeded FaultPlan deployment instead of the clean one
 	flat    bool // single-level exchange without write combining
 	unkeyed bool // disable completion-broadcast keying (regression baseline)
 }
 
-// runTracedQ12 executes staged q12 with tracing enabled on a fresh DES
-// kernel — the chaos harness plus EnableTracing — and exports the trace.
-func runTracedQ12(t *testing.T, o tracedOpts) tracedRun {
+// runTraced executes the query with tracing enabled on a fresh DES kernel
+// — the chaos harness plus EnableTracing — and exports the trace.
+func runTraced(t *testing.T, o tracedOpts) tracedRun {
 	t.Helper()
 	k := simclock.New()
 	if o.unkeyed {
@@ -84,7 +87,13 @@ func runTracedQ12(t *testing.T, o tracedOpts) tracedRun {
 			pricing.LabelSQS, pricing.LabelDynamoRead, pricing.LabelDynamoWrite, pricing.LabelLambdaRequests} {
 			before[l] = count(l)
 		}
-		out, rep, err := d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+		var out *columnar.Chunk
+		var rep *Report
+		if o.single {
+			out, rep, err = d.RunSQL(q1SQL, "lineitem", liRefs)
+		} else {
+			out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+		}
 		if err != nil {
 			t.Error(err)
 			return
@@ -121,17 +130,17 @@ func runTracedQ12(t *testing.T, o tracedOpts) tracedRun {
 
 // TestTraceExportByteIdentical: two runs of the same seeded query — chaos
 // plan included — export byte-identical Chrome traces, on both exchange
-// variants. This is the observability determinism contract: the trace is
+// variants and for a single-scope query. This is the observability determinism contract: the trace is
 // a function of the seed, not of host scheduling.
 func TestTraceExportByteIdentical(t *testing.T) {
-	for _, flat := range []bool{false, true} {
-		name := "tree-wc"
-		if flat {
-			name = "flat"
-		}
+	for name, o := range map[string]tracedOpts{
+		"tree-wc": {chaos: true},
+		"flat":    {chaos: true, flat: true},
+		"single":  {chaos: true, single: true},
+	} {
 		t.Run(name, func(t *testing.T) {
-			a := runTracedQ12(t, tracedOpts{chaos: true, flat: flat})
-			b := runTracedQ12(t, tracedOpts{chaos: true, flat: flat})
+			a := runTraced(t, o)
+			b := runTraced(t, o)
 			if !bytes.Equal(a.trace, b.trace) {
 				t.Errorf("trace exports differ (%d vs %d bytes)", len(a.trace), len(b.trace))
 			}
@@ -146,15 +155,19 @@ func TestTraceExportByteIdentical(t *testing.T) {
 // the meter movement of the query window exactly — every billed request
 // lands on exactly one span, none are dropped, none double-counted. Runs
 // under the chaos plan so retry, duplicate-delivery and crash paths are
-// all exercised.
+// all exercised, and for a single-scope query as well as the staged one —
+// the same executor opens the same query → stage → invoke tree for both.
 func TestTraceCostAttributionExact(t *testing.T) {
-	for _, o := range []tracedOpts{{}, {chaos: true}} {
+	for _, o := range []tracedOpts{{}, {chaos: true}, {single: true}, {single: true, chaos: true}} {
 		name := "clean"
 		if o.chaos {
 			name = "chaos"
 		}
+		if o.single {
+			name += "-single"
+		}
 		t.Run(name, func(t *testing.T) {
-			r := runTracedQ12(t, o)
+			r := runTraced(t, o)
 			total := obs.TotalCost(r.rep.Trace.Spans())
 			checks := []struct {
 				name  string
@@ -192,31 +205,37 @@ func TestTraceCostAttributionExact(t *testing.T) {
 // so its segment durations sum exactly to the report's end-to-end virtual
 // latency.
 func TestCriticalPathSumsToDuration(t *testing.T) {
-	r := runTracedQ12(t, tracedOpts{})
-	p := r.rep.Profile()
-	if p == nil {
-		t.Fatal("traced report has no profile")
-	}
-	if len(p.CriticalPath) == 0 {
-		t.Fatal("empty critical path")
-	}
-	var sum time.Duration
-	for _, seg := range p.CriticalPath {
-		sum += seg.Duration()
-	}
-	if sum != r.rep.Duration {
-		t.Errorf("critical path sums to %v, report duration %v", sum, r.rep.Duration)
-	}
-	// Per-stage profile sanity: the two stages carry workers and rows.
-	if len(p.Stages) != len(r.rep.StageStats) {
-		t.Fatalf("profile has %d stages, report %d", len(p.Stages), len(r.rep.StageStats))
-	}
-	for _, sp := range p.Stages {
-		if sp.Attempts == 0 {
-			t.Errorf("stage %d: no traced attempts", sp.StageID)
+	for _, single := range []bool{false, true} {
+		r := runTraced(t, tracedOpts{single: single})
+		p := r.rep.Profile()
+		if p == nil {
+			t.Fatalf("single=%v: traced report has no profile", single)
 		}
-		if sp.Cost.IsZero() {
-			t.Errorf("stage %d: no attributed cost", sp.StageID)
+		if len(p.CriticalPath) == 0 {
+			t.Fatalf("single=%v: empty critical path", single)
+		}
+		var sum time.Duration
+		for _, seg := range p.CriticalPath {
+			sum += seg.Duration()
+		}
+		if sum != r.rep.Duration {
+			t.Errorf("single=%v: critical path sums to %v, report duration %v", single, sum, r.rep.Duration)
+		}
+		// Per-stage profile sanity: every stage — the single-scope query's
+		// one stage included — carries workers, rows and cost.
+		if len(p.Stages) == 0 || len(p.Stages) != len(r.rep.StageStats) {
+			t.Fatalf("single=%v: profile has %d stages, report %d", single, len(p.Stages), len(r.rep.StageStats))
+		}
+		for _, sp := range p.Stages {
+			if sp.Attempts == 0 {
+				t.Errorf("single=%v: stage %d: no traced attempts", single, sp.StageID)
+			}
+			if sp.Rows == 0 {
+				t.Errorf("single=%v: stage %d: no output rows traced", single, sp.StageID)
+			}
+			if sp.Cost.IsZero() {
+				t.Errorf("single=%v: stage %d: no attributed cost", single, sp.StageID)
+			}
 		}
 	}
 }
@@ -228,8 +247,8 @@ func TestCriticalPathSumsToDuration(t *testing.T) {
 // billed substrate call with virtual latency), so the keyed run is also
 // no slower than the baseline.
 func TestKeyedBroadcastReducesWakeups(t *testing.T) {
-	keyed := runTracedQ12(t, tracedOpts{})
-	unkeyed := runTracedQ12(t, tracedOpts{unkeyed: true})
+	keyed := runTraced(t, tracedOpts{})
+	unkeyed := runTraced(t, tracedOpts{unkeyed: true})
 	if keyed.rep.Wakeups == 0 {
 		t.Fatal("keyed run recorded no wakeups (counter not wired?)")
 	}

@@ -445,89 +445,3 @@ func SplitAggregate(p *AggregatePlan) (partial *AggregatePlan, final Plan, err e
 func partialName(name string, i int, kind string) string {
 	return fmt.Sprintf("__p%d_%s_%s", i, kind, name)
 }
-
-// ExchangedPlan is a distributed plan whose aggregation merges through the
-// serverless exchange operator instead of the driver: workers compute
-// partial aggregates, shuffle them by group key so each group lands on
-// exactly one worker, finalize locally, and the driver only concatenates
-// (plus any ORDER BY / LIMIT tail). This is the scalable path for
-// high-cardinality GROUP BY, where a driver-side merge would not fit.
-type ExchangedPlan struct {
-	// Worker computes per-file partial aggregates.
-	Worker Plan
-	// WorkerFinal merges the exchanged partials on each worker; its scan
-	// of WorkerResultTable is bound to the worker's post-shuffle chunk.
-	WorkerFinal Plan
-	// Driver concatenates worker outputs and applies the tail; its scan of
-	// WorkerResultTable is bound to the collected worker results.
-	Driver Plan
-	// Key is the partition column (the first group key, present in the
-	// partial output schema).
-	Key string
-}
-
-// SplitExchanged converts an optimized plan with a grouped aggregation into
-// an exchange-merged distributed plan. Plans without GROUP BY (global
-// aggregates) do not need an exchange; use SplitDistributed.
-func SplitExchanged(p Plan) (*ExchangedPlan, error) {
-	var tail []Plan
-	cur := p
-	for {
-		switch n := cur.(type) {
-		case *OrderByPlan:
-			tail = append(tail, n)
-			cur = n.In
-			continue
-		case *LimitPlan:
-			tail = append(tail, n)
-			cur = n.In
-			continue
-		}
-		break
-	}
-	var agg *AggregatePlan
-	var topProject *ProjectPlan
-	switch n := cur.(type) {
-	case *AggregatePlan:
-		agg = n
-	case *ProjectPlan:
-		inner, ok := n.In.(*AggregatePlan)
-		if !ok {
-			return nil, fmt.Errorf("engine: exchange split needs an aggregation, got %T under project", n.In)
-		}
-		agg = inner
-		topProject = n
-	default:
-		return nil, fmt.Errorf("engine: exchange split needs an aggregation, got %T", cur)
-	}
-	if len(agg.GroupBy) == 0 {
-		return nil, fmt.Errorf("engine: exchange split needs GROUP BY (use SplitDistributed for global aggregates)")
-	}
-	partial, final, err := SplitAggregate(agg)
-	if err != nil {
-		return nil, err
-	}
-	workerFinal := final
-	if topProject != nil {
-		workerFinal = &ProjectPlan{In: final, Exprs: topProject.Exprs, Names: topProject.Names}
-	}
-	outSchema, err := workerFinal.OutSchema()
-	if err != nil {
-		return nil, err
-	}
-	var driver Plan = &ScanPlan{Table: WorkerResultTable, TableSchema: outSchema}
-	for i := len(tail) - 1; i >= 0; i-- {
-		switch t := tail[i].(type) {
-		case *OrderByPlan:
-			driver = &OrderByPlan{In: driver, Keys: t.Keys}
-		case *LimitPlan:
-			driver = &LimitPlan{In: driver, N: t.N}
-		}
-	}
-	return &ExchangedPlan{
-		Worker:      partial,
-		WorkerFinal: workerFinal,
-		Driver:      driver,
-		Key:         agg.GroupBy[0],
-	}, nil
-}

@@ -23,9 +23,10 @@ import (
 // containers, and Peak() ≤ Capacity bounds the deployment's true peak
 // concurrency.
 //
-// Release happens on the worker side of the simulation, not in the driver's
-// event loop: a driver blocked in Acquire is woken by containers finishing
-// on their own, so one query stalling on admission can never deadlock the
+// Nothing ever blocks on the pool: schedulers take tokens with TryAcquire,
+// launch what they were granted and return to their event loops, and
+// Release happens on the worker side of the simulation as containers
+// settle — so one query stalling on admission can never deadlock the
 // deployment. Launch order within a query is topological (producers before
 // consumers), so tokens held by workers parked on a ready barrier always
 // have their producers fully launched and making progress.
@@ -45,20 +46,13 @@ type Admission struct {
 
 	pacing   Pacing
 	nextSlot time.Duration
-
-	topic string
-	poll  time.Duration
 }
 
 // NewAdmission returns a controller with the given concurrent-invocation
-// capacity (<= 0 means unlimited: Acquire never blocks, Pace still paces).
-// topic namespaces the release broadcast; poll is the blocked waiter's
-// fallback poll interval.
-func NewAdmission(capacity int, pacing Pacing, topic string, poll time.Duration) *Admission {
-	if poll <= 0 {
-		poll = 25 * time.Millisecond
-	}
-	return &Admission{capacity: capacity, pacing: pacing, topic: "admission/" + topic, poll: poll}
+// capacity (<= 0 means unlimited: TryAcquire always succeeds, Pace still
+// paces).
+func NewAdmission(capacity int, pacing Pacing) *Admission {
+	return &Admission{capacity: capacity, pacing: pacing}
 }
 
 // Capacity returns the configured token capacity (<= 0 = unlimited).
@@ -69,49 +63,14 @@ func (a *Admission) Capacity() int {
 	return a.capacity
 }
 
-// Acquire blocks until n tokens are available and takes them. A request
-// larger than the whole capacity is admitted once the pool is empty — a
-// fleet bigger than the budget still launches, alone — and counted in
-// Oversized; size the capacity above the largest single Invoke's token
-// need (tree nodes need 1+children) to keep Peak() ≤ Capacity strict.
-// Nil receivers and unlimited controllers return immediately.
-func (a *Admission) Acquire(env simenv.Env, n int) {
-	if a == nil || a.capacity <= 0 || n <= 0 {
-		return
-	}
-	waited := false
-	for {
-		a.mu.Lock()
-		if a.inFlight+n <= a.capacity || (n > a.capacity && a.inFlight == 0) {
-			if n > a.capacity {
-				a.oversize++
-			}
-			a.inFlight += n
-			a.acquired += uint64(n)
-			if a.inFlight > a.peak {
-				a.peak = a.inFlight
-			}
-			a.mu.Unlock()
-			return
-		}
-		if !waited {
-			a.blocked++
-			waited = true
-		}
-		a.mu.Unlock()
-		// Park on the release broadcast; the timed poll is the fallback for
-		// environments without a keyed notifier.
-		simenv.WaitNotifyKey(env, a.topic, a.poll)
-	}
-}
-
 // TryAcquire takes n tokens if they are available right now and reports
-// whether it did. The staged scheduler launches fleets with TryAcquire
-// instead of a blocking Acquire: when the pool is dry it launches a partial
-// fleet and returns to its event loop, so the driver keeps consuming seal
-// messages — a driver blocked in Acquire could never write the seal marker
-// that the token-holding consumers parked on a ready barrier are waiting
-// for. Nil and unlimited controllers always succeed.
+// whether it did. It never blocks: when the pool is dry the scheduler
+// launches a partial fleet and returns to its event loop, so the driver
+// keeps consuming seal messages — a driver parked on the pool could never
+// write the ready marker that token-holding consumers parked on a barrier
+// are waiting for. A request larger than the whole capacity is admitted
+// once the pool is empty and counted in Oversized. Nil and unlimited
+// controllers always succeed.
 func (a *Admission) TryAcquire(n int) bool {
 	if a == nil || a.capacity <= 0 || n <= 0 {
 		return true
@@ -138,7 +97,7 @@ func (a *Admission) TryAcquire(n int) bool {
 // queue behind the very tokens held by workers waiting on the crashed
 // producer, so it is admitted unconditionally and counted in Overflow;
 // Peak() ≤ Capacity is therefore guaranteed only for fault-free runs.
-func (a *Admission) AcquireOverflow(env simenv.Env) {
+func (a *Admission) AcquireOverflow() {
 	if a == nil || a.capacity <= 0 {
 		return
 	}
@@ -154,9 +113,9 @@ func (a *Admission) AcquireOverflow(env simenv.Env) {
 	a.mu.Unlock()
 }
 
-// Release returns n tokens and wakes blocked acquirers. The Lambda
-// service's completion hook calls it with n=1 as each container settles.
-func (a *Admission) Release(env simenv.Env, n int) {
+// Release returns n tokens. The Lambda service's completion hook calls it
+// with n=1 as each container settles.
+func (a *Admission) Release(n int) {
 	if a == nil || a.capacity <= 0 || n <= 0 {
 		return
 	}
@@ -166,13 +125,12 @@ func (a *Admission) Release(env simenv.Env, n int) {
 		a.inFlight = 0
 	}
 	a.mu.Unlock()
-	simenv.BroadcastKey(env, a.topic)
 }
 
 // Pace charges one Invoke API slot against the shared rate pacer, sleeping
 // the caller until its slot: concurrent queries interleave at the
 // deployment's effective invocation rate instead of each assuming the full
-// rate. Nil receivers are no-ops (legacy per-query pacing applies then).
+// rate. Nil receivers are no-ops (each query then paces its own launches).
 func (a *Admission) Pace(env simenv.Env) {
 	if a == nil {
 		return
@@ -213,7 +171,7 @@ func (a *Admission) Peak() int {
 	return a.peak
 }
 
-// Blocked counts Acquire calls that had to wait for capacity.
+// Blocked counts TryAcquire calls the pool denied.
 func (a *Admission) Blocked() uint64 {
 	if a == nil {
 		return 0
@@ -223,7 +181,7 @@ func (a *Admission) Blocked() uint64 {
 	return a.blocked
 }
 
-// Oversized counts Acquire calls whose token need exceeded the whole
+// Oversized counts TryAcquire calls whose token need exceeded the whole
 // capacity and were admitted alone.
 func (a *Admission) Oversized() uint64 {
 	if a == nil {

@@ -15,9 +15,9 @@
 //
 // Joins whose build side is genuinely small (by lpq footer row counts) stay
 // broadcast joins inside their probe side's stage — the planner chooses
-// broadcast-vs-shuffle per join. The driver executes stages in dependency
-// waves with seal/ready barriers (SQS completion messages, DynamoDB ready
-// markers); every stage fragment is an ordinary engine plan run on the
+// broadcast-vs-shuffle per join. The driver runs the DAG on its stage
+// scheduler with seal/ready barriers (SQS completion messages, DynamoDB
+// ready markers); every stage fragment is an ordinary engine plan run on the
 // pipeline-graph scheduler, so results are byte-identical to single-node
 // execution at any worker/partition count.
 package stageplan
@@ -95,8 +95,8 @@ type Stage struct {
 	// invoke its workers before the producing stages seal, overlapping their
 	// cold starts with upstream execution, because the DynamoDB ready
 	// barrier gates the collect. Decompose marks every stage eager; a
-	// cost-based policy (or StageConfig.Pipelined = false) can still hold a
-	// stage back until its producers sealed.
+	// cost-based policy can clear the flag to hold a stage back until its
+	// producers sealed.
 	Eager bool
 	// MaxAttempts bounds per-worker attempts of this stage under straggler
 	// speculation (0 = the driver's SpeculateConfig default). Attempt
