@@ -7,7 +7,7 @@ BENCHTIME ?= 300ms
 # trace-smoke output file (Chrome trace-event JSON; also the CI artifact).
 TRACE_OUT ?= trace-smoke.json
 
-.PHONY: build test race race-staged chaos scale-smoke bench bench-json bench-check print-bench-json vet trace-smoke serve-smoke
+.PHONY: build test race race-staged chaos scale-smoke fuzz-smoke bench bench-json bench-check print-bench-json vet trace-smoke serve-smoke
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,12 @@ race-staged:
 # no interleaving coverage the -short race suites don't already have.
 scale-smoke:
 	$(GO) test -run 'TestStagedQ12ScaleSmoke|TestMultiLevelRequestsMatchModel' -v -timeout 10m ./internal/driver/ ./internal/exchange/
+
+# fuzz-smoke fuzzes the exchange's key codec for ten seconds from the seed
+# corpus in internal/exchange/testdata/fuzz: parsing arbitrary bytes must
+# return a key or a typed error, and parse must invert String.
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz=FuzzBoundaryKey -fuzztime=10s ./internal/exchange/
 
 # chaos runs the deterministic fault-injection suites race-instrumented:
 # the injector/resilience unit tests, the per-service fault tests, and the

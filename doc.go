@@ -148,6 +148,21 @@
 //	                the row-producing stage, a repartition on the group
 //	                keys, and a final-merge stage owning each group whole
 //
+// Every boundary, and every other shuffle in the repository, is made of one
+// protocol step, the round (internal/exchange, round.go): writers cut a body
+// into slots and commit it under an attempt number; the reader of a slot
+// waits until every writer has a committed attempt, takes each writer's
+// lowest one and reads its slot of each. A scan→join boundary is the round
+// with the scan stage's workers as writers and the join stage's as slots;
+// write combining is the round's one switch (one object per writer with the
+// slot offsets in its name, or a file per slot plus a commit marker); and
+// one codec (boundaryKey, fuzzed for round-trip by FuzzBoundaryKey) renders
+// and parses every object name and List prefix. The paper's symmetric
+// k-level grid exchange (exchange.Worker.Run and RunSynthetic; Table 3,
+// Figure 13) is the same code: along each level, the workers that agree on
+// every other grid coordinate are a boundary with as many senders as
+// partitions, so the experiments time the waits the scheduler runs.
+//
 // The planner chooses broadcast-vs-shuffle per join from the lpq footer
 // row counts: a genuinely small build side ships inside worker payloads as
 // before, everything else shuffles. Boundary fan-in autotunes from the
@@ -165,17 +180,20 @@
 // analytic request model (exchange.Variant.Requests — puts, gets and lists
 // as closed-form functions of S, P and the shard-bucket count) and keeps
 // single-round for narrow edges while sending wide ones through the
-// multi-level protocol (§4.4.2). Multi-level inserts one intermediate
-// regroup round: senders write their P partition files grouped into
-// G = exchange.Groups(P) ≈ √P combined objects, a synthetic regroup fleet of
-// G workers (one per group, scheduled as a first-class stage with the same
-// launch, seal, speculation and epoch machinery) merges each group's
-// fragments into one object per group laying receiver slices contiguously,
-// and each receiver range-reads exactly its slice from the G merged objects
-// — O(S·G + P·G) requests instead of O(S·P). Attempt versioning carries
-// through both rounds: a regroup worker merges each sender's first
-// committed round-1 attempt, and its own output is attempt-versioned and
-// committed the same way, so first-committed-attempt semantics and the
+// multi-level protocol (§4.4.2). Multi-level is two rounds, not a second
+// protocol: the senders' round has G = exchange.Groups(P) ≈ √P slots — a
+// group is a run of consecutive partitions, so a sender's group object is a
+// run of its partition-scattered rows — and each group then gets a round of
+// its own whose single writer is the group's regroup worker and whose slots
+// are the group's partitions. The regroup fleet of G workers (one per group,
+// scheduled as a first-class stage with the same launch, seal, speculation
+// and epoch machinery) collects its group sender-ascending, splits it by the
+// same hash and publishes; a receiver collects its partition from its
+// group's round — one List and one read instead of S, O(S·G + P) requests
+// instead of O(S·P). Attempt versioning is the round's, so it carries
+// through both: a regroup worker reads each sender's lowest committed
+// attempt, and its own output is attempt-versioned and committed the same
+// way, so first-committed-attempt semantics and the
 // epoch fence hold unchanged; the fence/speculation/chaos suites re-run
 // over forced
 // multi-level boundaries, and TestStagedQ12ScaleSmoke pins the billed
@@ -200,11 +218,11 @@
 // Straggler speculation (§5.5's aggressive-timeouts-and-retries theme)
 // applies per stage: once a quorum of a stage's workers sealed and a
 // straggler outlives a multiple of the median response time, the scheduler
-// re-invokes it as a new attempt. Exchange boundary names are versioned by
+// re-invokes it as a new attempt. A round's object names are versioned by
 // attempt (s<stage>/p<part>/a<attempt>-snd<sender>, with a per-attempt
 // commit marker; write-combining's single Put commits implicitly), so a
-// backup never races the original's files: receivers take each sender's
-// first committed attempt, and since fragments are deterministic, every
+// backup never races the original's files: readers take each writer's
+// lowest committed attempt, and since fragments are deterministic, every
 // attempt's files are byte-identical — whichever attempt wins, the rows
 // collected are the same. The stale-drain collector (exchange.Sweep) purges
 // the boundary namespace before a query (an identically-numbered aborted
@@ -267,8 +285,10 @@
 // Put (Report.Wakeups counts the delivered wakeups; the keyed-vs-unkeyed
 // regression test pins the reduction). The timed poll remains the fallback
 // for waiters whose write never comes. Commit
-// discovery is batched: one List of the stage's commit namespace per shard
-// bucket per round, cached across rounds, and exchange.Sweep deletes
+// discovery is batched: one List of the round's commit namespace per shard
+// bucket per pass, only of buckets still hosting an unseen writer, and an
+// object naming a writer outside the round fails the collect with a
+// boundary-shape error instead of being counted; exchange.Sweep deletes
 // through the batched DeleteObjects API. Liveness holes in speculation are
 // covered by the per-stage MaxStageWait cap: a runnable stage that goes
 // that long without any worker response (the window restarts on every

@@ -74,9 +74,15 @@ func main() {
 			}
 		}
 		fmt.Printf("%-6s shuffled %d rows across %d workers\n", variant, total, workers)
-		fmt.Printf("       S3 requests: %d reads, %d writes, %d lists (model: %.0f reads, %.0f writes)\n",
+		// Without write combining a worker seals each level's files with one
+		// zero-byte commit marker, on top of Table 2's writes.
+		markers := 0
+		if !variant.WriteCombining {
+			markers = variant.Levels * workers
+		}
+		fmt.Printf("       S3 requests: %d reads, %d writes, %d lists (Table 2: %.0f reads, %.0f writes + %d commit markers)\n",
 			meter.Count(pricing.LabelS3Read), meter.Count(pricing.LabelS3Write), meter.Count(pricing.LabelS3List),
-			variant.Reads(workers), variant.Writes(workers))
+			variant.Reads(workers), variant.Writes(workers), markers)
 		fmt.Printf("       request cost: %s\n\n", meter.Total())
 	}
 }

@@ -1,7 +1,6 @@
 package s3
 
 import (
-	"errors"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -332,24 +331,4 @@ func (c *Client) DeleteBatch(bucket string, keys []string) (err error) {
 	defer c.endOp(c.opSpan("s3.deletebatch"), c.Retries(), &err)
 	err = c.retry(func() error { return c.svc.DeleteBatch(c.env, bucket, keys) })
 	return err
-}
-
-// WaitFor polls until bucket/key exists (the receiver side of the exchange:
-// "the receiver must repeat reading a file until that file exists", §4.4.1),
-// up to maxWait of virtual time. It returns the object size.
-func (c *Client) WaitFor(bucket, key string, poll, maxWait time.Duration) (int64, error) {
-	deadline := c.env.Now() + maxWait
-	for {
-		size, err := c.Head(bucket, key)
-		if err == nil {
-			return size, nil
-		}
-		if !errors.Is(err, ErrNoSuchKey) {
-			return 0, err
-		}
-		if c.env.Now()+poll > deadline {
-			return 0, err
-		}
-		c.env.Sleep(poll)
-	}
 }

@@ -285,7 +285,7 @@ func (s *Service) put(env simenv.Env, bucketName, key string, obj *Object) error
 	b.objects[key] = obj
 	s.mu.Unlock()
 	// Wake the waiters parked on this key's completion topic: the
-	// exchange's receivers (WaitFor heads, List polls, commit-marker waits)
+	// exchange's readers (a round's List passes over its commit namespace)
 	// block on exactly this event — a sender's file appearing — so they
 	// re-check on the signal instead of burning the fixed poll interval.
 	// The topic is keyed by object key (bucket deliberately omitted: one

@@ -258,48 +258,6 @@ func TestClientRetriesSlowDown(t *testing.T) {
 	}
 }
 
-func TestClientWaitFor(t *testing.T) {
-	svc := newTestService(nil)
-	svc.MustCreateBucket("b")
-	k := simclock.New()
-	var size int64
-	var err error
-	k.Go("receiver", func(p *simclock.Proc) {
-		c := NewClient(svc, p)
-		size, err = c.WaitFor("b", "late", 10*time.Millisecond, time.Minute)
-	})
-	k.Go("sender", func(p *simclock.Proc) {
-		p.Sleep(300 * time.Millisecond)
-		c := NewClient(svc, p)
-		c.Put("b", "late", []byte("data!"))
-	})
-	end := k.Run()
-	if err != nil {
-		t.Fatalf("WaitFor: %v", err)
-	}
-	if size != 5 {
-		t.Errorf("size = %d", size)
-	}
-	if end < 300*time.Millisecond {
-		t.Errorf("finished before the sender wrote: %v", end)
-	}
-}
-
-func TestClientWaitForTimesOut(t *testing.T) {
-	svc := newTestService(nil)
-	svc.MustCreateBucket("b")
-	k := simclock.New()
-	var err error
-	k.Go("receiver", func(p *simclock.Proc) {
-		c := NewClient(svc, p)
-		_, err = c.WaitFor("b", "never", 10*time.Millisecond, 100*time.Millisecond)
-	})
-	k.Run()
-	if !errors.Is(err, ErrNoSuchKey) {
-		t.Errorf("err = %v, want NoSuchKey after timeout", err)
-	}
-}
-
 func TestClientTransferTimeShaped(t *testing.T) {
 	// A 1 GB download on a shaped client takes ~11 s of virtual time
 	// (sustained 90 MiB/s) when the burst budget is exhausted first.

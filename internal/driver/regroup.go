@@ -12,7 +12,7 @@ import (
 )
 
 // Synthetic regroup fleets. A multi-level stage boundary (§4.4.2, adapted —
-// see internal/exchange/multilevel.go) needs an intermediate round between
+// see exchange.RegroupStage) needs an intermediate round between
 // the producing stage's publish and the consuming stage's collect: worker g
 // of Groups(P) merges partition group g across all senders and re-publishes
 // it as per-partition round-2 objects. The driver schedules that round as

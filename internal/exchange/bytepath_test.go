@@ -23,8 +23,14 @@ import (
 // write-combined names carry the byte offsets), size and content hash. They
 // were recorded at the commit before the scatter partitioner and the shared
 // slot encoder replaced the per-partition Gather/WriteFile/concat loops (PR
-// 12's parent), so a moved byte or a renamed object fails here. Regenerate
-// only for an intended protocol or format change:
+// 12's parent), so a moved byte or a renamed object fails here. The four
+// grid-*.golden files were re-recorded once since, in PR 14, when the grid
+// exchange became a composition of boundary rounds: its objects took the
+// boundary name shapes under <prefix>/r<level>/g<group>/s0/ (with -a0), and
+// the basic variants gained one zero-byte commit marker per worker and level;
+// sizes and content hashes of all non-empty objects are the recorded ones.
+// The eight boundary-*.golden files are the PR 12 parent's. Regenerate only
+// for an intended protocol or format change:
 //
 //	go test ./internal/exchange/ -run Golden -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden from this build's output")

@@ -187,8 +187,8 @@ func TestStageBoundaryMultiLevelFirstCommittedAttemptWins(t *testing.T) {
 
 		if !wc {
 			// Sender 0's attempt 0 died after one group object, no commit.
-			stray := opts.stageGroupFile(b.Stage, 0, 0, 0)
-			if err := client.Put(opts.stageBucket(b.Stage, 0), stray, []byte("not an lpq file")); err != nil {
+			r := b.senders(client, opts)
+			if err := client.Put(r.bucket(0), r.key(fileKey, 0, 0).String(), []byte("not an lpq file")); err != nil {
 				t.Fatal(err)
 			}
 		}

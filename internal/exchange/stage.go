@@ -2,58 +2,25 @@ package exchange
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
-	"strconv"
-	"strings"
 
 	"lambada/internal/awssim/s3"
-	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/lpq"
 )
 
-// Stage boundaries are the asymmetric counterpart of the symmetric
-// all-to-all exchange of Run: a producing stage of S workers hash-partitions
-// its output rows into P partitions through S3, and a consuming stage of P
-// workers each collects exactly one partition from every sender. Unlike the
-// multi-level grid (which requires senders == receivers), a boundary is a
-// single round when Variant.Levels == 1 (multilevel.go adds the §4.4.2
-// regrouping round for Levels >= 2: senders write √-grouped objects, a
-// regroup fleet merges per group, receivers touch one group object instead
-// of S sender objects); bucket sharding (by partition in the basic variant,
-// by sender when write-combining) keeps the §4.4.1 rate-limit multiplication,
-// and the write-combining variant keeps the §4.4.3 trick of encoding
-// cumulative partition offsets in the file name so each receiver
-// range-reads its slice of one combined object per sender.
-//
-// Every sender writes a file (possibly empty) for every partition, so
-// receivers never need a membership protocol: partition p is complete once
-// all S sender files exist.
-//
-// Boundary names are versioned by attempt so straggler speculation can
-// re-run a sender without racing the original's files: attempt a of sender
-// s writes into its own `a<attempt>` namespace and then commits it — with a
-// per-(stage,attempt,sender) commit marker in the basic variant, or
-// implicitly by the single atomic Put of the combined object when
-// write-combining. Receivers take, per sender, the first complete
-// (committed) attempt set; uncommitted and later attempts are ignored.
-// Because stage fragments are deterministic, every attempt's files are
-// byte-identical, so which attempt wins never changes the collected rows.
-// Loser attempts linger as garbage until Sweep (the stale-drain collector)
-// removes the boundary namespace.
-
 // Boundary identifies one producing stage's partitioned output inside an
-// exchange namespace (Options.Prefix scopes the query).
+// exchange namespace (Options.Prefix scopes the query): Senders workers
+// hash-partition their rows into Partitions, one per consuming worker.
 type Boundary struct {
 	// Stage is the producing stage's ID (namespaces the object keys).
 	Stage int
-	// Attempt versions the publishing sender's file set: backup attempts of
-	// a straggling sender write under a fresh attempt namespace instead of
-	// racing the original's files. Collectors ignore it — they discover the
-	// first committed attempt per sender themselves.
+	// Attempt versions the publishing worker's objects: a backup attempt of
+	// a straggling sender or regroup worker writes beside the original's
+	// instead of racing it. Collectors ignore it — they take each writer's
+	// lowest committed attempt themselves.
 	Attempt int
 	// Senders is the producing stage's worker count.
 	Senders int
@@ -61,132 +28,61 @@ type Boundary struct {
 	Partitions int
 }
 
-func (o *Options) stageBucket(stage, part int) string {
-	return o.Buckets[(stage*31+part)%len(o.Buckets)]
+// GroupSize returns the number of consecutive partitions per group of a
+// multi-level boundary with the given partition count: ceil(P / ceil(√P)).
+func GroupSize(parts int) int {
+	if parts < 1 {
+		return 1
+	}
+	g0 := int(math.Ceil(math.Sqrt(float64(parts))))
+	return (parts + g0 - 1) / g0
 }
 
-// stageFile names sender's file of one partition within one attempt.
-func (o *Options) stageFile(stage, attempt, part, sender int) string {
-	return fmt.Sprintf("%s/s%d/p%d/a%d-snd%d", o.Prefix, stage, part, attempt, sender)
+// Groups returns the regroup-round fleet size of a multi-level boundary
+// with the given partition count — about √P groups of GroupSize
+// consecutive partitions each.
+func Groups(parts int) int {
+	size := GroupSize(parts)
+	if parts < 1 {
+		return 1
+	}
+	return (parts + size - 1) / size
 }
 
-// stageCommit names the commit marker sealing (stage, sender, attempt) in
-// the basic variant: it is written after every partition file of the
-// attempt, so receivers that see it can read any partition without waiting.
-func (o *Options) stageCommit(stage, sender, attempt int) string {
-	return fmt.Sprintf("%s/s%d/commit/snd%d-a%d", o.Prefix, stage, sender, attempt)
+// GroupOf returns the group that owns the partition.
+func GroupOf(part, parts int) int {
+	return part / GroupSize(parts)
 }
 
-// stageCommitDir is the stage's whole commit namespace: one List under it
-// returns the markers of every sender sharded into that bucket, so a
-// receiver discovers all its senders' commits with one request per shard
-// bucket per round instead of one List per (sender, poll).
-func (o *Options) stageCommitDir(stage int) string {
-	return fmt.Sprintf("%s/s%d/commit/", o.Prefix, stage)
+// senders is the round the boundary's senders publish into: straight into
+// the partitions, or with Levels >= 2 into the groups — a group being a run
+// of consecutive partitions, a sender's group object is a run of its
+// partition-scattered rows. Levels > 2 flatten to the one regroup round: past
+// √P grouping, further rounds only pay off beyond the fleet sizes simulated.
+func (b Boundary) senders(client *s3.Client, opts Options) round {
+	r := round{client: client, opts: opts, stage: b.Stage, writers: b.Senders, slots: b.Partitions}
+	if opts.Variant.Levels >= 2 {
+		r.kind, r.slots = groupRound, Groups(b.Partitions)
+	}
+	return r
 }
 
-// parseStageCommitName extracts sender and attempt from a commit marker key
-// (`…/commit/snd<s>-a<n>`).
-func parseStageCommitName(key string) (sender, attempt int, err error) {
-	base := key[strings.LastIndex(key, "/")+1:]
-	if !strings.HasPrefix(base, "snd") {
-		return 0, 0, fmt.Errorf("exchange: bad commit marker %q", key)
-	}
-	rest := base[3:]
-	ai := strings.Index(rest, "-a")
-	if ai < 0 {
-		return 0, 0, fmt.Errorf("exchange: bad commit marker %q", key)
-	}
-	if sender, err = strconv.Atoi(rest[:ai]); err != nil {
-		return 0, 0, fmt.Errorf("exchange: bad commit marker %q", key)
-	}
-	if attempt, err = strconv.Atoi(rest[ai+2:]); err != nil {
-		return 0, 0, fmt.Errorf("exchange: bad commit marker %q", key)
-	}
-	return sender, attempt, nil
+// regroup is the second round of a multi-level boundary for one group:
+// its single writer is the group's regroup worker, its slots the group's
+// partitions.
+func (b Boundary) regroup(client *s3.Client, opts Options, group int) round {
+	size := GroupSize(b.Partitions)
+	lo := group * size
+	return round{client: client, opts: opts, stage: b.Stage, kind: regroupRound,
+		writer0: group, writers: 1, slot0: lo, slots: min(lo+size, b.Partitions) - lo}
 }
 
-func (o *Options) stageWcPrefix(stage int) string {
-	return fmt.Sprintf("%s/s%d/snd", o.Prefix, stage)
-}
-
-// stageWcName encodes sender, attempt and the cumulative partition offsets
-// in the combined object's name (§4.4.3). The single Put is atomic, so the
-// object doubles as its own commit marker.
-func (o *Options) stageWcName(stage, attempt, sender int, offsets []int64) string {
-	return wcObjectName(o.stageWcPrefix(stage), sender, attempt, offsets)
-}
-
-// wcObjectName renders `<prefix><id>-a<attempt>-off<o0_o1_…>`, the name of a
-// write-combined boundary object.
-func wcObjectName(prefix string, id, attempt int, offsets []int64) string {
-	return string(appendOffsets(fmt.Appendf(nil, "%s%d-a%d-off", prefix, id, attempt), offsets))
-}
-
-// appendOffsets appends the offsets in decimal, joined by underscores.
-func appendOffsets(b []byte, offsets []int64) []byte {
-	for i, off := range offsets {
-		if i > 0 {
-			b = append(b, '_')
-		}
-		b = strconv.AppendInt(b, off, 10)
+// ready validates the boundary and the options every entry point shares.
+func (b Boundary) ready(opts Options) (Options, error) {
+	if b.Senders < 1 || b.Partitions < 1 {
+		return opts, fmt.Errorf("exchange: stage %d boundary of %d senders and %d partitions", b.Stage, b.Senders, b.Partitions)
 	}
-	return b
-}
-
-// slotRange walks the offset list appendOffsets rendered — no allocation: a
-// receiver reads one such name per sender — and returns slot's byte range
-// [o[slot], o[slot+1]). The list must hold slots+1 ascending offsets.
-func slotRange(list string, slots, slot int) (lo, hi int64, err error) {
-	n := 0
-	for more := true; more; n++ {
-		var field string
-		field, list, more = strings.Cut(list, "_")
-		v, err := strconv.ParseInt(field, 10, 64)
-		if err != nil {
-			return 0, 0, err
-		}
-		switch n {
-		case slot:
-			lo = v
-		case slot + 1:
-			hi = v
-		}
-	}
-	if n != slots+1 {
-		return 0, 0, fmt.Errorf("%d offsets for %d slots", n, slots)
-	}
-	if hi < lo {
-		return 0, 0, errors.New("inverted offsets")
-	}
-	return lo, hi, nil
-}
-
-// parseWcTail parses a `<tag><id>-a<n>-off<o0_o1_…>` combined-object base
-// name — the shared shape of single-round (`snd`), round-1 grouped
-// (`r1snd`) and regroup (`rg`) write-combined objects — into the writer's
-// id, its attempt and slot's byte range of the object's slots.
-func parseWcTail(key, tag string, slots, slot int) (id, attempt int, lo, hi int64, err error) {
-	bad := func(err error) (int, int, int64, int64, error) {
-		return 0, 0, 0, 0, fmt.Errorf("exchange: bad stage wc file name %q: %w", key, err)
-	}
-	base := key[strings.LastIndex(key, "/")+1:]
-	rest, ok := strings.CutPrefix(base, tag)
-	ai := strings.Index(rest, "-a")
-	oi := strings.Index(rest, "-off")
-	if !ok || ai < 0 || oi < ai {
-		return bad(errors.New("want <tag><id>-a<n>-off<offsets>"))
-	}
-	if id, err = strconv.Atoi(rest[:ai]); err != nil {
-		return bad(err)
-	}
-	if attempt, err = strconv.Atoi(rest[ai+2 : oi]); err != nil {
-		return bad(err)
-	}
-	if lo, hi, err = slotRange(rest[oi+4:], slots, slot); err != nil {
-		return bad(err)
-	}
-	return id, attempt, lo, hi, nil
+	return opts.ready()
 }
 
 // HashPartition maps row i of the key columns to its partition in
@@ -265,264 +161,99 @@ func encodeSlots(chunk *columnar.Chunk, bounds []int) (combined []byte, offsets 
 	return combined, offsets, nil
 }
 
-// PublishStage hash-partitions chunk by the key columns and writes this
-// sender's partition files into the boundary's attempt namespace — one
-// object per partition plus a commit marker, or one combined object with
-// sender/attempt/offsets in the name when the variant write-combines. Rows
-// keep their order within each partition, so the boundary is deterministic
-// for a deterministic input chunk, and re-publishing the same chunk under a
-// new attempt produces byte-identical files.
+// PublishStage hash-partitions chunk by the key columns and publishes the
+// sender's slots into the boundary's send round under b.Attempt. Rows keep
+// their order within a partition, so re-publishing the same chunk under a new
+// attempt writes byte-identical objects.
 func PublishStage(client *s3.Client, opts Options, b Boundary, sender int, chunk *columnar.Chunk, keys []string) error {
-	opts = opts.shardPool()
-	if len(opts.Buckets) == 0 {
-		return errors.New("exchange: no buckets configured")
-	}
-	if b.Partitions < 1 {
-		return fmt.Errorf("exchange: boundary with %d partitions", b.Partitions)
+	opts, err := b.ready(opts)
+	if err != nil {
+		return err
 	}
 	slot, err := hashSlots(chunk, keys, b.Partitions)
 	if err != nil {
 		return err
 	}
 	scattered, bounds := scatter(chunk, slot, b.Partitions)
-	if opts.Variant.Levels >= 2 {
-		return publishStageGrouped(client, opts, b, sender, scattered, bounds)
+	r := b.senders(client, opts)
+	if r.kind == groupRound {
+		// Group g is partitions [g·size, (g+1)·size): keep every size-th bound.
+		size := GroupSize(b.Partitions)
+		for g := 0; g <= r.slots; g++ {
+			bounds[g] = bounds[min(g*size, b.Partitions)]
+		}
+		bounds = bounds[:r.slots+1]
 	}
-	combined, offsets, err := encodeSlots(scattered, bounds)
+	body, offsets, err := encodeSlots(scattered, bounds)
 	if err != nil {
 		return err
 	}
-
-	if opts.Variant.WriteCombining {
-		// One combined object, sharded by sender (a sender writes one file,
-		// so the per-partition spread of the basic variant is unavailable —
-		// spreading senders keeps the §4.4.1 rate-limit multiplication);
-		// cumulative partition offsets travel in the name. The single Put is
-		// atomic: the object existing means the attempt is committed.
-		name := opts.stageWcName(b.Stage, b.Attempt, sender, offsets)
-		return client.Put(opts.stageBucket(b.Stage, sender), name, combined)
-	}
-
-	for p := 0; p < b.Partitions; p++ {
-		if err := client.Put(opts.stageBucket(b.Stage, p), opts.stageFile(b.Stage, b.Attempt, p, sender), combined[offsets[p]:offsets[p+1]]); err != nil {
-			return err
-		}
-	}
-	// Commit marker last: a receiver that sees it knows every partition file
-	// of this attempt exists (S3 writes are strongly consistent).
-	return client.Put(opts.stageBucket(b.Stage, sender), opts.stageCommit(b.Stage, sender, b.Attempt), nil)
+	return r.publish(sender, b.Attempt, body, offsets)
 }
 
-// CollectStage waits until every sender has committed at least one attempt,
-// then returns the concatenation of partition part across senders in
-// ascending sender order, reading each sender's first (lowest) committed
-// attempt. Later and uncommitted attempts — stragglers that lost a
-// speculation race, or partial file sets of an aborted attempt — are
-// ignored. The schema comes from the blobs themselves (lpq files are
-// self-describing), so boundaries need no schema plumbing.
-func CollectStage(client *s3.Client, opts Options, b Boundary, part int) (*columnar.Chunk, error) {
-	opts = opts.shardPool()
-	if len(opts.Buckets) == 0 {
-		return nil, errors.New("exchange: no buckets configured")
+// collect reads slot of the round and decodes the blobs into one chunk, in
+// writer order.
+func (r round) collect(slot int) (*columnar.Chunk, error) {
+	refs, err := r.discover(slot)
+	if err != nil {
+		return nil, err
 	}
-	if b.Senders < 1 {
-		return nil, fmt.Errorf("exchange: stage %d has no senders", b.Stage)
+	blobs, _, err := r.read(refs)
+	if err != nil {
+		return nil, err
+	}
+	return decodeBlobs(blobs)
+}
+
+// CollectStage waits until partition part is complete and returns its rows,
+// senders ascending: from every sender's lowest committed attempt, or, for a
+// multi-level boundary, from the lowest committed attempt of the partition's
+// regroup worker — one List and one read instead of one read per sender.
+func CollectStage(client *s3.Client, opts Options, b Boundary, part int) (*columnar.Chunk, error) {
+	opts, err := b.ready(opts)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Variant.Levels >= 2 {
-		return collectStageMultiLevel(client, opts, b, part)
+		return b.regroup(client, opts, GroupOf(part, b.Partitions)).collect(part)
 	}
-	if opts.Variant.WriteCombining {
-		return collectStageCombined(client, opts, b, part)
-	}
-	attempts, err := waitAllCommitted(client, opts, b, opts.stageCommitDir(b.Stage))
+	return b.senders(client, opts).collect(part)
+}
+
+// RegroupStage runs the intermediate round of a multi-level boundary for one
+// group: collect the group from every sender, split the merged rows by the
+// boundary's hash again, and publish the group's partitions under this
+// regroup attempt (b.Attempt — regroup workers are speculated and retried
+// like any fragment). The merge is sender-ascending and the split keeps row
+// order, so receivers collect exactly the rows, in the order, a single-round
+// boundary would have given them.
+func RegroupStage(client *s3.Client, opts Options, b Boundary, group int, keys []string) error {
+	opts, err := b.ready(opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	blobs := make([][]byte, b.Senders)
-	bucket := opts.stageBucket(b.Stage, part)
-	for s := range blobs {
-		name := opts.stageFile(b.Stage, attempts[s], part, s)
-		if blobs[s], _, err = client.Get(bucket, name, 1); err != nil {
-			return nil, fmt.Errorf("exchange: reading %s: %w", name, err)
-		}
+	if groups := Groups(b.Partitions); group < 0 || group >= groups {
+		return fmt.Errorf("exchange: regroup group %d of %d", group, groups)
 	}
-	return decodeBlobs(nil, blobs)
-}
-
-// bucketSenders is one shard bucket and the senders sharded into it.
-type bucketSenders struct {
-	bucket  string
-	senders []int
-}
-
-// senderBuckets groups a boundary's senders by the shard bucket their
-// commit markers (basic) or combined objects (write-combining) land in,
-// ordered by lowest sender — a deterministic order matters: DES receivers
-// consume modeled List latencies in iteration order, so ranging over a Go
-// map here would randomize virtual timelines run to run.
-func senderBuckets(opts Options, b Boundary) []bucketSenders {
-	idx := map[string]int{}
-	var out []bucketSenders
-	for s := 0; s < b.Senders; s++ {
-		bk := opts.stageBucket(b.Stage, s)
-		i, ok := idx[bk]
-		if !ok {
-			i = len(out)
-			idx[bk] = i
-			out = append(out, bucketSenders{bucket: bk})
-		}
-		out[i].senders = append(out[i].senders, s)
-	}
-	return out
-}
-
-// bucketDone reports whether every sender sharded into the bucket has a
-// committed attempt recorded already.
-func bucketDone(senders []int, committed map[int]int) bool {
-	for _, s := range senders {
-		if _, ok := committed[s]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// waitAllCommitted waits until every sender of the boundary has committed
-// at least one attempt under the given commit namespace and returns, per
-// sender, the first committed attempt observed (ties broken toward the
-// lowest attempt number) — the rule that makes backup attempts race-free.
-// Discovery is batched and incremental: one List of the commit namespace
-// per shard bucket per round, only for buckets that still host uncommitted
-// senders, with results cached across rounds; between rounds the receiver
-// parks on the completion signal s3.Put broadcasts, with the timed poll as
-// the fallback. The dir parameter selects the round: the single-round
-// commit namespace, or the r1commit namespace of a multi-level boundary.
-func waitAllCommitted(client *s3.Client, opts Options, b Boundary, dir string) (map[int]int, error) {
-	byBucket := senderBuckets(opts, b)
-	committed := make(map[int]int, b.Senders)
-	deadline := client.Env().Now() + opts.MaxWait
-	for {
-		for _, bs := range byBucket {
-			if bucketDone(bs.senders, committed) {
-				continue
-			}
-			entries, err := client.List(bs.bucket, dir)
-			if err != nil {
-				return nil, err
-			}
-			for _, e := range entries {
-				sender, attempt, err := parseStageCommitName(e.Key)
-				if err != nil {
-					return nil, err
-				}
-				if cur, ok := committed[sender]; !ok || attempt < cur {
-					committed[sender] = attempt
-				}
-			}
-		}
-		if len(committed) >= b.Senders {
-			return committed, nil
-		}
-		if client.Env().Now() >= deadline {
-			return nil, fmt.Errorf("exchange: %d/%d senders of stage %d committed after %v",
-				len(committed), b.Senders, b.Stage, opts.MaxWait)
-		}
-		// Park on the stage's commit namespace: only a commit-marker Put of
-		// THIS boundary wakes the receiver early (bucket is omitted from
-		// completion topics, so one prefix covers all shard buckets).
-		simenv.WaitNotifyKey(client.Env(), "s3/"+dir, opts.Poll)
-	}
-}
-
-// stageWcFile is one committed combined object of a sender: where it is
-// and the byte range [lo, hi) of the slot being collected.
-type stageWcFile struct {
-	bucket  string
-	key     string
-	attempt int
-	lo, hi  int64
-}
-
-// discoverCombined lists a boundary's write-combined objects across the
-// senders' shard buckets until every sender has committed at least one
-// attempt, returning each sender's first observed attempt (lowest wins
-// within a round). Discovery is incremental — found senders are cached
-// across rounds, a bucket is re-listed only while it still hosts unfound
-// senders, and the caller parks on the completion signal between rounds.
-// The prefix/tag pair selects the round (single-round `snd` objects with
-// slots = partitions, or round-1 `r1snd` grouped objects with slots =
-// groups); every object must carry slots+1 cumulative offsets, of which
-// slot's range is kept.
-func discoverCombined(client *s3.Client, opts Options, b Boundary, prefix, tag string, slots, slot int) (map[int]stageWcFile, error) {
-	byBucket := senderBuckets(opts, b)
-	deadline := client.Env().Now() + opts.MaxWait
-	best := make(map[int]stageWcFile, b.Senders)
-	found := make(map[int]int, b.Senders) // attempt per sender, for bucketDone
-	for {
-		for _, bs := range byBucket {
-			if bucketDone(bs.senders, found) {
-				continue
-			}
-			entries, err := client.List(bs.bucket, prefix)
-			if err != nil {
-				return nil, err
-			}
-			for _, e := range entries {
-				sender, attempt, lo, hi, err := parseWcTail(e.Key, tag, slots, slot)
-				if err != nil {
-					return nil, err
-				}
-				if cur, ok := best[sender]; !ok || attempt < cur.attempt {
-					best[sender] = stageWcFile{bucket: bs.bucket, key: e.Key, attempt: attempt, lo: lo, hi: hi}
-					found[sender] = attempt
-				}
-			}
-		}
-		if len(best) >= b.Senders {
-			return best, nil
-		}
-		if client.Env().Now() >= deadline {
-			return nil, fmt.Errorf("exchange: %d/%d senders committed after %v", len(best), b.Senders, opts.MaxWait)
-		}
-		// Park on the boundary's combined-object namespace: only a sender's
-		// atomic Put into this stage's prefix wakes the receiver.
-		simenv.WaitNotifyKey(client.Env(), "s3/"+prefix, opts.Poll)
-	}
-}
-
-// collectStageCombined lists the boundary's combined objects across the
-// senders' shard buckets until every sender has committed at least one
-// attempt, then range-reads this partition's slice of each sender's first
-// observed attempt (lowest wins within a round). Extra objects from losing
-// attempts are ignored. Like waitAllCommitted, discovery is incremental:
-// found senders are cached across rounds, a bucket is re-listed only while
-// it still hosts unfound senders, and the receiver parks on the completion
-// signal between rounds.
-func collectStageCombined(client *s3.Client, opts Options, b Boundary, part int) (*columnar.Chunk, error) {
-	best, err := discoverCombined(client, opts, b, opts.stageWcPrefix(b.Stage), "snd", b.Partitions, part)
+	merged, err := b.senders(client, opts).collect(group)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return readSlots(client, best)
-}
-
-// readSlots range-reads the collected slot's bytes of every sender's
-// combined object and concatenates the rows in ascending sender order.
-func readSlots(client *s3.Client, best map[int]stageWcFile) (*columnar.Chunk, error) {
-	senders := make([]int, 0, len(best))
-	for s := range best {
-		senders = append(senders, s)
+	slot, err := hashSlots(merged, keys, b.Partitions)
+	if err != nil {
+		return err
 	}
-	sort.Ints(senders)
-	blobs := make([][]byte, len(senders))
-	for i, s := range senders {
-		f := best[s]
-		var err error
-		if blobs[i], _, err = client.GetRange(f.bucket, f.key, f.lo, f.hi-f.lo, 1); err != nil {
-			return nil, err
-		}
+	scattered, bounds := scatter(merged, slot, b.Partitions)
+	r := b.regroup(client, opts, group)
+	lo, hi := r.slot0, r.slot0+r.slots
+	if rows := bounds[lo] + bounds[b.Partitions] - bounds[hi]; rows > 0 {
+		return fmt.Errorf("%w: stage %d group %d holds %d rows hashed to other groups' partitions", errShape, b.Stage, group, rows)
 	}
-	return decodeBlobs(nil, blobs)
+	body, offsets, err := encodeSlots(scattered, bounds[lo:hi+1])
+	if err != nil {
+		return err
+	}
+	return r.publish(group, b.Attempt, body, offsets)
 }
 
 // Sweep is the stale-drain collector: it deletes every object under prefix
@@ -556,11 +287,10 @@ func Sweep(client *s3.Client, buckets []string, prefix string) (int, error) {
 }
 
 // decodeBlobs concatenates the rows of the lpq blobs, in order, into one
-// chunk of the given schema — nil takes the first blob's, lpq files being
-// self-describing, so boundaries need no schema plumbing. The chunk is sized
-// once from the footers' row counts and every page is decoded straight into
-// its place.
-func decodeBlobs(schema *columnar.Schema, blobs [][]byte) (*columnar.Chunk, error) {
+// chunk of the first blob's schema — lpq files are self-describing, so
+// boundaries need no schema plumbing. The chunk is sized once from the
+// footers' row counts and every page is decoded straight into its place.
+func decodeBlobs(blobs [][]byte) (*columnar.Chunk, error) {
 	readers := make([]*lpq.Reader, len(blobs))
 	var rows int64
 	for i, blob := range blobs {
@@ -571,13 +301,10 @@ func decodeBlobs(schema *columnar.Schema, blobs [][]byte) (*columnar.Chunk, erro
 		readers[i] = r
 		rows += r.Meta().TotalRows
 	}
-	if schema == nil {
-		if len(readers) == 0 {
-			return nil, nil
-		}
-		schema = readers[0].Schema()
+	if len(readers) == 0 {
+		return nil, nil
 	}
-	out := columnar.NewChunk(schema, int(rows))
+	out := columnar.NewChunk(readers[0].Schema(), int(rows))
 	for _, r := range readers {
 		if err := r.AppendTo(out); err != nil {
 			return nil, err

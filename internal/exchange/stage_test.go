@@ -166,8 +166,8 @@ func TestStageBoundaryFirstCommittedAttemptWins(t *testing.T) {
 
 	// Sender 0's attempt 0 died after writing only partition 0 — a stray
 	// file with garbage content and, crucially, no commit marker.
-	stray := opts.stageFile(b.Stage, 0, 0, 0)
-	if err := client.Put(opts.stageBucket(b.Stage, 0), stray, []byte("not an lpq file")); err != nil {
+	r := b.senders(client, opts)
+	if err := client.Put(r.bucket(0), r.key(fileKey, 0, 0).String(), []byte("not an lpq file")); err != nil {
 		t.Fatal(err)
 	}
 	// Its backup attempt publishes the full set under attempt 1; sender 1 is
