@@ -1,13 +1,8 @@
 GO ?= go
-# bench-json knobs: the PR-numbered output file, the previous PR's file the
-# comparability check runs against, and the per-benchmark time.
-BENCH_JSON ?= BENCH_PR10.json
-BENCH_BASELINE ?= BENCH_PR9.json
-BENCHTIME ?= 300ms
 # trace-smoke output file (Chrome trace-event JSON; also the CI artifact).
 TRACE_OUT ?= trace-smoke.json
 
-.PHONY: build test race race-staged chaos scale-smoke fuzz-smoke bench bench-json bench-check print-bench-json vet trace-smoke serve-smoke
+.PHONY: build test race race-staged chaos scale-smoke fuzz-smoke bench bench-check vet trace-smoke serve-smoke
 
 build:
 	$(GO) build ./...
@@ -57,22 +52,6 @@ vet:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE ./internal/engine/ ./internal/scan/ ./internal/lpq/ .
-
-# bench-json records the engine/scan/exchange/driver benchmarks as
-# machine-readable JSON (ns/op, B/op, allocs/op, custom metrics like the
-# staged vms/op) — the repo's perf trajectory, one BENCH_PR<N>.json per PR.
-# -require-same-cpu refuses to record when $(BENCH_BASELINE) was measured
-# on a different CPU count: such points must never be compared. Non-gating
-# in CI.
-bench-json:
-	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) -baseline $(BENCH_BASELINE) \
-		-require-same-cpu -benchtime $(BENCHTIME) \
-		./internal/engine ./internal/scan ./internal/exchange ./internal/driver
-
-# print-bench-json names the file bench-json writes, so CI uploads whatever
-# BENCH_JSON says instead of a name of its own.
-print-bench-json:
-	@echo $(BENCH_JSON)
 
 # bench-check keeps the repository's benchmark (bench/, a Go module of its
 # own that the root `go test ./...` does not reach) building and honest: its

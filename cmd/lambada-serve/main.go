@@ -61,6 +61,10 @@ WHERE l_receiptdate >= DATE '1995-01-01' AND l_receiptdate < DATE '1996-01-01'
 GROUP BY o_orderpriority
 ORDER BY o_orderpriority`
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot pin connections.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address")
@@ -68,7 +72,7 @@ func main() {
 		sf       = flag.Float64("sf", 0.005, "TPC-H scale factor of the generated data")
 		files    = flag.Int("files", 8, "lpq files per table")
 		seed     = flag.Int64("seed", 42, "data generation seed")
-		inflight = flag.Int("max-inflight", 64, "deployment-wide in-flight invocation cap (0 = uncapped legacy pacing)")
+		inflight = flag.Int("max-inflight", 64, "deployment-wide in-flight invocation cap (0 = uncapped: each query paces its own launches)")
 		cache    = flag.Int("cache", 32, "result cache entries (0 disables caching)")
 		parts    = flag.Int("partitions", 0, "exchange boundary fan-in (0 = autotune)")
 		window   = flag.Duration("window", 100*time.Millisecond, "DES request batching window (with -mode des)")
@@ -152,7 +156,7 @@ func run(addr, mode string, sf float64, files int, seed int64, inflight, cache, 
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	if !smoke {
 		fmt.Printf("resident query service on http://%s (POST /query, /invalidate; GET /session, /stats)\n", ln.Addr())
 		return hs.Serve(ln)

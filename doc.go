@@ -111,16 +111,32 @@
 //	                            boundaries, sized and pruned from the lpq
 //	                            footers of every table
 //
-// From there on there is one payload shape, one launch path, one loop that
-// reads the result queue, one speculation policy, one failure-seal relaunch
-// and one merge — in worker order, so results are deterministic. A plan
-// pays only for the machinery it uses, by two rules that hold for every
-// plan rather than by a single-scope special case:
+// From there on there is one of everything. One task shape: the invocation
+// blob carries the worker's ID, its plan fragment and its inputs (§3.3) —
+// files to scan, broadcast tables, and at most one boundary spec naming the
+// boundaries it collects from and publishes into — and the worker has one
+// path through them: wait for each input's ready marker, collect, execute,
+// then publish or post the result. One launch loop: a stage's fleet is cut
+// once into launch units — one per worker, or, where invoke.UseTree picks
+// the two-level tree (§4.2) on a session without a concurrency cap, one per
+// first-generation worker with its children's payloads folded in — and the
+// scheduler walks them with take tokens → pace → Invoke, a tree unit being
+// a synchronous unpaced Invoke of 1+children tokens and a direct unit a
+// pipelined one paced at the Invoke API rate. The tokens come from an
+// invoke.Admission: the session's shared one under Config.MaxInFlight, a
+// private unlimited one — all pacer, no cap — otherwise, so capped and
+// uncapped launches are the same code; recovery re-invokes (failure
+// relaunches, speculation backups) are direct units admitted past the cap.
+// An eager stage launches once every stage it depends on is fully launched,
+// so invocation order is topological. One loop reads the result queue, with
+// one speculation policy, one failure-seal relaunch and one merge — in
+// worker order, so results are deterministic. A plan pays only for the
+// machinery it uses, by two rules that hold for every plan:
 //
 //  1. The boundary namespace — shard buckets, the stages table, the durable
 //     epoch fence, the result-queue purge and both boundary sweeps — exists
 //     iff some stage has an exchange output. A plan without boundaries runs
-//     at epoch 0, ships no stage spec, and issues no DynamoDB request and
+//     at epoch 0, ships no boundary spec, and issues no DynamoDB request and
 //     no S3 LIST at all: a single-scope query bills its footer read, its
 //     invocations, its workers' scans and its result polls, nothing else.
 //  2. A stage's DynamoDB ready marker is written iff some other stage run
@@ -185,26 +201,31 @@
 // group is a run of consecutive partitions, so a sender's group object is a
 // run of its partition-scattered rows — and each group then gets a round of
 // its own whose single writer is the group's regroup worker and whose slots
-// are the group's partitions. The regroup fleet of G workers (one per group,
-// scheduled as a first-class stage with the same launch, seal, speculation
-// and epoch machinery) collects its group sender-ascending, splits it by the
-// same hash and publishes; a receiver collects its partition from its
-// group's round — one List and one read instead of S, O(S·G + P) requests
-// instead of O(S·P). Attempt versioning is the round's, so it carries
-// through both: a regroup worker reads each sender's lowest committed
-// attempt, and its own output is attempt-versioned and committed the same
-// way, so first-committed-attempt semantics and the
-// epoch fence hold unchanged; the fence/speculation/chaos suites re-run
-// over forced
-// multi-level boundaries, and TestStagedQ12ScaleSmoke pins the billed
-// request counts of a 1k-worker staged q12 to the model integer-exactly.
-// -exchange-levels forces a round count (1 or 2) for ablations, and the
-// profile output reports each boundary's resolved variant.
+// are the group's partitions. The regroup round is a stage: once the
+// scheduler has resolved a boundary multi-level it puts a plan-less stage of
+// G workers right behind the producer — its one input is the producer's
+// boundary, its output the same boundary's second round — and makes the
+// boundary's consumers depend on its seal, since the objects they read exist
+// only then. Nothing else knows it is special: its payloads are built, its
+// fleet launched, sealed, speculated, relaunched and fenced like any
+// stage's, and a worker handed a task without a plan runs the regroup round
+// of the task's input — collect the group sender-ascending, split it by the
+// same hash, publish. A receiver collects its partition from its group's
+// round — one List and one read instead of S, O(S·G + P) requests instead
+// of O(S·P). Attempt versioning is the round's, so it carries through both:
+// a regroup worker reads each sender's lowest committed attempt, and its own
+// output is attempt-versioned and committed the same way, so
+// first-committed-attempt semantics and the epoch fence hold unchanged; the
+// fence/speculation/chaos suites re-run over forced multi-level boundaries,
+// and TestStagedQ12ScaleSmoke pins the billed request counts of a 1k-worker
+// staged q12 to the model integer-exactly. -exchange-levels forces a round
+// count (1 or 2) for ablations, and the profile output reports each
+// boundary's resolved variant and each regroup fleet under its producer.
 //
-// Invocation itself is the other O(S·P) hazard: every stage's fleet
-// launches through the invoke.TreeFanout protocol (first workers re-invoke
-// the rest, §4.2), so driver-side launch work per stage is O(fanout) while
-// the event loop stays O(1) per completion event at 4k workers.
+// Invocation itself is the other O(S·P) hazard: a wide fleet launches
+// through the invoke.TreeFanout protocol (first workers re-invoke the rest,
+// §4.2), so driver-side launch work per stage is O(√fleet) while the event
+// loop stays O(1) per completion event at 4k workers.
 //
 // The scheduler is event-driven (pending → launched → sealed) rather than
 // lock-step dependency waves. Every stage's payloads are computable up
@@ -314,9 +335,9 @@
 //	          queries never share a prefix
 //	budgets   retry budgets and fault scopes stay per-query
 //
-// Admission replaces per-query invocation pacing with a deployment-wide
-// budget (invoke.Admission, Config.MaxInFlight): every invocation across
-// all live queries acquires a slot, released by the Lambda service's
+// Under Config.MaxInFlight the queries of a session launch against one
+// deployment-wide budget (invoke.Admission): every invocation across all
+// live queries acquires a slot, released by the Lambda service's
 // completion hook. Every stage — a single-scope query's one stage included
 // — acquires partially and never blocks: it launches as many workers as
 // there are free slots and the remainder as slots free up, so N queries

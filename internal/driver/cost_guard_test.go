@@ -123,9 +123,10 @@ var requestLabels = []string{
 }
 
 // billedRequests runs one query on a fresh DES deployment (fixed seeds, 4
-// lineitem and 2 orders files) and returns the integer billed-request
-// count per pricing label of the query alone — uploads excluded.
-func billedRequests(t *testing.T, query func(d *Driver, tables TableFiles) error) map[string]int64 {
+// lineitem and 2 orders files; mutate, when non-nil, edits the driver
+// config) and returns the integer billed-request count per pricing label of
+// the query alone — uploads excluded.
+func billedRequests(t *testing.T, mutate func(*Config), query func(d *Driver, tables TableFiles) error) map[string]int64 {
 	t.Helper()
 	k := simclock.New()
 	dep := NewSimulated(k, 47)
@@ -133,6 +134,9 @@ func billedRequests(t *testing.T, query func(d *Driver, tables TableFiles) error
 	k.Go("driver", func(p *simclock.Proc) {
 		cfg := DefaultConfig()
 		cfg.PollInterval = 50 * time.Millisecond
+		if mutate != nil {
+			mutate(&cfg)
+		}
 		d := New(dep, p, cfg)
 		if err := d.Install(); err != nil {
 			t.Error(err)
@@ -151,15 +155,16 @@ func billedRequests(t *testing.T, query func(d *Driver, tables TableFiles) error
 			t.Error(err)
 			return
 		}
+		labels := append([]string{pricing.LabelLambdaRequests}, requestLabels...)
 		before := map[string]int64{}
-		for _, l := range requestLabels {
+		for _, l := range labels {
 			before[l] = dep.Meter.Count(l)
 		}
 		if err := query(d, TableFiles{"lineitem": liRefs, "orders": ordRefs}); err != nil {
 			t.Error(err)
 			return
 		}
-		for _, l := range requestLabels {
+		for _, l := range labels {
 			got[l] = dep.Meter.Count(l) - before[l]
 		}
 	})
@@ -173,9 +178,15 @@ func billedRequests(t *testing.T, query func(d *Driver, tables TableFiles) error
 	return got
 }
 
+// assertRequests compares every per-request label, and the Lambda request
+// count on the rows that record one.
 func assertRequests(t *testing.T, name string, got, want map[string]int64) {
 	t.Helper()
-	for _, l := range requestLabels {
+	labels := requestLabels
+	if _, ok := want[pricing.LabelLambdaRequests]; ok {
+		labels = append([]string{pricing.LabelLambdaRequests}, labels...)
+	}
+	for _, l := range labels {
 		if got[l] != want[l] {
 			t.Errorf("%s: %s = %d billed requests, want %d", name, l, got[l], want[l])
 		}
@@ -195,27 +206,31 @@ func TestExecutorRequestGuard(t *testing.T) {
 			return err
 		}
 	}
-	assertRequests(t, "single-scope q1", billedRequests(t, single(q1SQL)), map[string]int64{
+	assertRequests(t, "single-scope q1", billedRequests(t, nil, single(q1SQL)), map[string]int64{
 		pricing.LabelS3Read: 26, pricing.LabelSQS: 22,
 	})
-	assertRequests(t, "single-scope q6", billedRequests(t, single(q6SQL)), map[string]int64{
+	assertRequests(t, "single-scope q6", billedRequests(t, nil, single(q6SQL)), map[string]int64{
 		pricing.LabelS3Read: 18, pricing.LabelSQS: 20,
 	})
 
 	// The rules follow the plan, not the entrance: q6 planned by the staged
 	// entrance is still one stage without a boundary, and pays for none —
 	// only the planner's footer reads of every file come on top.
-	assertRequests(t, "staged-entrance q6", billedRequests(t, func(d *Driver, tables TableFiles) error {
+	assertRequests(t, "staged-entrance q6", billedRequests(t, nil, func(d *Driver, tables TableFiles) error {
 		_, rep, err := d.RunSQLStaged(q6SQL, TableFiles{"lineitem": tables["lineitem"]}, DefaultStageConfig())
 		if err == nil && (rep.Stages != 1 || rep.Epoch != 0) {
 			t.Errorf("staged-entrance q6: stages = %d, epoch = %d, want one unfenced stage", rep.Stages, rep.Epoch)
 		}
 		return err
 	}), map[string]int64{
-		pricing.LabelS3Read: 18, pricing.LabelSQS: 12,
+		// Re-recorded in PR 15 (12 → 13 polls): pruning leaves this plan one
+		// worker, launched directly, and a direct launch no longer sleeps a
+		// pacing gap after its last Invoke — the driver reaches its result
+		// queue 36 ms earlier and fits one more timed poll before the seal.
+		pricing.LabelS3Read: 18, pricing.LabelSQS: 13,
 	})
 
-	staged := billedRequests(t, func(d *Driver, tables TableFiles) error {
+	staged := billedRequests(t, nil, func(d *Driver, tables TableFiles) error {
 		scfg := DefaultStageConfig()
 		scfg.Partitions = 2
 		scfg.BroadcastRowLimit = -1
@@ -226,9 +241,49 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// The parent wrote 5 items: the epoch fence plus one ready marker per
 	// stage, the result stage's included.
 	const parentDynamoWrites = 5
+	// The two poll counts were re-recorded in PR 15 (SQS 31 → 33, DynamoDB
+	// reads 26 → 27) for the same cause as above: every fleet here is two
+	// workers launched directly, the workers start at the instants they did,
+	// and the driver's first poll comes one pacing gap earlier.
 	assertRequests(t, "staged q12", staged, map[string]int64{
 		pricing.LabelS3Read: 48, pricing.LabelS3Write: 6, pricing.LabelS3List: 22,
-		pricing.LabelSQS: 31, pricing.LabelDynamoRead: 26,
+		pricing.LabelSQS: 33, pricing.LabelDynamoRead: 27,
 		pricing.LabelDynamoWrite: parentDynamoWrites - 1,
+	})
+
+	// Multi-level boundaries and admission-capped launch, as recorded on the
+	// commit before regroup fleets became ordinary stages and launch one loop
+	// (PR 15). The S3, DynamoDB-write and Lambda counts are timing-free and
+	// stand as recorded. The SQS and DynamoDB-read counts are polls and moved
+	// with the launch schedule — no trailing pacing gap, and a regroup fleet
+	// launched right behind its producer instead of after every plan stage;
+	// the parent polled 50/74 (2l), 45/60 (2l-wc) and 64/16 (capped).
+	twoLevel := func(wc bool) func(*Driver, TableFiles) error {
+		return func(d *Driver, tables TableFiles) error {
+			scfg := DefaultStageConfig()
+			scfg.Partitions = 2
+			scfg.BroadcastRowLimit = -1
+			scfg.Exchange.Poll = 100 * time.Millisecond
+			scfg.Exchange.Variant.WriteCombining = wc
+			scfg.ExchangeLevels = 2
+			_, _, err := d.RunSQLStaged(q12ExactSQL, tables, scfg)
+			return err
+		}
+	}
+	assertRequests(t, "staged q12 2l", billedRequests(t, nil, twoLevel(false)), map[string]int64{
+		pricing.LabelLambdaRequests: 14,
+		pricing.LabelS3Read:         54, pricing.LabelS3Write: 30, pricing.LabelS3List: 28,
+		pricing.LabelSQS: 50, pricing.LabelDynamoRead: 72, pricing.LabelDynamoWrite: 7,
+	})
+	assertRequests(t, "staged q12 2l-wc", billedRequests(t, nil, twoLevel(true)), map[string]int64{
+		pricing.LabelLambdaRequests: 14,
+		pricing.LabelS3Read:         54, pricing.LabelS3Write: 12, pricing.LabelS3List: 28,
+		pricing.LabelSQS: 49, pricing.LabelDynamoRead: 63, pricing.LabelDynamoWrite: 7,
+	})
+	capped := func(c *Config) { c.MaxInFlight = 2 }
+	assertRequests(t, "staged q12 2l-wc, MaxInFlight 2", billedRequests(t, capped, twoLevel(true)), map[string]int64{
+		pricing.LabelLambdaRequests: 14,
+		pricing.LabelS3Read:         54, pricing.LabelS3Write: 12, pricing.LabelS3List: 28,
+		pricing.LabelSQS: 66, pricing.LabelDynamoRead: 17, pricing.LabelDynamoWrite: 7,
 	})
 }

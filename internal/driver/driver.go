@@ -8,7 +8,6 @@
 package driver
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -182,10 +181,9 @@ type Config struct {
 	// concurrently running worker containers across every query of the
 	// session: queries acquire invocation tokens from one shared admission
 	// controller (invoke.Admission) before launching, and each settling
-	// container releases one. It replaces per-query DriverPacing as the
-	// launch governor — the shared pacer splits the region's Invoke API
-	// rate across concurrent queries. 0 paces each query on its own with no
-	// concurrency cap.
+	// container releases one. The shared pacer splits the region's Invoke
+	// API rate across concurrent queries. 0 paces each query on its own
+	// with no concurrency cap.
 	MaxInFlight int
 	// ResultCacheEntries, when positive, enables the session's result
 	// cache: staged query results are memoized by (plan fingerprint, table
@@ -222,11 +220,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Driver is the classic single-user façade over a Session: one resident
-// session plus one bound environment, serving one query at a time. All the
-// machinery lives in Session — Driver only forwards, so every pre-session
-// caller and test keeps working unchanged while multi-query users hold the
-// Session directly.
+// Driver is the single-user façade over a Session: one resident session
+// plus one bound environment, serving one query at a time. All the
+// machinery lives in Session — Driver only forwards; multi-query users hold
+// the Session directly.
 type Driver struct {
 	sess *Session
 	env  simenv.Env
@@ -266,28 +263,27 @@ func (d *Driver) Session() *Session { return d.sess }
 // the installation step of the usage model (Figure 2), done once.
 func (d *Driver) Install() error { return d.sess.Install() }
 
-// workerPayload is the invocation parameter blob (§3.3).
+// workerPayload is the invocation parameter blob (§3.3): the worker's ID,
+// its plan fragment and its inputs — the files it scans, the broadcast
+// tables it joins against and the boundaries it trades through.
 type workerPayload struct {
-	QueryID     string            `json:"queryId"`
-	WorkerID    int               `json:"workerId"`
-	NumWorkers  int               `json:"numWorkers"`
-	Plan        json.RawMessage   `json:"plan"`
+	QueryID    string `json:"queryId"`
+	WorkerID   int    `json:"workerId"`
+	NumWorkers int    `json:"numWorkers"`
+	// Plan is the fragment to execute; a task without one is the regroup
+	// round of a multi-level boundary.
+	Plan        json.RawMessage   `json:"plan,omitempty"`
 	Table       string            `json:"table"`
 	Files       []scan.FileRef    `json:"files"`
 	ResultQueue string            `json:"resultQueue"`
 	Children    []json.RawMessage `json:"children,omitempty"`
-	// StageID names the fragment's stage in the stage plan
-	// (internal/stageplan); StageSpec, present when the stage touches an
-	// exchange boundary, tells the worker what to collect before executing
-	// the fragment and where to publish its partitioned output after —
-	// without one the fragment's output goes to the result queue.
-	StageID   int             `json:"stageId,omitempty"`
-	StageSpec json.RawMessage `json:"stageSpec,omitempty"`
-	// Regroup marks a plan-less regroup invocation of a multi-level stage
-	// boundary (driver/regroup.go): the worker merges one partition group
-	// across all senders and republishes it per partition, posting a bare
-	// seal when done.
-	Regroup json.RawMessage `json:"regroup,omitempty"`
+	// StageID names the task's stage in the stage plan (internal/stageplan).
+	StageID int `json:"stageId,omitempty"`
+	// Boundary, present when the stage touches an exchange boundary, tells
+	// the worker what to collect before executing the fragment and where to
+	// publish its partitioned output after — without one the fragment's
+	// output goes to the result queue.
+	Boundary *boundarySpec `json:"boundary,omitempty"`
 	// Attempt versions this invocation: 0 is the original, higher numbers
 	// are speculation backups for the same (stage, worker). Stage boundary
 	// publishes are namespaced by it so backups never race originals.
@@ -343,7 +339,7 @@ func (d *Session) workerHandler(ctx *lambdasvc.Ctx, payload []byte) error {
 	// flat invocation list into the query → stage → attempt taxonomy.
 	if tr := d.dep.Trace; tr.Enabled() && ctx.Span != 0 {
 		tr.SetTag(ctx.Span, "query", p.QueryID)
-		if p.StageID != 0 || len(p.StageSpec) > 0 {
+		if p.StageID != 0 || p.Boundary != nil {
 			tr.SetTag(ctx.Span, "stage", strconv.Itoa(p.StageID))
 		}
 		if p.Attempt > 0 {
@@ -352,20 +348,23 @@ func (d *Session) workerHandler(ctx *lambdasvc.Ctx, payload []byte) error {
 	}
 
 	// First-generation workers launch their children before their own
-	// fragment (§4.2).
+	// fragment (§4.2). Only the child's ID is read here; its payload — the
+	// broadcast blobs included — is decoded once, by the child.
 	if len(p.Children) > 0 {
 		pacing := invoke.WorkerPacing(d.cfg.Region)
-		for _, ch := range p.Children {
-			var cp workerPayload
-			if err := json.Unmarshal(ch, &cp); err != nil {
-				d.postResult(ctx.Env, ws, p, fmt.Errorf("decoding child payload: %w", err), nil, 0, ctx.Cold)
-				return err
+		for _, body := range p.Children {
+			var child struct {
+				WorkerID int `json:"workerId"`
 			}
-			body := ch
-			if err := ws.policy.Do(ctx.Env, "lambda.Invoke", func() error {
-				return d.dep.Lambda.Invoke(ctx.Env, d.cfg.FunctionName, body, lambdasvc.InvokeOptions{WorkerID: cp.WorkerID, Pipelined: true, Span: ctx.Span})
-			}); err != nil {
-				d.postResult(ctx.Env, ws, p, fmt.Errorf("invoking child %d: %w", cp.WorkerID, err), nil, 0, ctx.Cold)
+			err := json.Unmarshal(body, &child)
+			if err == nil {
+				err = ws.policy.Do(ctx.Env, "lambda.Invoke", func() error {
+					return d.dep.Lambda.Invoke(ctx.Env, d.cfg.FunctionName, body, lambdasvc.InvokeOptions{WorkerID: child.WorkerID, Pipelined: true, Span: ctx.Span})
+				})
+			}
+			if err != nil {
+				err = fmt.Errorf("invoking child %d: %w", child.WorkerID, err)
+				d.postResult(ctx.Env, ws, p, err, nil, 0, ctx.Cold)
 				return err
 			}
 			ctx.Env.Sleep(pacing.Gap())
@@ -450,21 +449,12 @@ func engineMemoryBudget(memoryMiB int) int64 {
 	return b
 }
 
-func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws *retryScope, p *workerPayload) (*columnar.Chunk, error) {
-	opts := []s3.ClientOption{s3.WithBudget(ws.budget)}
-	if d.dep.Shaped {
-		opts = append(opts, s3.WithShaper(d.dep.Net, ctx.MemoryMiB))
-	}
-	client := s3.NewClient(d.dep.S3, ctx.Env, opts...)
-	defer func() { ws.stats.Add(client.Retries()) }()
-	// Regroup invocations carry no plan fragment at all: the whole task is
-	// the intermediate round of a multi-level boundary.
-	if len(p.Regroup) > 0 {
-		return nil, d.runRegroup(ctx, ws, client, p)
-	}
+// fragmentCatalog decodes the task's plan fragment and binds what it scans:
+// the worker's files behind the memory guard, and the broadcast tables.
+func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *workerPayload) (engine.Plan, engine.Catalog, error) {
 	plan, err := engine.UnmarshalPlan(p.Plan)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cat := engine.Catalog{}
 	if len(p.Files) > 0 {
@@ -472,19 +462,13 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws *retryScope, p *workerP
 		cat[p.Table] = memGuardSource{Source: src, budget: engineMemoryBudget(ctx.MemoryMiB)}
 	}
 	for name, blob := range p.Broadcast {
-		r, err := lpq.OpenReader(bytes.NewReader(blob), int64(len(blob)))
+		c, err := decodeChunk(blob)
 		if err != nil {
-			return nil, fmt.Errorf("decoding broadcast table %q: %w", name, err)
-		}
-		c, err := r.ReadAll()
-		if err != nil {
-			return nil, err
+			return nil, nil, fmt.Errorf("decoding broadcast table %q: %w", name, err)
 		}
 		cat[name] = engine.NewMemSource(c.Schema, c)
 	}
-	// Fragments collect their exchange inputs before executing and publish
-	// their partitioned output after (driver/stage.go).
-	return d.runStageFragment(ctx, ws, client, p, plan, cat)
+	return plan, cat, nil
 }
 
 func (d *Session) postResult(env simenv.Env, ws *retryScope, p workerPayload, execErr error, chunk *columnar.Chunk, processing time.Duration, cold bool) error {

@@ -116,25 +116,6 @@ func TestFilesPerWorkerControlsFleetSize(t *testing.T) {
 	}
 }
 
-func TestDirectVsTreeInvocationSameResult(t *testing.T) {
-	for _, tree := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.TreeInvoke = tree
-		d, refs, data := localSetup(t, cfg, 0.002, 9)
-		out, rep, err := d.RunSQL(q6SQL, "lineitem", refs)
-		if err != nil {
-			t.Fatalf("tree=%v: %v", tree, err)
-		}
-		want := tpch.Q6Reference(data)
-		if got := out.Column("revenue").Float64s[0]; math.Abs(got-want) > 1e-6*want {
-			t.Errorf("tree=%v: revenue = %v, want %v", tree, got, want)
-		}
-		if rep.Workers != 9 {
-			t.Errorf("tree=%v: workers = %d", tree, rep.Workers)
-		}
-	}
-}
-
 func TestWorkerErrorPropagates(t *testing.T) {
 	d, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
 	// Corrupt one input object after upload: the assigned worker fails at

@@ -2,17 +2,14 @@ package driver
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"time"
 
-	"lambada/internal/awssim/lambdasvc"
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
-	"lambada/internal/invoke"
 	"lambada/internal/lpq"
 	"lambada/internal/obs"
 	"lambada/internal/scan"
@@ -163,8 +160,8 @@ func (d *query) wakeupCount() uint64 {
 // backups whose original won, zombie attempts — bill their Lambda duration
 // when their handler returns; waiting for them makes the per-span cost
 // attribution sum exactly to the Report's meter deltas, at the price of the
-// traced Duration including the straggler tail. Untraced runs keep the
-// historical window (report the instant the result is complete).
+// traced Duration including the straggler tail. Untraced runs report the
+// instant the result is complete.
 func (d *query) quiesce() {
 	if !d.dep.Trace.Enabled() {
 		return
@@ -269,85 +266,15 @@ func (d *query) runPlan(plan engine.Plan, table string, files []scan.FileRef, br
 	}
 	opt, err := engine.Optimize(plan, optCat)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
 	}
 	dist, err := engine.SplitDistributed(opt)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
 	}
 	sp := &stageplan.Plan{
 		Stages: []*stageplan.Stage{{ID: 0, Plan: dist.Worker, Table: table, Eager: true}},
 		Driver: dist.Driver,
 	}
 	return d.runStages(sp, TableFiles{table: files}, blobs, StageConfig{})
-}
-
-// invokeOne launches a single worker payload (used by backup requests).
-// Like every substrate call the driver makes, it runs under the query's
-// retry policy: transient invoke errors retry with backoff, quota
-// rejections (throttle-class Invoke errors are permanent capacity answers,
-// not blips) and payload errors stay fatal. span — the stage span — parents
-// the invocation's trace span.
-func (d *query) invokeOne(payload []byte, workerID int, span obs.SpanID) error {
-	adm := d.s.admission
-	// Recovery traffic — failure relaunches and speculation backups — must
-	// not queue behind tokens held by workers parked on the very fragment
-	// being recovered, so it is admitted past the cap (counted in Overflow)
-	// instead of blocking.
-	adm.AcquireOverflow()
-	adm.Pace(d.env)
-	if err := d.retry.policy.Do(d.env, "lambda.Invoke", func() error {
-		return d.dep.Lambda.Invoke(d.env, d.cfg.FunctionName, payload,
-			lambdasvc.InvokeOptions{WorkerID: workerID, Pipelined: true, Span: span})
-	}); err != nil {
-		// Invoke fails before any container spawns: hand the token back.
-		adm.Release(1)
-		return err
-	}
-	return nil
-}
-
-// invokeAll launches a whole stage fleet on a session without admission,
-// directly or via the two-level tree; span parents the invocation spans
-// (tree children parent under their invoking first-generation worker
-// instead, mirroring the real invocation topology). Under admission the
-// scheduler launches worker by worker instead (runStages).
-func (d *query) invokeAll(payloads [][]byte, span obs.SpanID) error {
-	if !invoke.UseTree(d.cfg.TreeInvoke, len(payloads)) {
-		pacing := invoke.DriverPacing(d.cfg.Region, d.cfg.InvokeThreads)
-		for i, p := range payloads {
-			// Pipelined: the driver's requester thread pool overlaps the
-			// round trips; the loop paces at the effective rate (Table 1).
-			body, id := p, i
-			if err := d.retry.policy.Do(d.env, "lambda.Invoke", func() error {
-				return d.dep.Lambda.Invoke(d.env, d.cfg.FunctionName, body, lambdasvc.InvokeOptions{WorkerID: id, Pipelined: true, Span: span})
-			}); err != nil {
-				return err
-			}
-			d.env.Sleep(pacing.Gap())
-		}
-		return nil
-	}
-
-	firstGen, children := invoke.TreeFanout(len(payloads))
-	for gi, fg := range firstGen {
-		var p workerPayload
-		if err := json.Unmarshal(payloads[fg], &p); err != nil {
-			return err
-		}
-		for _, child := range children[gi] {
-			p.Children = append(p.Children, json.RawMessage(payloads[child]))
-		}
-		body, err := json.Marshal(p)
-		if err != nil {
-			return err
-		}
-		id := fg
-		if err := d.retry.policy.Do(d.env, "lambda.Invoke", func() error {
-			return d.dep.Lambda.Invoke(d.env, d.cfg.FunctionName, body, lambdasvc.InvokeOptions{WorkerID: id, Span: span})
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

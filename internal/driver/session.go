@@ -30,8 +30,7 @@ import (
 // Session state is mutex-protected and queries never share mutable state
 // beyond the deployment's services, which are concurrency-safe by design.
 //
-// The classic Driver is now a thin façade over a Session bound to a single
-// environment.
+// Driver is a thin façade over a Session bound to a single environment.
 type Session struct {
 	dep *Deployment
 	cfg Config
@@ -44,7 +43,8 @@ type Session struct {
 	epochAcquires int
 
 	// admission is the deployment-wide invocation budget (nil when
-	// Config.MaxInFlight is 0: each query paces its own launches).
+	// Config.MaxInFlight is 0: each query paces its own launches, see
+	// query.adm).
 	admission *invoke.Admission
 	// cache memoizes staged query results by (plan fingerprint, table
 	// files); nil when Config.ResultCacheEntries is 0.
@@ -171,6 +171,10 @@ type query struct {
 	// id is the session-unique query ID ("q1", "q2", ...).
 	id string
 
+	// adm governs the query's launches: the session's shared admission
+	// controller under Config.MaxInFlight, a private unlimited one — all
+	// pacer, no cap — otherwise.
+	adm *invoke.Admission
 	// retry is this query's driver-side retry scope.
 	retry *retryScope
 	// workerRetries accumulates the substrate retries this query's workers
@@ -201,7 +205,10 @@ func (s *Session) newQuery(env simenv.Env) *query {
 	id := fmt.Sprintf("q%d", n)
 	cfg.ResultQueue = queryQueueName(s.cfg.ResultQueue, id)
 	s.dep.SQS.CreateQueue(cfg.ResultQueue)
-	q := &query{s: s, dep: s.dep, cfg: cfg, env: env, id: id}
+	q := &query{s: s, dep: s.dep, cfg: cfg, env: env, id: id, adm: s.admission}
+	if q.adm == nil {
+		q.adm = invoke.NewAdmission(0, invoke.DriverPacing(cfg.Region, cfg.InvokeThreads))
+	}
 	q.retry = s.newRetryScope(-1)
 	return q
 }

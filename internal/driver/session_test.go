@@ -3,7 +3,6 @@ package driver
 import (
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -378,56 +377,77 @@ func TestSessionResultCache(t *testing.T) {
 	}
 }
 
-// TestSingleScopeUnderAdmission: a single-scope fleet larger than the
-// admission cap launches like any stage — as many workers as tokens are
-// free, the rest as containers settle — instead of taking the whole fleet's
-// tokens at once: the cap holds, the answer is exact, nothing leaks.
-func TestSingleScopeUnderAdmission(t *testing.T) {
-	const maxInFlight = 2
-	k := simclock.New()
-	dep := NewSimulated(k, 71)
-	cfg := DefaultConfig()
-	cfg.PollInterval = 50 * time.Millisecond
-	cfg.MaxInFlight = maxInFlight
-	sess := NewSession(dep, cfg)
+// launchMatrixSQL aggregates integers only, so the fleet's merged answer is
+// bit-identical to a single node's whatever the worker count.
+const launchMatrixSQL = `
+SELECT l_returnflag, COUNT(*) AS n, SUM(l_linenumber) AS lines, MAX(l_shipdate) AS last_ship
+FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag`
+
+// TestLaunchMatrix drives the one launch loop through every kind of unit it
+// builds: fleets below and above the tree threshold, with the invocation
+// tree on and off, on a session without a cap (tree units of 1+children
+// tokens where the policy picks the tree), under a cap the fleet overruns
+// (single-worker units, partial launches resumed from the event loop) and
+// under one it fits. Every worker is invoked exactly once, the admission
+// peak respects the cap, the result is the single node's, and nothing is
+// left behind.
+func TestLaunchMatrix(t *testing.T) {
 	data := tpch.Gen{SF: 0.002, Seed: 33}.Generate()
-	var rep *Report
-	k.Go("driver", func(p *simclock.Proc) {
-		if err := sess.Install(); err != nil {
-			t.Error(err)
-			return
+	want := singleNode(t, launchMatrixSQL, engine.Catalog{"lineitem": engine.NewMemSource(tpch.Schema(), data)})
+	for _, fleet := range []int{1, 3, 4, 17} {
+		for _, tree := range []bool{true, false} {
+			for _, maxInFlight := range []int{0, 2, 32} {
+				k := simclock.New()
+				dep := NewSimulated(k, 71)
+				cfg := DefaultConfig()
+				cfg.PollInterval = 50 * time.Millisecond
+				cfg.TreeInvoke = tree
+				cfg.MaxInFlight = maxInFlight
+				sess := NewSession(dep, cfg)
+				var out *columnar.Chunk
+				var rep *Report
+				k.Go("driver", func(p *simclock.Proc) {
+					if err := sess.Install(); err != nil {
+						t.Error(err)
+						return
+					}
+					refs, err := sess.UploadTable(p, "tpch", "lineitem", data, fleet, lpq.WriterOptions{RowGroupRows: 2000})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if out, rep, err = sess.RunSQL(p, launchMatrixSQL, "lineitem", refs); err != nil {
+						t.Error(err)
+					}
+				})
+				k.Run()
+				if k.Deadlocked() {
+					t.Fatalf("fleet %d tree %v cap %d: DES deadlocked", fleet, tree, maxInFlight)
+				}
+				if t.Failed() {
+					t.FailNow()
+				}
+				chunksIdentical(t, out, want)
+				invoked, _ := dep.Lambda.Invocations()
+				if rep.Workers != fleet || invoked != int64(fleet) || len(rep.WorkerProcessing) != fleet {
+					t.Errorf("fleet %d tree %v cap %d: %d workers, %d invocations, %d seals — want %d of each",
+						fleet, tree, maxInFlight, rep.Workers, invoked, len(rep.WorkerProcessing), fleet)
+				}
+				adm := sess.Admission()
+				if (adm != nil) != (maxInFlight > 0) {
+					t.Fatalf("cap %d: session admission = %v", maxInFlight, adm)
+				}
+				if adm != nil {
+					if adm.Peak() > maxInFlight || adm.Oversized() != 0 || adm.Acquired() != uint64(fleet) {
+						t.Errorf("fleet %d tree %v cap %d: admission peak %d, oversized %d, acquired %d",
+							fleet, tree, maxInFlight, adm.Peak(), adm.Oversized(), adm.Acquired())
+					}
+					if held := adm.Blocked() > 0; held != (fleet > maxInFlight) {
+						t.Errorf("fleet %d tree %v cap %d: blocked %d times", fleet, tree, maxInFlight, adm.Blocked())
+					}
+				}
+				assertQueryClean(t, sess, rep.QueryID)
+			}
 		}
-		refs, err := sess.UploadTable(p, "tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		var out *columnar.Chunk
-		if out, rep, err = sess.RunSQL(p, q6SQL, "lineitem", refs); err != nil {
-			t.Error(err)
-			return
-		}
-		want := tpch.Q6Reference(data)
-		if got := out.Column("revenue").Float64s[0]; math.Abs(got-want) > 1e-6*want {
-			t.Errorf("revenue = %v, want %v", got, want)
-		}
-	})
-	k.Run()
-	if k.Deadlocked() {
-		t.Fatal("DES deadlocked")
 	}
-	if t.Failed() {
-		t.FailNow()
-	}
-	if rep.Workers != 6 {
-		t.Errorf("workers = %d, want 6", rep.Workers)
-	}
-	adm := sess.Admission()
-	if adm.Peak() > maxInFlight || adm.Oversized() != 0 {
-		t.Errorf("admission peak %d (oversized %d) exceeded cap %d", adm.Peak(), adm.Oversized(), maxInFlight)
-	}
-	if adm.Blocked() == 0 {
-		t.Errorf("cap %d never held back a 6-worker fleet — test too weak", maxInFlight)
-	}
-	assertQueryClean(t, sess, rep.QueryID)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,7 +50,7 @@ type StageConfig struct {
 	// whole missing set re-invoked as the next attempt. This covers the
 	// cases the quorum/median policy can never arm for: no response at all,
 	// and a sub-quorum stall. stageplan.Stage.MaxStageWait overrides it per
-	// stage; 0 disables the cap (the pre-PR 5 behavior).
+	// stage; 0 disables the cap.
 	MaxStageWait time.Duration
 	// ExchangeLevels forces every stage boundary's round count: 1 pins
 	// single-round, 2 pins the multi-level boundary (one intermediate
@@ -75,28 +76,20 @@ func DefaultStageConfig() StageConfig {
 // TableFiles maps each base table of a query to its lpq files on S3.
 type TableFiles map[string][]scan.FileRef
 
-// stageSpec is the runtime wire form of one stage, shipped inside worker
-// payloads next to the plan fragment.
-type stageSpec struct {
-	StageID int               `json:"stageId"`
-	Inputs  []stageInputSpec  `json:"inputs,omitempty"`
-	Output  *stageplan.Output `json:"output,omitempty"`
+// boundarySpec is the one boundary spec a task's payload carries: which
+// boundaries the task collects from and publishes into, and the namespace
+// they live in. The query ID, epoch and stage ID that scope object names and
+// ready markers are the payload's own.
+type boundarySpec struct {
+	Inputs []stageInputSpec  `json:"inputs,omitempty"`
+	Output *stageplan.Output `json:"output,omitempty"`
 
-	// Variant is the fallback boundary algorithm, used only when an input or
-	// the output carries no resolved variant of its own (the driver resolves
-	// every boundary before payload build, so in practice it is the
-	// single-round base the resolution started from).
-	Variant   exchange.Variant `json:"variant"`
-	Buckets   []string         `json:"buckets"`
-	Prefix    string           `json:"prefix"`
-	PollNs    int64            `json:"pollNs"`
-	MaxWaitNs int64            `json:"maxWaitNs"`
-	// SealTable is the DynamoDB table holding per-stage ready markers;
-	// QueryID and Epoch scope the marker keys (an older epoch's markers can
-	// never satisfy this epoch's barrier).
+	Buckets   []string `json:"buckets"`
+	Prefix    string   `json:"prefix"`
+	PollNs    int64    `json:"pollNs"`
+	MaxWaitNs int64    `json:"maxWaitNs"`
+	// SealTable is the DynamoDB table holding per-stage ready markers.
 	SealTable string `json:"sealTable"`
-	QueryID   string `json:"queryId"`
-	Epoch     int    `json:"epoch"`
 }
 
 // stageInputSpec is the planner's Input plus the runtime sender count and
@@ -108,11 +101,40 @@ type stageInputSpec struct {
 	// Variant is the producing boundary's resolved exchange algorithm; the
 	// collector must read with the same variant the senders wrote with.
 	Variant exchange.Variant `json:"inVariant"`
-	// RegroupStage, for multi-level boundaries, is the synthetic regroup
-	// fleet's stage ID: the consumer's ready barrier waits on ITS seal (the
-	// round-2 objects exist only once every regroup worker committed), not
-	// the producer's.
-	RegroupStage int `json:"regroupStage,omitempty"`
+}
+
+// regroupStageID names the synthetic regroup stage of one producer's
+// multi-level boundary, far above the planner's ID space (the planner
+// numbers stages densely from 0). Consumers of the boundary gate their
+// collects on ITS seal — the round-2 objects exist only once every regroup
+// worker committed — not the producer's.
+func regroupStageID(producer int) int { return 1_000_000 + producer }
+
+// regroupStage is the regroup round of a multi-level boundary (§4.4.2,
+// adapted — see exchange.RegroupStage) as a stage: Groups(P) plan-less
+// workers between the producer and its consumers, worker g merging
+// partition group g across all senders and republishing it per partition.
+// Being an ordinary stage, it is launched, speculated, relaunched and capped
+// like any other.
+func regroupStage(producer *stageplan.Stage) *stageplan.Stage {
+	return &stageplan.Stage{
+		ID:           regroupStageID(producer.ID),
+		Inputs:       []stageplan.Input{{StageID: producer.ID}},
+		Output:       producer.Output,
+		DependsOn:    []int{producer.ID},
+		Eager:        true,
+		MaxAttempts:  producer.MaxAttempts,
+		MaxStageWait: producer.MaxStageWait,
+	}
+}
+
+// regroupOf reports whether st is a regroup stage — the only plan-less
+// kind — and of which producer's boundary.
+func regroupOf(st *stageplan.Stage) (producer int, ok bool) {
+	if st.Plan != nil {
+		return 0, false
+	}
+	return st.Inputs[0].StageID, true
 }
 
 // stagesTableName names the DynamoDB seal/ready table of an installation.
@@ -235,6 +257,12 @@ func (e *StageFailure) Error() string {
 	return fmt.Sprintf("driver: stage %d worker %d failed: %s", e.Stage, e.Worker, e.Msg)
 }
 
+// ErrInvalidPlan marks a query the planner refused — a column or table the
+// schemas do not have, a shape the stage planner cannot decompose — as
+// opposed to one that failed while running: the fault is the caller's, and
+// no worker was invoked.
+var ErrInvalidPlan = errors.New("driver: query does not plan")
+
 // RunSQLStaged parses a SQL query over any number of S3-backed tables and
 // executes it through the stage planner: joins shuffle through the exchange
 // when both sides are large (per-join broadcast-vs-shuffle choice from the
@@ -258,12 +286,10 @@ type stageRun struct {
 	st       *stageplan.Stage
 	payloads []workerPayload // attempt-0 payloads, one per worker
 	state    stageState
-	// bodies are the marshaled attempt-0 payloads, built on first launch.
-	bodies [][]byte
-	// launched counts workers invoked so far: the full fleet after one
-	// launch() without admission, possibly a prefix under it (the scheduler
-	// launches as many as TryAcquire grants and resumes from the cursor on
-	// later passes).
+	// pending are the launch units not yet invoked, built on first launch;
+	// launched counts the workers the invoked ones spawn. A launch pass
+	// invokes as many units as admission grants and resumes on later passes.
+	pending  []launchUnit
 	launched int
 
 	launchedAt time.Duration
@@ -277,14 +303,90 @@ type stageRun struct {
 	// span is the stage's trace span (0 when tracing is off): opened at
 	// payload build, re-timed to the launch instant, ended at the seal.
 	span obs.SpanID
-	// boundary is the stage's output-boundary variant as resolved by the
-	// driver (zero for the result stage); regroup runs carry the boundary
-	// they regroup.
-	boundary exchange.Variant
-	// regroup marks a synthetic regroup fleet (multi-level boundaries);
-	// regroupFor is then the producing stage whose boundary it regroups.
-	regroup    bool
-	regroupFor int
+}
+
+// launchUnit is one driver-side Invoke of a stage launch: a worker's
+// attempt-0 payload, with its second-generation children folded in when the
+// fleet goes through the invocation tree (§4.2). tokens is the number of
+// containers the Invoke spawns, which is what it holds of admission. A tree
+// unit is a synchronous, unpaced Invoke; a direct one is pipelined and paced
+// at the Invoke API rate.
+type launchUnit struct {
+	worker int
+	body   []byte
+	tokens int
+	tree   bool
+}
+
+// launchUnits builds a stage's launch units, and is where the invocation
+// policy is decided, per stage: small fleets (the final merge of a wide
+// query, say) launch directly even when big scan fleets go through the
+// tree. Under a concurrency cap every unit is a single worker, so a partial
+// grant still launches something.
+func (d *query) launchUnits(payloads []workerPayload) ([]launchUnit, error) {
+	tree := d.adm.Capacity() <= 0 && invoke.UseTree(d.cfg.TreeInvoke, len(payloads))
+	// children[w] are the workers that unit w's worker invokes in turn: none
+	// in a direct launch, where every worker is a unit; TreeFanout's split
+	// in a tree, whose first generation is workers 0..g-1.
+	children := make([][]int, len(payloads))
+	if tree {
+		_, children = invoke.TreeFanout(len(payloads))
+	}
+	units := make([]launchUnit, len(children))
+	for w, kids := range children {
+		p := payloads[w]
+		for _, c := range kids {
+			body, err := json.Marshal(&payloads[c])
+			if err != nil {
+				return nil, err
+			}
+			p.Children = append(p.Children, body)
+		}
+		body, err := json.Marshal(&p)
+		if err != nil {
+			return nil, err
+		}
+		units[w] = launchUnit{worker: w, body: body, tokens: 1 + len(kids), tree: tree}
+	}
+	return units, nil
+}
+
+// invoke issues one unit's Invoke, its admission tokens already taken. Like
+// every substrate call the driver makes it runs under the query's retry
+// policy: transient invoke errors retry with backoff, quota rejections
+// (throttle-class Invoke errors are permanent capacity answers, not blips)
+// and payload errors stay fatal. span — the stage span — parents the
+// invocation's trace span (tree children parent under their invoking
+// first-generation worker instead, mirroring the real invocation topology).
+func (d *query) invoke(u launchUnit, span obs.SpanID) error {
+	if !u.tree {
+		d.adm.Pace(d.env)
+	}
+	err := d.retry.policy.Do(d.env, "lambda.Invoke", func() error {
+		return d.dep.Lambda.Invoke(d.env, d.cfg.FunctionName, u.body,
+			lambdasvc.InvokeOptions{WorkerID: u.worker, Pipelined: !u.tree, Span: span})
+	})
+	if err != nil {
+		// Invoke fails before any container spawns: hand the tokens back.
+		d.adm.Release(u.tokens)
+	}
+	return err
+}
+
+// reinvoke launches the next attempt of one worker — a failure relaunch or a
+// speculation backup. Recovery traffic must not queue behind tokens held by
+// workers parked on the very fragment being recovered, so it is admitted
+// past the cap (counted in Overflow) instead of waiting; it is stamped per
+// (worker, attempt), so it never goes through the tree.
+func (d *query) reinvoke(r *stageRun, worker int) error {
+	p := r.payloads[worker]
+	p.Attempt = r.policy.attempts[worker]
+	body, err := json.Marshal(&p)
+	if err != nil {
+		return err
+	}
+	d.adm.AcquireOverflow()
+	return d.invoke(launchUnit{worker: worker, body: body, tokens: 1}, r.span)
 }
 
 // RunPlanStaged optimizes plan against the tables' footer schemas,
@@ -326,7 +428,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 
 	opt, err := engine.Optimize(plan, optCat)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
 	}
 
 	// Pruning-aware fan-out: size the stage DAG from the rows the pushed-
@@ -354,7 +456,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		MaxAutoPartitions: cfg.MaxAutoPartitions,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
 	}
 
 	// Pruned file assignment: a file whose footer statistics rule out every
@@ -441,18 +543,18 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 		bounded = bounded || st.Output != nil
 	}
 
+	// ns is the boundary namespace every task of the query shares; the
+	// prefix the payloads carry is the fenced e<epoch> sub-prefix, while
+	// sweep drains the query's prefix across all epochs — every epoch's
+	// debris.
 	var (
-		buckets   []string
-		sealTable string
-		epoch     int
+		ns    boundarySpec
+		epoch int
 	)
-	// sweep drains the query's boundary namespace across all epochs — every
-	// epoch's debris — while the namespace the payloads carry is the fenced
-	// e<epoch> sub-prefix (built in stagePayloads).
 	sweep := func() error { return nil }
 	if bounded {
-		buckets = d.s.InstallExchange(cfg.Exchange)
-		sealTable = stagesTableName(d.cfg.FunctionName)
+		buckets := d.s.InstallExchange(cfg.Exchange)
+		sealTable := stagesTableName(d.cfg.FunctionName)
 		d.dep.Dynamo.CreateTable(sealTable)
 
 		// Epoch fence: durably increment this query ID's epoch before
@@ -481,6 +583,13 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 		}
 		if err := sweep(); err != nil {
 			return nil, nil, err
+		}
+		ns = boundarySpec{
+			Buckets:   buckets,
+			Prefix:    prefix + "e" + strconv.Itoa(epoch),
+			PollNs:    int64(cfg.Exchange.Poll),
+			MaxWaitNs: int64(cfg.Exchange.MaxWait),
+			SealTable: sealTable,
 		}
 	}
 	swept := false
@@ -529,65 +638,53 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 	// known: plan-pinned variants (Output.Variant.Levels > 0) stand, the
 	// rest come from the analytic request model — multi-level only when the
 	// request savings at this (S, P, B) pay for the regroup fleet, or when
-	// cfg.ExchangeLevels forces it.
+	// cfg.ExchangeLevels forces it. A multi-level boundary gets its regroup
+	// round as a stage of its own, right behind the producer, and the
+	// boundary's consumers depend on that stage's seal as well.
+	stages := make([]*stageplan.Stage, 0, len(sp.Stages))
 	for _, st := range sp.Stages {
+		stages = append(stages, st)
 		if st.Output == nil {
 			continue
 		}
 		if st.Output.Variant.Levels == 0 {
 			st.Output.Variant = stageplan.ChooseVariant(
-				workers[st.ID], st.Output.Partitions, len(buckets),
+				workers[st.ID], st.Output.Partitions, len(ns.Buckets),
 				cfg.Exchange.Variant, cfg.ExchangeLevels)
+		}
+		if st.Output.Variant.Levels < 2 {
+			continue
+		}
+		rg := regroupStage(st)
+		workers[rg.ID] = exchange.Groups(st.Output.Partitions)
+		stages = append(stages, rg)
+		for _, c := range sp.Stages {
+			if slices.Contains(c.DependsOn, st.ID) {
+				c.DependsOn = append(c.DependsOn, rg.ID)
+			}
 		}
 	}
 
 	// Every stage's payloads are computable up front (worker counts depend
 	// only on file and partition counts), so pipelined launch can invoke
 	// consumers before their producers seal.
-	runs := make([]*stageRun, 0, len(sp.Stages))
+	runs := make([]*stageRun, 0, len(stages))
 	byID := map[int]*stageRun{}
-	for _, st := range sp.Stages {
-		ps, err := d.stagePayloads(epoch, st, sp, scanFiles, workers, blobs, buckets, sealTable, cfg)
+	for _, st := range stages {
+		ps, err := d.stagePayloads(epoch, st, workers[st.ID], scanFiles[st.Table], byID, blobs, ns)
 		if err != nil {
 			return nil, nil, err
 		}
 		r := &stageRun{st: st, payloads: ps, winners: map[int]int{}}
-		if st.Output != nil {
-			r.boundary = st.Output.Variant
-		}
 		if tr.Enabled() {
-			r.span = tr.StartSpan(obs.KindStage, "stage-"+strconv.Itoa(st.ID), qspan, d.env.Now())
+			name := "stage-" + strconv.Itoa(st.ID)
+			if producer, ok := regroupOf(st); ok {
+				name = "regroup-" + strconv.Itoa(producer)
+			}
+			r.span = tr.StartSpan(obs.KindStage, name, qspan, d.env.Now())
 		}
 		runs = append(runs, r)
 		byID[st.ID] = r
-	}
-
-	// Synthetic regroup fleets: every multi-level boundary gets its own
-	// Groups(P)-worker stage between producer and consumers, scheduled like
-	// any other — pipelined launch, speculation, failure-seal relaunch and
-	// the liveness cap all apply. Consumers additionally depend on the
-	// regroup seal (their round-2 objects exist only then).
-	for _, st := range sp.Stages {
-		if st.Output == nil || st.Output.Variant.Levels < 2 {
-			continue
-		}
-		r, err := d.regroupRun(epoch, st, workers[st.ID], buckets, sealTable, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		if tr.Enabled() {
-			r.span = tr.StartSpan(obs.KindStage, "regroup-"+strconv.Itoa(st.ID), qspan, d.env.Now())
-		}
-		runs = append(runs, r)
-		byID[r.st.ID] = r
-		for _, c := range sp.Stages {
-			for _, dep := range c.DependsOn {
-				if dep == st.ID {
-					c.DependsOn = append(c.DependsOn, r.st.ID)
-					break
-				}
-			}
-		}
 	}
 
 	// Rule 2: only stage runs somebody waits on write a ready marker.
@@ -598,7 +695,6 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 		}
 	}
 
-	adm := d.s.admission
 	sealedID := func(id int) bool {
 		r := byID[id]
 		return r != nil && r.state == stageSealed
@@ -611,12 +707,12 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 		}
 		return true
 	}
-	// depsLaunched gates eager-pipelined launch under admission: a consumer
-	// may take tokens only once every producer it depends on has its whole
-	// fleet launched. Producers then always make progress with the tokens
-	// they hold, so token-holding consumers parked on a ready barrier are
-	// never waiting on a producer that admission starved — the inductive
-	// liveness argument bottoms out at scan stages, which depend on nothing.
+	// depsLaunched gates eager-pipelined launch: a consumer may take tokens
+	// only once every producer it depends on has its whole fleet launched.
+	// Producers then always make progress with the tokens they hold, so
+	// token-holding consumers parked on a ready barrier are never waiting on
+	// a producer that admission starved — the inductive liveness argument
+	// bottoms out at scan stages, which depend on nothing.
 	depsLaunched := func(r *stageRun) bool {
 		for _, dep := range r.st.DependsOn {
 			if u := byID[dep]; u != nil && u.launched < len(u.payloads) {
@@ -626,72 +722,44 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 		return true
 	}
 	launchable := func(r *stageRun) bool {
-		if adm == nil {
-			if r.state != stagePending {
-				return false
-			}
-		} else if r.launched == len(r.payloads) {
+		if r.launched == len(r.payloads) {
 			return false // fully launched; partial fleets stay launchable
 		}
 		if r.st.Eager && !d.cfg.testWaveLaunch {
-			if adm != nil {
-				return depsLaunched(r)
-			}
-			return true
+			return depsLaunched(r)
 		}
 		return depsSealed(r)
 	}
 
 	var invocation time.Duration
 	totalWorkers := 0
+	// launch invokes r's pending units for as long as admission grants their
+	// tokens, without ever blocking — a driver parked on the pool could not
+	// consume the seal messages that token-holding consumers are waiting on.
+	// Whatever the pool denies stays pending; the event loop retries every
+	// pass as other containers settle.
 	launch := func(r *stageRun) error {
-		if r.bodies == nil {
-			r.bodies = make([][]byte, len(r.payloads))
-			for i := range r.payloads {
-				body, err := json.Marshal(&r.payloads[i])
-				if err != nil {
-					return err
-				}
-				r.bodies[i] = body
+		if r.pending == nil {
+			var err error
+			if r.pending, err = d.launchUnits(r.payloads); err != nil {
+				return err
 			}
 		}
 		first := r.state == stagePending
 		invokeStart := d.env.Now()
-		if adm == nil {
-			// Invocation policy is per stage: small fleets (the final merge
-			// of a wide query, say) launch directly even when big scan
-			// fleets go through the invocation tree.
-			tr.SetStart(r.span, invokeStart)
-			if err := d.invokeAll(r.bodies, r.span); err != nil {
+		for len(r.pending) > 0 && d.adm.TryAcquire(r.pending[0].tokens) {
+			u := r.pending[0]
+			if err := d.invoke(u, r.span); err != nil {
 				return err
 			}
-			r.launched = len(r.bodies)
-		} else {
-			// Admission-governed partial launch: take tokens one worker at a
-			// time without ever blocking — a driver parked on the pool could
-			// not consume the seal messages that token-holding consumers are
-			// waiting on. Whatever the pool denies stays at the cursor; the
-			// event loop retries every pass as other containers settle.
-			for r.launched < len(r.bodies) && adm.TryAcquire(1) {
-				w := r.launched
-				adm.Pace(d.env)
-				if err := d.retry.policy.Do(d.env, "lambda.Invoke", func() error {
-					return d.dep.Lambda.Invoke(d.env, d.cfg.FunctionName, r.bodies[w],
-						lambdasvc.InvokeOptions{WorkerID: r.payloads[w].WorkerID, Pipelined: true, Span: r.span})
-				}); err != nil {
-					adm.Release(1)
-					return err
-				}
-				r.launched++
-			}
-			if first && r.launched > 0 {
-				tr.SetStart(r.span, invokeStart)
-			}
+			r.pending = r.pending[1:]
+			r.launched += u.tokens
 		}
 		invocation += d.env.Now() - invokeStart
 		if !first || r.launched == 0 {
 			return nil
 		}
+		tr.SetStart(r.span, invokeStart)
 		r.state = stageLaunched
 		r.launchedAt = d.env.Now()
 		r.policy = newStragglerPolicy(d.cfg.Speculate, len(r.payloads), r.launchedAt)
@@ -733,15 +801,12 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 	failureSeals := 0
 	zombieDiscards, loserDiscards := 0, 0
 	sealedCount := 0
-	backupPacing := invoke.DriverPacing(d.cfg.Region, d.cfg.InvokeThreads)
 	deadline := d.env.Now() + d.cfg.MaxWait
 	for sealedCount < len(runs) {
-		if adm != nil {
-			// Resume partial launches: containers of this or other queries
-			// settling since the last pass may have freed tokens.
-			if err := launchReady(); err != nil {
-				return nil, nil, err
-			}
+		// Resume partial launches: containers of this or other queries
+		// settling since the last pass may have freed tokens.
+		if err := launchReady(); err != nil {
+			return nil, nil, err
 		}
 		var msgs []sqs.Message
 		if err := d.retry.policy.Do(d.env, "sqs.Receive", func() error {
@@ -789,13 +854,7 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 				if rm.Retryable && r.policy.attempts[rm.WorkerID] < relaunches {
 					r.policy.attempts[rm.WorkerID]++
 					failureSeals++
-					backup := r.payloads[rm.WorkerID]
-					backup.Attempt = r.policy.attempts[rm.WorkerID]
-					body, err := json.Marshal(&backup)
-					if err != nil {
-						return nil, nil, err
-					}
-					if err := d.invokeOne(body, rm.WorkerID, r.span); err != nil {
+					if err := d.reinvoke(r, rm.WorkerID); err != nil {
 						return nil, nil, fmt.Errorf("driver: relaunching stage %d worker %d: %w", rm.Stage, rm.WorkerID, err)
 					}
 					continue
@@ -818,7 +877,7 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 				// parked in waitSealed at this exact instant).
 				if awaited[r.st.ID] {
 					if err := d.retry.policy.Do(d.env, "dynamo.Put", func() error {
-						return d.dep.Dynamo.Put(d.env, sealTable, sealKey(queryID, epoch, r.st.ID), []byte("sealed"))
+						return d.dep.Dynamo.Put(d.env, ns.SealTable, sealKey(queryID, epoch, r.st.ID), []byte("sealed"))
 					}); err != nil {
 						return nil, nil, err
 					}
@@ -853,8 +912,8 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 		// response at all) — re-invoke them as the next attempt. Their
 		// boundary publishes land in a fresh attempt namespace, so whichever
 		// attempt commits first wins. Backup bursts pace like any other
-		// direct launch: the liveness cap can re-invoke a whole stage fleet
-		// at once, which must not exceed the Invoke API rate.
+		// direct launch (reinvoke): the liveness cap can re-invoke a whole
+		// stage fleet at once, which must not exceed the Invoke API rate.
 		for _, r := range runs {
 			if r.state != stageLaunched {
 				continue
@@ -866,21 +925,11 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 				_, ok := r.winners[w]
 				return ok
 			}
-			backups := r.policy.stragglers(d.env.Now(), reported, r.st.MaxAttempts)
-			for i, w := range backups {
+			for _, w := range r.policy.stragglers(d.env.Now(), reported, r.st.MaxAttempts) {
 				r.speculated++
 				speculated++
-				backup := r.payloads[w]
-				backup.Attempt = r.policy.attempts[w]
-				body, err := json.Marshal(&backup)
-				if err != nil {
-					return nil, nil, err
-				}
-				if err := d.invokeOne(body, w, r.span); err != nil {
+				if err := d.reinvoke(r, w); err != nil {
 					return nil, nil, fmt.Errorf("driver: backup invocation of stage %d worker %d: %w", r.st.ID, w, err)
-				}
-				if i < len(backups)-1 {
-					d.env.Sleep(backupPacing.Gap())
 				}
 			}
 		}
@@ -898,7 +947,7 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 			// the instant the next seal lands instead of rounding the whole
 			// query up to the next PollInterval tick, with the timed poll as
 			// fallback — and stays parked through unrelated broadcasts
-			// (boundary puts, ready markers) that used to wake it.
+			// (boundary puts, ready markers).
 			simenv.WaitNotifyKey(d.env, "sqs/"+d.cfg.ResultQueue, d.cfg.PollInterval)
 		}
 	}
@@ -958,12 +1007,11 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 			Speculated: r.speculated,
 			Span:       r.span,
 		}
-		if r.regroup {
-			ss.StageID = r.regroupFor
-			ss.Regroup = true
+		if producer, ok := regroupOf(r.st); ok {
+			ss.StageID, ss.Regroup = producer, true
 		}
-		if r.boundary.Levels > 0 {
-			ss.Variant = r.boundary.String()
+		if r.st.Output != nil {
+			ss.Variant = r.st.Output.Variant.String()
 		}
 		rep.StageStats = append(rep.StageStats, ss)
 	}
@@ -1016,44 +1064,31 @@ func stageCap(st *stageplan.Stage, cfg StageConfig) time.Duration {
 	return cfg.MaxStageWait
 }
 
-// stagePayloads builds the invocation payloads of one stage (attempt 0),
+// stagePayloads builds the n invocation payloads of one stage (attempt 0),
 // every one stamped with the query's epoch fence token. A stage that
 // touches no boundary — no inputs to collect, no output to publish — ships
-// no stageSpec: its payload is the bare fragment plus its files.
-func (d *query) stagePayloads(epoch int, st *stageplan.Stage, sp *stageplan.Plan, tables TableFiles, workers map[int]int, blobs map[string][]byte, buckets []string, sealTable string, cfg StageConfig) ([]workerPayload, error) {
-	planJSON, err := engine.MarshalPlan(st.Plan)
-	if err != nil {
-		return nil, err
-	}
-	var specJSON json.RawMessage
-	if len(st.Inputs) > 0 || st.Output != nil {
-		spec := stageSpec{
-			StageID:   st.ID,
-			Output:    st.Output,
-			Variant:   exchange.Variant{Levels: 1, WriteCombining: cfg.Exchange.Variant.WriteCombining},
-			Buckets:   buckets,
-			Prefix:    fmt.Sprintf("%s/%s/e%d", d.cfg.FunctionName, d.id, epoch),
-			PollNs:    int64(cfg.Exchange.Poll),
-			MaxWaitNs: int64(cfg.Exchange.MaxWait),
-			SealTable: sealTable,
-			QueryID:   d.id,
-			Epoch:     epoch,
-		}
-		for _, in := range st.Inputs {
-			is := stageInputSpec{Input: in, Senders: workers[in.StageID]}
-			for _, up := range sp.Stages {
-				if up.ID == in.StageID && up.Output != nil {
-					is.Variant = up.Output.Variant
-					if up.Output.Variant.Levels >= 2 {
-						is.RegroupStage = regroupStageID(in.StageID)
-					}
-				}
-			}
-			spec.Inputs = append(spec.Inputs, is)
-		}
-		if specJSON, err = json.Marshal(spec); err != nil {
+// no boundary spec: its payload is the bare fragment plus its files.
+// byID holds the runs of the stage's producers (stages arrive in
+// topological order); ns is the query's boundary namespace.
+func (d *query) stagePayloads(epoch int, st *stageplan.Stage, n int, files []scan.FileRef, byID map[int]*stageRun, blobs map[string][]byte, ns boundarySpec) ([]workerPayload, error) {
+	var planJSON []byte
+	if st.Plan != nil {
+		var err error
+		if planJSON, err = engine.MarshalPlan(st.Plan); err != nil {
 			return nil, err
 		}
+	}
+	var spec *boundarySpec
+	if len(st.Inputs) > 0 || st.Output != nil {
+		ns.Output = st.Output
+		for _, in := range st.Inputs {
+			up := byID[in.StageID]
+			if up == nil || up.st.Output == nil {
+				return nil, fmt.Errorf("driver: stage %d collects from stage %d, which publishes no boundary", st.ID, in.StageID)
+			}
+			ns.Inputs = append(ns.Inputs, stageInputSpec{Input: in, Senders: len(up.payloads), Variant: up.st.Output.Variant})
+		}
+		spec = &ns
 	}
 
 	// Only ship the broadcast blobs the fragment references.
@@ -1067,13 +1102,8 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, sp *stageplan.Plan
 		}
 	}
 
-	n := workers[st.ID]
 	payloads := make([]workerPayload, n)
-	files := tables[st.Table]
-	per := 0
-	if st.Table != "" {
-		per = (len(files) + n - 1) / n
-	}
+	per := (len(files) + n - 1) / n
 	for w := 0; w < n; w++ {
 		p := workerPayload{
 			QueryID:     d.id,
@@ -1082,7 +1112,7 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, sp *stageplan.Plan
 			Plan:        planJSON,
 			ResultQueue: d.cfg.ResultQueue,
 			StageID:     st.ID,
-			StageSpec:   specJSON,
+			Boundary:    spec,
 			Epoch:       epoch,
 			Broadcast:   stageBlobs,
 		}
@@ -1136,60 +1166,83 @@ func fragmentScans(p engine.Plan, table string) bool {
 	return found
 }
 
-// runStageFragment is the worker side of a stage: wait out the upstream
-// ready markers, collect this worker's partition of every input boundary,
-// execute the fragment on the pipeline-graph scheduler, and either publish
-// the partitioned output into this stage's attempt namespace or hand the
-// chunk back for the SQS result post. A payload without a stageSpec touches
-// no boundary: the zero spec has nothing to collect and nothing to publish.
-func (d *Session) runStageFragment(ctx *lambdasvc.Ctx, ws *retryScope, client *s3.Client, p *workerPayload, plan engine.Plan, cat engine.Catalog) (*columnar.Chunk, error) {
-	var spec stageSpec
-	if len(p.StageSpec) > 0 {
-		if err := json.Unmarshal(p.StageSpec, &spec); err != nil {
+// executeFragment is the worker side of a task: wait out the upstream ready
+// markers, collect this worker's partition of every input boundary, execute
+// the fragment on the pipeline-graph scheduler, and either publish the
+// partitioned output into this stage's attempt namespace or hand the chunk
+// back for the SQS result post. A payload without a boundary spec touches no
+// boundary: the zero spec has nothing to collect and nothing to publish. A
+// payload without a plan is a regroup task: the intermediate round of its
+// one input's multi-level boundary is all it does.
+func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws *retryScope, p *workerPayload) (*columnar.Chunk, error) {
+	copts := []s3.ClientOption{s3.WithBudget(ws.budget)}
+	if d.dep.Shaped {
+		copts = append(copts, s3.WithShaper(d.dep.Net, ctx.MemoryMiB))
+	}
+	client := s3.NewClient(d.dep.S3, ctx.Env, copts...)
+	defer func() { ws.stats.Add(client.Retries()) }()
+
+	x := p.Boundary
+	if x == nil {
+		x = &boundarySpec{}
+	}
+	opts := exchange.Options{Buckets: x.Buckets, Prefix: x.Prefix, Poll: time.Duration(x.PollNs)}
+	// One wait deadline for the whole task: a k-input stage gets MaxWait
+	// across ALL its barriers — the ready-marker waits and the exchange
+	// commit waits alike — not MaxWait per input (which would let a fragment
+	// wait k×MaxWait before reporting failure). Only waits are bounded; the
+	// data reads themselves are not cut short.
+	deadline := ctx.Env.Now() + time.Duration(x.MaxWaitNs)
+	// ready waits out stage's ready marker, then points opts at a round of
+	// variant v with what is left of the deadline to wait for its commits.
+	// The driver marks a stage sealed in DynamoDB once every worker of it
+	// reported through SQS. Under pipelined launch this worker was invoked
+	// before its producers sealed, so the wait here is where cold start and
+	// upstream execution overlap.
+	ready := func(stage int, v exchange.Variant) error {
+		if err := d.waitSealed(ctx, ws, p, stage, deadline); err != nil {
+			return err
+		}
+		opts.Variant = v
+		opts.MaxWait = max(deadline-ctx.Env.Now(), 0)
+		return nil
+	}
+
+	if len(p.Plan) == 0 {
+		if len(x.Inputs) != 1 || x.Output == nil {
+			return nil, errors.New("task carries neither a plan nor a boundary to regroup")
+		}
+		// Regroup attempts version their round-2 publishes exactly like
+		// sender attempts — first committed attempt wins at the receivers.
+		in := x.Inputs[0]
+		if err := ready(in.StageID, in.Variant); err != nil {
 			return nil, err
 		}
+		return nil, exchange.RegroupStage(client, opts, exchange.Boundary{
+			Stage:      in.StageID,
+			Attempt:    p.Attempt,
+			Senders:    in.Senders,
+			Partitions: x.Output.Partitions,
+		}, p.WorkerID, x.Output.Keys)
 	}
-	opts := exchange.Options{
-		Variant: spec.Variant,
-		Buckets: spec.Buckets,
-		Prefix:  spec.Prefix,
-		Poll:    time.Duration(spec.PollNs),
-		MaxWait: time.Duration(spec.MaxWaitNs),
+
+	plan, cat, err := d.fragmentCatalog(ctx, client, p)
+	if err != nil {
+		return nil, err
 	}
 	budget := engineMemoryBudget(ctx.MemoryMiB)
 	var collected int64
-	// One wait deadline for the whole fragment: a k-input stage gets
-	// MaxWait across ALL its barriers — the ready-marker waits and the
-	// exchange commit waits alike — not MaxWait per input (which let a
-	// fragment wait k×MaxWait before reporting failure). Only waits are
-	// bounded; the data reads themselves are not cut short.
-	sealDeadline := ctx.Env.Now() + time.Duration(spec.MaxWaitNs)
-	for _, in := range spec.Inputs {
-		// Ready barrier: the driver marks a stage sealed in DynamoDB once
-		// every producer reported through SQS. Under pipelined launch this
-		// worker was invoked before its producers sealed, so the wait here
-		// is where cold start and upstream execution overlap. Multi-level
-		// boundaries gate on the regroup fleet's seal instead — the round-2
-		// objects this worker reads exist only once every regroup worker
-		// committed.
-		waitStage := in.StageID
-		if in.RegroupStage != 0 && in.Variant.Levels >= 2 {
-			waitStage = in.RegroupStage
+	for _, in := range x.Inputs {
+		// A multi-level boundary is read once its regroup fleet sealed — the
+		// round-2 objects this worker reads exist only then.
+		sealed := in.StageID
+		if in.Variant.Levels >= 2 {
+			sealed = regroupStageID(in.StageID)
 		}
-		if err := d.waitSealed(ctx, ws, &spec, waitStage, sealDeadline); err != nil {
+		if err := ready(sealed, in.Variant); err != nil {
 			return nil, err
 		}
-		copts := opts
-		if in.Variant.Levels > 0 {
-			copts.Variant = in.Variant
-		}
-		if rem := sealDeadline - ctx.Env.Now(); rem < copts.MaxWait {
-			if rem < 0 {
-				rem = 0
-			}
-			copts.MaxWait = rem
-		}
-		chunk, err := exchange.CollectStage(client, copts, exchange.Boundary{
+		chunk, err := exchange.CollectStage(client, opts, exchange.Boundary{
 			Stage:      in.StageID,
 			Senders:    in.Senders,
 			Partitions: p.NumWorkers,
@@ -1226,22 +1279,19 @@ func (d *Session) runStageFragment(ctx *lambdasvc.Ctx, ws *retryScope, client *s
 			tr.SetTag(ctx.Span, "bytes.in", strconv.FormatInt(n, 10))
 		}
 	}
-	if spec.Output == nil {
+	if x.Output == nil {
 		return out, nil
 	}
 	wrote := client.BytesWritten()
-	popts := opts
-	if spec.Output.Variant.Levels > 0 {
-		popts.Variant = spec.Output.Variant
-	}
-	err = exchange.PublishStage(client, popts, exchange.Boundary{
-		Stage:      spec.StageID,
+	opts.Variant = x.Output.Variant
+	err = exchange.PublishStage(client, opts, exchange.Boundary{
+		Stage:      p.StageID,
 		Attempt:    p.Attempt,
 		Senders:    p.NumWorkers,
-		Partitions: spec.Output.Partitions,
-	}, p.WorkerID, out, spec.Output.Keys)
+		Partitions: x.Output.Partitions,
+	}, p.WorkerID, out, x.Output.Keys)
 	if err != nil {
-		return nil, fmt.Errorf("publishing stage %d output: %w", spec.StageID, err)
+		return nil, fmt.Errorf("publishing stage %d output: %w", p.StageID, err)
 	}
 	if tr.Enabled() && ctx.Span != 0 {
 		tr.SetTag(ctx.Span, "bytes.out", strconv.FormatInt(client.BytesWritten()-wrote, 10))
@@ -1256,10 +1306,11 @@ func (d *Session) runStageFragment(ctx *lambdasvc.Ctx, ws *retryScope, client *s
 // this run's barrier. Between checks the worker parks on the completion
 // signal dynamo.Put broadcasts — it wakes at the instant the marker lands
 // instead of at the next poll boundary — with the timed poll as fallback.
-func (d *Session) waitSealed(ctx *lambdasvc.Ctx, ws *retryScope, spec *stageSpec, stageID int, deadline time.Duration) error {
+func (d *Session) waitSealed(ctx *lambdasvc.Ctx, ws *retryScope, p *workerPayload, stageID int, deadline time.Duration) error {
+	table, key := p.Boundary.SealTable, sealKey(p.QueryID, p.Epoch, stageID)
 	for {
 		err := ws.policy.Do(ctx.Env, "dynamo.Get", func() error {
-			_, gerr := d.dep.Dynamo.Get(ctx.Env, spec.SealTable, sealKey(spec.QueryID, spec.Epoch, stageID))
+			_, gerr := d.dep.Dynamo.Get(ctx.Env, table, key)
 			return gerr
 		})
 		if err == nil {
@@ -1273,6 +1324,6 @@ func (d *Session) waitSealed(ctx *lambdasvc.Ctx, ws *retryScope, spec *stageSpec
 		}
 		// Park on this marker's exact completion topic: only the dynamo.Put
 		// of this (query, epoch, stage) ready marker wakes the worker early.
-		simenv.WaitNotifyKey(ctx.Env, "dynamo/"+spec.SealTable+"/"+sealKey(spec.QueryID, spec.Epoch, stageID), time.Duration(spec.PollNs))
+		simenv.WaitNotifyKey(ctx.Env, "dynamo/"+table+"/"+key, time.Duration(p.Boundary.PollNs))
 	}
 }

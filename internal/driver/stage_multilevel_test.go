@@ -1,9 +1,13 @@
 package driver
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
+	"lambada/internal/awssim/lambdasvc"
 	"lambada/internal/awssim/s3"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
@@ -13,6 +17,64 @@ import (
 	"lambada/internal/stageplan"
 	"lambada/internal/tpch"
 )
+
+// TestPayloadShapes pins the one task shape at its two ends: a single-scope
+// payload is the bare fragment plus its files — no boundary spec on the
+// wire — and a regroup payload is a boundary spec with no plan, which
+// survives the JSON round trip a tree launch puts child payloads through.
+// A payload with neither is refused, not dereferenced.
+func TestPayloadShapes(t *testing.T) {
+	d, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
+	q := d.sess.newQuery(d.env)
+	defer q.close()
+	scan := &stageplan.Stage{ID: 1, Plan: singleNodePlan(t, q6SQL), Table: "lineitem", Eager: true}
+
+	ps, err := q.stagePayloads(0, scan, 2, refs, nil, nil, boundarySpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(&ps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps[0].Boundary != nil || bytes.Contains(body, []byte(`"boundary"`)) || !bytes.Contains(body, []byte(`"plan"`)) {
+		t.Errorf("single-scope payload = %s, want a plan and no boundary spec", body)
+	}
+
+	scan.Output = &stageplan.Output{Keys: []string{"l_orderkey"}, Partitions: 5, Variant: exchange.Variant{Levels: 2, WriteCombining: true}}
+	byID := map[int]*stageRun{scan.ID: {st: scan, payloads: ps}}
+	ns := boundarySpec{Buckets: []string{"b0", "b1"}, Prefix: "fn/q1/e3", PollNs: 5, MaxWaitNs: 7, SealTable: "fn-stages"}
+	groups := exchange.Groups(scan.Output.Partitions)
+	if ps, err = q.stagePayloads(3, regroupStage(scan), groups, nil, byID, nil, ns); err != nil {
+		t.Fatal(err)
+	}
+	if len(ps) != groups {
+		t.Fatalf("regroup fleet = %d payloads, want Groups(5) = %d", len(ps), groups)
+	}
+	rg := ps[groups-1]
+	if body, err = json.Marshal(&rg); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(body, []byte(`"plan"`)) {
+		t.Errorf("regroup payload carries a plan: %s", body)
+	}
+	var back workerPayload
+	if err := json.Unmarshal(body, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, rg) {
+		t.Errorf("regroup payload did not round-trip:\n got %+v\nwant %+v", back, rg)
+	}
+	if in := back.Boundary.Inputs; back.StageID != regroupStageID(scan.ID) || len(in) != 1 || in[0].StageID != scan.ID ||
+		in[0].Senders != 2 || in[0].Variant != scan.Output.Variant || !reflect.DeepEqual(back.Boundary.Output, scan.Output) {
+		t.Errorf("regroup payload = %s, want the producer's boundary as its one input and its output", body)
+	}
+
+	ctx := &lambdasvc.Ctx{Env: d.env, MemoryMiB: d.cfg.WorkerMemoryMiB}
+	if _, err := d.sess.executeFragment(ctx, d.sess.newRetryScope(1), &workerPayload{QueryID: "q1"}); err == nil {
+		t.Error("a payload with neither plan nor boundary was executed")
+	}
+}
 
 // TestStagedMultiLevelByteIdentity forces every stage boundary through the
 // multi-level protocol (one regroup round) at a small partition count the

@@ -7,11 +7,12 @@ import (
 	"lambada/internal/awssim/simenv"
 )
 
-// Admission is the deployment-wide invocation budget of a resident session:
-// every query running on the session acquires tokens from one shared pool
-// before invoking workers, so a thousand-worker fleet cannot starve an
-// interactive query of invocation capacity — admission replaces the old
-// per-query DriverPacing as the launch governor.
+// Admission is the launch governor of the stage scheduler. Shared by a
+// resident session it is the deployment-wide invocation budget: every query
+// running on the session acquires tokens from one pool before invoking
+// workers, so a thousand-worker fleet cannot starve an interactive query of
+// invocation capacity. A session without a cap gives each query a private
+// unlimited controller, which leaves only the pacer.
 //
 // Token accounting is exact by construction: the scheduler acquires exactly
 // as many tokens as containers its Invoke call will spawn (one for a direct
@@ -127,10 +128,10 @@ func (a *Admission) Release(n int) {
 	a.mu.Unlock()
 }
 
-// Pace charges one Invoke API slot against the shared rate pacer, sleeping
-// the caller until its slot: concurrent queries interleave at the
+// Pace charges one Invoke API slot against the rate pacer, sleeping the
+// caller until its slot: queries sharing the controller interleave at the
 // deployment's effective invocation rate instead of each assuming the full
-// rate. Nil receivers are no-ops (each query then paces its own launches).
+// rate. Nil receivers are no-ops.
 func (a *Admission) Pace(env simenv.Env) {
 	if a == nil {
 		return

@@ -14,6 +14,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -27,6 +28,7 @@ import (
 	"lambada/internal/driver"
 	"lambada/internal/qaas"
 	"lambada/internal/simclock"
+	"lambada/internal/sqlfe"
 )
 
 // Runner executes one query-service request against the deployment's
@@ -209,14 +211,44 @@ type QueryResponse struct {
 	QaaS    *QaaSJSON       `json:"qaas,omitempty"`
 }
 
+const (
+	// maxBodyBytes bounds a request body: the largest legitimate one is a
+	// SQL text with its parameters.
+	maxBodyBytes = 1 << 20
+	// maxPartitions bounds the "partitions" override, which sizes a worker
+	// fleet and its payload slice from the request body: 4096 workers is the
+	// paper's largest fleet (§4.2 spawns 4k functions).
+	maxPartitions = 4096
+)
+
+// decodeBody reads a request's JSON body into v, at most maxBodyBytes of it.
+// On failure it has answered — 413 for an oversized body, 400 for a
+// malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, "bad request body: "+err.Error(), code)
+	return false
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	if req.Partitions < 0 || req.Partitions > maxPartitions {
+		http.Error(w, fmt.Sprintf(`"partitions" %d outside [0, %d]`, req.Partitions, maxPartitions), http.StatusBadRequest)
 		return
 	}
 	sql := req.SQL
@@ -238,6 +270,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Parsed here, not in the runner: SQL that does not parse is the
+	// client's error and never takes a slot of a DES batch.
+	plan, err := sqlfe.Parse(sql)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+
 	scfg := s.cfg.Stage
 	if req.Partitions > 0 {
 		scfg.Partitions = req.Partitions
@@ -246,11 +286,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var rep *driver.Report
 	runErr := s.cfg.Runner.Run(func(env simenv.Env) error {
 		var qerr error
-		out, rep, qerr = s.cfg.Session.RunSQLStaged(env, sql, s.cfg.Tables, scfg)
+		out, rep, qerr = s.cfg.Session.RunPlanStaged(env, plan, s.cfg.Tables, scfg)
 		return qerr
 	})
 	if runErr != nil {
-		http.Error(w, runErr.Error(), http.StatusInternalServerError)
+		code := http.StatusInternalServerError
+		if errors.Is(runErr, driver.ErrInvalidPlan) {
+			code = http.StatusBadRequest
+		}
+		http.Error(w, runErr.Error(), code)
 		return
 	}
 	s.mu.Lock()
@@ -301,8 +345,7 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InvalidateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Table == "" {

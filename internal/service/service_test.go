@@ -185,6 +185,46 @@ func TestServeParams(t *testing.T) {
 	}
 }
 
+// TestServeRejectsBadInput: whatever is wrong with a request is answered
+// 4xx with the reason, never 500 and never by running a fleet — SQL that
+// does not parse, SQL that parses but does not plan against the tables,
+// a fan-in outside [0, maxPartitions], a body that is not JSON or is larger
+// than maxBodyBytes. The service stays up and answers the next valid request.
+func TestServeRejectsBadInput(t *testing.T) {
+	ts, sess := newLocalServer(t)
+	before, _ := sess.Deployment().Lambda.Invocations()
+	huge := `{"sql": "` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"unparsable SQL", "/query", `{"sql": "SELEKT 1"}`, http.StatusBadRequest},
+		{"unknown column", "/query", `{"sql": "SELECT SUM(no_such_column) AS s FROM lineitem"}`, http.StatusBadRequest},
+		{"unknown table", "/query", `{"sql": "SELECT COUNT(*) AS n FROM nosuch"}`, http.StatusBadRequest},
+		{"huge partitions", "/query", `{"name": "q1", "partitions": 100000000}`, http.StatusBadRequest},
+		{"negative partitions", "/query", `{"name": "q1", "partitions": -1}`, http.StatusBadRequest},
+		{"malformed body", "/query", `{"name": `, http.StatusBadRequest},
+		{"oversized body", "/query", huge, http.StatusRequestEntityTooLarge},
+		{"oversized invalidate", "/invalidate", huge, http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || len(bytes.TrimSpace(msg)) == 0 {
+			t.Errorf("%s: status %d %q, want %d with a reason", tc.name, resp.StatusCode, msg, tc.want)
+		}
+	}
+	if after, _ := sess.Deployment().Lambda.Invocations(); after != before {
+		t.Errorf("rejected requests invoked %d workers", after-before)
+	}
+	if resp, raw := postJSON(t, ts.URL+"/query", QueryRequest{Name: "q1", Partitions: maxPartitions / 1024}); resp.StatusCode != http.StatusOK {
+		t.Errorf("valid request after the rejected ones: %d: %s", resp.StatusCode, raw)
+	}
+}
+
 // TestServeDESConcurrent: the DES runner batches concurrent HTTP requests
 // into concurrent virtual-time queries on one simulated deployment — the
 // service-layer face of the interleaved-session acceptance test.
