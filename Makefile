@@ -30,11 +30,14 @@ race-staged:
 scale-smoke:
 	$(GO) test -run 'TestStagedQ12ScaleSmoke|TestMultiLevelRequestsMatchModel' -v -timeout 10m ./internal/driver/ ./internal/exchange/
 
-# fuzz-smoke fuzzes the exchange's key codec for ten seconds from the seed
-# corpus in internal/exchange/testdata/fuzz: parsing arbitrary bytes must
-# return a key or a typed error, and parse must invert String.
+# fuzz-smoke fuzzes the two parsers of outside bytes for five seconds each
+# from the seed corpora under their testdata/fuzz: the exchange's key codec
+# (a key or a typed error, and parse inverts String) and the lpq reader
+# (OpenReader + ReadAll: a typed error or a valid chunk, never a panic, no
+# allocation the input cannot back).
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzBoundaryKey -fuzztime=10s ./internal/exchange/
+	$(GO) test -run=NONE -fuzz=FuzzBoundaryKey -fuzztime=5s ./internal/exchange/
+	$(GO) test -run=NONE -fuzz=FuzzOpenReadAll -fuzztime=5s ./internal/lpq/
 
 # chaos runs the deterministic fault-injection suites race-instrumented:
 # the injector/resilience unit tests, the per-service fault tests, and the

@@ -408,9 +408,10 @@
 //
 // internal/obs is a dependency-free, virtual-clock tracing and metrics
 // layer threaded through the whole query lifecycle. A deployment runs
-// traced after Deployment.EnableTracing(obs.New()); a nil tracer is the
-// no-op tracer, so the instrumented call sites cost nothing when tracing
-// is off. Spans form a tree:
+// traced after Deployment.EnableTracing(obs.New()), which installs the
+// tracer on the meter (cost) and on S3 and Lambda (op and invoke spans); a
+// nil tracer is the no-op tracer, so the instrumented call sites cost
+// nothing when tracing is off. Spans form a tree:
 //
 //	query    one driver query, whichever entrance planned it
 //	stage    one stage run of its plan (a single-scope query has one; a
@@ -420,22 +421,42 @@
 //	op       one substrate call (s3.getrange, sqs.Receive, dynamo.PutIf,
 //	         lambda.start, …; tags carry retries and outcome)
 //
-// Cost attribution is exact, not sampled: services charge the tracer at
-// the same points they charge the pricing meter, each billed request
-// lands on the innermost span bound to the acting environment, and
-// summing obs.Cost over all spans reproduces the Report's meter deltas
-// integer-exactly (request counts, S3 read bytes, Lambda MiB·ns — the
-// cost-attribution test pins equality). To make that hold, a traced query
+// Cost accounting has one unit and one ledger. obs.Cost is the unit: exact
+// integers — request counts per service, S3 bytes read, Lambda duration as
+// MiB·ns. pricing.CostMeter is the ledger: every billed unit is added to
+// it once, by CostMeter.Charge(env, cost) at the point the service bills
+// it (ChargeSpan for the Lambda duration, which belongs to its invocation
+// span), and the same call forwards the charge to the installed tracer,
+// where it lands on the innermost span bound to the acting environment.
+// Dollars are never accumulated: pricing.Bill is the only place a count
+// meets a price, and CostMeter.Get/Count/Total, Report.TotalCost, the
+// profile's dollar columns, the service's /stats and the analytic models
+// (exchange.RequestCount.Cost, the stage planner's regroup overhead) all
+// derive from it — so totals are deterministic and independent of charge
+// order. Count(label) is the label's units: requests, except
+// "lambda.duration", which reads billed MiB·ns.
+//
+// A query's Report.Cost is the meter's movement over its window
+// (Meter.Cost().Sub(before)); the window is deployment-wide, so queries
+// that overlap on one session see each other's spend in it. The traced
+// Profile().Cost — the sum over the query's own span subtree — is the
+// exact per-query figure, and because spans are charged by the ledger
+// itself it equals the meter's movement by construction, integer-exactly:
+// the cost-attribution tests pin Profile().Cost == Report.Cost for a lone
+// query under the chaos and crash plans, and the sum of two concurrent
+// queries' profiles against the meter. To make that hold, a traced query
 // closes its cost window only after the Lambda service runs no invocation
 // — so a traced Report.Duration includes the straggler-loser tail that an
 // untraced run's Duration excludes.
 //
 // Everything downstream is derived from the span tree. Report.Profile
 // folds it into an EXPLAIN ANALYZE record: per-stage wall time, attempt
-// counts, rows and shuffle bytes, billed cost in exact units and dollars
-// (driver.CostUSD), plus the critical path — obs.CriticalPath extracts
-// the latency-bounding chain, whose segments tile the query span exactly,
-// so their durations sum to the end-to-end virtual latency. The CLI
+// counts, rows and shuffle bytes, billed cost in exact units and dollars,
+// plus the critical path — obs.CriticalPath extracts the latency-bounding
+// chain with one sorted sweep (near-linear; the quadratic definition is
+// kept as the test reference), whose segments tile the query span exactly,
+// so their durations sum to the end-to-end virtual latency. The analyses
+// share one obs.Tree, the recording's child index. The CLI
 // prints it under -profile and writes a Chrome trace-event JSON file
 // under -trace-out (loadable in Perfetto; validated by cmd/tracecheck and
 // `make trace-smoke`). Timestamps come from the virtual clock and span

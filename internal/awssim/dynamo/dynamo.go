@@ -61,19 +61,6 @@ type Service struct {
 	tables map[string]map[string][]byte
 	rng    *rand.Rand
 	rngMu  sync.Mutex
-	// trace receives billed-request attribution (nil = off), charged
-	// adjacent to every Meter.Charge.
-	trace *obs.Tracer
-}
-
-// SetTracer installs the tracer billed requests are attributed to. Must be
-// set before traffic; nil disables attribution.
-func (s *Service) SetTracer(tr *obs.Tracer) { s.trace = tr }
-
-func (s *Service) chargeTrace(env simenv.Env, c obs.Cost) {
-	if s.trace != nil {
-		s.trace.ChargeTo(env, c)
-	}
 }
 
 // New returns a service with the given configuration.
@@ -104,8 +91,7 @@ func (s *Service) Put(env simenv.Env, table, key string, value []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchTable, table)
 	}
-	s.cfg.Meter.Charge(pricing.LabelDynamoWrite, pricing.DynamoWrite)
-	s.chargeTrace(env, obs.Cost{DynamoWrites: 1})
+	s.cfg.Meter.Charge(env, obs.Cost{DynamoWrites: 1})
 	s.sleep(env, s.cfg.WriteLatency)
 	s.mu.Lock()
 	t, ok := s.tables[table]
@@ -142,8 +128,7 @@ func (s *Service) PutIf(env simenv.Env, table, key string, value, expect []byte)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchTable, table)
 	}
-	s.cfg.Meter.Charge(pricing.LabelDynamoWrite, pricing.DynamoWrite)
-	s.chargeTrace(env, obs.Cost{DynamoWrites: 1})
+	s.cfg.Meter.Charge(env, obs.Cost{DynamoWrites: 1})
 	s.sleep(env, s.cfg.WriteLatency)
 	s.mu.Lock()
 	t, ok := s.tables[table]
@@ -189,8 +174,7 @@ func (s *Service) Get(env simenv.Env, table, key string) ([]byte, error) {
 		copy(cp, v)
 	}
 	s.mu.Unlock()
-	s.cfg.Meter.Charge(pricing.LabelDynamoRead, pricing.DynamoRead)
-	s.chargeTrace(env, obs.Cost{DynamoReads: 1})
+	s.cfg.Meter.Charge(env, obs.Cost{DynamoReads: 1})
 	s.sleep(env, s.cfg.ReadLatency)
 	if !okKey {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchItem, table, key)
@@ -208,8 +192,7 @@ func (s *Service) Delete(env simenv.Env, table, key string) error {
 	}
 	delete(t, key)
 	s.mu.Unlock()
-	s.cfg.Meter.Charge(pricing.LabelDynamoWrite, pricing.DynamoWrite)
-	s.chargeTrace(env, obs.Cost{DynamoWrites: 1})
+	s.cfg.Meter.Charge(env, obs.Cost{DynamoWrites: 1})
 	s.sleep(env, s.cfg.WriteLatency)
 	return nil
 }
@@ -242,8 +225,7 @@ func (s *Service) Scan(env simenv.Env, table, prefix string) ([]Item, error) {
 	if n == 0 {
 		n = 1
 	}
-	s.cfg.Meter.ChargeN(pricing.LabelDynamoRead, n, pricing.USD(n)*pricing.DynamoRead)
-	s.chargeTrace(env, obs.Cost{DynamoReads: n})
+	s.cfg.Meter.Charge(env, obs.Cost{DynamoReads: n})
 	s.sleep(env, s.cfg.ReadLatency)
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil

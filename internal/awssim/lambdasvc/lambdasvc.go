@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lambada/internal/awssim/faults"
@@ -168,13 +167,9 @@ type Service struct {
 	invokes int64
 	colds   int64
 	rng     *rand.Rand
-	// trace receives invocation spans and billed-cost attribution; nil
-	// (the default) traces nothing. Set before use via SetTracer.
+	// trace receives invocation spans; nil (the default) traces nothing.
+	// Set before use via SetTracer. Billed cost reaches it through the meter.
 	trace *obs.Tracer
-	// billedMiBNs accumulates billed duration as exact memoryMiB·ns — the
-	// integer counterpart of the meter's float GB-second dollars, so span
-	// sums can be compared to service totals without rounding.
-	billedMiBNs atomic.Int64
 	// onSettle, when set, runs in the worker's environment every time a
 	// container finishes — handler return, timeout and crash paths alike
 	// (wherever the running gauge decrements). A resident session's
@@ -183,8 +178,8 @@ type Service struct {
 	onSettle func(env simenv.Env)
 }
 
-// SetTracer installs the tracer invocation spans and cost attribution are
-// recorded on. Must be set before traffic; nil disables tracing.
+// SetTracer installs the tracer invocation spans are recorded on. Must be
+// set before traffic; nil disables them.
 func (s *Service) SetTracer(tr *obs.Tracer) { s.trace = tr }
 
 // SetCompletionHook installs fn, called in the worker's environment each
@@ -199,7 +194,7 @@ func (s *Service) SetCompletionHook(fn func(env simenv.Env)) {
 
 // BilledMiBNs returns the cumulative billed duration over all
 // invocations, in exact memoryMiB·nanoseconds.
-func (s *Service) BilledMiBNs() int64 { return s.billedMiBNs.Load() }
+func (s *Service) BilledMiBNs() int64 { return s.cfg.Meter.Cost().LambdaMiBNs }
 
 // New returns a service running workers on rt.
 func New(cfg Config, rt Runtime) *Service {
@@ -305,11 +300,10 @@ func (s *Service) Invoke(env simenv.Env, name string, payload []byte, opts Invok
 		}
 	}
 
-	s.cfg.Meter.Charge(pricing.LabelLambdaRequests, pricing.LambdaPerRequest)
 	// The caller pays for the Invoke request; the charge lands on
 	// whatever span its environment is bound to (stage launch, retry op).
+	s.cfg.Meter.Charge(env, obs.Cost{LambdaInvokes: 1})
 	tr := s.trace
-	tr.ChargeTo(env, obs.Cost{LambdaInvokes: 1})
 
 	// The worker begins after roughly half the caller's round trip (the
 	// request leg) plus its container start delay.
@@ -370,10 +364,7 @@ func (s *Service) Invoke(env simenv.Env, name string, payload []byte, opts Invok
 		}
 		// A mid-run crash bills the partial duration: the work ran until the
 		// instant the container died.
-		s.cfg.Meter.Charge(pricing.LabelLambdaDuration, pricing.LambdaDuration(f.MemoryMiB, dur))
-		billed := int64(f.MemoryMiB) * int64(dur)
-		s.billedMiBNs.Add(billed)
-		tr.AddCost(span, obs.Cost{LambdaMiBNs: billed})
+		s.cfg.Meter.ChargeSpan(span, obs.Cost{LambdaMiBNs: int64(f.MemoryMiB) * int64(dur)})
 		if crashed {
 			tr.SetTag(span, "fault", "crash-mid-run")
 		}

@@ -6,9 +6,10 @@ package pricing
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
+
+	"lambada/internal/obs"
 )
 
 // USD is an amount of money in US dollars.
@@ -77,14 +78,6 @@ var (
 	C5N18XLarge = VMType{Name: "c5n.18xlarge", HourlyUSD: 3.888, VCPUs: 72, MemoryGiB: 192, NetworkGbs: 100, ScanBps: 9e9}
 )
 
-// LambdaDuration returns the duration cost of a function with memoryMiB of
-// memory running for d. AWS bills in 1 ms increments; we bill exact time,
-// which is indistinguishable at the scales reported.
-func LambdaDuration(memoryMiB int, d time.Duration) USD {
-	gib := float64(memoryMiB) / 1024.0
-	return USD(gib*d.Seconds()) * LambdaGBSecond
-}
-
 // QaaSScan returns the QaaS price of scanning n bytes.
 func QaaSScan(n int64) USD {
 	return QaaSPerTiB * USD(float64(n)/(1<<40))
@@ -96,94 +89,141 @@ func VMCost(t VMType, count int, d time.Duration) USD {
 	return t.HourlyUSD * USD(float64(count)*d.Hours())
 }
 
-// CostMeter accumulates usage-based cost by category. It is safe for
-// concurrent use (the functional layer exercises services from many real
-// goroutines).
+// Line is one line of a bill: the units counted under a label and their
+// price.
+type Line struct {
+	Label string
+	Count int64
+	USD   USD
+}
+
+// Bill prices c: one line per label with a nonzero count, in label order,
+// and their sum. This is the only place a count is multiplied by a price —
+// dollars are derived from integer counts on demand, never accumulated.
+func Bill(c obs.Cost) (lines []Line, total USD) {
+	// Every billed field of obs.Cost with its unit price. S3ReadBytes is
+	// absent: transfer into Lambda is free, the bytes are only counted.
+	tariff := [...]Line{
+		{LabelDynamoRead, c.DynamoReads, DynamoRead},
+		{LabelDynamoWrite, c.DynamoWrites, DynamoWrite},
+		// AWS bills in 1 ms increments; we bill exact MiB·ns, which is
+		// indistinguishable at the scales reported.
+		{LabelLambdaDuration, c.LambdaMiBNs, LambdaGBSecond / 1024 / 1e9},
+		{LabelLambdaRequests, c.LambdaInvokes, LambdaPerRequest},
+		{LabelS3List, c.S3List, S3List},
+		{LabelS3Read, c.S3Get, S3Read},
+		{LabelS3Write, c.S3Put, S3Write},
+		{LabelSQS, c.SQSRequests, SQSPerRequest},
+	}
+	lines = make([]Line, 0, len(tariff))
+	for _, l := range tariff {
+		if l.Count != 0 {
+			l.USD *= USD(l.Count)
+			lines = append(lines, l)
+			total += l.USD
+		}
+	}
+	return lines, total
+}
+
+// Price returns the total of c's bill.
+func Price(c obs.Cost) USD {
+	_, total := Bill(c)
+	return total
+}
+
+// CostMeter is the deployment's ledger: the one integer total every billed
+// unit is added to, once. When a tracer is installed the same call also
+// attributes the charge to a span, so the span tree sums to the meter by
+// construction. It is safe for concurrent use (the functional layer
+// exercises services from many real goroutines); a nil meter is a no-op.
 type CostMeter struct {
-	mu      sync.Mutex
-	byLabel map[string]USD
-	counts  map[string]int64
+	mu    sync.Mutex
+	total obs.Cost
+	trace *obs.Tracer
 }
 
 // NewCostMeter returns an empty meter.
-func NewCostMeter() *CostMeter {
-	return &CostMeter{byLabel: make(map[string]USD), counts: make(map[string]int64)}
-}
+func NewCostMeter() *CostMeter { return &CostMeter{} }
 
-// Charge adds amount under the given label and counts one event.
-func (m *CostMeter) Charge(label string, amount USD) {
+// SetTracer installs the tracer charges are attributed to. Must be set
+// before traffic; nil disables attribution.
+func (m *CostMeter) SetTracer(tr *obs.Tracer) { m.trace = tr }
+
+// Charge bills c, attributing it to the innermost span bound to env (the
+// calling simulation environment).
+func (m *CostMeter) Charge(env any, c obs.Cost) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	m.byLabel[label] += amount
-	m.counts[label]++
-	m.mu.Unlock()
+	m.add(c)
+	m.trace.ChargeTo(env, c)
 }
 
-// ChargeN adds amount under label, counting n events.
-func (m *CostMeter) ChargeN(label string, n int64, amount USD) {
+// ChargeSpan bills c, attributing it to span directly (0 = no span).
+func (m *CostMeter) ChargeSpan(span obs.SpanID, c obs.Cost) {
 	if m == nil {
 		return
 	}
+	m.add(c)
+	m.trace.AddCost(span, c)
+}
+
+func (m *CostMeter) add(c obs.Cost) {
 	m.mu.Lock()
-	m.byLabel[label] += amount
-	m.counts[label] += n
+	m.total.Add(c)
 	m.mu.Unlock()
 }
 
-// Total returns the sum over all labels.
-func (m *CostMeter) Total() USD {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var t USD
-	for _, v := range m.byLabel {
-		t += v
+// Cost returns everything billed so far; a window's bill is the difference
+// of two readings (Cost.Sub).
+func (m *CostMeter) Cost() obs.Cost {
+	if m == nil {
+		return obs.Cost{}
 	}
-	return t
-}
-
-// Get returns the accumulated amount for one label.
-func (m *CostMeter) Get(label string) USD {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.byLabel[label]
+	return m.total
 }
 
-// Count returns the number of events charged under label.
-func (m *CostMeter) Count(label string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counts[label]
+// Total returns the price of everything billed so far.
+func (m *CostMeter) Total() USD { return Price(m.Cost()) }
+
+// Get returns the billed amount for one label.
+func (m *CostMeter) Get(label string) USD { return m.line(label).USD }
+
+// Count returns the units billed under label: requests, or MiB·ns for
+// LabelLambdaDuration.
+func (m *CostMeter) Count(label string) int64 { return m.line(label).Count }
+
+func (m *CostMeter) line(label string) Line {
+	lines, _ := Bill(m.Cost())
+	for _, l := range lines {
+		if l.Label == label {
+			return l
+		}
+	}
+	return Line{}
 }
 
-// Labels returns all labels in sorted order.
+// Labels returns the labels billed so far, in sorted order.
 func (m *CostMeter) Labels() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.byLabel))
-	for l := range m.byLabel {
-		out = append(out, l)
+	lines, _ := Bill(m.Cost())
+	out := make([]string, len(lines))
+	for i, l := range lines {
+		out[i] = l.Label
 	}
-	sort.Strings(out)
 	return out
-}
-
-// Reset clears the meter.
-func (m *CostMeter) Reset() {
-	m.mu.Lock()
-	m.byLabel = make(map[string]USD)
-	m.counts = make(map[string]int64)
-	m.mu.Unlock()
 }
 
 // Breakdown returns a formatted multi-line cost report.
 func (m *CostMeter) Breakdown() string {
+	lines, total := Bill(m.Cost())
 	s := ""
-	for _, l := range m.Labels() {
-		s += fmt.Sprintf("%-24s %12s  (%d events)\n", l, m.Get(l), m.Count(l))
+	for _, l := range lines {
+		s += fmt.Sprintf("%-24s %12s  (%d units)\n", l.Label, l.USD, l.Count)
 	}
-	s += fmt.Sprintf("%-24s %12s\n", "TOTAL", m.Total())
+	s += fmt.Sprintf("%-24s %12s\n", "TOTAL", total)
 	return s
 }
 

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lambada/internal/awssim/faults"
@@ -126,37 +125,14 @@ type Service struct {
 	cfg     Config
 	buckets map[string]*bucket
 	rng     *lockedRand
-	// readBytes totals the billed bytes served by Get/GetRange.
-	readBytes atomic.Int64
-	// trace receives billed-cost attribution (nil = off). Each chargeTrace
-	// call sits adjacent to the matching Meter.Charge, so summing span
-	// costs reproduces the meter movement exactly.
+	// trace is the tracer the clients' op spans are recorded on (nil =
+	// off); billed cost reaches it through the meter.
 	trace *obs.Tracer
 }
 
-// SetTracer installs the tracer billed requests are attributed to. Must be
-// set before traffic; nil disables attribution.
+// SetTracer installs the tracer clients open op spans on. Must be set
+// before traffic; nil disables them.
 func (s *Service) SetTracer(tr *obs.Tracer) { s.trace = tr }
-
-// chargeTrace attributes one billed request under label to the span bound
-// to env's environment.
-func (s *Service) chargeTrace(env simenv.Env, label string) {
-	if s.trace == nil {
-		return
-	}
-	var c obs.Cost
-	switch label {
-	case pricing.LabelS3Read:
-		c.S3Get = 1
-	case pricing.LabelS3Write:
-		c.S3Put = 1
-	case pricing.LabelS3List:
-		c.S3List = 1
-	default:
-		return
-	}
-	s.trace.ChargeTo(env, c)
-}
 
 // New returns a service with the given configuration.
 func New(cfg Config) *Service {
@@ -232,25 +208,20 @@ func (s *Service) TotalBytes(name string) int64 {
 // injected applies a fault-plan decision to one request. An injected
 // SlowDown returns unbilled and immediately, exactly like the organic
 // rate-window rejection it mimics. Transient 500s and timeouts model
-// requests that reached the service and failed there: they are billed (a
-// charge label given) and pay the request latency before erring — so a
-// chaos run's retry inflation is visible in the meter's request counts.
-func (s *Service) injected(env simenv.Env, f faults.Fault, label string, price pricing.USD, lat netmodel.Dist) error {
+// requests that reached the service and failed there: they are billed
+// (bill is the request's charge; zero for free requests) and pay the
+// request latency before erring — so a chaos run's retry inflation is
+// visible in the meter's request counts.
+func (s *Service) injected(env simenv.Env, f faults.Fault, bill obs.Cost, lat netmodel.Dist) error {
 	switch f.Kind {
 	case faults.KindSlowDown:
 		return ErrSlowDown
 	case faults.KindTransient:
-		if label != "" {
-			s.cfg.Meter.Charge(label, price)
-			s.chargeTrace(env, label)
-		}
+		s.cfg.Meter.Charge(env, bill)
 		s.sleepDist(env, lat)
 		return fmt.Errorf("s3: %w", faults.ErrInternal)
 	case faults.KindTimeout:
-		if label != "" {
-			s.cfg.Meter.Charge(label, price)
-			s.chargeTrace(env, label)
-		}
+		s.cfg.Meter.Charge(env, bill)
 		s.sleepDist(env, lat)
 		return fmt.Errorf("s3: %w", faults.ErrTimeout)
 	}
@@ -260,7 +231,7 @@ func (s *Service) injected(env simenv.Env, f faults.Fault, label string, price p
 // put stores an object after rate-limit and latency accounting.
 func (s *Service) put(env simenv.Env, bucketName, key string, obj *Object) error {
 	if f, ok := s.cfg.Faults.Next(faults.OpS3Put); ok {
-		if err := s.injected(env, f, pricing.LabelS3Write, pricing.S3Write, s.cfg.PutLatency); err != nil {
+		if err := s.injected(env, f, obs.Cost{S3Put: 1}, s.cfg.PutLatency); err != nil {
 			return err
 		}
 	}
@@ -277,8 +248,7 @@ func (s *Service) put(env simenv.Env, bucketName, key string, obj *Object) error
 	b.puts++
 	s.mu.Unlock()
 
-	s.cfg.Meter.Charge(pricing.LabelS3Write, pricing.S3Write)
-	s.chargeTrace(env, pricing.LabelS3Write)
+	s.cfg.Meter.Charge(env, obs.Cost{S3Put: 1})
 	s.sleepDist(env, s.cfg.PutLatency)
 
 	s.mu.Lock()
@@ -312,7 +282,7 @@ func (s *Service) PutSynthetic(env simenv.Env, bucketName, key string, size int6
 // Head returns object metadata without transferring data. Charged as a read.
 func (s *Service) Head(env simenv.Env, bucketName, key string) (int64, error) {
 	if f, ok := s.cfg.Faults.Next(faults.OpS3Get); ok {
-		if err := s.injected(env, f, pricing.LabelS3Read, pricing.S3Read, s.cfg.GetLatency); err != nil {
+		if err := s.injected(env, f, obs.Cost{S3Get: 1}, s.cfg.GetLatency); err != nil {
 			return 0, err
 		}
 	}
@@ -330,8 +300,7 @@ func (s *Service) Head(env simenv.Env, bucketName, key string) (int64, error) {
 	o, okKey := b.objects[key]
 	s.mu.Unlock()
 
-	s.cfg.Meter.Charge(pricing.LabelS3Read, pricing.S3Read)
-	s.chargeTrace(env, pricing.LabelS3Read)
+	s.cfg.Meter.Charge(env, obs.Cost{S3Get: 1})
 	s.sleepDist(env, s.cfg.GetLatency)
 	if !okKey {
 		return 0, fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bucketName, key)
@@ -343,7 +312,7 @@ func (s *Service) Head(env simenv.Env, bucketName, key string) (int64, error) {
 // the object.
 func (s *Service) get(env simenv.Env, bucketName, key string) (*Object, error) {
 	if f, ok := s.cfg.Faults.Next(faults.OpS3Get); ok {
-		if err := s.injected(env, f, pricing.LabelS3Read, pricing.S3Read, s.cfg.GetLatency); err != nil {
+		if err := s.injected(env, f, obs.Cost{S3Get: 1}, s.cfg.GetLatency); err != nil {
 			return nil, err
 		}
 	}
@@ -361,8 +330,7 @@ func (s *Service) get(env simenv.Env, bucketName, key string) (*Object, error) {
 	o, okKey := b.objects[key]
 	s.mu.Unlock()
 
-	s.cfg.Meter.Charge(pricing.LabelS3Read, pricing.S3Read)
-	s.chargeTrace(env, pricing.LabelS3Read)
+	s.cfg.Meter.Charge(env, obs.Cost{S3Get: 1})
 	s.sleepDist(env, s.cfg.GetLatency)
 	if !okKey {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bucketName, key)
@@ -376,10 +344,7 @@ func (s *Service) Get(env simenv.Env, bucketName, key string) ([]byte, int64, er
 	if err != nil {
 		return nil, 0, err
 	}
-	s.readBytes.Add(o.Size)
-	if s.trace != nil {
-		s.trace.ChargeTo(env, obs.Cost{S3ReadBytes: o.Size})
-	}
+	s.cfg.Meter.Charge(env, obs.Cost{S3ReadBytes: o.Size})
 	if o.data == nil {
 		return nil, o.Size, nil
 	}
@@ -406,10 +371,7 @@ func (s *Service) GetRange(env simenv.Env, bucketName, key string, off, n int64)
 	if off+n > o.Size {
 		n = o.Size - off
 	}
-	s.readBytes.Add(n)
-	if s.trace != nil {
-		s.trace.ChargeTo(env, obs.Cost{S3ReadBytes: n})
-	}
+	s.cfg.Meter.Charge(env, obs.Cost{S3ReadBytes: n})
 	if o.data == nil {
 		return nil, n, nil
 	}
@@ -430,7 +392,7 @@ type ListEntry struct {
 // paper's exchange groups stay below that).
 func (s *Service) List(env simenv.Env, bucketName, prefix string) ([]ListEntry, error) {
 	if f, ok := s.cfg.Faults.Next(faults.OpS3List); ok {
-		if err := s.injected(env, f, pricing.LabelS3List, pricing.S3List, s.cfg.ListLatency); err != nil {
+		if err := s.injected(env, f, obs.Cost{S3List: 1}, s.cfg.ListLatency); err != nil {
 			return nil, err
 		}
 	}
@@ -453,8 +415,7 @@ func (s *Service) List(env simenv.Env, bucketName, prefix string) ([]ListEntry, 
 	}
 	s.mu.Unlock()
 
-	s.cfg.Meter.Charge(pricing.LabelS3List, pricing.S3List)
-	s.chargeTrace(env, pricing.LabelS3List)
+	s.cfg.Meter.Charge(env, obs.Cost{S3List: 1})
 	s.sleepDist(env, s.cfg.ListLatency)
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
@@ -463,7 +424,7 @@ func (s *Service) List(env simenv.Env, bucketName, prefix string) ([]ListEntry, 
 // Delete removes an object. Deletes are free on AWS; only latency applies.
 func (s *Service) Delete(env simenv.Env, bucketName, key string) error {
 	if f, ok := s.cfg.Faults.Next(faults.OpS3Delete); ok {
-		if err := s.injected(env, f, "", 0, s.cfg.PutLatency); err != nil {
+		if err := s.injected(env, f, obs.Cost{}, s.cfg.PutLatency); err != nil {
 			return err
 		}
 	}
@@ -486,7 +447,7 @@ func (s *Service) Delete(env simenv.Env, bucketName, key string) error {
 // stale-drain collector sweeps boundary namespaces through it.
 func (s *Service) DeleteBatch(env simenv.Env, bucketName string, keys []string) error {
 	if f, ok := s.cfg.Faults.Next(faults.OpS3Delete); ok {
-		if err := s.injected(env, f, "", 0, s.cfg.PutLatency); err != nil {
+		if err := s.injected(env, f, obs.Cost{}, s.cfg.PutLatency); err != nil {
 			return err
 		}
 	}
@@ -523,4 +484,4 @@ func (s *Service) sleepDist(env simenv.Env, d netmodel.Dist) {
 func (s *Service) Meter() *pricing.CostMeter { return s.cfg.Meter }
 
 // ReadBytes returns the total billed bytes served by Get/GetRange.
-func (s *Service) ReadBytes() int64 { return s.readBytes.Load() }
+func (s *Service) ReadBytes() int64 { return s.cfg.Meter.Cost().S3ReadBytes }

@@ -229,30 +229,3 @@ func (e *Immediate) WaitNotifyKey(topic string, d time.Duration) bool {
 		return false
 	}
 }
-
-// Wall is an Env backed by the real clock; Sleep really sleeps. Useful for
-// interactive demos at scaled-down latencies.
-type Wall struct {
-	start time.Time
-	// Scale divides every sleep; 1 means real time, 1000 means sleeps are
-	// a thousandfold shorter.
-	Scale int64
-}
-
-// NewWall returns a wall-clock env with the given time scale (>= 1).
-func NewWall(scale int64) *Wall {
-	if scale < 1 {
-		scale = 1
-	}
-	return &Wall{start: time.Now(), Scale: scale}
-}
-
-// Now returns scaled time since construction.
-func (w *Wall) Now() time.Duration { return time.Since(w.start) * time.Duration(w.Scale) }
-
-// Sleep sleeps d divided by the scale.
-func (w *Wall) Sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d / time.Duration(w.Scale))
-	}
-}

@@ -79,21 +79,6 @@ func TestSleepWithoutSignalStillProgresses(t *testing.T) {
 	}
 }
 
-func TestWallScales(t *testing.T) {
-	w := NewWall(1000)
-	start := time.Now()
-	w.Sleep(100 * time.Millisecond) // real 100µs
-	if real := time.Since(start); real > 50*time.Millisecond {
-		t.Errorf("scaled sleep took %v of real time", real)
-	}
-	if w.Now() <= 0 {
-		t.Error("wall Now not advancing")
-	}
-	if NewWall(0).Scale != 1 {
-		t.Error("scale floor missing")
-	}
-}
-
 // TestImmediateWaitNotify: every wake-up — notified or timed out — charges
 // the full poll of virtual time (like the Sleep-based loop it replaces), so
 // a waiter whose condition never turns true always progresses toward its
@@ -121,6 +106,12 @@ func TestImmediateWaitNotify(t *testing.T) {
 	}
 }
 
+// plainEnv is an Env and nothing more: no Notifier, no keyed signal.
+type plainEnv struct{}
+
+func (plainEnv) Now() time.Duration  { return 0 }
+func (plainEnv) Sleep(time.Duration) {}
+
 // TestBroadcastFallsBackToNotify: Broadcast on a plain Env (no Notifier)
 // must still wake Immediate waiters through the process-wide channel.
 func TestBroadcastFallsBackToNotify(t *testing.T) {
@@ -128,7 +119,7 @@ func TestBroadcastFallsBackToNotify(t *testing.T) {
 	done := make(chan bool)
 	go func() { done <- e.WaitNotify(10 * time.Second) }()
 	time.Sleep(2 * time.Millisecond)
-	Broadcast(NewWall(1)) // Wall implements Env only
+	Broadcast(plainEnv{}) // implements Env only
 	select {
 	case <-done:
 	case <-time.After(time.Second):

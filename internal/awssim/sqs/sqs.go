@@ -66,19 +66,6 @@ type Service struct {
 	cfg    Config
 	queues map[string][]Message
 	rng    *lockedRand
-	// trace receives billed-request attribution (nil = off), charged
-	// adjacent to every Meter.Charge.
-	trace *obs.Tracer
-}
-
-// SetTracer installs the tracer billed requests are attributed to. Must be
-// set before traffic; nil disables attribution.
-func (s *Service) SetTracer(tr *obs.Tracer) { s.trace = tr }
-
-func (s *Service) chargeTrace(env simenv.Env) {
-	if s.trace != nil {
-		s.trace.ChargeTo(env, obs.Cost{SQSRequests: 1})
-	}
 }
 
 type lockedRand struct {
@@ -128,13 +115,11 @@ func (s *Service) DeleteQueue(name string) {
 func (s *Service) injected(env simenv.Env, f faults.Fault, lat netmodel.Dist) error {
 	switch f.Kind {
 	case faults.KindTransient:
-		s.cfg.Meter.Charge(pricing.LabelSQS, pricing.SQSPerRequest)
-		s.chargeTrace(env)
+		s.cfg.Meter.Charge(env, obs.Cost{SQSRequests: 1})
 		s.sleep(env, lat)
 		return fmt.Errorf("sqs: %w", faults.ErrInternal)
 	case faults.KindTimeout:
-		s.cfg.Meter.Charge(pricing.LabelSQS, pricing.SQSPerRequest)
-		s.chargeTrace(env)
+		s.cfg.Meter.Charge(env, obs.Cost{SQSRequests: 1})
 		s.sleep(env, lat)
 		return fmt.Errorf("sqs: %w", faults.ErrTimeout)
 	}
@@ -165,8 +150,7 @@ func (s *Service) Send(env simenv.Env, queue string, body []byte) error {
 	}
 	s.mu.Unlock()
 
-	s.cfg.Meter.Charge(pricing.LabelSQS, pricing.SQSPerRequest)
-	s.chargeTrace(env)
+	s.cfg.Meter.Charge(env, obs.Cost{SQSRequests: 1})
 	// Completion signal: wake pollers parked on this queue's topic — DES
 	// processes in Proc.WaitNotifyKey and Immediate-env pollers blocked in
 	// Sleep — so result collectors react to the message at its exact arrival
@@ -211,32 +195,9 @@ func (s *Service) Receive(env simenv.Env, queue string, max int) ([]Message, err
 	s.queues[queue] = rest
 	s.mu.Unlock()
 
-	s.cfg.Meter.Charge(pricing.LabelSQS, pricing.SQSPerRequest)
-	s.chargeTrace(env)
+	s.cfg.Meter.Charge(env, obs.Cost{SQSRequests: 1})
 	s.sleep(env, s.cfg.ReceiveLatency)
 	return out, nil
-}
-
-// PollAll receives until want messages arrived or maxWait virtual time
-// passed, polling every poll.
-func (s *Service) PollAll(env simenv.Env, queue string, want int, poll, maxWait time.Duration) ([]Message, error) {
-	deadline := env.Now() + maxWait
-	var got []Message
-	for len(got) < want {
-		ms, err := s.Receive(env, queue, 10)
-		if err != nil {
-			return got, err
-		}
-		got = append(got, ms...)
-		if len(got) >= want {
-			break
-		}
-		if env.Now() >= deadline {
-			return got, fmt.Errorf("sqs: poll timeout with %d/%d messages", len(got), want)
-		}
-		env.Sleep(poll)
-	}
-	return got, nil
 }
 
 // Len returns the number of queued messages.

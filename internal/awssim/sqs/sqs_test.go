@@ -75,6 +75,29 @@ func TestPricing(t *testing.T) {
 	}
 }
 
+// pollAll is the driver's result-collection pattern (§3.3) on the bare
+// service: Receive until want messages arrived or maxWait of virtual time
+// passed, sleeping poll between empty-handed rounds.
+func pollAll(s *Service, env simenv.Env, queue string, want int, poll, maxWait time.Duration) ([]Message, error) {
+	deadline := env.Now() + maxWait
+	var got []Message
+	for len(got) < want {
+		ms, err := s.Receive(env, queue, 10)
+		if err != nil {
+			return got, err
+		}
+		got = append(got, ms...)
+		if len(got) >= want {
+			break
+		}
+		if env.Now() >= deadline {
+			return got, fmt.Errorf("sqs: poll timeout with %d/%d messages", len(got), want)
+		}
+		env.Sleep(poll)
+	}
+	return got, nil
+}
+
 func TestPollAllDriverPattern(t *testing.T) {
 	// The driver polls the result queue until it has heard from all
 	// workers (§3.3).
@@ -92,7 +115,7 @@ func TestPollAllDriverPattern(t *testing.T) {
 	var got []Message
 	var err error
 	k.Go("driver", func(p *simclock.Proc) {
-		got, err = s.PollAll(p, "results", workers, 50*time.Millisecond, time.Minute)
+		got, err = pollAll(s, p, "results", workers, 50*time.Millisecond, time.Minute)
 	})
 	k.Run()
 	if err != nil {
@@ -103,7 +126,7 @@ func TestPollAllDriverPattern(t *testing.T) {
 	}
 }
 
-// TestSendWakesImmediatePoller: a PollAll spinning on an Immediate env
+// TestSendWakesImmediatePoller: a Receive loop spinning on an Immediate env
 // (huge virtual budget) must complete promptly in real time once workers
 // Send — the completion signal wakes the poller instead of it riding out
 // per-poll throttles.
@@ -123,7 +146,7 @@ func TestSendWakesImmediatePoller(t *testing.T) {
 	}
 	start := time.Now()
 	driverEnv := simenv.NewImmediate()
-	got, err := s.PollAll(driverEnv, "results", workers, 25*time.Millisecond, 10*time.Minute)
+	got, err := pollAll(s, driverEnv, "results", workers, 25*time.Millisecond, 10*time.Minute)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +165,7 @@ func TestPollAllTimesOut(t *testing.T) {
 	s.CreateQueue("results")
 	var err error
 	k.Go("driver", func(p *simclock.Proc) {
-		_, err = s.PollAll(p, "results", 5, 10*time.Millisecond, 200*time.Millisecond)
+		_, err = pollAll(s, p, "results", 5, 10*time.Millisecond, 200*time.Millisecond)
 	})
 	k.Run()
 	if err == nil {

@@ -190,8 +190,8 @@ func BenchmarkStagedSelectiveScan(b *testing.B) {
 				return
 			}
 			virtual += rep.Duration
-			gets += rep.S3GetRequests
-			bytes += rep.S3ReadBytes
+			gets += rep.Cost.S3Get
+			bytes += rep.Cost.S3ReadBytes
 		})
 		k.Run()
 	}

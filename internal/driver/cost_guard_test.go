@@ -97,21 +97,21 @@ func TestStagedSelectiveScanCostGuard(t *testing.T) {
 		chunksIdentical(t, newOut, want)
 		chunksIdentical(t, newOut2, want)
 
-		if baseRep.S3GetRequests <= 0 || baseRep.S3ReadBytes <= 0 {
+		if baseRep.Cost.S3Get <= 0 || baseRep.Cost.S3ReadBytes <= 0 {
 			t.Fatalf("wc=%v: baseline counters not recorded: %d GETs, %d bytes",
-				wc, baseRep.S3GetRequests, baseRep.S3ReadBytes)
+				wc, baseRep.Cost.S3Get, baseRep.Cost.S3ReadBytes)
 		}
-		if newRep.S3GetRequests >= baseRep.S3GetRequests {
+		if newRep.Cost.S3Get >= baseRep.Cost.S3Get {
 			t.Errorf("wc=%v: billed GETs = %d, baseline = %d — want strictly fewer",
-				wc, newRep.S3GetRequests, baseRep.S3GetRequests)
+				wc, newRep.Cost.S3Get, baseRep.Cost.S3Get)
 		}
-		if newRep.S3ReadBytes >= baseRep.S3ReadBytes {
+		if newRep.Cost.S3ReadBytes >= baseRep.Cost.S3ReadBytes {
 			t.Errorf("wc=%v: billed bytes = %d, baseline = %d — want strictly fewer",
-				wc, newRep.S3ReadBytes, baseRep.S3ReadBytes)
+				wc, newRep.Cost.S3ReadBytes, baseRep.Cost.S3ReadBytes)
 		}
-		if newRep.S3GetRequests != newRep2.S3GetRequests || newRep.S3ReadBytes != newRep2.S3ReadBytes {
+		if newRep.Cost.S3Get != newRep2.Cost.S3Get || newRep.Cost.S3ReadBytes != newRep2.Cost.S3ReadBytes {
 			t.Errorf("wc=%v: billing not deterministic: (%d, %d) vs (%d, %d)",
-				wc, newRep.S3GetRequests, newRep.S3ReadBytes, newRep2.S3GetRequests, newRep2.S3ReadBytes)
+				wc, newRep.Cost.S3Get, newRep.Cost.S3ReadBytes, newRep2.Cost.S3Get, newRep2.Cost.S3ReadBytes)
 		}
 	}
 }

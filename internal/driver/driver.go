@@ -53,21 +53,22 @@ type Deployment struct {
 	Faults *faults.Injector
 
 	// Trace is the deployment-wide tracer (nil = tracing off). Install it
-	// with EnableTracing before any query traffic: every service attributes
-	// its billed requests to the span bound to the calling environment, the
-	// driver opens query/stage spans, and workers get invocation spans.
+	// with EnableTracing before any query traffic: the meter attributes
+	// every charge to the span bound to the calling environment, the driver
+	// opens query/stage spans, S3 clients op spans, and workers get
+	// invocation spans.
 	Trace *obs.Tracer
 }
 
-// EnableTracing installs tr on the deployment and every service, so billed
-// requests, retries and invocations are recorded as a span tree. Call it
-// once, before Install and before any traffic; nil disables tracing again.
+// EnableTracing installs tr on the deployment — the meter for billed cost,
+// S3 and Lambda for op and invocation spans — so billed requests, retries
+// and invocations are recorded as a span tree. Call it once, before Install
+// and before any traffic; nil disables tracing again.
 func (dep *Deployment) EnableTracing(tr *obs.Tracer) {
 	dep.Trace = tr
+	dep.Meter.SetTracer(tr)
 	dep.S3.SetTracer(tr)
 	dep.Lambda.SetTracer(tr)
-	dep.SQS.SetTracer(tr)
-	dep.Dynamo.SetTracer(tr)
 }
 
 // NewLocal returns a functional-layer deployment: real goroutine workers,

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/lpq"
@@ -86,7 +85,7 @@ func TestEndToEndQ1Local(t *testing.T) {
 	if rep.TotalCost <= 0 {
 		t.Error("query reported zero cost")
 	}
-	if rep.CostDelta[pricing.LabelS3Read] <= 0 {
+	if rep.Cost.S3Get <= 0 {
 		t.Error("no S3 read cost recorded")
 	}
 }

@@ -11,21 +11,6 @@ import (
 	"lambada/internal/obs"
 )
 
-// CostUSD prices an exact billed-cost attribution with the paper's price
-// tables. LambdaMiBNs converts MiB·ns → GiB·s only here, at display time,
-// so per-span sums stay integer-exact until the final multiplication.
-func CostUSD(c obs.Cost) pricing.USD {
-	gibSeconds := float64(c.LambdaMiBNs) / 1024 / 1e9
-	return pricing.USD(gibSeconds)*pricing.LambdaGBSecond +
-		pricing.USD(c.LambdaInvokes)*pricing.LambdaPerRequest +
-		pricing.USD(c.S3Get)*pricing.S3Read +
-		pricing.USD(c.S3Put)*pricing.S3Write +
-		pricing.USD(c.S3List)*pricing.S3List +
-		pricing.USD(c.SQSRequests)*pricing.SQSPerRequest +
-		pricing.USD(c.DynamoReads)*pricing.DynamoRead +
-		pricing.USD(c.DynamoWrites)*pricing.DynamoWrite
-}
-
 // StageProfile is the EXPLAIN ANALYZE record of one stage: wall-clock
 // virtual extent, fleet size, and the stage subtree's exact billed cost
 // plus data volumes parsed off its worker-invocation spans.
@@ -77,14 +62,14 @@ func (rep *Report) Profile() *Profile {
 	if rep.Trace == nil || rep.Span == 0 {
 		return nil
 	}
-	spans := rep.Trace.Spans()
+	tree := obs.NewTree(rep.Trace.Spans())
 	p := &Profile{
 		QueryID:      rep.QueryID,
 		Duration:     rep.Duration,
-		CriticalPath: obs.CriticalPath(spans, rep.Span),
-		Cost:         obs.SubtreeCost(spans, rep.Span),
+		CriticalPath: tree.CriticalPath(rep.Span),
+		Cost:         tree.SubtreeCost(rep.Span),
 	}
-	p.USD = CostUSD(p.Cost)
+	p.USD = pricing.Price(p.Cost)
 	for _, ss := range rep.StageStats {
 		sp := StageProfile{
 			StageID:    ss.StageID,
@@ -96,41 +81,20 @@ func (rep *Report) Profile() *Profile {
 			Regroup:    ss.Regroup,
 		}
 		if ss.Span != 0 {
-			sp.Cost = obs.SubtreeCost(spans, ss.Span)
-			sp.USD = CostUSD(sp.Cost)
-			sp.Attempts, sp.Rows, sp.BytesIn, sp.BytesOut = invokeVolumes(spans, ss.Span)
+			tree.Walk(ss.Span, func(s *obs.Span) {
+				sp.Cost.Add(s.Cost)
+				if s.Kind == obs.KindInvoke {
+					sp.Attempts++
+					sp.Rows += tagInt64(s.Tags, "rows.out")
+					sp.BytesIn += tagInt64(s.Tags, "bytes.in")
+					sp.BytesOut += tagInt64(s.Tags, "bytes.out")
+				}
+			})
+			sp.USD = pricing.Price(sp.Cost)
 		}
 		p.Stages = append(p.Stages, sp)
 	}
 	return p
-}
-
-// invokeVolumes walks the subtree under root and aggregates the data
-// volumes tagged on its worker-invocation spans.
-func invokeVolumes(spans []obs.Span, root obs.SpanID) (attempts int, rows, in, out int64) {
-	children := make(map[obs.SpanID][]obs.SpanID, len(spans))
-	for _, s := range spans {
-		if s.Parent != 0 {
-			children[s.Parent] = append(children[s.Parent], s.ID)
-		}
-	}
-	var walk func(obs.SpanID)
-	walk = func(id obs.SpanID) {
-		s := spans[id-1]
-		if s.Kind == obs.KindInvoke {
-			attempts++
-			rows += tagInt64(s.Tags, "rows.out")
-			in += tagInt64(s.Tags, "bytes.in")
-			out += tagInt64(s.Tags, "bytes.out")
-		}
-		for _, ch := range children[id] {
-			walk(ch)
-		}
-	}
-	for _, ch := range children[root] {
-		walk(ch)
-	}
-	return attempts, rows, in, out
 }
 
 func tagInt64(tags map[string]string, key string) int64 {
@@ -172,8 +136,9 @@ func WriteReport(w io.Writer, rep *Report, opts RenderOptions) {
 			label, ss.StageID, ss.Workers, ss.Launched.Round(time.Millisecond), ss.Sealed.Round(time.Millisecond), ss.Speculated, boundary)
 	}
 	fmt.Fprintf(w, "query cost: $%.6f\n", rep.TotalCost)
-	for _, l := range sortedStringKeys(rep.CostDelta) {
-		fmt.Fprintf(w, "  %-20s $%.6f\n", l, rep.CostDelta[l])
+	lines, _ := pricing.Bill(rep.Cost)
+	for _, l := range lines {
+		fmt.Fprintf(w, "  %-20s $%.6f\n", l.Label, float64(l.USD))
 	}
 	if rep.DriverRetries+rep.WorkerRetries > 0 || rep.FailureSeals > 0 {
 		fmt.Fprintf(w, "retries: driver %d   worker %d   failure seals: %d\n",

@@ -58,19 +58,14 @@ type Report struct {
 	// StageStats records per-stage launch/seal timing and speculation
 	// counters, one entry per stage run (regroup fleets included).
 	StageStats []StageStat
-	// CostBefore/CostAfter snapshot the meter around the query; the
-	// difference is what the query cost.
-	CostDelta map[string]float64
+	// Cost is what the meter moved between the query's begin and its end,
+	// in exact integer units (S3 requests and read bytes, Lambda MiB·ns,
+	// ...); TotalCost is its price. The meter is deployment-wide: when other
+	// queries of the session overlap this one's window their spend shows up
+	// here too. The exact per-query figure is the traced Profile().Cost,
+	// which sums only the spans under this query.
+	Cost      obs.Cost
 	TotalCost float64
-	// S3GetRequests and S3ReadBytes count the billed S3 read requests and
-	// read bytes the query issued — the scan layer's two cost drivers,
-	// surfaced so pruning/coalescing wins are visible without reading
-	// awssim internals.
-	S3GetRequests int64
-	S3ReadBytes   int64
-	// LambdaMiBNs is the billed Lambda duration of the query as exact
-	// MiB·nanoseconds (the integer basis of the GB-second duration charge).
-	LambdaMiBNs int64
 	// Wakeups counts completion-signal wakeups delivered during the query —
 	// the keyed-broadcast layer's efficiency metric (0 when the environment
 	// does not expose a wakeup counter).
@@ -107,17 +102,6 @@ type StageStat struct {
 	Regroup bool
 }
 
-// costSnap is the meter state captured around a query: per-label dollar
-// totals plus the raw S3 read request/byte, Lambda duration and wakeup
-// counters.
-type costSnap struct {
-	cost        map[string]float64
-	s3Gets      int64
-	s3ReadBytes int64
-	lambdaMiBNs int64
-	wakeups     uint64
-}
-
 // begin opens the query's measurement window: the meter snapshot and start
 // instant every Report figure is taken against, and — on traced deployments
 // — the root query span. Binding the span to the driver environment routes
@@ -125,25 +109,12 @@ type costSnap struct {
 // invokes, result polling) into op spans beneath it; close releases the
 // binding, closing any span an error path left open.
 func (d *query) begin() {
-	d.costBefore = d.costSnapshot()
+	d.costBefore, d.wakeupsBefore = d.dep.Meter.Cost(), d.wakeupCount()
 	d.start = d.env.Now()
 	if tr := d.dep.Trace; tr.Enabled() {
 		d.span = tr.StartSpan(obs.KindQuery, d.id, 0, d.start)
 		tr.Bind(d.env, d.span)
 	}
-}
-
-// costSnapshot captures the meter's current per-label totals.
-func (d *query) costSnapshot() costSnap {
-	snap := costSnap{cost: map[string]float64{}}
-	for _, l := range d.dep.Meter.Labels() {
-		snap.cost[l] = float64(d.dep.Meter.Get(l))
-	}
-	snap.s3Gets = d.dep.Meter.Count(pricing.LabelS3Read)
-	snap.s3ReadBytes = d.dep.S3.ReadBytes()
-	snap.lambdaMiBNs = d.dep.Lambda.BilledMiBNs()
-	snap.wakeups = d.wakeupCount()
-	return snap
 }
 
 // wakeupCount reads the environment's completion-wakeup counter when it has
@@ -171,25 +142,12 @@ func (d *query) quiesce() {
 	}
 }
 
-// fillCostDelta records what the query cost: the meter movement since
-// begin, per label and in total.
-// Note that the meters are deployment-wide: when other queries of the
-// session overlap this one's window, their spend shows up in this delta
-// too — exact per-query attribution needs tracing (Report.Profile).
+// fillCostDelta records what the query cost — the meter movement since
+// begin — and the resilience counters.
 func (d *query) fillCostDelta(rep *Report) {
-	before := d.costBefore
-	rep.CostDelta = map[string]float64{}
-	for _, l := range d.dep.Meter.Labels() {
-		delta := float64(d.dep.Meter.Get(l)) - before.cost[l]
-		if delta > 0 {
-			rep.CostDelta[l] = delta
-			rep.TotalCost += delta
-		}
-	}
-	rep.S3GetRequests = d.dep.Meter.Count(pricing.LabelS3Read) - before.s3Gets
-	rep.S3ReadBytes = d.dep.S3.ReadBytes() - before.s3ReadBytes
-	rep.LambdaMiBNs = d.dep.Lambda.BilledMiBNs() - before.lambdaMiBNs
-	rep.Wakeups = d.wakeupCount() - before.wakeups
+	rep.Cost = d.dep.Meter.Cost().Sub(d.costBefore)
+	rep.TotalCost = float64(pricing.Price(rep.Cost))
+	rep.Wakeups = d.wakeupCount() - d.wakeupsBefore
 	rep.DriverRetries = d.retry.stats.Retries()
 	rep.WorkerRetries = d.workerRetries
 	if d.dep.Faults != nil {

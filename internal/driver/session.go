@@ -181,12 +181,14 @@ type query struct {
 	// reported in their completion messages.
 	workerRetries int64
 
-	// costBefore, start and span are the measurement window begin opened:
-	// the meter snapshot and instant the Report's deltas are taken against,
-	// and the root query span (0 when tracing is off).
-	costBefore costSnap
-	start      time.Duration
-	span       obs.SpanID
+	// costBefore, wakeupsBefore, start and span are the measurement window
+	// begin opened: the meter and wakeup-counter readings and the instant
+	// the Report's deltas are taken against, and the root query span (0
+	// when tracing is off).
+	costBefore    obs.Cost
+	wakeupsBefore uint64
+	start         time.Duration
+	span          obs.SpanID
 }
 
 // queryQueueName derives a query's private result-queue name.

@@ -11,6 +11,7 @@ import (
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
 	"lambada/internal/lpq"
+	"lambada/internal/obs"
 	"lambada/internal/simclock"
 	"lambada/internal/tpch"
 )
@@ -23,6 +24,9 @@ type sessionRun struct {
 	reps   []*Report
 	epochs map[string]int
 	vend   time.Duration
+	// billed is what the meter moved from the first query's start until the
+	// last had returned.
+	billed obs.Cost
 }
 
 // runSessionConcurrentQ12 runs K staged q12 queries CONCURRENTLY — each as
@@ -57,6 +61,7 @@ func runSessionConcurrentQ12(t *testing.T, sess *Session, k *simclock.Kernel, de
 			return
 		}
 		tables := TableFiles{"lineitem": liRefs, "orders": ordRefs}
+		before := dep.Meter.Cost()
 		for i := 0; i < K; i++ {
 			i := i
 			k.Go(fmt.Sprintf("query%d", i), func(p *simclock.Proc) {
@@ -80,6 +85,7 @@ func runSessionConcurrentQ12(t *testing.T, sess *Session, k *simclock.Kernel, de
 		for done < K {
 			simenv.WaitNotifyKey(p, "test/done", 100*time.Millisecond)
 		}
+		res.billed = dep.Meter.Cost().Sub(before)
 		// Epoch fence rows: every live query ran under its own query ID, so
 		// the fence rows are disjoint and each sits at epoch 1.
 		table := stagesTableName(sess.Config().FunctionName)

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"lambada/internal/awssim/pricing"
 	"lambada/internal/engine"
 	"lambada/internal/exchange"
 	"lambada/internal/lpq"
@@ -75,7 +74,7 @@ func TestStagedGroupByShuffleMatchesSingleNode(t *testing.T) {
 		}
 		// The shuffle leaves request traces: write requests beyond the
 		// table upload must have happened.
-		if rep.CostDelta[pricing.LabelS3Write] <= 0 {
+		if rep.Cost.S3Put <= 0 {
 			t.Errorf("wc=%v: no exchange writes recorded", wc)
 		}
 		assertQueryClean(t, d.sess, rep.QueryID)

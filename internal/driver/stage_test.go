@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
@@ -152,10 +151,10 @@ func TestShuffleJoinByteIdenticalAcrossConfigs(t *testing.T) {
 		}
 		// The shuffle must actually have gone through S3 and the barriers
 		// through DynamoDB.
-		if rep.CostDelta[pricing.LabelS3Write] <= 0 {
+		if rep.Cost.S3Put <= 0 {
 			t.Errorf("%+v: no exchange writes recorded", tc)
 		}
-		if rep.CostDelta[pricing.LabelDynamoWrite] <= 0 {
+		if rep.Cost.DynamoWrites <= 0 {
 			t.Errorf("%+v: no seal markers recorded", tc)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lambada/internal/awssim/faults"
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/columnar"
 	"lambada/internal/lpq"
@@ -13,25 +14,30 @@ import (
 	"lambada/internal/tpch"
 )
 
-// tracedRun is one traced execution — staged q12, or single-scope q1 —
-// plus the exact billed request counts the test window observed on the
-// meter.
+// tracedRun is one traced execution — staged q12, or single-scope q1.
 type tracedRun struct {
 	rep   *Report
 	trace []byte // Chrome trace-event export
-	// Meter movement over the query (same window as the report's deltas).
-	s3Gets, s3Puts, s3Lists  int64
-	sqsReqs                  int64
-	dynamoReads, dynamoWrite int64
-	lambdaInvokes            int64
 }
 
 // tracedOpts parameterizes runTraced.
 type tracedOpts struct {
 	single  bool // single-scope q1 over lineitem instead of staged q12
 	chaos   bool // seeded FaultPlan deployment instead of the clean one
+	crash   bool // workers dying mid-handler and on invoke instead
 	flat    bool // single-level exchange without write combining
 	unkeyed bool // disable completion-broadcast keying (regression baseline)
+}
+
+// crashPlanQ12 kills workers: the second and third invocations die 120 ms
+// into their handler — partial duration billed to the invocation span, op
+// spans unwound without a Pop — and a later one dies before its handler
+// runs.
+func crashPlanQ12() faults.Plan {
+	return faults.Plan{Seed: 9, Rules: []faults.Rule{
+		{Op: faults.OpLambda, Kind: faults.KindCrashMidRun, Skip: 1, Count: 2, Delay: 120 * time.Millisecond},
+		{Op: faults.OpLambda, Kind: faults.KindCrash, Skip: 6, Count: 1},
+	}}
 }
 
 // runTraced executes the query with tracing enabled on a fresh DES kernel
@@ -43,9 +49,12 @@ func runTraced(t *testing.T, o tracedOpts) tracedRun {
 		k.SetCompletionKeying(false)
 	}
 	var dep *Deployment
-	if o.chaos {
+	switch {
+	case o.chaos:
 		dep = NewChaos(k, 71, chaosPlanQ12())
-	} else {
+	case o.crash:
+		dep = NewChaos(k, 71, crashPlanQ12())
+	default:
 		dep = NewSimulated(k, 71)
 	}
 	dep.EnableTracing(obs.New())
@@ -59,6 +68,9 @@ func runTraced(t *testing.T, o tracedOpts) tracedRun {
 		scfg.Partitions = 2
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
+		if o.crash {
+			scfg.MaxStageWait = 30 * time.Second
+		}
 		if o.flat {
 			scfg.Exchange.Variant.Levels = 1
 			scfg.Exchange.Variant.WriteCombining = false
@@ -81,12 +93,6 @@ func runTraced(t *testing.T, o tracedOpts) tracedRun {
 			t.Error(err)
 			return
 		}
-		count := func(label string) int64 { return dep.Meter.Count(label) }
-		before := map[string]int64{}
-		for _, l := range []string{pricing.LabelS3Read, pricing.LabelS3Write, pricing.LabelS3List,
-			pricing.LabelSQS, pricing.LabelDynamoRead, pricing.LabelDynamoWrite, pricing.LabelLambdaRequests} {
-			before[l] = count(l)
-		}
 		var out *columnar.Chunk
 		var rep *Report
 		if o.single {
@@ -103,13 +109,6 @@ func runTraced(t *testing.T, o tracedOpts) tracedRun {
 			return
 		}
 		res.rep = rep
-		res.s3Gets = count(pricing.LabelS3Read) - before[pricing.LabelS3Read]
-		res.s3Puts = count(pricing.LabelS3Write) - before[pricing.LabelS3Write]
-		res.s3Lists = count(pricing.LabelS3List) - before[pricing.LabelS3List]
-		res.sqsReqs = count(pricing.LabelSQS) - before[pricing.LabelSQS]
-		res.dynamoReads = count(pricing.LabelDynamoRead) - before[pricing.LabelDynamoRead]
-		res.dynamoWrite = count(pricing.LabelDynamoWrite) - before[pricing.LabelDynamoWrite]
-		res.lambdaInvokes = count(pricing.LabelLambdaRequests) - before[pricing.LabelLambdaRequests]
 		var buf bytes.Buffer
 		if err := obs.ExportChromeTrace(&buf, rep.Trace.Spans()); err != nil {
 			t.Error(err)
@@ -151,53 +150,68 @@ func TestTraceExportByteIdentical(t *testing.T) {
 	}
 }
 
-// TestTraceCostAttributionExact: summing Cost over every span reproduces
-// the meter movement of the query window exactly — every billed request
-// lands on exactly one span, none are dropped, none double-counted. Runs
-// under the chaos plan so retry, duplicate-delivery and crash paths are
-// all exercised, and for a single-scope query as well as the staged one —
-// the same executor opens the same query → stage → invoke tree for both.
+// TestTraceCostAttributionExact: the query's span subtree carries exactly
+// what the meter moved over the query's window — every billed unit lands on
+// exactly one span, none dropped, none double-counted — compared as one
+// struct. Runs under the chaos plan (retries, duplicate delivery, throttles)
+// and the crash plan (partial durations, op spans a panic unwound past), on
+// both exchange variants, and for a single-scope query as well as the
+// staged one: the same executor opens the same query → stage → invoke tree.
 func TestTraceCostAttributionExact(t *testing.T) {
-	for _, o := range []tracedOpts{{}, {chaos: true}, {single: true}, {single: true, chaos: true}} {
-		name := "clean"
-		if o.chaos {
-			name = "chaos"
-		}
-		if o.single {
-			name += "-single"
-		}
+	for name, o := range map[string]tracedOpts{
+		"clean":        {},
+		"chaos":        {chaos: true},
+		"chaos-flat":   {chaos: true, flat: true},
+		"crash":        {crash: true},
+		"clean-single": {single: true},
+		"chaos-single": {single: true, chaos: true},
+	} {
 		t.Run(name, func(t *testing.T) {
 			r := runTraced(t, o)
-			total := obs.TotalCost(r.rep.Trace.Spans())
-			checks := []struct {
-				name  string
-				spans int64
-				meter int64
-			}{
-				{"s3 gets", total.S3Get, r.s3Gets},
-				{"s3 puts", total.S3Put, r.s3Puts},
-				{"s3 lists", total.S3List, r.s3Lists},
-				{"s3 read bytes", total.S3ReadBytes, r.rep.S3ReadBytes},
-				{"sqs requests", total.SQSRequests, r.sqsReqs},
-				{"dynamo reads", total.DynamoReads, r.dynamoReads},
-				{"dynamo writes", total.DynamoWrites, r.dynamoWrite},
-				{"lambda invokes", total.LambdaInvokes, r.lambdaInvokes},
-				{"lambda MiB·ns", total.LambdaMiBNs, r.rep.LambdaMiBNs},
+			if o.crash && r.rep.InjectedFaults[faults.OpLambda+"/"+string(faults.KindCrashMidRun)] != 2 {
+				t.Errorf("injected faults = %v, want two workers crashed mid-run", r.rep.InjectedFaults)
 			}
-			for _, c := range checks {
-				if c.spans != c.meter {
-					t.Errorf("%s: spans %d, meter %d", c.name, c.spans, c.meter)
-				}
+			traced := r.rep.Profile().Cost
+			if traced != r.rep.Cost {
+				t.Errorf("spans carry %+v\nmeter moved %+v", traced, r.rep.Cost)
 			}
-			// The report's own counters agree with the meter window.
-			if r.rep.S3GetRequests != r.s3Gets {
-				t.Errorf("report S3GetRequests %d, meter %d", r.rep.S3GetRequests, r.s3Gets)
+			if traced.LambdaMiBNs == 0 || traced.S3ReadBytes == 0 || traced.SQSRequests == 0 {
+				t.Errorf("attribution is missing a whole service: %+v", traced)
 			}
-			// And the priced span total matches the report's billed total.
-			if diff := float64(CostUSD(total)) - r.rep.TotalCost; diff > 1e-12 || diff < -1e-12 {
-				t.Errorf("priced span cost %.15f, report total %.15f", float64(CostUSD(total)), r.rep.TotalCost)
+			if got, want := r.rep.TotalCost, float64(pricing.Price(traced)); got != want {
+				t.Errorf("report total $%.15f, priced span cost $%.15f", got, want)
 			}
 		})
+	}
+}
+
+// TestConcurrentQueriesPartitionTheMeter: two staged queries in flight at
+// once on one traced session. Each Report.Cost window is deployment-wide
+// and so holds some of the other query's spend, but the traced profiles
+// partition the bill: what the meter moved across the pair equals the sum
+// of the two Profile().Cost exactly — every billed unit lands on exactly
+// one span even when windows overlap.
+func TestConcurrentQueriesPartitionTheMeter(t *testing.T) {
+	k := simclock.New()
+	dep := NewSimulated(k, 71)
+	dep.EnableTracing(obs.New())
+	cfg := DefaultConfig()
+	cfg.PollInterval = 50 * time.Millisecond
+	r := runSessionConcurrentQ12(t, NewSession(dep, cfg), k, dep, 0, 2)
+	if r.reps[0] == nil || r.reps[1] == nil {
+		t.Fatal("a query produced no report")
+	}
+	a, b := r.reps[0].Profile().Cost, r.reps[1].Profile().Cost
+	sum := a
+	sum.Add(b)
+	if sum != r.billed {
+		t.Errorf("profiles sum to %+v\nmeter moved    %+v", sum, r.billed)
+	}
+	if a.IsZero() || b.IsZero() {
+		t.Errorf("a query carries no cost: %+v / %+v", a, b)
+	}
+	if r.reps[0].Cost == a && r.reps[1].Cost == b {
+		t.Error("the windows did not overlap: each Report.Cost equals its own profile")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"lambada/internal/awssim/pricing"
+	"lambada/internal/obs"
 )
 
 // Variant identifies one exchange algorithm of Table 2. The JSON tags are
@@ -124,9 +125,7 @@ func (c RequestCount) Total() int64 { return c.Puts + c.Gets + c.Lists }
 
 // Cost prices the request breakdown.
 func (c RequestCount) Cost() pricing.USD {
-	return pricing.USD(c.Puts)*pricing.S3Write +
-		pricing.USD(c.Gets)*pricing.S3Read +
-		pricing.USD(c.Lists)*pricing.S3List
+	return pricing.Price(obs.Cost{S3Put: c.Puts, S3Get: c.Gets, S3List: c.Lists})
 }
 
 // Requests predicts the exact billed request counts of one S-sender,

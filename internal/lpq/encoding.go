@@ -72,7 +72,7 @@ func (r *byteReader) uvarint() (uint64, error) {
 }
 
 func (r *byteReader) bytes(n int) ([]byte, error) {
-	if r.pos+n > len(r.b) {
+	if n < 0 || n > len(r.b)-r.pos {
 		return nil, fmt.Errorf("lpq: truncated data: need %d bytes at %d, have %d", n, r.pos, len(r.b))
 	}
 	out := r.b[r.pos : r.pos+n]
@@ -89,6 +89,20 @@ func (r *byteReader) byte() (byte, error) {
 }
 
 func (r *byteReader) remaining() int { return len(r.b) - r.pos }
+
+// maxRows bounds the values n encoded bytes can hold: Plain is fixed-width,
+// Delta and Dict spend at least a byte a value. RLE has no bound — a run of
+// any length is two varints.
+func (e Encoding) maxRows(t columnar.Type, n int64) int64 {
+	switch {
+	case e == RLE:
+		return math.MaxInt64
+	case e == Plain && t != columnar.Bool:
+		return n / 8
+	default:
+		return n
+	}
+}
 
 // EncodeColumn serializes a vector with the given encoding. The vector's
 // type constrains the valid encodings: Delta applies to Int64 only; Dict to
@@ -324,6 +338,15 @@ func decodeDict(dst *columnar.Vector, data []byte, n int) error {
 	size, err := r.uvarint()
 	if err != nil {
 		return err
+	}
+	// An entry takes at least a byte (a varint) for Int64 and exactly eight
+	// for Float64: a larger dictionary than the page has bytes for is corrupt.
+	entry := uint64(1)
+	if dst.Type == columnar.Float64 {
+		entry = 8
+	}
+	if size > uint64(r.remaining())/entry {
+		return fmt.Errorf("lpq: dictionary of %d entries in %d bytes", size, r.remaining())
 	}
 	if dst.Type == columnar.Int64 {
 		dict := make([]int64, size)

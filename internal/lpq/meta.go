@@ -132,6 +132,53 @@ type FileMeta struct {
 // NumRowGroups returns the row-group count.
 func (m *FileMeta) NumRowGroups() int { return len(m.RowGroups) }
 
+// check holds a decoded footer to the file it came from, whose column data
+// occupy the first dataLen bytes: every byte range lies inside the data,
+// every length fits what its bytes can hold, and the row counts add up. A
+// reader sizes its buffers and vectors by these numbers, so none may be
+// larger than the file can back.
+func (m *FileMeta) check(dataLen int64) error {
+	var total, stored int64
+	for g := range m.RowGroups {
+		rg := &m.RowGroups[g]
+		if rg.NumRows < 0 || rg.NumRows > math.MaxInt64-total {
+			return fmt.Errorf("lpq: row group %d: implausible row count %d", g, rg.NumRows)
+		}
+		total += rg.NumRows
+		for c := range rg.Columns {
+			cc := &rg.Columns[c]
+			// Chunks do not overlap, so together they fit the data too.
+			if cc.CompressedLen < 0 || cc.CompressedLen > dataLen-stored || cc.Offset < 0 || cc.Offset > dataLen-cc.CompressedLen {
+				return fmt.Errorf("lpq: row group %d column %d: chunk [%d,+%d) outside the file's %d data bytes",
+					g, c, cc.Offset, cc.CompressedLen, dataLen)
+			}
+			stored += cc.CompressedLen
+			t := m.Schema.Fields[c].Type
+			pages := cc.Pages
+			if len(pages) == 0 {
+				pages = []PageMeta{{NumRows: rg.NumRows, CompressedLen: cc.CompressedLen, UncompressedLen: cc.UncompressedLen}}
+			}
+			for i, pg := range pages {
+				switch {
+				case pg.RelOff < 0 || pg.CompressedLen < 0 || pg.CompressedLen > cc.CompressedLen-pg.RelOff:
+					return fmt.Errorf("lpq: row group %d column %d page %d: [%d,+%d) outside its chunk of %d bytes",
+						g, c, i, pg.RelOff, pg.CompressedLen, cc.CompressedLen)
+				case pg.UncompressedLen < 0 || pg.UncompressedLen > cc.Compression.maxInflated(pg.CompressedLen):
+					return fmt.Errorf("lpq: row group %d column %d page %d: %d stored bytes cannot inflate to %d",
+						g, c, i, pg.CompressedLen, pg.UncompressedLen)
+				case pg.NumRows > cc.Encoding.maxRows(t, pg.UncompressedLen):
+					return fmt.Errorf("lpq: row group %d column %d page %d: %d rows in %d %s bytes",
+						g, c, i, pg.NumRows, pg.UncompressedLen, cc.Encoding)
+				}
+			}
+		}
+	}
+	if total != m.TotalRows {
+		return fmt.Errorf("lpq: row groups hold %d rows, footer says %d", total, m.TotalRows)
+	}
+	return nil
+}
+
 // putStats appends a stats block: a presence flag byte, then 32 bytes of
 // int and float min/max when present.
 func putStats(out []byte, st Stats) []byte {
@@ -224,14 +271,15 @@ func readPageIndex(r *byteReader, t columnar.Type, groupRows int64) ([]PageMeta,
 	if np == 0 {
 		return nil, nil
 	}
-	if np > 1<<24 {
+	// A page takes at least two bytes of index (its two lengths).
+	if np > uint64(r.remaining())/2 {
 		return nil, fmt.Errorf("lpq: implausible page count %d", np)
 	}
 	pageRows, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if pageRows == 0 || int64(np-1)*int64(pageRows) >= groupRows || int64(np)*int64(pageRows) < groupRows {
+	if pageRows == 0 || pageRows > math.MaxInt64/np || int64(np-1)*int64(pageRows) >= groupRows || int64(np)*int64(pageRows) < groupRows {
 		return nil, fmt.Errorf("lpq: %d pages of %d rows cannot tile a %d-row group", np, pageRows, groupRows)
 	}
 	pages := make([]PageMeta, np)
@@ -325,7 +373,9 @@ func decodeFooter(data []byte, v2 bool) (*FileMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nf == 0 || nf > 1<<16 {
+	// A field takes at least two bytes (name length, type), a row group at
+	// least one: counts beyond what the footer has bytes for are corrupt.
+	if nf == 0 || nf > uint64(r.remaining())/2 {
 		return nil, fmt.Errorf("lpq: implausible field count %d", nf)
 	}
 	schema := &columnar.Schema{Fields: make([]columnar.Field, 0, nf)}
@@ -351,9 +401,10 @@ func decodeFooter(data []byte, v2 bool) (*FileMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Sized up front; a corrupt count cannot reserve more than the footer
-	// has bytes for.
-	m := &FileMeta{Schema: schema, RowGroups: make([]RowGroupMeta, 0, min(nrg, uint64(r.remaining())))}
+	if nrg > uint64(r.remaining()) {
+		return nil, fmt.Errorf("lpq: implausible row-group count %d", nrg)
+	}
+	m := &FileMeta{Schema: schema, RowGroups: make([]RowGroupMeta, 0, nrg)}
 	for g := uint64(0); g < nrg; g++ {
 		rows, err := r.uvarint()
 		if err != nil {

@@ -77,6 +77,9 @@ func OpenReader(r io.ReaderAt, size int64) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := meta.check(size - 8 - footerLen); err != nil {
+		return nil, err
+	}
 	rd.meta = meta
 	return rd, nil
 }
@@ -137,6 +140,15 @@ type DecodeState struct {
 	zr  *gzip.Reader
 }
 
+// maxInflated bounds the uncompressed length of n stored bytes: deflate
+// expands at most 1032:1, and uncompressed blobs are stored as they are.
+func (c Compression) maxInflated(n int64) int64 {
+	if c != Gzip {
+		return n
+	}
+	return 1032 * n
+}
+
 // inflate returns the uncompressed bytes of one stored blob; the result is
 // valid until the next call.
 func (s *DecodeState) inflate(stored []byte, comp Compression, uncompressedLen int64) ([]byte, error) {
@@ -145,6 +157,9 @@ func (s *DecodeState) inflate(stored []byte, comp Compression, uncompressedLen i
 			return nil, fmt.Errorf("lpq: uncompressed length %d != expected %d", len(stored), uncompressedLen)
 		}
 		return stored, nil
+	}
+	if uncompressedLen < 0 || uncompressedLen > comp.maxInflated(int64(len(stored))) {
+		return nil, fmt.Errorf("lpq: %d stored bytes cannot inflate to %d", len(stored), uncompressedLen)
 	}
 	s.src.Reset(stored)
 	if s.zr == nil {
@@ -168,7 +183,7 @@ func (s *DecodeState) inflate(stored []byte, comp Compression, uncompressedLen i
 		return nil, fmt.Errorf("lpq: uncompressed data longer than expected %d", uncompressedLen)
 	}
 	if err := s.zr.Close(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lpq: gzip: %w", err)
 	}
 	return raw, nil
 }

@@ -1,7 +1,9 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"container/heap"
+	"slices"
 	"time"
 )
 
@@ -32,70 +34,74 @@ func (c CriticalSegment) Duration() time.Duration { return c.To - c.From }
 // needs: shortening any span NOT on the critical path cannot improve
 // latency.
 func CriticalPath(spans []Span, root SpanID) []CriticalSegment {
-	if root <= 0 || int(root) > len(spans) {
+	return NewTree(spans).CriticalPath(root)
+}
+
+// CriticalPath is the package-level CriticalPath on an indexed recording.
+// Each span enters and leaves the sweep once: O(n log n).
+func (t *Tree) CriticalPath(root SpanID) []CriticalSegment {
+	if root <= 0 || int(root) > len(t.spans) {
 		return nil
 	}
-	rs := spans[root-1]
+	rs := t.spans[root-1]
 	if rs.End <= rs.Start {
 		return nil
 	}
 
-	// Subtree membership (excluding the root itself).
-	children := childIndex(spans)
-	member := make(map[SpanID]bool, len(spans))
-	var walk func(SpanID)
-	walk = func(id SpanID) {
-		for _, ch := range children[id] {
-			member[ch] = true
-			walk(ch)
+	// Candidates: root's proper descendants with an extent that reaches
+	// into the root's interval, latest-ending first.
+	var byEnd []*Span
+	t.Walk(root, func(s *Span) {
+		if s.ID != root && s.End > s.Start && s.End > rs.Start {
+			byEnd = append(byEnd, s)
 		}
-	}
-	walk(root)
+	})
+	slices.SortFunc(byEnd, func(a, b *Span) int { return cmp.Compare(b.End, a.End) })
 
 	var segs []CriticalSegment
+	var active latestStart // candidates whose End reaches the cursor
+	next := 0              // byEnd[next:] end before the cursor
 	cur := rs.End
 	for cur > rs.Start {
-		// Best candidate: active before cur, reaching furthest toward
-		// cur; prefer the latest-starting (most specific) span, then the
-		// highest ID, so the choice is deterministic.
-		var best *Span
-		var bestEff time.Duration
-		for i := range spans {
-			s := &spans[i]
-			if !member[s.ID] || s.End <= s.Start {
-				continue
-			}
-			if s.Start >= cur || s.End <= rs.Start {
-				continue
-			}
-			eff := s.End
-			if eff > cur {
-				eff = cur
-			}
-			if best == nil || eff > bestEff ||
-				(eff == bestEff && (s.Start > best.Start || (s.Start == best.Start && s.ID > best.ID))) {
-				best, bestEff = s, eff
-			}
+		for ; next < len(byEnd) && byEnd[next].End >= cur; next++ {
+			heap.Push(&active, byEnd[next])
 		}
-		if best == nil {
-			segs = append(segs, CriticalSegment{Span: root, From: rs.Start, To: cur})
-			break
+		// The cursor only moves back, so a span starting at or after it is
+		// out for good.
+		for len(active) > 0 && active[0].Start >= cur {
+			heap.Pop(&active)
 		}
-		if bestEff < cur {
-			// Nothing covered (bestEff, cur): root-attributed gap.
-			segs = append(segs, CriticalSegment{Span: root, From: bestEff, To: cur})
-			cur = bestEff
-			continue
+		seg := CriticalSegment{Span: root, From: rs.Start, To: cur}
+		switch {
+		case len(active) > 0:
+			// Of the spans active just before cur, the latest-starting
+			// (most specific), then the highest ID.
+			seg.Span, seg.From = active[0].ID, max(active[0].Start, rs.Start)
+		case next < len(byEnd):
+			// Nothing covers (End, cur): a root-attributed gap.
+			seg.From = byEnd[next].End
 		}
-		from := best.Start
-		if from < rs.Start {
-			from = rs.Start
-		}
-		segs = append(segs, CriticalSegment{Span: best.ID, From: from, To: cur})
-		cur = from
+		segs = append(segs, seg)
+		cur = seg.From
 	}
 
 	// Backward sweep emitted latest-first; return chronological.
-	sort.Slice(segs, func(i, j int) bool { return segs[i].From < segs[j].From })
+	slices.Reverse(segs)
 	return segs
+}
+
+// latestStart is a max-heap of spans on (Start, ID).
+type latestStart []*Span
+
+func (h latestStart) Len() int { return len(h) }
+func (h latestStart) Less(i, j int) bool {
+	return h[i].Start > h[j].Start || (h[i].Start == h[j].Start && h[i].ID > h[j].ID)
+}
+func (h latestStart) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *latestStart) Push(x any)   { *h = append(*h, x.(*Span)) }
+func (h *latestStart) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }

@@ -15,11 +15,12 @@
 // runtime spans are still correct but allocation order — and therefore
 // the export — is not reproducible.
 //
-// Cost attribution: services charge the tracer at the exact points they
-// charge the pricing meter, via ChargeTo(env, cost). The charge lands on
-// the innermost span bound to that environment (Bind/Pop maintain a
-// per-environment span stack), so each billed request appears on exactly
-// one span and summing Cost over all spans reproduces the meter movement
+// Cost attribution: Cost is the one unit of account. Services charge the
+// pricing.CostMeter — the ledger — and the meter forwards the same charge
+// to ChargeTo(env, cost) in the same call. The charge lands on the
+// innermost span bound to that environment (Bind/Pop maintain a
+// per-environment span stack), so each billed unit appears on exactly one
+// span and summing Cost over all spans reproduces the meter movement
 // exactly — no double counting, no estimation.
 package obs
 
@@ -44,10 +45,10 @@ const (
 	KindOp     Kind = "op"     // one substrate operation (S3/SQS/DynamoDB/Lambda API call)
 )
 
-// Cost is exact billed-cost attribution in integer units. Request counts
-// mirror pricing.CostMeter movements one-to-one; LambdaMiBNs is billed
-// duration as memoryMiB·nanoseconds (integer-exact: converting to GB-s
-// and dollars happens only at display time, so sums are associative).
+// Cost is exact billed usage in integer units: request counts, S3 bytes
+// read, and Lambda duration as memoryMiB·nanoseconds. It is what the
+// pricing.CostMeter accumulates and what spans carry; pricing.Bill turns
+// it into dollars only at display time, so sums are associative.
 type Cost struct {
 	S3Get         int64 `json:"s3Get,omitempty"`
 	S3Put         int64 `json:"s3Put,omitempty"`
@@ -71,6 +72,21 @@ func (c *Cost) Add(o Cost) {
 	c.DynamoWrites += o.DynamoWrites
 	c.LambdaInvokes += o.LambdaInvokes
 	c.LambdaMiBNs += o.LambdaMiBNs
+}
+
+// Sub returns c − o: the movement between two readings of a ledger.
+func (c Cost) Sub(o Cost) Cost {
+	return Cost{
+		S3Get:         c.S3Get - o.S3Get,
+		S3Put:         c.S3Put - o.S3Put,
+		S3List:        c.S3List - o.S3List,
+		S3ReadBytes:   c.S3ReadBytes - o.S3ReadBytes,
+		SQSRequests:   c.SQSRequests - o.SQSRequests,
+		DynamoReads:   c.DynamoReads - o.DynamoReads,
+		DynamoWrites:  c.DynamoWrites - o.DynamoWrites,
+		LambdaInvokes: c.LambdaInvokes - o.LambdaInvokes,
+		LambdaMiBNs:   c.LambdaMiBNs - o.LambdaMiBNs,
+	}
 }
 
 // IsZero reports whether no cost has been attributed.
@@ -313,31 +329,41 @@ func TotalCost(spans []Span) Cost {
 	return c
 }
 
-// SubtreeCost sums billed cost over root and all its descendants.
-func SubtreeCost(spans []Span, root SpanID) Cost {
-	children := childIndex(spans)
-	var c Cost
-	var walk func(SpanID)
-	walk = func(id SpanID) {
-		c.Add(spans[id-1].Cost)
-		for _, ch := range children[id] {
-			walk(ch)
-		}
-	}
-	if root > 0 && int(root) <= len(spans) {
-		walk(root)
-	}
-	return c
+// Tree is a recording with its child index, built once and shared by the
+// analyses of one recording: SubtreeCost, CriticalPath, and the driver's
+// per-stage volumes. spans[i] must have ID i+1, as Tracer.Spans returns.
+type Tree struct {
+	spans    []Span
+	children [][]SpanID // by parent ID, in ID order
 }
 
-func childIndex(spans []Span) map[SpanID][]SpanID {
-	children := make(map[SpanID][]SpanID, len(spans))
+// NewTree indexes spans.
+func NewTree(spans []Span) *Tree {
+	t := &Tree{spans: spans, children: make([][]SpanID, len(spans)+1)}
 	for _, s := range spans {
-		if s.Parent != 0 {
-			children[s.Parent] = append(children[s.Parent], s.ID)
+		if s.Parent > 0 && int(s.Parent) <= len(spans) {
+			t.children[s.Parent] = append(t.children[s.Parent], s.ID)
 		}
 	}
-	return children
+	return t
+}
+
+// Walk calls fn on root and then on each of its descendants, parents first.
+func (t *Tree) Walk(root SpanID, fn func(*Span)) {
+	if root <= 0 || int(root) > len(t.spans) {
+		return
+	}
+	fn(&t.spans[root-1])
+	for _, ch := range t.children[root] {
+		t.Walk(ch, fn)
+	}
+}
+
+// SubtreeCost sums billed cost over root and all its descendants.
+func (t *Tree) SubtreeCost(root SpanID) Cost {
+	var c Cost
+	t.Walk(root, func(s *Span) { c.Add(s.Cost) })
+	return c
 }
 
 func sortedTagKeys(tags map[string]string) []string {

@@ -89,10 +89,10 @@ func TestSubtreeCost(t *testing.T) {
 	tr.AddCost(inv, Cost{S3Get: 4, LambdaMiBNs: 1000})
 	tr.AddCost(other, Cost{S3Put: 8})
 
-	if c := SubtreeCost(tr.Spans(), st); c != (Cost{S3Get: 6, LambdaMiBNs: 1000}) {
+	if c := NewTree(tr.Spans()).SubtreeCost(st); c != (Cost{S3Get: 6, LambdaMiBNs: 1000}) {
 		t.Errorf("stage subtree %+v", c)
 	}
-	if c := SubtreeCost(tr.Spans(), root); c != (Cost{S3Get: 6, S3Put: 8, SQSRequests: 1, LambdaMiBNs: 1000}) {
+	if c := NewTree(tr.Spans()).SubtreeCost(root); c != (Cost{S3Get: 6, S3Put: 8, SQSRequests: 1, LambdaMiBNs: 1000}) {
 		t.Errorf("root subtree %+v", c)
 	}
 }

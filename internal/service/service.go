@@ -314,8 +314,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			DurationNs:    int64(rep.Duration),
 			InvocationNs:  int64(rep.Invocation),
 			BilledUSD:     rep.TotalCost,
-			S3GetRequests: rep.S3GetRequests,
-			S3ReadBytes:   rep.S3ReadBytes,
+			S3GetRequests: rep.Cost.S3Get,
+			S3ReadBytes:   rep.Cost.S3ReadBytes,
 		},
 	}
 	if spec, ok := qaas.SpecFor(req.Name); ok {
@@ -394,15 +394,15 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	meter := s.cfg.Session.Deployment().Meter
+	lines, total := pricing.Bill(s.cfg.Session.Deployment().Meter.Cost())
 	costs := map[string]float64{}
 	counts := map[string]int64{}
-	for _, l := range meter.Labels() {
-		costs[l] = float64(meter.Get(l))
-		counts[l] = meter.Count(l)
+	for _, l := range lines {
+		costs[l.Label] = float64(l.USD)
+		counts[l.Label] = l.Count
 	}
 	writeJSON(w, map[string]interface{}{
-		"totalUsd": float64(meter.Total()),
+		"totalUsd": float64(total),
 		"costs":    costs,
 		"counts":   counts,
 	})

@@ -28,19 +28,3 @@ func BenchmarkManyProcs(b *testing.B) {
 		k.Run()
 	}
 }
-
-// BenchmarkSemaphoreContention measures the queueing primitives.
-func BenchmarkSemaphoreContention(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		k := New()
-		sem := k.NewSemaphore(4)
-		for w := 0; w < 256; w++ {
-			k.Go("w", func(p *Proc) {
-				sem.Acquire(p)
-				p.Sleep(time.Millisecond)
-				sem.Release()
-			})
-		}
-		k.Run()
-	}
-}

@@ -3,10 +3,11 @@
 //
 // Processes are ordinary goroutines scheduled cooperatively: exactly one
 // process runs at any instant, and control returns to the kernel whenever a
-// process blocks on virtual time (Sleep) or on a synchronization primitive
-// (Signal, Semaphore, WaitGroup, Queue, Future). Events at the same virtual
-// instant are ordered by creation sequence, which makes every run
-// deterministic regardless of how the Go runtime schedules goroutines.
+// process blocks on virtual time (Sleep) or on the keyed completion signal
+// (WaitNotifyKey, woken by NotifyKey or its timeout) — the one
+// synchronization primitive. Events at the same virtual instant are ordered
+// by creation sequence, which makes every run deterministic regardless of
+// how the Go runtime schedules goroutines.
 //
 // The kernel is the substrate for the cloud-service simulators in
 // internal/awssim: worker fleets of thousands of serverless functions and
@@ -62,7 +63,7 @@ type event struct {
 	p   *Proc
 	// gen is the process's event generation at schedule time; a mismatch at
 	// dispatch means the event was cancelled (the process was woken through
-	// another path, e.g. a Signal broadcast superseding a timeout).
+	// another path: a completion broadcast superseding a timeout).
 	gen uint64
 }
 
@@ -107,13 +108,13 @@ type Proc struct {
 	resume chan struct{}
 	done   bool
 	// pending is true while the proc has a scheduled wake-up event; used to
-	// detect double-scheduling bugs in primitives.
+	// detect double-scheduling bugs.
 	pending bool
 	// egen is the process's live event generation: cancelling a scheduled
 	// wake-up (wakeCancel) bumps it, orphaning the heap entry.
 	egen uint64
-	// notified marks that the wake-up came from a Signal broadcast rather
-	// than a WaitTimeout timer.
+	// notified marks that the wake-up came from a completion broadcast
+	// rather than the WaitNotifyKey timer.
 	notified bool
 }
 
@@ -163,8 +164,8 @@ func (k *Kernel) scheduleAt(at time.Duration, p *Proc) {
 }
 
 // Run dispatches events until no process has a scheduled wake-up. It returns
-// the final virtual time. If processes remain alive but blocked on
-// primitives that will never fire, Run returns anyway; Deadlocked reports it.
+// the final virtual time. If processes remain alive but parked with no
+// wake-up to come, Run returns anyway; Deadlocked reports it.
 func (k *Kernel) Run() time.Duration {
 	for len(k.events) > 0 {
 		e := heap.Pop(&k.events).(event)
@@ -187,7 +188,7 @@ func (k *Kernel) Run() time.Duration {
 }
 
 // Deadlocked reports whether live processes remain after Run returned, i.e.
-// processes blocked on primitives that never fired.
+// processes parked with no wake-up scheduled.
 func (k *Kernel) Deadlocked() bool { return k.live > 0 }
 
 // yield parks the process and hands control back to the kernel. The process
@@ -211,11 +212,8 @@ func (p *Proc) Sleep(d time.Duration) {
 // Yield lets other processes scheduled at the same instant run.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// wake schedules a parked process to resume at the current instant.
-func (k *Kernel) wake(p *Proc) { k.scheduleAt(k.now, p) }
-
 // wakeCancel wakes a parked process at the current instant, cancelling any
-// wake-up it already has scheduled (a WaitTimeout timer superseded by the
+// wake-up it already has scheduled (a WaitNotifyKey timer superseded by the
 // broadcast that arrived first).
 func (k *Kernel) wakeCancel(p *Proc) {
 	if p.pending {

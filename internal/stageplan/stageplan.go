@@ -32,6 +32,7 @@ import (
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
 	"lambada/internal/exchange"
+	"lambada/internal/obs"
 )
 
 // Fingerprint returns a stable identity for a logical plan — the FNV-64a
@@ -287,9 +288,11 @@ func chooseShards(v exchange.Variant, senders, partitions, available int) int {
 // its SQS result message — so boundaries only go multi-level when request
 // savings actually pay for the extra fleet.
 func regroupWorkerOverhead() pricing.USD {
-	return pricing.LambdaPerRequest +
-		pricing.USD(1.75*0.5)*pricing.LambdaGBSecond +
-		pricing.SQSPerRequest
+	return pricing.Price(obs.Cost{
+		LambdaInvokes: 1,
+		LambdaMiBNs:   1792 * int64(time.Second/2),
+		SQSRequests:   1,
+	})
 }
 
 func (c Config) broadcastLimit() int64 {
