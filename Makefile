@@ -16,10 +16,13 @@ race:
 # race-staged runs the staged-execution suites (scheduler, speculation,
 # epoch fencing, exchange boundaries, stage planner, and the DES/notify
 # primitives under them) race-instrumented at a fixed GOMAXPROCS so
-# goroutine interleavings actually happen on 1-CPU runners. -short skips
-# the 1k-worker scale smoke, which runs uninstrumented via scale-smoke.
+# goroutine interleavings actually happen on 1-CPU runners. The S3 client is
+# among them: goroutine workers share one, and the lanes of its request
+# window share its counters and link (TestWindowsConcurrentOnOneClient).
+# -short skips the 1k-worker scale smoke, which runs uninstrumented via
+# scale-smoke.
 race-staged:
-	GOMAXPROCS=4 $(GO) test -race -short ./internal/driver/ ./internal/exchange/ ./internal/stageplan/ ./internal/simclock/ ./internal/awssim/dynamo/ ./internal/lpq/ ./internal/scan/
+	GOMAXPROCS=4 $(GO) test -race -short ./internal/driver/ ./internal/exchange/ ./internal/stageplan/ ./internal/simclock/ ./internal/awssim/dynamo/ ./internal/awssim/s3/ ./internal/lpq/ ./internal/scan/
 
 # scale-smoke is the multi-level acceptance point: staged q12 on the DES
 # kernel at 512 partitions (a 1k+ worker fleet), checking the resolved

@@ -21,6 +21,29 @@
 //	(1) multiple chunked requests per read, only as a fallback, since
 //	    extra requests cost money (Figure 7).
 //
+// A DES process is a single thread of control, so a simulated deployment
+// turns every goroutine level off and models what concurrency buys on the
+// virtual clock instead, in the S3 client, in two parts. The per-function
+// token-bucket shaper models bandwidth: a transfer takes the time its bytes
+// need at the rate its connections can draw, whoever else is reading. The
+// request window (s3.Client.Overlap) models the overlap of first-byte
+// latencies: up to sixteen calls in flight, each on a lane — a view of the
+// client on a clock of its own that adds up the request's latency, backoff
+// and transfer instead of parking — while the caller parks only until a lane
+// is free and, at the end, until the last one is. Every request is still
+// admitted, fault-injected, rate-limited, billed and traced at the instant it
+// is issued, in issue order; the lanes' transfers queue on the one shaper, so
+// a window moves bytes no faster than the function can. The exchange's three
+// request loops use it — a round's reads of one small range per writer, the
+// per-shard Lists of one discovery pass, a sweep's List and DeleteObjects per
+// bucket — because a worker that pays 256 latencies of ~35 ms one after
+// another for 256 KB is not the paper's worker (§4.3.2, §4.4.2), and the
+// fleet behind it idles, billed, until it is done. Uploads cannot ride a
+// lane: a Put makes its object visible, and wakes the readers parked on its
+// key, after its latency, and a lane has no instant of its own at which to do
+// so (Put on a lane returns s3.ErrLaneWrite). The scan side — levels 2, 4 and
+// 5 — and the driver's planning reads are still serial under DES.
+//
 // # Price-aware scan layer
 //
 // S3 bills a scan on two axes — a fixed price per GET request and a linear

@@ -58,16 +58,30 @@ type Client struct {
 	// across all operations (per-invocation scope).
 	budget *resilience.Budget
 
-	mu         sync.Mutex
-	bytesRead  int64
-	bytesWrite int64
-	retries    int64
+	// shared is what the function has one of however many requests it
+	// keeps in flight: the lanes of a request window (Overlap) are copies of
+	// the client that point at the same one.
+	shared *shared
 
 	// trace wraps every public operation in an op span (inherited from the
 	// service's tracer at construction; nil = off). Op spans are created
 	// only inside an already-bound span context (a query or invocation),
 	// so setup traffic stays untraced.
 	trace *obs.Tracer
+}
+
+// shared is the state a client shares with its lanes: the traffic counters
+// and the instant until which the shaped link is taken.
+type shared struct {
+	mu         sync.Mutex
+	bytesRead  int64
+	bytesWrite int64
+	retries    int64
+	// busyUntil is when the last shaped transfer ends. A transfer starts no
+	// earlier, so overlapped requests queue on the one token bucket instead
+	// of each drawing the full rate; a serial caller has slept past it
+	// before it asks again.
+	busyUntil time.Duration
 }
 
 // ClientOption customizes a Client.
@@ -104,6 +118,7 @@ func NewClient(svc *Service, env simenv.Env, opts ...ClientOption) *Client {
 		env:            env,
 		RetryBaseDelay: 25 * time.Millisecond,
 		MaxRetries:     10,
+		shared:         &shared{},
 		trace:          svc.trace,
 	}
 	for _, o := range opts {
@@ -159,38 +174,41 @@ func (c *Client) Service() *Service { return c.svc }
 
 // BytesRead returns the total payload bytes downloaded by this client.
 func (c *Client) BytesRead() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytesRead
+	c.shared.mu.Lock()
+	defer c.shared.mu.Unlock()
+	return c.shared.bytesRead
 }
 
 // BytesWritten returns the total payload bytes uploaded by this client.
 func (c *Client) BytesWritten() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytesWrite
+	c.shared.mu.Lock()
+	defer c.shared.mu.Unlock()
+	return c.shared.bytesWrite
 }
 
 // Retries returns how many SlowDown retries the client performed.
 func (c *Client) Retries() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retries
+	c.shared.mu.Lock()
+	defer c.shared.mu.Unlock()
+	return c.shared.retries
 }
 
 // chargeTransfer sleeps for the shaped transfer time of n bytes using conns
-// parallel connections. The shaper is guarded because the functional layer
-// issues concurrent reads (column-chunk parallelism, double buffering) from
-// one client.
+// parallel connections, after whatever transfer already holds the link. The
+// shaper is guarded because the functional layer issues concurrent reads
+// (column-chunk parallelism, double buffering) from one client.
 func (c *Client) chargeTransfer(n int64, conns int) {
 	if c.shaper == nil || n <= 0 {
 		return
 	}
 	rate := c.net.RequestRate(conns, c.memMiB)
-	c.mu.Lock()
-	d := c.shaper.Transfer(c.env.Now(), n, rate)
-	c.mu.Unlock()
-	c.env.Sleep(d)
+	now := c.env.Now()
+	c.shared.mu.Lock()
+	start := max(now, c.shared.busyUntil)
+	end := start + c.shaper.Transfer(start, n, rate)
+	c.shared.busyUntil = end
+	c.shared.mu.Unlock()
+	c.env.Sleep(end - now)
 }
 
 // retry runs op, backing off exponentially (with deterministic jitter) on
@@ -213,9 +231,9 @@ func (c *Client) retry(op func() error) error {
 		if !c.budget.Take() {
 			return &resilience.ExhaustedError{Op: "s3", Attempts: attempt + 1, BudgetSpent: true, Last: err}
 		}
-		c.mu.Lock()
-		c.retries++
-		c.mu.Unlock()
+		c.shared.mu.Lock()
+		c.shared.retries++
+		c.shared.mu.Unlock()
 		jitter := time.Duration(c.svc.rng.float64() * float64(delay))
 		c.env.Sleep(delay + jitter)
 		if delay < 2*time.Second {
@@ -227,26 +245,32 @@ func (c *Client) retry(op func() error) error {
 // Put uploads data (shaped as one connection egress; AWS does not shape
 // egress to S3 differently, so we reuse the ingress model symmetrically).
 func (c *Client) Put(bucket, key string, data []byte) (err error) {
+	if c.onLane() {
+		return ErrLaneWrite
+	}
 	defer c.endOp(c.opSpan("s3.put"), c.Retries(), &err)
 	err = c.retry(func() error { return c.svc.Put(c.env, bucket, key, data) })
 	if err == nil {
 		c.chargeTransfer(int64(len(data)), 1)
-		c.mu.Lock()
-		c.bytesWrite += int64(len(data))
-		c.mu.Unlock()
+		c.shared.mu.Lock()
+		c.shared.bytesWrite += int64(len(data))
+		c.shared.mu.Unlock()
 	}
 	return err
 }
 
 // PutSynthetic uploads a size-only object, charging transfer time.
 func (c *Client) PutSynthetic(bucket, key string, size int64) (err error) {
+	if c.onLane() {
+		return ErrLaneWrite
+	}
 	defer c.endOp(c.opSpan("s3.put"), c.Retries(), &err)
 	err = c.retry(func() error { return c.svc.PutSynthetic(c.env, bucket, key, size) })
 	if err == nil {
 		c.chargeTransfer(size, 1)
-		c.mu.Lock()
-		c.bytesWrite += size
-		c.mu.Unlock()
+		c.shared.mu.Lock()
+		c.shared.bytesWrite += size
+		c.shared.mu.Unlock()
 	}
 	return err
 }
@@ -265,9 +289,9 @@ func (c *Client) Get(bucket, key string, conns int) (_ []byte, _ int64, err erro
 		return nil, 0, err
 	}
 	c.chargeTransfer(size, conns)
-	c.mu.Lock()
-	c.bytesRead += size
-	c.mu.Unlock()
+	c.shared.mu.Lock()
+	c.shared.bytesRead += size
+	c.shared.mu.Unlock()
 	return data, size, nil
 }
 
@@ -285,9 +309,9 @@ func (c *Client) GetRange(bucket, key string, off, n int64, conns int) (_ []byte
 		return nil, 0, err
 	}
 	c.chargeTransfer(got, conns)
-	c.mu.Lock()
-	c.bytesRead += got
-	c.mu.Unlock()
+	c.shared.mu.Lock()
+	c.shared.bytesRead += got
+	c.shared.mu.Unlock()
 	return data, got, nil
 }
 

@@ -87,8 +87,12 @@ func NewSession(dep *Deployment, cfg Config) *Session {
 		cfg.EpochGCInterval = 64
 	}
 	if dep.Deterministic {
-		// DES processes must stay single-threaded; the shaper models the
-		// timing effect of scan concurrency instead.
+		// DES processes must stay single-threaded. The S3 client models what
+		// the goroutines would have bought instead: its shaper the bandwidth
+		// of concurrent transfers, its request window (s3.Client.Overlap) the
+		// overlap of first-byte latencies — which the exchange uses and the
+		// scan does not yet, so a simulated scan still pays its requests'
+		// latencies one after another.
 		cfg.Scan.DoubleBuffer = false
 		cfg.Scan.ParallelColumns = false
 		cfg.Scan.MetaPrefetch = false

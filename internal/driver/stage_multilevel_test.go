@@ -264,6 +264,27 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 		t.Errorf("billed lists %d outside [model %d, model+2B %d]",
 			got.Lists, model.Lists, model.Lists+2*int64(len(buckets)))
 	}
+
+	// A regroup worker reads one small range per sender — 512 of them here.
+	// Through the S3 client's request window that is 32 first-byte latencies;
+	// one after another it was 512, and the whole fleet behind the regroup
+	// stage idled through them (regroup sealed 17.2 s after its producer and
+	// the query took 22.6 s, against 1.7 s and 6.4 s now). Both bounds sit
+	// far from either side so that only a serial read can trip them.
+	sealed := map[int]time.Duration{}
+	for _, ss := range rep.StageStats {
+		if !ss.Regroup {
+			sealed[ss.StageID] = ss.Sealed
+		}
+	}
+	for _, ss := range rep.StageStats {
+		if lag := ss.Sealed - sealed[ss.StageID]; ss.Regroup && lag > 3*time.Second {
+			t.Errorf("regroup of stage %d sealed %v after its producer, want within 3s: are its reads serial again?", ss.StageID, lag)
+		}
+	}
+	if rep.Duration >= 10*time.Second {
+		t.Errorf("query took %v, want under 10s", rep.Duration)
+	}
 }
 
 // TestStagedMultiLevelSpeculationCompletesViaBackup re-runs the straggler

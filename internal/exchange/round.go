@@ -29,6 +29,14 @@
 // Sharding the objects over buckets (§4.4.1) multiplies S3's per-bucket rate
 // limits; the two optimizations bring request cost below worker cost
 // (Figure 9, costmodel.go).
+//
+// A reader keeps its requests in flight, as the paper's worker does: the
+// reads of a slot (one small range per writer), the Lists of a discovery pass
+// (one per shard bucket) and a sweep's List and DeleteObjects per bucket all
+// go through the S3 client's request window (s3.Client.Overlap), in the order
+// and with the results of a serial loop and a sixteenth of its first-byte
+// latencies. Writers Put one object after another: an upload cannot ride a
+// lane of the window.
 package exchange
 
 import (
@@ -301,12 +309,14 @@ type ref struct {
 // speculation race) and uncommitted ones (the partial file set of an aborted
 // attempt) are ignored; fragments being deterministic, which attempt wins
 // never changes the bytes. Discovery is one List per shard bucket per pass,
-// only of buckets that still host an unseen writer; between passes the reader
-// parks on the completion topic of the round's commit namespace, which only
-// a commit of this round broadcasts on (topics omit the bucket, so one covers
-// all shards), with Poll as the fallback. An object that parses but names a
-// writer outside the round, or another slot count, fails the collect: counted
-// as a writer it would let the reader return while a real one is missing.
+// only of buckets that still host an unseen writer, issued together through
+// the client's request window and filed in bucket order; between passes the
+// reader parks on the completion topic of the round's commit namespace, which
+// only a commit of this round broadcasts on (topics omit the bucket, so one
+// covers all shards), with Poll as the fallback. An object that parses but
+// names a writer outside the round, or another slot count, fails the collect:
+// counted as a writer it would let the reader return while a real one is
+// missing.
 func (r round) discover(slot int) ([]ref, error) {
 	form := commitKey
 	if r.opts.Variant.WriteCombining {
@@ -317,9 +327,9 @@ func (r round) discover(slot int) ([]ref, error) {
 		return nil, fmt.Errorf("%w: slot %d collected from %s, slots [%d,%d)", errShape, slot, prefix, r.slot0, r.slot0+r.slots)
 	}
 	// The shard buckets hosting the round's commits, ordered by lowest writer
-	// (DES readers consume modeled List latencies in this order; ranging over
-	// the map would randomize virtual timelines), and how many writers of
-	// each are not seen yet.
+	// (DES readers issue their Lists, and draw the modeled latencies, in this
+	// order; ranging over the map would randomize virtual timelines), and how
+	// many writers of each are not seen yet.
 	var shards []string
 	unseen := map[string]int{}
 	for w := r.writer0; w < r.writer0+r.writers; w++ {
@@ -337,27 +347,30 @@ func (r round) discover(slot int) ([]ref, error) {
 	env := r.client.Env()
 	deadline := env.Now() + r.opts.MaxWait
 	for {
+		pending := shards[:0:0]
 		for _, shard := range shards {
-			if unseen[shard] == 0 {
-				continue
+			if unseen[shard] > 0 {
+				pending = append(pending, shard)
 			}
-			entries, err := r.client.List(shard, prefix)
+		}
+		err := r.client.Overlap(len(pending), func(i int, lane *s3.Client) error {
+			entries, err := lane.List(pending[i], prefix)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			for _, e := range entries {
 				k, err := parseBoundaryKey(e.Key)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				w := k.writer - r.writer0
 				if k.prefix != r.opts.Prefix || k.stage != r.stage || k.kind != r.kind || k.form != form || w < 0 || w >= r.writers {
-					return nil, misfit(e.Key, "not an object of this round")
+					return misfit(e.Key, "not an object of this round")
 				}
-				found := ref{bucket: shard, key: e.Key, attempt: k.attempt}
+				found := ref{bucket: pending[i], key: e.Key, attempt: k.attempt}
 				if form == combinedKey {
 					if found.lo, found.hi, err = slotRange(k.offsets, r.slots, slot-r.slot0); err != nil {
-						return nil, misfit(e.Key, err)
+						return misfit(e.Key, err)
 					}
 				}
 				if cur := &refs[w]; cur.key == "" || k.attempt < cur.attempt {
@@ -368,6 +381,10 @@ func (r round) discover(slot int) ([]ref, error) {
 					*cur = found
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		if seen == r.writers {
 			break
@@ -387,26 +404,34 @@ func (r round) discover(slot int) ([]ref, error) {
 	return refs, nil
 }
 
-// read fetches what discover located, one request per writer, and returns
-// the blobs in writer order with the bytes transferred. Size-only objects
-// yield nil blobs.
+// read fetches what discover located, one request per writer through the
+// client's request window — a slot of one writer is small, and taken one by
+// one the reads' first-byte latencies are the round — and returns the blobs
+// in writer order with the bytes transferred. The first writer, in that
+// order, whose read fails is the one reported. Size-only objects yield nil
+// blobs.
 func (r round) read(refs []ref) (blobs [][]byte, n int64, err error) {
 	blobs = make([][]byte, 0, len(refs))
-	for _, f := range refs {
+	err = r.client.Overlap(len(refs), func(i int, lane *s3.Client) (err error) {
+		f := refs[i]
 		var data []byte
 		var got int64
 		if !r.opts.Variant.WriteCombining {
-			data, got, err = r.client.Get(f.bucket, f.key, 1)
+			data, got, err = lane.Get(f.bucket, f.key, 1)
 		} else if f.hi > f.lo { // S3 rejects a range that starts at the object's end
-			data, got, err = r.client.GetRange(f.bucket, f.key, f.lo, f.hi-f.lo, 1)
+			data, got, err = lane.GetRange(f.bucket, f.key, f.lo, f.hi-f.lo, 1)
 		} else {
-			continue
+			return nil
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("exchange: reading %s: %w", f.key, err)
+			return fmt.Errorf("exchange: reading %s: %w", f.key, err)
 		}
 		blobs = append(blobs, data)
 		n += got
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	return blobs, n, nil
 }

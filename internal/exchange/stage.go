@@ -260,30 +260,29 @@ func RegroupStage(client *s3.Client, opts Options, b Boundary, group int, keys [
 // in the given buckets — winner files whose consumers have collected and
 // loser files of aborted or outpaced speculative attempts alike — and
 // returns how many objects it removed. Deletes are batched per bucket
-// through the DeleteObjects API (one round trip per 1000 keys). The driver
-// runs it before a query (clearing leftovers of an identically-named
+// through the DeleteObjects API (one round trip per 1000 keys), and the
+// buckets are swept side by side through the client's request window. The
+// driver runs it before a query (clearing leftovers of an identically-named
 // aborted run, every epoch included) and after (reclaiming the boundary
 // namespace).
 func Sweep(client *s3.Client, buckets []string, prefix string) (int, error) {
 	removed := 0
-	for _, b := range buckets {
-		entries, err := client.List(b, prefix)
-		if err != nil {
-			return removed, err
-		}
-		if len(entries) == 0 {
-			continue
+	err := client.Overlap(len(buckets), func(i int, lane *s3.Client) error {
+		entries, err := lane.List(buckets[i], prefix)
+		if err != nil || len(entries) == 0 {
+			return err
 		}
 		keys := make([]string, len(entries))
-		for i, e := range entries {
-			keys[i] = e.Key
+		for j, e := range entries {
+			keys[j] = e.Key
 		}
-		if err := client.DeleteBatch(b, keys); err != nil {
-			return removed, err
+		if err := lane.DeleteBatch(buckets[i], keys); err != nil {
+			return err
 		}
 		removed += len(keys)
-	}
-	return removed, nil
+		return nil
+	})
+	return removed, err
 }
 
 // decodeBlobs concatenates the rows of the lpq blobs, in order, into one

@@ -212,15 +212,19 @@ func (t *Tracer) Bind(env any, id SpanID) {
 	t.binds[env] = append(t.binds[env], id)
 }
 
-// Pop removes the innermost span bound to env.
+// Pop removes the innermost span bound to env, and env's entry with its
+// last one: an environment that lives for one request window (an s3 lane)
+// leaves nothing behind.
 func (t *Tracer) Pop(env any) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if st := t.binds[env]; len(st) > 0 {
+	if st := t.binds[env]; len(st) > 1 {
 		t.binds[env] = st[:len(st)-1]
+	} else {
+		delete(t.binds, env)
 	}
 }
 

@@ -77,6 +77,33 @@ func TestChargeToInnermostBoundSpan(t *testing.T) {
 	}
 }
 
+// TestPopOfLastSpanDropsTheEnv: an environment whose last bound span is
+// popped leaves no entry behind — the lanes of an s3 request window are bound
+// and popped once per window, tens of thousands of times a query — and the
+// span it was bound to stays open.
+func TestPopOfLastSpanDropsTheEnv(t *testing.T) {
+	tr := New()
+	parent := tr.StartSpan(KindInvoke, "worker", 0, time.Second)
+	for i := 0; i < 100; i++ {
+		lane := new(int)
+		tr.Bind(lane, parent)
+		op := tr.StartSpan(KindOp, "s3.get", parent, time.Second)
+		tr.Bind(lane, op)
+		tr.Pop(lane)
+		if tr.Current(lane) != parent {
+			t.Fatal("popping the op span unbound the lane")
+		}
+		tr.Pop(lane)
+		tr.Pop(lane) // popping an unbound env is a no-op
+	}
+	if len(tr.binds) != 0 {
+		t.Errorf("%d environments still bound, want none", len(tr.binds))
+	}
+	if sp, _ := tr.Span(parent); sp.End != 0 {
+		t.Errorf("parent span closed at %v by a lane's Pop", sp.End)
+	}
+}
+
 // TestSubtreeCost sums a span and its descendants only.
 func TestSubtreeCost(t *testing.T) {
 	tr := New()
