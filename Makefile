@@ -2,7 +2,7 @@ GO ?= go
 # trace-smoke output file (Chrome trace-event JSON; also the CI artifact).
 TRACE_OUT ?= trace-smoke.json
 
-.PHONY: build test race race-staged chaos scale-smoke fuzz-smoke bench bench-check vet trace-smoke serve-smoke
+.PHONY: build test race race-staged chaos scale-smoke fuzz-smoke bench bench-check vet trace-smoke serve-smoke loc
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,13 @@ chaos:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the non-test Go lines per directory of the code proper, and
+# their total: the number a simplicity PR is held to.
+loc:
+	@find internal cmd examples -name '*.go' ! -name '*_test.go' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE ./internal/engine/ ./internal/scan/ ./internal/lpq/ .

@@ -34,33 +34,6 @@ import (
 	"lambada/internal/tpch"
 )
 
-const q1SQL = `
-SELECT l_returnflag, l_linestatus,
-       SUM(l_quantity) AS sum_qty,
-       SUM(l_extendedprice) AS sum_base_price,
-       SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price,
-       SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge,
-       AVG(l_quantity) AS avg_qty, AVG(l_extendedprice) AS avg_price,
-       AVG(l_discount) AS avg_disc, COUNT(*) AS count_order
-FROM lineitem
-WHERE l_shipdate <= DATE '1998-12-01' - INTERVAL '90' DAY
-GROUP BY l_returnflag, l_linestatus
-ORDER BY l_returnflag, l_linestatus`
-
-const q6SQL = `
-SELECT SUM(l_extendedprice * l_discount) AS revenue
-FROM lineitem
-WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01'
-  AND l_discount BETWEEN 0.0499999 AND 0.0700001 AND l_quantity < 24`
-
-const q12SQL = `
-SELECT o_orderpriority, COUNT(*) AS n, SUM(l_extendedprice) AS total
-FROM lineitem INNER JOIN orders ON lineitem.l_orderkey = orders.o_orderkey
-WHERE l_receiptdate >= DATE '1995-01-01' AND l_receiptdate < DATE '1996-01-01'
-  AND l_commitdate < l_receiptdate
-GROUP BY o_orderpriority
-ORDER BY o_orderpriority`
-
 // readHeaderTimeout bounds how long a connection may take to send its
 // request headers, so idle or trickling clients cannot pin connections.
 const readHeaderTimeout = 10 * time.Second
@@ -146,7 +119,7 @@ func run(addr, mode string, sf float64, files int, seed int64, inflight, cache, 
 		Tables:  tables,
 		SF:      sf,
 		Stage:   scfg,
-		Queries: map[string]string{"q1": q1SQL, "q6": q6SQL, "q12": q12SQL},
+		Queries: map[string]string{"q1": tpch.Q1SQL, "q6": tpch.Q6SQL, "q12": tpch.Q12SQL},
 	})
 
 	if smoke {

@@ -30,45 +30,6 @@ import (
 	"lambada/internal/tpch"
 )
 
-const q1SQL = `
-SELECT l_returnflag, l_linestatus,
-       SUM(l_quantity) AS sum_qty,
-       SUM(l_extendedprice) AS sum_base_price,
-       SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price,
-       SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge,
-       AVG(l_quantity) AS avg_qty, AVG(l_extendedprice) AS avg_price,
-       AVG(l_discount) AS avg_disc, COUNT(*) AS count_order
-FROM lineitem
-WHERE l_shipdate <= DATE '1998-12-01' - INTERVAL '90' DAY
-GROUP BY l_returnflag, l_linestatus
-ORDER BY l_returnflag, l_linestatus`
-
-const q6SQL = `
-SELECT SUM(l_extendedprice * l_discount) AS revenue
-FROM lineitem
-WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01'
-  AND l_discount BETWEEN 0.0499999 AND 0.0700001 AND l_quantity < 24`
-
-// joinSQL is the canonical broadcast-join shape: LINEITEM (big, on S3)
-// INNER JOIN SUPPLIER (small, shipped from the driver), revenue per nation.
-const joinSQL = `
-SELECT s_nationkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue, COUNT(*) AS n
-FROM lineitem INNER JOIN supplier ON lineitem.l_suppkey = supplier.s_suppkey
-GROUP BY s_nationkey
-ORDER BY s_nationkey`
-
-// q12SQL is the TPC-H Query 12-shaped two-large-sides join: LINEITEM
-// INNER JOIN ORDERS, late lineitems per order priority. With -exchange the
-// stage planner shuffles both sides through S3 (neither fits a broadcast
-// at scale); without it ORDERS is broadcast like any small side.
-const q12SQL = `
-SELECT o_orderpriority, COUNT(*) AS n, SUM(l_extendedprice) AS total
-FROM lineitem INNER JOIN orders ON lineitem.l_orderkey = orders.o_orderkey
-WHERE l_receiptdate >= DATE '1995-01-01' AND l_receiptdate < DATE '1996-01-01'
-  AND l_commitdate < l_receiptdate
-GROUP BY o_orderpriority
-ORDER BY o_orderpriority`
-
 func main() {
 	var (
 		sf       = flag.Float64("sf", 0.005, "TPC-H scale factor of the generated LINEITEM data")
@@ -87,7 +48,6 @@ func main() {
 		spec     = flag.Bool("speculate", false, "re-invoke stragglers as backup attempts once a quorum reported (single-scope and staged runs)")
 		stgWait  = flag.Duration("max-stage-wait", time.Minute, "no-progress liveness cap: a runnable stage with no worker response for this long (window restarts per response) has its missing workers re-invoked as the next attempt (with -exchange -speculate; 0 disables)")
 		xlevels  = flag.Int("exchange-levels", 0, "force every stage boundary's round count: 1 = single-round, 2 = multi-level (intermediate regroup round); 0 = resolve per boundary from the analytic request model (with -exchange)")
-		xcomb    = flag.Bool("exchange-combining", true, "write-combine boundary publishes: one combined object per sender with part offsets in the name (with -exchange)")
 		maxParts = flag.Int("max-partitions", 0, "cap the autotuned boundary fan-in (0 = stageplan default; with -exchange -partitions 0)")
 		fplan    = flag.String("fault-plan", "", "JSON fault plan file injected into the simulated substrate (with -mode des); see internal/awssim/faults")
 		fseed    = flag.Int64("fault-seed", 0, "override the fault plan's seed (0 = keep the plan's own; with -fault-plan)")
@@ -99,13 +59,13 @@ func main() {
 	sql := *query
 	switch strings.ToLower(sql) {
 	case "q1":
-		sql = q1SQL
+		sql = tpch.Q1SQL
 	case "q6":
-		sql = q6SQL
+		sql = tpch.Q6SQL
 	case "join":
-		sql = joinSQL
+		sql = tpch.JoinSQL
 	case "q12":
-		sql = q12SQL
+		sql = tpch.Q12SQL
 	}
 	plan, perr := sqlfe.Parse(sql)
 	if perr != nil {
@@ -186,7 +146,6 @@ func main() {
 			scfg.BroadcastRowLimit = *bcast
 			scfg.MaxStageWait = *stgWait
 			scfg.ExchangeLevels = *xlevels
-			scfg.Exchange.Variant.WriteCombining = *xcomb
 			scfg.MaxAutoPartitions = *maxParts
 			out, rep, err = d.RunPlanStaged(plan, tf, scfg)
 		case len(aux) > 0:

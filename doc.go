@@ -13,8 +13,8 @@
 //
 //	(5) file/pipeline parallelism: a bounded worker pool scans multiple lpq
 //	    files concurrently (scan.Config.ParallelFiles) and the engine runs
-//	    every plan on a pipeline-graph scheduler at N morsel workers
-//	    (engine.ExecuteParallel, driver.Config.PipelineParallelism);
+//	    every plan on a pipeline-graph scheduler at one morsel worker per
+//	    CPU (engine.ExecuteParallel);
 //	(4) metadata of all files prefetched eagerly in a dedicated thread;
 //	(3) row groups double-buffered: download overlaps decompression;
 //	(2) column chunks of a row group fetched in parallel;
@@ -76,7 +76,8 @@
 // when the gap is small (scan.Config.CoalesceGapBytes, default 128 KiB)
 // and the accumulated hole bytes stay under 1/8 of the span — trading one
 // fixed-price request against a bounded byte overhead, never an unbounded
-// one. The same page index feeds planning: stage fan-out uses the
+// one — and reads the spans one after another; level 2 reads the same
+// spans concurrently (s3fs.File.ReadSpan). The same page index feeds planning: stage fan-out uses the
 // pruning-aware lpq.EstimateRows instead of raw footer row counts, so
 // selective queries launch fewer scan workers. scan.Stats and the driver
 // Report expose the billed request and byte counters the cost-guard tests

@@ -152,7 +152,7 @@ func TestStagedChaosDeterministicByteIdentical(t *testing.T) {
 		}},
 		{"flat", func(cfg *Config, scfg *StageConfig) {
 			cfg.Speculate = DefaultSpeculateConfig()
-			scfg.Exchange.Variant.Levels = 1
+			scfg.ExchangeLevels = 1
 			scfg.Exchange.Variant.WriteCombining = false
 		}},
 		{"multilevel", func(cfg *Config, scfg *StageConfig) {

@@ -7,7 +7,6 @@ import (
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
-	"lambada/internal/exchange"
 	"lambada/internal/lpq"
 	"lambada/internal/simclock"
 	"lambada/internal/tpch"
@@ -49,7 +48,8 @@ func runStagedCost(t *testing.T, liOpts, ordOpts lpq.WriterOptions, mutate func(
 		scfg := DefaultStageConfig()
 		scfg.Partitions = 2
 		scfg.BroadcastRowLimit = -1
-		scfg.Exchange.Variant = exchange.Variant{Levels: 1, WriteCombining: wc}
+		scfg.Exchange.Variant.WriteCombining = wc
+		scfg.ExchangeLevels = 1
 		out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		if err != nil {
 			t.Errorf("staged q12 failed: %v", err)
@@ -253,6 +253,25 @@ func TestExecutorRequestGuard(t *testing.T) {
 		pricing.LabelS3Read: 48, pricing.LabelS3Write: 6, pricing.LabelS3List: 22,
 		pricing.LabelSQS: 32, pricing.LabelDynamoRead: 27,
 		pricing.LabelDynamoWrite: parentDynamoWrites - 1,
+	})
+
+	// ORDERS broadcast: the driver reads the table through the source the
+	// planner opened it with, so its two files cost one HEAD and one footer
+	// GET each — recorded in PR 19, whose parent opened them twice (S3 reads
+	// 38). SQS and DynamoDB reads are polls, recorded as measured.
+	assertRequests(t, "staged q12, orders broadcast", billedRequests(t, nil, func(d *Driver, tables TableFiles) error {
+		scfg := DefaultStageConfig()
+		scfg.Partitions = 2
+		scfg.Exchange.Poll = 100 * time.Millisecond
+		_, rep, err := d.RunSQLStaged(q12ExactSQL, tables, scfg)
+		if err == nil && rep.Stages != 2 {
+			t.Errorf("staged q12, orders broadcast: %d stages, want 2 (orders not broadcast?)", rep.Stages)
+		}
+		return err
+	}), map[string]int64{
+		pricing.LabelLambdaRequests: 4,
+		pricing.LabelS3Read:         34, pricing.LabelS3Write: 2, pricing.LabelS3List: 18,
+		pricing.LabelSQS: 22, pricing.LabelDynamoRead: 10, pricing.LabelDynamoWrite: 2,
 	})
 
 	// Multi-level boundaries and admission-capped launch, as recorded on the

@@ -144,17 +144,10 @@ type Config struct {
 	FilesPerWorker int
 	// TreeInvoke enables the two-level invocation tree (§4.2).
 	TreeInvoke bool
-	// InvokeThreads is the driver's requester thread count for pacing.
-	InvokeThreads int
 	// Region selects the Table 1 invocation profile.
 	Region netmodel.Region
 	// Scan configures the S3 scan operator.
 	Scan scan.Config
-	// PipelineParallelism is the number of morsel-pipeline goroutines the
-	// worker-side engine fans scan chunks out to (0 = GOMAXPROCS, 1 =
-	// serial). Forced to 1 in deterministic (DES) deployments, where
-	// worker code must not spawn goroutines.
-	PipelineParallelism int
 	// Timeout is the worker function timeout.
 	Timeout time.Duration
 	// ResultQueue names the SQS result queue.
@@ -211,7 +204,6 @@ func DefaultConfig() Config {
 		WorkerMemoryMiB: 1792,
 		FilesPerWorker:  1,
 		TreeInvoke:      true,
-		InvokeThreads:   1,
 		Region:          netmodel.RegionEU,
 		Scan:            scan.DefaultConfig(),
 		Timeout:         5 * time.Minute,
@@ -384,13 +376,13 @@ func (d *Session) workerHandler(ctx *lambdasvc.Ctx, payload []byte) error {
 // ErrWorkerOOM is reported when a worker's working set exceeds its memory.
 var ErrWorkerOOM = errors.New("worker out of memory")
 
-// memGuardSource wraps a scan source and fails with an out-of-memory error
-// when a materialized chunk exceeds the execution-engine budget. §3.3: the
-// handler "starts the execution engine ... with a memory limit slightly
-// lower than that of the serverless function such that it can report
-// out-of-memory situations ... rather than dying silently".
+// memGuardSource wraps a worker's scan source and fails with an
+// out-of-memory error when a materialized chunk exceeds the execution-engine
+// budget. §3.3: the handler "starts the execution engine ... with a memory
+// limit slightly lower than that of the serverless function such that it can
+// report out-of-memory situations ... rather than dying silently".
 type memGuardSource struct {
-	engine.Source
+	*scan.Source
 	budget int64
 }
 
@@ -398,30 +390,8 @@ func (m memGuardSource) Scan(proj []string, preds []lpq.Predicate, yield func(*c
 	return m.Source.Scan(proj, preds, m.guard(yield))
 }
 
-// ScanFiltered forwards late-materialized scans to the wrapped source
-// (memGuardSource must re-implement the interface: embedding engine.Source
-// hides whether the dynamic value is filterable). When it isn't, fall back
-// to a full scan filtered here so pipelines that skipped their filter stage
-// still see filtered chunks.
 func (m memGuardSource) ScanFiltered(proj []string, preds []lpq.Predicate, filter engine.Expr, yield func(*columnar.Chunk) error) error {
-	if fs, ok := m.Source.(engine.FilterableSource); ok {
-		return fs.ScanFiltered(proj, preds, filter, m.guard(yield))
-	}
-	var sel []int
-	return m.Source.Scan(proj, preds, m.guard(func(c *columnar.Chunk) error {
-		var err error
-		sel, err = engine.FilterSelection(c, filter, sel)
-		if err != nil {
-			return err
-		}
-		if len(sel) == 0 {
-			return nil
-		}
-		if len(sel) == c.NumRows() {
-			return yield(c)
-		}
-		return yield(c.Gather(sel))
-	}))
+	return m.Source.ScanFiltered(proj, preds, filter, m.guard(yield))
 }
 
 // guard wraps yield with the working-set budget check.
@@ -459,8 +429,7 @@ func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *work
 	}
 	cat := engine.Catalog{}
 	if len(p.Files) > 0 {
-		src := scan.New(client, d.cfg.Scan, p.Files...)
-		cat[p.Table] = memGuardSource{Source: src, budget: engineMemoryBudget(ctx.MemoryMiB)}
+		cat[p.Table] = memGuardSource{Source: scan.New(client, d.cfg.Scan, p.Files...), budget: engineMemoryBudget(ctx.MemoryMiB)}
 	}
 	for name, blob := range p.Broadcast {
 		c, err := decodeChunk(blob)

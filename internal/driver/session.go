@@ -97,7 +97,6 @@ func NewSession(dep *Deployment, cfg Config) *Session {
 		cfg.Scan.ParallelColumns = false
 		cfg.Scan.MetaPrefetch = false
 		cfg.Scan.ParallelFiles = 1
-		cfg.PipelineParallelism = 1
 	}
 	s := &Session{dep: dep, cfg: cfg}
 	if cfg.ResultCacheEntries > 0 {
@@ -105,7 +104,7 @@ func NewSession(dep *Deployment, cfg Config) *Session {
 	}
 	if cfg.MaxInFlight > 0 {
 		s.admission = invoke.NewAdmission(cfg.MaxInFlight,
-			invoke.DriverPacing(cfg.Region, cfg.InvokeThreads))
+			invoke.DriverPacing(cfg.Region, 1))
 		// Exact release accounting: one token back per settling container,
 		// crash paths included — the hook fires wherever the Lambda
 		// service's running gauge decrements.
@@ -213,7 +212,7 @@ func (s *Session) newQuery(env simenv.Env) *query {
 	s.dep.SQS.CreateQueue(cfg.ResultQueue)
 	q := &query{s: s, dep: s.dep, cfg: cfg, env: env, id: id, adm: s.admission}
 	if q.adm == nil {
-		q.adm = invoke.NewAdmission(0, invoke.DriverPacing(cfg.Region, cfg.InvokeThreads))
+		q.adm = invoke.NewAdmission(0, invoke.DriverPacing(cfg.Region, 1))
 	}
 	q.retry = s.newRetryScope(-1)
 	return q

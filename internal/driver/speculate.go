@@ -19,20 +19,22 @@ import (
 type SpeculateConfig struct {
 	// Enabled turns speculation on.
 	Enabled bool
-	// QuorumFraction is the fraction of workers that must report before
-	// speculation arms (default 0.75).
-	QuorumFraction float64
-	// LatencyFactor multiplies the median response time to form the
-	// straggler deadline (default 3).
-	LatencyFactor float64
-	// MaxRetries bounds re-invocations per worker (default 1). Stage plans
-	// may override it per stage through stageplan.Stage.MaxAttempts.
+	// MaxRetries bounds re-invocations per worker (default 1).
 	MaxRetries int
 }
 
+const (
+	// speculateQuorum is the fraction of a stage's workers that must report
+	// before speculation arms.
+	speculateQuorum = 0.75
+	// speculateLatencyFactor multiplies the median response time to form
+	// the straggler deadline.
+	speculateLatencyFactor = 3
+)
+
 // DefaultSpeculateConfig returns the standard backup-request policy.
 func DefaultSpeculateConfig() SpeculateConfig {
-	return SpeculateConfig{Enabled: true, QuorumFraction: 0.75, LatencyFactor: 3, MaxRetries: 1}
+	return SpeculateConfig{Enabled: true, MaxRetries: 1}
 }
 
 // stragglerPolicy applies SpeculateConfig to one stage's fleet: it records
@@ -94,32 +96,22 @@ func (sp *stragglerPolicy) record(now time.Duration) {
 	}
 }
 
-// maxRetries resolves the per-worker backup budget, with override taking
-// precedence when positive (override counts total attempts, so budget =
-// override - 1).
-func (sp *stragglerPolicy) maxRetries(override int) int {
-	if override > 0 {
-		return override - 1
-	}
-	return sp.cfg.MaxRetries
-}
-
 // stragglers returns the workers to re-invoke at virtual time now, bumping
-// their attempt counters: no response yet and retry budget (maxAttempts,
-// 0 = config default) left, provided either the quorum/median deadline
-// passed or the all-stragglers liveness cap expired.
-func (sp *stragglerPolicy) stragglers(now time.Duration, reported func(w int) bool, maxAttempts int) []int {
+// their attempt counters: no response yet and retry budget left, provided
+// either the quorum/median deadline passed or the all-stragglers liveness
+// cap expired.
+func (sp *stragglerPolicy) stragglers(now time.Duration, reported func(w int) bool) []int {
 	if !sp.cfg.Enabled || len(sp.responses) >= sp.workers {
 		return nil
 	}
-	quorum := int(sp.cfg.QuorumFraction * float64(sp.workers))
+	quorum := int(speculateQuorum * float64(sp.workers))
 	if quorum < 1 {
 		quorum = 1
 	}
 	armed := false
 	if len(sp.responses) >= quorum {
 		median := sp.responses[len(sp.responses)/2] // responses stay sorted
-		deadline := sp.launchAt + time.Duration(float64(median)*sp.cfg.LatencyFactor)
+		deadline := sp.launchAt + time.Duration(float64(median)*speculateLatencyFactor)
 		armed = now > deadline
 	}
 	if !armed {
@@ -133,10 +125,9 @@ func (sp *stragglerPolicy) stragglers(now time.Duration, reported func(w int) bo
 		}
 		sp.capFrom = now // the re-invoked attempt gets a fresh cap window
 	}
-	retries := sp.maxRetries(maxAttempts)
 	var out []int
 	for w := 0; w < sp.workers; w++ {
-		if reported(w) || sp.attempts[w] >= retries {
+		if reported(w) || sp.attempts[w] >= sp.cfg.MaxRetries {
 			continue
 		}
 		sp.attempts[w]++

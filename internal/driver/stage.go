@@ -31,7 +31,7 @@ import (
 // stage scheduler with seal/ready barriers and attempt-versioned
 // boundaries.
 type StageConfig struct {
-	// Exchange configures the S3 boundary namespace (buckets, variant,
+	// Exchange configures the S3 boundary namespace (write combining,
 	// receiver polling).
 	Exchange ExchangeConfig
 	// Partitions is the fan-in of every boundary — join stages and final
@@ -49,8 +49,7 @@ type StageConfig struct {
 	// worker response — the window restarts on every response — has its
 	// whole missing set re-invoked as the next attempt. This covers the
 	// cases the quorum/median policy can never arm for: no response at all,
-	// and a sub-quorum stall. stageplan.Stage.MaxStageWait overrides it per
-	// stage; 0 disables the cap.
+	// and a sub-quorum stall. 0 disables the cap.
 	MaxStageWait time.Duration
 	// ExchangeLevels forces every stage boundary's round count: 1 pins
 	// single-round, 2 pins the multi-level boundary (one intermediate
@@ -118,13 +117,11 @@ func regroupStageID(producer int) int { return 1_000_000 + producer }
 // like any other.
 func regroupStage(producer *stageplan.Stage) *stageplan.Stage {
 	return &stageplan.Stage{
-		ID:           regroupStageID(producer.ID),
-		Inputs:       []stageplan.Input{{StageID: producer.ID}},
-		Output:       producer.Output,
-		DependsOn:    []int{producer.ID},
-		Eager:        true,
-		MaxAttempts:  producer.MaxAttempts,
-		MaxStageWait: producer.MaxStageWait,
+		ID:        regroupStageID(producer.ID),
+		Inputs:    []stageplan.Input{{StageID: producer.ID}},
+		Output:    producer.Output,
+		DependsOn: []int{producer.ID},
+		Eager:     true,
 	}
 }
 
@@ -491,7 +488,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 	// Load the genuinely small tables the planner kept as broadcast joins.
 	blobs := map[string][]byte{}
 	for _, name := range sp.Broadcast {
-		chunk, err := d.loadTable(driverClient, tables[name])
+		chunk, err := loadTable(srcs[name])
 		if err != nil {
 			return nil, nil, fmt.Errorf("driver: loading broadcast table %q: %w", name, err)
 		}
@@ -553,7 +550,7 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 	)
 	sweep := func() error { return nil }
 	if bounded {
-		buckets := d.s.InstallExchange(cfg.Exchange)
+		buckets := d.s.InstallExchange()
 		sealTable := stagesTableName(d.cfg.FunctionName)
 		d.dep.Dynamo.CreateTable(sealTable)
 
@@ -769,7 +766,7 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 		// otherwise — a pipelined consumer idling on the ready barrier is
 		// not straggling.
 		if depsSealed(r) {
-			r.policy.armCap(stageCap(r.st, cfg), r.launchedAt)
+			r.policy.armCap(cfg.MaxStageWait, r.launchedAt)
 		}
 		totalWorkers += len(r.payloads)
 		return nil
@@ -833,6 +830,13 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 				loserDiscards++
 				continue // unknown stage, or a loser sealing after the stage did
 			}
+			if rm.WorkerID < 0 || rm.WorkerID >= len(r.payloads) {
+				// A seal from a worker the stage does not have is a stray,
+				// whoever wrote it: counted as a winner it would seal the stage
+				// one real worker early, and relaunching it has no payload.
+				zombieDiscards++
+				continue
+			}
 			if _, dup := r.winners[rm.WorkerID]; dup {
 				loserDiscards++
 				continue // losing half of a backup pair — files swept later
@@ -847,10 +851,7 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 				// Every invocation gets at least one relaunch even with
 				// speculation disabled; deterministic plan or data errors
 				// fail the query immediately with a structured error.
-				relaunches := r.policy.maxRetries(r.st.MaxAttempts)
-				if relaunches < 1 {
-					relaunches = 1
-				}
+				relaunches := max(r.policy.cfg.MaxRetries, 1)
 				if rm.Retryable && r.policy.attempts[rm.WorkerID] < relaunches {
 					r.policy.attempts[rm.WorkerID]++
 					failureSeals++
@@ -899,7 +900,7 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 				// runnable: start their liveness-cap clocks now.
 				for _, c := range runs {
 					if c.state == stageLaunched && !c.policy.capArmed() && depsSealed(c) {
-						c.policy.armCap(stageCap(c.st, cfg), d.env.Now())
+						c.policy.armCap(cfg.MaxStageWait, d.env.Now())
 					}
 				}
 			}
@@ -925,7 +926,7 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 				_, ok := r.winners[w]
 				return ok
 			}
-			for _, w := range r.policy.stragglers(d.env.Now(), reported, r.st.MaxAttempts) {
+			for _, w := range r.policy.stragglers(d.env.Now(), reported) {
 				r.speculated++
 				speculated++
 				if err := d.reinvoke(r, w); err != nil {
@@ -1051,19 +1052,6 @@ func (d *query) purgeResults() error {
 	}
 }
 
-// stageCap resolves a stage's all-stragglers liveness cap: the stage's own
-// MaxStageWait when set (negative = disabled), the StageConfig default
-// otherwise.
-func stageCap(st *stageplan.Stage, cfg StageConfig) time.Duration {
-	if st.MaxStageWait != 0 {
-		if st.MaxStageWait < 0 {
-			return 0
-		}
-		return st.MaxStageWait
-	}
-	return cfg.MaxStageWait
-}
-
 // stagePayloads builds the n invocation payloads of one stage (attempt 0),
 // every one stamped with the query's epoch fence token. A stage that
 // touches no boundary — no inputs to collect, no output to publish — ships
@@ -1133,12 +1121,9 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, n int, files []sca
 }
 
 // loadTable reads a small table's lpq files whole on the driver (the §3.2
-// "small amounts of data read locally" that broadcast joins ship).
-func (d *query) loadTable(client *s3.Client, files []scan.FileRef) (*columnar.Chunk, error) {
-	if len(files) == 0 {
-		return nil, errors.New("no files")
-	}
-	src := scan.New(client, d.cfg.Scan, files...)
+// "small amounts of data read locally" that broadcast joins ship) through
+// the source the planner already opened them with: the footers are paid for.
+func loadTable(src *scan.Source) (*columnar.Chunk, error) {
 	schema, err := src.Schema()
 	if err != nil {
 		return nil, err
@@ -1263,9 +1248,13 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws *retryScope, p *workerP
 	}
 
 	// Every fragment — joins included — runs on the pipeline-graph
-	// scheduler; parallelism 1 (forced in DES deployments) executes the
-	// whole graph inline without spawning goroutines.
-	out, err := engine.ExecuteParallel(plan, cat, engine.ParallelConfig{Pipelines: d.cfg.PipelineParallelism})
+	// scheduler, one pipeline per CPU (Pipelines 0); a DES process must not
+	// spawn goroutines, and parallelism 1 executes the whole graph inline.
+	var par engine.ParallelConfig
+	if d.dep.Deterministic {
+		par.Pipelines = 1
+	}
+	out, err := engine.ExecuteParallel(plan, cat, par)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"lambada/internal/engine"
 	"lambada/internal/exchange"
 	"lambada/internal/lpq"
+	"lambada/internal/obs"
 	"lambada/internal/simclock"
 	"lambada/internal/sqlfe"
 	"lambada/internal/stageplan"
@@ -90,7 +92,7 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 		// abort happens first and its error seals are purged before the
 		// retry launches.
 		scfg.Exchange.MaxWait = 20 * time.Second
-		scfg.Exchange.Variant = exchange.Variant{Levels: 1, WriteCombining: wc}
+		scfg.Exchange.Variant.WriteCombining = wc
 		scfg.ExchangeLevels = levels
 
 		d1Start := p.Now()
@@ -153,8 +155,7 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 	// And the zombie's post-purge boundary files (epoch-1 debris) fell to
 	// the retry's final sweep: the whole q1 namespace is empty, every epoch.
 	client := s3.NewClient(dep.S3, simenv.NewImmediate())
-	scfg := DefaultStageConfig()
-	for _, b := range bucketNamesFor(DefaultConfig().FunctionName, scfg.Exchange.Buckets) {
+	for _, b := range bucketNamesFor(DefaultConfig().FunctionName, exchangeShardBuckets) {
 		entries, err := client.List(b, DefaultConfig().FunctionName+"/q1")
 		if err != nil {
 			t.Fatal(err)
@@ -212,6 +213,99 @@ func TestStagedZombieSealDESDeterministic(t *testing.T) {
 	}
 }
 
+// TestStagedSealFromUnknownWorkerDiscarded: seal messages that pass the epoch
+// fence — right query ID, epoch and stage, posted mid-run so the purge does
+// not eat them — but name a worker the stage does not have are strays like
+// any other. Counted as a winner, the success seal would seal the scan stage
+// while its stalled real worker is still out; relaunched, the retryable
+// failure seal would index the stage's payloads out of range.
+func TestStagedSealFromUnknownWorkerDiscarded(t *testing.T) {
+	const stall = 5 * time.Second
+	run := func(strays []resultMsg) (*columnar.Chunk, *Report) {
+		k := simclock.New()
+		dep := NewSimulated(k, 61)
+		dep.EnableTracing(obs.New())
+		var out *columnar.Chunk
+		var rep *Report
+		k.Go("driver", func(p *simclock.Proc) {
+			cfg := DefaultConfig()
+			cfg.PollInterval = 50 * time.Millisecond
+			// Hold the lineitem scan (stage 1) open until after the strays.
+			cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
+				if stage == 1 && workerID == 1 {
+					return stall
+				}
+				return 0
+			}
+			d := New(dep, p, cfg)
+			if err := d.Install(); err != nil {
+				t.Error(err)
+				return
+			}
+			g := tpch.Gen{SF: 0.002, Seed: 41}
+			li := g.Generate()
+			liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ordRefs, err := d.UploadTable("tpch", "orders", g.OrdersFor(li), 2, lpq.WriterOptions{RowGroupRows: 2000})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			scfg := DefaultStageConfig()
+			scfg.Partitions = 2
+			scfg.BroadcastRowLimit = -1
+			scfg.Exchange.Poll = 100 * time.Millisecond
+			k.GoAt(p.Now()+stall-time.Second, "stray", func(sp *simclock.Proc) {
+				for _, rm := range strays {
+					body, err := json.Marshal(rm)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if err := dep.SQS.Send(sp, queryQueueName(cfg.ResultQueue, "q1"), body); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+			if err != nil {
+				t.Error(err)
+			}
+		})
+		k.Run()
+		if k.Deadlocked() {
+			t.Fatal("DES deadlocked")
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+		for _, ss := range rep.StageStats {
+			if ss.StageID == 1 && !ss.Regroup && ss.Sealed-ss.Launched < stall {
+				t.Errorf("scan stage sealed %v after launch, before its stalled worker (%v) reported", ss.Sealed-ss.Launched, stall)
+			}
+		}
+		return out, rep
+	}
+	want, _ := run(nil)
+	got, rep := run([]resultMsg{
+		{QueryID: "q1", Epoch: 1, Stage: 1, WorkerID: -1, Err: "stray", Retryable: true},
+		{QueryID: "q1", Epoch: 1, Stage: 1, WorkerID: 4},
+	})
+	chunksIdentical(t, got, want)
+	if rep.QueryID != "q1" || rep.Epoch != 1 {
+		t.Fatalf("ran as %s epoch %d, the strays were addressed to q1 epoch 1 (test premise broken)", rep.QueryID, rep.Epoch)
+	}
+	if qs, _ := rep.Trace.Span(rep.Span); qs.Tags["zombieDiscards"] != "2" {
+		t.Errorf("zombieDiscards = %q, want both strays discarded", qs.Tags["zombieDiscards"])
+	}
+	if rep.FailureSeals != 0 {
+		t.Errorf("failure seals = %d: the stray failure seal was relaunched", rep.FailureSeals)
+	}
+}
+
 // TestStagedAllStragglersRecovered covers the liveness hole the quorum
 // policy cannot: EVERY worker of the scan stage stalls on its first
 // attempt, so speculation's quorum never gets a single response. The
@@ -256,7 +350,8 @@ func TestStagedAllStragglersRecovered(t *testing.T) {
 		scfg.Partitions = 2
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
-		scfg.Exchange.Variant = exchange.Variant{Levels: 1}
+		scfg.Exchange.Variant.WriteCombining = false
+		scfg.ExchangeLevels = 1
 		scfg.MaxStageWait = 20 * time.Second
 		out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		if err != nil {
@@ -371,7 +466,8 @@ func TestStageFragmentSingleSealDeadline(t *testing.T) {
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
 		scfg.Exchange.MaxWait = sealWait
-		scfg.Exchange.Variant = exchange.Variant{Levels: 1}
+		scfg.Exchange.Variant.WriteCombining = false
+		scfg.ExchangeLevels = 1
 		start := p.Now()
 		_, _, runErr = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		elapsed = p.Now() - start
@@ -521,7 +617,8 @@ func TestStagedSubQuorumStallRecovered(t *testing.T) {
 		scfg.Partitions = 2
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
-		scfg.Exchange.Variant = exchange.Variant{Levels: 1}
+		scfg.Exchange.Variant.WriteCombining = false
+		scfg.ExchangeLevels = 1
 		scfg.MaxStageWait = 20 * time.Second
 		out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"lambada/internal/engine"
-	"lambada/internal/exchange"
 	"lambada/internal/lpq"
 	"lambada/internal/simclock"
 	"lambada/internal/sqlfe"
@@ -45,7 +44,8 @@ func TestStagedGroupByShuffleMatchesSingleNode(t *testing.T) {
 
 		scfg := DefaultStageConfig()
 		scfg.Partitions = 3
-		scfg.Exchange.Variant = exchange.Variant{Levels: 1, WriteCombining: wc}
+		scfg.Exchange.Variant.WriteCombining = wc
+		scfg.ExchangeLevels = 1
 		got, rep, err := d.RunPlanStaged(plan, TableFiles{"lineitem": refs}, scfg)
 		if err != nil {
 			t.Fatalf("wc=%v: %v", wc, err)
@@ -111,7 +111,8 @@ func TestStagedGroupByShuffleDES(t *testing.T) {
 			}
 			scfg := DefaultStageConfig()
 			scfg.Partitions = 3
-			scfg.Exchange.Variant = exchange.Variant{Levels: 1, WriteCombining: wc}
+			scfg.Exchange.Variant.WriteCombining = wc
+			scfg.ExchangeLevels = 1
 			scfg.Exchange.Poll = 100 * time.Millisecond
 			out, rep, err := d.RunPlanStaged(plan, TableFiles{"lineitem": refs}, scfg)
 			if err != nil {

@@ -183,7 +183,7 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 
 		// Snapshot the shard buckets before the query: the deltas are exactly
 		// the boundary traffic (table data lives in the tpch bucket).
-		buckets = d.InstallExchange(scfg.Exchange)
+		buckets = d.InstallExchange()
 		for _, b := range buckets {
 			st, err := dep.S3.BucketStats(b)
 			if err != nil {

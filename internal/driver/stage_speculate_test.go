@@ -60,7 +60,7 @@ func runStagedWithStraggler(t *testing.T, wc bool, levels int, stall time.Durati
 		scfg.Partitions = 2
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
-		scfg.Exchange.Variant = exchange.Variant{Levels: 1, WriteCombining: wc}
+		scfg.Exchange.Variant.WriteCombining = wc
 		scfg.ExchangeLevels = levels
 		first, rep, err = d.RunSQLStaged(q12ExactSQL, tables, scfg)
 		if err != nil {
@@ -168,14 +168,15 @@ func TestStagedStaleArtifactsDoNotPoisonRetry(t *testing.T) {
 	scfg := DefaultStageConfig()
 	scfg.Partitions = 2
 	scfg.BroadcastRowLimit = -1
-	scfg.Exchange.Variant = exchange.Variant{Levels: 1}
+	scfg.Exchange.Variant.WriteCombining = false
+	scfg.ExchangeLevels = 1
 
 	// Manufacture the aborted run's debris. Boundary garbage: a committed
 	// attempt of stage-0 sender 0 under the q1 prefix whose rows would skew
 	// every aggregate if collected.
-	buckets := d1.InstallExchange(scfg.Exchange)
+	buckets := d1.InstallExchange()
 	opts := exchange.Options{
-		Variant: scfg.Exchange.Variant,
+		Variant: exchange.Variant{Levels: 1},
 		Buckets: buckets,
 		Prefix:  cfg.FunctionName + "/q1",
 		Poll:    time.Millisecond,
@@ -237,7 +238,7 @@ func TestStagedSweepClearsBoundaries(t *testing.T) {
 	cfg.BroadcastRowLimit = -1
 	// A concurrent query whose ID merely starts with this one's (q10 next to
 	// q1) owns a different namespace: q1's sweeps must leave it alone.
-	buckets := d.InstallExchange(cfg.Exchange)
+	buckets := d.InstallExchange()
 	client := s3.NewClient(d.dep.S3, d.env)
 	sibling := d.cfg.FunctionName + "/q10/e1/live-boundary-object"
 	if err := client.Put(buckets[0], sibling, []byte("x")); err != nil {

@@ -10,7 +10,6 @@ import (
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
-	"lambada/internal/exchange"
 	"lambada/internal/lpq"
 	"lambada/internal/simclock"
 	"lambada/internal/sqlfe"
@@ -123,7 +122,8 @@ func TestShuffleJoinByteIdenticalAcrossConfigs(t *testing.T) {
 		cfg := DefaultStageConfig()
 		cfg.Partitions = tc.parts
 		cfg.BroadcastRowLimit = -1 // force shuffle on every join
-		cfg.Exchange.Variant = exchange.Variant{Levels: 1, WriteCombining: tc.wc}
+		cfg.Exchange.Variant.WriteCombining = tc.wc
+		cfg.ExchangeLevels = 1
 
 		got, rep, err := d.RunSQLStaged(q12ExactSQL, tables, cfg)
 		if err != nil {

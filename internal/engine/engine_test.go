@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -9,7 +8,6 @@ import (
 	"testing/quick"
 
 	"lambada/internal/columnar"
-	"lambada/internal/lpq"
 	"lambada/internal/tpch"
 )
 
@@ -365,31 +363,6 @@ func TestSplitDistributedAggEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestLpqSourceWithPruning(t *testing.T) {
-	data := tpch.Gen{SF: 0.002, Seed: 5}.Generate()
-	raw, err := lpq.WriteFile(tpch.Schema(), lpq.WriterOptions{RowGroupRows: 1000}, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := lpq.OpenReader(bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := Catalog{"lineitem": &LpqSource{Reader: r}}
-	opt, err := Optimize(q6Plan(), cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Execute(opt, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tpch.Q6Reference(data)
-	if got := out.Column("revenue").Float64s[0]; math.Abs(got-want) > 1e-6*want {
-		t.Errorf("lpq Q6 = %v, want %v", got, want)
 	}
 }
 

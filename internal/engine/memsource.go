@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"lambada/internal/columnar"
 	"lambada/internal/lpq"
 )
@@ -40,125 +38,3 @@ func (m *MemSource) Scan(proj []string, _ []lpq.Predicate, yield func(*columnar.
 	}
 	return nil
 }
-
-// LpqSource scans an lpq file through any io.ReaderAt, honoring projection
-// and min/max row-group pruning. It is the local (non-S3) scan path.
-type LpqSource struct {
-	Reader *lpq.Reader
-}
-
-// Schema returns the file schema.
-func (s *LpqSource) Schema() (*columnar.Schema, error) { return s.Reader.Schema(), nil }
-
-// Scan yields one chunk per non-pruned row group.
-func (s *LpqSource) Scan(proj []string, preds []lpq.Predicate, yield func(*columnar.Chunk) error) error {
-	meta := s.Reader.Meta()
-	cols, err := s.resolve(proj)
-	if err != nil {
-		return err
-	}
-	for _, g := range lpq.PruneRowGroups(meta, preds) {
-		c, err := s.Reader.ReadRowGroup(g, cols)
-		if err != nil {
-			return err
-		}
-		if err := yield(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanFiltered is the late-materialized local scan: per surviving row
-// group it reads only the filter's columns, evaluates the filter, and reads
-// the remaining projected columns only when some rows pass, gathering both
-// by the same selection. Row groups with an empty selection cost only the
-// filter-column reads.
-func (s *LpqSource) ScanFiltered(proj []string, preds []lpq.Predicate, filter Expr, yield func(*columnar.Chunk) error) error {
-	meta := s.Reader.Meta()
-	cols, err := s.resolve(proj)
-	if err != nil {
-		return err
-	}
-	if cols == nil {
-		cols = make([]int, meta.Schema.Len())
-		for i := range cols {
-			cols[i] = i
-		}
-	}
-	need := map[string]bool{}
-	for _, c := range filter.Columns(nil) {
-		need[c] = true
-	}
-	var fcols, pcols []int
-	for _, c := range cols {
-		if need[meta.Schema.Fields[c].Name] {
-			fcols = append(fcols, c)
-		} else {
-			pcols = append(pcols, c)
-		}
-	}
-	var sel []int
-	for _, g := range lpq.PruneRowGroups(meta, preds) {
-		fc, err := s.Reader.ReadRowGroup(g, fcols)
-		if err != nil {
-			return err
-		}
-		sel, err = FilterSelection(fc, filter, sel)
-		if err != nil {
-			return err
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		pc, err := s.Reader.ReadRowGroup(g, pcols)
-		if err != nil {
-			return err
-		}
-		out := columnar.NewChunk(mustProject(meta.Schema, cols), len(sel))
-		fi, pi := 0, 0
-		for oi, c := range cols {
-			var src *columnar.Vector
-			if need[meta.Schema.Fields[c].Name] {
-				src = fc.Columns[fi]
-				fi++
-			} else {
-				src = pc.Columns[pi]
-				pi++
-			}
-			out.Columns[oi].AppendGather(src, sel)
-		}
-		if err := yield(out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// resolve maps projection names to column indices (nil proj stays nil).
-func (s *LpqSource) resolve(proj []string) ([]int, error) {
-	if proj == nil {
-		return nil, nil
-	}
-	meta := s.Reader.Meta()
-	cols := make([]int, 0, len(proj))
-	for _, name := range proj {
-		i := meta.Schema.Index(name)
-		if i < 0 {
-			return nil, fmt.Errorf("engine: column %q not in file", name)
-		}
-		cols = append(cols, i)
-	}
-	return cols, nil
-}
-
-// mustProject builds the schema of the given column indices.
-func mustProject(schema *columnar.Schema, cols []int) *columnar.Schema {
-	fields := make([]columnar.Field, len(cols))
-	for i, c := range cols {
-		fields[i] = schema.Fields[c]
-	}
-	return columnar.NewSchema(fields...)
-}
-
-var _ FilterableSource = (*LpqSource)(nil)

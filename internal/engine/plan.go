@@ -8,9 +8,9 @@ import (
 	"lambada/internal/lpq"
 )
 
-// Source abstracts where a scan's chunks come from: an in-memory table, a
-// local lpq file, or the S3-backed Parquet scan operator. Implementations
-// receive the pushed-down projection and prunable predicates.
+// Source abstracts where a scan's chunks come from: an in-memory table or
+// the S3-backed Parquet scan operator. Implementations receive the
+// pushed-down projection and prunable predicates.
 type Source interface {
 	// Schema returns the source's full schema.
 	Schema() (*columnar.Schema, error)

@@ -100,15 +100,25 @@ func (f *File) ReadRanges(ranges []Range, gap int64) ([][]byte, error) {
 	}
 	out := make([][]byte, len(ranges))
 	for _, s := range PlanSpans(ranges, gap) {
-		buf, err := f.ReadRange(s.Off, s.Len)
-		if err != nil {
+		if err := f.ReadSpan(s, ranges, out); err != nil {
 			return nil, err
 		}
-		if int64(len(buf)) < s.Len {
-			return nil, fmt.Errorf("s3fs: span [%d,%d) of %s/%s truncated to %d bytes",
-				s.Off, s.Off+s.Len, f.bucket, f.key, len(buf))
-		}
-		s.Cut(buf, ranges, out)
 	}
 	return out, nil
+}
+
+// ReadSpan fetches one planned span in one read and cuts it into the out
+// slots of the ranges it covers. Spans of one plan fill disjoint slots, so
+// concurrent ReadSpan calls may share out.
+func (f *File) ReadSpan(s Span, ranges []Range, out [][]byte) error {
+	buf, err := f.ReadRange(s.Off, s.Len)
+	if err != nil {
+		return err
+	}
+	if int64(len(buf)) < s.Len {
+		return fmt.Errorf("s3fs: span [%d,%d) of %s/%s truncated to %d bytes",
+			s.Off, s.Off+s.Len, f.bucket, f.key, len(buf))
+	}
+	s.Cut(buf, ranges, out)
+	return nil
 }

@@ -156,18 +156,50 @@ func TestScanFilteredByteIdentity(t *testing.T) {
 			t.Fatalf("%s: reference selected no rows — test has no teeth", w.name)
 		}
 
-		for _, cfg := range []Config{
-			{},
-			DefaultConfig(),
-			{DisableLateMaterialize: true},
-			{CoalesceGapBytes: -1},
-			{DoubleBuffer: true, ParallelColumns: true, Conns: 4},
+		for _, tc := range []struct {
+			cfg    Config
+			filter engine.Expr
+		}{
+			{Config{}, q6Filter()},
+			{DefaultConfig(), q6Filter()},
+			{Config{DisableLateMaterialize: true}, q6Filter()},
+			{Config{CoalesceGapBytes: -1}, q6Filter()},
+			{Config{DoubleBuffer: true, ParallelColumns: true, Conns: 4}, q6Filter()},
+			// Scan is ScanFiltered without a filter: chunk for chunk, and in
+			// every counter.
+			{Config{}, nil},
 		} {
-			src := New(newClient(svc), cfg, refs...)
+			label := fmt.Sprintf("%s cfg=%+v", w.name, tc.cfg)
+			src := New(newClient(svc), tc.cfg, refs...)
+			var chunks []*columnar.Chunk
 			got := collectRows(t, mustSchema(t, src, proj), func(yield func(*columnar.Chunk) error) error {
-				return src.ScanFiltered(proj, q6Preds(), q6Filter(), yield)
+				return src.ScanFiltered(proj, q6Preds(), tc.filter, func(c *columnar.Chunk) error {
+					chunks = append(chunks, c)
+					return yield(c)
+				})
 			})
-			requireIdentical(t, fmt.Sprintf("%s cfg=%+v", w.name, cfg), got, want)
+			if tc.filter != nil {
+				requireIdentical(t, label, got, want)
+				continue
+			}
+			plain := New(newClient(svc), tc.cfg, refs...)
+			n := 0
+			err := plain.Scan(proj, q6Preds(), func(c *columnar.Chunk) error {
+				if n < len(chunks) {
+					requireIdentical(t, fmt.Sprintf("%s chunk %d", label, n), chunks[n], c)
+				}
+				n++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != len(chunks) || n == 0 {
+				t.Fatalf("%s: Scan yields %d chunks, ScanFiltered(nil) %d", label, n, len(chunks))
+			}
+			if g, w := src.Stats(), plain.Stats(); g != w {
+				t.Fatalf("%s: ScanFiltered(nil) stats %+v, Scan %+v", label, g, w)
+			}
 		}
 	}
 }

@@ -60,17 +60,6 @@ type Config struct {
 	DisableLateMaterialize bool
 }
 
-// gap resolves the configured coalescing gap (-1 disables).
-func (c *Config) gap() int64 {
-	if c.CoalesceGapBytes < 0 {
-		return -1
-	}
-	if c.CoalesceGapBytes == 0 {
-		return s3fs.DefaultCoalesceGap
-	}
-	return c.CoalesceGapBytes
-}
-
 // DefaultConfig mirrors the paper's operator — all levels enabled, 16 MiB
 // chunks, four connections — plus file-level parallelism across all CPUs.
 func DefaultConfig() Config {
@@ -306,30 +295,24 @@ func (s *Source) warmOpen() error {
 }
 
 // Scan yields the projected columns of every non-pruned row group of every
-// file, exploiting the configured concurrency levels. Yield order is always
-// the serial order — files in order, row groups in order within each file —
-// whatever parallelism is configured.
+// file: ScanFiltered with no filter.
 func (s *Source) Scan(proj []string, preds []lpq.Predicate, yield func(*columnar.Chunk) error) error {
-	return s.scanAll(func(f FileRef, y func(*columnar.Chunk) error) error {
-		return s.scanFile(f, proj, preds, y)
-	}, yield)
+	return s.ScanFiltered(proj, preds, nil, yield)
 }
 
 // ScanFiltered is the two-phase late-materialized scan (engine.
 // FilterableSource): per surviving row group it fetches the filter's
 // columns first, evaluates the filter into a per-page selection, and
 // fetches payload columns only for pages where rows passed. Yielded chunks
-// contain exactly the selected rows, in serial scan order.
+// contain exactly the selected rows (every row under a nil filter). It
+// exploits the configured concurrency levels, and the yield order is always
+// the serial order — files in order, row groups in order within each file —
+// whatever parallelism is configured.
 func (s *Source) ScanFiltered(proj []string, preds []lpq.Predicate, filter engine.Expr, yield func(*columnar.Chunk) error) error {
-	return s.scanAll(func(f FileRef, y func(*columnar.Chunk) error) error {
-		return s.scanFileFiltered(f, proj, preds, filter, y)
-	}, yield)
-}
+	perFile := func(f FileRef, y func(*columnar.Chunk) error) error {
+		return s.scanFile(f, proj, preds, filter, y)
+	}
 
-// scanAll owns the cross-file orchestration shared by Scan and
-// ScanFiltered: metadata prefetch (level 4) and the bounded file-parallel
-// pool (level 5) around the given per-file scan.
-func (s *Source) scanAll(perFile func(FileRef, func(*columnar.Chunk) error) error, yield func(*columnar.Chunk) error) error {
 	// Level 4: prefetch metadata of all files in a dedicated goroutine so
 	// the footer round trips of file k+1... hide behind file k's data.
 	// The singleflight in open dedups against the scan path's own opens.
@@ -437,7 +420,10 @@ func (s *Source) scanFilesParallel(perFile func(FileRef, func(*columnar.Chunk) e
 	return nil
 }
 
-func (s *Source) scanFile(f FileRef, proj []string, preds []lpq.Predicate, yield func(*columnar.Chunk) error) error {
+// scanFile scans one file: footer-level row-group pruning, then every
+// surviving row group through readRowGroup. Groups whose selection comes
+// back entirely empty yield nothing.
+func (s *Source) scanFile(f FileRef, proj []string, preds []lpq.Predicate, filter engine.Expr, yield func(*columnar.Chunk) error) error {
 	r, h, err := s.open(f)
 	if err != nil {
 		return err
@@ -461,58 +447,7 @@ func (s *Source) scanFile(f FileRef, proj []string, preds []lpq.Predicate, yield
 	}
 
 	return s.scanGroups(keep, func(g int) (*columnar.Chunk, error) {
-		return s.readRowGroup(r, h, meta, g, cols, outSchema)
-	}, yield)
-}
-
-// scanFileFiltered is scanFile's late-materialized twin: surviving row
-// groups go through the two-phase readRowGroupFiltered, and groups whose
-// selection comes back entirely empty yield nothing.
-func (s *Source) scanFileFiltered(f FileRef, proj []string, preds []lpq.Predicate, filter engine.Expr, yield func(*columnar.Chunk) error) error {
-	r, h, err := s.open(f)
-	if err != nil {
-		return err
-	}
-	meta := r.Meta()
-	cols, outSchema, err := resolveProjection(meta.Schema, proj)
-	if err != nil {
-		return err
-	}
-	keep := lpq.PruneRowGroups(meta, preds)
-	s.mu.Lock()
-	s.rowGroupsPruned += int64(meta.NumRowGroups() - len(keep))
-	if len(keep) == 0 {
-		s.filesAllPruned++
-	}
-	s.mu.Unlock()
-	if len(keep) == 0 {
-		return nil
-	}
-
-	if s.Cfg.DisableLateMaterialize {
-		// Ablation: fetch everything like Scan, filter afterwards.
-		var sel []int
-		return s.scanGroups(keep, func(g int) (*columnar.Chunk, error) {
-			c, err := s.readRowGroup(r, h, meta, g, cols, outSchema)
-			if err != nil {
-				return nil, err
-			}
-			sel, err = engine.FilterSelection(c, filter, sel)
-			if err != nil {
-				return nil, err
-			}
-			if len(sel) == 0 {
-				return nil, nil
-			}
-			if len(sel) == c.NumRows() {
-				return c, nil
-			}
-			return c.Gather(sel), nil
-		}, yield)
-	}
-
-	return s.scanGroups(keep, func(g int) (*columnar.Chunk, error) {
-		return s.readRowGroupFiltered(r, h, meta, g, cols, outSchema, preds, filter)
+		return s.readRowGroup(h, meta, g, cols, outSchema, preds, filter)
 	}, yield)
 }
 
@@ -577,9 +512,11 @@ func (s *Source) scanGroups(keep []int, fetch func(g int) (*columnar.Chunk, erro
 	return nil
 }
 
-// readRowGroup downloads the projected column chunks of one row group in
-// one coalesced batch of range reads and decodes them.
-func (s *Source) readRowGroup(r *lpq.Reader, h *s3fs.File, meta *lpq.FileMeta, g int, cols []int, outSchema *columnar.Schema) (*columnar.Chunk, error) {
+// readWholeGroup downloads the projected column chunks of one row group in
+// one coalesced batch of range reads, decodes them and, given a filter,
+// keeps the rows that pass — the read-then-filter of every scan that has
+// nothing to materialize late. Returns nil when no row passes.
+func (s *Source) readWholeGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []int, outSchema *columnar.Schema, filter engine.Expr) (*columnar.Chunk, error) {
 	rg := &meta.RowGroups[g]
 	out := &columnar.Chunk{Schema: outSchema, Columns: make([]*columnar.Vector, len(cols))}
 
@@ -601,7 +538,20 @@ func (s *Source) readRowGroup(r *lpq.Reader, h *s3fs.File, meta *lpq.FileMeta, g
 		}
 		out.Columns[slot] = v
 	}
-	return out, nil
+	if filter == nil {
+		return out, nil
+	}
+	sel, err := engine.FilterSelection(out, filter, nil)
+	if err != nil {
+		return nil, err
+	}
+	switch len(sel) {
+	case 0:
+		return nil, nil
+	case out.NumRows():
+		return out, nil
+	}
+	return out.Gather(sel), nil
 }
 
 // decodeState hands the calling goroutine a decode state of its own — an
@@ -624,54 +574,44 @@ func (s *Source) releaseState(st *lpq.DecodeState) {
 	s.mu.Unlock()
 }
 
-// readRangesMaybeParallel fetches the ranges through coalesced spans: a gap
-// of at most Cfg.CoalesceGapBytes between wanted ranges is fetched as dead
-// bytes inside one GET instead of paying another request (the Figure 7
-// request-cost trade-off, now at range granularity). Spans download
-// concurrently when ParallelColumns is set (level 2).
+// readRangesMaybeParallel fetches the ranges through coalesced spans
+// (s3fs.File.ReadRanges: a gap of at most Cfg.CoalesceGapBytes between
+// wanted ranges is fetched as dead bytes inside one GET instead of paying
+// another request — the Figure 7 request-cost trade-off at range
+// granularity). With ParallelColumns set the spans download concurrently
+// (level 2).
 func (s *Source) readRangesMaybeParallel(h *s3fs.File, ranges []s3fs.Range) ([][]byte, error) {
-	gap := s.Cfg.gap()
+	gap := s.Cfg.CoalesceGapBytes
+	if !s.Cfg.ParallelColumns {
+		return h.ReadRanges(ranges, gap)
+	}
+	if gap == 0 {
+		gap = s3fs.DefaultCoalesceGap
+	}
 	spans := s3fs.PlanSpans(ranges, gap)
 	out := make([][]byte, len(ranges))
-	fetchSpan := func(sp s3fs.Span) error {
-		buf, err := h.ReadRange(sp.Off, sp.Len)
-		if err != nil {
-			return err
-		}
-		if int64(len(buf)) < sp.Len {
-			return fmt.Errorf("scan: span [%d,%d) truncated to %d bytes", sp.Off, sp.Off+sp.Len, len(buf))
-		}
-		sp.Cut(buf, ranges, out)
-		return nil
+	if len(spans) == 1 {
+		// One span has nothing to overlap with: read it here.
+		return out, h.ReadSpan(spans[0], ranges, out)
 	}
-	if !s.Cfg.ParallelColumns || len(spans) <= 1 {
-		for _, sp := range spans {
-			if err := fetchSpan(sp); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
 	errs := make([]error, len(spans))
+	var wg sync.WaitGroup
 	for i, sp := range spans {
-		i, sp := i, sp
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = fetchSpan(sp)
+			errs[i] = h.ReadSpan(sp, ranges, out)
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// readRowGroupFiltered is the two-phase read of one row group:
+// readRowGroup reads one row group. With filter columns to fetch first it is
+// the two-phase read:
 //
 //	(1) prune the page index against the scan's predicates;
 //	(2) fetch and decode the filter's columns for surviving pages, in one
@@ -684,42 +624,32 @@ func (s *Source) readRangesMaybeParallel(h *s3fs.File, ranges []s3fs.Range) ([][
 //	    order, into one output chunk.
 //
 // Returns nil when no row of the group passes — the caller yields nothing
-// and the payload columns were never transferred.
-func (s *Source) readRowGroupFiltered(r *lpq.Reader, h *s3fs.File, meta *lpq.FileMeta, g int, cols []int, outSchema *columnar.Schema, preds []lpq.Predicate, filter engine.Expr) (*columnar.Chunk, error) {
+// and the payload columns were never transferred. Without such columns it is
+// readWholeGroup.
+func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []int, outSchema *columnar.Schema, preds []lpq.Predicate, filter engine.Expr) (*columnar.Chunk, error) {
 	rg := &meta.RowGroups[g]
 
 	// Split the projection into filter columns and payload columns. The
 	// optimizer guarantees filter columns ⊆ projection.
-	isFilterCol := map[string]bool{}
-	for _, name := range filter.Columns(nil) {
-		isFilterCol[name] = true
-	}
 	var fslots, pslots []int // slots into cols/out.Columns
-	for slot, ci := range cols {
-		if isFilterCol[meta.Schema.Fields[ci].Name] {
-			fslots = append(fslots, slot)
-		} else {
-			pslots = append(pslots, slot)
+	if filter != nil && !s.Cfg.DisableLateMaterialize {
+		isFilterCol := map[string]bool{}
+		for _, name := range filter.Columns(nil) {
+			isFilterCol[name] = true
+		}
+		for slot, ci := range cols {
+			if isFilterCol[meta.Schema.Fields[ci].Name] {
+				fslots = append(fslots, slot)
+			} else {
+				pslots = append(pslots, slot)
+			}
 		}
 	}
 	if len(fslots) == 0 {
-		// Filter references no projected column (e.g. constant predicate):
-		// degrade to the unfiltered read and let the caller's filter run.
-		c, err := s.readRowGroup(r, h, meta, g, cols, outSchema)
-		if err != nil {
-			return nil, err
-		}
-		sel, err := engine.FilterSelection(c, filter, nil)
-		if err != nil {
-			return nil, err
-		}
-		if len(sel) == 0 {
-			return nil, nil
-		}
-		if len(sel) == c.NumRows() {
-			return c, nil
-		}
-		return c.Gather(sel), nil
+		// Nothing to fetch first — no filter, the ablation, or a filter that
+		// references no projected column (e.g. a constant predicate): read
+		// every projected column, then filter.
+		return s.readWholeGroup(h, meta, g, cols, outSchema, filter)
 	}
 
 	// Phase 1: page-index pruning. Every column of a row group is paged at

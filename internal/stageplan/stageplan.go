@@ -53,7 +53,7 @@ func Fingerprint(p engine.Plan) (string, error) {
 
 // Output is a stage's exchange boundary: its result rows are hash-
 // partitioned on Keys into Partitions partitions. The JSON tags are the
-// wire form both stageplan.Marshal and the driver's worker payloads use.
+// wire form of the driver's worker payloads (boundarySpec).
 type Output struct {
 	// Keys are the partition key columns (all Int64), hash-combined.
 	Keys []string `json:"keys"`
@@ -99,19 +99,6 @@ type Stage struct {
 	// cost-based policy can clear the flag to hold a stage back until its
 	// producers sealed.
 	Eager bool
-	// MaxAttempts bounds per-worker attempts of this stage under straggler
-	// speculation (0 = the driver's SpeculateConfig default). Attempt
-	// numbers version the stage's exchange boundary names.
-	MaxAttempts int
-	// MaxStageWait caps how long the stage may go without ANY worker
-	// response before speculation re-invokes the whole missing set as the
-	// next attempt — the no-progress cases the quorum/median policy can
-	// never arm for (no response at all, or a sub-quorum stall). The
-	// window starts when the stage becomes runnable (its producers sealed),
-	// not at its pipelined launch, and restarts on every response. 0 uses
-	// the driver's StageConfig default; negative disables the cap for this
-	// stage.
-	MaxStageWait time.Duration
 }
 
 // Plan is a stage-decomposed distributed plan.
@@ -223,7 +210,7 @@ const MinMultiLevelPartitions = 32
 
 // ChooseVariant resolves one stage boundary's exchange algorithm from the
 // analytic request model (exchange.RequestCount). forceLevels pins the
-// round count (1 or 2) when the user forced it via flag or plan JSON;
+// round count (1 or 2) when the user forced it (StageConfig.ExchangeLevels);
 // 0 lets the model decide: multi-level is chosen only when the fan-in
 // reaches MinMultiLevelPartitions and the billed-request savings exceed
 // the regroup fleet's own cost (Groups(P) extra invocations priced at

@@ -1,9 +1,7 @@
 package stageplan
 
 import (
-	"bytes"
 	"testing"
-	"time"
 
 	"lambada/internal/engine"
 	"lambada/internal/exchange"
@@ -197,9 +195,6 @@ func TestDecomposeMarksStagesEager(t *testing.T) {
 		if !s.Eager {
 			t.Errorf("stage %d not marked eager", s.ID)
 		}
-		if s.MaxAttempts != 0 {
-			t.Errorf("stage %d attempt budget = %d, want 0 (driver default)", s.ID, s.MaxAttempts)
-		}
 	}
 }
 
@@ -223,66 +218,6 @@ func TestDecomposeNonIntGroupKeyFallsBackToDriverMerge(t *testing.T) {
 	}
 	if len(sp.Stages) != 1 || sp.Stages[0].Output != nil {
 		t.Fatalf("float group key should not repartition:\n%s", Explain(sp))
-	}
-}
-
-// TestStagePlanJSONRoundTrip: every stage fragment and the DAG structure
-// survive serialization — the form worker payloads travel in.
-func TestStagePlanJSONRoundTrip(t *testing.T) {
-	sp, err := Decompose(optimized(t, q12SQL), bigStats(), Config{Partitions: 2, BroadcastRowLimit: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := Marshal(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Unmarshal(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob2, err := Marshal(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(blob, blob2) {
-		t.Fatalf("stage plan round trip differs:\n%s\n%s", blob, blob2)
-	}
-	if len(back.Stages) != len(sp.Stages) {
-		t.Fatalf("stages = %d, want %d", len(back.Stages), len(sp.Stages))
-	}
-	for i, s := range back.Stages {
-		orig, err := engine.MarshalPlan(sp.Stages[i].Plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := engine.MarshalPlan(s.Plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(orig, got) {
-			t.Errorf("stage %d fragment round trip differs", i)
-		}
-	}
-	// Per-stage wire form too, including the scheduler metadata.
-	sp.Stages[2].MaxAttempts = 3
-	sp.Stages[2].MaxStageWait = 45 * time.Second
-	sj, err := MarshalStage(sp.Stages[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := UnmarshalStage(sj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ID != sp.Stages[2].ID || len(st.Inputs) != 2 || st.Output == nil {
-		t.Fatalf("stage wire form lost structure: %+v", st)
-	}
-	if !st.Eager || st.MaxAttempts != 3 {
-		t.Fatalf("stage wire form lost scheduler metadata: eager=%v attempts=%d", st.Eager, st.MaxAttempts)
-	}
-	if st.MaxStageWait != 45*time.Second {
-		t.Fatalf("stage wire form lost MaxStageWait: %v", st.MaxStageWait)
 	}
 }
 

@@ -7,6 +7,48 @@ import (
 	"lambada/internal/columnar"
 )
 
+// Q1SQL is TPC-H Query 1 (pricing summary report) in the SQL surface sqlfe
+// parses.
+const Q1SQL = `
+SELECT l_returnflag, l_linestatus,
+       SUM(l_quantity) AS sum_qty,
+       SUM(l_extendedprice) AS sum_base_price,
+       SUM(l_extendedprice * (1 - l_discount)) AS sum_disc_price,
+       SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge,
+       AVG(l_quantity) AS avg_qty, AVG(l_extendedprice) AS avg_price,
+       AVG(l_discount) AS avg_disc, COUNT(*) AS count_order
+FROM lineitem
+WHERE l_shipdate <= DATE '1998-12-01' - INTERVAL '90' DAY
+GROUP BY l_returnflag, l_linestatus
+ORDER BY l_returnflag, l_linestatus`
+
+// Q6SQL is TPC-H Query 6 (forecasting revenue change).
+const Q6SQL = `
+SELECT SUM(l_extendedprice * l_discount) AS revenue
+FROM lineitem
+WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01'
+  AND l_discount BETWEEN 0.0499999 AND 0.0700001 AND l_quantity < 24`
+
+// JoinSQL is the canonical broadcast-join shape: LINEITEM (big, on S3)
+// INNER JOIN SUPPLIER (small, shipped from the driver), revenue per nation.
+const JoinSQL = `
+SELECT s_nationkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue, COUNT(*) AS n
+FROM lineitem INNER JOIN supplier ON lineitem.l_suppkey = supplier.s_suppkey
+GROUP BY s_nationkey
+ORDER BY s_nationkey`
+
+// Q12SQL is the TPC-H Query 12-shaped two-large-sides join: LINEITEM
+// INNER JOIN ORDERS, late lineitems per order priority. The stage
+// planner shuffles both sides through S3 (neither fits a broadcast at
+// scale); single-scope runs broadcast ORDERS like any small side.
+const Q12SQL = `
+SELECT o_orderpriority, COUNT(*) AS n, SUM(l_extendedprice) AS total
+FROM lineitem INNER JOIN orders ON lineitem.l_orderkey = orders.o_orderkey
+WHERE l_receiptdate >= DATE '1995-01-01' AND l_receiptdate < DATE '1996-01-01'
+  AND l_commitdate < l_receiptdate
+GROUP BY o_orderpriority
+ORDER BY o_orderpriority`
+
 // Q1Row is one output group of TPC-H Query 1.
 type Q1Row struct {
 	ReturnFlag, LineStatus    int64
