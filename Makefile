@@ -18,11 +18,13 @@ race:
 # primitives under them) race-instrumented at a fixed GOMAXPROCS so
 # goroutine interleavings actually happen on 1-CPU runners. The S3 client is
 # among them: goroutine workers share one, and the lanes of its request
-# window share its counters and link (TestWindowsConcurrentOnOneClient).
+# window share its counters and link (TestWindowsConcurrentOnOneClient). So
+# is everything that touches the session's footer table, which concurrent
+# queries of a session — goroutines behind the HTTP service — read and fill.
 # -short skips the 1k-worker scale smoke, which runs uninstrumented via
 # scale-smoke.
 race-staged:
-	GOMAXPROCS=4 $(GO) test -race -short ./internal/driver/ ./internal/exchange/ ./internal/stageplan/ ./internal/simclock/ ./internal/awssim/dynamo/ ./internal/awssim/s3/ ./internal/lpq/ ./internal/scan/
+	GOMAXPROCS=4 $(GO) test -race -short ./internal/driver/ ./internal/exchange/ ./internal/stageplan/ ./internal/simclock/ ./internal/awssim/dynamo/ ./internal/awssim/s3/ ./internal/lpq/ ./internal/s3fs/ ./internal/scan/ ./internal/service/
 
 # scale-smoke is the multi-level acceptance point: staged q12 on the DES
 # kernel at 512 partitions (a 1k+ worker fleet), checking the resolved

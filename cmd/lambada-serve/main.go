@@ -148,7 +148,8 @@ func run(addr, mode string, sf float64, files int, seed int64, inflight, cache, 
 
 // runSmoke drives the CI smoke sequence against a live service: a fresh
 // query, a repeat that must hit the result cache, a second query shape, an
-// invalidation, and the session statistics.
+// invalidation, the session statistics, and the first query again, which
+// must find neither its result nor the footers.
 func runSmoke(base string) error {
 	q6a, err := postQuery(base, service.QueryRequest{Name: "q6"})
 	if err != nil {
@@ -210,6 +211,18 @@ func runSmoke(base string) error {
 	}
 	fmt.Printf("session: %d queries, %d/%d cache hits/misses, admission peak %d/%d\n",
 		sj.Queries, sj.CacheHits, sj.CacheMisses, sj.Peak, sj.Capacity)
+
+	// /invalidate dropped the session's footers with its results: a fresh q6
+	// opens the table's files again and bills the reads the first one did.
+	q6c, err := postQuery(base, service.QueryRequest{Name: "q6"})
+	if err != nil {
+		return fmt.Errorf("q6 after /invalidate: %w", err)
+	}
+	if q6c.Profile.CacheHit || q6c.Profile.S3GetRequests != q6a.Profile.S3GetRequests {
+		return fmt.Errorf("q6 after /invalidate: cache hit %v, %d S3 reads against the first run's %d",
+			q6c.Profile.CacheHit, q6c.Profile.S3GetRequests, q6a.Profile.S3GetRequests)
+	}
+	fmt.Printf("q6 after /invalidate: fresh, %d S3 reads like the first\n", q6c.Profile.S3GetRequests)
 
 	// Two concurrent requests on the warm session: under -mode des the
 	// runner batches them into one interleaved virtual-time run, under

@@ -41,8 +41,14 @@
 // fleet behind it idles, billed, until it is done. Uploads cannot ride a
 // lane: a Put makes its object visible, and wakes the readers parked on its
 // key, after its latency, and a lane has no instant of its own at which to do
-// so (Put on a lane returns s3.ErrLaneWrite). The scan side — levels 2, 4 and
-// 5 — and the driver's planning reads are still serial under DES.
+// so (Put on a lane returns s3.ErrLaneWrite). The driver's planning reads
+// ride the window as well: opening a file is one request (a suffix read that
+// returns the size with the footer), and the files of all the tables a plan
+// scans that the session has not opened before are opened in one window
+// (scan.OpenAll) — one first-byte latency for up to sixteen files, where two
+// serial requests per file were 0.4 s at the head of every staged query. The
+// scan's own levels 2, 4 and 5 — a worker's column ranges, its files — still
+// pay their latencies one after another under DES.
 //
 // # Price-aware scan layer
 //
@@ -344,10 +350,10 @@
 //
 // The one-shot driver is a thin veneer over a resident session. A
 // driver.Session binds to a deployment once — installs the worker function,
-// owns the admission controller and the result cache — and then runs many
-// queries, sequentially or concurrently, against that warm state; Driver
-// itself is now Session plus a default environment, so the single-query API
-// is unchanged. Each query runs on its own per-query scheduler with three
+// owns the admission controller, the result cache and the footers of the
+// files it has opened — and then runs many queries, sequentially or
+// concurrently, against that warm state; Driver itself is now Session plus a
+// default environment, so the single-query API is unchanged. Each query runs on its own per-query scheduler with three
 // isolation planes:
 //
 //	results   every query gets its own SQS result queue (<base>-q<N>),
@@ -378,8 +384,26 @@
 // result chunks keyed by (stageplan.Fingerprint of the logical plan,
 // sorted table file lists), so a hit is a driver-local decode with zero
 // invocations and zero new billed requests. Invalidation is explicit
-// (Session.InvalidateTable / InvalidateAll) and automatic on UploadTable,
-// which overwrites objects under the same FileRefs.
+// (Session.InvalidateTable / InvalidateResultCache) and automatic on
+// UploadTable, which overwrites objects under the same FileRefs.
+//
+// Queries the cache does not hold skip the planning reads instead. What
+// opening a file teaches the driver — the object's size and its decoded
+// footer, nothing else: not the bytes read, not a handle, which belongs to
+// one query's client — stays in a table on the session (scan.Footers), so the
+// first query that scans a table pays one request per file, in one request
+// window, and every later one plans without touching S3. The table stands
+// under the result cache's contract, stated once: the files a session knows
+// are immutable until UploadTable, InvalidateTable, InvalidateResultCache or
+// the service's /invalidate says otherwise, and each of them drops the table
+// whole (footers are kept by object; which table an object belongs to is the
+// caller's knowledge). Workers never see it and always read the footers of
+// the files they scan, so a stale entry can mis-plan a query — prune a file
+// that now matches, size a fleet from old row counts — and never mis-decode
+// one. Two rules keep it safe under concurrent queries: it never makes one
+// query wait for another's open (two that miss together both read; under DES
+// a process blocked on a lock that a parked process holds stalls the kernel),
+// and an open issued before an invalidation stores nothing after it.
 //
 // internal/service wraps a session in an HTTP/JSON endpoint and
 // cmd/lambada-serve runs it: POST /query takes a named query or raw SQL

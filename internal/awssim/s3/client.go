@@ -211,6 +211,15 @@ func (c *Client) chargeTransfer(n int64, conns int) {
 	c.env.Sleep(end - now)
 }
 
+// received is the end of every download: the shaped transfer time of its n
+// bytes over conns connections, and the bytes counted.
+func (c *Client) received(n int64, conns int) {
+	c.chargeTransfer(n, conns)
+	c.shared.mu.Lock()
+	c.shared.bytesRead += n
+	c.shared.mu.Unlock()
+}
+
 // retry runs op, backing off exponentially (with deterministic jitter) on
 // every retryable error — SlowDown plus the injected transient faults of
 // the chaos layer. Fatal errors pass through; exhausting MaxRetries or the
@@ -288,10 +297,7 @@ func (c *Client) Get(bucket, key string, conns int) (_ []byte, _ int64, err erro
 	if err != nil {
 		return nil, 0, err
 	}
-	c.chargeTransfer(size, conns)
-	c.shared.mu.Lock()
-	c.shared.bytesRead += size
-	c.shared.mu.Unlock()
+	c.received(size, conns)
 	return data, size, nil
 }
 
@@ -308,23 +314,25 @@ func (c *Client) GetRange(bucket, key string, off, n int64, conns int) (_ []byte
 	if err != nil {
 		return nil, 0, err
 	}
-	c.chargeTransfer(got, conns)
-	c.shared.mu.Lock()
-	c.shared.bytesRead += got
-	c.shared.mu.Unlock()
+	c.received(got, conns)
 	return data, got, nil
 }
 
-// Head returns the object size.
-func (c *Client) Head(bucket, key string) (_ int64, err error) {
-	defer c.endOp(c.opSpan("s3.head"), c.Retries(), &err)
-	var size int64
+// GetSuffix downloads the object's last n bytes (all of it when it is
+// shorter) using conns connections, and reports its size with them.
+func (c *Client) GetSuffix(bucket, key string, n int64, conns int) (_ []byte, got, size int64, err error) {
+	defer c.endOp(c.opSpan("s3.getrange"), c.Retries(), &err)
+	var data []byte
 	err = c.retry(func() error {
 		var e error
-		size, e = c.svc.Head(c.env, bucket, key)
+		data, got, size, e = c.svc.GetSuffix(c.env, bucket, key, n)
 		return e
 	})
-	return size, err
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	c.received(got, conns)
+	return data, got, size, nil
 }
 
 // List returns entries under prefix.

@@ -368,16 +368,38 @@ func (s *Service) GetRange(env simenv.Env, bucketName, key string, off, n int64)
 	if off >= o.Size {
 		return nil, 0, fmt.Errorf("%w: offset %d beyond size %d", ErrInvalidRange, off, o.Size)
 	}
-	if off+n > o.Size {
-		n = o.Size - off
-	}
+	n = min(n, o.Size-off)
+	return s.serve(env, o, off, n), n, nil
+}
+
+// serve bills and returns a copy of bytes [off, off+n) of o, which the caller
+// has held to the object's extent; nil for a synthetic object.
+func (s *Service) serve(env simenv.Env, o *Object, off, n int64) []byte {
 	s.cfg.Meter.Charge(env, obs.Cost{S3ReadBytes: n})
 	if o.data == nil {
-		return nil, n, nil
+		return nil
 	}
 	cp := make([]byte, n)
 	copy(cp, o.data[off:off+n])
-	return cp, n, nil
+	return cp
+}
+
+// GetSuffix returns the object's last n bytes and its size — HTTP's suffix
+// range, `Range: bytes=-n`, whose Content-Range names the whole length: the
+// one request a reader that knows nothing about an object needs before it
+// knows where the end is. A suffix longer than the object is the whole
+// object. A read like any other: rate-limited, billed as one GET plus the
+// bytes returned. For synthetic objects it returns nil bytes and the lengths.
+func (s *Service) GetSuffix(env simenv.Env, bucketName, key string, n int64) (_ []byte, got, size int64, _ error) {
+	if n <= 0 {
+		return nil, 0, 0, ErrInvalidRange
+	}
+	o, err := s.get(env, bucketName, key)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	n = min(n, o.Size)
+	return s.serve(env, o, o.Size-n, n), n, o.Size, nil
 }
 
 // ListEntry is one LIST result row.

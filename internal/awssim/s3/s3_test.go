@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"lambada/internal/awssim/faults"
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/netmodel"
+	"lambada/internal/obs"
 	"lambada/internal/simclock"
 )
 
@@ -387,4 +390,122 @@ func TestDeleteBatchPagesAndCounts(t *testing.T) {
 	if err := svc.DeleteBatch(env, "nope", keys); err == nil {
 		t.Error("missing bucket accepted")
 	}
+}
+
+// TestGetSuffixSemantics: a suffix read returns the object's last n bytes and
+// its size; a suffix longer than the object is the whole object; n ≤ 0 is no
+// range; a missing key is ErrNoSuchKey; a synthetic object returns nil bytes
+// and the lengths; and whatever it returns it bills as one GET plus the bytes.
+func TestGetSuffixSemantics(t *testing.T) {
+	meter := pricing.NewCostMeter()
+	svc := newTestService(meter)
+	env := simenv.NewImmediate()
+	svc.MustCreateBucket("b")
+	obj := []byte("0123456789")
+	svc.Put(env, "b", "k", obj)
+	size := int64(len(obj))
+	for _, n := range []int64{1, size - 1, size, size + 1} {
+		before := meter.Cost()
+		data, got, total, err := svc.GetSuffix(env, "b", "k", n)
+		want := obj[size-min(n, size):]
+		if err != nil || !bytes.Equal(data, want) || got != int64(len(want)) || total != size {
+			t.Errorf("suffix %d = %q (%d of %d), %v; want %q of %d", n, data, got, total, err, want, size)
+		}
+		if bill := meter.Cost().Sub(before); bill != (obs.Cost{S3Get: 1, S3ReadBytes: int64(len(want))}) {
+			t.Errorf("suffix %d billed %+v", n, bill)
+		}
+		if len(data) > 0 {
+			data[0] = 'X' // the caller's copy is its own
+		}
+	}
+	if got, _, _ := svc.Get(env, "b", "k"); !bytes.Equal(got, obj) {
+		t.Errorf("object reads %q after callers wrote to their suffixes", got)
+	}
+	for _, n := range []int64{0, -1} {
+		if _, _, _, err := svc.GetSuffix(env, "b", "k", n); !errors.Is(err, ErrInvalidRange) {
+			t.Errorf("suffix %d: %v, want ErrInvalidRange", n, err)
+		}
+	}
+	if _, _, _, err := svc.GetSuffix(env, "b", "nope", 4); !errors.Is(err, ErrNoSuchKey) {
+		t.Errorf("missing key: %v, want ErrNoSuchKey", err)
+	}
+	if _, _, _, err := svc.GetSuffix(env, "nope", "k", 4); !errors.Is(err, ErrNoSuchBucket) {
+		t.Errorf("missing bucket: %v, want ErrNoSuchBucket", err)
+	}
+	svc.PutSynthetic(env, "b", "big", 5*netmodel.GiB)
+	for _, n := range []int64{4096, 6 * netmodel.GiB} {
+		data, got, total, err := svc.GetSuffix(env, "b", "big", n)
+		if err != nil || data != nil || got != min(n, 5*netmodel.GiB) || total != 5*netmodel.GiB {
+			t.Errorf("synthetic suffix %d: data=%v got=%d size=%d err=%v", n, data, got, total, err)
+		}
+	}
+}
+
+// TestClientGetSuffixIsARead: through the client a suffix read is a read like
+// GetRange — an injected 500 and a SlowDown of the bucket's rate window are
+// retried on it (the first billed, the second not), its bytes are counted and
+// shaped, and it is legal on a lane of the request window, where sixteen of
+// them share one first-byte latency.
+func TestClientGetSuffixIsARead(t *testing.T) {
+	meter := pricing.NewCostMeter()
+	inj := faults.NewInjector(faults.Plan{Rules: []faults.Rule{
+		{Op: faults.OpS3Get, Kind: faults.KindTransient, Count: 2},
+	}})
+	svc := New(Config{Meter: meter, Faults: inj})
+	svc.MustCreateBucket("b")
+	c := NewClient(svc, simenv.NewImmediate())
+	if err := c.Put("b", "k", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	data, got, size, err := c.GetSuffix("b", "k", 4, 1)
+	if err != nil || string(data) != "load" || got != 4 || size != 7 {
+		t.Fatalf("suffix = %q (%d of %d), %v", data, got, size, err)
+	}
+	if c.Retries() != 2 || c.BytesRead() != 4 {
+		t.Errorf("client counts %d retries and %d bytes read, want 2 and 4", c.Retries(), c.BytesRead())
+	}
+	if bill := meter.Cost(); bill.S3Get != 3 || bill.S3ReadBytes != 4 {
+		t.Errorf("billed %+v, want 3 GETs (2 failed + 1 success) and 4 bytes", bill)
+	}
+
+	// The organic SlowDown: one read a second, three suffix reads.
+	slow := New(Config{ReadsPerSecond: 1})
+	slow.MustCreateBucket("b")
+	slow.Put(simenv.NewImmediate(), "b", "k", []byte("x"))
+	var retries int64
+	end := onKernel(t, func(p *simclock.Proc) {
+		sc := NewClient(slow, p)
+		for i := 0; i < 3; i++ {
+			if _, _, _, err := sc.GetSuffix("b", "k", 1, 1); err != nil {
+				t.Error(err)
+			}
+		}
+		retries = sc.Retries()
+	})
+	if retries == 0 || end < 2*time.Second {
+		t.Errorf("3 reads at 1/s: %d retries, done at %v — the rate window did not apply", retries, end)
+	}
+
+	// On a lane: n opens take ⌈n/16⌉ latencies and bill n GETs.
+	const n = 17
+	wsvc, wmeter := windowService(n, constLat)
+	puts := wmeter.Cost()
+	out := make([]string, n)
+	end = onKernel(t, func(p *simclock.Proc) {
+		err := NewClient(wsvc, p).Overlap(n, func(i int, lane *Client) error {
+			data, _, _, err := lane.GetSuffix("b", "k"+strconv.Itoa(i), 8, 1)
+			out[i] = string(data)
+			return err
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	if end != 2*lat {
+		t.Errorf("%d suffix reads through the window took %v, want %v", n, end, 2*lat)
+	}
+	if bill := wmeter.Cost().Sub(puts); bill.S3Get != n {
+		t.Errorf("%d suffix reads billed %+v", n, bill)
+	}
+	assertIndexed(t, out)
 }

@@ -56,7 +56,7 @@ func (c *Client) onLane() bool {
 // Overlap stops issuing at the first error, waits for the calls in flight and
 // returns that error — the lowest failing index, as from a serial loop. Only
 // requests that take effect at the service before their latency are legal on
-// a lane: Get, GetRange, Head, List, Delete, DeleteBatch. Put and
+// a lane: Get, GetRange, GetSuffix, List, Delete, DeleteBatch. Put and
 // PutSynthetic return ErrLaneWrite. A worker that dies inside Overlap
 // (crashEnv) dies in one of the caller's parks, having issued exactly the
 // calls that started before that instant.

@@ -199,6 +199,14 @@ func assertRequests(t *testing.T, name string, got, want map[string]int64) {
 // machinery — zero DynamoDB requests, zero S3 LISTs, the same GETs and SQS
 // polls as the collector it replaced — and a staged plan sheds exactly the
 // one DynamoDB write of the result stage's ready marker nobody read.
+//
+// Every S3 read count below was re-recorded in PR 20 and fell by exactly one
+// per file open, the driver's and the workers' alike: an open is one suffix
+// read that returns the size with the footer, where it was a HEAD and then
+// the footer GET. The rows name their opens. The SQS and DynamoDB-read counts
+// next to them are polls: the driver plans in one request window instead of
+// two serial requests per file and the workers start a round trip sooner, so
+// stages seal a few timed polls earlier or later — recorded as measured.
 func TestExecutorRequestGuard(t *testing.T) {
 	single := func(sql string) func(*Driver, TableFiles) error {
 		return func(d *Driver, tables TableFiles) error {
@@ -206,11 +214,13 @@ func TestExecutorRequestGuard(t *testing.T) {
 			return err
 		}
 	}
+	// Five opens each: the driver's of the first file, for the schema, and
+	// one per worker (26 → 21 and 18 → 13 S3 reads; SQS 22 → 21 and 20 → 18).
 	assertRequests(t, "single-scope q1", billedRequests(t, nil, single(q1SQL)), map[string]int64{
-		pricing.LabelS3Read: 26, pricing.LabelSQS: 22,
+		pricing.LabelS3Read: 21, pricing.LabelSQS: 21,
 	})
 	assertRequests(t, "single-scope q6", billedRequests(t, nil, single(q6SQL)), map[string]int64{
-		pricing.LabelS3Read: 18, pricing.LabelSQS: 20,
+		pricing.LabelS3Read: 13, pricing.LabelSQS: 18,
 	})
 
 	// The rules follow the plan, not the entrance: q6 planned by the staged
@@ -227,8 +237,26 @@ func TestExecutorRequestGuard(t *testing.T) {
 		// worker, launched directly, and a direct launch no longer sleeps a
 		// pacing gap after its last Invoke — the driver reaches its result
 		// queue 36 ms earlier and fits one more timed poll before the seal.
-		pricing.LabelS3Read: 18, pricing.LabelSQS: 13,
+		// PR 20: five opens — the planner's four and the one worker's —
+		// 18 → 13 S3 reads, SQS 13 → 12.
+		pricing.LabelS3Read: 13, pricing.LabelSQS: 12,
 	})
+
+	// Planning reads the tables the plan scans and no others: with orders
+	// registered next to lineitem, staged q1 bills what it bills without it —
+	// the parent read the two orders footers as well, four requests for
+	// nothing.
+	stagedQ1 := func(with ...string) map[string]int64 {
+		return billedRequests(t, nil, func(d *Driver, tables TableFiles) error {
+			registered := TableFiles{}
+			for _, name := range with {
+				registered[name] = tables[name]
+			}
+			_, _, err := d.RunSQLStaged(q1SQL, registered, DefaultStageConfig())
+			return err
+		})
+	}
+	assertRequests(t, "staged q1, orders registered", stagedQ1("lineitem", "orders"), stagedQ1("lineitem"))
 
 	staged := billedRequests(t, nil, func(d *Driver, tables TableFiles) error {
 		scfg := DefaultStageConfig()
@@ -249,16 +277,21 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// S3 client's request window, the two first-byte latencies overlap, and
 	// the query ends before the driver's next timed poll of the result queue
 	// fits. The S3 counts did not move — same requests, issued sooner.
+	// PR 20: ten opens — the planner's six (four lineitem files, two orders)
+	// and the scan workers' four — 48 → 38 S3 reads; SQS 32 → 29, DynamoDB
+	// reads 27 → 19.
 	assertRequests(t, "staged q12", staged, map[string]int64{
-		pricing.LabelS3Read: 48, pricing.LabelS3Write: 6, pricing.LabelS3List: 22,
-		pricing.LabelSQS: 32, pricing.LabelDynamoRead: 27,
+		pricing.LabelS3Read: 38, pricing.LabelS3Write: 6, pricing.LabelS3List: 22,
+		pricing.LabelSQS: 29, pricing.LabelDynamoRead: 19,
 		pricing.LabelDynamoWrite: parentDynamoWrites - 1,
 	})
 
 	// ORDERS broadcast: the driver reads the table through the source the
 	// planner opened it with, so its two files cost one HEAD and one footer
 	// GET each — recorded in PR 19, whose parent opened them twice (S3 reads
-	// 38). SQS and DynamoDB reads are polls, recorded as measured.
+	// 38). SQS and DynamoDB reads are polls, recorded as measured. PR 20:
+	// eight opens — the planner's six and the two lineitem workers' —
+	// 34 → 26 S3 reads; SQS 22 → 19.
 	assertRequests(t, "staged q12, orders broadcast", billedRequests(t, nil, func(d *Driver, tables TableFiles) error {
 		scfg := DefaultStageConfig()
 		scfg.Partitions = 2
@@ -270,8 +303,8 @@ func TestExecutorRequestGuard(t *testing.T) {
 		return err
 	}), map[string]int64{
 		pricing.LabelLambdaRequests: 4,
-		pricing.LabelS3Read:         34, pricing.LabelS3Write: 2, pricing.LabelS3List: 18,
-		pricing.LabelSQS: 22, pricing.LabelDynamoRead: 10, pricing.LabelDynamoWrite: 2,
+		pricing.LabelS3Read:         26, pricing.LabelS3Write: 2, pricing.LabelS3List: 18,
+		pricing.LabelSQS: 19, pricing.LabelDynamoRead: 10, pricing.LabelDynamoWrite: 2,
 	})
 
 	// Multi-level boundaries and admission-capped launch, as recorded on the
@@ -284,7 +317,11 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// moved them again, down (from 50/72, 49/63 and 66/17): collects and
 	// sweeps go through the S3 client's request window, so stages seal and
 	// the query ends a few timed polls of the ready markers and the result
-	// queue sooner. The S3 rows next to them did not move.
+	// queue sooner. The S3 rows next to them did not move. PR 20: the ten
+	// opens of "staged q12" above, 54 → 44 S3 reads on all three rows; polls
+	// from 50/70, 46/61 and 63/15. (2l-wc's 55 DynamoDB reads were 51 with a
+	// 4 KiB footer guess: the 8 KiB one moves 4 KiB more per open, ≈ 0.05 ms
+	// of shaped transfer each, and no other count on any row.)
 	twoLevel := func(wc bool) func(*Driver, TableFiles) error {
 		return func(d *Driver, tables TableFiles) error {
 			scfg := DefaultStageConfig()
@@ -299,18 +336,18 @@ func TestExecutorRequestGuard(t *testing.T) {
 	}
 	assertRequests(t, "staged q12 2l", billedRequests(t, nil, twoLevel(false)), map[string]int64{
 		pricing.LabelLambdaRequests: 14,
-		pricing.LabelS3Read:         54, pricing.LabelS3Write: 30, pricing.LabelS3List: 28,
-		pricing.LabelSQS: 50, pricing.LabelDynamoRead: 70, pricing.LabelDynamoWrite: 7,
+		pricing.LabelS3Read:         44, pricing.LabelS3Write: 30, pricing.LabelS3List: 28,
+		pricing.LabelSQS: 48, pricing.LabelDynamoRead: 76, pricing.LabelDynamoWrite: 7,
 	})
 	assertRequests(t, "staged q12 2l-wc", billedRequests(t, nil, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 14,
-		pricing.LabelS3Read:         54, pricing.LabelS3Write: 12, pricing.LabelS3List: 28,
-		pricing.LabelSQS: 46, pricing.LabelDynamoRead: 61, pricing.LabelDynamoWrite: 7,
+		pricing.LabelS3Read:         44, pricing.LabelS3Write: 12, pricing.LabelS3List: 28,
+		pricing.LabelSQS: 45, pricing.LabelDynamoRead: 55, pricing.LabelDynamoWrite: 7,
 	})
 	capped := func(c *Config) { c.MaxInFlight = 2 }
 	assertRequests(t, "staged q12 2l-wc, MaxInFlight 2", billedRequests(t, capped, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 14,
-		pricing.LabelS3Read:         54, pricing.LabelS3Write: 12, pricing.LabelS3List: 28,
-		pricing.LabelSQS: 63, pricing.LabelDynamoRead: 15, pricing.LabelDynamoWrite: 7,
+		pricing.LabelS3Read:         44, pricing.LabelS3Write: 12, pricing.LabelS3List: 28,
+		pricing.LabelSQS: 59, pricing.LabelDynamoRead: 18, pricing.LabelDynamoWrite: 7,
 	})
 }

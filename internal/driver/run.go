@@ -205,8 +205,7 @@ func (d *query) runPlan(plan engine.Plan, table string, files []scan.FileRef, br
 	}
 	d.begin()
 
-	metaSrc := scan.New(s3.NewClient(d.dep.S3, d.env), d.cfg.Scan, files[0])
-	schema, err := metaSrc.Schema()
+	schema, err := d.source(s3.NewClient(d.dep.S3, d.env), files[0]).Schema()
 	if err != nil {
 		return nil, nil, fmt.Errorf("driver: resolving schema: %w", err)
 	}

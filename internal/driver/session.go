@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
@@ -23,12 +24,13 @@ import (
 // Session is the resident layer of the driver: one long-lived binding to a
 // Deployment that owns the warm state shared across queries — the installed
 // worker function (and its warm container pool), the epoch fence table, the
-// shared admission controller, and the result cache — while every query run
-// through it gets its own scheduler instance (query) with a private result
-// queue, retry scope, and epoch. N staged queries can run concurrently on
-// one Session from separate environments (DES processes or goroutines);
-// Session state is mutex-protected and queries never share mutable state
-// beyond the deployment's services, which are concurrency-safe by design.
+// shared admission controller, the result cache, and the footers of the files
+// it has opened — while every query run through it gets its own scheduler
+// instance (query) with a private result queue, retry scope, and epoch. N
+// staged queries can run concurrently on one Session from separate
+// environments (DES processes or goroutines); Session state is
+// mutex-protected and queries never share mutable state beyond the
+// deployment's services, which are concurrency-safe by design.
 //
 // Driver is a thin façade over a Session bound to a single environment.
 type Session struct {
@@ -49,6 +51,15 @@ type Session struct {
 	// cache memoizes staged query results by (plan fingerprint, table
 	// files); nil when Config.ResultCacheEntries is 0.
 	cache *resultCache
+	// footers is what the driver's opens have learnt — size and decoded
+	// footer per object, nothing else — so that planning reads a file's
+	// footer once per session, not once per query. It stands under the
+	// result cache's contract and is dropped, whole, wherever results are:
+	// the files a session knows are immutable until UploadTable,
+	// InvalidateTable or InvalidateResultCache says otherwise. Workers never
+	// see it — they read the footers of the files they scan themselves — so
+	// a stale entry can mis-plan a query, never mis-decode one.
+	footers *scan.Footers
 }
 
 // NewSession returns a resident session with the normalized configuration.
@@ -90,15 +101,16 @@ func NewSession(dep *Deployment, cfg Config) *Session {
 		// DES processes must stay single-threaded. The S3 client models what
 		// the goroutines would have bought instead: its shaper the bandwidth
 		// of concurrent transfers, its request window (s3.Client.Overlap) the
-		// overlap of first-byte latencies — which the exchange uses and the
-		// scan does not yet, so a simulated scan still pays its requests'
-		// latencies one after another.
+		// overlap of first-byte latencies — which the exchange and the opens
+		// of a plan's files use and a scan's data reads do not yet, so a
+		// simulated worker still pays the latencies of the column ranges it
+		// fetches one after another.
 		cfg.Scan.DoubleBuffer = false
 		cfg.Scan.ParallelColumns = false
 		cfg.Scan.MetaPrefetch = false
 		cfg.Scan.ParallelFiles = 1
 	}
-	s := &Session{dep: dep, cfg: cfg}
+	s := &Session{dep: dep, cfg: cfg, footers: scan.NewFooters()}
 	if cfg.ResultCacheEntries > 0 {
 		s.cache = newResultCache(cfg.ResultCacheEntries)
 	}
@@ -216,6 +228,14 @@ func (s *Session) newQuery(env simenv.Env) *query {
 	}
 	q.retry = s.newRetryScope(-1)
 	return q
+}
+
+// source returns a driver-side scan source over files, reading through
+// client and sharing the session's footers.
+func (d *query) source(client *s3.Client, files ...scan.FileRef) *scan.Source {
+	src := scan.New(client, d.cfg.Scan, files...)
+	src.Footers = d.s.footers
+	return src
 }
 
 // close releases the query's span binding — back-filling the end of any
@@ -363,11 +383,20 @@ func (d *Session) cacheKey(plan engine.Plan, tables TableFiles) string {
 	return b.String()
 }
 
-// InvalidateTable drops every cached result that read the named table.
-func (d *Session) InvalidateTable(name string) { d.cache.invalidateTable(name) }
+// InvalidateTable drops every cached result that read the named table, and
+// the footers of every file the session has opened: they are kept by object,
+// and which table an object belongs to is the caller's knowledge.
+func (d *Session) InvalidateTable(name string) {
+	d.cache.invalidateTable(name)
+	d.footers.Drop()
+}
 
-// InvalidateResultCache drops every cached result.
-func (d *Session) InvalidateResultCache() { d.cache.clear() }
+// InvalidateResultCache drops everything the session remembers about the
+// data: every cached result and every footer.
+func (d *Session) InvalidateResultCache() {
+	d.cache.clear()
+	d.footers.Drop()
+}
 
 // CacheStats returns cumulative result-cache hits and misses.
 func (d *Session) CacheStats() (hits, misses uint64) { return d.cache.stats() }

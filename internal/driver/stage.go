@@ -405,22 +405,42 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 	}
 	d.begin()
 
-	// Resolve every table's schema from its lpq footers — driver-side
-	// metadata reads only.
+	// Planning reads the footers of the tables the plan scans — a registered
+	// table the query does not touch costs it nothing and cannot fail it — in
+	// sorted order, because the request sequence must not follow map
+	// iteration. The files the session has not opened before are opened
+	// through one request window; the rest cost no request.
+	var names []string
+	engine.VisitScans(plan, func(s *engine.ScanPlan) {
+		if !slices.Contains(names, s.Table) {
+			names = append(names, s.Table)
+		}
+	})
+	sort.Strings(names)
 	driverClient := s3.NewClient(d.dep.S3, d.env)
-	optCat := engine.Catalog{}
 	srcs := map[string]*scan.Source{}
-	for name, files := range tables {
+	all := make([]*scan.Source, len(names))
+	for i, name := range names {
+		files, ok := tables[name]
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: no table %q", ErrInvalidPlan, name)
+		}
 		if len(files) == 0 {
 			return nil, nil, fmt.Errorf("driver: table %q has no files", name)
 		}
-		src := scan.New(driverClient, d.cfg.Scan, files...)
-		schema, err := src.Schema()
+		all[i] = d.source(driverClient, files...)
+		srcs[name] = all[i]
+	}
+	if err := scan.OpenAll(all...); err != nil {
+		return nil, nil, fmt.Errorf("driver: opening the plan's tables: %w", err)
+	}
+	optCat := engine.Catalog{}
+	for _, name := range names {
+		schema, err := srcs[name].Schema()
 		if err != nil {
 			return nil, nil, fmt.Errorf("driver: resolving %q schema: %w", name, err)
 		}
 		optCat[name] = engine.NewMemSource(schema)
-		srcs[name] = src
 	}
 
 	opt, err := engine.Optimize(plan, optCat)
@@ -439,8 +459,8 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		}
 	})
 	stats := stageplan.Stats{Rows: map[string]int64{}}
-	for name, src := range srcs {
-		rows, err := src.EstimateRows(tablePreds[name])
+	for _, name := range names {
+		rows, err := srcs[name].EstimateRows(tablePreds[name])
 		if err != nil {
 			return nil, nil, fmt.Errorf("driver: estimating %q rows: %w", name, err)
 		}
@@ -460,8 +480,8 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 	// predicate match gets no scan worker at all — fewer invocations, and
 	// the surviving workers still prune at row-group/page granularity.
 	scanFiles := TableFiles{}
-	for name, files := range tables {
-		preds := tablePreds[name]
+	for _, name := range names {
+		files, preds := tables[name], tablePreds[name]
 		if len(preds) == 0 {
 			scanFiles[name] = files
 			continue

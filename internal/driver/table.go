@@ -13,8 +13,8 @@ import (
 // row ranges (the paper stores LINEITEM as 320 Parquet files of ~500 MB)
 // and returns the file references for queries. The bucket is created if
 // missing. Re-uploading under an existing prefix overwrites the objects in
-// place, so the session drops every cached result that read the bucket —
-// the file references alone can no longer tell old data from new.
+// place, so the session drops every cached result and every footer it holds
+// — the file references alone can no longer tell old data from new.
 func (d *Session) UploadTable(env simenv.Env, bucket, prefix string, data *columnar.Chunk, nfiles int, opts lpq.WriterOptions) ([]scan.FileRef, error) {
 	d.dep.S3.MustCreateBucket(bucket)
 	if nfiles < 1 {
@@ -43,7 +43,7 @@ func (d *Session) UploadTable(env simenv.Env, bucket, prefix string, data *colum
 		refs = append(refs, scan.FileRef{Bucket: bucket, Key: key})
 		idx++
 	}
-	d.cache.clear()
+	d.InvalidateResultCache()
 	return refs, nil
 }
 

@@ -22,11 +22,12 @@ type tracedRun struct {
 
 // tracedOpts parameterizes runTraced.
 type tracedOpts struct {
-	single  bool // single-scope q1 over lineitem instead of staged q12
-	chaos   bool // seeded FaultPlan deployment instead of the clean one
-	crash   bool // workers dying mid-handler and on invoke instead
-	flat    bool // single-level exchange without write combining
-	unkeyed bool // disable completion-broadcast keying (regression baseline)
+	single  bool  // single-scope q1 over lineitem instead of staged q12
+	chaos   bool  // seeded FaultPlan deployment instead of the clean one
+	crash   bool  // workers dying mid-handler and on invoke instead
+	flat    bool  // single-level exchange without write combining
+	unkeyed bool  // disable completion-broadcast keying (regression baseline)
+	seed    int64 // deployment seed; 0 is the suite's 71
 }
 
 // crashPlanQ12 kills workers: the second and third invocations die 120 ms
@@ -48,14 +49,17 @@ func runTraced(t *testing.T, o tracedOpts) tracedRun {
 	if o.unkeyed {
 		k.SetCompletionKeying(false)
 	}
+	if o.seed == 0 {
+		o.seed = 71
+	}
 	var dep *Deployment
 	switch {
 	case o.chaos:
-		dep = NewChaos(k, 71, chaosPlanQ12())
+		dep = NewChaos(k, o.seed, chaosPlanQ12())
 	case o.crash:
-		dep = NewChaos(k, 71, crashPlanQ12())
+		dep = NewChaos(k, o.seed, crashPlanQ12())
 	default:
-		dep = NewSimulated(k, 71)
+		dep = NewSimulated(k, o.seed)
 	}
 	dep.EnableTracing(obs.New())
 	var res tracedRun
@@ -258,20 +262,35 @@ func TestCriticalPathSumsToDuration(t *testing.T) {
 // completion broadcast by (table,key)/prefix wakes strictly fewer waiters
 // than the wake-everyone baseline on the same seeded query. The spurious
 // wakeups are not free, either: each one re-runs the waiter's poll (a
-// billed substrate call with virtual latency), so the keyed run is also
-// no slower than the baseline.
+// billed substrate call with virtual latency) — asserted as the mechanism,
+// DynamoDB reads billed, on every seed. That the keyed run is therefore no
+// slower is asserted over the seeds together: the two runs of one seed issue
+// different request sequences, so they draw different latencies from the
+// deployment's one seeded stream, and a single pair can differ by a few
+// percent either way (seed 71 reads 1.094 s keyed against 1.072 s unkeyed).
 func TestKeyedBroadcastReducesWakeups(t *testing.T) {
-	keyed := runTraced(t, tracedOpts{})
-	unkeyed := runTraced(t, tracedOpts{unkeyed: true})
-	if keyed.rep.Wakeups == 0 {
-		t.Fatal("keyed run recorded no wakeups (counter not wired?)")
+	var keyedSum, unkeyedSum time.Duration
+	for seed := int64(71); seed < 76; seed++ {
+		keyed := runTraced(t, tracedOpts{seed: seed})
+		unkeyed := runTraced(t, tracedOpts{seed: seed, unkeyed: true})
+		if keyed.rep.Wakeups == 0 {
+			t.Fatalf("seed %d: keyed run recorded no wakeups (counter not wired?)", seed)
+		}
+		if keyed.rep.Wakeups >= unkeyed.rep.Wakeups {
+			t.Errorf("seed %d: keying did not reduce wakeups: keyed %d, unkeyed %d",
+				seed, keyed.rep.Wakeups, unkeyed.rep.Wakeups)
+		}
+		if keyed.rep.Cost.DynamoReads > unkeyed.rep.Cost.DynamoReads {
+			t.Errorf("seed %d: keyed run polled more: %d DynamoDB reads, unkeyed %d",
+				seed, keyed.rep.Cost.DynamoReads, unkeyed.rep.Cost.DynamoReads)
+		}
+		t.Logf("seed %d: keyed %v, %d wakeups, %d polls; unkeyed %v, %d wakeups, %d polls", seed,
+			keyed.rep.Duration, keyed.rep.Wakeups, keyed.rep.Cost.DynamoReads,
+			unkeyed.rep.Duration, unkeyed.rep.Wakeups, unkeyed.rep.Cost.DynamoReads)
+		keyedSum += keyed.rep.Duration
+		unkeyedSum += unkeyed.rep.Duration
 	}
-	if keyed.rep.Wakeups >= unkeyed.rep.Wakeups {
-		t.Errorf("keying did not reduce wakeups: keyed %d, unkeyed %d",
-			keyed.rep.Wakeups, unkeyed.rep.Wakeups)
-	}
-	if keyed.rep.Duration > unkeyed.rep.Duration {
-		t.Errorf("keyed run slower than unkeyed baseline: %v vs %v",
-			keyed.rep.Duration, unkeyed.rep.Duration)
+	if keyedSum > unkeyedSum {
+		t.Errorf("keyed runs slower than the unkeyed baseline over five seeds: %v vs %v", keyedSum, unkeyedSum)
 	}
 }

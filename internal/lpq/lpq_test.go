@@ -2,6 +2,8 @@ package lpq
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -399,5 +401,81 @@ func TestPropertyPruningSound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// countingReaderAt counts the ReadAt calls that reach the bytes under it.
+type countingReaderAt struct {
+	r     io.ReaderAt
+	reads int
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.r.ReadAt(p, off)
+}
+
+// TestOpenTail: a caller that holds the file's last bytes opens it with no
+// read when they hold the footer and with one read, of exactly the missing
+// prefix, when they do not; either way the metadata is what OpenReader
+// decodes, and none of it aliases the tail. A footer longer than FooterGuess
+// is the case OpenReader itself pays the second read for.
+func TestOpenTail(t *testing.T) {
+	// Many small paged row groups: a footer well past the guess.
+	data, err := WriteFile(testSchema(), WriterOptions{RowGroupRows: 64, PageRows: 16}, makeChunk(6000, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(len(data))
+	footerLen := int64(binary.LittleEndian.Uint32(data[size-8:]))
+	if footerLen+8 <= FooterGuess {
+		t.Fatalf("footer of %d bytes fits the %d-byte guess; the test needs a longer one", footerLen, FooterGuess)
+	}
+	ref, err := OpenReader(bytes.NewReader(data), size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.MetadataReads != 2 {
+		t.Errorf("OpenReader of a long footer took %d reads, want 2", ref.MetadataReads)
+	}
+	want, err := ref.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		tail  int64
+		reads int
+	}{{8, 1}, {FooterGuess, 1}, {footerLen + 7, 1}, {footerLen + 8, 0}, {size, 0}} {
+		src := &countingReaderAt{r: bytes.NewReader(data)}
+		tail := bytes.Clone(data[size-tc.tail:])
+		r, err := OpenTail(src, size, tail)
+		if err != nil {
+			t.Fatalf("tail of %d bytes: %v", tc.tail, err)
+		}
+		if src.reads != tc.reads || r.MetadataReads != tc.reads {
+			t.Errorf("tail of %d bytes: %d reads (reader says %d), want %d", tc.tail, src.reads, r.MetadataReads, tc.reads)
+		}
+		for i := range tail {
+			tail[i] = 0xff // the caller drops the tail: nothing may still look at it
+		}
+		if !reflect.DeepEqual(r.Meta(), ref.Meta()) {
+			t.Errorf("tail of %d bytes: metadata differs from OpenReader's", tc.tail)
+		}
+		got, err := r.ReadAll()
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("tail of %d bytes: rows differ from OpenReader's (%v)", tc.tail, err)
+		}
+	}
+
+	for _, n := range []int64{0, 7, size + 1} {
+		tail := make([]byte, n)
+		copy(tail, data[max(size-n, 0):])
+		if _, err := OpenTail(bytes.NewReader(data), size, tail); err == nil {
+			t.Errorf("a %d-byte tail of a %d-byte file opened", n, size)
+		}
+	}
+	if _, err := OpenTail(bytes.NewReader(data), size, nil); err == nil {
+		t.Error("a nil tail — a synthetic object's — opened")
 	}
 }

@@ -12,13 +12,19 @@ import (
 
 // FooterGuess is how many trailing bytes the reader speculatively fetches;
 // when the footer fits (the common case) opening costs a single ranged read,
-// matching the paper's "loads this metadata with a single file read". The
-// guess is billed in full on every open, so it is sized to the footers this
-// writer actually produces (tens of bytes per column chunk) rather than a
-// conservative blanket value: a too-large guess silently re-downloads small
-// objects end to end on every metadata open. Footers longer than the guess
-// cost one extra ranged read of exactly the missing prefix.
-const FooterGuess = 4 * 1024
+// matching the paper's "loads this metadata with a single file read" — over
+// S3 the guess is the open: the suffix read that also returns the size.
+// Footers longer than the guess cost one extra ranged read of exactly the
+// missing prefix, and that is what the guess is sized against: a small S3
+// read is all first-byte latency (§4.3.1, Figure 7: tens of milliseconds,
+// and a billed request), while the bytes of a guess that overshoots are
+// counted but not priced and cost shaped transfer time only, ≈ 0.05 ms per
+// 4 KiB. A footer is tens of bytes per column chunk and per page: 0.3–1.3 KB
+// for a 13-column table in one or two unpaged row groups, 4.4 KB for the
+// same table in row groups of four pages — which at 4 KiB took two reads to
+// open. 8 KiB holds every footer the benchmark's tables have. An object
+// shorter than the guess is fetched whole, once.
+const FooterGuess = 8 * 1024
 
 // Reader reads an lpq file from any io.ReaderAt — an in-memory buffer, an
 // OS file, or an S3-backed random-access file.
@@ -30,21 +36,34 @@ type Reader struct {
 	MetadataReads int
 }
 
-// OpenReader parses the footer and returns a reader.
+// OpenReader parses the footer and returns a reader: it reads the guessed
+// tail, and OpenTail does the rest.
 func OpenReader(r io.ReaderAt, size int64) (*Reader, error) {
 	if size < 8 {
 		return nil, fmt.Errorf("lpq: file too small (%d bytes)", size)
 	}
-	rd := &Reader{r: r, size: size}
-	guess := int64(FooterGuess)
-	if guess > size {
-		guess = size
-	}
-	tail := make([]byte, guess)
-	if _, err := r.ReadAt(tail, size-guess); err != nil {
+	tail := make([]byte, min(int64(FooterGuess), size))
+	if _, err := r.ReadAt(tail, size-int64(len(tail))); err != nil {
 		return nil, fmt.Errorf("lpq: reading footer: %w", err)
 	}
-	rd.MetadataReads = 1
+	rd, err := OpenTail(r, size, tail)
+	if err != nil {
+		return nil, err
+	}
+	rd.MetadataReads++
+	return rd, nil
+}
+
+// OpenTail is OpenReader for a caller that already holds the file's last
+// len(tail) bytes — an S3 open gets them with the object's size, in its one
+// request. The tail is parsed and not kept: nothing the reader or its
+// metadata holds aliases it.
+func OpenTail(r io.ReaderAt, size int64, tail []byte) (*Reader, error) {
+	guess := int64(len(tail))
+	if guess < 8 || guess > size {
+		return nil, fmt.Errorf("lpq: %d-byte tail of a %d-byte file holds no trailer", guess, size)
+	}
+	rd := &Reader{r: r, size: size}
 	trailer := tail[len(tail)-8:]
 	var v2 bool
 	switch {
@@ -71,7 +90,7 @@ func OpenReader(r io.ReaderAt, size int64) (*Reader, error) {
 			return nil, fmt.Errorf("lpq: reading long footer: %w", err)
 		}
 		copy(footer[missing:], tail[:guess-8])
-		rd.MetadataReads = 2
+		rd.MetadataReads = 1
 	}
 	meta, err := decodeFooter(footer, v2)
 	if err != nil {

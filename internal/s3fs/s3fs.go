@@ -37,15 +37,20 @@ type File struct {
 	bytes atomic.Int64
 }
 
-// Open stats the object (one request) and returns a file handle.
-func Open(client *s3.Client, bucket, key string) (*File, error) {
-	size, err := client.Head(bucket, key)
+// Open is the one request opening an object costs: a suffix read of its last
+// tail bytes, which the reply's size comes with. It returns the handle and
+// those bytes — where a columnar file keeps its footer — for the caller to
+// parse and drop; nothing of them stays with the handle, so every later read
+// is billed as if the open had fetched nothing.
+func Open(client *s3.Client, bucket, key string, tail int64) (*File, []byte, error) {
+	data, got, size, err := client.GetSuffix(bucket, key, tail, 1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	f := NewFile(client, bucket, key, size)
-	f.requests.Add(1) // the Head
-	return f, nil
+	f.requests.Add(1)
+	f.bytes.Add(got)
+	return f, data, nil
 }
 
 // NewFile returns a handle with a known size (no request issued).

@@ -2,12 +2,15 @@ package s3fs
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 	"testing/quick"
 
+	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
+	"lambada/internal/obs"
 )
 
 func setup(t *testing.T, data []byte) *File {
@@ -18,7 +21,7 @@ func setup(t *testing.T, data []byte) *File {
 	if err := svc.Put(env, "b", "k", data); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Open(s3.NewClient(svc, simenv.NewImmediate()), "b", "k")
+	f, _, err := Open(s3.NewClient(svc, simenv.NewImmediate()), "b", "k", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,8 +31,45 @@ func setup(t *testing.T, data []byte) *File {
 func TestOpenMissing(t *testing.T) {
 	svc := s3.New(s3.Config{})
 	svc.MustCreateBucket("b")
-	if _, err := Open(s3.NewClient(svc, simenv.NewImmediate()), "b", "nope"); err == nil {
-		t.Error("opened missing object")
+	if _, _, err := Open(s3.NewClient(svc, simenv.NewImmediate()), "b", "nope", 4); !errors.Is(err, s3.ErrNoSuchKey) {
+		t.Errorf("opening a missing object: %v, want ErrNoSuchKey", err)
+	}
+}
+
+// TestOpenIsOneRequest: an open is one billed read — the suffix range, whose
+// reply carries the size — and hands back the tail it asked for, truncated to
+// the object; the handle keeps none of it, so a read of the same bytes is a
+// request of its own.
+func TestOpenIsOneRequest(t *testing.T) {
+	meter := pricing.NewCostMeter()
+	svc := s3.New(s3.Config{Meter: meter})
+	svc.MustCreateBucket("b")
+	env := simenv.NewImmediate()
+	if err := svc.Put(env, "b", "k", []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tail int64
+		want string
+	}{{4, "6789"}, {10, "0123456789"}, {64, "0123456789"}} {
+		before := meter.Cost()
+		f, tail, err := Open(s3.NewClient(svc, env), "b", "k", tc.tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(tail) != tc.want || f.Size() != 10 {
+			t.Errorf("Open(tail %d) = %q of %d bytes, want %q of 10", tc.tail, tail, f.Size(), tc.want)
+		}
+		want := obs.Cost{S3Get: 1, S3ReadBytes: int64(len(tc.want))}
+		if got := meter.Cost().Sub(before); got != want {
+			t.Errorf("Open(tail %d) billed %+v, want %+v", tc.tail, got, want)
+		}
+		if f.Requests() != 1 || f.BytesRead() != int64(len(tc.want)) {
+			t.Errorf("Open(tail %d): handle counts %d requests, %d bytes", tc.tail, f.Requests(), f.BytesRead())
+		}
+		if got, err := f.ReadRange(6, 4); err != nil || string(got) != "6789" || f.Requests() != 2 {
+			t.Errorf("read of the tail's bytes = %q, %v after %d requests, want a second request", got, err, f.Requests())
+		}
 	}
 }
 

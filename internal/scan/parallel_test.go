@@ -180,10 +180,11 @@ func TestOpenSingleflight(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// One open costs exactly two read requests (Head + footer fetch), no
+	// One open costs exactly one read request — the suffix read that returns
+	// the size with the footer; it was two, a HEAD and the footer fetch — no
 	// matter how many goroutines raced for it.
-	if got := meter.Count(pricing.LabelS3Read); got != 2 {
-		t.Errorf("open requests = %d, want exactly 2 (singleflight)", got)
+	if got := meter.Count(pricing.LabelS3Read); got != 1 {
+		t.Errorf("open requests = %d, want exactly 1 (singleflight)", got)
 	}
 
 	// A failed open is forgotten so a later caller can retry.

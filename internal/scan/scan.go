@@ -84,12 +84,19 @@ type Source struct {
 	Client *s3.Client
 	Files  []FileRef
 	Cfg    Config
+	// Footers, when set, is the table a resident driver session keeps of the
+	// files it has opened: open asks it before it asks S3, and tells it what
+	// S3 answered. Nil — a worker's source — opens every file itself.
+	Footers *Footers
 
 	mu    sync.Mutex
 	opens map[string]*openState
-	// handles lists every successfully opened file handle, for summing
-	// billed request/byte counters without touching the opens map.
-	handles []*s3fs.File
+	// handles lists every file handle data is read through, and openGets /
+	// openBytes what the opens themselves were billed, for summing billed
+	// request/byte counters without touching the opens map.
+	handles   []*s3fs.File
+	openGets  int64
+	openBytes int64
 
 	// idle holds the decode states no goroutine is using. It is a plain
 	// free list, not a sync.Pool: the states die with the Source instead of
@@ -111,9 +118,61 @@ type Source struct {
 // everyone shares the result.
 type openState struct {
 	once sync.Once
-	r    *lpq.Reader
+	meta *lpq.FileMeta
 	h    *s3fs.File
 	err  error
+}
+
+// footer is what opening a file learns: its size and its decoded metadata,
+// both immutable. A handle is not part of it — a handle is bound to one
+// client, and s3fs.NewFile makes one from the size for free.
+type footer struct {
+	size int64
+	meta *lpq.FileMeta
+}
+
+// Footers is a table of opened files' footers by object, shared by the
+// sources of one resident session so that a file is opened once per session
+// and not once per query. Its contract is the result cache's: the objects are
+// immutable until the owner says otherwise by calling Drop. It never makes
+// one source wait for another's open — two that miss together both read, and
+// store the same thing — because under DES a process blocked on a Go lock
+// that a parked process holds stalls the kernel. Safe for concurrent use.
+type Footers struct {
+	mu sync.Mutex
+	// gen counts Drops: an open that began before one must not store after
+	// it, or the table would keep a footer of the overwritten object.
+	gen   uint64
+	known map[string]footer
+}
+
+// NewFooters returns an empty table.
+func NewFooters() *Footers { return &Footers{known: map[string]footer{}} }
+
+// Drop forgets every footer.
+func (t *Footers) Drop() {
+	t.mu.Lock()
+	t.gen++
+	t.known = map[string]footer{}
+	t.mu.Unlock()
+}
+
+// lookup returns id's footer if known, and the generation a store of what
+// the caller reads instead must present.
+func (t *Footers) lookup(id string) (footer, uint64, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ft, ok := t.known[id]
+	return ft, t.gen, ok
+}
+
+// store records id's footer unless the table was dropped since gen.
+func (t *Footers) store(id string, gen uint64, ft footer) {
+	t.mu.Lock()
+	if gen == t.gen {
+		t.known[id] = ft
+	}
+	t.mu.Unlock()
 }
 
 // New returns a source over files.
@@ -162,6 +221,8 @@ func (s *Source) Stats() Stats {
 		PagesRead:       s.pagesRead,
 		PagesPruned:     s.pagesPruned,
 		PagesFiltered:   s.pagesFiltered,
+		BilledGets:      s.openGets,
+		BilledBytes:     s.openBytes,
 	}
 	for _, h := range s.handles {
 		st.BilledGets += h.Requests()
@@ -170,10 +231,18 @@ func (s *Source) Stats() Stats {
 	return st
 }
 
-// open returns the (cached) reader and handle of f. Concurrent callers for
+// open returns the (cached) metadata and handle of f. Concurrent callers for
 // the same file block on one in-flight fetch instead of issuing duplicates;
 // a failed open is forgotten so a later caller can retry.
-func (s *Source) open(f FileRef) (*lpq.Reader, *s3fs.File, error) {
+func (s *Source) open(f FileRef) (*lpq.FileMeta, *s3fs.File, error) {
+	return s.openVia(s.Client, f)
+}
+
+// openVia is open with the request, if one is needed, issued through via: the
+// source's client, or a lane of its request window (OpenAll). Either way the
+// handle data is read through is the client's own — a lane's clock ends with
+// its window.
+func (s *Source) openVia(via *s3.Client, f FileRef) (*lpq.FileMeta, *s3fs.File, error) {
 	id := f.Bucket + "/" + f.Key
 	s.mu.Lock()
 	st, ok := s.opens[id]
@@ -184,28 +253,105 @@ func (s *Source) open(f FileRef) (*lpq.Reader, *s3fs.File, error) {
 	s.mu.Unlock()
 
 	st.once.Do(func() {
-		h, err := s3fs.Open(s.Client, f.Bucket, f.Key)
+		ft, err := s.readFooter(via, f, id)
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		if err != nil {
 			st.err = err
-		} else {
-			h.ChunkBytes = s.Cfg.ChunkBytes
-			h.Conns = s.Cfg.Conns
-			r, err := lpq.OpenReader(h, h.Size())
-			if err != nil {
-				st.err = fmt.Errorf("scan: opening %s: %w", id, err)
-			} else {
-				st.r, st.h = r, h
+			delete(s.opens, id)
+			return
+		}
+		st.meta = ft.meta
+		st.h = s3fs.NewFile(s.Client, f.Bucket, f.Key, ft.size)
+		st.h.ChunkBytes = s.Cfg.ChunkBytes
+		st.h.Conns = s.Cfg.Conns
+		s.handles = append(s.handles, st.h)
+	})
+	return st.meta, st.h, st.err
+}
+
+// readFooter returns f's footer: from the session's table when it is there,
+// else by the one request an open costs (s3fs.Open: the size and the guessed
+// tail; a footer longer than the guess takes a second read for its prefix).
+// An open through the source's own client tells the table what it learnt; a
+// lane's is told by OpenAll, once the window has ended.
+func (s *Source) readFooter(via *s3.Client, f FileRef, id string) (footer, error) {
+	var gen uint64
+	if s.Footers != nil {
+		ft, g, ok := s.Footers.lookup(id)
+		if ok {
+			return ft, nil
+		}
+		gen = g
+	}
+	h, tail, err := s3fs.Open(via, f.Bucket, f.Key, lpq.FooterGuess)
+	if err != nil {
+		return footer{}, err
+	}
+	r, err := lpq.OpenTail(h, h.Size(), tail)
+	s.mu.Lock()
+	s.openGets += h.Requests()
+	s.openBytes += h.BytesRead()
+	s.mu.Unlock()
+	if err != nil {
+		return footer{}, fmt.Errorf("scan: opening %s: %w", id, err)
+	}
+	ft := footer{size: h.Size(), meta: r.Meta()}
+	if s.Footers != nil && via == s.Client {
+		s.Footers.store(id, gen, ft)
+	}
+	return ft, nil
+}
+
+// OpenAll opens every file of srcs — sources over one client — that neither
+// its source nor the session's table knows, through one request window of
+// that client (s3.Client.Overlap): n such files cost ⌈n/16⌉ first-byte
+// latencies, not n — and no time at all against an in-memory S3, where the
+// window's calls run back to back. The planner calls it on the sources of all
+// the tables a plan scans; the statistics below call it on their own.
+func OpenAll(srcs ...*Source) error {
+	type miss struct {
+		s   *Source
+		f   FileRef
+		gen uint64 // the session table's, when the file was missing from it
+	}
+	var missing []miss
+	for _, s := range srcs {
+		for _, f := range s.Files {
+			id := f.Bucket + "/" + f.Key
+			s.mu.Lock()
+			_, known := s.opens[id]
+			s.mu.Unlock()
+			var gen uint64
+			if !known && s.Footers != nil {
+				_, gen, known = s.Footers.lookup(id)
+			}
+			if !known {
+				missing = append(missing, miss{s, f, gen})
 			}
 		}
-		s.mu.Lock()
-		if st.err != nil {
-			delete(s.opens, id)
-		} else {
-			s.handles = append(s.handles, st.h)
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	learnt := make([]footer, len(missing))
+	err := missing[0].s.Client.Overlap(len(missing), func(i int, lane *s3.Client) error {
+		m := missing[i]
+		meta, h, err := m.s.openVia(lane, m.f)
+		if err == nil {
+			learnt[i] = footer{size: h.Size(), meta: meta}
 		}
-		s.mu.Unlock()
+		return err
 	})
-	return st.r, st.h, st.err
+	// A lane runs ahead of its caller's clock. Had its open told the session
+	// inside the window, a query planning at this same instant would know a
+	// footer that has not arrived yet; here the last of them has.
+	for i, m := range missing {
+		if m.s.Footers != nil && learnt[i].meta != nil {
+			m.s.Footers.store(m.f.Bucket+"/"+m.f.Key, m.gen, learnt[i])
+		}
+	}
+	return err
 }
 
 // Schema returns the schema of the first file.
@@ -213,19 +359,18 @@ func (s *Source) Schema() (*columnar.Schema, error) {
 	if len(s.Files) == 0 {
 		return nil, fmt.Errorf("scan: no files")
 	}
-	r, _, err := s.open(s.Files[0])
+	meta, _, err := s.open(s.Files[0])
 	if err != nil {
 		return nil, err
 	}
-	return r.Schema(), nil
+	return meta.Schema, nil
 }
 
 // TotalRows sums the row counts recorded in every file's footer — the
 // planner's cardinality statistic (a metadata-only read: footers are a few
 // hundred bytes, no column data is transferred). The stage planner decides
-// broadcast-vs-shuffle per join from these counts. Footer opens run up to
-// Cfg.ParallelFiles at a time (this sits on the driver's plan-time critical
-// path; DES deployments force the knob to 1 and stay single-threaded), and
+// broadcast-vs-shuffle per join from these counts. The footer opens share one
+// request window (this sits on the driver's plan-time critical path), and
 // opens are cached, so a later Scan pays no second round trip.
 func (s *Source) TotalRows() (int64, error) {
 	return s.sumFooters(func(m *lpq.FileMeta) int64 { return m.TotalRows })
@@ -243,55 +388,29 @@ func (s *Source) EstimateRows(preds []lpq.Predicate) (int64, error) {
 // EstimateFileRows bounds the rows of one file that may satisfy preds —
 // the per-file statistic behind pruned worker file assignment.
 func (s *Source) EstimateFileRows(f FileRef, preds []lpq.Predicate) (int64, error) {
-	r, _, err := s.open(f)
+	meta, _, err := s.open(f)
 	if err != nil {
 		return 0, err
 	}
-	return lpq.EstimateRows(r.Meta(), preds), nil
+	return lpq.EstimateRows(meta, preds), nil
 }
 
-// sumFooters warms every file's footer (in parallel up to ParallelFiles;
-// opens are cached, so a later Scan pays no second round trip) and sums fn
-// over the metadata.
+// sumFooters opens every file's footer (through one request window; opens
+// are cached, so a later Scan pays no second round trip) and sums fn over the
+// metadata.
 func (s *Source) sumFooters(fn func(*lpq.FileMeta) int64) (int64, error) {
-	if err := s.warmOpen(); err != nil {
+	if err := OpenAll(s); err != nil {
 		return 0, err
 	}
 	var total int64
 	for _, f := range s.Files {
-		r, _, err := s.open(f)
+		meta, _, err := s.open(f)
 		if err != nil {
 			return 0, err
 		}
-		total += fn(r.Meta())
+		total += fn(meta)
 	}
 	return total, nil
-}
-
-// warmOpen opens all files' footers, up to Cfg.ParallelFiles at a time.
-func (s *Source) warmOpen() error {
-	if s.Cfg.ParallelFiles <= 1 || len(s.Files) <= 1 {
-		return nil
-	}
-	sem := make(chan struct{}, s.Cfg.ParallelFiles)
-	errs := make([]error, len(s.Files))
-	var wg sync.WaitGroup
-	for i, f := range s.Files {
-		wg.Add(1)
-		go func(i int, f FileRef) {
-			defer wg.Done()
-			sem <- struct{}{}
-			_, _, errs[i] = s.open(f)
-			<-sem
-		}(i, f)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Scan yields the projected columns of every non-pruned row group of every
@@ -424,11 +543,10 @@ func (s *Source) scanFilesParallel(perFile func(FileRef, func(*columnar.Chunk) e
 // surviving row group through readRowGroup. Groups whose selection comes
 // back entirely empty yield nothing.
 func (s *Source) scanFile(f FileRef, proj []string, preds []lpq.Predicate, filter engine.Expr, yield func(*columnar.Chunk) error) error {
-	r, h, err := s.open(f)
+	meta, h, err := s.open(f)
 	if err != nil {
 		return err
 	}
-	meta := r.Meta()
 	cols, outSchema, err := resolveProjection(meta.Schema, proj)
 	if err != nil {
 		return err

@@ -2,7 +2,8 @@
 // endpoint — Lambada as a query service rather than a one-shot CLI. The
 // deployment is installed once; every POST /query runs on the same session,
 // sharing the warm container pool, the deployment-wide admission budget,
-// and the result cache, so a repeated query costs nothing and concurrent
+// the result cache and the footers of the files it has opened, so a repeated
+// query costs nothing, a new one plans without reading S3, and concurrent
 // requests interleave on one serverless fleet.
 //
 // Execution is abstracted behind Runner so the same server fronts either a
@@ -147,7 +148,8 @@ func New(cfg Config) *Server { return &Server{cfg: cfg} }
 // Handler returns the route mux:
 //
 //	POST /query      run a query ({"sql": ...} or {"name": "q6"})
-//	POST /invalidate drop cached results ({"table": "x"} or {} for all)
+//	POST /invalidate drop cached results ({"table": "x"} or {} for all) and,
+//	                 either way, the footers the session has read
 //	GET  /session    session statistics (cache, admission, query count)
 //	GET  /stats      cumulative deployment cost meter
 func (s *Server) Handler() http.Handler {
@@ -334,7 +336,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // InvalidateRequest is the POST /invalidate body; an empty table drops the
-// whole cache.
+// whole cache. The session's footers go with either.
 type InvalidateRequest struct {
 	Table string `json:"table,omitempty"`
 }

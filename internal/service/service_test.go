@@ -130,6 +130,13 @@ func TestServeSmoke(t *testing.T) {
 	if r3.Profile.CacheHit {
 		t.Error("query after /invalidate still hit the cache")
 	}
+	// /invalidate drops the session's footers with its results, so the
+	// planner opens the table's files again: the same reads as the first run,
+	// not four fewer.
+	if r3.Profile.S3GetRequests != r1.Profile.S3GetRequests {
+		t.Errorf("query after /invalidate billed %d S3 reads, the first run %d: the session kept its footers",
+			r3.Profile.S3GetRequests, r1.Profile.S3GetRequests)
+	}
 
 	sresp, err := http.Get(ts.URL + "/session")
 	if err != nil {
@@ -157,6 +164,26 @@ func TestServeSmoke(t *testing.T) {
 	stresp.Body.Close()
 	if stats.TotalUSD <= 0 {
 		t.Errorf("deployment meter total = %v, want > 0", stats.TotalUSD)
+	}
+
+	// The same through the by-table branch, from the other side: a text the
+	// cache does not hold plans without a read while the session knows the
+	// footers, and with one read per file once {"table": ...} has dropped them.
+	fresh := func() int64 {
+		t.Helper()
+		resp, raw := postJSON(t, ts.URL+"/query", QueryRequest{SQL: paramSQL, Params: map[string]string{"maxqty": "10"}})
+		var r QueryResponse
+		if err := json.Unmarshal(raw, &r); err != nil || resp.StatusCode != http.StatusOK || r.Profile.CacheHit {
+			t.Fatalf("param query: %d, %v, cache hit %v: %s", resp.StatusCode, err, r.Profile.CacheHit, raw)
+		}
+		return r.Profile.S3GetRequests
+	}
+	known := fresh()
+	if resp, raw := postJSON(t, ts.URL+"/invalidate", InvalidateRequest{Table: "lineitem"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("invalidate lineitem: %d: %s", resp.StatusCode, raw)
+	}
+	if dropped := fresh(); dropped != known+4 {
+		t.Errorf("param query billed %d S3 reads with the footers known and %d after invalidating the table, want 4 more (one per file)", known, dropped)
 	}
 }
 
