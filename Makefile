@@ -2,7 +2,7 @@ GO ?= go
 # trace-smoke output file (Chrome trace-event JSON; also the CI artifact).
 TRACE_OUT ?= trace-smoke.json
 
-.PHONY: build test race race-staged chaos scale-smoke fuzz-smoke bench bench-check vet trace-smoke serve-smoke loc
+.PHONY: build test race race-staged chaos scale-smoke fuzz-smoke bench bench-check vet trace-smoke trace-identical serve-smoke loc
 
 build:
 	$(GO) build ./...
@@ -93,3 +93,33 @@ trace-smoke:
 	$(GO) run ./cmd/lambada -mode des -exchange -query q12 -sf 0.002 -files 4 \
 		-profile -trace-out $(TRACE_OUT)
 	$(GO) run ./cmd/tracecheck $(TRACE_OUT)
+
+# trace-identical BASE=<rev> is how a driver change that claims to preserve
+# behaviour is checked, where the benchmark cannot vouch for it (speculation
+# and relaunch are off in every workload): cmd/lambada is built from BASE (a
+# `git archive` of it in a temp dir) and from the working tree, both run the
+# same two seeded DES queries — the 564-worker staged q12, and a 64-worker one
+# under the checked-in fault storm with speculation and a 2 s liveness cap —
+# and the Chrome trace exports and the printed reports (minus the last line,
+# which names the trace file) must be byte-identical.
+TRACE_Q12 = -mode des -profile -query q12 -exchange -broadcast-limit -1 -sf 0.002 -files 4
+trace-identical:
+	@test -n "$(BASE)" || { echo "usage: make trace-identical BASE=<rev>"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/base"; \
+	git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/lambada.base" ./cmd/lambada); \
+	$(GO) build -o "$$tmp/lambada.head" ./cmd/lambada; \
+	for side in base head; do \
+		"$$tmp/lambada.$$side" $(TRACE_Q12) -partitions 256 \
+			-trace-out "$$tmp/fleet.$$side.json" > "$$tmp/fleet.$$side.out"; \
+		"$$tmp/lambada.$$side" $(TRACE_Q12) -partitions 30 -speculate -max-stage-wait 2s \
+			-fault-plan cmd/lambada/testdata/storm.json \
+			-trace-out "$$tmp/storm.$$side.json" > "$$tmp/storm.$$side.out"; \
+		sed -i '$$d' "$$tmp/fleet.$$side.out" "$$tmp/storm.$$side.out"; \
+	done; \
+	for run in fleet storm; do \
+		cmp "$$tmp/$$run.base.json" "$$tmp/$$run.head.json"; \
+		cmp "$$tmp/$$run.base.out" "$$tmp/$$run.head.out"; \
+		grep -E '^workers:|failure seals' "$$tmp/$$run.head.out"; \
+	done; \
+	echo "trace-identical: traces and reports of both runs byte-identical to $(BASE)"

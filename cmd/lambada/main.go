@@ -209,11 +209,8 @@ func main() {
 	if *mode == "des" {
 		k := simclock.New()
 		k.Go("driver", func(p *simclock.Proc) {
-			dep := driver.NewSimulated(k, *seed)
-			if *fplan != "" {
-				dep = driver.NewChaos(k, *seed, chaosPlan)
-			}
-			if e := run(dep, p); e != nil {
+			// Without -fault-plan the plan is empty: the plain simulated deployment.
+			if e := run(driver.NewChaos(k, *seed, chaosPlan), p); e != nil {
 				err = e
 			}
 		})

@@ -126,9 +126,14 @@
 // The paper has one execution model — the driver compiles a plan, invokes a
 // fleet, and "polls until it has heard back from all workers" (§3.2–3.3),
 // with the exchange as just another operator between fragments (§4.4) — and
-// internal/driver has one executor for it: the stage scheduler (runStages).
-// Every query reaches it as a stage plan (internal/stageplan) through one
-// of two planning entrances:
+// internal/driver has one executor for it, in two parts: the scheduler type
+// (scheduler.go) is the policy — which stage may launch, what a result
+// message means, who is a straggler — as a state machine that holds no
+// environment, reads no clock and issues no request; runStages (stage.go) is
+// the loop that feeds it instants and messages and does every Invoke,
+// sqs.Receive, dynamo.Put, span edit and wait its answers ask for. Every
+// query reaches it as a stage plan (internal/stageplan) through one of two
+// planning entrances:
 //
 //	RunSQL/RunPlan[Broadcast]   single-scope: the schema comes from the first
 //	                            file's footer, engine.SplitDistributed cuts
@@ -157,9 +162,10 @@
 // private unlimited one — all pacer, no cap — otherwise, so capped and
 // uncapped launches are the same code; recovery re-invokes (failure
 // relaunches, speculation backups) are direct units admitted past the cap.
-// An eager stage launches once every stage it depends on is fully launched,
-// so invocation order is topological. One loop reads the result queue, with
-// one speculation policy, one failure-seal relaunch and one merge — in
+// A stage is launchable (scheduler.launchable) once every stage it depends
+// on is fully launched, so invocation order is topological. One loop reads
+// the result queue and hands each message to scheduler.message — one
+// speculation policy, one failure-seal relaunch — and one merge follows, in
 // worker order, so results are deterministic. A plan pays only for the
 // machinery it uses, by two rules that hold for every plan:
 //
@@ -257,14 +263,36 @@
 // §4.2), so driver-side launch work per stage is O(√fleet) while the event
 // loop stays O(1) per completion event at 4k workers.
 //
-// The scheduler is event-driven (pending → launched → sealed) rather than
-// lock-step dependency waves. Every stage's payloads are computable up
-// front, so all eager stages are invoked the moment the query starts:
-// consumer cold starts and invocation pacing overlap upstream execution,
-// and the DynamoDB ready marker — written when the driver has seen every
-// producer seal through the SQS result queue — gates each worker's collect
-// instead of its launch. (Wave-gated launch survives only as a test seam,
-// for the tests that need barrier reads in a known order.)
+// The scheduler is event-driven rather than lock-step dependency waves. It
+// keeps one stageRun per stage — payloads, pending launch units, winners,
+// attempts, response times, the liveness-cap window — in one of three
+// states, and every transition is a method that takes the instant as an
+// argument and answers with what the driver must do:
+//
+//	pending  → launched  launchable(r) says the stage may take admission
+//	                     tokens; the loop invokes what admission grants and
+//	                     reports the pass with launched(r, tokens, from, now)
+//	launched → launched  message(now, msg) discards zombies (older epoch,
+//	                     unknown worker) and losers (a second seal of a
+//	                     worker, a failure of a superseded attempt), records
+//	                     a winner, or answers relaunch: re-invoke the
+//	                     worker's next attempt; stragglers(now) nominates
+//	                     backups the same way; a failure seal that may not
+//	                     be relaunched is the query's StageFailure
+//	launched → sealed    message answers sealed on the stage's last winner;
+//	                     the loop writes the DynamoDB ready marker (rule 2),
+//	                     calls marked(r, now), launches what that unblocked
+//	                     and starts the consumers' cap clocks, armCaps(now)
+//
+// Every stage's payloads are computable up front and a stage is launchable
+// as soon as its producers' fleets are launched, so every fleet is invoked
+// the moment the query starts: consumer cold starts and invocation pacing
+// overlap upstream execution, and the DynamoDB ready marker — written when
+// the driver has seen every producer seal through the SQS result queue —
+// gates each worker's collect instead of its launch. (Wave-gated launch
+// survives only as a test seam, for the tests that need barrier reads in a
+// known order.) TestSchedulerTransitions walks the transitions without a
+// kernel or a deployment.
 //
 // Straggler speculation (§5.5's aggressive-timeouts-and-retries theme)
 // applies per stage: once a quorum of a stage's workers sealed and a

@@ -88,27 +88,17 @@ func NewLocal() *Deployment {
 // NewSimulated returns a DES deployment on kernel k with the calibrated AWS
 // latency, bandwidth, throttling and pricing models — the performance layer.
 func NewSimulated(k *simclock.Kernel, seed int64) *Deployment {
-	meter := pricing.NewCostMeter()
-	return &Deployment{
-		S3:            s3.New(s3.DefaultAWSConfig(meter, seed)),
-		Lambda:        lambdasvc.New(lambdasvc.DefaultAWSConfig(meter, seed+1), lambdasvc.SimRuntime{K: k}),
-		SQS:           sqs.New(sqs.DefaultAWSConfig(meter, seed+2)),
-		Dynamo:        dynamo.New(dynamo.DefaultAWSConfig(meter, seed+3)),
-		Meter:         meter,
-		Net:           netmodel.DefaultLambdaNet(),
-		Deterministic: true,
-		Shaped:        true,
-	}
+	return NewChaos(k, seed, faults.Plan{})
 }
 
-// NewChaos returns a DES deployment like NewSimulated whose services all
-// consult the given fault plan: S3 transient 500s/timeouts/SlowDown storms,
+// NewChaos returns NewSimulated's deployment with every service consulting
+// the given fault plan: S3 transient 500s/timeouts/SlowDown storms,
 // SQS duplicate and delayed delivery, DynamoDB throttling, Lambda crashes
 // and cold-start spikes, every one scheduled deterministically by the plan's
 // seed. One injector is shared by all services — operation streams are
 // independent per operation name, so the schedules compose without
-// interference. A plan with no rules yields a nil injector, making the
-// deployment trace-identical to NewSimulated(k, seed).
+// interference. A plan with no rules yields a nil injector, which injects
+// nothing and counts nothing.
 func NewChaos(k *simclock.Kernel, seed int64, plan faults.Plan) *Deployment {
 	meter := pricing.NewCostMeter()
 	inj := faults.NewInjector(plan)
@@ -191,9 +181,9 @@ type Config struct {
 	// invocation, higher attempts are speculation backups.
 	testWorkerDelay func(stage, workerID, attempt int) time.Duration
 	// testWaveLaunch, when set by tests, holds every stage back until its
-	// producers sealed instead of invoking eager stages up front — barrier
-	// reads then happen in a known order, and the pipelined ≡ waves identity
-	// stays checkable.
+	// producers sealed instead of invoking it as soon as they are launched —
+	// barrier reads then happen in a known order, and the pipelined ≡ waves
+	// identity stays checkable.
 	testWaveLaunch bool
 }
 

@@ -83,8 +83,8 @@ type StageStat struct {
 	StageID int
 	Workers int
 	// Launched and Sealed are offsets from the query start: under pipelined
-	// launch every eager stage's Launched is near zero, and Sealed shows
-	// how the DAG actually overlapped.
+	// launch every stage's Launched is near zero, and Sealed shows how the
+	// DAG actually overlapped.
 	Launched time.Duration
 	Sealed   time.Duration
 	// Speculated counts backup attempts invoked for this stage's
@@ -143,13 +143,12 @@ func (d *query) quiesce() {
 }
 
 // fillCostDelta records what the query cost — the meter movement since
-// begin — and the resilience counters.
+// begin — and the driver-side resilience counters.
 func (d *query) fillCostDelta(rep *Report) {
 	rep.Cost = d.dep.Meter.Cost().Sub(d.costBefore)
 	rep.TotalCost = float64(pricing.Price(rep.Cost))
 	rep.Wakeups = d.wakeupCount() - d.wakeupsBefore
 	rep.DriverRetries = d.retry.stats.Retries()
-	rep.WorkerRetries = d.workerRetries
 	if d.dep.Faults != nil {
 		rep.InjectedFaults = d.dep.Faults.Injected()
 	}
@@ -230,7 +229,7 @@ func (d *query) runPlan(plan engine.Plan, table string, files []scan.FileRef, br
 		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
 	}
 	sp := &stageplan.Plan{
-		Stages: []*stageplan.Stage{{ID: 0, Plan: dist.Worker, Table: table, Eager: true}},
+		Stages: []*stageplan.Stage{{ID: 0, Plan: dist.Worker, Table: table}},
 		Driver: dist.Driver,
 	}
 	return d.runStages(sp, TableFiles{table: files}, blobs, StageConfig{})

@@ -192,9 +192,6 @@ type query struct {
 	adm *invoke.Admission
 	// retry is this query's driver-side retry scope.
 	retry *retryScope
-	// workerRetries accumulates the substrate retries this query's workers
-	// reported in their completion messages.
-	workerRetries int64
 
 	// costBefore, wakeupsBefore, start and span are the measurement window
 	// begin opened: the meter and wakeup-counter readings and the instant

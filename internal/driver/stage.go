@@ -121,7 +121,6 @@ func regroupStage(producer *stageplan.Stage) *stageplan.Stage {
 		Inputs:    []stageplan.Input{{StageID: producer.ID}},
 		Output:    producer.Output,
 		DependsOn: []int{producer.ID},
-		Eager:     true,
 	}
 }
 
@@ -269,39 +268,6 @@ func (d *Driver) RunSQLStaged(sql string, tables TableFiles, cfg StageConfig) (*
 	return d.sess.RunSQLStaged(d.env, sql, tables, cfg)
 }
 
-// stageState tracks one stage through the event-driven scheduler.
-type stageState int
-
-const (
-	stagePending  stageState = iota // not yet invoked
-	stageLaunched                   // fleet invoked, seals outstanding
-	stageSealed                     // every worker sealed
-)
-
-// stageRun is the scheduler's bookkeeping for one stage of one query.
-type stageRun struct {
-	st       *stageplan.Stage
-	payloads []workerPayload // attempt-0 payloads, one per worker
-	state    stageState
-	// pending are the launch units not yet invoked, built on first launch;
-	// launched counts the workers the invoked ones spawn. A launch pass
-	// invokes as many units as admission grants and resumes on later passes.
-	pending  []launchUnit
-	launched int
-
-	launchedAt time.Duration
-	sealedAt   time.Duration
-	// winners records, per worker, the attempt whose seal arrived first.
-	// Later seals of the same worker — the losing half of a backup pair —
-	// are ignored; their boundary files are swept after the query.
-	winners    map[int]int
-	policy     stragglerPolicy
-	speculated int
-	// span is the stage's trace span (0 when tracing is off): opened at
-	// payload build, re-timed to the launch instant, ended at the seal.
-	span obs.SpanID
-}
-
 // launchUnit is one driver-side Invoke of a stage launch: a worker's
 // attempt-0 payload, with its second-generation children folded in when the
 // fleet goes through the invocation tree (§4.2). tokens is the number of
@@ -377,7 +343,7 @@ func (d *query) invoke(u launchUnit, span obs.SpanID) error {
 // (worker, attempt), so it never goes through the tree.
 func (d *query) reinvoke(r *stageRun, worker int) error {
 	p := r.payloads[worker]
-	p.Attempt = r.policy.attempts[worker]
+	p.Attempt = r.attempts[worker]
 	body, err := json.Marshal(&p)
 	if err != nil {
 		return err
@@ -523,15 +489,17 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 
 // runStages is the executor — the one place a query's fleet is launched and
 // its result queue is read. It runs any stage plan, from the one-stage plan
-// of a single-scope query to a multi-level shuffle DAG, on an event-driven
-// scheduler: every eager stage is invoked up front (consumer cold starts
-// overlap upstream execution), workers report completion through the SQS
-// result queue (seal), the driver records stage readiness in DynamoDB (the
+// of a single-scope query to a multi-level shuffle DAG, in three steps: setup
+// (openNamespace, newScheduler) builds every fleet's payloads; the event loop
+// (schedule) does the I/O the scheduler type's transitions ask for — stages
+// are invoked before their producers seal (consumer cold starts overlap
+// upstream execution), workers report completion through the SQS result
+// queue (seal), the driver records stage readiness in DynamoDB (the
 // notify-driven barrier gating consumer collects), retryable failure seals
-// are re-invoked, and Config.Speculate re-invokes any stage's stragglers as
-// attempt-versioned backups whose boundary publishes cannot race the
-// originals' — the first sealed attempt per worker wins. The whole state
-// machine runs on the query's private result queue and retry scope, so N of
+// and Config.Speculate's stragglers are re-invoked as attempt-versioned
+// backups whose boundary publishes cannot race the originals' (the first
+// sealed attempt per worker wins); the finish merges, sweeps and reports. It
+// all runs on the query's private result queue and retry scope, so N of
 // these interleave on one session.
 //
 // A plan pays only for the machinery it uses, by two rules that hold for
@@ -547,67 +515,13 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 // scanFiles assigns each scanned table its files; blobs are the broadcast
 // tables (lpq blobs by name) shipped inside the payloads that scan them.
 func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[string][]byte, cfg StageConfig) (*columnar.Chunk, *Report, error) {
-	queryID := d.id
-	tr := d.dep.Trace
-	qspan := d.span
-
 	resultStage := sp.ResultStage()
 	if resultStage == nil {
 		return nil, nil, fmt.Errorf("driver: stage plan has no result stage")
 	}
-	bounded := false
-	for _, st := range sp.Stages {
-		bounded = bounded || st.Output != nil
-	}
-
-	// ns is the boundary namespace every task of the query shares; the
-	// prefix the payloads carry is the fenced e<epoch> sub-prefix, while
-	// sweep drains the query's prefix across all epochs — every epoch's
-	// debris.
-	var (
-		ns    boundarySpec
-		epoch int
-	)
-	sweep := func() error { return nil }
-	if bounded {
-		buckets := d.s.InstallExchange()
-		sealTable := stagesTableName(d.cfg.FunctionName)
-		d.dep.Dynamo.CreateTable(sealTable)
-
-		// Epoch fence: durably increment this query ID's epoch before
-		// anything else. Every artifact of the run — worker payloads, seal
-		// messages, ready markers, the exchange boundary prefix — carries
-		// the epoch, and the scheduler discards artifacts of older epochs,
-		// so an in-flight worker of an aborted identically-numbered run
-		// cannot poison this one no matter when it wakes. The purge and
-		// sweep below are then hygiene (reclaiming queue slots and at-rest
-		// debris), not a correctness mechanism racing zombie workers.
-		var err error
-		epoch, err = d.acquireEpoch(sealTable, queryID)
-		if err != nil {
-			return nil, nil, fmt.Errorf("driver: acquiring epoch for %s: %w", queryID, err)
-		}
-		if err := d.purgeResults(); err != nil {
-			return nil, nil, err
-		}
-		driverClient := s3.NewClient(d.dep.S3, d.env)
-		prefix := d.cfg.FunctionName + "/" + queryID + "/"
-		sweep = func() error {
-			if _, err := exchange.Sweep(driverClient, buckets, prefix); err != nil {
-				return fmt.Errorf("driver: sweeping boundary %s: %w", prefix, err)
-			}
-			return nil
-		}
-		if err := sweep(); err != nil {
-			return nil, nil, err
-		}
-		ns = boundarySpec{
-			Buckets:   buckets,
-			Prefix:    prefix + "e" + strconv.Itoa(epoch),
-			PollNs:    int64(cfg.Exchange.Poll),
-			MaxWaitNs: int64(cfg.Exchange.MaxWait),
-			SealTable: sealTable,
-		}
+	ns, epoch, sweep, err := d.openNamespace(sp, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
 	swept := false
 	defer func() {
@@ -617,36 +531,125 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 			sweep()
 		}
 	}()
+	s, err := d.newScheduler(sp, scanFiles, blobs, cfg, ns, epoch)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := d.schedule(s, ns.SealTable); err != nil {
+		return nil, nil, err
+	}
 
+	// Driver scope: merge the result stage's outputs in worker order (the
+	// arrival order is racy; worker order makes the merge deterministic).
+	var chunks []*columnar.Chunk
+	for _, blob := range s.byID[resultStage.ID].chunks {
+		if len(blob) == 0 {
+			continue
+		}
+		c, err := decodeChunk(blob)
+		if err != nil {
+			return nil, nil, err
+		}
+		chunks = append(chunks, c)
+	}
+	rs, err := resultStage.Plan.OutSchema()
+	if err != nil {
+		return nil, nil, err
+	}
+	dcat := engine.Catalog{engine.WorkerResultTable: engine.NewMemSource(rs, chunks...)}
+	result, err := engine.Execute(sp.Driver, dcat)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// All stages sealed, so no winner is still publishing: drain the
+	// boundary namespace now and let its requests count toward the query.
+	if err := sweep(); err != nil {
+		return nil, nil, err
+	}
+	swept = true
+	return result, d.report(s, len(sp.Stages)), nil
+}
+
+// openNamespace sets up rule 1's machinery when sp has a boundary: ns is the
+// boundary namespace every task of the query shares — the prefix the payloads
+// carry is the fenced e<epoch> sub-prefix — and sweep drains the query's
+// prefix across all epochs, every epoch's debris. A plan without boundaries
+// gets the zero namespace, epoch 0 and a sweep that does nothing.
+func (d *query) openNamespace(sp *stageplan.Plan, cfg StageConfig) (ns boundarySpec, epoch int, sweep func() error, err error) {
+	sweep = func() error { return nil }
+	if !slices.ContainsFunc(sp.Stages, func(st *stageplan.Stage) bool { return st.Output != nil }) {
+		return ns, 0, sweep, nil
+	}
+	buckets := d.s.InstallExchange()
+	sealTable := stagesTableName(d.cfg.FunctionName)
+	d.dep.Dynamo.CreateTable(sealTable)
+
+	// Epoch fence: durably increment this query ID's epoch before
+	// anything else. Every artifact of the run — worker payloads, seal
+	// messages, ready markers, the exchange boundary prefix — carries
+	// the epoch, and the scheduler discards artifacts of older epochs,
+	// so an in-flight worker of an aborted identically-numbered run
+	// cannot poison this one no matter when it wakes. The purge and
+	// sweep below are then hygiene (reclaiming queue slots and at-rest
+	// debris), not a correctness mechanism racing zombie workers.
+	if epoch, err = d.acquireEpoch(sealTable, d.id); err != nil {
+		return ns, 0, nil, fmt.Errorf("driver: acquiring epoch for %s: %w", d.id, err)
+	}
+	if err := d.purgeResults(); err != nil {
+		return ns, 0, nil, err
+	}
+	driverClient := s3.NewClient(d.dep.S3, d.env)
+	prefix := d.cfg.FunctionName + "/" + d.id + "/"
+	sweep = func() error {
+		if _, err := exchange.Sweep(driverClient, buckets, prefix); err != nil {
+			return fmt.Errorf("driver: sweeping boundary %s: %w", prefix, err)
+		}
+		return nil
+	}
+	if err := sweep(); err != nil {
+		return ns, 0, nil, err
+	}
+	return boundarySpec{
+		Buckets:   buckets,
+		Prefix:    prefix + "e" + strconv.Itoa(epoch),
+		PollNs:    int64(cfg.Exchange.Poll),
+		MaxWaitNs: int64(cfg.Exchange.MaxWait),
+		SealTable: sealTable,
+	}, epoch, sweep, nil
+}
+
+// newScheduler sizes every fleet of sp, resolves the boundaries' exchange
+// variants, builds the payloads, and returns the scheduler over the
+// resulting stage runs, nothing launched yet.
+func (d *query) newScheduler(sp *stageplan.Plan, scanFiles TableFiles, blobs map[string][]byte, cfg StageConfig, ns boundarySpec, epoch int) (*scheduler, error) {
 	// Worker counts: scan stages derive from their file count (F files per
 	// worker); exchange-fed stages run one worker per partition.
 	workers := map[int]int{}
+	outputs := map[int]*stageplan.Output{}
 	for _, st := range sp.Stages {
+		if st.Output != nil {
+			outputs[st.ID] = st.Output
+		}
 		if st.Table != "" {
 			files := scanFiles[st.Table]
 			if files == nil {
-				return nil, nil, fmt.Errorf("driver: stage %d scans unknown table %q", st.ID, st.Table)
+				return nil, fmt.Errorf("driver: stage %d scans unknown table %q", st.ID, st.Table)
 			}
-			w := (len(files) + d.cfg.FilesPerWorker - 1) / d.cfg.FilesPerWorker
-			if w > len(files) {
-				w = len(files)
-			}
-			workers[st.ID] = w
+			workers[st.ID] = min((len(files)+d.cfg.FilesPerWorker-1)/d.cfg.FilesPerWorker, len(files))
 			continue
 		}
 		parts := 0
 		for _, in := range st.Inputs {
-			for _, up := range sp.Stages {
-				if up.ID == in.StageID && up.Output != nil {
-					if parts != 0 && parts != up.Output.Partitions {
-						return nil, nil, fmt.Errorf("driver: stage %d inputs disagree on partitions", st.ID)
-					}
-					parts = up.Output.Partitions
+			if out := outputs[in.StageID]; out != nil {
+				if parts != 0 && parts != out.Partitions {
+					return nil, fmt.Errorf("driver: stage %d inputs disagree on partitions", st.ID)
 				}
+				parts = out.Partitions
 			}
 		}
 		if parts == 0 {
-			return nil, nil, fmt.Errorf("driver: stage %d has no boundary inputs", st.ID)
+			return nil, fmt.Errorf("driver: stage %d has no boundary inputs", st.ID)
 		}
 		workers[st.ID] = parts
 	}
@@ -685,226 +688,106 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 	// Every stage's payloads are computable up front (worker counts depend
 	// only on file and partition counts), so pipelined launch can invoke
 	// consumers before their producers seal.
-	runs := make([]*stageRun, 0, len(stages))
-	byID := map[int]*stageRun{}
+	s := &scheduler{queryID: d.id, epoch: epoch, speculate: d.cfg.Speculate,
+		maxStageWait: cfg.MaxStageWait, waves: d.cfg.testWaveLaunch, byID: map[int]*stageRun{}}
 	for _, st := range stages {
-		ps, err := d.stagePayloads(epoch, st, workers[st.ID], scanFiles[st.Table], byID, blobs, ns)
+		ps, err := d.stagePayloads(epoch, st, workers[st.ID], scanFiles[st.Table], s.byID, blobs, ns)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		r := &stageRun{st: st, payloads: ps, winners: map[int]int{}}
-		if tr.Enabled() {
+		r := s.add(st, ps)
+		if tr := d.dep.Trace; tr.Enabled() {
 			name := "stage-" + strconv.Itoa(st.ID)
 			if producer, ok := regroupOf(st); ok {
 				name = "regroup-" + strconv.Itoa(producer)
 			}
-			r.span = tr.StartSpan(obs.KindStage, name, qspan, d.env.Now())
+			r.span = tr.StartSpan(obs.KindStage, name, d.span, d.env.Now())
 		}
-		runs = append(runs, r)
-		byID[st.ID] = r
 	}
+	return s, nil
+}
 
-	// Rule 2: only stage runs somebody waits on write a ready marker.
-	awaited := map[int]bool{}
-	for _, r := range runs {
-		for _, dep := range r.st.DependsOn {
-			awaited[dep] = true
+// launchReady runs one launch pass over every launchable stage, in launch
+// order. A pass invokes a stage's pending units for as long as admission
+// grants their tokens, without ever blocking — a driver parked on the pool
+// could not consume the seal messages that token-holding consumers are
+// waiting on. Whatever the pool denies stays pending; the event loop retries
+// every pass as other containers settle.
+func (d *query) launchReady(s *scheduler) error {
+	for _, r := range s.runs {
+		if !s.launchable(r) {
+			continue
 		}
-	}
-
-	sealedID := func(id int) bool {
-		r := byID[id]
-		return r != nil && r.state == stageSealed
-	}
-	depsSealed := func(r *stageRun) bool {
-		for _, dep := range r.st.DependsOn {
-			if !sealedID(dep) {
-				return false
-			}
-		}
-		return true
-	}
-	// depsLaunched gates eager-pipelined launch: a consumer may take tokens
-	// only once every producer it depends on has its whole fleet launched.
-	// Producers then always make progress with the tokens they hold, so
-	// token-holding consumers parked on a ready barrier are never waiting on
-	// a producer that admission starved — the inductive liveness argument
-	// bottoms out at scan stages, which depend on nothing.
-	depsLaunched := func(r *stageRun) bool {
-		for _, dep := range r.st.DependsOn {
-			if u := byID[dep]; u != nil && u.launched < len(u.payloads) {
-				return false
-			}
-		}
-		return true
-	}
-	launchable := func(r *stageRun) bool {
-		if r.launched == len(r.payloads) {
-			return false // fully launched; partial fleets stay launchable
-		}
-		if r.st.Eager && !d.cfg.testWaveLaunch {
-			return depsLaunched(r)
-		}
-		return depsSealed(r)
-	}
-
-	var invocation time.Duration
-	totalWorkers := 0
-	// launch invokes r's pending units for as long as admission grants their
-	// tokens, without ever blocking — a driver parked on the pool could not
-	// consume the seal messages that token-holding consumers are waiting on.
-	// Whatever the pool denies stays pending; the event loop retries every
-	// pass as other containers settle.
-	launch := func(r *stageRun) error {
 		if r.pending == nil {
 			var err error
 			if r.pending, err = d.launchUnits(r.payloads); err != nil {
 				return err
 			}
 		}
-		first := r.state == stagePending
-		invokeStart := d.env.Now()
+		from, tokens := d.env.Now(), 0
 		for len(r.pending) > 0 && d.adm.TryAcquire(r.pending[0].tokens) {
 			u := r.pending[0]
 			if err := d.invoke(u, r.span); err != nil {
 				return err
 			}
 			r.pending = r.pending[1:]
-			r.launched += u.tokens
+			tokens += u.tokens
 		}
-		invocation += d.env.Now() - invokeStart
-		if !first || r.launched == 0 {
-			return nil
+		if s.launched(r, tokens, from, d.env.Now()) {
+			d.dep.Trace.SetStart(r.span, from)
 		}
-		tr.SetStart(r.span, invokeStart)
-		r.state = stageLaunched
-		r.launchedAt = d.env.Now()
-		r.policy = newStragglerPolicy(d.cfg.Speculate, len(r.payloads), r.launchedAt)
-		// The all-stragglers liveness cap starts ticking once the stage is
-		// runnable: immediately for stages whose producers already sealed
-		// (scan stages, wave-gated launches), on the last producer's seal
-		// otherwise — a pipelined consumer idling on the ready barrier is
-		// not straggling.
-		if depsSealed(r) {
-			r.policy.armCap(cfg.MaxStageWait, r.launchedAt)
-		}
-		totalWorkers += len(r.payloads)
-		return nil
 	}
-	launchReady := func() error {
-		for _, r := range runs {
-			if launchable(r) {
-				if err := launch(r); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := launchReady(); err != nil {
-		return nil, nil, err
-	}
+	return nil
+}
 
-	// Event loop: consume seal messages as they arrive, write the ready
-	// marker the moment a stage's last worker sealed, launch whatever that
-	// unblocked, and arm per-stage speculation for the rest.
-	type workerResult struct {
-		workerID int
-		chunk    []byte
+// schedule is the event loop, and every substrate call of it: launch what is
+// launchable, consume seal messages as they arrive, write the ready marker
+// the moment a stage's last worker sealed, launch whatever that unblocked,
+// and re-invoke what the scheduler nominates. It returns once every stage
+// sealed.
+func (d *query) schedule(s *scheduler, sealTable string) error {
+	tr := d.dep.Trace
+	if err := d.launchReady(s); err != nil {
+		return err
 	}
-	var results []workerResult
-	var processing []time.Duration
-	cold, speculated := 0, 0
-	failureSeals := 0
-	zombieDiscards, loserDiscards := 0, 0
-	sealedCount := 0
 	deadline := d.env.Now() + d.cfg.MaxWait
-	for sealedCount < len(runs) {
+	for !s.done() {
 		// Resume partial launches: containers of this or other queries
 		// settling since the last pass may have freed tokens.
-		if err := launchReady(); err != nil {
-			return nil, nil, err
+		if err := d.launchReady(s); err != nil {
+			return err
 		}
-		var msgs []sqs.Message
-		if err := d.retry.policy.Do(d.env, "sqs.Receive", func() error {
-			var rerr error
-			msgs, rerr = d.dep.SQS.Receive(d.env, d.cfg.ResultQueue, 10)
-			return rerr
-		}); err != nil {
-			return nil, nil, fmt.Errorf("driver: collecting seals: %w", err)
+		msgs, err := d.receive()
+		if err != nil {
+			return fmt.Errorf("driver: collecting seals: %w", err)
 		}
 		for _, m := range msgs {
 			var rm resultMsg
 			if err := json.Unmarshal(m.Body, &rm); err != nil {
-				return nil, nil, err
+				return err
 			}
-			if rm.QueryID != queryID || rm.Epoch != epoch {
-				// Leftover of an earlier aborted query — including a zombie
-				// worker of an aborted identically-numbered run posting its
-				// seal after this run's purge: its older epoch fences it out.
-				zombieDiscards++
-				continue
+			r, out, err := s.message(d.env.Now(), &rm)
+			if err != nil {
+				return err
 			}
-			r := byID[rm.Stage]
-			if r == nil || r.state != stageLaunched {
-				loserDiscards++
-				continue // unknown stage, or a loser sealing after the stage did
-			}
-			if rm.WorkerID < 0 || rm.WorkerID >= len(r.payloads) {
-				// A seal from a worker the stage does not have is a stray,
-				// whoever wrote it: counted as a winner it would seal the stage
-				// one real worker early, and relaunching it has no payload.
-				zombieDiscards++
-				continue
-			}
-			if _, dup := r.winners[rm.WorkerID]; dup {
-				loserDiscards++
-				continue // losing half of a backup pair — files swept later
-			}
-			d.workerRetries += rm.Retries
-			if rm.Err != "" {
-				// Failure seal. A retryable one — the worker exhausted its
-				// substrate retry budget, or died of a crash-class error —
-				// is re-invoked through the attempt machinery: the fresh
-				// attempt namespaces its boundary publishes exactly like a
-				// speculation backup, so it cannot race the dead original.
-				// Every invocation gets at least one relaunch even with
-				// speculation disabled; deterministic plan or data errors
-				// fail the query immediately with a structured error.
-				relaunches := max(r.policy.cfg.MaxRetries, 1)
-				if rm.Retryable && r.policy.attempts[rm.WorkerID] < relaunches {
-					r.policy.attempts[rm.WorkerID]++
-					failureSeals++
-					if err := d.reinvoke(r, rm.WorkerID); err != nil {
-						return nil, nil, fmt.Errorf("driver: relaunching stage %d worker %d: %w", rm.Stage, rm.WorkerID, err)
-					}
-					continue
+			switch out {
+			case relaunch:
+				if err := d.reinvoke(r, rm.WorkerID); err != nil {
+					return fmt.Errorf("driver: relaunching stage %d worker %d: %w", rm.Stage, rm.WorkerID, err)
 				}
-				return nil, nil, &StageFailure{QueryID: queryID, Stage: rm.Stage, Worker: rm.WorkerID, Attempt: rm.Attempt, Retryable: rm.Retryable, Msg: rm.Err}
-			}
-			r.winners[rm.WorkerID] = rm.Attempt
-			if rm.Cold {
-				cold++
-			}
-			processing = append(processing, time.Duration(rm.ProcessingNs))
-			r.policy.record(d.env.Now())
-			if rm.Stage == resultStage.ID && len(rm.Chunk) > 0 {
-				results = append(results, workerResult{workerID: rm.WorkerID, chunk: rm.Chunk})
-			}
-			if len(r.winners) == len(r.payloads) {
+			case sealed:
 				// Seal: every worker of the stage reported through SQS.
 				// Ready: record it in DynamoDB for the consumers' barrier
 				// (the Put broadcasts the completion signal, waking workers
 				// parked in waitSealed at this exact instant).
-				if awaited[r.st.ID] {
+				if r.awaited {
 					if err := d.retry.policy.Do(d.env, "dynamo.Put", func() error {
-						return d.dep.Dynamo.Put(d.env, ns.SealTable, sealKey(queryID, epoch, r.st.ID), []byte("sealed"))
+						return d.dep.Dynamo.Put(d.env, sealTable, sealKey(s.queryID, s.epoch, r.st.ID), []byte("sealed"))
 					}); err != nil {
-						return nil, nil, err
+						return err
 					}
 				}
-				r.state = stageSealed
-				r.sealedAt = d.env.Now()
+				s.marked(r, d.env.Now())
 				if tr.Enabled() {
 					tr.SetTag(r.span, "workers", strconv.Itoa(len(r.payloads)))
 					if r.speculated > 0 {
@@ -912,56 +795,27 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 					}
 					tr.EndSpan(r.span, r.sealedAt)
 				}
-				sealedCount++
-				if err := launchReady(); err != nil {
-					return nil, nil, err
+				if err := d.launchReady(s); err != nil {
+					return err
 				}
 				// This seal may have made already-launched consumers
 				// runnable: start their liveness-cap clocks now.
-				for _, c := range runs {
-					if c.state == stageLaunched && !c.policy.capArmed() && depsSealed(c) {
-						c.policy.armCap(cfg.MaxStageWait, d.env.Now())
-					}
-				}
+				s.armCaps(d.env.Now())
 			}
 		}
-		if sealedCount >= len(runs) {
+		if s.done() {
 			break
 		}
-		// Straggler speculation, per stage: the missing workers are past the
-		// median-based deadline (or the stage's liveness cap expired with no
-		// response at all) — re-invoke them as the next attempt. Their
-		// boundary publishes land in a fresh attempt namespace, so whichever
-		// attempt commits first wins. Backup bursts pace like any other
-		// direct launch (reinvoke): the liveness cap can re-invoke a whole
-		// stage fleet at once, which must not exceed the Invoke API rate.
-		for _, r := range runs {
-			if r.state != stageLaunched {
-				continue
-			}
-			reported := func(w int) bool {
-				if w >= r.launched {
-					return true // never launched (admission backlog) — not a straggler
-				}
-				_, ok := r.winners[w]
-				return ok
-			}
-			for _, w := range r.policy.stragglers(d.env.Now(), reported) {
-				r.speculated++
-				speculated++
-				if err := d.reinvoke(r, w); err != nil {
-					return nil, nil, fmt.Errorf("driver: backup invocation of stage %d worker %d: %w", r.st.ID, w, err)
-				}
+		// Straggler speculation: backup bursts pace like any other direct
+		// launch (reinvoke) — the liveness cap can re-invoke a whole stage
+		// fleet at once, which must not exceed the Invoke API rate.
+		for _, b := range s.stragglers(d.env.Now()) {
+			if err := d.reinvoke(b.run, b.worker); err != nil {
+				return fmt.Errorf("driver: backup invocation of stage %d worker %d: %w", b.run.st.ID, b.worker, err)
 			}
 		}
 		if d.env.Now() >= deadline {
-			missing := 0
-			for _, r := range runs {
-				if r.state == stageLaunched {
-					missing += len(r.payloads) - len(r.winners)
-				}
-			}
-			return nil, nil, fmt.Errorf("driver: %d seal messages missing after %v", missing, d.cfg.MaxWait)
+			return fmt.Errorf("driver: %d seal messages missing after %v", s.missing(), d.cfg.MaxWait)
 		}
 		if len(msgs) == 0 {
 			// Park on the result queue's completion topic: the loop wakes at
@@ -972,54 +826,22 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 			simenv.WaitNotifyKey(d.env, "sqs/"+d.cfg.ResultQueue, d.cfg.PollInterval)
 		}
 	}
+	return nil
+}
 
-	// Driver scope: merge the result stage's outputs in worker order (the
-	// arrival order is racy; worker order makes the merge deterministic).
-	sort.Slice(results, func(i, j int) bool { return results[i].workerID < results[j].workerID })
-	var chunks []*columnar.Chunk
-	for _, r := range results {
-		c, err := decodeChunk(r.chunk)
-		if err != nil {
-			return nil, nil, err
-		}
-		chunks = append(chunks, c)
-	}
-	rs, err := resultStage.Plan.OutSchema()
-	if err != nil {
-		return nil, nil, err
-	}
-	dcat := engine.Catalog{engine.WorkerResultTable: engine.NewMemSource(rs, chunks...)}
-	result, err := engine.Execute(sp.Driver, dcat)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// All stages sealed, so no winner is still publishing: drain the
-	// boundary namespace now and let its requests count toward the query.
-	if err := sweep(); err != nil {
-		return nil, nil, err
-	}
-	swept = true
-
-	sort.Slice(processing, func(i, j int) bool { return processing[i] < processing[j] })
+// report closes the query's measurement window and fills in the Report the
+// scheduler's transitions have been counting into.
+func (d *query) report(s *scheduler, stages int) *Report {
 	// Close the cost window only after every invocation — speculation and
 	// relaunch losers included — finished billing, so per-span attribution
 	// and the Report deltas agree exactly (no-op when tracing is off).
 	d.quiesce()
 	endTime := d.env.Now()
-	rep := &Report{
-		QueryID:          queryID,
-		Epoch:            epoch,
-		Workers:          totalWorkers,
-		Stages:           len(sp.Stages),
-		Duration:         endTime - d.start,
-		Invocation:       invocation,
-		WorkerProcessing: processing,
-		ColdWorkers:      cold,
-		Speculated:       speculated,
-		FailureSeals:     failureSeals,
-	}
-	for _, r := range runs {
+	rep := s.rep // a copy: the Report must not keep the scheduler's payloads alive
+	rep.QueryID, rep.Epoch, rep.Stages = s.queryID, s.epoch, stages
+	rep.Duration = endTime - d.start
+	sort.Slice(rep.WorkerProcessing, func(i, j int) bool { return rep.WorkerProcessing[i] < rep.WorkerProcessing[j] })
+	for _, r := range s.runs {
 		ss := StageStat{
 			StageID:    r.st.ID,
 			Workers:    len(r.payloads),
@@ -1036,18 +858,30 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 		}
 		rep.StageStats = append(rep.StageStats, ss)
 	}
-	if tr.Enabled() {
-		if zombieDiscards > 0 {
-			tr.SetTag(qspan, "zombieDiscards", strconv.Itoa(zombieDiscards))
+	if tr := d.dep.Trace; tr.Enabled() {
+		if s.zombieDiscards > 0 {
+			tr.SetTag(d.span, "zombieDiscards", strconv.Itoa(s.zombieDiscards))
 		}
-		if loserDiscards > 0 {
-			tr.SetTag(qspan, "loserDiscards", strconv.Itoa(loserDiscards))
+		if s.loserDiscards > 0 {
+			tr.SetTag(d.span, "loserDiscards", strconv.Itoa(s.loserDiscards))
 		}
-		tr.EndSpan(qspan, endTime)
-		rep.Trace, rep.Span = tr, qspan
+		tr.EndSpan(d.span, endTime)
+		rep.Trace, rep.Span = tr, d.span
 	}
-	d.fillCostDelta(rep)
-	return result, rep, nil
+	d.fillCostDelta(&rep)
+	return &rep
+}
+
+// receive reads up to one batch of the query's result queue under the retry
+// policy.
+func (d *query) receive() ([]sqs.Message, error) {
+	var msgs []sqs.Message
+	err := d.retry.policy.Do(d.env, "sqs.Receive", func() error {
+		var rerr error
+		msgs, rerr = d.dep.SQS.Receive(d.env, d.cfg.ResultQueue, 10)
+		return rerr
+	})
+	return msgs, err
 }
 
 // purgeResults drains every leftover message from the result queue. Called
@@ -1058,16 +892,9 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 // discarded by its older epoch.
 func (d *query) purgeResults() error {
 	for {
-		var msgs []sqs.Message
-		if err := d.retry.policy.Do(d.env, "sqs.Receive", func() error {
-			var rerr error
-			msgs, rerr = d.dep.SQS.Receive(d.env, d.cfg.ResultQueue, 10)
-			return rerr
-		}); err != nil {
+		msgs, err := d.receive()
+		if err != nil || len(msgs) == 0 {
 			return err
-		}
-		if len(msgs) == 0 {
-			return nil
 		}
 	}
 }
@@ -1099,16 +926,17 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, n int, files []sca
 		spec = &ns
 	}
 
-	// Only ship the broadcast blobs the fragment references.
+	// Only ship the broadcast blobs the fragment scans (join build sides
+	// included).
 	var stageBlobs map[string][]byte
-	for name := range blobs {
-		if fragmentScans(st.Plan, name) {
+	engine.VisitScans(st.Plan, func(s *engine.ScanPlan) {
+		if blob, ok := blobs[s.Table]; ok {
 			if stageBlobs == nil {
 				stageBlobs = map[string][]byte{}
 			}
-			stageBlobs[name] = blobs[name]
+			stageBlobs[s.Table] = blob
 		}
-	}
+	})
 
 	payloads := make([]workerPayload, n)
 	per := (len(files) + n - 1) / n
@@ -1125,15 +953,9 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, n int, files []sca
 			Broadcast:   stageBlobs,
 		}
 		if st.Table != "" {
-			lo, hi := w*per, (w+1)*per
-			if hi > len(files) {
-				hi = len(files)
-			}
-			if lo > hi {
-				lo = hi
-			}
+			hi := min((w+1)*per, len(files))
 			p.Table = st.Table
-			p.Files = files[lo:hi]
+			p.Files = files[min(w*per, hi):hi]
 		}
 		payloads[w] = p
 	}
@@ -1157,18 +979,6 @@ func loadTable(src *scan.Source) (*columnar.Chunk, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// fragmentScans reports whether the fragment scans table (join build sides
-// included).
-func fragmentScans(p engine.Plan, table string) bool {
-	found := false
-	engine.VisitScans(p, func(s *engine.ScanPlan) {
-		if s.Table == table {
-			found = true
-		}
-	})
-	return found
 }
 
 // executeFragment is the worker side of a task: wait out the upstream ready

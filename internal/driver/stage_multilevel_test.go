@@ -27,7 +27,7 @@ func TestPayloadShapes(t *testing.T) {
 	d, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
 	q := d.sess.newQuery(d.env)
 	defer q.close()
-	scan := &stageplan.Stage{ID: 1, Plan: singleNodePlan(t, q6SQL), Table: "lineitem", Eager: true}
+	scan := &stageplan.Stage{ID: 1, Plan: singleNodePlan(t, q6SQL), Table: "lineitem"}
 
 	ps, err := q.stagePayloads(0, scan, 2, refs, nil, nil, boundarySpec{})
 	if err != nil {

@@ -89,16 +89,12 @@ type Stage struct {
 	// driver through the SQS result queue).
 	Output *Output
 	// DependsOn lists the stage IDs whose boundaries this stage consumes.
-	// The event-driven scheduler no longer waits for them before invoking
-	// the stage (see Eager); they gate the stage's collect instead.
+	// Their launch gates this stage's launch — the driver's scheduler invokes
+	// a stage once every stage it depends on has its whole fleet invoked, so
+	// its cold starts overlap upstream execution — and their seal gates its
+	// collect: a worker reads a boundary only once the producer's DynamoDB
+	// ready marker is there.
 	DependsOn []int
-	// Eager marks the stage eligible for pipelined launch: the scheduler may
-	// invoke its workers before the producing stages seal, overlapping their
-	// cold starts with upstream execution, because the DynamoDB ready
-	// barrier gates the collect. Decompose marks every stage eager; a
-	// cost-based policy can clear the flag to hold a stage back until its
-	// producers sealed.
-	Eager bool
 }
 
 // Plan is a stage-decomposed distributed plan.
@@ -390,7 +386,6 @@ func Decompose(p engine.Plan, stats Stats, cfg Config) (*Plan, error) {
 				Plan:      workerFinal,
 				Inputs:    []Input{{StageID: rowStage.ID, Table: inTable}},
 				DependsOn: []int{rowStage.ID},
-				Eager:     true,
 			}
 			c.stages = append(c.stages, finalStage)
 			fs, err := workerFinal.OutSchema()
@@ -461,7 +456,7 @@ func (c *compiler) id() int {
 // build compiles a row-source subtree into its own stage (appended after
 // its producers, keeping c.stages topological) and returns it.
 func (c *compiler) build(p engine.Plan) (*Stage, error) {
-	st := &Stage{ID: c.id(), Eager: true}
+	st := &Stage{ID: c.id()}
 	frag, err := c.embed(st, p)
 	if err != nil {
 		return nil, err

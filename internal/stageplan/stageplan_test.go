@@ -184,20 +184,6 @@ func TestDecomposeAutoPartitions(t *testing.T) {
 	}
 }
 
-// TestDecomposeMarksStagesEager: every stage is eligible for pipelined
-// launch — the ready barrier, not the launch order, gates its collect.
-func TestDecomposeMarksStagesEager(t *testing.T) {
-	sp, err := Decompose(optimized(t, q12SQL), bigStats(), Config{Partitions: 2, BroadcastRowLimit: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range sp.Stages {
-		if !s.Eager {
-			t.Errorf("stage %d not marked eager", s.ID)
-		}
-	}
-}
-
 func TestDecomposeGlobalAggregate(t *testing.T) {
 	sp, err := Decompose(optimized(t, `SELECT COUNT(*) AS n FROM lineitem`), bigStats(), Config{})
 	if err != nil {
