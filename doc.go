@@ -461,13 +461,22 @@
 // kernel: the chaos suite asserts a staged query under a seeded storm is
 // byte-identical to its fault-free run, twice.
 //
-// One policy layer absorbs those faults everywhere: internal/resilience
-// classifies errors retryable-vs-fatal (a registry the services feed, e.g.
-// S3 SlowDown), backs off with decorrelated jitter drawn from the same
-// deterministic hash (virtual-time-safe — waits go through simenv), and
-// charges every retry against a per-scope budget. The driver holds one
-// budget per query, each worker invocation one of its own; retried requests
-// are still billed, because the real substrate bills them too.
+// One policy layer absorbs those faults everywhere: resilience.Policy.Do is
+// the only retry loop in the tree and the only place a substrate call's op
+// span is opened (lambda.start apart). It classifies errors
+// retryable-vs-fatal (a registry the services feed, e.g. S3 SlowDown), backs
+// off with decorrelated jitter — a pure hash of (scope seed, op, attempt),
+// virtual-time-safe because waits go through simenv, and never a draw from a
+// service's latency sampler, so one client's retry cannot move another's
+// latencies — and charges every retry against a per-scope budget. A scope is
+// one Policy value: the driver side of a query holds one, each worker
+// invocation one of its own, and every call of the scope runs under it — SQS,
+// DynamoDB, Lambda, and S3 through s3.WithPolicy, the driver's planning
+// reads, broadcast loads, sweeps and table uploads included — so one budget
+// bounds them all and Report.DriverRetries / WorkerRetries count them all.
+// Retried requests are still billed, because the real substrate bills them
+// too. A fault plan is outside input: faults.ParsePlan rejects, typed, a rule
+// for a stream no service consults or of a kind its service has no case for.
 //
 // Degradation is graceful and typed: a worker that exhausts its budget
 // posts a failure seal marked retryable, and the stage scheduler re-invokes

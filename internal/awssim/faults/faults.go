@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -38,8 +39,9 @@ var (
 	ErrThrottled = errors.New("injected throughput exceeded")
 )
 
-// Kind names a fault class. Services interpret the kinds they understand and
-// ignore the rest (a "duplicate" rule on an S3 stream never fires anything).
+// Kind names a fault class. A service has a case for some kinds and not for
+// others (a "duplicate" on an S3 stream would fire and inject nothing);
+// handled lists which, and ParsePlan rejects the rest.
 type Kind string
 
 const (
@@ -86,6 +88,20 @@ const (
 	OpLambda      = "lambda.Invoke"
 )
 
+// handled lists, per operation stream, the kinds its service has a case for.
+var handled = map[string][]Kind{
+	OpS3Get:       {KindTransient, KindTimeout, KindSlowDown},
+	OpS3Put:       {KindTransient, KindTimeout, KindSlowDown},
+	OpS3List:      {KindTransient, KindTimeout, KindSlowDown},
+	OpS3Delete:    {KindTransient, KindTimeout, KindSlowDown},
+	OpSQSSend:     {KindTransient, KindTimeout, KindDuplicate},
+	OpSQSReceive:  {KindTransient, KindTimeout},
+	OpDynamoGet:   {KindThrottle},
+	OpDynamoPut:   {KindThrottle},
+	OpDynamoPutIf: {KindThrottle},
+	OpLambda:      {KindCrash, KindCrashMidRun, KindColdSpike},
+}
+
 // Rule prescribes faults for one operation stream. A rule fires either
 // probabilistically (Rate in (0, 1]: each eligible operation faults with
 // that probability, decided by a seeded hash of the stream counter) or
@@ -117,18 +133,32 @@ type Plan struct {
 	Rules []Rule `json:"rules"`
 }
 
-// ParsePlan decodes a JSON plan.
+// ErrInvalidPlan is what every plan ParsePlan turns down wraps.
+var ErrInvalidPlan = errors.New("faults: invalid plan")
+
+// ParsePlan decodes a JSON plan — outside bytes: cmd/lambada's -fault-plan
+// file — and rejects, with ErrInvalidPlan, what would not do what it says: a
+// rule for an operation stream no service consults or of a kind that stream's
+// service has no case for (it would never fire, or fire and inject nothing),
+// a rate outside [0, 1], a negative skip, count or delay.
 func ParsePlan(data []byte) (Plan, error) {
 	var p Plan
 	if err := json.Unmarshal(data, &p); err != nil {
-		return Plan{}, fmt.Errorf("faults: parsing plan: %w", err)
+		return Plan{}, fmt.Errorf("%w: %v", ErrInvalidPlan, err)
 	}
 	for i, r := range p.Rules {
-		if r.Op == "" || r.Kind == "" {
-			return Plan{}, fmt.Errorf("faults: rule %d missing op or kind", i)
+		kinds, ok := handled[r.Op]
+		if !ok {
+			return Plan{}, fmt.Errorf("%w: rule %d: no operation stream %q", ErrInvalidPlan, i, r.Op)
+		}
+		if !slices.Contains(kinds, r.Kind) {
+			return Plan{}, fmt.Errorf("%w: rule %d: %s has no fault of kind %q", ErrInvalidPlan, i, r.Op, r.Kind)
 		}
 		if r.Rate < 0 || r.Rate > 1 {
-			return Plan{}, fmt.Errorf("faults: rule %d rate %v outside [0, 1]", i, r.Rate)
+			return Plan{}, fmt.Errorf("%w: rule %d: rate %v outside [0, 1]", ErrInvalidPlan, i, r.Rate)
+		}
+		if r.Skip < 0 || r.Count < 0 || r.Delay < 0 {
+			return Plan{}, fmt.Errorf("%w: rule %d: negative skip, count or delay", ErrInvalidPlan, i)
 		}
 	}
 	return p, nil

@@ -1,47 +1,109 @@
 package faults
 
 import (
+	"errors"
+	"os"
+	"reflect"
 	"testing"
 	"time"
 )
 
-func TestPlanJSONRoundTrip(t *testing.T) {
-	p := Plan{Seed: 42, Rules: []Rule{
+// suitePlans are the schedules the chaos suites run under: the acceptance
+// storm of internal/driver's chaos tests (cmd/lambada/testdata/storm.json is
+// that plus two crashes), its surgical crash, throttle-storm and duplicate
+// plans, and one that sets every field. The round-trip test's cases and the
+// fuzzer's seeds.
+var suitePlans = []Plan{
+	{Seed: 20260808, Rules: []Rule{
 		{Op: OpS3Get, Kind: KindTransient, Rate: 0.05},
-		{Op: OpSQSSend, Kind: KindDuplicate, Rate: 0.1, Delay: 250 * time.Millisecond},
-		{Op: OpLambda, Kind: KindCrashMidRun, Skip: 3, Count: 1, Delay: 2 * time.Second},
-	}}
-	data, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParsePlan(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Seed != p.Seed || len(got.Rules) != len(p.Rules) {
-		t.Fatalf("round trip mangled plan: %+v", got)
-	}
-	for i := range p.Rules {
-		if got.Rules[i] != p.Rules[i] {
-			t.Errorf("rule %d = %+v, want %+v", i, got.Rules[i], p.Rules[i])
+		{Op: OpS3Put, Kind: KindTransient, Rate: 0.03},
+		{Op: OpS3Put, Kind: KindSlowDown, Rate: 0.02},
+		{Op: OpSQSSend, Kind: KindDuplicate, Rate: 0.2, Delay: 40 * time.Millisecond},
+		{Op: OpSQSReceive, Kind: KindTimeout, Rate: 0.03},
+		{Op: OpDynamoGet, Kind: KindThrottle, Rate: 0.05},
+		{Op: OpLambda, Kind: KindColdSpike, Rate: 0.1, Delay: 300 * time.Millisecond},
+		{Op: OpLambda, Kind: KindCrashMidRun, Skip: 5, Count: 1, Delay: 150 * time.Millisecond},
+	}},
+	{Seed: 9, Rules: []Rule{{Op: OpLambda, Kind: KindCrash, Skip: 2, Count: 1}}},
+	{Seed: 4, Rules: []Rule{{Op: OpDynamoGet, Kind: KindThrottle, Skip: 1, Count: 6}}},
+	{Seed: 1, Rules: []Rule{{Op: OpSQSSend, Kind: KindDuplicate, Delay: 5 * time.Millisecond}}},
+	{Seed: 42, Rules: []Rule{{Op: OpLambda, Kind: KindCrashMidRun, Rate: 0.5, Skip: 3, Count: 1, Delay: 2 * time.Second}}},
+	{},
+}
+
+func TestPlanJSONRoundTrip(t *testing.T) {
+	for _, p := range suitePlans {
+		data, err := p.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParsePlan(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Errorf("round trip mangled plan: %+v, want %+v", got, p)
 		}
 	}
 }
 
 func TestParsePlanValidation(t *testing.T) {
-	if _, err := ParsePlan([]byte(`{"rules":[{"op":"","kind":"transient"}]}`)); err == nil {
-		t.Error("accepted rule with empty op")
+	for name, plan := range map[string]string{
+		"empty op":        `{"rules":[{"op":"","kind":"transient"}]}`,
+		"empty kind":      `{"rules":[{"op":"s3.Get","kind":""}]}`,
+		"rate above 1":    `{"rules":[{"op":"s3.Get","kind":"transient","rate":1.5}]}`,
+		"malformed JSON":  `not json`,
+		"unknown op":      `{"rules":[{"op":"s3.Head","kind":"transient"}]}`,
+		"unknown kind":    `{"rules":[{"op":"s3.Get","kind":"flaky"}]}`,
+		"unhandled pair":  `{"rules":[{"op":"s3.Get","kind":"throttle"}]}`,
+		"duplicate on s3": `{"rules":[{"op":"s3.Put","kind":"duplicate"}]}`,
+		"negative skip":   `{"rules":[{"op":"s3.Get","kind":"transient","skip":-1}]}`,
+		"negative count":  `{"rules":[{"op":"s3.Get","kind":"transient","count":-1}]}`,
+		"negative delay":  `{"rules":[{"op":"sqs.Send","kind":"duplicate","delay":-5}]}`,
+	} {
+		if _, err := ParsePlan([]byte(plan)); !errors.Is(err, ErrInvalidPlan) {
+			t.Errorf("%s: err = %v, want ErrInvalidPlan", name, err)
+		}
 	}
-	if _, err := ParsePlan([]byte(`{"rules":[{"op":"s3.Get","kind":""}]}`)); err == nil {
-		t.Error("accepted rule with empty kind")
+}
+
+// FuzzParsePlan: whatever the bytes, ParsePlan returns ErrInvalidPlan or a
+// plan that survives Marshal → ParsePlan unchanged and that an injector can
+// be driven with; it never panics. Seeds: the suites' plans, the checked-in
+// storm, and the edge cases under testdata/fuzz/FuzzParsePlan.
+func FuzzParsePlan(f *testing.F) {
+	for _, p := range suitePlans {
+		data, err := p.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	if _, err := ParsePlan([]byte(`{"rules":[{"op":"s3.Get","kind":"transient","rate":1.5}]}`)); err == nil {
-		t.Error("accepted rate outside [0, 1]")
+	storm, err := os.ReadFile("../../../cmd/lambada/testdata/storm.json")
+	if err != nil {
+		f.Fatal(err)
 	}
-	if _, err := ParsePlan([]byte(`not json`)); err == nil {
-		t.Error("accepted malformed JSON")
-	}
+	f.Add(storm)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParsePlan(data)
+		if err != nil {
+			if !errors.Is(err, ErrInvalidPlan) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		out, err := p.Marshal()
+		if err != nil {
+			t.Fatalf("parsed plan %+v does not marshal: %v", p, err)
+		}
+		if back, err := ParsePlan(out); err != nil || !reflect.DeepEqual(back, p) {
+			t.Fatalf("plan %+v marshals to %s, which parses back as %+v, %v", p, out, back, err)
+		}
+		inj := NewInjector(p)
+		for _, r := range p.Rules {
+			inj.Next(r.Op)
+		}
+	})
 }
 
 func TestNilInjector(t *testing.T) {

@@ -77,7 +77,7 @@ type Runtime interface {
 type SimRuntime struct{ K *simclock.Kernel }
 
 // DES processes carry the kernel's completion signal, so services can wake
-// pollers (simenv.Broadcast / simenv.WaitNotify) in both runtimes.
+// pollers (simenv.BroadcastKey / simenv.WaitNotifyKey) in both runtimes.
 var _ simenv.Notifier = (*simclock.Proc)(nil)
 
 // Spawn starts a DES process.
@@ -425,7 +425,7 @@ type crashPanic struct{}
 // crashEnv wraps a worker's environment and kills the worker — by panicking
 // with crashPanic — once virtual time reaches deadline. All worker waiting
 // funnels through Env (compute sleeps, service latencies, barrier parks), so
-// clamping Sleep and WaitNotify to the deadline is exactly "the container
+// clamping Sleep and WaitNotifyKey to the deadline is exactly "the container
 // died at that instant": whatever the worker had already written (S3 partial
 // output, child invocations) survives, everything after never happens.
 type crashEnv struct {
@@ -448,18 +448,13 @@ func (c *crashEnv) Sleep(d time.Duration) {
 	c.inner.Sleep(d)
 }
 
-// NotifyAll and WaitNotify keep crashEnv a simenv.Notifier: both runtimes'
-// worker environments are Notifiers, and barriers built on simenv.WaitNotify
-// must keep parking on the completion signal (not degrade to fixed polls)
-// under a crash plan — otherwise chaos runs would time differently than
-// clean runs for reasons unrelated to the injected faults.
-func (c *crashEnv) NotifyAll() { simenv.Broadcast(c.inner) }
-
+// NotifyKey and WaitNotifyKey keep crashEnv a simenv.Notifier: both runtimes'
+// worker environments are Notifiers, and barriers built on
+// simenv.WaitNotifyKey must keep parking on the completion signal (not
+// degrade to fixed polls) under a crash plan — otherwise chaos runs would
+// time differently than clean runs for reasons unrelated to the injected
+// faults.
 func (c *crashEnv) NotifyKey(key string) { simenv.BroadcastKey(c.inner, key) }
-
-func (c *crashEnv) WaitNotify(d time.Duration) bool {
-	return c.WaitNotifyKey("", d)
-}
 
 func (c *crashEnv) WaitNotifyKey(topic string, d time.Duration) bool {
 	now := c.inner.Now()

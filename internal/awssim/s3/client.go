@@ -2,13 +2,11 @@ package s3
 
 import (
 	"math/rand"
-	"strconv"
 	"sync"
 	"time"
 
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/netmodel"
-	"lambada/internal/obs"
 	"lambada/internal/resilience"
 )
 
@@ -33,12 +31,6 @@ func (l *lockedRand) sample(d netmodel.Dist) time.Duration {
 	return d.Sample(l.rng)
 }
 
-func (l *lockedRand) float64() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rng.Float64()
-}
-
 // Client is one worker's (or the driver's) view of S3. It owns the
 // per-function ingress bandwidth shaper, so concurrent range reads by the
 // same worker share its token bucket, reproducing the burst behaviour of
@@ -50,24 +42,17 @@ type Client struct {
 	net    netmodel.LambdaNet
 	memMiB int
 
-	// RetryBaseDelay and MaxRetries configure SlowDown/NoSuchKey retry
-	// behaviour ("aggressive timeouts and retries", §5.5 footnote 17).
-	RetryBaseDelay time.Duration
-	MaxRetries     int
-	// budget, when set, bounds the total retries this client may spend
-	// across all operations (per-invocation scope).
-	budget *resilience.Budget
+	// policy is what every operation runs under ("aggressive timeouts and
+	// retries", §5.5 footnote 17): it retries SlowDown and the injected
+	// transients out of its scope's budget, counts the retries, and wraps the
+	// operation in an op span — opened only inside an already-bound span
+	// context (a query or invocation), so setup traffic stays untraced.
+	policy resilience.Policy
 
 	// shared is what the function has one of however many requests it
 	// keeps in flight: the lanes of a request window (Overlap) are copies of
 	// the client that point at the same one.
 	shared *shared
-
-	// trace wraps every public operation in an op span (inherited from the
-	// service's tracer at construction; nil = off). Op spans are created
-	// only inside an already-bound span context (a query or invocation),
-	// so setup traffic stays untraced.
-	trace *obs.Tracer
 }
 
 // shared is the state a client shares with its lanes: the traffic counters
@@ -76,7 +61,6 @@ type shared struct {
 	mu         sync.Mutex
 	bytesRead  int64
 	bytesWrite int64
-	retries    int64
 	// busyUntil is when the last shaped transfer ends. A transfer starts no
 	// earlier, so overlapped requests queue on the one token bucket instead
 	// of each drawing the full rate; a serial caller has slept past it
@@ -97,73 +81,30 @@ func WithShaper(net netmodel.LambdaNet, memoryMiB int) ClientOption {
 	}
 }
 
-// WithRetry overrides retry configuration.
-func WithRetry(base time.Duration, max int) ClientOption {
-	return func(c *Client) {
-		c.RetryBaseDelay = base
-		c.MaxRetries = max
-	}
+// WithPolicy runs the client's operations under p — the policy of the scope
+// the client belongs to (one worker invocation, the driver side of one
+// query), so its retries come out of that scope's Budget, are counted in its
+// Stats and back off on its Seed, and its op spans go to its Trace. Once the
+// budget is spent, further retryable errors surface as
+// *resilience.ExhaustedError instead of being retried.
+func WithPolicy(p resilience.Policy) ClientOption {
+	return func(c *Client) { c.policy = p }
 }
 
-// WithBudget installs a shared retry budget: once spent, further retryable
-// errors surface as *resilience.ExhaustedError instead of being retried.
-func WithBudget(b *resilience.Budget) ClientOption {
-	return func(c *Client) { c.budget = b }
-}
-
-// NewClient returns a client bound to svc and env.
+// NewClient returns a client bound to svc and env. Without WithPolicy it
+// runs under a policy of its own: the defaults, no budget, op spans on the
+// service's tracer.
 func NewClient(svc *Service, env simenv.Env, opts ...ClientOption) *Client {
 	c := &Client{
-		svc:            svc,
-		env:            env,
-		RetryBaseDelay: 25 * time.Millisecond,
-		MaxRetries:     10,
-		shared:         &shared{},
-		trace:          svc.trace,
+		svc:    svc,
+		env:    env,
+		policy: resilience.Policy{Stats: &resilience.Stats{}, Trace: svc.trace},
+		shared: &shared{},
 	}
 	for _, o := range opts {
 		o(c)
 	}
 	return c
-}
-
-// opSpan opens an op span under the span currently bound to the client's
-// environment and binds it, so service-side charges land on it. Returns 0
-// — and records nothing — when tracing is off or no span is bound.
-func (c *Client) opSpan(name string) obs.SpanID {
-	tr := c.trace
-	if tr == nil {
-		return 0
-	}
-	parent := tr.Current(c.env)
-	if parent == 0 {
-		return 0
-	}
-	sp := tr.StartSpan(obs.KindOp, name, parent, c.env.Now())
-	tr.Bind(c.env, sp)
-	return sp
-}
-
-// endOp closes an op span, tagging the retries it consumed and its
-// outcome. Runs in a defer, so a worker crash mid-operation still closes
-// the span at the crash instant.
-func (c *Client) endOp(sp obs.SpanID, retriesBefore int64, err *error) {
-	if sp == 0 {
-		return
-	}
-	tr := c.trace
-	if n := c.Retries() - retriesBefore; n > 0 {
-		tr.SetTag(sp, "retries", strconv.FormatInt(n, 10))
-	}
-	if err != nil && *err != nil {
-		if resilience.IsExhausted(*err) {
-			tr.SetTag(sp, "outcome", "exhausted")
-		} else {
-			tr.SetTag(sp, "outcome", "error")
-		}
-	}
-	tr.Pop(c.env)
-	tr.EndSpan(sp, c.env.Now())
 }
 
 // Env returns the client's environment.
@@ -186,12 +127,9 @@ func (c *Client) BytesWritten() int64 {
 	return c.shared.bytesWrite
 }
 
-// Retries returns how many SlowDown retries the client performed.
-func (c *Client) Retries() int64 {
-	c.shared.mu.Lock()
-	defer c.shared.mu.Unlock()
-	return c.shared.retries
-}
+// Retries returns the retries recorded in the policy's Stats: the client's
+// own under its default policy, its whole scope's under a shared one.
+func (c *Client) Retries() int64 { return c.policy.Stats.Retries() }
 
 // chargeTransfer sleeps for the shaped transfer time of n bytes using conns
 // parallel connections, after whatever transfer already holds the link. The
@@ -220,127 +158,72 @@ func (c *Client) received(n int64, conns int) {
 	c.shared.mu.Unlock()
 }
 
-// retry runs op, backing off exponentially (with deterministic jitter) on
-// every retryable error — SlowDown plus the injected transient faults of
-// the chaos layer. Fatal errors pass through; exhausting MaxRetries or the
-// retry budget returns a typed *resilience.ExhaustedError (its Unwrap keeps
-// errors.Is working on the underlying sentinel). The backoff mechanics and
-// jitter draws are unchanged from the original SlowDown-only retry, so
-// fault-free runs replay byte-identically.
-func (c *Client) retry(op func() error) error {
-	delay := c.RetryBaseDelay
-	for attempt := 0; ; attempt++ {
-		err := op()
-		if err == nil || resilience.Classify(err) != resilience.ClassRetryable {
-			return err
-		}
-		if attempt >= c.MaxRetries {
-			return &resilience.ExhaustedError{Op: "s3", Attempts: attempt + 1, Last: err}
-		}
-		if !c.budget.Take() {
-			return &resilience.ExhaustedError{Op: "s3", Attempts: attempt + 1, BudgetSpent: true, Last: err}
-		}
-		c.shared.mu.Lock()
-		c.shared.retries++
-		c.shared.mu.Unlock()
-		jitter := time.Duration(c.svc.rng.float64() * float64(delay))
-		c.env.Sleep(delay + jitter)
-		if delay < 2*time.Second {
-			delay *= 2
-		}
-	}
-}
-
-// Put uploads data (shaped as one connection egress; AWS does not shape
-// egress to S3 differently, so we reuse the ingress model symmetrically).
-func (c *Client) Put(bucket, key string, data []byte) (err error) {
+// upload runs one PUT under the policy (shaped as one connection egress; AWS
+// does not shape egress to S3 differently, so we reuse the ingress model
+// symmetrically) and counts its size bytes.
+func (c *Client) upload(size int64, put func() error) error {
 	if c.onLane() {
 		return ErrLaneWrite
 	}
-	defer c.endOp(c.opSpan("s3.put"), c.Retries(), &err)
-	err = c.retry(func() error { return c.svc.Put(c.env, bucket, key, data) })
-	if err == nil {
-		c.chargeTransfer(int64(len(data)), 1)
-		c.shared.mu.Lock()
-		c.shared.bytesWrite += int64(len(data))
-		c.shared.mu.Unlock()
-	}
-	return err
+	return c.policy.Do(c.env, "s3.put", func() error {
+		err := put()
+		if err == nil {
+			c.chargeTransfer(size, 1)
+			c.shared.mu.Lock()
+			c.shared.bytesWrite += size
+			c.shared.mu.Unlock()
+		}
+		return err
+	})
+}
+
+// Put uploads data.
+func (c *Client) Put(bucket, key string, data []byte) error {
+	return c.upload(int64(len(data)), func() error { return c.svc.Put(c.env, bucket, key, data) })
 }
 
 // PutSynthetic uploads a size-only object, charging transfer time.
-func (c *Client) PutSynthetic(bucket, key string, size int64) (err error) {
-	if c.onLane() {
-		return ErrLaneWrite
-	}
-	defer c.endOp(c.opSpan("s3.put"), c.Retries(), &err)
-	err = c.retry(func() error { return c.svc.PutSynthetic(c.env, bucket, key, size) })
-	if err == nil {
-		c.chargeTransfer(size, 1)
-		c.shared.mu.Lock()
-		c.shared.bytesWrite += size
-		c.shared.mu.Unlock()
-	}
-	return err
+func (c *Client) PutSynthetic(bucket, key string, size int64) error {
+	return c.upload(size, func() error { return c.svc.PutSynthetic(c.env, bucket, key, size) })
 }
 
 // Get downloads a whole object using conns parallel connections.
-func (c *Client) Get(bucket, key string, conns int) (_ []byte, _ int64, err error) {
-	defer c.endOp(c.opSpan("s3.get"), c.Retries(), &err)
-	var data []byte
-	var size int64
-	err = c.retry(func() error {
-		var e error
-		data, size, e = c.svc.Get(c.env, bucket, key)
+func (c *Client) Get(bucket, key string, conns int) (data []byte, size int64, err error) {
+	err = c.policy.Do(c.env, "s3.get", func() (e error) {
+		if data, size, e = c.svc.Get(c.env, bucket, key); e == nil {
+			c.received(size, conns)
+		}
 		return e
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	c.received(size, conns)
-	return data, size, nil
+	return data, size, err
 }
 
 // GetRange downloads object bytes [off, off+n) using conns connections.
-func (c *Client) GetRange(bucket, key string, off, n int64, conns int) (_ []byte, _ int64, err error) {
-	defer c.endOp(c.opSpan("s3.getrange"), c.Retries(), &err)
-	var data []byte
-	var got int64
-	err = c.retry(func() error {
-		var e error
-		data, got, e = c.svc.GetRange(c.env, bucket, key, off, n)
+func (c *Client) GetRange(bucket, key string, off, n int64, conns int) (data []byte, got int64, err error) {
+	err = c.policy.Do(c.env, "s3.getrange", func() (e error) {
+		if data, got, e = c.svc.GetRange(c.env, bucket, key, off, n); e == nil {
+			c.received(got, conns)
+		}
 		return e
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	c.received(got, conns)
-	return data, got, nil
+	return data, got, err
 }
 
 // GetSuffix downloads the object's last n bytes (all of it when it is
 // shorter) using conns connections, and reports its size with them.
-func (c *Client) GetSuffix(bucket, key string, n int64, conns int) (_ []byte, got, size int64, err error) {
-	defer c.endOp(c.opSpan("s3.getrange"), c.Retries(), &err)
-	var data []byte
-	err = c.retry(func() error {
-		var e error
-		data, got, size, e = c.svc.GetSuffix(c.env, bucket, key, n)
+func (c *Client) GetSuffix(bucket, key string, n int64, conns int) (data []byte, got, size int64, err error) {
+	err = c.policy.Do(c.env, "s3.getrange", func() (e error) {
+		if data, got, size, e = c.svc.GetSuffix(c.env, bucket, key, n); e == nil {
+			c.received(got, conns)
+		}
 		return e
 	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	c.received(got, conns)
-	return data, got, size, nil
+	return data, got, size, err
 }
 
 // List returns entries under prefix.
-func (c *Client) List(bucket, prefix string) (_ []ListEntry, err error) {
-	defer c.endOp(c.opSpan("s3.list"), c.Retries(), &err)
-	var out []ListEntry
-	err = c.retry(func() error {
-		var e error
+func (c *Client) List(bucket, prefix string) (out []ListEntry, err error) {
+	err = c.policy.Do(c.env, "s3.list", func() (e error) {
 		out, e = c.svc.List(c.env, bucket, prefix)
 		return e
 	})
@@ -348,19 +231,15 @@ func (c *Client) List(bucket, prefix string) (_ []ListEntry, err error) {
 }
 
 // Delete removes an object.
-func (c *Client) Delete(bucket, key string) (err error) {
-	defer c.endOp(c.opSpan("s3.delete"), c.Retries(), &err)
-	err = c.retry(func() error { return c.svc.Delete(c.env, bucket, key) })
-	return err
+func (c *Client) Delete(bucket, key string) error {
+	return c.policy.Do(c.env, "s3.delete", func() error { return c.svc.Delete(c.env, bucket, key) })
 }
 
 // DeleteBatch removes many objects through the batched DeleteObjects API —
 // one round trip per 1000 keys.
-func (c *Client) DeleteBatch(bucket string, keys []string) (err error) {
+func (c *Client) DeleteBatch(bucket string, keys []string) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	defer c.endOp(c.opSpan("s3.deletebatch"), c.Retries(), &err)
-	err = c.retry(func() error { return c.svc.DeleteBatch(c.env, bucket, keys) })
-	return err
+	return c.policy.Do(c.env, "s3.deletebatch", func() error { return c.svc.DeleteBatch(c.env, bucket, keys) })
 }

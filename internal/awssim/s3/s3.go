@@ -281,29 +281,9 @@ func (s *Service) PutSynthetic(env simenv.Env, bucketName, key string, size int6
 
 // Head returns object metadata without transferring data. Charged as a read.
 func (s *Service) Head(env simenv.Env, bucketName, key string) (int64, error) {
-	if f, ok := s.cfg.Faults.Next(faults.OpS3Get); ok {
-		if err := s.injected(env, f, obs.Cost{S3Get: 1}, s.cfg.GetLatency); err != nil {
-			return 0, err
-		}
-	}
-	s.mu.Lock()
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: %s", ErrNoSuchBucket, bucketName)
-	}
-	if !b.readWindow.allow(env.Now(), s.cfg.ReadsPerSecond) {
-		s.mu.Unlock()
-		return 0, ErrSlowDown
-	}
-	b.gets++
-	o, okKey := b.objects[key]
-	s.mu.Unlock()
-
-	s.cfg.Meter.Charge(env, obs.Cost{S3Get: 1})
-	s.sleepDist(env, s.cfg.GetLatency)
-	if !okKey {
-		return 0, fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bucketName, key)
+	o, err := s.get(env, bucketName, key)
+	if err != nil {
+		return 0, err
 	}
 	return o.Size, nil
 }

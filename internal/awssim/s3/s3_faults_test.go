@@ -3,6 +3,7 @@ package s3
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"lambada/internal/awssim/faults"
 	"lambada/internal/awssim/pricing"
@@ -66,7 +67,7 @@ func TestClientBudgetExhaustion(t *testing.T) {
 	}})
 	svc := New(Config{Faults: inj})
 	svc.MustCreateBucket("b")
-	c := NewClient(svc, simenv.NewImmediate(), WithBudget(resilience.NewBudget(2)))
+	c := NewClient(svc, simenv.NewImmediate(), WithPolicy(resilience.Policy{Budget: resilience.NewBudget(2)}))
 	c.Put("b", "k", []byte("x"))
 	_, _, err := c.Get("b", "k", 1)
 	var ex *resilience.ExhaustedError
@@ -75,5 +76,42 @@ func TestClientBudgetExhaustion(t *testing.T) {
 	}
 	if !resilience.Retryable(err) {
 		t.Error("budget exhaustion should be retryable from a higher scope")
+	}
+}
+
+// TestClientRetriesLeaveServiceLatenciesAlone: a backoff is a hash of its
+// policy's seed, never a draw from the service's latency sampler — so on one
+// service with one seed, what client B's GET costs does not depend on whether
+// client A was turned away and retried before it.
+func TestClientRetriesLeaveServiceLatenciesAlone(t *testing.T) {
+	latencyOfB := func(plan faults.Plan) time.Duration {
+		cfg := DefaultAWSConfig(nil, 5)
+		cfg.Faults = faults.NewInjector(plan)
+		svc := New(cfg)
+		svc.MustCreateBucket("b")
+		a := NewClient(svc, simenv.NewImmediate())
+		if err := a.Put("b", "k", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := a.Get("b", "k", 1); err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(len(plan.Rules)) * 2; a.Retries() != want {
+			t.Fatalf("client A made %d retries, want %d", a.Retries(), want)
+		}
+		env := simenv.NewImmediate()
+		if _, _, err := NewClient(svc, env).Get("b", "k", 1); err != nil {
+			t.Fatal(err)
+		}
+		return env.Now()
+	}
+	undisturbed := latencyOfB(faults.Plan{})
+	// A SlowDown is turned away before the service samples a latency, so A's
+	// GET draws one either way; only its two backoffs come on top.
+	afterRetries := latencyOfB(faults.Plan{Rules: []faults.Rule{
+		{Op: faults.OpS3Get, Kind: faults.KindSlowDown, Count: 2},
+	}})
+	if undisturbed != afterRetries {
+		t.Errorf("client B's GET took %v after client A's retries, %v without them", afterRetries, undisturbed)
 	}
 }

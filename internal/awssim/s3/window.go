@@ -70,15 +70,15 @@ func (c *Client) onLane() bool {
 func (c *Client) Overlap(n int, fn func(i int, lane *Client) error) error {
 	clocks := make([]laneEnv, min(n, window))
 	lanes := make([]Client, len(clocks))
-	parent := c.trace.Current(c.env)
+	parent := c.policy.Trace.Current(c.env)
 	for l := range lanes {
 		lanes[l] = *c
 		lanes[l].env = &clocks[l]
-		c.trace.Bind(&clocks[l], parent)
+		c.policy.Trace.Bind(&clocks[l], parent)
 	}
 	defer func() {
 		for l := range clocks {
-			c.trace.Pop(&clocks[l])
+			c.policy.Trace.Pop(&clocks[l])
 		}
 	}()
 	var err error

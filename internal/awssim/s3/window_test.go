@@ -224,21 +224,21 @@ func TestWindowLaneRetries(t *testing.T) {
 	puts := meter.Cost()
 	budget := resilience.NewBudget(5)
 	tr := obs.New()
-	svc.SetTracer(tr)
+	pol := resilience.Policy{Budget: budget, Stats: &resilience.Stats{}, Seed: 7, Trace: tr}
 	var c *Client
 	end := onKernel(t, func(p *simclock.Proc) {
 		tr.Bind(p, tr.StartSpan(obs.KindInvoke, "caller", 0, p.Now()))
-		c = NewClient(svc, p, WithBudget(budget))
+		c = NewClient(svc, p, WithPolicy(pol))
 		out, err := getAll(c, window)
 		if err != nil {
 			t.Error(err)
 		}
 		assertIndexed(t, out)
 	})
-	// Lane 3: three latencies (two billed failures and the success) and two
-	// backoffs of 25 ms and 50 ms, each with up to as much jitter again.
-	if lo, hi := 3*lat+75*time.Millisecond, 3*lat+150*time.Millisecond; end < lo || end >= hi {
-		t.Errorf("window took %v, want within [%v, %v)", end, lo, hi)
+	// Lane 3: three latencies (two billed failures and the success) and the
+	// policy's first two backoffs for a GET.
+	if want := 3*lat + pol.Backoff("s3.get", 1) + pol.Backoff("s3.get", 2); end != want {
+		t.Errorf("window took %v, want %v", end, want)
 	}
 	if c.Retries() != 2 || budget.Remaining() != 3 {
 		t.Errorf("retries = %d, budget left = %d, want 2 and 3", c.Retries(), budget.Remaining())
@@ -265,24 +265,31 @@ func TestWindowSlowDownBacksOffOnItsLane(t *testing.T) {
 	puts := meter.Cost()
 	budget := resilience.NewBudget(10)
 	tr := obs.New()
-	svc.SetTracer(tr)
+	pol := resilience.Policy{Budget: budget, Stats: &resilience.Stats{}, Seed: 7, Trace: tr}
 	var c *Client
 	end := onKernel(t, func(p *simclock.Proc) {
 		tr.Bind(p, tr.StartSpan(obs.KindInvoke, "caller", 0, p.Now()))
-		c = NewClient(svc, p, WithBudget(budget))
+		c = NewClient(svc, p, WithPolicy(pol))
 		out, err := getAll(c, n)
 		if err != nil {
 			t.Error(err)
 		}
 		assertIndexed(t, out)
 	})
-	// Backing off 25, 50, … 800 ms, each with up to as much jitter again, the
-	// request is past the second on its fifth or sixth retry.
-	if end < time.Second+lat || end > 4*time.Second {
-		t.Errorf("window took %v, want a little over the 1 s rate window", end)
+	// A rejection costs no latency, so the request tries again at the running
+	// sum of the policy's backoffs and is admitted by the first retry that
+	// falls past the second.
+	var waited time.Duration
+	retries := 0
+	for waited < time.Second {
+		retries++
+		waited += pol.Backoff("s3.get", retries)
 	}
-	if r := c.Retries(); r < 5 || r > 6 || budget.Remaining() != 10-int(r) {
-		t.Errorf("retries = %d, budget left = %d, want 5 or 6 out of the budget's 10", r, budget.Remaining())
+	if end != waited+lat {
+		t.Errorf("window took %v, want the %v of %d backoffs and a latency", end, waited, retries)
+	}
+	if r := c.Retries(); r != int64(retries) || budget.Remaining() != 10-retries {
+		t.Errorf("retries = %d, budget left = %d, want %d out of the budget's 10", r, budget.Remaining(), retries)
 	}
 	if got := meter.Cost().Sub(puts).S3Get; got != n {
 		t.Errorf("billed %d GETs, want %d (SlowDowns are unbilled)", got, n)

@@ -38,7 +38,7 @@ func NewImmediate() *Immediate { return &Immediate{} }
 // Now returns the accumulated virtual time.
 func (e *Immediate) Now() time.Duration { return time.Duration(e.elapsed.Load()) }
 
-// The completion signal shared by every Immediate env: Notify rotates the
+// The completion signal shared by every Immediate env: NotifyKey rotates the
 // broadcast channel, waking every goroutine currently parked in a
 // poll-sized Sleep. GoRuntime gives each worker its own Immediate, so the
 // signal is process-wide rather than per-env — a worker's SQS Send must
@@ -54,16 +54,12 @@ var (
 	notifyWakeups atomic.Uint64
 )
 
-// Notify broadcasts a completion signal (work was produced — e.g. a
-// message arrived on an SQS queue) to every goroutine blocked in an
-// Immediate poll-sized Sleep. Spurious wakeups are harmless: Sleep credits
-// its virtual time before parking, so a woken poller simply re-checks its
-// condition.
-func Notify() { NotifyKey("") }
-
-// NotifyKey broadcasts a completion signal for key: waiters parked on a
-// matching topic (prefix of key; the wildcard waiters always) wake. An
-// empty key is the wildcard broadcast and wakes everyone.
+// NotifyKey broadcasts a completion signal for key (work was produced — e.g.
+// a message arrived on an SQS queue): waiters parked on a matching topic
+// (prefix of key) wake, and so does every goroutine blocked in an Immediate
+// poll-sized Sleep. An empty key is the wildcard broadcast and wakes
+// everyone. Spurious wakeups are harmless: a waiter is credited its virtual
+// time before it parks, so a woken poller simply re-checks its condition.
 func NotifyKey(key string) {
 	notifyMu.Lock()
 	close(notifyCh)
@@ -87,7 +83,7 @@ func NotifyKey(key string) {
 const pollGuard = 50 * time.Microsecond
 
 // Sleep accumulates d without blocking on virtual time. Poll-sized sleeps
-// (≥ 1 ms of virtual time) park until the next completion signal (Notify,
+// (≥ 1 ms of virtual time) park until the next completion signal (NotifyKey,
 // broadcast on every SQS Send) with pollGuard as the fallback: pollers
 // wake the instant work arrives instead of burning fixed real-time
 // throttles, and waiters whose work never arrives still make bounded
@@ -100,7 +96,7 @@ func (e *Immediate) Sleep(d time.Duration) {
 		runtime.Gosched()
 		return
 	}
-	e.WaitNotify(d)
+	e.WaitNotifyKey("", d)
 }
 
 // Notifier is an Env that carries a completion signal waiters can park on
@@ -111,36 +107,21 @@ func (e *Immediate) Sleep(d time.Duration) {
 // marker appearing, a message arriving).
 type Notifier interface {
 	Env
-	// NotifyAll broadcasts the completion signal to every parked waiter.
-	NotifyAll()
 	// NotifyKey broadcasts the completion signal for a written key, waking
-	// only waiters parked on a matching topic (a prefix of key).
+	// only waiters parked on a matching topic (a prefix of key); the empty
+	// key wakes every waiter.
 	NotifyKey(key string)
-	// WaitNotify parks the caller until the next completion broadcast or
-	// until d of virtual time passed, whichever comes first, and reports
-	// whether the broadcast arrived.
-	WaitNotify(d time.Duration) bool
 	// WaitNotifyKey parks the caller until a broadcast whose key matches
 	// topic (prefix match; empty topic matches everything) or until d of
 	// virtual time passed, and reports whether the broadcast arrived.
 	WaitNotifyKey(topic string, d time.Duration) bool
 }
 
-// Broadcast signals work completion through env's native channel: the DES
-// completion signal when env is a kernel process, the process-wide Notify
-// otherwise. Services call it instead of Notify so DES pollers wake too.
-func Broadcast(env Env) {
-	if n, ok := env.(Notifier); ok {
-		n.NotifyAll()
-		return
-	}
-	Notify()
-}
-
 // BroadcastKey signals that something became visible under key: services
 // call it at every write that may unblock a parked barrier (an S3 object,
 // a DynamoDB item, an SQS message), routed through env's native keyed
-// channel so only waiters on a matching topic wake.
+// channel — the DES completion signal when env is a kernel process, the
+// process-wide NotifyKey otherwise — so only waiters on a matching topic wake.
 func BroadcastKey(env Env, key string) {
 	if n, ok := env.(Notifier); ok {
 		n.NotifyKey(key)
@@ -149,22 +130,11 @@ func BroadcastKey(env Env, key string) {
 	NotifyKey(key)
 }
 
-// WaitNotify parks env's caller for at most d of virtual time, waking early
-// on the completion signal, and reports whether the signal arrived. Envs
-// without a Notifier implementation fall back to a plain timed Sleep — the
-// polling behavior barriers had before the signal existed.
-func WaitNotify(env Env, d time.Duration) bool {
-	if n, ok := env.(Notifier); ok {
-		return n.WaitNotify(d)
-	}
-	env.Sleep(d)
-	return false
-}
-
 // WaitNotifyKey parks env's caller for at most d of virtual time, waking
 // early on a completion broadcast whose key matches topic, and reports
 // whether the broadcast arrived. Envs without a Notifier implementation
-// fall back to a plain timed Sleep.
+// fall back to a plain timed Sleep — the polling behavior barriers had
+// before the signal existed.
 func WaitNotifyKey(env Env, topic string, d time.Duration) bool {
 	if n, ok := env.(Notifier); ok {
 		return n.WaitNotifyKey(topic, d)
@@ -178,9 +148,6 @@ func WaitNotifyKey(env Env, topic string, d time.Duration) bool {
 // kernel keeps its own counter on simclock.Kernel).
 func Wakeups() uint64 { return notifyWakeups.Load() }
 
-// NotifyAll broadcasts the process-wide completion signal (Notifier).
-func (e *Immediate) NotifyAll() { Notify() }
-
 // NotifyKey broadcasts the process-wide completion signal for key
 // (Notifier).
 func (e *Immediate) NotifyKey(key string) { NotifyKey(key) }
@@ -189,21 +156,15 @@ func (e *Immediate) NotifyKey(key string) { NotifyKey(key) }
 // same interface assertion the driver uses for *simclock.Proc.
 func (e *Immediate) CompletionWakeups() uint64 { return notifyWakeups.Load() }
 
-// WaitNotify parks until the next completion signal with the pollGuard
-// timer as the real-time fallback (Notifier). Every wake-up — notified or
-// not — charges the full d of virtual time, exactly like the Sleep-based
-// poll loop it replaces: an Immediate env has no cross-goroutine clock to
-// date the broadcast with, and charging less would let a waiter whose
-// condition never turns true spin below its virtual deadline for as long
-// as unrelated broadcasts keep arriving. (DES processes don't have this
-// problem: their kernel clock advances to the broadcast's true instant.)
-func (e *Immediate) WaitNotify(d time.Duration) bool {
-	return e.WaitNotifyKey("", d)
-}
-
 // WaitNotifyKey parks on the topic's channel (the wildcard channel when
-// topic is empty) with the pollGuard real-time fallback, charging the
-// full d of virtual time like WaitNotify (Notifier).
+// topic is empty) with the pollGuard timer as the real-time fallback
+// (Notifier). Every wake-up — notified or not — charges the full d of
+// virtual time, exactly like the Sleep-based poll loop it replaces: an
+// Immediate env has no cross-goroutine clock to date the broadcast with,
+// and charging less would let a waiter whose condition never turns true
+// spin below its virtual deadline for as long as unrelated broadcasts keep
+// arriving. (DES processes don't have this problem: their kernel clock
+// advances to the broadcast's true instant.)
 func (e *Immediate) WaitNotifyKey(topic string, d time.Duration) bool {
 	if d > 0 {
 		e.elapsed.Add(int64(d))

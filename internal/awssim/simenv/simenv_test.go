@@ -53,7 +53,7 @@ func TestNotifyWakesSleepers(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			Notify()
+			NotifyKey("")
 		}
 	}()
 	wg.Wait()
@@ -86,9 +86,9 @@ func TestSleepWithoutSignalStillProgresses(t *testing.T) {
 func TestImmediateWaitNotify(t *testing.T) {
 	e := NewImmediate()
 	done := make(chan bool)
-	go func() { done <- e.WaitNotify(time.Second) }()
+	go func() { done <- e.WaitNotifyKey("", time.Second) }()
 	time.Sleep(2 * time.Millisecond)
-	Notify()
+	NotifyKey("")
 	select {
 	case <-done:
 		if e.Now() != time.Second {
@@ -100,7 +100,7 @@ func TestImmediateWaitNotify(t *testing.T) {
 
 	// With no broadcaster the guard expires; the charge is the same.
 	before := e.Now()
-	e.WaitNotify(3 * time.Second)
+	e.WaitNotifyKey("", 3*time.Second)
 	if got := e.Now() - before; got != 3*time.Second {
 		t.Errorf("timeout charged %v, want 3s", got)
 	}
@@ -117,9 +117,9 @@ func (plainEnv) Sleep(time.Duration) {}
 func TestBroadcastFallsBackToNotify(t *testing.T) {
 	e := NewImmediate()
 	done := make(chan bool)
-	go func() { done <- e.WaitNotify(10 * time.Second) }()
+	go func() { done <- e.WaitNotifyKey("", 10*time.Second) }()
 	time.Sleep(2 * time.Millisecond)
-	Broadcast(plainEnv{}) // implements Env only
+	BroadcastKey(plainEnv{}, "") // implements Env only
 	select {
 	case <-done:
 	case <-time.After(time.Second):

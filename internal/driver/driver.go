@@ -217,16 +217,6 @@ type Driver struct {
 	cfg Config
 }
 
-// retryScope bundles the retry machinery of one execution scope — the
-// driver side of one query, or one worker invocation: a policy with
-// deterministic backoff jitter, the scope's retry budget, and a stats
-// counter surfaced in the Report.
-type retryScope struct {
-	policy resilience.Policy
-	budget *resilience.Budget
-	stats  *resilience.Stats
-}
-
 // New returns a driver using env as its local clock.
 func New(dep *Deployment, env simenv.Env, cfg Config) *Driver {
 	s := NewSession(dep, cfg)
@@ -316,7 +306,7 @@ func (d *Session) workerHandler(ctx *lambdasvc.Ctx, payload []byte) error {
 	// draws on this one budget, so a fault storm cannot keep a single
 	// invocation retrying forever — it degrades into a retryable failure
 	// seal the scheduler can act on.
-	ws := d.newRetryScope(int64(p.StageID)<<32 + int64(p.WorkerID)<<8 + int64(p.Attempt) + 1)
+	ws := d.retryPolicy(int64(p.StageID)<<32 + int64(p.WorkerID)<<8 + int64(p.Attempt) + 1)
 
 	// Identify this invocation's span: queryID/stage/attempt tags turn the
 	// flat invocation list into the query → stage → attempt taxonomy.
@@ -341,7 +331,7 @@ func (d *Session) workerHandler(ctx *lambdasvc.Ctx, payload []byte) error {
 			}
 			err := json.Unmarshal(body, &child)
 			if err == nil {
-				err = ws.policy.Do(ctx.Env, "lambda.Invoke", func() error {
+				err = ws.Do(ctx.Env, "lambda.Invoke", func() error {
 					return d.dep.Lambda.Invoke(ctx.Env, d.cfg.FunctionName, body, lambdasvc.InvokeOptions{WorkerID: child.WorkerID, Pipelined: true, Span: ctx.Span})
 				})
 			}
@@ -431,7 +421,7 @@ func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *work
 	return plan, cat, nil
 }
 
-func (d *Session) postResult(env simenv.Env, ws *retryScope, p workerPayload, execErr error, chunk *columnar.Chunk, processing time.Duration, cold bool) error {
+func (d *Session) postResult(env simenv.Env, ws resilience.Policy, p workerPayload, execErr error, chunk *columnar.Chunk, processing time.Duration, cold bool) error {
 	msg := resultMsg{QueryID: p.QueryID, WorkerID: p.WorkerID, Stage: p.StageID, Attempt: p.Attempt, Epoch: p.Epoch, ProcessingNs: processing.Nanoseconds(), Cold: cold}
 	if execErr != nil {
 		msg.Err = execErr.Error()
@@ -447,7 +437,7 @@ func (d *Session) postResult(env simenv.Env, ws *retryScope, p workerPayload, ex
 			msg.Chunk = blob
 		}
 	}
-	msg.Retries = ws.stats.Retries()
+	msg.Retries = ws.Stats.Retries()
 	body, err := json.Marshal(msg)
 	if err != nil {
 		return err
@@ -457,7 +447,7 @@ func (d *Session) postResult(env simenv.Env, ws *retryScope, p workerPayload, ex
 	// It goes to the payload's queue, not a session-wide one: each query
 	// collects on its own result queue, so concurrent queries never read
 	// (and destroy) each other's completions.
-	return ws.policy.Do(env, "sqs.Send", func() error {
+	return ws.Do(env, "sqs.Send", func() error {
 		return d.dep.SQS.Send(env, p.ResultQueue, body)
 	})
 }

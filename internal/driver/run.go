@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"lambada/internal/awssim/pricing"
-	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
@@ -138,7 +137,7 @@ func (d *query) quiesce() {
 		return
 	}
 	for d.dep.Lambda.Running() > 0 {
-		simenv.WaitNotify(d.env, d.cfg.PollInterval)
+		simenv.WaitNotifyKey(d.env, "", d.cfg.PollInterval)
 	}
 }
 
@@ -148,7 +147,7 @@ func (d *query) fillCostDelta(rep *Report) {
 	rep.Cost = d.dep.Meter.Cost().Sub(d.costBefore)
 	rep.TotalCost = float64(pricing.Price(rep.Cost))
 	rep.Wakeups = d.wakeupCount() - d.wakeupsBefore
-	rep.DriverRetries = d.retry.stats.Retries()
+	rep.DriverRetries = d.retry.Stats.Retries()
 	if d.dep.Faults != nil {
 		rep.InjectedFaults = d.dep.Faults.Injected()
 	}
@@ -204,7 +203,7 @@ func (d *query) runPlan(plan engine.Plan, table string, files []scan.FileRef, br
 	}
 	d.begin()
 
-	schema, err := d.source(s3.NewClient(d.dep.S3, d.env), files[0]).Schema()
+	schema, err := d.source(d.client(), files[0]).Schema()
 	if err != nil {
 		return nil, nil, fmt.Errorf("driver: resolving schema: %w", err)
 	}

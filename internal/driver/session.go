@@ -156,13 +156,14 @@ func (d *Session) retryBudget() *resilience.Budget {
 	return resilience.NewBudget(n)
 }
 
-// newRetryScope returns a scope whose backoff jitter stream is derived
-// from seed — distinct seeds decorrelate concurrent scopes while staying
-// reproducible across runs.
-func (d *Session) newRetryScope(seed int64) *retryScope {
-	s := &retryScope{budget: d.retryBudget(), stats: &resilience.Stats{}}
-	s.policy = resilience.Policy{Budget: s.budget, Stats: s.stats, Seed: seed, Trace: d.dep.Trace}
-	return s
+// retryPolicy returns the policy of one execution scope — the driver side
+// of one query, or one worker invocation: every substrate call of the scope,
+// S3 included, runs under it, so they share its fresh retry budget, its
+// stats counter (surfaced in the Report) and its backoff jitter stream,
+// derived from seed — distinct seeds decorrelate concurrent scopes while
+// staying reproducible across runs.
+func (d *Session) retryPolicy(seed int64) resilience.Policy {
+	return resilience.Policy{Budget: d.retryBudget(), Stats: &resilience.Stats{}, Seed: seed, Trace: d.dep.Trace}
 }
 
 // bumpEpochAcquires counts one epoch acquisition session-wide and reports
@@ -190,8 +191,8 @@ type query struct {
 	// controller under Config.MaxInFlight, a private unlimited one — all
 	// pacer, no cap — otherwise.
 	adm *invoke.Admission
-	// retry is this query's driver-side retry scope.
-	retry *retryScope
+	// retry is the policy of this query's driver-side retry scope.
+	retry resilience.Policy
 
 	// costBefore, wakeupsBefore, start and span are the measurement window
 	// begin opened: the meter and wakeup-counter readings and the instant
@@ -223,8 +224,15 @@ func (s *Session) newQuery(env simenv.Env) *query {
 	if q.adm == nil {
 		q.adm = invoke.NewAdmission(0, invoke.DriverPacing(cfg.Region, 1))
 	}
-	q.retry = s.newRetryScope(-1)
+	q.retry = s.retryPolicy(-1)
 	return q
+}
+
+// client returns a driver-side S3 client: its retries come out of the query's
+// budget and are counted in Report.DriverRetries, like every other call the
+// driver makes for the query.
+func (d *query) client() *s3.Client {
+	return s3.NewClient(d.dep.S3, d.env, s3.WithPolicy(d.retry))
 }
 
 // source returns a driver-side scan source over files, reading through

@@ -21,6 +21,7 @@ import (
 	"lambada/internal/invoke"
 	"lambada/internal/lpq"
 	"lambada/internal/obs"
+	"lambada/internal/resilience"
 	"lambada/internal/scan"
 	"lambada/internal/stageplan"
 )
@@ -160,7 +161,7 @@ func (d *query) acquireEpoch(table, queryID string) (int, error) {
 	key := epochKey(queryID)
 	for {
 		var cur []byte
-		err := d.retry.policy.Do(d.env, "dynamo.Get", func() error {
+		err := d.retry.Do(d.env, "dynamo.Get", func() error {
 			var gerr error
 			cur, gerr = d.dep.Dynamo.Get(d.env, table, key)
 			return gerr
@@ -180,7 +181,7 @@ func (d *query) acquireEpoch(table, queryID string) (int, error) {
 			next = prev + 1
 		}
 		val := []byte(fmt.Sprintf("%d@%d", next, int64(d.env.Now())))
-		putErr := d.retry.policy.Do(d.env, "dynamo.PutIf", func() error {
+		putErr := d.retry.Do(d.env, "dynamo.PutIf", func() error {
 			return d.dep.Dynamo.PutIf(d.env, table, key, val, cur)
 		})
 		if putErr == nil {
@@ -325,7 +326,7 @@ func (d *query) invoke(u launchUnit, span obs.SpanID) error {
 	if !u.tree {
 		d.adm.Pace(d.env)
 	}
-	err := d.retry.policy.Do(d.env, "lambda.Invoke", func() error {
+	err := d.retry.Do(d.env, "lambda.Invoke", func() error {
 		return d.dep.Lambda.Invoke(d.env, d.cfg.FunctionName, u.body,
 			lambdasvc.InvokeOptions{WorkerID: u.worker, Pipelined: !u.tree, Span: span})
 	})
@@ -383,7 +384,7 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		}
 	})
 	sort.Strings(names)
-	driverClient := s3.NewClient(d.dep.S3, d.env)
+	driverClient := d.client()
 	srcs := map[string]*scan.Source{}
 	all := make([]*scan.Source, len(names))
 	for i, name := range names {
@@ -599,7 +600,7 @@ func (d *query) openNamespace(sp *stageplan.Plan, cfg StageConfig) (ns boundaryS
 	if err := d.purgeResults(); err != nil {
 		return ns, 0, nil, err
 	}
-	driverClient := s3.NewClient(d.dep.S3, d.env)
+	driverClient := d.client()
 	prefix := d.cfg.FunctionName + "/" + d.id + "/"
 	sweep = func() error {
 		if _, err := exchange.Sweep(driverClient, buckets, prefix); err != nil {
@@ -781,7 +782,7 @@ func (d *query) schedule(s *scheduler, sealTable string) error {
 				// (the Put broadcasts the completion signal, waking workers
 				// parked in waitSealed at this exact instant).
 				if r.awaited {
-					if err := d.retry.policy.Do(d.env, "dynamo.Put", func() error {
+					if err := d.retry.Do(d.env, "dynamo.Put", func() error {
 						return d.dep.Dynamo.Put(d.env, sealTable, sealKey(s.queryID, s.epoch, r.st.ID), []byte("sealed"))
 					}); err != nil {
 						return err
@@ -876,7 +877,7 @@ func (d *query) report(s *scheduler, stages int) *Report {
 // policy.
 func (d *query) receive() ([]sqs.Message, error) {
 	var msgs []sqs.Message
-	err := d.retry.policy.Do(d.env, "sqs.Receive", func() error {
+	err := d.retry.Do(d.env, "sqs.Receive", func() error {
 		var rerr error
 		msgs, rerr = d.dep.SQS.Receive(d.env, d.cfg.ResultQueue, 10)
 		return rerr
@@ -989,13 +990,12 @@ func loadTable(src *scan.Source) (*columnar.Chunk, error) {
 // boundary: the zero spec has nothing to collect and nothing to publish. A
 // payload without a plan is a regroup task: the intermediate round of its
 // one input's multi-level boundary is all it does.
-func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws *retryScope, p *workerPayload) (*columnar.Chunk, error) {
-	copts := []s3.ClientOption{s3.WithBudget(ws.budget)}
+func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *workerPayload) (*columnar.Chunk, error) {
+	copts := []s3.ClientOption{s3.WithPolicy(ws)}
 	if d.dep.Shaped {
 		copts = append(copts, s3.WithShaper(d.dep.Net, ctx.MemoryMiB))
 	}
 	client := s3.NewClient(d.dep.S3, ctx.Env, copts...)
-	defer func() { ws.stats.Add(client.Retries()) }()
 
 	x := p.Boundary
 	if x == nil {
@@ -1125,10 +1125,10 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws *retryScope, p *workerP
 // this run's barrier. Between checks the worker parks on the completion
 // signal dynamo.Put broadcasts — it wakes at the instant the marker lands
 // instead of at the next poll boundary — with the timed poll as fallback.
-func (d *Session) waitSealed(ctx *lambdasvc.Ctx, ws *retryScope, p *workerPayload, stageID int, deadline time.Duration) error {
+func (d *Session) waitSealed(ctx *lambdasvc.Ctx, ws resilience.Policy, p *workerPayload, stageID int, deadline time.Duration) error {
 	table, key := p.Boundary.SealTable, sealKey(p.QueryID, p.Epoch, stageID)
 	for {
-		err := ws.policy.Do(ctx.Env, "dynamo.Get", func() error {
+		err := ws.Do(ctx.Env, "dynamo.Get", func() error {
 			_, gerr := d.dep.Dynamo.Get(ctx.Env, table, key)
 			return gerr
 		})

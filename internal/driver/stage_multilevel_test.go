@@ -71,7 +71,7 @@ func TestPayloadShapes(t *testing.T) {
 	}
 
 	ctx := &lambdasvc.Ctx{Env: d.env, MemoryMiB: d.cfg.WorkerMemoryMiB}
-	if _, err := d.sess.executeFragment(ctx, d.sess.newRetryScope(1), &workerPayload{QueryID: "q1"}); err == nil {
+	if _, err := d.sess.executeFragment(ctx, d.sess.retryPolicy(1), &workerPayload{QueryID: "q1"}); err == nil {
 		t.Error("a payload with neither plan nor boundary was executed")
 	}
 }

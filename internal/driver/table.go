@@ -3,6 +3,7 @@ package driver
 import (
 	"fmt"
 
+	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/lpq"
@@ -20,7 +21,7 @@ func (d *Session) UploadTable(env simenv.Env, bucket, prefix string, data *colum
 	if nfiles < 1 {
 		nfiles = 1
 	}
-	retry := d.newRetryScope(-1)
+	client := s3.NewClient(d.dep.S3, env, s3.WithPolicy(d.retryPolicy(-1)))
 	n := data.NumRows()
 	per := (n + nfiles - 1) / nfiles
 	var refs []scan.FileRef
@@ -35,9 +36,7 @@ func (d *Session) UploadTable(env simenv.Env, bucket, prefix string, data *colum
 			return nil, err
 		}
 		key := fmt.Sprintf("%s/part-%05d.lpq", prefix, idx)
-		if err := retry.policy.Do(env, "s3.Put", func() error {
-			return d.dep.S3.Put(env, bucket, key, blob)
-		}); err != nil {
+		if err := client.Put(bucket, key, blob); err != nil {
 			return nil, err
 		}
 		refs = append(refs, scan.FileRef{Bucket: bucket, Key: key})

@@ -9,6 +9,7 @@ import (
 	"lambada/internal/awssim/s3"
 	"lambada/internal/exchange"
 	"lambada/internal/netmodel"
+	"lambada/internal/resilience"
 	"lambada/internal/simclock"
 )
 
@@ -109,7 +110,6 @@ func RunExchangeDES(cfg ExchangeRunConfig) (*ExchangeRunResult, error) {
 	straggle := netmodel.Lognormal{Mu: 0, Sigma: cfg.StragglerSigma, Scale: time.Second}
 
 	for wid := 0; wid < cfg.Workers; wid++ {
-		wid := wid
 		k.Go(fmt.Sprintf("xw%d", wid), func(p *simclock.Proc) {
 			// Per-worker bandwidth factor: a heavy-tailed slowdown models
 			// the degraded instances that become stragglers at scale.
@@ -124,7 +124,7 @@ func RunExchangeDES(cfg ExchangeRunConfig) (*ExchangeRunResult, error) {
 				net.Burst = netmodel.Rate(float64(net.Burst) / factor)
 				net.PerConnection = netmodel.Rate(float64(net.PerConnection) / factor)
 			}
-			client := s3.NewClient(svc, p, s3.WithShaper(net, cfg.MemoryMiB), s3.WithRetry(50*time.Millisecond, 20))
+			client := s3.NewClient(svc, p, s3.WithShaper(net, cfg.MemoryMiB), s3.WithPolicy(resilience.Policy{Seed: int64(wid)}))
 			start := p.Now()
 			var readInput time.Duration
 			if cfg.ReadInput {

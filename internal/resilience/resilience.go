@@ -1,18 +1,22 @@
-// Package resilience is the unified retry/backoff/budget layer of the
-// Lambada substrate — the systematic form of the paper's "aggressive
-// timeouts and retries" against cloud services that throttle, drop and kill
-// (§5.5, footnote 17). It provides:
+// Package resilience is the one retry/backoff/budget layer of the Lambada
+// substrate — the systematic form of the paper's "aggressive timeouts and
+// retries" against cloud services that throttle, drop and kill (§5.5,
+// footnote 17). Policy.Do is the only retry loop in the tree and opens every
+// substrate call's op span: SQS, DynamoDB and Lambda calls run under it
+// directly, S3 calls through their client (s3.WithPolicy), on the driver as
+// in a worker. It provides:
 //
 //   - classification of errors into retryable (transient server failures,
 //     throttling) and fatal (everything else — wrong answers must not be
 //     retried into existence);
 //   - a Policy running operations under capped exponential backoff with
-//     decorrelated jitter, virtual-time-safe because all waiting goes
-//     through simenv.Env.Sleep;
+//     decorrelated jitter: virtual-time-safe because all waiting goes through
+//     simenv.Env.Sleep, and a pure hash of (seed, op, attempt) — never a draw
+//     from a service's latency sampler, so a retry moves nobody else's clock;
 //   - a Budget bounding the total retries a scope (one worker invocation,
-//     one driver query) may spend, so a persistently failing substrate turns
-//     into a typed ExhaustedError — graceful degradation upstream — instead
-//     of an unbounded retry storm.
+//     the driver side of one query) may spend, so a persistently failing
+//     substrate turns into a typed ExhaustedError — graceful degradation
+//     upstream — instead of an unbounded retry storm.
 //
 // Every retried request still reaches the simulated service and is billed
 // through the pricing meter: retries are real requests in the paper's cost
@@ -187,8 +191,7 @@ func (s *Stats) Retries() int64 {
 // with decorrelated jitter, and an optional shared budget. The zero value
 // is usable: defaults fill in on Do.
 type Policy struct {
-	// Base is the first backoff delay (default 25ms, matching the historical
-	// S3 client retry).
+	// Base is the first backoff delay (default 25ms).
 	Base time.Duration
 	// Cap bounds a single backoff delay (default 2s).
 	Cap time.Duration
@@ -197,8 +200,6 @@ type Policy struct {
 	// Budget, when non-nil, is the scope-wide retry bound shared by every
 	// operation run under this policy.
 	Budget *Budget
-	// Classify overrides the default classifier when non-nil.
-	Classify func(error) Class
 	// Seed derives the deterministic jitter stream.
 	Seed int64
 	// Stats, when non-nil, accumulates retry counts for reporting.
@@ -229,13 +230,6 @@ func (p Policy) maxRetries() int {
 		return p.MaxRetries
 	}
 	return 10
-}
-
-func (p Policy) classify(err error) Class {
-	if p.Classify != nil {
-		return p.Classify(err)
-	}
-	return Classify(err)
 }
 
 // Backoff returns the delay before retry attempt (1-based) of op:
@@ -290,7 +284,7 @@ func (p Policy) Do(env simenv.Env, opName string, op func() error) error {
 	}()
 	for attempt := 0; ; attempt++ {
 		err = op()
-		if err == nil || p.classify(err) != ClassRetryable {
+		if err == nil || Classify(err) != ClassRetryable {
 			return err
 		}
 		if attempt >= p.maxRetries() {

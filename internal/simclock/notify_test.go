@@ -50,7 +50,7 @@ func TestNotifyAllWakesEveryTopic(t *testing.T) {
 	}
 	k.Go("writer", func(p *Proc) {
 		p.Sleep(time.Second)
-		p.NotifyAll()
+		p.NotifyKey("")
 	})
 	k.Run()
 	if woken != 3 {

@@ -271,30 +271,18 @@ func (k *Kernel) notifyKey(key string) {
 	k.compWaiters = kept
 }
 
-// NotifyAll broadcasts the completion signal with the wildcard key, waking
-// every process parked in WaitNotify/WaitNotifyKey at the current virtual
-// instant.
-func (p *Proc) NotifyAll() { p.k.notifyKey("") }
-
 // NotifyKey broadcasts the completion signal for key: services call it at
 // the instant they make something visible (an object under an S3 key, a
 // DynamoDB item, an SQS message), waking only the waiters parked on a
-// matching topic.
+// matching topic (every waiter, for the empty key).
 func (p *Proc) NotifyKey(key string) { p.k.notifyKey(key) }
-
-// WaitNotify parks p until the next completion broadcast (any key) or
-// until d of virtual time passed, whichever comes first, and reports
-// whether the broadcast arrived. Together with NotifyAll it satisfies
-// simenv.Notifier, so barriers built on simenv.WaitNotify resolve at the
-// exact virtual instant of the write they await instead of at the next
-// poll boundary.
-func (p *Proc) WaitNotify(d time.Duration) bool {
-	return p.WaitNotifyKey("", d)
-}
 
 // WaitNotifyKey parks p until a completion broadcast whose key matches
 // topic (prefix match; empty topic matches everything) or until d of
-// virtual time passed, and reports whether the broadcast arrived. Keyed
+// virtual time passed, and reports whether the broadcast arrived. Together
+// with NotifyKey it satisfies simenv.Notifier, so barriers built on
+// simenv.WaitNotifyKey resolve at the exact virtual instant of the write
+// they await instead of at the next poll boundary. Keyed
 // parking is what lets hundred-sender fleets coexist with parked
 // barriers: an exchange write wakes the one consumer waiting on that
 // stage's prefix, not every waiter in the simulation.

@@ -104,7 +104,7 @@ func TestSignalBroadcastWakesAll(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		i := i
 		k.Go("w", func(p *Proc) {
-			if p.WaitNotify(time.Duration(i+1) * time.Hour) {
+			if p.WaitNotifyKey("", time.Duration(i+1)*time.Hour) {
 				woken++
 			}
 		})
@@ -114,7 +114,7 @@ func TestSignalBroadcastWakesAll(t *testing.T) {
 		if len(k.compWaiters) != 10 {
 			t.Errorf("waiting = %d, want 10", len(k.compWaiters))
 		}
-		p.NotifyAll()
+		p.NotifyKey("")
 	})
 	if end := k.Run(); end != time.Second {
 		t.Errorf("final time %v, want 1s", end)
@@ -250,12 +250,12 @@ func TestSignalWaitTimeoutBroadcastWins(t *testing.T) {
 	var notified bool
 	var wokeAt time.Duration
 	k.Go("waiter", func(p *Proc) {
-		notified = p.WaitNotify(time.Minute)
+		notified = p.WaitNotifyKey("", time.Minute)
 		wokeAt = p.Now()
 	})
 	k.Go("caster", func(p *Proc) {
 		p.Sleep(3 * time.Second)
-		p.NotifyAll()
+		p.NotifyKey("")
 	})
 	end := k.Run()
 	if !notified {
@@ -276,7 +276,7 @@ func TestSignalWaitTimeoutExpires(t *testing.T) {
 	k := New()
 	wakeups := 0
 	k.Go("waiter", func(p *Proc) {
-		if p.WaitNotify(2 * time.Second) {
+		if p.WaitNotifyKey("", 2*time.Second) {
 			t.Error("spurious notification")
 		}
 		wakeups++
@@ -290,7 +290,7 @@ func TestSignalWaitTimeoutExpires(t *testing.T) {
 		if n := len(k.compWaiters); n != 0 {
 			t.Errorf("%d waiters left registered after timeout", n)
 		}
-		p.NotifyAll() // waiter has withdrawn; nobody should wake
+		p.NotifyKey("") // waiter has withdrawn; nobody should wake
 	})
 	k.Run()
 	if wakeups != 1 {
@@ -305,13 +305,13 @@ func TestProcWaitNotify(t *testing.T) {
 	var first, second bool
 	var firstAt time.Duration
 	k.Go("waiter", func(p *Proc) {
-		first = p.WaitNotify(time.Minute)
+		first = p.WaitNotifyKey("", time.Minute)
 		firstAt = p.Now()
-		second = p.WaitNotify(time.Second) // nothing else fires: times out
+		second = p.WaitNotifyKey("", time.Second) // nothing else fires: times out
 	})
 	k.Go("producer", func(p *Proc) {
 		p.Sleep(700 * time.Millisecond)
-		p.NotifyAll()
+		p.NotifyKey("")
 	})
 	k.Run()
 	if !first || firstAt != 700*time.Millisecond {
@@ -336,7 +336,7 @@ func TestSignalWaitTimeoutDeterministic(t *testing.T) {
 				if i%2 == 0 {
 					d = time.Minute
 				}
-				if p.WaitNotify(d) {
+				if p.WaitNotifyKey("", d) {
 					order += string(rune('A' + i))
 				} else {
 					order += string(rune('a' + i))
@@ -345,7 +345,7 @@ func TestSignalWaitTimeoutDeterministic(t *testing.T) {
 		}
 		k.Go("caster", func(p *Proc) {
 			p.Sleep(4 * time.Second)
-			p.NotifyAll()
+			p.NotifyKey("")
 		})
 		end := k.Run()
 		return order, end
