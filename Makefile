@@ -35,16 +35,18 @@ race-staged:
 scale-smoke:
 	$(GO) test -run 'TestStagedQ12ScaleSmoke|TestMultiLevelRequestsMatchModel' -v -timeout 10m ./internal/driver/ ./internal/exchange/
 
-# fuzz-smoke fuzzes the three parsers of outside bytes for five seconds each
+# fuzz-smoke fuzzes the four parsers of outside bytes for five seconds each
 # from the seed corpora under their testdata/fuzz: the exchange's key codec
 # (a key or a typed error, and parse inverts String), the lpq reader
 # (OpenReader + ReadAll: a typed error or a valid chunk, never a panic, no
-# allocation the input cannot back) and the fault-plan parser (a typed error
-# or a plan that Marshal → ParsePlan leaves unchanged).
+# allocation the input cannot back), the fault-plan parser (a typed error
+# or a plan that Marshal → ParsePlan leaves unchanged) and the SQL parser (an
+# error or a plan that MarshalPlan → UnmarshalPlan leaves unchanged).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBoundaryKey -fuzztime=5s ./internal/exchange/
 	$(GO) test -run=NONE -fuzz=FuzzOpenReadAll -fuzztime=5s ./internal/lpq/
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s ./internal/awssim/faults/
+	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/sqlfe/
 
 # chaos runs the deterministic fault-injection suites race-instrumented:
 # the injector/resilience unit tests, the per-service fault tests, and the
@@ -100,12 +102,15 @@ trace-smoke:
 # behaviour is checked, where the benchmark cannot vouch for it (speculation
 # and relaunch are off in every workload): cmd/lambada is built from BASE (a
 # `git archive` of it in a temp dir) and from the working tree, and both run
-# the same seeded DES query. Two halves, so a change that moves fault-path
-# timing can still prove the fault-free one:
-#   trace-identical        the 564-worker staged q12, fault-free: the Chrome
-#                          trace exports and the printed reports (minus the
-#                          last line, which names the trace file) must be
-#                          byte-identical.
+# the same seeded DES query. Each half gives its first verdict on the result
+# rows (the output above the "workers:" line), so a change that moves the
+# modeled clock on purpose can still prove the answer:
+#   trace-identical        the 564-worker staged q12, fault-free. First
+#                          "rows identical"; then both sides' fleet, stage and
+#                          cost lines, for a PR that means to move them to
+#                          cite; then the Chrome trace exports and the printed
+#                          reports (minus the last line, which names the trace
+#                          file) must be byte-identical, or it exits non-zero.
 #   trace-identical-storm  a 64-worker one under the checked-in fault storm
 #                          with speculation and a 2 s liveness cap: fails only
 #                          if the result rows differ, and prints both sides'
@@ -118,7 +123,18 @@ git archive $(BASE) | tar -x -C "$$tmp/base"; \
 (cd "$$tmp/base" && $(GO) build -o "$$tmp/lambada.base" ./cmd/lambada); \
 $(GO) build -o "$$tmp/lambada.head" ./cmd/lambada
 endef
+# TRACE_ROWS LINES=<regexp> compares the result rows of the two sides' .out
+# files and prints the report lines matching LINES from each.
+define TRACE_ROWS
+for side in base head; do \
+	sed '/^workers:/,$$d' "$$tmp/$$side.out" > "$$tmp/$$side.rows"; \
+	echo "$$side:"; grep -E '$(LINES)' "$$tmp/$$side.out"; \
+done; \
+cmp "$$tmp/base.rows" "$$tmp/head.rows"; \
+echo "$@: rows identical to $(BASE)"
+endef
 
+trace-identical: LINES = ^(workers:|  (stage|regroup) [0-9]+:|query cost:|traced cost:)
 trace-identical:
 	@$(TRACE_BUILD); \
 	for side in base head; do \
@@ -126,18 +142,16 @@ trace-identical:
 			-trace-out "$$tmp/$$side.json" > "$$tmp/$$side.out"; \
 		sed -i '$$d' "$$tmp/$$side.out"; \
 	done; \
+	$(TRACE_ROWS); \
 	cmp "$$tmp/base.json" "$$tmp/head.json"; \
 	cmp "$$tmp/base.out" "$$tmp/head.out"; \
-	grep -E '^workers:' "$$tmp/head.out"; \
-	echo "trace-identical: trace and report byte-identical to $(BASE)"
+	echo "$@: trace and report byte-identical to $(BASE)"
 
+trace-identical-storm: LINES = ^(workers|retries|query cost):
 trace-identical-storm:
 	@$(TRACE_BUILD); \
 	for side in base head; do \
 		"$$tmp/lambada.$$side" $(TRACE_Q12) -partitions 30 -speculate -max-stage-wait 2s \
 			-fault-plan cmd/lambada/testdata/storm.json > "$$tmp/$$side.out"; \
-		sed '/^workers:/,$$d' "$$tmp/$$side.out" > "$$tmp/$$side.rows"; \
-		echo "$$side:"; grep -E '^(workers|retries|query cost):' "$$tmp/$$side.out"; \
 	done; \
-	cmp "$$tmp/base.rows" "$$tmp/head.rows"; \
-	echo "trace-identical-storm: result rows identical to $(BASE)"
+	$(TRACE_ROWS)

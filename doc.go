@@ -15,40 +15,53 @@
 //	    files concurrently (scan.Config.ParallelFiles) and the engine runs
 //	    every plan on a pipeline-graph scheduler at one morsel worker per
 //	    CPU (engine.ExecuteParallel);
-//	(4) metadata of all files prefetched eagerly in a dedicated thread;
+//	(4) the footers of all files of a scan opened together, ahead of the
+//	    first file's data (scan.OpenAll);
 //	(3) row groups double-buffered: download overlaps decompression;
-//	(2) column chunks of a row group fetched in parallel;
+//	(2) the column ranges of a row group fetched together
+//	    (s3fs.File.ReadRanges);
 //	(1) multiple chunked requests per read, only as a fallback, since
 //	    extra requests cost money (Figure 7).
 //
-// A DES process is a single thread of control, so a simulated deployment
-// turns every goroutine level off and models what concurrency buys on the
-// virtual clock instead, in the S3 client, in two parts. The per-function
-// token-bucket shaper models bandwidth: a transfer takes the time its bytes
-// need at the rate its connections can draw, whoever else is reading. The
-// request window (s3.Client.Overlap) models the overlap of first-byte
-// latencies: up to sixteen calls in flight, each on a lane — a view of the
-// client on a clock of its own that adds up the request's latency, backoff
-// and transfer instead of parking — while the caller parks only until a lane
-// is free and, at the end, until the last one is. Every request is still
-// admitted, fault-injected, rate-limited, billed and traced at the instant it
-// is issued, in issue order; the lanes' transfers queue on the one shaper, so
-// a window moves bytes no faster than the function can. The exchange's three
-// request loops use it — a round's reads of one small range per writer, the
-// per-shard Lists of one discovery pass, a sweep's List and DeleteObjects per
-// bucket — because a worker that pays 256 latencies of ~35 ms one after
-// another for 256 KB is not the paper's worker (§4.3.2, §4.4.2), and the
-// fleet behind it idles, billed, until it is done. Uploads cannot ride a
-// lane: a Put makes its object visible, and wakes the readers parked on its
-// key, after its latency, and a lane has no instant of its own at which to do
-// so (Put on a lane returns s3.ErrLaneWrite). The driver's planning reads
-// ride the window as well: opening a file is one request (a suffix read that
-// returns the size with the footer), and the files of all the tables a plan
-// scans that the session has not opened before are opened in one window
-// (scan.OpenAll) — one first-byte latency for up to sixteen files, where two
-// serial requests per file were 0.4 s at the head of every staged query. The
-// scan's own levels 2, 4 and 5 — a worker's column ranges, its files — still
-// pay their latencies one after another under DES.
+// Levels 1, 2 and 4 are requests, levels 3 and 5 are threads, and each kind
+// is kept in flight by its own means. Threads are goroutines, for CPU work
+// only; a DES process is a single thread of control, so a deterministic
+// deployment turns levels 3 and 5 off (scan.Config.DoubleBuffer and
+// ParallelFiles, beside the engine's Pipelines: 1) and nothing else. Requests
+// are kept in flight by the S3 client, as a model of time that runs the same
+// on both clocks, in two parts. The per-function token-bucket shaper models
+// bandwidth: a transfer takes the time its bytes need at the rate its
+// connections can draw, whoever else is reading. The request window
+// (s3.Client.Overlap) models the overlap of first-byte latencies: up to
+// sixteen calls in flight, each on a lane — a view of the client on a clock
+// of its own that adds up the request's latency, backoff and transfer instead
+// of parking — while the caller parks only until a lane is free and, at the
+// end, until the last one is. Every request is still admitted,
+// fault-injected, rate-limited, billed and traced at the instant it is
+// issued, in issue order; the lanes' transfers queue on the one shaper, so a
+// window moves bytes no faster than the function can. A window costs no
+// request, no byte and no thread, and against a service without latencies
+// (NewLocal) no time either, so nothing switches it off.
+//
+// Every multi-request loop of the read path goes through it. The exchange's
+// three — a round's reads of one small range per writer, the per-shard Lists
+// of one discovery pass, a sweep's List and DeleteObjects per bucket —
+// because a worker that pays 256 latencies of ~35 ms one after another for
+// 256 KB is not the paper's worker (§4.3.2, §4.4.2), and the fleet behind it
+// idles, billed, until it is done. The opens (level 4): opening a file is one
+// request (a suffix read that returns the size with the footer), and the
+// files of all the tables a plan scans that the session has not opened
+// before are opened in one window (scan.OpenAll) — one first-byte latency for
+// up to sixteen files, where two serial requests per file were 0.4 s at the
+// head of every staged query; a scan over several files opens them the same
+// way before it reads the first. And a scan's data reads (level 2): the
+// coalesced spans of one s3fs.File.ReadRanges are one window, so the two or
+// three spans that a third to two thirds of a worker's reads plan pay their
+// ≈ 30 ms latencies together. Level 1's chunks follow one another on the lane
+// that carries their read: no read on any workload reaches the 16 MiB chunk
+// size. Uploads cannot ride a lane: a Put makes its object visible, and wakes
+// the readers parked on its key, after its latency, and a lane has no instant
+// of its own at which to do so (Put on a lane returns s3.ErrLaneWrite).
 //
 // # Price-aware scan layer
 //
@@ -82,8 +95,8 @@
 // when the gap is small (scan.Config.CoalesceGapBytes, default 128 KiB)
 // and the accumulated hole bytes stay under 1/8 of the span — trading one
 // fixed-price request against a bounded byte overhead, never an unbounded
-// one — and reads the spans one after another; level 2 reads the same
-// spans concurrently (s3fs.File.ReadSpan). The same page index feeds planning: stage fan-out uses the
+// one — and issues the spans through one request window of the client
+// (level 2). The same page index feeds planning: stage fan-out uses the
 // pruning-aware lpq.EstimateRows instead of raw footer row counts, so
 // selective queries launch fewer scan workers. scan.Stats and the driver
 // Report expose the billed request and byte counters the cost-guard tests

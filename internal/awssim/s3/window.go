@@ -8,8 +8,8 @@ import (
 // window is how many requests a client keeps in flight inside Overlap. The
 // paper's worker overlaps its requests because each pays a first-byte latency
 // that a small read cannot amortise (§4.3.2, Figure 7). One constant for every
-// caller: a 256-writer round pays 16 latencies instead of 256, and a window
-// of large reads is bound by the function's link either way.
+// caller (the exchange's rounds and sweeps, scan.OpenAll, s3fs's ReadRanges):
+// 256 small reads pay 16 latencies, and large ones are bound by the link.
 const window = 16
 
 // ErrLaneWrite is returned by Put and PutSynthetic on a lane of a request

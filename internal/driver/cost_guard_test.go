@@ -238,8 +238,11 @@ func TestExecutorRequestGuard(t *testing.T) {
 		// pacing gap after its last Invoke — the driver reaches its result
 		// queue 36 ms earlier and fits one more timed poll before the seal.
 		// PR 20: five opens — the planner's four and the one worker's —
-		// 18 → 13 S3 reads, SQS 13 → 12.
-		pricing.LabelS3Read: 13, pricing.LabelSQS: 12,
+		// 18 → 13 S3 reads, SQS 13 → 12. PR 23: the worker's column spans
+		// ride one request window instead of paying their first-byte
+		// latencies one after another, so it answers one timed poll sooner —
+		// SQS 12 → 11, every S3 row as it was.
+		pricing.LabelS3Read: 13, pricing.LabelSQS: 11,
 	})
 
 	// Planning reads the tables the plan scans and no others: with orders
@@ -279,10 +282,13 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// fits. The S3 counts did not move — same requests, issued sooner.
 	// PR 20: ten opens — the planner's six (four lineitem files, two orders)
 	// and the scan workers' four — 48 → 38 S3 reads; SQS 32 → 29, DynamoDB
-	// reads 27 → 19.
+	// reads 27 → 19. PR 23: the scan workers' column spans ride the request
+	// window (two or three first-byte latencies paid together, not in turn),
+	// so the scan stages seal ≈ 30–60 ms sooner and the timed polls fall
+	// differently — SQS 29 → 30, DynamoDB reads 19 → 18; no S3 count moved.
 	assertRequests(t, "staged q12", staged, map[string]int64{
 		pricing.LabelS3Read: 38, pricing.LabelS3Write: 6, pricing.LabelS3List: 22,
-		pricing.LabelSQS: 29, pricing.LabelDynamoRead: 19,
+		pricing.LabelSQS: 30, pricing.LabelDynamoRead: 18,
 		pricing.LabelDynamoWrite: parentDynamoWrites - 1,
 	})
 
@@ -291,7 +297,8 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// GET each — recorded in PR 19, whose parent opened them twice (S3 reads
 	// 38). SQS and DynamoDB reads are polls, recorded as measured. PR 20:
 	// eight opens — the planner's six and the two lineitem workers' —
-	// 34 → 26 S3 reads; SQS 22 → 19.
+	// 34 → 26 S3 reads; SQS 22 → 19. PR 23, same cause as above: SQS 19 → 21,
+	// DynamoDB reads 10 → 9.
 	assertRequests(t, "staged q12, orders broadcast", billedRequests(t, nil, func(d *Driver, tables TableFiles) error {
 		scfg := DefaultStageConfig()
 		scfg.Partitions = 2
@@ -304,7 +311,7 @@ func TestExecutorRequestGuard(t *testing.T) {
 	}), map[string]int64{
 		pricing.LabelLambdaRequests: 4,
 		pricing.LabelS3Read:         26, pricing.LabelS3Write: 2, pricing.LabelS3List: 18,
-		pricing.LabelSQS: 19, pricing.LabelDynamoRead: 10, pricing.LabelDynamoWrite: 2,
+		pricing.LabelSQS: 21, pricing.LabelDynamoRead: 9, pricing.LabelDynamoWrite: 2,
 	})
 
 	// Multi-level boundaries and admission-capped launch, as recorded on the
@@ -321,7 +328,11 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// opens of "staged q12" above, 54 → 44 S3 reads on all three rows; polls
 	// from 50/70, 46/61 and 63/15. (2l-wc's 55 DynamoDB reads were 51 with a
 	// 4 KiB footer guess: the 8 KiB one moves 4 KiB more per open, ≈ 0.05 ms
-	// of shaped transfer each, and no other count on any row.)
+	// of shaped transfer each, and no other count on any row.) PR 23: polls
+	// from 48/76, 45/55 and 59/18 — the scan workers' spans share a request
+	// window, the first stages seal sooner and every consumer behind them
+	// polls its ready marker fewer times; S3, Lambda and DynamoDB-write rows
+	// as they were.
 	twoLevel := func(wc bool) func(*Driver, TableFiles) error {
 		return func(d *Driver, tables TableFiles) error {
 			scfg := DefaultStageConfig()
@@ -337,17 +348,17 @@ func TestExecutorRequestGuard(t *testing.T) {
 	assertRequests(t, "staged q12 2l", billedRequests(t, nil, twoLevel(false)), map[string]int64{
 		pricing.LabelLambdaRequests: 14,
 		pricing.LabelS3Read:         44, pricing.LabelS3Write: 30, pricing.LabelS3List: 28,
-		pricing.LabelSQS: 48, pricing.LabelDynamoRead: 76, pricing.LabelDynamoWrite: 7,
+		pricing.LabelSQS: 48, pricing.LabelDynamoRead: 66, pricing.LabelDynamoWrite: 7,
 	})
 	assertRequests(t, "staged q12 2l-wc", billedRequests(t, nil, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 14,
 		pricing.LabelS3Read:         44, pricing.LabelS3Write: 12, pricing.LabelS3List: 28,
-		pricing.LabelSQS: 45, pricing.LabelDynamoRead: 55, pricing.LabelDynamoWrite: 7,
+		pricing.LabelSQS: 44, pricing.LabelDynamoRead: 50, pricing.LabelDynamoWrite: 7,
 	})
 	capped := func(c *Config) { c.MaxInFlight = 2 }
 	assertRequests(t, "staged q12 2l-wc, MaxInFlight 2", billedRequests(t, capped, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 14,
 		pricing.LabelS3Read:         44, pricing.LabelS3Write: 12, pricing.LabelS3List: 28,
-		pricing.LabelSQS: 59, pricing.LabelDynamoRead: 18, pricing.LabelDynamoWrite: 7,
+		pricing.LabelSQS: 59, pricing.LabelDynamoRead: 16, pricing.LabelDynamoWrite: 7,
 	})
 }

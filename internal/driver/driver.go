@@ -41,9 +41,12 @@ type Deployment struct {
 	Meter  *pricing.CostMeter
 	Net    netmodel.LambdaNet
 
-	// Deterministic is true for DES deployments: worker-side code must not
-	// spawn goroutines, so scan concurrency is disabled (its timing effect
-	// is modeled by the bandwidth shaper instead).
+	// Deterministic is true for DES deployments and means "no host threads",
+	// nothing else: worker-side code must not spawn goroutines, so the scan's
+	// double buffer and file pool and the engine's pipeline fan-out are off.
+	// Requests in flight are not threads: their timing is modeled by the S3
+	// client's request window (latencies) and its shaper (bandwidth), and
+	// runs the same on both clocks.
 	Deterministic bool
 	// Shaped enables per-worker bandwidth shaping of S3 transfers.
 	Shaped bool

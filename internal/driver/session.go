@@ -98,16 +98,10 @@ func NewSession(dep *Deployment, cfg Config) *Session {
 		cfg.EpochGCInterval = 64
 	}
 	if dep.Deterministic {
-		// DES processes must stay single-threaded. The S3 client models what
-		// the goroutines would have bought instead: its shaper the bandwidth
-		// of concurrent transfers, its request window (s3.Client.Overlap) the
-		// overlap of first-byte latencies — which the exchange and the opens
-		// of a plan's files use and a scan's data reads do not yet, so a
-		// simulated worker still pays the latencies of the column ranges it
-		// fetches one after another.
+		// DES processes must stay single-threaded, so the scan's two thread
+		// levels go, like the engine's Pipelines: 1 beside them. Its request
+		// levels stay: they ride s3.Client.Overlap, which starts no thread.
 		cfg.Scan.DoubleBuffer = false
-		cfg.Scan.ParallelColumns = false
-		cfg.Scan.MetaPrefetch = false
 		cfg.Scan.ParallelFiles = 1
 	}
 	s := &Session{dep: dep, cfg: cfg, footers: scan.NewFooters()}

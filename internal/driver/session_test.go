@@ -16,6 +16,24 @@ import (
 	"lambada/internal/tpch"
 )
 
+// TestDeterministicMeansNoHostThreads: a session on a DES deployment turns
+// off the scan's two thread levels and nothing else — the request levels ride
+// the S3 client's window, which needs no thread — and one on goroutine
+// workers touches no scan field at all.
+func TestDeterministicMeansNoHostThreads(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scan.ParallelColumns, cfg.Scan.MetaPrefetch = true, true
+	cfg.Scan.ParallelFiles, cfg.Scan.CoalesceGapBytes, cfg.Scan.DisableLateMaterialize = 4, 1<<10, true
+	want := cfg.Scan
+	want.DoubleBuffer, want.ParallelFiles = false, 1
+	if got := NewSession(NewSimulated(simclock.New(), 1), cfg).Config().Scan; got != want {
+		t.Errorf("deterministic session scans with %+v, want %+v", got, want)
+	}
+	if got := NewSession(NewLocal(), cfg).Config().Scan; got != cfg.Scan {
+		t.Errorf("local session scans with %+v, want %+v", got, cfg.Scan)
+	}
+}
+
 // sessionRun captures everything one concurrent-session DES run exposes for
 // the acceptance assertions: per-query results and reports, the virtual end
 // time, and the epoch fence rows the queries left behind.

@@ -367,6 +367,9 @@ func (r round) discover(slot int) ([]ref, error) {
 				if k.prefix != r.opts.Prefix || k.stage != r.stage || k.kind != r.kind || k.form != form || w < 0 || w >= r.writers {
 					return misfit(e.Key, "not an object of this round")
 				}
+				if refs[w].key == e.Key {
+					continue // vetted and taken on an earlier pass
+				}
 				found := ref{bucket: pending[i], key: e.Key, attempt: k.attempt}
 				if form == combinedKey {
 					if found.lo, found.hi, err = slotRange(k.offsets, r.slots, slot-r.slot0); err != nil {

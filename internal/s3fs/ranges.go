@@ -3,6 +3,8 @@ package s3fs
 import (
 	"fmt"
 	"sort"
+
+	"lambada/internal/awssim/s3"
 )
 
 // Range coalescing: merging near-adjacent column-chunk and page ranges into
@@ -92,33 +94,33 @@ func (s *Span) Cut(buf []byte, ranges []Range, out [][]byte) {
 
 // ReadRanges fetches every range, coalescing ranges separated by at most
 // gap bytes into one GET each (gap 0 means DefaultCoalesceGap; negative
-// disables coalescing). The returned slices are indexed like ranges; slices
-// of one span alias one buffer.
+// disables coalescing). The spans share one request window of the handle's
+// client (s3.Client.Overlap): they are issued in offset order and pay their
+// first-byte latencies together, not one after another — the scan's
+// concurrency level 2 (§4.3.2), on either clock and without a goroutine. The
+// returned slices are indexed like ranges; slices of one span alias one
+// buffer.
 func (f *File) ReadRanges(ranges []Range, gap int64) ([][]byte, error) {
 	if gap == 0 {
 		gap = DefaultCoalesceGap
 	}
+	spans := PlanSpans(ranges, gap)
 	out := make([][]byte, len(ranges))
-	for _, s := range PlanSpans(ranges, gap) {
-		if err := f.ReadSpan(s, ranges, out); err != nil {
-			return nil, err
+	err := f.client.Overlap(len(spans), func(i int, lane *s3.Client) error {
+		s := spans[i]
+		buf, err := f.readRange(lane, s.Off, s.Len)
+		if err != nil {
+			return err
 		}
+		if int64(len(buf)) < s.Len {
+			return fmt.Errorf("s3fs: span [%d,%d) of %s/%s truncated to %d bytes",
+				s.Off, s.Off+s.Len, f.bucket, f.key, len(buf))
+		}
+		s.Cut(buf, ranges, out)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// ReadSpan fetches one planned span in one read and cuts it into the out
-// slots of the ranges it covers. Spans of one plan fill disjoint slots, so
-// concurrent ReadSpan calls may share out.
-func (f *File) ReadSpan(s Span, ranges []Range, out [][]byte) error {
-	buf, err := f.ReadRange(s.Off, s.Len)
-	if err != nil {
-		return err
-	}
-	if int64(len(buf)) < s.Len {
-		return fmt.Errorf("s3fs: span [%d,%d) of %s/%s truncated to %d bytes",
-			s.Off, s.Off+s.Len, f.bucket, f.key, len(buf))
-	}
-	s.Cut(buf, ranges, out)
-	return nil
 }

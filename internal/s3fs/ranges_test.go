@@ -5,6 +5,12 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"lambada/internal/awssim/pricing"
+	"lambada/internal/awssim/s3"
+	"lambada/internal/awssim/simenv"
+	"lambada/internal/simclock"
 )
 
 func TestPlanSpansMerging(t *testing.T) {
@@ -189,5 +195,78 @@ func TestReadRangesTruncation(t *testing.T) {
 	f := setup(t, make([]byte, 100))
 	if _, err := f.ReadRanges([]Range{{90, 50}}, 0); err == nil {
 		t.Error("range past EOF read without error")
+	}
+}
+
+// TestReadRangesShareOneWindow: on a DES kernel against S3's measured
+// latencies, the spans of one ReadRanges are in flight together. Two services
+// on one seed draw the same three latencies in request order; one caller
+// takes the ranges one ReadRange at a time and notes each request's duration,
+// the other asks for them in one ReadRanges, which must return the same
+// bytes for the same three billed GETs at the instant the slowest of those
+// requests ends — not at the sum the first caller pays.
+func TestReadRangesShareOneWindow(t *testing.T) {
+	data := make([]byte, 3<<20)
+	for i := range data {
+		data[i] = byte(i % 251)
+	}
+	ranges := []Range{{0, 1000}, {1 << 20, 1000}, {2 << 20, 1000}}
+	// run reads the ranges on a fresh service and kernel and returns the
+	// bytes, the instant after each step of read, and the GETs billed.
+	run := func(read func(f *File, mark func()) [][]byte) (got [][]byte, marks []time.Duration, gets int64) {
+		meter := pricing.NewCostMeter()
+		svc := s3.New(s3.DefaultAWSConfig(meter, 7))
+		svc.MustCreateBucket("b")
+		if err := svc.Put(simenv.NewImmediate(), "b", "k", data); err != nil {
+			t.Fatal(err)
+		}
+		gets = -meter.Count(pricing.LabelS3Read)
+		k := simclock.New()
+		k.Go("reader", func(p *simclock.Proc) {
+			f := NewFile(s3.NewClient(svc, p), "b", "k", int64(len(data)))
+			got = read(f, func() { marks = append(marks, p.Now()) })
+		})
+		k.Run()
+		if k.Deadlocked() {
+			t.Fatal("DES deadlocked")
+		}
+		return got, marks, gets + meter.Count(pricing.LabelS3Read)
+	}
+
+	want, ends, serialGets := run(func(f *File, mark func()) [][]byte {
+		out := make([][]byte, len(ranges))
+		for i, r := range ranges {
+			buf, err := f.ReadRange(r.Off, r.Len)
+			if err != nil {
+				t.Error(err)
+			}
+			out[i] = buf
+			mark()
+		}
+		return out
+	})
+	var slowest, prev time.Duration
+	for _, end := range ends {
+		slowest = max(slowest, end-prev)
+		prev = end
+	}
+	sum := prev
+
+	got, ends, gets := run(func(f *File, mark func()) [][]byte {
+		out, err := f.ReadRanges(ranges, -1)
+		if err != nil {
+			t.Error(err)
+		}
+		mark()
+		return out
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Error("ReadRanges returned other bytes than three ReadRange calls")
+	}
+	if gets != 3 || serialGets != 3 {
+		t.Errorf("billed GETs = %d through the window, %d in turn, want 3 and 3", gets, serialGets)
+	}
+	if ends[0] != slowest || slowest >= sum {
+		t.Errorf("three spans took %v, want the slowest request's %v (%v in turn)", ends[0], slowest, sum)
 	}
 }

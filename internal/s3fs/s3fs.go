@@ -30,8 +30,8 @@ type File struct {
 	// Conns is the number of concurrent connections modeled per read.
 	Conns int
 
-	// requests is atomic: one handle serves concurrent readers (parallel
-	// column fetches, double-buffered row groups, parallel files).
+	// requests is atomic: one handle serves concurrent readers
+	// (double-buffered row groups, parallel files).
 	requests atomic.Int64
 	// bytes counts the billed bytes fetched through this handle.
 	bytes atomic.Int64
@@ -83,7 +83,12 @@ func (f *File) Key() string { return f.key }
 // ReadAt implements io.ReaderAt: it fills p from offset off using ranged
 // GETs of at most ChunkBytes each. Reads past the end return io.EOF with
 // the partial count, per the io.ReaderAt contract.
-func (f *File) ReadAt(p []byte, off int64) (int, error) {
+func (f *File) ReadAt(p []byte, off int64) (int, error) { return f.readAt(f.client, p, off) }
+
+// readAt is the read core: ReadAt with its requests issued through via — the
+// handle's client, or a lane of that client's request window (ReadRanges) —
+// and counted on the handle either way.
+func (f *File) readAt(via *s3.Client, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("s3fs: negative offset")
 	}
@@ -104,7 +109,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		if n+reqLen > want {
 			reqLen = want - n
 		}
-		data, got, err := f.client.GetRange(f.bucket, f.key, off+n, reqLen, f.Conns)
+		data, got, err := via.GetRange(f.bucket, f.key, off+n, reqLen, f.Conns)
 		f.requests.Add(1)
 		if err != nil {
 			return int(n), err
@@ -127,6 +132,11 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 
 // ReadRange fetches [off, off+length) as a fresh buffer.
 func (f *File) ReadRange(off, length int64) ([]byte, error) {
+	return f.readRange(f.client, off, length)
+}
+
+// readRange is ReadRange over readAt(via, …).
+func (f *File) readRange(via *s3.Client, off, length int64) ([]byte, error) {
 	if off+length > f.size {
 		length = f.size - off
 	}
@@ -134,7 +144,7 @@ func (f *File) ReadRange(off, length int64) ([]byte, error) {
 		return nil, nil
 	}
 	buf := make([]byte, length)
-	n, err := f.ReadAt(buf, off)
+	n, err := f.readAt(via, buf, off)
 	if err != nil && err != io.EOF {
 		return nil, err
 	}

@@ -1,15 +1,22 @@
 // Package scan implements Lambada's S3-based Parquet scan operator
 // (§4.3.2, Figure 8). It exploits concurrency at five levels — the four the
 // paper identifies, in the priority order the paper prescribes, plus a
-// file-level worker pool on top:
+// file-level worker pool on top. Levels 1, 2 and 4 are requests: 2 and 4 keep
+// theirs in flight through the S3 client's request window (s3.Client.Overlap),
+// a model of time that is the same on both clocks and starts no goroutine,
+// and 1's chunks follow one another on the lane that carries their read.
+// Levels 3 and 5 are host threads — real CPU overlap — and are what a
+// deterministic deployment turns off:
 //
 //	(5) multiple lpq files scanned concurrently by a bounded worker pool
 //	    (Config.ParallelFiles), chunks delivered in file order through
 //	    per-file channels so the yield order matches the serial scan;
-//	(4) metadata of all files prefetched eagerly in a dedicated thread;
+//	(4) the footers of all files opened in one request window ahead of the
+//	    first file's data (OpenAll);
 //	(3) up to two row groups downloaded asynchronously (double buffering),
 //	    overlapping download with decompression of the previous group;
-//	(2) column chunks of small/single-row-group files fetched in parallel;
+//	(2) the coalesced column ranges of one read issued in one request window
+//	    (s3fs.File.ReadRanges);
 //	(1) multiple chunked requests per read, only as a fallback, since extra
 //	    requests cost money (Figure 7).
 //
@@ -39,10 +46,12 @@ type Config struct {
 	// DoubleBuffer enables row-group prefetch (level 3). The paper
 	// disables it on workers with too little main memory.
 	DoubleBuffer bool
-	// ParallelColumns enables concurrent column-chunk downloads (level 2).
+	// ParallelColumns and MetaPrefetch have no effect: levels 2 and 4 ride the
+	// client's request window, which costs no request, no byte and no thread,
+	// so there is nothing to switch off. Declared only because the frozen
+	// bench/replay.go assigns them; see ROADMAP, "The next [benchmark] PR".
 	ParallelColumns bool
-	// MetaPrefetch fetches all files' footers eagerly (level 4).
-	MetaPrefetch bool
+	MetaPrefetch    bool
 	// ParallelFiles bounds how many files are scanned concurrently
 	// (level 5). 0 or 1 scans serially; DefaultConfig uses GOMAXPROCS.
 	// Chunk delivery order is unaffected: chunks surface in file order,
@@ -64,12 +73,10 @@ type Config struct {
 // chunks, four connections — plus file-level parallelism across all CPUs.
 func DefaultConfig() Config {
 	return Config{
-		ChunkBytes:      s3fs.DefaultChunkBytes,
-		Conns:           4,
-		DoubleBuffer:    true,
-		ParallelColumns: true,
-		MetaPrefetch:    true,
-		ParallelFiles:   runtime.GOMAXPROCS(0),
+		ChunkBytes:    s3fs.DefaultChunkBytes,
+		Conns:         4,
+		DoubleBuffer:  true,
+		ParallelFiles: runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -113,9 +120,9 @@ type Source struct {
 }
 
 // openState is the singleflight slot of one file's footer fetch: however
-// many goroutines race to open a file (the metadata prefetcher, level-5 file
-// workers, the synchronous path), the footer is fetched exactly once and
-// everyone shares the result.
+// many goroutines race to open a file (level-5 file workers, concurrent
+// scans of one source), the footer is fetched exactly once and everyone
+// shares the result.
 type openState struct {
 	once sync.Once
 	meta *lpq.FileMeta
@@ -308,7 +315,8 @@ func (s *Source) readFooter(via *s3.Client, f FileRef, id string) (footer, error
 // that client (s3.Client.Overlap): n such files cost ⌈n/16⌉ first-byte
 // latencies, not n — and no time at all against an in-memory S3, where the
 // window's calls run back to back. The planner calls it on the sources of all
-// the tables a plan scans; the statistics below call it on their own.
+// the tables a plan scans; the statistics below and a multi-file scan (level 4)
+// call it on their own.
 func OpenAll(srcs ...*Source) error {
 	type miss struct {
 		s   *Source
@@ -432,19 +440,11 @@ func (s *Source) ScanFiltered(proj []string, preds []lpq.Predicate, filter engin
 		return s.scanFile(f, proj, preds, filter, y)
 	}
 
-	// Level 4: prefetch metadata of all files in a dedicated goroutine so
-	// the footer round trips of file k+1... hide behind file k's data.
-	// The singleflight in open dedups against the scan path's own opens.
-	if s.Cfg.MetaPrefetch && len(s.Files) > 1 {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, f := range s.Files[1:] {
-				s.open(f) // errors resurface on the synchronous path
-			}
-		}()
-		defer wg.Wait()
+	// Level 4: the footers of all files in one request window, ahead of the
+	// first file's data. A failed open is forgotten and resurfaces, in file
+	// order, on the synchronous path.
+	if len(s.Files) > 1 {
+		_ = OpenAll(s)
 	}
 
 	if s.Cfg.ParallelFiles > 1 && len(s.Files) > 1 {
@@ -643,7 +643,7 @@ func (s *Source) readWholeGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []
 		cc := &rg.Columns[ci]
 		ranges[slot] = s3fs.Range{Off: cc.Offset, Len: cc.CompressedLen}
 	}
-	bufs, err := s.readRangesMaybeParallel(h, ranges)
+	bufs, err := h.ReadRanges(ranges, s.Cfg.CoalesceGapBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -690,42 +690,6 @@ func (s *Source) releaseState(st *lpq.DecodeState) {
 	s.mu.Lock()
 	s.idle = append(s.idle, st)
 	s.mu.Unlock()
-}
-
-// readRangesMaybeParallel fetches the ranges through coalesced spans
-// (s3fs.File.ReadRanges: a gap of at most Cfg.CoalesceGapBytes between
-// wanted ranges is fetched as dead bytes inside one GET instead of paying
-// another request — the Figure 7 request-cost trade-off at range
-// granularity). With ParallelColumns set the spans download concurrently
-// (level 2).
-func (s *Source) readRangesMaybeParallel(h *s3fs.File, ranges []s3fs.Range) ([][]byte, error) {
-	gap := s.Cfg.CoalesceGapBytes
-	if !s.Cfg.ParallelColumns {
-		return h.ReadRanges(ranges, gap)
-	}
-	if gap == 0 {
-		gap = s3fs.DefaultCoalesceGap
-	}
-	spans := s3fs.PlanSpans(ranges, gap)
-	out := make([][]byte, len(ranges))
-	if len(spans) == 1 {
-		// One span has nothing to overlap with: read it here.
-		return out, h.ReadSpan(spans[0], ranges, out)
-	}
-	errs := make([]error, len(spans))
-	var wg sync.WaitGroup
-	for i, sp := range spans {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = h.ReadSpan(sp, ranges, out)
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // readRowGroup reads one row group. With filter columns to fetch first it is
@@ -895,7 +859,7 @@ func (s *Source) fetchPages(h *s3fs.File, meta *lpq.FileMeta, g int, cols, slots
 		end := pages[hi].RelOff + pages[hi].CompressedLen
 		ranges[i] = s3fs.Range{Off: cc.Offset + start, Len: end - start}
 	}
-	bufs, err := s.readRangesMaybeParallel(h, ranges)
+	bufs, err := h.ReadRanges(ranges, s.Cfg.CoalesceGapBytes)
 	if err != nil {
 		return nil, err
 	}

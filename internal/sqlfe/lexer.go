@@ -9,7 +9,6 @@ package sqlfe
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 type tokenKind uint8
@@ -44,21 +43,28 @@ type lexer struct {
 	toks []token
 }
 
+// SQL text is ASCII outside string literals: an identifier travels to the
+// workers inside the plan's JSON, which cannot carry a name that is not valid
+// UTF-8 unchanged. Any other byte is lexSymbol's error.
+func isSpace(c byte) bool  { return c == ' ' || '\t' <= c && c <= '\r' }
+func isDigit(c byte) bool  { return '0' <= c && c <= '9' }
+func isLetter(c byte) bool { return 'a' <= c|0x20 && c|0x20 <= 'z' || c == '_' }
+
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
-		case unicode.IsSpace(rune(c)):
+		case isSpace(c):
 			l.pos++
 		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-':
 			// Line comment.
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.pos++
 			}
-		case unicode.IsDigit(rune(c)) || (c == '.' && l.pos+1 < len(l.src) && unicode.IsDigit(rune(l.src[l.pos+1]))):
+		case isDigit(c) || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
 			l.lexNumber()
-		case unicode.IsLetter(rune(c)) || c == '_':
+		case isLetter(c):
 			l.lexWord()
 		case c == '\'':
 			if err := l.lexString(); err != nil {
@@ -84,7 +90,7 @@ func (l *lexer) lexNumber() {
 			l.pos++
 			continue
 		}
-		if !unicode.IsDigit(rune(c)) {
+		if !isDigit(c) {
 			break
 		}
 		l.pos++
@@ -96,7 +102,7 @@ func (l *lexer) lexWord() {
 	start := l.pos
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
-		if !unicode.IsLetter(rune(c)) && !unicode.IsDigit(rune(c)) && c != '_' {
+		if !isLetter(c) && !isDigit(c) {
 			break
 		}
 		l.pos++

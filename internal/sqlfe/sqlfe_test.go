@@ -60,6 +60,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT x FROM t trailing",
 		"SELECT x FROM t GROUP BY x", // group by without aggregates
 		"SELECT x FROM t WHERE DATE 'nonsense' < 3",
+		"SELECT x FROM t\xe9", // a Latin-1 letter is not a letter
+		"SELECT x\xa0FROM t",  // nor a Latin-1 space a space
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
