@@ -35,18 +35,21 @@ race-staged:
 scale-smoke:
 	$(GO) test -run 'TestStagedQ12ScaleSmoke|TestMultiLevelRequestsMatchModel' -v -timeout 10m ./internal/driver/ ./internal/exchange/
 
-# fuzz-smoke fuzzes the four parsers of outside bytes for five seconds each
+# fuzz-smoke fuzzes the five parsers of outside bytes for five seconds each
 # from the seed corpora under their testdata/fuzz: the exchange's key codec
 # (a key or a typed error, and parse inverts String), the lpq reader
 # (OpenReader + ReadAll: a typed error or a valid chunk, never a panic, no
 # allocation the input cannot back), the fault-plan parser (a typed error
-# or a plan that Marshal → ParsePlan leaves unchanged) and the SQL parser (an
-# error or a plan that MarshalPlan → UnmarshalPlan leaves unchanged).
+# or a plan that Marshal → ParsePlan leaves unchanged), the SQL parser (an
+# error or a plan that MarshalPlan → UnmarshalPlan leaves unchanged) and the
+# worker's payload decoder (an error or a task whose counts are a fleet's and
+# whose broadcast tables fit the engine budget, never a panic).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBoundaryKey -fuzztime=5s ./internal/exchange/
 	$(GO) test -run=NONE -fuzz=FuzzOpenReadAll -fuzztime=5s ./internal/lpq/
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s ./internal/awssim/faults/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/sqlfe/
+	$(GO) test -run=NONE -fuzz=FuzzWorkerPayload -fuzztime=5s ./internal/driver/
 
 # chaos runs the deterministic fault-injection suites race-instrumented:
 # the injector/resilience unit tests, the per-service fault tests, and the
@@ -74,9 +77,10 @@ bench:
 
 # bench-check keeps the repository's benchmark (bench/, a Go module of its
 # own that the root `go test ./...` does not reach) building and honest: its
-# unit tests, then one tiny end-to-end run through bench/run.sh per entrance
-# of the executor — a staged plan and a single-scope one — each exiting
-# non-zero when any result differs from the single-node reference.
+# unit tests, then two tiny end-to-end runs through bench/run.sh — a plan with
+# exchange boundaries and one without; both come from the one planner, through
+# RunSQLStaged and RunSQL — each exiting non-zero when any result differs from
+# the single-node reference.
 bench-check:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload staged_des --scale tiny --seconds 1
@@ -105,13 +109,18 @@ trace-smoke:
 # the same seeded DES query. Each half gives its first verdict on the result
 # rows (the output above the "workers:" line), so a change that moves the
 # modeled clock on purpose can still prove the answer:
-#   trace-identical        the 564-worker staged q12, fault-free. First
-#                          "rows identical"; then both sides' fleet, stage and
-#                          cost lines, for a PR that means to move them to
-#                          cite; then the Chrome trace exports and the printed
+#   trace-identical        q12 at 256 partitions, fault-free (292 workers in 3
+#                          stages since PR 24, whose parent runs 564 in 4:
+#                          against it this prints "rows identical" and then
+#                          differs, as it must — cite both sides' "workers:" /
+#                          "stage" / "query cost:" lines). First "rows
+#                          identical"; then both sides' fleet, stage and cost
+#                          lines, for a PR that means to move them to cite;
+#                          then the Chrome trace exports and the printed
 #                          reports (minus the last line, which names the trace
 #                          file) must be byte-identical, or it exits non-zero.
-#   trace-identical-storm  a 64-worker one under the checked-in fault storm
+#   trace-identical-storm  the same at 30 partitions (34 workers; 64 before
+#                          PR 24) under the checked-in fault storm
 #                          with speculation and a 2 s liveness cap: fails only
 #                          if the result rows differ, and prints both sides'
 #                          fleet, retry and cost lines to be read, not gated.

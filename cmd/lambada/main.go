@@ -41,14 +41,14 @@ func main() {
 		gz       = flag.Bool("gzip", true, "GZIP-compress column chunks")
 		mode     = flag.String("mode", "local", "local (goroutine workers) or des (virtual-time simulation)")
 		seed     = flag.Int64("seed", 42, "data generation seed")
-		explain  = flag.Bool("v", false, "print per-worker processing times")
-		useXchg  = flag.Bool("exchange", false, "run through the stage planner: joins shuffle through the serverless exchange when both sides are large, grouped aggregations repartition on their group keys")
-		parts    = flag.Int("partitions", 0, "exchange boundary fan-in (workers per join/final-merge stage, with -exchange); 0 = autotune from footer row counts")
-		bcast    = flag.Int64("broadcast-limit", 0, "build sides up to this many rows broadcast instead of shuffling (0 = default, negative = always shuffle; with -exchange)")
-		spec     = flag.Bool("speculate", false, "re-invoke stragglers as backup attempts once a quorum reported (single-scope and staged runs)")
-		stgWait  = flag.Duration("max-stage-wait", time.Minute, "no-progress liveness cap: a runnable stage with no worker response for this long (window restarts per response) has its missing workers re-invoked as the next attempt (with -exchange -speculate; 0 disables)")
-		xlevels  = flag.Int("exchange-levels", 0, "force every stage boundary's round count: 1 = single-round, 2 = multi-level (intermediate regroup round); 0 = resolve per boundary from the analytic request model (with -exchange)")
-		maxParts = flag.Int("max-partitions", 0, "cap the autotuned boundary fan-in (0 = stageplan default; with -exchange -partitions 0)")
+		explain  = flag.Bool("v", false, "record a trace and print the stage plan, with where the aggregate merges and why, and per-worker processing times")
+		useXchg  = flag.Bool("exchange", false, "keep the auxiliary tables (supplier, orders) as lpq files on S3, where the planner picks broadcast or shuffle per join from their footers, instead of in the driver's memory, from where they always broadcast")
+		parts    = flag.Int("partitions", 0, "exchange boundary fan-in (workers per join/final-merge stage); 0 = autotune from footer row counts")
+		bcast    = flag.Int64("broadcast-limit", 0, "S3 build sides up to this many rows broadcast instead of shuffling (0 = default, negative = always shuffle)")
+		spec     = flag.Bool("speculate", false, "re-invoke stragglers as backup attempts once a quorum reported")
+		stgWait  = flag.Duration("max-stage-wait", time.Minute, "no-progress liveness cap: a runnable stage with no worker response for this long (window restarts per response) has its missing workers re-invoked as the next attempt (with -speculate; 0 disables)")
+		xlevels  = flag.Int("exchange-levels", 0, "force every stage boundary's round count: 1 = single-round, 2 = multi-level (intermediate regroup round); 0 = resolve per boundary from the analytic request model")
+		maxParts = flag.Int("max-partitions", 0, "cap the autotuned boundary fan-in (0 = stageplan default; with -partitions 0)")
 		fplan    = flag.String("fault-plan", "", "JSON fault plan file injected into the simulated substrate (with -mode des); see internal/awssim/faults")
 		fseed    = flag.Int64("fault-seed", 0, "override the fault plan's seed (0 = keep the plan's own; with -fault-plan)")
 		profile  = flag.Bool("profile", false, "EXPLAIN ANALYZE: record a trace and print the per-stage profile and critical path")
@@ -73,9 +73,10 @@ func main() {
 		os.Exit(2)
 	}
 	// Tables beyond lineitem (supplier, orders) are generated alongside it:
-	// without -exchange they broadcast from the driver; with -exchange they
-	// upload to S3 and the stage planner picks broadcast or shuffle per
-	// join from the footer row counts.
+	// without -exchange they stay in the driver's memory and broadcast from
+	// there; with -exchange they upload to S3 and the planner picks broadcast
+	// or shuffle per join from the footer row counts. Either way the query is
+	// one call.
 	tables := planTables(plan, nil)
 	if !tables["lineitem"] {
 		fmt.Fprintln(os.Stderr, "lambada: query must scan the lineitem table")
@@ -101,7 +102,7 @@ func main() {
 	}
 
 	run := func(dep *driver.Deployment, env simenv.Env) error {
-		if *profile || *traceOut != "" {
+		if *profile || *traceOut != "" || *explain {
 			dep.EnableTracing(obs.New())
 		}
 		d := driver.New(dep, env, cfg)
@@ -122,42 +123,29 @@ func main() {
 		if tables["orders"] {
 			aux["orders"] = g.OrdersFor(data)
 		}
-		var out *columnar.Chunk
-		var rep *driver.Report
-		switch {
-		case *useXchg:
-			// Staged execution: every table lives on S3; the planner picks
-			// broadcast or shuffle per join from the footer row counts.
-			tf := driver.TableFiles{"lineitem": refs}
-			for name, chunk := range aux {
-				nf := *files / 2
-				if nf < 1 {
-					nf = 1
-				}
-				fmt.Printf("uploading %s (%d rows, %d files)\n", strings.ToUpper(name), chunk.NumRows(), nf)
-				tf[name], err = d.UploadTable("tpch", name, chunk, nf, lpq.WriterOptions{RowGroupRows: 65536, Compression: comp})
-				if err != nil {
-					return err
-				}
-			}
-			fmt.Printf("uploaded %s total\n", byteSize(dep.S3.TotalBytes("tpch")))
-			scfg := driver.DefaultStageConfig()
-			scfg.Partitions = *parts
-			scfg.BroadcastRowLimit = *bcast
-			scfg.MaxStageWait = *stgWait
-			scfg.ExchangeLevels = *xlevels
-			scfg.MaxAutoPartitions = *maxParts
-			out, rep, err = d.RunPlanStaged(plan, tf, scfg)
-		case len(aux) > 0:
-			fmt.Printf("uploaded %d files (%s total)\n", len(refs), byteSize(dep.S3.TotalBytes("tpch")))
-			for name, chunk := range aux {
+		tf := driver.TableFiles{"lineitem": refs}
+		local := map[string]*columnar.Chunk{}
+		for name, chunk := range aux {
+			if !*useXchg {
 				fmt.Printf("broadcasting %s (%d rows) with every worker payload\n", strings.ToUpper(name), chunk.NumRows())
+				local[name] = chunk
+				continue
 			}
-			out, rep, err = d.RunPlanBroadcast(plan, "lineitem", refs, aux)
-		default:
-			fmt.Printf("uploaded %d files (%s total)\n", len(refs), byteSize(dep.S3.TotalBytes("tpch")))
-			out, rep, err = d.RunPlan(plan, "lineitem", refs)
+			nf := max(*files/2, 1)
+			fmt.Printf("uploading %s (%d rows, %d files)\n", strings.ToUpper(name), chunk.NumRows(), nf)
+			tf[name], err = d.UploadTable("tpch", name, chunk, nf, lpq.WriterOptions{RowGroupRows: 65536, Compression: comp})
+			if err != nil {
+				return err
+			}
 		}
+		fmt.Printf("uploaded %s total\n", byteSize(dep.S3.TotalBytes("tpch")))
+		scfg := driver.DefaultStageConfig()
+		scfg.Partitions = *parts
+		scfg.BroadcastRowLimit = *bcast
+		scfg.MaxStageWait = *stgWait
+		scfg.ExchangeLevels = *xlevels
+		scfg.MaxAutoPartitions = *maxParts
+		out, rep, err := d.Session().Run(env, plan, tf, local, scfg)
 		if err != nil {
 			return err
 		}

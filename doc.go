@@ -145,19 +145,36 @@
 // environment, reads no clock and issues no request; runStages (stage.go) is
 // the loop that feeds it instants and messages and does every Invoke,
 // sqs.Receive, dynamo.Put, span edit and wait its answers ask for. Every
-// query reaches it as a stage plan (internal/stageplan) through one of two
-// planning entrances:
+// query reaches it as a stage plan (internal/stageplan) from one planner,
+// query.plan, behind one entrance, Session.Run; RunSQL, RunPlan, their
+// Broadcast and their Staged forms are that call with their arguments put in
+// its terms, and the result cache sits in front of it for every query whose
+// inputs are all S3 files. The planner opens the footers of every file of
+// the tables the plan scans (one request window; a file whose schema differs
+// from its table's first is a typed ErrInvalidPlan before any Invoke),
+// optimizes against them, and hands stageplan.Decompose what they say — and
+// Decompose, not the caller, decides the shape of the plan from it:
 //
-//	RunSQL/RunPlan[Broadcast]   single-scope: the schema comes from the first
-//	                            file's footer, engine.SplitDistributed cuts
-//	                            the plan into a worker scope and a driver
-//	                            merge scope, caller-supplied small tables
-//	                            ride in the payloads — a one-stage plan
-//	                            with no boundary
-//	RunSQLStaged/RunPlanStaged  stageplan.Decompose cuts the plan into a
-//	                            DAG of stages connected by exchange
-//	                            boundaries, sized and pruned from the lpq
-//	                            footers of every table
+//	row counts        per join, broadcast the build side or shuffle both;
+//	                  the boundary fan-in when it is not given
+//	per-file rows     under the pushed-down predicates: a file that cannot
+//	                  match gets no scan worker, the rest size the fleets
+//	min / max         of the Int64 base column each group key copies
+//	                  (through filters, joins and identity projections):
+//	                  they bound the groups at ∏ (max − min + 1). When
+//	                  groups × the producing stage's fleet is at most
+//	                  stageplan.DefaultBroadcastRowLimit, the partials
+//	                  merge on the driver (§3.2; Q1's ≤ 6 groups, q12's
+//	                  ≤ 5); a computed key, a missing statistic or a wider
+//	                  range repartitions them into a final-merge stage
+//
+// A driver-resident table — a chunk the caller holds in memory, what
+// Run…Broadcast passes (§3.2's "small amounts of data read locally") — is
+// never opened and always broadcast: its rows and value ranges are the
+// chunk's own, and a query with one has no cache key. stageplan.Explain ends
+// with the merge decision and the numbers behind it ("merge: driver (≤ 6
+// groups × 4 workers)", "merge: repartition ×256 (l_orderkey unbounded)"),
+// and cmd/lambada -v prints it above the report.
 //
 // From there on there is one of everything. One task shape: the invocation
 // blob carries the worker's ID, its plan fragment and its inputs (§3.3) —
@@ -186,8 +203,8 @@
 //     epoch fence, the result-queue purge and both boundary sweeps — exists
 //     iff some stage has an exchange output. A plan without boundaries runs
 //     at epoch 0, ships no boundary spec, and issues no DynamoDB request and
-//     no S3 LIST at all: a single-scope query bills its footer read, its
-//     invocations, its workers' scans and its result polls, nothing else.
+//     no S3 LIST at all: a one-stage query bills the planner's footer reads,
+//     its invocations, its workers' scans and its result polls, nothing else.
 //  2. A stage's DynamoDB ready marker is written iff some other stage run
 //     waits on it. Nobody waits on the result stage, so it writes none.
 //
@@ -209,9 +226,11 @@
 //	join stage      P workers; worker p collects partition p of both
 //	                sides, builds the hash table on the build side and
 //	                probes with the other — no worker sees a whole table
-//	agg split       grouped aggregations split into a partial aggregate in
-//	                the row-producing stage, a repartition on the group
-//	                keys, and a final-merge stage owning each group whole
+//	agg split       aggregations split into a partial aggregate in the
+//	                row-producing stage and a merge: on the driver when
+//	                the footers bound groups × fleet (above), else behind
+//	                a repartition on the group keys, in a final-merge
+//	                stage owning each group whole
 //
 // Every boundary, and every other shuffle in the repository, is made of one
 // protocol step, the round (internal/exchange, round.go): writers cut a body
@@ -409,8 +428,8 @@
 // Under Config.MaxInFlight the queries of a session launch against one
 // deployment-wide budget (invoke.Admission): every invocation across all
 // live queries acquires a slot, released by the Lambda service's
-// completion hook. Every stage — a single-scope query's one stage included
-// — acquires partially and never blocks: it launches as many workers as
+// completion hook. Every stage — a one-stage query's included — acquires
+// partially and never blocks: it launches as many workers as
 // there are free slots and the remainder as slots free up, so N queries
 // make progress under one cap instead of deadlocking on whole-fleet
 // acquisition; recovery and speculation re-invokes use an
@@ -494,7 +513,7 @@
 // Degradation is graceful and typed: a worker that exhausts its budget
 // posts a failure seal marked retryable, and the stage scheduler re-invokes
 // it through the same attempt-versioned machinery speculation uses (the
-// failure path works with speculation disabled, and for single-scope
+// failure path works with speculation disabled, and for one-stage
 // queries like any other); a worker that dies without
 // posting anything is recovered by the MaxStageWait liveness cap. A query
 // that cannot progress fails fast with a structured *StageFailure and the
@@ -511,9 +530,9 @@
 // nil tracer is the no-op tracer, so the instrumented call sites cost
 // nothing when tracing is off. Spans form a tree:
 //
-//	query    one driver query, whichever entrance planned it
-//	stage    one stage run of its plan (a single-scope query has one; a
-//	         multi-level boundary adds a regroup run)
+//	query    one driver query
+//	stage    one stage run of its plan (a plan without a boundary has one;
+//	         a multi-level boundary adds a regroup run)
 //	invoke   one Lambda worker invocation (an attempt; tags carry worker,
 //	         cold, attempt, fault/timeout outcomes, rows and bytes moved)
 //	op       one substrate call (s3.getrange, sqs.Receive, dynamo.PutIf,

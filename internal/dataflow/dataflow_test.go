@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lambada/internal/engine"
+	"lambada/internal/stageplan"
 	"lambada/internal/tpch"
 )
 
@@ -141,14 +142,14 @@ func TestPipelineDistributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := engine.SplitDistributed(opt)
+	sp, err := stageplan.Decompose(opt, stageplan.Stats{}, stageplan.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dist.Worker == nil || dist.Driver == nil {
-		t.Fatal("scopes missing")
+	if len(sp.Stages) != 1 || sp.Driver == nil {
+		t.Fatalf("scopes missing:\n%s", stageplan.Explain(sp))
 	}
-	if !strings.Contains(engine.Explain(dist.Worker), "Aggregate") {
+	if !strings.Contains(engine.Explain(sp.Stages[0].Plan), "Aggregate") {
 		t.Error("worker scope lost the partial aggregation")
 	}
 }

@@ -209,13 +209,14 @@ func TestStagedChaosDeterministicByteIdentical(t *testing.T) {
 }
 
 // TestStagedChaosGroupByByteIdentical runs the q1-shaped staged aggregation
-// (scan -> repartition on the group key -> finalize, no join) under the
-// same seeded storm: exact clean answer, exact replay.
+// (scan -> repartition on the group key -> finalize, no join; the key is
+// l_partkey, which the footers cannot bound) under the same seeded storm:
+// exact clean answer, exact replay.
 func TestStagedChaosGroupByByteIdentical(t *testing.T) {
 	const sql = `
-SELECT l_suppkey, COUNT(*) AS n, MIN(l_orderkey) AS first_ord, MAX(l_orderkey) AS last_ord
+SELECT l_partkey, COUNT(*) AS n, MIN(l_orderkey) AS first_ord, MAX(l_orderkey) AS last_ord
 FROM lineitem
-GROUP BY l_suppkey ORDER BY l_suppkey`
+GROUP BY l_partkey ORDER BY l_partkey`
 	run := func(mkDep func(k *simclock.Kernel) *Deployment) chaosRun {
 		k := simclock.New()
 		dep := mkDep(k)
@@ -243,6 +244,9 @@ GROUP BY l_suppkey ORDER BY l_suppkey`
 			if err != nil {
 				t.Error(err)
 				return
+			}
+			if rep.Stages != 2 {
+				t.Errorf("stages = %d, want 2: the aggregate did not repartition", rep.Stages)
 			}
 			res.out, res.rep = out, rep
 			res.injected = dep.Faults.TotalInjected()
@@ -446,13 +450,13 @@ func TestSingleScopeChaosFailureSealRelaunched(t *testing.T) {
 		return out, rep
 	}
 	clean, cleanRep := run(func(k *simclock.Kernel) *Deployment { return NewSimulated(k, 71) })
-	// Skip 2 exempts the driver's footer read; the storm then covers the
-	// first six worker reads. Only the invocation tree's first generation —
-	// two workers — is reading by then, and a budget of 2 absorbs two faults
-	// each, so one of them takes a third and dies of exhaustion.
+	// Skip 4 exempts the planner's opens, one per file; the storm then covers
+	// the first three worker reads. Q6's year leaves one file to scan and so
+	// one worker: its budget of 2 absorbs two faults, it takes the third and
+	// dies of exhaustion, and its relaunch reads in the clear.
 	storm, stormRep := run(func(k *simclock.Kernel) *Deployment {
 		return NewChaos(k, 71, faults.Plan{Seed: 3, Rules: []faults.Rule{
-			{Op: faults.OpS3Get, Kind: faults.KindTransient, Skip: 2, Count: 6},
+			{Op: faults.OpS3Get, Kind: faults.KindTransient, Skip: 4, Count: 3},
 		}})
 	})
 	chunksIdentical(t, storm, clean)

@@ -207,6 +207,15 @@ func assertRequests(t *testing.T, name string, got, want map[string]int64) {
 // next to them are polls: the driver plans in one request window instead of
 // two serial requests per file and the workers start a round trip sooner, so
 // stages seal a few timed polls earlier or later — recorded as measured.
+//
+// PR 24 re-recorded every row for one cause: there is one planner. A query
+// through RunSQL is planned like any other — the driver opens every file
+// (not the first alone) and launches no worker for a file its predicates
+// prune — and q12's aggregate merges on the driver, because the footers bound
+// o_orderpriority to five groups: its final stage, that stage's boundary and
+// the regroup round of that boundary are gone from every q12 row (4 → 3
+// stages). The timing-free counts (Lambda, S3, DynamoDB writes) fell by
+// exactly those fleets' requests; the polls are as measured.
 func TestExecutorRequestGuard(t *testing.T) {
 	single := func(sql string) func(*Driver, TableFiles) error {
 		return func(d *Driver, tables TableFiles) error {
@@ -214,36 +223,28 @@ func TestExecutorRequestGuard(t *testing.T) {
 			return err
 		}
 	}
-	// Five opens each: the driver's of the first file, for the schema, and
-	// one per worker (26 → 21 and 18 → 13 S3 reads; SQS 22 → 21 and 20 → 18).
-	assertRequests(t, "single-scope q1", billedRequests(t, nil, single(q1SQL)), map[string]int64{
-		pricing.LabelS3Read: 21, pricing.LabelSQS: 21,
+	// q1 prunes no file: eight opens, the planner's four and one per worker
+	// (21 → 24 S3 reads: the parent's driver opened the first file only; SQS
+	// 21 → 20). q6's year leaves one file of four: five opens, the planner's
+	// and the one worker's (S3 reads 13 as before, three workers' opens
+	// traded for the planner's; one Invoke, not four; SQS 18 → 11).
+	assertRequests(t, "q1", billedRequests(t, nil, single(q1SQL)), map[string]int64{
+		pricing.LabelLambdaRequests: 4, pricing.LabelS3Read: 24, pricing.LabelSQS: 20,
 	})
-	assertRequests(t, "single-scope q6", billedRequests(t, nil, single(q6SQL)), map[string]int64{
-		pricing.LabelS3Read: 13, pricing.LabelSQS: 18,
+	q6 := billedRequests(t, nil, single(q6SQL))
+	assertRequests(t, "q6", q6, map[string]int64{
+		pricing.LabelLambdaRequests: 1, pricing.LabelS3Read: 13, pricing.LabelSQS: 11,
 	})
 
-	// The rules follow the plan, not the entrance: q6 planned by the staged
-	// entrance is still one stage without a boundary, and pays for none —
-	// only the planner's footer reads of every file come on top.
-	assertRequests(t, "staged-entrance q6", billedRequests(t, nil, func(d *Driver, tables TableFiles) error {
+	// The rules follow the plan, not the entrance: q6 through the other
+	// entrance is the same one stage without a boundary, and bills the same.
+	assertRequests(t, "q6, RunSQLStaged", billedRequests(t, nil, func(d *Driver, tables TableFiles) error {
 		_, rep, err := d.RunSQLStaged(q6SQL, TableFiles{"lineitem": tables["lineitem"]}, DefaultStageConfig())
 		if err == nil && (rep.Stages != 1 || rep.Epoch != 0) {
-			t.Errorf("staged-entrance q6: stages = %d, epoch = %d, want one unfenced stage", rep.Stages, rep.Epoch)
+			t.Errorf("q6, RunSQLStaged: stages = %d, epoch = %d, want one unfenced stage", rep.Stages, rep.Epoch)
 		}
 		return err
-	}), map[string]int64{
-		// Re-recorded in PR 15 (12 → 13 polls): pruning leaves this plan one
-		// worker, launched directly, and a direct launch no longer sleeps a
-		// pacing gap after its last Invoke — the driver reaches its result
-		// queue 36 ms earlier and fits one more timed poll before the seal.
-		// PR 20: five opens — the planner's four and the one worker's —
-		// 18 → 13 S3 reads, SQS 13 → 12. PR 23: the worker's column spans
-		// ride one request window instead of paying their first-byte
-		// latencies one after another, so it answers one timed poll sooner —
-		// SQS 12 → 11, every S3 row as it was.
-		pricing.LabelS3Read: 13, pricing.LabelSQS: 11,
-	})
+	}), q6)
 
 	// Planning reads the tables the plan scans and no others: with orders
 	// registered next to lineitem, staged q1 bills what it bills without it —
@@ -269,70 +270,44 @@ func TestExecutorRequestGuard(t *testing.T) {
 		_, _, err := d.RunSQLStaged(q12ExactSQL, tables, scfg)
 		return err
 	})
-	// The parent wrote 5 items: the epoch fence plus one ready marker per
-	// stage, the result stage's included.
-	const parentDynamoWrites = 5
-	// The two poll counts were re-recorded in PR 15 (SQS 31 → 33, DynamoDB
-	// reads 26 → 27) for the same cause as above: every fleet here is two
-	// workers launched directly, the workers start at the instants they did,
-	// and the driver's first poll comes one pacing gap earlier. SQS went
-	// 33 → 32 in PR 18: a consumer reads its two senders' slots through the
-	// S3 client's request window, the two first-byte latencies overlap, and
-	// the query ends before the driver's next timed poll of the result queue
-	// fits. The S3 counts did not move — same requests, issued sooner.
-	// PR 20: ten opens — the planner's six (four lineitem files, two orders)
-	// and the scan workers' four — 48 → 38 S3 reads; SQS 32 → 29, DynamoDB
-	// reads 27 → 19. PR 23: the scan workers' column spans ride the request
-	// window (two or three first-byte latencies paid together, not in turn),
-	// so the scan stages seal ≈ 30–60 ms sooner and the timed polls fall
-	// differently — SQS 29 → 30, DynamoDB reads 19 → 18; no S3 count moved.
+	// Three stages — scan, scan, join+partial — and ten opens: the planner's
+	// six (four lineitem files, two orders) and the scan workers' four. The
+	// three DynamoDB writes are the epoch fence and the two scan stages' ready
+	// markers; nobody waits on the join stage, which posts to the driver.
+	// Against the four-stage plan: six Invokes, not eight; 38 → 34 S3 reads,
+	// 6 → 4 writes and 22 → 20 LISTs (the final stage's two collects); polls
+	// SQS 30 → 24, DynamoDB reads 18 → 8.
 	assertRequests(t, "staged q12", staged, map[string]int64{
-		pricing.LabelS3Read: 38, pricing.LabelS3Write: 6, pricing.LabelS3List: 22,
-		pricing.LabelSQS: 30, pricing.LabelDynamoRead: 18,
-		pricing.LabelDynamoWrite: parentDynamoWrites - 1,
+		pricing.LabelLambdaRequests: 6,
+		pricing.LabelS3Read:         34, pricing.LabelS3Write: 4, pricing.LabelS3List: 20,
+		pricing.LabelSQS: 24, pricing.LabelDynamoRead: 8, pricing.LabelDynamoWrite: 3,
 	})
 
 	// ORDERS broadcast: the driver reads the table through the source the
-	// planner opened it with, so its two files cost one HEAD and one footer
-	// GET each — recorded in PR 19, whose parent opened them twice (S3 reads
-	// 38). SQS and DynamoDB reads are polls, recorded as measured. PR 20:
-	// eight opens — the planner's six and the two lineitem workers' —
-	// 34 → 26 S3 reads; SQS 22 → 19. PR 23, same cause as above: SQS 19 → 21,
-	// DynamoDB reads 10 → 9.
+	// planner opened it with, and with the merge on the driver nothing is left
+	// to shuffle — one stage, no boundary, so rule 1 gives it no DynamoDB
+	// request and no LIST at all. Eight opens, the planner's six and the two
+	// lineitem workers' (26 → 22 S3 reads: the final stage's collects).
 	assertRequests(t, "staged q12, orders broadcast", billedRequests(t, nil, func(d *Driver, tables TableFiles) error {
 		scfg := DefaultStageConfig()
 		scfg.Partitions = 2
 		scfg.Exchange.Poll = 100 * time.Millisecond
 		_, rep, err := d.RunSQLStaged(q12ExactSQL, tables, scfg)
-		if err == nil && rep.Stages != 2 {
-			t.Errorf("staged q12, orders broadcast: %d stages, want 2 (orders not broadcast?)", rep.Stages)
+		if err == nil && rep.Stages != 1 {
+			t.Errorf("staged q12, orders broadcast: %d stages, want 1 (orders not broadcast?)", rep.Stages)
 		}
 		return err
 	}), map[string]int64{
-		pricing.LabelLambdaRequests: 4,
-		pricing.LabelS3Read:         26, pricing.LabelS3Write: 2, pricing.LabelS3List: 18,
-		pricing.LabelSQS: 21, pricing.LabelDynamoRead: 9, pricing.LabelDynamoWrite: 2,
+		pricing.LabelLambdaRequests: 2, pricing.LabelS3Read: 22, pricing.LabelSQS: 13,
 	})
 
-	// Multi-level boundaries and admission-capped launch, as recorded on the
-	// commit before regroup fleets became ordinary stages and launch one loop
-	// (PR 15). The S3, DynamoDB-write and Lambda counts are timing-free and
-	// stand as recorded. The SQS and DynamoDB-read counts are polls and moved
-	// with the launch schedule — no trailing pacing gap, and a regroup fleet
-	// launched right behind its producer instead of after every plan stage;
-	// the parent polled 50/74 (2l), 45/60 (2l-wc) and 64/16 (capped). PR 18
-	// moved them again, down (from 50/72, 49/63 and 66/17): collects and
-	// sweeps go through the S3 client's request window, so stages seal and
-	// the query ends a few timed polls of the ready markers and the result
-	// queue sooner. The S3 rows next to them did not move. PR 20: the ten
-	// opens of "staged q12" above, 54 → 44 S3 reads on all three rows; polls
-	// from 50/70, 46/61 and 63/15. (2l-wc's 55 DynamoDB reads were 51 with a
-	// 4 KiB footer guess: the 8 KiB one moves 4 KiB more per open, ≈ 0.05 ms
-	// of shaped transfer each, and no other count on any row.) PR 23: polls
-	// from 48/76, 45/55 and 59/18 — the scan workers' spans share a request
-	// window, the first stages seal sooner and every consumer behind them
-	// polls its ready marker fewer times; S3, Lambda and DynamoDB-write rows
-	// as they were.
+	// Multi-level boundaries and admission-capped launch: the two scan
+	// boundaries with a regroup fleet of two each — ten Invokes (the
+	// four-stage plan's fourteen had the final stage and the join boundary's
+	// regroup fleet), five DynamoDB writes (the fence, and a marker per scan
+	// stage and per regroup fleet). The S3, DynamoDB-write and Lambda counts
+	// are timing-free; the SQS and DynamoDB-read counts are polls and move
+	// with the launch schedule — recorded as measured.
 	twoLevel := func(wc bool) func(*Driver, TableFiles) error {
 		return func(d *Driver, tables TableFiles) error {
 			scfg := DefaultStageConfig()
@@ -346,19 +321,19 @@ func TestExecutorRequestGuard(t *testing.T) {
 		}
 	}
 	assertRequests(t, "staged q12 2l", billedRequests(t, nil, twoLevel(false)), map[string]int64{
-		pricing.LabelLambdaRequests: 14,
-		pricing.LabelS3Read:         44, pricing.LabelS3Write: 30, pricing.LabelS3List: 28,
-		pricing.LabelSQS: 48, pricing.LabelDynamoRead: 66, pricing.LabelDynamoWrite: 7,
+		pricing.LabelLambdaRequests: 10,
+		pricing.LabelS3Read:         38, pricing.LabelS3Write: 20, pricing.LabelS3List: 24,
+		pricing.LabelSQS: 32, pricing.LabelDynamoRead: 29, pricing.LabelDynamoWrite: 5,
 	})
 	assertRequests(t, "staged q12 2l-wc", billedRequests(t, nil, twoLevel(true)), map[string]int64{
-		pricing.LabelLambdaRequests: 14,
-		pricing.LabelS3Read:         44, pricing.LabelS3Write: 12, pricing.LabelS3List: 28,
-		pricing.LabelSQS: 44, pricing.LabelDynamoRead: 50, pricing.LabelDynamoWrite: 7,
+		pricing.LabelLambdaRequests: 10,
+		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8, pricing.LabelS3List: 24,
+		pricing.LabelSQS: 33, pricing.LabelDynamoRead: 20, pricing.LabelDynamoWrite: 5,
 	})
 	capped := func(c *Config) { c.MaxInFlight = 2 }
 	assertRequests(t, "staged q12 2l-wc, MaxInFlight 2", billedRequests(t, capped, twoLevel(true)), map[string]int64{
-		pricing.LabelLambdaRequests: 14,
-		pricing.LabelS3Read:         44, pricing.LabelS3Write: 12, pricing.LabelS3List: 28,
-		pricing.LabelSQS: 59, pricing.LabelDynamoRead: 16, pricing.LabelDynamoWrite: 7,
+		pricing.LabelLambdaRequests: 10,
+		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8, pricing.LabelS3List: 24,
+		pricing.LabelSQS: 46, pricing.LabelDynamoRead: 11, pricing.LabelDynamoWrite: 5,
 	})
 }

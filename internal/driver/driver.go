@@ -180,7 +180,7 @@ type Config struct {
 
 	// testWorkerDelay, when set by tests, stalls the given invocation
 	// before it executes its fragment — the straggler-injection seam.
-	// Stage is 0 for single-scope queries; attempt 0 is the original
+	// Stage is 0 for a one-stage plan; attempt 0 is the original
 	// invocation, higher attempts are speculation backups.
 	testWorkerDelay func(stage, workerID, attempt int) time.Duration
 	// testWaveLaunch, when set by tests, holds every stage back until its
@@ -274,6 +274,32 @@ type workerPayload struct {
 	// Broadcast carries small driver-side tables (lpq blobs by table name)
 	// referenced by join plans.
 	Broadcast map[string][]byte `json:"broadcast,omitempty"`
+}
+
+// maxFanout bounds the counts of a payload that size a worker's slices: far
+// above any fleet the scheduler builds, far below what a hostile one allocates.
+const maxFanout = 1 << 16
+
+// check refuses a payload no scheduler builds — the blob comes off the wire —
+// before one of its counts sizes a slice or indexes one.
+func (p *workerPayload) check() error {
+	x := p.Boundary
+	if x == nil {
+		x = &boundarySpec{}
+	}
+	sized := func(n int) bool { return n >= 1 && n <= maxFanout }
+	ok := sized(p.NumWorkers) && p.WorkerID >= 0 && p.WorkerID < p.NumWorkers && p.Attempt >= 0 &&
+		(x.Output == nil || sized(x.Output.Partitions))
+	for _, in := range x.Inputs {
+		ok = ok && sized(in.Senders)
+	}
+	if !ok {
+		return fmt.Errorf("task of worker %d/%d, attempt %d: a count outside [1, %d]", p.WorkerID, p.NumWorkers, p.Attempt, maxFanout)
+	}
+	if len(p.Plan) == 0 && (len(x.Inputs) != 1 || x.Output == nil) {
+		return errors.New("task carries neither a plan nor a boundary to regroup")
+	}
+	return nil
 }
 
 // resultMsg is the worker → driver completion message.
@@ -415,7 +441,7 @@ func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *work
 		cat[p.Table] = memGuardSource{Source: scan.New(client, d.cfg.Scan, p.Files...), budget: engineMemoryBudget(ctx.MemoryMiB)}
 	}
 	for name, blob := range p.Broadcast {
-		c, err := decodeChunk(blob)
+		c, err := decodeChunk(blob, engineMemoryBudget(ctx.MemoryMiB))
 		if err != nil {
 			return nil, nil, fmt.Errorf("decoding broadcast table %q: %w", name, err)
 		}

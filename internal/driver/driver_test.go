@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"strings"
@@ -106,7 +107,8 @@ func TestFilesPerWorkerControlsFleetSize(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FilesPerWorker = 4
 	d, refs, _ := localSetup(t, cfg, 0.002, 8)
-	_, rep, err := d.RunSQL(q6SQL, "lineitem", refs)
+	// Q1's predicate prunes no file (Q6's year would leave two of the eight).
+	_, rep, err := d.RunSQL(q1SQL, "lineitem", refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +119,29 @@ func TestFilesPerWorkerControlsFleetSize(t *testing.T) {
 
 func TestWorkerErrorPropagates(t *testing.T) {
 	d, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
-	// Corrupt one input object after upload: the assigned worker fails at
-	// the footer read and reports through the result queue (§3.3: "if an
-	// error occurred ... the handler posts a corresponding message").
+	// Corrupt a data page of one input object after upload, its footer
+	// intact: the plan stands, the assigned worker fails at the page decode
+	// and reports through the result queue (§3.3: "if an error occurred ...
+	// the handler posts a corresponding message").
 	env := simenv.NewImmediate()
-	if err := d.Deployment().S3.Put(env, refs[1].Bucket, refs[1].Key, []byte("corrupted")); err != nil {
+	store := d.Deployment().S3
+	blob, _, err := store.Get(env, refs[1].Bucket, refs[1].Key)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := d.RunSQL(q6SQL, "lineitem", refs)
+	blob = bytes.Clone(blob)
+	r, err := lpq.OpenReader(bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := r.Meta().RowGroups[0].Columns[tpch.Schema().Index("l_quantity")]
+	for i := cc.Offset; i < cc.Offset+cc.CompressedLen; i++ {
+		blob[i] ^= 0xff
+	}
+	if err := store.Put(env, refs[1].Bucket, refs[1].Key, blob); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = d.RunSQL(q1SQL, "lineitem", refs)
 	if err == nil {
 		t.Fatal("expected worker failure to propagate")
 	}
@@ -138,6 +155,21 @@ func TestWorkerErrorPropagates(t *testing.T) {
 		t.Fatalf("err = %#v, want a non-retryable *StageFailure of worker 1", err)
 	}
 	assertQueryClean(t, d.sess, sf.QueryID)
+
+	// A corrupt footer never gets that far: the planner opens every file, so
+	// it is the driver's open error, naming the object, and no worker runs.
+	if err := store.Put(env, refs[1].Bucket, refs[1].Key, []byte("corrupted")); err != nil {
+		t.Fatal(err)
+	}
+	d.sess.InvalidateResultCache() // the session holds the old footer
+	before, _ := d.Deployment().Lambda.Invocations()
+	_, _, err = d.RunSQL(q1SQL, "lineitem", refs)
+	if err == nil || errors.As(err, &sf) || !strings.Contains(err.Error(), refs[1].Key) {
+		t.Errorf("err = %v, want the driver's open error naming %s", err, refs[1].Key)
+	}
+	if after, _ := d.Deployment().Lambda.Invocations(); after != before {
+		t.Errorf("workers invoked despite the open error: %d -> %d", before, after)
+	}
 }
 
 func TestPlanErrorCaughtBeforeInvocation(t *testing.T) {

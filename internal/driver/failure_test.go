@@ -103,8 +103,9 @@ func TestConcurrencyLimitRejectsInvocations(t *testing.T) {
 			t.Error(e)
 			return
 		}
-		// 10 workers against a limit of 3: the launch must fail loudly.
-		_, _, err = d.RunSQL(q6SQL, "lineitem", refs)
+		// 10 workers (Q1's predicate prunes no file) against a limit of 3: the
+		// launch must fail loudly.
+		_, _, err = d.RunSQL(q1SQL, "lineitem", refs)
 	})
 	k.Run()
 	if !errors.Is(err, lambdasvc.ErrTooManyRequests) {

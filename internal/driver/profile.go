@@ -9,6 +9,7 @@ import (
 
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/obs"
+	"lambada/internal/stageplan"
 )
 
 // StageProfile is the EXPLAIN ANALYZE record of one stage: wall-clock
@@ -104,7 +105,9 @@ func tagInt64(tags map[string]string, key string) int64 {
 
 // RenderOptions configures WriteReport.
 type RenderOptions struct {
-	// Verbose adds the sorted per-worker processing times.
+	// Verbose adds the sorted per-worker processing times and, above a traced
+	// report, the stage plan (stageplan.Explain: what shuffles, where the
+	// aggregate merges and why).
 	Verbose bool
 	// Profile adds the EXPLAIN ANALYZE stage table and critical path
 	// (requires the report to carry a trace; silently skipped otherwise).
@@ -116,6 +119,9 @@ type RenderOptions struct {
 // line, per-stage seal timing, billed-cost breakdown, resilience
 // counters, then the optional profile and per-worker sections.
 func WriteReport(w io.Writer, rep *Report, opts RenderOptions) {
+	if opts.Verbose && rep.Plan != nil {
+		fmt.Fprint(w, stageplan.Explain(rep.Plan))
+	}
 	stages := ""
 	if rep.Stages > 0 {
 		stages = fmt.Sprintf("   stages: %d   epoch: %d", rep.Stages, rep.Epoch)

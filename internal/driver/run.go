@@ -18,18 +18,19 @@ import (
 // Report summarizes one query execution.
 type Report struct {
 	QueryID string
-	// CacheHit marks a staged result served from the session's result cache
+	// CacheHit marks a result served from the session's result cache
 	// — no workers ran, and every other field except Duration is zero.
 	CacheHit bool
 	// Epoch is the query's durable fence token: the DynamoDB epoch item's
 	// value after the driver's atomic increment at query start. 1 on a
 	// clean deployment; higher when an aborted identically-numbered run
-	// came before. 0 for plans without a stage boundary (single-scope
-	// queries), which take no fence.
+	// came before. 0 for plans without a stage boundary, which take no
+	// fence.
 	Epoch   int
 	Workers int
-	// Stages is the stage count of the executed plan (1 for single-scope
-	// queries).
+	// Stages is the stage count of the executed plan (1 when nothing
+	// shuffles: no join with two large sides, an aggregate merged on the
+	// driver).
 	Stages   int
 	Duration time.Duration
 	// Invocation is the driver-side time spent launching workers.
@@ -72,9 +73,12 @@ type Report struct {
 	// Trace and Span expose the query's span tree when the deployment runs
 	// with EnableTracing: Span is the root query span, Trace holds the whole
 	// recording (shared across queries of the deployment). Nil/0 when
-	// tracing is off.
+	// tracing is off. Plan, kept with them, is the stage plan the query ran
+	// as: stageplan.Explain renders it, the planner's choices and their
+	// reasons included.
 	Trace *obs.Tracer
 	Span  obs.SpanID
+	Plan  *stageplan.Plan
 }
 
 // StageStat is one stage's slice of an execution.
@@ -153,83 +157,42 @@ func (d *query) fillCostDelta(rep *Report) {
 	}
 }
 
-// decodeChunk reads a result message's lpq blob.
-func decodeChunk(blob []byte) (*columnar.Chunk, error) {
+// decodeChunk reads an lpq blob that decodes to at most budget bytes. A few
+// bytes of lpq can stand for any number of rows (a run is two varints), so a
+// worker holds a blob off the wire to its engine budget by the rows the
+// footer claims; 0 is no limit, for the blobs the driver wrote or asked for.
+func decodeChunk(blob []byte, budget int64) (*columnar.Chunk, error) {
 	r, err := lpq.OpenReader(bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
 		return nil, err
 	}
+	if rows := r.Meta().TotalRows; budget > 0 && rows > budget/int64(8*max(r.Schema().Len(), 1)) {
+		return nil, fmt.Errorf("%w: a table of %d rows exceeds engine budget %d MiB", ErrWorkerOOM, rows, budget>>20)
+	}
 	return r.ReadAll()
 }
 
-// RunSQL parses, optimizes, distributes and runs a SQL query against the
-// lpq files of one table.
+// RunSQL parses and runs a SQL query against the lpq files of one table.
 func (d *Driver) RunSQL(sql string, table string, files []scan.FileRef) (*columnar.Chunk, *Report, error) {
 	return d.sess.RunSQL(d.env, sql, table, files)
 }
 
 // RunSQLBroadcast runs a SQL query whose INNER JOINs reference small
-// driver-side tables: `table` is the big S3-backed probe side, and every
-// other table in the query must appear in broadcast, shipped inside the
-// worker payloads (§3.2's "reading small amounts of data locally that
-// should be broadcasted into the serverless workers").
+// driver-resident tables: every table but `table` must appear in broadcast,
+// and is shipped inside the worker payloads (§3.2's "reading small amounts of
+// data locally that should be broadcasted into the serverless workers").
 func (d *Driver) RunSQLBroadcast(sql string, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
 	return d.sess.RunSQLBroadcast(d.env, sql, table, files, broadcast)
 }
 
-// RunPlan optimizes and executes a logical plan on the serverless fleet:
-// the scan/filter/partial-aggregate scope runs in the workers; the final
-// merge scope runs on the driver (§3.2).
+// RunPlan plans and executes a logical plan on the serverless fleet: the
+// scan/filter/partial-aggregate scope runs in the workers, and where the
+// footers bound the groups the final merge scope runs on the driver (§3.2).
 func (d *Driver) RunPlan(plan engine.Plan, table string, files []scan.FileRef) (*columnar.Chunk, *Report, error) {
 	return d.sess.RunPlan(d.env, plan, table, files)
 }
 
-// RunPlanBroadcast runs a plan whose joins reference small driver-side
-// tables: the driver ships them inside the worker payloads (§3.2's
-// "reading small amounts of data locally that should be broadcasted into
-// the serverless workers").
+// RunPlanBroadcast is RunPlan with driver-resident tables, as RunSQLBroadcast.
 func (d *Driver) RunPlanBroadcast(plan engine.Plan, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
 	return d.sess.RunPlanBroadcast(d.env, plan, table, files, broadcast)
-}
-
-// runPlan is the planning half of a single-scope query: the schema comes
-// from the first file's footer alone (one driver-side metadata read), the
-// plan splits into a worker scope and a driver merge scope (§3.2), and the
-// caller's broadcast chunks become payload blobs. That is a one-stage plan
-// with no boundary; runStages executes it like any other.
-func (d *query) runPlan(plan engine.Plan, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
-	if len(files) == 0 {
-		return nil, nil, fmt.Errorf("driver: no input files")
-	}
-	d.begin()
-
-	schema, err := d.source(d.client(), files[0]).Schema()
-	if err != nil {
-		return nil, nil, fmt.Errorf("driver: resolving schema: %w", err)
-	}
-
-	// Optimize against a schema-only catalog, then split into scopes.
-	optCat := engine.Catalog{table: engine.NewMemSource(schema)}
-	blobs := map[string][]byte{}
-	for name, chunk := range broadcast {
-		optCat[name] = engine.NewMemSource(chunk.Schema, chunk)
-		blob, err := lpq.WriteFile(chunk.Schema, lpq.WriterOptions{}, chunk)
-		if err != nil {
-			return nil, nil, err
-		}
-		blobs[name] = blob
-	}
-	opt, err := engine.Optimize(plan, optCat)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
-	}
-	dist, err := engine.SplitDistributed(opt)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
-	}
-	sp := &stageplan.Plan{
-		Stages: []*stageplan.Stage{{ID: 0, Plan: dist.Worker, Table: table}},
-		Driver: dist.Driver,
-	}
-	return d.runStages(sp, TableFiles{table: files}, blobs, StageConfig{})
 }

@@ -48,8 +48,8 @@ type Session struct {
 	// Config.MaxInFlight is 0: each query paces its own launches, see
 	// query.adm).
 	admission *invoke.Admission
-	// cache memoizes staged query results by (plan fingerprint, table
-	// files); nil when Config.ResultCacheEntries is 0.
+	// cache memoizes query results by (plan fingerprint, table files); nil
+	// when Config.ResultCacheEntries is 0.
 	cache *resultCache
 	// footers is what the driver's opens have learnt — size and decoded
 	// footer per object, nothing else — so that planning reads a file's
@@ -250,12 +250,11 @@ func (d *query) close() {
 
 // ---- result cache ----
 
-// resultCache memoizes staged query results by (plan fingerprint, table
-// files). Entries hold the result as an lpq blob — the same wire form
-// workers post — so a hit decodes to a chunk byte-identical to a fresh
-// run's. Eviction is FIFO, which is deterministic; invalidation is by
-// table name (UploadTable and the service's invalidate endpoint) or
-// wholesale.
+// resultCache memoizes query results by (plan fingerprint, table files).
+// Entries hold the result as an lpq blob — the same wire form workers post —
+// so a hit decodes to a chunk byte-identical to a fresh run's. Eviction is
+// FIFO, which is deterministic; invalidation is by table name (UploadTable
+// and the service's invalidate endpoint) or wholesale.
 type resultCache struct {
 	mu      sync.Mutex
 	max     int
@@ -351,8 +350,8 @@ func (c *resultCache) stats() (hits, misses uint64) {
 }
 
 // cacheKey builds the (plan fingerprint, table files) cache key. It must
-// run before Decompose/SplitDistributed mutate the plan. Empty ("") means
-// uncacheable — caching then silently skips.
+// run before Decompose mutates the plan. Empty ("") means uncacheable —
+// caching then silently skips.
 func (d *Session) cacheKey(plan engine.Plan, tables TableFiles) string {
 	if d.cache == nil {
 		return ""
@@ -401,51 +400,62 @@ func (d *Session) InvalidateResultCache() {
 func (d *Session) CacheStats() (hits, misses uint64) { return d.cache.stats() }
 
 // ---- session-level query API ----
-// Each call opens a per-query scheduler on the caller's environment, runs
-// it, and tears its queue down; N callers may run concurrently.
+// Every entrance is Run with its arguments put in Run's terms; N callers may
+// run concurrently, each on its own environment.
 
 // RunSQL parses and runs a SQL query over one table.
 func (d *Session) RunSQL(env simenv.Env, sql, table string, files []scan.FileRef) (*columnar.Chunk, *Report, error) {
-	return d.RunSQLBroadcast(env, sql, table, files, nil)
+	return d.runSQL(env, sql, TableFiles{table: files}, nil, DefaultStageConfig())
 }
 
-// RunSQLBroadcast is RunSQL with extra driver-side broadcast tables.
+// RunSQLBroadcast is RunSQL with extra driver-resident tables.
 func (d *Session) RunSQLBroadcast(env simenv.Env, sql, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
-	plan, err := sqlfe.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.RunPlanBroadcast(env, plan, table, files, broadcast)
+	return d.runSQL(env, sql, TableFiles{table: files}, broadcast, DefaultStageConfig())
+}
+
+// RunSQLStaged is RunSQL over any number of tables, the planner's knobs exposed.
+func (d *Session) RunSQLStaged(env simenv.Env, sql string, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
+	return d.runSQL(env, sql, tables, nil, cfg)
 }
 
 // RunPlan runs an engine plan over one table.
 func (d *Session) RunPlan(env simenv.Env, plan engine.Plan, table string, files []scan.FileRef) (*columnar.Chunk, *Report, error) {
-	return d.RunPlanBroadcast(env, plan, table, files, nil)
+	return d.Run(env, plan, TableFiles{table: files}, nil, DefaultStageConfig())
 }
 
-// RunPlanBroadcast runs an engine plan with broadcast tables.
+// RunPlanBroadcast is RunPlan with extra driver-resident tables.
 func (d *Session) RunPlanBroadcast(env simenv.Env, plan engine.Plan, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
-	q := d.newQuery(env)
-	defer q.close()
-	return q.runPlan(plan, table, files, broadcast)
+	return d.Run(env, plan, TableFiles{table: files}, broadcast, DefaultStageConfig())
 }
 
-// RunSQLStaged parses and runs a SQL query as a staged distributed plan.
-func (d *Session) RunSQLStaged(env simenv.Env, sql string, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
+// RunPlanStaged is RunPlan over any number of tables, the planner's knobs exposed.
+func (d *Session) RunPlanStaged(env simenv.Env, plan engine.Plan, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
+	return d.Run(env, plan, tables, nil, cfg)
+}
+
+// runSQL is Run on the parsed text.
+func (d *Session) runSQL(env simenv.Env, sql string, tables TableFiles, local map[string]*columnar.Chunk, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	plan, err := sqlfe.Parse(sql)
 	if err != nil {
 		return nil, nil, err
 	}
-	return d.RunPlanStaged(env, plan, tables, cfg)
+	return d.Run(env, plan, tables, local, cfg)
 }
 
-// RunPlanStaged runs a stage-decomposed plan on the session, consulting the
-// result cache first: a hit returns the memoized result (byte-identical to
-// a fresh run) without touching the deployment.
-func (d *Session) RunPlanStaged(env simenv.Env, plan engine.Plan, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
-	key := d.cacheKey(plan, tables)
+// Run is the one entrance: it opens a per-query scheduler on the caller's
+// environment, plans and runs the query on it — over tables, the S3-backed
+// ones, and local, the driver-resident ones — and tears its queue down. A
+// query whose inputs are all S3 files consults the result cache first: a hit
+// is the memoized result (byte-identical to a fresh run), the deployment
+// untouched. One with driver-resident tables has no key: the cache cannot
+// tell one chunk's contents from another's.
+func (d *Session) Run(env simenv.Env, plan engine.Plan, tables TableFiles, local map[string]*columnar.Chunk, cfg StageConfig) (*columnar.Chunk, *Report, error) {
+	key := ""
+	if len(local) == 0 {
+		key = d.cacheKey(plan, tables)
+	}
 	if blob, ok := d.cache.lookup(key); ok {
-		c, err := decodeChunk(blob)
+		c, err := decodeChunk(blob, 0)
 		if err == nil {
 			return c, &Report{CacheHit: true}, nil
 		}
@@ -454,7 +464,7 @@ func (d *Session) RunPlanStaged(env simenv.Env, plan engine.Plan, tables TableFi
 	}
 	q := d.newQuery(env)
 	defer q.close()
-	res, rep, err := q.runPlanStaged(plan, tables, cfg)
+	res, rep, err := q.plan(plan, tables, local, cfg)
 	if err == nil {
 		d.cache.store(key, tables, res)
 	}

@@ -399,6 +399,26 @@ func TestSessionResultCache(t *testing.T) {
 	} else if rep4.CacheHit {
 		t.Error("run after re-upload still hit the cache")
 	}
+
+	// The cache is the one entrance's, whichever shim reaches it: a repeated
+	// RunSQL hits. A query with a driver-resident table has no key — the cache
+	// cannot tell one chunk's contents from another's — and always runs.
+	if _, _, err := sess.RunSQL(env, q6SQL, "lineitem", liRefs); err != nil {
+		t.Fatal(err)
+	}
+	if _, rep, err := sess.RunSQL(env, q6SQL, "lineitem", liRefs); err != nil || !rep.CacheHit {
+		t.Errorf("repeated RunSQL: hit = %v, err = %v, want a cache hit", rep != nil && rep.CacheHit, err)
+	}
+	for i := 0; i < 2; i++ {
+		out, rep, err := sess.RunSQLBroadcast(env, q12ExactSQL, "lineitem", liRefs, map[string]*columnar.Chunk{"orders": orders})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.CacheHit {
+			t.Errorf("run %d with a driver-resident table was served from the cache", i)
+		}
+		chunksIdentical(t, out, out1)
+	}
 }
 
 // launchMatrixSQL aggregates integers only, so the fleet's merged answer is

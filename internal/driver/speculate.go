@@ -7,10 +7,10 @@ package driver
 // counterpart of the aggressive-timeouts-and-retries theme of §5.5
 // (footnote 17): tail latencies propagate, so the driver cuts the tail.
 //
-// Each stage of a plan arms independently over its own fleet (a
-// single-scope query is one stage), and backups are launched as a new
-// attempt whose exchange boundary names cannot race the original's (first
-// committed attempt wins, the stale-drain collector sweeps the losers).
+// Each stage of a plan arms independently over its own fleet, and backups
+// are launched as a new attempt whose exchange boundary names cannot race the
+// original's (first committed attempt wins, the stale-drain collector sweeps
+// the losers).
 type SpeculateConfig struct {
 	// Enabled turns speculation on.
 	Enabled bool

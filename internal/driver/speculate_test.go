@@ -5,14 +5,31 @@ import (
 	"testing"
 	"time"
 
+	"lambada/internal/engine"
 	"lambada/internal/lpq"
 	"lambada/internal/simclock"
 	"lambada/internal/tpch"
 )
 
-// runWithStraggler runs Q6 on the DES deployment with worker 2 stalled for
-// stall and the given speculation policy; it returns the query latency and
-// the backup-invocation count.
+// q6AllYearsSQL is Q6 with its year widened to every ship date, so that no
+// file is pruned and the fleet is one worker per file.
+const q6AllYearsSQL = `
+SELECT SUM(l_extendedprice * l_discount) AS revenue
+FROM lineitem
+WHERE l_shipdate >= DATE '1992-01-01' AND l_shipdate < DATE '1999-01-01'
+  AND l_discount BETWEEN 0.0499999 AND 0.0700001 AND l_quantity < 24`
+
+// q6AllYearsRevenue is its single-node answer over the fixture's data.
+func q6AllYearsRevenue(t *testing.T) float64 {
+	t.Helper()
+	data := tpch.Gen{SF: 0.002, Seed: 41}.Generate()
+	want := singleNode(t, q6AllYearsSQL, engine.Catalog{"lineitem": engine.NewMemSource(tpch.Schema(), data)})
+	return want.Column("revenue").Float64s[0]
+}
+
+// runWithStraggler runs that query on the DES deployment with worker 2
+// stalled for stall and the given speculation policy; it returns the query
+// latency and the backup-invocation count.
 func runWithStraggler(t *testing.T, stall time.Duration, spec SpeculateConfig) (time.Duration, int, float64) {
 	t.Helper()
 	k := simclock.New()
@@ -44,7 +61,7 @@ func runWithStraggler(t *testing.T, stall time.Duration, spec SpeculateConfig) (
 			t.Error(err)
 			return
 		}
-		out, rep, err := d.RunSQL(q6SQL, "lineitem", refs)
+		out, rep, err := d.RunSQL(q6AllYearsSQL, "lineitem", refs)
 		if err != nil {
 			t.Error(err)
 			return
@@ -62,7 +79,7 @@ func runWithStraggler(t *testing.T, stall time.Duration, spec SpeculateConfig) (
 
 func TestSpeculationCutsStragglerTail(t *testing.T) {
 	const stall = 60 * time.Second
-	want := tpch.Q6Reference(tpch.Gen{SF: 0.002, Seed: 41}.Generate())
+	want := q6AllYearsRevenue(t)
 
 	// Without speculation the query waits out the full stall.
 	noSpec, n0, rev0 := runWithStraggler(t, stall, SpeculateConfig{})
@@ -96,7 +113,7 @@ func TestSpeculationIdleOnHealthyFleet(t *testing.T) {
 	if n != 0 {
 		t.Errorf("healthy fleet triggered %d backups", n)
 	}
-	want := tpch.Q6Reference(tpch.Gen{SF: 0.002, Seed: 41}.Generate())
+	want := q6AllYearsRevenue(t)
 	if math.Abs(rev-want) > 1e-6*want {
 		t.Errorf("revenue = %v, want %v", rev, want)
 	}

@@ -26,11 +26,9 @@ import (
 	"lambada/internal/stageplan"
 )
 
-// StageConfig tunes the staged (shuffle) execution path: the stage planner
-// (internal/stageplan) decomposes the query into a DAG of stages connected
-// by exchange boundaries, and the driver runs the DAG on an event-driven
-// stage scheduler with seal/ready barriers and attempt-versioned
-// boundaries.
+// StageConfig tunes the planner (internal/stageplan: the query as a DAG of
+// stages connected by exchange boundaries) and the boundaries of the plans it
+// makes. A plan without a boundary reads MaxStageWait and nothing else of it.
 type StageConfig struct {
 	// Exchange configures the S3 boundary namespace (write combining,
 	// receiver polling).
@@ -260,11 +258,8 @@ func (e *StageFailure) Error() string {
 // no worker was invoked.
 var ErrInvalidPlan = errors.New("driver: query does not plan")
 
-// RunSQLStaged parses a SQL query over any number of S3-backed tables and
-// executes it through the stage planner: joins shuffle through the exchange
-// when both sides are large (per-join broadcast-vs-shuffle choice from the
-// lpq footer row counts), grouped aggregations repartition on their group
-// keys, and the driver only merges the final stage's outputs.
+// RunSQLStaged is RunSQL over any number of S3-backed tables, with the
+// planner's knobs exposed.
 func (d *Driver) RunSQLStaged(sql string, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	return d.sess.RunSQLStaged(d.env, sql, tables, cfg)
 }
@@ -353,23 +348,19 @@ func (d *query) reinvoke(r *stageRun, worker int) error {
 	return d.invoke(launchUnit{worker: worker, body: body, tokens: 1}, r.span)
 }
 
-// RunPlanStaged optimizes plan against the tables' footer schemas,
-// decomposes it into a stage DAG (joins shuffle or broadcast per the footer
-// row counts, grouped aggregations repartition on their group keys), prunes
-// the scan fleets to the files the pushed-down predicates can match, and
-// runs the DAG on the stage scheduler (runStages).
+// RunPlanStaged is RunSQLStaged for an engine plan.
 func (d *Driver) RunPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	return d.sess.RunPlanStaged(d.env, plan, tables, cfg)
 }
 
-// runPlanStaged is the planning half of a staged query: footer schemas and
-// row estimates, Decompose, pruned file assignment, and the broadcast blobs
-// the planner asked for. Everything after the stage plan exists is
-// runStages.
-func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
-	if len(tables) == 0 {
-		return nil, nil, fmt.Errorf("driver: no input tables")
-	}
+// plan is the planner, the one way from a logical plan to runStages: footer
+// schemas and statistics of the S3 tables the plan scans, Optimize, Decompose
+// (joins shuffle or broadcast per the footer row counts, the aggregate merges
+// on the driver or behind a repartition per the footer bounds of its group
+// keys), pruned file assignment, and the broadcast blobs the planner asked
+// for. local holds the driver-resident tables: chunks in the driver's memory
+// (§3.2's "small amounts of data read locally"), never opened, always broadcast.
+func (d *query) plan(plan engine.Plan, tables TableFiles, local map[string]*columnar.Chunk, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	d.begin()
 
 	// Planning reads the footers of the tables the plan scans — a registered
@@ -378,8 +369,13 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 	// iteration. The files the session has not opened before are opened
 	// through one request window; the rest cost no request.
 	var names []string
+	stats := stageplan.Stats{Rows: map[string]int64{}, Workers: map[string]int{}, Resident: map[string]bool{}}
+	optCat := engine.Catalog{}
 	engine.VisitScans(plan, func(s *engine.ScanPlan) {
-		if !slices.Contains(names, s.Table) {
+		if chunk, ok := local[s.Table]; ok {
+			optCat[s.Table] = engine.NewMemSource(chunk.Schema)
+			stats.Rows[s.Table], stats.Resident[s.Table] = int64(chunk.NumRows()), true
+		} else if !slices.Contains(names, s.Table) {
 			names = append(names, s.Table)
 		}
 	})
@@ -401,11 +397,12 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 	if err := scan.OpenAll(all...); err != nil {
 		return nil, nil, fmt.Errorf("driver: opening the plan's tables: %w", err)
 	}
-	optCat := engine.Catalog{}
 	for _, name := range names {
-		schema, err := srcs[name].Schema()
+		// Every footer is here: the plan is optimized against the one schema
+		// all of a table's files carry, or refused before any worker runs.
+		schema, err := srcs[name].CommonSchema()
 		if err != nil {
-			return nil, nil, fmt.Errorf("driver: resolving %q schema: %w", name, err)
+			return nil, nil, fmt.Errorf("%w: table %q: %w", ErrInvalidPlan, name, err)
 		}
 		optCat[name] = engine.NewMemSource(schema)
 	}
@@ -415,23 +412,47 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
 	}
 
-	// Pruning-aware fan-out: size the stage DAG from the rows the pushed-
-	// down predicates can actually select, not the full table. The prune
-	// predicates must be collected before Decompose — it rewrites the plan
-	// in place.
+	// Pruning-aware fan-out, from the pushed-down predicates — collected here
+	// because Decompose rewrites the plan in place — and, per file, the rows
+	// its footer statistics let them match: their sum sizes the stage DAG, not
+	// the full table, and a file with none gets no scan worker at all — fewer
+	// invocations, and the surviving workers still prune at row-group/page
+	// granularity.
 	tablePreds := map[string][]lpq.Predicate{}
 	engine.VisitScans(opt, func(s *engine.ScanPlan) {
 		if len(s.Prune) > 0 {
 			tablePreds[s.Table] = s.Prune
 		}
 	})
-	stats := stageplan.Stats{Rows: map[string]int64{}}
+	scanFiles := TableFiles{}
 	for _, name := range names {
-		rows, err := srcs[name].EstimateRows(tablePreds[name])
-		if err != nil {
-			return nil, nil, fmt.Errorf("driver: estimating %q rows: %w", name, err)
+		src, preds := srcs[name], tablePreds[name]
+		var kept []scan.FileRef
+		for _, f := range src.Files {
+			rows, err := src.EstimateFileRows(f, preds)
+			if err != nil {
+				return nil, nil, fmt.Errorf("driver: estimating %q file rows: %w", name, err)
+			}
+			stats.Rows[name] += rows
+			if rows > 0 || len(preds) == 0 {
+				kept = append(kept, f)
+			}
 		}
-		stats.Rows[name] = rows
+		if len(kept) == 0 {
+			// Every file pruned: keep one worker alive so the stage still
+			// launches and seals (exchange consumers wait on its senders);
+			// its scan reads only the footer and yields nothing.
+			kept = src.Files[:1]
+		}
+		scanFiles[name], stats.Workers[name] = kept, d.scanFleet(len(kept))
+	}
+	// Asked by Decompose for the group keys of the plan's aggregate only: the
+	// footers' value range for an S3 table, the chunk's for a resident one.
+	stats.Bounds = func(table, column string) (lo, hi int64, ok bool) {
+		if chunk, ok := local[table]; ok {
+			return chunkBounds(chunk, column)
+		}
+		return srcs[table].Bounds(column)
 	}
 
 	sp, err := stageplan.Decompose(opt, stats, stageplan.Config{
@@ -443,54 +464,42 @@ func (d *query) runPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConf
 		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
 	}
 
-	// Pruned file assignment: a file whose footer statistics rule out every
-	// predicate match gets no scan worker at all — fewer invocations, and
-	// the surviving workers still prune at row-group/page granularity.
-	scanFiles := TableFiles{}
-	for _, name := range names {
-		files, preds := tables[name], tablePreds[name]
-		if len(preds) == 0 {
-			scanFiles[name] = files
-			continue
-		}
-		var kept []scan.FileRef
-		for _, f := range files {
-			rows, err := srcs[name].EstimateFileRows(f, preds)
-			if err != nil {
-				return nil, nil, fmt.Errorf("driver: estimating %q file rows: %w", name, err)
-			}
-			if rows > 0 {
-				kept = append(kept, f)
-			}
-		}
-		if len(kept) == 0 {
-			// Every file pruned: keep one worker alive so the stage still
-			// launches and seals (exchange consumers wait on its senders);
-			// its scan reads only the footer and yields nothing.
-			kept = files[:1]
-		}
-		scanFiles[name] = kept
-	}
-
-	// Load the genuinely small tables the planner kept as broadcast joins.
+	// The tables the planner kept as broadcast joins: the driver-resident
+	// ones as they are, the genuinely small S3 ones loaded whole.
 	blobs := map[string][]byte{}
 	for _, name := range sp.Broadcast {
-		chunk, err := loadTable(srcs[name])
-		if err != nil {
-			return nil, nil, fmt.Errorf("driver: loading broadcast table %q: %w", name, err)
+		chunk := local[name]
+		if chunk == nil {
+			// Through the source the planner opened: the footers are paid for.
+			chunk, err = engine.Execute(&engine.ScanPlan{Table: name}, engine.Catalog{name: srcs[name]})
+			if err != nil {
+				return nil, nil, fmt.Errorf("driver: loading broadcast table %q: %w", name, err)
+			}
 		}
-		blob, err := lpq.WriteFile(chunk.Schema, lpq.WriterOptions{}, chunk)
-		if err != nil {
+		if blobs[name], err = lpq.WriteFile(chunk.Schema, lpq.WriterOptions{}, chunk); err != nil {
 			return nil, nil, err
 		}
-		blobs[name] = blob
 	}
 	return d.runStages(sp, scanFiles, blobs, cfg)
 }
 
+// scanFleet is the worker count of a scan stage over n files: F per worker.
+func (d *query) scanFleet(n int) int {
+	return (n + d.cfg.FilesPerWorker - 1) / d.cfg.FilesPerWorker
+}
+
+// chunkBounds is scan.Source.Bounds for a driver-resident table.
+func chunkBounds(c *columnar.Chunk, col string) (lo, hi int64, ok bool) {
+	i := c.Schema.Index(col)
+	if i < 0 || c.Schema.Fields[i].Type != columnar.Int64 || c.NumRows() == 0 {
+		return 0, 0, false
+	}
+	return slices.Min(c.Columns[i].Int64s), slices.Max(c.Columns[i].Int64s), true
+}
+
 // runStages is the executor — the one place a query's fleet is launched and
-// its result queue is read. It runs any stage plan, from the one-stage plan
-// of a single-scope query to a multi-level shuffle DAG, in three steps: setup
+// its result queue is read. It runs any stage plan, from one stage posting
+// to the driver to a multi-level shuffle DAG, in three steps: setup
 // (openNamespace, newScheduler) builds every fleet's payloads; the event loop
 // (schedule) does the I/O the scheduler type's transitions ask for — stages
 // are invoked before their producers seal (consumer cold starts overlap
@@ -547,7 +556,7 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 		if len(blob) == 0 {
 			continue
 		}
-		c, err := decodeChunk(blob)
+		c, err := decodeChunk(blob, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -569,7 +578,7 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 		return nil, nil, err
 	}
 	swept = true
-	return result, d.report(s, len(sp.Stages)), nil
+	return result, d.report(s, sp), nil
 }
 
 // openNamespace sets up rule 1's machinery when sp has a boundary: ns is the
@@ -637,7 +646,7 @@ func (d *query) newScheduler(sp *stageplan.Plan, scanFiles TableFiles, blobs map
 			if files == nil {
 				return nil, fmt.Errorf("driver: stage %d scans unknown table %q", st.ID, st.Table)
 			}
-			workers[st.ID] = min((len(files)+d.cfg.FilesPerWorker-1)/d.cfg.FilesPerWorker, len(files))
+			workers[st.ID] = d.scanFleet(len(files))
 			continue
 		}
 		parts := 0
@@ -832,14 +841,14 @@ func (d *query) schedule(s *scheduler, sealTable string) error {
 
 // report closes the query's measurement window and fills in the Report the
 // scheduler's transitions have been counting into.
-func (d *query) report(s *scheduler, stages int) *Report {
+func (d *query) report(s *scheduler, sp *stageplan.Plan) *Report {
 	// Close the cost window only after every invocation — speculation and
 	// relaunch losers included — finished billing, so per-span attribution
 	// and the Report deltas agree exactly (no-op when tracing is off).
 	d.quiesce()
 	endTime := d.env.Now()
 	rep := s.rep // a copy: the Report must not keep the scheduler's payloads alive
-	rep.QueryID, rep.Epoch, rep.Stages = s.queryID, s.epoch, stages
+	rep.QueryID, rep.Epoch, rep.Stages = s.queryID, s.epoch, len(sp.Stages)
 	rep.Duration = endTime - d.start
 	sort.Slice(rep.WorkerProcessing, func(i, j int) bool { return rep.WorkerProcessing[i] < rep.WorkerProcessing[j] })
 	for _, r := range s.runs {
@@ -867,7 +876,7 @@ func (d *query) report(s *scheduler, stages int) *Report {
 			tr.SetTag(d.span, "loserDiscards", strconv.Itoa(s.loserDiscards))
 		}
 		tr.EndSpan(d.span, endTime)
-		rep.Trace, rep.Span = tr, d.span
+		rep.Trace, rep.Span, rep.Plan = tr, d.span, sp
 	}
 	d.fillCostDelta(&rep)
 	return &rep
@@ -963,25 +972,6 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, n int, files []sca
 	return payloads, nil
 }
 
-// loadTable reads a small table's lpq files whole on the driver (the §3.2
-// "small amounts of data read locally" that broadcast joins ship) through
-// the source the planner already opened them with: the footers are paid for.
-func loadTable(src *scan.Source) (*columnar.Chunk, error) {
-	schema, err := src.Schema()
-	if err != nil {
-		return nil, err
-	}
-	out := columnar.NewChunk(schema, 0)
-	err = src.Scan(nil, nil, func(c *columnar.Chunk) error {
-		out.AppendChunk(c)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // executeFragment is the worker side of a task: wait out the upstream ready
 // markers, collect this worker's partition of every input boundary, execute
 // the fragment on the pipeline-graph scheduler, and either publish the
@@ -991,6 +981,9 @@ func loadTable(src *scan.Source) (*columnar.Chunk, error) {
 // payload without a plan is a regroup task: the intermediate round of its
 // one input's multi-level boundary is all it does.
 func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *workerPayload) (*columnar.Chunk, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
 	copts := []s3.ClientOption{s3.WithPolicy(ws)}
 	if d.dep.Shaped {
 		copts = append(copts, s3.WithShaper(d.dep.Net, ctx.MemoryMiB))
@@ -1024,9 +1017,6 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 	}
 
 	if len(p.Plan) == 0 {
-		if len(x.Inputs) != 1 || x.Output == nil {
-			return nil, errors.New("task carries neither a plan nor a boundary to regroup")
-		}
 		// Regroup attempts version their round-2 publishes exactly like
 		// sender attempts — first committed attempt wins at the receivers.
 		in := x.Inputs[0]

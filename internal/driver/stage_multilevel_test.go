@@ -90,11 +90,11 @@ func TestStagedMultiLevelByteIdentity(t *testing.T) {
 		cfg.Exchange.Variant.WriteCombining = wc
 		cfg.ExchangeLevels = 2
 
-		got, rep, err := d.RunSQLStaged(q12ExactSQL, tables, cfg)
+		got, rep, err := d.RunSQLStaged(q12ByPartSQL, tables, cfg)
 		if err != nil {
 			t.Fatalf("wc=%v: %v", wc, err)
 		}
-		want := singleNode(t, q12ExactSQL, engine.Catalog{
+		want := singleNode(t, q12ByPartSQL, engine.Catalog{
 			"lineitem": engine.NewMemSource(tpch.Schema(), li),
 			"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
 		})
@@ -121,8 +121,8 @@ func TestStagedMultiLevelByteIdentity(t *testing.T) {
 				}
 			}
 		}
-		// q12 has three boundaries: two scan stages feeding the join and the
-		// join+partial stage feeding the final merge.
+		// Grouped on l_partkey, q12 has three boundaries: two scan stages
+		// feeding the join and the join+partial stage feeding the final merge.
 		if boundaries != 3 || regroups != 3 {
 			t.Errorf("wc=%v: %d boundaries / %d regroup fleets in stage stats, want 3/3: %+v",
 				wc, boundaries, regroups, rep.StageStats)
@@ -136,7 +136,10 @@ func TestStagedMultiLevelByteIdentity(t *testing.T) {
 }
 
 // TestStagedQ12ScaleSmoke is the scale acceptance point: staged q12 on the
-// DES kernel at 512 partitions — a fleet past 1024 workers. The variant
+// DES kernel at 512 partitions — a fleet past 1024 workers, for which it is
+// grouped on l_partkey: q12's own five priorities merge on the driver, and
+// the 512-sender boundary under the aggregate is the one that must go
+// multi-level. The variant
 // resolver must send the wide boundaries through the multi-level exchange on
 // its own (no forcing), the billed S3 requests against the shard buckets
 // must match the per-boundary analytic model integer-exactly (puts/gets; the
@@ -192,7 +195,7 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 			}
 			before = append(before, st)
 		}
-		out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+		out, rep, err = d.RunSQLStaged(q12ByPartSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		if err != nil {
 			t.Errorf("scale run failed: %v", err)
 		}
@@ -205,7 +208,7 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 		t.FailNow()
 	}
 
-	want := singleNode(t, q12ExactSQL, engine.Catalog{
+	want := singleNode(t, q12ByPartSQL, engine.Catalog{
 		"lineitem": engine.NewMemSource(tpch.Schema(), li),
 		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
 	})

@@ -172,8 +172,8 @@ func TestStagedStaleArtifactsDoNotPoisonRetry(t *testing.T) {
 	scfg.ExchangeLevels = 1
 
 	// Manufacture the aborted run's debris. Boundary garbage: a committed
-	// attempt of stage-0 sender 0 under the q1 prefix whose rows would skew
-	// every aggregate if collected.
+	// attempt of sender 0 of stage 1, the lineitem scan, under the q1 prefix,
+	// whose rows would skew every aggregate if the join collected them.
 	buckets := d1.InstallExchange()
 	opts := exchange.Options{
 		Variant: exchange.Variant{Levels: 1},
@@ -189,15 +189,16 @@ func TestStagedStaleArtifactsDoNotPoisonRetry(t *testing.T) {
 		poison.Columns[0].AppendInt64(int64(i))
 	}
 	client := s3.NewClient(dep.S3, env)
-	err = exchange.PublishStage(client, opts, exchange.Boundary{Stage: 0, Senders: 4, Partitions: 2}, 0, poison, []string{"l_orderkey"})
+	err = exchange.PublishStage(client, opts, exchange.Boundary{Stage: 1, Senders: 4, Partitions: 2}, 0, poison, []string{"l_orderkey"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Queue garbage: stale q1 seal messages, including a bogus result-stage
-	// chunk.
+	// chunk (the join stage, 0, is the result stage: q12's partials merge on
+	// the driver).
 	for _, rm := range []resultMsg{
-		{QueryID: "q1", Stage: 0, WorkerID: 0},
-		{QueryID: "q1", Stage: 3, WorkerID: 0, Chunk: []byte("not an lpq blob")},
+		{QueryID: "q1", Stage: 1, WorkerID: 0},
+		{QueryID: "q1", Stage: 0, WorkerID: 0, Chunk: []byte("not an lpq blob")},
 	} {
 		body, err := json.Marshal(rm)
 		if err != nil {

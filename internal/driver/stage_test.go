@@ -38,6 +38,19 @@ WHERE l_receiptdate >= DATE '1995-01-01' AND l_receiptdate < DATE '1996-01-01'
 GROUP BY o_orderpriority
 ORDER BY o_orderpriority`
 
+// q12ByPartSQL is q12ExactSQL grouped on l_partkey, whose footer range
+// (200 000 values) bounds nothing: the aggregate repartitions, so the DAG is
+// scan, scan → join+partial → final where q12ExactSQL's five priorities merge
+// on the driver.
+const q12ByPartSQL = `
+SELECT l_partkey, COUNT(*) AS n, SUM(l_linenumber) AS lines,
+       MIN(l_shipdate) AS first_ship, MAX(l_shipdate) AS last_ship
+FROM lineitem INNER JOIN orders ON lineitem.l_orderkey = orders.o_orderkey
+WHERE l_receiptdate >= DATE '1995-01-01' AND l_receiptdate < DATE '1996-01-01'
+  AND l_commitdate < l_receiptdate
+GROUP BY l_partkey
+ORDER BY l_partkey`
+
 // stagedSetup uploads LINEITEM and ORDERS as lpq files on a functional
 // deployment.
 func stagedSetup(t *testing.T, sf float64, liFiles, ordFiles int) (*Driver, TableFiles, *columnar.Chunk, *columnar.Chunk) {
@@ -135,16 +148,18 @@ func TestShuffleJoinByteIdenticalAcrossConfigs(t *testing.T) {
 		})
 		chunksIdentical(t, got, want)
 
-		if rep.Stages != 4 {
-			t.Errorf("%+v: stages = %d, want 4 (scan, scan, join+partial, final)", tc, rep.Stages)
+		// o_orderpriority's footer range bounds the groups at 5, so the join
+		// stage's partials merge on the driver: no final stage.
+		if rep.Stages != 3 {
+			t.Errorf("%+v: stages = %d, want 3 (scan, scan, join+partial)", tc, rep.Stages)
 		}
 		// Pruning-aware fan-out: the l_receiptdate range rules out whole
 		// lineitem files by footer statistics, so the lineitem scan fleet
 		// is strictly smaller than one-worker-per-file; orders is
-		// unfiltered and keeps every file, and exchange stages one worker
-		// per partition.
-		maxWorkers := tc.liFiles + tc.ordFiles + 2*tc.parts
-		minWorkers := 1 + tc.ordFiles + 2*tc.parts
+		// unfiltered and keeps every file, and the join stage runs one
+		// worker per partition.
+		maxWorkers := tc.liFiles + tc.ordFiles + tc.parts
+		minWorkers := 1 + tc.ordFiles + tc.parts
 		if rep.Workers < minWorkers || rep.Workers >= maxWorkers {
 			t.Errorf("%+v: workers = %d, want in [%d, %d) (pruned lineitem fleet)",
 				tc, rep.Workers, minWorkers, maxWorkers)
@@ -194,11 +209,11 @@ func TestStagedQ12MatchesBroadcastAndReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("shuffle", shuffled)
-	if rep.Stages != 4 {
-		t.Errorf("shuffle stages = %d", rep.Stages)
+	if rep.Stages != 3 {
+		t.Errorf("shuffle stages = %d, want 3 (scan, scan, join+partial; ≤ 5 groups merge on the driver)", rep.Stages)
 	}
 
-	// Broadcast: the same SQL through the legacy driver-broadcast path.
+	// Broadcast: the same SQL with ORDERS as a driver-resident table.
 	bcast, _, err := d.RunSQLBroadcast(q12RevenueSQL, "lineitem", tables["lineitem"],
 		map[string]*columnar.Chunk{"orders": orders})
 	if err != nil {
@@ -207,7 +222,7 @@ func TestStagedQ12MatchesBroadcastAndReference(t *testing.T) {
 	check("broadcast", bcast)
 
 	// Staged with a generous row limit: the planner itself picks broadcast
-	// for ORDERS and the plan collapses to scan+partial → final.
+	// for ORDERS and the plan collapses to one scan+join+partial stage.
 	cfg2 := DefaultStageConfig()
 	cfg2.BroadcastRowLimit = 1 << 30
 	picked, rep2, err := d.RunSQLStaged(q12RevenueSQL, tables, cfg2)
@@ -215,8 +230,8 @@ func TestStagedQ12MatchesBroadcastAndReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("staged-broadcast", picked)
-	if rep2.Stages != 2 {
-		t.Errorf("staged-broadcast stages = %d, want 2", rep2.Stages)
+	if rep2.Stages != 1 {
+		t.Errorf("staged-broadcast stages = %d, want 1", rep2.Stages)
 	}
 }
 
@@ -247,7 +262,7 @@ func keyShapeTables(shape string, n int) (left, right *columnar.Chunk) {
 		}
 		l.Columns[0].AppendInt64(lk)
 		l.Columns[1].AppendInt64(int64(i % 3))
-		l.Columns[2].AppendInt64(int64(i))
+		l.Columns[2].AppendInt64(int64(i) * 1_000_003) // wide span: no footer bound on the groups
 		r.Columns[0].AppendInt64(rk)
 		r.Columns[1].AppendInt64(int64(i % 3))
 		r.Columns[2].AppendInt64(int64(10 * i))
@@ -257,21 +272,15 @@ func keyShapeTables(shape string, n int) (left, right *columnar.Chunk) {
 
 // TestStagedByteIdentityKeyShapes compares shuffle, staged-broadcast and
 // single-node execution on duplicate, sparse and composite join keys —
-// all integer aggregates, so every path must agree byte-for-byte.
+// all integer aggregates, so every path must agree byte-for-byte — and on
+// both sides of the planner's merge choice: lk2 spans three values, so its
+// partials merge on the driver; lv spans 600 million, so they repartition
+// into a final stage.
 func TestStagedByteIdentityKeyShapes(t *testing.T) {
-	queries := map[string]string{
-		"duplicate": `
-SELECT lk2, COUNT(*) AS n, SUM(lv) AS sl, SUM(rv) AS sr
-FROM ltab INNER JOIN rtab ON ltab.lk = rtab.rk
-GROUP BY lk2 ORDER BY lk2`,
-		"sparse": `
-SELECT lk2, COUNT(*) AS n, SUM(lv) AS sl, SUM(rv) AS sr
-FROM ltab INNER JOIN rtab ON ltab.lk = rtab.rk
-GROUP BY lk2 ORDER BY lk2`,
-		"composite": `
-SELECT lk2, COUNT(*) AS n, SUM(lv) AS sl, SUM(rv) AS sr
-FROM ltab INNER JOIN rtab ON ltab.lk = rtab.rk AND ltab.lk2 = rtab.rk2
-GROUP BY lk2 ORDER BY lk2`,
+	joins := map[string]string{
+		"duplicate": "ltab.lk = rtab.rk",
+		"sparse":    "ltab.lk = rtab.rk",
+		"composite": "ltab.lk = rtab.rk AND ltab.lk2 = rtab.rk2",
 	}
 	for _, shape := range []string{"duplicate", "sparse", "composite"} {
 		left, right := keyShapeTables(shape, 600)
@@ -291,43 +300,50 @@ GROUP BY lk2 ORDER BY lk2`,
 		}
 		tables := TableFiles{"ltab": lrefs, "rtab": rrefs}
 
-		want := singleNode(t, queries[shape], engine.Catalog{
-			"ltab": engine.NewMemSource(left.Schema, left),
-			"rtab": engine.NewMemSource(right.Schema, right),
-		})
+		// final is the final-merge stage a repartitioned aggregate adds.
+		for key, final := range map[string]int{"lk2": 0, "lv": 1} {
+			sql := "SELECT " + key + ", COUNT(*) AS n, SUM(lv) AS sl, SUM(rv) AS sr FROM ltab INNER JOIN rtab ON " +
+				joins[shape] + " GROUP BY " + key + " ORDER BY " + key
+			want := singleNode(t, sql, engine.Catalog{
+				"ltab": engine.NewMemSource(left.Schema, left),
+				"rtab": engine.NewMemSource(right.Schema, right),
+			})
 
-		cfg := DefaultStageConfig()
-		cfg.Partitions = 3
-		cfg.BroadcastRowLimit = -1
-		shuffled, rep, err := d.RunSQLStaged(queries[shape], tables, cfg)
-		if err != nil {
-			t.Fatalf("%s shuffle: %v", shape, err)
-		}
-		chunksIdentical(t, shuffled, want)
-		if rep.Stages != 4 {
-			t.Errorf("%s: shuffle stages = %d", shape, rep.Stages)
-		}
+			cfg := DefaultStageConfig()
+			cfg.Partitions = 3
+			cfg.BroadcastRowLimit = -1
+			shuffled, rep, err := d.RunSQLStaged(sql, tables, cfg)
+			if err != nil {
+				t.Fatalf("%s/%s shuffle: %v", shape, key, err)
+			}
+			chunksIdentical(t, shuffled, want)
+			if rep.Stages != 3+final {
+				t.Errorf("%s/%s: shuffle stages = %d, want %d", shape, key, rep.Stages, 3+final)
+			}
 
-		cfg2 := DefaultStageConfig()
-		cfg2.BroadcastRowLimit = 1 << 20
-		bcast, rep2, err := d.RunSQLStaged(queries[shape], tables, cfg2)
-		if err != nil {
-			t.Fatalf("%s staged-broadcast: %v", shape, err)
-		}
-		chunksIdentical(t, bcast, want)
-		if rep2.Stages != 2 {
-			t.Errorf("%s: staged-broadcast stages = %d", shape, rep2.Stages)
+			cfg2 := DefaultStageConfig()
+			cfg2.BroadcastRowLimit = 1 << 20
+			bcast, rep2, err := d.RunSQLStaged(sql, tables, cfg2)
+			if err != nil {
+				t.Fatalf("%s/%s staged-broadcast: %v", shape, key, err)
+			}
+			chunksIdentical(t, bcast, want)
+			if rep2.Stages != 1+final {
+				t.Errorf("%s/%s: staged-broadcast stages = %d, want %d", shape, key, rep2.Stages, 1+final)
+			}
 		}
 	}
 }
 
 // TestStagedGroupByNoJoinByteIdentical: the partial→final aggregation split
-// over the exchange (no join involved) is byte-identical to single-node.
+// over the exchange (no join involved) is byte-identical to single-node. The
+// key is l_partkey, whose 200 000-value footer range bounds nothing: a key the
+// footers bound (l_suppkey here: 20 values) would merge on the driver.
 func TestStagedGroupByNoJoinByteIdentical(t *testing.T) {
 	const sql = `
-SELECT l_suppkey, COUNT(*) AS n, MIN(l_orderkey) AS first_ord, MAX(l_orderkey) AS last_ord
+SELECT l_partkey, COUNT(*) AS n, MIN(l_orderkey) AS first_ord, MAX(l_orderkey) AS last_ord
 FROM lineitem
-GROUP BY l_suppkey ORDER BY l_suppkey`
+GROUP BY l_partkey ORDER BY l_partkey`
 	d, tables, li, _ := stagedSetup(t, 0.002, 8, 1)
 	cfg := DefaultStageConfig()
 	cfg.Partitions = 3
@@ -455,7 +471,7 @@ ORDER BY lv, rv`
 // back until their producers sealed.
 func TestStagedPipelinedMatchesWaves(t *testing.T) {
 	d, tables, li, orders := stagedSetup(t, 0.002, 6, 3)
-	want := singleNode(t, q12ExactSQL, engine.Catalog{
+	want := singleNode(t, q12ByPartSQL, engine.Catalog{
 		"lineitem": engine.NewMemSource(tpch.Schema(), li),
 		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
 	})
@@ -464,7 +480,7 @@ func TestStagedPipelinedMatchesWaves(t *testing.T) {
 		cfg.Partitions = 3
 		cfg.BroadcastRowLimit = -1
 		d.sess.cfg.testWaveLaunch = !pipelined
-		got, rep, err := d.RunSQLStaged(q12ExactSQL, tables, cfg)
+		got, rep, err := d.RunSQLStaged(q12ByPartSQL, tables, cfg)
 		if err != nil {
 			t.Fatalf("pipelined=%v: %v", pipelined, err)
 		}

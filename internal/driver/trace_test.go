@@ -32,12 +32,13 @@ type tracedOpts struct {
 
 // crashPlanQ12 kills workers: the second and third invocations die 120 ms
 // into their handler — partial duration billed to the invocation span, op
-// spans unwound without a Pop — and a later one dies before its handler
-// runs.
+// spans unwound without a Pop — and the fifth dies before its handler runs:
+// an original of the three-stage plan's last fleet, so that its backup, the
+// one re-invocation a worker gets, is not the invocation that is killed.
 func crashPlanQ12() faults.Plan {
 	return faults.Plan{Seed: 9, Rules: []faults.Rule{
 		{Op: faults.OpLambda, Kind: faults.KindCrashMidRun, Skip: 1, Count: 2, Delay: 120 * time.Millisecond},
-		{Op: faults.OpLambda, Kind: faults.KindCrash, Skip: 6, Count: 1},
+		{Op: faults.OpLambda, Kind: faults.KindCrash, Skip: 4, Count: 1},
 	}}
 }
 

@@ -317,6 +317,26 @@ func TestExtractPrunePredicatesMirrored(t *testing.T) {
 	}
 }
 
+// splitScopes cuts a plan of the shape [OrderBy] Aggregate into the worker
+// scope (the partial aggregate) and the driver scope (the merge, under the
+// OrderBy) — what the stage planner does with an aggregate it merges on the
+// driver.
+func splitScopes(t *testing.T, p Plan) (worker, driver Plan) {
+	t.Helper()
+	ob, _ := p.(*OrderByPlan)
+	if ob != nil {
+		p = ob.In
+	}
+	partial, final, err := SplitAggregate(p.(*AggregatePlan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ob != nil {
+		final = &OrderByPlan{In: final, Keys: ob.Keys}
+	}
+	return partial, final
+}
+
 func TestSplitDistributedAggEquivalence(t *testing.T) {
 	// The fundamental distributed-correctness property: running the worker
 	// partial plan over any partitioning of the input, concatenating, and
@@ -329,26 +349,23 @@ func TestSplitDistributedAggEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist, err := SplitDistributed(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		worker, driver := splitScopes(t, q)
 		// Partition input into 7 "files", run the worker plan on each.
 		var results []*columnar.Chunk
 		for _, f := range tpch.SplitFiles(data, 7) {
 			wcat := Catalog{"lineitem": NewMemSource(tpch.Schema(), f)}
-			r, err := Execute(dist.Worker, wcat)
+			r, err := Execute(worker, wcat)
 			if err != nil {
 				t.Fatal(err)
 			}
 			results = append(results, r)
 		}
-		ws, err := dist.Worker.OutSchema()
+		ws, err := worker.OutSchema()
 		if err != nil {
 			t.Fatal(err)
 		}
 		dcat := Catalog{WorkerResultTable: NewMemSource(ws, results...)}
-		merged, err := Execute(dist.Driver, dcat)
+		merged, err := Execute(driver, dcat)
 		if err != nil {
 			t.Fatal(err)
 		}

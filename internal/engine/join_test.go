@@ -389,12 +389,9 @@ func TestJoinDistributedSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := SplitDistributed(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(Explain(dist.Worker), "HashJoin") {
-		t.Fatalf("worker scope lost the join:\n%s", Explain(dist.Worker))
+	worker, driver := splitScopes(t, plan)
+	if !strings.Contains(Explain(worker), "HashJoin") {
+		t.Fatalf("worker scope lost the join:\n%s", Explain(worker))
 	}
 	// Partition lineitem over 5 workers; supplier is broadcast (full copy
 	// in each worker catalog).
@@ -404,14 +401,14 @@ func TestJoinDistributedSplit(t *testing.T) {
 			"lineitem": NewMemSource(tpch.Schema(), part),
 			"supplier": NewMemSource(tpch.SupplierSchema(), sup),
 		}
-		r, err := Execute(dist.Worker, wcat)
+		r, err := Execute(worker, wcat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		results = append(results, r)
 	}
-	ws, _ := dist.Worker.OutSchema()
-	merged, err := Execute(dist.Driver, Catalog{WorkerResultTable: NewMemSource(ws, results...)})
+	ws, _ := worker.OutSchema()
+	merged, err := Execute(driver, Catalog{WorkerResultTable: NewMemSource(ws, results...)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,94 +288,10 @@ func requiredColumns(p Plan) (map[string]bool, map[*ScanPlan]bool) {
 	return needed, needsAll
 }
 
-// DistributedPlan is the result of splitting a plan into a worker scope and
-// a driver scope (§3.2: "a query plan is divided into scopes, each of which
-// may run on a different target platform").
-type DistributedPlan struct {
-	// Worker runs on every serverless worker against its file subset.
-	Worker Plan
-	// Driver merges the materialized worker results; its catalog must bind
-	// WorkerResultTable to the concatenated worker outputs.
-	Driver Plan
-}
-
 // WorkerResultTable is the driver-scope table name bound to collected
-// worker results.
+// worker results (§3.2: "a query plan is divided into scopes, each of which
+// may run on a different target platform").
 const WorkerResultTable = "__worker_results"
-
-// SplitDistributed converts an optimized single-node plan into a
-// distributed one. Supported shapes: Scan[-Filter][-Project][-Aggregate]
-// [-OrderBy][-Limit]. Aggregations split into worker partials and a driver
-// final merge; plans without aggregation concatenate worker outputs on the
-// driver.
-func SplitDistributed(p Plan) (*DistributedPlan, error) {
-	// Peel driver-only tail (OrderBy, Limit).
-	var tail []Plan
-	cur := p
-	for {
-		switch n := cur.(type) {
-		case *OrderByPlan:
-			tail = append(tail, n)
-			cur = n.In
-			continue
-		case *LimitPlan:
-			tail = append(tail, n)
-			cur = n.In
-			continue
-		}
-		break
-	}
-
-	var worker Plan
-	var driver Plan
-	switch n := cur.(type) {
-	case *AggregatePlan:
-		partial, final, err := SplitAggregate(n)
-		if err != nil {
-			return nil, err
-		}
-		worker = partial
-		driver = final
-	case *ProjectPlan:
-		// The SQL frontend emits Project(Aggregate(...)); the projection
-		// belongs to the driver scope, on top of the final merge.
-		if agg, ok := n.In.(*AggregatePlan); ok {
-			partial, final, err := SplitAggregate(agg)
-			if err != nil {
-				return nil, err
-			}
-			worker = partial
-			driver = &ProjectPlan{In: final, Exprs: n.Exprs, Names: n.Names}
-			break
-		}
-		worker = cur
-		ws, err := cur.OutSchema()
-		if err != nil {
-			return nil, err
-		}
-		driver = &ScanPlan{Table: WorkerResultTable, TableSchema: ws}
-	case *ScanPlan, *FilterPlan, *JoinPlan:
-		worker = cur
-		ws, err := cur.OutSchema()
-		if err != nil {
-			return nil, err
-		}
-		driver = &ScanPlan{Table: WorkerResultTable, TableSchema: ws}
-	default:
-		return nil, fmt.Errorf("engine: cannot distribute plan node %T", cur)
-	}
-
-	// Re-attach the driver-only tail (in original order).
-	for i := len(tail) - 1; i >= 0; i-- {
-		switch t := tail[i].(type) {
-		case *OrderByPlan:
-			driver = &OrderByPlan{In: driver, Keys: t.Keys}
-		case *LimitPlan:
-			driver = &LimitPlan{In: driver, N: t.N}
-		}
-	}
-	return &DistributedPlan{Worker: worker, Driver: driver}, nil
-}
 
 // SplitAggregate decomposes an aggregation into a worker partial and a
 // driver final merge. AVG becomes SUM+COUNT partials recombined by a final

@@ -27,6 +27,7 @@ package scan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -374,23 +375,20 @@ func (s *Source) Schema() (*columnar.Schema, error) {
 	return meta.Schema, nil
 }
 
-// TotalRows sums the row counts recorded in every file's footer — the
-// planner's cardinality statistic (a metadata-only read: footers are a few
-// hundred bytes, no column data is transferred). The stage planner decides
-// broadcast-vs-shuffle per join from these counts. The footer opens share one
-// request window (this sits on the driver's plan-time critical path), and
-// opens are cached, so a later Scan pays no second round trip.
-func (s *Source) TotalRows() (int64, error) {
-	return s.sumFooters(func(m *lpq.FileMeta) int64 { return m.TotalRows })
-}
+// TotalRows sums the row counts recorded in every file's footer — a
+// metadata-only read: footers are a few hundred bytes, no column data.
+func (s *Source) TotalRows() (int64, error) { return s.EstimateRows(nil) }
 
 // EstimateRows bounds the rows that may satisfy preds, summing the
-// page-granular footer estimate over every file (same metadata-only cost
-// as TotalRows; with no predicates it equals TotalRows exactly). This is
-// the planner statistic behind pruning-aware stage fan-out: selective
-// queries size their scan fleets from it instead of the full table.
-func (s *Source) EstimateRows(preds []lpq.Predicate) (int64, error) {
-	return s.sumFooters(func(m *lpq.FileMeta) int64 { return lpq.EstimateRows(m, preds) })
+// page-granular footer estimate over every file (without predicates, the
+// exact total). The planner makes the per-join broadcast-vs-shuffle choice
+// and sizes stage fan-out from it: selective queries get smaller fleets.
+func (s *Source) EstimateRows(preds []lpq.Predicate) (rows int64, err error) {
+	err = s.eachFooter(func(_ FileRef, m *lpq.FileMeta) error {
+		rows += lpq.EstimateRows(m, preds)
+		return nil
+	})
+	return rows, err
 }
 
 // EstimateFileRows bounds the rows of one file that may satisfy preds —
@@ -403,22 +401,54 @@ func (s *Source) EstimateFileRows(f FileRef, preds []lpq.Predicate) (int64, erro
 	return lpq.EstimateRows(meta, preds), nil
 }
 
-// sumFooters opens every file's footer (through one request window; opens
-// are cached, so a later Scan pays no second round trip) and sums fn over the
-// metadata.
-func (s *Source) sumFooters(fn func(*lpq.FileMeta) int64) (int64, error) {
+// eachFooter opens every file's footer — in one request window: this is on
+// the driver's plan-time critical path — and calls fn on them in file order.
+func (s *Source) eachFooter(fn func(FileRef, *lpq.FileMeta) error) error {
 	if err := OpenAll(s); err != nil {
-		return 0, err
+		return err
 	}
-	var total int64
 	for _, f := range s.Files {
 		meta, _, err := s.open(f)
-		if err != nil {
-			return 0, err
+		if err == nil {
+			err = fn(f, meta)
 		}
-		total += fn(meta)
+		if err != nil {
+			return err
+		}
 	}
-	return total, nil
+	return nil
+}
+
+// CommonSchema is Schema once every file is held to it: a worker resolves a
+// file's columns by name, and would index a same-named column of another type
+// as the wrong vector.
+func (s *Source) CommonSchema() (*columnar.Schema, error) {
+	first, err := s.Schema()
+	if err != nil {
+		return nil, err
+	}
+	return first, s.eachFooter(func(f FileRef, m *lpq.FileMeta) error {
+		if !first.Equal(m.Schema) {
+			return fmt.Errorf("scan: %s/%s: schema differs from the first file's", f.Bucket, f.Key)
+		}
+		return nil
+	})
+}
+
+// Bounds returns the smallest and largest value the footers record for the
+// Int64 column col; !ok: no such column, a chunk without them, or no rows.
+func (s *Source) Bounds(col string) (lo, hi int64, ok bool) {
+	lo, hi, ok = math.MaxInt64, math.MinInt64, true
+	err := s.eachFooter(func(_ FileRef, m *lpq.FileMeta) error {
+		ci := m.Schema.Index(col)
+		ok = ok && ci >= 0 && m.Schema.Fields[ci].Type == columnar.Int64
+		for g := 0; ok && g < len(m.RowGroups); g++ {
+			st := m.RowGroups[g].Columns[ci].Stats
+			lo, hi, ok = min(lo, st.MinInt), max(hi, st.MaxInt), st.HasMinMax
+		}
+		return nil
+	})
+	return lo, hi, ok && err == nil && lo <= hi
 }
 
 // Scan yields the projected columns of every non-pruned row group of every

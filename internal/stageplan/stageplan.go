@@ -10,8 +10,10 @@
 //     partition p of both sides, builds the hash table on the build side
 //     and probes with the other — no worker ever sees a whole table;
 //   - grouped aggregations split into a partial aggregate in the stage
-//     producing the rows and a final merge stage fed by a repartition on
-//     the group keys, so group state never funnels through the driver.
+//     producing the rows and a merge: on the driver (§3.2) when the footers
+//     bound what the producing fleet sends back — groups × workers — to
+//     DefaultBroadcastRowLimit rows, else in a final merge stage fed by a
+//     repartition on the group keys, never funnelled through the driver.
 //
 // Joins whose build side is genuinely small (by lpq footer row counts) stay
 // broadcast joins inside their probe side's stage — the planner chooses
@@ -39,8 +41,7 @@ import (
 // hash of its canonical JSON encoding. Two plans with the same fingerprint
 // compute the same result over the same table data, which makes the
 // fingerprint the plan half of a (plan, table files) result-cache key.
-// Callers must fingerprint the plan before Decompose/SplitDistributed
-// mutate it.
+// Callers must fingerprint the plan before Decompose mutates it.
 func Fingerprint(p engine.Plan) (string, error) {
 	b, err := engine.MarshalPlan(p)
 	if err != nil {
@@ -108,6 +109,9 @@ type Plan struct {
 	// Broadcast names the tables the driver must materialize and ship
 	// inside worker payloads (the small sides of broadcast joins).
 	Broadcast []string
+	// Merge says where the plan's aggregate merges its partials and from
+	// which numbers that was decided ("" without an aggregate) — for Explain.
+	Merge string
 }
 
 // ResultStage returns the stage whose output feeds the driver scope.
@@ -129,6 +133,15 @@ type Stats struct {
 	// tracks the selective workload; for unfiltered scans it is the exact
 	// total row count.
 	Rows map[string]int64
+	// Workers is each scanned table's fleet: ⌈files / FilesPerWorker⌉ over the
+	// files the predicates did not prune.
+	Workers map[string]int
+	// Bounds answers with the smallest and largest value the footers record
+	// for an Int64 column of a table. Nil, or !ok, is an unknown bound.
+	Bounds func(table, column string) (lo, hi int64, ok bool)
+	// Resident marks the tables that live in the driver's memory, not on S3:
+	// always broadcast, whatever their size, and never opened.
+	Resident map[string]bool
 }
 
 // Config tunes the decomposition.
@@ -323,7 +336,7 @@ func Decompose(p engine.Plan, stats Stats, cfg Config) (*Plan, error) {
 	c := &compiler{cfg: cfg, stats: stats, parts: cfg.partitions(stats), broadcast: map[string]bool{}}
 
 	// Peel the driver-only tail (OrderBy, Limit) and an optional top-level
-	// projection, mirroring engine.SplitDistributed.
+	// projection.
 	var tail []engine.Plan
 	cur := p
 	for {
@@ -352,15 +365,23 @@ func Decompose(p engine.Plan, stats Stats, cfg Config) (*Plan, error) {
 		agg, cur = n, n.In
 	}
 
+	// The group bound reads the base tables under the keys, so it is taken
+	// before build rebinds shuffle joins to their boundaries.
+	groups, unbounded := int64(1), ""
+	if agg != nil {
+		groups, unbounded = c.groupBound(cur, agg.GroupBy)
+	}
+
 	// Compile the row source (scan chains and the join tree) into stages.
 	rowStage, err := c.build(cur)
 	if err != nil {
 		return nil, err
 	}
 
+	out := &Plan{}
 	var driver engine.Plan
 	switch {
-	case agg != nil && len(agg.GroupBy) > 0:
+	case agg != nil:
 		partial, final, err := engine.SplitAggregate(agg)
 		if err != nil {
 			return nil, err
@@ -371,48 +392,43 @@ func Decompose(p engine.Plan, stats Stats, cfg Config) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		if intKeys(ps, agg.GroupBy) {
+		driver = final
+		if topProject != nil {
+			driver = &engine.ProjectPlan{In: final, Exprs: topProject.Exprs, Names: topProject.Names}
+		}
+		// Every worker of the producing fleet sends back at most one partial
+		// row per group: where the footers bound that (a global aggregate is
+		// one group), the driver merges them, as §3.2 has it.
+		fleet := int64(c.parts)
+		if rowStage.Table != "" {
+			fleet = int64(max(c.stats.Workers[rowStage.Table], 1))
+		}
+		switch {
+		case len(agg.GroupBy) == 0 || unbounded == "" && groups*fleet <= DefaultBroadcastRowLimit:
+			out.Merge = fmt.Sprintf("driver (≤ %d groups × %d workers)", groups, fleet)
+		case !intKeys(ps, agg.GroupBy):
+			out.Merge = "driver (keys not hashable)"
+		default:
 			// Repartition the partials on the group keys; one final-merge
 			// worker per partition owns every group hashing to it.
-			rowStage.Output = &Output{Keys: agg.GroupBy, Partitions: c.parts}
-			workerFinal := final
-			if topProject != nil {
-				workerFinal = &engine.ProjectPlan{In: final, Exprs: topProject.Exprs, Names: topProject.Names}
+			if unbounded == "" {
+				unbounded = fmt.Sprintf("≤ %d groups × %d workers", groups, fleet)
 			}
+			out.Merge = fmt.Sprintf("repartition ×%d (%s)", c.parts, unbounded)
+			rowStage.Output = &Output{Keys: agg.GroupBy, Partitions: c.parts}
 			inTable := InputTable(rowStage.ID)
-			rebindScan(workerFinal, engine.WorkerResultTable, inTable)
-			finalStage := &Stage{
+			rebindScan(driver, engine.WorkerResultTable, inTable)
+			c.stages = append(c.stages, &Stage{
 				ID:        c.id(),
-				Plan:      workerFinal,
+				Plan:      driver,
 				Inputs:    []Input{{StageID: rowStage.ID, Table: inTable}},
 				DependsOn: []int{rowStage.ID},
-			}
-			c.stages = append(c.stages, finalStage)
-			fs, err := workerFinal.OutSchema()
+			})
+			fs, err := driver.OutSchema()
 			if err != nil {
 				return nil, err
 			}
 			driver = &engine.ScanPlan{Table: engine.WorkerResultTable, TableSchema: fs}
-		} else {
-			// Non-hashable group keys: fall back to a driver-side merge of
-			// the raw partials (the SplitDistributed shape).
-			driver = final
-			if topProject != nil {
-				driver = &engine.ProjectPlan{In: driver, Exprs: topProject.Exprs, Names: topProject.Names}
-			}
-		}
-	case agg != nil:
-		// Global aggregate: partials are one row per worker — merge on the
-		// driver.
-		partial, final, err := engine.SplitAggregate(agg)
-		if err != nil {
-			return nil, err
-		}
-		partial.In = rowStage.Plan
-		rowStage.Plan = partial
-		driver = final
-		if topProject != nil {
-			driver = &engine.ProjectPlan{In: driver, Exprs: topProject.Exprs, Names: topProject.Names}
 		}
 	case topProject != nil:
 		topProject.In = rowStage.Plan
@@ -439,12 +455,60 @@ func Decompose(p engine.Plan, stats Stats, cfg Config) (*Plan, error) {
 		}
 	}
 
-	out := &Plan{Stages: c.stages, Driver: driver}
+	out.Stages, out.Driver = c.stages, driver
 	for t := range c.broadcast {
 		out.Broadcast = append(out.Broadcast, t)
 	}
 	sort.Strings(out.Broadcast)
 	return out, nil
+}
+
+// groupBound bounds the groups of an aggregate over p by the product of its
+// keys' value ranges, max − min + 1 each, from the footers of the base column
+// a key copies. unbounded names the first key without such a bound, or at
+// which the product passes DefaultBroadcastRowLimit.
+func (c *compiler) groupBound(p engine.Plan, keys []string) (groups int64, unbounded string) {
+	groups = 1
+	for _, k := range keys {
+		table, col, ok := origin(p, k)
+		var lo, hi int64
+		if ok = ok && c.stats.Bounds != nil; ok {
+			lo, hi, ok = c.stats.Bounds(table, col)
+		}
+		if !ok {
+			return 0, k + " unbounded"
+		}
+		n := hi - lo + 1 // ≤ 0: overflowed
+		if n <= 0 || n > DefaultBroadcastRowLimit/groups {
+			return 0, fmt.Sprintf("%s: over %d groups", k, DefaultBroadcastRowLimit)
+		}
+		groups *= n
+	}
+	return groups, ""
+}
+
+// origin traces an output column of p to the base-table column it copies:
+// through filters, either side of a join, and projections that pass it on
+// unchanged. A computed column has none.
+func origin(p engine.Plan, col string) (table, column string, ok bool) {
+	switch n := p.(type) {
+	case *engine.ScanPlan:
+		return n.Table, col, true
+	case *engine.FilterPlan:
+		return origin(n.In, col)
+	case *engine.ProjectPlan:
+		for i, name := range n.Names {
+			if src, copies := n.Exprs[i].(engine.Col); copies && name == col {
+				return origin(n.In, string(src))
+			}
+		}
+	case *engine.JoinPlan:
+		if ls, err := n.Left.OutSchema(); err == nil && ls.Index(col) >= 0 {
+			return origin(n.Left, col)
+		}
+		return origin(n.Right, col)
+	}
+	return "", "", false
 }
 
 func (c *compiler) id() int {
@@ -567,14 +631,17 @@ func (c *compiler) embedJoin(st *Stage, j *engine.JoinPlan) (engine.Plan, error)
 	}, nil
 }
 
-// scanRows reports whether p is a bare base-table scan of at most limit
-// rows — the broadcast criterion. Subtrees with joins or filters above the
-// scan shuffle instead (their output size is not footer-predictable).
-// Filtered scans are excluded even when the post-filter estimate is small:
-// broadcast ships the whole table inside every worker payload, and the
-// estimate is an upper bound on selected rows, not shipped bytes.
+// scanRows reports whether p is a scan of a driver-resident table or a bare
+// base-table scan of at most limit rows — the broadcast criterion. Subtrees
+// with joins or filters above the scan shuffle instead (their output size is
+// not footer-predictable). Filtered scans are excluded even when the
+// post-filter estimate is small: broadcast ships the whole table inside every
+// worker payload, and the estimate bounds selected rows, not shipped bytes.
 func (c *compiler) scanRows(p engine.Plan, limit int64) bool {
 	s, ok := p.(*engine.ScanPlan)
+	if ok && c.stats.Resident[s.Table] {
+		return true
+	}
 	if !ok || limit <= 0 || s.Filter != nil {
 		return false
 	}
@@ -642,6 +709,9 @@ func Explain(p *Plan) string {
 		out += "\n" + indent(engine.Explain(s.Plan))
 	}
 	out += "driver:\n" + indent(engine.Explain(p.Driver))
+	if p.Merge != "" {
+		out += "merge: " + p.Merge + "\n"
+	}
 	return out
 }
 

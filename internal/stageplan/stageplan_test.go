@@ -1,6 +1,8 @@
 package stageplan
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"lambada/internal/engine"
@@ -270,5 +272,91 @@ func TestChooseVariantPicksShardBuckets(t *testing.T) {
 	pinned := exchange.Variant{Levels: 1, Buckets: 4}
 	if got, want := pinned.Requests(64, 64, 16), (exchange.Variant{Levels: 1}).Requests(64, 64, 4); got != want {
 		t.Fatalf("pinned-bucket request model: got %+v, want %+v", got, want)
+	}
+}
+
+// TestDecomposeMergeChoice: where an aggregate's partials merge is decided
+// from the footers — the provenance of each group key's bound, and the rule
+// G × fleet ≤ DefaultBroadcastRowLimit on both sides of its edge — and from
+// nothing else. A driver merge is one stage fewer and no boundary under the
+// aggregate.
+func TestDecomposeMergeChoice(t *testing.T) {
+	const join = ` FROM lineitem INNER JOIN orders ON lineitem.l_orderkey = orders.o_orderkey `
+	// The bounds a footer would give: a column missing here has no statistics.
+	bounds := map[string][2]int64{
+		"lineitem.l_returnflag":  {0, 2},
+		"lineitem.l_linestatus":  {0, 1},
+		"orders.o_orderpriority": {0, 4},
+		"lineitem.l_linenumber":  {1, 16384},
+		"lineitem.l_partkey":     {1, 16385},
+		"lineitem.l_orderkey":    {1, DefaultBroadcastRowLimit},
+		"lineitem.l_suppkey":     {0, DefaultBroadcastRowLimit},
+		"lineitem.l_shipdate":    {math.MinInt64, math.MaxInt64},
+	}
+	footers := bigStats()
+	footers.Workers = map[string]int{"lineitem": 4, "orders": 2}
+	footers.Bounds = func(table, column string) (int64, int64, bool) {
+		b, ok := bounds[table+"."+column]
+		return b[0], b[1], ok
+	}
+	oneWorker := footers
+	oneWorker.Workers = map[string]int{"lineitem": 1}
+	// project puts key AS k under the aggregate, by hand: sqlfe has no such form.
+	project := func(key engine.Expr) engine.Plan {
+		return &engine.AggregatePlan{
+			GroupBy: []string{"k"},
+			Aggs:    []engine.AggSpec{{Func: engine.AggCount, Name: "n"}},
+			In:      &engine.ProjectPlan{In: &engine.ScanPlan{Table: "lineitem"}, Exprs: []engine.Expr{key}, Names: []string{"k"}},
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		sql   string
+		plan  engine.Plan
+		stats Stats
+		merge string
+	}{
+		{name: "global", sql: `SELECT COUNT(*) AS n FROM lineitem`, stats: footers, merge: "driver (≤ 1 groups × 4 workers)"},
+		{name: "through a filter", sql: `SELECT l_returnflag, l_linestatus, COUNT(*) AS n FROM lineitem WHERE l_shipdate < DATE '1995-01-01' GROUP BY l_returnflag, l_linestatus`,
+			stats: footers, merge: "driver (≤ 6 groups × 4 workers)"},
+		{name: "through the build side", sql: `SELECT o_orderpriority, COUNT(*) AS n` + join + `GROUP BY o_orderpriority`,
+			stats: footers, merge: "driver (≤ 5 groups × 3 workers)"},
+		{name: "through the probe side", sql: `SELECT l_returnflag, COUNT(*) AS n` + join + `GROUP BY l_returnflag`,
+			stats: footers, merge: "driver (≤ 3 groups × 3 workers)"},
+		{name: "through an identity projection", plan: project(engine.Col("l_returnflag")), stats: footers, merge: "driver (≤ 3 groups × 4 workers)"},
+		{name: "computed key", plan: project(engine.NewBin(engine.OpAdd, engine.Col("l_returnflag"), engine.ConstInt(1))),
+			stats: footers, merge: "repartition ×3 (k unbounded)"},
+		{name: "float key", sql: `SELECT l_quantity, COUNT(*) AS n FROM lineitem GROUP BY l_quantity`, stats: footers, merge: "driver (keys not hashable)"},
+		{name: "no statistics", sql: `SELECT l_commitdate, COUNT(*) AS n FROM lineitem GROUP BY l_commitdate`, stats: footers, merge: "repartition ×3 (l_commitdate unbounded)"},
+		{name: "range overflows", sql: `SELECT l_shipdate, COUNT(*) AS n FROM lineitem GROUP BY l_shipdate`, stats: footers, merge: "repartition ×3 (l_shipdate: over 65536 groups)"},
+		{name: "rows alone", sql: `SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag`, stats: bigStats(), merge: "repartition ×3 (l_returnflag unbounded)"},
+		{name: "G × fleet = limit", sql: `SELECT l_linenumber, COUNT(*) AS n FROM lineitem GROUP BY l_linenumber`, stats: footers, merge: "driver (≤ 16384 groups × 4 workers)"},
+		{name: "G × fleet = limit + 4", sql: `SELECT l_partkey, COUNT(*) AS n FROM lineitem GROUP BY l_partkey`, stats: footers, merge: "repartition ×3 (≤ 16385 groups × 4 workers)"},
+		{name: "G = limit", sql: `SELECT l_orderkey, COUNT(*) AS n FROM lineitem GROUP BY l_orderkey`, stats: oneWorker, merge: "driver (≤ 65536 groups × 1 workers)"},
+		{name: "G = limit + 1", sql: `SELECT l_suppkey, COUNT(*) AS n FROM lineitem GROUP BY l_suppkey`, stats: oneWorker, merge: "repartition ×3 (l_suppkey: over 65536 groups)"},
+	} {
+		plan := tc.plan
+		if plan == nil {
+			plan = optimized(t, tc.sql)
+		} else if opt, err := engine.Optimize(plan, engine.Catalog{"lineitem": engine.NewMemSource(tpch.Schema())}); err != nil {
+			t.Fatal(err)
+		} else {
+			plan = opt
+		}
+		sp, err := Decompose(plan, tc.stats, Config{Partitions: 3, BroadcastRowLimit: -1})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if sp.Merge != tc.merge {
+			t.Errorf("%s: merge: %s, want %s", tc.name, sp.Merge, tc.merge)
+		}
+		// A final-merge stage has one input — the row stage's boundary — where
+		// a scan stage has none and a join stage two.
+		if final := len(sp.ResultStage().Inputs) == 1; final != strings.HasPrefix(tc.merge, "repartition") {
+			t.Errorf("%s: merge: %s, but the plan is\n%s", tc.name, sp.Merge, Explain(sp))
+		}
+		if !strings.Contains(Explain(sp), "merge: "+tc.merge+"\n") {
+			t.Errorf("%s: Explain does not say why:\n%s", tc.name, Explain(sp))
+		}
 	}
 }

@@ -40,7 +40,7 @@ ORDER BY s_nationkey`
 // Q12SQL is the TPC-H Query 12-shaped two-large-sides join: LINEITEM
 // INNER JOIN ORDERS, late lineitems per order priority. The stage
 // planner shuffles both sides through S3 (neither fits a broadcast at
-// scale); single-scope runs broadcast ORDERS like any small side.
+// scale) unless ORDERS is handed over as a driver-resident table.
 const Q12SQL = `
 SELECT o_orderpriority, COUNT(*) AS n, SUM(l_extendedprice) AS total
 FROM lineitem INNER JOIN orders ON lineitem.l_orderkey = orders.o_orderkey
