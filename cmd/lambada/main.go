@@ -143,7 +143,7 @@ func main() {
 		scfg.Partitions = *parts
 		scfg.BroadcastRowLimit = *bcast
 		scfg.MaxStageWait = *stgWait
-		scfg.ExchangeLevels = *xlevels
+		scfg.Exchange.Variant.Levels = *xlevels
 		scfg.MaxAutoPartitions = *maxParts
 		out, rep, err := d.Session().Run(env, plan, tf, local, scfg)
 		if err != nil {

@@ -171,10 +171,16 @@
 // A driver-resident table — a chunk the caller holds in memory, what
 // Run…Broadcast passes (§3.2's "small amounts of data read locally") — is
 // never opened and always broadcast: its rows and value ranges are the
-// chunk's own, and a query with one has no cache key. stageplan.Explain ends
-// with the merge decision and the numbers behind it ("merge: driver (≤ 6
-// groups × 4 workers)", "merge: repartition ×256 (l_orderkey unbounded)"),
-// and cmd/lambada -v prints it above the report.
+// chunk's own, and a query with one has no cache key. The plan Decompose
+// returns is complete — every fleet the query runs, with its size, every
+// boundary's exchange algorithm, and each multi-level boundary's regroup round
+// as a stage of its own (below) — and the driver builds payloads from it and
+// runs it as given; it sizes, resolves and adds nothing. stageplan.Explain
+// prints that DAG, a line per fleet in launch order ("stage 1 scan=lineitem
+// workers=2 out=hash([l_orderkey])x256 2l-wc", "stage 3 regroup of 1
+// workers=16 …"), and ends with the merge decision and the numbers behind it
+// ("merge: driver (≤ 6 groups × 4 workers)", "merge: repartition ×256
+// (l_orderkey unbounded)"); cmd/lambada -v prints it above the report.
 //
 // From there on there is one of everything. One task shape: the invocation
 // blob carries the worker's ID, its plan fragment and its inputs (§3.3) —
@@ -269,14 +275,15 @@
 // group is a run of consecutive partitions, so a sender's group object is a
 // run of its partition-scattered rows — and each group then gets a round of
 // its own whose single writer is the group's regroup worker and whose slots
-// are the group's partitions. The regroup round is a stage: once the
-// scheduler has resolved a boundary multi-level it puts a plan-less stage of
-// G workers right behind the producer — its one input is the producer's
-// boundary, its output the same boundary's second round — and makes the
-// boundary's consumers depend on its seal, since the objects they read exist
-// only then. Nothing else knows it is special: its payloads are built, its
-// fleet launched, sealed, speculated, relaunched and fenced like any
-// stage's, and a worker handed a task without a plan runs the regroup round
+// are the group's partitions. The regroup round is a planner stage: when
+// Decompose resolves a boundary multi-level it puts a plan-less stage of G
+// workers right behind the producer, numbered after its own stages — its one
+// input is the producer's boundary, its output the same boundary's second
+// round — and the boundary's consumers depend on it and name it as their
+// input's Ready stage, whose seal gates their collect, since the objects
+// they read exist only then. Nothing else knows it is special: its payloads
+// are built, its fleet launched, sealed, speculated, relaunched and fenced
+// like any stage's, and a worker handed a task without a plan runs the regroup round
 // of the task's input — collect the group sender-ascending, split it by the
 // same hash, publish. A receiver collects its partition from its group's
 // round — one List and one read instead of S, O(S·G + P) requests instead
@@ -286,9 +293,11 @@
 // first-committed-attempt semantics and the epoch fence hold unchanged; the
 // fence/speculation/chaos suites re-run over forced multi-level boundaries,
 // and TestStagedQ12ScaleSmoke pins the billed request counts of a 1k-worker
-// staged q12 to the model integer-exactly. -exchange-levels forces a round
-// count (1 or 2) for ablations, and the profile output reports each
-// boundary's resolved variant and each regroup fleet under its producer.
+// staged q12 to the model integer-exactly. -exchange-levels pins a round
+// count (1 or 2) for ablations — it sets StageConfig.Exchange.Variant.Levels,
+// which reaches the planner as stageplan.Config.Exchange — and the report
+// shows each boundary's variant and books each regroup stage under its
+// producer.
 //
 // Invocation itself is the other O(S·P) hazard: a wide fleet launches
 // through the invoke.TreeFanout protocol (first workers re-invoke the rest,
@@ -532,7 +541,7 @@
 //
 //	query    one driver query
 //	stage    one stage run of its plan (a plan without a boundary has one;
-//	         a multi-level boundary adds a regroup run)
+//	         a regroup stage's is named regroup-<producer>)
 //	invoke   one Lambda worker invocation (an attempt; tags carry worker,
 //	         cold, attempt, fault/timeout outcomes, rows and bytes moved)
 //	op       one substrate call (s3.getrange, sqs.Receive, dynamo.PutIf,

@@ -239,7 +239,7 @@ func benchStagedFleet(b *testing.B, parts, forceLevels int) {
 			scfg := DefaultStageConfig()
 			scfg.Partitions = parts
 			scfg.BroadcastRowLimit = -1
-			scfg.ExchangeLevels = forceLevels
+			scfg.Exchange.Variant.Levels = forceLevels
 			scfg.Exchange.Poll = 100 * time.Millisecond
 			out, rep, err := d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 			if err != nil {

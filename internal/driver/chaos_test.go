@@ -152,12 +152,12 @@ func TestStagedChaosDeterministicByteIdentical(t *testing.T) {
 		}},
 		{"flat", func(cfg *Config, scfg *StageConfig) {
 			cfg.Speculate = DefaultSpeculateConfig()
-			scfg.ExchangeLevels = 1
+			scfg.Exchange.Variant.Levels = 1
 			scfg.Exchange.Variant.WriteCombining = false
 		}},
 		{"multilevel", func(cfg *Config, scfg *StageConfig) {
 			cfg.Speculate = DefaultSpeculateConfig()
-			scfg.ExchangeLevels = 2
+			scfg.Exchange.Variant.Levels = 2
 		}},
 	}
 	for _, v := range variants {

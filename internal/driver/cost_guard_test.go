@@ -49,7 +49,7 @@ func runStagedCost(t *testing.T, liOpts, ordOpts lpq.WriterOptions, mutate func(
 		scfg.Partitions = 2
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Variant.WriteCombining = wc
-		scfg.ExchangeLevels = 1
+		scfg.Exchange.Variant.Levels = 1
 		out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		if err != nil {
 			t.Errorf("staged q12 failed: %v", err)
@@ -315,7 +315,7 @@ func TestExecutorRequestGuard(t *testing.T) {
 			scfg.BroadcastRowLimit = -1
 			scfg.Exchange.Poll = 100 * time.Millisecond
 			scfg.Exchange.Variant.WriteCombining = wc
-			scfg.ExchangeLevels = 2
+			scfg.Exchange.Variant.Levels = 2
 			_, _, err := d.RunSQLStaged(q12ExactSQL, tables, scfg)
 			return err
 		}

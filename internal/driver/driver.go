@@ -213,24 +213,18 @@ func DefaultConfig() Config {
 type Driver struct {
 	sess *Session
 	env  simenv.Env
-
-	// dep and cfg mirror the session's deployment and normalized config so
-	// existing tests that reach into driver internals keep compiling.
-	dep *Deployment
-	cfg Config
 }
 
 // New returns a driver using env as its local clock.
 func New(dep *Deployment, env simenv.Env, cfg Config) *Driver {
-	s := NewSession(dep, cfg)
-	return &Driver{sess: s, env: env, dep: dep, cfg: s.cfg}
+	return &Driver{sess: NewSession(dep, cfg), env: env}
 }
 
 // Config returns the driver's configuration.
-func (d *Driver) Config() Config { return d.cfg }
+func (d *Driver) Config() Config { return d.sess.cfg }
 
 // Deployment returns the bound deployment.
-func (d *Driver) Deployment() *Deployment { return d.dep }
+func (d *Driver) Deployment() *Deployment { return d.sess.dep }
 
 // Session returns the resident session the driver fronts.
 func (d *Driver) Session() *Session { return d.sess }

@@ -8,12 +8,15 @@ import (
 )
 
 // ExchangeConfig configures the S3 namespace stage boundaries shuffle
-// through: whether publishes write-combine, and receiver-side waiting.
+// through: their algorithm, and receiver-side waiting.
 type ExchangeConfig struct {
-	// Variant is the base of every boundary's variant, of which only
-	// WriteCombining is read. Levels and Buckets are resolved per boundary by
-	// stageplan.ChooseVariant (StageConfig.ExchangeLevels pins the round
-	// count) and ignored here.
+	// Variant is the base of every boundary's variant, the planner's
+	// stageplan.Config.Exchange. WriteCombining is inherited; Levels pins
+	// every boundary's round count — 1 single-round, 2 the multi-level
+	// boundary with its regroup round (§4.4.2) — and 0, the default, leaves
+	// each boundary to the analytic request model (stageplan.ChooseVariant):
+	// wide fleets go multi-level, narrow ones stay single-round. Buckets is
+	// ignored: ChooseVariant picks it.
 	Variant exchange.Variant
 	// Poll and MaxWait configure receiver-side waiting.
 	Poll    time.Duration
@@ -30,19 +33,15 @@ func DefaultExchangeConfig() ExchangeConfig {
 	}
 }
 
-// exchangeShardBuckets is the number of shard buckets an installation
-// pre-creates (§4.4.1); ChooseVariant narrows each boundary to the first few
-// its request pressure needs.
-const exchangeShardBuckets = 8
-
 // exchangeBucketName names the i-th shard bucket of an installation.
 func exchangeBucketName(fn string, i int) string {
 	return fmt.Sprintf("%s-xshard-%d", fn, i)
 }
 
-// InstallExchange creates the shard buckets (free, done once, §4.4.1).
+// InstallExchange creates the exchange.ShardBuckets shard buckets (free,
+// done once, §4.4.1).
 func (d *Session) InstallExchange() []string {
-	buckets := make([]string, exchangeShardBuckets)
+	buckets := make([]string, exchange.ShardBuckets)
 	for i := range buckets {
 		buckets[i] = exchangeBucketName(d.cfg.FunctionName, i)
 		d.dep.S3.MustCreateBucket(buckets[i])

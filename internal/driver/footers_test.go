@@ -280,12 +280,12 @@ func TestPlanningReadsOnlyScannedTables(t *testing.T) {
 		"lineitem": engine.NewMemSource(tpch.Schema(), li),
 	}))
 
-	before := d.dep.Meter.Count(pricing.LabelS3Read)
+	before := d.sess.dep.Meter.Count(pricing.LabelS3Read)
 	_, _, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": tables["lineitem"]}, DefaultStageConfig())
 	if !errors.Is(err, ErrInvalidPlan) {
 		t.Errorf("q12 without orders registered: %v, want ErrInvalidPlan", err)
 	}
-	if n := d.dep.Meter.Count(pricing.LabelS3Read) - before; n != 0 {
+	if n := d.sess.dep.Meter.Count(pricing.LabelS3Read) - before; n != 0 {
 		t.Errorf("the refused plan billed %d S3 reads", n)
 	}
 }

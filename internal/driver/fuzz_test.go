@@ -57,7 +57,7 @@ func payloadSeeds(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	scfg := DefaultStageConfig()
-	scfg.Partitions, scfg.BroadcastRowLimit, scfg.ExchangeLevels = 3, -1, 2
+	scfg.Partitions, scfg.BroadcastRowLimit, scfg.Exchange.Variant.Levels = 3, -1, 2
 	if _, _, err := sess.RunSQLStaged(env, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,8 @@ func payloadSeeds(t testing.TB) [][]byte {
 // never more memory than the worker's engine budget allows, however many rows
 // a blob's footer claims. The deployment has no file behind any name: nothing
 // here reads one. testdata/fuzz/FuzzWorkerPayload holds the seeds as built at
-// PR 24 and the crashers found since.
+// PR 24 (the two regroup ones as the planner builds them since PR 25) and the
+// crashers found since.
 func FuzzWorkerPayload(f *testing.F) {
 	for _, seed := range payloadSeeds(f) {
 		f.Add(seed)

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -79,6 +80,77 @@ func TestEntrancesPlanAlike(t *testing.T) {
 		// The repartitioned aggregate shows as a boundary under stage 0.
 		if boundary := plainRep.StageStats[0].Variant != ""; boundary != (tc.stages == 2) {
 			t.Errorf("%s: stage 0 boundary %q in a %d-stage plan", tc.name, plainRep.StageStats[0].Variant, tc.stages)
+		}
+	}
+}
+
+// TestSchedulerRunsAtBenchShapes pins the stage runs the scheduler makes of
+// the plan for staged_des' and fleet_des' q12 (BroadcastRowLimit -1 on four
+// LINEITEM and two ORDERS files at SF 0.002): launch order, fragment or
+// regroup fleet (a regroup is booked under its producer's ID), fleet size and
+// boundary variant. The values were recorded before the planner took over
+// fleet sizes, variants and regroup stages from the driver (PR 25).
+func TestSchedulerRunsAtBenchShapes(t *testing.T) {
+	g := tpch.Gen{SF: 0.002, Seed: 33}
+	li := g.Generate()
+	orders := g.OrdersFor(li)
+	type run struct {
+		stage   int
+		regroup bool
+		workers int
+		variant string
+	}
+	for _, tc := range []struct {
+		name  string
+		parts int
+		want  []run
+	}{
+		{"staged_des", 30, []run{{1, false, 2, "1l-wc"}, {2, false, 2, "1l-wc"}, {0, false, 30, ""}}},
+		{"fleet_des", 256, []run{
+			{1, false, 2, "2l-wc"}, {1, true, 16, "2l-wc"},
+			{2, false, 2, "2l-wc"}, {2, true, 16, "2l-wc"},
+			{0, false, 256, ""},
+		}},
+	} {
+		k := simclock.New()
+		dep := NewSimulated(k, 7)
+		var rep *Report
+		k.Go("driver", func(p *simclock.Proc) {
+			cfg := DefaultConfig()
+			cfg.PollInterval = 50 * time.Millisecond
+			d := New(dep, p, cfg)
+			if err := d.Install(); err != nil {
+				t.Error(err)
+				return
+			}
+			liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ordRefs, err := d.UploadTable("tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			scfg := DefaultStageConfig()
+			scfg.Partitions = tc.parts
+			scfg.BroadcastRowLimit = -1
+			scfg.Exchange.Poll = 100 * time.Millisecond
+			if _, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg); err != nil {
+				t.Error(err)
+			}
+		})
+		k.Run()
+		if k.Deadlocked() || rep == nil {
+			t.Fatalf("%s: no report (deadlocked: %v)", tc.name, k.Deadlocked())
+		}
+		var got []run
+		for _, ss := range rep.StageStats {
+			got = append(got, run{ss.StageID, ss.Regroup, ss.Workers, ss.Variant})
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: stage runs\n got %+v\nwant %+v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -24,8 +24,8 @@ type StageProfile struct {
 	Speculated int
 	// Variant is the stage's resolved output-boundary exchange algorithm
 	// ("1l-wc", "2l", ...); empty for the result stage. Regroup marks the
-	// synthetic intermediate fleet of a multi-level boundary — StageID is
-	// then the producing stage whose boundary it regroups.
+	// regroup stage of a multi-level boundary — StageID is then the
+	// producing stage whose boundary it regroups.
 	Variant string
 	Regroup bool
 	// Attempts counts the worker invocations traced under the stage

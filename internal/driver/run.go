@@ -28,9 +28,9 @@ type Report struct {
 	// fence.
 	Epoch   int
 	Workers int
-	// Stages is the stage count of the executed plan (1 when nothing
-	// shuffles: no join with two large sides, an aggregate merged on the
-	// driver).
+	// Stages counts the executed plan's fragments — its stages bar the
+	// regroup ones (1 when nothing shuffles: no join with two large sides,
+	// an aggregate merged on the driver).
 	Stages   int
 	Duration time.Duration
 	// Invocation is the driver-side time spent launching workers.
@@ -96,12 +96,12 @@ type StageStat struct {
 	// Span is the stage's span (0 when tracing is off) — the anchor for
 	// per-stage cost attribution in Report.Profile.
 	Span obs.SpanID
-	// Variant is the stage's output-boundary exchange algorithm as resolved
-	// by the driver ("1l", "2l-wc", ...); empty for the result stage, which
-	// posts to the queue instead of publishing a boundary.
+	// Variant is the stage's output-boundary exchange algorithm as the
+	// planner resolved it ("1l", "2l-wc", ...); empty for the result stage,
+	// which posts to the queue instead of publishing a boundary.
 	Variant string
-	// Regroup marks the synthetic regroup fleet of a multi-level boundary;
-	// StageID is then the PRODUCING stage whose boundary it regroups.
+	// Regroup marks the regroup stage of a multi-level boundary; StageID is
+	// then the PRODUCING stage whose boundary it regroups.
 	Regroup bool
 }
 

@@ -91,7 +91,7 @@ func runSessionConcurrentQ12(t *testing.T, sess *Session, k *simclock.Kernel, de
 				scfg.Partitions = 2 + i%2
 				scfg.BroadcastRowLimit = -1
 				scfg.Exchange.Poll = 100 * time.Millisecond
-				scfg.ExchangeLevels = levels
+				scfg.Exchange.Variant.Levels = levels
 				out, rep, err := sess.RunSQLStaged(p, q12ExactSQL, tables, scfg)
 				if err != nil {
 					t.Errorf("query %d: %v", i, err)
@@ -150,7 +150,7 @@ func TestSessionConcurrentStagedByteIdentical(t *testing.T) {
 		scfg := DefaultStageConfig()
 		scfg.Partitions = 2
 		scfg.BroadcastRowLimit = -1
-		scfg.ExchangeLevels = levels
+		scfg.Exchange.Variant.Levels = levels
 		out, _, err := d.RunSQLStaged(q12ExactSQL, tables, scfg)
 		if err != nil {
 			t.Fatalf("one-shot baseline (levels=%d): %v", levels, err)
@@ -321,12 +321,12 @@ func TestPerQueryQueueTeardown(t *testing.T) {
 	if _, _, err := d.RunSQLStaged(q12ExactSQL, tables, cfg); err != nil {
 		t.Fatal(err)
 	}
-	q1 := queryQueueName(d.cfg.ResultQueue, "q1")
-	if err := d.dep.SQS.Send(d.env, q1, []byte("{}")); !errors.Is(err, sqs.ErrNoSuchQueue) {
+	q1 := queryQueueName(d.sess.cfg.ResultQueue, "q1")
+	if err := d.sess.dep.SQS.Send(d.env, q1, []byte("{}")); !errors.Is(err, sqs.ErrNoSuchQueue) {
 		t.Errorf("zombie post to %s after teardown: err = %v, want ErrNoSuchQueue", q1, err)
 	}
 	// The base queue survives — it seeds the next query's derived name.
-	if err := d.dep.SQS.Send(d.env, d.cfg.ResultQueue, []byte("{}")); err != nil {
+	if err := d.sess.dep.SQS.Send(d.env, d.sess.cfg.ResultQueue, []byte("{}")); err != nil {
 		t.Errorf("base queue gone after query teardown: %v", err)
 	}
 }

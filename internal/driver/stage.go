@@ -30,8 +30,8 @@ import (
 // stages connected by exchange boundaries) and the boundaries of the plans it
 // makes. A plan without a boundary reads MaxStageWait and nothing else of it.
 type StageConfig struct {
-	// Exchange configures the S3 boundary namespace (write combining,
-	// receiver polling).
+	// Exchange configures the boundaries: the base of every boundary's
+	// variant (write combining, the pinned round count) and receiver polling.
 	Exchange ExchangeConfig
 	// Partitions is the fan-in of every boundary — join stages and final
 	// aggregation stages run this many workers. 0 autotunes the fan-in from
@@ -50,14 +50,6 @@ type StageConfig struct {
 	// cases the quorum/median policy can never arm for: no response at all,
 	// and a sub-quorum stall. 0 disables the cap.
 	MaxStageWait time.Duration
-	// ExchangeLevels forces every stage boundary's round count: 1 pins
-	// single-round, 2 pins the multi-level boundary (one intermediate
-	// regrouping round, §4.4.2). 0 — the default — resolves each boundary
-	// from the analytic request model (stageplan.ChooseVariant) once the
-	// sender fleet size is known: large fleets go multi-level automatically,
-	// small ones stay single-round. Write combining is inherited from
-	// Exchange.Variant.WriteCombining either way.
-	ExchangeLevels int
 	// MaxAutoPartitions caps the autotuned boundary fan-in
 	// (0 = stageplan.MaxAutoPartitions). Paper-scale fleets raise it: with
 	// multi-level boundaries the boundary request count grows as O(√P·S)
@@ -99,37 +91,6 @@ type stageInputSpec struct {
 	// Variant is the producing boundary's resolved exchange algorithm; the
 	// collector must read with the same variant the senders wrote with.
 	Variant exchange.Variant `json:"inVariant"`
-}
-
-// regroupStageID names the synthetic regroup stage of one producer's
-// multi-level boundary, far above the planner's ID space (the planner
-// numbers stages densely from 0). Consumers of the boundary gate their
-// collects on ITS seal — the round-2 objects exist only once every regroup
-// worker committed — not the producer's.
-func regroupStageID(producer int) int { return 1_000_000 + producer }
-
-// regroupStage is the regroup round of a multi-level boundary (§4.4.2,
-// adapted — see exchange.RegroupStage) as a stage: Groups(P) plan-less
-// workers between the producer and its consumers, worker g merging
-// partition group g across all senders and republishing it per partition.
-// Being an ordinary stage, it is launched, speculated, relaunched and capped
-// like any other.
-func regroupStage(producer *stageplan.Stage) *stageplan.Stage {
-	return &stageplan.Stage{
-		ID:        regroupStageID(producer.ID),
-		Inputs:    []stageplan.Input{{StageID: producer.ID}},
-		Output:    producer.Output,
-		DependsOn: []int{producer.ID},
-	}
-}
-
-// regroupOf reports whether st is a regroup stage — the only plan-less
-// kind — and of which producer's boundary.
-func regroupOf(st *stageplan.Stage) (producer int, ok bool) {
-	if st.Plan != nil {
-		return 0, false
-	}
-	return st.Inputs[0].StageID, true
 }
 
 // stagesTableName names the DynamoDB seal/ready table of an installation.
@@ -357,9 +318,11 @@ func (d *Driver) RunPlanStaged(plan engine.Plan, tables TableFiles, cfg StageCon
 // schemas and statistics of the S3 tables the plan scans, Optimize, Decompose
 // (joins shuffle or broadcast per the footer row counts, the aggregate merges
 // on the driver or behind a repartition per the footer bounds of its group
-// keys), pruned file assignment, and the broadcast blobs the planner asked
-// for. local holds the driver-resident tables: chunks in the driver's memory
-// (§3.2's "small amounts of data read locally"), never opened, always broadcast.
+// keys; every fleet sized, every boundary's algorithm chosen, every regroup
+// round a stage), pruned file assignment, and the broadcast blobs the planner
+// asked for — runStages runs the DAG as given. local holds the
+// driver-resident tables: chunks in the driver's memory (§3.2's "small
+// amounts of data read locally"), never opened, always broadcast.
 func (d *query) plan(plan engine.Plan, tables TableFiles, local map[string]*columnar.Chunk, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	d.begin()
 
@@ -444,7 +407,8 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, local map[string]*colu
 			// its scan reads only the footer and yields nothing.
 			kept = src.Files[:1]
 		}
-		scanFiles[name], stats.Workers[name] = kept, d.scanFleet(len(kept))
+		f := d.cfg.FilesPerWorker
+		scanFiles[name], stats.Workers[name] = kept, (len(kept)+f-1)/f // F files per worker
 	}
 	// Asked by Decompose for the group keys of the plan's aggregate only: the
 	// footers' value range for an S3 table, the chunk's for a resident one.
@@ -459,6 +423,7 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, local map[string]*colu
 		Partitions:        cfg.Partitions,
 		BroadcastRowLimit: cfg.BroadcastRowLimit,
 		MaxAutoPartitions: cfg.MaxAutoPartitions,
+		Exchange:          cfg.Exchange.Variant,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
@@ -481,11 +446,6 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, local map[string]*colu
 		}
 	}
 	return d.runStages(sp, scanFiles, blobs, cfg)
-}
-
-// scanFleet is the worker count of a scan stage over n files: F per worker.
-func (d *query) scanFleet(n int) int {
-	return (n + d.cfg.FilesPerWorker - 1) / d.cfg.FilesPerWorker
 }
 
 // chunkBounds is scan.Source.Bounds for a driver-resident table.
@@ -629,86 +589,23 @@ func (d *query) openNamespace(sp *stageplan.Plan, cfg StageConfig) (ns boundaryS
 	}, epoch, sweep, nil
 }
 
-// newScheduler sizes every fleet of sp, resolves the boundaries' exchange
-// variants, builds the payloads, and returns the scheduler over the
-// resulting stage runs, nothing launched yet.
+// newScheduler builds the payloads of every fleet sp names, in its launch
+// order, and returns the scheduler over the resulting stage runs, nothing
+// launched yet. Every stage's payloads are computable up front — the plan
+// fixes the fleet sizes — so pipelined launch can invoke consumers before
+// their producers seal.
 func (d *query) newScheduler(sp *stageplan.Plan, scanFiles TableFiles, blobs map[string][]byte, cfg StageConfig, ns boundarySpec, epoch int) (*scheduler, error) {
-	// Worker counts: scan stages derive from their file count (F files per
-	// worker); exchange-fed stages run one worker per partition.
-	workers := map[int]int{}
-	outputs := map[int]*stageplan.Output{}
-	for _, st := range sp.Stages {
-		if st.Output != nil {
-			outputs[st.ID] = st.Output
-		}
-		if st.Table != "" {
-			files := scanFiles[st.Table]
-			if files == nil {
-				return nil, fmt.Errorf("driver: stage %d scans unknown table %q", st.ID, st.Table)
-			}
-			workers[st.ID] = d.scanFleet(len(files))
-			continue
-		}
-		parts := 0
-		for _, in := range st.Inputs {
-			if out := outputs[in.StageID]; out != nil {
-				if parts != 0 && parts != out.Partitions {
-					return nil, fmt.Errorf("driver: stage %d inputs disagree on partitions", st.ID)
-				}
-				parts = out.Partitions
-			}
-		}
-		if parts == 0 {
-			return nil, fmt.Errorf("driver: stage %d has no boundary inputs", st.ID)
-		}
-		workers[st.ID] = parts
-	}
-
-	// Resolve every boundary's exchange variant now that fleet sizes are
-	// known: plan-pinned variants (Output.Variant.Levels > 0) stand, the
-	// rest come from the analytic request model — multi-level only when the
-	// request savings at this (S, P, B) pay for the regroup fleet, or when
-	// cfg.ExchangeLevels forces it. A multi-level boundary gets its regroup
-	// round as a stage of its own, right behind the producer, and the
-	// boundary's consumers depend on that stage's seal as well.
-	stages := make([]*stageplan.Stage, 0, len(sp.Stages))
-	for _, st := range sp.Stages {
-		stages = append(stages, st)
-		if st.Output == nil {
-			continue
-		}
-		if st.Output.Variant.Levels == 0 {
-			st.Output.Variant = stageplan.ChooseVariant(
-				workers[st.ID], st.Output.Partitions, len(ns.Buckets),
-				cfg.Exchange.Variant, cfg.ExchangeLevels)
-		}
-		if st.Output.Variant.Levels < 2 {
-			continue
-		}
-		rg := regroupStage(st)
-		workers[rg.ID] = exchange.Groups(st.Output.Partitions)
-		stages = append(stages, rg)
-		for _, c := range sp.Stages {
-			if slices.Contains(c.DependsOn, st.ID) {
-				c.DependsOn = append(c.DependsOn, rg.ID)
-			}
-		}
-	}
-
-	// Every stage's payloads are computable up front (worker counts depend
-	// only on file and partition counts), so pipelined launch can invoke
-	// consumers before their producers seal.
 	s := &scheduler{queryID: d.id, epoch: epoch, speculate: d.cfg.Speculate,
 		maxStageWait: cfg.MaxStageWait, waves: d.cfg.testWaveLaunch, byID: map[int]*stageRun{}}
-	for _, st := range stages {
-		ps, err := d.stagePayloads(epoch, st, workers[st.ID], scanFiles[st.Table], s.byID, blobs, ns)
+	for _, st := range sp.Stages {
+		ps, err := d.stagePayloads(epoch, st, scanFiles[st.Table], s.byID, blobs, ns)
 		if err != nil {
 			return nil, err
 		}
 		r := s.add(st, ps)
 		if tr := d.dep.Trace; tr.Enabled() {
 			name := "stage-" + strconv.Itoa(st.ID)
-			if producer, ok := regroupOf(st); ok {
+			if producer, ok := st.RegroupOf(); ok {
 				name = "regroup-" + strconv.Itoa(producer)
 			}
 			r.span = tr.StartSpan(obs.KindStage, name, d.span, d.env.Now())
@@ -848,7 +745,7 @@ func (d *query) report(s *scheduler, sp *stageplan.Plan) *Report {
 	d.quiesce()
 	endTime := d.env.Now()
 	rep := s.rep // a copy: the Report must not keep the scheduler's payloads alive
-	rep.QueryID, rep.Epoch, rep.Stages = s.queryID, s.epoch, len(sp.Stages)
+	rep.QueryID, rep.Epoch = s.queryID, s.epoch
 	rep.Duration = endTime - d.start
 	sort.Slice(rep.WorkerProcessing, func(i, j int) bool { return rep.WorkerProcessing[i] < rep.WorkerProcessing[j] })
 	for _, r := range s.runs {
@@ -860,8 +757,10 @@ func (d *query) report(s *scheduler, sp *stageplan.Plan) *Report {
 			Speculated: r.speculated,
 			Span:       r.span,
 		}
-		if producer, ok := regroupOf(r.st); ok {
+		if producer, ok := r.st.RegroupOf(); ok {
 			ss.StageID, ss.Regroup = producer, true
+		} else {
+			rep.Stages++
 		}
 		if r.st.Output != nil {
 			ss.Variant = r.st.Output.Variant.String()
@@ -909,13 +808,14 @@ func (d *query) purgeResults() error {
 	}
 }
 
-// stagePayloads builds the n invocation payloads of one stage (attempt 0),
-// every one stamped with the query's epoch fence token. A stage that
-// touches no boundary — no inputs to collect, no output to publish — ships
-// no boundary spec: its payload is the bare fragment plus its files.
+// stagePayloads builds the st.Workers invocation payloads of one stage
+// (attempt 0), every one stamped with the query's epoch fence token. A stage
+// that touches no boundary — no inputs to collect, no output to publish —
+// ships no boundary spec: its payload is the bare fragment plus its files.
 // byID holds the runs of the stage's producers (stages arrive in
 // topological order); ns is the query's boundary namespace.
-func (d *query) stagePayloads(epoch int, st *stageplan.Stage, n int, files []scan.FileRef, byID map[int]*stageRun, blobs map[string][]byte, ns boundarySpec) ([]workerPayload, error) {
+func (d *query) stagePayloads(epoch int, st *stageplan.Stage, files []scan.FileRef, byID map[int]*stageRun, blobs map[string][]byte, ns boundarySpec) ([]workerPayload, error) {
+	n := st.Workers
 	var planJSON []byte
 	if st.Plan != nil {
 		var err error
@@ -1020,7 +920,7 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 		// Regroup attempts version their round-2 publishes exactly like
 		// sender attempts — first committed attempt wins at the receivers.
 		in := x.Inputs[0]
-		if err := ready(in.StageID, in.Variant); err != nil {
+		if err := ready(in.Ready, in.Variant); err != nil {
 			return nil, err
 		}
 		return nil, exchange.RegroupStage(client, opts, exchange.Boundary{
@@ -1040,11 +940,7 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 	for _, in := range x.Inputs {
 		// A multi-level boundary is read once its regroup fleet sealed — the
 		// round-2 objects this worker reads exist only then.
-		sealed := in.StageID
-		if in.Variant.Levels >= 2 {
-			sealed = regroupStageID(in.StageID)
-		}
-		if err := ready(sealed, in.Variant); err != nil {
+		if err := ready(in.Ready, in.Variant); err != nil {
 			return nil, err
 		}
 		chunk, err := exchange.CollectStage(client, opts, exchange.Boundary{

@@ -93,7 +93,7 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 		// retry launches.
 		scfg.Exchange.MaxWait = 20 * time.Second
 		scfg.Exchange.Variant.WriteCombining = wc
-		scfg.ExchangeLevels = levels
+		scfg.Exchange.Variant.Levels = levels
 
 		d1Start := p.Now()
 		if _, _, err := d1.RunSQLStaged(q12PoisonSQL, tables, scfg); err == nil {
@@ -155,7 +155,7 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 	// And the zombie's post-purge boundary files (epoch-1 debris) fell to
 	// the retry's final sweep: the whole q1 namespace is empty, every epoch.
 	client := s3.NewClient(dep.S3, simenv.NewImmediate())
-	for _, b := range bucketNamesFor(DefaultConfig().FunctionName, exchangeShardBuckets) {
+	for _, b := range bucketNamesFor(DefaultConfig().FunctionName, exchange.ShardBuckets) {
 		entries, err := client.List(b, DefaultConfig().FunctionName+"/q1")
 		if err != nil {
 			t.Fatal(err)
@@ -351,7 +351,7 @@ func TestStagedAllStragglersRecovered(t *testing.T) {
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
 		scfg.Exchange.Variant.WriteCombining = false
-		scfg.ExchangeLevels = 1
+		scfg.Exchange.Variant.Levels = 1
 		scfg.MaxStageWait = 20 * time.Second
 		out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		if err != nil {
@@ -467,7 +467,7 @@ func TestStageFragmentSingleSealDeadline(t *testing.T) {
 		scfg.Exchange.Poll = 100 * time.Millisecond
 		scfg.Exchange.MaxWait = sealWait
 		scfg.Exchange.Variant.WriteCombining = false
-		scfg.ExchangeLevels = 1
+		scfg.Exchange.Variant.Levels = 1
 		start := p.Now()
 		_, _, runErr = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		elapsed = p.Now() - start
@@ -618,7 +618,7 @@ func TestStagedSubQuorumStallRecovered(t *testing.T) {
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
 		scfg.Exchange.Variant.WriteCombining = false
-		scfg.ExchangeLevels = 1
+		scfg.Exchange.Variant.Levels = 1
 		scfg.MaxStageWait = 20 * time.Second
 		out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		if err != nil {

@@ -45,7 +45,7 @@ func TestStagedGroupByShuffleMatchesSingleNode(t *testing.T) {
 		scfg := DefaultStageConfig()
 		scfg.Partitions = 3
 		scfg.Exchange.Variant.WriteCombining = wc
-		scfg.ExchangeLevels = 1
+		scfg.Exchange.Variant.Levels = 1
 		got, rep, err := d.RunPlanStaged(plan, TableFiles{"lineitem": refs}, scfg)
 		if err != nil {
 			t.Fatalf("wc=%v: %v", wc, err)
@@ -113,7 +113,7 @@ func TestStagedGroupByShuffleDES(t *testing.T) {
 			scfg := DefaultStageConfig()
 			scfg.Partitions = 3
 			scfg.Exchange.Variant.WriteCombining = wc
-			scfg.ExchangeLevels = 1
+			scfg.Exchange.Variant.Levels = 1
 			scfg.Exchange.Poll = 100 * time.Millisecond
 			out, rep, err := d.RunPlanStaged(plan, TableFiles{"lineitem": refs}, scfg)
 			if err != nil {

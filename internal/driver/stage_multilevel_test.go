@@ -22,14 +22,15 @@ import (
 // payload is the bare fragment plus its files — no boundary spec on the
 // wire — and a regroup payload is a boundary spec with no plan, which
 // survives the JSON round trip a tree launch puts child payloads through.
-// A payload with neither is refused, not dereferenced.
+// A payload with neither is refused, not dereferenced. The regroup task is
+// built from the planner's regroup stage.
 func TestPayloadShapes(t *testing.T) {
 	d, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
 	q := d.sess.newQuery(d.env)
 	defer q.close()
-	scan := &stageplan.Stage{ID: 1, Plan: singleNodePlan(t, q6SQL), Table: "lineitem"}
+	single := &stageplan.Stage{ID: 1, Plan: singleNodePlan(t, q6SQL), Table: "lineitem", Workers: 2}
 
-	ps, err := q.stagePayloads(0, scan, 2, refs, nil, nil, boundarySpec{})
+	ps, err := q.stagePayloads(0, single, refs, nil, nil, boundarySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +42,29 @@ func TestPayloadShapes(t *testing.T) {
 		t.Errorf("single-scope payload = %s, want a plan and no boundary spec", body)
 	}
 
-	scan.Output = &stageplan.Output{Keys: []string{"l_orderkey"}, Partitions: 5, Variant: exchange.Variant{Levels: 2, WriteCombining: true}}
-	byID := map[int]*stageRun{scan.ID: {st: scan, payloads: ps}}
+	// A two-worker scan whose repartition boundary is pinned multi-level at
+	// P = 5: the planner puts its regroup stage right behind it.
+	opt, err := engine.Optimize(singleNodePlan(t, `SELECT l_orderkey, COUNT(*) AS n FROM lineitem GROUP BY l_orderkey`),
+		engine.Catalog{"lineitem": engine.NewMemSource(tpch.Schema())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := stageplan.Decompose(opt, stageplan.Stats{Workers: map[string]int{"lineitem": 2}},
+		stageplan.Config{Partitions: 5, Exchange: exchange.Variant{Levels: 2, WriteCombining: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, regroup := sp.Stages[0], sp.Stages[1]
+	if producer, ok := regroup.RegroupOf(); !ok || producer != scan.ID {
+		t.Fatalf("stage behind the scan is not its regroup:\n%s", stageplan.Explain(sp))
+	}
 	ns := boundarySpec{Buckets: []string{"b0", "b1"}, Prefix: "fn/q1/e3", PollNs: 5, MaxWaitNs: 7, SealTable: "fn-stages"}
+	if ps, err = q.stagePayloads(3, scan, refs, nil, nil, ns); err != nil {
+		t.Fatal(err)
+	}
+	byID := map[int]*stageRun{scan.ID: {st: scan, payloads: ps}}
 	groups := exchange.Groups(scan.Output.Partitions)
-	if ps, err = q.stagePayloads(3, regroupStage(scan), groups, nil, byID, nil, ns); err != nil {
+	if ps, err = q.stagePayloads(3, regroup, nil, byID, nil, ns); err != nil {
 		t.Fatal(err)
 	}
 	if len(ps) != groups {
@@ -65,12 +84,12 @@ func TestPayloadShapes(t *testing.T) {
 	if !reflect.DeepEqual(back, rg) {
 		t.Errorf("regroup payload did not round-trip:\n got %+v\nwant %+v", back, rg)
 	}
-	if in := back.Boundary.Inputs; back.StageID != regroupStageID(scan.ID) || len(in) != 1 || in[0].StageID != scan.ID ||
+	if in := back.Boundary.Inputs; back.StageID != regroup.ID || len(in) != 1 || in[0].StageID != scan.ID || in[0].Ready != scan.ID ||
 		in[0].Senders != 2 || in[0].Variant != scan.Output.Variant || !reflect.DeepEqual(back.Boundary.Output, scan.Output) {
 		t.Errorf("regroup payload = %s, want the producer's boundary as its one input and its output", body)
 	}
 
-	ctx := &lambdasvc.Ctx{Env: d.env, MemoryMiB: d.cfg.WorkerMemoryMiB}
+	ctx := &lambdasvc.Ctx{Env: d.env, MemoryMiB: d.sess.cfg.WorkerMemoryMiB}
 	if _, err := d.sess.executeFragment(ctx, d.sess.retryPolicy(1), &workerPayload{QueryID: "q1"}); err == nil {
 		t.Error("a payload with neither plan nor boundary was executed")
 	}
@@ -88,7 +107,7 @@ func TestStagedMultiLevelByteIdentity(t *testing.T) {
 		cfg.Partitions = 5
 		cfg.BroadcastRowLimit = -1
 		cfg.Exchange.Variant.WriteCombining = wc
-		cfg.ExchangeLevels = 2
+		cfg.Exchange.Variant.Levels = 2
 
 		got, rep, err := d.RunSQLStaged(q12ByPartSQL, tables, cfg)
 		if err != nil {
@@ -127,8 +146,8 @@ func TestStagedMultiLevelByteIdentity(t *testing.T) {
 			t.Errorf("wc=%v: %d boundaries / %d regroup fleets in stage stats, want 3/3: %+v",
 				wc, boundaries, regroups, rep.StageStats)
 		}
-		// Report.Stages counts planner stages only; regroup fleets are
-		// bookkept under their producer.
+		// Report.Stages counts fragments only; regroup stages are booked
+		// under their producer.
 		if rep.Stages != 4 {
 			t.Errorf("wc=%v: stages = %d, want 4", wc, rep.Stages)
 		}

@@ -61,7 +61,7 @@ func runStagedWithStraggler(t *testing.T, wc bool, levels int, stall time.Durati
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
 		scfg.Exchange.Variant.WriteCombining = wc
-		scfg.ExchangeLevels = levels
+		scfg.Exchange.Variant.Levels = levels
 		first, rep, err = d.RunSQLStaged(q12ExactSQL, tables, scfg)
 		if err != nil {
 			t.Errorf("wc=%v: straggler query failed: %v", wc, err)
@@ -169,7 +169,7 @@ func TestStagedStaleArtifactsDoNotPoisonRetry(t *testing.T) {
 	scfg.Partitions = 2
 	scfg.BroadcastRowLimit = -1
 	scfg.Exchange.Variant.WriteCombining = false
-	scfg.ExchangeLevels = 1
+	scfg.Exchange.Variant.Levels = 1
 
 	// Manufacture the aborted run's debris. Boundary garbage: a committed
 	// attempt of sender 0 of stage 1, the lineitem scan, under the q1 prefix,
@@ -240,15 +240,15 @@ func TestStagedSweepClearsBoundaries(t *testing.T) {
 	// A concurrent query whose ID merely starts with this one's (q10 next to
 	// q1) owns a different namespace: q1's sweeps must leave it alone.
 	buckets := d.InstallExchange()
-	client := s3.NewClient(d.dep.S3, d.env)
-	sibling := d.cfg.FunctionName + "/q10/e1/live-boundary-object"
+	client := s3.NewClient(d.sess.dep.S3, d.env)
+	sibling := d.sess.cfg.FunctionName + "/q10/e1/live-boundary-object"
 	if err := client.Put(buckets[0], sibling, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := d.RunSQLStaged(q12ExactSQL, tables, cfg); err != nil {
 		t.Fatal(err)
 	}
-	prefix := d.cfg.FunctionName + "/q1/"
+	prefix := d.sess.cfg.FunctionName + "/q1/"
 	for _, b := range buckets {
 		entries, err := client.List(b, prefix)
 		if err != nil {

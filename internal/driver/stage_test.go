@@ -136,7 +136,7 @@ func TestShuffleJoinByteIdenticalAcrossConfigs(t *testing.T) {
 		cfg.Partitions = tc.parts
 		cfg.BroadcastRowLimit = -1 // force shuffle on every join
 		cfg.Exchange.Variant.WriteCombining = tc.wc
-		cfg.ExchangeLevels = 1
+		cfg.Exchange.Variant.Levels = 1
 
 		got, rep, err := d.RunSQLStaged(q12ExactSQL, tables, cfg)
 		if err != nil {
@@ -525,13 +525,13 @@ func TestStagedDrainsStaleResults(t *testing.T) {
 	// (q1 on this fresh session) will actually poll: a restarted driver
 	// reusing the counter inherits any queue a crashed predecessor left
 	// behind under the same name.
-	q1Queue := queryQueueName(d.cfg.ResultQueue, "q1")
-	d.dep.SQS.CreateQueue(q1Queue)
+	q1Queue := queryQueueName(d.sess.cfg.ResultQueue, "q1")
+	d.sess.dep.SQS.CreateQueue(q1Queue)
 	stale, err := json.Marshal(resultMsg{QueryID: "q999", WorkerID: 3, Stage: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.dep.SQS.Send(d.env, q1Queue, stale); err != nil {
+	if err := d.sess.dep.SQS.Send(d.env, q1Queue, stale); err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultStageConfig()

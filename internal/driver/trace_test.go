@@ -77,7 +77,7 @@ func runTraced(t *testing.T, o tracedOpts) tracedRun {
 			scfg.MaxStageWait = 30 * time.Second
 		}
 		if o.flat {
-			scfg.ExchangeLevels = 1
+			scfg.Exchange.Variant.Levels = 1
 			scfg.Exchange.Variant.WriteCombining = false
 		}
 		d := New(dep, p, cfg)

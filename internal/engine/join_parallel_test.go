@@ -106,12 +106,12 @@ func joinFixtures() []joinFixture {
 	// dense-span heuristic).
 	sparseKeys := make([]int64, 40)
 	for i := range sparseKeys {
-		sparseKeys[i] = int64(i) * 1_000_000_007
+		sparseKeys[i] = int64(i) * 1000000007
 	}
 	fixtures = append(fixtures, joinFixture{
 		name: "sparse-int64-openaddressing",
 		cat: Catalog{
-			"probe": chunked(probeSchema, makeProbe(5000, 40, 1_000_000_007), 300),
+			"probe": chunked(probeSchema, makeProbe(5000, 40, 1000000007), 300),
 			"build": NewMemSource(makeBuild(sparseKeys, 2, false).Schema, makeBuild(sparseKeys, 2, false)),
 		},
 		plan: func() Plan {

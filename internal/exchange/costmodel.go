@@ -26,6 +26,11 @@ type Variant struct {
 	Buckets int `json:"buckets,omitempty"`
 }
 
+// ShardBuckets is the shard-bucket pool an installation pre-creates
+// (§4.4.1): the B every stage boundary's variant is chosen against, of which
+// Variant.Buckets narrows each boundary to the first few it needs.
+const ShardBuckets = 8
+
 // String renders like the paper: "1l", "2l-wc", ...
 func (v Variant) String() string {
 	s := fmt.Sprintf("%dl", v.Levels)

@@ -17,11 +17,18 @@
 //
 // Joins whose build side is genuinely small (by lpq footer row counts) stay
 // broadcast joins inside their probe side's stage — the planner chooses
-// broadcast-vs-shuffle per join. The driver runs the DAG on its stage
-// scheduler with seal/ready barriers (SQS completion messages, DynamoDB
-// ready markers); every stage fragment is an ordinary engine plan run on the
-// pipeline-graph scheduler, so results are byte-identical to single-node
-// execution at any worker/partition count.
+// broadcast-vs-shuffle per join.
+//
+// The DAG Decompose returns is the whole of what runs: every stage's fleet
+// size, every boundary's exchange algorithm (ChooseVariant over the producing
+// fleet, the fan-in and the installation's exchange.ShardBuckets), and, for a
+// multi-level boundary, its regroup round as a plan-less stage of its own
+// right behind the producer, which the boundary's consumers wait on. The
+// driver runs the DAG as given on its stage scheduler with seal/ready
+// barriers (SQS completion messages, DynamoDB ready markers); every stage
+// fragment is an ordinary engine plan run on the pipeline-graph scheduler, so
+// results are byte-identical to single-node execution at any worker/partition
+// count.
 package stageplan
 
 import (
@@ -60,10 +67,8 @@ type Output struct {
 	Keys []string `json:"keys"`
 	// Partitions is the consuming stage's worker count.
 	Partitions int `json:"partitions"`
-	// Variant selects the boundary's exchange algorithm. The zero value
-	// (Levels 0) means "unresolved": the driver picks per boundary from the
-	// analytic request model (ChooseVariant) once it knows the sender fleet
-	// size, falling back to its configured single-round default.
+	// Variant is the boundary's exchange algorithm, chosen by Decompose from
+	// the analytic request model (ChooseVariant) over the producing fleet.
 	Variant exchange.Variant `json:"variant,omitempty"`
 }
 
@@ -73,34 +78,53 @@ type Input struct {
 	StageID int `json:"stageId"`
 	// Table is the catalog name the fragment scans the partition under.
 	Table string `json:"table"`
+	// Ready is the stage whose seal gates the collect: the producer of a
+	// single-round boundary, the regroup stage of a multi-level one — the
+	// objects a consumer reads exist only once it sealed.
+	Ready int `json:"ready"`
 }
 
-// Stage is one gang-scheduled fragment of a distributed plan.
+// Stage is one gang-scheduled fleet of a distributed plan.
 type Stage struct {
 	ID int
-	// Plan is the engine fragment every worker of the stage executes.
+	// Plan is the engine fragment every worker of the stage executes; nil
+	// for a regroup stage (RegroupOf).
 	Plan engine.Plan
 	// Table is the base S3 table the stage scans ("" for exchange-fed
 	// stages, whose inputs come from upstream boundaries instead).
 	Table string
+	// Workers is the fleet size: ⌈files / F⌉ for a scan stage (Stats.Workers),
+	// the boundary fan-in for an exchange-fed one, exchange.Groups(P) for a
+	// regroup stage.
+	Workers int
 	// Inputs are the exchange boundaries the stage consumes; worker p
 	// collects partition p of each.
 	Inputs []Input
 	// Output is the boundary the stage produces (nil: results go to the
 	// driver through the SQS result queue).
 	Output *Output
-	// DependsOn lists the stage IDs whose boundaries this stage consumes.
-	// Their launch gates this stage's launch — the driver's scheduler invokes
-	// a stage once every stage it depends on has its whole fleet invoked, so
-	// its cold starts overlap upstream execution — and their seal gates its
-	// collect: a worker reads a boundary only once the producer's DynamoDB
-	// ready marker is there.
+	// DependsOn lists the stage IDs whose boundaries this stage consumes,
+	// and their regroup stages. Their launch gates this stage's launch — the
+	// driver's scheduler invokes a stage once every stage it depends on has
+	// its whole fleet invoked, so its cold starts overlap upstream execution
+	// — and their seal gates its collect: a worker reads a boundary only once
+	// its Input.Ready stage's DynamoDB ready marker is there.
 	DependsOn []int
+}
+
+// RegroupOf reports whether s is a regroup stage — the only plan-less kind,
+// the intermediate round of a multi-level boundary (§4.4.2) — and whose.
+func (s *Stage) RegroupOf() (producer int, ok bool) {
+	if s.Plan != nil {
+		return 0, false
+	}
+	return s.Inputs[0].StageID, true
 }
 
 // Plan is a stage-decomposed distributed plan.
 type Plan struct {
-	// Stages in topological order: producers precede consumers.
+	// Stages in topological order — producers precede consumers, a regroup
+	// stage right behind its producer — which is the driver's launch order.
 	Stages []*Stage
 	// Driver is the driver-side merge scope; its scan of
 	// engine.WorkerResultTable binds to the result stage's collected
@@ -134,7 +158,9 @@ type Stats struct {
 	// total row count.
 	Rows map[string]int64
 	// Workers is each scanned table's fleet: ⌈files / FilesPerWorker⌉ over the
-	// files the predicates did not prune.
+	// files the predicates did not prune. It is the Workers of the table's
+	// scan stage (1 for a table missing here), and so what the aggregate's
+	// merge choice and the stage's boundary variant are decided from.
 	Workers map[string]int
 	// Bounds answers with the smallest and largest value the footers record
 	// for an Int64 column of a table. Nil, or !ok, is an unknown bound.
@@ -159,6 +185,10 @@ type Config struct {
 	// count grows as O(√P·S) instead of O(S·P), so wide fan-ins stay
 	// affordable.
 	MaxAutoPartitions int
+	// Exchange is the base of every boundary's variant: WriteCombining is
+	// inherited, Levels pins the round count (1 or 2; 0 leaves it to
+	// ChooseVariant), Buckets is ignored — ChooseVariant picks it.
+	Exchange exchange.Variant
 }
 
 // DefaultBroadcastRowLimit is the build-side row count up to which shipping
@@ -184,28 +214,16 @@ func (c Config) partitions(stats Stats) int {
 	}
 	var largest int64
 	for _, rows := range stats.Rows {
-		if rows > largest {
-			largest = rows
-		}
+		largest = max(largest, rows)
 	}
 	if largest <= 0 {
 		return 4
 	}
-	p := int((largest + AutoRowsPerPartition - 1) / AutoRowsPerPartition)
-	if p < 1 {
-		p = 1
+	limit := c.MaxAutoPartitions
+	if limit <= 0 {
+		limit = MaxAutoPartitions
 	}
-	if cap := c.maxAutoPartitions(); p > cap {
-		p = cap
-	}
-	return p
-}
-
-func (c Config) maxAutoPartitions() int {
-	if c.MaxAutoPartitions > 0 {
-		return c.MaxAutoPartitions
-	}
-	return MaxAutoPartitions
+	return int(min((largest+AutoRowsPerPartition-1)/AutoRowsPerPartition, int64(limit)))
 }
 
 // MinMultiLevelPartitions is the fan-in floor below which ChooseVariant
@@ -219,8 +237,8 @@ const MinMultiLevelPartitions = 32
 
 // ChooseVariant resolves one stage boundary's exchange algorithm from the
 // analytic request model (exchange.RequestCount). forceLevels pins the
-// round count (1 or 2) when the user forced it (StageConfig.ExchangeLevels);
-// 0 lets the model decide: multi-level is chosen only when the fan-in
+// round count (1 or 2) when the user forced it (Config.Exchange.Levels); 0
+// lets the model decide: multi-level is chosen only when the fan-in
 // reaches MinMultiLevelPartitions and the billed-request savings exceed
 // the regroup fleet's own cost (Groups(P) extra invocations priced at
 // Lambda rates). Write combining is inherited from base either way —
@@ -323,10 +341,11 @@ type compiler struct {
 	nextID    int
 }
 
-// Decompose converts an optimized, resolved plan into a stage DAG. The plan
-// must come out of engine.Optimize against a catalog holding every base
-// table; stats supplies the per-table row counts the broadcast-vs-shuffle
-// choice is made from.
+// Decompose converts an optimized, resolved plan into the stage DAG the
+// driver runs, every fleet sized and every boundary resolved. The plan must
+// come out of engine.Optimize against a catalog holding every base table;
+// stats supplies the per-table row counts the broadcast-vs-shuffle choice is
+// made from, and the scan fleets.
 //
 // Decompose takes ownership of p and rewrites it in place (join sides may
 // swap, shuffle joins are rebound to boundary scans) — like Optimize, it is
@@ -399,10 +418,7 @@ func Decompose(p engine.Plan, stats Stats, cfg Config) (*Plan, error) {
 		// Every worker of the producing fleet sends back at most one partial
 		// row per group: where the footers bound that (a global aggregate is
 		// one group), the driver merges them, as §3.2 has it.
-		fleet := int64(c.parts)
-		if rowStage.Table != "" {
-			fleet = int64(max(c.stats.Workers[rowStage.Table], 1))
-		}
+		fleet := int64(rowStage.Workers)
 		switch {
 		case len(agg.GroupBy) == 0 || unbounded == "" && groups*fleet <= DefaultBroadcastRowLimit:
 			out.Merge = fmt.Sprintf("driver (≤ %d groups × %d workers)", groups, fleet)
@@ -421,6 +437,7 @@ func Decompose(p engine.Plan, stats Stats, cfg Config) (*Plan, error) {
 			c.stages = append(c.stages, &Stage{
 				ID:        c.id(),
 				Plan:      driver,
+				Workers:   c.parts,
 				Inputs:    []Input{{StageID: rowStage.ID, Table: inTable}},
 				DependsOn: []int{rowStage.ID},
 			})
@@ -455,12 +472,43 @@ func Decompose(p engine.Plan, stats Stats, cfg Config) (*Plan, error) {
 		}
 	}
 
-	out.Stages, out.Driver = c.stages, driver
+	out.Stages, out.Driver = c.boundaries(), driver
 	for t := range c.broadcast {
 		out.Broadcast = append(out.Broadcast, t)
 	}
 	sort.Strings(out.Broadcast)
 	return out, nil
+}
+
+// boundaries resolves every boundary's exchange algorithm from its producing
+// fleet and gives each multi-level one its regroup stage: right behind the
+// producer, with the next free ID, so the planner's stages keep theirs and
+// their order. The boundary's consumers depend on the regroup stage too, and
+// wait for its seal, not the producer's, before they collect.
+func (c *compiler) boundaries() []*Stage {
+	stages := make([]*Stage, 0, len(c.stages))
+	ready := map[int]int{} // producer → the stage whose seal makes its boundary readable
+	for _, st := range c.stages {
+		stages = append(stages, st)
+		for i, in := range st.Inputs {
+			if st.Inputs[i].Ready = ready[in.StageID]; ready[in.StageID] != in.StageID {
+				st.DependsOn = append(st.DependsOn, ready[in.StageID])
+			}
+		}
+		out := st.Output
+		if out == nil {
+			continue
+		}
+		out.Variant = ChooseVariant(st.Workers, out.Partitions, exchange.ShardBuckets, c.cfg.Exchange, c.cfg.Exchange.Levels)
+		ready[st.ID] = st.ID
+		if out.Variant.Levels >= 2 {
+			rg := &Stage{ID: c.id(), Workers: exchange.Groups(out.Partitions), Output: out,
+				Inputs: []Input{{StageID: st.ID, Ready: st.ID}}, DependsOn: []int{st.ID}}
+			ready[st.ID] = rg.ID
+			stages = append(stages, rg)
+		}
+	}
+	return stages
 }
 
 // groupBound bounds the groups of an aggregate over p by the product of its
@@ -518,15 +566,19 @@ func (c *compiler) id() int {
 }
 
 // build compiles a row-source subtree into its own stage (appended after
-// its producers, keeping c.stages topological) and returns it.
+// its producers, keeping c.stages topological) and returns it, sized: a scan
+// stage by its table's fleet, an exchange-fed one by the boundary fan-in.
 func (c *compiler) build(p engine.Plan) (*Stage, error) {
 	st := &Stage{ID: c.id()}
 	frag, err := c.embed(st, p)
 	if err != nil {
 		return nil, err
 	}
-	st.Plan = frag
-	if st.Table == "" && len(st.Inputs) == 0 {
+	st.Plan, st.Workers = frag, c.parts
+	switch {
+	case st.Table != "":
+		st.Workers = max(c.stats.Workers[st.Table], 1)
+	case len(st.Inputs) == 0:
 		return nil, fmt.Errorf("stageplan: stage %d scans no base table and no boundary", st.ID)
 	}
 	c.stages = append(c.stages, st)
@@ -690,29 +742,36 @@ func rebindScan(p engine.Plan, from, to string) {
 	})
 }
 
-// Explain renders the stage DAG for logs and tests.
+// Explain renders the stage DAG — every fleet the query runs, in launch
+// order — for logs and tests.
 func Explain(p *Plan) string {
 	out := ""
 	for _, s := range p.Stages {
 		out += fmt.Sprintf("stage %d", s.ID)
+		if producer, ok := s.RegroupOf(); ok {
+			out += fmt.Sprintf(" regroup of %d workers=%d%s\n", producer, s.Workers, explainOutput(s.Output))
+			continue
+		}
 		if s.Table != "" {
 			out += fmt.Sprintf(" scan=%s", s.Table)
 		}
 		for _, in := range s.Inputs {
 			out += fmt.Sprintf(" in=%d", in.StageID)
 		}
-		if s.Output != nil {
-			out += fmt.Sprintf(" out=hash(%v)x%d", s.Output.Keys, s.Output.Partitions)
-		} else {
-			out += " out=driver"
-		}
-		out += "\n" + indent(engine.Explain(s.Plan))
+		out += fmt.Sprintf(" workers=%d%s\n", s.Workers, explainOutput(s.Output)) + indent(engine.Explain(s.Plan))
 	}
 	out += "driver:\n" + indent(engine.Explain(p.Driver))
 	if p.Merge != "" {
 		out += "merge: " + p.Merge + "\n"
 	}
 	return out
+}
+
+func explainOutput(o *Output) string {
+	if o == nil {
+		return " out=driver"
+	}
+	return fmt.Sprintf(" out=hash(%v)x%d %s", o.Keys, o.Partitions, o.Variant)
 }
 
 func indent(s string) string {

@@ -2,6 +2,8 @@ package stageplan
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -358,5 +360,119 @@ func TestDecomposeMergeChoice(t *testing.T) {
 		if !strings.Contains(Explain(sp), "merge: "+tc.merge+"\n") {
 			t.Errorf("%s: Explain does not say why:\n%s", tc.name, Explain(sp))
 		}
+	}
+}
+
+// q12Footers is what the driver hands Decompose for q12 over two LINEITEM and
+// two ORDERS scan workers, with or without the footer bound of the group key.
+func q12Footers(bounded bool) Stats {
+	stats := bigStats()
+	stats.Workers = map[string]int{"lineitem": 2, "orders": 2}
+	if bounded {
+		stats.Bounds = func(table, column string) (int64, int64, bool) {
+			return 0, 4, table == "orders" && column == "o_orderpriority"
+		}
+	}
+	return stats
+}
+
+// TestDecomposeResolvesDAG: Decompose returns every fleet the query runs —
+// its size, its boundary's algorithm, and a multi-level boundary's regroup
+// stage right behind the producer with the next free ID, which the
+// boundary's consumers depend on and name as the seal that gates their
+// collect (Input.Ready; the producer itself for a single-round boundary).
+func TestDecomposeResolvesDAG(t *testing.T) {
+	wc := exchange.Variant{WriteCombining: true}
+	type stage struct {
+		id, regroupOf, workers int // regroupOf -1: a fragment
+		variant                string
+	}
+	for _, tc := range []struct {
+		name  string
+		stats Stats
+		cfg   Config
+		want  []stage
+	}{
+		{"q12 at P 256", q12Footers(true), Config{Partitions: 256, Exchange: wc}, []stage{
+			{1, -1, 2, "2l-wc"}, {3, 1, 16, "2l-wc"}, {2, -1, 2, "2l-wc"}, {4, 2, 16, "2l-wc"}, {0, -1, 256, ""},
+		}},
+		{"q12 at P 30", q12Footers(true), Config{Partitions: 30, Exchange: wc}, []stage{
+			{1, -1, 2, "1l-wc"}, {2, -1, 2, "1l-wc"}, {0, -1, 30, ""},
+		}},
+		{"two rounds pinned at P 5", q12Footers(false), Config{Partitions: 5, Exchange: exchange.Variant{Levels: 2}}, []stage{
+			{1, -1, 2, "2l"}, {4, 1, 3, "2l"}, {2, -1, 2, "2l"}, {5, 2, 3, "2l"}, {0, -1, 5, "2l"}, {6, 0, 3, "2l"}, {3, -1, 5, ""},
+		}},
+		{"one round pinned at P 512", q12Footers(true), Config{Partitions: 512, Exchange: exchange.Variant{Levels: 1, WriteCombining: true}}, []stage{
+			{1, -1, 2, "1l-wc"}, {2, -1, 2, "1l-wc"}, {0, -1, 512, ""},
+		}},
+		{"a table missing from Workers", Stats{Rows: bigStats().Rows}, Config{Partitions: 3}, []stage{
+			{1, -1, 1, "1l"}, {2, -1, 1, "1l"}, {0, -1, 3, "1l"}, {3, -1, 3, ""},
+		}},
+	} {
+		tc.cfg.BroadcastRowLimit = -1
+		sp, err := Decompose(optimized(t, q12SQL), tc.stats, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got []stage
+		regroup := map[int]int{} // producer → its regroup stage
+		for _, s := range sp.Stages {
+			st := stage{s.ID, -1, s.Workers, ""}
+			if producer, ok := s.RegroupOf(); ok {
+				st.regroupOf, regroup[producer] = producer, s.ID
+			}
+			if s.Output != nil {
+				st.variant = s.Output.Variant.String()
+			}
+			got = append(got, st)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: stages\n got %+v\nwant %+v\n%s", tc.name, got, tc.want, Explain(sp))
+			continue
+		}
+		// Every consumer collects once its input's last round sealed, and
+		// depends on the stage that seals it.
+		for _, s := range sp.Stages {
+			for _, in := range s.Inputs {
+				want := in.StageID
+				if rg, ok := regroup[in.StageID]; ok && s.Plan != nil {
+					want = rg
+				}
+				if in.Ready != want || !slices.Contains(s.DependsOn, in.StageID) || !slices.Contains(s.DependsOn, want) {
+					t.Errorf("%s: stage %d input %+v depends on %v, want ready %d", tc.name, s.ID, in, s.DependsOn, want)
+				}
+			}
+		}
+	}
+}
+
+// TestExplainQ12: the rendering cmd/lambada -v prints is the DAG that runs,
+// each fleet with its size and each boundary with its algorithm.
+func TestExplainQ12(t *testing.T) {
+	sp, err := Decompose(optimized(t, q12SQL), q12Footers(true),
+		Config{Partitions: 256, BroadcastRowLimit: -1, Exchange: exchange.Variant{WriteCombining: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `stage 1 scan=lineitem workers=2 out=hash([l_orderkey])x256 2l-wc
+  Scan lineitem [l_orderkey, l_extendedprice, l_receiptdate] filter=((l_receiptdate >= 731) AND (l_receiptdate < 1096)) prune=2
+stage 3 regroup of 1 workers=16 out=hash([l_orderkey])x256 2l-wc
+stage 2 scan=orders workers=2 out=hash([o_orderkey])x256 2l-wc
+  Scan orders [o_orderkey, o_orderpriority]
+stage 4 regroup of 2 workers=16 out=hash([o_orderkey])x256 2l-wc
+stage 0 in=1 in=2 workers=256 out=driver
+  Aggregate COUNT(*) AS __p0_cnt_n, SUM(l_extendedprice) AS __p1_sum_total GROUP BY o_orderpriority
+    HashJoin l_orderkey = o_orderkey
+      Scan __stage1
+driver:
+  OrderBy o_orderpriority
+    Project o_orderpriority AS o_orderpriority, n AS n, total AS total
+      Project o_orderpriority AS o_orderpriority, __p0_cnt_n AS n, __p1_sum_total AS total
+        Aggregate SUM(__p0_cnt_n) AS __p0_cnt_n, SUM(__p1_sum_total) AS __p1_sum_total GROUP BY o_orderpriority
+          Scan __worker_results
+merge: driver (≤ 5 groups × 256 workers)
+`
+	if got := Explain(sp); got != want {
+		t.Errorf("Explain:\n%s\nwant:\n%s", got, want)
 	}
 }
