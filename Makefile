@@ -109,13 +109,14 @@ trace-smoke:
 # the same seeded DES query. Each half gives its first verdict on the result
 # rows (the output above the "workers:" line), so a change that moves the
 # modeled clock on purpose can still prove the answer:
-#   trace-identical        q12 at 256 partitions, fault-free (292 workers in 3
-#                          stages since PR 24, whose parent runs 564 in 4:
-#                          against it this prints "rows identical" and then
-#                          differs, as it must — cite both sides' "workers:" /
-#                          "stage" / "query cost:" lines). First "rows
-#                          identical"; then both sides' fleet, stage and cost
-#                          lines, for a PR that means to move them to cite;
+#   trace-identical        q12 at 256 partitions, fault-free (260 workers in 3
+#                          stages: two 2-worker scans into single-round
+#                          boundaries over one shard bucket, and the join;
+#                          against a base that plans otherwise this prints
+#                          "rows identical" and then differs, as it must).
+#                          First "rows identical"; then both sides' fleet,
+#                          stage and cost lines, for a change that means to
+#                          move them to cite;
 #                          then the Chrome trace exports and the printed
 #                          reports (minus the last line, which names the trace
 #                          file) must be byte-identical, or it exits non-zero.

@@ -176,11 +176,13 @@
 // boundary's exchange algorithm, and each multi-level boundary's regroup round
 // as a stage of its own (below) — and the driver builds payloads from it and
 // runs it as given; it sizes, resolves and adds nothing. stageplan.Explain
-// prints that DAG, a line per fleet in launch order ("stage 1 scan=lineitem
-// workers=2 out=hash([l_orderkey])x256 2l-wc", "stage 3 regroup of 1
-// workers=16 …"), and ends with the merge decision and the numbers behind it
-// ("merge: driver (≤ 6 groups × 4 workers)", "merge: repartition ×256
-// (l_orderkey unbounded)"); cmd/lambada -v prints it above the report.
+// prints that DAG, a line per fleet in launch order, each boundary with its
+// algorithm and shard-bucket count ("stage 1 scan=lineitem workers=2
+// out=hash([l_orderkey])x256 1l-wc b=1"; with two rounds pinned, "stage 3
+// regroup of 1 workers=16 …"), and ends with the merge decision and the
+// numbers behind it ("merge: driver (≤ 6 groups × 4 workers)", "merge:
+// repartition ×256 (l_orderkey unbounded)"); cmd/lambada -v prints it above
+// the report.
 //
 // From there on there is one of everything. One task shape: the invocation
 // blob carries the worker's ID, its plan fragment and its inputs (§3.3) —
@@ -270,10 +272,15 @@
 // analytic request model (exchange.Variant.Requests — puts, gets and lists
 // as closed-form functions of S, P and the shard-bucket count) and keeps
 // single-round for narrow edges while sending wide ones through the
-// multi-level protocol (§4.4.2). Multi-level is two rounds, not a second
-// protocol: the senders' round has G = exchange.Groups(P) ≈ √P slots — a
-// group is a run of consecutive partitions, so a sender's group object is a
-// run of its partition-scattered rows — and each group then gets a round of
+// multi-level protocol (§4.4.2). The shard count comes from the same model:
+// each candidate gets the fewest buckets b under which its puts, and apart
+// its gets + lists, stay within b · rounds · stageplan.MaxBucketRoundRequests
+// (S3's separate write and read ceilings per prefix, §4.4.1) — fewest,
+// because every receiver lists each bucket its senders use. Multi-level is
+// two rounds, not a second protocol: the senders' round has G =
+// exchange.Groups(P) ≈ √P slots — a group is a run of consecutive
+// partitions, so a sender's group object is a run of its
+// partition-scattered rows — and each group then gets a round of
 // its own whose single writer is the group's regroup worker and whose slots
 // are the group's partitions. The regroup round is a planner stage: when
 // Decompose resolves a boundary multi-level it puts a plan-less stage of G

@@ -21,8 +21,8 @@ type Variant struct {
 	// exists only to stay under S3's per-prefix request-rate ceilings, and
 	// beyond that point extra buckets just multiply the List bill (every
 	// receiver lists min(S, B) buckets). stageplan.ChooseVariant picks the
-	// smallest count whose per-bucket round pressure fits the budget. Zero
-	// keeps the caller's full pool (the pre-PR10 behavior).
+	// smallest count under which Requests fits the per-bucket budget. Zero
+	// keeps the caller's full pool.
 	Buckets int `json:"buckets,omitempty"`
 }
 
@@ -47,8 +47,9 @@ var AllVariants = []Variant{
 	{Levels: 3}, {Levels: 3, WriteCombining: true},
 }
 
-// Reads returns the total read-request count for P workers (Table 2):
-// k·P·P^(1/k).
+// Reads returns the paper's read-request formula for P workers (Table 2):
+// k·P·P^(1/k). It and Writes are what Figure 9 plots; what an exchange bills,
+// and what the planner sizes and chooses by, is the exact Requests.
 func (v Variant) Reads(p int) float64 {
 	k := float64(v.Levels)
 	return k * float64(p) * math.Pow(float64(p), 1/k)
@@ -100,17 +101,6 @@ func (v Variant) WorkerCost(p int, bytesPerWorker int64) pricing.USD {
 	// Each level reads and writes the partitions once.
 	seconds := float64(v.Scans()) * 2 * float64(bytesPerWorker) / rate
 	return pricing.USD(float64(p) * seconds * usdPerWorkerSecond)
-}
-
-// RequestsPerBucketPerRound returns the per-bucket request rate pressure of
-// one round: P workers spreading P^(1/k) requests each over B buckets
-// (§4.4.2: "P·sqrt(P)/B per round" for two levels).
-func (v Variant) RequestsPerBucketPerRound(p, buckets int) float64 {
-	k := float64(v.Levels)
-	if buckets < 1 {
-		buckets = 1
-	}
-	return float64(p) * math.Pow(float64(p), 1/k) / float64(buckets)
 }
 
 // RequestCount is the exact billed S3 request breakdown of one S→P stage

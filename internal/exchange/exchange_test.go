@@ -3,7 +3,7 @@ package exchange
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -87,25 +87,13 @@ func TestFactorize(t *testing.T) {
 		{16, 2, []int{4, 4}},
 		{64, 3, []int{4, 4, 4}},
 		{100, 2, []int{10, 10}},
-		{250, 2, []int{25, 10}}, // wait: greedy picks divisor closest to sqrt(250)≈15.8
-		{17, 2, []int{17, 1}},   // prime degrades gracefully
+		{250, 2, []int{10, 25}}, // the divisor closest to √250 ≈ 15.8 is 10
+		{17, 2, []int{1, 17}},   // a prime degrades to one real level
 	}
 	for _, c := range cases {
-		got := Factorize(c.p, c.k)
-		prod := 1
-		for _, f := range got {
-			prod *= f
+		if got := Factorize(c.p, c.k); !slices.Equal(got, c.want) {
+			t.Errorf("Factorize(%d,%d) = %v, want %v", c.p, c.k, got, c.want)
 		}
-		if prod != c.p {
-			t.Fatalf("Factorize(%d,%d) = %v, product %d", c.p, c.k, got, prod)
-		}
-	}
-	// Spot-check exact values where unambiguous.
-	if got := Factorize(16, 2); got[0] != 4 || got[1] != 4 {
-		t.Errorf("Factorize(16,2) = %v", got)
-	}
-	if got := Factorize(64, 3); got[0] != 4 || got[1] != 4 || got[2] != 4 {
-		t.Errorf("Factorize(64,3) = %v", got)
 	}
 }
 
@@ -221,47 +209,55 @@ func TestNonPerfectSquareWorkerCount(t *testing.T) {
 	runFunctionalExchange(t, 12, Variant{Levels: 2, WriteCombining: true}, 15)
 }
 
+// TestExchangeRequestCountsMatchModel: the grid exchange bills what the exact
+// request model predicts. Along a level of side s the workers form P/s groups,
+// each a single-round boundary of s senders into s partitions in one shard
+// bucket, so the level bills P/s × Variant{Levels: 1}.Requests(s, s, 1).
+// Puts and gets are exact; lists are a floor, because the workers run
+// concurrently and a reader may List its group again while writers arrive.
 func TestExchangeRequestCountsMatchModel(t *testing.T) {
-	// The executed request pattern must match Table 2's formulas.
-	for _, v := range []Variant{{Levels: 1}, {Levels: 1, WriteCombining: true}, {Levels: 2}, {Levels: 2, WriteCombining: true}} {
-		meter := pricing.NewCostMeter()
-		svc := s3.New(s3.Config{Meter: meter})
+	for _, tc := range []struct {
+		p int
+		v Variant
+	}{
+		{16, Variant{Levels: 1}}, {16, Variant{Levels: 1, WriteCombining: true}},
+		{16, Variant{Levels: 2}}, {16, Variant{Levels: 2, WriteCombining: true}},
+		{12, Variant{Levels: 2}}, {12, Variant{Levels: 2, WriteCombining: true}},
+		{27, Variant{Levels: 3}}, {27, Variant{Levels: 3, WriteCombining: true}},
+	} {
+		svc := s3.New(s3.Config{})
 		buckets := []string{"b0", "b1"}
 		for _, b := range buckets {
 			svc.MustCreateBucket(b)
 		}
-		const p = 16
-		opts := DefaultOptions(v, buckets...)
+		opts := DefaultOptions(tc.v, buckets...)
 		schema := columnar.NewSchema(columnar.Field{Name: "k", Type: columnar.Int64})
 		var wg sync.WaitGroup
-		for wid := 0; wid < p; wid++ {
-			wid := wid
+		for wid := 0; wid < tc.p; wid++ {
 			wg.Add(1)
-			go func() {
+			go func(wid int) {
 				defer wg.Done()
 				c := columnar.NewChunk(schema, 8)
 				for i := 0; i < 8; i++ {
 					c.Columns[0].AppendInt64(int64(wid*8 + i))
 				}
-				wk := Worker{ID: wid, P: p, Client: s3.NewClient(svc, simenv.NewImmediate())}
+				wk := Worker{ID: wid, P: tc.p, Client: s3.NewClient(svc, simenv.NewImmediate())}
 				if _, err := wk.Run(opts, c, "k"); err != nil {
 					t.Errorf("worker %d: %v", wid, err)
 				}
-			}()
+			}(wid)
 		}
 		wg.Wait()
-		// One code path with the stage boundaries: the basic variants add one
-		// zero-byte commit marker per (worker, level) to Table 2's writes,
-		// and nobody polls files with HEADs, so reads are exactly Table 2's.
-		wantWrites := int64(v.Writes(p))
-		if !v.WriteCombining {
-			wantWrites += int64(v.Levels * p)
+		var want RequestCount
+		round := Variant{Levels: 1, WriteCombining: tc.v.WriteCombining}
+		for _, s := range Factorize(tc.p, tc.v.Levels) {
+			rc, groups := round.Requests(s, s, 1), int64(tc.p/s)
+			want.Puts += groups * rc.Puts
+			want.Gets += groups * rc.Gets
+			want.Lists += groups * rc.Lists
 		}
-		if writes := meter.Count(pricing.LabelS3Write); writes != wantWrites {
-			t.Errorf("%s: writes = %d, want %d", v, writes, wantWrites)
-		}
-		if reads, want := meter.Count(pricing.LabelS3Read), int64(v.Reads(p)); reads != want {
-			t.Errorf("%s: reads = %d, want %d", v, reads, want)
+		if got := billed(t, svc, buckets); got.Puts != want.Puts || got.Gets != want.Gets || got.Lists < want.Lists {
+			t.Errorf("%s at P %d: billed %+v, model predicts %+v (lists at least)", tc.v, tc.p, got, want)
 		}
 	}
 }
@@ -361,8 +357,6 @@ func TestPropertyPartitionBalance(t *testing.T) {
 		for k := 0; k < n; k++ {
 			counts[PartitionOf(int64(k), p)]++
 		}
-		lo := sort.SearchInts([]int{}, 0) // noop to keep sort imported
-		_ = lo
 		for _, c := range counts {
 			if c < 100 || c > 300 { // expected 200 ± 50%
 				return false

@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -113,27 +114,45 @@ func TestStageBoundaryMultiLevelByteIdentity(t *testing.T) {
 	}
 }
 
+// billed sums the S3 requests every one of the buckets was billed.
+func billed(t *testing.T, svc *s3.Service, buckets []string) RequestCount {
+	t.Helper()
+	var got RequestCount
+	for _, bk := range buckets {
+		st, err := svc.BucketStats(bk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Puts += st.Puts
+		got.Gets += st.Gets
+		got.Lists += st.Lists
+	}
+	return got
+}
+
 // TestMultiLevelRequestsMatchModel holds the boundary protocol to the
 // analytic model integer-exactly: the billed Put/Get/List counts of a
-// fault-free publish → regroup → collect run equal Variant.Requests for
-// all four stage-reachable variants. S, P and the bucket count are chosen
-// so min(S, B) < S and the last group is short — the cases where an
-// off-by-one would hide.
+// fault-free publish → regroup → collect run equal Variant.Requests. The
+// shapes are seeded draws — S and P in [1, 40], a pool of 1–4 shard buckets,
+// a Variant.Buckets that narrows it or not, any of the four stage-reachable
+// variants — so min(S, B) < S, short last groups and narrowed pools all
+// occur. stageplan sizes each boundary's shard pool from these counts.
 func TestMultiLevelRequestsMatchModel(t *testing.T) {
-	const senders, parts = 5, 7
-	keys := []string{"k"}
-	inputs := make([]*columnar.Chunk, senders)
-	for s := 0; s < senders; s++ {
-		inputs[s] = stageTestChunk(s*25, 25)
-	}
-	for _, v := range []Variant{{Levels: 1}, {Levels: 1, WriteCombining: true}, {Levels: 2}, {Levels: 2, WriteCombining: true}} {
-		env := simenv.NewImmediate()
-		svc := s3.New(s3.Config{})
-		buckets := []string{"xa", "xb", "xc"}
-		for _, bk := range buckets {
-			svc.MustCreateBucket(bk)
+	const draws, rows = 64, 3
+	rng := rand.New(rand.NewSource(26))
+	narrowed := 0
+	for i := 0; i < draws; i++ {
+		senders, parts, pool := 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(4)
+		v := Variant{Levels: 1 + rng.Intn(2), WriteCombining: rng.Intn(2) == 1, Buckets: rng.Intn(pool + 1)}
+		if v.Buckets > 0 && v.Buckets < pool {
+			narrowed++
 		}
-		client := s3.NewClient(svc, env)
+		svc := s3.New(s3.Config{})
+		buckets := make([]string, pool)
+		for j := range buckets {
+			buckets[j] = fmt.Sprintf("x%d", j)
+			svc.MustCreateBucket(buckets[j])
+		}
 		opts := Options{
 			Variant: v,
 			Buckets: buckets,
@@ -141,24 +160,20 @@ func TestMultiLevelRequestsMatchModel(t *testing.T) {
 			Poll:    time.Millisecond,
 			MaxWait: 10 * time.Second,
 		}
+		inputs := make([]*columnar.Chunk, senders)
+		for s := range inputs {
+			inputs[s] = stageTestChunk(s*rows, rows)
+		}
 		b := Boundary{Stage: 2, Senders: senders, Partitions: parts}
+		runMultiLevelBoundary(t, s3.NewClient(svc, simenv.NewImmediate()), opts, b, inputs, []string{"k"})
 
-		runMultiLevelBoundary(t, client, opts, b, inputs, keys)
-
-		var got RequestCount
-		for _, bk := range buckets {
-			st, err := svc.BucketStats(bk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got.Puts += st.Puts
-			got.Gets += st.Gets
-			got.Lists += st.Lists
+		if got, want := billed(t, svc, buckets), v.Requests(senders, parts, pool); got != want {
+			t.Errorf("draw %d: %+v at S %d, P %d over %d buckets: billed %+v, model predicts %+v",
+				i, v, senders, parts, pool, got, want)
 		}
-		want := v.Requests(senders, parts, len(buckets))
-		if got != want {
-			t.Errorf("%v: billed %+v, model predicts %+v", v, got, want)
-		}
+	}
+	if narrowed == 0 {
+		t.Errorf("no draw of %d narrowed its pool", draws)
 	}
 }
 

@@ -266,35 +266,30 @@ func ChooseVariant(senders, partitions, buckets int, base exchange.Variant, forc
 	return single
 }
 
-// MaxBucketRoundRequests is the per-bucket request budget one exchange
-// round may put on a single shard bucket — buckets exist only to stay
-// under S3's per-prefix rate ceilings (§4.4.1: ~5500 reads/s, 3500
-// writes/s per prefix), so the budget sits safely below the read ceiling.
-// Every receiver lists min(S, B) buckets, so once the pressure fits, each
-// extra bucket only adds List requests.
+// MaxBucketRoundRequests is the request budget one exchange round may put on
+// a single shard bucket, for its writes and for its reads separately — buckets
+// exist only to stay under S3's two per-prefix rate ceilings (§4.4.1: ~5500
+// reads/s, 3500 writes/s per prefix), so the budget sits safely below both.
+// A boundary over b buckets and k rounds fits when its exact request counts
+// (Variant.Requests) satisfy max(Puts, Gets+Lists) ≤ b·k·MaxBucketRoundRequests.
+// Every receiver lists min(S, b) buckets, so once they fit, each extra bucket
+// only adds List requests.
 const MaxBucketRoundRequests = 3000
 
-// chooseShards returns the smallest shard-bucket count (of the available
-// pool) whose per-round per-bucket request pressure fits the budget, or 0
-// when the full pool is needed (Variant.Buckets zero = use all, the
-// pre-choice behavior). Sharding B thus becomes a chosen dimension of the
-// variant rather than a deployment constant.
-func chooseShards(v exchange.Variant, senders, partitions, available int) int {
-	if available <= 1 {
-		return 0
+// chooseShards returns the smallest shard-bucket count b in [1, pool) under
+// which the boundary's exact billed requests fit the budget: max(Puts,
+// Gets+Lists) of v.Requests(senders, partitions, b) at most b · v.Levels ·
+// MaxBucketRoundRequests — writes and reads checked apart, because S3's
+// ceilings are, and divided over v.Levels because the requests are spread
+// over that many rounds. It returns 0, the whole pool, when no such b exists.
+func chooseShards(v exchange.Variant, senders, partitions, pool int) int {
+	for b := 1; b < pool; b++ {
+		rc := v.Requests(senders, partitions, b)
+		if max(rc.Puts, rc.Gets+rc.Lists) <= int64(b*v.Levels*MaxBucketRoundRequests) {
+			return b
+		}
 	}
-	load := senders
-	if partitions > load {
-		load = partitions
-	}
-	b := 1
-	for b < available && v.RequestsPerBucketPerRound(load, b) > MaxBucketRoundRequests {
-		b++
-	}
-	if b >= available {
-		return 0
-	}
-	return b
+	return 0
 }
 
 // regroupWorkerOverhead prices one regroup worker's non-S3 footprint — its
@@ -771,7 +766,11 @@ func explainOutput(o *Output) string {
 	if o == nil {
 		return " out=driver"
 	}
-	return fmt.Sprintf(" out=hash(%v)x%d %s", o.Keys, o.Partitions, o.Variant)
+	b := o.Variant.Buckets
+	if b == 0 {
+		b = exchange.ShardBuckets
+	}
+	return fmt.Sprintf(" out=hash(%v)x%d %s b=%d", o.Keys, o.Partitions, o.Variant, b)
 }
 
 func indent(s string) string {

@@ -226,47 +226,63 @@ func findScan(p engine.Plan, table string) *engine.ScanPlan {
 }
 
 // TestChooseVariantPicksShardBuckets: sharding B is a chosen dimension of
-// the variant, not a deployment constant. The smallest bucket count whose
-// per-round per-bucket pressure (Variant.RequestsPerBucketPerRound) fits
-// MaxBucketRoundRequests wins; a small fleet collapses to one bucket, and
-// the pool is only exhausted (Buckets == 0, "use them all") when even the
-// full pool cannot absorb the pressure.
+// the variant, not a deployment constant. The smallest bucket count b under
+// which the boundary's exact billed requests (Variant.Requests at b) fit —
+// puts and gets + lists each at most b · Levels · MaxBucketRoundRequests —
+// wins; a small fleet collapses to one bucket, and the pool is only exhausted
+// (Buckets == 0, "use them all") when even its last narrowing does not fit.
+// The counts were re-derived when the float per-round pressure
+// max(S,P)·max(S,P)^(1/k)/b stopped sizing the pool: it asked for 88 and 4
+// buckets at 512 × 512, and for the whole pool at fleet_des' 2 × 256.
 func TestChooseVariantPicksShardBuckets(t *testing.T) {
-	base := exchange.Variant{}
-
-	// A small fleet puts 8*8 = 64 requests per round on one bucket — far
-	// under the budget, so one shard bucket suffices.
-	v := ChooseVariant(8, 8, 8, base, 1)
-	if v.Levels != 1 || v.Buckets != 1 {
-		t.Fatalf("small fleet: got %+v, want 1 level, 1 bucket", v)
+	// fits answers the rule for each S3 ceiling apart.
+	fits := func(v exchange.Variant, s, p, b int) (writes, reads bool) {
+		rc := v.Requests(s, p, b)
+		limit := int64(b * v.Levels * MaxBucketRoundRequests)
+		return rc.Puts <= limit, rc.Gets+rc.Lists <= limit
 	}
-
-	// 512 senders single-level: 512^2/B <= 3000 first holds at B = 88.
-	v = ChooseVariant(512, 512, 128, base, 1)
-	if v.Buckets != 88 {
-		t.Fatalf("512-sender single-level: got B=%d, want 88", v.Buckets)
-	}
-	// Two-level spreads each round over sqrt(P) targets, so the same fleet
-	// needs only 512*sqrt(512)/B <= 3000, first held at B = 4.
-	v = ChooseVariant(512, 512, 128, base, 2)
-	if v.Levels != 2 || v.Buckets != 4 {
-		t.Fatalf("512-sender two-level: got %+v, want 2 levels, 4 buckets", v)
-	}
-
-	// Minimality on both sides of the chosen count.
-	single := exchange.Variant{Levels: 1}
-	if p := single.RequestsPerBucketPerRound(512, 88); p > MaxBucketRoundRequests {
-		t.Errorf("chosen B=88 still over budget: %.0f", p)
-	}
-	if p := single.RequestsPerBucketPerRound(512, 87); p <= MaxBucketRoundRequests {
-		t.Errorf("B=87 already fits (%.0f), chosen count not minimal", p)
-	}
-
-	// When the full pool cannot absorb the pressure, Buckets stays 0: use
-	// every available bucket rather than a narrowed subset.
-	v = ChooseVariant(512, 512, 16, base, 1)
-	if v.Buckets != 0 {
-		t.Fatalf("overloaded pool: got B=%d, want 0 (full pool)", v.Buckets)
+	for _, tc := range []struct {
+		name                    string
+		senders, parts, pool    int
+		base                    exchange.Variant
+		levels, want            int
+		bindsWrites, bindsReads bool // which ceiling fails at want − 1
+	}{
+		// 72 puts, 64 gets + 8 lists: far under the budget.
+		{"small fleet", 8, 8, 8, exchange.Variant{}, 1, 1, false, false},
+		// 2 puts, 512 gets + 256 lists: fleet_des' scan boundaries.
+		{"2 × 256 write-combined", 2, 256, exchange.ShardBuckets, exchange.Variant{WriteCombining: true}, 1, 1, false, false},
+		// 262 656 puts fit 88 buckets, but 262 144 gets + 512·b lists need 106.
+		{"512 × 512 single-round", 512, 512, 128, exchange.Variant{}, 1, 106, false, true},
+		// G = 23: 12 823 puts and 12 800 + 23·b reads over two rounds.
+		{"512 × 512 two-round", 512, 512, 128, exchange.Variant{}, 2, 3, true, true},
+		// 8 000 puts need 3 buckets where 4 000 gets + b lists fit 2.
+		{"4000 × 1 single-round", 4000, 1, 8, exchange.Variant{}, 1, 3, true, false},
+		// 106 buckets are more than the pool narrows to: use all 16.
+		{"overloaded pool", 512, 512, 16, exchange.Variant{}, 1, 0, true, true},
+	} {
+		v := ChooseVariant(tc.senders, tc.parts, tc.pool, tc.base, tc.levels)
+		if v.Levels != tc.levels || v.Buckets != tc.want {
+			t.Errorf("%s: got %v with %d buckets, want %d levels, %d buckets", tc.name, v, v.Buckets, tc.levels, tc.want)
+			continue
+		}
+		if tc.want > 0 {
+			if w, r := fits(v, tc.senders, tc.parts, tc.want); !w || !r {
+				t.Errorf("%s: chosen b = %d does not fit (writes %v, reads %v)", tc.name, tc.want, w, r)
+			}
+		}
+		// Minimal: the count below the choice (the pool's last narrowing when
+		// the choice is the whole pool) fails on the ceiling that binds.
+		below := tc.want - 1
+		if tc.want == 0 {
+			below = tc.pool - 1
+		}
+		if below >= 1 {
+			if w, r := fits(v, tc.senders, tc.parts, below); w == tc.bindsWrites || r == tc.bindsReads {
+				t.Errorf("%s: at b = %d writes fit %v and reads %v; want writes %v, reads %v",
+					tc.name, below, w, r, !tc.bindsWrites, !tc.bindsReads)
+			}
+		}
 	}
 
 	// Variant.Buckets narrows the request model the same way it narrows the
@@ -393,8 +409,11 @@ func TestDecomposeResolvesDAG(t *testing.T) {
 		cfg   Config
 		want  []stage
 	}{
+		// Single-round since the exact request model sizes the shard pool: 1
+		// listed bucket, not the 2 the float per-round pressure asked for,
+		// makes 1l-wc cheaper than 2l-wc plus two 16-worker regroup fleets.
 		{"q12 at P 256", q12Footers(true), Config{Partitions: 256, Exchange: wc}, []stage{
-			{1, -1, 2, "2l-wc"}, {3, 1, 16, "2l-wc"}, {2, -1, 2, "2l-wc"}, {4, 2, 16, "2l-wc"}, {0, -1, 256, ""},
+			{1, -1, 2, "1l-wc"}, {2, -1, 2, "1l-wc"}, {0, -1, 256, ""},
 		}},
 		{"q12 at P 30", q12Footers(true), Config{Partitions: 30, Exchange: wc}, []stage{
 			{1, -1, 2, "1l-wc"}, {2, -1, 2, "1l-wc"}, {0, -1, 30, ""},
@@ -447,19 +466,19 @@ func TestDecomposeResolvesDAG(t *testing.T) {
 }
 
 // TestExplainQ12: the rendering cmd/lambada -v prints is the DAG that runs,
-// each fleet with its size and each boundary with its algorithm.
+// each fleet with its size and each boundary with its algorithm and shard
+// buckets. Re-recorded when the exact request model took over the shard
+// count: both boundaries went 2l-wc with two regroup stages → 1l-wc b=1.
 func TestExplainQ12(t *testing.T) {
 	sp, err := Decompose(optimized(t, q12SQL), q12Footers(true),
 		Config{Partitions: 256, BroadcastRowLimit: -1, Exchange: exchange.Variant{WriteCombining: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `stage 1 scan=lineitem workers=2 out=hash([l_orderkey])x256 2l-wc
+	const want = `stage 1 scan=lineitem workers=2 out=hash([l_orderkey])x256 1l-wc b=1
   Scan lineitem [l_orderkey, l_extendedprice, l_receiptdate] filter=((l_receiptdate >= 731) AND (l_receiptdate < 1096)) prune=2
-stage 3 regroup of 1 workers=16 out=hash([l_orderkey])x256 2l-wc
-stage 2 scan=orders workers=2 out=hash([o_orderkey])x256 2l-wc
+stage 2 scan=orders workers=2 out=hash([o_orderkey])x256 1l-wc b=1
   Scan orders [o_orderkey, o_orderpriority]
-stage 4 regroup of 2 workers=16 out=hash([o_orderkey])x256 2l-wc
 stage 0 in=1 in=2 workers=256 out=driver
   Aggregate COUNT(*) AS __p0_cnt_n, SUM(l_extendedprice) AS __p1_sum_total GROUP BY o_orderpriority
     HashJoin l_orderkey = o_orderkey
@@ -474,5 +493,20 @@ merge: driver (≤ 5 groups × 256 workers)
 `
 	if got := Explain(sp); got != want {
 		t.Errorf("Explain:\n%s\nwant:\n%s", got, want)
+	}
+
+	// Two rounds pinned: each regroup fleet renders right behind its producer.
+	sp, err = Decompose(optimized(t, q12SQL), q12Footers(true),
+		Config{Partitions: 256, BroadcastRowLimit: -1, Exchange: exchange.Variant{Levels: 2, WriteCombining: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const regroup = `stage 3 regroup of 1 workers=16 out=hash([l_orderkey])x256 2l-wc b=1
+stage 2 scan=orders workers=2 out=hash([o_orderkey])x256 2l-wc b=1
+  Scan orders [o_orderkey, o_orderpriority]
+stage 4 regroup of 2 workers=16 out=hash([o_orderkey])x256 2l-wc b=1
+`
+	if got := Explain(sp); !strings.Contains(got, regroup) {
+		t.Errorf("Explain, two rounds pinned:\n%s\nwant it to contain:\n%s", got, regroup)
 	}
 }
