@@ -9,12 +9,10 @@
 // # Concurrency levels
 //
 // Each worker exploits concurrency at five levels — the paper's four scan
-// levels (§4.3.2, Figure 8) plus a morsel-driven execution layer on top:
+// levels (§4.3.2, Figure 8) plus a file pool on top:
 //
-//	(5) file/pipeline parallelism: a bounded worker pool scans multiple lpq
-//	    files concurrently (scan.Config.ParallelFiles) and the engine runs
-//	    every plan on a pipeline-graph scheduler at one morsel worker per
-//	    CPU (engine.ExecuteParallel);
+//	(5) file parallelism: a bounded worker pool scans multiple lpq files
+//	    concurrently (scan.Config.ParallelFiles);
 //	(4) the footers of all files of a scan opened together, ahead of the
 //	    first file's data (scan.OpenAll);
 //	(3) row groups double-buffered: download overlaps decompression;
@@ -27,7 +25,9 @@
 // is kept in flight by its own means. Threads are goroutines, for CPU work
 // only; a DES process is a single thread of control, so a deterministic
 // deployment turns levels 3 and 5 off (scan.Config.DoubleBuffer and
-// ParallelFiles, beside the engine's Pipelines: 1) and nothing else. Requests
+// ParallelFiles) and nothing else. The engine runs a fragment on one thread
+// everywhere: a worker has one vCPU at the paper's default 1 792 MiB (§4.1),
+// so the operators above the scan have no second core to fan out to. Requests
 // are kept in flight by the S3 client, as a model of time that runs the same
 // on both clocks, in two parts. The per-function token-bucket shaper models
 // bandwidth: a transfer takes the time its bytes need at the rate its
@@ -108,31 +108,29 @@
 // into a DAG of pipelines — streamable scan/filter/project/join-probe
 // chains terminated by breaker sinks (aggregate, sort, limit, collect) —
 // with dependency edges: a join's build pipeline completes and its hash
-// table seals before the probe pipeline starts. The scheduler runs ready
-// pipelines as their dependencies finish, fanning each pipeline's morsels
-// out to N workers; engine.Execute is the same scheduler at N = 1, running
-// the whole graph inline without spawning a single goroutine (the form DES
-// deployments require). There is no serial fallback path: joins, nested
-// breakers and arbitrary operator chains all run morsel-parallel.
+// table seals before the probe pipeline starts. engine.Execute runs the
+// pipelines in that order, one morsel at a time, on the caller's goroutine,
+// and starts none of its own (the form DES deployments require): joins,
+// nested breakers and arbitrary operator chains all run this one way.
 //
 // Hash joins build a sealed-then-shared table in one of three key modes
 // (mirroring the aggregation kernel's group-addressing matrix):
 //
 //	dense   single int64 key spanning a narrow range: direct-index CSR
-//	int64   single wide int64 key: open addressing, partition-parallel build
-//	string  multi-column keys: encoded-key map, partition-parallel build
+//	int64   single wide int64 key: open addressing
+//	string  multi-column keys: encoded-key map
 //
 // Float and bool join keys are rejected at planning time with
 // engine.ErrJoinKey. Probes gather matches through selection vectors in
-// (probe row, build row) order, so results are independent of worker count.
+// (probe row, build row) order.
 //
 // Everything above level 1 is deterministic in its results: parallel scans
-// deliver chunks in serial order, aggregation folds per-chunk partials in
-// sequence order, collect sinks reassemble morsels in sequence order, and
-// the limit sink takes the first N rows in sequence order — outputs are
-// byte-identical to serial execution. In discrete-event-simulated
-// deployments all levels are forced off (worker code must not spawn
-// goroutines); the bandwidth shaper models their timing effect instead.
+// deliver chunks in serial order, and the engine consumes them in that
+// order — aggregation folds per-chunk partials as they arrive, collect
+// sinks keep arrival order, and the limit sink takes the first N rows. In
+// discrete-event-simulated deployments the thread levels are off (worker
+// code must not spawn goroutines); the bandwidth shaper models their
+// timing effect instead.
 //
 // # One executor
 //
@@ -356,11 +354,11 @@
 // run on a fresh driver must not leak into its retry) and after it (loser
 // attempts and winner files alike).
 //
-// Stage fragments are ordinary engine plans executed on the pipeline-graph
-// scheduler, and every boundary preserves row order (partition rows in
-// sender order, senders in ascending ID order, driver merges in worker
-// order), so staged execution is fully deterministic — pipelined launch,
-// speculation and all — and, for order-insensitive aggregates (COUNT,
+// Stage fragments are ordinary engine plans executed by engine.Execute, and
+// every boundary preserves row order (partition rows in sender order,
+// senders in ascending ID order, driver merges in worker order), so staged
+// execution is fully deterministic — pipelined launch, speculation and
+// all — and, for order-insensitive aggregates (COUNT,
 // integer SUM, MIN/MAX) under an ORDER BY, byte-identical to single-node
 // execution at any worker/partition/attempt count; floating-point SUM/AVG
 // agree to last-ulp rounding, as the split changes the summation order.

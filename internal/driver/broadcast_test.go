@@ -116,7 +116,7 @@ func TestBroadcastJoinDESDeterministic(t *testing.T) {
 
 // TestSQLJoinEndToEnd drives the full stack from SQL: sqlfe parses the
 // INNER JOIN into a JoinPlan, the driver broadcasts the small side, and
-// worker fragments run the join on the pipeline-graph scheduler.
+// worker fragments run the join in engine.Execute.
 func TestSQLJoinEndToEnd(t *testing.T) {
 	d, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
 	sup := tpch.Gen{SF: 0.002, Seed: 33}.Supplier()

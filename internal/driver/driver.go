@@ -43,7 +43,7 @@ type Deployment struct {
 
 	// Deterministic is true for DES deployments and means "no host threads",
 	// nothing else: worker-side code must not spawn goroutines, so the scan's
-	// double buffer and file pool and the engine's pipeline fan-out are off.
+	// double buffer and file pool are off (the engine starts none anyway).
 	// Requests in flight are not threads: their timing is modeled by the S3
 	// client's request window (latencies) and its shaper (bandwidth), and
 	// runs the same on both clocks.

@@ -63,6 +63,8 @@ type Session struct {
 }
 
 // NewSession returns a resident session with the normalized configuration.
+// On a deterministic deployment it switches off the scan's double buffer
+// and file pool, the only goroutines a worker would start.
 // When cfg.MaxInFlight is positive the session installs its admission
 // controller as the deployment's Lambda completion hook — run at most one
 // admission-enabled session per deployment, or token accounting splits.
@@ -99,8 +101,8 @@ func NewSession(dep *Deployment, cfg Config) *Session {
 	}
 	if dep.Deterministic {
 		// DES processes must stay single-threaded, so the scan's two thread
-		// levels go, like the engine's Pipelines: 1 beside them. Its request
-		// levels stay: they ride s3.Client.Overlap, which starts no thread.
+		// levels go — the engine starts no thread anyway. Its request levels
+		// stay: they ride s3.Client.Overlap, which starts no thread.
 		cfg.Scan.DoubleBuffer = false
 		cfg.Scan.ParallelFiles = 1
 	}

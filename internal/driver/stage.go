@@ -874,7 +874,7 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, files []scan.FileR
 
 // executeFragment is the worker side of a task: wait out the upstream ready
 // markers, collect this worker's partition of every input boundary, execute
-// the fragment on the pipeline-graph scheduler, and either publish the
+// the fragment (engine.Execute), and either publish the
 // partitioned output into this stage's attempt namespace or hand the chunk
 // back for the SQS result post. A payload without a boundary spec touches no
 // boundary: the zero spec has nothing to collect and nothing to publish. A
@@ -963,14 +963,7 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 		cat[in.Table] = engine.NewMemSource(chunk.Schema, chunk)
 	}
 
-	// Every fragment — joins included — runs on the pipeline-graph
-	// scheduler, one pipeline per CPU (Pipelines 0); a DES process must not
-	// spawn goroutines, and parallelism 1 executes the whole graph inline.
-	var par engine.ParallelConfig
-	if d.dep.Deterministic {
-		par.Pipelines = 1
-	}
-	out, err := engine.ExecuteParallel(plan, cat, par)
+	out, err := engine.Execute(plan, cat)
 	if err != nil {
 		return nil, err
 	}

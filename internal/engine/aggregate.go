@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"lambada/internal/columnar"
 )
@@ -16,12 +15,10 @@ import (
 // per-column loop over that mapping. No per-row hashing on the common
 // paths, no per-row allocation anywhere.
 //
-// It is the shared kernel of the serial aggregate and of the morsel-driven
-// parallel aggregate: both compute one partial builder per chunk and fold
-// the partials into a master builder in chunk-sequence order (mergeFrom),
-// so float sums — the only non-associative aggregate — combine in exactly
-// the same order no matter how many goroutines did the per-chunk work. That
-// is what makes parallel aggregation byte-identical to the serial path.
+// The aggregate sink computes one partial builder per morsel and folds the
+// partials into a master builder in arrival order (mergeFrom), so float
+// sums — the only non-associative aggregate — combine in the same order on
+// every run.
 //
 // Group addressing picks the cheapest workable scheme per chunk: a dense
 // direct-index table when the int64 key columns span a narrow range, a
@@ -38,8 +35,6 @@ type aggBuilder struct {
 
 	// Per-group state, ordinal-indexed.
 	keyVals []int64 // group keys, flat, stride len(keyIdx)
-	seqs    []uint64
-	rows    []int
 	counts  []int64 // per group; every aggregate shares the row count
 	// Per aggregate, per group.
 	sums  [][]float64
@@ -92,13 +87,12 @@ func newAggBuilder(p *AggregatePlan, inSchema *columnar.Schema) (*aggBuilder, er
 
 func (b *aggBuilder) numGroups() int { return len(b.counts) }
 
-// addGroup appends a new group and returns its ordinal. Min/max start at
+// addGroup appends a new group and returns its ordinal. Every caller adds
+// groups on first sight, so ordinals are first-seen order. Min/max start at
 // the infinities; every group has at least one row, so they collapse to the
 // true extrema in the aggregate pass.
-func (b *aggBuilder) addGroup(seq uint64, row int) int32 {
+func (b *aggBuilder) addGroup() int32 {
 	g := int32(len(b.counts))
-	b.seqs = append(b.seqs, seq)
-	b.rows = append(b.rows, row)
 	b.counts = append(b.counts, 0)
 	for ai := range b.p.Aggs {
 		b.sums[ai] = append(b.sums[ai], 0)
@@ -109,9 +103,8 @@ func (b *aggBuilder) addGroup(seq uint64, row int) int32 {
 	return g
 }
 
-// addChunk folds one chunk into the builder. seq is the chunk's position in
-// the serial delivery order; it only determines output ordering.
-func (b *aggBuilder) addChunk(c *columnar.Chunk, seq uint64) error {
+// addChunk folds one chunk into the builder.
+func (b *aggBuilder) addChunk(c *columnar.Chunk) error {
 	n := c.NumRows()
 	if n == 0 {
 		return nil
@@ -144,7 +137,7 @@ func (b *aggBuilder) addChunk(c *columnar.Chunk, seq uint64) error {
 		b.rowGroups = make([]int32, n)
 	}
 	rg := b.rowGroups[:n]
-	b.mapRows(c, n, seq, rg)
+	b.mapRows(c, n, rg)
 
 	// Pass 2: one tight loop per aggregate over the row → group mapping.
 	counts := b.counts
@@ -214,11 +207,11 @@ func (b *aggBuilder) addChunk(c *columnar.Chunk, seq uint64) error {
 
 // mapRows fills rg with each row's group ordinal, creating groups on first
 // sight.
-func (b *aggBuilder) mapRows(c *columnar.Chunk, n int, seq uint64, rg []int32) {
+func (b *aggBuilder) mapRows(c *columnar.Chunk, n int, rg []int32) {
 	// Global aggregate: every row lands in group 0.
 	if len(b.keyIdx) == 0 {
 		if b.numGroups() == 0 {
-			b.addGroup(seq, 0)
+			b.addGroup()
 		}
 		for i := range rg {
 			rg[i] = 0
@@ -239,7 +232,7 @@ func (b *aggBuilder) mapRows(c *columnar.Chunk, n int, seq uint64, rg []int32) {
 					slot := k - lo
 					g := dense[slot]
 					if g == 0 {
-						g = b.addGroup(seq, i) + 1
+						g = b.addGroup() + 1
 						b.keyVals = append(b.keyVals, k)
 						b.fgroups[k] = g - 1
 						dense[slot] = g
@@ -255,7 +248,7 @@ func (b *aggBuilder) mapRows(c *columnar.Chunk, n int, seq uint64, rg []int32) {
 				}
 				g := dense[slot]
 				if g == 0 {
-					g = b.addGroup(seq, i) + 1
+					g = b.addGroup() + 1
 					for _, ki := range b.keyIdx {
 						b.keyVals = append(b.keyVals, c.Columns[ki].Int64s[i])
 					}
@@ -274,7 +267,7 @@ func (b *aggBuilder) mapRows(c *columnar.Chunk, n int, seq uint64, rg []int32) {
 			k := keyCol.Int64At(i)
 			g, ok := b.fgroups[k]
 			if !ok {
-				g = b.addGroup(seq, i)
+				g = b.addGroup()
 				b.keyVals = append(b.keyVals, k)
 				b.fgroups[k] = g
 			}
@@ -292,7 +285,7 @@ func (b *aggBuilder) mapRows(c *columnar.Chunk, n int, seq uint64, rg []int32) {
 		}
 		g, ok := b.groups[string(b.keyBuf)]
 		if !ok {
-			g = b.addGroup(seq, i)
+			g = b.addGroup()
 			for _, ki := range b.keyIdx {
 				b.keyVals = append(b.keyVals, c.Columns[ki].Int64At(i))
 			}
@@ -395,20 +388,18 @@ func (b *aggBuilder) lookup(o *aggBuilder, og int32) int32 {
 
 // mergeFrom folds another builder's partial groups into b, in o's
 // first-seen order. Both builders must come from the same plan; o must not
-// be used afterwards. Callers fold partials in chunk-sequence order, which
-// keeps float summation order identical to the serial executor's.
+// be used afterwards. Callers fold partials in arrival order, so float sums
+// combine in the same order on every run.
 func (b *aggBuilder) mergeFrom(o *aggBuilder) {
 	nk := len(b.keyIdx)
 	for og := int32(0); og < int32(o.numGroups()); og++ {
 		g := b.lookup(o, og)
 		if g < 0 {
-			g = b.addGroup(o.seqs[og], o.rows[og])
+			g = b.addGroup()
 			b.keyVals = append(b.keyVals, o.keyVals[int(og)*nk:int(og+1)*nk]...)
 			if nk > 0 {
 				b.index(g)
 			}
-		} else if o.seqs[og] < b.seqs[g] || (o.seqs[og] == b.seqs[g] && o.rows[og] < b.rows[g]) {
-			b.seqs[g], b.rows[g] = o.seqs[og], o.rows[og]
 		}
 		b.counts[g] += o.counts[og]
 		for ai := range b.p.Aggs {
@@ -424,38 +415,24 @@ func (b *aggBuilder) mergeFrom(o *aggBuilder) {
 	}
 }
 
-// finalize emits the result chunk, groups ordered by first-seen position in
-// the input stream (identical to the serial executor's output).
+// finalize emits the result chunk, groups in ordinal (first-seen) order.
 func (b *aggBuilder) finalize(outSchema *columnar.Schema) (*columnar.Chunk, error) {
-	order := make([]int32, b.numGroups())
-	for g := range order {
-		order[g] = int32(g)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		gi, gj := order[i], order[j]
-		if b.seqs[gi] != b.seqs[gj] {
-			return b.seqs[gi] < b.seqs[gj]
-		}
-		return b.rows[gi] < b.rows[gj]
-	})
-
 	// A global aggregate over empty input still yields one row of zeros
 	// (COUNT = 0), matching SQL semantics.
-	if len(b.p.GroupBy) == 0 && len(order) == 0 {
-		g := b.addGroup(0, 0)
+	if len(b.p.GroupBy) == 0 && b.numGroups() == 0 {
+		g := b.addGroup()
 		for ai := range b.p.Aggs {
 			b.mins[ai][g] = 0
 			b.maxs[ai][g] = 0
 		}
-		order = append(order, g)
 	}
 
 	nk := len(b.p.GroupBy)
-	out := columnar.NewChunk(outSchema, len(order))
-	for _, g := range order {
+	out := columnar.NewChunk(outSchema, b.numGroups())
+	for g := 0; g < b.numGroups(); g++ {
 		col := 0
 		for j := 0; j < nk; j++ {
-			out.Columns[col].AppendInt64(b.keyVals[int(g)*nk+j])
+			out.Columns[col].AppendInt64(b.keyVals[g*nk+j])
 			col++
 		}
 		for ai, a := range b.p.Aggs {

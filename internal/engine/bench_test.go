@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 
 	"lambada/internal/columnar"
@@ -79,38 +78,6 @@ func BenchmarkGroupByAggregate(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelAggregate runs Q1 over a many-chunk source with the
-// morsel-driven executor at increasing pipeline counts (workers=1 is the
-// serial executor, for comparison).
-func BenchmarkParallelAggregate(b *testing.B) {
-	data := tpch.Gen{SF: 0.05, Seed: 1}.Generate()
-	const rowsPerChunk = 8192
-	var parts []*columnar.Chunk
-	for lo := 0; lo < data.NumRows(); lo += rowsPerChunk {
-		hi := lo + rowsPerChunk
-		if hi > data.NumRows() {
-			hi = data.NumRows()
-		}
-		parts = append(parts, data.Slice(lo, hi))
-	}
-	cat := Catalog{"lineitem": NewMemSource(tpch.Schema(), parts...)}
-	plan, err := Optimize(q1Plan(), cat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("pipelines=%d", workers), func(b *testing.B) {
-			b.SetBytes(data.ByteSize())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ExecuteParallel(plan, cat, ParallelConfig{Pipelines: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // joinBenchSetup: many-chunk LINEITEM probe side, SUPPLIER build side.
 func joinBenchSetup(b *testing.B) (Catalog, *columnar.Chunk, int64) {
 	b.Helper()
@@ -140,26 +107,21 @@ func joinBenchPlan() *JoinPlan {
 	}
 }
 
-// BenchmarkHashJoin measures the sealed-table join kernel on the pipeline
-// scheduler at 1 and 4 pipelines (allocs/op is the headline: the sealed
-// CSR table and selection-vector gather replace the seed's map[int64][]int
-// build and row-at-a-time appends).
+// BenchmarkHashJoin measures the sealed-table join kernel (allocs/op is
+// the headline: the sealed CSR table and selection-vector gather replace
+// the seed's map[int64][]int build and row-at-a-time appends).
 func BenchmarkHashJoin(b *testing.B) {
 	cat, _, bytes := joinBenchSetup(b)
-	for _, pipelines := range []int{1, 4} {
-		b.Run(fmt.Sprintf("pipelines=%d", pipelines), func(b *testing.B) {
-			plan := joinBenchPlan()
-			if err := Resolve(plan, cat); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(bytes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ExecuteParallel(plan, cat, ParallelConfig{Pipelines: pipelines}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	plan := joinBenchPlan()
+	if err := Resolve(plan, cat); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(bytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Execute(plan, cat); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -44,13 +44,36 @@ func Resolve(p Plan, cat Catalog) error {
 	return Resolve(p.Child(), cat)
 }
 
-// Execute runs the plan and materializes its (small) result as one chunk.
-// It is the pipeline-graph scheduler at parallelism 1: the plan is
-// decomposed into a DAG of pipelines (see pipeline.go) and every pipeline
-// runs inline on the caller's goroutine, chunk-at-a-time between breakers.
-// ExecuteParallel with N pipelines produces byte-identical results.
+// Execute runs the plan and materializes its (small) result as one chunk:
+// the plan is compiled into a DAG of pipelines (see pipeline.go), whose
+// nodes then run in topological order on the caller's goroutine,
+// chunk-at-a-time between breakers.
 func Execute(p Plan, cat Catalog) (*columnar.Chunk, error) {
-	return ExecuteParallel(p, cat, ParallelConfig{Pipelines: 1})
+	if err := Resolve(p, cat); err != nil {
+		return nil, err
+	}
+	g, root, err := compileGraph(p, cat)
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range g.nodes {
+		if err := n.run(); err != nil {
+			return nil, err
+		}
+	}
+	return root.out, nil
+}
+
+// ParallelConfig has no effect; see ExecuteParallel.
+type ParallelConfig struct {
+	Pipelines int // ignored
+}
+
+// ExecuteParallel is Execute: cfg has no effect. It stays only for callers
+// outside this module's packages that still pass a ParallelConfig
+// (bench/replay.go).
+func ExecuteParallel(p Plan, cat Catalog, _ ParallelConfig) (*columnar.Chunk, error) {
+	return Execute(p, cat)
 }
 
 // applyFilter evaluates pred and gathers the passing rows. It is the one

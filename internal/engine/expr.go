@@ -9,15 +9,12 @@
 // vectors — the same architectural property (no per-tuple interpretation,
 // materialization only at pipeline breakers) expressed in idiomatic Go.
 //
-// Two executors share those pipelines. Execute runs them serially.
-// ExecuteParallel adds the intra-worker fifth concurrency level (on top of
-// the scan operator's four): scan chunks become morsels fanned out to N
-// pipeline goroutines, and aggregation is partition-parallel — per-chunk
-// hash tables merged in sequence order at the pipeline breaker, which also
-// recycles chunks through columnar.Pool (see the ownership contract there:
-// the breaker is the only recycle point, after its morsel is fully
-// consumed). Results are byte-identical between the two executors; see
-// parallel.go for why that holds even for float sums.
+// One executor runs those pipelines, Execute, one morsel at a time on the
+// caller's goroutine: scan chunks flow through the fused stages to a
+// breaker, and the aggregation breaker folds a per-chunk hash table into
+// its master table in arrival order, then recycles the morsel's chunks
+// through columnar.Pool (see the ownership contract there: the breaker is
+// the only recycle point, after its morsel is fully consumed).
 package engine
 
 import (

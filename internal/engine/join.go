@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync"
 
 	"lambada/internal/columnar"
 )
@@ -157,49 +156,27 @@ const (
 // maxDenseJoinSlots bounds the dense mode's direct-index table.
 const maxDenseJoinSlots = 1 << 16
 
-// joinPart is one hash partition of a sealed joinTable. Bucket resolution
-// is open addressing (joinInt64: linear probing over keys/slot) or a Go map
-// over encoded composite keys (joinString); matches are CSR row lists
-// (starts/rows), ascending build-row order within every bucket so probe
-// output matches the row-at-a-time reference order.
-type joinPart struct {
-	mask   uint64  // len(keys)-1, power of two (joinInt64)
-	keys   []int64 // open-addressing key slots
-	slot   []int32 // bucket ordinal + 1; 0 = empty
-	smap   map[string]int32
-	starts []int32
-	rows   []int32
-}
-
-// joinTable is the sealed, shared build side of a hash join: built once
-// (partition-parallel for the hashed modes), read-only afterwards, probed
-// concurrently by every pipeline worker.
+// joinTable is the sealed build side of a hash join: built once, read-only
+// afterwards. Every mode resolves a key to a bucket whose build rows are a
+// CSR row list (starts/rows), ascending build-row order within every bucket,
+// so probe output matches the row-at-a-time reference order.
 type joinTable struct {
 	build  *columnar.Chunk // materialized build side, row order preserved
 	keyIdx []int           // key column positions in build
 	mode   joinMode
 
-	// dense mode
-	lo     int64
-	span   int64
-	starts []int32
+	starts []int32 // bucket b's build rows are rows[starts[b]:starts[b+1]]
 	rows   []int32
 
-	// hashed modes
-	parts  []joinPart
-	pmask  uint64   // len(parts)-1
-	logP   uint     // bits consumed by partition selection
-	hashes []uint64 // per-build-row key hashes, build-time only
-}
-
-// fnv1a hashes an encoded composite key for partition selection.
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
+	// joinDense: bucket = key - lo, for keys in [lo, lo+span)
+	lo   int64
+	span int64
+	// joinInt64: open addressing with linear probing
+	mask uint64  // len(keys)-1, power of two
+	keys []int64 // key slots
+	slot []int32 // bucket + 1; 0 = empty
+	// joinString: encoded composite key → bucket
+	smap map[string]int32
 }
 
 func nextPow2(n int) int {
@@ -219,199 +196,102 @@ func encodeJoinKey(buf []byte, cols []*columnar.Vector, keyIdx []int, i int) []b
 	return buf
 }
 
-// buildJoinTable seals the materialized build side into a shared join
-// table. workers > 1 builds the hashed modes partition-parallel: each
-// partition owns the keys hashing to it, so workers never contend and the
-// per-bucket row lists stay in ascending build-row order regardless of the
-// worker count — the probe output is byte-identical either way.
-func buildJoinTable(build *columnar.Chunk, keyIdx []int, workers int) *joinTable {
+// buildJoinTable seals the materialized build side into a join table.
+func buildJoinTable(build *columnar.Chunk, keyIdx []int) *joinTable {
 	t := &joinTable{build: build, keyIdx: keyIdx}
 	n := build.NumRows()
 	if n == 0 {
 		t.mode = joinEmpty
 		return t
 	}
-	if len(keyIdx) == 1 {
-		keys := build.Columns[keyIdx[0]].Int64s
-		lo, hi := keys[0], keys[0]
-		for _, k := range keys {
-			if k < lo {
-				lo = k
-			}
-			if k > hi {
-				hi = k
-			}
-		}
-		if span := uint64(hi) - uint64(lo); span < maxDenseJoinSlots && int64(span) <= 4*int64(n)+64 {
-			t.buildDense(keys, lo, int64(span)+1)
-			return t
-		}
-		t.mode = joinInt64
-	} else {
+	ords := make([]int32, n) // build row → bucket
+	buckets := 0
+	if len(keyIdx) > 1 {
 		t.mode = joinString
-	}
-
-	// Hash every build row once, up front; partitions filter on the shared
-	// hash array instead of each rehashing (or re-encoding) all n rows.
-	t.hashes = make([]uint64, n)
-	switch t.mode {
-	case joinInt64:
-		for i, k := range build.Columns[keyIdx[0]].Int64s {
-			t.hashes[i] = columnar.Hash64(k)
-		}
-	case joinString:
+		t.smap = make(map[string]int32, n)
 		var buf []byte
-		for i := 0; i < n; i++ {
+		for i := range ords {
 			buf = encodeJoinKey(buf[:0], build.Columns, keyIdx, i)
-			t.hashes[i] = fnv1a(buf)
+			ord, ok := t.smap[string(buf)]
+			if !ok {
+				ord = int32(len(t.smap))
+				t.smap[string(buf)] = ord
+			}
+			ords[i] = ord
 		}
+		t.seal(ords, len(t.smap))
+		return t
 	}
 
-	p := 1
-	if workers > 1 && n >= 1024 {
-		p = nextPow2(workers)
-		if p > 16 {
-			p = 16
+	keys := build.Columns[keyIdx[0]].Int64s
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys {
+		if k < lo {
+			lo = k
+		}
+		if k > hi {
+			hi = k
 		}
 	}
-	t.parts = make([]joinPart, p)
-	t.pmask = uint64(p - 1)
-	t.logP = uint(bits.TrailingZeros(uint(p)))
-	if p == 1 {
-		t.buildPart(0)
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < p; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				t.buildPart(i)
-			}(i)
+	if span := uint64(hi) - uint64(lo); span < maxDenseJoinSlots && int64(span) <= 4*int64(n)+64 {
+		t.mode = joinDense
+		t.lo, t.span = lo, int64(span)+1
+		for i, k := range keys {
+			ords[i] = int32(k - lo)
 		}
-		wg.Wait()
+		t.seal(ords, int(t.span))
+		return t
 	}
-	t.hashes = nil // build-time only; probes hash their own rows
+
+	t.mode = joinInt64
+	capacity := nextPow2(2 * n)
+	if capacity < 8 {
+		capacity = 8
+	}
+	t.mask = uint64(capacity - 1)
+	t.keys = make([]int64, capacity)
+	t.slot = make([]int32, capacity)
+	for i, k := range keys {
+		idx := columnar.Hash64(k) & t.mask
+		for t.slot[idx] != 0 && t.keys[idx] != k {
+			idx = (idx + 1) & t.mask
+		}
+		if t.slot[idx] == 0 {
+			buckets++
+			t.keys[idx], t.slot[idx] = k, int32(buckets)
+		}
+		ords[i] = t.slot[idx] - 1
+	}
+	t.seal(ords, buckets)
 	return t
 }
 
-// buildDense builds the direct-index mode with a counting sort: two passes,
-// no hashing, per-slot row lists naturally ascending.
-func (t *joinTable) buildDense(keys []int64, lo, span int64) {
-	t.mode = joinDense
-	t.lo, t.span = lo, span
-	starts := make([]int32, span+1)
-	for _, k := range keys {
-		starts[k-lo+1]++
+// seal lays the bucket row lists out as CSR with a counting sort: ords[i]
+// is build row i's bucket, and rows keep ascending order within a bucket.
+func (t *joinTable) seal(ords []int32, buckets int) {
+	t.starts = make([]int32, buckets+1)
+	for _, b := range ords {
+		t.starts[b+1]++
 	}
-	for i := int64(1); i <= span; i++ {
-		starts[i] += starts[i-1]
+	for b := 1; b <= buckets; b++ {
+		t.starts[b] += t.starts[b-1]
 	}
-	rows := make([]int32, len(keys))
-	cursor := make([]int32, span)
-	copy(cursor, starts[:span])
-	for i, k := range keys {
-		s := k - lo
-		rows[cursor[s]] = int32(i)
-		cursor[s]++
-	}
-	t.starts, t.rows = starts, rows
-}
-
-// buildPart builds hash partition p: scan the build rows in order, keep the
-// ones hashing to this partition, assign bucket ordinals, then seal the
-// bucket row lists as CSR.
-func (t *joinTable) buildPart(p int) {
-	pt := &t.parts[p]
-	var owned []int32
-	var ords []int32
-	var counts []int32
-
-	// First pass: count the partition's rows (a scan of the precomputed
-	// hash array) to size its table.
-	cnt := 0
-	for _, h := range t.hashes {
-		if h&t.pmask == uint64(p) {
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		pt.starts = []int32{0}
-		return
-	}
-	owned = make([]int32, 0, cnt)
-	ords = make([]int32, 0, cnt)
-
-	switch t.mode {
-	case joinInt64:
-		keys := t.build.Columns[t.keyIdx[0]].Int64s
-		capacity := nextPow2(2 * cnt)
-		if capacity < 8 {
-			capacity = 8
-		}
-		pt.mask = uint64(capacity - 1)
-		pt.keys = make([]int64, capacity)
-		pt.slot = make([]int32, capacity)
-		for i, h := range t.hashes {
-			if h&t.pmask != uint64(p) {
-				continue
-			}
-			k := keys[i]
-			idx := (h >> t.logP) & pt.mask
-			var ord int32
-			for {
-				s := pt.slot[idx]
-				if s == 0 {
-					ord = int32(len(counts))
-					counts = append(counts, 0)
-					pt.keys[idx] = k
-					pt.slot[idx] = ord + 1
-					break
-				}
-				if pt.keys[idx] == k {
-					ord = s - 1
-					break
-				}
-				idx = (idx + 1) & pt.mask
-			}
-			counts[ord]++
-			owned = append(owned, int32(i))
-			ords = append(ords, ord)
-		}
-	case joinString:
-		cols := t.build.Columns
-		pt.smap = make(map[string]int32, cnt)
-		var buf []byte
-		for i, h := range t.hashes {
-			if h&t.pmask != uint64(p) {
-				continue
-			}
-			// Only owned rows are re-encoded.
-			buf = encodeJoinKey(buf[:0], cols, t.keyIdx, i)
-			ord, ok := pt.smap[string(buf)]
-			if !ok {
-				ord = int32(len(counts))
-				counts = append(counts, 0)
-				pt.smap[string(buf)] = ord
-			}
-			counts[ord]++
-			owned = append(owned, int32(i))
-			ords = append(ords, ord)
-		}
-	}
-
-	// Seal: CSR row lists, ascending build-row order within every bucket.
-	pt.starts = make([]int32, len(counts)+1)
-	for b, c := range counts {
-		pt.starts[b+1] = pt.starts[b] + c
-	}
-	pt.rows = make([]int32, len(owned))
-	cursor := make([]int32, len(counts))
-	copy(cursor, pt.starts[:len(counts)])
-	for j, i := range owned {
-		b := ords[j]
-		pt.rows[cursor[b]] = i
+	t.rows = make([]int32, len(ords))
+	cursor := make([]int32, buckets)
+	copy(cursor, t.starts[:buckets])
+	for i, b := range ords {
+		t.rows[cursor[b]] = int32(i)
 		cursor[b]++
 	}
+}
+
+// match appends probe row row paired with every build row of bucket b.
+func (t *joinTable) match(b int32, row int, lsel, rsel []int) ([]int, []int) {
+	for _, m := range t.rows[t.starts[b]:t.starts[b+1]] {
+		lsel = append(lsel, row)
+		rsel = append(rsel, int(m))
+	}
+	return lsel, rsel
 }
 
 // probeChunk appends the (probe row, build row) match pairs of chunk c to
@@ -422,55 +302,27 @@ func (t *joinTable) probeChunk(c *columnar.Chunk, leftKeyIdx []int, lsel, rsel [
 	switch t.mode {
 	case joinEmpty:
 	case joinDense:
-		ks := c.Columns[leftKeyIdx[0]].Int64s
-		for row, k := range ks {
-			off := k - t.lo
-			if off < 0 || off >= t.span {
-				continue
-			}
-			for _, m := range t.rows[t.starts[off]:t.starts[off+1]] {
-				lsel = append(lsel, row)
-				rsel = append(rsel, int(m))
+		for row, k := range c.Columns[leftKeyIdx[0]].Int64s {
+			if off := k - t.lo; off >= 0 && off < t.span {
+				lsel, rsel = t.match(int32(off), row, lsel, rsel)
 			}
 		}
 	case joinInt64:
-		ks := c.Columns[leftKeyIdx[0]].Int64s
-		for row, k := range ks {
-			h := columnar.Hash64(k)
-			pt := &t.parts[h&t.pmask]
-			if len(pt.slot) == 0 {
-				continue
+		for row, k := range c.Columns[leftKeyIdx[0]].Int64s {
+			idx := columnar.Hash64(k) & t.mask
+			for t.slot[idx] != 0 && t.keys[idx] != k {
+				idx = (idx + 1) & t.mask
 			}
-			idx := (h >> t.logP) & pt.mask
-			for {
-				s := pt.slot[idx]
-				if s == 0 {
-					break
-				}
-				if pt.keys[idx] == k {
-					b := s - 1
-					for _, m := range pt.rows[pt.starts[b]:pt.starts[b+1]] {
-						lsel = append(lsel, row)
-						rsel = append(rsel, int(m))
-					}
-					break
-				}
-				idx = (idx + 1) & pt.mask
+			if s := t.slot[idx]; s != 0 {
+				lsel, rsel = t.match(s-1, row, lsel, rsel)
 			}
 		}
 	case joinString:
 		n := c.NumRows()
 		for row := 0; row < n; row++ {
 			keyBuf = encodeJoinKey(keyBuf[:0], c.Columns, leftKeyIdx, row)
-			pt := &t.parts[fnv1a(keyBuf)&t.pmask]
-			if pt.smap == nil {
-				continue
-			}
-			if b, ok := pt.smap[string(keyBuf)]; ok {
-				for _, m := range pt.rows[pt.starts[b]:pt.starts[b+1]] {
-					lsel = append(lsel, row)
-					rsel = append(rsel, int(m))
-				}
+			if b, ok := t.smap[string(keyBuf)]; ok {
+				lsel, rsel = t.match(b, row, lsel, rsel)
 			}
 		}
 	}

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -44,6 +47,54 @@ func chunksIdentical(t *testing.T, got, want *columnar.Chunk) {
 	}
 }
 
+// chunkDigest is an FNV-64a digest of a chunk's schema and every value's
+// bits, column by column: the suites below compare the executor's output
+// against digests of the pipeline-parallel executor's output, recorded at
+// 1 and 4 pipelines before it was deleted (the two agreed on every
+// fixture).
+func chunkDigest(c *columnar.Chunk) string {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, f := range c.Schema.Fields {
+		h.Write([]byte(f.Name))
+		put(uint64(f.Type))
+	}
+	n := c.NumRows()
+	put(uint64(n))
+	for _, col := range c.Columns {
+		for i := 0; i < n; i++ {
+			switch col.Type {
+			case columnar.Int64:
+				put(uint64(col.Int64s[i]))
+			case columnar.Float64:
+				put(math.Float64bits(col.Float64s[i]))
+			default:
+				if col.Bools[i] {
+					put(1)
+				} else {
+					put(0)
+				}
+			}
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// matchesRecorded asserts that out has the recorded row count and digest.
+func matchesRecorded(t *testing.T, name string, out *columnar.Chunk, rows int, digest string) {
+	t.Helper()
+	if out.NumRows() != rows {
+		t.Errorf("%s: rows = %d, want %d", name, out.NumRows(), rows)
+	}
+	if got := chunkDigest(out); got != digest {
+		t.Errorf("%s: digest = %s, want %s", name, got, digest)
+	}
+}
+
 // chunkedLineitem splits one generated table into many chunks so the
 // parallel executor sees plenty of morsels.
 func chunkedLineitem(t *testing.T, sf float64, rowsPerChunk int) (*MemSource, *columnar.Chunk) {
@@ -60,58 +111,57 @@ func chunkedLineitem(t *testing.T, sf float64, rowsPerChunk int) (*MemSource, *c
 	return NewMemSource(tpch.Schema(), chunks...), data
 }
 
+// TestParallelMatchesSerialByteIdentical: every plan shape produces, bit
+// for bit, the output recorded from the pipeline-parallel executor, whatever
+// pipeline count it is asked for.
 func TestParallelMatchesSerialByteIdentical(t *testing.T) {
 	src, _ := chunkedLineitem(t, 0.01, 1000)
 	cat := Catalog{"lineitem": src}
 
-	plans := map[string]func() Plan{
-		"q1": q1Plan, // two-key group by, 8 aggregates, order by
-		"q6": q6Plan, // global float aggregate behind a filter
-		"single-int64-key": func() Plan {
-			return &AggregatePlan{
-				GroupBy: []string{"l_suppkey"},
-				Aggs: []AggSpec{
-					{Func: AggSum, Arg: Col("l_extendedprice"), Name: "s"},
-					{Func: AggCount, Name: "n"},
-					{Func: AggMin, Arg: Col("l_quantity"), Name: "mn"},
-					{Func: AggMax, Arg: Col("l_quantity"), Name: "mx"},
-					{Func: AggAvg, Arg: Col("l_discount"), Name: "av"},
-				},
-				In: &ScanPlan{Table: "lineitem"},
-			}
-		},
-		"filter-project": func() Plan {
-			return &ProjectPlan{
-				Exprs: []Expr{Col("l_orderkey"), NewBin(OpMul, Col("l_extendedprice"), Col("l_discount"))},
-				Names: []string{"k", "v"},
-				In: &FilterPlan{
-					Pred: NewBin(OpLT, Col("l_quantity"), ConstFloat(25)),
-					In:   &ScanPlan{Table: "lineitem"},
-				},
-			}
-		},
-		"order-by-limit": func() Plan {
-			return &LimitPlan{N: 100, In: &OrderByPlan{
-				Keys: []OrderKey{{Column: "l_extendedprice", Desc: true}},
-				In: &FilterPlan{
-					Pred: NewBin(OpLT, Col("l_suppkey"), ConstInt(50)),
-					In:   &ScanPlan{Table: "lineitem"},
-				},
-			}}
-		},
+	plans := []struct {
+		name   string
+		plan   Plan
+		rows   int
+		digest string
+	}{
+		{"q1", q1Plan(), 4, "596da4ba85d486e6"}, // two-key group by, 8 aggregates, order by
+		{"q6", q6Plan(), 1, "854b3139c2641b53"}, // global float aggregate behind a filter
+		{"single-int64-key", &AggregatePlan{
+			GroupBy: []string{"l_suppkey"},
+			Aggs: []AggSpec{
+				{Func: AggSum, Arg: Col("l_extendedprice"), Name: "s"},
+				{Func: AggCount, Name: "n"},
+				{Func: AggMin, Arg: Col("l_quantity"), Name: "mn"},
+				{Func: AggMax, Arg: Col("l_quantity"), Name: "mx"},
+				{Func: AggAvg, Arg: Col("l_discount"), Name: "av"},
+			},
+			In: &ScanPlan{Table: "lineitem"},
+		}, 100, "15b71fbe07aae008"},
+		{"filter-project", &ProjectPlan{
+			Exprs: []Expr{Col("l_orderkey"), NewBin(OpMul, Col("l_extendedprice"), Col("l_discount"))},
+			Names: []string{"k", "v"},
+			In: &FilterPlan{
+				Pred: NewBin(OpLT, Col("l_quantity"), ConstFloat(25)),
+				In:   &ScanPlan{Table: "lineitem"},
+			},
+		}, 28680, "63737347b9d7fd35"},
+		{"order-by-limit", &LimitPlan{N: 100, In: &OrderByPlan{
+			Keys: []OrderKey{{Column: "l_extendedprice", Desc: true}},
+			In: &FilterPlan{
+				Pred: NewBin(OpLT, Col("l_suppkey"), ConstInt(50)),
+				In:   &ScanPlan{Table: "lineitem"},
+			},
+		}}, 100, "f7c58a023c46d416"},
 	}
-	for name, mk := range plans {
+	// ParallelConfig has no effect: every pipeline count gives the record.
+	for _, tc := range plans {
 		for _, workers := range []int{2, 4, 8} {
-			serial, err := Execute(mk(), cat)
-			if err != nil {
-				t.Fatalf("%s serial: %v", name, err)
-			}
-			par, err := ExecuteParallel(mk(), cat, ParallelConfig{Pipelines: workers})
-			if err != nil {
-				t.Fatalf("%s parallel(%d): %v", name, workers, err)
-			}
-			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				chunksIdentical(t, par, serial)
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				out, err := ExecuteParallel(tc.plan, cat, ParallelConfig{Pipelines: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				matchesRecorded(t, tc.name, out, tc.rows, tc.digest)
 			})
 		}
 	}
@@ -145,25 +195,32 @@ func TestParallelAggregatePartitionsAndTies(t *testing.T) {
 			In: &ScanPlan{Table: "t"},
 		}
 	}
-	serial, err := Execute(mk(), cat)
+	out, err := Execute(mk(), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.NumRows() != 5 {
-		t.Fatalf("groups = %d, want 5", serial.NumRows())
+	// Scalar reference: every value is a multiple of 0.25 far below 2^53,
+	// so the sums are exact in any order.
+	var sums [5]float64
+	var counts [5]int64
+	for r := 0; r < rows; r++ {
+		sums[r%5] += float64(r) * 0.25
+		counts[r%5]++
+	}
+	if out.NumRows() != 5 {
+		t.Fatalf("groups = %d, want 5", out.NumRows())
 	}
 	// First-seen order: keys 0,1,2,3,4.
 	for i := 0; i < 5; i++ {
-		if got := serial.Column("k").Int64s[i]; got != int64(i) {
+		if got := out.Column("k").Int64s[i]; got != int64(i) {
 			t.Fatalf("group %d key = %d (first-seen order broken)", i, got)
 		}
-	}
-	for _, workers := range []int{2, 4, 7} {
-		par, err := ExecuteParallel(mk(), cat, ParallelConfig{Pipelines: workers})
-		if err != nil {
-			t.Fatal(err)
+		if got := out.Column("s").Float64s[i]; got != sums[i] {
+			t.Errorf("group %d sum = %v, want %v", i, got, sums[i])
 		}
-		chunksIdentical(t, par, serial)
+		if got := out.Column("n").Int64s[i]; got != counts[i] {
+			t.Errorf("group %d count = %d, want %d", i, got, counts[i])
+		}
 	}
 }
 
@@ -177,7 +234,7 @@ func TestParallelEmptyInput(t *testing.T) {
 		Aggs:    []AggSpec{{Func: AggCount, Name: "n"}},
 		In:      &ScanPlan{Table: "t"},
 	}
-	out, err := ExecuteParallel(grouped, cat, ParallelConfig{Pipelines: 4})
+	out, err := Execute(grouped, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,22 +242,96 @@ func TestParallelEmptyInput(t *testing.T) {
 		t.Errorf("grouped empty input rows = %d, want 0", out.NumRows())
 	}
 
-	// Global aggregate over empty input: one zero row, like the serial path.
+	// Global aggregate over empty input: one zero row.
 	global := &AggregatePlan{
 		Aggs: []AggSpec{{Func: AggCount, Name: "n"}, {Func: AggSum, Arg: Col("k"), Name: "s"}},
 		In:   &ScanPlan{Table: "t"},
 	}
-	serial, err := Execute(global, cat)
+	out, err = Execute(global, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ExecuteParallel(global, cat, ParallelConfig{Pipelines: 4})
-	if err != nil {
-		t.Fatal(err)
+	if out.NumRows() != 1 || out.Column("n").Int64s[0] != 0 || out.Column("s").Int64s[0] != 0 {
+		t.Errorf("global empty input = %d rows, n = %v, s = %v", out.NumRows(), out.Column("n").Int64s, out.Column("s").Int64s)
 	}
-	chunksIdentical(t, par, serial)
-	if par.NumRows() != 1 || par.Column("n").Int64s[0] != 0 {
-		t.Errorf("global empty input = %d rows, n = %v", par.NumRows(), par.Column("n").Int64s)
+}
+
+// goroutineProbe is a MemSource that records runtime.NumGoroutine() at
+// every chunk it yields.
+type goroutineProbe struct {
+	*MemSource
+	counts *[]int
+}
+
+func (s *goroutineProbe) Scan(proj []string, prune []lpq.Predicate, yield func(*columnar.Chunk) error) error {
+	return s.MemSource.Scan(proj, prune, func(c *columnar.Chunk) error {
+		*s.counts = append(*s.counts, runtime.NumGoroutine())
+		return yield(c)
+	})
+}
+
+// TestExecuteSpawnsNoGoroutines: the executor runs every pipeline on the
+// caller's goroutine, whatever GOMAXPROCS and whatever ParallelConfig says —
+// the goroutine count seen at every morsel of q1 and of a join whose build
+// side takes the open-addressing mode is the count before the call.
+func TestExecuteSpawnsNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var counts []int
+	probed := func(m *MemSource) Source { return &goroutineProbe{MemSource: m, counts: &counts} }
+
+	li, _ := chunkedLineitem(t, 0.002, 500)
+	sparse := make([]int64, 2000)
+	for i := range sparse {
+		sparse[i] = int64(i) * 1000000007
+	}
+	build := makeBuild(sparse, 1, false)
+	if m := buildJoinTable(build, []int{0}).mode; m != joinInt64 {
+		t.Fatalf("build side join mode = %d, want joinInt64", m)
+	}
+	probe := makeProbe(6000, 3000, 1000000007)
+	cases := []struct {
+		name string
+		plan func() Plan
+		cat  Catalog
+	}{
+		{"q1", q1Plan, Catalog{"lineitem": probed(li)}},
+		{"hashed-join", func() Plan {
+			return &JoinPlan{
+				Left:    &ScanPlan{Table: "probe"},
+				Right:   &ScanPlan{Table: "build"},
+				LeftKey: "k", RightKey: "bk",
+			}
+		}, Catalog{
+			"probe": probed(chunked(probe.Schema, probe, 300)),
+			"build": probed(NewMemSource(build.Schema, build)),
+		}},
+	}
+	execs := []struct {
+		name string
+		run  func(Plan, Catalog) (*columnar.Chunk, error)
+	}{
+		{"Execute", Execute},
+		{"ExecuteParallel", func(p Plan, cat Catalog) (*columnar.Chunk, error) {
+			return ExecuteParallel(p, cat, ParallelConfig{Pipelines: 4})
+		}},
+	}
+	for _, tc := range cases {
+		for _, ex := range execs {
+			counts = counts[:0]
+			before := runtime.NumGoroutine()
+			if _, err := ex.run(tc.plan(), tc.cat); err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, ex.name, err)
+			}
+			if len(counts) == 0 {
+				t.Fatalf("%s/%s: no morsel yielded", tc.name, ex.name)
+			}
+			for i, n := range counts {
+				if n != before {
+					t.Errorf("%s/%s: %d goroutines at morsel %d, %d before the call", tc.name, ex.name, n, i, before)
+					break
+				}
+			}
+		}
 	}
 }
 
@@ -239,7 +370,7 @@ func TestParallelCancelOnError(t *testing.T) {
 		Aggs:    []AggSpec{{Func: AggCount, Name: "n"}},
 		In:      &ScanPlan{Table: "t"},
 	}
-	if _, err := ExecuteParallel(plan, cat, ParallelConfig{Pipelines: 4}); !errors.Is(err, boom) {
+	if _, err := Execute(plan, cat); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 
@@ -248,15 +379,14 @@ func TestParallelCancelOnError(t *testing.T) {
 		Aggs: []AggSpec{{Func: AggSum, Arg: Col("missing"), Name: "s"}},
 		In:   &ScanPlan{Table: "t"},
 	}
-	if _, err := ExecuteParallel(badPlan, cat, ParallelConfig{Pipelines: 4}); err == nil ||
+	if _, err := Execute(badPlan, cat); err == nil ||
 		!strings.Contains(err.Error(), "missing") {
 		t.Fatalf("err = %v, want unknown-column error", err)
 	}
 }
 
-// TestParallelJoinByteIdentical: joins run on the same pipeline-graph
-// scheduler as everything else (no serial fallback remains), and the
-// parallel result is byte-identical to the serial one.
+// TestParallelJoinByteIdentical: a join with a tiny build side produces, bit
+// for bit, the output recorded from the pipeline-parallel executor.
 func TestParallelJoinByteIdentical(t *testing.T) {
 	src, _ := chunkedLineitem(t, 0.002, 500)
 	small := columnar.NewChunk(columnar.NewSchema(
@@ -271,23 +401,16 @@ func TestParallelJoinByteIdentical(t *testing.T) {
 		"lineitem": src,
 		"supplier": NewMemSource(small.Schema, small),
 	}
-	mk := func() Plan {
-		return &JoinPlan{
-			Left:     &ScanPlan{Table: "lineitem"},
-			Right:    &ScanPlan{Table: "supplier"},
-			LeftKey:  "l_suppkey",
-			RightKey: "s_suppkey",
-		}
-	}
-	serial, err := Execute(mk(), cat)
+	out, err := Execute(&JoinPlan{
+		Left:     &ScanPlan{Table: "lineitem"},
+		Right:    &ScanPlan{Table: "supplier"},
+		LeftKey:  "l_suppkey",
+		RightKey: "s_suppkey",
+	}, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ExecuteParallel(mk(), cat, ParallelConfig{Pipelines: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunksIdentical(t, par, serial)
+	matchesRecorded(t, "lineitem-supplier", out, 2359, "b187933c665f5d2f")
 }
 
 func TestSortChunkInt64PrecisionRegression(t *testing.T) {
@@ -334,24 +457,19 @@ func TestAggregateGroupKeysBeyondFloat53(t *testing.T) {
 		Aggs:    []AggSpec{{Func: AggCount, Name: "n"}},
 		In:      &ScanPlan{Table: "t"},
 	}
-	for _, exec := range []func() (*columnar.Chunk, error){
-		func() (*columnar.Chunk, error) { return Execute(plan, cat) },
-		func() (*columnar.Chunk, error) { return ExecuteParallel(plan, cat, ParallelConfig{Pipelines: 4}) },
-	} {
-		out, err := exec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.NumRows() != 3 {
-			t.Fatalf("groups = %d, want 3", out.NumRows())
-		}
-		wantKeys := []int64{base, base + 1, base + 2}
-		wantN := []int64{3, 2, 1}
-		for i := range wantKeys {
-			if out.Column("k").Int64s[i] != wantKeys[i] || out.Column("n").Int64s[i] != wantN[i] {
-				t.Fatalf("group %d = (%d, %d), want (%d, %d)",
-					i, out.Column("k").Int64s[i], out.Column("n").Int64s[i], wantKeys[i], wantN[i])
-			}
+	out, err := Execute(plan, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.NumRows() != 3 {
+		t.Fatalf("groups = %d, want 3", out.NumRows())
+	}
+	wantKeys := []int64{base, base + 1, base + 2}
+	wantN := []int64{3, 2, 1}
+	for i := range wantKeys {
+		if out.Column("k").Int64s[i] != wantKeys[i] || out.Column("n").Int64s[i] != wantN[i] {
+			t.Fatalf("group %d = (%d, %d), want (%d, %d)",
+				i, out.Column("k").Int64s[i], out.Column("n").Int64s[i], wantKeys[i], wantN[i])
 		}
 	}
 }

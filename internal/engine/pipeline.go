@@ -1,33 +1,26 @@
 package engine
 
-// This file is the pipeline-graph scheduler: the one executor behind both
-// Execute and ExecuteParallel. A planner pass (compileGraph) decomposes any
-// plan into a DAG of pipelines, each a streamable chain — a scan source (or
-// the materialized output of an upstream pipeline) followed by fused
-// filter/projection/join-probe stages — terminated by a breaker sink:
+// This file is the executor behind Execute. A planner pass (compileGraph)
+// decomposes any plan into a DAG of pipelines, each a streamable chain — a
+// scan source (or the materialized output of an upstream pipeline) followed
+// by fused filter/projection/join-probe stages — terminated by a breaker
+// sink:
 //
-//	collect    materialize the stream in sequence order (also the join
+//	collect    materialize the stream in arrival order (also the join
 //	           build side and the query result)
-//	aggregate  partition-parallel group-by (aggBuilder partials folded in
-//	           sequence order)
+//	aggregate  group-by (one aggBuilder partial per morsel, folded into
+//	           the master table in arrival order)
 //	sort       collect, then sortChunk
-//	limit      stream until N rows arrived in contiguous sequence order,
-//	           then cancel the scan (limit pushdown into the sink)
+//	limit      stream until N rows arrived, then cancel the scan (limit
+//	           pushdown into the sink)
 //
-// Dependency edges order the DAG: a join's build pipeline completes (and
-// its hash table seals) before the probe pipeline starts; a breaker's
-// output node completes before the pipeline it feeds. The scheduler runs
-// ready nodes as they unblock, each fanning its morsels out to N pipeline
-// workers. N = 1 runs every node inline on the caller's goroutine — the
-// serial executor is literally the parallel one at parallelism 1, and in
-// deterministic (DES) deployments no goroutine is ever spawned.
-//
-// Determinism: every morsel carries the sequence number of its position in
-// the serial delivery order. Collect sinks reassemble output in sequence
-// order; the aggregate sink folds per-morsel partials in sequence order
-// (float sums combine identically); the limit sink takes the first N rows
-// in sequence order. All results are therefore byte-identical regardless
-// of worker count or scheduling.
+// compileGraph appends every pipeline after the ones it depends on: a
+// join's build pipeline completes (and its hash table seals) before the
+// probe pipeline starts; a breaker's output node completes before the
+// pipeline it feeds. Execute runs the nodes in that order, one morsel at a
+// time, on the caller's goroutine: a worker has one vCPU at the paper's
+// default memory size (§4.1), and a DES process must not spawn goroutines,
+// so the engine starts none.
 //
 // Chunk recycling: gathered filter and join-probe outputs feeding an
 // aggregate sink are allocated from a per-node columnar.Pool and recycled
@@ -38,8 +31,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"lambada/internal/columnar"
 )
@@ -76,8 +67,6 @@ type probeStage struct {
 
 // pnode is one pipeline of the graph: source, fused stages, breaker sink.
 type pnode struct {
-	id int
-
 	// Source: either a scan ...
 	scan *ScanPlan
 	src  Source
@@ -85,7 +74,6 @@ type pnode struct {
 	input *pnode
 
 	stages []stage
-	deps   []*pnode // nodes that must complete first (input, join builds)
 
 	sink      sinkKind
 	agg       *AggregatePlan   // sinkAgg
@@ -140,7 +128,6 @@ func (g *graph) node(p Plan) (*pnode, error) {
 	if err := g.chain(chainIn, n); err != nil {
 		return nil, err
 	}
-	n.id = len(g.nodes)
 	g.nodes = append(g.nodes, n)
 	return n, nil
 }
@@ -149,7 +136,7 @@ func (g *graph) node(p Plan) (*pnode, error) {
 // through Filter/Project/Join nodes to the pipeline's source (a scan, or a
 // nested breaker that becomes an input node), then records the stages in
 // execution order. Join probe sides continue the chain; build sides become
-// dependency nodes.
+// nodes of their own, compiled (and so run) first.
 func (g *graph) chain(p Plan, n *pnode) error {
 	var ops []Plan
 	cur := p
@@ -178,7 +165,6 @@ walk:
 				return err
 			}
 			n.input = sub
-			n.deps = append(n.deps, sub)
 			break walk
 		default:
 			return fmt.Errorf("engine: unknown plan node %T", cur)
@@ -206,7 +192,6 @@ walk:
 			if err != nil {
 				return err
 			}
-			n.deps = append(n.deps, ps.build)
 			n.stages = append(n.stages, stage{probe: ps})
 		}
 	}
@@ -250,81 +235,7 @@ func (g *graph) probeStage(j *JoinPlan) (*probeStage, error) {
 	return ps, nil
 }
 
-// run executes the graph and returns the root's materialized output.
-// workers is the morsel-parallelism of each pipeline; 1 runs everything
-// inline on the caller's goroutine (no goroutines spawned — required in
-// DES deployments).
-func (g *graph) run(root *pnode, workers int) (*columnar.Chunk, error) {
-	if workers <= 1 {
-		for _, n := range g.nodes {
-			if err := runNode(n, 1); err != nil {
-				return nil, err
-			}
-		}
-		return root.out, nil
-	}
-
-	// Dependency-driven scheduling: launch every node whose dependencies
-	// completed; each launched node fans its morsels out to `workers`
-	// pipeline goroutines. Results are deterministic regardless of the
-	// schedule, and the error reported is the one from the earliest
-	// pipeline in plan order — the error the serial executor would hit.
-	indeg := make([]int, len(g.nodes))
-	dependents := make([][]*pnode, len(g.nodes))
-	for _, n := range g.nodes {
-		indeg[n.id] = len(n.deps)
-		for _, d := range n.deps {
-			dependents[d.id] = append(dependents[d.id], n)
-		}
-	}
-	errs := make([]error, len(g.nodes))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	failed := false
-	var launch func(n *pnode)
-	launch = func(n *pnode) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mu.Lock()
-			skip := failed
-			mu.Unlock()
-			if skip {
-				return
-			}
-			err := runNode(n, workers)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs[n.id] = err
-				failed = true
-				return
-			}
-			for _, d := range dependents[n.id] {
-				indeg[d.id]--
-				if indeg[d.id] == 0 {
-					launch(d)
-				}
-			}
-		}()
-	}
-	mu.Lock()
-	for _, n := range g.nodes {
-		if indeg[n.id] == 0 {
-			launch(n)
-		}
-	}
-	mu.Unlock()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return root.out, nil
-}
-
-// pipeScratch is one worker's reusable per-morsel state.
+// pipeScratch is a pipeline's reusable per-morsel state.
 type pipeScratch struct {
 	sel    []int // filter selection vector
 	lsel   []int // probe-side match rows
@@ -333,57 +244,37 @@ type pipeScratch struct {
 	owned  []*columnar.Chunk // pooled chunks to recycle at the breaker
 }
 
-// runNode seals the node's join tables, streams its morsels through the
-// stages at the given parallelism, and materializes the sink.
-func runNode(n *pnode, workers int) error {
+// run seals the node's join tables, streams its morsels through the stages
+// in order, and materializes the sink. errStopPipeline from the sink stops
+// the scan cleanly.
+func (n *pnode) run() error {
 	for i := range n.stages {
 		if ps := n.stages[i].probe; ps != nil {
-			ps.table = buildJoinTable(ps.build.out, ps.buildKeyIdx, workers)
+			ps.table = buildJoinTable(ps.build.out, ps.buildKeyIdx)
 		}
 	}
-
-	sk, pool := newSink(n)
-	scratches := make([]pipeScratch, workers)
-	handle := func(w int, m morsel) error {
-		sc := &scratches[w]
+	sk, pool, err := newSink(n)
+	if err != nil {
+		return err
+	}
+	var sc pipeScratch
+	err = n.stream(func(c *columnar.Chunk) error {
 		sc.owned = sc.owned[:0]
-		out, err := applyStages(m.c, n.stages, sc, pool)
+		out, err := applyStages(c, n.stages, &sc, pool)
 		if err != nil {
 			return err
 		}
-		return sk.add(w, m.seq, out, sc.owned, pool)
-	}
-
-	var err error
-	if workers == 1 || n.input != nil {
-		err = n.streamSerial(handle)
-	} else {
-		err = forEachMorsel(n, workers, handle)
-	}
-	if err != nil {
+		return sk.add(out, sc.owned)
+	})
+	if err != nil && !errors.Is(err, errStopPipeline) {
 		return err
 	}
 	n.out, err = sk.finalize()
 	return err
 }
 
-// streamSerial runs the node's morsels inline, in order, on the caller's
-// goroutine. errStopPipeline from the sink cancels the scan cleanly.
-func (n *pnode) streamSerial(handle func(w int, m morsel) error) error {
-	var seq uint64
-	err := n.stream(func(c *columnar.Chunk) error {
-		err := handle(0, morsel{seq: seq, c: c})
-		seq++
-		return err
-	})
-	if errors.Is(err, errStopPipeline) {
-		return nil
-	}
-	return err
-}
-
-// stream yields the node's input morsels in sequence order: the upstream
-// breaker's materialized chunk, or the scan.
+// stream yields the node's input morsels in order: the upstream breaker's
+// materialized chunk, or the scan.
 func (n *pnode) stream(yield func(*columnar.Chunk) error) error {
 	if n.input != nil {
 		return yield(n.input.out)
@@ -447,152 +338,54 @@ func applyStages(c *columnar.Chunk, stages []stage, sc *pipeScratch, pool *colum
 	return c, nil
 }
 
-// morsel is one input chunk tagged with its serial delivery position.
-type morsel struct {
-	seq uint64
-	c   *columnar.Chunk
-}
-
-var (
-	errMorselCanceled = errors.New("engine: morsel pipeline canceled")
-	// errStopPipeline is the limit sink's early-exit signal: stop the scan,
-	// no error.
-	errStopPipeline = errors.New("engine: pipeline satisfied")
-)
-
-// seqError remembers the earliest-sequence failure so parallel runs report
-// the same error the serial executor would have hit first.
-type seqError struct {
-	mu  sync.Mutex
-	seq uint64
-	err error
-}
-
-func (e *seqError) record(seq uint64, err error) {
-	e.mu.Lock()
-	if e.err == nil || seq < e.seq {
-		e.seq, e.err = seq, err
-	}
-	e.mu.Unlock()
-}
-
-func (e *seqError) get() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
-}
-
-// forEachMorsel streams the node's source through a channel and fans the
-// morsels out to `workers` goroutines calling handle(workerIdx, m). The
-// first error (by sequence) cancels the scan and is returned;
-// errStopPipeline cancels without error.
-func forEachMorsel(n *pnode, workers int, handle func(w int, m morsel) error) error {
-	ch := make(chan morsel, workers)
-	done := make(chan struct{})
-	var cancel sync.Once
-	stop := func() { cancel.Do(func() { close(done) }) }
-	var firstErr seqError
-
-	var scanErr error
-	var scanWG sync.WaitGroup
-	scanWG.Add(1)
-	go func() {
-		defer scanWG.Done()
-		defer close(ch)
-		var seq uint64
-		err := n.stream(func(c *columnar.Chunk) error {
-			select {
-			case ch <- morsel{seq: seq, c: c}:
-				seq++
-				return nil
-			case <-done:
-				return errMorselCanceled
-			}
-		})
-		if err != nil && err != errMorselCanceled {
-			scanErr = err
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for m := range ch {
-				if err := handle(w, m); err != nil {
-					if !errors.Is(err, errStopPipeline) {
-						firstErr.record(m.seq, err)
-					}
-					stop()
-					// Keep draining so the channel empties and peers exit.
-					for range ch {
-					}
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	stop()
-	scanWG.Wait()
-	if err := firstErr.get(); err != nil {
-		return err
-	}
-	return scanErr
-}
+// errStopPipeline is the limit sink's early-exit signal: stop the scan, no
+// error.
+var errStopPipeline = errors.New("engine: pipeline satisfied")
 
 // sink materializes one pipeline's breaker.
 type sink interface {
-	// add consumes the stage output of morsel seq on worker w. owned are
-	// the pooled chunks backing this morsel: a sink that fully consumes
-	// the morsel recycles them into pool before returning.
-	add(w int, seq uint64, c *columnar.Chunk, owned []*columnar.Chunk, pool *columnar.Pool) error
+	// add consumes the stage output of the next morsel. owned are the pooled
+	// chunks backing it: a sink that fully consumes the morsel recycles them
+	// into its pool before returning.
+	add(c *columnar.Chunk, owned []*columnar.Chunk) error
 	finalize() (*columnar.Chunk, error)
 }
 
 // newSink builds the node's sink; the returned pool is non-nil only for
 // sinks that consume morsels at the breaker (safe to recycle into).
-func newSink(n *pnode) (sink, *columnar.Pool) {
+func newSink(n *pnode) (sink, *columnar.Pool, error) {
 	switch n.sink {
 	case sinkAgg:
-		return &aggSink{p: n.agg, in: n.aggIn, out: n.outSchema, pending: make(map[uint64]*aggBuilder)}, columnar.NewPool()
+		master, err := newAggBuilder(n.agg, n.aggIn)
+		if err != nil {
+			return nil, nil, err
+		}
+		pool := columnar.NewPool()
+		return &aggSink{p: n.agg, in: n.aggIn, out: n.outSchema, pool: pool, master: master}, pool, nil
 	case sinkSort:
-		return &sortSink{collectSink: collectSink{schema: n.outSchema, results: make(map[int][]morsel)}, keys: n.keys}, nil
+		return &sortSink{collectSink: collectSink{schema: n.outSchema}, keys: n.keys}, nil, nil
 	case sinkLimit:
-		return &limitSink{schema: n.outSchema, n: n.limit, pending: make(map[uint64]*columnar.Chunk)}, nil
+		return &limitSink{schema: n.outSchema, n: n.limit}, nil, nil
 	default:
-		return &collectSink{schema: n.outSchema, results: make(map[int][]morsel)}, nil
+		return &collectSink{schema: n.outSchema}, nil, nil
 	}
 }
 
-// collectSink materializes the stream in sequence order.
+// collectSink materializes the stream in arrival order.
 type collectSink struct {
-	schema  *columnar.Schema
-	mu      sync.Mutex
-	results map[int][]morsel // per worker
+	schema *columnar.Schema
+	chunks []*columnar.Chunk
 }
 
-func (s *collectSink) add(w int, seq uint64, c *columnar.Chunk, owned []*columnar.Chunk, pool *columnar.Pool) error {
-	s.mu.Lock()
-	s.results[w] = append(s.results[w], morsel{seq: seq, c: c})
-	s.mu.Unlock()
+func (s *collectSink) add(c *columnar.Chunk, _ []*columnar.Chunk) error {
+	s.chunks = append(s.chunks, c)
 	return nil
-}
-
-func (s *collectSink) ordered() []morsel {
-	var all []morsel
-	for _, rs := range s.results {
-		all = append(all, rs...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	return all
 }
 
 func (s *collectSink) finalize() (*columnar.Chunk, error) {
 	out := columnar.NewChunk(s.schema, 0)
-	for _, m := range s.ordered() {
-		out.AppendChunk(m.c)
+	for _, c := range s.chunks {
+		out.AppendChunk(c)
 	}
 	return out, nil
 }
@@ -611,38 +404,19 @@ func (s *sortSink) finalize() (*columnar.Chunk, error) {
 	return sortChunk(in, s.keys)
 }
 
-// limitSink streams until N rows arrived in contiguous sequence order,
-// then stops the pipeline — a scan feeding only a LIMIT reads just enough
-// morsels instead of materializing its whole input.
+// limitSink streams until N rows arrived, then stops the pipeline — a scan
+// feeding only a LIMIT reads just enough morsels instead of materializing
+// its whole input.
 type limitSink struct {
 	schema *columnar.Schema
 	n      int
-
-	mu      sync.Mutex
-	pending map[uint64]*columnar.Chunk
-	next    uint64
-	got     int // rows in the contiguous prefix
-	prefix  []*columnar.Chunk
+	got    int
+	prefix []*columnar.Chunk
 }
 
-func (s *limitSink) add(w int, seq uint64, c *columnar.Chunk, owned []*columnar.Chunk, pool *columnar.Pool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.got >= s.n {
-		return errStopPipeline
-	}
-	s.pending[seq] = c
-	for {
-		nc, ok := s.pending[s.next]
-		if !ok {
-			break
-		}
-		delete(s.pending, s.next)
-		s.prefix = append(s.prefix, nc)
-		s.got += nc.NumRows()
-		s.next++
-	}
-	if s.got >= s.n {
+func (s *limitSink) add(c *columnar.Chunk, _ []*columnar.Chunk) error {
+	s.prefix = append(s.prefix, c)
+	if s.got += c.NumRows(); s.got >= s.n {
 		return errStopPipeline
 	}
 	return nil
@@ -662,69 +436,35 @@ func (s *limitSink) finalize() (*columnar.Chunk, error) {
 	return out, nil
 }
 
-// aggSink is the partition-parallel aggregation breaker: every worker
-// folds its morsels into per-morsel hash-table partials, which merge into
-// the master table in morsel-sequence order — the same reduction tree at
-// any worker count, so float sums combine identically and the output is
-// byte-identical to serial execution; first-seen (sequence, row) ordering
-// of the merged groups reproduces the serial output order. Merging is
-// incremental: a partial folds into the master as soon as the sequence
-// prefix before it is complete (immediately at workers = 1, exactly the
-// old serial executor's two-table footprint); only out-of-order partials
-// are buffered.
+// aggSink is the aggregation breaker: every morsel is folded into a partial
+// hash table of its own, which merges into the master table in arrival
+// order, so the master's groups are in first-seen (morsel, row) order.
 type aggSink struct {
-	p   *AggregatePlan
-	in  *columnar.Schema
-	out *columnar.Schema
+	p    *AggregatePlan
+	in   *columnar.Schema
+	out  *columnar.Schema
+	pool *columnar.Pool
 
-	mu      sync.Mutex
-	master  *aggBuilder
-	next    uint64
-	pending map[uint64]*aggBuilder
+	master *aggBuilder
 }
 
-func (s *aggSink) add(w int, seq uint64, c *columnar.Chunk, owned []*columnar.Chunk, pool *columnar.Pool) error {
+func (s *aggSink) add(c *columnar.Chunk, owned []*columnar.Chunk) error {
 	b, err := newAggBuilder(s.p, s.in)
 	if err != nil {
 		return err
 	}
-	if err := b.addChunk(c, seq); err != nil {
+	if err := b.addChunk(c); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if s.master == nil {
-		if s.master, err = newAggBuilder(s.p, s.in); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	s.pending[seq] = b
-	for {
-		nb, ok := s.pending[s.next]
-		if !ok {
-			break
-		}
-		delete(s.pending, s.next)
-		s.master.mergeFrom(nb)
-		s.next++
-	}
-	s.mu.Unlock()
+	s.master.mergeFrom(b)
 	// The morsel is folded into its hash table: the breaker is the recycle
 	// point for every pool chunk this morsel produced.
 	for _, oc := range owned {
-		pool.PutChunk(oc)
+		s.pool.PutChunk(oc)
 	}
 	return nil
 }
 
 func (s *aggSink) finalize() (*columnar.Chunk, error) {
-	// All sequences arrived, so the merge loop in add drained pending.
-	if s.master == nil {
-		m, err := newAggBuilder(s.p, s.in)
-		if err != nil {
-			return nil, err
-		}
-		s.master = m
-	}
 	return s.master.finalize(s.out)
 }

@@ -313,7 +313,9 @@ type ref struct {
 // the client's request window and filed in bucket order; between passes the
 // reader parks on the completion topic of the round's commit namespace, which
 // only a commit of this round broadcasts on (topics omit the bucket, so one
-// covers all shards), with Poll as the fallback. An object that parses but
+// covers all shards), with Poll as the fallback. A later pass skips the names
+// an earlier one vetted before parsing them: a name taken on the first pass is
+// parsed once per call, any other at most twice. An object that parses but
 // names a writer outside the round, or another slot count, fails the collect:
 // counted as a writer it would let the reader return while a real one is
 // missing.
@@ -344,6 +346,10 @@ func (r round) discover(slot int) ([]ref, error) {
 		return fmt.Errorf("%w: %q listed under %s, a round of writers [%d,%d) with %d slots: %v",
 			errShape, key, prefix, r.writer0, r.writer0+r.writers, r.slots, why)
 	}
+	// vetted holds the names parsed on earlier passes. It is allocated only
+	// when a second pass is due, so a one-pass discovery — every collect
+	// after its producer sealed — allocates nothing for it.
+	var vetted map[string]struct{}
 	env := r.client.Env()
 	deadline := env.Now() + r.opts.MaxWait
 	for {
@@ -359,6 +365,9 @@ func (r round) discover(slot int) ([]ref, error) {
 				return err
 			}
 			for _, e := range entries {
+				if _, ok := vetted[e.Key]; ok {
+					continue
+				}
 				k, err := parseBoundaryKey(e.Key)
 				if err != nil {
 					return err
@@ -367,8 +376,8 @@ func (r round) discover(slot int) ([]ref, error) {
 				if k.prefix != r.opts.Prefix || k.stage != r.stage || k.kind != r.kind || k.form != form || w < 0 || w >= r.writers {
 					return misfit(e.Key, "not an object of this round")
 				}
-				if refs[w].key == e.Key {
-					continue // vetted and taken on an earlier pass
+				if vetted != nil {
+					vetted[e.Key] = struct{}{}
 				}
 				found := ref{bucket: pending[i], key: e.Key, attempt: k.attempt}
 				if form == combinedKey {
@@ -394,6 +403,14 @@ func (r round) discover(slot int) ([]ref, error) {
 		}
 		if env.Now() >= deadline {
 			return nil, fmt.Errorf("exchange: %d/%d writers committed under %s after %v", seen, r.writers, prefix, r.opts.MaxWait)
+		}
+		if vetted == nil {
+			vetted = make(map[string]struct{}, r.writers)
+			for _, f := range refs {
+				if f.key != "" {
+					vetted[f.key] = struct{}{}
+				}
+			}
 		}
 		simenv.WaitNotifyKey(env, "s3/"+prefix, r.opts.Poll)
 	}

@@ -26,7 +26,9 @@ func (c CriticalSegment) Duration() time.Duration { return c.To - c.From }
 // (latest-starting) span in root's subtree still active at that time,
 // found by a backward sweep from root.End: repeatedly pick the span
 // whose end reaches the current cursor, walk the cursor back to that
-// span's start, and attribute uncovered gaps to the root.
+// span's start or to the latest end of another span before the cursor,
+// whichever is later — a deeper span may end inside the chosen one — and
+// attribute uncovered gaps to the root.
 //
 // Because the segments tile the root interval by construction, their
 // durations sum exactly to the root span's duration — the end-to-end
@@ -75,13 +77,21 @@ func (t *Tree) CriticalPath(root SpanID) []CriticalSegment {
 		switch {
 		case len(active) > 0:
 			// Of the spans active just before cur, the latest-starting
-			// (most specific), then the highest ID.
+			// (most specific), then the highest ID — until the next span
+			// end, behind which a deeper span may be active.
 			seg.Span, seg.From = active[0].ID, max(active[0].Start, rs.Start)
+			if next < len(byEnd) {
+				seg.From = max(seg.From, byEnd[next].End)
+			}
 		case next < len(byEnd):
 			// Nothing covers (End, cur): a root-attributed gap.
 			seg.From = byEnd[next].End
 		}
-		segs = append(segs, seg)
+		if n := len(segs); n > 0 && segs[n-1].Span == seg.Span {
+			segs[n-1].From = seg.From // the same span on both sides of a cut
+		} else {
+			segs = append(segs, seg)
+		}
 		cur = seg.From
 	}
 

@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// criticalPathReference is the quadratic CriticalPath the sweep replaced,
-// kept verbatim as the specification: every segment rescans every span.
+// criticalPathReference is the quadratic specification of CriticalPath:
+// every segment rescans every span.
 func criticalPathReference(spans []Span, root SpanID) []CriticalSegment {
 	if root <= 0 || int(root) > len(spans) {
 		return nil
@@ -42,8 +42,10 @@ func criticalPathReference(spans []Span, root SpanID) []CriticalSegment {
 		// Best candidate: active before cur, reaching furthest toward
 		// cur; prefer the latest-starting (most specific) span, then the
 		// highest ID, so the choice is deterministic.
+		// cut is the latest span end before cur: a deeper span may be
+		// active behind it, so no segment reaches further back.
 		var best *Span
-		var bestEff time.Duration
+		var bestEff, cut time.Duration
 		for i := range spans {
 			s := &spans[i]
 			if !member[s.ID] || s.End <= s.Start {
@@ -51,6 +53,9 @@ func criticalPathReference(spans []Span, root SpanID) []CriticalSegment {
 			}
 			if s.Start >= cur || s.End <= rs.Start {
 				continue
+			}
+			if s.End < cur && s.End > cut {
+				cut = s.End
 			}
 			eff := s.End
 			if eff > cur {
@@ -71,11 +76,12 @@ func criticalPathReference(spans []Span, root SpanID) []CriticalSegment {
 			cur = bestEff
 			continue
 		}
-		from := best.Start
-		if from < rs.Start {
-			from = rs.Start
+		from := max(best.Start, cut, rs.Start)
+		if n := len(segs); n > 0 && segs[n-1].Span == best.ID {
+			segs[n-1].From = from
+		} else {
+			segs = append(segs, CriticalSegment{Span: best.ID, From: from, To: cur})
 		}
-		segs = append(segs, CriticalSegment{Span: best.ID, From: from, To: cur})
 		cur = from
 	}
 
@@ -128,5 +134,27 @@ func TestCriticalPathMatchesReference(t *testing.T) {
 	}
 	if paths < 1000 {
 		t.Errorf("only %d multi-segment paths compared; the generator lost its coverage", paths)
+	}
+
+	// A deeper span ends inside the chosen one: root [0,10], A [1,9] and B
+	// [2,5] under A. B is the latest-starting active span over [2,5), so A
+	// owns only [1,2) and [5,9).
+	nested := []Span{
+		{ID: 1, Start: 0, End: 10},
+		{ID: 2, Parent: 1, Start: 1, End: 9},
+		{ID: 3, Parent: 2, Start: 2, End: 5},
+	}
+	want := []CriticalSegment{
+		{Span: 1, From: 0, To: 1},
+		{Span: 2, From: 1, To: 2},
+		{Span: 3, From: 2, To: 5},
+		{Span: 2, From: 5, To: 9},
+		{Span: 1, From: 9, To: 10},
+	}
+	if got := criticalPathReference(nested, 1); !reflect.DeepEqual(got, want) {
+		t.Errorf("nested spans, reference:\n got  %+v\n want %+v", got, want)
+	}
+	if got := CriticalPath(nested, 1); !reflect.DeepEqual(got, want) {
+		t.Errorf("nested spans, sweep:\n got  %+v\n want %+v", got, want)
 	}
 }

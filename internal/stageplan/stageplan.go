@@ -26,9 +26,8 @@
 // right behind the producer, which the boundary's consumers wait on. The
 // driver runs the DAG as given on its stage scheduler with seal/ready
 // barriers (SQS completion messages, DynamoDB ready markers); every stage
-// fragment is an ordinary engine plan run on the pipeline-graph scheduler, so
-// results are byte-identical to single-node execution at any worker/partition
-// count.
+// fragment is an ordinary engine plan run by engine.Execute, so results are
+// byte-identical to single-node execution at any worker/partition count.
 package stageplan
 
 import (
