@@ -35,21 +35,24 @@ race-staged:
 scale-smoke:
 	$(GO) test -run 'TestStagedQ12ScaleSmoke|TestMultiLevelRequestsMatchModel' -v -timeout 10m ./internal/driver/ ./internal/exchange/
 
-# fuzz-smoke fuzzes the five parsers of outside bytes for five seconds each
+# fuzz-smoke fuzzes the six parsers of outside bytes for five seconds each
 # from the seed corpora under their testdata/fuzz: the exchange's key codec
 # (a key or a typed error, and parse inverts String), the lpq reader
 # (OpenReader + ReadAll: a typed error or a valid chunk, never a panic, no
 # allocation the input cannot back), the fault-plan parser (a typed error
 # or a plan that Marshal → ParsePlan leaves unchanged), the SQL parser (an
-# error or a plan that MarshalPlan → UnmarshalPlan leaves unchanged) and the
+# error or a plan that MarshalPlan → UnmarshalPlan leaves unchanged), the
 # worker's payload decoder (an error or a task whose counts are a fleet's and
-# whose broadcast tables fit the engine budget, never a panic).
+# whose broadcast tables fit the engine budget, never a panic) and the
+# service's POST /query body (400 or 413, or a parsed query handed to a
+# runner that runs nothing, never a panic).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBoundaryKey -fuzztime=5s ./internal/exchange/
 	$(GO) test -run=NONE -fuzz=FuzzOpenReadAll -fuzztime=5s ./internal/lpq/
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s ./internal/awssim/faults/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/sqlfe/
 	$(GO) test -run=NONE -fuzz=FuzzWorkerPayload -fuzztime=5s ./internal/driver/
+	$(GO) test -run=NONE -fuzz=FuzzQueryBody -fuzztime=5s ./internal/service/
 
 # chaos runs the deterministic fault-injection suites race-instrumented:
 # the injector/resilience unit tests, the per-service fault tests, and the

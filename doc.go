@@ -8,11 +8,8 @@
 //
 // # Concurrency levels
 //
-// Each worker exploits concurrency at five levels — the paper's four scan
-// levels (§4.3.2, Figure 8) plus a file pool on top:
+// The paper's scan exploits concurrency at four levels (§4.3.2, Figure 8):
 //
-//	(5) file parallelism: a bounded worker pool scans multiple lpq files
-//	    concurrently (scan.Config.ParallelFiles);
 //	(4) the footers of all files of a scan opened together, ahead of the
 //	    first file's data (scan.OpenAll);
 //	(3) row groups double-buffered: download overlaps decompression;
@@ -21,15 +18,17 @@
 //	(1) multiple chunked requests per read, only as a fallback, since
 //	    extra requests cost money (Figure 7).
 //
-// Levels 1, 2 and 4 are requests, levels 3 and 5 are threads, and each kind
-// is kept in flight by its own means. Threads are goroutines, for CPU work
-// only; a DES process is a single thread of control, so a deterministic
-// deployment turns levels 3 and 5 off (scan.Config.DoubleBuffer and
-// ParallelFiles) and nothing else. The engine runs a fragment on one thread
-// everywhere: a worker has one vCPU at the paper's default 1 792 MiB (§4.1),
-// so the operators above the scan have no second core to fan out to. Requests
-// are kept in flight by the S3 client, as a model of time that runs the same
-// on both clocks, in two parts. The per-function token-bucket shaper models
+// Levels 1, 2 and 4 are requests, kept in flight the same way on both clocks.
+// Level 3 is not modeled yet: compute is free on the virtual clock, so a
+// download has no decompression to overlap with (ROADMAP, direction 4(b)). A
+// worker runs on one thread everywhere — a DES process and a goroutine worker
+// alike, so the two deployments run the same worker code and differ only in
+// runtime and clock: it has one vCPU at the paper's default 1 792 MiB (§4.1),
+// so neither the scan nor the operators above it have a second core to fan
+// out to. A scan reads its files in order, and the row groups of each in
+// order, on its caller's goroutine. Requests are kept in flight by the S3
+// client, as a model of time that runs the same on both clocks, in two parts.
+// The per-function token-bucket shaper models
 // bandwidth: a transfer takes the time its bytes need at the rate its
 // connections can draw, whoever else is reading. The request window
 // (s3.Client.Overlap) models the overlap of first-byte latencies: up to
@@ -124,13 +123,12 @@
 // engine.ErrJoinKey. Probes gather matches through selection vectors in
 // (probe row, build row) order.
 //
-// Everything above level 1 is deterministic in its results: parallel scans
-// deliver chunks in serial order, and the engine consumes them in that
-// order — aggregation folds per-chunk partials as they arrive, collect
-// sinks keep arrival order, and the limit sink takes the first N rows. In
-// discrete-event-simulated deployments the thread levels are off (worker
-// code must not spawn goroutines); the bandwidth shaper models their
-// timing effect instead.
+// Everything above level 1 is deterministic in its results: a scan delivers
+// chunks in file order, and the engine consumes them in that order —
+// aggregation folds per-chunk partials as they arrive, collect sinks keep
+// arrival order, and the limit sink takes the first N rows. No package on the
+// worker path starts a goroutine or makes a channel
+// (TestWorkerPathStartsNoGoroutine).
 //
 // # One executor
 //

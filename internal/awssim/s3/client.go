@@ -134,7 +134,7 @@ func (c *Client) Retries() int64 { return c.policy.Stats.Retries() }
 // chargeTransfer sleeps for the shaped transfer time of n bytes using conns
 // parallel connections, after whatever transfer already holds the link. The
 // shaper is guarded because the functional layer issues concurrent reads
-// (double buffering, parallel files) from one client.
+// from one client (goroutine workers sharing it).
 func (c *Client) chargeTransfer(n int64, conns int) {
 	if c.shaper == nil || n <= 0 {
 		return

@@ -85,9 +85,6 @@ type Object struct {
 	data []byte // nil for synthetic objects
 }
 
-// Synthetic reports whether the object carries no real bytes.
-func (o *Object) Synthetic() bool { return o.data == nil && o.Size > 0 }
-
 type bucket struct {
 	objects map[string]*Object
 

@@ -41,13 +41,6 @@ type Deployment struct {
 	Meter  *pricing.CostMeter
 	Net    netmodel.LambdaNet
 
-	// Deterministic is true for DES deployments and means "no host threads",
-	// nothing else: worker-side code must not spawn goroutines, so the scan's
-	// double buffer and file pool are off (the engine starts none anyway).
-	// Requests in flight are not threads: their timing is modeled by the S3
-	// client's request window (latencies) and its shaper (bandwidth), and
-	// runs the same on both clocks.
-	Deterministic bool
 	// Shaped enables per-worker bandwidth shaping of S3 transfers.
 	Shaped bool
 	// Faults is the fault injector shared by every service of a chaos
@@ -114,15 +107,14 @@ func NewChaos(k *simclock.Kernel, seed int64, plan faults.Plan) *Deployment {
 	dcfg := dynamo.DefaultAWSConfig(meter, seed+3)
 	dcfg.Faults = inj
 	return &Deployment{
-		S3:            s3.New(s3cfg),
-		Lambda:        lambdasvc.New(lcfg, lambdasvc.SimRuntime{K: k}),
-		SQS:           sqs.New(qcfg),
-		Dynamo:        dynamo.New(dcfg),
-		Meter:         meter,
-		Net:           netmodel.DefaultLambdaNet(),
-		Deterministic: true,
-		Shaped:        true,
-		Faults:        inj,
+		S3:     s3.New(s3cfg),
+		Lambda: lambdasvc.New(lcfg, lambdasvc.SimRuntime{K: k}),
+		SQS:    sqs.New(qcfg),
+		Dynamo: dynamo.New(dcfg),
+		Meter:  meter,
+		Net:    netmodel.DefaultLambdaNet(),
+		Shaped: true,
+		Faults: inj,
 	}
 }
 
@@ -401,7 +393,8 @@ func (m memGuardSource) ScanFiltered(proj []string, preds []lpq.Predicate, filte
 func (m memGuardSource) guard(yield func(*columnar.Chunk) error) func(*columnar.Chunk) error {
 	return func(c *columnar.Chunk) error {
 		// The scan pipeline holds the decoded chunk plus the compressed
-		// download buffers and the double-buffered next group; budget 3×.
+		// download buffers; budget 3×, the factor of the paper's
+		// double-buffered scan, which also holds the next group.
 		if need := 3 * c.ByteSize(); need > m.budget {
 			return fmt.Errorf("%w: chunk working set %d MiB exceeds engine budget %d MiB",
 				ErrWorkerOOM, need>>20, m.budget>>20)

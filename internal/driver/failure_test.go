@@ -28,14 +28,13 @@ func TestQuerySurvivesThrottling(t *testing.T) {
 	cfg.ReadsPerSecond = 40 // brutal: ~7 workers × dozens of requests
 	cfg.WritesPerSecond = 40
 	dep := &Deployment{
-		S3:            s3.New(cfg),
-		Lambda:        lambdasvc.New(lambdasvc.DefaultAWSConfig(meter, 4), lambdasvc.SimRuntime{K: k}),
-		SQS:           newSQSFor(meter),
-		Dynamo:        nil,
-		Meter:         meter,
-		Net:           defaultNet(),
-		Deterministic: true,
-		Shaped:        true,
+		S3:     s3.New(cfg),
+		Lambda: lambdasvc.New(lambdasvc.DefaultAWSConfig(meter, 4), lambdasvc.SimRuntime{K: k}),
+		SQS:    newSQSFor(meter),
+		Dynamo: nil,
+		Meter:  meter,
+		Net:    defaultNet(),
+		Shaped: true,
 	}
 	var revenue float64
 	var dur time.Duration
@@ -81,12 +80,11 @@ func TestConcurrencyLimitRejectsInvocations(t *testing.T) {
 	lcfg := lambdasvc.DefaultAWSConfig(meter, 1)
 	lcfg.ConcurrencyLimit = 3
 	dep := &Deployment{
-		S3:            s3.New(s3.Config{Meter: meter}),
-		Lambda:        lambdasvc.New(lcfg, lambdasvc.SimRuntime{K: k}),
-		SQS:           newSQSFor(meter),
-		Meter:         meter,
-		Net:           defaultNet(),
-		Deterministic: true,
+		S3:     s3.New(s3.Config{Meter: meter}),
+		Lambda: lambdasvc.New(lcfg, lambdasvc.SimRuntime{K: k}),
+		SQS:    newSQSFor(meter),
+		Meter:  meter,
+		Net:    defaultNet(),
 	}
 	var err error
 	k.Go("driver", func(p *simclock.Proc) {

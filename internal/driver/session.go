@@ -63,8 +63,6 @@ type Session struct {
 }
 
 // NewSession returns a resident session with the normalized configuration.
-// On a deterministic deployment it switches off the scan's double buffer
-// and file pool, the only goroutines a worker would start.
 // When cfg.MaxInFlight is positive the session installs its admission
 // controller as the deployment's Lambda completion hook — run at most one
 // admission-enabled session per deployment, or token accounting splits.
@@ -98,13 +96,6 @@ func NewSession(dep *Deployment, cfg Config) *Session {
 	}
 	if cfg.EpochGCInterval == 0 {
 		cfg.EpochGCInterval = 64
-	}
-	if dep.Deterministic {
-		// DES processes must stay single-threaded, so the scan's two thread
-		// levels go — the engine starts no thread anyway. Its request levels
-		// stay: they ride s3.Client.Overlap, which starts no thread.
-		cfg.Scan.DoubleBuffer = false
-		cfg.Scan.ParallelFiles = 1
 	}
 	s := &Session{dep: dep, cfg: cfg, footers: scan.NewFooters()}
 	if cfg.ResultCacheEntries > 0 {

@@ -16,21 +16,22 @@ import (
 	"lambada/internal/tpch"
 )
 
-// TestDeterministicMeansNoHostThreads: a session on a DES deployment turns
-// off the scan's two thread levels and nothing else — the request levels ride
-// the S3 client's window, which needs no thread — and one on goroutine
-// workers touches no scan field at all.
+// TestDeterministicMeansNoHostThreads: a worker starts no host thread on
+// either deployment — the scan has none to switch off — so a session leaves
+// the scan configuration as given on a DES deployment and on goroutine
+// workers alike: the two run the same worker code and differ only in runtime
+// and clock.
 func TestDeterministicMeansNoHostThreads(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Scan.ParallelColumns, cfg.Scan.MetaPrefetch = true, true
+	cfg.Scan.DoubleBuffer, cfg.Scan.ParallelColumns, cfg.Scan.MetaPrefetch = true, true, true
 	cfg.Scan.ParallelFiles, cfg.Scan.CoalesceGapBytes, cfg.Scan.DisableLateMaterialize = 4, 1<<10, true
-	want := cfg.Scan
-	want.DoubleBuffer, want.ParallelFiles = false, 1
-	if got := NewSession(NewSimulated(simclock.New(), 1), cfg).Config().Scan; got != want {
-		t.Errorf("deterministic session scans with %+v, want %+v", got, want)
-	}
-	if got := NewSession(NewLocal(), cfg).Config().Scan; got != cfg.Scan {
-		t.Errorf("local session scans with %+v, want %+v", got, cfg.Scan)
+	for name, dep := range map[string]*Deployment{
+		"simulated": NewSimulated(simclock.New(), 1),
+		"local":     NewLocal(),
+	} {
+		if got := NewSession(dep, cfg).Config().Scan; got != cfg.Scan {
+			t.Errorf("%s session scans with %+v, want %+v", name, got, cfg.Scan)
+		}
 	}
 }
 

@@ -109,14 +109,9 @@ func (r *Reader) Meta() *FileMeta { return r.meta }
 // Schema returns the file schema.
 func (r *Reader) Schema() *columnar.Schema { return r.meta.Schema }
 
-// ReadColumn reads, decompresses and decodes one column chunk.
-func (r *Reader) ReadColumn(rowGroup, col int) (*columnar.Vector, error) {
-	v, _, err := r.readColumn(rowGroup, col, new(DecodeState), nil)
-	return v, err
-}
-
-// readColumn is ReadColumn through the caller's decode state and read
-// buffer (returned, possibly grown, for the next call).
+// readColumn reads, decompresses and decodes one column chunk through the
+// caller's decode state and read buffer (returned, possibly grown, for the
+// next call).
 func (r *Reader) readColumn(rowGroup, col int, st *DecodeState, buf []byte) (*columnar.Vector, []byte, error) {
 	if rowGroup < 0 || rowGroup >= len(r.meta.RowGroups) {
 		return nil, buf, fmt.Errorf("lpq: row group %d out of range", rowGroup)

@@ -30,8 +30,8 @@ type File struct {
 	// Conns is the number of concurrent connections modeled per read.
 	Conns int
 
-	// requests is atomic: one handle serves concurrent readers
-	// (double-buffered row groups, parallel files).
+	// requests is atomic: one handle serves every concurrent scan of the
+	// source that opened it.
 	requests atomic.Int64
 	// bytes counts the billed bytes fetched through this handle.
 	bytes atomic.Int64

@@ -33,30 +33,24 @@ func benchFiles(b *testing.B) (*s3.Service, []FileRef, int64) {
 	return svc, refs, data.ByteSize()
 }
 
-// BenchmarkParallelScan compares a serial multi-file scan against the
-// level-5 worker pool (chunk order is identical either way).
+// BenchmarkParallelScan times a multi-file scan of every column under the
+// default configuration.
 func BenchmarkParallelScan(b *testing.B) {
 	svc, refs, bytes := benchFiles(b)
-	for _, pf := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("files=%d", pf), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.ParallelFiles = pf
-			b.SetBytes(bytes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src := New(s3.NewClient(svc, simenv.NewImmediate()), cfg, refs...)
-				rows := 0
-				err := src.Scan(nil, nil, func(c *columnar.Chunk) error {
-					rows += c.NumRows()
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rows == 0 {
-					b.Fatal("no rows")
-				}
-			}
+	b.SetBytes(bytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := New(s3.NewClient(svc, simenv.NewImmediate()), DefaultConfig(), refs...)
+		rows := 0
+		err := src.Scan(nil, nil, func(c *columnar.Chunk) error {
+			rows += c.NumRows()
+			return nil
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rows == 0 {
+			b.Fatal("no rows")
+		}
 	}
 }

@@ -164,7 +164,7 @@ func TestScanFilteredByteIdentity(t *testing.T) {
 			{DefaultConfig(), q6Filter()},
 			{Config{DisableLateMaterialize: true}, q6Filter()},
 			{Config{CoalesceGapBytes: -1}, q6Filter()},
-			{Config{DoubleBuffer: true, ParallelColumns: true, Conns: 4}, q6Filter()},
+			{Config{ParallelColumns: true, Conns: 4}, q6Filter()},
 			// Scan is ScanFiltered without a filter: chunk for chunk, and in
 			// every counter.
 			{Config{}, nil},

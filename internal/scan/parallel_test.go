@@ -3,6 +3,8 @@ package scan
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -58,44 +60,71 @@ func chunksIdentical(t *testing.T, got, want []*columnar.Chunk) {
 	}
 }
 
+// fileOrder is what a scan of the files written from parts, groupRows rows
+// per row group, must yield, worked out from the parts themselves: every kept
+// group of every part, parts in file order and groups in order within each,
+// projected to proj (nil: every column).
+func fileOrder(t *testing.T, parts []*columnar.Chunk, groupRows int, proj []string, kept func(*columnar.Chunk) bool) []*columnar.Chunk {
+	t.Helper()
+	var out []*columnar.Chunk
+	for _, part := range parts {
+		for lo := 0; lo < part.NumRows(); lo += groupRows {
+			g := part.Slice(lo, min(lo+groupRows, part.NumRows()))
+			if kept != nil && !kept(g) {
+				continue
+			}
+			if proj != nil {
+				var err error
+				if g, err = g.Project(proj...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// TestParallelScanMatchesSerialByteIdentical: a scan over eight files yields
+// the rows the files were written from, byte for byte, in file order — with
+// every column, and projected under a predicate that prunes row groups.
 func TestParallelScanMatchesSerialByteIdentical(t *testing.T) {
 	for _, comp := range []lpq.Compression{lpq.None, lpq.Gzip} {
 		svc := s3.New(s3.Config{})
-		refs, _ := uploadLineitem(t, svc, 0.005, 8, comp)
+		refs, data := uploadLineitem(t, svc, 0.005, 8, comp)
+		parts := tpch.SplitFiles(data, 8)
 
-		serialCfg := DefaultConfig()
-		serialCfg.ParallelFiles = 1
-		serial := collectScan(t, New(newClient(svc), serialCfg, refs...), nil, nil)
-
-		for _, pf := range []int{2, 4, 16} {
-			cfg := DefaultConfig()
-			cfg.ParallelFiles = pf
-			src := New(newClient(svc), cfg, refs...)
-			got := collectScan(t, src, nil, nil)
-			chunksIdentical(t, got, serial)
-
-			// Stats must survive the parallel path.
-			st := src.Stats()
-			if st.RowGroupsRead != int64(len(serial)) {
-				t.Errorf("pf=%d: rowGroupsRead = %d, want %d", pf, st.RowGroupsRead, len(serial))
-			}
+		src := New(newClient(svc), DefaultConfig(), refs...)
+		want := fileOrder(t, parts, 2000, nil, nil)
+		chunksIdentical(t, collectScan(t, src, nil, nil), want)
+		if st := src.Stats(); st.RowGroupsRead != int64(len(want)) || st.RowGroupsPruned != 0 {
+			t.Errorf("%v: read %d row groups, pruned %d; want %d, 0", comp, st.RowGroupsRead, st.RowGroupsPruned, len(want))
 		}
 
-		// Projection + pruning through the parallel path.
-		preds := []lpq.Predicate{{Column: "l_quantity", Min: 0, Max: 10}}
-		serialP := collectScan(t, New(newClient(svc), serialCfg, refs...), []string{"l_quantity", "l_extendedprice"}, preds)
-		cfg := DefaultConfig()
-		cfg.ParallelFiles = 4
-		gotP := collectScan(t, New(newClient(svc), cfg, refs...), []string{"l_quantity", "l_extendedprice"}, preds)
-		chunksIdentical(t, gotP, serialP)
+		// Projection + pruning: shipdate is sorted, so a year's range keeps a
+		// run of groups; a kept group comes whole, unfiltered.
+		lo, hi := tpch.Q6ShipDateLo, tpch.Q6ShipDateHi-1
+		preds := []lpq.Predicate{{Column: "l_shipdate", Min: float64(lo), Max: float64(hi)}}
+		proj := []string{"l_quantity", "l_extendedprice"}
+		src = New(newClient(svc), DefaultConfig(), refs...)
+		want = fileOrder(t, parts, 2000, proj, func(g *columnar.Chunk) bool {
+			d := g.Column("l_shipdate").Int64s
+			return slices.Min(d) <= hi && slices.Max(d) >= lo
+		})
+		chunksIdentical(t, collectScan(t, src, proj, preds), want)
+		st := src.Stats()
+		if st.RowGroupsPruned == 0 {
+			t.Errorf("%v: no row group pruned — the predicate has no teeth", comp)
+		}
+		if st.RowGroupsRead != int64(len(want)) {
+			t.Errorf("%v: read %d row groups, want %d", comp, st.RowGroupsRead, len(want))
+		}
 	}
 }
 
+// TestParallelScanMoreFilesThanSlots: twelve files of about ten row groups
+// each yield every group of every file in file order.
 func TestParallelScanMoreFilesThanSlots(t *testing.T) {
-	// Regression: admission must be granted in file order. With more files
-	// than ParallelFiles and more row groups per file than the per-file
-	// channel buffer, a plain semaphore could hand every slot to later
-	// files while the consumer waits on file 0 — a deadlock.
 	svc := s3.New(s3.Config{})
 	env := simenv.NewImmediate()
 	svc.MustCreateBucket("data")
@@ -103,7 +132,7 @@ func TestParallelScanMoreFilesThanSlots(t *testing.T) {
 	var refs []FileRef
 	parts := tpch.SplitFiles(data, 12)
 	for i, part := range parts {
-		// ~500-row groups → ~10 chunks per file, well past the buffer of 2.
+		// ~500-row groups → ~10 chunks per file.
 		raw, err := lpq.WriteFile(tpch.Schema(), lpq.WriterOptions{RowGroupRows: 500}, part)
 		if err != nil {
 			t.Fatal(err)
@@ -114,24 +143,18 @@ func TestParallelScanMoreFilesThanSlots(t *testing.T) {
 		}
 		refs = append(refs, FileRef{Bucket: "data", Key: key})
 	}
-	serialCfg := DefaultConfig()
-	serialCfg.ParallelFiles = 1
-	serial := collectScan(t, New(newClient(svc), serialCfg, refs...), nil, nil)
-	for _, pf := range []int{2, 3, 5} {
-		cfg := DefaultConfig()
-		cfg.ParallelFiles = pf
-		got := collectScan(t, New(newClient(svc), cfg, refs...), nil, nil)
-		chunksIdentical(t, got, serial)
-	}
+	got := collectScan(t, New(newClient(svc), DefaultConfig(), refs...), nil, nil)
+	chunksIdentical(t, got, fileOrder(t, parts, 500, nil, nil))
 }
 
+// TestParallelScanErrorPropagation: the files ahead of a missing one are
+// yielded before the missing one fails the scan, and a yield error ends the
+// scan and comes back as it was returned.
 func TestParallelScanErrorPropagation(t *testing.T) {
 	svc := s3.New(s3.Config{})
 	refs, _ := uploadLineitem(t, svc, 0.002, 4, lpq.None)
 	refs = append(refs, FileRef{Bucket: "data", Key: "missing.lpq"})
-	cfg := DefaultConfig()
-	cfg.ParallelFiles = 4
-	src := New(newClient(svc), cfg, refs...)
+	src := New(newClient(svc), DefaultConfig(), refs...)
 	n := 0
 	err := src.Scan(nil, nil, func(c *columnar.Chunk) error { n += c.NumRows(); return nil })
 	if err == nil {
@@ -141,8 +164,7 @@ func TestParallelScanErrorPropagation(t *testing.T) {
 		t.Error("chunks of earlier files should have been yielded before the failing file")
 	}
 
-	// A consumer error must cancel in-flight file workers without hanging.
-	src2 := New(newClient(svc), cfg, refs[:4]...)
+	src2 := New(newClient(svc), DefaultConfig(), refs[:4]...)
 	calls := 0
 	err = src2.Scan(nil, nil, func(*columnar.Chunk) error {
 		calls++
@@ -153,6 +175,34 @@ func TestParallelScanErrorPropagation(t *testing.T) {
 	})
 	if err != errStop {
 		t.Fatalf("yield error = %v, want errStop", err)
+	}
+	if calls != 2 {
+		t.Errorf("%d yields, want the scan to stop at the failing second", calls)
+	}
+}
+
+// TestScanSpawnsNoGoroutines: a scan of several files of several row groups
+// each, under the default configuration and with CPUs to spare, runs on its
+// caller's goroutine — the count seen at every yield is the count before it.
+func TestScanSpawnsNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	svc := s3.New(s3.Config{})
+	refs, _ := uploadLineitem(t, svc, 0.005, 4, lpq.None)
+	src := New(newClient(svc), DefaultConfig(), refs...)
+	before := runtime.NumGoroutine()
+	yields := 0
+	err := src.Scan(nil, nil, func(*columnar.Chunk) error {
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("%d goroutines at yield %d, %d before the scan", n, yields, before)
+		}
+		yields++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if read := src.Stats().RowGroupsRead; yields < 2*len(refs) || read != int64(yields) {
+		t.Errorf("%d yields, %d row groups read over %d files: want several row groups per file, each yielded", yields, read, len(refs))
 	}
 }
 

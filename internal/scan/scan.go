@@ -1,34 +1,31 @@
 // Package scan implements Lambada's S3-based Parquet scan operator
-// (§4.3.2, Figure 8). It exploits concurrency at five levels — the four the
-// paper identifies, in the priority order the paper prescribes, plus a
-// file-level worker pool on top. Levels 1, 2 and 4 are requests: 2 and 4 keep
-// theirs in flight through the S3 client's request window (s3.Client.Overlap),
-// a model of time that is the same on both clocks and starts no goroutine,
-// and 1's chunks follow one another on the lane that carries their read.
-// Levels 3 and 5 are host threads — real CPU overlap — and are what a
-// deterministic deployment turns off:
+// (§4.3.2, Figure 8). The paper identifies four levels of concurrency, in
+// the priority order it prescribes. Levels 1, 2 and 4 are requests, kept in
+// flight the same way on both clocks: 2 and 4 through the S3 client's request
+// window (s3.Client.Overlap), which starts no goroutine, and 1's chunks one
+// after another on the lane that carries their read:
 //
-//	(5) multiple lpq files scanned concurrently by a bounded worker pool
-//	    (Config.ParallelFiles), chunks delivered in file order through
-//	    per-file channels so the yield order matches the serial scan;
 //	(4) the footers of all files opened in one request window ahead of the
 //	    first file's data (OpenAll);
 //	(3) up to two row groups downloaded asynchronously (double buffering),
-//	    overlapping download with decompression of the previous group;
+//	    overlapping download with decompression of the previous group — not
+//	    modeled yet: compute is free on the virtual clock, so a download has
+//	    nothing to overlap with (ROADMAP, direction 4(b));
 //	(2) the coalesced column ranges of one read issued in one request window
 //	    (s3fs.File.ReadRanges);
 //	(1) multiple chunked requests per read, only as a fallback, since extra
 //	    requests cost money (Figure 7).
+//
+// A scan runs on its caller's goroutine: files in order, row groups in order
+// within each file.
 //
 // The operator implements engine.Source, so optimized plans push selections
 // (as min/max prune predicates) and projections into it.
 package scan
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"lambada/internal/awssim/s3"
@@ -44,20 +41,15 @@ type Config struct {
 	ChunkBytes int64
 	// Conns is the number of concurrent connections modeled per transfer.
 	Conns int
-	// DoubleBuffer enables row-group prefetch (level 3). The paper
-	// disables it on workers with too little main memory.
-	DoubleBuffer bool
-	// ParallelColumns and MetaPrefetch have no effect: levels 2 and 4 ride the
-	// client's request window, which costs no request, no byte and no thread,
-	// so there is nothing to switch off. Declared only because the frozen
+	// DoubleBuffer, ParallelColumns, MetaPrefetch and ParallelFiles have no
+	// effect: a scan runs on its caller's goroutine, and levels 2 and 4 ride
+	// the client's request window, which costs no request, no byte and no
+	// thread, so there is nothing to switch. Declared only because the frozen
 	// bench/replay.go assigns them; see ROADMAP, "The next [benchmark] PR".
+	DoubleBuffer    bool
 	ParallelColumns bool
 	MetaPrefetch    bool
-	// ParallelFiles bounds how many files are scanned concurrently
-	// (level 5). 0 or 1 scans serially; DefaultConfig uses GOMAXPROCS.
-	// Chunk delivery order is unaffected: chunks surface in file order,
-	// row groups in order within each file, exactly as a serial scan.
-	ParallelFiles int
+	ParallelFiles   int
 	// CoalesceGapBytes is the largest hole merged into one GET when
 	// fetching multiple chunk/page ranges (0 = s3fs.DefaultCoalesceGap,
 	// negative = no coalescing — one GET per range, the pre-coalescing
@@ -70,14 +62,12 @@ type Config struct {
 	DisableLateMaterialize bool
 }
 
-// DefaultConfig mirrors the paper's operator — all levels enabled, 16 MiB
-// chunks, four connections — plus file-level parallelism across all CPUs.
+// DefaultConfig mirrors the paper's operator: 16 MiB chunks, four
+// connections.
 func DefaultConfig() Config {
 	return Config{
-		ChunkBytes:    s3fs.DefaultChunkBytes,
-		Conns:         4,
-		DoubleBuffer:  true,
-		ParallelFiles: runtime.GOMAXPROCS(0),
+		ChunkBytes: s3fs.DefaultChunkBytes,
+		Conns:      4,
 	}
 }
 
@@ -121,9 +111,8 @@ type Source struct {
 }
 
 // openState is the singleflight slot of one file's footer fetch: however
-// many goroutines race to open a file (level-5 file workers, concurrent
-// scans of one source), the footer is fetched exactly once and everyone
-// shares the result.
+// many queries race to open a file of one source, the footer is fetched
+// exactly once and every one of them shares the result.
 type openState struct {
 	once sync.Once
 	meta *lpq.FileMeta
@@ -142,10 +131,11 @@ type footer struct {
 // Footers is a table of opened files' footers by object, shared by the
 // sources of one resident session so that a file is opened once per session
 // and not once per query. Its contract is the result cache's: the objects are
-// immutable until the owner says otherwise by calling Drop. It never makes
-// one source wait for another's open — two that miss together both read, and
-// store the same thing — because under DES a process blocked on a Go lock
-// that a parked process holds stalls the kernel. Safe for concurrent use.
+// immutable until the owner says otherwise by calling Drop. Its concurrent
+// callers are the session's queries. It never makes one query's source wait
+// for another's open — two that miss together both read, and store the same
+// thing — because under DES a process blocked on a Go lock that a parked
+// process holds stalls the kernel. Safe for concurrent use.
 type Footers struct {
 	mu sync.Mutex
 	// gen counts Drops: an open that began before one must not store after
@@ -461,117 +451,26 @@ func (s *Source) Scan(proj []string, preds []lpq.Predicate, yield func(*columnar
 // FilterableSource): per surviving row group it fetches the filter's
 // columns first, evaluates the filter into a per-page selection, and
 // fetches payload columns only for pages where rows passed. Yielded chunks
-// contain exactly the selected rows (every row under a nil filter). It
-// exploits the configured concurrency levels, and the yield order is always
-// the serial order — files in order, row groups in order within each file —
-// whatever parallelism is configured.
+// contain exactly the selected rows (every row under a nil filter), files in
+// order and row groups in order within each file.
 func (s *Source) ScanFiltered(proj []string, preds []lpq.Predicate, filter engine.Expr, yield func(*columnar.Chunk) error) error {
-	perFile := func(f FileRef, y func(*columnar.Chunk) error) error {
-		return s.scanFile(f, proj, preds, filter, y)
-	}
-
 	// Level 4: the footers of all files in one request window, ahead of the
 	// first file's data. A failed open is forgotten and resurfaces, in file
-	// order, on the synchronous path.
+	// order, when its file is scanned.
 	if len(s.Files) > 1 {
 		_ = OpenAll(s)
 	}
-
-	if s.Cfg.ParallelFiles > 1 && len(s.Files) > 1 {
-		return s.scanFilesParallel(perFile, yield)
-	}
-
 	for _, f := range s.Files {
-		if err := perFile(f, yield); err != nil {
+		if err := s.scanFile(f, proj, preds, filter, yield); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-var errScanCanceled = errors.New("scan: canceled")
-
-// scanFilesParallel scans up to Cfg.ParallelFiles files concurrently
-// (level 5). Every file's chunks flow through its own bounded channel and
-// the consumer drains the channels in file order, so the yield sequence is
-// identical to the serial scan while downloads and decoding of later files
-// overlap with the consumption of earlier ones. The first error — a file
-// error, in file order, or a yield error — cancels all in-flight workers.
-//
-// Admission is in file order, granted by the consumer: the active files are
-// always the ParallelFiles lowest undrained ones. A plain semaphore would
-// deadlock here — workers for later files could win every slot, fill their
-// bounded channels, and block while the consumer waits on an earlier file
-// whose worker never got a slot.
-func (s *Source) scanFilesParallel(perFile func(FileRef, func(*columnar.Chunk) error) error, yield func(*columnar.Chunk) error) error {
-	type item struct {
-		chunk *columnar.Chunk
-		err   error
-	}
-	n := len(s.Files)
-	width := s.Cfg.ParallelFiles
-	if width > n {
-		width = n
-	}
-	chans := make([]chan item, n)
-	starts := make([]chan struct{}, n)
-	done := make(chan struct{})
-	var cancel sync.Once
-	stop := func() { cancel.Do(func() { close(done) }) }
-	defer stop()
-
-	for i, f := range s.Files {
-		// Buffer 2: the file worker may run one chunk ahead of the
-		// consumer, mirroring the row-group double buffer's depth.
-		chans[i] = make(chan item, 2)
-		starts[i] = make(chan struct{})
-		go func(i int, f FileRef) {
-			defer close(chans[i])
-			select {
-			case <-starts[i]:
-			case <-done:
-				return
-			}
-			err := perFile(f, func(c *columnar.Chunk) error {
-				select {
-				case chans[i] <- item{chunk: c}:
-					return nil
-				case <-done:
-					return errScanCanceled
-				}
-			})
-			if err != nil && !errors.Is(err, errScanCanceled) {
-				select {
-				case chans[i] <- item{err: err}:
-				case <-done:
-				}
-			}
-		}(i, f)
-	}
-	for i := 0; i < width; i++ {
-		close(starts[i])
-	}
-
-	for i := range chans {
-		for it := range chans[i] {
-			if it.err != nil {
-				return it.err
-			}
-			if err := yield(it.chunk); err != nil {
-				return err
-			}
-		}
-		// File i is fully drained: admit the next one.
-		if next := i + width; next < n {
-			close(starts[next])
-		}
-	}
-	return nil
-}
-
 // scanFile scans one file: footer-level row-group pruning, then every
-// surviving row group through readRowGroup. Groups whose selection comes
-// back entirely empty yield nothing.
+// surviving row group, in order, through readRowGroup. A group whose
+// selection comes back entirely empty is counted as read but yields nothing.
 func (s *Source) scanFile(f FileRef, proj []string, preds []lpq.Predicate, filter engine.Expr, yield func(*columnar.Chunk) error) error {
 	meta, h, err := s.open(f)
 	if err != nil {
@@ -588,72 +487,20 @@ func (s *Source) scanFile(f FileRef, proj []string, preds []lpq.Predicate, filte
 		s.filesAllPruned++
 	}
 	s.mu.Unlock()
-	if len(keep) == 0 {
-		// The worker loaded only the footer, pruned everything, and
-		// returns an empty result — the 100–200 ms workers of Figure 11.
-		return nil
-	}
-
-	return s.scanGroups(keep, func(g int) (*columnar.Chunk, error) {
-		return s.readRowGroup(h, meta, g, cols, outSchema, preds, filter)
-	}, yield)
-}
-
-// scanGroups drains the kept row groups of one file through fetch in
-// order, double-buffered when configured (level 3: download row group g+1
-// while the consumer processes g). A nil chunk from fetch (fully filtered
-// group) is counted as read but yields nothing.
-func (s *Source) scanGroups(keep []int, fetch func(g int) (*columnar.Chunk, error), yield func(*columnar.Chunk) error) error {
-	deliver := func(c *columnar.Chunk) error {
+	// With nothing kept the worker loaded only the footer, pruned everything,
+	// and returns an empty result — the 100–200 ms workers of Figure 11.
+	for _, g := range keep {
+		c, err := s.readRowGroup(h, meta, g, cols, outSchema, preds, filter)
+		if err != nil {
+			return err
+		}
 		s.mu.Lock()
 		s.rowGroupsRead++
 		s.mu.Unlock()
 		if c == nil {
-			return nil
+			continue
 		}
-		return yield(c)
-	}
-
-	type fetched struct {
-		chunk *columnar.Chunk
-		err   error
-	}
-
-	if !s.Cfg.DoubleBuffer {
-		for _, g := range keep {
-			c, err := fetch(g)
-			if err != nil {
-				return err
-			}
-			if err := deliver(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	next := make(chan fetched, 1)
-	fetchInto := func(g int) {
-		c, err := fetch(g)
-		next <- fetched{chunk: c, err: err}
-	}
-	go fetchInto(keep[0])
-	for i := range keep {
-		res := <-next
-		if i+1 < len(keep) {
-			g := keep[i+1]
-			go fetchInto(g)
-		}
-		if res.err != nil {
-			if i+1 < len(keep) {
-				<-next // drain the in-flight prefetch
-			}
-			return res.err
-		}
-		if err := deliver(res.chunk); err != nil {
-			if i+1 < len(keep) {
-				<-next
-			}
+		if err := yield(c); err != nil {
 			return err
 		}
 	}

@@ -83,9 +83,8 @@ func TestS3fsReadAt(t *testing.T) {
 func TestScanMatchesReference(t *testing.T) {
 	for _, comp := range []lpq.Compression{lpq.None, lpq.Gzip} {
 		for _, cfg := range []Config{
-			{},              // everything off
-			DefaultConfig(), // everything on
-			{DoubleBuffer: true},
+			{},              // one connection, New's chunk size
+			DefaultConfig(), // the paper's operator
 			{ParallelColumns: true, Conns: 4},
 		} {
 			svc := s3.New(s3.Config{})

@@ -13,8 +13,7 @@ import (
 )
 
 // TestRequestLevelsRideTheWindowOnDES: a DES process scans four files with
-// the default configuration minus the two thread levels — what a
-// deterministic session runs — and levels 2 and 4 engage without a goroutine:
+// the default configuration, and levels 2 and 4 engage without a goroutine:
 // the four footers cost one first-byte latency and the two far-apart column
 // spans of every row group another, where they cost one each when read in
 // turn; the requests, the bytes and the chunks are the serial scan's.
@@ -32,9 +31,7 @@ func TestRequestLevelsRideTheWindowOnDES(t *testing.T) {
 	var got []*columnar.Chunk
 	var st Stats
 	end := onKernel(t, func(p *simclock.Proc) {
-		cfg := DefaultConfig()
-		cfg.DoubleBuffer, cfg.ParallelFiles = false, 1
-		src := New(s3.NewClient(svc, p), cfg, refs...)
+		src := New(s3.NewClient(svc, p), DefaultConfig(), refs...)
 		threads := runtime.NumGoroutine()
 		err := src.Scan(proj, nil, func(c *columnar.Chunk) error {
 			if n := runtime.NumGoroutine(); n != threads {

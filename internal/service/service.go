@@ -411,21 +411,45 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // substituteParams replaces every :name placeholder with its value —
-// numbers raw, everything else as an escaped SQL string literal. Unknown
-// placeholders are an error so typos fail loudly instead of reaching the
+// numbers raw, everything else as an escaped SQL string literal — in one
+// left-to-right pass: a ':' followed by an identifier names the parameter
+// spelled by the longest such identifier, so :q never matches inside :qty,
+// and substituted text is never scanned again, so a value may contain a
+// ':'. A placeholder without a parameter and a parameter without a
+// placeholder are errors, so typos fail loudly instead of reaching the
 // parser.
 func substituteParams(sql string, params map[string]string) (string, error) {
-	for name, val := range params {
-		placeholder := ":" + name
-		if !strings.Contains(sql, placeholder) {
-			return "", fmt.Errorf("param %q has no :%s placeholder in the query", name, name)
+	var b strings.Builder
+	used := make(map[string]bool, len(params))
+	for i := 0; i < len(sql); i++ {
+		if sql[i] != ':' || i+1 == len(sql) || !isIdentStart(sql[i+1]) {
+			b.WriteByte(sql[i])
+			continue
 		}
-		sql = strings.ReplaceAll(sql, placeholder, sqlLiteral(val))
+		j := i + 2
+		for j < len(sql) && (isIdentStart(sql[j]) || sql[j] >= '0' && sql[j] <= '9') {
+			j++
+		}
+		name := sql[i+1 : j]
+		val, ok := params[name]
+		if !ok {
+			return "", fmt.Errorf("unbound parameter :%s", name)
+		}
+		used[name] = true
+		b.WriteString(sqlLiteral(val))
+		i = j - 1
 	}
-	if i := strings.IndexByte(sql, ':'); i >= 0 && i+1 < len(sql) && isIdentStart(sql[i+1]) {
-		return "", fmt.Errorf("unbound parameter at %q", sql[i:min(i+12, len(sql))])
+	if len(used) < len(params) {
+		var unused []string
+		for name := range params {
+			if !used[name] {
+				unused = append(unused, name)
+			}
+		}
+		sort.Strings(unused)
+		return "", fmt.Errorf("param %q has no :%s placeholder in the query", unused[0], unused[0])
 	}
-	return sql, nil
+	return b.String(), nil
 }
 
 func isIdentStart(c byte) bool {

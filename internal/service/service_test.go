@@ -210,6 +210,58 @@ func TestServeParams(t *testing.T) {
 	if resp, _ := postJSON(t, ts.URL+"/query", QueryRequest{SQL: paramSQL}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unbound param: status %d, want 400", resp.StatusCode)
 	}
+
+	// One name a prefix of another: :q never binds inside :qty, whichever
+	// parameter the map hands out first.
+	const want = `
+SELECT l_suppkey, COUNT(*) AS n FROM lineitem
+WHERE l_quantity < 24 AND l_linenumber >= 2
+GROUP BY l_suppkey ORDER BY l_suppkey`
+	for i := 0; i < 50; i++ {
+		got, err := substituteParams(prefixSQL, prefixParams)
+		if err != nil || got != want {
+			t.Fatalf("call %d: %q, %v; want %q", i, got, err, want)
+		}
+	}
+	if resp, raw := postJSON(t, ts.URL+"/query", QueryRequest{SQL: prefixSQL, Params: prefixParams}); resp.StatusCode != http.StatusOK {
+		t.Errorf("prefix-overlap params: %d: %s", resp.StatusCode, raw)
+	}
+
+	// Substituted text is not scanned again: a value holding a placeholder
+	// stays a literal, and the placeholder it names need not be bound.
+	got, err := substituteParams("SELECT :a, :b", map[string]string{"a": "x:hi", "b": "1"})
+	if want := "SELECT 'x:hi', 1"; err != nil || got != want {
+		t.Errorf("value with a placeholder: %q, %v; want %q", got, err, want)
+	}
+}
+
+// prefixSQL binds two parameters, one name a prefix of the other.
+const prefixSQL = `
+SELECT l_suppkey, COUNT(*) AS n FROM lineitem
+WHERE l_quantity < :qty AND l_linenumber >= :q
+GROUP BY l_suppkey ORDER BY l_suppkey`
+
+var prefixParams = map[string]string{"q": "2", "qty": "24"}
+
+// badInput is one request the service must refuse, and the status it
+// refuses it with.
+type badInput struct {
+	name, path, body string
+	want             int
+}
+
+func badInputs() []badInput {
+	huge := `{"sql": "` + strings.Repeat("x", maxBodyBytes) + `"}`
+	return []badInput{
+		{"unparsable SQL", "/query", `{"sql": "SELEKT 1"}`, http.StatusBadRequest},
+		{"unknown column", "/query", `{"sql": "SELECT SUM(no_such_column) AS s FROM lineitem"}`, http.StatusBadRequest},
+		{"unknown table", "/query", `{"sql": "SELECT COUNT(*) AS n FROM nosuch"}`, http.StatusBadRequest},
+		{"huge partitions", "/query", `{"name": "q1", "partitions": 100000000}`, http.StatusBadRequest},
+		{"negative partitions", "/query", `{"name": "q1", "partitions": -1}`, http.StatusBadRequest},
+		{"malformed body", "/query", `{"name": `, http.StatusBadRequest},
+		{"oversized body", "/query", huge, http.StatusRequestEntityTooLarge},
+		{"oversized invalidate", "/invalidate", huge, http.StatusRequestEntityTooLarge},
+	}
 }
 
 // TestServeRejectsBadInput: whatever is wrong with a request is answered
@@ -220,20 +272,7 @@ func TestServeParams(t *testing.T) {
 func TestServeRejectsBadInput(t *testing.T) {
 	ts, sess := newLocalServer(t)
 	before, _ := sess.Deployment().Lambda.Invocations()
-	huge := `{"sql": "` + strings.Repeat("x", maxBodyBytes) + `"}`
-	for _, tc := range []struct {
-		name, path, body string
-		want             int
-	}{
-		{"unparsable SQL", "/query", `{"sql": "SELEKT 1"}`, http.StatusBadRequest},
-		{"unknown column", "/query", `{"sql": "SELECT SUM(no_such_column) AS s FROM lineitem"}`, http.StatusBadRequest},
-		{"unknown table", "/query", `{"sql": "SELECT COUNT(*) AS n FROM nosuch"}`, http.StatusBadRequest},
-		{"huge partitions", "/query", `{"name": "q1", "partitions": 100000000}`, http.StatusBadRequest},
-		{"negative partitions", "/query", `{"name": "q1", "partitions": -1}`, http.StatusBadRequest},
-		{"malformed body", "/query", `{"name": `, http.StatusBadRequest},
-		{"oversized body", "/query", huge, http.StatusRequestEntityTooLarge},
-		{"oversized invalidate", "/invalidate", huge, http.StatusRequestEntityTooLarge},
-	} {
+	for _, tc := range badInputs() {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
