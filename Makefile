@@ -2,7 +2,7 @@ GO ?= go
 # trace-smoke output file (Chrome trace-event JSON; also the CI artifact).
 TRACE_OUT ?= trace-smoke.json
 
-.PHONY: build test race race-staged chaos scale-smoke fuzz-smoke bench bench-check vet trace-smoke trace-identical trace-identical-storm serve-smoke loc
+.PHONY: build test race race-staged chaos scale-smoke fuzz-smoke bench bench-check vet trace-smoke trace-identical trace-identical-storm serve-smoke examples loc
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,11 @@ bench-check:
 serve-smoke:
 	$(GO) run ./cmd/lambada-serve -smoke -sf 0.002 -files 4
 	$(GO) run ./cmd/lambada-serve -smoke -mode des -sf 0.002 -files 4
+
+# examples builds and runs the four programs under examples/ — the public
+# API's smallest end-to-end uses — and fails if one exits non-zero.
+examples:
+	for ex in quickstart tpch dataflow exchange; do $(GO) run ./examples/$$ex || exit 1; done
 
 # trace-smoke runs a traced staged query under the DES kernel, exports the
 # Chrome trace-event JSON, and validates it against the schema subset the

@@ -220,17 +220,17 @@ func BenchmarkEndToEndQueryDES(b *testing.B) {
 		k.Go("driver", func(p *simclock.Proc) {
 			cfg := driver.DefaultConfig()
 			cfg.PollInterval = 50 * time.Millisecond
-			d := driver.New(dep, p, cfg)
+			d := driver.NewSession(dep, cfg)
 			if err := d.Install(); err != nil {
 				b.Error(err)
 				return
 			}
-			refs, err := d.UploadTable("tpch", "lineitem", data, 8, lpq.WriterOptions{RowGroupRows: 2000})
+			refs, err := d.UploadTable(p, "tpch", "lineitem", data, 8, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				b.Error(err)
 				return
 			}
-			_, rep, err := d.RunSQL(`SELECT SUM(l_extendedprice * l_discount) AS revenue
+			_, rep, err := d.RunSQL(p, `SELECT SUM(l_extendedprice * l_discount) AS revenue
 				FROM lineitem
 				WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01'
 				  AND l_discount BETWEEN 0.0499999 AND 0.0700001 AND l_quantity < 24`,
@@ -250,17 +250,18 @@ func BenchmarkEndToEndQueryDES(b *testing.B) {
 func BenchmarkEndToEndQueryLocal(b *testing.B) {
 	data := tpch.Gen{SF: 0.002, Seed: 9}.Generate()
 	dep := driver.NewLocal()
-	d := driver.New(dep, simenv.NewImmediate(), driver.DefaultConfig())
+	d := driver.NewSession(dep, driver.DefaultConfig())
+	env := simenv.NewImmediate()
 	if err := d.Install(); err != nil {
 		b.Fatal(err)
 	}
-	refs, err := d.UploadTable("tpch", "lineitem", data, 8, lpq.WriterOptions{RowGroupRows: 2000})
+	refs, err := d.UploadTable(env, "tpch", "lineitem", data, 8, lpq.WriterOptions{RowGroupRows: 2000})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := d.RunSQL("SELECT COUNT(*) AS n FROM lineitem", "lineitem", refs); err != nil {
+		if _, _, err := d.RunSQL(env, "SELECT COUNT(*) AS n FROM lineitem", "lineitem", refs); err != nil {
 			b.Fatal(err)
 		}
 	}

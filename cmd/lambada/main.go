@@ -105,14 +105,14 @@ func main() {
 		if *profile || *traceOut != "" || *explain {
 			dep.EnableTracing(obs.New())
 		}
-		d := driver.New(dep, env, cfg)
-		if err := d.Install(); err != nil {
+		sess := driver.NewSession(dep, cfg)
+		if err := sess.Install(); err != nil {
 			return err
 		}
 		fmt.Printf("generating LINEITEM at SF %g (%d rows)...\n", *sf, tpch.Gen{SF: *sf}.NumRows())
 		g := tpch.Gen{SF: *sf, Seed: *seed}
 		data := g.Generate()
-		refs, err := d.UploadTable("tpch", "lineitem", data, *files, lpq.WriterOptions{RowGroupRows: 65536, Compression: comp})
+		refs, err := sess.UploadTable(env, "tpch", "lineitem", data, *files, lpq.WriterOptions{RowGroupRows: 65536, Compression: comp})
 		if err != nil {
 			return err
 		}
@@ -133,7 +133,7 @@ func main() {
 			}
 			nf := max(*files/2, 1)
 			fmt.Printf("uploading %s (%d rows, %d files)\n", strings.ToUpper(name), chunk.NumRows(), nf)
-			tf[name], err = d.UploadTable("tpch", name, chunk, nf, lpq.WriterOptions{RowGroupRows: 65536, Compression: comp})
+			tf[name], err = sess.UploadTable(env, "tpch", name, chunk, nf, lpq.WriterOptions{RowGroupRows: 65536, Compression: comp})
 			if err != nil {
 				return err
 			}
@@ -145,7 +145,7 @@ func main() {
 		scfg.MaxStageWait = *stgWait
 		scfg.Exchange.Variant.Levels = *xlevels
 		scfg.MaxAutoPartitions = *maxParts
-		out, rep, err := d.Session().Run(env, plan, tf, local, scfg)
+		out, rep, err := sess.Run(env, plan, tf, local, scfg)
 		if err != nil {
 			return err
 		}

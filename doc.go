@@ -142,11 +142,11 @@
 // the loop that feeds it instants and messages and does every Invoke,
 // sqs.Receive, dynamo.Put, span edit and wait its answers ask for. Every
 // query reaches it as a stage plan (internal/stageplan) from one planner,
-// query.plan, behind one entrance, Session.Run; RunSQL, RunPlan, their
-// Broadcast and their Staged forms are that call with their arguments put in
-// its terms, and the result cache sits in front of it for every query whose
-// inputs are all S3 files. The planner opens the footers of every file of
-// the tables the plan scans (one request window; a file whose schema differs
+// query.plan, behind one entrance, Session.Run; RunSQL and RunSQLStaged
+// parse query text for it, and the result cache sits in front of it for
+// every query whose inputs are all S3 files. The planner opens the footers
+// of every file of the tables the plan scans (one request window; a file
+// whose schema differs
 // from its table's first is a typed ErrInvalidPlan before any Invoke),
 // optimizes against them, and hands stageplan.Decompose what they say — and
 // Decompose, not the caller, decides the shape of the plan from it:
@@ -420,13 +420,13 @@
 //
 // # Resident query service
 //
-// The one-shot driver is a thin veneer over a resident session. A
+// The driver is a resident session, and there is no other driver type. A
 // driver.Session binds to a deployment once — installs the worker function,
 // owns the admission controller, the result cache and the footers of the
 // files it has opened — and then runs many queries, sequentially or
-// concurrently, against that warm state; Driver itself is now Session plus a
-// default environment, so the single-query API is unchanged. Each query runs on its own per-query scheduler with three
-// isolation planes:
+// concurrently, against that warm state, each on the environment its caller
+// passes in (a one-shot CLI run is one query on one). Each query runs on its
+// own per-query scheduler with three isolation planes:
 //
 //	results   every query gets its own SQS result queue (<base>-q<N>),
 //	          created at query start and deleted at close — a zombie seal

@@ -40,16 +40,17 @@ func main() {
 
 	// Deploy and run on the serverless fleet.
 	dep := driver.NewLocal()
-	d := driver.New(dep, simenv.NewImmediate(), driver.DefaultConfig())
-	if err := d.Install(); err != nil {
+	sess := driver.NewSession(dep, driver.DefaultConfig())
+	env := simenv.NewImmediate()
+	if err := sess.Install(); err != nil {
 		log.Fatal(err)
 	}
 	data := tpch.Gen{SF: 0.005, Seed: 3}.Generate()
-	files, err := d.UploadTable("demo", "lineitem", data, 8, lpq.WriterOptions{})
+	files, err := sess.UploadTable(env, "demo", "lineitem", data, 8, lpq.WriterOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, rep, err := d.RunPlan(plan, "lineitem", files)
+	out, rep, err := sess.Run(env, plan, driver.TableFiles{"lineitem": files}, nil, driver.DefaultStageConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,19 +16,21 @@ import (
 func main() {
 	// 1. A deployment bundles the serverless services (S3, Lambda, SQS) —
 	//    NewLocal runs workers as goroutines with zero simulated latency.
+	//    A session is the driver; env is the clock every call of it runs on.
 	dep := driver.NewLocal()
-	d := driver.New(dep, simenv.NewImmediate(), driver.DefaultConfig())
+	sess := driver.NewSession(dep, driver.DefaultConfig())
+	env := simenv.NewImmediate()
 
 	// 2. Install: registers the worker function and the result queue.
 	//    (The paper's Figure 2: installation happens once.)
-	if err := d.Install(); err != nil {
+	if err := sess.Install(); err != nil {
 		log.Fatal(err)
 	}
 
 	// 3. Upload a table: TPC-H LINEITEM at a tiny scale factor, stored as
 	//    four Parquet-like files in simulated S3.
 	data := tpch.Gen{SF: 0.001, Seed: 1}.Generate()
-	files, err := d.UploadTable("demo", "lineitem", data, 4,
+	files, err := sess.UploadTable(env, "demo", "lineitem", data, 4,
 		lpq.WriterOptions{Compression: lpq.Gzip})
 	if err != nil {
 		log.Fatal(err)
@@ -38,7 +40,7 @@ func main() {
 	// 4. Run a query. The driver optimizes the plan (selection and
 	//    projection push-down), splits it into worker and driver scopes,
 	//    invokes one worker per file, and merges the partial aggregates.
-	out, rep, err := d.RunSQL(`
+	out, rep, err := sess.RunSQL(env, `
 		SELECT l_returnflag, COUNT(*) AS n, AVG(l_quantity) AS avg_qty
 		FROM lineitem
 		WHERE l_shipdate >= DATE '1995-01-01'

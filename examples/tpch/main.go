@@ -42,17 +42,18 @@ func main() {
 
 	// ---- Functional run: validate correctness against the reference.
 	dep := driver.NewLocal()
-	d := driver.New(dep, simenv.NewImmediate(), driver.DefaultConfig())
-	if err := d.Install(); err != nil {
+	sess := driver.NewSession(dep, driver.DefaultConfig())
+	env := simenv.NewImmediate()
+	if err := sess.Install(); err != nil {
 		log.Fatal(err)
 	}
-	files, err := d.UploadTable("tpch", "lineitem", data, 16,
+	files, err := sess.UploadTable(env, "tpch", "lineitem", data, 16,
 		lpq.WriterOptions{RowGroupRows: 8192, Compression: lpq.Gzip})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	out, rep, err := d.RunSQL(q1, "lineitem", files)
+	out, rep, err := sess.RunSQL(env, q1, "lineitem", files)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func main() {
 	}
 	fmt.Printf("  workers=%d cost=$%.6f\n\n", rep.Workers, rep.TotalCost)
 
-	out6, _, err := d.RunSQL(q6, "lineitem", files)
+	out6, _, err := sess.RunSQL(env, q6, "lineitem", files)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,11 +83,11 @@ func main() {
 	k.Go("driver", func(p *simclock.Proc) {
 		cfg := driver.DefaultConfig()
 		cfg.PollInterval = 50 * time.Millisecond
-		sd := driver.New(sdep, p, cfg)
+		sd := driver.NewSession(sdep, cfg)
 		if err := sd.Install(); err != nil {
 			log.Fatal(err)
 		}
-		srefs, err := sd.UploadTable("tpch", "lineitem", data, 16,
+		srefs, err := sd.UploadTable(p, "tpch", "lineitem", data, 16,
 			lpq.WriterOptions{RowGroupRows: 8192, Compression: lpq.Gzip})
 		if err != nil {
 			log.Fatal(err)
@@ -94,7 +95,7 @@ func main() {
 		for _, q := range []struct {
 			name, sql string
 		}{{"Q1", q1}, {"Q6", q6}} {
-			_, rep, err := sd.RunSQL(q.sql, "lineitem", srefs)
+			_, rep, err := sd.RunSQL(p, q.sql, "lineitem", srefs)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -414,9 +414,6 @@ func (s *Service) Invocations() (total, cold int64) {
 	return s.invokes, s.colds
 }
 
-// Runtime returns the service's runtime.
-func (s *Service) Runtime() Runtime { return s.rt }
-
 // crashPanic is the private panic value a crashEnv raises when its worker's
 // virtual time reaches the injected crash instant; the Invoke spawn body
 // recovers it and treats the worker as dead.

@@ -20,18 +20,19 @@ import (
 // is a whole query: invoke, shuffle, barriers, driver merge.
 func BenchmarkShuffleJoin(b *testing.B) {
 	dep := NewLocal()
-	d := New(dep, simenv.NewImmediate(), DefaultConfig())
+	env := simenv.NewImmediate()
+	d := NewSession(dep, DefaultConfig())
 	if err := d.Install(); err != nil {
 		b.Fatal(err)
 	}
 	g := tpch.Gen{SF: 0.01, Seed: 33}
 	li := g.Generate()
 	orders := g.OrdersFor(li)
-	liRefs, err := d.UploadTable("tpch", "lineitem", li, 8, lpq.WriterOptions{RowGroupRows: 8192})
+	liRefs, err := d.UploadTable(env, "tpch", "lineitem", li, 8, lpq.WriterOptions{RowGroupRows: 8192})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ordRefs, err := d.UploadTable("tpch", "orders", orders, 4, lpq.WriterOptions{RowGroupRows: 8192})
+	ordRefs, err := d.UploadTable(env, "tpch", "orders", orders, 4, lpq.WriterOptions{RowGroupRows: 8192})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func BenchmarkShuffleJoin(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := d.RunSQLStaged(q12ExactSQL, tables, cfg)
+		out, _, err := d.RunSQLStaged(env, q12ExactSQL, tables, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,17 +71,17 @@ func BenchmarkStagedPipelined(b *testing.B) {
 		k.Go("driver", func(p *simclock.Proc) {
 			cfg := DefaultConfig()
 			cfg.PollInterval = 50 * time.Millisecond
-			d := New(dep, p, cfg)
+			d := NewSession(dep, cfg)
 			if err := d.Install(); err != nil {
 				b.Error(err)
 				return
 			}
-			liRefs, err := d.UploadTable("tpch", "lineitem", li, 12, lpq.WriterOptions{RowGroupRows: 2000})
+			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 12, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				b.Error(err)
 				return
 			}
-			ordRefs, err := d.UploadTable("tpch", "orders", orders, 6, lpq.WriterOptions{RowGroupRows: 2000})
+			ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 6, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				b.Error(err)
 				return
@@ -89,7 +90,7 @@ func BenchmarkStagedPipelined(b *testing.B) {
 			scfg.Partitions = 4
 			scfg.BroadcastRowLimit = -1
 			scfg.Exchange.Poll = 20 * time.Millisecond
-			out, rep, err := d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+			out, rep, err := d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 			if err != nil {
 				b.Error(err)
 				return
@@ -111,18 +112,19 @@ func BenchmarkStagedPipelined(b *testing.B) {
 // no longer fits the payloads).
 func BenchmarkBroadcastJoin(b *testing.B) {
 	dep := NewLocal()
-	d := New(dep, simenv.NewImmediate(), DefaultConfig())
+	env := simenv.NewImmediate()
+	d := NewSession(dep, DefaultConfig())
 	if err := d.Install(); err != nil {
 		b.Fatal(err)
 	}
 	g := tpch.Gen{SF: 0.01, Seed: 33}
 	li := g.Generate()
 	orders := g.OrdersFor(li)
-	liRefs, err := d.UploadTable("tpch", "lineitem", li, 8, lpq.WriterOptions{RowGroupRows: 8192})
+	liRefs, err := d.UploadTable(env, "tpch", "lineitem", li, 8, lpq.WriterOptions{RowGroupRows: 8192})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ordRefs, err := d.UploadTable("tpch", "orders", orders, 4, lpq.WriterOptions{RowGroupRows: 8192})
+	ordRefs, err := d.UploadTable(env, "tpch", "orders", orders, 4, lpq.WriterOptions{RowGroupRows: 8192})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := d.RunSQLStaged(q12ExactSQL, tables, cfg)
+		out, _, err := d.RunSQLStaged(env, q12ExactSQL, tables, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -160,18 +162,18 @@ func BenchmarkStagedSelectiveScan(b *testing.B) {
 		k := simclock.New()
 		dep := NewSimulated(k, 47)
 		k.Go("driver", func(p *simclock.Proc) {
-			d := New(dep, p, DefaultConfig())
+			d := NewSession(dep, DefaultConfig())
 			if err := d.Install(); err != nil {
 				b.Error(err)
 				return
 			}
-			liRefs, err := d.UploadTable("tpch", "lineitem", li, 6,
+			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 6,
 				lpq.WriterOptions{RowGroupRows: 2000, PageRows: 512, Compression: lpq.Gzip})
 			if err != nil {
 				b.Error(err)
 				return
 			}
-			ordRefs, err := d.UploadTable("tpch", "orders", orders, 3,
+			ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 3,
 				lpq.WriterOptions{RowGroupRows: 2000, Compression: lpq.Gzip})
 			if err != nil {
 				b.Error(err)
@@ -180,7 +182,7 @@ func BenchmarkStagedSelectiveScan(b *testing.B) {
 			scfg := DefaultStageConfig()
 			scfg.Partitions = 2
 			scfg.BroadcastRowLimit = -1
-			out, rep, err := d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+			out, rep, err := d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 			if err != nil {
 				b.Error(err)
 				return
@@ -220,17 +222,17 @@ func benchStagedFleet(b *testing.B, parts, forceLevels int) {
 		k.Go("driver", func(p *simclock.Proc) {
 			cfg := DefaultConfig()
 			cfg.PollInterval = 50 * time.Millisecond
-			d := New(dep, p, cfg)
+			d := NewSession(dep, cfg)
 			if err := d.Install(); err != nil {
 				b.Error(err)
 				return
 			}
-			liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				b.Error(err)
 				return
 			}
-			ordRefs, err := d.UploadTable("tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+			ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				b.Error(err)
 				return
@@ -241,7 +243,7 @@ func benchStagedFleet(b *testing.B, parts, forceLevels int) {
 			scfg.BroadcastRowLimit = -1
 			scfg.Exchange.Variant.Levels = forceLevels
 			scfg.Exchange.Poll = 100 * time.Millisecond
-			out, rep, err := d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+			out, rep, err := d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 			if err != nil {
 				b.Error(err)
 				return
@@ -294,17 +296,17 @@ func BenchmarkStagedCriticalPath(b *testing.B) {
 		k.Go("driver", func(p *simclock.Proc) {
 			cfg := DefaultConfig()
 			cfg.PollInterval = 50 * time.Millisecond
-			d := New(dep, p, cfg)
+			d := NewSession(dep, cfg)
 			if err := d.Install(); err != nil {
 				b.Error(err)
 				return
 			}
-			liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				b.Error(err)
 				return
 			}
-			ordRefs, err := d.UploadTable("tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+			ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				b.Error(err)
 				return
@@ -312,7 +314,7 @@ func BenchmarkStagedCriticalPath(b *testing.B) {
 			scfg := DefaultStageConfig()
 			scfg.Partitions = 2
 			scfg.BroadcastRowLimit = -1
-			out, rep, err := d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+			out, rep, err := d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 			if err != nil {
 				b.Error(err)
 				return

@@ -35,11 +35,11 @@ func nationRevenuePlan() engine.Plan {
 }
 
 func TestBroadcastJoinEndToEnd(t *testing.T) {
-	d, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
+	d, env, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
 	sup := tpch.Gen{SF: 0.002, Seed: 33}.Supplier()
 
-	out, rep, err := d.RunPlanBroadcast(nationRevenuePlan(), "lineitem", refs,
-		map[string]*columnar.Chunk{"supplier": sup})
+	out, rep, err := d.Run(env, nationRevenuePlan(), TableFiles{"lineitem": refs},
+		map[string]*columnar.Chunk{"supplier": sup}, DefaultStageConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,19 +81,19 @@ func TestBroadcastJoinDESDeterministic(t *testing.T) {
 		k.Go("driver", func(p *simclock.Proc) {
 			cfg := DefaultConfig()
 			cfg.PollInterval = 50 * time.Millisecond
-			d := New(dep, p, cfg)
+			d := NewSession(dep, cfg)
 			if err := d.Install(); err != nil {
 				t.Error(err)
 				return
 			}
 			g := tpch.Gen{SF: 0.002, Seed: 61}
-			refs, err := d.UploadTable("tpch", "lineitem", g.Generate(), 6, lpq.WriterOptions{RowGroupRows: 2000})
+			refs, err := d.UploadTable(p, "tpch", "lineitem", g.Generate(), 6, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			out, rep, err := d.RunPlanBroadcast(nationRevenuePlan(), "lineitem", refs,
-				map[string]*columnar.Chunk{"supplier": g.Supplier()})
+			out, rep, err := d.Run(p, nationRevenuePlan(), TableFiles{"lineitem": refs},
+				map[string]*columnar.Chunk{"supplier": g.Supplier()}, DefaultStageConfig())
 			if err != nil {
 				t.Error(err)
 				return
@@ -118,7 +118,7 @@ func TestBroadcastJoinDESDeterministic(t *testing.T) {
 // INNER JOIN into a JoinPlan, the driver broadcasts the small side, and
 // worker fragments run the join in engine.Execute.
 func TestSQLJoinEndToEnd(t *testing.T) {
-	d, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
+	d, env, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
 	sup := tpch.Gen{SF: 0.002, Seed: 33}.Supplier()
 
 	const joinSQL = `
@@ -126,8 +126,8 @@ SELECT s_nationkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue, COUNT(*)
 FROM lineitem INNER JOIN supplier ON lineitem.l_suppkey = supplier.s_suppkey
 GROUP BY s_nationkey
 ORDER BY s_nationkey`
-	out, rep, err := d.RunSQLBroadcast(joinSQL, "lineitem", refs,
-		map[string]*columnar.Chunk{"supplier": sup})
+	out, rep, err := d.runSQL(env, joinSQL, TableFiles{"lineitem": refs},
+		map[string]*columnar.Chunk{"supplier": sup}, DefaultStageConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ ORDER BY s_nationkey`
 }
 
 func TestBroadcastMissingTableFails(t *testing.T) {
-	d, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
+	d, env, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
 	// Plan references "supplier" but nothing is broadcast: caught at
 	// driver-side optimization before any invocation.
-	if _, _, err := d.RunPlan(nationRevenuePlan(), "lineitem", refs); err == nil {
+	if _, _, err := d.Run(env, nationRevenuePlan(), TableFiles{"lineitem": refs}, nil, DefaultStageConfig()); err == nil {
 		t.Error("join against missing broadcast table accepted")
 	}
 }

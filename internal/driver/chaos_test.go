@@ -60,8 +60,8 @@ func tryStagedChaosQ12(t *testing.T, mkDep func(k *simclock.Kernel) *Deployment,
 		if mut != nil {
 			mut(&cfg, &scfg)
 		}
-		d := New(dep, p, cfg)
-		res.sess = d.Session()
+		d := NewSession(dep, cfg)
+		res.sess = d
 		if err := d.Install(); err != nil {
 			t.Error(err)
 			return
@@ -69,17 +69,17 @@ func tryStagedChaosQ12(t *testing.T, mkDep func(k *simclock.Kernel) *Deployment,
 		g := tpch.Gen{SF: 0.002, Seed: 11}
 		li := g.Generate()
 		orders := g.OrdersFor(li)
-		liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ordRefs, err := d.UploadTable("tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		res.out, res.rep, res.err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+		res.out, res.rep, res.err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		res.s3Requests = dep.Meter.Count(pricing.LabelS3Read) + dep.Meter.Count(pricing.LabelS3Write)
 		res.sqsReqs = dep.Meter.Count(pricing.LabelSQS)
 		res.injected = dep.Faults.TotalInjected()
@@ -226,13 +226,13 @@ GROUP BY l_partkey ORDER BY l_partkey`
 			cfg := DefaultConfig()
 			cfg.PollInterval = 50 * time.Millisecond
 			cfg.Speculate = DefaultSpeculateConfig()
-			d := New(dep, p, cfg)
+			d := NewSession(dep, cfg)
 			if err := d.Install(); err != nil {
 				t.Error(err)
 				return
 			}
 			g := tpch.Gen{SF: 0.002, Seed: 11}
-			refs, err := d.UploadTable("tpch", "lineitem", g.Generate(), 4, lpq.WriterOptions{RowGroupRows: 2000})
+			refs, err := d.UploadTable(p, "tpch", "lineitem", g.Generate(), 4, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				t.Error(err)
 				return
@@ -240,7 +240,7 @@ GROUP BY l_partkey ORDER BY l_partkey`
 			scfg := DefaultStageConfig()
 			scfg.Partitions = 2
 			scfg.Exchange.Poll = 100 * time.Millisecond
-			out, rep, err := d.RunSQLStaged(sql, TableFiles{"lineitem": refs}, scfg)
+			out, rep, err := d.RunSQLStaged(p, sql, TableFiles{"lineitem": refs}, scfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -366,19 +366,19 @@ GROUP BY l_suppkey ORDER BY l_suppkey`
 		k.Go("driver", func(p *simclock.Proc) {
 			cfg := DefaultConfig()
 			cfg.PollInterval = 50 * time.Millisecond
-			d := New(dep, p, cfg)
+			d := NewSession(dep, cfg)
 			if err := d.Install(); err != nil {
 				t.Error(err)
 				return
 			}
 			g := tpch.Gen{SF: 0.002, Seed: 11}
 			li := g.Generate()
-			refs, err := d.UploadTable("tpch", "lineitem", li, 3, lpq.WriterOptions{RowGroupRows: 2000})
+			refs, err := d.UploadTable(p, "tpch", "lineitem", li, 3, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			res, _, err := d.RunSQL(sql, "lineitem", refs)
+			res, _, err := d.RunSQL(p, sql, "lineitem", refs)
 			if err != nil {
 				t.Error(err)
 				return
@@ -423,19 +423,19 @@ func TestSingleScopeChaosFailureSealRelaunched(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.PollInterval = 50 * time.Millisecond
 			cfg.RetryBudget = 2
-			d := New(dep, p, cfg)
-			sess = d.Session()
+			d := NewSession(dep, cfg)
+			sess = d
 			if err := d.Install(); err != nil {
 				t.Error(err)
 				return
 			}
 			li := tpch.Gen{SF: 0.002, Seed: 11}.Generate()
-			refs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+			refs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if out, rep, err = d.RunSQL(q6SQL, "lineitem", refs); err != nil {
+			if out, rep, err = d.RunSQL(p, q6SQL, "lineitem", refs); err != nil {
 				t.Error(err)
 			}
 		})
@@ -478,8 +478,8 @@ func TestEpochSweepTTL(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.EpochGCInterval = 1 // sweep on every acquire
 		cfg.EpochTTL = time.Hour
-		d := New(dep, p, cfg)
-		q := d.Session().newQuery(p)
+		d := NewSession(dep, cfg)
+		q := d.newQuery(p)
 		defer q.close()
 		table := stagesTableName(cfg.FunctionName)
 		dep.Dynamo.CreateTable(table)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lambada/internal/awssim/pricing"
+	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
 	"lambada/internal/lpq"
@@ -27,7 +28,7 @@ func runStagedCost(t *testing.T, liOpts, ordOpts lpq.WriterOptions, mutate func(
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		d := New(dep, p, cfg)
+		d := NewSession(dep, cfg)
 		if err := d.Install(); err != nil {
 			t.Error(err)
 			return
@@ -35,12 +36,12 @@ func runStagedCost(t *testing.T, liOpts, ordOpts lpq.WriterOptions, mutate func(
 		g := tpch.Gen{SF: 0.002, Seed: 33}
 		li = g.Generate()
 		orders = g.OrdersFor(li)
-		liRefs, err := d.UploadTable("tpch", "lineitem", li, 6, liOpts)
+		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 6, liOpts)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ordRefs, err := d.UploadTable("tpch", "orders", orders, 3, ordOpts)
+		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 3, ordOpts)
 		if err != nil {
 			t.Error(err)
 			return
@@ -50,7 +51,7 @@ func runStagedCost(t *testing.T, liOpts, ordOpts lpq.WriterOptions, mutate func(
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Variant.WriteCombining = wc
 		scfg.Exchange.Variant.Levels = 1
-		out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+		out, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		if err != nil {
 			t.Errorf("staged q12 failed: %v", err)
 		}
@@ -126,7 +127,7 @@ var requestLabels = []string{
 // lineitem and 2 orders files; mutate, when non-nil, edits the driver
 // config) and returns the integer billed-request count per pricing label of
 // the query alone — uploads excluded.
-func billedRequests(t *testing.T, mutate func(*Config), query func(d *Driver, tables TableFiles) error) map[string]int64 {
+func billedRequests(t *testing.T, mutate func(*Config), query func(d *Session, env simenv.Env, tables TableFiles) error) map[string]int64 {
 	t.Helper()
 	k := simclock.New()
 	dep := NewSimulated(k, 47)
@@ -137,7 +138,7 @@ func billedRequests(t *testing.T, mutate func(*Config), query func(d *Driver, ta
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		d := New(dep, p, cfg)
+		d := NewSession(dep, cfg)
 		if err := d.Install(); err != nil {
 			t.Error(err)
 			return
@@ -145,12 +146,12 @@ func billedRequests(t *testing.T, mutate func(*Config), query func(d *Driver, ta
 		g := tpch.Gen{SF: 0.002, Seed: 33}
 		li := g.Generate()
 		opts := lpq.WriterOptions{RowGroupRows: 2000, Compression: lpq.Gzip}
-		liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, opts)
+		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, opts)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ordRefs, err := d.UploadTable("tpch", "orders", g.OrdersFor(li), 2, opts)
+		ordRefs, err := d.UploadTable(p, "tpch", "orders", g.OrdersFor(li), 2, opts)
 		if err != nil {
 			t.Error(err)
 			return
@@ -160,7 +161,7 @@ func billedRequests(t *testing.T, mutate func(*Config), query func(d *Driver, ta
 		for _, l := range labels {
 			before[l] = dep.Meter.Count(l)
 		}
-		if err := query(d, TableFiles{"lineitem": liRefs, "orders": ordRefs}); err != nil {
+		if err := query(d, p, TableFiles{"lineitem": liRefs, "orders": ordRefs}); err != nil {
 			t.Error(err)
 			return
 		}
@@ -217,9 +218,9 @@ func assertRequests(t *testing.T, name string, got, want map[string]int64) {
 // stages). The timing-free counts (Lambda, S3, DynamoDB writes) fell by
 // exactly those fleets' requests; the polls are as measured.
 func TestExecutorRequestGuard(t *testing.T) {
-	single := func(sql string) func(*Driver, TableFiles) error {
-		return func(d *Driver, tables TableFiles) error {
-			_, _, err := d.RunSQL(sql, "lineitem", tables["lineitem"])
+	single := func(sql string) func(*Session, simenv.Env, TableFiles) error {
+		return func(d *Session, env simenv.Env, tables TableFiles) error {
+			_, _, err := d.RunSQL(env, sql, "lineitem", tables["lineitem"])
 			return err
 		}
 	}
@@ -238,8 +239,8 @@ func TestExecutorRequestGuard(t *testing.T) {
 
 	// The rules follow the plan, not the entrance: q6 through the other
 	// entrance is the same one stage without a boundary, and bills the same.
-	assertRequests(t, "q6, RunSQLStaged", billedRequests(t, nil, func(d *Driver, tables TableFiles) error {
-		_, rep, err := d.RunSQLStaged(q6SQL, TableFiles{"lineitem": tables["lineitem"]}, DefaultStageConfig())
+	assertRequests(t, "q6, RunSQLStaged", billedRequests(t, nil, func(d *Session, env simenv.Env, tables TableFiles) error {
+		_, rep, err := d.RunSQLStaged(env, q6SQL, TableFiles{"lineitem": tables["lineitem"]}, DefaultStageConfig())
 		if err == nil && (rep.Stages != 1 || rep.Epoch != 0) {
 			t.Errorf("q6, RunSQLStaged: stages = %d, epoch = %d, want one unfenced stage", rep.Stages, rep.Epoch)
 		}
@@ -251,23 +252,23 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// the parent read the two orders footers as well, four requests for
 	// nothing.
 	stagedQ1 := func(with ...string) map[string]int64 {
-		return billedRequests(t, nil, func(d *Driver, tables TableFiles) error {
+		return billedRequests(t, nil, func(d *Session, env simenv.Env, tables TableFiles) error {
 			registered := TableFiles{}
 			for _, name := range with {
 				registered[name] = tables[name]
 			}
-			_, _, err := d.RunSQLStaged(q1SQL, registered, DefaultStageConfig())
+			_, _, err := d.RunSQLStaged(env, q1SQL, registered, DefaultStageConfig())
 			return err
 		})
 	}
 	assertRequests(t, "staged q1, orders registered", stagedQ1("lineitem", "orders"), stagedQ1("lineitem"))
 
-	staged := billedRequests(t, nil, func(d *Driver, tables TableFiles) error {
+	staged := billedRequests(t, nil, func(d *Session, env simenv.Env, tables TableFiles) error {
 		scfg := DefaultStageConfig()
 		scfg.Partitions = 2
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
-		_, _, err := d.RunSQLStaged(q12ExactSQL, tables, scfg)
+		_, _, err := d.RunSQLStaged(env, q12ExactSQL, tables, scfg)
 		return err
 	})
 	// Three stages — scan, scan, join+partial — and ten opens: the planner's
@@ -288,11 +289,11 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// to shuffle — one stage, no boundary, so rule 1 gives it no DynamoDB
 	// request and no LIST at all. Eight opens, the planner's six and the two
 	// lineitem workers' (26 → 22 S3 reads: the final stage's collects).
-	assertRequests(t, "staged q12, orders broadcast", billedRequests(t, nil, func(d *Driver, tables TableFiles) error {
+	assertRequests(t, "staged q12, orders broadcast", billedRequests(t, nil, func(d *Session, env simenv.Env, tables TableFiles) error {
 		scfg := DefaultStageConfig()
 		scfg.Partitions = 2
 		scfg.Exchange.Poll = 100 * time.Millisecond
-		_, rep, err := d.RunSQLStaged(q12ExactSQL, tables, scfg)
+		_, rep, err := d.RunSQLStaged(env, q12ExactSQL, tables, scfg)
 		if err == nil && rep.Stages != 1 {
 			t.Errorf("staged q12, orders broadcast: %d stages, want 1 (orders not broadcast?)", rep.Stages)
 		}
@@ -308,15 +309,15 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// stage and per regroup fleet). The S3, DynamoDB-write and Lambda counts
 	// are timing-free; the SQS and DynamoDB-read counts are polls and move
 	// with the launch schedule — recorded as measured.
-	twoLevel := func(wc bool) func(*Driver, TableFiles) error {
-		return func(d *Driver, tables TableFiles) error {
+	twoLevel := func(wc bool) func(*Session, simenv.Env, TableFiles) error {
+		return func(d *Session, env simenv.Env, tables TableFiles) error {
 			scfg := DefaultStageConfig()
 			scfg.Partitions = 2
 			scfg.BroadcastRowLimit = -1
 			scfg.Exchange.Poll = 100 * time.Millisecond
 			scfg.Exchange.Variant.WriteCombining = wc
 			scfg.Exchange.Variant.Levels = 2
-			_, _, err := d.RunSQLStaged(q12ExactSQL, tables, scfg)
+			_, _, err := d.RunSQLStaged(env, q12ExactSQL, tables, scfg)
 			return err
 		}
 	}

@@ -198,33 +198,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Driver is the single-user façade over a Session: one resident session
-// plus one bound environment, serving one query at a time. All the
-// machinery lives in Session — Driver only forwards; multi-query users hold
-// the Session directly.
-type Driver struct {
-	sess *Session
-	env  simenv.Env
-}
-
-// New returns a driver using env as its local clock.
-func New(dep *Deployment, env simenv.Env, cfg Config) *Driver {
-	return &Driver{sess: NewSession(dep, cfg), env: env}
-}
-
-// Config returns the driver's configuration.
-func (d *Driver) Config() Config { return d.sess.cfg }
-
-// Deployment returns the bound deployment.
-func (d *Driver) Deployment() *Deployment { return d.sess.dep }
-
-// Session returns the resident session the driver fronts.
-func (d *Driver) Session() *Session { return d.sess }
-
-// Install registers the worker function and creates the result queue —
-// the installation step of the usage model (Figure 2), done once.
-func (d *Driver) Install() error { return d.sess.Install() }
-
 // workerPayload is the invocation parameter blob (§3.3): the worker's ID,
 // its plan fragment and its inputs — the files it scans, the broadcast
 // tables it joins against and the boundaries it trades through.

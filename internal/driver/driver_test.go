@@ -34,25 +34,25 @@ WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01'
   AND l_discount BETWEEN 0.0499999 AND 0.0700001 AND l_quantity < 24`
 
 // localSetup installs Lambada on a functional deployment with uploaded data.
-func localSetup(t *testing.T, cfg Config, sf float64, nfiles int) (*Driver, []scan.FileRef, *columnar.Chunk) {
+func localSetup(t *testing.T, cfg Config, sf float64, nfiles int) (*Session, simenv.Env, []scan.FileRef, *columnar.Chunk) {
 	t.Helper()
 	dep := NewLocal()
 	env := simenv.NewImmediate()
-	d := New(dep, env, cfg)
+	d := NewSession(dep, cfg)
 	if err := d.Install(); err != nil {
 		t.Fatal(err)
 	}
 	data := tpch.Gen{SF: sf, Seed: 33}.Generate()
-	refs, err := d.UploadTable("tpch", "lineitem", data, nfiles, lpq.WriterOptions{RowGroupRows: 2000, Compression: lpq.Gzip})
+	refs, err := d.UploadTable(env, "tpch", "lineitem", data, nfiles, lpq.WriterOptions{RowGroupRows: 2000, Compression: lpq.Gzip})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, refs, data
+	return d, env, refs, data
 }
 
 func TestEndToEndQ1Local(t *testing.T) {
-	d, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
-	out, rep, err := d.RunSQL(q1SQL, "lineitem", refs)
+	d, env, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
+	out, rep, err := d.RunSQL(env, q1SQL, "lineitem", refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestEndToEndQ1Local(t *testing.T) {
 	if rep.Stages != 1 || rep.Epoch != 0 || len(rep.StageStats) != 1 || rep.StageStats[0].Workers != 8 {
 		t.Errorf("stages = %d, epoch = %d, stage stats = %+v, want one unfenced 8-worker stage", rep.Stages, rep.Epoch, rep.StageStats)
 	}
-	assertQueryClean(t, d.sess, rep.QueryID)
+	assertQueryClean(t, d, rep.QueryID)
 	if len(rep.WorkerProcessing) != 8 {
 		t.Errorf("processing samples = %d", len(rep.WorkerProcessing))
 	}
@@ -92,8 +92,8 @@ func TestEndToEndQ1Local(t *testing.T) {
 }
 
 func TestEndToEndQ6Local(t *testing.T) {
-	d, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
-	out, _, err := d.RunSQL(q6SQL, "lineitem", refs)
+	d, env, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
+	out, _, err := d.RunSQL(env, q6SQL, "lineitem", refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +106,9 @@ func TestEndToEndQ6Local(t *testing.T) {
 func TestFilesPerWorkerControlsFleetSize(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FilesPerWorker = 4
-	d, refs, _ := localSetup(t, cfg, 0.002, 8)
+	d, env, refs, _ := localSetup(t, cfg, 0.002, 8)
 	// Q1's predicate prunes no file (Q6's year would leave two of the eight).
-	_, rep, err := d.RunSQL(q1SQL, "lineitem", refs)
+	_, rep, err := d.RunSQL(env, q1SQL, "lineitem", refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +118,11 @@ func TestFilesPerWorkerControlsFleetSize(t *testing.T) {
 }
 
 func TestWorkerErrorPropagates(t *testing.T) {
-	d, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
+	d, env, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
 	// Corrupt a data page of one input object after upload, its footer
 	// intact: the plan stands, the assigned worker fails at the page decode
 	// and reports through the result queue (§3.3: "if an error occurred ...
 	// the handler posts a corresponding message").
-	env := simenv.NewImmediate()
 	store := d.Deployment().S3
 	blob, _, err := store.Get(env, refs[1].Bucket, refs[1].Key)
 	if err != nil {
@@ -141,7 +140,7 @@ func TestWorkerErrorPropagates(t *testing.T) {
 	if err := store.Put(env, refs[1].Bucket, refs[1].Key, blob); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = d.RunSQL(q1SQL, "lineitem", refs)
+	_, _, err = d.RunSQL(env, q1SQL, "lineitem", refs)
 	if err == nil {
 		t.Fatal("expected worker failure to propagate")
 	}
@@ -154,16 +153,16 @@ func TestWorkerErrorPropagates(t *testing.T) {
 	if !errors.As(err, &sf) || sf.Retryable || sf.Worker != 1 {
 		t.Fatalf("err = %#v, want a non-retryable *StageFailure of worker 1", err)
 	}
-	assertQueryClean(t, d.sess, sf.QueryID)
+	assertQueryClean(t, d, sf.QueryID)
 
 	// A corrupt footer never gets that far: the planner opens every file, so
 	// it is the driver's open error, naming the object, and no worker runs.
 	if err := store.Put(env, refs[1].Bucket, refs[1].Key, []byte("corrupted")); err != nil {
 		t.Fatal(err)
 	}
-	d.sess.InvalidateResultCache() // the session holds the old footer
+	d.InvalidateResultCache() // the session holds the old footer
 	before, _ := d.Deployment().Lambda.Invocations()
-	_, _, err = d.RunSQL(q1SQL, "lineitem", refs)
+	_, _, err = d.RunSQL(env, q1SQL, "lineitem", refs)
 	if err == nil || errors.As(err, &sf) || !strings.Contains(err.Error(), refs[1].Key) {
 		t.Errorf("err = %v, want the driver's open error naming %s", err, refs[1].Key)
 	}
@@ -173,11 +172,11 @@ func TestWorkerErrorPropagates(t *testing.T) {
 }
 
 func TestPlanErrorCaughtBeforeInvocation(t *testing.T) {
-	d, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
+	d, env, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
 	// Unknown columns are caught at driver-side optimization time — no
 	// workers are invoked (and none billed).
 	before, _ := d.Deployment().Lambda.Invocations()
-	_, _, err := d.RunSQL("SELECT SUM(no_such_column) AS s FROM lineitem", "lineitem", refs)
+	_, _, err := d.RunSQL(env, "SELECT SUM(no_such_column) AS s FROM lineitem", "lineitem", refs)
 	if err == nil {
 		t.Fatal("bad column accepted")
 	}
@@ -188,16 +187,16 @@ func TestPlanErrorCaughtBeforeInvocation(t *testing.T) {
 }
 
 func TestEmptyFilesRejected(t *testing.T) {
-	d, _, _ := localSetup(t, DefaultConfig(), 0.001, 1)
-	if _, _, err := d.RunSQL(q6SQL, "lineitem", nil); err == nil {
+	d, env, _, _ := localSetup(t, DefaultConfig(), 0.001, 1)
+	if _, _, err := d.RunSQL(env, q6SQL, "lineitem", nil); err == nil {
 		t.Error("no-files query accepted")
 	}
 }
 
 func TestConsecutiveQueriesIsolated(t *testing.T) {
-	d, refs, data := localSetup(t, DefaultConfig(), 0.002, 4)
+	d, env, refs, data := localSetup(t, DefaultConfig(), 0.002, 4)
 	for i := 0; i < 3; i++ {
-		out, rep, err := d.RunSQL(q6SQL, "lineitem", refs)
+		out, rep, err := d.RunSQL(env, q6SQL, "lineitem", refs)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -224,18 +223,18 @@ func TestEndToEndDESDeterministic(t *testing.T) {
 		k.Go("driver", func(p *simclock.Proc) {
 			cfg := DefaultConfig()
 			cfg.PollInterval = 50 * time.Millisecond
-			d := New(dep, p, cfg)
+			d := NewSession(dep, cfg)
 			if err := d.Install(); err != nil {
 				t.Error(err)
 				return
 			}
 			data := tpch.Gen{SF: 0.002, Seed: 12}.Generate()
-			refs, err := d.UploadTable("tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
+			refs, err := d.UploadTable(p, "tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			out, rep, err := d.RunSQL(q6SQL, "lineitem", refs)
+			out, rep, err := d.RunSQL(p, q6SQL, "lineitem", refs)
 			if err != nil {
 				t.Error(err)
 				return
@@ -279,18 +278,18 @@ func TestHotRunFasterThanCold(t *testing.T) {
 	k.Go("driver", func(p *simclock.Proc) {
 		cfg := DefaultConfig()
 		cfg.PollInterval = 50 * time.Millisecond
-		d := New(dep, p, cfg)
+		d := NewSession(dep, cfg)
 		if err := d.Install(); err != nil {
 			t.Error(err)
 			return
 		}
 		data := tpch.Gen{SF: 0.002, Seed: 5}.Generate()
-		refs, err := d.UploadTable("tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
+		refs, err := d.UploadTable(p, "tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		_, rep1, err := d.RunSQL(q6SQL, "lineitem", refs)
+		_, rep1, err := d.RunSQL(p, q6SQL, "lineitem", refs)
 		if err != nil {
 			t.Error(err)
 			return
@@ -299,7 +298,7 @@ func TestHotRunFasterThanCold(t *testing.T) {
 		// Think time (usage model, Figure 2) — lets every container of the
 		// cold run return to the warm pool.
 		p.Sleep(30 * time.Second)
-		_, rep2, err := d.RunSQL(q6SQL, "lineitem", refs)
+		_, rep2, err := d.RunSQL(p, q6SQL, "lineitem", refs)
 		if err != nil {
 			t.Error(err)
 			return

@@ -48,6 +48,3 @@ func (d *Session) InstallExchange() []string {
 	}
 	return buckets
 }
-
-// InstallExchange creates the shard buckets (free, done once, §4.4.1).
-func (d *Driver) InstallExchange() []string { return d.sess.InstallExchange() }

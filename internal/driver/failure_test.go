@@ -41,18 +41,18 @@ func TestQuerySurvivesThrottling(t *testing.T) {
 	k.Go("driver", func(p *simclock.Proc) {
 		dcfg := DefaultConfig()
 		dcfg.PollInterval = 100 * time.Millisecond
-		d := New(dep, p, dcfg)
+		d := NewSession(dep, dcfg)
 		if err := d.Install(); err != nil {
 			t.Error(err)
 			return
 		}
 		data := tpch.Gen{SF: 0.002, Seed: 31}.Generate()
-		refs, err := d.UploadTable("tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
+		refs, err := d.UploadTable(p, "tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		out, rep, err := d.RunSQL(q6SQL, "lineitem", refs)
+		out, rep, err := d.RunSQL(p, q6SQL, "lineitem", refs)
 		if err != nil {
 			t.Errorf("query failed under throttling: %v", err)
 			return
@@ -90,20 +90,20 @@ func TestConcurrencyLimitRejectsInvocations(t *testing.T) {
 	k.Go("driver", func(p *simclock.Proc) {
 		dcfg := DefaultConfig()
 		dcfg.TreeInvoke = false
-		d := New(dep, p, dcfg)
+		d := NewSession(dep, dcfg)
 		if e := d.Install(); e != nil {
 			t.Error(e)
 			return
 		}
 		data := tpch.Gen{SF: 0.002, Seed: 5}.Generate()
-		refs, e := d.UploadTable("tpch", "lineitem", data, 10, lpq.WriterOptions{RowGroupRows: 2000})
+		refs, e := d.UploadTable(p, "tpch", "lineitem", data, 10, lpq.WriterOptions{RowGroupRows: 2000})
 		if e != nil {
 			t.Error(e)
 			return
 		}
 		// 10 workers (Q1's predicate prunes no file) against a limit of 3: the
 		// launch must fail loudly.
-		_, _, err = d.RunSQL(q1SQL, "lineitem", refs)
+		_, _, err = d.RunSQL(p, q1SQL, "lineitem", refs)
 	})
 	k.Run()
 	if !errors.Is(err, lambdasvc.ErrTooManyRequests) {
@@ -117,15 +117,15 @@ func TestConcurrencyLimitRejectsInvocations(t *testing.T) {
 func TestWorkerOOMReported(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WorkerMemoryMiB = 192 // budget after headroom: ~1 MiB
-	d, _, _ := localSetup(t, cfg, 0.001, 1)
+	d, env, _, _ := localSetup(t, cfg, 0.001, 1)
 	// Rebuild the table with one huge row group so a single chunk exceeds
 	// the worker's engine budget.
 	data := tpch.Gen{SF: 0.02, Seed: 3}.Generate() // ~120k rows ≈ 12 MB chunks
-	refs, err := d.UploadTable("big", "lineitem", data, 1, lpq.WriterOptions{RowGroupRows: 1 << 20})
+	refs, err := d.UploadTable(env, "big", "lineitem", data, 1, lpq.WriterOptions{RowGroupRows: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = d.RunSQL("SELECT COUNT(*) AS n FROM lineitem", "lineitem", refs)
+	_, _, err = d.RunSQL(env, "SELECT COUNT(*) AS n FROM lineitem", "lineitem", refs)
 	if err == nil {
 		t.Fatal("expected OOM failure")
 	}
@@ -141,13 +141,13 @@ func TestWorkerOOMReported(t *testing.T) {
 // full-size worker — the OOM above is a function of worker memory, not a
 // data defect.
 func TestBigWorkerHandlesSameInput(t *testing.T) {
-	d, _, _ := localSetup(t, DefaultConfig(), 0.001, 1)
+	d, env, _, _ := localSetup(t, DefaultConfig(), 0.001, 1)
 	data := tpch.Gen{SF: 0.02, Seed: 3}.Generate()
-	refs, err := d.UploadTable("big", "lineitem", data, 1, lpq.WriterOptions{RowGroupRows: 1 << 20})
+	refs, err := d.UploadTable(env, "big", "lineitem", data, 1, lpq.WriterOptions{RowGroupRows: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := d.RunSQL("SELECT COUNT(*) AS n FROM lineitem", "lineitem", refs)
+	out, _, err := d.RunSQL(env, "SELECT COUNT(*) AS n FROM lineitem", "lineitem", refs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,9 +270,9 @@ GROUP BY l_returnflag ORDER BY l_returnflag`
 // a plan over a table that is not registered does not plan, and is refused
 // before it has billed a read.
 func TestPlanningReadsOnlyScannedTables(t *testing.T) {
-	d, tables, li, _ := stagedSetup(t, 0.002, 4, 2)
+	d, env, tables, li, _ := stagedSetup(t, 0.002, 4, 2)
 	tables["orders"] = []scan.FileRef{{Bucket: "tpch", Key: "orders/gone.lpq"}}
-	out, _, err := d.RunSQLStaged(launchMatrixSQL, tables, DefaultStageConfig())
+	out, _, err := d.RunSQLStaged(env, launchMatrixSQL, tables, DefaultStageConfig())
 	if err != nil {
 		t.Fatalf("query over lineitem with a file of orders missing: %v", err)
 	}
@@ -280,12 +280,12 @@ func TestPlanningReadsOnlyScannedTables(t *testing.T) {
 		"lineitem": engine.NewMemSource(tpch.Schema(), li),
 	}))
 
-	before := d.sess.dep.Meter.Count(pricing.LabelS3Read)
-	_, _, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": tables["lineitem"]}, DefaultStageConfig())
+	before := d.dep.Meter.Count(pricing.LabelS3Read)
+	_, _, err = d.RunSQLStaged(env, q12ExactSQL, TableFiles{"lineitem": tables["lineitem"]}, DefaultStageConfig())
 	if !errors.Is(err, ErrInvalidPlan) {
 		t.Errorf("q12 without orders registered: %v, want ErrInvalidPlan", err)
 	}
-	if n := d.sess.dep.Meter.Count(pricing.LabelS3Read) - before; n != 0 {
+	if n := d.dep.Meter.Count(pricing.LabelS3Read) - before; n != 0 {
 		t.Errorf("the refused plan billed %d S3 reads", n)
 	}
 }

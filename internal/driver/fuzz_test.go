@@ -61,7 +61,7 @@ func payloadSeeds(t testing.TB) [][]byte {
 	if _, _, err := sess.RunSQLStaged(env, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sess.RunSQLBroadcast(env, q12ExactSQL, "lineitem", liRefs, map[string]*columnar.Chunk{"orders": orders}); err != nil {
+	if _, _, err := sess.runSQL(env, q12ExactSQL, TableFiles{"lineitem": liRefs}, map[string]*columnar.Chunk{"orders": orders}, DefaultStageConfig()); err != nil {
 		t.Fatal(err)
 	}
 	return seeds

@@ -31,20 +31,20 @@ func TestEntrancesPlanAlike(t *testing.T) {
 		k.Go("driver", func(p *simclock.Proc) {
 			cfg := DefaultConfig()
 			cfg.PollInterval = 50 * time.Millisecond
-			d := New(dep, p, cfg)
+			d := NewSession(dep, cfg)
 			if err := d.Install(); err != nil {
 				t.Error(err)
 				return
 			}
-			refs, err := d.UploadTable("tpch", "lineitem", tpch.Gen{SF: 0.02, Seed: 5}.Generate(), 4, lpq.WriterOptions{RowGroupRows: 8192})
+			refs, err := d.UploadTable(p, "tpch", "lineitem", tpch.Gen{SF: 0.02, Seed: 5}.Generate(), 4, lpq.WriterOptions{RowGroupRows: 8192})
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			if staged {
-				out, rep, err = d.RunSQLStaged(sql, TableFiles{"lineitem": refs}, DefaultStageConfig())
+				out, rep, err = d.RunSQLStaged(p, sql, TableFiles{"lineitem": refs}, DefaultStageConfig())
 			} else {
-				out, rep, err = d.RunSQL(sql, "lineitem", refs)
+				out, rep, err = d.RunSQL(p, sql, "lineitem", refs)
 			}
 			if err != nil {
 				t.Error(err)
@@ -117,17 +117,17 @@ func TestSchedulerRunsAtBenchShapes(t *testing.T) {
 		k.Go("driver", func(p *simclock.Proc) {
 			cfg := DefaultConfig()
 			cfg.PollInterval = 50 * time.Millisecond
-			d := New(dep, p, cfg)
+			d := NewSession(dep, cfg)
 			if err := d.Install(); err != nil {
 				t.Error(err)
 				return
 			}
-			liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			ordRefs, err := d.UploadTable("tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+			ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				t.Error(err)
 				return
@@ -136,7 +136,7 @@ func TestSchedulerRunsAtBenchShapes(t *testing.T) {
 			scfg.Partitions = tc.parts
 			scfg.BroadcastRowLimit = -1
 			scfg.Exchange.Poll = 100 * time.Millisecond
-			if _, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg); err != nil {
+			if _, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg); err != nil {
 				t.Error(err)
 			}
 		})
@@ -160,7 +160,7 @@ func TestSchedulerRunsAtBenchShapes(t *testing.T) {
 // wrong vector. The planner holds every footer: it refuses the query, typed,
 // naming table and object, before any worker is invoked.
 func TestSchemaMismatchFailsAtPlanTime(t *testing.T) {
-	d, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
+	d, env, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
 	// File 5 again, with l_quantity as BIGINT.
 	schema := &columnar.Schema{Fields: append([]columnar.Field(nil), data.Schema.Fields...)}
 	qi := schema.Index("l_quantity")
@@ -187,9 +187,9 @@ func TestSchemaMismatchFailsAtPlanTime(t *testing.T) {
 	meter := d.Deployment().Meter
 	before := meter.Count(pricing.LabelLambdaRequests)
 	for name, query := range map[string]func() error{
-		"RunSQL": func() error { _, _, err := d.RunSQL(q1SQL, "lineitem", refs); return err },
+		"RunSQL": func() error { _, _, err := d.RunSQL(env, q1SQL, "lineitem", refs); return err },
 		"RunSQLStaged": func() error {
-			_, _, err := d.RunSQLStaged(q1SQL, TableFiles{"lineitem": refs}, DefaultStageConfig())
+			_, _, err := d.RunSQLStaged(env, q1SQL, TableFiles{"lineitem": refs}, DefaultStageConfig())
 			return err
 		},
 	} {
@@ -201,11 +201,11 @@ func TestSchemaMismatchFailsAtPlanTime(t *testing.T) {
 	if n := meter.Count(pricing.LabelLambdaRequests) - before; n != 0 {
 		t.Errorf("%d workers invoked for a query that does not plan", n)
 	}
-	assertQueryClean(t, d.sess, "q1")
-	assertQueryClean(t, d.sess, "q2")
+	assertQueryClean(t, d, "q1")
+	assertQueryClean(t, d, "q2")
 
 	// The files that agree still plan.
-	if _, _, err := d.RunSQL(q1SQL, "lineitem", append([]scan.FileRef(nil), refs[:5]...)); err != nil {
+	if _, _, err := d.RunSQL(env, q1SQL, "lineitem", append([]scan.FileRef(nil), refs[:5]...)); err != nil {
 		t.Errorf("the first five files alone: %v", err)
 	}
 }

@@ -62,10 +62,10 @@ func TestChaosUploadTableRetries(t *testing.T) {
 		k.Go("driver", func(p *simclock.Proc) {
 			cfg := DefaultConfig()
 			cfg.RetryBudget = budget
-			d := New(dep, p, cfg)
+			d := NewSession(dep, cfg)
 			tr.Bind(p, tr.StartSpan(obs.KindQuery, "setup", 0, p.Now()))
 			li := tpch.Gen{SF: 0.001, Seed: 11}.Generate()
-			_, err = d.UploadTable("tpch", "lineitem", li, 2, lpq.WriterOptions{})
+			_, err = d.UploadTable(p, "tpch", "lineitem", li, 2, lpq.WriterOptions{})
 		})
 		k.Run()
 		if k.Deadlocked() {

@@ -12,22 +12,12 @@ import (
 	"lambada/internal/stageplan"
 )
 
-// StageProfile is the EXPLAIN ANALYZE record of one stage: wall-clock
-// virtual extent, fleet size, and the stage subtree's exact billed cost
-// plus data volumes parsed off its worker-invocation spans.
+// StageProfile is the EXPLAIN ANALYZE record of one stage: its StageStat
+// (wall-clock virtual extent, fleet size, boundary variant), and the stage
+// subtree's exact billed cost plus data volumes parsed off its
+// worker-invocation spans.
 type StageProfile struct {
-	StageID int
-	Workers int
-	// Launched and Sealed are offsets from query start (from StageStat).
-	Launched   time.Duration
-	Sealed     time.Duration
-	Speculated int
-	// Variant is the stage's resolved output-boundary exchange algorithm
-	// ("1l-wc", "2l", ...); empty for the result stage. Regroup marks the
-	// regroup stage of a multi-level boundary — StageID is then the
-	// producing stage whose boundary it regroups.
-	Variant string
-	Regroup bool
+	StageStat
 	// Attempts counts the worker invocations traced under the stage
 	// (original fleet + failure re-invocations + speculation backups).
 	Attempts int
@@ -72,15 +62,7 @@ func (rep *Report) Profile() *Profile {
 	}
 	p.USD = pricing.Price(p.Cost)
 	for _, ss := range rep.StageStats {
-		sp := StageProfile{
-			StageID:    ss.StageID,
-			Workers:    ss.Workers,
-			Launched:   ss.Launched,
-			Sealed:     ss.Sealed,
-			Speculated: ss.Speculated,
-			Variant:    ss.Variant,
-			Regroup:    ss.Regroup,
-		}
+		sp := StageProfile{StageStat: ss}
 		if ss.Span != 0 {
 			tree.Walk(ss.Span, func(s *obs.Span) {
 				sp.Cost.Add(s.Cost)

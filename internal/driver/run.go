@@ -8,10 +8,8 @@ import (
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
-	"lambada/internal/engine"
 	"lambada/internal/lpq"
 	"lambada/internal/obs"
-	"lambada/internal/scan"
 	"lambada/internal/stageplan"
 )
 
@@ -170,29 +168,4 @@ func decodeChunk(blob []byte, budget int64) (*columnar.Chunk, error) {
 		return nil, fmt.Errorf("%w: a table of %d rows exceeds engine budget %d MiB", ErrWorkerOOM, rows, budget>>20)
 	}
 	return r.ReadAll()
-}
-
-// RunSQL parses and runs a SQL query against the lpq files of one table.
-func (d *Driver) RunSQL(sql string, table string, files []scan.FileRef) (*columnar.Chunk, *Report, error) {
-	return d.sess.RunSQL(d.env, sql, table, files)
-}
-
-// RunSQLBroadcast runs a SQL query whose INNER JOINs reference small
-// driver-resident tables: every table but `table` must appear in broadcast,
-// and is shipped inside the worker payloads (§3.2's "reading small amounts of
-// data locally that should be broadcasted into the serverless workers").
-func (d *Driver) RunSQLBroadcast(sql string, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
-	return d.sess.RunSQLBroadcast(d.env, sql, table, files, broadcast)
-}
-
-// RunPlan plans and executes a logical plan on the serverless fleet: the
-// scan/filter/partial-aggregate scope runs in the workers, and where the
-// footers bound the groups the final merge scope runs on the driver (§3.2).
-func (d *Driver) RunPlan(plan engine.Plan, table string, files []scan.FileRef) (*columnar.Chunk, *Report, error) {
-	return d.sess.RunPlan(d.env, plan, table, files)
-}
-
-// RunPlanBroadcast is RunPlan with driver-resident tables, as RunSQLBroadcast.
-func (d *Driver) RunPlanBroadcast(plan engine.Plan, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
-	return d.sess.RunPlanBroadcast(d.env, plan, table, files, broadcast)
 }

@@ -32,7 +32,9 @@ import (
 // mutex-protected and queries never share mutable state beyond the
 // deployment's services, which are concurrency-safe by design.
 //
-// Driver is a thin façade over a Session bound to a single environment.
+// It is the driver of the usage model (Figure 2): NewSession, Install once,
+// then Run — or RunSQL / RunSQLStaged on query text — with the caller's
+// environment on every call.
 type Session struct {
 	dep *Deployment
 	cfg Config
@@ -393,37 +395,17 @@ func (d *Session) InvalidateResultCache() {
 func (d *Session) CacheStats() (hits, misses uint64) { return d.cache.stats() }
 
 // ---- session-level query API ----
-// Every entrance is Run with its arguments put in Run's terms; N callers may
-// run concurrently, each on its own environment.
+// Run is the entrance; RunSQL and RunSQLStaged parse query text for it. N
+// callers may run concurrently, each on its own environment.
 
 // RunSQL parses and runs a SQL query over one table.
 func (d *Session) RunSQL(env simenv.Env, sql, table string, files []scan.FileRef) (*columnar.Chunk, *Report, error) {
 	return d.runSQL(env, sql, TableFiles{table: files}, nil, DefaultStageConfig())
 }
 
-// RunSQLBroadcast is RunSQL with extra driver-resident tables.
-func (d *Session) RunSQLBroadcast(env simenv.Env, sql, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
-	return d.runSQL(env, sql, TableFiles{table: files}, broadcast, DefaultStageConfig())
-}
-
 // RunSQLStaged is RunSQL over any number of tables, the planner's knobs exposed.
 func (d *Session) RunSQLStaged(env simenv.Env, sql string, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	return d.runSQL(env, sql, tables, nil, cfg)
-}
-
-// RunPlan runs an engine plan over one table.
-func (d *Session) RunPlan(env simenv.Env, plan engine.Plan, table string, files []scan.FileRef) (*columnar.Chunk, *Report, error) {
-	return d.Run(env, plan, TableFiles{table: files}, nil, DefaultStageConfig())
-}
-
-// RunPlanBroadcast is RunPlan with extra driver-resident tables.
-func (d *Session) RunPlanBroadcast(env simenv.Env, plan engine.Plan, table string, files []scan.FileRef, broadcast map[string]*columnar.Chunk) (*columnar.Chunk, *Report, error) {
-	return d.Run(env, plan, TableFiles{table: files}, broadcast, DefaultStageConfig())
-}
-
-// RunPlanStaged is RunPlan over any number of tables, the planner's knobs exposed.
-func (d *Session) RunPlanStaged(env simenv.Env, plan engine.Plan, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
-	return d.Run(env, plan, tables, nil, cfg)
 }
 
 // runSQL is Run on the parsed text.

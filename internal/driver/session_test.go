@@ -141,7 +141,7 @@ func runSessionConcurrentQ12(t *testing.T, sess *Session, k *simclock.Kernel, de
 func TestSessionConcurrentStagedByteIdentical(t *testing.T) {
 	const K, maxInFlight = 4, 12
 	// Sequential one-shot baseline on a fresh classic driver.
-	d, tables, li, orders := stagedSetup(t, 0.002, 4, 2)
+	d, env, tables, li, orders := stagedSetup(t, 0.002, 4, 2)
 	want := singleNode(t, q12ExactSQL, engine.Catalog{
 		"lineitem": engine.NewMemSource(tpch.Schema(), li),
 		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
@@ -152,7 +152,7 @@ func TestSessionConcurrentStagedByteIdentical(t *testing.T) {
 		scfg.Partitions = 2
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Variant.Levels = levels
-		out, _, err := d.RunSQLStaged(q12ExactSQL, tables, scfg)
+		out, _, err := d.RunSQLStaged(env, q12ExactSQL, tables, scfg)
 		if err != nil {
 			t.Fatalf("one-shot baseline (levels=%d): %v", levels, err)
 		}
@@ -315,19 +315,19 @@ func TestSessionEpochFenceAcrossSessions(t *testing.T) {
 // accumulate queues, and a zombie posting after teardown gets
 // ErrNoSuchQueue rather than poisoning a later query.
 func TestPerQueryQueueTeardown(t *testing.T) {
-	d, tables, _, _ := stagedSetup(t, 0.002, 4, 2)
+	d, env, tables, _, _ := stagedSetup(t, 0.002, 4, 2)
 	cfg := DefaultStageConfig()
 	cfg.Partitions = 2
 	cfg.BroadcastRowLimit = -1
-	if _, _, err := d.RunSQLStaged(q12ExactSQL, tables, cfg); err != nil {
+	if _, _, err := d.RunSQLStaged(env, q12ExactSQL, tables, cfg); err != nil {
 		t.Fatal(err)
 	}
-	q1 := queryQueueName(d.sess.cfg.ResultQueue, "q1")
-	if err := d.sess.dep.SQS.Send(d.env, q1, []byte("{}")); !errors.Is(err, sqs.ErrNoSuchQueue) {
+	q1 := queryQueueName(d.cfg.ResultQueue, "q1")
+	if err := d.dep.SQS.Send(env, q1, []byte("{}")); !errors.Is(err, sqs.ErrNoSuchQueue) {
 		t.Errorf("zombie post to %s after teardown: err = %v, want ErrNoSuchQueue", q1, err)
 	}
 	// The base queue survives — it seeds the next query's derived name.
-	if err := d.sess.dep.SQS.Send(d.env, d.sess.cfg.ResultQueue, []byte("{}")); err != nil {
+	if err := d.dep.SQS.Send(env, d.cfg.ResultQueue, []byte("{}")); err != nil {
 		t.Errorf("base queue gone after query teardown: %v", err)
 	}
 }
@@ -411,7 +411,7 @@ func TestSessionResultCache(t *testing.T) {
 		t.Errorf("repeated RunSQL: hit = %v, err = %v, want a cache hit", rep != nil && rep.CacheHit, err)
 	}
 	for i := 0; i < 2; i++ {
-		out, rep, err := sess.RunSQLBroadcast(env, q12ExactSQL, "lineitem", liRefs, map[string]*columnar.Chunk{"orders": orders})
+		out, rep, err := sess.runSQL(env, q12ExactSQL, TableFiles{"lineitem": liRefs}, map[string]*columnar.Chunk{"orders": orders}, DefaultStageConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,18 +50,18 @@ func runWithStraggler(t *testing.T, stall time.Duration, spec SpeculateConfig) (
 			}
 			return 0
 		}
-		d := New(dep, p, cfg)
+		d := NewSession(dep, cfg)
 		if err := d.Install(); err != nil {
 			t.Error(err)
 			return
 		}
 		data := tpch.Gen{SF: 0.002, Seed: 41}.Generate()
-		refs, err := d.UploadTable("tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
+		refs, err := d.UploadTable(p, "tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		out, rep, err := d.RunSQL(q6AllYearsSQL, "lineitem", refs)
+		out, rep, err := d.RunSQL(p, q6AllYearsSQL, "lineitem", refs)
 		if err != nil {
 			t.Error(err)
 			return

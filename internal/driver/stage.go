@@ -219,12 +219,6 @@ func (e *StageFailure) Error() string {
 // no worker was invoked.
 var ErrInvalidPlan = errors.New("driver: query does not plan")
 
-// RunSQLStaged is RunSQL over any number of S3-backed tables, with the
-// planner's knobs exposed.
-func (d *Driver) RunSQLStaged(sql string, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
-	return d.sess.RunSQLStaged(d.env, sql, tables, cfg)
-}
-
 // launchUnit is one driver-side Invoke of a stage launch: a worker's
 // attempt-0 payload, with its second-generation children folded in when the
 // fleet goes through the invocation tree (§4.2). tokens is the number of
@@ -307,11 +301,6 @@ func (d *query) reinvoke(r *stageRun, worker int) error {
 	}
 	d.adm.AcquireOverflow()
 	return d.invoke(launchUnit{worker: worker, body: body, tokens: 1}, r.span)
-}
-
-// RunPlanStaged is RunSQLStaged for an engine plan.
-func (d *Driver) RunPlanStaged(plan engine.Plan, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
-	return d.sess.RunPlanStaged(d.env, plan, tables, cfg)
 }
 
 // plan is the planner, the one way from a logical plan to runStages: footer

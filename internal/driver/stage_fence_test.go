@@ -65,7 +65,7 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 			}
 			return 0
 		}
-		d1 := New(dep, p, cfg1)
+		d1 := NewSession(dep, cfg1)
 		if err := d1.Install(); err != nil {
 			t.Error(err)
 			return
@@ -73,12 +73,12 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 		g := tpch.Gen{SF: 0.002, Seed: 41}
 		li := g.Generate()
 		orders := g.OrdersFor(li)
-		liRefs, err := d1.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+		liRefs, err := d1.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ordRefs, err := d1.UploadTable("tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+		ordRefs, err := d1.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
@@ -96,14 +96,14 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 		scfg.Exchange.Variant.Levels = levels
 
 		d1Start := p.Now()
-		if _, _, err := d1.RunSQLStaged(q12PoisonSQL, tables, scfg); err == nil {
+		if _, _, err := d1.RunSQLStaged(p, q12PoisonSQL, tables, scfg); err == nil {
 			t.Error("aborted run unexpectedly succeeded (test premise broken)")
 			return
 		}
 
 		// The retry: fresh driver, query numbering restarts at q1. The
 		// zombie of the aborted run is still asleep.
-		d2 := New(dep, p, base)
+		d2 := NewSession(dep, base)
 		if err := d2.Install(); err != nil {
 			t.Error(err)
 			return
@@ -125,12 +125,12 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 			}
 			return 0
 		}
-		d2 = New(dep, p, cfg2)
+		d2 = NewSession(dep, cfg2)
 		if err := d2.Install(); err != nil {
 			t.Error(err)
 			return
 		}
-		out, rep, err = d2.RunSQLStaged(q12ExactSQL, tables, scfg)
+		out, rep, err = d2.RunSQLStaged(p, q12ExactSQL, tables, scfg)
 		if err != nil {
 			t.Errorf("wc=%v: retry poisoned: %v", wc, err)
 			return
@@ -237,19 +237,19 @@ func TestStagedSealFromUnknownWorkerDiscarded(t *testing.T) {
 				}
 				return 0
 			}
-			d := New(dep, p, cfg)
+			d := NewSession(dep, cfg)
 			if err := d.Install(); err != nil {
 				t.Error(err)
 				return
 			}
 			g := tpch.Gen{SF: 0.002, Seed: 41}
 			li := g.Generate()
-			liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			ordRefs, err := d.UploadTable("tpch", "orders", g.OrdersFor(li), 2, lpq.WriterOptions{RowGroupRows: 2000})
+			ordRefs, err := d.UploadTable(p, "tpch", "orders", g.OrdersFor(li), 2, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				t.Error(err)
 				return
@@ -270,7 +270,7 @@ func TestStagedSealFromUnknownWorkerDiscarded(t *testing.T) {
 					}
 				}
 			})
-			out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+			out, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 			if err != nil {
 				t.Error(err)
 			}
@@ -328,7 +328,7 @@ func TestStagedAllStragglersRecovered(t *testing.T) {
 			}
 			return 0
 		}
-		d := New(dep, p, cfg)
+		d := NewSession(dep, cfg)
 		if err := d.Install(); err != nil {
 			t.Error(err)
 			return
@@ -336,12 +336,12 @@ func TestStagedAllStragglersRecovered(t *testing.T) {
 		g := tpch.Gen{SF: 0.002, Seed: 23}
 		li = g.Generate()
 		orders = g.OrdersFor(li)
-		liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ordRefs, err := d.UploadTable("tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
@@ -353,7 +353,7 @@ func TestStagedAllStragglersRecovered(t *testing.T) {
 		scfg.Exchange.Variant.WriteCombining = false
 		scfg.Exchange.Variant.Levels = 1
 		scfg.MaxStageWait = 20 * time.Second
-		out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+		out, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		if err != nil {
 			t.Errorf("all-stragglers query failed: %v", err)
 		}
@@ -446,17 +446,17 @@ func TestStageFragmentSingleSealDeadline(t *testing.T) {
 			}
 			return 0
 		}
-		d := New(dep, p, cfg)
+		d := NewSession(dep, cfg)
 		if err := d.Install(); err != nil {
 			t.Error(err)
 			return
 		}
-		liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ordRefs, err := d.UploadTable("tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
@@ -469,7 +469,7 @@ func TestStageFragmentSingleSealDeadline(t *testing.T) {
 		scfg.Exchange.Variant.WriteCombining = false
 		scfg.Exchange.Variant.Levels = 1
 		start := p.Now()
-		_, _, runErr = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+		_, _, runErr = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		elapsed = p.Now() - start
 	})
 	k.Run()
@@ -505,8 +505,8 @@ func TestAcquireEpochIncrementsDurably(t *testing.T) {
 	env := simenv.NewImmediate()
 	table := stagesTableName("fn")
 	dep.Dynamo.CreateTable(table)
-	d1 := New(dep, env, DefaultConfig())
-	q1 := d1.Session().newQuery(env)
+	d1 := NewSession(dep, DefaultConfig())
+	q1 := d1.newQuery(env)
 	defer q1.close()
 	for want := 1; want <= 3; want++ {
 		got, err := q1.acquireEpoch(table, "q1")
@@ -518,8 +518,8 @@ func TestAcquireEpochIncrementsDurably(t *testing.T) {
 		}
 	}
 	// A fresh driver continues the counter — the whole point of the fence.
-	d2 := New(dep, simenv.NewImmediate(), DefaultConfig())
-	q2 := d2.Session().newQuery(d2.env)
+	d2 := NewSession(dep, DefaultConfig())
+	q2 := d2.newQuery(simenv.NewImmediate())
 	defer q2.close()
 	if got, err := q2.acquireEpoch(table, "q1"); err != nil || got != 4 {
 		t.Fatalf("fresh driver epoch = %d (%v), want 4", got, err)
@@ -595,7 +595,7 @@ func TestStagedSubQuorumStallRecovered(t *testing.T) {
 			}
 			return 0
 		}
-		d := New(dep, p, cfg)
+		d := NewSession(dep, cfg)
 		if err := d.Install(); err != nil {
 			t.Error(err)
 			return
@@ -603,12 +603,12 @@ func TestStagedSubQuorumStallRecovered(t *testing.T) {
 		g := tpch.Gen{SF: 0.002, Seed: 67}
 		li = g.Generate()
 		orders = g.OrdersFor(li)
-		liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ordRefs, err := d.UploadTable("tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
@@ -620,7 +620,7 @@ func TestStagedSubQuorumStallRecovered(t *testing.T) {
 		scfg.Exchange.Variant.WriteCombining = false
 		scfg.Exchange.Variant.Levels = 1
 		scfg.MaxStageWait = 20 * time.Second
-		out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+		out, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		if err != nil {
 			t.Errorf("sub-quorum stall query failed: %v", err)
 		}

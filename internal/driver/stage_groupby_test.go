@@ -26,7 +26,7 @@ ORDER BY l_partkey`
 // write-combining settings of the exchange.
 func TestStagedGroupByShuffleMatchesSingleNode(t *testing.T) {
 	for _, wc := range []bool{false, true} {
-		d, refs, data := localSetup(t, DefaultConfig(), 0.002, 9)
+		d, env, refs, data := localSetup(t, DefaultConfig(), 0.002, 9)
 		plan, err := sqlfe.Parse(groupByPartkeySQL)
 		if err != nil {
 			t.Fatal(err)
@@ -46,7 +46,7 @@ func TestStagedGroupByShuffleMatchesSingleNode(t *testing.T) {
 		scfg.Partitions = 3
 		scfg.Exchange.Variant.WriteCombining = wc
 		scfg.Exchange.Variant.Levels = 1
-		got, rep, err := d.RunPlanStaged(plan, TableFiles{"lineitem": refs}, scfg)
+		got, rep, err := d.Run(env, plan, TableFiles{"lineitem": refs}, nil, scfg)
 		if err != nil {
 			t.Fatalf("wc=%v: %v", wc, err)
 		}
@@ -77,7 +77,7 @@ func TestStagedGroupByShuffleMatchesSingleNode(t *testing.T) {
 		if rep.Cost.S3Put <= 0 {
 			t.Errorf("wc=%v: no exchange writes recorded", wc)
 		}
-		assertQueryClean(t, d.sess, rep.QueryID)
+		assertQueryClean(t, d, rep.QueryID)
 	}
 }
 
@@ -93,13 +93,13 @@ func TestStagedGroupByShuffleDES(t *testing.T) {
 		k.Go("driver", func(p *simclock.Proc) {
 			cfg := DefaultConfig()
 			cfg.PollInterval = 50 * time.Millisecond
-			d := New(dep, p, cfg)
+			d := NewSession(dep, cfg)
 			if err := d.Install(); err != nil {
 				t.Error(err)
 				return
 			}
 			data := tpch.Gen{SF: 0.002, Seed: 23}.Generate()
-			refs, err := d.UploadTable("tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
+			refs, err := d.UploadTable(p, "tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				t.Error(err)
 				return
@@ -115,7 +115,7 @@ func TestStagedGroupByShuffleDES(t *testing.T) {
 			scfg.Exchange.Variant.WriteCombining = wc
 			scfg.Exchange.Variant.Levels = 1
 			scfg.Exchange.Poll = 100 * time.Millisecond
-			out, rep, err := d.RunPlanStaged(plan, TableFiles{"lineitem": refs}, scfg)
+			out, rep, err := d.Run(p, plan, TableFiles{"lineitem": refs}, nil, scfg)
 			if err != nil {
 				t.Error(err)
 				return

@@ -25,8 +25,8 @@ import (
 // A payload with neither is refused, not dereferenced. The regroup task is
 // built from the planner's regroup stage.
 func TestPayloadShapes(t *testing.T) {
-	d, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
-	q := d.sess.newQuery(d.env)
+	d, env, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
+	q := d.newQuery(env)
 	defer q.close()
 	single := &stageplan.Stage{ID: 1, Plan: singleNodePlan(t, q6SQL), Table: "lineitem", Workers: 2}
 
@@ -89,8 +89,8 @@ func TestPayloadShapes(t *testing.T) {
 		t.Errorf("regroup payload = %s, want the producer's boundary as its one input and its output", body)
 	}
 
-	ctx := &lambdasvc.Ctx{Env: d.env, MemoryMiB: d.sess.cfg.WorkerMemoryMiB}
-	if _, err := d.sess.executeFragment(ctx, d.sess.retryPolicy(1), &workerPayload{QueryID: "q1"}); err == nil {
+	ctx := &lambdasvc.Ctx{Env: env, MemoryMiB: d.cfg.WorkerMemoryMiB}
+	if _, err := d.executeFragment(ctx, d.retryPolicy(1), &workerPayload{QueryID: "q1"}); err == nil {
 		t.Error("a payload with neither plan nor boundary was executed")
 	}
 }
@@ -102,14 +102,14 @@ func TestPayloadShapes(t *testing.T) {
 // with the report attributing a regroup fleet to every boundary.
 func TestStagedMultiLevelByteIdentity(t *testing.T) {
 	for _, wc := range []bool{false, true} {
-		d, tables, li, orders := stagedSetup(t, 0.002, 6, 4)
+		d, env, tables, li, orders := stagedSetup(t, 0.002, 6, 4)
 		cfg := DefaultStageConfig()
 		cfg.Partitions = 5
 		cfg.BroadcastRowLimit = -1
 		cfg.Exchange.Variant.WriteCombining = wc
 		cfg.Exchange.Variant.Levels = 2
 
-		got, rep, err := d.RunSQLStaged(q12ByPartSQL, tables, cfg)
+		got, rep, err := d.RunSQLStaged(env, q12ByPartSQL, tables, cfg)
 		if err != nil {
 			t.Fatalf("wc=%v: %v", wc, err)
 		}
@@ -180,7 +180,7 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 	k.Go("driver", func(p *simclock.Proc) {
 		cfg := DefaultConfig()
 		cfg.PollInterval = 50 * time.Millisecond
-		d := New(dep, p, cfg)
+		d := NewSession(dep, cfg)
 		if err := d.Install(); err != nil {
 			t.Error(err)
 			return
@@ -188,12 +188,12 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 		g := tpch.Gen{SF: 0.002, Seed: 33}
 		li = g.Generate()
 		orders = g.OrdersFor(li)
-		liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ordRefs, err := d.UploadTable("tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
@@ -214,7 +214,7 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 			}
 			before = append(before, st)
 		}
-		out, rep, err = d.RunSQLStaged(q12ByPartSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+		out, rep, err = d.RunSQLStaged(p, q12ByPartSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		if err != nil {
 			t.Errorf("scale run failed: %v", err)
 		}

@@ -37,7 +37,7 @@ func runStagedWithStraggler(t *testing.T, wc bool, levels int, stall time.Durati
 			}
 			return 0
 		}
-		d := New(dep, p, cfg)
+		d := NewSession(dep, cfg)
 		if err := d.Install(); err != nil {
 			t.Error(err)
 			return
@@ -45,12 +45,12 @@ func runStagedWithStraggler(t *testing.T, wc bool, levels int, stall time.Durati
 		g := tpch.Gen{SF: 0.002, Seed: 17}
 		li := g.Generate()
 		orders := g.OrdersFor(li)
-		liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ordRefs, err := d.UploadTable("tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
@@ -62,14 +62,14 @@ func runStagedWithStraggler(t *testing.T, wc bool, levels int, stall time.Durati
 		scfg.Exchange.Poll = 100 * time.Millisecond
 		scfg.Exchange.Variant.WriteCombining = wc
 		scfg.Exchange.Variant.Levels = levels
-		first, rep, err = d.RunSQLStaged(q12ExactSQL, tables, scfg)
+		first, rep, err = d.RunSQLStaged(p, q12ExactSQL, tables, scfg)
 		if err != nil {
 			t.Errorf("wc=%v: straggler query failed: %v", wc, err)
 			return
 		}
 		// Run the same query again while the stalled loser attempt is still
 		// in flight; its leftovers must not poison this one.
-		second, _, err = d.RunSQLStaged(q12ExactSQL, tables, scfg)
+		second, _, err = d.RunSQLStaged(p, q12ExactSQL, tables, scfg)
 		if err != nil {
 			t.Errorf("wc=%v: follow-up query failed: %v", wc, err)
 		}
@@ -148,18 +148,18 @@ func TestStagedStaleArtifactsDoNotPoisonRetry(t *testing.T) {
 	dep := NewLocal()
 	env := simenv.NewImmediate()
 	cfg := DefaultConfig()
-	d1 := New(dep, env, cfg)
+	d1 := NewSession(dep, cfg)
 	if err := d1.Install(); err != nil {
 		t.Fatal(err)
 	}
 	g := tpch.Gen{SF: 0.002, Seed: 29}
 	li := g.Generate()
 	orders := g.OrdersFor(li)
-	liRefs, err := d1.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+	liRefs, err := d1.UploadTable(env, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordRefs, err := d1.UploadTable("tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+	ordRefs, err := d1.UploadTable(env, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +210,12 @@ func TestStagedStaleArtifactsDoNotPoisonRetry(t *testing.T) {
 	}
 
 	// The retry: a fresh driver, same deployment, same query numbering.
-	d2 := New(dep, simenv.NewImmediate(), cfg)
+	env2 := simenv.NewImmediate()
+	d2 := NewSession(dep, cfg)
 	if err := d2.Install(); err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := d2.RunSQLStaged(q12ExactSQL, tables, scfg)
+	got, rep, err := d2.RunSQLStaged(env2, q12ExactSQL, tables, scfg)
 	if err != nil {
 		t.Fatalf("retry poisoned by stale artifacts: %v", err)
 	}
@@ -233,22 +234,22 @@ func TestStagedStaleArtifactsDoNotPoisonRetry(t *testing.T) {
 // shard bucket (all workers sealed before the driver swept, so nothing is
 // republished afterwards).
 func TestStagedSweepClearsBoundaries(t *testing.T) {
-	d, tables, _, _ := stagedSetup(t, 0.002, 4, 2)
+	d, env, tables, _, _ := stagedSetup(t, 0.002, 4, 2)
 	cfg := DefaultStageConfig()
 	cfg.Partitions = 2
 	cfg.BroadcastRowLimit = -1
 	// A concurrent query whose ID merely starts with this one's (q10 next to
 	// q1) owns a different namespace: q1's sweeps must leave it alone.
 	buckets := d.InstallExchange()
-	client := s3.NewClient(d.sess.dep.S3, d.env)
-	sibling := d.sess.cfg.FunctionName + "/q10/e1/live-boundary-object"
+	client := s3.NewClient(d.dep.S3, env)
+	sibling := d.cfg.FunctionName + "/q10/e1/live-boundary-object"
 	if err := client.Put(buckets[0], sibling, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.RunSQLStaged(q12ExactSQL, tables, cfg); err != nil {
+	if _, _, err := d.RunSQLStaged(env, q12ExactSQL, tables, cfg); err != nil {
 		t.Fatal(err)
 	}
-	prefix := d.sess.cfg.FunctionName + "/q1/"
+	prefix := d.cfg.FunctionName + "/q1/"
 	for _, b := range buckets {
 		entries, err := client.List(b, prefix)
 		if err != nil {

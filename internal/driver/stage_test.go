@@ -53,26 +53,26 @@ ORDER BY l_partkey`
 
 // stagedSetup uploads LINEITEM and ORDERS as lpq files on a functional
 // deployment.
-func stagedSetup(t *testing.T, sf float64, liFiles, ordFiles int) (*Driver, TableFiles, *columnar.Chunk, *columnar.Chunk) {
+func stagedSetup(t *testing.T, sf float64, liFiles, ordFiles int) (*Session, simenv.Env, TableFiles, *columnar.Chunk, *columnar.Chunk) {
 	t.Helper()
 	dep := NewLocal()
 	env := simenv.NewImmediate()
-	d := New(dep, env, DefaultConfig())
+	d := NewSession(dep, DefaultConfig())
 	if err := d.Install(); err != nil {
 		t.Fatal(err)
 	}
 	g := tpch.Gen{SF: sf, Seed: 33}
 	li := g.Generate()
 	orders := g.OrdersFor(li)
-	liRefs, err := d.UploadTable("tpch", "lineitem", li, liFiles, lpq.WriterOptions{RowGroupRows: 2000, Compression: lpq.Gzip})
+	liRefs, err := d.UploadTable(env, "tpch", "lineitem", li, liFiles, lpq.WriterOptions{RowGroupRows: 2000, Compression: lpq.Gzip})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordRefs, err := d.UploadTable("tpch", "orders", orders, ordFiles, lpq.WriterOptions{RowGroupRows: 2000})
+	ordRefs, err := d.UploadTable(env, "tpch", "orders", orders, ordFiles, lpq.WriterOptions{RowGroupRows: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, TableFiles{"lineitem": liRefs, "orders": ordRefs}, li, orders
+	return d, env, TableFiles{"lineitem": liRefs, "orders": ordRefs}, li, orders
 }
 
 func chunksIdentical(t *testing.T, got, want *columnar.Chunk) {
@@ -131,14 +131,14 @@ func TestShuffleJoinByteIdenticalAcrossConfigs(t *testing.T) {
 		{liFiles: 9, ordFiles: 3, parts: 5, wc: true},
 	}
 	for _, tc := range configs {
-		d, tables, li, orders := stagedSetup(t, 0.002, tc.liFiles, tc.ordFiles)
+		d, env, tables, li, orders := stagedSetup(t, 0.002, tc.liFiles, tc.ordFiles)
 		cfg := DefaultStageConfig()
 		cfg.Partitions = tc.parts
 		cfg.BroadcastRowLimit = -1 // force shuffle on every join
 		cfg.Exchange.Variant.WriteCombining = tc.wc
 		cfg.Exchange.Variant.Levels = 1
 
-		got, rep, err := d.RunSQLStaged(q12ExactSQL, tables, cfg)
+		got, rep, err := d.RunSQLStaged(env, q12ExactSQL, tables, cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -179,7 +179,7 @@ func TestShuffleJoinByteIdenticalAcrossConfigs(t *testing.T) {
 // shape through both the shuffle path and the broadcast path and checks
 // both against the scalar reference.
 func TestStagedQ12MatchesBroadcastAndReference(t *testing.T) {
-	d, tables, li, orders := stagedSetup(t, 0.002, 6, 4)
+	d, env, tables, li, orders := stagedSetup(t, 0.002, 6, 4)
 	ref := tpch.Q12Reference(li, orders)
 
 	check := func(label string, out *columnar.Chunk) {
@@ -204,7 +204,7 @@ func TestStagedQ12MatchesBroadcastAndReference(t *testing.T) {
 	// Shuffle: neither side broadcastable.
 	cfg := DefaultStageConfig()
 	cfg.BroadcastRowLimit = -1
-	shuffled, rep, err := d.RunSQLStaged(q12RevenueSQL, tables, cfg)
+	shuffled, rep, err := d.RunSQLStaged(env, q12RevenueSQL, tables, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +214,8 @@ func TestStagedQ12MatchesBroadcastAndReference(t *testing.T) {
 	}
 
 	// Broadcast: the same SQL with ORDERS as a driver-resident table.
-	bcast, _, err := d.RunSQLBroadcast(q12RevenueSQL, "lineitem", tables["lineitem"],
-		map[string]*columnar.Chunk{"orders": orders})
+	bcast, _, err := d.runSQL(env, q12RevenueSQL, TableFiles{"lineitem": tables["lineitem"]},
+		map[string]*columnar.Chunk{"orders": orders}, DefaultStageConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestStagedQ12MatchesBroadcastAndReference(t *testing.T) {
 	// for ORDERS and the plan collapses to one scan+join+partial stage.
 	cfg2 := DefaultStageConfig()
 	cfg2.BroadcastRowLimit = 1 << 30
-	picked, rep2, err := d.RunSQLStaged(q12RevenueSQL, tables, cfg2)
+	picked, rep2, err := d.RunSQLStaged(env, q12RevenueSQL, tables, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,15 +286,16 @@ func TestStagedByteIdentityKeyShapes(t *testing.T) {
 		left, right := keyShapeTables(shape, 600)
 
 		dep := NewLocal()
-		d := New(dep, simenv.NewImmediate(), DefaultConfig())
+		env := simenv.NewImmediate()
+		d := NewSession(dep, DefaultConfig())
 		if err := d.Install(); err != nil {
 			t.Fatal(err)
 		}
-		lrefs, err := d.UploadTable("tpch", "ltab", left, 4, lpq.WriterOptions{RowGroupRows: 100})
+		lrefs, err := d.UploadTable(env, "tpch", "ltab", left, 4, lpq.WriterOptions{RowGroupRows: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rrefs, err := d.UploadTable("tpch", "rtab", right, 3, lpq.WriterOptions{RowGroupRows: 100})
+		rrefs, err := d.UploadTable(env, "tpch", "rtab", right, 3, lpq.WriterOptions{RowGroupRows: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +313,7 @@ func TestStagedByteIdentityKeyShapes(t *testing.T) {
 			cfg := DefaultStageConfig()
 			cfg.Partitions = 3
 			cfg.BroadcastRowLimit = -1
-			shuffled, rep, err := d.RunSQLStaged(sql, tables, cfg)
+			shuffled, rep, err := d.RunSQLStaged(env, sql, tables, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s shuffle: %v", shape, key, err)
 			}
@@ -323,7 +324,7 @@ func TestStagedByteIdentityKeyShapes(t *testing.T) {
 
 			cfg2 := DefaultStageConfig()
 			cfg2.BroadcastRowLimit = 1 << 20
-			bcast, rep2, err := d.RunSQLStaged(sql, tables, cfg2)
+			bcast, rep2, err := d.RunSQLStaged(env, sql, tables, cfg2)
 			if err != nil {
 				t.Fatalf("%s/%s staged-broadcast: %v", shape, key, err)
 			}
@@ -344,10 +345,10 @@ func TestStagedGroupByNoJoinByteIdentical(t *testing.T) {
 SELECT l_partkey, COUNT(*) AS n, MIN(l_orderkey) AS first_ord, MAX(l_orderkey) AS last_ord
 FROM lineitem
 GROUP BY l_partkey ORDER BY l_partkey`
-	d, tables, li, _ := stagedSetup(t, 0.002, 8, 1)
+	d, env, tables, li, _ := stagedSetup(t, 0.002, 8, 1)
 	cfg := DefaultStageConfig()
 	cfg.Partitions = 3
-	got, rep, err := d.RunSQLStaged(sql, TableFiles{"lineitem": tables["lineitem"]}, cfg)
+	got, rep, err := d.RunSQLStaged(env, sql, TableFiles{"lineitem": tables["lineitem"]}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +372,7 @@ func TestStagedDESDeterministic(t *testing.T) {
 		k.Go("driver", func(p *simclock.Proc) {
 			cfg := DefaultConfig()
 			cfg.PollInterval = 50 * time.Millisecond
-			d := New(dep, p, cfg)
+			d := NewSession(dep, cfg)
 			if err := d.Install(); err != nil {
 				t.Error(err)
 				return
@@ -379,12 +380,12 @@ func TestStagedDESDeterministic(t *testing.T) {
 			g := tpch.Gen{SF: 0.002, Seed: 11}
 			li := g.Generate()
 			orders := g.OrdersFor(li)
-			liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			ordRefs, err := d.UploadTable("tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+			ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
 			if err != nil {
 				t.Error(err)
 				return
@@ -393,7 +394,7 @@ func TestStagedDESDeterministic(t *testing.T) {
 			scfg.Partitions = 2
 			scfg.BroadcastRowLimit = -1
 			scfg.Exchange.Poll = 100 * time.Millisecond
-			out, rep, err := d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+			out, rep, err := d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -435,22 +436,23 @@ FROM ltab INNER JOIN rtab ON ltab.lk = rtab.rk AND ltab.lk2 = rtab.rk2
 ORDER BY lv, rv`
 	left, right := keyShapeTables("composite", 200)
 	dep := NewLocal()
-	d := New(dep, simenv.NewImmediate(), DefaultConfig())
+	env := simenv.NewImmediate()
+	d := NewSession(dep, DefaultConfig())
 	if err := d.Install(); err != nil {
 		t.Fatal(err)
 	}
-	lrefs, err := d.UploadTable("tpch", "ltab", left, 3, lpq.WriterOptions{RowGroupRows: 64})
+	lrefs, err := d.UploadTable(env, "tpch", "ltab", left, 3, lpq.WriterOptions{RowGroupRows: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rrefs, err := d.UploadTable("tpch", "rtab", right, 2, lpq.WriterOptions{RowGroupRows: 64})
+	rrefs, err := d.UploadTable(env, "tpch", "rtab", right, 2, lpq.WriterOptions{RowGroupRows: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultStageConfig()
 	cfg.Partitions = 2
 	cfg.BroadcastRowLimit = -1
-	got, rep, err := d.RunSQLStaged(sql, TableFiles{"ltab": lrefs, "rtab": rrefs}, cfg)
+	got, rep, err := d.RunSQLStaged(env, sql, TableFiles{"ltab": lrefs, "rtab": rrefs}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +472,7 @@ ORDER BY lv, rv`
 // pipelined invokes every stage before the first seal, waves hold consumers
 // back until their producers sealed.
 func TestStagedPipelinedMatchesWaves(t *testing.T) {
-	d, tables, li, orders := stagedSetup(t, 0.002, 6, 3)
+	d, env, tables, li, orders := stagedSetup(t, 0.002, 6, 3)
 	want := singleNode(t, q12ByPartSQL, engine.Catalog{
 		"lineitem": engine.NewMemSource(tpch.Schema(), li),
 		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
@@ -479,8 +481,8 @@ func TestStagedPipelinedMatchesWaves(t *testing.T) {
 		cfg := DefaultStageConfig()
 		cfg.Partitions = 3
 		cfg.BroadcastRowLimit = -1
-		d.sess.cfg.testWaveLaunch = !pipelined
-		got, rep, err := d.RunSQLStaged(q12ByPartSQL, tables, cfg)
+		d.cfg.testWaveLaunch = !pipelined
+		got, rep, err := d.RunSQLStaged(env, q12ByPartSQL, tables, cfg)
 		if err != nil {
 			t.Fatalf("pipelined=%v: %v", pipelined, err)
 		}
@@ -519,25 +521,25 @@ func TestStagedPipelinedMatchesWaves(t *testing.T) {
 // an earlier aborted query must not fail the next staged query — the wave
 // collector discards them by query ID and keeps polling for its own.
 func TestStagedDrainsStaleResults(t *testing.T) {
-	d, tables, li, orders := stagedSetup(t, 0.002, 4, 2)
+	d, env, tables, li, orders := stagedSetup(t, 0.002, 4, 2)
 	// A leftover message from a query that aborted mid-wave. Queries now
 	// collect on per-query queues, so plant the zombie where the next query
 	// (q1 on this fresh session) will actually poll: a restarted driver
 	// reusing the counter inherits any queue a crashed predecessor left
 	// behind under the same name.
-	q1Queue := queryQueueName(d.sess.cfg.ResultQueue, "q1")
-	d.sess.dep.SQS.CreateQueue(q1Queue)
+	q1Queue := queryQueueName(d.cfg.ResultQueue, "q1")
+	d.dep.SQS.CreateQueue(q1Queue)
 	stale, err := json.Marshal(resultMsg{QueryID: "q999", WorkerID: 3, Stage: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.sess.dep.SQS.Send(d.env, q1Queue, stale); err != nil {
+	if err := d.dep.SQS.Send(env, q1Queue, stale); err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultStageConfig()
 	cfg.Partitions = 2
 	cfg.BroadcastRowLimit = -1
-	got, _, err := d.RunSQLStaged(q12ExactSQL, tables, cfg)
+	got, _, err := d.RunSQLStaged(env, q12ExactSQL, tables, cfg)
 	if err != nil {
 		t.Fatalf("staged query failed on a stale leftover: %v", err)
 	}

@@ -45,8 +45,3 @@ func (d *Session) UploadTable(env simenv.Env, bucket, prefix string, data *colum
 	d.InvalidateResultCache()
 	return refs, nil
 }
-
-// UploadTable uploads through the façade's bound environment.
-func (d *Driver) UploadTable(bucket, prefix string, data *columnar.Chunk, nfiles int, opts lpq.WriterOptions) ([]scan.FileRef, error) {
-	return d.sess.UploadTable(d.env, bucket, prefix, data, nfiles, opts)
-}

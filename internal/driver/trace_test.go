@@ -80,7 +80,7 @@ func runTraced(t *testing.T, o tracedOpts) tracedRun {
 			scfg.Exchange.Variant.Levels = 1
 			scfg.Exchange.Variant.WriteCombining = false
 		}
-		d := New(dep, p, cfg)
+		d := NewSession(dep, cfg)
 		if err := d.Install(); err != nil {
 			t.Error(err)
 			return
@@ -88,12 +88,12 @@ func runTraced(t *testing.T, o tracedOpts) tracedRun {
 		g := tpch.Gen{SF: 0.002, Seed: 11}
 		li := g.Generate()
 		orders := g.OrdersFor(li)
-		liRefs, err := d.UploadTable("tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ordRefs, err := d.UploadTable("tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
 		if err != nil {
 			t.Error(err)
 			return
@@ -101,9 +101,9 @@ func runTraced(t *testing.T, o tracedOpts) tracedRun {
 		var out *columnar.Chunk
 		var rep *Report
 		if o.single {
-			out, rep, err = d.RunSQL(q1SQL, "lineitem", liRefs)
+			out, rep, err = d.RunSQL(p, q1SQL, "lineitem", liRefs)
 		} else {
-			out, rep, err = d.RunSQLStaged(q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+			out, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
 		}
 		if err != nil {
 			t.Error(err)

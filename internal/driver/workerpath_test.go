@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -43,5 +45,59 @@ func TestWorkerPathStartsNoGoroutine(t *testing.T) {
 				return true
 			})
 		}
+	}
+}
+
+// TestOneEntrance: the driver is a Session, and a query enters it one way —
+// Run, or RunSQL / RunSQLStaged on query text. No other exported function or
+// method of the package returns a query result, and no type named Driver
+// fronts the Session.
+func TestOneEntrance(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var entrances []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == "Driver" {
+						t.Errorf("%s: a type named Driver fronts the Session", fset.Position(ts.Pos()))
+					}
+				}
+			case *ast.FuncDecl:
+				if !decl.Name.IsExported() || decl.Type.Results == nil {
+					continue
+				}
+				var results []string
+				for _, r := range decl.Type.Results.List {
+					for range max(len(r.Names), 1) {
+						results = append(results, types.ExprString(r.Type))
+					}
+				}
+				if !slices.Equal(results, []string{"*columnar.Chunk", "*Report", "error"}) {
+					continue
+				}
+				name := decl.Name.Name
+				if decl.Recv != nil {
+					name = strings.TrimPrefix(types.ExprString(decl.Recv.List[0].Type), "*") + "." + name
+				}
+				entrances = append(entrances, name)
+			}
+		}
+	}
+	slices.Sort(entrances)
+	if want := []string{"Session.Run", "Session.RunSQL", "Session.RunSQLStaged"}; !slices.Equal(entrances, want) {
+		t.Errorf("query entrances = %v, want %v", entrances, want)
 	}
 }

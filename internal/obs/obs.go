@@ -256,20 +256,6 @@ func (t *Tracer) ChargeTo(env any, c Cost) {
 	}
 }
 
-// TagTo sets a tag on the innermost span bound to env.
-func (t *Tracer) TagTo(env any, key, value string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	id := SpanID(0)
-	if st := t.binds[env]; len(st) > 0 {
-		id = st[len(st)-1]
-	}
-	t.mu.Unlock()
-	t.SetTag(id, key, value)
-}
-
 // Release drops env's entire span stack, back-filling End = at on every
 // still-open span in it. This is the crash-safe unbind: a panicking
 // worker unwinds past its op-span Pops, and Release closes the dangling

@@ -24,7 +24,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	tr.Bind("env", 1)
 	tr.Pop("env")
 	tr.ChargeTo("env", Cost{S3Get: 1})
-	tr.TagTo("env", "k", "v")
 	tr.Release("env", time.Second)
 	if tr.Current("env") != 0 {
 		t.Fatal("nil Current != 0")
