@@ -140,7 +140,9 @@
 // message means, who is a straggler — as a state machine that holds no
 // environment, reads no clock and issues no request; runStages (stage.go) is
 // the loop that feeds it instants and messages and does every Invoke,
-// sqs.Receive, dynamo.Put, span edit and wait its answers ask for. Every
+// sqs.Receive, dynamo.Put, span edit and wait its answers ask for — the
+// launch Invokes from a launch pass that, on the DES kernel, runs beside the
+// loop (below). Every
 // query reaches it as a stage plan (internal/stageplan) from one planner,
 // query.plan, behind one entrance, Session.Run; RunSQL and RunSQLStaged
 // parse query text for it, and the result cache sits in front of it for
@@ -188,8 +190,8 @@
 // then publish or post the result. One launch loop: a stage's fleet is cut
 // once into launch units — one per worker, or, where invoke.UseTree picks
 // the two-level tree (§4.2) on a session without a concurrency cap, one per
-// first-generation worker with its children's payloads folded in — and the
-// scheduler walks them with take tokens → pace → Invoke, a tree unit being
+// first-generation worker with its children's payloads folded in — and a
+// launch pass walks them with take tokens → pace → Invoke, a tree unit being
 // a synchronous unpaced Invoke of 1+children tokens and a direct unit a
 // pipelined one paced at the Invoke API rate. The tokens come from an
 // invoke.Admission: the session's shared one under Config.MaxInFlight, a
@@ -314,8 +316,9 @@
 // argument and answers with what the driver must do:
 //
 //	pending  → launched  launchable(r) says the stage may take admission
-//	                     tokens; the loop invokes what admission grants and
-//	                     reports the pass with launched(r, tokens, from, now)
+//	                     tokens; a launch pass invokes what admission grants
+//	                     and reports each unit as its Invoke goes out with
+//	                     launched(r, workers, at): the first one launches it
 //	launched → launched  message(now, msg) discards zombies (older epoch,
 //	                     unknown worker) and losers (a second seal of a
 //	                     worker, a failure of a superseded attempt), records
@@ -325,8 +328,10 @@
 //	                     be relaunched is the query's StageFailure
 //	launched → sealed    message answers sealed on the stage's last winner;
 //	                     the loop writes the DynamoDB ready marker (rule 2),
-//	                     calls marked(r, now), launches what that unblocked
-//	                     and starts the consumers' cap clocks, armCaps(now)
+//	                     calls marked(r, sent, now) — sent is the sealing
+//	                     message's SentAt, so sealed − sent is the seal lag
+//	                     the report prints — starts a pass for what that
+//	                     unblocked and the consumers' cap clocks, armCaps(now)
 //
 // Every stage's payloads are computable up front and a stage is launchable
 // as soon as its producers' fleets are launched, so every fleet is invoked
@@ -337,6 +342,21 @@
 // survives only as a test seam, for the tests that need barrier reads in a
 // known order.) TestSchedulerTransitions walks the transitions without a
 // kernel or a deployment.
+//
+// The loop never stops listening. On the DES kernel each launch pass is a
+// kernel process of its own beside the loop, on the same clock, as the
+// paper's driver issues Invokes from requester threads while it collects
+// (§4.2): a seal that arrives while a 256-worker fleet is still being
+// invoked is consumed at once — winner recorded, ready marker written,
+// dependants launchable — instead of after the fleet's last synchronous
+// Invoke, and every worker already up stops billing that lag. On an
+// Immediate environment the pass runs inline, as a plain call: there is no
+// timeline to overlap. At most one pass per query is alive (a launch
+// requested meanwhile makes it rescan), the loop parks for the first message
+// before its first Receive, and schedule never returns while its pass is
+// alive, so a failed query invokes nothing after its sweep.
+// TestSealNeverBehindLaunch holds every awaited stage of a 260-worker q12 to
+// a seal within 100 ms of its last winner.
 //
 // Straggler speculation (§5.5's aggressive-timeouts-and-retries theme)
 // applies per stage: once a quorum of a stage's workers sealed and a

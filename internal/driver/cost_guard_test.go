@@ -217,6 +217,19 @@ func assertRequests(t *testing.T, name string, got, want map[string]int64) {
 // the regroup round of that boundary are gone from every q12 row (4 → 3
 // stages). The timing-free counts (Lambda, S3, DynamoDB writes) fell by
 // exactly those fleets' requests; the polls are as measured.
+//
+// The poll counts alone were then re-recorded once more, for one cause: on
+// DES the launch pass runs beside the event loop, which keeps receiving while
+// a fleet is invoked. A launch of several units (q1's tree of two synchronous
+// Invokes, the staged q12's three fleets, the 2l plans' five) now has the
+// loop's timed polls under it, where the loop used to be blocked (SQS q1
+// 20 → 21, staged q12 24 → 25, 2l 32 → 38, 2l-wc 33 → 35, capped 46 → 48). A
+// launch of one pipelined Invoke (q6, the broadcast q12) saves the empty
+// Receive it paid at its start: the loop parks for the first message instead
+// (11 → 10, 13 → 12). The extra Receives shift the SQS latency draws that the
+// workers' seal Sends share, so the seal instants and the workers'
+// ready-marker polls move with them (DynamoDB reads 2l-wc 20 → 23, capped
+// 11 → 13). Every Lambda, S3 and DynamoDB-write count is unchanged.
 func TestExecutorRequestGuard(t *testing.T) {
 	single := func(sql string) func(*Session, simenv.Env, TableFiles) error {
 		return func(d *Session, env simenv.Env, tables TableFiles) error {
@@ -230,11 +243,11 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// and the one worker's (S3 reads 13 as before, three workers' opens
 	// traded for the planner's; one Invoke, not four; SQS 18 → 11).
 	assertRequests(t, "q1", billedRequests(t, nil, single(q1SQL)), map[string]int64{
-		pricing.LabelLambdaRequests: 4, pricing.LabelS3Read: 24, pricing.LabelSQS: 20,
+		pricing.LabelLambdaRequests: 4, pricing.LabelS3Read: 24, pricing.LabelSQS: 21,
 	})
 	q6 := billedRequests(t, nil, single(q6SQL))
 	assertRequests(t, "q6", q6, map[string]int64{
-		pricing.LabelLambdaRequests: 1, pricing.LabelS3Read: 13, pricing.LabelSQS: 11,
+		pricing.LabelLambdaRequests: 1, pricing.LabelS3Read: 13, pricing.LabelSQS: 10,
 	})
 
 	// The rules follow the plan, not the entrance: q6 through the other
@@ -281,7 +294,7 @@ func TestExecutorRequestGuard(t *testing.T) {
 	assertRequests(t, "staged q12", staged, map[string]int64{
 		pricing.LabelLambdaRequests: 6,
 		pricing.LabelS3Read:         34, pricing.LabelS3Write: 4, pricing.LabelS3List: 20,
-		pricing.LabelSQS: 24, pricing.LabelDynamoRead: 8, pricing.LabelDynamoWrite: 3,
+		pricing.LabelSQS: 25, pricing.LabelDynamoRead: 8, pricing.LabelDynamoWrite: 3,
 	})
 
 	// ORDERS broadcast: the driver reads the table through the source the
@@ -299,7 +312,7 @@ func TestExecutorRequestGuard(t *testing.T) {
 		}
 		return err
 	}), map[string]int64{
-		pricing.LabelLambdaRequests: 2, pricing.LabelS3Read: 22, pricing.LabelSQS: 13,
+		pricing.LabelLambdaRequests: 2, pricing.LabelS3Read: 22, pricing.LabelSQS: 12,
 	})
 
 	// Multi-level boundaries and admission-capped launch: the two scan
@@ -324,17 +337,17 @@ func TestExecutorRequestGuard(t *testing.T) {
 	assertRequests(t, "staged q12 2l", billedRequests(t, nil, twoLevel(false)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
 		pricing.LabelS3Read:         38, pricing.LabelS3Write: 20, pricing.LabelS3List: 24,
-		pricing.LabelSQS: 32, pricing.LabelDynamoRead: 29, pricing.LabelDynamoWrite: 5,
+		pricing.LabelSQS: 38, pricing.LabelDynamoRead: 29, pricing.LabelDynamoWrite: 5,
 	})
 	assertRequests(t, "staged q12 2l-wc", billedRequests(t, nil, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
 		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8, pricing.LabelS3List: 24,
-		pricing.LabelSQS: 33, pricing.LabelDynamoRead: 20, pricing.LabelDynamoWrite: 5,
+		pricing.LabelSQS: 35, pricing.LabelDynamoRead: 23, pricing.LabelDynamoWrite: 5,
 	})
 	capped := func(c *Config) { c.MaxInFlight = 2 }
 	assertRequests(t, "staged q12 2l-wc, MaxInFlight 2", billedRequests(t, capped, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
 		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8, pricing.LabelS3List: 24,
-		pricing.LabelSQS: 46, pricing.LabelDynamoRead: 11, pricing.LabelDynamoWrite: 5,
+		pricing.LabelSQS: 48, pricing.LabelDynamoRead: 13, pricing.LabelDynamoWrite: 5,
 	})
 }

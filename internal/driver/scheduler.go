@@ -26,13 +26,20 @@ type stageRun struct {
 	awaited bool
 	state   stageState
 	// pending are the launch units not yet invoked, built on first launch;
-	// launched counts the workers the invoked ones spawn. A launch pass
-	// invokes as many units as admission grants and resumes on later passes.
+	// launched counts the workers the invoked ones spawn, and invoked marks
+	// them by worker. A launch pass invokes as many units as admission grants
+	// and resumes on later passes.
 	pending  []launchUnit
 	launched int
+	invoked  []bool
 
+	// launchedAt is the instant of the stage's first Invoke, sealedAt the
+	// instant its seal was consumed, and lastWin the instant its last winner
+	// sent the seal message that completed it: sealedAt − lastWin is how long
+	// the driver took to consume that seal.
 	launchedAt time.Duration
 	sealedAt   time.Duration
+	lastWin    time.Duration
 	// winners records, per worker, the attempt whose seal arrived first.
 	// Later seals of the same worker — the losing half of a backup pair —
 	// are ignored; their boundary files are swept after the query. chunks
@@ -96,8 +103,9 @@ type scheduler struct {
 	runs    []*stageRun // in launch order: producers precede consumers
 	byID    map[int]*stageRun
 	nSealed int
-	// rep accumulates what the transitions count: Workers, Invocation,
-	// WorkerProcessing, ColdWorkers, Speculated, FailureSeals, WorkerRetries.
+	// rep accumulates what the transitions count: Workers, WorkerProcessing,
+	// ColdWorkers, Speculated, FailureSeals, WorkerRetries — and Invocation,
+	// which the launch passes add up around their Invokes.
 	rep                           Report
 	zombieDiscards, loserDiscards int
 }
@@ -105,8 +113,8 @@ type scheduler struct {
 // add appends the run of stage st — after the runs of the stages it depends
 // on — and marks those awaited.
 func (s *scheduler) add(st *stageplan.Stage, payloads []workerPayload) *stageRun {
-	r := &stageRun{st: st, payloads: payloads, winners: map[int]int{}, chunks: make([][]byte, len(payloads)),
-		attempts: map[int]int{}, capFrom: -1}
+	r := &stageRun{st: st, payloads: payloads, invoked: make([]bool, len(payloads)), winners: map[int]int{},
+		chunks: make([][]byte, len(payloads)), attempts: map[int]int{}, capFrom: -1}
 	for _, dep := range st.DependsOn {
 		if p := s.byID[dep]; p != nil {
 			p.awaited = true
@@ -163,22 +171,28 @@ func (s *scheduler) launchable(r *stageRun) bool {
 	return true
 }
 
-// launched records a launch pass over r, from from to now, that invoked units
-// worth tokens workers, and reports whether it launched the stage (its first
-// worker). The all-stragglers liveness cap starts ticking once the stage is
-// runnable: at launch for stages whose producers already sealed (scan stages,
-// wave-gated launches), on the last producer's seal otherwise (armCaps) — a
-// pipelined consumer idling on the ready barrier is not straggling.
-func (s *scheduler) launched(r *stageRun, tokens int, from, now time.Duration) bool {
-	r.launched += tokens
-	s.rep.Invocation += now - from
+// launched records one launch unit of r whose Invoke is issued at at: workers
+// are the unit's worker and the children it invokes in turn. A launch pass
+// calls it per unit, as the Invoke goes out and before its round trip, so a
+// seal of these workers can never reach the event loop ahead of it — even
+// while the rest of the fleet is still being invoked. It reports whether the
+// unit launched the stage: the first Invoke, whose instant is launchedAt. The
+// all-stragglers liveness cap starts ticking once the stage is runnable: at
+// launch for stages whose producers already sealed (scan stages, wave-gated
+// launches), on the last producer's seal otherwise (armCaps) — a pipelined
+// consumer idling on the ready barrier is not straggling.
+func (s *scheduler) launched(r *stageRun, workers []int, at time.Duration) bool {
+	r.launched += len(workers)
+	for _, w := range workers {
+		r.invoked[w] = true
+	}
 	if r.state != stagePending || r.launched == 0 {
 		return false
 	}
 	r.state = stageLaunched
-	r.launchedAt = now
+	r.launchedAt = at
 	if s.depsSealed(r) {
-		r.capFrom = now
+		r.capFrom = at
 	}
 	s.rep.Workers += len(r.payloads)
 	return true
@@ -249,11 +263,11 @@ func (s *scheduler) message(now time.Duration, rm *resultMsg) (*stageRun, outcom
 	return r, sealed, nil
 }
 
-// marked seals r at now: its last winner reported and, if anyone awaits it,
-// its ready marker is written.
-func (s *scheduler) marked(r *stageRun, now time.Duration) {
+// marked seals r at now: its last winner reported — its seal message was sent
+// at lastWin — and, if anyone awaits it, its ready marker is written.
+func (s *scheduler) marked(r *stageRun, lastWin, now time.Duration) {
 	r.state = stageSealed
-	r.sealedAt = now
+	r.sealedAt, r.lastWin = now, lastWin
 	s.nSealed++
 }
 
@@ -279,9 +293,10 @@ func (s *scheduler) stragglers(now time.Duration) []backup {
 		if r.state != stageLaunched || !s.overdue(r, now) {
 			continue
 		}
-		// Workers never launched (admission backlog) are not stragglers.
-		for w := 0; w < r.launched; w++ {
-			if _, won := r.winners[w]; won || r.attempts[w] >= s.speculate.MaxRetries {
+		// Workers not invoked yet — an admission backlog, or a tree unit
+		// later in the pass than the units already out — are not stragglers.
+		for w := range r.payloads {
+			if _, won := r.winners[w]; won || !r.invoked[w] || r.attempts[w] >= s.speculate.MaxRetries {
 				continue
 			}
 			r.attempts[w]++

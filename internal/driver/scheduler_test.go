@@ -37,19 +37,30 @@ func TestSchedulerTransitions(t *testing.T) {
 			return strings.TrimSpace(b.String())
 		}, want}
 	}
-	// launch records a launch pass; it answers whether the stage launched and
-	// where its cap window starts (-1: unarmed).
-	launch := func(stage, tokens int, from, now time.Duration, want string) step {
+	// unit records a launch unit of stage spawning workers, its Invoke issued
+	// at at; it answers whether the unit launched the stage and where its cap
+	// window starts (-1: unarmed).
+	unit := func(stage int, at time.Duration, want string, workers ...int) step {
 		return step{func(s *scheduler) string {
 			r := s.byID[stage]
-			first := s.launched(r, tokens, from, now)
+			first := s.launched(r, workers, at)
 			return fmt.Sprintf("%t cap=%d", first, capOf(r))
 		}, want}
 	}
-	launchAll := func(now time.Duration) step {
+	// launch records one unit of the stage's next n workers.
+	launch := func(stage, n int, at time.Duration, want string) step {
+		return step{func(s *scheduler) string {
+			ws := make([]int, n)
+			for i := range ws {
+				ws[i] = s.byID[stage].launched + i
+			}
+			return unit(stage, at, want, ws...).do(s)
+		}, want}
+	}
+	launchAll := func(at time.Duration) step {
 		return step{func(s *scheduler) string {
 			for _, r := range s.runs {
-				s.launched(r, len(r.payloads), now, now)
+				launch(r.st.ID, len(r.payloads), at, "").do(s)
 			}
 			return ""
 		}, ""}
@@ -80,7 +91,7 @@ func TestSchedulerTransitions(t *testing.T) {
 		return msg(now, resultMsg{Stage: stage, WorkerID: worker}, want)
 	}
 	mark := func(stage int, now time.Duration) step {
-		return step{func(s *scheduler) string { s.marked(s.byID[stage], now); return fmt.Sprint(s.done()) }, "false"}
+		return step{func(s *scheduler) string { s.marked(s.byID[stage], now, now); return fmt.Sprint(s.done()) }, "false"}
 	}
 	// arm answers every stage's cap-window start after armCaps(now).
 	arm := func(now time.Duration, want string) step {
@@ -116,7 +127,7 @@ func TestSchedulerTransitions(t *testing.T) {
 		steps []step
 	}{
 		{name: "discards", steps: []step{
-			launch(1, 2, 0, 10*ms, "true cap=10"),
+			launch(1, 2, 10*ms, "true cap=10"),
 			msg(20*ms, resultMsg{QueryID: "q1", Epoch: 2, Stage: 1}, "discarded zombie=1 loser=0"), // older epoch
 			msg(20*ms, resultMsg{QueryID: "q9", Epoch: 3, Stage: 1}, "discarded zombie=2 loser=0"),
 			win(20*ms, 7, 0, "discarded zombie=2 loser=1"),  // unknown stage
@@ -128,7 +139,7 @@ func TestSchedulerTransitions(t *testing.T) {
 			msg(30*ms, fail(1, 0, 1, false), "discarded zombie=4 loser=4"),                         // and a failed loser
 		}},
 		{name: "superseded failure seal", spec: spec, steps: []step{
-			launch(1, 2, 0, 10*ms, "true cap=10"),
+			launch(1, 2, 10*ms, "true cap=10"),
 			win(20*ms, 1, 0, "nothing"),
 			backups(60*ms, "1/1@1"), // quorum 1 of 2, median 10ms: worker 1 is overdue past +30ms
 			// The straggling original dies after its backup went out: the
@@ -138,13 +149,13 @@ func TestSchedulerTransitions(t *testing.T) {
 			msg(80*ms, resultMsg{Stage: 1, WorkerID: 1, Attempt: 1}, "sealed awaited=true"),
 		}},
 		{name: "duplicate of a relaunched failure seal", steps: []step{
-			launch(1, 2, 0, 10*ms, "true cap=10"),
+			launch(1, 2, 10*ms, "true cap=10"),
 			msg(20*ms, fail(1, 0, 0, true), "relaunch attempt=1 seals=1"),
 			msg(21*ms, fail(1, 0, 0, true), "discarded zombie=0 loser=1"), // the SQS duplicate
 			msg(30*ms, fail(1, 0, 1, true), "StageFailure stage=1 worker=0 attempt=1 retryable=true"),
 		}},
 		{name: "non-retryable failure", spec: spec, steps: []step{
-			launch(1, 2, 0, 10*ms, "true cap=10"),
+			launch(1, 2, 10*ms, "true cap=10"),
 			msg(20*ms, fail(1, 1, 0, false), "StageFailure stage=1 worker=1 attempt=0 retryable=false"),
 		}},
 		{name: "seals and rule 2", steps: []step{
@@ -160,17 +171,17 @@ func TestSchedulerTransitions(t *testing.T) {
 		}},
 		{name: "pipelined launch gate", steps: []step{
 			can("1:true 2:true 0:false"),
-			launch(1, 0, 0, 0, "false cap=-1"), // admission granted nothing: not launched
-			launch(1, 1, 0, 5*ms, "true cap=5"),
-			can("1:true 2:true 0:false"), // a partial grant keeps the run launchable
-			launch(1, 1, 5*ms, 9*ms, "false cap=5"),
+			launch(1, 0, 0, "false cap=-1"),  // a unit of no worker launches nothing
+			launch(1, 1, 5*ms, "true cap=5"), // the first unit launches the stage
+			can("1:true 2:true 0:false"),     // a partial grant keeps the run launchable
+			launch(1, 1, 9*ms, "false cap=5"),
 			can("1:false 2:true 0:false"), // one producer's whole fleet is not both
-			launch(2, 2, 9*ms, 12*ms, "true cap=12"),
+			launch(2, 2, 12*ms, "true cap=12"),
 			can("1:false 2:false 0:true"), // launched, not sealed, is enough
 		}},
 		{name: "waves wait for seals", waves: true, steps: []step{
-			launch(1, 2, 0, 0, "true cap=0"),
-			launch(2, 2, 0, 0, "true cap=0"),
+			launch(1, 2, 0, "true cap=0"),
+			launch(2, 2, 0, "true cap=0"),
 			can("1:false 2:false 0:false"),
 			win(10*ms, 1, 0, "nothing"),
 			win(10*ms, 1, 1, "sealed awaited=true"),
@@ -180,12 +191,12 @@ func TestSchedulerTransitions(t *testing.T) {
 			win(11*ms, 2, 1, "sealed awaited=true"),
 			mark(2, 11*ms),
 			can("1:false 2:false 0:true"),
-			launch(0, 4, 11*ms, 20*ms, "true cap=20"), // producers sealed: armed at launch
+			launch(0, 4, 20*ms, "true cap=20"), // producers sealed: armed at launch
 		}},
 		{name: "cap armed at the last producer's seal", cap: time.Second, steps: []step{
-			launch(1, 2, 0, 1*ms, "true cap=1"), // a scan stage depends on nothing: armed at launch
-			launch(2, 2, 1*ms, 2*ms, "true cap=2"),
-			launch(0, 4, 2*ms, 3*ms, "true cap=-1"), // idling on the ready barrier is not straggling
+			launch(1, 2, 1*ms, "true cap=1"), // a scan stage depends on nothing: armed at launch
+			launch(2, 2, 2*ms, "true cap=2"),
+			launch(0, 4, 3*ms, "true cap=-1"), // idling on the ready barrier is not straggling
 			win(10*ms, 1, 0, "nothing"),
 			win(10*ms, 1, 1, "sealed awaited=true"),
 			mark(1, 10*ms),
@@ -208,17 +219,33 @@ func TestSchedulerTransitions(t *testing.T) {
 			msg(400*ms, resultMsg{Stage: 0, WorkerID: 3, Attempt: 1}, "sealed awaited=false"),
 		}},
 		{name: "cap expiry re-invokes the missing set", spec: spec, cap: time.Second, steps: []step{
-			launch(1, 2, 0, 0, "true cap=0"),
-			launch(2, 1, 0, 0, "true cap=0"), // worker 1 still waits for admission
-			launch(0, 4, 0, 0, "true cap=-1"),
+			launch(1, 2, 0, "true cap=0"),
+			launch(2, 1, 0, "true cap=0"), // worker 1 still waits for admission
+			launch(0, 4, 0, "true cap=-1"),
 			backups(1000*ms, ""),
 			backups(1001*ms, "1/0@1 1/1@1 2/0@1"), // never-launched 2/1 and unarmed stage 0 are no stragglers
 			backups(time.Minute, ""),              // budget spent
 		}},
+		{name: "a tree pass mid-launch nominates invoked workers only", spec: spec, cap: time.Second, steps: []step{
+			launch(1, 2, 0, "true cap=0"),
+			launch(2, 2, 0, "true cap=0"),
+			win(5*ms, 1, 0, "nothing"),
+			win(5*ms, 1, 1, "sealed awaited=true"),
+			mark(1, 5*ms),
+			win(6*ms, 2, 0, "nothing"),
+			win(6*ms, 2, 1, "sealed awaited=true"),
+			mark(2, 6*ms),
+			// Stage 0 goes through the tree: its first unit is worker 0 with
+			// its child 2, and the second (worker 1 with child 3) is not out yet.
+			unit(0, 10*ms, "true cap=10", 0, 2),
+			backups(1011*ms, "0/0@1 0/2@1"), // counting tokens would take 0/1, and miss 0/2
+			unit(0, 1020*ms, "false cap=1011", 1, 3),
+			backups(2012*ms, "0/1@1 0/3@1"),
+		}},
 		{name: "progress defers the cap", spec: SpeculateConfig{Enabled: true, MaxRetries: 2}, cap: time.Second, steps: []step{
-			launch(0, 4, 0, 0, "true cap=-1"),
+			launch(0, 4, 0, "true cap=-1"),
 			arm(0, "1:-1 2:-1 0:-1"), // producers not sealed
-			launch(1, 2, 0, 0, "true cap=0"),
+			launch(1, 2, 0, "true cap=0"),
 			win(900*ms, 1, 0, "nothing"),
 			backups(1500*ms, ""),      // without that response the cap had expired at +1s
 			backups(1901*ms, "1/1@1"), // 1s after the last response; the window restarts

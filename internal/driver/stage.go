@@ -23,6 +23,7 @@ import (
 	"lambada/internal/obs"
 	"lambada/internal/resilience"
 	"lambada/internal/scan"
+	"lambada/internal/simclock"
 	"lambada/internal/stageplan"
 )
 
@@ -221,15 +222,14 @@ var ErrInvalidPlan = errors.New("driver: query does not plan")
 
 // launchUnit is one driver-side Invoke of a stage launch: a worker's
 // attempt-0 payload, with its second-generation children folded in when the
-// fleet goes through the invocation tree (§4.2). tokens is the number of
-// containers the Invoke spawns, which is what it holds of admission. A tree
-// unit is a synchronous, unpaced Invoke; a direct one is pipelined and paced
-// at the Invoke API rate.
+// fleet goes through the invocation tree (§4.2). workers are the containers
+// the Invoke spawns — the invoked worker first, then its children — and their
+// count is what it holds of admission. A tree unit is a synchronous, unpaced
+// Invoke; a direct one is pipelined and paced at the Invoke API rate.
 type launchUnit struct {
-	worker int
-	body   []byte
-	tokens int
-	tree   bool
+	workers []int
+	body    []byte
+	tree    bool
 }
 
 // launchUnits builds a stage's launch units, and is where the invocation
@@ -260,29 +260,27 @@ func (d *query) launchUnits(payloads []workerPayload) ([]launchUnit, error) {
 		if err != nil {
 			return nil, err
 		}
-		units[w] = launchUnit{worker: w, body: body, tokens: 1 + len(kids), tree: tree}
+		units[w] = launchUnit{workers: append([]int{w}, kids...), body: body, tree: tree}
 	}
 	return units, nil
 }
 
-// invoke issues one unit's Invoke, its admission tokens already taken. Like
-// every substrate call the driver makes it runs under the query's retry
-// policy: transient invoke errors retry with backoff, quota rejections
+// invoke issues one unit's Invoke from env, its admission tokens already
+// taken and, for a direct unit, its pacing slot already slept. Like every
+// substrate call the driver makes it runs under the query's retry policy:
+// transient invoke errors retry with backoff, quota rejections
 // (throttle-class Invoke errors are permanent capacity answers, not blips)
 // and payload errors stay fatal. span — the stage span — parents the
 // invocation's trace span (tree children parent under their invoking
 // first-generation worker instead, mirroring the real invocation topology).
-func (d *query) invoke(u launchUnit, span obs.SpanID) error {
-	if !u.tree {
-		d.adm.Pace(d.env)
-	}
-	err := d.retry.Do(d.env, "lambda.Invoke", func() error {
-		return d.dep.Lambda.Invoke(d.env, d.cfg.FunctionName, u.body,
-			lambdasvc.InvokeOptions{WorkerID: u.worker, Pipelined: !u.tree, Span: span})
+func (d *query) invoke(env simenv.Env, u launchUnit, span obs.SpanID) error {
+	err := d.retry.Do(env, "lambda.Invoke", func() error {
+		return d.dep.Lambda.Invoke(env, d.cfg.FunctionName, u.body,
+			lambdasvc.InvokeOptions{WorkerID: u.workers[0], Pipelined: !u.tree, Span: span})
 	})
 	if err != nil {
 		// Invoke fails before any container spawns: hand the tokens back.
-		d.adm.Release(u.tokens)
+		d.adm.Release(len(u.workers))
 	}
 	return err
 }
@@ -300,7 +298,8 @@ func (d *query) reinvoke(r *stageRun, worker int) error {
 		return err
 	}
 	d.adm.AcquireOverflow()
-	return d.invoke(launchUnit{worker: worker, body: body, tokens: 1}, r.span)
+	d.adm.Pace(d.env)
+	return d.invoke(d.env, launchUnit{workers: []int{worker}, body: body}, r.span)
 }
 
 // plan is the planner, the one way from a logical plan to runStages: footer
@@ -603,13 +602,89 @@ func (d *query) newScheduler(sp *stageplan.Plan, scanFiles TableFiles, blobs map
 	return s, nil
 }
 
-// launchReady runs one launch pass over every launchable stage, in launch
-// order. A pass invokes a stage's pending units for as long as admission
+// launcher runs a query's launch passes. On a DES process a pass is a kernel
+// process of its own, beside the event loop on the same clock, so the loop
+// keeps consuming seals — recording the winner, writing the ready marker,
+// making the dependants launchable — while a fleet is still being invoked, as
+// the paper's driver keeps collecting results while its requester threads
+// invoke (§4.2). On any other environment (Immediate, goroutine workers) a
+// pass runs inline on the loop's goroutine: there is no timeline to overlap,
+// and inline takes no lock and starts no goroutine. At most one pass is
+// alive; a launch requested while it runs makes it rescan before it exits.
+// The loop and the pass share the scheduler unlocked: the kernel runs one
+// process at a time and switches only where one parks on the clock.
+type launcher struct {
+	d *query
+	s *scheduler
+	// running: a pass process is alive; again: a launch was requested while
+	// it ran; stop: the loop is leaving, so the pass invokes nothing more.
+	running, again, stop bool
+	// err is a concurrent pass's error, for the loop to return.
+	err error
+}
+
+// topic is what a concurrent pass broadcasts on exit, to a loop waiting for
+// it to end.
+func (l *launcher) topic() string { return "launch/" + l.d.cfg.ResultQueue + "/" }
+
+// start requests a launch pass. Inline the request is the pass, and returns
+// its error. Concurrently it starts a pass process — when some stage is
+// launchable at all — or makes the live one rescan; it returns the error of
+// the last pass, if that one failed.
+func (l *launcher) start() error {
+	p, ok := l.d.env.(*simclock.Proc)
+	if !ok {
+		return l.launchReady(l.d.env)
+	}
+	if l.running {
+		l.again = true
+		return nil
+	}
+	if l.err != nil || !slices.ContainsFunc(l.s.runs, l.s.launchable) {
+		return l.err
+	}
+	l.running = true
+	p.Kernel().Go(l.d.id+"/launch", l.run)
+	return nil
+}
+
+// run is a concurrent pass's process. Its environment is bound to the query
+// span, so its Invokes' op spans and charges land in the query's tree.
+func (l *launcher) run(p *simclock.Proc) {
+	tr := l.d.dep.Trace
+	tr.Bind(p, l.d.span)
+	for l.again = true; l.again && l.err == nil; {
+		l.again = false
+		l.err = l.launchReady(p)
+	}
+	tr.Pop(p)
+	l.running = false
+	if l.stop {
+		p.NotifyKey(l.topic())
+	}
+}
+
+// wait stops the pass at its next unit, parks the loop until the pass has
+// exited, and returns its error: the loop never leaves while its pass can
+// still invoke, so a failed query issues no Invoke after its sweep.
+func (l *launcher) wait() error {
+	l.stop = true
+	for l.running {
+		simenv.WaitNotifyKey(l.d.env, l.topic(), l.d.cfg.PollInterval)
+	}
+	return l.err
+}
+
+// launchReady is one launch pass, on env, over every launchable stage in
+// launch order. It invokes a stage's pending units for as long as admission
 // grants their tokens, without ever blocking — a driver parked on the pool
 // could not consume the seal messages that token-holding consumers are
-// waiting on. Whatever the pool denies stays pending; the event loop retries
-// every pass as other containers settle.
-func (d *query) launchReady(s *scheduler) error {
+// waiting on. Whatever the pool denies stays pending; a later pass retries it
+// as other containers settle. Each unit is recorded (scheduler.launched) as
+// its Invoke goes out, so a stage counts as launched from its first Invoke,
+// not from the end of its pass.
+func (l *launcher) launchReady(env simenv.Env) error {
+	d, s := l.d, l.s
 	for _, r := range s.runs {
 		if !s.launchable(r) {
 			continue
@@ -620,37 +695,54 @@ func (d *query) launchReady(s *scheduler) error {
 				return err
 			}
 		}
-		from, tokens := d.env.Now(), 0
-		for len(r.pending) > 0 && d.adm.TryAcquire(r.pending[0].tokens) {
+		for len(r.pending) > 0 && !l.stop && d.adm.TryAcquire(len(r.pending[0].workers)) {
 			u := r.pending[0]
-			if err := d.invoke(u, r.span); err != nil {
+			r.pending = r.pending[1:]
+			from := env.Now()
+			if !u.tree {
+				d.adm.Pace(env)
+			}
+			if s.launched(r, u.workers, env.Now()) {
+				d.dep.Trace.SetStart(r.span, env.Now())
+			}
+			if err := d.invoke(env, u, r.span); err != nil {
 				return err
 			}
-			r.pending = r.pending[1:]
-			tokens += u.tokens
-		}
-		if s.launched(r, tokens, from, d.env.Now()) {
-			d.dep.Trace.SetStart(r.span, from)
+			s.rep.Invocation += env.Now() - from
 		}
 	}
 	return nil
 }
 
-// schedule is the event loop, and every substrate call of it: launch what is
-// launchable, consume seal messages as they arrive, write the ready marker
-// the moment a stage's last worker sealed, launch whatever that unblocked,
-// and re-invoke what the scheduler nominates. It returns once every stage
-// sealed.
-func (d *query) schedule(s *scheduler, sealTable string) error {
+// schedule is the event loop, and every substrate call of it but a
+// concurrent pass's Invokes: start a launch pass, consume seal messages as
+// they arrive, write the ready marker the moment a stage's last worker
+// sealed, start a pass for whatever that unblocked, and re-invoke what the
+// scheduler nominates. It returns once every stage sealed, and never while
+// its pass is alive: on an error the pass stops at its next unit and the loop
+// waits for it.
+func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 	tr := d.dep.Trace
-	if err := d.launchReady(s); err != nil {
+	l := &launcher{d: d, s: s}
+	defer func() {
+		if werr := l.wait(); err == nil {
+			err = werr
+		}
+	}()
+	if err := l.start(); err != nil {
 		return err
 	}
 	deadline := d.env.Now() + d.cfg.MaxWait
+	if l.running {
+		// No worker can have posted before the pass's first Invoke: park on
+		// the result queue before the first Receive rather than bill an
+		// empty one.
+		simenv.WaitNotifyKey(d.env, "sqs/"+d.cfg.ResultQueue, d.cfg.PollInterval)
+	}
 	for !s.done() {
 		// Resume partial launches: containers of this or other queries
 		// settling since the last pass may have freed tokens.
-		if err := d.launchReady(s); err != nil {
+		if err := l.start(); err != nil {
 			return err
 		}
 		msgs, err := d.receive()
@@ -683,7 +775,7 @@ func (d *query) schedule(s *scheduler, sealTable string) error {
 						return err
 					}
 				}
-				s.marked(r, d.env.Now())
+				s.marked(r, m.SentAt, d.env.Now())
 				if tr.Enabled() {
 					tr.SetTag(r.span, "workers", strconv.Itoa(len(r.payloads)))
 					if r.speculated > 0 {
@@ -691,7 +783,7 @@ func (d *query) schedule(s *scheduler, sealTable string) error {
 					}
 					tr.EndSpan(r.span, r.sealedAt)
 				}
-				if err := d.launchReady(s); err != nil {
+				if err := l.start(); err != nil {
 					return err
 				}
 				// This seal may have made already-launched consumers
@@ -743,6 +835,7 @@ func (d *query) report(s *scheduler, sp *stageplan.Plan) *Report {
 			Workers:    len(r.payloads),
 			Launched:   r.launchedAt - d.start,
 			Sealed:     r.sealedAt - d.start,
+			LastWinner: r.lastWin - d.start,
 			Speculated: r.speculated,
 			Span:       r.span,
 		}

@@ -307,6 +307,9 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 	if rep.Duration >= 10*time.Second {
 		t.Errorf("query took %v, want under 10s", rep.Duration)
 	}
+	// The join fleet's launch (23 synchronous tree Invokes for 512 workers)
+	// outlasts the scans, and no seal may wait for it.
+	assertSealLag(t, rep)
 }
 
 // TestStagedMultiLevelSpeculationCompletesViaBackup re-runs the straggler

@@ -517,6 +517,78 @@ func TestStagedPipelinedMatchesWaves(t *testing.T) {
 	}
 }
 
+// assertSealLag holds every awaited stage of rep — one that publishes a
+// boundary its consumers wait on — to a seal within 100 ms of its last
+// winner's seal message: a Receive, the ready marker's Put and a batch of
+// other seals ahead of it, never a fleet's launch.
+func assertSealLag(t *testing.T, rep *Report) {
+	t.Helper()
+	awaited := 0
+	for _, ss := range rep.StageStats {
+		if ss.Variant == "" {
+			continue // the result stage: nobody waits on it
+		}
+		awaited++
+		lag := ss.Sealed - ss.LastWinner
+		t.Logf("stage %d (regroup %t): last winner +%v, sealed +%v, lag %v", ss.StageID, ss.Regroup, ss.LastWinner, ss.Sealed, lag)
+		if lag < 0 || lag > 100*time.Millisecond {
+			t.Errorf("stage %d (regroup %t) sealed %v after its last winner: want within 100ms", ss.StageID, ss.Regroup, lag)
+		}
+	}
+	if awaited == 0 {
+		t.Error("no awaited stage in the plan")
+	}
+}
+
+// TestSealNeverBehindLaunch runs q12 at 256 partitions on DES: two 2-worker
+// scan stages into single-round boundaries, and the 256-worker join launched
+// through the invocation tree, 16 synchronous Invokes that outlast both
+// scans. Each scan stage must seal as soon as its last worker reported. With
+// the launch pass inline in the event loop they sealed only after the join's
+// last Invoke, 344 and 253 ms behind their last winners.
+func TestSealNeverBehindLaunch(t *testing.T) {
+	k := simclock.New()
+	dep := NewSimulated(k, 42)
+	var rep *Report
+	k.Go("driver", func(p *simclock.Proc) {
+		d := NewSession(dep, DefaultConfig())
+		if err := d.Install(); err != nil {
+			t.Error(err)
+			return
+		}
+		g := tpch.Gen{SF: 0.002, Seed: 42}
+		li := g.Generate()
+		opts := lpq.WriterOptions{RowGroupRows: 65536, Compression: lpq.Gzip}
+		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, opts)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ordRefs, err := d.UploadTable(p, "tpch", "orders", g.OrdersFor(li), 2, opts)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		scfg := DefaultStageConfig()
+		scfg.Partitions = 256
+		scfg.BroadcastRowLimit = -1
+		if _, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg); err != nil {
+			t.Errorf("q12: %v", err)
+		}
+	})
+	k.Run()
+	if k.Deadlocked() {
+		t.Fatal("DES deadlocked")
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	if rep.Workers != 260 || rep.Stages != 3 {
+		t.Fatalf("ran %d workers in %d stages, want 260 in 3 (scan, scan, join)", rep.Workers, rep.Stages)
+	}
+	assertSealLag(t, rep)
+}
+
 // TestStagedDrainsStaleResults: seal messages left in the result queue by
 // an earlier aborted query must not fail the next staged query — the wave
 // collector discards them by query ID and keeps polling for its own.
