@@ -29,15 +29,18 @@ race-staged:
 # scale-smoke is the multi-level acceptance point: staged q12 on the DES
 # kernel at 512 partitions (a 1k+ worker fleet), checking the resolved
 # boundary variants and that the billed S3 requests match the analytic
-# request model integer-exactly. Uninstrumented: it takes a second or two
-# now that the byte path allocates what it encodes, and race mode would add
-# no interleaving coverage the -short race suites don't already have.
+# request model of the staged protocol integer-exactly, and both protocols'
+# models on 64 seeded boundary shapes. Uninstrumented: it takes a second or
+# two now that the byte path allocates what it encodes, and race mode would
+# add no interleaving coverage the -short race suites don't already have.
 scale-smoke:
-	$(GO) test -run 'TestStagedQ12ScaleSmoke|TestMultiLevelRequestsMatchModel' -v -timeout 10m ./internal/driver/ ./internal/exchange/
+	$(GO) test -run 'TestStagedQ12ScaleSmoke|TestMultiLevelRequestsMatchModel|TestSealedBoundaryMatchesDriverless' -v -timeout 10m ./internal/driver/ ./internal/exchange/
 
-# fuzz-smoke fuzzes the six parsers of outside bytes for five seconds each
+# fuzz-smoke fuzzes the seven parsers of outside bytes for five seconds each
 # from the seed corpora under their testdata/fuzz: the exchange's key codec
-# (a key or a typed error, and parse inverts String), the lpq reader
+# (a key or a typed error, and parse inverts String), its seal-manifest
+# decoder (refs or a typed error for any round, no allocation the bytes
+# cannot back, and AppendCommit → decode round-trips), the lpq reader
 # (OpenReader + ReadAll: a typed error or a valid chunk, never a panic, no
 # allocation the input cannot back), the fault-plan parser (a typed error
 # or a plan that Marshal → ParsePlan leaves unchanged), the SQL parser (an
@@ -48,6 +51,7 @@ scale-smoke:
 # runner that runs nothing, never a panic).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBoundaryKey -fuzztime=5s ./internal/exchange/
+	$(GO) test -run=NONE -fuzz=FuzzSealManifest -fuzztime=5s ./internal/exchange/
 	$(GO) test -run=NONE -fuzz=FuzzOpenReadAll -fuzztime=5s ./internal/lpq/
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s ./internal/awssim/faults/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/sqlfe/

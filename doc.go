@@ -44,7 +44,8 @@
 //
 // Every multi-request loop of the read path goes through it. The exchange's
 // three — a round's reads of one small range per writer, the per-shard Lists
-// of one discovery pass, a sweep's List and DeleteObjects per bucket —
+// of a driverless round's discovery pass, a sweep's List and DeleteObjects
+// per bucket —
 // because a worker that pays 256 latencies of ~35 ms one after another for
 // 256 KB is not the paper's worker (§4.3.2, §4.4.2), and the fleet behind it
 // idles, billed, until it is done. The opens (level 4): opening a file is one
@@ -227,8 +228,8 @@
 //	scan stage      reads its file subset of one base table, applies the
 //	                pushed-down filters/projections, and hash-partitions
 //	                its output rows on the downstream join keys into P
-//	                partition files (write-combined: one object per worker
-//	                with cumulative offsets encoded in its name)
+//	                partition files (write-combined: one object per worker,
+//	                whose cumulative offsets its seal message reports)
 //	join stage      P workers; worker p collects partition p of both
 //	                sides, builds the hash table on the build side and
 //	                probes with the other — no worker sees a whole table
@@ -239,19 +240,30 @@
 //	                stage owning each group whole
 //
 // Every boundary, and every other shuffle in the repository, is made of one
-// protocol step, the round (internal/exchange, round.go): writers cut a body
-// into slots and commit it under an attempt number; the reader of a slot
-// waits until every writer has a committed attempt, takes each writer's
-// lowest one and reads its slot of each. A scan→join boundary is the round
+// step, the round (internal/exchange, round.go): writers cut a body into
+// slots and commit it under an attempt number, and the reader of a slot reads
+// its slot of one attempt of each writer. A scan→join boundary is the round
 // with the scan stage's workers as writers and the join stage's as slots;
-// write combining is the round's one switch (one object per writer with the
-// slot offsets in its name, or a file per slot plus a commit marker); and
-// one codec (boundaryKey, fuzzed for round-trip by FuzzBoundaryKey) renders
-// and parses every object name and List prefix. The paper's symmetric
-// k-level grid exchange (exchange.Worker.Run and RunSynthetic; Table 3,
-// Figure 13) is the same code: along each level, the workers that agree on
-// every other grid coordinate are a boundary with as many senders as
-// partitions, so the experiments time the waits the scheduler runs.
+// write combining is the round's one switch (one object per writer, or a
+// file per slot); and one codec (boundaryKey, fuzzed for round-trip by
+// FuzzBoundaryKey) renders and parses every object name and List prefix.
+// How a reader learns which attempt to read, and where its slot is, is the
+// protocol, and there are two. The stage boundaries run the staged one: the
+// driver seals a stage once every worker reported, and the stage's ready
+// marker is its manifest — per worker, the attempt the driver recorded as
+// winner (the first seal) and that attempt's slot offsets, which its seal
+// message carried (exchange.AppendCommit: uvarints, a few bytes per slot).
+// A consumer walks the manifest once, keeps its own slot's range of each
+// writer and reads — no List, no commit marker, and names without offsets
+// (FuzzSealManifest holds the decoder to refs or a typed error on any
+// bytes). The paper's symmetric k-level grid exchange (exchange.Worker.Run
+// and RunSynthetic; Table 3, Figure 13) runs the driverless one, as §4.4.3
+// built it: the reader "repeats until the files exist" — Lists until every
+// writer has a committed attempt, a write-combined object with the slot
+// offsets in its name or a basic writer's commit marker — takes each
+// writer's lowest one and reads its slot of each. Along each grid level the
+// workers that agree on every other coordinate are a boundary with as many
+// senders as partitions, so the experiments time the same round.
 //
 // The planner chooses broadcast-vs-shuffle per join from the lpq footer
 // row counts: a genuinely small build side ships inside worker payloads as
@@ -267,14 +279,17 @@
 // requests — the dominant bill at scale (§4.4's central observation). Each
 // boundary therefore carries an exchange.Variant resolved independently per
 // edge: stageplan.ChooseVariant prices every candidate with the exact
-// analytic request model (exchange.Variant.Requests — puts, gets and lists
-// as closed-form functions of S, P and the shard-bucket count) and keeps
-// single-round for narrow edges while sending wide ones through the
-// multi-level protocol (§4.4.2). The shard count comes from the same model:
-// each candidate gets the fewest buckets b under which its puts, and apart
-// its gets + lists, stay within b · rounds · stageplan.MaxBucketRoundRequests
-// (S3's separate write and read ceilings per prefix, §4.4.1) — fewest,
-// because every receiver lists each bucket its senders use. Multi-level is
+// analytic request model of what a sealed boundary bills
+// (exchange.Variant.SealedRequests — puts and gets as closed-form functions
+// of S and P; the driverless exchange's model, with its lists, is
+// Variant.Requests) and keeps single-round for narrow edges while sending
+// wide ones through the multi-level protocol (§4.4.2). A write-combined
+// candidate whose worst-case manifest (Variant.ManifestBytes) exceeds
+// DynamoDB's 400 KB item limit is inadmissible and runs basic. The shard
+// count comes from the same model: each candidate gets the fewest buckets b
+// under which its puts, and apart its gets, stay within b · rounds ·
+// stageplan.MaxBucketRoundRequests (S3's separate write and read ceilings
+// per prefix, §4.4.1). Multi-level is
 // two rounds, not a second protocol: the senders' round has G =
 // exchange.Groups(P) ≈ √P slots — a group is a run of consecutive
 // partitions, so a sender's group object is a run of its
@@ -291,11 +306,12 @@
 // like any stage's, and a worker handed a task without a plan runs the regroup round
 // of the task's input — collect the group sender-ascending, split it by the
 // same hash, publish. A receiver collects its partition from its group's
-// round — one List and one read instead of S, O(S·G + P) requests instead
-// of O(S·P). Attempt versioning is the round's, so it carries through both:
-// a regroup worker reads each sender's lowest committed attempt, and its own
-// output is attempt-versioned and committed the same way, so
-// first-committed-attempt semantics and the epoch fence hold unchanged; the
+// round — one read instead of S, O(S·G + P) requests instead of O(S·P).
+// Attempt versioning is the round's, so it carries through both: a regroup
+// worker reads the senders' attempts the sender stage's manifest names, its
+// own output is attempt-versioned and sealed the same way, and receivers
+// read the regroup stage's manifest, one entry per group, so first-seal-wins
+// semantics and the epoch fence hold unchanged; the
 // fence/speculation/chaos suites re-run over forced multi-level boundaries,
 // and TestStagedQ12ScaleSmoke pins the billed request counts of a 1k-worker
 // staged q12 to the model integer-exactly. -exchange-levels pins a round
@@ -328,6 +344,7 @@
 //	                     be relaunched is the query's StageFailure
 //	launched → sealed    message answers sealed on the stage's last winner;
 //	                     the loop writes the DynamoDB ready marker (rule 2),
+//	                     the stage's manifest as its value,
 //	                     calls marked(r, sent, now) — sent is the sealing
 //	                     message's SentAt, so sealed − sent is the seal lag
 //	                     the report prints — starts a pass for what that
@@ -362,12 +379,13 @@
 // applies per stage: once a quorum of a stage's workers sealed and a
 // straggler outlives a multiple of the median response time, the scheduler
 // re-invokes it as a new attempt. A round's object names are versioned by
-// attempt (s<stage>/p<part>/a<attempt>-snd<sender>, with a per-attempt
-// commit marker; write-combining's single Put commits implicitly), so a
-// backup never races the original's files: readers take each writer's
-// lowest committed attempt, and since fragments are deterministic, every
-// attempt's files are byte-identical — whichever attempt wins, the rows
-// collected are the same. The stale-drain collector (exchange.Sweep) purges
+// attempt (s<stage>/p<part>/a<attempt>-snd<sender>, or s<stage>/snd<sender>-
+// a<attempt> write-combined), so a backup never races the original's files:
+// readers take the attempt the driver sealed — the first whose seal message
+// arrived, whatever later attempts commit (TestStagedReadsTheSealedWinner) —
+// and since fragments are deterministic, every attempt's files are
+// byte-identical: whichever attempt wins, the rows collected are the same.
+// The stale-drain collector (exchange.Sweep) purges
 // the boundary namespace before a query (an identically-numbered aborted
 // run on a fresh driver must not leak into its retry) and after it (loser
 // attempts and winner files alike).
@@ -419,7 +437,7 @@
 // broadcast is keyed: every substrate write broadcasts a topic naming what
 // became visible ("s3/<key>", "dynamo/<table>/<key>", "sqs/<queue>"), and
 // waiters park on the prefix they actually await — waitSealed on its seal
-// marker's key, the exchange's commit waits on the stage's commit prefix,
+// marker's key, a driverless round's commit waits on its commit prefix,
 // result collectors on the result queue's topic (simclock.Proc.WaitNotifyKey
 // under DES, simenv.WaitNotifyKey for functional-mode goroutines). A waiter
 // wakes at the exact virtual instant of the matching write — removing the
@@ -427,7 +445,7 @@
 // shuffle no longer wakes every parked barrier in the simulation on each
 // Put (Report.Wakeups counts the delivered wakeups; the keyed-vs-unkeyed
 // regression test pins the reduction). The timed poll remains the fallback
-// for waiters whose write never comes. Commit
+// for waiters whose write never comes. A driverless round's commit
 // discovery is batched: one List of the round's commit namespace per shard
 // bucket per pass, only of buckets still hosting an unseen writer, and an
 // object naming a writer outside the round fails the collect with a

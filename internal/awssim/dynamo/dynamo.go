@@ -29,7 +29,22 @@ var (
 	// rejection; it wraps faults.ErrThrottled, which resilience classifies
 	// retryable.
 	ErrThrottled = fmt.Errorf("dynamo: %w", faults.ErrThrottled)
+	// ErrItemTooLarge is DynamoDB's validation error for an item over
+	// MaxItemBytes: rejected unbilled, and no retry helps.
+	ErrItemTooLarge = errors.New("dynamo: item size exceeds the limit")
 )
+
+// MaxItemBytes is DynamoDB's item size limit, 400 KB, counted here over the
+// key and the value together.
+const MaxItemBytes = 400 << 10
+
+// fits checks an item against MaxItemBytes.
+func fits(table, key string, value []byte) error {
+	if n := len(key) + len(value); n > MaxItemBytes {
+		return fmt.Errorf("%w: %s/%s is %d bytes, over %d", ErrItemTooLarge, table, key, n, MaxItemBytes)
+	}
+	return nil
+}
 
 // Config controls latency and pricing. Zero value: free, instant.
 type Config struct {
@@ -80,8 +95,12 @@ func (s *Service) CreateTable(name string) {
 // Put stores value under key. Like s3.put, the write becomes visible — and
 // the completion signal fires — only after the write latency elapsed:
 // waiters parked on the signal must not observe (or be woken by) a write
-// the writer is still paying for.
+// the writer is still paying for. An item over MaxItemBytes is refused
+// before anything else.
 func (s *Service) Put(env simenv.Env, table, key string, value []byte) error {
+	if err := fits(table, key, value); err != nil {
+		return err
+	}
 	if f, ok := s.cfg.Faults.Next(faults.OpDynamoPut); ok && f.Kind == faults.KindThrottle {
 		return ErrThrottled
 	}
@@ -117,8 +136,11 @@ func (s *Service) Put(env simenv.Env, table, key string, value []byte) error {
 // becomes visible. DynamoDB's conditional write, the primitive the driver's
 // query-epoch fence increments through. A failed condition is billed like a
 // write (DynamoDB charges failed conditional writes) and returns
-// ErrConditionFailed.
+// ErrConditionFailed. An item over MaxItemBytes is refused as by Put.
 func (s *Service) PutIf(env simenv.Env, table, key string, value, expect []byte) error {
+	if err := fits(table, key, value); err != nil {
+		return err
+	}
 	if f, ok := s.cfg.Faults.Next(faults.OpDynamoPutIf); ok && f.Kind == faults.KindThrottle {
 		return ErrThrottled
 	}

@@ -102,6 +102,34 @@ func TestPricing(t *testing.T) {
 	}
 }
 
+// TestItemSizeLimit: an item of exactly MaxItemBytes — key and value — is
+// stored; one byte more is refused by Put and PutIf alike with
+// ErrItemTooLarge, unbilled, and the stored item is left as it was.
+func TestItemSizeLimit(t *testing.T) {
+	meter := pricing.NewCostMeter()
+	s := New(Config{Meter: meter})
+	env := simenv.NewImmediate()
+	s.CreateTable("t")
+	const key = "q1/e1/s2"
+	fit := bytes.Repeat([]byte{1}, MaxItemBytes-len(key))
+	if err := s.Put(env, "t", key, fit); err != nil {
+		t.Fatalf("a %d-byte item: %v", MaxItemBytes, err)
+	}
+	over := append(fit, 2)
+	if err := s.Put(env, "t", key, over); !errors.Is(err, ErrItemTooLarge) {
+		t.Errorf("Put of a %d-byte item returned %v, want ErrItemTooLarge", MaxItemBytes+1, err)
+	}
+	if err := s.PutIf(env, "t", key, over, fit); !errors.Is(err, ErrItemTooLarge) {
+		t.Errorf("PutIf of a %d-byte item returned %v, want ErrItemTooLarge", MaxItemBytes+1, err)
+	}
+	if got, err := s.Get(env, "t", key); err != nil || !bytes.Equal(got, fit) {
+		t.Errorf("the refused writes changed the item: %d bytes, %v", len(got), err)
+	}
+	if got := meter.Count(pricing.LabelDynamoWrite); got != 1 {
+		t.Errorf("writes billed = %d, want 1: a refused item is not billed", got)
+	}
+}
+
 // TestPutIfConditionalSemantics: nil expect means "must not exist"; non-nil
 // expect must match the stored bytes; either way the loser sees
 // ErrConditionFailed and the item keeps the winner's value.

@@ -230,6 +230,17 @@ func assertRequests(t *testing.T, name string, got, want map[string]int64) {
 // workers' seal Sends share, so the seal instants and the workers'
 // ready-marker polls move with them (DynamoDB reads 2l-wc 20 → 23, capped
 // 11 → 13). Every Lambda, S3 and DynamoDB-write count is unchanged.
+//
+// The staged rows were re-recorded once more, for one cause: a stage's ready
+// marker is the manifest of what its workers committed, so consumers read
+// their boundaries without a List, and a basic writer's seal message is its
+// commit, so it Puts no marker. Every staged row now bills 16 LISTs, the two
+// namespace sweeps over the 8 shard buckets (staged q12 20 → 16, the 2l rows
+// 24 → 16), and 2l bills 8 S3 writes less — the markers of four senders and
+// four regroup workers (20 → 12). S3 reads, Lambda and DynamoDB-write counts
+// are unchanged. The collects finish sooner, so the polls moved as measured
+// (SQS staged q12 25 → 24, 2l 38 → 36, 2l-wc 35 → 34, capped 48 → 41;
+// DynamoDB reads 2l 29 → 24, capped 13 → 12).
 func TestExecutorRequestGuard(t *testing.T) {
 	single := func(sql string) func(*Session, simenv.Env, TableFiles) error {
 		return func(d *Session, env simenv.Env, tables TableFiles) error {
@@ -290,11 +301,11 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// markers; nobody waits on the join stage, which posts to the driver.
 	// Against the four-stage plan: six Invokes, not eight; 38 → 34 S3 reads,
 	// 6 → 4 writes and 22 → 20 LISTs (the final stage's two collects); polls
-	// SQS 30 → 24, DynamoDB reads 18 → 8.
+	// SQS 30 → 24, DynamoDB reads 18 → 8. The LISTs left are the sweeps'.
 	assertRequests(t, "staged q12", staged, map[string]int64{
 		pricing.LabelLambdaRequests: 6,
-		pricing.LabelS3Read:         34, pricing.LabelS3Write: 4, pricing.LabelS3List: 20,
-		pricing.LabelSQS: 25, pricing.LabelDynamoRead: 8, pricing.LabelDynamoWrite: 3,
+		pricing.LabelS3Read:         34, pricing.LabelS3Write: 4, pricing.LabelS3List: 16,
+		pricing.LabelSQS: 24, pricing.LabelDynamoRead: 8, pricing.LabelDynamoWrite: 3,
 	})
 
 	// ORDERS broadcast: the driver reads the table through the source the
@@ -319,7 +330,8 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// boundaries with a regroup fleet of two each — ten Invokes (the
 	// four-stage plan's fourteen had the final stage and the join boundary's
 	// regroup fleet), five DynamoDB writes (the fence, and a marker per scan
-	// stage and per regroup fleet). The S3, DynamoDB-write and Lambda counts
+	// stage and per regroup fleet), no S3 List but the sweeps'. The S3,
+	// DynamoDB-write and Lambda counts
 	// are timing-free; the SQS and DynamoDB-read counts are polls and move
 	// with the launch schedule — recorded as measured.
 	twoLevel := func(wc bool) func(*Session, simenv.Env, TableFiles) error {
@@ -336,18 +348,18 @@ func TestExecutorRequestGuard(t *testing.T) {
 	}
 	assertRequests(t, "staged q12 2l", billedRequests(t, nil, twoLevel(false)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
-		pricing.LabelS3Read:         38, pricing.LabelS3Write: 20, pricing.LabelS3List: 24,
-		pricing.LabelSQS: 38, pricing.LabelDynamoRead: 29, pricing.LabelDynamoWrite: 5,
+		pricing.LabelS3Read:         38, pricing.LabelS3Write: 12, pricing.LabelS3List: 16,
+		pricing.LabelSQS: 36, pricing.LabelDynamoRead: 24, pricing.LabelDynamoWrite: 5,
 	})
 	assertRequests(t, "staged q12 2l-wc", billedRequests(t, nil, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
-		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8, pricing.LabelS3List: 24,
-		pricing.LabelSQS: 35, pricing.LabelDynamoRead: 23, pricing.LabelDynamoWrite: 5,
+		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8, pricing.LabelS3List: 16,
+		pricing.LabelSQS: 34, pricing.LabelDynamoRead: 23, pricing.LabelDynamoWrite: 5,
 	})
 	capped := func(c *Config) { c.MaxInFlight = 2 }
 	assertRequests(t, "staged q12 2l-wc, MaxInFlight 2", billedRequests(t, capped, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
-		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8, pricing.LabelS3List: 24,
-		pricing.LabelSQS: 48, pricing.LabelDynamoRead: 13, pricing.LabelDynamoWrite: 5,
+		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8, pricing.LabelS3List: 16,
+		pricing.LabelSQS: 41, pricing.LabelDynamoRead: 12, pricing.LabelDynamoWrite: 5,
 	})
 }

@@ -273,11 +273,15 @@ type resultMsg struct {
 	// retries or an injected crash-class error, not of a plan or data error
 	// — so the scheduler may re-invoke the fragment instead of failing the
 	// query.
-	Retryable    bool   `json:"retryable,omitempty"`
-	Retries      int64  `json:"retries,omitempty"` // substrate retries spent by this invocation
-	Chunk        []byte `json:"chunk,omitempty"`   // lpq blob
-	ProcessingNs int64  `json:"processingNs"`      // plan execution time
-	Cold         bool   `json:"cold"`
+	Retryable bool   `json:"retryable,omitempty"`
+	Retries   int64  `json:"retries,omitempty"` // substrate retries spent by this invocation
+	Chunk     []byte `json:"chunk,omitempty"`   // lpq blob
+	// Offsets is what the worker committed to its stage's boundary besides
+	// its objects: the slots+1 offsets of a write-combined publish, none for
+	// a basic one. The driver seals it into the stage's manifest.
+	Offsets      []int64 `json:"offsets,omitempty"`
+	ProcessingNs int64   `json:"processingNs"` // plan execution time
+	Cold         bool    `json:"cold"`
 }
 
 // workerHandler is the event handler running inside every serverless
@@ -325,7 +329,7 @@ func (d *Session) workerHandler(ctx *lambdasvc.Ctx, payload []byte) error {
 			}
 			if err != nil {
 				err = fmt.Errorf("invoking child %d: %w", child.WorkerID, err)
-				d.postResult(ctx.Env, ws, p, err, nil, 0, ctx.Cold)
+				d.postResult(ctx.Env, ws, p, err, nil, nil, 0, ctx.Cold)
 				return err
 			}
 			ctx.Env.Sleep(pacing.Gap())
@@ -336,9 +340,9 @@ func (d *Session) workerHandler(ctx *lambdasvc.Ctx, payload []byte) error {
 		ctx.Env.Sleep(d.cfg.testWorkerDelay(p.StageID, p.WorkerID, p.Attempt))
 	}
 	start := ctx.Env.Now()
-	chunk, err := d.executeFragment(ctx, ws, &p)
+	chunk, offsets, err := d.executeFragment(ctx, ws, &p)
 	processing := ctx.Env.Now() - start
-	return d.postResult(ctx.Env, ws, p, err, chunk, processing, ctx.Cold)
+	return d.postResult(ctx.Env, ws, p, err, chunk, offsets, processing, ctx.Cold)
 }
 
 // ErrWorkerOOM is reported when a worker's working set exceeds its memory.
@@ -410,8 +414,9 @@ func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *work
 	return plan, cat, nil
 }
 
-func (d *Session) postResult(env simenv.Env, ws resilience.Policy, p workerPayload, execErr error, chunk *columnar.Chunk, processing time.Duration, cold bool) error {
-	msg := resultMsg{QueryID: p.QueryID, WorkerID: p.WorkerID, Stage: p.StageID, Attempt: p.Attempt, Epoch: p.Epoch, ProcessingNs: processing.Nanoseconds(), Cold: cold}
+func (d *Session) postResult(env simenv.Env, ws resilience.Policy, p workerPayload, execErr error, chunk *columnar.Chunk, offsets []int64, processing time.Duration, cold bool) error {
+	msg := resultMsg{QueryID: p.QueryID, WorkerID: p.WorkerID, Stage: p.StageID, Attempt: p.Attempt, Epoch: p.Epoch,
+		Offsets: offsets, ProcessingNs: processing.Nanoseconds(), Cold: cold}
 	if execErr != nil {
 		msg.Err = execErr.Error()
 		// A retryable failure is a typed failure seal: the scheduler may

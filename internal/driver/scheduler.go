@@ -4,6 +4,7 @@ import (
 	"slices"
 	"time"
 
+	"lambada/internal/exchange"
 	"lambada/internal/obs"
 	"lambada/internal/stageplan"
 )
@@ -44,9 +45,11 @@ type stageRun struct {
 	// Later seals of the same worker — the losing half of a backup pair —
 	// are ignored; their boundary files are swept after the query. chunks
 	// holds the winners' result chunks by worker (lpq blobs; empty from a
-	// stage that publishes a boundary instead).
+	// stage that publishes a boundary instead), commits the offsets their
+	// publishes reported — what the stage's manifest seals beside winners.
 	winners map[int]int
 	chunks  [][]byte
+	commits [][]int64
 	// attempts counts the re-invocations issued per worker — failure
 	// relaunches and speculation backups alike; attempts[w] is also the
 	// attempt number of the latest invocation of w.
@@ -114,7 +117,7 @@ type scheduler struct {
 // on — and marks those awaited.
 func (s *scheduler) add(st *stageplan.Stage, payloads []workerPayload) *stageRun {
 	r := &stageRun{st: st, payloads: payloads, invoked: make([]bool, len(payloads)), winners: map[int]int{},
-		chunks: make([][]byte, len(payloads)), attempts: map[int]int{}, capFrom: -1}
+		chunks: make([][]byte, len(payloads)), commits: make([][]int64, len(payloads)), attempts: map[int]int{}, capFrom: -1}
 	for _, dep := range st.DependsOn {
 		if p := s.byID[dep]; p != nil {
 			p.awaited = true
@@ -247,7 +250,7 @@ func (s *scheduler) message(now time.Duration, rm *resultMsg) (*stageRun, outcom
 		}
 		return r, nothing, &StageFailure{QueryID: s.queryID, Stage: rm.Stage, Worker: w, Attempt: rm.Attempt, Retryable: rm.Retryable, Msg: rm.Err}
 	}
-	r.winners[w], r.chunks[w] = rm.Attempt, rm.Chunk
+	r.winners[w], r.chunks[w], r.commits[w] = rm.Attempt, rm.Chunk, rm.Offsets
 	if rm.Cold {
 		s.rep.ColdWorkers++
 	}
@@ -269,6 +272,23 @@ func (s *scheduler) marked(r *stageRun, lastWin, now time.Duration) {
 	r.state = stageSealed
 	r.sealedAt, r.lastWin = now, lastWin
 	s.nSealed++
+}
+
+// manifest is the value of r's ready marker once every worker reported: for
+// each worker in order, the attempt recorded as its winner and the offsets
+// that attempt committed (exchange.AppendCommit). The stage's consumers read
+// their boundary's objects from it, so the first seal of a worker is the one
+// they read, whichever attempt committed first or lowest.
+func (r *stageRun) manifest() []byte {
+	n := 0
+	for _, c := range r.commits {
+		n += 2 + 2*len(c)
+	}
+	b := make([]byte, 0, n)
+	for w, c := range r.commits {
+		b = exchange.AppendCommit(b, r.winners[w], c)
+	}
+	return b
 }
 
 // armCaps starts, at now, the liveness-cap clock of every launched stage that

@@ -453,7 +453,8 @@ func chunkBounds(c *columnar.Chunk, col string) (lo, hi int64, ok bool) {
 // are invoked before their producers seal (consumer cold starts overlap
 // upstream execution), workers report completion through the SQS result
 // queue (seal), the driver records stage readiness in DynamoDB (the
-// notify-driven barrier gating consumer collects), retryable failure seals
+// notify-driven barrier gating consumer collects, whose value is the manifest
+// they collect by), retryable failure seals
 // and Config.Speculate's stragglers are re-invoked as attempt-versioned
 // backups whose boundary publishes cannot race the originals' (the first
 // sealed attempt per worker wins); the finish merges, sweeps and reports. It
@@ -765,12 +766,14 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 				}
 			case sealed:
 				// Seal: every worker of the stage reported through SQS.
-				// Ready: record it in DynamoDB for the consumers' barrier
-				// (the Put broadcasts the completion signal, waking workers
-				// parked in waitSealed at this exact instant).
+				// Ready: record it in DynamoDB for the consumers' barrier,
+				// the stage's manifest as its value (the Put broadcasts the
+				// completion signal, waking workers parked in waitSealed at
+				// this exact instant).
 				if r.awaited {
+					manifest := r.manifest()
 					if err := d.retry.Do(d.env, "dynamo.Put", func() error {
-						return d.dep.Dynamo.Put(d.env, sealTable, sealKey(s.queryID, s.epoch, r.st.ID), []byte("sealed"))
+						return d.dep.Dynamo.Put(d.env, sealTable, sealKey(s.queryID, s.epoch, r.st.ID), manifest)
 					}); err != nil {
 						return err
 					}
@@ -955,16 +958,18 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, files []scan.FileR
 }
 
 // executeFragment is the worker side of a task: wait out the upstream ready
-// markers, collect this worker's partition of every input boundary, execute
-// the fragment (engine.Execute), and either publish the
-// partitioned output into this stage's attempt namespace or hand the chunk
-// back for the SQS result post. A payload without a boundary spec touches no
-// boundary: the zero spec has nothing to collect and nothing to publish. A
-// payload without a plan is a regroup task: the intermediate round of its
-// one input's multi-level boundary is all it does.
-func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *workerPayload) (*columnar.Chunk, error) {
+// markers, collect this worker's partition of every input boundary from the
+// manifests they hold, execute the fragment (engine.Execute), and either
+// publish the partitioned output into this stage's attempt namespace —
+// returning the offsets its seal message commits — or hand the chunk back
+// for the SQS result post. Every boundary runs on the staged protocol
+// (exchange.PublishSealed, RegroupSealed, CollectSealed). A payload without a
+// boundary spec touches no boundary: the zero spec has nothing to collect and
+// nothing to publish. A payload without a plan is a regroup task: the
+// intermediate round of its one input's multi-level boundary is all it does.
+func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *workerPayload) (*columnar.Chunk, []int64, error) {
 	if err := p.check(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	copts := []s3.ClientOption{s3.WithPolicy(ws)}
 	if d.dep.Shaped {
@@ -976,62 +981,61 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 	if x == nil {
 		x = &boundarySpec{}
 	}
-	opts := exchange.Options{Buckets: x.Buckets, Prefix: x.Prefix, Poll: time.Duration(x.PollNs)}
+	opts := exchange.Options{Buckets: x.Buckets, Prefix: x.Prefix}
 	// One wait deadline for the whole task: a k-input stage gets MaxWait
-	// across ALL its barriers — the ready-marker waits and the exchange
-	// commit waits alike — not MaxWait per input (which would let a fragment
-	// wait k×MaxWait before reporting failure). Only waits are bounded; the
-	// data reads themselves are not cut short.
+	// across ALL its ready-marker waits, not MaxWait per input (which would
+	// let a fragment wait k×MaxWait before reporting failure). The collects
+	// themselves never wait — a sealed stage's objects all exist — and the
+	// data reads are not cut short.
 	deadline := ctx.Env.Now() + time.Duration(x.MaxWaitNs)
-	// ready waits out stage's ready marker, then points opts at a round of
-	// variant v with what is left of the deadline to wait for its commits.
-	// The driver marks a stage sealed in DynamoDB once every worker of it
-	// reported through SQS. Under pipelined launch this worker was invoked
-	// before its producers sealed, so the wait here is where cold start and
-	// upstream execution overlap.
-	ready := func(stage int, v exchange.Variant) error {
-		if err := d.waitSealed(ctx, ws, p, stage, deadline); err != nil {
-			return err
-		}
+	// ready waits out stage's ready marker and returns its manifest, with
+	// opts pointed at a round of variant v. The driver marks a stage sealed
+	// in DynamoDB once every worker of it reported through SQS. Under
+	// pipelined launch this worker was invoked before its producers sealed,
+	// so the wait here is where cold start and upstream execution overlap.
+	ready := func(stage int, v exchange.Variant) ([]byte, error) {
 		opts.Variant = v
-		opts.MaxWait = max(deadline-ctx.Env.Now(), 0)
-		return nil
+		return d.waitSealed(ctx, ws, p, stage, deadline)
 	}
 
 	if len(p.Plan) == 0 {
 		// Regroup attempts version their round-2 publishes exactly like
-		// sender attempts — first committed attempt wins at the receivers.
+		// sender attempts; the driver seals one per group.
 		in := x.Inputs[0]
-		if err := ready(in.Ready, in.Variant); err != nil {
-			return nil, err
+		manifest, err := ready(in.Ready, in.Variant)
+		if err != nil {
+			return nil, nil, err
 		}
-		return nil, exchange.RegroupStage(client, opts, exchange.Boundary{
+		offsets, err := exchange.RegroupSealed(client, opts, exchange.Boundary{
 			Stage:      in.StageID,
 			Attempt:    p.Attempt,
 			Senders:    in.Senders,
 			Partitions: x.Output.Partitions,
-		}, p.WorkerID, x.Output.Keys)
+		}, p.WorkerID, x.Output.Keys, manifest)
+		return nil, offsets, err
 	}
 
 	plan, cat, err := d.fragmentCatalog(ctx, client, p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	budget := engineMemoryBudget(ctx.MemoryMiB)
 	var collected int64
 	for _, in := range x.Inputs {
 		// A multi-level boundary is read once its regroup fleet sealed — the
-		// round-2 objects this worker reads exist only then.
-		if err := ready(in.Ready, in.Variant); err != nil {
-			return nil, err
+		// round-2 objects this worker reads exist only then, and its ready
+		// marker is their manifest.
+		manifest, err := ready(in.Ready, in.Variant)
+		if err != nil {
+			return nil, nil, err
 		}
-		chunk, err := exchange.CollectStage(client, opts, exchange.Boundary{
+		chunk, err := exchange.CollectSealed(client, opts, exchange.Boundary{
 			Stage:      in.StageID,
 			Senders:    in.Senders,
 			Partitions: p.NumWorkers,
-		}, p.WorkerID)
+		}, p.WorkerID, manifest)
 		if err != nil {
-			return nil, fmt.Errorf("collecting stage %d partition %d: %w", in.StageID, p.WorkerID, err)
+			return nil, nil, fmt.Errorf("collecting stage %d partition %d: %w", in.StageID, p.WorkerID, err)
 		}
 		// §3.3: report the working set exceeding the engine budget instead
 		// of dying silently. A join stage holds BOTH sides' partitions at
@@ -1039,7 +1043,7 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 		// over the inputs collected so far.
 		collected += chunk.ByteSize()
 		if need := 3 * collected; need > budget {
-			return nil, fmt.Errorf("%w: partition working set %d MiB exceeds engine budget %d MiB",
+			return nil, nil, fmt.Errorf("%w: partition working set %d MiB exceeds engine budget %d MiB",
 				ErrWorkerOOM, need>>20, budget>>20)
 		}
 		cat[in.Table] = engine.NewMemSource(chunk.Schema, chunk)
@@ -1047,7 +1051,7 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 
 	out, err := engine.Execute(plan, cat)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Exchange-volume tags: output rows of the fragment and bytes collected
 	// from upstream boundaries, read off the invocation span for the
@@ -1060,47 +1064,52 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 		}
 	}
 	if x.Output == nil {
-		return out, nil
+		return out, nil, nil
 	}
 	wrote := client.BytesWritten()
 	opts.Variant = x.Output.Variant
-	err = exchange.PublishStage(client, opts, exchange.Boundary{
+	offsets, err := exchange.PublishSealed(client, opts, exchange.Boundary{
 		Stage:      p.StageID,
 		Attempt:    p.Attempt,
 		Senders:    p.NumWorkers,
 		Partitions: x.Output.Partitions,
 	}, p.WorkerID, out, x.Output.Keys)
 	if err != nil {
-		return nil, fmt.Errorf("publishing stage %d output: %w", p.StageID, err)
+		return nil, nil, fmt.Errorf("publishing stage %d output: %w", p.StageID, err)
 	}
 	if tr.Enabled() && ctx.Span != 0 {
 		tr.SetTag(ctx.Span, "bytes.out", strconv.FormatInt(client.BytesWritten()-wrote, 10))
 	}
-	// The seal travels through the result queue: an empty chunk.
-	return nil, nil
+	// The seal travels through the result queue: no chunk, and the offsets
+	// the publish committed.
+	return nil, offsets, nil
 }
 
 // waitSealed waits for the DynamoDB ready marker of a producing stage, up
-// to the fragment-wide deadline. The marker key carries the query epoch, so
-// a marker written by an aborted identically-numbered run can never satisfy
-// this run's barrier. Between checks the worker parks on the completion
-// signal dynamo.Put broadcasts — it wakes at the instant the marker lands
-// instead of at the next poll boundary — with the timed poll as fallback.
-func (d *Session) waitSealed(ctx *lambdasvc.Ctx, ws resilience.Policy, p *workerPayload, stageID int, deadline time.Duration) error {
+// to the fragment-wide deadline, and returns its value: the stage's manifest,
+// where the worker's collects find every writer's sealed attempt and offsets.
+// The marker key carries the query epoch, so a marker written by an aborted
+// identically-numbered run can never satisfy this run's barrier. Between
+// checks the worker parks on the completion signal dynamo.Put broadcasts — it
+// wakes at the instant the marker lands instead of at the next poll boundary
+// — with the timed poll as fallback.
+func (d *Session) waitSealed(ctx *lambdasvc.Ctx, ws resilience.Policy, p *workerPayload, stageID int, deadline time.Duration) ([]byte, error) {
 	table, key := p.Boundary.SealTable, sealKey(p.QueryID, p.Epoch, stageID)
 	for {
+		var manifest []byte
 		err := ws.Do(ctx.Env, "dynamo.Get", func() error {
-			_, gerr := d.dep.Dynamo.Get(ctx.Env, table, key)
+			var gerr error
+			manifest, gerr = d.dep.Dynamo.Get(ctx.Env, table, key)
 			return gerr
 		})
 		if err == nil {
-			return nil
+			return manifest, nil
 		}
 		if !errors.Is(err, dynamo.ErrNoSuchItem) {
-			return err
+			return nil, err
 		}
 		if ctx.Env.Now() >= deadline {
-			return fmt.Errorf("stage %d never sealed: %w", stageID, err)
+			return nil, fmt.Errorf("stage %d never sealed: %w", stageID, err)
 		}
 		// Park on this marker's exact completion topic: only the dynamo.Put
 		// of this (query, epoch, stage) ready marker wakes the worker early.

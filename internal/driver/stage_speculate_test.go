@@ -2,6 +2,9 @@ package driver
 
 import (
 	"encoding/json"
+	"fmt"
+	"path"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,6 +121,120 @@ func TestStagedSpeculationCompletesViaBackup(t *testing.T) {
 		if !found {
 			t.Errorf("wc=%v: stage stats did not attribute the backup: %+v", wc, rep.StageStats)
 		}
+	}
+}
+
+// TestStagedReadsTheSealedWinner: the consumers of a boundary read, per
+// writer, the attempt the driver sealed first — not the lowest committed one.
+// Worker 1 of scan stage 1 stalls on attempt 0 and its backup, attempt 1,
+// seals the stage. As the backup starts, a committed attempt 0 of writer 1 is
+// planted in the query's boundary namespace: a copy of writer 0's objects
+// under writer 1's names, which decodes to writer 0's rows in place of writer
+// 1's. The answer stays byte-identical to single-node execution, for both
+// write-combining modes. A reader taking each writer's lowest committed
+// attempt collects the plant and miscounts.
+func TestStagedReadsTheSealedWinner(t *testing.T) {
+	const stalled = 1
+	g := tpch.Gen{SF: 0.002, Seed: 17}
+	li := g.Generate()
+	orders := g.OrdersFor(li)
+	want := singleNode(t, q12ExactSQL, engine.Catalog{
+		"lineitem": engine.NewMemSource(tpch.Schema(), li),
+		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
+	})
+	// Writer 0's names of attempt 0, as writer 1's: the write-combined object
+	// (either form) and its commit marker, or a slot file.
+	asWriter1 := strings.NewReplacer("snd0-a0", "snd1-a0", "a0-snd0", "a0-snd1")
+	for _, wc := range []bool{false, true} {
+		k := simclock.New()
+		dep := NewSimulated(k, 53)
+		var got *columnar.Chunk
+		var rep *Report
+		planted := 0
+		k.Go("driver", func(p *simclock.Proc) {
+			cfg := DefaultConfig()
+			cfg.PollInterval = 50 * time.Millisecond
+			cfg.Speculate = DefaultSpeculateConfig()
+			plant := func(p *simclock.Proc) {
+				client := s3.NewClient(dep.S3, p)
+				prefix := fmt.Sprintf("%s/q1/e1/s%d/", cfg.FunctionName, stalled)
+				for i := 0; i < exchange.ShardBuckets; i++ {
+					bucket := exchangeBucketName(cfg.FunctionName, i)
+					entries, err := client.List(bucket, prefix)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for _, e := range entries {
+						dir, base := path.Split(e.Key)
+						if planting := asWriter1.Replace(base); planting != base {
+							data, _, err := client.Get(bucket, e.Key, 1)
+							if err == nil {
+								err = client.Put(bucket, dir+planting, data)
+							}
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							planted++
+						}
+					}
+				}
+			}
+			cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
+				if stage != stalled || workerID != 1 {
+					return 0
+				}
+				if attempt == 0 {
+					return 10 * time.Minute
+				}
+				// The backup: writer 0 sealed before it was issued, so its
+				// objects are there to copy. The backup waits out the planting.
+				k.Go("plant", plant)
+				return 2 * time.Second
+			}
+			d := NewSession(dep, cfg)
+			if err := d.Install(); err != nil {
+				t.Error(err)
+				return
+			}
+			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			scfg := DefaultStageConfig()
+			scfg.Partitions = 2
+			scfg.BroadcastRowLimit = -1
+			scfg.Exchange.Variant.WriteCombining = wc
+			scfg.Exchange.Variant.Levels = 1
+			if got, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg); err != nil {
+				t.Errorf("wc=%v: %v", wc, err)
+			}
+		})
+		k.Run()
+		if k.Deadlocked() {
+			t.Fatal("DES deadlocked")
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+		if planted == 0 {
+			t.Fatalf("wc=%v: nothing planted (test premise broken)", wc)
+		}
+		speculated := false
+		for _, ss := range rep.StageStats {
+			speculated = speculated || ss.StageID == stalled && ss.Speculated > 0
+		}
+		if !speculated {
+			t.Fatalf("wc=%v: stage %d was not speculated (test premise broken): %+v", wc, stalled, rep.StageStats)
+		}
+		chunksIdentical(t, got, want)
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
+	"lambada/internal/exchange"
 	"lambada/internal/lpq"
 	"lambada/internal/simclock"
 	"lambada/internal/sqlfe"
@@ -587,6 +589,86 @@ func TestSealNeverBehindLaunch(t *testing.T) {
 		t.Fatalf("ran %d workers in %d stages, want 260 in 3 (scan, scan, join)", rep.Workers, rep.Stages)
 	}
 	assertSealLag(t, rep)
+}
+
+// TestStagedKeysFitS3: every object key the 260-worker q12 writes — 256
+// partitions, as the fleet_des benchmark runs it — is at most 1 024 bytes,
+// S3's key limit. Named with their 257 offsets, as on the driverless
+// protocol, the scan senders' write-combined objects had 1 528-byte keys.
+// Waves hold the join back until both scans sealed, and as its first worker
+// starts, the shard buckets are listed: every object of the query is written
+// by then, and none is swept yet.
+func TestStagedKeysFitS3(t *testing.T) {
+	k := simclock.New()
+	dep := NewSimulated(k, 42)
+	var keys []string
+	k.Go("driver", func(p *simclock.Proc) {
+		cfg := DefaultConfig()
+		cfg.testWaveLaunch = true
+		list := func(p *simclock.Proc) {
+			client := s3.NewClient(dep.S3, p)
+			for i := 0; i < exchange.ShardBuckets; i++ {
+				entries, err := client.List(exchangeBucketName(cfg.FunctionName, i), cfg.FunctionName+"/")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, e := range entries {
+					keys = append(keys, e.Key)
+				}
+			}
+		}
+		listed := false
+		cfg.testWorkerDelay = func(stage, _, _ int) time.Duration {
+			if stage == 0 && !listed { // the join, the result stage
+				listed = true
+				k.Go("list", list)
+			}
+			return 0
+		}
+		d := NewSession(dep, cfg)
+		if err := d.Install(); err != nil {
+			t.Error(err)
+			return
+		}
+		g := tpch.Gen{SF: 0.002, Seed: 42}
+		li := g.Generate()
+		opts := lpq.WriterOptions{RowGroupRows: 65536, Compression: lpq.Gzip}
+		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, opts)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ordRefs, err := d.UploadTable(p, "tpch", "orders", g.OrdersFor(li), 2, opts)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		scfg := DefaultStageConfig()
+		scfg.Partitions = 256
+		scfg.BroadcastRowLimit = -1
+		_, rep, err := d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+		if err != nil {
+			t.Errorf("q12: %v", err)
+		} else if rep.Workers != 260 {
+			t.Errorf("ran %d workers, want 260", rep.Workers)
+		}
+	})
+	k.Run()
+	if k.Deadlocked() {
+		t.Fatal("DES deadlocked")
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	if len(keys) == 0 {
+		t.Fatal("no boundary object listed (test premise broken)")
+	}
+	for _, key := range keys {
+		if len(key) > 1024 {
+			t.Errorf("a %d-byte key, over S3's 1 024: %.80s…", len(key), key)
+		}
+	}
 }
 
 // TestStagedDrainsStaleResults: seal messages left in the result queue by

@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -20,9 +21,9 @@ type Variant struct {
 	// spreads objects over to its first Buckets names: sharding (§4.4.2)
 	// exists only to stay under S3's per-prefix request-rate ceilings, and
 	// beyond that point extra buckets just multiply the List bill (every
-	// receiver lists min(S, B) buckets). stageplan.ChooseVariant picks the
-	// smallest count under which Requests fits the per-bucket budget. Zero
-	// keeps the caller's full pool.
+	// driverless receiver lists min(S, B) buckets). stageplan.ChooseVariant
+	// picks the smallest count under which SealedRequests fits the per-bucket
+	// budget. Zero keeps the caller's full pool.
 	Buckets int `json:"buckets,omitempty"`
 }
 
@@ -65,8 +66,10 @@ func (v Variant) Writes(p int) float64 {
 	return k * float64(p) * math.Pow(float64(p), 1/k)
 }
 
-// Lists returns the list-request count, O(P) for all variants (write
-// combining discovers file names and offsets via lists).
+// Lists returns the list-request count of the paper's driverless exchange,
+// O(P) for all variants (write combining discovers file names and offsets
+// via lists). A staged boundary lists nothing: its readers take both from
+// the ready marker (SealedRequests).
 func (v Variant) Lists(p int) float64 {
 	return float64(v.Levels) * float64(p)
 }
@@ -108,9 +111,10 @@ func (v Variant) WorkerCost(p int, bytesPerWorker int64) pricing.USD {
 // meter observes. Unlike the Table 2 asymptotics above (symmetric P-worker
 // grid exchange), these counts are exact for the stage boundaries of stage.go
 // in a fault-free run: collects happen after the producing fleet sealed, so
-// every discovery runs exactly one List pass, and empty partitions still ship
-// (schema-only lpq blobs), so no request is ever skipped data-dependently.
-// The scale tests hold the meter to these numbers integer-exactly.
+// every driverless discovery runs exactly one List pass, and empty partitions
+// still ship (schema-only lpq blobs), so no request is ever skipped
+// data-dependently. The scale tests hold the meter to these numbers
+// integer-exactly.
 type RequestCount struct {
 	Puts, Gets, Lists int64
 }
@@ -124,9 +128,10 @@ func (c RequestCount) Cost() pricing.USD {
 }
 
 // Requests predicts the exact billed request counts of one S-sender,
-// P-partition stage boundary over the given shard-bucket count. Writing G
-// for Groups(P) and nb for min(S, buckets) (contiguous sender IDs cover
-// min(S, B) distinct shard buckets):
+// P-partition stage boundary over the given shard-bucket count on the
+// driverless protocol (PublishStage, RegroupStage, CollectStage), which
+// discovers commits by listing. Writing G for Groups(P) and nb for min(S,
+// buckets) (contiguous sender IDs cover min(S, B) distinct shard buckets):
 //
 //	1l       S·(P+1) puts   P·S gets       P·nb lists
 //	1l-wc    S puts         P·S gets       P·nb lists
@@ -162,6 +167,63 @@ func (v Variant) Requests(senders, partitions, buckets int) RequestCount {
 		rc.Puts = s*p + s
 	}
 	return rc
+}
+
+// SealedRequests predicts the exact billed request counts of one S-sender,
+// P-partition stage boundary on the staged protocol (PublishSealed,
+// RegroupSealed, CollectSealed) — what a boundary the driver seals bills, and
+// what the planner chooses variants by. Readers take every commit from the
+// ready marker, so nothing is listed, and a basic writer's seal message is
+// its commit, so it Puts no marker. The shard-bucket count changes none of
+// it. With G for Groups(P):
+//
+//	1l       S·P puts       P·S gets
+//	1l-wc    S puts         P·S gets
+//	2l       S·G+P puts     G·S+P gets
+//	2l-wc    S+G puts       G·S+P gets
+func (v Variant) SealedRequests(senders, partitions int) RequestCount {
+	s, p := int64(senders), int64(partitions)
+	if v.Levels >= 2 {
+		g := int64(Groups(partitions))
+		rc := RequestCount{Puts: s + g, Gets: g*s + p}
+		if !v.WriteCombining {
+			rc.Puts = s*g + p
+		}
+		return rc
+	}
+	rc := RequestCount{Puts: s, Gets: p * s}
+	if !v.WriteCombining {
+		rc.Puts = s * p
+	}
+	return rc
+}
+
+// Bounds of one writer's entry of a seal manifest (AppendCommit): two
+// uvarints of header — the attempt and the offset count — and one per offset,
+// which takes at most five bytes while a slot stays under 32 GiB.
+const (
+	manifestHeaderBytes = 2 * binary.MaxVarintLen32
+	manifestOffsetBytes = binary.MaxVarintLen32
+)
+
+// ManifestBytes bounds the largest ready marker a stage of an S-sender,
+// P-partition boundary seals on the staged protocol: per writer the header
+// and, write-combined, slots+1 offsets. A single-round boundary's senders
+// have P slots each; a multi-level one's have G = Groups(P), and its regroup
+// workers GroupSize(P).
+func (v Variant) ManifestBytes(senders, partitions int) int64 {
+	entry := func(slots int) int64 {
+		if !v.WriteCombining {
+			return manifestHeaderBytes
+		}
+		return manifestHeaderBytes + int64(slots+1)*manifestOffsetBytes
+	}
+	s := int64(senders)
+	if v.Levels >= 2 {
+		g := int64(Groups(partitions))
+		return max(s*entry(int(g)), g*entry(GroupSize(partitions)))
+	}
+	return s * entry(partitions)
 }
 
 // Factorize splits P into k near-equal factors (s1 ≥ s2 ≥ ... with

@@ -19,11 +19,12 @@ type Options struct {
 	Buckets []string
 	// Prefix namespaces this exchange's objects (e.g. a query ID).
 	Prefix string
-	// Poll is the reader's retry interval while waiting for commits. It is an
-	// upper bound: waits park on the completion signal s3.Put broadcasts
-	// (simenv.WaitNotifyKey) and wake the moment a writer's commit lands.
+	// Poll is a driverless reader's retry interval while waiting for
+	// commits. It is an upper bound: waits park on the completion signal
+	// s3.Put broadcasts (simenv.WaitNotifyKey) and wake the moment a writer's
+	// commit lands. A staged reader never waits.
 	Poll time.Duration
-	// MaxWait bounds a reader's total wait for one round's commits.
+	// MaxWait bounds a driverless reader's total wait for one round's commits.
 	MaxWait time.Duration
 }
 

@@ -130,13 +130,14 @@ func billed(t *testing.T, svc *s3.Service, buckets []string) RequestCount {
 	return got
 }
 
-// TestMultiLevelRequestsMatchModel holds the boundary protocol to the
-// analytic model integer-exactly: the billed Put/Get/List counts of a
-// fault-free publish → regroup → collect run equal Variant.Requests. The
-// shapes are seeded draws — S and P in [1, 40], a pool of 1–4 shard buckets,
-// a Variant.Buckets that narrows it or not, any of the four stage-reachable
-// variants — so min(S, B) < S, short last groups and narrowed pools all
-// occur. stageplan sizes each boundary's shard pool from these counts.
+// TestMultiLevelRequestsMatchModel holds the driverless boundary protocol to
+// its analytic model integer-exactly: the billed Put/Get/List counts of a
+// fault-free publish → regroup → collect run equal Variant.Requests, Lists
+// included. The shapes are seeded draws — S and P in [1, 40], a pool of 1–4
+// shard buckets, a Variant.Buckets that narrows it or not, any of the four
+// stage-reachable variants — so min(S, B) < S, short last groups and
+// narrowed pools all occur. TestSealedBoundaryMatchesDriverless holds the
+// staged protocol to Variant.SealedRequests on the same draws.
 func TestMultiLevelRequestsMatchModel(t *testing.T) {
 	const draws, rows = 64, 3
 	rng := rand.New(rand.NewSource(26))
@@ -202,7 +203,7 @@ func TestStageBoundaryMultiLevelFirstCommittedAttemptWins(t *testing.T) {
 
 		if !wc {
 			// Sender 0's attempt 0 died after one group object, no commit.
-			r := b.senders(client, opts)
+			r := b.senders(client, opts, false)
 			if err := client.Put(r.bucket(0), r.key(fileKey, 0, 0).String(), []byte("not an lpq file")); err != nil {
 				t.Fatal(err)
 			}

@@ -1,13 +1,28 @@
 // Package exchange implements Lambada's purely serverless exchange operator
 // family (§4.4): workers that cannot accept connections shuffle data through
-// S3. The package has one protocol, the round (round.go), which is the
-// paper's basic step (§4.4.1): every writer cuts a body into slots and
-// commits it under an attempt number; the reader of a slot "repeats until the
-// files exist" — waits until every writer has a committed attempt — takes each
-// writer's lowest one and reads its slot of each. Write combining (§4.4.3) is
-// the round's one switch: a writer Puts a single object with the slots'
-// offsets in its name instead of a file per slot and a commit marker. Names
-// come from one codec (boundaryKey). Everything else composes rounds:
+// S3. The package has one step, the round (round.go), which is the paper's
+// basic step (§4.4.1): every writer cuts a body into slots and commits it
+// under an attempt number, and the reader of a slot reads its slot of one
+// attempt of each writer. Write combining (§4.4.3) is the round's one switch:
+// a writer Puts a single object instead of a file per slot. Names come from
+// one codec (boundaryKey). A round runs under one of two protocols, which
+// differ only in how a reader learns which attempt of a writer to read, and
+// where its slot is:
+//
+//   - Driverless, as the paper built it: the reader "repeats until the files
+//     exist" — Lists until every writer has a committed attempt — and takes
+//     each writer's lowest one. A write-combined object carries the slots'
+//     offsets in its name; a basic writer Puts a commit marker after its last
+//     slot file. The grid exchange (Worker.Run) and PublishStage,
+//     RegroupStage and CollectStage run it.
+//   - Staged (PublishSealed, RegroupSealed, CollectSealed): a driver seals
+//     the writing stage once every worker reported through its seal message,
+//     and the stage's ready marker is the round's manifest — per writer, the
+//     attempt the driver sealed (first seal wins) and its offsets. Readers
+//     take their refs from it and never List; names carry no offsets, and the
+//     seal message is a basic writer's commit.
+//
+// Everything else composes rounds:
 //
 //   - A single-round stage boundary (Boundary with Levels 1; PublishStage,
 //     CollectStage) is one round of S senders and P partitions: S·P requests.
@@ -17,9 +32,10 @@
 //     (RegroupStage) — over the group's partitions. A regroup worker merges
 //     its group sender-ascending and splits it by the same hash, so receivers
 //     collect the rows of the single-round boundary, byte for byte, for
-//     G·S + P reads instead of S·P (Variant.Requests has the exact counts).
-//     Attempts compose: both kinds of writer are retried and speculated like
-//     any stage fragment, and readers take the lowest committed attempt.
+//     G·S + P reads instead of S·P (Variant.Requests and SealedRequests have
+//     the exact counts). Attempts compose: both kinds of writer are retried
+//     and speculated like any stage fragment, and a staged regroup worker
+//     reads the senders' manifest, its receivers the regroup stage's.
 //   - The symmetric P-worker grid exchange of Table 2 (Worker.Run, and
 //     RunSynthetic on sizes) is k levels; along each level the workers that
 //     agree on every other grid coordinate are a boundary of their own, with
@@ -31,8 +47,9 @@
 // (Figure 9, costmodel.go).
 //
 // A reader keeps its requests in flight, as the paper's worker does: the
-// reads of a slot (one small range per writer), the Lists of a discovery pass
-// (one per shard bucket) and a sweep's List and DeleteObjects per bucket all
+// reads of a slot (one small range per writer), the Lists of a driverless
+// discovery pass (one per shard bucket) and a sweep's List and DeleteObjects
+// per bucket all
 // go through the S3 client's request window (s3.Client.Overlap), in the order
 // and with the results of a serial loop and a sixteenth of its first-byte
 // latencies. Writers Put one object after another: an upload cannot ride a
@@ -40,8 +57,10 @@
 package exchange
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -52,9 +71,12 @@ import (
 // errKey marks an object name the key codec does not produce; errShape marks
 // a well-formed name, or a row, that does not belong to the round it was
 // found in — a writer outside the round, another slot count, a misrouted row.
+// errManifest marks a ready-marker value that is not a manifest of the round
+// being read: truncated, padded, or of another writer or offset count.
 var (
-	errKey   = errors.New("exchange: bad boundary key")
-	errShape = errors.New("exchange: boundary shape mismatch")
+	errKey      = errors.New("exchange: bad boundary key")
+	errShape    = errors.New("exchange: boundary shape mismatch")
+	errManifest = errors.New("exchange: bad seal manifest")
 )
 
 // roundKind says which round of a boundary a key belongs to.
@@ -70,9 +92,9 @@ const (
 type keyForm uint8
 
 const (
-	combinedKey keyForm = iota // write-combined body, slot offsets in the name (§4.4.3)
+	combinedKey keyForm = iota // write-combined body; driverless, its slot offsets in the name (§4.4.3)
 	fileKey                    // one slot of one writer
-	commitKey                  // zero-byte marker, written after the writer's last slot file
+	commitKey                  // driverless: zero-byte marker, written after the writer's last slot file
 )
 
 // kindTags holds the parts of a name that differ by round kind.
@@ -84,7 +106,8 @@ var kindTags = [...]struct{ combined, slotDir, file, commitDir, commit string }{
 
 // boundaryKey is the name of one round object:
 //
-//	combinedKey  <prefix>/s<stage>/<combined><writer>-a<attempt>-off<offsets>
+//	combinedKey  <prefix>/s<stage>/<combined><writer>-a<attempt>-off<offsets>  (driverless)
+//	combinedKey  <prefix>/s<stage>/<combined><writer>-a<attempt>                (staged)
 //	fileKey      <prefix>/s<stage>/<slotDir><slot>/a<attempt>-<file><writer>
 //	commitKey    <prefix>/s<stage>/<commitDir>/<commit><writer>-a<attempt>
 //
@@ -97,7 +120,7 @@ type boundaryKey struct {
 	writer  int
 	attempt int
 	slot    int    // fileKey only
-	offsets string // combinedKey only: slots+1 cumulative byte offsets, as joinOffsets renders them
+	offsets string // driverless combinedKey only: slots+1 cumulative byte offsets, as joinOffsets renders them
 }
 
 func (k boundaryKey) String() string { return k.render(true) }
@@ -118,7 +141,11 @@ func (k boundaryKey) render(whole bool) string {
 			b = fmt.Appendf(b, "%d-", k.writer)
 		}
 		if whole {
-			b = fmt.Appendf(b, "a%d-off%s", k.attempt, k.offsets)
+			b = fmt.Appendf(b, "a%d", k.attempt)
+			if k.offsets != "" {
+				b = append(b, "-off"...)
+				b = append(b, k.offsets...)
+			}
 		}
 	case fileKey:
 		b = fmt.Appendf(b, "%s%d/a%d-%s%d", t.slotDir, k.slot, k.attempt, t.file, k.writer)
@@ -181,9 +208,9 @@ func parseBoundaryKey(key string) (boundaryKey, error) {
 		switch k.form {
 		case combinedKey:
 			w, tail, _ := strings.Cut(base, "-a")
-			a, offsets, found := strings.Cut(tail, "-off")
+			a, offsets, long := strings.Cut(tail, "-off")
 			k.writer, k.attempt, k.offsets = num(w, t.combined), num(a, ""), offsets
-			ok = ok && found
+			ok = ok && (!long || offsets != "")
 		case fileKey:
 			a, w, _ := strings.Cut(base, "-")
 			k.attempt, k.writer = num(a, "a"), num(w, t.file)
@@ -252,6 +279,8 @@ type round struct {
 	kind             roundKind
 	writer0, writers int
 	slot0, slots     int
+	// sealed runs the round on the staged protocol (see the package comment).
+	sealed bool
 }
 
 func (r round) bucket(id int) string {
@@ -266,7 +295,8 @@ func (r round) key(form keyForm, writer, attempt int) boundaryKey {
 // body[offsets[i]:offsets[i+1]]. A nil body publishes size-only objects of
 // the same lengths (the synthetic runs of the DES experiments). Publishing
 // the same body under another attempt writes byte-identical objects beside
-// the first ones; losers linger until Sweep.
+// the first ones; losers linger until Sweep. A sealed round writes no offsets
+// into the name and no commit marker: the writer's seal message carries both.
 func (r round) publish(writer, attempt int, body []byte, offsets []int64) error {
 	if writer < r.writer0 || writer >= r.writer0+r.writers || len(offsets) != r.slots+1 {
 		return fmt.Errorf("%w: writer %d publishing %d slots into a round of writers [%d,%d) with %d slots",
@@ -280,7 +310,9 @@ func (r round) publish(writer, attempt int, body []byte, offsets []int64) error 
 	}
 	if r.opts.Variant.WriteCombining {
 		k := r.key(combinedKey, writer, attempt)
-		k.offsets = joinOffsets(offsets)
+		if !r.sealed {
+			k.offsets = joinOffsets(offsets)
+		}
 		return put(writer, k, offsets[0], offsets[r.slots])
 	}
 	k := r.key(fileKey, writer, attempt)
@@ -289,6 +321,9 @@ func (r round) publish(writer, attempt int, body []byte, offsets []int64) error 
 		if err := put(k.slot, k, offsets[i], offsets[i+1]); err != nil {
 			return err
 		}
+	}
+	if r.sealed {
+		return nil
 	}
 	// The marker goes last: a reader that sees it can read any slot of the
 	// attempt without waiting (S3 writes are strongly consistent).
@@ -303,9 +338,10 @@ type ref struct {
 	lo, hi      int64
 }
 
-// discover waits until every writer of the round has a committed attempt and
-// returns, in ascending writer order, where slot's bytes of each writer's
-// lowest committed attempt are. Later attempts (a straggler that lost a
+// discover is how a driverless reader locates its slot: it waits until every
+// writer of the round has a committed attempt and returns, in ascending
+// writer order, where slot's bytes of each writer's lowest committed attempt
+// are. Later attempts (a straggler that lost a
 // speculation race) and uncommitted ones (the partial file set of an aborted
 // attempt) are ignored; fragments being deterministic, which attempt wins
 // never changes the bytes. Discovery is one List per shard bucket per pass,
@@ -416,12 +452,119 @@ func (r round) discover(slot int) ([]ref, error) {
 	}
 	if form == commitKey {
 		for i := range refs {
-			k := r.key(fileKey, r.writer0+i, refs[i].attempt)
-			k.slot = slot
-			refs[i].bucket, refs[i].key = r.bucket(slot), k.String()
+			refs[i] = r.slotRef(r.writer0+i, refs[i].attempt, slot, 0, 0)
 		}
 	}
 	return refs, nil
+}
+
+// slotRef locates slot's bytes of writer's attempt: [lo, hi) of its combined
+// object under the staged name, or the slot's file.
+func (r round) slotRef(writer, attempt, slot int, lo, hi int64) ref {
+	if r.opts.Variant.WriteCombining {
+		return ref{bucket: r.bucket(writer), key: r.key(combinedKey, writer, attempt).String(), attempt: attempt, lo: lo, hi: hi}
+	}
+	k := r.key(fileKey, writer, attempt)
+	k.slot = slot
+	return ref{bucket: r.bucket(slot), key: k.String(), attempt: attempt}
+}
+
+// AppendCommit appends one writer's entry of a seal manifest — the ready
+// marker of a stage on the staged protocol — to dst: the attempt the driver
+// sealed for the writer and the offsets that attempt committed (none in a
+// basic round), as uvarints: the attempt, the offset count, then each
+// offset's distance from the one before it (the first's from zero). A driver
+// appends one entry per worker of the stage, in worker order.
+func AppendCommit(dst []byte, attempt int, offsets []int64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(attempt))
+	dst = binary.AppendUvarint(dst, uint64(len(offsets)))
+	prev := int64(0)
+	for _, off := range offsets {
+		dst = binary.AppendUvarint(dst, uint64(off-prev))
+		prev = off
+	}
+	return dst
+}
+
+// manifest is a sealed stage's ready marker as a reader of one of its rounds
+// holds it: the AppendCommit entries of the stage's writers, in order. A
+// boundary's senders are the writers of its first round; a multi-level
+// boundary's regroup stage has one writer per group, the only writer of that
+// group's round.
+type manifest struct {
+	b       []byte
+	writers int
+}
+
+// sealedRefs is discover on the staged protocol: it walks the manifest once
+// and returns, in writer order, where slot's bytes of the attempt the driver
+// sealed for each writer of the round are. It issues no request and never
+// waits — the marker exists only once every writer reported — and allocates
+// nothing the manifest cannot back: an entry takes two bytes at least. An
+// entry of the round's own writers with another offset count than the
+// round's fails the read: its ranges would be another round's.
+func (r round) sealedRefs(m manifest, slot int) ([]ref, error) {
+	if slot < r.slot0 || slot >= r.slot0+r.slots {
+		return nil, fmt.Errorf("%w: slot %d collected from stage %d, slots [%d,%d)", errShape, slot, r.stage, r.slot0, r.slot0+r.slots)
+	}
+	if m.writers > len(m.b)/2 || r.writer0 < 0 || r.writer0 >= m.writers || r.writers < 1 || r.writers > m.writers-r.writer0 {
+		return nil, r.badManifest(m, "too short")
+	}
+	count := uint64(0)
+	if r.opts.Variant.WriteCombining {
+		count = uint64(r.slots) + 1
+	}
+	at := uint64(slot - r.slot0)
+	refs := make([]ref, r.writers)
+	b := m.b
+	for w := 0; w < m.writers; w++ {
+		attempt, rest, ok := cutUvarint(b)
+		n, rest, ok2 := cutUvarint(rest)
+		if !ok || !ok2 || attempt > math.MaxInt32 || n > uint64(len(rest)) {
+			return nil, r.badManifest(m, "truncated")
+		}
+		b = rest
+		mine := w >= r.writer0 && w < r.writer0+r.writers
+		if mine && n != count {
+			return nil, r.badManifest(m, "another offset count")
+		}
+		var off, lo, hi uint64
+		for j := uint64(0); j < n; j++ {
+			d, rest, ok := cutUvarint(b)
+			if !ok || d > math.MaxInt64-off {
+				return nil, r.badManifest(m, "bad offset")
+			}
+			b, off = rest, off+d
+			switch j {
+			case at:
+				lo = off
+			case at + 1:
+				hi = off
+			}
+		}
+		if mine {
+			refs[w-r.writer0] = r.slotRef(w, int(attempt), slot, int64(lo), int64(hi))
+		}
+	}
+	if len(b) > 0 {
+		return nil, r.badManifest(m, "trailing bytes")
+	}
+	return refs, nil
+}
+
+// cutUvarint reads one uvarint off the front of b.
+func cutUvarint(b []byte) (v uint64, rest []byte, ok bool) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, nil, false
+	}
+	return v, b[n:], true
+}
+
+// badManifest is sealedRefs' error, built only on failure.
+func (r round) badManifest(m manifest, why string) error {
+	return fmt.Errorf("%w: %d bytes for %d writers, read as stage %d's writers [%d,%d) of %d slots: %s",
+		errManifest, len(m.b), m.writers, r.stage, r.writer0, r.writer0+r.writers, r.slots, why)
 }
 
 // read fetches what discover located, one request per writer through the

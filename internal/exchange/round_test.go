@@ -9,26 +9,32 @@ import (
 	"lambada/internal/awssim/simenv"
 )
 
-// keyShapes is every name shape the codec renders — three object forms for
-// each of the three round kinds — with the List prefix discovery uses for it.
+// keyShapes is every name shape the codec renders — for each of the three
+// round kinds a write-combined object in its driverless and its staged form,
+// a slot file and a commit marker — with the List prefix discovery uses for
+// it.
 var keyShapes = []struct {
 	key        boundaryKey
 	name, list string
 }{
 	{boundaryKey{"q/e1", 3, sendRound, combinedKey, 2, 1, 0, "0_10_25"}, "q/e1/s3/snd2-a1-off0_10_25", "q/e1/s3/snd"},
+	{boundaryKey{"q/e1", 3, sendRound, combinedKey, 2, 1, 0, ""}, "q/e1/s3/snd2-a1", ""},
 	{boundaryKey{"q/e1", 3, sendRound, fileKey, 2, 1, 7, ""}, "q/e1/s3/p7/a1-snd2", ""},
 	{boundaryKey{"q/e1", 3, sendRound, commitKey, 2, 1, 0, ""}, "q/e1/s3/commit/snd2-a1", "q/e1/s3/commit/"},
 	{boundaryKey{"q/e1", 3, groupRound, combinedKey, 2, 1, 0, "0_10_25"}, "q/e1/s3/r1snd2-a1-off0_10_25", "q/e1/s3/r1snd"},
+	{boundaryKey{"q/e1", 3, groupRound, combinedKey, 2, 1, 0, ""}, "q/e1/s3/r1snd2-a1", ""},
 	{boundaryKey{"q/e1", 3, groupRound, fileKey, 2, 1, 4, ""}, "q/e1/s3/g4/a1-snd2", ""},
 	{boundaryKey{"q/e1", 3, groupRound, commitKey, 2, 1, 0, ""}, "q/e1/s3/r1commit/snd2-a1", "q/e1/s3/r1commit/"},
 	{boundaryKey{"q/e1", 3, regroupRound, combinedKey, 4, 1, 0, "0_10_25"}, "q/e1/s3/rg4-a1-off0_10_25", "q/e1/s3/rg4-"},
+	{boundaryKey{"q/e1", 3, regroupRound, combinedKey, 4, 1, 0, ""}, "q/e1/s3/rg4-a1", ""},
 	{boundaryKey{"q/e1", 3, regroupRound, fileKey, 4, 1, 7, ""}, "q/e1/s3/p7/a1-rg4", ""},
 	{boundaryKey{"q/e1", 3, regroupRound, commitKey, 4, 1, 0, ""}, "q/e1/s3/rgcommit/g4-a1", "q/e1/s3/rgcommit/g4-a"},
 }
 
 // TestBoundaryKeyNames pins the stage-boundary names and List prefixes byte
-// for byte (they are what PR 13 and before wrote), and that parsing one
-// allocates nothing.
+// for byte (the driverless ones are what PR 13 and before wrote), and that
+// parsing one allocates nothing. A driverless name without offsets is not
+// one the codec renders.
 func TestBoundaryKeyNames(t *testing.T) {
 	for _, c := range keyShapes {
 		if got := c.key.String(); got != c.name {
@@ -45,6 +51,9 @@ func TestBoundaryKeyNames(t *testing.T) {
 			t.Errorf("parsing %q allocates %v times", c.name, n)
 		}
 	}
+	if k, err := parseBoundaryKey("q/e1/s3/snd2-a1-off"); err == nil {
+		t.Errorf("an empty offset list parses as %+v", k)
+	}
 	if lo, hi, err := slotRange("0_100_250_999", 3, 1); err != nil || lo != 100 || hi != 250 {
 		t.Errorf("slotRange = [%d, %d), %v", lo, hi, err)
 	}
@@ -59,7 +68,8 @@ func TestBoundaryKeyNames(t *testing.T) {
 // and never panics, and parse is the exact inverse of String — on every key
 // parse itself returns, and on keys built from the input with an arbitrary
 // prefix. The seed corpus (testdata/fuzz/FuzzBoundaryKey) holds one name per
-// shape and the malformed names the old wc-name parser was tested on.
+// shape — both write-combined forms seeded from keyShapes — and the
+// malformed names the old wc-name parser was tested on.
 func FuzzBoundaryKey(f *testing.F) {
 	for _, c := range keyShapes {
 		f.Add(c.name)
@@ -79,7 +89,9 @@ func FuzzBoundaryKey(f *testing.F) {
 		case fileKey:
 			k.slot = 3 * n
 		case combinedKey:
-			k.offsets = joinOffsets([]int64{0, int64(n), int64(n) << 20})
+			if n%2 == 0 { // the driverless form; odd lengths build the staged one
+				k.offsets = joinOffsets([]int64{0, int64(n), int64(n) << 20})
+			}
 		}
 		if back, err := parseBoundaryKey(k.String()); err != nil || back != k {
 			t.Fatalf("%+v renders %q, which parses back as %+v, %v", k, k.String(), back, err)

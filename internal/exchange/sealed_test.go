@@ -1,0 +1,297 @@
+package exchange
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+
+	"lambada/internal/awssim/s3"
+	"lambada/internal/awssim/simenv"
+	"lambada/internal/columnar"
+)
+
+// runSealedBoundary is runMultiLevelBoundary on the staged protocol, with the
+// test in the driver's seat: each fleet's commits — attempt 0 of every worker
+// — are sealed into the manifest the next fleet reads.
+func runSealedBoundary(t *testing.T, client *s3.Client, opts Options, b Boundary, inputs []*columnar.Chunk, keys []string) []*columnar.Chunk {
+	t.Helper()
+	var sealed []byte
+	for s := 0; s < b.Senders; s++ {
+		offsets, err := PublishSealed(client, opts, b, s, inputs[s], keys)
+		if err != nil {
+			t.Fatalf("%v publish sender %d: %v", opts.Variant, s, err)
+		}
+		sealed = AppendCommit(sealed, 0, offsets)
+	}
+	if opts.Variant.Levels >= 2 {
+		var regrouped []byte
+		for g := 0; g < Groups(b.Partitions); g++ {
+			offsets, err := RegroupSealed(client, opts, b, g, keys, sealed)
+			if err != nil {
+				t.Fatalf("%v regroup group %d: %v", opts.Variant, g, err)
+			}
+			regrouped = AppendCommit(regrouped, 0, offsets)
+		}
+		sealed = regrouped
+	}
+	out := make([]*columnar.Chunk, b.Partitions)
+	for p := range out {
+		res, err := CollectSealed(client, opts, b, p, sealed)
+		if err != nil {
+			t.Fatalf("%v collect partition %d: %v", opts.Variant, p, err)
+		}
+		out[p] = res
+	}
+	return out
+}
+
+// TestSealedBoundaryMatchesDriverless: on the draws of
+// TestMultiLevelRequestsMatchModel, a boundary on the staged protocol
+// delivers every partition byte-identical to the driverless one, and bills
+// exactly Variant.SealedRequests — no List at all, and no commit marker.
+func TestSealedBoundaryMatchesDriverless(t *testing.T) {
+	const draws, rows = 64, 3
+	rng := rand.New(rand.NewSource(26))
+	for i := 0; i < draws; i++ {
+		senders, parts, pool := 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(4)
+		v := Variant{Levels: 1 + rng.Intn(2), WriteCombining: rng.Intn(2) == 1, Buckets: rng.Intn(pool + 1)}
+		inputs := make([]*columnar.Chunk, senders)
+		for s := range inputs {
+			inputs[s] = stageTestChunk(s*rows, rows)
+		}
+		b := Boundary{Stage: 2, Senders: senders, Partitions: parts}
+		run := func(boundary func(*testing.T, *s3.Client, Options, Boundary, []*columnar.Chunk, []string) []*columnar.Chunk) ([]*columnar.Chunk, RequestCount) {
+			svc := s3.New(s3.Config{})
+			buckets := make([]string, pool)
+			for j := range buckets {
+				buckets[j] = fmt.Sprintf("x%d", j)
+				svc.MustCreateBucket(buckets[j])
+			}
+			opts := Options{Variant: v, Buckets: buckets, Prefix: "q9", Poll: time.Millisecond, MaxWait: 10 * time.Second}
+			out := boundary(t, s3.NewClient(svc, simenv.NewImmediate()), opts, b, inputs, []string{"k"})
+			return out, billed(t, svc, buckets)
+		}
+		want, _ := run(runMultiLevelBoundary)
+		got, bill := run(runSealedBoundary)
+		for p := range want {
+			chunksEqualML(t, fmt.Sprintf("draw %d: %v at S %d, P %d, partition %d", i, v, senders, parts, p), want[p], got[p])
+		}
+		if model := v.SealedRequests(senders, parts); bill != model {
+			t.Errorf("draw %d: %v at S %d, P %d over %d buckets: billed %+v, staged model predicts %+v",
+				i, v, senders, parts, pool, bill, model)
+		}
+	}
+}
+
+// TestSealedReadsTheSealedAttempt: on the staged protocol a reader takes the
+// attempt the manifest names, not the lowest committed one. Sender 1 and
+// regroup worker 0 each committed a poisoned attempt 0 — rows that are not
+// theirs — beside the attempt 1 the driver sealed; the collected rows are
+// the fault-free ones. Every stage-reachable variant.
+func TestSealedReadsTheSealedAttempt(t *testing.T) {
+	const senders, parts = 3, 6
+	keys := []string{"k"}
+	inputs := make([]*columnar.Chunk, senders)
+	for s := range inputs {
+		inputs[s] = stageTestChunk(s*20, 20)
+	}
+	poison := stageTestChunk(1000, 7)
+	for _, v := range []Variant{{Levels: 1}, {Levels: 1, WriteCombining: true}, {Levels: 2}, {Levels: 2, WriteCombining: true}} {
+		env := simenv.NewImmediate()
+		svc := s3.New(s3.Config{})
+		svc.MustCreateBucket("xa")
+		svc.MustCreateBucket("xb")
+		client := s3.NewClient(svc, env)
+		opts := Options{Variant: v, Buckets: []string{"xa", "xb"}, Prefix: "q", Poll: time.Millisecond, MaxWait: time.Second}
+		b := Boundary{Stage: 1, Senders: senders, Partitions: parts}
+		want := runMultiLevelBoundary(t, client, opts, b, inputs, keys)
+
+		opts.Prefix = "q-sealed"
+		// sealed is what the driver seals; poisoned names sender 1's attempt 0.
+		var sealed, poisoned []byte
+		for s, in := range inputs {
+			ba := b
+			if s == 1 {
+				offsets, err := PublishSealed(client, opts, ba, s, poison, keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				poisoned = AppendCommit(poisoned, 0, offsets)
+				ba.Attempt = 1
+			}
+			offsets, err := PublishSealed(client, opts, ba, s, in, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed = AppendCommit(sealed, ba.Attempt, offsets)
+			if s != 1 {
+				poisoned = AppendCommit(poisoned, ba.Attempt, offsets)
+			}
+		}
+		if v.Levels >= 2 {
+			var regrouped []byte
+			for g := 0; g < Groups(parts); g++ {
+				ba := b
+				if g == 0 {
+					// Regroup worker 0's attempt 0 merged the poisoned attempt.
+					if _, err := RegroupSealed(client, opts, ba, g, keys, poisoned); err != nil {
+						t.Fatal(err)
+					}
+					ba.Attempt = 1
+				}
+				offsets, err := RegroupSealed(client, opts, ba, g, keys, sealed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				regrouped = AppendCommit(regrouped, ba.Attempt, offsets)
+			}
+			sealed = regrouped
+		}
+		for p := 0; p < parts; p++ {
+			got, err := CollectSealed(client, opts, b, p, sealed)
+			if err != nil {
+				t.Fatalf("%v partition %d: %v", v, p, err)
+			}
+			chunksEqualML(t, fmt.Sprintf("%v partition %d", v, p), want[p], got)
+		}
+	}
+}
+
+// TestSealedRefusesForeignManifest: a manifest that is not the round's —
+// cut short, padded, of another fleet size, of the other write-combining
+// mode — fails the collect with a manifest error and reads nothing.
+func TestSealedRefusesForeignManifest(t *testing.T) {
+	const senders, parts = 3, 4
+	svc := s3.New(s3.Config{})
+	svc.MustCreateBucket("x")
+	client := s3.NewClient(svc, simenv.NewImmediate())
+	opts := Options{Variant: Variant{Levels: 1, WriteCombining: true}, Buckets: []string{"x"}, Prefix: "q"}
+	b := Boundary{Stage: 1, Senders: senders, Partitions: parts}
+	var sealed, basic []byte
+	for s := 0; s < senders; s++ {
+		offsets, err := PublishSealed(client, opts, b, s, stageTestChunk(s*10, 10), []string{"k"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed = AppendCommit(sealed, 0, offsets)
+		basic = AppendCommit(basic, 0, nil)
+	}
+	if _, err := CollectSealed(client, opts, b, 0, sealed); err != nil {
+		t.Fatalf("the manifest itself: %v", err)
+	}
+	gets := billed(t, svc, []string{"x"}).Gets
+	fewer := b
+	fewer.Senders = senders - 1
+	for name, c := range map[string]struct {
+		b        Boundary
+		manifest []byte
+	}{
+		"cut short":           {b, sealed[:len(sealed)-1]},
+		"padded":              {b, append(append([]byte{}, sealed...), 0)},
+		"a writer too many":   {fewer, sealed},
+		"basic commits":       {b, basic},
+		"empty":               {b, []byte{}},
+		"another slot count":  {b, AppendCommit(AppendCommit(AppendCommit(nil, 0, []int64{0, 1}), 0, []int64{0, 1}), 0, []int64{0, 1})},
+		"an overflowing sum":  {b, AppendCommit(sealed, 0, []int64{0, math.MaxInt64, -1, 0, 0})[len(sealed):]},
+		"an attempt past int": {b, append([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, sealed[1:]...)},
+	} {
+		if _, err := CollectSealed(client, opts, c.b, 0, c.manifest); !errors.Is(err, errManifest) {
+			t.Errorf("%s: collect returned %v, want a manifest error", name, err)
+		}
+	}
+	if got := billed(t, svc, []string{"x"}).Gets; got != gets {
+		t.Errorf("refused manifests read %d objects", got-gets)
+	}
+	if _, err := CollectSealed(client, opts, b, 0, nil); !errors.Is(err, errManifest) {
+		t.Errorf("collect without a manifest returned %v", err)
+	}
+}
+
+// FuzzSealManifest: the ready marker's value comes off DynamoDB, an untrusted
+// edge. Reading any bytes as the manifest of any round — writers, slots,
+// slot, either write-combining mode — gives refs or a typed error, never a
+// panic, and refs only for as many writers as the bytes can hold (two bytes
+// each at least). And AppendCommit → sealedRefs round-trips: a manifest
+// built from the input reads back every writer's attempt and slot range, for
+// the whole round and for a one-writer round of each writer (how a regroup
+// stage's manifest is read).
+func FuzzSealManifest(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 10, 5}, 1, 2, 1, true)
+	f.Add([]byte{1, 0, 0, 0}, 2, 4, 3, false)
+	f.Add(AppendCommit(AppendCommit(nil, 2, []int64{0, 7, 7, 30}), 0, []int64{0, 0, 9, 9}), 2, 3, 2, true)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 1, 1, 0, true)
+	f.Fuzz(func(t *testing.T, data []byte, writers, slots, slot int, wc bool) {
+		opts := Options{Variant: Variant{Levels: 1, WriteCombining: wc}, Buckets: []string{"x"}, Prefix: "q"}
+		r := round{opts: opts, stage: 1, writers: writers, slots: slots, sealed: true}
+		refs, err := r.sealedRefs(manifest{data, writers}, slot)
+		if err != nil {
+			if !errors.Is(err, errManifest) && !errors.Is(err, errShape) {
+				t.Fatalf("untyped error %v", err)
+			}
+		} else {
+			if len(refs) != writers || writers > len(data)/2 {
+				t.Fatalf("%d refs of %d writers from %d bytes", len(refs), writers, len(data))
+			}
+			for _, f := range refs {
+				if f.lo < 0 || f.hi < f.lo || f.attempt < 0 || f.key == "" {
+					t.Fatalf("ref %+v", f)
+				}
+			}
+		}
+
+		// Round trip: a round of w writers and s slots whose commits are drawn
+		// from the input.
+		w, s := 1+absMod(writers, 8), 1+absMod(slots, 8)
+		next := func(i int) int64 {
+			if len(data) == 0 {
+				return int64(i)
+			}
+			return int64(data[i%len(data)]) << (i % 20)
+		}
+		var built []byte
+		commits := make([][]int64, w)
+		for i := range commits {
+			if wc {
+				commits[i] = make([]int64, s+1)
+				commits[i][0] = next(i)
+				for j := 1; j <= s; j++ {
+					commits[i][j] = commits[i][j-1] + next(i*s+j)
+				}
+			}
+			built = AppendCommit(built, int(next(i)%5), commits[i])
+		}
+		whole := round{opts: opts, stage: 1, writers: w, slots: s, sealed: true}
+		for at := 0; at < s; at++ {
+			refs, err := whole.sealedRefs(manifest{built, w}, at)
+			if err != nil {
+				t.Fatalf("round trip of %d writers × %d slots: %v", w, s, err)
+			}
+			for i, got := range refs {
+				one := whole
+				one.writer0, one.writers = i, 1
+				alone, err := one.sealedRefs(manifest{built, w}, at)
+				if err != nil || alone[0] != got {
+					t.Fatalf("writer %d alone reads %+v, %v; in the round %+v", i, alone, err, got)
+				}
+				want := whole.slotRef(i, int(next(i)%5), at, 0, 0)
+				if wc {
+					want = whole.slotRef(i, int(next(i)%5), at, commits[i][at], commits[i][at+1])
+				}
+				if got != want {
+					t.Fatalf("writer %d slot %d: read %+v, sealed %+v", i, at, got, want)
+				}
+			}
+		}
+	})
+}
+
+func absMod(n, m int) int {
+	n %= m
+	if n < 0 {
+		n = -n
+	}
+	return n
+}

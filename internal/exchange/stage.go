@@ -19,8 +19,9 @@ type Boundary struct {
 	Stage int
 	// Attempt versions the publishing worker's objects: a backup attempt of
 	// a straggling sender or regroup worker writes beside the original's
-	// instead of racing it. Collectors ignore it — they take each writer's
-	// lowest committed attempt themselves.
+	// instead of racing it. Collectors ignore it: a driverless one takes each
+	// writer's lowest committed attempt, a staged one the attempt its
+	// manifest names.
 	Attempt int
 	// Senders is the producing stage's worker count.
 	Senders int
@@ -59,8 +60,9 @@ func GroupOf(part, parts int) int {
 // of consecutive partitions, a sender's group object is a run of its
 // partition-scattered rows. Levels > 2 flatten to the one regroup round: past
 // √P grouping, further rounds only pay off beyond the fleet sizes simulated.
-func (b Boundary) senders(client *s3.Client, opts Options) round {
-	r := round{client: client, opts: opts, stage: b.Stage, writers: b.Senders, slots: b.Partitions}
+// sealed selects the staged protocol.
+func (b Boundary) senders(client *s3.Client, opts Options, sealed bool) round {
+	r := round{client: client, opts: opts, stage: b.Stage, writers: b.Senders, slots: b.Partitions, sealed: sealed}
 	if opts.Variant.Levels >= 2 {
 		r.kind, r.slots = groupRound, Groups(b.Partitions)
 	}
@@ -70,11 +72,11 @@ func (b Boundary) senders(client *s3.Client, opts Options) round {
 // regroup is the second round of a multi-level boundary for one group:
 // its single writer is the group's regroup worker, its slots the group's
 // partitions.
-func (b Boundary) regroup(client *s3.Client, opts Options, group int) round {
+func (b Boundary) regroup(client *s3.Client, opts Options, group int, sealed bool) round {
 	size := GroupSize(b.Partitions)
 	lo := group * size
 	return round{client: client, opts: opts, stage: b.Stage, kind: regroupRound,
-		writer0: group, writers: 1, slot0: lo, slots: min(lo+size, b.Partitions) - lo}
+		writer0: group, writers: 1, slot0: lo, slots: min(lo+size, b.Partitions) - lo, sealed: sealed}
 }
 
 // ready validates the boundary and the options every entry point shares.
@@ -144,7 +146,8 @@ func scatter(chunk *columnar.Chunk, slot []int, slots int) (*columnar.Chunk, []i
 // file of slot i, one file after another in a single buffer, and returns the
 // buffer with the len(bounds) cumulative byte offsets of the files: slot i is
 // combined[offsets[i]:offsets[i+1]]. Write-combining senders Put the buffer
-// whole, with the offsets in the name; the others Put its slices. Every
+// whole, with the offsets in the name or, staged, in the seal message; the
+// others Put its slices. Every
 // slot's rows are encoded in place from a Slice view (lpq.AppendFile).
 func encodeSlots(chunk *columnar.Chunk, bounds []int) (combined []byte, offsets []int64, err error) {
 	slots := len(bounds) - 1
@@ -162,20 +165,34 @@ func encodeSlots(chunk *columnar.Chunk, bounds []int) (combined []byte, offsets 
 }
 
 // PublishStage hash-partitions chunk by the key columns and publishes the
-// sender's slots into the boundary's send round under b.Attempt. Rows keep
-// their order within a partition, so re-publishing the same chunk under a new
-// attempt writes byte-identical objects.
+// sender's slots into the boundary's send round under b.Attempt, on the
+// driverless protocol. Rows keep their order within a partition, so
+// re-publishing the same chunk under a new attempt writes byte-identical
+// objects.
 func PublishStage(client *s3.Client, opts Options, b Boundary, sender int, chunk *columnar.Chunk, keys []string) error {
+	_, err := publishStage(client, opts, b, sender, chunk, keys, false)
+	return err
+}
+
+// PublishSealed is PublishStage on the staged protocol. It returns what the
+// sender committed — the slots+1 offsets of its write-combined object, none
+// for a basic round — for the seal message the driver builds the stage's
+// manifest from (AppendCommit).
+func PublishSealed(client *s3.Client, opts Options, b Boundary, sender int, chunk *columnar.Chunk, keys []string) ([]int64, error) {
+	return publishStage(client, opts, b, sender, chunk, keys, true)
+}
+
+func publishStage(client *s3.Client, opts Options, b Boundary, sender int, chunk *columnar.Chunk, keys []string, sealed bool) ([]int64, error) {
 	opts, err := b.ready(opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	slot, err := hashSlots(chunk, keys, b.Partitions)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	scattered, bounds := scatter(chunk, slot, b.Partitions)
-	r := b.senders(client, opts)
+	r := b.senders(client, opts, sealed)
 	if r.kind == groupRound {
 		// Group g is partitions [g·size, (g+1)·size): keep every size-th bound.
 		size := GroupSize(b.Partitions)
@@ -186,15 +203,32 @@ func PublishStage(client *s3.Client, opts Options, b Boundary, sender int, chunk
 	}
 	body, offsets, err := encodeSlots(scattered, bounds)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return r.publish(sender, b.Attempt, body, offsets)
+	return r.commit(sender, b.Attempt, body, offsets)
+}
+
+// commit publishes the writer's body and returns what its seal message
+// reports: the offsets, when they are not in the name and the round
+// write-combines.
+func (r round) commit(writer, attempt int, body []byte, offsets []int64) ([]int64, error) {
+	if err := r.publish(writer, attempt, body, offsets); err != nil || !r.sealed || !r.opts.Variant.WriteCombining {
+		return nil, err
+	}
+	return offsets, nil
 }
 
 // collect reads slot of the round and decodes the blobs into one chunk, in
-// writer order.
-func (r round) collect(slot int) (*columnar.Chunk, error) {
-	refs, err := r.discover(slot)
+// writer order: located by the manifest when the round is sealed, by
+// discovery otherwise.
+func (r round) collect(slot int, m manifest) (*columnar.Chunk, error) {
+	var refs []ref
+	var err error
+	if r.sealed {
+		refs, err = r.sealedRefs(m, slot)
+	} else {
+		refs, err = r.discover(slot)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -206,54 +240,86 @@ func (r round) collect(slot int) (*columnar.Chunk, error) {
 }
 
 // CollectStage waits until partition part is complete and returns its rows,
-// senders ascending: from every sender's lowest committed attempt, or, for a
-// multi-level boundary, from the lowest committed attempt of the partition's
-// regroup worker — one List and one read instead of one read per sender.
+// senders ascending, on the driverless protocol: from every sender's lowest
+// committed attempt, or, for a multi-level boundary, from the lowest
+// committed attempt of the partition's regroup worker — one List and one read
+// instead of one read per sender.
 func CollectStage(client *s3.Client, opts Options, b Boundary, part int) (*columnar.Chunk, error) {
+	return collectStage(client, opts, b, part, nil)
+}
+
+// CollectSealed is CollectStage on the staged protocol: sealed is the ready
+// marker of the stage the partition is read from — the senders of a
+// single-round boundary, the regroup stage of a multi-level one, whose
+// entries are its groups — and the read issues no List.
+func CollectSealed(client *s3.Client, opts Options, b Boundary, part int, sealed []byte) (*columnar.Chunk, error) {
+	if sealed == nil {
+		return nil, fmt.Errorf("%w: stage %d has no manifest", errManifest, b.Stage)
+	}
+	return collectStage(client, opts, b, part, sealed)
+}
+
+func collectStage(client *s3.Client, opts Options, b Boundary, part int, sealed []byte) (*columnar.Chunk, error) {
 	opts, err := b.ready(opts)
 	if err != nil {
 		return nil, err
 	}
 	if opts.Variant.Levels >= 2 {
-		return b.regroup(client, opts, GroupOf(part, b.Partitions)).collect(part)
+		m := manifest{sealed, Groups(b.Partitions)}
+		return b.regroup(client, opts, GroupOf(part, b.Partitions), sealed != nil).collect(part, m)
 	}
-	return b.senders(client, opts).collect(part)
+	return b.senders(client, opts, sealed != nil).collect(part, manifest{sealed, b.Senders})
 }
 
 // RegroupStage runs the intermediate round of a multi-level boundary for one
-// group: collect the group from every sender, split the merged rows by the
-// boundary's hash again, and publish the group's partitions under this
-// regroup attempt (b.Attempt — regroup workers are speculated and retried
-// like any fragment). The merge is sender-ascending and the split keeps row
-// order, so receivers collect exactly the rows, in the order, a single-round
-// boundary would have given them.
+// group on the driverless protocol: collect the group from every sender,
+// split the merged rows by the boundary's hash again, and publish the group's
+// partitions under this regroup attempt (b.Attempt — regroup workers are
+// speculated and retried like any fragment). The merge is sender-ascending
+// and the split keeps row order, so receivers collect exactly the rows, in
+// the order, a single-round boundary would have given them.
 func RegroupStage(client *s3.Client, opts Options, b Boundary, group int, keys []string) error {
+	_, err := regroupStage(client, opts, b, group, keys, nil)
+	return err
+}
+
+// RegroupSealed is RegroupStage on the staged protocol: sealed is the ready
+// marker of the sender stage, and the commit returned is the regroup
+// worker's own, as PublishSealed returns a sender's.
+func RegroupSealed(client *s3.Client, opts Options, b Boundary, group int, keys []string, sealed []byte) ([]int64, error) {
+	if sealed == nil {
+		return nil, fmt.Errorf("%w: stage %d has no manifest", errManifest, b.Stage)
+	}
+	return regroupStage(client, opts, b, group, keys, sealed)
+}
+
+func regroupStage(client *s3.Client, opts Options, b Boundary, group int, keys []string, sealed []byte) ([]int64, error) {
 	opts, err := b.ready(opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if groups := Groups(b.Partitions); group < 0 || group >= groups {
-		return fmt.Errorf("exchange: regroup group %d of %d", group, groups)
+		return nil, fmt.Errorf("exchange: regroup group %d of %d", group, groups)
 	}
-	merged, err := b.senders(client, opts).collect(group)
+	merged, err := b.senders(client, opts, sealed != nil).collect(group, manifest{sealed, b.Senders})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	slot, err := hashSlots(merged, keys, b.Partitions)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	scattered, bounds := scatter(merged, slot, b.Partitions)
-	r := b.regroup(client, opts, group)
+	r := b.regroup(client, opts, group, sealed != nil)
 	lo, hi := r.slot0, r.slot0+r.slots
 	if rows := bounds[lo] + bounds[b.Partitions] - bounds[hi]; rows > 0 {
-		return fmt.Errorf("%w: stage %d group %d holds %d rows hashed to other groups' partitions", errShape, b.Stage, group, rows)
+		return nil, fmt.Errorf("%w: stage %d group %d holds %d rows hashed to other groups' partitions", errShape, b.Stage, group, rows)
 	}
 	body, offsets, err := encodeSlots(scattered, bounds[lo:hi+1])
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return r.publish(group, b.Attempt, body, offsets)
+	return r.commit(group, b.Attempt, body, offsets)
 }
 
 // Sweep is the stale-drain collector: it deletes every object under prefix

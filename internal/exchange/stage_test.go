@@ -166,7 +166,7 @@ func TestStageBoundaryFirstCommittedAttemptWins(t *testing.T) {
 
 	// Sender 0's attempt 0 died after writing only partition 0 — a stray
 	// file with garbage content and, crucially, no commit marker.
-	r := b.senders(client, opts)
+	r := b.senders(client, opts, false)
 	if err := client.Put(r.bucket(0), r.key(fileKey, 0, 0).String(), []byte("not an lpq file")); err != nil {
 		t.Fatal(err)
 	}

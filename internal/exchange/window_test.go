@@ -129,13 +129,13 @@ func TestCollectMatchesSerialReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			for g := 0; g < Groups(parts); g++ {
-				collects = append(collects, collect{fmt.Sprintf("group %d", g), b.senders(client, opts), g})
+				collects = append(collects, collect{fmt.Sprintf("group %d", g), b.senders(client, opts, false), g})
 			}
 		}
 		for p := 0; p < parts; p++ {
-			r := b.senders(client, opts)
+			r := b.senders(client, opts, false)
 			if v.Levels >= 2 {
-				r = b.regroup(client, opts, GroupOf(p, parts))
+				r = b.regroup(client, opts, GroupOf(p, parts), false)
 			}
 			collects = append(collects, collect{fmt.Sprintf("partition %d", p), r, p})
 		}
@@ -206,7 +206,7 @@ func TestReadReportsLowestFailingWriter(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		r := b.senders(client, opts)
+		r := b.senders(client, opts, false)
 		refs, err := r.discover(0)
 		if err != nil {
 			t.Fatal(err)

@@ -36,6 +36,7 @@ import (
 	"sort"
 	"time"
 
+	"lambada/internal/awssim/dynamo"
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
@@ -235,16 +236,19 @@ func (c Config) partitions(stats Stats) int {
 const MinMultiLevelPartitions = 32
 
 // ChooseVariant resolves one stage boundary's exchange algorithm from the
-// analytic request model (exchange.RequestCount). forceLevels pins the
-// round count (1 or 2) when the user forced it (Config.Exchange.Levels); 0
-// lets the model decide: multi-level is chosen only when the fan-in
-// reaches MinMultiLevelPartitions and the billed-request savings exceed
-// the regroup fleet's own cost (Groups(P) extra invocations priced at
-// Lambda rates). Write combining is inherited from base either way —
-// it is strictly fewer requests, so it is never un-chosen here.
+// analytic request model of the boundaries the driver seals
+// (exchange.Variant.SealedRequests). forceLevels pins the round count (1 or
+// 2) when the user forced it (Config.Exchange.Levels); 0 lets the model
+// decide: multi-level is chosen only when the fan-in reaches
+// MinMultiLevelPartitions and the billed-request savings exceed the regroup
+// fleet's own cost (Groups(P) extra invocations priced at Lambda rates).
+// Write combining is inherited from base — it is strictly fewer requests —
+// unless the variant is inadmissible: its worst-case manifest
+// (Variant.ManifestBytes) would not fit one DynamoDB item, so the ready
+// marker could not be written. That round count then runs basic.
 func ChooseVariant(senders, partitions, buckets int, base exchange.Variant, forceLevels int) exchange.Variant {
-	single := exchange.Variant{Levels: 1, WriteCombining: base.WriteCombining}
-	multi := exchange.Variant{Levels: 2, WriteCombining: base.WriteCombining}
+	single := admissible(exchange.Variant{Levels: 1, WriteCombining: base.WriteCombining}, senders, partitions)
+	multi := admissible(exchange.Variant{Levels: 2, WriteCombining: base.WriteCombining}, senders, partitions)
 	single.Buckets = chooseShards(single, senders, partitions, buckets)
 	multi.Buckets = chooseShards(multi, senders, partitions, buckets)
 	switch {
@@ -256,8 +260,8 @@ func ChooseVariant(senders, partitions, buckets int, base exchange.Variant, forc
 	if partitions < MinMultiLevelPartitions || senders < 1 {
 		return single
 	}
-	costSingle := single.Requests(senders, partitions, buckets).Cost()
-	costMulti := multi.Requests(senders, partitions, buckets).Cost() +
+	costSingle := single.SealedRequests(senders, partitions).Cost()
+	costMulti := multi.SealedRequests(senders, partitions).Cost() +
 		pricing.USD(exchange.Groups(partitions))*regroupWorkerOverhead()
 	if costMulti < costSingle {
 		return multi
@@ -265,26 +269,35 @@ func ChooseVariant(senders, partitions, buckets int, base exchange.Variant, forc
 	return single
 }
 
+// admissible returns v, or v without write combining when its worst-case
+// manifest exceeds DynamoDB's item limit.
+func admissible(v exchange.Variant, senders, partitions int) exchange.Variant {
+	if v.WriteCombining && v.ManifestBytes(senders, partitions) > dynamo.MaxItemBytes {
+		v.WriteCombining = false
+	}
+	return v
+}
+
 // MaxBucketRoundRequests is the request budget one exchange round may put on
 // a single shard bucket, for its writes and for its reads separately — buckets
 // exist only to stay under S3's two per-prefix rate ceilings (§4.4.1: ~5500
 // reads/s, 3500 writes/s per prefix), so the budget sits safely below both.
 // A boundary over b buckets and k rounds fits when its exact request counts
-// (Variant.Requests) satisfy max(Puts, Gets+Lists) ≤ b·k·MaxBucketRoundRequests.
-// Every receiver lists min(S, b) buckets, so once they fit, each extra bucket
-// only adds List requests.
+// (Variant.SealedRequests) satisfy max(Puts, Gets) ≤ b·k·MaxBucketRoundRequests.
+// The sweeps list every bucket of the pool, so a bucket past that point buys
+// nothing.
 const MaxBucketRoundRequests = 3000
 
 // chooseShards returns the smallest shard-bucket count b in [1, pool) under
-// which the boundary's exact billed requests fit the budget: max(Puts,
-// Gets+Lists) of v.Requests(senders, partitions, b) at most b · v.Levels ·
+// which the boundary's exact billed requests fit the budget: max(Puts, Gets)
+// of v.SealedRequests(senders, partitions) at most b · v.Levels ·
 // MaxBucketRoundRequests — writes and reads checked apart, because S3's
 // ceilings are, and divided over v.Levels because the requests are spread
 // over that many rounds. It returns 0, the whole pool, when no such b exists.
 func chooseShards(v exchange.Variant, senders, partitions, pool int) int {
+	rc := v.SealedRequests(senders, partitions)
 	for b := 1; b < pool; b++ {
-		rc := v.Requests(senders, partitions, b)
-		if max(rc.Puts, rc.Gets+rc.Lists) <= int64(b*v.Levels*MaxBucketRoundRequests) {
+		if max(rc.Puts, rc.Gets) <= int64(b*v.Levels*MaxBucketRoundRequests) {
 			return b
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lambada/internal/awssim/dynamo"
 	"lambada/internal/engine"
 	"lambada/internal/exchange"
 	"lambada/internal/sqlfe"
@@ -227,19 +228,21 @@ func findScan(p engine.Plan, table string) *engine.ScanPlan {
 
 // TestChooseVariantPicksShardBuckets: sharding B is a chosen dimension of
 // the variant, not a deployment constant. The smallest bucket count b under
-// which the boundary's exact billed requests (Variant.Requests at b) fit —
-// puts and gets + lists each at most b · Levels · MaxBucketRoundRequests —
-// wins; a small fleet collapses to one bucket, and the pool is only exhausted
+// which the boundary's exact billed requests (Variant.SealedRequests) fit —
+// puts and gets each at most b · Levels · MaxBucketRoundRequests — wins; a
+// small fleet collapses to one bucket, and the pool is only exhausted
 // (Buckets == 0, "use them all") when even its last narrowing does not fit.
 // The counts were re-derived when the float per-round pressure
-// max(S,P)·max(S,P)^(1/k)/b stopped sizing the pool: it asked for 88 and 4
-// buckets at 512 × 512, and for the whole pool at fleet_des' 2 × 256.
+// max(S,P)·max(S,P)^(1/k)/b stopped sizing the pool, and again when the
+// planner started pricing the staged protocol, which lists nothing and Puts
+// no commit marker: 512 × 512 single-round 106 → 88 buckets, 4000 × 1
+// 3 → 2.
 func TestChooseVariantPicksShardBuckets(t *testing.T) {
 	// fits answers the rule for each S3 ceiling apart.
 	fits := func(v exchange.Variant, s, p, b int) (writes, reads bool) {
-		rc := v.Requests(s, p, b)
+		rc := v.SealedRequests(s, p)
 		limit := int64(b * v.Levels * MaxBucketRoundRequests)
-		return rc.Puts <= limit, rc.Gets+rc.Lists <= limit
+		return rc.Puts <= limit, rc.Gets <= limit
 	}
 	for _, tc := range []struct {
 		name                    string
@@ -248,17 +251,17 @@ func TestChooseVariantPicksShardBuckets(t *testing.T) {
 		levels, want            int
 		bindsWrites, bindsReads bool // which ceiling fails at want − 1
 	}{
-		// 72 puts, 64 gets + 8 lists: far under the budget.
+		// 64 puts, 64 gets: far under the budget.
 		{"small fleet", 8, 8, 8, exchange.Variant{}, 1, 1, false, false},
-		// 2 puts, 512 gets + 256 lists: fleet_des' scan boundaries.
+		// 2 puts, 512 gets: fleet_des' scan boundaries.
 		{"2 × 256 write-combined", 2, 256, exchange.ShardBuckets, exchange.Variant{WriteCombining: true}, 1, 1, false, false},
-		// 262 656 puts fit 88 buckets, but 262 144 gets + 512·b lists need 106.
-		{"512 × 512 single-round", 512, 512, 128, exchange.Variant{}, 1, 106, false, true},
-		// G = 23: 12 823 puts and 12 800 + 23·b reads over two rounds.
+		// 262 144 puts and as many gets need 88 buckets.
+		{"512 × 512 single-round", 512, 512, 128, exchange.Variant{}, 1, 88, true, true},
+		// G = 23: 12 288 puts and 12 288 gets over two rounds.
 		{"512 × 512 two-round", 512, 512, 128, exchange.Variant{}, 2, 3, true, true},
-		// 8 000 puts need 3 buckets where 4 000 gets + b lists fit 2.
-		{"4000 × 1 single-round", 4000, 1, 8, exchange.Variant{}, 1, 3, true, false},
-		// 106 buckets are more than the pool narrows to: use all 16.
+		// 4 000 puts and 4 000 gets fit 2.
+		{"4000 × 1 single-round", 4000, 1, 8, exchange.Variant{}, 1, 2, true, true},
+		// 88 buckets are more than the pool narrows to: use all 16.
 		{"overloaded pool", 512, 512, 16, exchange.Variant{}, 1, 0, true, true},
 	} {
 		v := ChooseVariant(tc.senders, tc.parts, tc.pool, tc.base, tc.levels)
@@ -285,11 +288,49 @@ func TestChooseVariantPicksShardBuckets(t *testing.T) {
 		}
 	}
 
-	// Variant.Buckets narrows the request model the same way it narrows the
-	// exchange: a variant pinned to 4 buckets bills like a 4-bucket pool.
+	// Variant.Buckets narrows the driverless request model the same way it
+	// narrows the exchange: a variant pinned to 4 buckets bills like a
+	// 4-bucket pool.
 	pinned := exchange.Variant{Levels: 1, Buckets: 4}
 	if got, want := pinned.Requests(64, 64, 16), (exchange.Variant{Levels: 1}).Requests(64, 64, 4); got != want {
 		t.Fatalf("pinned-bucket request model: got %+v, want %+v", got, want)
+	}
+}
+
+// TestChooseVariantRefusesOversizedManifest: a write-combined variant whose
+// worst-case manifest — S writers × (slots+1) offsets × 5 bytes plus a
+// 10-byte header each — exceeds DynamoDB's item limit cannot have its ready
+// marker written, so the planner does not choose it. At 512 × 256 the
+// single-round manifest is 512 × 1 295 bytes = 663 040 > 409 600: forced to
+// one round the boundary runs basic, left to the model it goes two rounds,
+// whose manifests (512 × 95 bytes for the senders, 16 × 95 for the regroup
+// fleet) fit. At 300 × 256 (388 500 bytes) single-round write combining is
+// kept.
+func TestChooseVariantRefusesOversizedManifest(t *testing.T) {
+	wc := exchange.Variant{WriteCombining: true}
+	if got := (exchange.Variant{Levels: 1, WriteCombining: true}).ManifestBytes(512, 256); got != 663_040 {
+		t.Fatalf("1l-wc manifest bound at 512 × 256 = %d bytes, want 663 040", got)
+	}
+	if got := (exchange.Variant{Levels: 2, WriteCombining: true}).ManifestBytes(512, 256); got != 48_640 {
+		t.Fatalf("2l-wc manifest bound at 512 × 256 = %d bytes, want 48 640", got)
+	}
+	for _, tc := range []struct {
+		senders, parts, levels int
+		want                   string
+	}{
+		{512, 256, 1, "1l"},
+		{512, 256, 0, "2l-wc"},
+		{512, 256, 2, "2l-wc"},
+		{300, 256, 1, "1l-wc"},
+	} {
+		v := ChooseVariant(tc.senders, tc.parts, exchange.ShardBuckets, wc, tc.levels)
+		if v.String() != tc.want {
+			t.Errorf("%d × %d, levels %d: chose %v, want %s", tc.senders, tc.parts, tc.levels, v, tc.want)
+		}
+		if v.ManifestBytes(tc.senders, tc.parts) > dynamo.MaxItemBytes {
+			t.Errorf("%d × %d, levels %d: chose %v, whose %d-byte manifest does not fit an item",
+				tc.senders, tc.parts, tc.levels, v, v.ManifestBytes(tc.senders, tc.parts))
+		}
 	}
 }
 
