@@ -438,14 +438,20 @@
 // became visible ("s3/<key>", "dynamo/<table>/<key>", "sqs/<queue>"), and
 // waiters park on the prefix they actually await — waitSealed on its seal
 // marker's key, a driverless round's commit waits on its commit prefix,
-// result collectors on the result queue's topic (simclock.Proc.WaitNotifyKey
-// under DES, simenv.WaitNotifyKey for functional-mode goroutines). A waiter
-// wakes at the exact virtual instant of the matching write — removing the
-// up-to-one-poll residual from modeled latencies — while a hundred-sender
-// shuffle no longer wakes every parked barrier in the simulation on each
-// Put (Report.Wakeups counts the delivered wakeups; the keyed-vs-unkeyed
-// regression test pins the reduction). The timed poll remains the fallback
-// for waiters whose write never comes. A driverless round's commit
+// result collectors on the result queue's topic. Every such barrier runs arm,
+// check, park (simenv.Barrier): it registers its waiter entry on the topic
+// (simclock.Proc.Arm), then checks its condition — a Get, a Receive, a pass
+// of Lists, each taking a request's virtual latency — and then parks on the
+// entry (Park) or, the condition met, withdraws it (Disarm). A matching write
+// that lands while the check is in flight marks the entry, and the park
+// returns at once: the barrier cannot lose the wake-up it was checking for.
+// A waiter wakes at the exact virtual instant of the matching write —
+// removing the up-to-one-poll residual from modeled latencies — while a
+// hundred-sender shuffle no longer wakes every parked barrier in the
+// simulation on each Put (Report.Wakeups counts the delivered wakeups). The
+// timed poll remains the fallback for waiters whose write never comes. A
+// functional-mode goroutine (simenv.Immediate) arms nothing: it parks through
+// simenv.WaitNotifyKey, and every wake-up charges the full interval. A driverless round's commit
 // discovery is batched: one List of the round's commit namespace per shard
 // bucket per pass, only of buckets still hosting an unseen writer, and an
 // object naming a writer outside the round fails the collect with a

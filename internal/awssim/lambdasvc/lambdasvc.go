@@ -77,8 +77,13 @@ type Runtime interface {
 type SimRuntime struct{ K *simclock.Kernel }
 
 // DES processes carry the kernel's completion signal, so services can wake
-// pollers (simenv.BroadcastKey / simenv.WaitNotifyKey) in both runtimes.
-var _ simenv.Notifier = (*simclock.Proc)(nil)
+// pollers (simenv.BroadcastKey / simenv.WaitNotifyKey) in both runtimes, and
+// barriers (simenv.Arm) arm before their check.
+var (
+	_ simenv.Notifier = (*simclock.Proc)(nil)
+	_ simenv.Armer    = (*simclock.Proc)(nil)
+	_ simenv.Armer    = (*crashEnv)(nil)
+)
 
 // Spawn starts a DES process.
 func (r SimRuntime) Spawn(name string, fn func(env simenv.Env)) {
@@ -422,12 +427,16 @@ type crashPanic struct{}
 // crashEnv wraps a worker's environment and kills the worker — by panicking
 // with crashPanic — once virtual time reaches deadline. All worker waiting
 // funnels through Env (compute sleeps, service latencies, barrier parks), so
-// clamping Sleep and WaitNotifyKey to the deadline is exactly "the container
-// died at that instant": whatever the worker had already written (S3 partial
-// output, child invocations) survives, everything after never happens.
+// clamping Sleep, WaitNotifyKey and Park to the deadline is exactly "the
+// container died at that instant": whatever the worker had already written
+// (S3 partial output, child invocations) survives, everything after never
+// happens.
 type crashEnv struct {
 	inner    simenv.Env
 	deadline time.Duration
+	// armed is the barrier the worker armed and has not parked on or
+	// cancelled yet (the zero Barrier when there is none).
+	armed simenv.Barrier
 }
 
 func (c *crashEnv) Now() time.Duration { return c.inner.Now() }
@@ -440,30 +449,50 @@ func (c *crashEnv) Sleep(d time.Duration) {
 		if left := c.deadline - c.inner.Now(); left > 0 {
 			c.inner.Sleep(left)
 		}
-		panic(crashPanic{})
+		c.crash()
 	}
 	c.inner.Sleep(d)
 }
 
-// NotifyKey and WaitNotifyKey keep crashEnv a simenv.Notifier: both runtimes'
-// worker environments are Notifiers, and barriers built on
-// simenv.WaitNotifyKey must keep parking on the completion signal (not
-// degrade to fixed polls) under a crash plan — otherwise chaos runs would
-// time differently than clean runs for reasons unrelated to the injected
-// faults.
+// crash kills the worker. A barrier it armed dies with it: the entry is
+// withdrawn, so no broadcast takes it for a process that will never park.
+func (c *crashEnv) crash() {
+	c.Disarm()
+	panic(crashPanic{})
+}
+
+// NotifyKey and WaitNotifyKey keep crashEnv a simenv.Notifier, and Arm, Park
+// and Disarm a simenv.Armer: both runtimes' worker environments are
+// Notifiers, and barriers built on simenv.Arm must keep arming before their
+// check and parking on the completion signal (not degrade to fixed polls)
+// under a crash plan — otherwise chaos runs would park differently than
+// clean runs for reasons unrelated to the injected faults.
 func (c *crashEnv) NotifyKey(key string) { simenv.BroadcastKey(c.inner, key) }
 
 func (c *crashEnv) WaitNotifyKey(topic string, d time.Duration) bool {
+	c.Arm(topic)
+	return c.Park(d)
+}
+
+func (c *crashEnv) Arm(topic string) { c.armed = simenv.Arm(c.inner, topic) }
+
+func (c *crashEnv) Park(d time.Duration) bool {
 	now := c.inner.Now()
 	if now >= c.deadline {
-		panic(crashPanic{})
+		c.crash()
 	}
 	if now+d >= c.deadline {
 		d = c.deadline - now
 	}
-	woke := simenv.WaitNotifyKey(c.inner, topic, d)
+	woke := c.armed.Wait(d)
+	c.armed = simenv.Barrier{}
 	if c.inner.Now() >= c.deadline {
-		panic(crashPanic{})
+		c.crash()
 	}
 	return woke
+}
+
+func (c *crashEnv) Disarm() {
+	c.armed.Cancel()
+	c.armed = simenv.Barrier{}
 }

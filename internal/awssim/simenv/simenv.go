@@ -143,6 +143,59 @@ func WaitNotifyKey(env Env, topic string, d time.Duration) bool {
 	return false
 }
 
+// Armer is a Notifier whose caller can register its wake-up before the check
+// it parks after (*simclock.Proc): Arm takes a waiter entry on topic, a
+// matching broadcast that lands while the caller checks marks it, and Park
+// then returns at once; Disarm withdraws an entry the caller will not park
+// on.
+type Armer interface {
+	Arm(topic string)
+	Park(d time.Duration) bool
+	Disarm()
+}
+
+// Barrier is a check-then-park wait that cannot lose its wake-up: every
+// barrier arms, then checks, then parks. A check takes virtual time — a
+// request's latency — and a broadcast that lands during it would be missed by
+// a park armed only afterwards, which then sleeps out a whole poll for a
+// write that already happened. Arm it before the check; after the check,
+// Wait if the condition is still false, Cancel otherwise. On an env that is
+// not an Armer (Immediate) Wait is WaitNotifyKey, whose every wake-up charges
+// the full interval, and Cancel does nothing.
+type Barrier struct {
+	env   Env
+	a     Armer
+	topic string
+}
+
+// Arm opens a barrier on topic for env's caller; see Barrier.
+func Arm(env Env, topic string) Barrier {
+	a, _ := env.(Armer)
+	if a != nil {
+		a.Arm(topic)
+	}
+	return Barrier{env: env, a: a, topic: topic}
+}
+
+// Wait parks the caller for at most d, waking early on a broadcast matching
+// the barrier's topic since Arm — at once if one landed during the check —
+// and reports whether the broadcast arrived.
+func (b Barrier) Wait(d time.Duration) bool {
+	if b.a != nil {
+		return b.a.Park(d)
+	}
+	return WaitNotifyKey(b.env, b.topic, d)
+}
+
+// Cancel withdraws the barrier's entry: the check succeeded, or the caller
+// leaves without waiting. It does nothing on the zero Barrier, nor once Wait
+// returned, unless the caller has armed another barrier since.
+func (b Barrier) Cancel() {
+	if b.a != nil {
+		b.a.Disarm()
+	}
+}
+
 // Wakeups returns the number of keyed-or-wildcard waiter wake-ups the
 // process-wide completion signal has performed (Immediate envs; the DES
 // kernel keeps its own counter on simclock.Kernel).

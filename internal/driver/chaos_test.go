@@ -98,7 +98,12 @@ func tryStagedChaosQ12(t *testing.T, mkDep func(k *simclock.Kernel) *Deployment,
 // chaosPlanQ12 is the seeded fault mix of the chaos acceptance suite: S3
 // transients on both paths, SQS duplicate delivery and receive timeouts,
 // DynamoDB throttling on the barrier reads, Lambda cold-start spikes, and
-// one mid-run crash.
+// one mid-run crash. The 2-partition q12 reads too few objects for the 5 %
+// GET rule to draw a fault, so the last rule fails the query's 25th S3 GET
+// once, whatever the draws: a worker's read inside a request window — on a
+// single-round boundary the second of the join worker's four (both inputs in
+// one window), on a multi-level one a regroup worker's — retried on its lane
+// while the others are in flight.
 func chaosPlanQ12() faults.Plan {
 	return faults.Plan{
 		Seed: 20260808,
@@ -111,6 +116,7 @@ func chaosPlanQ12() faults.Plan {
 			{Op: faults.OpDynamoGet, Kind: faults.KindThrottle, Rate: 0.05},
 			{Op: faults.OpLambda, Kind: faults.KindColdSpike, Rate: 0.1, Delay: 300 * time.Millisecond},
 			{Op: faults.OpLambda, Kind: faults.KindCrashMidRun, Skip: 5, Count: 1, Delay: 150 * time.Millisecond},
+			{Op: faults.OpS3Get, Kind: faults.KindTransient, Skip: 24, Count: 1},
 		},
 	}
 }
@@ -189,6 +195,9 @@ func TestStagedChaosDeterministicByteIdentical(t *testing.T) {
 			}
 			if a.rep.DriverRetries+a.rep.WorkerRetries == 0 {
 				t.Error("no retries recorded under a fault storm")
+			}
+			if a.rep.WorkerRetries == 0 {
+				t.Errorf("no worker retried under a fault storm: injected %v", a.rep.InjectedFaults)
 			}
 
 			// (c) bounded inflation: billed requests grow with the retry

@@ -241,6 +241,17 @@ func assertRequests(t *testing.T, name string, got, want map[string]int64) {
 // are unchanged. The collects finish sooner, so the polls moved as measured
 // (SQS staged q12 25 → 24, 2l 38 → 36, 2l-wc 35 → 34, capped 48 → 41;
 // DynamoDB reads 2l 29 → 24, capped 13 → 12).
+//
+// The polls were re-recorded once more, for one cause: every barrier arms its
+// wake-up before its check. The driver's result loop used to miss a seal Sent
+// while its empty Receive was in flight and wait out a whole PollInterval, in
+// which further seals piled up for the next Receive to take together; now the
+// park after that Receive returns at once, and a loop that reacts sooner
+// takes fewer seals per Receive (SQS staged q12 24 → 25, broadcast 12 → 13,
+// 2l-wc 34 → 38, capped 41 → 42). Seals consumed sooner move the ready
+// markers, and the consumers' barrier reads with them (DynamoDB reads 2l
+// 24 → 25, 2l-wc 23 → 24). Every Lambda, S3 and DynamoDB-write count is
+// unchanged.
 func TestExecutorRequestGuard(t *testing.T) {
 	single := func(sql string) func(*Session, simenv.Env, TableFiles) error {
 		return func(d *Session, env simenv.Env, tables TableFiles) error {
@@ -305,7 +316,7 @@ func TestExecutorRequestGuard(t *testing.T) {
 	assertRequests(t, "staged q12", staged, map[string]int64{
 		pricing.LabelLambdaRequests: 6,
 		pricing.LabelS3Read:         34, pricing.LabelS3Write: 4, pricing.LabelS3List: 16,
-		pricing.LabelSQS: 24, pricing.LabelDynamoRead: 8, pricing.LabelDynamoWrite: 3,
+		pricing.LabelSQS: 25, pricing.LabelDynamoRead: 8, pricing.LabelDynamoWrite: 3,
 	})
 
 	// ORDERS broadcast: the driver reads the table through the source the
@@ -323,7 +334,7 @@ func TestExecutorRequestGuard(t *testing.T) {
 		}
 		return err
 	}), map[string]int64{
-		pricing.LabelLambdaRequests: 2, pricing.LabelS3Read: 22, pricing.LabelSQS: 12,
+		pricing.LabelLambdaRequests: 2, pricing.LabelS3Read: 22, pricing.LabelSQS: 13,
 	})
 
 	// Multi-level boundaries and admission-capped launch: the two scan
@@ -349,17 +360,17 @@ func TestExecutorRequestGuard(t *testing.T) {
 	assertRequests(t, "staged q12 2l", billedRequests(t, nil, twoLevel(false)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
 		pricing.LabelS3Read:         38, pricing.LabelS3Write: 12, pricing.LabelS3List: 16,
-		pricing.LabelSQS: 36, pricing.LabelDynamoRead: 24, pricing.LabelDynamoWrite: 5,
+		pricing.LabelSQS: 36, pricing.LabelDynamoRead: 25, pricing.LabelDynamoWrite: 5,
 	})
 	assertRequests(t, "staged q12 2l-wc", billedRequests(t, nil, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
 		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8, pricing.LabelS3List: 16,
-		pricing.LabelSQS: 34, pricing.LabelDynamoRead: 23, pricing.LabelDynamoWrite: 5,
+		pricing.LabelSQS: 38, pricing.LabelDynamoRead: 24, pricing.LabelDynamoWrite: 5,
 	})
 	capped := func(c *Config) { c.MaxInFlight = 2 }
 	assertRequests(t, "staged q12 2l-wc, MaxInFlight 2", billedRequests(t, capped, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
 		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8, pricing.LabelS3List: 16,
-		pricing.LabelSQS: 41, pricing.LabelDynamoRead: 12, pricing.LabelDynamoWrite: 5,
+		pricing.LabelSQS: 42, pricing.LabelDynamoRead: 12, pricing.LabelDynamoWrite: 5,
 	})
 }

@@ -20,55 +20,72 @@ import (
 // TestQuerySurvivesThrottling runs a query against an S3 service with tight
 // per-bucket rate limits: workers hit SlowDown, back off, retry, and the
 // query still answers correctly (§5.5 footnote: "aggressive timeouts and
-// retries are necessary").
+// retries are necessary"). Throttling shows up as time, not as wrong
+// answers: the throttled run retries, and takes longer than an unthrottled run
+// of the same query and seed. The bound is relative, not absolute: an
+// absolute one encodes whatever the barriers happened to waste — a limit of
+// 40 requests a second never bit q6's two workers, and the run still cleared
+// 500 ms only by a wake-up the driver's result loop lost.
 func TestQuerySurvivesThrottling(t *testing.T) {
-	k := simclock.New()
-	meter := pricing.NewCostMeter()
-	cfg := s3.DefaultAWSConfig(meter, 3)
-	cfg.ReadsPerSecond = 40 // brutal: ~7 workers × dozens of requests
-	cfg.WritesPerSecond = 40
-	dep := &Deployment{
-		S3:     s3.New(cfg),
-		Lambda: lambdasvc.New(lambdasvc.DefaultAWSConfig(meter, 4), lambdasvc.SimRuntime{K: k}),
-		SQS:    newSQSFor(meter),
-		Dynamo: nil,
-		Meter:  meter,
-		Net:    defaultNet(),
-		Shaped: true,
-	}
-	var revenue float64
-	var dur time.Duration
-	k.Go("driver", func(p *simclock.Proc) {
-		dcfg := DefaultConfig()
-		dcfg.PollInterval = 100 * time.Millisecond
-		d := NewSession(dep, dcfg)
-		if err := d.Install(); err != nil {
-			t.Error(err)
-			return
+	run := func(rate float64) *Report {
+		k := simclock.New()
+		meter := pricing.NewCostMeter()
+		cfg := s3.DefaultAWSConfig(meter, 3)
+		if rate > 0 {
+			cfg.ReadsPerSecond = rate // brutal: the workers' opens and reads outrun it
+			cfg.WritesPerSecond = rate
 		}
-		data := tpch.Gen{SF: 0.002, Seed: 31}.Generate()
-		refs, err := d.UploadTable(p, "tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
+		dep := &Deployment{
+			S3:     s3.New(cfg),
+			Lambda: lambdasvc.New(lambdasvc.DefaultAWSConfig(meter, 4), lambdasvc.SimRuntime{K: k}),
+			SQS:    newSQSFor(meter),
+			Dynamo: nil,
+			Meter:  meter,
+			Net:    defaultNet(),
+			Shaped: true,
 		}
-		out, rep, err := d.RunSQL(p, q6SQL, "lineitem", refs)
-		if err != nil {
-			t.Errorf("query failed under throttling: %v", err)
-			return
+		var revenue float64
+		var rep *Report
+		k.Go("driver", func(p *simclock.Proc) {
+			dcfg := DefaultConfig()
+			dcfg.PollInterval = 100 * time.Millisecond
+			d := NewSession(dep, dcfg)
+			if err := d.Install(); err != nil {
+				t.Error(err)
+				return
+			}
+			data := tpch.Gen{SF: 0.002, Seed: 31}.Generate()
+			refs, err := d.UploadTable(p, "tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			out, r, err := d.RunSQL(p, q6SQL, "lineitem", refs)
+			if err != nil {
+				t.Errorf("query failed at %v requests/s: %v", rate, err)
+				return
+			}
+			revenue, rep = out.Column("revenue").Float64s[0], r
+		})
+		k.Run()
+		want := tpch.Q6Reference(tpch.Gen{SF: 0.002, Seed: 31}.Generate())
+		if math.Abs(revenue-want) > 1e-6*want {
+			t.Errorf("revenue at %v requests/s = %v, want %v", rate, revenue, want)
 		}
-		revenue = out.Column("revenue").Float64s[0]
-		dur = rep.Duration
-	})
-	k.Run()
-	want := tpch.Q6Reference(tpch.Gen{SF: 0.002, Seed: 31}.Generate())
-	if math.Abs(revenue-want) > 1e-6*want {
-		t.Errorf("revenue = %v, want %v", revenue, want)
+		if rep == nil {
+			t.FailNow()
+		}
+		return rep
 	}
-	// Throttling shows up as time, not as wrong answers.
-	if dur < 500*time.Millisecond {
-		t.Errorf("throttled query finished suspiciously fast: %v", dur)
+	clean, throttled := run(0), run(8)
+	if throttled.DriverRetries+throttled.WorkerRetries == 0 {
+		t.Error("no request was retried: the rate limit never bit")
 	}
+	if throttled.Duration <= clean.Duration {
+		t.Errorf("throttled query took %v, no longer than the unthrottled %v", throttled.Duration, clean.Duration)
+	}
+	t.Logf("unthrottled %v; throttled %v, %d driver and %d worker retries",
+		clean.Duration, throttled.Duration, throttled.DriverRetries, throttled.WorkerRetries)
 }
 
 // TestConcurrencyLimitRejectsInvocations verifies the fleet launch surfaces

@@ -725,7 +725,12 @@ func (l *launcher) launchReady(env simenv.Env) error {
 func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 	tr := d.dep.Trace
 	l := &launcher{d: d, s: s}
+	topic := "sqs/" + d.cfg.ResultQueue
+	// barrier is the park on the result queue, armed before each Receive.
+	var barrier simenv.Barrier
 	defer func() {
+		// A return between the Receive and the park leaves no waiter behind.
+		barrier.Cancel()
 		if werr := l.wait(); err == nil {
 			err = werr
 		}
@@ -738,7 +743,7 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 		// No worker can have posted before the pass's first Invoke: park on
 		// the result queue before the first Receive rather than bill an
 		// empty one.
-		simenv.WaitNotifyKey(d.env, "sqs/"+d.cfg.ResultQueue, d.cfg.PollInterval)
+		simenv.WaitNotifyKey(d.env, topic, d.cfg.PollInterval)
 	}
 	for !s.done() {
 		// Resume partial launches: containers of this or other queries
@@ -746,9 +751,16 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 		if err := l.start(); err != nil {
 			return err
 		}
+		// Arm the park before the Receive: a seal Sent while the Receive is
+		// in flight ends the park below at once, instead of waiting out a
+		// whole PollInterval for a message already in the queue.
+		barrier = simenv.Arm(d.env, topic)
 		msgs, err := d.receive()
 		if err != nil {
 			return fmt.Errorf("driver: collecting seals: %w", err)
+		}
+		if len(msgs) > 0 {
+			barrier.Cancel() // the loop Receives again without parking
 		}
 		for _, m := range msgs {
 			var rm resultMsg
@@ -814,7 +826,7 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 			// query up to the next PollInterval tick, with the timed poll as
 			// fallback — and stays parked through unrelated broadcasts
 			// (boundary puts, ready markers).
-			simenv.WaitNotifyKey(d.env, "sqs/"+d.cfg.ResultQueue, d.cfg.PollInterval)
+			barrier.Wait(d.cfg.PollInterval)
 		}
 	}
 	return nil
@@ -957,13 +969,15 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, files []scan.FileR
 	return payloads, nil
 }
 
-// executeFragment is the worker side of a task: wait out the upstream ready
-// markers, collect this worker's partition of every input boundary from the
-// manifests they hold, execute the fragment (engine.Execute), and either
-// publish the partitioned output into this stage's attempt namespace —
-// returning the offsets its seal message commits — or hand the chunk back
-// for the SQS result post. Every boundary runs on the staged protocol
-// (exchange.PublishSealed, RegroupSealed, CollectSealed). A payload without a
+// executeFragment is the worker side of a task: wait out every upstream ready
+// marker, then collect this worker's partition of every input boundary from
+// the manifests they hold in one call — one request window for all of them,
+// so a join pays one round of first-byte latencies, not one per side —
+// execute the fragment (engine.Execute), and either publish the partitioned
+// output into this stage's attempt namespace — returning the offsets its
+// seal message commits — or hand the chunk back for the SQS result post.
+// Every boundary runs on the staged protocol (exchange.PublishSealed,
+// RegroupSealed, CollectSealed). A payload without a
 // boundary spec touches no boundary: the zero spec has nothing to collect and
 // nothing to publish. A payload without a plan is a regroup task: the
 // intermediate round of its one input's multi-level boundary is all it does.
@@ -986,26 +1000,21 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 	// across ALL its ready-marker waits, not MaxWait per input (which would
 	// let a fragment wait k×MaxWait before reporting failure). The collects
 	// themselves never wait — a sealed stage's objects all exist — and the
-	// data reads are not cut short.
+	// data reads are not cut short. The driver marks a stage sealed in
+	// DynamoDB once every worker of it reported through SQS. Under pipelined
+	// launch this worker was invoked before its producers sealed, so the
+	// waits are where cold start and upstream execution overlap.
 	deadline := ctx.Env.Now() + time.Duration(x.MaxWaitNs)
-	// ready waits out stage's ready marker and returns its manifest, with
-	// opts pointed at a round of variant v. The driver marks a stage sealed
-	// in DynamoDB once every worker of it reported through SQS. Under
-	// pipelined launch this worker was invoked before its producers sealed,
-	// so the wait here is where cold start and upstream execution overlap.
-	ready := func(stage int, v exchange.Variant) ([]byte, error) {
-		opts.Variant = v
-		return d.waitSealed(ctx, ws, p, stage, deadline)
-	}
 
 	if len(p.Plan) == 0 {
 		// Regroup attempts version their round-2 publishes exactly like
 		// sender attempts; the driver seals one per group.
 		in := x.Inputs[0]
-		manifest, err := ready(in.Ready, in.Variant)
+		manifest, err := d.waitSealed(ctx, ws, p, in.Ready, deadline)
 		if err != nil {
 			return nil, nil, err
 		}
+		opts.Variant = in.Variant
 		offsets, err := exchange.RegroupSealed(client, opts, exchange.Boundary{
 			Stage:      in.StageID,
 			Attempt:    p.Attempt,
@@ -1019,34 +1028,40 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 	if err != nil {
 		return nil, nil, err
 	}
-	budget := engineMemoryBudget(ctx.MemoryMiB)
-	var collected int64
-	for _, in := range x.Inputs {
-		// A multi-level boundary is read once its regroup fleet sealed — the
-		// round-2 objects this worker reads exist only then, and its ready
-		// marker is their manifest.
-		manifest, err := ready(in.Ready, in.Variant)
+	// Wait once: every ready marker, in input order, under the one deadline.
+	// A multi-level boundary is read once its regroup fleet sealed — the
+	// round-2 objects this worker reads exist only then, and its ready marker
+	// is their manifest.
+	inputs := make([]exchange.Input, len(x.Inputs))
+	for i, in := range x.Inputs {
+		manifest, err := d.waitSealed(ctx, ws, p, in.Ready, deadline)
 		if err != nil {
 			return nil, nil, err
 		}
-		chunk, err := exchange.CollectSealed(client, opts, exchange.Boundary{
-			Stage:      in.StageID,
-			Senders:    in.Senders,
-			Partitions: p.NumWorkers,
-		}, p.WorkerID, manifest)
-		if err != nil {
-			return nil, nil, fmt.Errorf("collecting stage %d partition %d: %w", in.StageID, p.WorkerID, err)
+		inputs[i] = exchange.Input{
+			Boundary: exchange.Boundary{Stage: in.StageID, Senders: in.Senders, Partitions: p.NumWorkers},
+			Variant:  in.Variant,
+			Sealed:   manifest,
 		}
-		// §3.3: report the working set exceeding the engine budget instead
-		// of dying silently. A join stage holds BOTH sides' partitions at
-		// once (plus build-side structures and output), so the guard sums
-		// over the inputs collected so far.
+	}
+	// Read once: every input's partition through one request window.
+	chunks, err := exchange.CollectSealed(client, opts, p.WorkerID, inputs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("collecting partition %d: %w", p.WorkerID, err)
+	}
+	// §3.3: report the working set exceeding the engine budget instead of
+	// dying silently. A join stage holds BOTH sides' partitions at once (plus
+	// build-side structures and output), so the guard sums over every input
+	// collected.
+	budget := engineMemoryBudget(ctx.MemoryMiB)
+	var collected int64
+	for i, chunk := range chunks {
 		collected += chunk.ByteSize()
 		if need := 3 * collected; need > budget {
 			return nil, nil, fmt.Errorf("%w: partition working set %d MiB exceeds engine budget %d MiB",
 				ErrWorkerOOM, need>>20, budget>>20)
 		}
-		cat[in.Table] = engine.NewMemSource(chunk.Schema, chunk)
+		cat[x.Inputs[i].Table] = engine.NewMemSource(chunk.Schema, chunk)
 	}
 
 	out, err := engine.Execute(plan, cat)
@@ -1087,32 +1102,34 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 
 // waitSealed waits for the DynamoDB ready marker of a producing stage, up
 // to the fragment-wide deadline, and returns its value: the stage's manifest,
-// where the worker's collects find every writer's sealed attempt and offsets.
+// where the worker's collect finds every writer's sealed attempt and offsets.
 // The marker key carries the query epoch, so a marker written by an aborted
 // identically-numbered run can never satisfy this run's barrier. Between
 // checks the worker parks on the completion signal dynamo.Put broadcasts — it
 // wakes at the instant the marker lands instead of at the next poll boundary
-// — with the timed poll as fallback.
+// — with the timed poll as fallback. The park is armed before each Get
+// (simenv.Barrier): a marker Put while the Get is in flight ends it at once.
 func (d *Session) waitSealed(ctx *lambdasvc.Ctx, ws resilience.Policy, p *workerPayload, stageID int, deadline time.Duration) ([]byte, error) {
 	table, key := p.Boundary.SealTable, sealKey(p.QueryID, p.Epoch, stageID)
+	// Only the dynamo.Put of this (query, epoch, stage) ready marker wakes
+	// the worker early.
+	topic := "dynamo/" + table + "/" + key
 	for {
+		barrier := simenv.Arm(ctx.Env, topic)
 		var manifest []byte
 		err := ws.Do(ctx.Env, "dynamo.Get", func() error {
 			var gerr error
 			manifest, gerr = d.dep.Dynamo.Get(ctx.Env, table, key)
 			return gerr
 		})
-		if err == nil {
-			return manifest, nil
+		if errors.Is(err, dynamo.ErrNoSuchItem) && ctx.Env.Now() < deadline {
+			barrier.Wait(time.Duration(p.Boundary.PollNs))
+			continue
 		}
-		if !errors.Is(err, dynamo.ErrNoSuchItem) {
-			return nil, err
-		}
-		if ctx.Env.Now() >= deadline {
+		barrier.Cancel()
+		if errors.Is(err, dynamo.ErrNoSuchItem) {
 			return nil, fmt.Errorf("stage %d never sealed: %w", stageID, err)
 		}
-		// Park on this marker's exact completion topic: only the dynamo.Put
-		// of this (query, epoch, stage) ready marker wakes the worker early.
-		simenv.WaitNotifyKey(ctx.Env, "dynamo/"+table+"/"+key, time.Duration(p.Boundary.PollNs))
+		return manifest, err
 	}
 }

@@ -22,12 +22,11 @@ type tracedRun struct {
 
 // tracedOpts parameterizes runTraced.
 type tracedOpts struct {
-	single  bool  // single-scope q1 over lineitem instead of staged q12
-	chaos   bool  // seeded FaultPlan deployment instead of the clean one
-	crash   bool  // workers dying mid-handler and on invoke instead
-	flat    bool  // single-level exchange without write combining
-	unkeyed bool  // disable completion-broadcast keying (regression baseline)
-	seed    int64 // deployment seed; 0 is the suite's 71
+	single bool  // single-scope q1 over lineitem instead of staged q12
+	chaos  bool  // seeded FaultPlan deployment instead of the clean one
+	crash  bool  // workers dying mid-handler and on invoke instead
+	flat   bool  // single-level exchange without write combining
+	seed   int64 // deployment seed; 0 is the suite's 71
 }
 
 // crashPlanQ12 kills workers: the second and third invocations die 120 ms
@@ -47,9 +46,6 @@ func crashPlanQ12() faults.Plan {
 func runTraced(t *testing.T, o tracedOpts) tracedRun {
 	t.Helper()
 	k := simclock.New()
-	if o.unkeyed {
-		k.SetCompletionKeying(false)
-	}
 	if o.seed == 0 {
 		o.seed = 71
 	}
@@ -259,39 +255,26 @@ func TestCriticalPathSumsToDuration(t *testing.T) {
 	}
 }
 
-// TestKeyedBroadcastReducesWakeups is the satellite regression: keying the
-// completion broadcast by (table,key)/prefix wakes strictly fewer waiters
-// than the wake-everyone baseline on the same seeded query. The spurious
-// wakeups are not free, either: each one re-runs the waiter's poll (a
-// billed substrate call with virtual latency) — asserted as the mechanism,
-// DynamoDB reads billed, on every seed. That the keyed run is therefore no
-// slower is asserted over the seeds together: the two runs of one seed issue
-// different request sequences, so they draw different latencies from the
-// deployment's one seeded stream, and a single pair can differ by a few
-// percent either way (seed 71 reads 1.094 s keyed against 1.072 s unkeyed).
+// TestKeyedBroadcastReducesWakeups: keying the completion broadcast by
+// (table,key)/prefix delivers only the wake-ups a waiter asked for. On the
+// staged q12 the topics anyone waits on are the result queue (the driver's
+// loop: one waiter per SQS Send), the ready markers (at most every worker
+// per DynamoDB write) and a launch pass's exit (one per pass, fewer than the
+// Invokes) — so the wake-ups stay under that bound: the boundary objects' S3
+// Puts, which no staged reader waits on, wake nobody but the traced query's
+// closing wildcard park (quiesce), which the margin covers. Five seeds; the
+// counter must be wired.
 func TestKeyedBroadcastReducesWakeups(t *testing.T) {
-	var keyedSum, unkeyedSum time.Duration
 	for seed := int64(71); seed < 76; seed++ {
-		keyed := runTraced(t, tracedOpts{seed: seed})
-		unkeyed := runTraced(t, tracedOpts{seed: seed, unkeyed: true})
-		if keyed.rep.Wakeups == 0 {
-			t.Fatalf("seed %d: keyed run recorded no wakeups (counter not wired?)", seed)
+		r := runTraced(t, tracedOpts{seed: seed})
+		c := r.rep.Cost
+		bound := uint64(c.SQSRequests + c.LambdaInvokes + c.DynamoWrites*int64(r.rep.Workers))
+		if r.rep.Wakeups == 0 {
+			t.Fatalf("seed %d: the run recorded no wakeups (counter not wired?)", seed)
 		}
-		if keyed.rep.Wakeups >= unkeyed.rep.Wakeups {
-			t.Errorf("seed %d: keying did not reduce wakeups: keyed %d, unkeyed %d",
-				seed, keyed.rep.Wakeups, unkeyed.rep.Wakeups)
+		if r.rep.Wakeups > bound {
+			t.Errorf("seed %d: %d wakeups, over the %d the awaited topics can deliver", seed, r.rep.Wakeups, bound)
 		}
-		if keyed.rep.Cost.DynamoReads > unkeyed.rep.Cost.DynamoReads {
-			t.Errorf("seed %d: keyed run polled more: %d DynamoDB reads, unkeyed %d",
-				seed, keyed.rep.Cost.DynamoReads, unkeyed.rep.Cost.DynamoReads)
-		}
-		t.Logf("seed %d: keyed %v, %d wakeups, %d polls; unkeyed %v, %d wakeups, %d polls", seed,
-			keyed.rep.Duration, keyed.rep.Wakeups, keyed.rep.Cost.DynamoReads,
-			unkeyed.rep.Duration, unkeyed.rep.Wakeups, unkeyed.rep.Cost.DynamoReads)
-		keyedSum += keyed.rep.Duration
-		unkeyedSum += unkeyed.rep.Duration
-	}
-	if keyedSum > unkeyedSum {
-		t.Errorf("keyed runs slower than the unkeyed baseline over five seeds: %v vs %v", keyedSum, unkeyedSum)
+		t.Logf("seed %d: %v, %d wakeups (bound %d), %d polls", seed, r.rep.Duration, r.rep.Wakeups, bound, c.DynamoReads)
 	}
 }

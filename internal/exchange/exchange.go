@@ -130,7 +130,7 @@ func (w Worker) trade(opts Options, g grid, level int, body []byte, offsets []in
 		return nil, 0, rt, err
 	}
 	found := env.Now()
-	blobs, n, err = r.read(refs)
+	blobs, n, err = read(w.Client, refs)
 	return blobs, n, RoundTrace{Write: written - start, Wait: found - written, Read: env.Now() - found}, err
 }
 

@@ -47,9 +47,10 @@
 // (Figure 9, costmodel.go).
 //
 // A reader keeps its requests in flight, as the paper's worker does: the
-// reads of a slot (one small range per writer), the Lists of a driverless
-// discovery pass (one per shard bucket) and a sweep's List and DeleteObjects
-// per bucket all
+// reads of a slot (one small range per writer) — on the staged protocol the
+// reads of every boundary a fragment collects, together (CollectSealed) — the
+// Lists of a driverless discovery pass (one per shard bucket) and a sweep's
+// List and DeleteObjects per bucket all
 // go through the S3 client's request window (s3.Client.Overlap), in the order
 // and with the results of a serial loop and a sixteenth of its first-byte
 // latencies. Writers Put one object after another: an upload cannot ride a
@@ -331,11 +332,12 @@ func (r round) publish(writer, attempt int, body []byte, offsets []int64) error 
 }
 
 // ref locates one writer's bytes of the slot being collected: a range of its
-// combined object, or the slot's whole file.
+// combined object, or (ranged unset) the slot's whole file.
 type ref struct {
 	bucket, key string
 	attempt     int
 	lo, hi      int64
+	ranged      bool
 }
 
 // discover is how a driverless reader locates its slot: it waits until every
@@ -349,7 +351,9 @@ type ref struct {
 // the client's request window and filed in bucket order; between passes the
 // reader parks on the completion topic of the round's commit namespace, which
 // only a commit of this round broadcasts on (topics omit the bucket, so one
-// covers all shards), with Poll as the fallback. A later pass skips the names
+// covers all shards), with Poll as the fallback. It arms that park before each
+// pass's Lists (simenv.Barrier), so a commit that lands while they are in
+// flight ends the park at once. A later pass skips the names
 // an earlier one vetted before parsing them: a name taken on the first pass is
 // parsed once per call, any other at most twice. An object that parses but
 // names a writer outside the round, or another slot count, fails the collect:
@@ -388,7 +392,9 @@ func (r round) discover(slot int) ([]ref, error) {
 	var vetted map[string]struct{}
 	env := r.client.Env()
 	deadline := env.Now() + r.opts.MaxWait
+	topic := "s3/" + prefix
 	for {
+		barrier := simenv.Arm(env, topic)
 		pending := shards[:0:0]
 		for _, shard := range shards {
 			if unseen[shard] > 0 {
@@ -415,7 +421,7 @@ func (r round) discover(slot int) ([]ref, error) {
 				if vetted != nil {
 					vetted[e.Key] = struct{}{}
 				}
-				found := ref{bucket: pending[i], key: e.Key, attempt: k.attempt}
+				found := ref{bucket: pending[i], key: e.Key, attempt: k.attempt, ranged: form == combinedKey}
 				if form == combinedKey {
 					if found.lo, found.hi, err = slotRange(k.offsets, r.slots, slot-r.slot0); err != nil {
 						return misfit(e.Key, err)
@@ -431,24 +437,26 @@ func (r round) discover(slot int) ([]ref, error) {
 			}
 			return nil
 		})
+		if err == nil && seen < r.writers && env.Now() < deadline {
+			if vetted == nil {
+				vetted = make(map[string]struct{}, r.writers)
+				for _, f := range refs {
+					if f.key != "" {
+						vetted[f.key] = struct{}{}
+					}
+				}
+			}
+			barrier.Wait(r.opts.Poll)
+			continue
+		}
+		barrier.Cancel()
 		if err != nil {
 			return nil, err
 		}
-		if seen == r.writers {
-			break
-		}
-		if env.Now() >= deadline {
+		if seen < r.writers {
 			return nil, fmt.Errorf("exchange: %d/%d writers committed under %s after %v", seen, r.writers, prefix, r.opts.MaxWait)
 		}
-		if vetted == nil {
-			vetted = make(map[string]struct{}, r.writers)
-			for _, f := range refs {
-				if f.key != "" {
-					vetted[f.key] = struct{}{}
-				}
-			}
-		}
-		simenv.WaitNotifyKey(env, "s3/"+prefix, r.opts.Poll)
+		break
 	}
 	if form == commitKey {
 		for i := range refs {
@@ -462,7 +470,7 @@ func (r round) discover(slot int) ([]ref, error) {
 // object under the staged name, or the slot's file.
 func (r round) slotRef(writer, attempt, slot int, lo, hi int64) ref {
 	if r.opts.Variant.WriteCombining {
-		return ref{bucket: r.bucket(writer), key: r.key(combinedKey, writer, attempt).String(), attempt: attempt, lo: lo, hi: hi}
+		return ref{bucket: r.bucket(writer), key: r.key(combinedKey, writer, attempt).String(), attempt: attempt, lo: lo, hi: hi, ranged: true}
 	}
 	k := r.key(fileKey, writer, attempt)
 	k.slot = slot
@@ -567,29 +575,38 @@ func (r round) badManifest(m manifest, why string) error {
 		errManifest, len(m.b), m.writers, r.stage, r.writer0, r.writer0+r.writers, r.slots, why)
 }
 
-// read fetches what discover located, one request per writer through the
-// client's request window — a slot of one writer is small, and taken one by
-// one the reads' first-byte latencies are the round — and returns the blobs
-// in writer order with the bytes transferred. The first writer, in that
-// order, whose read fails is the one reported. Size-only objects yield nil
-// blobs.
-func (r round) read(refs []ref) (blobs [][]byte, n int64, err error) {
-	blobs = make([][]byte, 0, len(refs))
-	err = r.client.Overlap(len(refs), func(i int, lane *s3.Client) (err error) {
-		f := refs[i]
-		var data []byte
+// read fetches what discover or sealedRefs located — the refs of one round,
+// or of each of several — one request per ref through client's one request
+// window: a slot of one writer is small, and taken one by one the reads'
+// first-byte latencies are the round. It returns the blobs in ref order, one
+// per ref, with the bytes transferred; an empty range (which S3 rejects when
+// it starts at the object's end) is not read, and it and a size-only object
+// yield nil blobs, a real object never does. The first ref, in that order,
+// whose read fails is the one reported.
+func read(client *s3.Client, rounds ...[]ref) (blobs [][]byte, n int64, err error) {
+	total := 0
+	for _, refs := range rounds {
+		total += len(refs)
+	}
+	blobs = make([][]byte, total)
+	// The window's calls come in index order: walk the rounds alongside.
+	var refs []ref
+	err = client.Overlap(total, func(i int, lane *s3.Client) (err error) {
+		for len(refs) == 0 {
+			refs, rounds = rounds[0], rounds[1:]
+		}
+		f := refs[0]
+		refs = refs[1:]
 		var got int64
-		if !r.opts.Variant.WriteCombining {
-			data, got, err = lane.Get(f.bucket, f.key, 1)
-		} else if f.hi > f.lo { // S3 rejects a range that starts at the object's end
-			data, got, err = lane.GetRange(f.bucket, f.key, f.lo, f.hi-f.lo, 1)
-		} else {
-			return nil
+		switch {
+		case !f.ranged:
+			blobs[i], got, err = lane.Get(f.bucket, f.key, 1)
+		case f.hi > f.lo:
+			blobs[i], got, err = lane.GetRange(f.bucket, f.key, f.lo, f.hi-f.lo, 1)
 		}
 		if err != nil {
 			return fmt.Errorf("exchange: reading %s: %w", f.key, err)
 		}
-		blobs = append(blobs, data)
 		n += got
 		return nil
 	})

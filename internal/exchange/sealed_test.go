@@ -11,12 +11,38 @@ import (
 	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
+	"lambada/internal/simclock"
 )
 
 // runSealedBoundary is runMultiLevelBoundary on the staged protocol, with the
 // test in the driver's seat: each fleet's commits — attempt 0 of every worker
 // — are sealed into the manifest the next fleet reads.
 func runSealedBoundary(t *testing.T, client *s3.Client, opts Options, b Boundary, inputs []*columnar.Chunk, keys []string) []*columnar.Chunk {
+	t.Helper()
+	sealed := sealBoundary(t, client, opts, b, inputs, keys)
+	out := make([]*columnar.Chunk, b.Partitions)
+	for p := range out {
+		res, err := collectOne(client, opts, b, p, sealed)
+		if err != nil {
+			t.Fatalf("%v collect partition %d: %v", opts.Variant, p, err)
+		}
+		out[p] = res
+	}
+	return out
+}
+
+// collectOne is CollectSealed over the one input b, read with opts.Variant.
+func collectOne(client *s3.Client, opts Options, b Boundary, part int, sealed []byte) (*columnar.Chunk, error) {
+	out, err := CollectSealed(client, opts, part, []Input{{Boundary: b, Variant: opts.Variant, Sealed: sealed}})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// sealBoundary publishes the senders' inputs — and, multi-level, runs the
+// regroup fleet — and returns the manifest the consumers read.
+func sealBoundary(t *testing.T, client *s3.Client, opts Options, b Boundary, inputs []*columnar.Chunk, keys []string) []byte {
 	t.Helper()
 	var sealed []byte
 	for s := 0; s < b.Senders; s++ {
@@ -37,15 +63,64 @@ func runSealedBoundary(t *testing.T, client *s3.Client, opts Options, b Boundary
 		}
 		sealed = regrouped
 	}
-	out := make([]*columnar.Chunk, b.Partitions)
-	for p := range out {
-		res, err := CollectSealed(client, opts, b, p, sealed)
-		if err != nil {
-			t.Fatalf("%v collect partition %d: %v", opts.Variant, p, err)
-		}
-		out[p] = res
+	return sealed
+}
+
+// TestCollectSealedManyInputs: one CollectSealed over a fragment's three
+// inputs — a 1l-wc, a 1l and a 2l-wc boundary of different sender counts in
+// one namespace — returns each input's partition byte-identical to a collect
+// of that input alone, and bills exactly the GETs the three collects bill.
+// On a kernel it pays one window's first-byte latencies: it ends before the
+// three collects, run one after another, do.
+func TestCollectSealedManyInputs(t *testing.T) {
+	const parts = 5
+	keys := []string{"k"}
+	svc := s3.New(s3.DefaultAWSConfig(nil, 7))
+	buckets := []string{"xa", "xb", "xc"}
+	for _, bk := range buckets {
+		svc.MustCreateBucket(bk)
 	}
-	return out
+	k := simclock.New()
+	k.Go("fragment", func(p *simclock.Proc) {
+		client := s3.NewClient(svc, p)
+		opts := Options{Buckets: buckets, Prefix: "q7/e1"}
+		var inputs []Input
+		for i, v := range []Variant{{Levels: 1, WriteCombining: true}, {Levels: 1}, {Levels: 2, WriteCombining: true}} {
+			b := Boundary{Stage: i + 1, Senders: 2 + i, Partitions: parts}
+			rows := make([]*columnar.Chunk, b.Senders)
+			for s := range rows {
+				rows[s] = stageTestChunk(100*i+10*s, 10)
+			}
+			o := opts
+			o.Variant = v
+			inputs = append(inputs, Input{Boundary: b, Variant: v, Sealed: sealBoundary(t, client, o, b, rows, keys)})
+		}
+		for part := 0; part < parts; part++ {
+			before, start := billed(t, svc, buckets).Gets, p.Now()
+			got, err := CollectSealed(client, opts, part, inputs)
+			if err != nil {
+				t.Fatalf("partition %d: %v", part, err)
+			}
+			gets, window := billed(t, svc, buckets).Gets-before, p.Now()-start
+			start = p.Now()
+			for i, in := range inputs {
+				o := opts
+				o.Variant = in.Variant
+				want, err := collectOne(client, o, in.Boundary, part, in.Sealed)
+				if err != nil {
+					t.Fatalf("partition %d input %d alone: %v", part, i, err)
+				}
+				chunksEqualML(t, fmt.Sprintf("partition %d input %d (%v)", part, i, in.Variant), want, got[i])
+			}
+			if alone := billed(t, svc, buckets).Gets - before - gets; gets != alone {
+				t.Errorf("partition %d: one collect billed %d GETs, the three alone %d", part, gets, alone)
+			}
+			if serial := p.Now() - start; window >= serial {
+				t.Errorf("partition %d: one collect took %v, the three alone %v", part, window, serial)
+			}
+		}
+	})
+	k.Run()
 }
 
 // TestSealedBoundaryMatchesDriverless: on the draws of
@@ -151,7 +226,7 @@ func TestSealedReadsTheSealedAttempt(t *testing.T) {
 			sealed = regrouped
 		}
 		for p := 0; p < parts; p++ {
-			got, err := CollectSealed(client, opts, b, p, sealed)
+			got, err := collectOne(client, opts, b, p, sealed)
 			if err != nil {
 				t.Fatalf("%v partition %d: %v", v, p, err)
 			}
@@ -179,7 +254,7 @@ func TestSealedRefusesForeignManifest(t *testing.T) {
 		sealed = AppendCommit(sealed, 0, offsets)
 		basic = AppendCommit(basic, 0, nil)
 	}
-	if _, err := CollectSealed(client, opts, b, 0, sealed); err != nil {
+	if _, err := collectOne(client, opts, b, 0, sealed); err != nil {
 		t.Fatalf("the manifest itself: %v", err)
 	}
 	gets := billed(t, svc, []string{"x"}).Gets
@@ -198,14 +273,14 @@ func TestSealedRefusesForeignManifest(t *testing.T) {
 		"an overflowing sum":  {b, AppendCommit(sealed, 0, []int64{0, math.MaxInt64, -1, 0, 0})[len(sealed):]},
 		"an attempt past int": {b, append([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, sealed[1:]...)},
 	} {
-		if _, err := CollectSealed(client, opts, c.b, 0, c.manifest); !errors.Is(err, errManifest) {
+		if _, err := collectOne(client, opts, c.b, 0, c.manifest); !errors.Is(err, errManifest) {
 			t.Errorf("%s: collect returned %v, want a manifest error", name, err)
 		}
 	}
 	if got := billed(t, svc, []string{"x"}).Gets; got != gets {
 		t.Errorf("refused manifests read %d objects", got-gets)
 	}
-	if _, err := CollectSealed(client, opts, b, 0, nil); !errors.Is(err, errManifest) {
+	if _, err := collectOne(client, opts, b, 0, nil); !errors.Is(err, errManifest) {
 		t.Errorf("collect without a manifest returned %v", err)
 	}
 }

@@ -232,11 +232,22 @@ func (r round) collect(slot int, m manifest) (*columnar.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	blobs, _, err := r.read(refs)
+	blobs, _, err := read(r.client, refs)
 	if err != nil {
 		return nil, err
 	}
 	return decodeBlobs(blobs)
+}
+
+// source is the round partition part is read from — the senders' round of a
+// single-round boundary, the round of the partition's group of a multi-level
+// one — and how many writers the ready marker of that round's stage holds:
+// the senders, or one regroup worker per group.
+func (b Boundary) source(client *s3.Client, opts Options, part int, sealed bool) (round, int) {
+	if opts.Variant.Levels >= 2 {
+		return b.regroup(client, opts, GroupOf(part, b.Partitions), sealed), Groups(b.Partitions)
+	}
+	return b.senders(client, opts, sealed), b.Senders
 }
 
 // CollectStage waits until partition part is complete and returns its rows,
@@ -245,30 +256,64 @@ func (r round) collect(slot int, m manifest) (*columnar.Chunk, error) {
 // committed attempt of the partition's regroup worker — one List and one read
 // instead of one read per sender.
 func CollectStage(client *s3.Client, opts Options, b Boundary, part int) (*columnar.Chunk, error) {
-	return collectStage(client, opts, b, part, nil)
-}
-
-// CollectSealed is CollectStage on the staged protocol: sealed is the ready
-// marker of the stage the partition is read from — the senders of a
-// single-round boundary, the regroup stage of a multi-level one, whose
-// entries are its groups — and the read issues no List.
-func CollectSealed(client *s3.Client, opts Options, b Boundary, part int, sealed []byte) (*columnar.Chunk, error) {
-	if sealed == nil {
-		return nil, fmt.Errorf("%w: stage %d has no manifest", errManifest, b.Stage)
-	}
-	return collectStage(client, opts, b, part, sealed)
-}
-
-func collectStage(client *s3.Client, opts Options, b Boundary, part int, sealed []byte) (*columnar.Chunk, error) {
 	opts, err := b.ready(opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Variant.Levels >= 2 {
-		m := manifest{sealed, Groups(b.Partitions)}
-		return b.regroup(client, opts, GroupOf(part, b.Partitions), sealed != nil).collect(part, m)
+	r, _ := b.source(client, opts, part, false)
+	return r.collect(part, manifest{})
+}
+
+// Input is one boundary a fragment collects on the staged protocol: the
+// boundary, the variant its writers wrote with, and Sealed, the ready marker
+// of the stage the partition is read from — the senders of a single-round
+// boundary, the regroup stage of a multi-level one, whose entries are its
+// groups.
+type Input struct {
+	Boundary Boundary
+	Variant  Variant
+	Sealed   []byte
+}
+
+// CollectSealed is CollectStage on the staged protocol, for every input of a
+// fragment at once: it takes each input's refs from its manifest — no List,
+// no wait: every marker is there before the call — issues all of them through
+// one request window, in input order and writer order within an input, and
+// returns each input's rows, senders ascending, in input order. A fragment
+// that collects two boundaries so pays one round of first-byte latencies, not
+// two, and each chunk is byte-identical to a collect of its input alone.
+// opts gives the namespace (Buckets, Prefix); each input's own Variant
+// replaces opts.Variant.
+func CollectSealed(client *s3.Client, opts Options, part int, inputs []Input) ([]*columnar.Chunk, error) {
+	refs := make([][]ref, len(inputs))
+	for i, in := range inputs {
+		if in.Sealed == nil {
+			return nil, fmt.Errorf("%w: stage %d has no manifest", errManifest, in.Boundary.Stage)
+		}
+		o := opts
+		o.Variant = in.Variant
+		o, err := in.Boundary.ready(o)
+		if err != nil {
+			return nil, err
+		}
+		r, writers := in.Boundary.source(client, o, part, true)
+		if refs[i], err = r.sealedRefs(manifest{in.Sealed, writers}, part); err != nil {
+			return nil, err
+		}
 	}
-	return b.senders(client, opts, sealed != nil).collect(part, manifest{sealed, b.Senders})
+	blobs, _, err := read(client, refs...)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*columnar.Chunk, len(inputs))
+	for i := range out {
+		n := len(refs[i])
+		if out[i], err = decodeBlobs(blobs[:n]); err != nil {
+			return nil, err
+		}
+		blobs = blobs[n:]
+	}
+	return out, nil
 }
 
 // RegroupStage runs the intermediate round of a multi-level boundary for one
@@ -353,17 +398,22 @@ func Sweep(client *s3.Client, buckets []string, prefix string) (int, error) {
 
 // decodeBlobs concatenates the rows of the lpq blobs, in order, into one
 // chunk of the first blob's schema — lpq files are self-describing, so
-// boundaries need no schema plumbing. The chunk is sized once from the
-// footers' row counts and every page is decoded straight into its place.
+// boundaries need no schema plumbing. A nil blob — a ref read did not read —
+// holds no file; any other is one, an empty one included. The chunk is sized
+// once from the footers' row counts and every page is decoded straight into
+// its place.
 func decodeBlobs(blobs [][]byte) (*columnar.Chunk, error) {
-	readers := make([]*lpq.Reader, len(blobs))
+	readers := make([]*lpq.Reader, 0, len(blobs))
 	var rows int64
-	for i, blob := range blobs {
+	for _, blob := range blobs {
+		if blob == nil {
+			continue
+		}
 		r, err := lpq.OpenReader(bytes.NewReader(blob), int64(len(blob)))
 		if err != nil {
 			return nil, err
 		}
-		readers[i] = r
+		readers = append(readers, r)
 		rows += r.Meta().TotalRows
 	}
 	if len(readers) == 0 {

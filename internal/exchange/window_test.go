@@ -167,7 +167,7 @@ func TestCollectMatchesSerialReference(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				blobs, _, err := c.r.read(refs)
+				blobs, _, err := read(c.r.client, refs)
 				return blobs, err
 			})
 			want, wantLog := watch(func() ([][]byte, error) { return serialCollect(c.r, c.slot) })
@@ -216,7 +216,7 @@ func TestReadReportsLowestFailingWriter(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, _, err = r.read(refs)
+		_, _, err = read(r.client, refs)
 		if !errors.Is(err, s3.ErrNoSuchKey) || !strings.Contains(err.Error(), "reading "+refs[5].key+":") {
 			t.Errorf("wc=%v: read error %v, want writer 5's missing %s", wc, err, refs[5].key)
 		}

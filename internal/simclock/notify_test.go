@@ -58,37 +58,73 @@ func TestNotifyAllWakesEveryTopic(t *testing.T) {
 	}
 }
 
-// TestSetCompletionKeyingOff restores the pre-keying behavior: every
-// broadcast wakes every waiter, and the wakeup counter shows the cost.
-func TestSetCompletionKeyingOff(t *testing.T) {
-	run := func(keyed bool) uint64 {
-		k := New()
-		k.SetCompletionKeying(keyed)
-		for i := 0; i < 4; i++ {
-			k.Go("waiter", func(p *Proc) {
-				// Re-park on an unmatched topic until the deadline: each
-				// unkeyed broadcast wakes all four, keyed wakes none.
-				for p.Now() < 10*time.Second {
-					p.WaitNotifyKey("never/matched", time.Second)
-				}
-			})
-		}
-		k.Go("writer", func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				p.Sleep(time.Second)
-				p.NotifyKey("some/other/key")
-			}
-		})
-		k.Run()
-		return k.CompletionWakeups()
+// TestArmedWaitTakesBroadcastDuringCheck: a barrier arms its topic, then
+// checks — a request's latency, slept — and a broadcast lands during the
+// check. The park after it returns true at the instant the check ends, with
+// no virtual time passing: the write is not missed until the next poll.
+func TestArmedWaitTakesBroadcastDuringCheck(t *testing.T) {
+	k := New()
+	var woke bool
+	var checked, returned time.Duration
+	k.Go("barrier", func(p *Proc) {
+		p.Arm("dynamo/stages/q1/e1/s2")
+		p.Sleep(20 * time.Millisecond) // the check: a Get in flight
+		checked = p.Now()
+		woke = p.Park(time.Second)
+		returned = p.Now()
+	})
+	k.Go("driver", func(p *Proc) {
+		p.Sleep(5 * time.Millisecond)
+		p.NotifyKey("dynamo/stages/q1/e1/s2")
+	})
+	k.Run()
+	if !woke {
+		t.Error("the park missed the broadcast that landed during the check")
 	}
-	unkeyed := run(false)
-	keyed := run(true)
-	if keyed != 0 {
-		t.Errorf("keyed run woke %d waiters on unmatched topic, want 0", keyed)
+	if checked != 20*time.Millisecond || returned != checked {
+		t.Errorf("check ended at %v, park returned at %v: want both at 20ms", checked, returned)
 	}
-	if unkeyed != 20 {
-		t.Errorf("unkeyed run woke %d waiters, want 20 (5 broadcasts x 4 waiters)", unkeyed)
+	if n := k.CompletionWakeups(); n != 1 {
+		t.Errorf("CompletionWakeups = %d, want 1", n)
+	}
+}
+
+// TestDisarmWithdraws: an entry whose check succeeded is withdrawn. A later
+// broadcast neither takes nor counts it, the process is not scheduled twice,
+// and it can arm again; an entry a broadcast already took withdraws as a
+// no-op.
+func TestDisarmWithdraws(t *testing.T) {
+	k := New()
+	var second bool
+	k.Go("barrier", func(p *Proc) {
+		p.Arm("t/")
+		p.Sleep(10 * time.Millisecond)
+		p.Disarm()                     // the check succeeded
+		p.Sleep(20 * time.Millisecond) // a broadcast at 15ms finds no entry
+		p.Arm("t/")
+		p.Sleep(10 * time.Millisecond) // a broadcast at 35ms takes this one
+		p.Disarm()
+		p.Arm("t/")
+		second = p.Park(time.Second) // nothing else fires: times out
+	})
+	k.Go("writer", func(p *Proc) {
+		p.Sleep(15 * time.Millisecond)
+		p.NotifyKey("t/x")
+		p.Sleep(20 * time.Millisecond)
+		p.NotifyKey("t/y")
+	})
+	k.Run()
+	if k.Deadlocked() {
+		t.Fatal("deadlocked")
+	}
+	if second {
+		t.Error("a park after two withdrawn entries reported a broadcast")
+	}
+	if n := k.CompletionWakeups(); n != 1 {
+		t.Errorf("CompletionWakeups = %d, want 1 (only the armed entry at 35ms)", n)
+	}
+	if now := k.Now(); now != 40*time.Millisecond+time.Second {
+		t.Errorf("run ended at %v, want the last park's timeout at 1.04s", now)
 	}
 }
 

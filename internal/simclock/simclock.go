@@ -4,10 +4,10 @@
 // Processes are ordinary goroutines scheduled cooperatively: exactly one
 // process runs at any instant, and control returns to the kernel whenever a
 // process blocks on virtual time (Sleep) or on the keyed completion signal
-// (WaitNotifyKey, woken by NotifyKey or its timeout) — the one
-// synchronization primitive. Events at the same virtual instant are ordered
-// by creation sequence, which makes every run deterministic regardless of
-// how the Go runtime schedules goroutines.
+// (Arm then Park, or WaitNotifyKey for both at once; woken by NotifyKey or
+// its timeout) — the one synchronization primitive. Events at the same
+// virtual instant are ordered by creation sequence, which makes every run
+// deterministic regardless of how the Go runtime schedules goroutines.
 //
 // The kernel is the substrate for the cloud-service simulators in
 // internal/awssim: worker fleets of thousands of serverless functions and
@@ -30,16 +30,12 @@ type Kernel struct {
 	live   int
 	steps  uint64
 	limits Limits
-	// compWaiters are the processes parked in WaitNotifyKey, each with the
-	// topic it subscribed to. compWakeups counts every process woken by a
-	// completion broadcast — the contention metric the keyed signal exists
-	// to reduce.
+	// compWaiters are the processes armed on the completion signal — parked
+	// in Park, or still checking before they do — each with the topic it
+	// subscribed to. compWakeups counts every waiter a completion broadcast
+	// reached — the contention metric the keyed signal exists to reduce.
 	compWaiters []compWaiter
 	compWakeups uint64
-	// unkeyedCompletion disables topic matching: every broadcast wakes
-	// every waiter, the pre-keying behavior. Kept as a kernel flag so
-	// regression tests can measure the keyed/unkeyed wakeup ratio.
-	unkeyedCompletion bool
 }
 
 type compWaiter struct {
@@ -113,9 +109,11 @@ type Proc struct {
 	// egen is the process's live event generation: cancelling a scheduled
 	// wake-up (wakeCancel) bumps it, orphaning the heap entry.
 	egen uint64
-	// notified marks that the wake-up came from a completion broadcast
-	// rather than the WaitNotifyKey timer.
-	notified bool
+	// armed: the process has an entry in compWaiters (Arm). parked: it is
+	// parked on that entry (Park). notified: a matching broadcast took the
+	// entry — while the process was parked, or while it was still checking,
+	// in which case its Park returns at once.
+	armed, parked, notified bool
 }
 
 // Name returns the process name given to Go.
@@ -213,8 +211,8 @@ func (p *Proc) Sleep(d time.Duration) {
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // wakeCancel wakes a parked process at the current instant, cancelling any
-// wake-up it already has scheduled (a WaitNotifyKey timer superseded by the
-// broadcast that arrived first).
+// wake-up it already has scheduled (a Park timer superseded by the broadcast
+// that arrived first).
 func (k *Kernel) wakeCancel(p *Proc) {
 	if p.pending {
 		p.egen++
@@ -222,13 +220,6 @@ func (k *Kernel) wakeCancel(p *Proc) {
 	}
 	k.scheduleAt(k.now, p)
 }
-
-// SetCompletionKeying toggles topic matching on the completion signal.
-// With keying off every broadcast wakes every parked waiter — the
-// pre-keying behavior. On by default; the off switch exists so regression
-// tests can measure the wakeup reduction keying buys. Must be set before
-// Run.
-func (k *Kernel) SetCompletionKeying(on bool) { k.unkeyedCompletion = !on }
 
 // CompletionWakeups returns the number of waiter wake-ups completion
 // broadcasts have performed so far. A fleet of S senders waking W waiters
@@ -252,17 +243,17 @@ func topicMatch(key, topic string) bool {
 	return len(key) >= len(topic) && key[:len(topic)] == topic
 }
 
-// notifyKey wakes every waiter whose topic matches key at the current
-// virtual instant.
+// notifyKey takes the entry of every waiter whose topic matches key: a
+// parked waiter wakes at the current virtual instant, one still checking is
+// marked and does not park.
 func (k *Kernel) notifyKey(key string) {
-	if k.unkeyedCompletion {
-		key = ""
-	}
 	kept := k.compWaiters[:0]
 	for _, w := range k.compWaiters {
 		if topicMatch(key, w.topic) {
-			w.p.notified = true
-			k.wakeCancel(w.p)
+			w.p.armed, w.p.notified = false, true
+			if w.p.parked {
+				k.wakeCancel(w.p)
+			}
 			k.compWakeups++
 		} else {
 			kept = append(kept, w)
@@ -279,35 +270,68 @@ func (p *Proc) NotifyKey(key string) { p.k.notifyKey(key) }
 
 // WaitNotifyKey parks p until a completion broadcast whose key matches
 // topic (prefix match; empty topic matches everything) or until d of
-// virtual time passed, and reports whether the broadcast arrived. Together
-// with NotifyKey it satisfies simenv.Notifier, so barriers built on
-// simenv.WaitNotifyKey resolve at the exact virtual instant of the write
-// they await instead of at the next poll boundary. Keyed
-// parking is what lets hundred-sender fleets coexist with parked
-// barriers: an exchange write wakes the one consumer waiting on that
-// stage's prefix, not every waiter in the simulation.
+// virtual time passed, and reports whether the broadcast arrived: Arm, then
+// Park. Together with NotifyKey it satisfies simenv.Notifier, so barriers
+// built on simenv.WaitNotifyKey resolve at the exact virtual instant of the
+// write they await instead of at the next poll boundary. Keyed parking is
+// what lets hundred-sender fleets coexist with parked barriers: an exchange
+// write wakes the one consumer waiting on that stage's prefix, not every
+// waiter in the simulation.
 func (p *Proc) WaitNotifyKey(topic string, d time.Duration) bool {
-	if d < 0 {
-		d = 0
+	p.Arm(topic)
+	return p.Park(d)
+}
+
+// Arm registers p's entry on topic ahead of the check a barrier makes before
+// it parks. A check takes virtual time — a request's latency — and a matching
+// broadcast that lands meanwhile takes the entry, so the Park that follows
+// returns at once instead of sleeping out a poll for a write that already
+// happened. Every Arm is followed by one Park or one Disarm.
+func (p *Proc) Arm(topic string) {
+	if p.armed || p.notified {
+		panic(fmt.Sprintf("simclock: process %q armed twice", p.name))
 	}
-	k := p.k
-	if k.unkeyedCompletion {
-		topic = ""
+	p.k.compWaiters = append(p.k.compWaiters, compWaiter{p: p, topic: topic})
+	p.armed = true
+}
+
+// Park parks p on the entry Arm registered until a matching broadcast or
+// until d of virtual time passed, and reports whether the broadcast arrived.
+// If one arrived since Arm, Park returns true at once: no virtual time
+// passes and p does not yield. A timed-out entry is withdrawn.
+func (p *Proc) Park(d time.Duration) bool {
+	if !p.notified {
+		if !p.armed {
+			panic(fmt.Sprintf("simclock: process %q parks without an armed entry", p.name))
+		}
+		p.parked = true
+		p.k.scheduleAt(p.k.now+max(d, 0), p)
+		p.yield()
+		p.parked = false
 	}
-	k.compWaiters = append(k.compWaiters, compWaiter{p: p, topic: topic})
-	p.notified = false
-	k.scheduleAt(k.now+d, p)
-	p.yield()
 	if p.notified {
 		p.notified = false
 		return true
 	}
-	// Timed out: withdraw from the waiter list.
+	p.Disarm()
+	return false
+}
+
+// Disarm withdraws the entry Arm registered, for a barrier whose check
+// succeeded and which will not park: the entry must not outlive the wait,
+// or a later broadcast would take it for a process that is not waiting. A
+// process without an entry is left as it is.
+func (p *Proc) Disarm() {
+	p.notified = false
+	if !p.armed {
+		return
+	}
+	p.armed = false
+	k := p.k
 	for i, w := range k.compWaiters {
 		if w.p == p {
 			k.compWaiters = append(k.compWaiters[:i], k.compWaiters[i+1:]...)
-			break
+			return
 		}
 	}
-	return false
 }
