@@ -65,7 +65,7 @@ fuzz-smoke:
 chaos:
 	GOMAXPROCS=4 $(GO) test -race ./internal/awssim/faults/ ./internal/resilience/
 	GOMAXPROCS=4 $(GO) test -race \
-		-run 'Chaos|Injected|ClientRetries|ClientBudget|EpochSweep|SingleScopeDuplicate' \
+		-run 'Chaos|Injected|ClientRetries|ClientBudget|EpochSweep|SingleScopeDuplicate|KeyedDeleteListsNothing' \
 		./internal/awssim/s3/ ./internal/awssim/sqs/ ./internal/awssim/dynamo/ \
 		./internal/awssim/lambdasvc/ ./internal/driver/
 
@@ -84,13 +84,16 @@ bench:
 
 # bench-check keeps the repository's benchmark (bench/, a Go module of its
 # own that the root `go test ./...` does not reach) building and honest: its
-# unit tests, then two tiny end-to-end runs through bench/run.sh — a plan with
-# exchange boundaries and one without; both come from the one planner, through
-# RunSQLStaged and RunSQL — each exiting non-zero when any result differs from
-# the single-node reference.
+# unit tests, then three tiny end-to-end runs through bench/run.sh — plans with
+# exchange boundaries under DES and on goroutine workers (shuffle_local, the
+# only checked run of the staged path, its keyed cleanup included, on
+# simenv.Immediate) and a plan without one; all come from the one planner,
+# through RunSQLStaged and RunSQL — each exiting non-zero when any result
+# differs from the single-node reference.
 bench-check:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload staged_des --scale tiny --seconds 1
+	bash bench/run.sh --workload shuffle_local --scale tiny --seconds 1
 	bash bench/run.sh --workload scan_local --scale tiny --seconds 1
 
 # serve-smoke boots the resident query service end to end in both modes

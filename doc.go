@@ -43,9 +43,10 @@
 // (NewLocal) no time either, so nothing switches it off.
 //
 // Every multi-request loop of the read path goes through it. The exchange's
-// three — a round's reads of one small range per writer, the per-shard Lists
-// of a driverless round's discovery pass, a sweep's List and DeleteObjects
-// per bucket —
+// four — a round's reads of one small range per writer, the per-shard Lists
+// of a driverless round's discovery pass, the driver's keyed delete of what a
+// query wrote (one DeleteObjects per bucket), and, past epoch 1 only, a
+// sweep's List and DeleteObjects per bucket —
 // because a worker that pays 256 latencies of ~35 ms one after another for
 // 256 KB is not the paper's worker (§4.3.2, §4.4.2), and the fleet behind it
 // idles, billed, until it is done. The opens (level 4): opening a file is one
@@ -207,11 +208,13 @@
 // machinery it uses, by two rules that hold for every plan:
 //
 //  1. The boundary namespace — shard buckets, the stages table, the durable
-//     epoch fence, the result-queue purge and both boundary sweeps — exists
-//     iff some stage has an exchange output. A plan without boundaries runs
-//     at epoch 0, ships no boundary spec, and issues no DynamoDB request and
-//     no S3 LIST at all: a one-stage query bills the planner's footer reads,
-//     its invocations, its workers' scans and its result polls, nothing else.
+//     epoch fence and the keyed delete of what the query wrote — exists iff
+//     some stage has an exchange output. A plan without boundaries runs at
+//     epoch 0, ships no boundary spec, and issues no DynamoDB request and no
+//     S3 LIST at all: a one-stage query bills the planner's footer reads, its
+//     invocations, its workers' scans and its result polls, nothing else. A
+//     plan with boundaries issues nothing before its first Invoke but the
+//     fence's requests, and at epoch 1 lists no bucket either.
 //  2. A stage's DynamoDB ready marker is written iff some other stage run
 //     waits on it. Nobody waits on the result stage, so it writes none.
 //
@@ -385,10 +388,17 @@
 // arrived, whatever later attempts commit (TestStagedReadsTheSealedWinner) —
 // and since fragments are deterministic, every attempt's files are
 // byte-identical: whichever attempt wins, the rows collected are the same.
-// The stale-drain collector (exchange.Sweep) purges
-// the boundary namespace before a query (an identically-numbered aborted
-// run on a fresh driver must not leak into its retry) and after it (loser
-// attempts and winner files alike).
+// The seal is the directory for cleanup as well: a staged writer's names are
+// a function of its boundary, its worker number and its attempt
+// (exchange.Written), and the driver knows every attempt it invoked — the
+// winners, the speculation losers, the relaunched failures — so after the
+// query, whether it succeeded or failed, it deletes exactly those objects by
+// key, one DeleteObjects per shard bucket, and lists nothing. Only what no
+// live driver can name is listed: the stale-drain collector (exchange.Sweep)
+// runs over the query's whole prefix after a query at epoch > 1, where an
+// earlier run of the same ID may have left debris, and before the epoch GC
+// drops an expired fence (TestStagedKeyedDeleteListsNothing,
+// TestStagedStaleArtifactsDoNotPoisonRetry, TestEpochSweepTTL).
 //
 // Stage fragments are ordinary engine plans executed by engine.Execute, and
 // every boundary preserves row order (partition rows in sender order,
@@ -403,11 +413,12 @@
 //
 // The serverless model has no cluster membership, so nothing tells the
 // driver that workers of an earlier run still exist. A fresh driver on the
-// same deployment restarts query numbering, and while the pre-launch
-// purge/sweep clears an aborted identically-numbered run's at-rest debris,
-// one of its workers still in flight could post a seal — or publish
-// boundary files — after that purge, under the same query ID. The epoch
-// fence closes this structurally. The lifecycle of every query whose plan
+// same deployment restarts query numbering, and an aborted
+// identically-numbered run leaves seal messages and boundary files under the
+// same query ID — at rest, or posted by one of its workers still in flight
+// at any moment of the retry. No purge or sweep before the launch could win
+// that race; the epoch fence closes it structurally, so none runs. The
+// lifecycle of every query whose plan
 // has a boundary (a plan without one publishes nothing a zombie could
 // poison, posts at epoch 0 to a queue that dies with the query, and takes
 // no fence):
@@ -424,9 +435,11 @@
 //	          current one; consumers wait on this epoch's ready markers
 //	          and collect under this epoch's prefix, so an older epoch's
 //	          artifacts are invisible rather than merely improbable
-//	sweep     purge/sweep still run — as hygiene: sweeps cover the query's
-//	          whole prefix across epochs, reclaiming zombie debris
-//	          whenever it lands
+//	reclaim   after the query the driver deletes its own objects by key; at
+//	          epoch > 1 it also sweeps the query's whole prefix across
+//	          epochs, reclaiming the zombies' debris (the only LIST a staged
+//	          query bills), and the epoch GC sweeps an expired fence's
+//	          prefix before it deletes the fence
 //
 // A zombie worker of an aborted epoch can therefore wake at any time,
 // publish anywhere in its own e<E-1> namespace and post any seal it likes:
@@ -572,10 +585,12 @@
 // failure path works with speculation disabled, and for one-stage
 // queries like any other); a worker that dies without
 // posting anything is recovered by the MaxStageWait liveness cap. A query
-// that cannot progress fails fast with a structured *StageFailure and the
-// usual sweeps reclaim its debris. Epoch fence items themselves are
-// garbage-collected lazily: acquireEpoch periodically sweeps epoch/<query>
-// items older than EpochTTL of virtual time.
+// that cannot progress fails fast with a structured *StageFailure, and the
+// driver deletes what its attempts wrote by key, as after a success. Epoch
+// fence items themselves are garbage-collected lazily: acquireEpoch
+// periodically deletes epoch/<query> items older than EpochTTL of virtual
+// time, each after a sweep of its query's prefix — the next run of that ID
+// starts at epoch 1 and lists nothing.
 //
 // # Observability and tracing
 //

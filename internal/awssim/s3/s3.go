@@ -443,7 +443,7 @@ func (s *Service) Delete(env simenv.Env, bucketName, key string) error {
 // DeleteBatch removes many objects in pages of up to 1000 keys — the
 // DeleteObjects API: one request round trip (one latency charge) per page
 // instead of one per object, and still free like single deletes. The
-// stale-drain collector sweeps boundary namespaces through it.
+// driver deletes a query's boundary objects through it.
 func (s *Service) DeleteBatch(env simenv.Env, bucketName string, keys []string) error {
 	if f, ok := s.cfg.Faults.Next(faults.OpS3Delete); ok {
 		if err := s.injected(env, f, obs.Cost{}, s.cfg.PutLatency); err != nil {

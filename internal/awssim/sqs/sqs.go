@@ -102,7 +102,7 @@ func (s *Service) CreateQueue(name string) {
 // runs each query over its own result queue and deletes it at query end so
 // the deployment does not accumulate one queue per query ever run; a
 // zombie worker posting to a deleted queue gets ErrNoSuchQueue, which is
-// harmless — its real work is long done and its debris is swept anyway.
+// harmless — its real work is long done and its debris is deleted anyway.
 func (s *Service) DeleteQueue(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

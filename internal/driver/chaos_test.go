@@ -8,8 +8,10 @@ import (
 	"lambada/internal/awssim/dynamo"
 	"lambada/internal/awssim/faults"
 	"lambada/internal/awssim/pricing"
+	"lambada/internal/awssim/s3"
 	"lambada/internal/columnar"
 	"lambada/internal/lpq"
+	"lambada/internal/obs"
 	"lambada/internal/simclock"
 	"lambada/internal/tpch"
 )
@@ -360,6 +362,57 @@ func TestStagedChaosBudgetExhaustionFailureSeal(t *testing.T) {
 	assertQueryClean(t, dead.sess, sf.QueryID)
 }
 
+// TestStagedKeyedDeleteListsNothing: a staged q12 at epoch 1 that speculates
+// a straggler and relaunches a failure — the budget storm of
+// TestStagedChaosBudgetExhaustionFailureSeal on the join worker, and a stall
+// on attempt 0 of a lineitem scan worker long enough for its backup to win
+// and short enough that it publishes before the join ends — bills no S3 LIST
+// at all, answers like the fault-free run, and leaves nothing behind: the
+// driver deleted the winners, the speculation loser and the failed attempt by
+// key.
+func TestStagedKeyedDeleteListsNothing(t *testing.T) {
+	const stragglerStall = 1400 * time.Millisecond
+	mut := func(cfg *Config, scfg *StageConfig) {
+		cfg.Speculate = DefaultSpeculateConfig()
+		cfg.RetryBudget = 3
+		cfg.testWaveLaunch = true
+		scfg.Partitions = 1
+	}
+	clean := runStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment { return NewSimulated(k, 71) }, mut)
+	run := runStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment {
+		dep := NewChaos(k, 71, faults.Plan{Seed: 4, Rules: []faults.Rule{
+			{Op: faults.OpDynamoGet, Kind: faults.KindThrottle, Skip: 1, Count: 6},
+		}})
+		dep.EnableTracing(obs.New())
+		return dep
+	}, func(cfg *Config, scfg *StageConfig) {
+		mut(cfg, scfg)
+		cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
+			if stage == 1 && workerID == 0 && attempt == 0 {
+				return stragglerStall
+			}
+			return 0
+		}
+	})
+	chunksIdentical(t, run.out, clean.out)
+	if run.rep.Epoch != 1 || run.rep.Speculated != 1 || run.rep.FailureSeals != 1 {
+		t.Fatalf("epoch %d, speculated %d, failure seals %d: want one of each (test premise broken)",
+			run.rep.Epoch, run.rep.Speculated, run.rep.FailureSeals)
+	}
+	// The stalled loser's seal reached the driver, and was discarded, before
+	// the query ended: its objects were there for the cleanup to delete.
+	if qs, _ := run.rep.Trace.Span(run.rep.Span); qs.Tags["loserDiscards"] == "" {
+		t.Fatalf("the speculation loser published after the query (test premise broken): tags %v", qs.Tags)
+	}
+	if run.rep.Cost.S3List != 0 {
+		t.Errorf("the query billed %d S3 LISTs, want none", run.rep.Cost.S3List)
+	}
+	if n := run.sess.dep.Meter.Count(pricing.LabelS3List); n != 0 {
+		t.Errorf("the deployment billed %d S3 LISTs, want none", n)
+	}
+	assertQueryClean(t, run.sess, run.rep.QueryID)
+}
+
 // TestSingleScopeDuplicateResultDelivery: an at-least-once result queue that
 // redelivers EVERY worker result must not corrupt single-scope collection —
 // the scheduler keeps the first seal per worker and discards the rest.
@@ -477,9 +530,12 @@ func TestSingleScopeChaosFailureSealRelaunched(t *testing.T) {
 	}
 }
 
-// TestEpochSweepTTL is the satellite-2 test: the lazy sweep in acquireEpoch
-// deletes epoch fence items older than EpochTTL of virtual time — including
-// pre-TTL legacy items (bare integer, no timestamp) — and keeps fresh ones.
+// TestEpochSweepTTL: the lazy sweep in acquireEpoch deletes epoch fence
+// items older than EpochTTL of virtual time — including pre-TTL legacy items
+// (bare integer, no timestamp) — and keeps fresh ones. It reclaims what it
+// orphans: the boundary debris under an expired query's prefix goes with its
+// fence, since the next run of that ID starts at epoch 1 and lists nothing;
+// debris of an ID whose fence it keeps, or that has none, stays.
 func TestEpochSweepTTL(t *testing.T) {
 	k := simclock.New()
 	dep := NewSimulated(k, 7)
@@ -508,15 +564,40 @@ func TestEpochSweepTTL(t *testing.T) {
 
 		p.Sleep(2 * time.Hour) // both items now exceed the 1h TTL
 
+		// Debris of the fenced runs, in two shard buckets, and of qB, which
+		// has no fence yet.
+		buckets := d.InstallExchange()
+		client := s3.NewClient(dep.S3, p)
+		debris := func(queryID string) []string {
+			return []string{queryPrefix(cfg.FunctionName, queryID) + "e1/s1/snd0-a0", queryPrefix(cfg.FunctionName, queryID) + "e7/s2/p0/a1-snd3"}
+		}
+		for _, id := range []string{"qA", "legacy", "qB"} {
+			for i, key := range debris(id) {
+				if err := client.Put(buckets[i], key, []byte("x")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+
 		if e, err := q.acquireEpoch(table, "qB"); err != nil || e != 1 {
 			t.Errorf("qB epoch = %d, %v, want 1", e, err)
 		}
-		// The sweep that ran inside that acquire collected qA and legacy.
+		// The sweep that ran inside that acquire collected qA and legacy,
+		// their debris first.
 		if _, err := dep.Dynamo.Get(p, table, epochKey("qA")); !errors.Is(err, dynamo.ErrNoSuchItem) {
 			t.Errorf("qA fence survived the sweep: %v", err)
 		}
 		if _, err := dep.Dynamo.Get(p, table, epochKey("legacy")); !errors.Is(err, dynamo.ErrNoSuchItem) {
 			t.Errorf("legacy fence survived the sweep: %v", err)
+		}
+		for _, id := range []string{"qA", "legacy", "qB"} {
+			for i, key := range debris(id) {
+				_, _, err := client.Get(buckets[i], key, 1)
+				if gone := errors.Is(err, s3.ErrNoSuchKey); gone != (id != "qB") {
+					t.Errorf("%s debris %s: Get = %v after the sweep", id, key, err)
+				}
+			}
 		}
 		// qB was just written — the next sweep must keep it, and its
 		// counter keeps fencing.

@@ -252,6 +252,16 @@ func assertRequests(t *testing.T, name string, got, want map[string]int64) {
 // markers, and the consumers' barrier reads with them (DynamoDB reads 2l
 // 24 → 25, 2l-wc 23 → 24). Every Lambda, S3 and DynamoDB-write count is
 // unchanged.
+//
+// The staged rows were re-recorded once more, for one cause: a staged query
+// at epoch 1 lists nothing and purges nothing. The driver deletes what the
+// query wrote by key, so the two namespace sweeps' 16 LISTs are gone from
+// every staged row (16 → 0), and with the purge's empty Receive gone the
+// first Invoke goes out right behind the epoch fence. Every later draw of the
+// seeded latency stream moves with it, so the polls are as measured (SQS
+// staged q12 25 → 21, 2l 36 → 37, 2l-wc 38 → 34, capped 42 → 41; DynamoDB
+// reads staged q12 8 → 7, 2l 25 → 28, 2l-wc 24 → 22, capped 12 → 11). Every
+// Lambda, S3 read, S3 write and DynamoDB-write count is unchanged.
 func TestExecutorRequestGuard(t *testing.T) {
 	single := func(sql string) func(*Session, simenv.Env, TableFiles) error {
 		return func(d *Session, env simenv.Env, tables TableFiles) error {
@@ -312,11 +322,12 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// markers; nobody waits on the join stage, which posts to the driver.
 	// Against the four-stage plan: six Invokes, not eight; 38 → 34 S3 reads,
 	// 6 → 4 writes and 22 → 20 LISTs (the final stage's two collects); polls
-	// SQS 30 → 24, DynamoDB reads 18 → 8. The LISTs left are the sweeps'.
+	// SQS 30 → 24, DynamoDB reads 18 → 8. No LIST is left: the protocol
+	// reads from manifests and the driver deletes by key.
 	assertRequests(t, "staged q12", staged, map[string]int64{
 		pricing.LabelLambdaRequests: 6,
-		pricing.LabelS3Read:         34, pricing.LabelS3Write: 4, pricing.LabelS3List: 16,
-		pricing.LabelSQS: 25, pricing.LabelDynamoRead: 8, pricing.LabelDynamoWrite: 3,
+		pricing.LabelS3Read:         34, pricing.LabelS3Write: 4,
+		pricing.LabelSQS: 21, pricing.LabelDynamoRead: 7, pricing.LabelDynamoWrite: 3,
 	})
 
 	// ORDERS broadcast: the driver reads the table through the source the
@@ -341,7 +352,7 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// boundaries with a regroup fleet of two each — ten Invokes (the
 	// four-stage plan's fourteen had the final stage and the join boundary's
 	// regroup fleet), five DynamoDB writes (the fence, and a marker per scan
-	// stage and per regroup fleet), no S3 List but the sweeps'. The S3,
+	// stage and per regroup fleet), no S3 List. The S3,
 	// DynamoDB-write and Lambda counts
 	// are timing-free; the SQS and DynamoDB-read counts are polls and move
 	// with the launch schedule — recorded as measured.
@@ -359,18 +370,18 @@ func TestExecutorRequestGuard(t *testing.T) {
 	}
 	assertRequests(t, "staged q12 2l", billedRequests(t, nil, twoLevel(false)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
-		pricing.LabelS3Read:         38, pricing.LabelS3Write: 12, pricing.LabelS3List: 16,
-		pricing.LabelSQS: 36, pricing.LabelDynamoRead: 25, pricing.LabelDynamoWrite: 5,
+		pricing.LabelS3Read:         38, pricing.LabelS3Write: 12,
+		pricing.LabelSQS: 37, pricing.LabelDynamoRead: 28, pricing.LabelDynamoWrite: 5,
 	})
 	assertRequests(t, "staged q12 2l-wc", billedRequests(t, nil, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
-		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8, pricing.LabelS3List: 16,
-		pricing.LabelSQS: 38, pricing.LabelDynamoRead: 24, pricing.LabelDynamoWrite: 5,
+		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8,
+		pricing.LabelSQS: 34, pricing.LabelDynamoRead: 22, pricing.LabelDynamoWrite: 5,
 	})
 	capped := func(c *Config) { c.MaxInFlight = 2 }
 	assertRequests(t, "staged q12 2l-wc, MaxInFlight 2", billedRequests(t, capped, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
-		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8, pricing.LabelS3List: 16,
-		pricing.LabelSQS: 42, pricing.LabelDynamoRead: 12, pricing.LabelDynamoWrite: 5,
+		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8,
+		pricing.LabelSQS: 41, pricing.LabelDynamoRead: 11, pricing.LabelDynamoWrite: 5,
 	})
 }

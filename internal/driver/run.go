@@ -111,7 +111,7 @@ type StageStat struct {
 // begin opens the query's measurement window: the meter snapshot and start
 // instant every Report figure is taken against, and — on traced deployments
 // — the root query span. Binding the span to the driver environment routes
-// every driver-side billed request (schema reads, the epoch fence, sweeps,
+// every driver-side billed request (schema reads, the epoch fence, cleanup,
 // invokes, result polling) into op spans beneath it; close releases the
 // binding, closing any span an error path left open.
 func (d *query) begin() {

@@ -43,7 +43,7 @@ type stageRun struct {
 	lastWin    time.Duration
 	// winners records, per worker, the attempt whose seal arrived first.
 	// Later seals of the same worker — the losing half of a backup pair —
-	// are ignored; their boundary files are swept after the query. chunks
+	// are ignored; their boundary files are deleted after the query. chunks
 	// holds the winners' result chunks by worker (lpq blobs; empty from a
 	// stage that publishes a boundary instead), commits the offsets their
 	// publishes reported — what the stage's manifest seals beside winners.
@@ -207,8 +207,8 @@ func (s *scheduler) launched(r *stageRun, workers []int, at time.Duration) bool 
 func (s *scheduler) message(now time.Duration, rm *resultMsg) (*stageRun, outcome, error) {
 	if rm.QueryID != s.queryID || rm.Epoch != s.epoch {
 		// Leftover of an earlier aborted query — including a zombie worker of
-		// an aborted identically-numbered run posting its seal after this
-		// run's purge: its older epoch fences it out.
+		// an aborted identically-numbered run posting its seal on this run's
+		// queue: its older epoch fences it out.
 		s.zombieDiscards++
 		return nil, nothing, nil
 	}
@@ -226,7 +226,7 @@ func (s *scheduler) message(now time.Duration, rm *resultMsg) (*stageRun, outcom
 		return nil, nothing, nil
 	}
 	if _, dup := r.winners[w]; dup || (rm.Err != "" && rm.Attempt < r.attempts[w]) {
-		// The losing half of a backup pair — its files are swept later — or the
+		// The losing half of a backup pair — its files are deleted later — or the
 		// failure of an attempt a later one superseded (the straggling original
 		// dying after its backup went out, an SQS duplicate of a failure seal
 		// already relaunched): the live attempt still runs, and only a worker's
@@ -289,6 +289,39 @@ func (r *stageRun) manifest() []byte {
 		b = exchange.AppendCommit(b, r.winners[w], c)
 	}
 	return b
+}
+
+// written names every object the query's writers may have published into
+// the boundary namespace ns: for each run with an output, each attempt
+// 0 … attempts[w] of each worker it invoked (exchange.Written). A regroup
+// run's boundary is its producer's — the producer's stage ID and sender
+// count, and the output they share.
+func (s *scheduler) written(ns boundarySpec) ([]exchange.Object, error) {
+	var objs []exchange.Object
+	for _, r := range s.runs {
+		out := r.st.Output
+		if out == nil {
+			continue
+		}
+		b := exchange.Boundary{Stage: r.st.ID, Senders: len(r.payloads), Partitions: out.Partitions}
+		producer, regroup := r.st.RegroupOf()
+		if regroup {
+			b.Stage, b.Senders = producer, len(s.byID[producer].payloads)
+		}
+		opts := exchange.Options{Variant: out.Variant, Buckets: ns.Buckets, Prefix: ns.Prefix}
+		for w, invoked := range r.invoked {
+			if !invoked {
+				continue // never invoked: no attempt of it wrote anything
+			}
+			for b.Attempt = 0; b.Attempt <= r.attempts[w]; b.Attempt++ {
+				var err error
+				if objs, err = exchange.Written(objs, opts, b, w, regroup); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return objs, nil
 }
 
 // armCaps starts, at now, the liveness-cap clock of every launched stage that

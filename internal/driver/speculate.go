@@ -9,8 +9,8 @@ package driver
 //
 // Each stage of a plan arms independently over its own fleet, and backups
 // are launched as a new attempt whose exchange boundary names cannot race the
-// original's (first committed attempt wins, the stale-drain collector sweeps
-// the losers).
+// original's (the first sealed attempt wins, and the driver deletes every
+// attempt's objects by key after the query).
 type SpeculateConfig struct {
 	// Enabled turns speculation on.
 	Enabled bool

@@ -106,6 +106,10 @@ func sealKey(queryID string, epoch, stageID int) string {
 // epochKey names the durable per-query epoch item in the stages table.
 func epochKey(queryID string) string { return "epoch/" + queryID }
 
+// queryPrefix is the boundary namespace of every run of queryID: each run
+// publishes under its fenced e<epoch> sub-prefix.
+func queryPrefix(fn, queryID string) string { return fn + "/" + queryID + "/" }
+
 // acquireEpoch durably fences this run of queryID: it atomically increments
 // the query's epoch item with a conditional Put, so two drivers reusing the
 // same query ID (a fresh driver on the same deployment restarts query
@@ -179,20 +183,30 @@ func parseEpochValue(v []byte) (epoch int, at int64, ok bool) {
 // stages table accumulates one item per query ID ever run on the
 // deployment. An item expires once EpochTTL of virtual time passed since
 // its last increment; the TTL must exceed the function timeout, so no
-// worker of a fenced run can still be alive when its fence goes. Best
-// effort: errors are ignored (the next sweep retries), and the
-// delete/re-acquire race is safe — acquireEpoch's conditional Put with a
-// non-nil expect fails on a missing item and re-reads.
+// worker of a fenced run can still be alive when its fence goes. Before an
+// item goes, its query's prefix is swept (exchange.Sweep, every epoch, the
+// full bucket pool): the next run of that ID starts at epoch 1 again, and a
+// query at epoch 1 deletes only what it wrote itself, so debris of the
+// fenced runs would otherwise outlive their fence for good. Best effort:
+// errors are ignored, and an item whose sweep failed is kept for the next
+// sweep to retry; the delete/re-acquire race is safe — acquireEpoch's
+// conditional Put with a non-nil expect fails on a missing item and re-reads.
 func (d *query) sweepEpochs(table string) {
 	items, err := d.dep.Dynamo.Scan(d.env, table, "epoch/")
 	if err != nil {
 		return
 	}
 	cutoff := int64(d.env.Now()) - int64(d.cfg.EpochTTL)
+	buckets := d.s.InstallExchange()
 	for _, it := range items {
-		if _, at, ok := parseEpochValue(it.Value); ok && at < cutoff {
-			d.dep.Dynamo.Delete(d.env, table, it.Key)
+		if _, at, ok := parseEpochValue(it.Value); !ok || at >= cutoff {
+			continue
 		}
+		queryID := strings.TrimPrefix(it.Key, epochKey(""))
+		if _, err := exchange.Sweep(d.client(), buckets, queryPrefix(d.cfg.FunctionName, queryID)); err != nil {
+			continue
+		}
+		d.dep.Dynamo.Delete(d.env, table, it.Key)
 	}
 }
 
@@ -457,17 +471,18 @@ func chunkBounds(c *columnar.Chunk, col string) (lo, hi int64, ok bool) {
 // they collect by), retryable failure seals
 // and Config.Speculate's stragglers are re-invoked as attempt-versioned
 // backups whose boundary publishes cannot race the originals' (the first
-// sealed attempt per worker wins); the finish merges, sweeps and reports. It
-// all runs on the query's private result queue and retry scope, so N of
-// these interleave on one session.
+// sealed attempt per worker wins); the finish merges, deletes what the query
+// wrote (cleanup) and reports. It all runs on the query's private result
+// queue and retry scope, so N of these interleave on one session.
 //
 // A plan pays only for the machinery it uses, by two rules that hold for
 // every plan:
 //
 //  1. The boundary namespace — shard buckets, stages table, the durable
-//     epoch fence, the result-queue purge and both boundary sweeps — exists
-//     iff some stage has an Output. A plan without boundaries runs at epoch
-//     0 and issues no DynamoDB or S3 LIST request at all.
+//     epoch fence and the keyed delete of the boundary objects — exists iff
+//     some stage has an Output. A plan without boundaries runs at epoch 0 and
+//     issues no DynamoDB or S3 LIST request at all; one with boundaries lists
+//     nothing either unless its epoch is past 1.
 //  2. A stage writes its DynamoDB ready marker iff some other stage run
 //     depends on it; nobody waits on the result stage, so it writes none.
 //
@@ -478,19 +493,21 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 	if resultStage == nil {
 		return nil, nil, fmt.Errorf("driver: stage plan has no result stage")
 	}
-	ns, epoch, sweep, err := d.openNamespace(sp, cfg)
+	ns, epoch, err := d.openNamespace(sp, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	swept := false
+	var s *scheduler
+	cleaned := false
 	defer func() {
-		// Stale-drain collector: reclaim the boundary namespace — winner
-		// files and loser attempts alike — even when the query fails.
-		if !swept {
-			sweep()
+		// Reclaim the boundary namespace — winner files and loser attempts
+		// alike — even when the query fails. Best effort: the query's own
+		// error is the one to report.
+		if !cleaned {
+			_ = d.cleanup(s, ns, epoch)
 		}
 	}()
-	s, err := d.newScheduler(sp, scanFiles, blobs, cfg, ns, epoch)
+	s, err = d.newScheduler(sp, scanFiles, blobs, cfg, ns, epoch)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -521,24 +538,24 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 		return nil, nil, err
 	}
 
-	// All stages sealed, so no winner is still publishing: drain the
-	// boundary namespace now and let its requests count toward the query.
-	if err := sweep(); err != nil {
+	// All stages sealed, so no winner is still publishing: delete what the
+	// query wrote now and let its requests count toward the query.
+	if err := d.cleanup(s, ns, epoch); err != nil {
 		return nil, nil, err
 	}
-	swept = true
+	cleaned = true
 	return result, d.report(s, sp), nil
 }
 
-// openNamespace sets up rule 1's machinery when sp has a boundary: ns is the
-// boundary namespace every task of the query shares — the prefix the payloads
-// carry is the fenced e<epoch> sub-prefix — and sweep drains the query's
-// prefix across all epochs, every epoch's debris. A plan without boundaries
-// gets the zero namespace, epoch 0 and a sweep that does nothing.
-func (d *query) openNamespace(sp *stageplan.Plan, cfg StageConfig) (ns boundarySpec, epoch int, sweep func() error, err error) {
-	sweep = func() error { return nil }
+// openNamespace sets up rule 1's machinery when sp has a boundary — the shard
+// buckets, the stages table and the epoch fence — and issues no request but
+// the fence's: nothing is purged or swept before the first Invoke. ns is the
+// boundary namespace every task of the query shares; the prefix the payloads
+// carry is the fenced e<epoch> sub-prefix of the query's. A plan without
+// boundaries gets the zero namespace and epoch 0.
+func (d *query) openNamespace(sp *stageplan.Plan, cfg StageConfig) (ns boundarySpec, epoch int, err error) {
 	if !slices.ContainsFunc(sp.Stages, func(st *stageplan.Stage) bool { return st.Output != nil }) {
-		return ns, 0, sweep, nil
+		return ns, 0, nil
 	}
 	buckets := d.s.InstallExchange()
 	sealTable := stagesTableName(d.cfg.FunctionName)
@@ -547,35 +564,59 @@ func (d *query) openNamespace(sp *stageplan.Plan, cfg StageConfig) (ns boundaryS
 	// Epoch fence: durably increment this query ID's epoch before
 	// anything else. Every artifact of the run — worker payloads, seal
 	// messages, ready markers, the exchange boundary prefix — carries
-	// the epoch, and the scheduler discards artifacts of older epochs,
-	// so an in-flight worker of an aborted identically-numbered run
-	// cannot poison this one no matter when it wakes. The purge and
-	// sweep below are then hygiene (reclaiming queue slots and at-rest
-	// debris), not a correctness mechanism racing zombie workers.
+	// the epoch, so an in-flight worker of an aborted identically-numbered
+	// run cannot poison this one no matter when it wakes: its seal message
+	// is discarded by scheduler.message's epoch check (counted in
+	// zombieDiscards) on a queue that newQuery created and close deletes,
+	// and its objects lie under another e<E> prefix, which no reader of
+	// this epoch ever names. Its debris is reclaimed after the query
+	// (cleanup), not raced before it.
 	if epoch, err = d.acquireEpoch(sealTable, d.id); err != nil {
-		return ns, 0, nil, fmt.Errorf("driver: acquiring epoch for %s: %w", d.id, err)
-	}
-	if err := d.purgeResults(); err != nil {
-		return ns, 0, nil, err
-	}
-	driverClient := d.client()
-	prefix := d.cfg.FunctionName + "/" + d.id + "/"
-	sweep = func() error {
-		if _, err := exchange.Sweep(driverClient, buckets, prefix); err != nil {
-			return fmt.Errorf("driver: sweeping boundary %s: %w", prefix, err)
-		}
-		return nil
-	}
-	if err := sweep(); err != nil {
-		return ns, 0, nil, err
+		return ns, 0, fmt.Errorf("driver: acquiring epoch for %s: %w", d.id, err)
 	}
 	return boundarySpec{
 		Buckets:   buckets,
-		Prefix:    prefix + "e" + strconv.Itoa(epoch),
+		Prefix:    queryPrefix(d.cfg.FunctionName, d.id) + "e" + strconv.Itoa(epoch),
 		PollNs:    int64(cfg.Exchange.Poll),
 		MaxWaitNs: int64(cfg.Exchange.MaxWait),
 		SealTable: sealTable,
-	}, epoch, sweep, nil
+	}, epoch, nil
+}
+
+// cleanup deletes what the query wrote, whether it succeeded or failed: the
+// objects every stage run with an output may have published — for every
+// worker it invoked, every attempt 0 … attempts[w], so winners, speculation
+// losers and relaunched attempts alike (scheduler.written) — by key, one
+// DeleteObjects per shard bucket, the buckets side by side in one request
+// window. s is nil when the query failed before its scheduler existed, and
+// then nothing was invoked.
+//
+// Only one thing is listed, and only at epoch > 1: an earlier run of this
+// query ID took a fence, and its zombies may have written under its own
+// epochs' prefixes, names no live driver knows. The query's whole prefix is
+// swept then, every epoch and the full bucket pool (exchange.Sweep).
+func (d *query) cleanup(s *scheduler, ns boundarySpec, epoch int) error {
+	if epoch == 0 {
+		return nil
+	}
+	var objs []exchange.Object
+	if s != nil {
+		var err error
+		if objs, err = s.written(ns); err != nil {
+			return err
+		}
+	}
+	client := d.client()
+	if err := exchange.Delete(client, objs); err != nil {
+		return fmt.Errorf("driver: deleting the boundary objects of %s: %w", d.id, err)
+	}
+	if epoch > 1 {
+		prefix := queryPrefix(d.cfg.FunctionName, d.id)
+		if _, err := exchange.Sweep(client, ns.Buckets, prefix); err != nil {
+			return fmt.Errorf("driver: sweeping boundary %s: %w", prefix, err)
+		}
+	}
+	return nil
 }
 
 // newScheduler builds the payloads of every fleet sp names, in its launch
@@ -667,7 +708,7 @@ func (l *launcher) run(p *simclock.Proc) {
 
 // wait stops the pass at its next unit, parks the loop until the pass has
 // exited, and returns its error: the loop never leaves while its pass can
-// still invoke, so a failed query issues no Invoke after its sweep.
+// still invoke, so a failed query issues no Invoke after its cleanup.
 func (l *launcher) wait() error {
 	l.stop = true
 	for l.running {
@@ -888,21 +929,6 @@ func (d *query) receive() ([]sqs.Message, error) {
 		return rerr
 	})
 	return msgs, err
-}
-
-// purgeResults drains every leftover message from the result queue. Called
-// before a plan with boundaries launches (no workers of this query are in
-// flight yet, so everything received is stale). With the epoch fence this is queue
-// hygiene, not a correctness mechanism: even a message posted after the
-// purge by a zombie worker of an aborted identically-numbered run is
-// discarded by its older epoch.
-func (d *query) purgeResults() error {
-	for {
-		msgs, err := d.receive()
-		if err != nil || len(msgs) == 0 {
-			return err
-		}
-	}
 }
 
 // stagePayloads builds the st.Workers invocation payloads of one stage

@@ -37,10 +37,10 @@ ORDER BY o_orderpriority`
 // consumers time out, the query aborts, and the stalled worker — a zombie
 // of the aborted run — is still in flight. Driver 2 (fresh, same
 // deployment, query numbering restarted) retries a different query under
-// the same q1 namespace. The zombie wakes AFTER driver 2's pre-launch
-// purge/sweep, publishes its boundary files and posts its seal mid-retry —
-// and the retry must not notice: the zombie's artifacts all carry epoch 1,
-// the retry runs as epoch 2.
+// the same q1 namespace. The zombie wakes AFTER driver 2's launch,
+// publishes its boundary files and posts its seal mid-retry — and the retry
+// must not notice: the zombie's artifacts all carry epoch 1, the retry runs
+// as epoch 2.
 func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *Report, time.Duration, float64) {
 	t.Helper()
 	const zombieStall = 28 * time.Second
@@ -89,8 +89,8 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 		scfg.BroadcastRowLimit = -1
 		scfg.Exchange.Poll = 100 * time.Millisecond
 		// Driver 1's consumers give up well before the zombie wakes, so the
-		// abort happens first and its error seals are purged before the
-		// retry launches.
+		// abort happens first and its error seals die with its queue before
+		// the retry launches.
 		scfg.Exchange.MaxWait = 20 * time.Second
 		scfg.Exchange.Variant.WriteCombining = wc
 		scfg.Exchange.Variant.Levels = levels
@@ -110,7 +110,7 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 		}
 		d2Start := p.Now()
 		if d1Start+zombieStall <= d2Start {
-			t.Errorf("zombie woke at ≤%v, before the retry's purge at %v (test premise broken)",
+			t.Errorf("zombie woke at ≤%v, before the retry's start at %v (test premise broken)",
 				d1Start+zombieStall, d2Start)
 			return
 		}
@@ -152,8 +152,8 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 	if n := dep.SQS.Len(DefaultConfig().ResultQueue); n != 0 {
 		t.Errorf("wc=%v: %d messages left in the result queue (zombie posted outside the retry's window?)", wc, n)
 	}
-	// And the zombie's post-purge boundary files (epoch-1 debris) fell to
-	// the retry's final sweep: the whole q1 namespace is empty, every epoch.
+	// And the zombie's boundary files (epoch-1 debris) fell to the retry's
+	// epoch > 1 sweep: the whole q1 namespace is empty, every epoch.
 	client := s3.NewClient(dep.S3, simenv.NewImmediate())
 	for _, b := range bucketNamesFor(DefaultConfig().FunctionName, exchange.ShardBuckets) {
 		entries, err := client.List(b, DefaultConfig().FunctionName+"/q1")
@@ -178,7 +178,7 @@ func bucketNamesFor(fn string, n int) []string {
 
 // TestStagedZombieSealDiscarded is the epoch-fence acceptance test: a
 // zombie worker of an aborted identically-numbered run posts its seal and
-// boundary files after the retry's purge, and the retry's result stays
+// boundary files after the retry launched, and the retry's result stays
 // byte-identical to a clean single-node run — at both exchange variants —
 // with the whole boundary namespace (the zombie's epoch-1 debris included)
 // swept afterwards.
@@ -214,8 +214,8 @@ func TestStagedZombieSealDESDeterministic(t *testing.T) {
 }
 
 // TestStagedSealFromUnknownWorkerDiscarded: seal messages that pass the epoch
-// fence — right query ID, epoch and stage, posted mid-run so the purge does
-// not eat them — but name a worker the stage does not have are strays like
+// fence — right query ID, epoch and stage, posted mid-run — but name a
+// worker the stage does not have are strays like
 // any other. Counted as a winner, the success seal would seal the scan stage
 // while its stalled real worker is still out; relaunched, the retryable
 // failure seal would index the stage's payloads out of range.

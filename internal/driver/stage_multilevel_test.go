@@ -162,9 +162,9 @@ func TestStagedMultiLevelByteIdentity(t *testing.T) {
 // resolver must send the wide boundaries through the multi-level exchange on
 // its own (no forcing), the billed S3 requests against the shard buckets
 // must match the per-boundary analytic model of the staged protocol
-// integer-exactly — puts, gets, and lists: the protocol lists nothing, so
-// the lists are the driver's two namespace sweeps, one per shard bucket
-// each — and the answer stays byte-identical to single-node execution.
+// integer-exactly — puts, gets, and lists: neither the protocol nor the
+// driver's cleanup lists anything — and the answer stays byte-identical to
+// single-node execution.
 func TestStagedQ12ScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-worker DES run skipped in -short mode")
@@ -277,10 +277,10 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 		got.Gets += st.Gets - before[i].Gets
 		got.Lists += st.Lists - before[i].Lists
 	}
-	// The pre-launch and post-merge sweeps List every shard bucket once each.
-	model.Lists += 2 * int64(len(buckets))
+	// Exactly the model: the driver deletes what the query wrote by key, and
+	// a query at epoch 1 lists no bucket.
 	if got != model {
-		t.Errorf("billed boundary requests %+v != staged model %+v plus the sweeps' 2B lists", got, model)
+		t.Errorf("billed boundary requests %+v != staged model %+v", got, model)
 	}
 
 	// A regroup worker reads one small range per sender — 512 of them here.

@@ -14,6 +14,7 @@ import (
 	"lambada/internal/engine"
 	"lambada/internal/exchange"
 	"lambada/internal/lpq"
+	"lambada/internal/obs"
 	"lambada/internal/simclock"
 	"lambada/internal/tpch"
 )
@@ -258,11 +259,16 @@ func TestStagedSpeculationDESDeterministic(t *testing.T) {
 
 // TestStagedStaleArtifactsDoNotPoisonRetry: a fresh driver on the same
 // deployment restarts query numbering, so a retried query reuses the q1
-// namespace. Leftover completion messages and committed boundary files of
-// the aborted first run — a loser attempt's garbage — must be purged and
-// swept before the retry's barriers can see them.
+// namespace. The first run took its epoch fence and crashed, leaving what
+// such a run really leaves: the epoch item at 1, committed boundary objects
+// under q1/e1, and seal messages of epoch 1 on q1's result queue. Nothing is
+// purged or swept before the retry launches: the fence alone keeps them out
+// — the retry runs at epoch 2, discards both seals, and reads none of the
+// objects, so its answer is byte-identical to single-node — and its
+// epoch > 1 sweep reclaims the e1 debris afterwards.
 func TestStagedStaleArtifactsDoNotPoisonRetry(t *testing.T) {
 	dep := NewLocal()
+	dep.EnableTracing(obs.New())
 	env := simenv.NewImmediate()
 	cfg := DefaultConfig()
 	d1 := NewSession(dep, cfg)
@@ -288,16 +294,20 @@ func TestStagedStaleArtifactsDoNotPoisonRetry(t *testing.T) {
 	scfg.Exchange.Variant.WriteCombining = false
 	scfg.Exchange.Variant.Levels = 1
 
-	// Manufacture the aborted run's debris. Boundary garbage: a committed
-	// attempt of sender 0 of stage 1, the lineitem scan, under the q1 prefix,
-	// whose rows would skew every aggregate if the join collected them.
-	buckets := d1.InstallExchange()
+	// The aborted run: d1's q1 takes its fence — and its driver dies before
+	// it closes the query, so the private queue stays.
+	table := stagesTableName(cfg.FunctionName)
+	dep.Dynamo.CreateTable(table)
+	if e, err := d1.newQuery(env).acquireEpoch(table, "q1"); err != nil || e != 1 {
+		t.Fatalf("aborted run's epoch = %d, %v, want 1", e, err)
+	}
+	// Its boundary objects: a committed attempt of sender 0 of stage 1, the
+	// lineitem scan, in the staged form the retry's stage 1 writes, whose rows
+	// would skew every aggregate if the join collected them.
 	opts := exchange.Options{
 		Variant: exchange.Variant{Levels: 1},
-		Buckets: buckets,
-		Prefix:  cfg.FunctionName + "/q1",
-		Poll:    time.Millisecond,
-		MaxWait: time.Second,
+		Buckets: d1.InstallExchange(),
+		Prefix:  cfg.FunctionName + "/q1/e1",
 	}
 	poison := columnar.NewChunk(columnar.NewSchema(
 		columnar.Field{Name: "l_orderkey", Type: columnar.Int64},
@@ -306,22 +316,22 @@ func TestStagedStaleArtifactsDoNotPoisonRetry(t *testing.T) {
 		poison.Columns[0].AppendInt64(int64(i))
 	}
 	client := s3.NewClient(dep.S3, env)
-	err = exchange.PublishStage(client, opts, exchange.Boundary{Stage: 1, Senders: 4, Partitions: 2}, 0, poison, []string{"l_orderkey"})
+	_, err = exchange.PublishSealed(client, opts, exchange.Boundary{Stage: 1, Senders: 4, Partitions: 2}, 0, poison, []string{"l_orderkey"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Queue garbage: stale q1 seal messages, including a bogus result-stage
-	// chunk (the join stage, 0, is the result stage: q12's partials merge on
-	// the driver).
+	// Its seal messages on q1's queue, including a bogus result-stage chunk
+	// (the join stage, 0, is the result stage: q12's partials merge on the
+	// driver).
 	for _, rm := range []resultMsg{
-		{QueryID: "q1", Stage: 1, WorkerID: 0},
-		{QueryID: "q1", Stage: 0, WorkerID: 0, Chunk: []byte("not an lpq blob")},
+		{QueryID: "q1", Epoch: 1, Stage: 1, WorkerID: 0},
+		{QueryID: "q1", Epoch: 1, Stage: 0, WorkerID: 0, Chunk: []byte("not an lpq blob")},
 	} {
 		body, err := json.Marshal(rm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dep.SQS.Send(env, cfg.ResultQueue, body); err != nil {
+		if err := dep.SQS.Send(env, queryQueueName(cfg.ResultQueue, "q1"), body); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -336,19 +346,23 @@ func TestStagedStaleArtifactsDoNotPoisonRetry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry poisoned by stale artifacts: %v", err)
 	}
-	if rep.QueryID != "q1" {
-		t.Fatalf("retry ran as %s, want q1 (test premise broken)", rep.QueryID)
+	if rep.QueryID != "q1" || rep.Epoch != 2 {
+		t.Fatalf("retry ran as %s at epoch %d, want q1 at epoch 2 (test premise broken)", rep.QueryID, rep.Epoch)
 	}
 	want := singleNode(t, q12ExactSQL, engine.Catalog{
 		"lineitem": engine.NewMemSource(tpch.Schema(), li),
 		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
 	})
 	chunksIdentical(t, got, want)
+	if qs, _ := rep.Trace.Span(rep.Span); qs.Tags["zombieDiscards"] != "2" {
+		t.Errorf("zombieDiscards = %q, want both stale seals received and discarded", qs.Tags["zombieDiscards"])
+	}
+	assertQueryClean(t, d2, "q1")
 }
 
 // TestStagedSweepClearsBoundaries: after a staged query returns, the
-// stale-drain collector has emptied the query's boundary namespace in every
-// shard bucket (all workers sealed before the driver swept, so nothing is
+// driver's keyed delete has emptied the query's boundary namespace in every
+// shard bucket (all workers sealed before the driver deleted, so nothing is
 // republished afterwards).
 func TestStagedSweepClearsBoundaries(t *testing.T) {
 	d, env, tables, _, _ := stagedSetup(t, 0.002, 4, 2)
@@ -356,7 +370,7 @@ func TestStagedSweepClearsBoundaries(t *testing.T) {
 	cfg.Partitions = 2
 	cfg.BroadcastRowLimit = -1
 	// A concurrent query whose ID merely starts with this one's (q10 next to
-	// q1) owns a different namespace: q1's sweeps must leave it alone.
+	// q1) owns a different namespace: q1's cleanup must leave it alone.
 	buckets := d.InstallExchange()
 	client := s3.NewClient(d.dep.S3, env)
 	sibling := d.cfg.FunctionName + "/q10/e1/live-boundary-object"
@@ -377,6 +391,6 @@ func TestStagedSweepClearsBoundaries(t *testing.T) {
 		}
 	}
 	if _, _, err := client.Get(buckets[0], sibling, 1); err != nil {
-		t.Errorf("q1's sweep took query q10's object %s: %v", sibling, err)
+		t.Errorf("q1's cleanup took query q10's object %s: %v", sibling, err)
 	}
 }

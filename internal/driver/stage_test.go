@@ -636,7 +636,7 @@ func TestSealNeverBehindLaunch(t *testing.T) {
 // protocol, the scan senders' write-combined objects had 1 528-byte keys.
 // Waves hold the join back until both scans sealed, and as its first worker
 // starts, the shard buckets are listed: every object of the query is written
-// by then, and none is swept yet.
+// by then, and none is deleted yet.
 func TestStagedKeysFitS3(t *testing.T) {
 	k := simclock.New()
 	dep := NewSimulated(k, 42)

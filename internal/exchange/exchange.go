@@ -30,8 +30,9 @@ type Options struct {
 
 // ready narrows the bucket pool to the variant's chosen shard count
 // (Variant.Buckets), at every entry point, so that a plan-chosen B takes
-// effect no matter which worker role executes the boundary. Sweeps keep the
-// full pool: debris from an earlier, wider choice must still be found.
+// effect no matter which worker role executes the boundary — and Written
+// names each object in the bucket its writer put it in. Sweeps keep the full
+// pool: debris from an earlier, wider choice must still be found.
 func (o Options) ready() (Options, error) {
 	if len(o.Buckets) == 0 {
 		return o, errors.New("exchange: no buckets configured")

@@ -49,12 +49,18 @@
 // A reader keeps its requests in flight, as the paper's worker does: the
 // reads of a slot (one small range per writer) — on the staged protocol the
 // reads of every boundary a fragment collects, together (CollectSealed) — the
-// Lists of a driverless discovery pass (one per shard bucket) and a sweep's
-// List and DeleteObjects per bucket all
-// go through the S3 client's request window (s3.Client.Overlap), in the order
-// and with the results of a serial loop and a sixteenth of its first-byte
-// latencies. Writers Put one object after another: an upload cannot ride a
-// lane of the window.
+// Lists of a driverless discovery pass (one per shard bucket), a keyed
+// delete's DeleteObjects per bucket (Delete) and a sweep's List and
+// DeleteObjects per bucket all go through the S3 client's request window
+// (s3.Client.Overlap), in the order and with the results of a serial loop and
+// a sixteenth of its first-byte latencies. Writers Put one object after
+// another: an upload cannot ride a lane of the window.
+//
+// Cleanup follows the protocol too. A staged writer's names are a function of
+// the boundary, the writer and the attempt (Written), so a driver that knows
+// every attempt it invoked deletes a query's boundary objects by key and
+// lists nothing; Sweep lists a prefix, for the debris of runs no live driver
+// can name.
 package exchange
 
 import (
@@ -292,43 +298,68 @@ func (r round) key(form keyForm, writer, attempt int) boundaryKey {
 	return boundaryKey{prefix: r.opts.Prefix, stage: r.stage, kind: r.kind, form: form, writer: writer, attempt: attempt}
 }
 
-// publish commits writer's body under attempt: slot slot0+i is
-// body[offsets[i]:offsets[i+1]]. A nil body publishes size-only objects of
-// the same lengths (the synthetic runs of the DES experiments). Publishing
-// the same body under another attempt writes byte-identical objects beside
-// the first ones; losers linger until Sweep. A sealed round writes no offsets
-// into the name and no commit marker: the writer's seal message carries both.
-func (r round) publish(writer, attempt int, body []byte, offsets []int64) error {
-	if writer < r.writer0 || writer >= r.writer0+r.writers || len(offsets) != r.slots+1 {
-		return fmt.Errorf("%w: writer %d publishing %d slots into a round of writers [%d,%d) with %d slots",
-			errShape, writer, len(offsets)-1, r.writer0, r.writer0+r.writers, r.slots)
-	}
-	put := func(id int, k boundaryKey, lo, hi int64) error {
-		if body == nil {
-			return r.client.PutSynthetic(r.bucket(id), k.String(), hi-lo)
-		}
-		return r.client.Put(r.bucket(id), k.String(), body[lo:hi])
-	}
+// object is one object a writer's attempt publishes into a round: where it
+// lives, and the run of the round's slots [from, to) whose bytes it holds —
+// none for a commit marker.
+type object struct {
+	bucket   string
+	key      boundaryKey
+	from, to int
+}
+
+// objects enumerates, in publish order, every object writer's attempt
+// publishes into the round: its write-combined object, or one file per slot
+// and, driverless, the commit marker after them. It is the one list of a
+// writer's names: publish Puts it, and Written hands it to the driver's keyed
+// delete. offsets names a driverless write-combined object and is read for
+// nothing else.
+func (r round) objects(writer, attempt int, offsets []int64) []object {
 	if r.opts.Variant.WriteCombining {
 		k := r.key(combinedKey, writer, attempt)
 		if !r.sealed {
 			k.offsets = joinOffsets(offsets)
 		}
-		return put(writer, k, offsets[0], offsets[r.slots])
+		return []object{{r.bucket(writer), k, 0, r.slots}}
 	}
+	objs := make([]object, r.slots, r.slots+1)
 	k := r.key(fileKey, writer, attempt)
-	for i := 0; i < r.slots; i++ {
+	for i := range objs {
 		k.slot = r.slot0 + i
-		if err := put(k.slot, k, offsets[i], offsets[i+1]); err != nil {
+		objs[i] = object{r.bucket(k.slot), k, i, i + 1}
+	}
+	if !r.sealed {
+		// The marker goes last: a reader that sees it can read any slot of the
+		// attempt without waiting (S3 writes are strongly consistent).
+		objs = append(objs, object{r.bucket(writer), r.key(commitKey, writer, attempt), 0, 0})
+	}
+	return objs
+}
+
+// publish commits writer's body under attempt: slot slot0+i is
+// body[offsets[i]:offsets[i+1]]. A nil body publishes size-only objects of
+// the same lengths (the synthetic runs of the DES experiments). Publishing
+// the same body under another attempt writes byte-identical objects beside
+// the first ones; losers linger until the driver deletes them. A sealed round
+// writes no offsets into the name and no commit marker: the writer's seal
+// message carries both.
+func (r round) publish(writer, attempt int, body []byte, offsets []int64) error {
+	if writer < r.writer0 || writer >= r.writer0+r.writers || len(offsets) != r.slots+1 {
+		return fmt.Errorf("%w: writer %d publishing %d slots into a round of writers [%d,%d) with %d slots",
+			errShape, writer, len(offsets)-1, r.writer0, r.writer0+r.writers, r.slots)
+	}
+	for _, o := range r.objects(writer, attempt, offsets) {
+		lo, hi := offsets[o.from], offsets[o.to]
+		var err error
+		if body == nil {
+			err = r.client.PutSynthetic(o.bucket, o.key.String(), hi-lo)
+		} else {
+			err = r.client.Put(o.bucket, o.key.String(), body[lo:hi])
+		}
+		if err != nil {
 			return err
 		}
 	}
-	if r.sealed {
-		return nil
-	}
-	// The marker goes last: a reader that sees it can read any slot of the
-	// attempt without waiting (S3 writes are strongly consistent).
-	return put(writer, r.key(commitKey, writer, attempt), 0, 0)
+	return nil
 }
 
 // ref locates one writer's bytes of the slot being collected: a range of its

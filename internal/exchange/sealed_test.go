@@ -3,6 +3,7 @@ package exchange
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -231,6 +232,105 @@ func TestSealedReadsTheSealedAttempt(t *testing.T) {
 				t.Fatalf("%v partition %d: %v", v, p, err)
 			}
 			chunksEqualML(t, fmt.Sprintf("%v partition %d", v, p), want[p], got)
+		}
+	}
+}
+
+// TestWrittenNamesWhatPublishLeaves: for every stage-reachable variant — a
+// pool the variant narrows included — at attempts 0 and 1, Written names
+// exactly the objects each writer's PublishSealed or RegroupSealed left in
+// the buckets, and Delete of all those names empties the namespace while an
+// object of a neighbouring query stays.
+func TestWrittenNamesWhatPublishLeaves(t *testing.T) {
+	const senders, parts = 3, 7
+	keys := []string{"k"}
+	buckets := []string{"xa", "xb", "xc"}
+	neighbour := Object{"xa", "fn/q30/e1/s4/snd0-a0"}
+	for _, v := range []Variant{{Levels: 1, Buckets: 2}, {Levels: 1, WriteCombining: true}, {Levels: 2}, {Levels: 2, WriteCombining: true, Buckets: 2}} {
+		svc := s3.New(s3.Config{})
+		for _, bk := range buckets {
+			svc.MustCreateBucket(bk)
+		}
+		client := s3.NewClient(svc, simenv.NewImmediate())
+		opts := Options{Variant: v, Buckets: buckets, Prefix: "fn/q3/e1"}
+		listed := func() map[Object]bool {
+			set := map[Object]bool{}
+			for _, bk := range buckets {
+				entries, err := client.List(bk, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					set[Object{bk, e.Key}] = true
+				}
+			}
+			return set
+		}
+		var all []Object
+		// check runs one writer's publish and compares what it left with
+		// what Written names for it.
+		check := func(b Boundary, writer int, regroup bool, publish func() error) {
+			t.Helper()
+			before := listed()
+			if err := publish(); err != nil {
+				t.Fatalf("%v writer %d (regroup %v) attempt %d: %v", v, writer, regroup, b.Attempt, err)
+			}
+			left := map[Object]bool{}
+			for o := range listed() {
+				if !before[o] {
+					left[o] = true
+				}
+			}
+			named, err := Written(nil, opts, b, writer, regroup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[Object]bool{}
+			for _, o := range named {
+				got[o] = true
+			}
+			if len(got) != len(named) || !maps.Equal(got, left) {
+				t.Errorf("%v writer %d (regroup %v) attempt %d: Written names %v, the publish left %v", v, writer, regroup, b.Attempt, named, left)
+			}
+			all = append(all, named...)
+		}
+		for attempt := 0; attempt < 2; attempt++ {
+			b := Boundary{Stage: 4, Attempt: attempt, Senders: senders, Partitions: parts}
+			var sealed []byte
+			for s := 0; s < senders; s++ {
+				check(b, s, false, func() error {
+					offsets, err := PublishSealed(client, opts, b, s, stageTestChunk(s*10, 10), keys)
+					sealed = AppendCommit(sealed, attempt, offsets)
+					return err
+				})
+			}
+			for g := 0; v.Levels >= 2 && g < Groups(parts); g++ {
+				check(b, g, true, func() error {
+					_, err := RegroupSealed(client, opts, b, g, keys, sealed)
+					return err
+				})
+			}
+		}
+		b := Boundary{Stage: 4, Senders: senders, Partitions: parts}
+		if _, err := Written(nil, opts, b, senders, false); !errors.Is(err, errShape) {
+			t.Errorf("%v: Written of sender %d of %d returned %v", v, senders, senders, err)
+		}
+		if _, err := Written(nil, opts, b, Groups(parts), true); !errors.Is(err, errShape) {
+			t.Errorf("%v: Written of group %d of %d returned %v", v, Groups(parts), Groups(parts), err)
+		}
+
+		if err := client.Put(neighbour.Bucket, neighbour.Key, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		lists := billed(t, svc, buckets).Lists
+		if err := Delete(client, all); err != nil {
+			t.Fatal(err)
+		}
+		if n := billed(t, svc, buckets).Lists - lists; n != 0 {
+			t.Errorf("%v: Delete listed %d times", v, n)
+		}
+		if left := listed(); !maps.Equal(left, map[Object]bool{neighbour: true}) {
+			t.Errorf("%v: after Delete the buckets hold %v, want only %v", v, left, neighbour)
 		}
 	}
 }

@@ -367,15 +367,63 @@ func regroupStage(client *s3.Client, opts Options, b Boundary, group int, keys [
 	return r.commit(group, b.Attempt, body, offsets)
 }
 
-// Sweep is the stale-drain collector: it deletes every object under prefix
-// in the given buckets — winner files whose consumers have collected and
-// loser files of aborted or outpaced speculative attempts alike — and
+// Object names one object of an exchange namespace.
+type Object struct{ Bucket, Key string }
+
+// Written appends to dst the bucket and key of every object one writer's
+// attempt b.Attempt publishes on the staged protocol — its write-combined
+// object, or its slot files: as sender writer of b (PublishSealed) or, with
+// regroup set, as the regroup worker of group writer (RegroupSealed). The
+// names come from the enumeration publish Puts, in the variant's narrowed
+// shard pool (opts.Buckets is the full pool, narrowed here as the writer
+// narrowed it), so a driver that knows every attempt it invoked deletes what
+// a query wrote by key (Delete), without listing a bucket.
+func Written(dst []Object, opts Options, b Boundary, writer int, regroup bool) ([]Object, error) {
+	opts, err := b.ready(opts)
+	if err != nil {
+		return dst, err
+	}
+	r, writers := b.senders(nil, opts, true), b.Senders
+	if regroup {
+		r, writers = b.regroup(nil, opts, writer, true), Groups(b.Partitions)
+	}
+	if writer < 0 || writer >= writers {
+		return dst, fmt.Errorf("%w: writer %d of stage %d, which has %d", errShape, writer, b.Stage, writers)
+	}
+	for _, o := range r.objects(writer, b.Attempt, nil) {
+		dst = append(dst, Object{o.bucket, o.key.String()})
+	}
+	return dst, nil
+}
+
+// Delete removes objects by key: one DeleteObjects batch per bucket (one
+// round trip per 1000 keys), the buckets side by side through the client's
+// request window, in the order they first appear in objs. A key that names
+// nothing is no error — an attempt that died mid-publish wrote fewer objects
+// than Written names — and nothing is listed.
+func Delete(client *s3.Client, objs []Object) error {
+	var buckets []string
+	keys := map[string][]string{}
+	for _, o := range objs {
+		if _, ok := keys[o.Bucket]; !ok {
+			buckets = append(buckets, o.Bucket)
+		}
+		keys[o.Bucket] = append(keys[o.Bucket], o.Key)
+	}
+	return client.Overlap(len(buckets), func(i int, lane *s3.Client) error {
+		return lane.DeleteBatch(buckets[i], keys[buckets[i]])
+	})
+}
+
+// Sweep is the stale-drain collector for what no live driver can name: it
+// lists and deletes every object under prefix in the given buckets, and
 // returns how many objects it removed. Deletes are batched per bucket
 // through the DeleteObjects API (one round trip per 1000 keys), and the
 // buckets are swept side by side through the client's request window. The
-// driver runs it before a query (clearing leftovers of an identically-named
-// aborted run, every epoch included) and after (reclaiming the boundary
-// namespace).
+// driver deletes what its own query wrote by key (Written, Delete); it
+// sweeps the query's whole prefix, every epoch and the full bucket pool,
+// only where an earlier run of the same query ID may have left debris — after
+// a query at epoch > 1, and before the epoch GC drops an expired fence.
 func Sweep(client *s3.Client, buckets []string, prefix string) (int, error) {
 	removed := 0
 	err := client.Overlap(len(buckets), func(i int, lane *s3.Client) error {

@@ -284,8 +284,7 @@ func admissible(v exchange.Variant, senders, partitions int) exchange.Variant {
 // reads/s, 3500 writes/s per prefix), so the budget sits safely below both.
 // A boundary over b buckets and k rounds fits when its exact request counts
 // (Variant.SealedRequests) satisfy max(Puts, Gets) ≤ b·k·MaxBucketRoundRequests.
-// The sweeps list every bucket of the pool, so a bucket past that point buys
-// nothing.
+// A bucket past that point buys nothing.
 const MaxBucketRoundRequests = 3000
 
 // chooseShards returns the smallest shard-bucket count b in [1, pool) under
