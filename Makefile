@@ -36,8 +36,9 @@ race-staged:
 scale-smoke:
 	$(GO) test -run 'TestStagedQ12ScaleSmoke|TestMultiLevelRequestsMatchModel|TestSealedBoundaryMatchesDriverless' -v -timeout 10m ./internal/driver/ ./internal/exchange/
 
-# fuzz-smoke fuzzes the seven parsers of outside bytes for five seconds each
-# from the seed corpora under their testdata/fuzz: the exchange's key codec
+# fuzz-smoke fuzzes the seven parsers of outside bytes, and the differential
+# plan harness, for five seconds each from the seed corpora under their
+# testdata/fuzz: the exchange's key codec
 # (a key or a typed error, and parse inverts String), its seal-manifest
 # decoder (refs or a typed error for any round, no allocation the bytes
 # cannot back, and AppendCommit → decode round-trips), the lpq reader
@@ -48,7 +49,9 @@ scale-smoke:
 # worker's payload decoder (an error or a task whose counts are a fleet's and
 # whose broadcast tables fit the engine budget, never a panic) and the
 # service's POST /query body (400 or 413, or a parsed query handed to a
-# runner that runs nothing, never a panic).
+# runner that runs nothing, never a panic); FuzzGeneratedPlan runs any seed's
+# generated case (internal/driver's genCase) through runCase, which holds it
+# to single-node engine.Execute, its own DES replay and a clean substrate.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBoundaryKey -fuzztime=5s ./internal/exchange/
 	$(GO) test -run=NONE -fuzz=FuzzSealManifest -fuzztime=5s ./internal/exchange/
@@ -57,17 +60,20 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/sqlfe/
 	$(GO) test -run=NONE -fuzz=FuzzWorkerPayload -fuzztime=5s ./internal/driver/
 	$(GO) test -run=NONE -fuzz=FuzzQueryBody -fuzztime=5s ./internal/service/
+	$(GO) test -run=NONE -fuzz=FuzzGeneratedPlan -fuzztime=5s ./internal/driver/
 
 # chaos runs the deterministic fault-injection suites race-instrumented:
-# the injector/resilience unit tests, the per-service fault tests, and the
+# the injector/resilience unit tests, the per-service fault tests, the
 # driver chaos acceptance tests (staged q12 under a seeded fault storm must
-# replay exactly and still produce the fault-free answer).
+# replay exactly and still produce the fault-free answer), and the generated
+# cases that draw a fault plan (TestGeneratedPlans' seed=N-faults subtests).
 chaos:
 	GOMAXPROCS=4 $(GO) test -race ./internal/awssim/faults/ ./internal/resilience/
 	GOMAXPROCS=4 $(GO) test -race \
 		-run 'Chaos|Injected|ClientRetries|ClientBudget|EpochSweep|SingleScopeDuplicate|KeyedDeleteListsNothing' \
 		./internal/awssim/s3/ ./internal/awssim/sqs/ ./internal/awssim/dynamo/ \
 		./internal/awssim/lambdasvc/ ./internal/driver/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestGeneratedPlans/faults' ./internal/driver/
 
 vet:
 	$(GO) vet ./...

@@ -439,7 +439,7 @@
 //	          epoch > 1 it also sweeps the query's whole prefix across
 //	          epochs, reclaiming the zombies' debris (the only LIST a staged
 //	          query bills), and the epoch GC sweeps an expired fence's
-//	          prefix before it deletes the fence
+//	          prefix and deletes its ready markers before the fence goes
 //
 // A zombie worker of an aborted epoch can therefore wake at any time,
 // publish anywhere in its own e<E-1> namespace and post any seal it likes:
@@ -589,8 +589,9 @@
 // driver deletes what its attempts wrote by key, as after a success. Epoch
 // fence items themselves are garbage-collected lazily: acquireEpoch
 // periodically deletes epoch/<query> items older than EpochTTL of virtual
-// time, each after a sweep of its query's prefix — the next run of that ID
-// starts at epoch 1 and lists nothing.
+// time, each after a sweep of its query's prefix and the deletion of its
+// ready markers — the next run of that ID starts at epoch 1, lists nothing,
+// and waits on markers under the first run's names.
 //
 // # Observability and tracing
 //
@@ -700,6 +701,36 @@
 // bytes and therefore every modeled latency and dollar stayed bit-identical
 // across the change. Allocation-regression tests in both packages bound the
 // bytes a small file, a streamed file, a page decode and a publish may cost.
+//
+// # Testing: one differential harness
+//
+// staged ≡ single-node is checked in one place. A case of internal/driver's
+// harness (runCase) is a query over the TPC-H fixture — LINEITEM, ORDERS,
+// SUPPLIER at SF 0.002 from one seed — and the configuration it runs under:
+// file counts, partitions, broadcast limit, exchange levels and write
+// combining, an admission cap, speculation, a seeded fault plan, a
+// driver-resident table, and DES, chaos or goroutine workers. Every case
+// checks four things: its rows are byte-identical to engine.Execute on one
+// node (within a stated tolerance for float sums); a second DES run replays
+// its rows, Duration and Cost exactly — through RunSQL when the query scans
+// one table at the default configuration, so both entrances must plan, run
+// and bill alike; the leak audit finds nothing of it on the substrate, failed
+// cases included; and a plan the planner refuses fails with ErrInvalidPlan
+// before any Invoke. Options pin what a caller knows of the plan — stage,
+// worker and regroup counts, variants, wave gating, request inflation under
+// faults. genCase(seed) draws cases from a table of operators keyed by input
+// and output types, so every query is type-correct by construction; seeds
+// 1–3 are Q1, Q6 and Q12, and TestGeneratedPlans requires its seeds to cover
+// both merge arms, a bare shuffle join, both kinds of broadcast, two-round
+// boundaries with and without write combining, a binding admission cap and a
+// fault plan that forced a relaunch or a speculation. A failing case is
+// shrunk greedily — config knobs back to their defaults, files, LIMIT, WHERE
+// conjuncts, aggregates, unreferenced joins — and printed with its seed and
+// the command that replays it, for example
+//
+//	go test ./internal/driver/ -run '^TestGeneratedPlans$/^seed=17$'
+//
+// FuzzGeneratedPlan (make fuzz-smoke) runs any seed.
 //
 // The benchmarks in bench_test.go regenerate every table and figure of the
 // paper's evaluation section; bench/ holds the repository's two-clock

@@ -1,11 +1,12 @@
 package driver
 
 import (
+	"errors"
 	"fmt"
+	"lambada/internal/columnar"
 	"testing"
 	"time"
 
-	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/lpq"
 	"lambada/internal/obs"
@@ -60,50 +61,36 @@ func BenchmarkShuffleJoin(b *testing.B) {
 // latency is what pipelined launch buys — consumer cold starts and barrier
 // round trips overlap upstream execution.
 func BenchmarkStagedPipelined(b *testing.B) {
-	g := tpch.Gen{SF: 0.002, Seed: 33}
-	li := g.Generate()
-	orders := g.OrdersFor(li)
+	scfg := shuffled(4)
+	scfg.Exchange.Poll = 20 * time.Millisecond
 	var virtual time.Duration
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := simclock.New()
-		dep := NewSimulated(k, 7)
-		k.Go("driver", func(p *simclock.Proc) {
-			cfg := DefaultConfig()
-			cfg.PollInterval = 50 * time.Millisecond
-			d := NewSession(dep, cfg)
-			if err := d.Install(); err != nil {
-				b.Error(err)
-				return
-			}
-			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 12, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 6, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			scfg := DefaultStageConfig()
-			scfg.Partitions = 4
-			scfg.BroadcastRowLimit = -1
-			scfg.Exchange.Poll = 20 * time.Millisecond
-			out, rep, err := d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if out.NumRows() == 0 {
-				b.Error("empty result")
-				return
-			}
-			virtual += rep.Duration
-		})
-		k.Run()
+		virtual += benchQ12(b, 7, false, desConfig(), layout{Data: 33, LI: 12, Ord: 6, Opts: stdLayout.Opts}, scfg).Duration
 	}
 	b.ReportMetric(float64(virtual)/float64(b.N)/1e6, "vms/op")
+}
+
+// benchQ12 runs staged q12 once on a fresh DES deployment of seed, traced
+// or not, and returns its report.
+func benchQ12(b *testing.B, seed int64, traced bool, cfg Config, l layout, scfg StageConfig) *Report {
+	var rep *Report
+	_, err := onDES(func(k *simclock.Kernel) *Deployment {
+		dep := NewSimulated(k, seed)
+		if traced {
+			dep.EnableTracing(obs.New())
+		}
+		return dep
+	}, cfg, l, func(p *simclock.Proc, d *Session, tables TableFiles) (err error) {
+		var out *columnar.Chunk
+		if out, rep, err = d.RunSQLStaged(p, q12ExactSQL, tables, scfg); err == nil && out.NumRows() == 0 {
+			err = errors.New("empty result")
+		}
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
 }
 
 // BenchmarkBroadcastJoin is the same query through the driver-broadcast
@@ -152,50 +139,13 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 // fixed price, bytes a linear one, and the page index / late
 // materialization / coalescing trade between them.
 func BenchmarkStagedSelectiveScan(b *testing.B) {
-	g := tpch.Gen{SF: 0.002, Seed: 33}
-	li := g.Generate()
-	orders := g.OrdersFor(li)
 	var virtual time.Duration
 	var gets, bytes int64
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := simclock.New()
-		dep := NewSimulated(k, 47)
-		k.Go("driver", func(p *simclock.Proc) {
-			d := NewSession(dep, DefaultConfig())
-			if err := d.Install(); err != nil {
-				b.Error(err)
-				return
-			}
-			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 6,
-				lpq.WriterOptions{RowGroupRows: 2000, PageRows: 512, Compression: lpq.Gzip})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 3,
-				lpq.WriterOptions{RowGroupRows: 2000, Compression: lpq.Gzip})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			scfg := DefaultStageConfig()
-			scfg.Partitions = 2
-			scfg.BroadcastRowLimit = -1
-			out, rep, err := d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if out.NumRows() == 0 {
-				b.Error("empty result")
-				return
-			}
-			virtual += rep.Duration
-			gets += rep.Cost.S3Get
-			bytes += rep.Cost.S3ReadBytes
-		})
-		k.Run()
+		_, rep := runStagedCost(b, pagedOpts, unpagedOpts, nil, true)
+		virtual += rep.Duration
+		gets += rep.Cost.S3Get
+		bytes += rep.Cost.S3ReadBytes
 	}
 	b.ReportMetric(float64(virtual)/float64(b.N)/1e6, "vms/op")
 	b.ReportMetric(float64(gets)/float64(b.N), "billed_get_requests/op")
@@ -208,56 +158,19 @@ func BenchmarkStagedSelectiveScan(b *testing.B) {
 // bytes, dominate boundary cost at scale), and the modeled dollar cost.
 // forceLevels pins the boundary round count (0 = the analytic resolver).
 func benchStagedFleet(b *testing.B, parts, forceLevels int) {
-	g := tpch.Gen{SF: 0.002, Seed: 33}
-	li := g.Generate()
-	orders := g.OrdersFor(li)
+	scfg := shuffled(parts)
+	scfg.Exchange.Variant.Levels = forceLevels
+	scfg.Exchange.Poll = 100 * time.Millisecond
 	var virtual time.Duration
 	var requests int64
 	var workers int
 	var usd float64
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := simclock.New()
-		dep := NewSimulated(k, 7)
-		k.Go("driver", func(p *simclock.Proc) {
-			cfg := DefaultConfig()
-			cfg.PollInterval = 50 * time.Millisecond
-			d := NewSession(dep, cfg)
-			if err := d.Install(); err != nil {
-				b.Error(err)
-				return
-			}
-			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			before := dep.Meter.Count(pricing.LabelS3Read) + dep.Meter.Count(pricing.LabelS3Write) + dep.Meter.Count(pricing.LabelS3List)
-			scfg := DefaultStageConfig()
-			scfg.Partitions = parts
-			scfg.BroadcastRowLimit = -1
-			scfg.Exchange.Variant.Levels = forceLevels
-			scfg.Exchange.Poll = 100 * time.Millisecond
-			out, rep, err := d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if out.NumRows() == 0 {
-				b.Error("empty result")
-				return
-			}
-			virtual += rep.Duration
-			requests += dep.Meter.Count(pricing.LabelS3Read) + dep.Meter.Count(pricing.LabelS3Write) + dep.Meter.Count(pricing.LabelS3List) - before
-			workers = rep.Workers
-			usd += rep.TotalCost
-		})
-		k.Run()
+		rep := benchQ12(b, 7, false, desConfig(), layout{Data: 33, LI: 4, Ord: 2, Opts: stdLayout.Opts}, scfg)
+		virtual += rep.Duration
+		requests += rep.Cost.S3Get + rep.Cost.S3Put + rep.Cost.S3List
+		workers = rep.Workers
+		usd += rep.TotalCost
 	}
 	b.ReportMetric(float64(virtual)/float64(b.N)/1e6, "vms/op")
 	b.ReportMetric(float64(requests)/float64(b.N), "billed_requests/op")
@@ -284,64 +197,26 @@ func BenchmarkStagedQ12Fleet(b *testing.B) {
 // the part only protocol changes can shrink). The two sum to vms/op by
 // the tiling property.
 func BenchmarkStagedCriticalPath(b *testing.B) {
-	g := tpch.Gen{SF: 0.002, Seed: 33}
-	li := g.Generate()
-	orders := g.OrdersFor(li)
 	var virtual, worker time.Duration
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := simclock.New()
-		dep := NewSimulated(k, 47)
-		dep.EnableTracing(obs.New())
-		k.Go("driver", func(p *simclock.Proc) {
-			cfg := DefaultConfig()
-			cfg.PollInterval = 50 * time.Millisecond
-			d := NewSession(dep, cfg)
-			if err := d.Install(); err != nil {
-				b.Error(err)
-				return
-			}
-			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			scfg := DefaultStageConfig()
-			scfg.Partitions = 2
-			scfg.BroadcastRowLimit = -1
-			out, rep, err := d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if out.NumRows() == 0 {
-				b.Error("empty result")
-				return
-			}
-			virtual += rep.Duration
-			spans := rep.Trace.Spans()
-			underInvoke := func(id obs.SpanID) bool {
-				for id != 0 {
-					s := spans[id-1]
-					if s.Kind == obs.KindInvoke {
-						return true
-					}
-					id = s.Parent
+		rep := benchQ12(b, 47, true, desConfig(), layout{Data: 33, LI: 4, Ord: 2, Opts: stdLayout.Opts}, shuffled(2))
+		virtual += rep.Duration
+		spans := rep.Trace.Spans()
+		underInvoke := func(id obs.SpanID) bool {
+			for id != 0 {
+				s := spans[id-1]
+				if s.Kind == obs.KindInvoke {
+					return true
 				}
-				return false
+				id = s.Parent
 			}
-			for _, seg := range obs.CriticalPath(spans, rep.Span) {
-				if underInvoke(seg.Span) {
-					worker += seg.Duration()
-				}
+			return false
+		}
+		for _, seg := range obs.CriticalPath(spans, rep.Span) {
+			if underInvoke(seg.Span) {
+				worker += seg.Duration()
 			}
-		})
-		k.Run()
+		}
 	}
 	b.ReportMetric(float64(virtual)/float64(b.N)/1e6, "vms/op")
 	b.ReportMetric(float64(worker)/float64(b.N)/1e6, "critpath_worker_vms/op")
@@ -357,9 +232,6 @@ func BenchmarkStagedCriticalPath(b *testing.B) {
 // batch (per-report cost windows overlap under concurrency, the meter
 // delta does not double count).
 func BenchmarkConcurrentQueries(b *testing.B) {
-	g := tpch.Gen{SF: 0.002, Seed: 33}
-	li := g.Generate()
-	orders := g.OrdersFor(li)
 	for _, streams := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("Streams%d", streams), func(b *testing.B) {
 			var virtual time.Duration
@@ -369,33 +241,20 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k := simclock.New()
 				dep := NewSimulated(k, 7)
-				cfg := DefaultConfig()
-				cfg.PollInterval = 50 * time.Millisecond
+				cfg := desConfig()
 				cfg.MaxInFlight = 32
 				sess := NewSession(dep, cfg)
 				var uploadUSD float64
 				k.Go("setup", func(p *simclock.Proc) {
-					if err := sess.Install(); err != nil {
-						b.Error(err)
-						return
-					}
-					liRefs, err := sess.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+					tables, err := layout{Data: 33, LI: 4, Ord: 2, Opts: stdLayout.Opts}.upload(p, sess)
 					if err != nil {
 						b.Error(err)
 						return
 					}
-					ordRefs, err := sess.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					tables := TableFiles{"lineitem": liRefs, "orders": ordRefs}
 					uploadUSD = float64(dep.Meter.Total())
 					for s := 0; s < streams; s++ {
 						k.Go(fmt.Sprintf("stream%d", s), func(p *simclock.Proc) {
-							scfg := DefaultStageConfig()
-							scfg.Partitions = 2
-							scfg.BroadcastRowLimit = -1
+							scfg := shuffled(2)
 							scfg.Exchange.Poll = 100 * time.Millisecond
 							out, rep, err := sess.RunSQLStaged(p, q12ExactSQL, tables, scfg)
 							if err != nil {

@@ -2,6 +2,8 @@ package driver
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,10 +12,8 @@ import (
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/s3"
 	"lambada/internal/columnar"
-	"lambada/internal/lpq"
 	"lambada/internal/obs"
 	"lambada/internal/simclock"
-	"lambada/internal/tpch"
 )
 
 // chaosRun is one staged q12 execution on the DES kernel, with everything
@@ -48,52 +48,24 @@ func runStagedChaosQ12(t *testing.T, mkDep func(k *simclock.Kernel) *Deployment,
 // itself may fail: its error comes back in the run.
 func tryStagedChaosQ12(t *testing.T, mkDep func(k *simclock.Kernel) *Deployment, mut func(cfg *Config, scfg *StageConfig)) chaosRun {
 	t.Helper()
-	k := simclock.New()
-	dep := mkDep(k)
+	cfg, scfg := desConfig(), shuffled(2)
+	scfg.Exchange.Poll = 100 * time.Millisecond
+	if mut != nil {
+		mut(&cfg, &scfg)
+	}
 	var res chaosRun
-	ok := false
-	k.Go("driver", func(p *simclock.Proc) {
-		cfg := DefaultConfig()
-		cfg.PollInterval = 50 * time.Millisecond
-		scfg := DefaultStageConfig()
-		scfg.Partitions = 2
-		scfg.BroadcastRowLimit = -1
-		scfg.Exchange.Poll = 100 * time.Millisecond
-		if mut != nil {
-			mut(&cfg, &scfg)
-		}
-		d := NewSession(dep, cfg)
-		res.sess = d
-		if err := d.Install(); err != nil {
-			t.Error(err)
-			return
-		}
-		g := tpch.Gen{SF: 0.002, Seed: 11}
-		li := g.Generate()
-		orders := g.OrdersFor(li)
-		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		res.out, res.rep, res.err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
-		res.s3Requests = dep.Meter.Count(pricing.LabelS3Read) + dep.Meter.Count(pricing.LabelS3Write)
-		res.sqsReqs = dep.Meter.Count(pricing.LabelSQS)
-		res.injected = dep.Faults.TotalInjected()
-		ok = true
+	sess, err := onDES(mkDep, cfg, stdLayout, func(p *simclock.Proc, d *Session, tables TableFiles) error {
+		res.out, res.rep, res.err = d.RunSQLStaged(p, q12ExactSQL, tables, scfg)
+		m := d.dep.Meter
+		res.s3Requests = m.Count(pricing.LabelS3Read) + m.Count(pricing.LabelS3Write)
+		res.sqsReqs = m.Count(pricing.LabelSQS)
+		res.injected = d.dep.Faults.TotalInjected()
+		return nil
 	})
-	k.Run()
-	if k.Deadlocked() {
-		t.Fatal("DES deadlocked")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !ok {
-		t.FailNow()
-	}
+	res.sess = sess
 	return res
 }
 
@@ -123,168 +95,31 @@ func chaosPlanQ12() faults.Plan {
 	}
 }
 
-// TestChaosZeroFaultPlanIsInert: a chaos deployment with an empty plan is
-// byte-for-byte the plain simulated deployment — same result, same virtual
-// duration, same cost, no injection bookkeeping. This pins the guarantee
-// that the fault layer costs nothing when unused.
+// TestChaosZeroFaultPlanIsInert: a chaos deployment with an empty plan — the
+// harness's every fault-free run — injects nothing and keeps no injection
+// bookkeeping.
 func TestChaosZeroFaultPlanIsInert(t *testing.T) {
-	clean := runStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment { return NewSimulated(k, 71) }, nil)
-	zero := runStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment { return NewChaos(k, 71, faults.Plan{}) }, nil)
-	chunksIdentical(t, zero.out, clean.out)
-	if zero.rep.Duration != clean.rep.Duration || zero.rep.TotalCost != clean.rep.TotalCost {
-		t.Errorf("zero-fault chaos run diverged: (%v, %v) vs clean (%v, %v)",
-			zero.rep.Duration, zero.rep.TotalCost, clean.rep.Duration, clean.rep.TotalCost)
-	}
-	if zero.s3Requests != clean.s3Requests || zero.sqsReqs != clean.sqsReqs {
-		t.Errorf("zero-fault request counts diverged: s3 %d vs %d, sqs %d vs %d",
-			zero.s3Requests, clean.s3Requests, zero.sqsReqs, clean.sqsReqs)
-	}
-	if len(zero.rep.InjectedFaults) != 0 || zero.injected != 0 {
-		t.Errorf("zero-fault plan injected %d faults: %v", zero.injected, zero.rep.InjectedFaults)
-	}
+	runCase(t, planCase{Q: q12Exact(), Layout: stdLayout, Partitions: 2, BroadcastRowLimit: -1})
 }
 
-// TestStagedChaosDeterministicByteIdentical is the tentpole acceptance
-// test: staged q12 under the seeded chaos plan (a) still returns the exact
-// fault-free answer, (b) replays identically — same result, virtual
-// duration, cost and injection counts across two runs, (c) inflates billed
-// requests boundedly (retried requests are billed, but the storm is a few
-// percent), on both exchange variants.
+// TestStagedChaosDeterministicByteIdentical: staged q12 under the seeded
+// chaos plan, on three exchange variants, returns the fault-free answer,
+// replays exactly, and inflates billed requests boundedly.
 func TestStagedChaosDeterministicByteIdentical(t *testing.T) {
-	variants := []struct {
-		name string
-		mut  func(cfg *Config, scfg *StageConfig)
-	}{
-		{"tree-wc", func(cfg *Config, scfg *StageConfig) {
-			cfg.Speculate = DefaultSpeculateConfig()
-		}},
-		{"flat", func(cfg *Config, scfg *StageConfig) {
-			cfg.Speculate = DefaultSpeculateConfig()
-			scfg.Exchange.Variant.Levels = 1
-			scfg.Exchange.Variant.WriteCombining = false
-		}},
-		{"multilevel", func(cfg *Config, scfg *StageConfig) {
-			cfg.Speculate = DefaultSpeculateConfig()
-			scfg.Exchange.Variant.Levels = 2
-		}},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			clean := runStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment { return NewSimulated(k, 71) }, v.mut)
-			mkChaos := func(k *simclock.Kernel) *Deployment { return NewChaos(k, 71, chaosPlanQ12()) }
-			a := runStagedChaosQ12(t, mkChaos, v.mut)
-			b := runStagedChaosQ12(t, mkChaos, v.mut)
-
-			// (a) graceful degradation: the chaotic run still computes the
-			// exact fault-free answer.
-			chunksIdentical(t, a.out, clean.out)
-
-			// (b) determinism: the seeded plan replays exactly.
-			if a.rep.Duration != b.rep.Duration || a.rep.TotalCost != b.rep.TotalCost {
-				t.Errorf("chaos replay diverged: (%v, %v) vs (%v, %v)",
-					a.rep.Duration, a.rep.TotalCost, b.rep.Duration, b.rep.TotalCost)
-			}
-			if a.injected != b.injected || a.s3Requests != b.s3Requests || a.sqsReqs != b.sqsReqs {
-				t.Errorf("chaos replay bookkeeping diverged: injected %d vs %d, s3 %d vs %d, sqs %d vs %d",
-					a.injected, b.injected, a.s3Requests, b.s3Requests, a.sqsReqs, b.sqsReqs)
-			}
-			chunksIdentical(t, a.out, b.out)
-
-			// The storm actually happened and the resilience layer absorbed
-			// it.
-			if a.injected == 0 || len(a.rep.InjectedFaults) == 0 {
-				t.Fatal("chaos plan injected nothing")
-			}
-			if a.rep.DriverRetries+a.rep.WorkerRetries == 0 {
-				t.Error("no retries recorded under a fault storm")
-			}
-			if a.rep.WorkerRetries == 0 {
-				t.Errorf("no worker retried under a fault storm: injected %v", a.rep.InjectedFaults)
-			}
-
-			// (c) bounded inflation: billed requests grow with the retry
-			// storm but stay within 2x of the clean run.
-			if a.s3Requests < clean.s3Requests {
-				t.Errorf("chaos billed fewer s3 requests (%d) than clean (%d)", a.s3Requests, clean.s3Requests)
-			}
-			if a.s3Requests > 2*clean.s3Requests {
-				t.Errorf("chaos s3 requests %d more than doubled clean %d", a.s3Requests, clean.s3Requests)
-			}
-			// SQS polls scale with virtual duration, and the mid-run crash
-			// stretches the run by a liveness-cap stall — allow 4x there.
-			if a.sqsReqs > 4*clean.sqsReqs {
-				t.Errorf("chaos sqs requests %d more than quadrupled clean %d", a.sqsReqs, clean.sqsReqs)
-			}
+	for name, levels := range map[string]int{"tree-wc": 0, "flat": 1, "multilevel": 2} {
+		t.Run(name, func(t *testing.T) {
+			runCase(t, planCase{Q: q12Exact(), Layout: stdLayout, Partitions: 2, BroadcastRowLimit: -1,
+				Levels: levels, Basic: name == "flat", Speculate: true, Faults: chaosPlanQ12()}, inflation{})
 		})
 	}
 }
 
-// TestStagedChaosGroupByByteIdentical runs the q1-shaped staged aggregation
-// (scan -> repartition on the group key -> finalize, no join; the key is
-// l_partkey, which the footers cannot bound) under the same seeded storm:
-// exact clean answer, exact replay.
+// TestStagedChaosGroupByByteIdentical: the staged aggregation over a key the
+// footers cannot bound — scan, repartition, finalize, no join — under the
+// same storm.
 func TestStagedChaosGroupByByteIdentical(t *testing.T) {
-	const sql = `
-SELECT l_partkey, COUNT(*) AS n, MIN(l_orderkey) AS first_ord, MAX(l_orderkey) AS last_ord
-FROM lineitem
-GROUP BY l_partkey ORDER BY l_partkey`
-	run := func(mkDep func(k *simclock.Kernel) *Deployment) chaosRun {
-		k := simclock.New()
-		dep := mkDep(k)
-		var res chaosRun
-		ok := false
-		k.Go("driver", func(p *simclock.Proc) {
-			cfg := DefaultConfig()
-			cfg.PollInterval = 50 * time.Millisecond
-			cfg.Speculate = DefaultSpeculateConfig()
-			d := NewSession(dep, cfg)
-			if err := d.Install(); err != nil {
-				t.Error(err)
-				return
-			}
-			g := tpch.Gen{SF: 0.002, Seed: 11}
-			refs, err := d.UploadTable(p, "tpch", "lineitem", g.Generate(), 4, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			scfg := DefaultStageConfig()
-			scfg.Partitions = 2
-			scfg.Exchange.Poll = 100 * time.Millisecond
-			out, rep, err := d.RunSQLStaged(p, sql, TableFiles{"lineitem": refs}, scfg)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if rep.Stages != 2 {
-				t.Errorf("stages = %d, want 2: the aggregate did not repartition", rep.Stages)
-			}
-			res.out, res.rep = out, rep
-			res.injected = dep.Faults.TotalInjected()
-			ok = true
-		})
-		k.Run()
-		if k.Deadlocked() {
-			t.Fatal("DES deadlocked")
-		}
-		if !ok {
-			t.FailNow()
-		}
-		return res
-	}
-	clean := run(func(k *simclock.Kernel) *Deployment { return NewSimulated(k, 71) })
-	mkChaos := func(k *simclock.Kernel) *Deployment { return NewChaos(k, 71, chaosPlanQ12()) }
-	a := run(mkChaos)
-	b := run(mkChaos)
-	chunksIdentical(t, a.out, clean.out)
-	chunksIdentical(t, a.out, b.out)
-	if a.rep.Duration != b.rep.Duration || a.rep.TotalCost != b.rep.TotalCost || a.injected != b.injected {
-		t.Errorf("group-by chaos replay diverged: (%v, %v, %d) vs (%v, %v, %d)",
-			a.rep.Duration, a.rep.TotalCost, a.injected, b.rep.Duration, b.rep.TotalCost, b.injected)
-	}
-	if a.injected == 0 {
-		t.Error("chaos plan injected nothing on the group-by query")
-	}
+	q := groupBy("l_partkey", agg("COUNT(*)", "n"), agg("MIN(l_orderkey)", "first_ord"), agg("MAX(l_orderkey)", "last_ord"))
+	runCase(t, planCase{Q: q, Layout: layout{Data: 11, LI: 4, Opts: stdLayout.Opts}, Partitions: 2, Speculate: true, Faults: chaosPlanQ12()}, wantStages(2), inflation{})
 }
 
 // TestStagedChaosCrashRecovery: a worker that crashes on invoke never posts
@@ -295,7 +130,7 @@ func TestStagedChaosCrashRecovery(t *testing.T) {
 		cfg.Speculate = DefaultSpeculateConfig()
 		scfg.MaxStageWait = 30 * time.Second
 	}
-	clean := runStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment { return NewSimulated(k, 71) }, mut)
+	clean := runStagedChaosQ12(t, simulated(71), mut)
 	crash := runStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment {
 		return NewChaos(k, 71, faults.Plan{Seed: 9, Rules: []faults.Rule{
 			{Op: faults.OpLambda, Kind: faults.KindCrash, Skip: 2, Count: 1},
@@ -324,7 +159,7 @@ func TestStagedChaosBudgetExhaustionFailureSeal(t *testing.T) {
 		cfg.testWaveLaunch = true // waves: barrier reads happen in a known order
 		scfg.Partitions = 1       // exactly one consumer hits the storm
 	}
-	clean := runStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment { return NewSimulated(k, 71) }, mut)
+	clean := runStagedChaosQ12(t, simulated(71), mut)
 	// Skip 1 exempts the driver's epoch fence read; the next six dynamo
 	// Gets are the consumer's barrier reads. Budget 3 means attempt 0 dies
 	// after four throttles (3 retries + the exhausted take), the relaunch
@@ -378,7 +213,7 @@ func TestStagedKeyedDeleteListsNothing(t *testing.T) {
 		cfg.testWaveLaunch = true
 		scfg.Partitions = 1
 	}
-	clean := runStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment { return NewSimulated(k, 71) }, mut)
+	clean := runStagedChaosQ12(t, simulated(71), mut)
 	run := runStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment {
 		dep := NewChaos(k, 71, faults.Plan{Seed: 4, Rules: []faults.Rule{
 			{Op: faults.OpDynamoGet, Kind: faults.KindThrottle, Skip: 1, Count: 6},
@@ -415,56 +250,13 @@ func TestStagedKeyedDeleteListsNothing(t *testing.T) {
 
 // TestSingleScopeDuplicateResultDelivery: an at-least-once result queue that
 // redelivers EVERY worker result must not corrupt single-scope collection —
-// the scheduler keeps the first seal per worker and discards the rest.
+// the scheduler keeps the first seal per worker and discards the rest. Rate
+// 0 with no Count bound fires on every Send: every result message is
+// delivered twice, the copy 5 ms later — mid-drain.
 func TestSingleScopeDuplicateResultDelivery(t *testing.T) {
-	const sql = `
-SELECT l_suppkey, COUNT(*) AS n, MIN(l_orderkey) AS first_ord
-FROM lineitem
-GROUP BY l_suppkey ORDER BY l_suppkey`
-	run := func(mkDep func(k *simclock.Kernel) *Deployment) *columnar.Chunk {
-		k := simclock.New()
-		dep := mkDep(k)
-		var out *columnar.Chunk
-		k.Go("driver", func(p *simclock.Proc) {
-			cfg := DefaultConfig()
-			cfg.PollInterval = 50 * time.Millisecond
-			d := NewSession(dep, cfg)
-			if err := d.Install(); err != nil {
-				t.Error(err)
-				return
-			}
-			g := tpch.Gen{SF: 0.002, Seed: 11}
-			li := g.Generate()
-			refs, err := d.UploadTable(p, "tpch", "lineitem", li, 3, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			res, _, err := d.RunSQL(p, sql, "lineitem", refs)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			out = res
-		})
-		k.Run()
-		if k.Deadlocked() {
-			t.Fatal("DES deadlocked")
-		}
-		if out == nil {
-			t.FailNow()
-		}
-		return out
-	}
-	clean := run(func(k *simclock.Kernel) *Deployment { return NewSimulated(k, 71) })
-	// Rate 0 with no Count bound fires on every Send: every result message
-	// is delivered twice, the copy 5ms later — mid-drain.
-	dup := run(func(k *simclock.Kernel) *Deployment {
-		return NewChaos(k, 71, faults.Plan{Seed: 1, Rules: []faults.Rule{
-			{Op: faults.OpSQSSend, Kind: faults.KindDuplicate, Delay: 5 * time.Millisecond},
-		}})
-	})
-	chunksIdentical(t, dup, clean)
+	q := groupBy("l_suppkey", agg("COUNT(*)", "n"), agg("MIN(l_orderkey)", "first_ord"))
+	runCase(t, planCase{Q: q, Layout: layout{Data: 11, LI: 3, Opts: stdLayout.Opts}, Default: true,
+		Faults: faults.Plan{Seed: 1, Rules: []faults.Rule{{Op: faults.OpSQSSend, Kind: faults.KindDuplicate, Delay: 5 * time.Millisecond}}}})
 }
 
 // TestSingleScopeChaosFailureSealRelaunched: an S3 500 storm over the first
@@ -476,42 +268,21 @@ GROUP BY l_suppkey ORDER BY l_suppkey`
 // their collector failed the query on any worker error, retryable or not.
 func TestSingleScopeChaosFailureSealRelaunched(t *testing.T) {
 	run := func(mkDep func(k *simclock.Kernel) *Deployment) (*columnar.Chunk, *Report) {
-		k := simclock.New()
-		dep := mkDep(k)
+		cfg := desConfig()
+		cfg.RetryBudget = 2
 		var out *columnar.Chunk
 		var rep *Report
-		var sess *Session
-		k.Go("driver", func(p *simclock.Proc) {
-			cfg := DefaultConfig()
-			cfg.PollInterval = 50 * time.Millisecond
-			cfg.RetryBudget = 2
-			d := NewSession(dep, cfg)
-			sess = d
-			if err := d.Install(); err != nil {
-				t.Error(err)
-				return
-			}
-			li := tpch.Gen{SF: 0.002, Seed: 11}.Generate()
-			refs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if out, rep, err = d.RunSQL(p, q6SQL, "lineitem", refs); err != nil {
-				t.Error(err)
-			}
+		sess, err := onDES(mkDep, cfg, layout{Data: 11, LI: 4, Opts: stdLayout.Opts}, func(p *simclock.Proc, d *Session, tables TableFiles) (err error) {
+			out, rep, err = d.RunSQL(p, q6SQL, "lineitem", tables["lineitem"])
+			return err
 		})
-		k.Run()
-		if k.Deadlocked() {
-			t.Fatal("DES deadlocked")
-		}
-		if t.Failed() {
-			t.FailNow()
+		if err != nil {
+			t.Fatal(err)
 		}
 		assertQueryClean(t, sess, rep.QueryID)
 		return out, rep
 	}
-	clean, cleanRep := run(func(k *simclock.Kernel) *Deployment { return NewSimulated(k, 71) })
+	clean, cleanRep := run(simulated(71))
 	// Skip 4 exempts the planner's opens, one per file; the storm then covers
 	// the first three worker reads. Q6's year leaves one file to scan and so
 	// one worker: its budget of 2 absorbs two faults, it takes the third and
@@ -530,12 +301,37 @@ func TestSingleScopeChaosFailureSealRelaunched(t *testing.T) {
 	}
 }
 
+// TestCorruptEpochItemRefused: an epoch item that reads below 1, or written
+// at a negative instant, is corrupt. Taken for epoch 0, a run fenced nothing
+// and its cleanup, which skips epoch 0, left its boundary objects behind.
+func TestCorruptEpochItemRefused(t *testing.T) {
+	for _, v := range []string{"-1@0", "0", "2@-1"} {
+		d, env, tables := goSession(t, DefaultConfig(), stdLayout)
+		table := stagesTableName(d.cfg.FunctionName)
+		d.dep.Dynamo.CreateTable(table)
+		if err := d.dep.Dynamo.Put(env, table, epochKey("q1"), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := d.RunSQLStaged(env, q12ExactSQL, tables, shuffled(2)); err == nil || !strings.Contains(err.Error(), "corrupt epoch item") {
+			t.Errorf("epoch item %q: err = %v, want the corrupt item refused", v, err)
+		}
+		if n, _ := d.dep.Lambda.Invocations(); n != 0 {
+			t.Errorf("epoch item %q: %d workers invoked", v, n)
+		}
+		assertQueryClean(t, d, "q1")
+	}
+}
+
 // TestEpochSweepTTL: the lazy sweep in acquireEpoch deletes epoch fence
 // items older than EpochTTL of virtual time — including pre-TTL legacy items
 // (bare integer, no timestamp) — and keeps fresh ones. It reclaims what it
-// orphans: the boundary debris under an expired query's prefix goes with its
-// fence, since the next run of that ID starts at epoch 1 and lists nothing;
-// debris of an ID whose fence it keeps, or that has none, stays.
+// orphans: the boundary debris under an expired query's prefix and its ready
+// markers go with its fence, since the next run of that ID starts at epoch 1,
+// lists nothing and waits on markers of its own names; debris and markers of
+// an ID whose fence it keeps, or that has none, stay. So a real query rerun
+// after its fence expired answers right: with the markers left behind, its
+// consumers took the first run's manifests and read objects the sweep had
+// deleted.
 func TestEpochSweepTTL(t *testing.T) {
 	k := simclock.New()
 	dep := NewSimulated(k, 7)
@@ -564,8 +360,8 @@ func TestEpochSweepTTL(t *testing.T) {
 
 		p.Sleep(2 * time.Hour) // both items now exceed the 1h TTL
 
-		// Debris of the fenced runs, in two shard buckets, and of qB, which
-		// has no fence yet.
+		// Debris of the fenced runs, in two shard buckets, and their ready
+		// markers; and of qB, which has no fence yet.
 		buckets := d.InstallExchange()
 		client := s3.NewClient(dep.S3, p)
 		debris := func(queryID string) []string {
@@ -574,6 +370,10 @@ func TestEpochSweepTTL(t *testing.T) {
 		for _, id := range []string{"qA", "legacy", "qB"} {
 			for i, key := range debris(id) {
 				if err := client.Put(buckets[i], key, []byte("x")); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := dep.Dynamo.Put(p, table, sealKey(id, 1, i+1), []byte("x")); err != nil {
 					t.Error(err)
 					return
 				}
@@ -597,6 +397,10 @@ func TestEpochSweepTTL(t *testing.T) {
 				if gone := errors.Is(err, s3.ErrNoSuchKey); gone != (id != "qB") {
 					t.Errorf("%s debris %s: Get = %v after the sweep", id, key, err)
 				}
+				_, err = dep.Dynamo.Get(p, table, sealKey(id, 1, i+1))
+				if gone := errors.Is(err, dynamo.ErrNoSuchItem); gone != (id != "qB") {
+					t.Errorf("%s ready marker %s: Get = %v after the sweep", id, sealKey(id, 1, i+1), err)
+				}
 			}
 		}
 		// qB was just written — the next sweep must keep it, and its
@@ -613,5 +417,33 @@ func TestEpochSweepTTL(t *testing.T) {
 	k.Run()
 	if k.Deadlocked() {
 		t.Fatal("DES deadlocked")
+	}
+
+	// q1 again, two hours on, on a fresh session: the sweep collects its
+	// fence, and the rerun runs at epoch 1 under the first run's names.
+	cfg := desConfig()
+	cfg.EpochGCInterval, cfg.EpochTTL = 1, time.Hour
+	_, err := onDES(simulated(7), cfg, stdLayout, func(p *simclock.Proc, d *Session, tables TableFiles) error {
+		for run := 0; run < 2; run++ {
+			out, rep, err := d.RunSQLStaged(p, q12ExactSQL, tables, shuffled(2))
+			if err != nil {
+				return fmt.Errorf("run %d: %w", run, err)
+			}
+			if rep.Epoch != 1 {
+				return fmt.Errorf("run %d at epoch %d, want 1", run, rep.Epoch)
+			}
+			if err := sameRows(out, singleNode(t, q12ExactSQL, tpchData(stdLayout.Data).catalog()), 0); err != nil {
+				return fmt.Errorf("run %d: %w", run, err)
+			}
+			p.Sleep(2 * time.Hour)
+			d = NewSession(d.dep, cfg)
+			if err := d.Install(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,64 +7,50 @@ import (
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
-	"lambada/internal/engine"
 	"lambada/internal/lpq"
 	"lambada/internal/simclock"
-	"lambada/internal/tpch"
 )
 
 // runStagedCost executes the selective-predicate q12 under DES with the
 // given file layout and scan-config mutation, returning the result chunk
 // and the run's billed S3 counters.
-func runStagedCost(t *testing.T, liOpts, ordOpts lpq.WriterOptions, mutate func(*Config), wc bool) (*columnar.Chunk, *Report, *columnar.Chunk, *columnar.Chunk) {
+func runStagedCost(t testing.TB, liOpts, ordOpts lpq.WriterOptions, mutate func(*Config), wc bool) (*columnar.Chunk, *Report) {
 	t.Helper()
-	k := simclock.New()
-	dep := NewSimulated(k, 47)
+	cfg := DefaultConfig()
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	scfg := shuffled(2)
+	scfg.Exchange.Variant.WriteCombining = wc
+	scfg.Exchange.Variant.Levels = 1
 	var out *columnar.Chunk
 	var rep *Report
-	var li, orders *columnar.Chunk
-	k.Go("driver", func(p *simclock.Proc) {
-		cfg := DefaultConfig()
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		d := NewSession(dep, cfg)
-		if err := d.Install(); err != nil {
-			t.Error(err)
-			return
-		}
-		g := tpch.Gen{SF: 0.002, Seed: 33}
-		li = g.Generate()
-		orders = g.OrdersFor(li)
-		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 6, liOpts)
+	_, err := onDES(simulated(47), cfg, layout{}, func(p *simclock.Proc, d *Session, _ TableFiles) error {
+		data := tpchData(33)
+		liRefs, err := d.UploadTable(p, "tpch", "lineitem", data.lineitem, 6, liOpts)
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
-		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 3, ordOpts)
+		ordRefs, err := d.UploadTable(p, "tpch", "orders", data.orders, 3, ordOpts)
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
-		scfg := DefaultStageConfig()
-		scfg.Partitions = 2
-		scfg.BroadcastRowLimit = -1
-		scfg.Exchange.Variant.WriteCombining = wc
-		scfg.Exchange.Variant.Levels = 1
 		out, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
-		if err != nil {
-			t.Errorf("staged q12 failed: %v", err)
-		}
+		return err
 	})
-	k.Run()
-	if k.Deadlocked() {
-		t.Fatal("DES deadlocked")
+	if err != nil {
+		t.Fatalf("staged q12: %v", err)
 	}
-	if t.Failed() {
-		t.FailNow()
-	}
-	return out, rep, li, orders
+	return out, rep
 }
+
+// The filtered fact table is paged for fine-grained pruning; the unfiltered
+// orders table keeps the default layout (unpaged chunks — paging an
+// always-fully-read table would only cost compression ratio).
+var (
+	pagedOpts   = lpq.WriterOptions{RowGroupRows: 2000, PageRows: 512, Compression: lpq.Gzip}
+	unpagedOpts = lpq.WriterOptions{RowGroupRows: 2000, Compression: lpq.Gzip}
+)
 
 // TestStagedSelectiveScanCostGuard is the acceptance-criterion test of the
 // price-aware scan layer: staged q12 (selective l_receiptdate range) on v2
@@ -79,21 +65,11 @@ func TestStagedSelectiveScanCostGuard(t *testing.T) {
 		c.Scan.CoalesceGapBytes = -1
 		c.Scan.DisableLateMaterialize = true
 	}
-	// The filtered fact table is paged for fine-grained pruning; the
-	// unfiltered orders table keeps the default layout (unpaged chunks —
-	// paging an always-fully-read table would only cost compression ratio).
-	liOpts := lpq.WriterOptions{RowGroupRows: 2000, PageRows: 512, Compression: lpq.Gzip}
-	ordOpts := lpq.WriterOptions{RowGroupRows: 2000, Compression: lpq.Gzip}
-
 	for _, wc := range []bool{false, true} {
-		baseOut, baseRep, li, orders := runStagedCost(t, baseOpts, baseOpts, baseMut, wc)
-		newOut, newRep, _, _ := runStagedCost(t, liOpts, ordOpts, nil, wc)
-		newOut2, newRep2, _, _ := runStagedCost(t, liOpts, ordOpts, nil, wc)
-
-		want := singleNode(t, q12ExactSQL, engine.Catalog{
-			"lineitem": engine.NewMemSource(tpch.Schema(), li),
-			"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
-		})
+		baseOut, baseRep := runStagedCost(t, baseOpts, baseOpts, baseMut, wc)
+		newOut, newRep := runStagedCost(t, pagedOpts, unpagedOpts, nil, wc)
+		newOut2, newRep2 := runStagedCost(t, pagedOpts, unpagedOpts, nil, wc)
+		want := singleNode(t, q12ExactSQL, tpchData(33).catalog())
 		chunksIdentical(t, baseOut, want)
 		chunksIdentical(t, newOut, want)
 		chunksIdentical(t, newOut2, want)
@@ -129,52 +105,27 @@ var requestLabels = []string{
 // the query alone — uploads excluded.
 func billedRequests(t *testing.T, mutate func(*Config), query func(d *Session, env simenv.Env, tables TableFiles) error) map[string]int64 {
 	t.Helper()
-	k := simclock.New()
-	dep := NewSimulated(k, 47)
+	cfg := desConfig()
+	if mutate != nil {
+		mutate(&cfg)
+	}
 	got := map[string]int64{}
-	k.Go("driver", func(p *simclock.Proc) {
-		cfg := DefaultConfig()
-		cfg.PollInterval = 50 * time.Millisecond
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		d := NewSession(dep, cfg)
-		if err := d.Install(); err != nil {
-			t.Error(err)
-			return
-		}
-		g := tpch.Gen{SF: 0.002, Seed: 33}
-		li := g.Generate()
-		opts := lpq.WriterOptions{RowGroupRows: 2000, Compression: lpq.Gzip}
-		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, opts)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ordRefs, err := d.UploadTable(p, "tpch", "orders", g.OrdersFor(li), 2, opts)
-		if err != nil {
-			t.Error(err)
-			return
-		}
+	_, err := onDES(simulated(47), cfg, layout{Data: 33, LI: 4, Ord: 2, Opts: gzipLayout.Opts}, func(p *simclock.Proc, d *Session, tables TableFiles) error {
 		labels := append([]string{pricing.LabelLambdaRequests}, requestLabels...)
 		before := map[string]int64{}
 		for _, l := range labels {
-			before[l] = dep.Meter.Count(l)
+			before[l] = d.dep.Meter.Count(l)
 		}
-		if err := query(d, p, TableFiles{"lineitem": liRefs, "orders": ordRefs}); err != nil {
-			t.Error(err)
-			return
+		if err := query(d, p, tables); err != nil {
+			return err
 		}
 		for _, l := range labels {
-			got[l] = dep.Meter.Count(l) - before[l]
+			got[l] = d.dep.Meter.Count(l) - before[l]
 		}
+		return nil
 	})
-	k.Run()
-	if k.Deadlocked() {
-		t.Fatal("DES deadlocked")
-	}
-	if t.Failed() {
-		t.FailNow()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return got
 }
@@ -309,9 +260,7 @@ func TestExecutorRequestGuard(t *testing.T) {
 	assertRequests(t, "staged q1, orders registered", stagedQ1("lineitem", "orders"), stagedQ1("lineitem"))
 
 	staged := billedRequests(t, nil, func(d *Session, env simenv.Env, tables TableFiles) error {
-		scfg := DefaultStageConfig()
-		scfg.Partitions = 2
-		scfg.BroadcastRowLimit = -1
+		scfg := shuffled(2)
 		scfg.Exchange.Poll = 100 * time.Millisecond
 		_, _, err := d.RunSQLStaged(env, q12ExactSQL, tables, scfg)
 		return err
@@ -358,9 +307,7 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// with the launch schedule — recorded as measured.
 	twoLevel := func(wc bool) func(*Session, simenv.Env, TableFiles) error {
 		return func(d *Session, env simenv.Env, tables TableFiles) error {
-			scfg := DefaultStageConfig()
-			scfg.Partitions = 2
-			scfg.BroadcastRowLimit = -1
+			scfg := shuffled(2)
 			scfg.Exchange.Poll = 100 * time.Millisecond
 			scfg.Exchange.Variant.WriteCombining = wc
 			scfg.Exchange.Variant.Levels = 2

@@ -3,122 +3,49 @@ package driver
 import (
 	"bytes"
 	"errors"
-	"math"
 	"strings"
 	"testing"
 	"time"
 
-	"lambada/internal/awssim/simenv"
-	"lambada/internal/columnar"
 	"lambada/internal/lpq"
-	"lambada/internal/scan"
 	"lambada/internal/simclock"
 	"lambada/internal/tpch"
 )
 
-const q1SQL = `
-SELECT l_returnflag, l_linestatus,
-       SUM(l_quantity) AS sum_qty,
-       SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge,
-       AVG(l_discount) AS avg_disc,
-       COUNT(*) AS count_order
-FROM lineitem
-WHERE l_shipdate <= DATE '1998-12-01' - INTERVAL '90' DAY
-GROUP BY l_returnflag, l_linestatus
-ORDER BY l_returnflag, l_linestatus`
+// localLayout is the fixture of the goroutine-worker tests below: LINEITEM
+// alone, gzipped.
+var localLayout = layout{Data: 33, LI: 8, Opts: lpq.WriterOptions{RowGroupRows: 2000, Compression: lpq.Gzip}}
 
-const q6SQL = `
-SELECT SUM(l_extendedprice * l_discount) AS revenue
-FROM lineitem
-WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01'
-  AND l_discount BETWEEN 0.0499999 AND 0.0700001 AND l_quantity < 24`
-
-// localSetup installs Lambada on a functional deployment with uploaded data.
-func localSetup(t *testing.T, cfg Config, sf float64, nfiles int) (*Session, simenv.Env, []scan.FileRef, *columnar.Chunk) {
-	t.Helper()
-	dep := NewLocal()
-	env := simenv.NewImmediate()
-	d := NewSession(dep, cfg)
-	if err := d.Install(); err != nil {
-		t.Fatal(err)
-	}
-	data := tpch.Gen{SF: sf, Seed: 33}.Generate()
-	refs, err := d.UploadTable(env, "tpch", "lineitem", data, nfiles, lpq.WriterOptions{RowGroupRows: 2000, Compression: lpq.Gzip})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d, env, refs, data
-}
-
+// A single-scope query is a one-stage plan without a boundary: no epoch
+// fence (checked by every case), one stage of one worker per file.
 func TestEndToEndQ1Local(t *testing.T) {
-	d, env, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
-	out, rep, err := d.RunSQL(env, q1SQL, "lineitem", refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := tpch.Q1Reference(data)
-	if out.NumRows() != len(ref) {
-		t.Fatalf("groups = %d, want %d", out.NumRows(), len(ref))
-	}
-	for i, r := range ref {
-		if got := out.Column("sum_charge").Float64s[i]; math.Abs(got-r.SumCharge) > 1e-6*r.SumCharge {
-			t.Errorf("row %d sum_charge = %v, want %v", i, got, r.SumCharge)
-		}
-		if got := out.Column("count_order").Int64s[i]; got != r.Count {
-			t.Errorf("row %d count = %d, want %d", i, got, r.Count)
-		}
-		if got := out.Column("avg_disc").Float64s[i]; math.Abs(got-r.AvgDisc) > 1e-9 {
-			t.Errorf("row %d avg_disc = %v, want %v", i, got, r.AvgDisc)
-		}
-	}
-	if rep.Workers != 8 {
-		t.Errorf("workers = %d, want 8 (F=1, 8 files)", rep.Workers)
-	}
-	// A single-scope query is a one-stage plan without a boundary: no epoch
-	// fence, one stage in the report.
-	if rep.Stages != 1 || rep.Epoch != 0 || len(rep.StageStats) != 1 || rep.StageStats[0].Workers != 8 {
-		t.Errorf("stages = %d, epoch = %d, stage stats = %+v, want one unfenced 8-worker stage", rep.Stages, rep.Epoch, rep.StageStats)
-	}
-	assertQueryClean(t, d, rep.QueryID)
-	if len(rep.WorkerProcessing) != 8 {
-		t.Errorf("processing samples = %d", len(rep.WorkerProcessing))
-	}
-	if rep.TotalCost <= 0 {
-		t.Error("query reported zero cost")
-	}
-	if rep.Cost.S3Get <= 0 {
-		t.Error("no S3 read cost recorded")
-	}
+	c := genCase(1)
+	c.Layout, c.Goroutines = localLayout, true
+	runCase(t, c, wantWorkers(8), wantStages(1))
 }
 
 func TestEndToEndQ6Local(t *testing.T) {
-	d, env, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
-	out, _, err := d.RunSQL(env, q6SQL, "lineitem", refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tpch.Q6Reference(data)
-	if got := out.Column("revenue").Float64s[0]; math.Abs(got-want) > 1e-6*want {
-		t.Errorf("revenue = %v, want %v", got, want)
-	}
+	c := genCase(2)
+	c.Layout, c.Goroutines = localLayout, true
+	runCase(t, c)
 }
 
+func TestEndToEndDESDeterministic(t *testing.T) {
+	c := genCase(2)
+	c.Layout = layout{Data: 12, LI: 6, Opts: lpq.WriterOptions{RowGroupRows: 2000}}
+	runCase(t, c, wantStages(1))
+}
+
+// Q1's predicate prunes no file (Q6's year would leave two of the eight).
 func TestFilesPerWorkerControlsFleetSize(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FilesPerWorker = 4
-	d, env, refs, _ := localSetup(t, cfg, 0.002, 8)
-	// Q1's predicate prunes no file (Q6's year would leave two of the eight).
-	_, rep, err := d.RunSQL(env, q1SQL, "lineitem", refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Workers != 2 {
-		t.Errorf("workers = %d, want 2 (8 files / F=4)", rep.Workers)
-	}
+	c := genCase(1)
+	c.Layout, c.Goroutines = localLayout, true
+	runCase(t, c, configure(func(cfg *Config) { cfg.FilesPerWorker = 4 }), wantWorkers(2))
 }
 
 func TestWorkerErrorPropagates(t *testing.T) {
-	d, env, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
+	d, env, tables := goSession(t, DefaultConfig(), layout{Data: 33, LI: 2, Opts: localLayout.Opts})
+	refs := tables["lineitem"]
 	// Corrupt a data page of one input object after upload, its footer
 	// intact: the plan stands, the assigned worker fails at the page decode
 	// and reports through the result queue (§3.3: "if an error occurred ...
@@ -171,38 +98,32 @@ func TestWorkerErrorPropagates(t *testing.T) {
 	}
 }
 
+// Unknown columns are caught at driver-side optimization time — no workers
+// are invoked (and none billed).
 func TestPlanErrorCaughtBeforeInvocation(t *testing.T) {
-	d, env, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
-	// Unknown columns are caught at driver-side optimization time — no
-	// workers are invoked (and none billed).
-	before, _ := d.Deployment().Lambda.Invocations()
-	_, _, err := d.RunSQL(env, "SELECT SUM(no_such_column) AS s FROM lineitem", "lineitem", refs)
-	if err == nil {
-		t.Fatal("bad column accepted")
-	}
-	after, _ := d.Deployment().Lambda.Invocations()
-	if after != before {
-		t.Errorf("workers invoked despite plan error: %d -> %d", before, after)
-	}
+	runCase(t, planCase{Q: sqlQuery{Items: []selItem{agg("SUM(no_such_column)", "s")}, From: "lineitem"},
+		Layout: localLayout, Refused: true, Goroutines: true})
 }
 
 func TestEmptyFilesRejected(t *testing.T) {
-	d, env, _, _ := localSetup(t, DefaultConfig(), 0.001, 1)
+	d, env, _ := goSession(t, DefaultConfig(), localLayout)
 	if _, _, err := d.RunSQL(env, q6SQL, "lineitem", nil); err == nil {
 		t.Error("no-files query accepted")
 	}
 }
 
 func TestConsecutiveQueriesIsolated(t *testing.T) {
-	d, env, refs, data := localSetup(t, DefaultConfig(), 0.002, 4)
+	l := localLayout
+	l.LI = 4
+	d, env, tables := goSession(t, DefaultConfig(), l)
+	want := singleNode(t, q6SQL, tpchData(l.Data).catalog())
 	for i := 0; i < 3; i++ {
-		out, rep, err := d.RunSQL(env, q6SQL, "lineitem", refs)
+		out, rep, err := d.RunSQL(env, q6SQL, "lineitem", tables["lineitem"])
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		want := tpch.Q6Reference(data)
-		if got := out.Column("revenue").Float64s[0]; math.Abs(got-want) > 1e-6*want {
-			t.Errorf("query %d: revenue drifted: %v != %v", i, got, want)
+		if err := sameRows(out, want, 1e-9); err != nil {
+			t.Errorf("query %d: %v", i, err)
 		}
 		if rep.QueryID == "" {
 			t.Error("missing query id")
@@ -210,113 +131,34 @@ func TestConsecutiveQueriesIsolated(t *testing.T) {
 	}
 }
 
-func TestEndToEndDESDeterministic(t *testing.T) {
-	// The same query on the DES deployment: exact result, virtual-time
-	// latency, full cost accounting — and bit-identical across runs.
-	run := func() (float64, time.Duration, float64, int) {
-		k := simclock.New()
-		dep := NewSimulated(k, 99)
-		var revenue float64
-		var dur time.Duration
-		var cost float64
-		var cold int
-		k.Go("driver", func(p *simclock.Proc) {
-			cfg := DefaultConfig()
-			cfg.PollInterval = 50 * time.Millisecond
-			d := NewSession(dep, cfg)
-			if err := d.Install(); err != nil {
-				t.Error(err)
-				return
-			}
-			data := tpch.Gen{SF: 0.002, Seed: 12}.Generate()
-			refs, err := d.UploadTable(p, "tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			out, rep, err := d.RunSQL(p, q6SQL, "lineitem", refs)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			revenue = out.Column("revenue").Float64s[0]
-			dur = rep.Duration
-			cost = rep.TotalCost
-			cold = rep.ColdWorkers
-		})
-		k.Run()
-		if k.Deadlocked() {
-			t.Fatal("DES deadlocked")
-		}
-		return revenue, dur, cost, cold
-	}
-	r1, d1, c1, cold1 := run()
-	r2, d2, c2, _ := run()
-	if r1 != r2 || d1 != d2 || c1 != c2 {
-		t.Errorf("DES runs not deterministic: (%v,%v,%v) vs (%v,%v,%v)", r1, d1, c1, r2, d2, c2)
-	}
-	data := tpch.Gen{SF: 0.002, Seed: 12}.Generate()
-	want := tpch.Q6Reference(data)
-	if math.Abs(r1-want) > 1e-6*want {
-		t.Errorf("DES revenue = %v, want %v", r1, want)
-	}
-	if d1 <= 0 || d1 > time.Minute {
-		t.Errorf("virtual duration = %v, want interactive range", d1)
-	}
-	if cold1 == 0 {
-		t.Error("fresh function reported no cold starts")
-	}
-	if c1 <= 0 {
-		t.Error("no cost recorded")
-	}
-}
-
 func TestHotRunFasterThanCold(t *testing.T) {
-	k := simclock.New()
-	dep := NewSimulated(k, 4)
-	var coldDur, hotDur time.Duration
-	k.Go("driver", func(p *simclock.Proc) {
-		cfg := DefaultConfig()
-		cfg.PollInterval = 50 * time.Millisecond
-		d := NewSession(dep, cfg)
-		if err := d.Install(); err != nil {
-			t.Error(err)
-			return
-		}
-		data := tpch.Gen{SF: 0.002, Seed: 5}.Generate()
-		refs, err := d.UploadTable(p, "tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
+	var rep1, rep2 *Report
+	_, err := onDES(simulated(4), desConfig(), layout{Data: 5, LI: 6, Opts: lpq.WriterOptions{RowGroupRows: 2000}}, func(p *simclock.Proc, d *Session, tables TableFiles) error {
+		_, r, err := d.RunSQL(p, q6SQL, "lineitem", tables["lineitem"])
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
-		_, rep1, err := d.RunSQL(p, q6SQL, "lineitem", refs)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		coldDur = rep1.Duration
 		// Think time (usage model, Figure 2) — lets every container of the
 		// cold run return to the warm pool.
 		p.Sleep(30 * time.Second)
-		_, rep2, err := d.RunSQL(p, q6SQL, "lineitem", refs)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		hotDur = rep2.Duration
-		// Run 1 is mostly cold; run 2 mostly warm. (A run-1 worker that
-		// finishes before the fleet is fully launched is reused, so the
-		// container pool can be one short of the fleet — exactly one cold
-		// start may remain, as on real AWS.)
-		if rep1.ColdWorkers < rep1.Workers-1 {
-			t.Errorf("first run had only %d/%d cold workers", rep1.ColdWorkers, rep1.Workers)
-		}
-		if rep2.ColdWorkers > 1 {
-			t.Errorf("second run had %d cold workers", rep2.ColdWorkers)
-		}
+		rep1 = r
+		_, rep2, err = d.RunSQL(p, q6SQL, "lineitem", tables["lineitem"])
+		return err
 	})
-	k.Run()
-	if hotDur >= coldDur {
-		t.Errorf("hot run (%v) not faster than cold (%v)", hotDur, coldDur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Run 1 is mostly cold; run 2 mostly warm. (A run-1 worker that finishes
+	// before the fleet is fully launched is reused, so the container pool can
+	// be one short of the fleet — exactly one cold start may remain, as on
+	// real AWS.)
+	if rep1.ColdWorkers < rep1.Workers-1 {
+		t.Errorf("first run had only %d/%d cold workers", rep1.ColdWorkers, rep1.Workers)
+	}
+	if rep2.ColdWorkers > 1 {
+		t.Errorf("second run had %d cold workers", rep2.ColdWorkers)
+	}
+	if rep2.Duration >= rep1.Duration {
+		t.Errorf("hot run (%v) not faster than cold (%v)", rep2.Duration, rep1.Duration)
 	}
 }

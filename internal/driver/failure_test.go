@@ -134,7 +134,7 @@ func TestConcurrencyLimitRejectsInvocations(t *testing.T) {
 func TestWorkerOOMReported(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WorkerMemoryMiB = 192 // budget after headroom: ~1 MiB
-	d, env, _, _ := localSetup(t, cfg, 0.001, 1)
+	d, env, _ := goSession(t, cfg, layout{})
 	// Rebuild the table with one huge row group so a single chunk exceeds
 	// the worker's engine budget.
 	data := tpch.Gen{SF: 0.02, Seed: 3}.Generate() // ~120k rows ≈ 12 MB chunks
@@ -158,7 +158,7 @@ func TestWorkerOOMReported(t *testing.T) {
 // full-size worker — the OOM above is a function of worker memory, not a
 // data defect.
 func TestBigWorkerHandlesSameInput(t *testing.T) {
-	d, env, _, _ := localSetup(t, DefaultConfig(), 0.001, 1)
+	d, env, _ := goSession(t, DefaultConfig(), layout{})
 	data := tpch.Gen{SF: 0.02, Seed: 3}.Generate()
 	refs, err := d.UploadTable(env, "big", "lineitem", data, 1, lpq.WriterOptions{RowGroupRows: 1 << 20})
 	if err != nil {

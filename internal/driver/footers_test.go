@@ -44,45 +44,24 @@ func planningReads(t *testing.T, rep *Report) (reads int64, launch time.Duration
 	return reads, first - start
 }
 
-// footerSession is a traced DES session with lineitem in four files and
-// orders in two, and the stage configuration the tests below run q12 with.
-func footerSession(t *testing.T, k *simclock.Kernel, run func(p *simclock.Proc, sess *Session, tables TableFiles, scfg StageConfig)) (li, orders *columnar.Chunk) {
+// footerSession runs body on a traced DES session over lineitem in four
+// files and orders in two, with the stage configuration the tests below run
+// q12 with.
+func footerSession(t *testing.T, body func(p *simclock.Proc, sess *Session, tables TableFiles, scfg StageConfig)) {
 	t.Helper()
-	dep := NewSimulated(k, 71)
-	dep.EnableTracing(obs.New())
-	cfg := DefaultConfig()
-	cfg.PollInterval = 50 * time.Millisecond
-	sess := NewSession(dep, cfg)
-	g := tpch.Gen{SF: 0.002, Seed: 33}
-	li = g.Generate()
-	orders = g.OrdersFor(li)
-	k.Go("driver", func(p *simclock.Proc) {
-		if err := sess.Install(); err != nil {
-			t.Error(err)
-			return
-		}
-		opts := lpq.WriterOptions{RowGroupRows: 2000}
-		liRefs, err := sess.UploadTable(p, "tpch", "lineitem", li, 4, opts)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ordRefs, err := sess.UploadTable(p, "tpch", "orders", orders, 2, opts)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		scfg := DefaultStageConfig()
-		scfg.Partitions = 2
-		scfg.BroadcastRowLimit = -1
-		scfg.Exchange.Poll = 100 * time.Millisecond
-		run(p, sess, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+	scfg := shuffled(2)
+	scfg.Exchange.Poll = 100 * time.Millisecond
+	_, err := onDES(func(k *simclock.Kernel) *Deployment {
+		dep := NewSimulated(k, 71)
+		dep.EnableTracing(obs.New())
+		return dep
+	}, desConfig(), layout{Data: 33, LI: 4, Ord: 2, Opts: stdLayout.Opts}, func(p *simclock.Proc, sess *Session, tables TableFiles) error {
+		body(p, sess, tables, scfg)
+		return nil
 	})
-	k.Run()
-	if k.Deadlocked() {
-		t.Fatal("DES deadlocked")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return li, orders
 }
 
 // TestSessionReadsFootersOnce: the first query on a session opens the six
@@ -92,10 +71,9 @@ func footerSession(t *testing.T, k *simclock.Kernel, run func(p *simclock.Proc, 
 // a byte-identical result. InvalidateTable drops the footers with the
 // results: the next query pays the window again.
 func TestSessionReadsFootersOnce(t *testing.T) {
-	k := simclock.New()
 	var outs []*columnar.Chunk
 	var reps []*Report
-	li, orders := footerSession(t, k, func(p *simclock.Proc, sess *Session, tables TableFiles, scfg StageConfig) {
+	footerSession(t, func(p *simclock.Proc, sess *Session, tables TableFiles, scfg StageConfig) {
 		staged := func() {
 			out, rep, err := sess.RunSQLStaged(p, q12ExactSQL, tables, scfg)
 			if err != nil {
@@ -116,16 +94,11 @@ func TestSessionReadsFootersOnce(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	want := singleNode(t, q12ExactSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
-	})
+	cat := tpchData(33).catalog()
 	for _, i := range []int{0, 1, 3} {
-		chunksIdentical(t, outs[i], want)
+		chunksIdentical(t, outs[i], singleNode(t, q12ExactSQL, cat))
 	}
-	chunksIdentical(t, outs[2], singleNode(t, launchMatrixSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-	}))
+	chunksIdentical(t, outs[2], singleNode(t, launchMatrixSQL, cat))
 
 	var launches []time.Duration
 	for i, wantReads := range []int64{6, 0, 0, 6} {
@@ -154,16 +127,8 @@ func TestConcurrentColdQueriesBothRead(t *testing.T) {
 	k := simclock.New()
 	dep := NewSimulated(k, 71)
 	dep.EnableTracing(obs.New())
-	cfg := DefaultConfig()
-	cfg.PollInterval = 50 * time.Millisecond
-	sess := NewSession(dep, cfg)
-	r := runSessionConcurrentQ12(t, sess, k, dep, 0, 2)
-	g := tpch.Gen{SF: 0.002, Seed: 33}
-	li := g.Generate()
-	want := singleNode(t, q12ExactSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-		"orders":   engine.NewMemSource(tpch.OrdersSchema(), g.OrdersFor(li)),
-	})
+	r := runSessionConcurrentQ12(t, NewSession(dep, desConfig()), k, dep, 0, 2)
+	want := singleNode(t, q12ExactSQL, tpchData(33).catalog())
 	for i, rep := range r.reps {
 		if rep == nil {
 			t.Fatalf("query %d did not finish", i)
@@ -181,11 +146,10 @@ func TestConcurrentColdQueriesBothRead(t *testing.T) {
 // between): the query itself is none the worse, and the next one pays the
 // window again.
 func TestInvalidationDuringPlanningStoresNothing(t *testing.T) {
-	k := simclock.New()
 	var outs []*columnar.Chunk
 	var reps []*Report
-	li, orders := footerSession(t, k, func(p *simclock.Proc, sess *Session, tables TableFiles, scfg StageConfig) {
-		k.Go("invalidate", func(q *simclock.Proc) {
+	footerSession(t, func(p *simclock.Proc, sess *Session, tables TableFiles, scfg StageConfig) {
+		p.Kernel().Go("invalidate", func(q *simclock.Proc) {
 			q.Sleep(5 * time.Millisecond) // every first-byte latency is longer
 			sess.InvalidateResultCache()
 		})
@@ -200,10 +164,7 @@ func TestInvalidationDuringPlanningStoresNothing(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	want := singleNode(t, q12ExactSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
-	})
+	want := singleNode(t, q12ExactSQL, tpchData(33).catalog())
 	for i, rep := range reps {
 		chunksIdentical(t, outs[i], want)
 		if reads, _ := planningReads(t, rep); reads != 6 {
@@ -270,15 +231,13 @@ GROUP BY l_returnflag ORDER BY l_returnflag`
 // a plan over a table that is not registered does not plan, and is refused
 // before it has billed a read.
 func TestPlanningReadsOnlyScannedTables(t *testing.T) {
-	d, env, tables, li, _ := stagedSetup(t, 0.002, 4, 2)
+	d, env, tables := goSession(t, DefaultConfig(), layout{Data: 33, LI: 4, Ord: 2, Opts: gzipLayout.Opts})
 	tables["orders"] = []scan.FileRef{{Bucket: "tpch", Key: "orders/gone.lpq"}}
 	out, _, err := d.RunSQLStaged(env, launchMatrixSQL, tables, DefaultStageConfig())
 	if err != nil {
 		t.Fatalf("query over lineitem with a file of orders missing: %v", err)
 	}
-	chunksIdentical(t, out, singleNode(t, launchMatrixSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-	}))
+	chunksIdentical(t, out, singleNode(t, launchMatrixSQL, tpchData(33).catalog()))
 
 	before := d.dep.Meter.Count(pricing.LabelS3Read)
 	_, _, err = d.RunSQLStaged(env, q12ExactSQL, TableFiles{"lineitem": tables["lineitem"]}, DefaultStageConfig())

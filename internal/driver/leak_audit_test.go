@@ -2,6 +2,7 @@ package driver
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -19,6 +20,14 @@ import (
 // workers it first waits out containers the query left running.
 func assertQueryClean(t *testing.T, sess *Session, queryID string) {
 	t.Helper()
+	if err := queryLeaks(sess, queryID); err != nil {
+		t.Error(err)
+	}
+}
+
+// queryLeaks is assertQueryClean's audit: the first thing of the query left
+// behind, or nil.
+func queryLeaks(sess *Session, queryID string) error {
 	dep, cfg := sess.dep, sess.cfg
 	for deadline := time.Now().Add(5 * time.Second); dep.Lambda.Running() > 0 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
@@ -34,8 +43,7 @@ func assertQueryClean(t *testing.T, sess *Session, queryID string) {
 			break
 		}
 		if err == nil || try == 16 {
-			t.Errorf("%s: result queue %s outlived the query (err = %v)", queryID, queue, err)
-			break
+			return fmt.Errorf("%s: result queue %s outlived the query (err = %v)", queryID, queue, err)
 		}
 	}
 
@@ -48,14 +56,15 @@ func assertQueryClean(t *testing.T, sess *Session, queryID string) {
 		}
 		entries, err := client.List(b, prefix)
 		if err != nil {
-			t.Fatalf("%s: listing %s: %v", queryID, b, err)
+			return fmt.Errorf("%s: listing %s: %v", queryID, b, err)
 		}
 		if len(entries) != 0 {
-			t.Errorf("%s: %d objects left under %s in %s (first: %s)", queryID, len(entries), prefix, b, entries[0].Key)
+			return fmt.Errorf("%s: %d objects left under %s in %s (first: %s)", queryID, len(entries), prefix, b, entries[0].Key)
 		}
 	}
 
 	if adm := sess.admission; adm != nil && adm.InFlight() != 0 {
-		t.Errorf("%s: %d admission tokens still held", queryID, adm.InFlight())
+		return fmt.Errorf("%s: %d admission tokens still held", queryID, adm.InFlight())
 	}
+	return nil
 }

@@ -13,75 +13,16 @@ import (
 	"lambada/internal/lpq"
 	"lambada/internal/scan"
 	"lambada/internal/simclock"
-	"lambada/internal/tpch"
 )
 
 // TestEntrancesPlanAlike: which entrance a query comes in by decides nothing.
-// On twin DES deployments of one seed, RunSQL and RunSQLStaged at its default
-// configuration return byte-identical rows, the same fleet and the same bill
-// — for q1 and q6, whose partials merge on the driver, and for GROUP BY
-// l_orderkey, which at this scale (30 000 order keys × 4 workers) the footers
-// do not bound under the limit and which repartitions through either.
+// A case over one table at the default configuration replays through
+// RunSQL, and the harness requires byte-identical rows, the same fleet and
+// the same bill: q1 and q6 (generated seeds 1 and 2) merge on the driver,
+// and GROUP BY l_partkey repartitions through either.
 func TestEntrancesPlanAlike(t *testing.T) {
-	run := func(sql string, staged bool) (*columnar.Chunk, *Report) {
-		k := simclock.New()
-		dep := NewSimulated(k, 83)
-		var out *columnar.Chunk
-		var rep *Report
-		k.Go("driver", func(p *simclock.Proc) {
-			cfg := DefaultConfig()
-			cfg.PollInterval = 50 * time.Millisecond
-			d := NewSession(dep, cfg)
-			if err := d.Install(); err != nil {
-				t.Error(err)
-				return
-			}
-			refs, err := d.UploadTable(p, "tpch", "lineitem", tpch.Gen{SF: 0.02, Seed: 5}.Generate(), 4, lpq.WriterOptions{RowGroupRows: 8192})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if staged {
-				out, rep, err = d.RunSQLStaged(p, sql, TableFiles{"lineitem": refs}, DefaultStageConfig())
-			} else {
-				out, rep, err = d.RunSQL(p, sql, "lineitem", refs)
-			}
-			if err != nil {
-				t.Error(err)
-			}
-		})
-		k.Run()
-		if k.Deadlocked() {
-			t.Fatal("DES deadlocked")
-		}
-		if t.Failed() {
-			t.FailNow()
-		}
-		return out, rep
-	}
-	for _, tc := range []struct {
-		name, sql string
-		stages    int
-	}{
-		{"q1", q1SQL, 1},
-		{"q6", q6SQL, 1},
-		{"group by l_orderkey", `SELECT l_orderkey, COUNT(*) AS n, SUM(l_linenumber) AS lines FROM lineitem GROUP BY l_orderkey ORDER BY l_orderkey`, 2},
-	} {
-		plain, plainRep := run(tc.sql, false)
-		staged, stagedRep := run(tc.sql, true)
-		chunksIdentical(t, staged, plain)
-		if plainRep.Stages != tc.stages || stagedRep.Stages != tc.stages || plainRep.Workers != stagedRep.Workers {
-			t.Errorf("%s: RunSQL ran %d stages / %d workers, RunSQLStaged %d / %d, want %d stages and equal fleets",
-				tc.name, plainRep.Stages, plainRep.Workers, stagedRep.Stages, stagedRep.Workers, tc.stages)
-		}
-		if plainRep.Cost != stagedRep.Cost || plainRep.Duration != stagedRep.Duration {
-			t.Errorf("%s: RunSQL billed %+v in %v\nRunSQLStaged billed %+v in %v", tc.name, plainRep.Cost, plainRep.Duration, stagedRep.Cost, stagedRep.Duration)
-		}
-		// The repartitioned aggregate shows as a boundary under stage 0.
-		if boundary := plainRep.StageStats[0].Variant != ""; boundary != (tc.stages == 2) {
-			t.Errorf("%s: stage 0 boundary %q in a %d-stage plan", tc.name, plainRep.StageStats[0].Variant, tc.stages)
-		}
-	}
+	q := groupBy("l_partkey", agg("COUNT(*)", "n"), agg("SUM(l_linenumber)", "lines"))
+	runCase(t, planCase{Q: q, Layout: stdLayout, Default: true}, wantStages(2))
 }
 
 // TestSchedulerRunsAtBenchShapes pins the stage runs the scheduler makes of
@@ -94,9 +35,6 @@ func TestEntrancesPlanAlike(t *testing.T) {
 // one listed bucket makes its 2 × 256 boundaries cheaper single-round, so
 // the two 16-worker regroup fleets are gone.
 func TestSchedulerRunsAtBenchShapes(t *testing.T) {
-	g := tpch.Gen{SF: 0.002, Seed: 33}
-	li := g.Generate()
-	orders := g.OrdersFor(li)
 	type run struct {
 		stage   int
 		regroup bool
@@ -111,38 +49,15 @@ func TestSchedulerRunsAtBenchShapes(t *testing.T) {
 		{"staged_des", 30, []run{{1, false, 2, "1l-wc"}, {2, false, 2, "1l-wc"}, {0, false, 30, ""}}},
 		{"fleet_des", 256, []run{{1, false, 2, "1l-wc"}, {2, false, 2, "1l-wc"}, {0, false, 256, ""}}},
 	} {
-		k := simclock.New()
-		dep := NewSimulated(k, 7)
 		var rep *Report
-		k.Go("driver", func(p *simclock.Proc) {
-			cfg := DefaultConfig()
-			cfg.PollInterval = 50 * time.Millisecond
-			d := NewSession(dep, cfg)
-			if err := d.Install(); err != nil {
-				t.Error(err)
-				return
-			}
-			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			scfg := DefaultStageConfig()
-			scfg.Partitions = tc.parts
-			scfg.BroadcastRowLimit = -1
+		_, err := onDES(simulated(7), desConfig(), layout{Data: 33, LI: 4, Ord: 2, Opts: stdLayout.Opts}, func(p *simclock.Proc, d *Session, tables TableFiles) (err error) {
+			scfg := shuffled(tc.parts)
 			scfg.Exchange.Poll = 100 * time.Millisecond
-			if _, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg); err != nil {
-				t.Error(err)
-			}
+			_, rep, err = d.RunSQLStaged(p, q12ExactSQL, tables, scfg)
+			return err
 		})
-		k.Run()
-		if k.Deadlocked() || rep == nil {
-			t.Fatalf("%s: no report (deadlocked: %v)", tc.name, k.Deadlocked())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		var got []run
 		for _, ss := range rep.StageStats {
@@ -160,7 +75,8 @@ func TestSchedulerRunsAtBenchShapes(t *testing.T) {
 // wrong vector. The planner holds every footer: it refuses the query, typed,
 // naming table and object, before any worker is invoked.
 func TestSchemaMismatchFailsAtPlanTime(t *testing.T) {
-	d, env, refs, data := localSetup(t, DefaultConfig(), 0.002, 8)
+	d, env, tables := goSession(t, DefaultConfig(), localLayout)
+	refs, data := tables["lineitem"], tpchData(localLayout.Data).lineitem
 	// File 5 again, with l_quantity as BIGINT.
 	schema := &columnar.Schema{Fields: append([]columnar.Field(nil), data.Schema.Fields...)}
 	qi := schema.Index("l_quantity")

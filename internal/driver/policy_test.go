@@ -22,7 +22,7 @@ import (
 // without the policy the driver's clients made up to ten unbudgeted,
 // uncounted retries per call.)
 func TestChaosDriverS3CallsJoinTheBudget(t *testing.T) {
-	clean := runStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment { return NewSimulated(k, 71) }, nil)
+	clean := runStagedChaosQ12(t, simulated(71), nil)
 	mkChaos := func(k *simclock.Kernel) *Deployment {
 		return NewChaos(k, 71, faults.Plan{Seed: 2, Rules: []faults.Rule{
 			{Op: faults.OpS3Get, Kind: faults.KindTransient, Count: 2},

@@ -9,11 +9,8 @@ import (
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/awssim/sqs"
 	"lambada/internal/columnar"
-	"lambada/internal/engine"
-	"lambada/internal/lpq"
 	"lambada/internal/obs"
 	"lambada/internal/simclock"
-	"lambada/internal/tpch"
 )
 
 // TestDeterministicMeansNoHostThreads: a worker starts no host thread on
@@ -62,24 +59,11 @@ func runSessionConcurrentQ12(t *testing.T, sess *Session, k *simclock.Kernel, de
 	}
 	done := 0
 	k.Go("setup", func(p *simclock.Proc) {
-		if err := sess.Install(); err != nil {
-			t.Error(err)
-			return
-		}
-		g := tpch.Gen{SF: 0.002, Seed: 33}
-		li := g.Generate()
-		orders := g.OrdersFor(li)
-		liRefs, err := sess.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
+		tables, err := layout{Data: 33, LI: 4, Ord: 2, Opts: stdLayout.Opts}.upload(p, sess)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ordRefs, err := sess.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		tables := TableFiles{"lineitem": liRefs, "orders": ordRefs}
 		before := dep.Meter.Cost()
 		for i := 0; i < K; i++ {
 			i := i
@@ -88,9 +72,7 @@ func runSessionConcurrentQ12(t *testing.T, sess *Session, k *simclock.Kernel, de
 					done++
 					simenv.BroadcastKey(p, "test/done")
 				}()
-				scfg := DefaultStageConfig()
-				scfg.Partitions = 2 + i%2
-				scfg.BroadcastRowLimit = -1
+				scfg := shuffled(2 + i%2)
 				scfg.Exchange.Poll = 100 * time.Millisecond
 				scfg.Exchange.Variant.Levels = levels
 				out, rep, err := sess.RunSQLStaged(p, q12ExactSQL, tables, scfg)
@@ -141,16 +123,11 @@ func runSessionConcurrentQ12(t *testing.T, sess *Session, k *simclock.Kernel, de
 func TestSessionConcurrentStagedByteIdentical(t *testing.T) {
 	const K, maxInFlight = 4, 12
 	// Sequential one-shot baseline on a fresh classic driver.
-	d, env, tables, li, orders := stagedSetup(t, 0.002, 4, 2)
-	want := singleNode(t, q12ExactSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
-	})
+	d, env, tables := goSession(t, DefaultConfig(), layout{Data: 33, LI: 4, Ord: 2, Opts: stdLayout.Opts})
+	want := singleNode(t, q12ExactSQL, tpchData(33).catalog())
 	oneShot := map[int]*columnar.Chunk{}
 	for _, levels := range []int{1, 2} {
-		scfg := DefaultStageConfig()
-		scfg.Partitions = 2
-		scfg.BroadcastRowLimit = -1
+		scfg := shuffled(2)
 		scfg.Exchange.Variant.Levels = levels
 		out, _, err := d.RunSQLStaged(env, q12ExactSQL, tables, scfg)
 		if err != nil {
@@ -163,8 +140,7 @@ func TestSessionConcurrentStagedByteIdentical(t *testing.T) {
 	run := func(levels int) (sessionRun, *Session) {
 		k := simclock.New()
 		dep := NewSimulated(k, 71)
-		cfg := DefaultConfig()
-		cfg.PollInterval = 50 * time.Millisecond
+		cfg := desConfig()
 		cfg.MaxInFlight = maxInFlight
 		sess := NewSession(dep, cfg)
 		return runSessionConcurrentQ12(t, sess, k, dep, levels, K), sess
@@ -221,8 +197,7 @@ func TestSessionChaosConcurrentQueries(t *testing.T) {
 	run := func() ([]*columnar.Chunk, time.Duration, int) {
 		k := simclock.New()
 		dep := NewChaos(k, 71, chaosPlanQ12())
-		cfg := DefaultConfig()
-		cfg.PollInterval = 50 * time.Millisecond
+		cfg := desConfig()
 		cfg.MaxInFlight = 10
 		// Speculation is what recovers the mid-run crash — without it the
 		// crashed worker's seal never arrives and its stage can't finish.
@@ -240,13 +215,7 @@ func TestSessionChaosConcurrentQueries(t *testing.T) {
 	if injected == 0 {
 		t.Fatal("chaos plan injected nothing")
 	}
-	g := tpch.Gen{SF: 0.002, Seed: 33}
-	li := g.Generate()
-	orders := g.OrdersFor(li)
-	want := singleNode(t, q12ExactSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
-	})
+	want := singleNode(t, q12ExactSQL, tpchData(33).catalog())
 	for i := range outs1 {
 		if outs1[i] == nil || outs2[i] == nil {
 			t.Fatalf("query %d produced no result under chaos", i)
@@ -266,39 +235,23 @@ func TestSessionChaosConcurrentQueries(t *testing.T) {
 // byte-identical.
 func TestSessionEpochFenceAcrossSessions(t *testing.T) {
 	dep := NewLocal()
-	env := simenv.NewImmediate()
-	cfg := DefaultConfig()
-
-	runOn := func(sess *Session) *columnar.Chunk {
+	runOn := func() *columnar.Chunk {
 		t.Helper()
-		if err := sess.Install(); err != nil {
-			t.Fatal(err)
-		}
-		g := tpch.Gen{SF: 0.002, Seed: 11}
-		li := g.Generate()
-		orders := g.OrdersFor(li)
-		liRefs, err := sess.UploadTable(env, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ordRefs, err := sess.UploadTable(env, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		scfg := DefaultStageConfig()
-		scfg.Partitions = 2
-		scfg.BroadcastRowLimit = -1
-		out, _, err := sess.RunSQLStaged(env, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+		var out *columnar.Chunk
+		_, err := onGoroutines(dep, DefaultConfig(), stdLayout, func(env simenv.Env, sess *Session, tables TableFiles) (err error) {
+			out, _, err = sess.RunSQLStaged(env, q12ExactSQL, tables, shuffled(2))
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-
-	out1 := runOn(NewSession(dep, cfg))
-	out2 := runOn(NewSession(dep, cfg))
+	out1 := runOn()
+	out2 := runOn()
 	chunksIdentical(t, out2, out1)
 
+	env := simenv.NewImmediate()
 	table := stagesTableName(DefaultConfig().FunctionName)
 	v, err := dep.Dynamo.Get(env, table, epochKey("q1"))
 	if err != nil {
@@ -315,11 +268,8 @@ func TestSessionEpochFenceAcrossSessions(t *testing.T) {
 // accumulate queues, and a zombie posting after teardown gets
 // ErrNoSuchQueue rather than poisoning a later query.
 func TestPerQueryQueueTeardown(t *testing.T) {
-	d, env, tables, _, _ := stagedSetup(t, 0.002, 4, 2)
-	cfg := DefaultStageConfig()
-	cfg.Partitions = 2
-	cfg.BroadcastRowLimit = -1
-	if _, _, err := d.RunSQLStaged(env, q12ExactSQL, tables, cfg); err != nil {
+	d, env, tables := goSession(t, DefaultConfig(), stdLayout)
+	if _, _, err := d.RunSQLStaged(env, q12ExactSQL, tables, shuffled(2)); err != nil {
 		t.Fatal(err)
 	}
 	q1 := queryQueueName(d.cfg.ResultQueue, "q1")
@@ -337,29 +287,11 @@ func TestPerQueryQueueTeardown(t *testing.T) {
 // invalidation paths (by table, and the implicit clear on re-upload) force
 // a fresh run.
 func TestSessionResultCache(t *testing.T) {
-	dep := NewLocal()
-	env := simenv.NewImmediate()
 	cfg := DefaultConfig()
 	cfg.ResultCacheEntries = 4
-	sess := NewSession(dep, cfg)
-	if err := sess.Install(); err != nil {
-		t.Fatal(err)
-	}
-	g := tpch.Gen{SF: 0.002, Seed: 11}
-	li := g.Generate()
-	orders := g.OrdersFor(li)
-	liRefs, err := sess.UploadTable(env, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ordRefs, err := sess.UploadTable(env, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := TableFiles{"lineitem": liRefs, "orders": ordRefs}
-	scfg := DefaultStageConfig()
-	scfg.Partitions = 2
-	scfg.BroadcastRowLimit = -1
+	sess, env, tables := goSession(t, cfg, stdLayout)
+	liRefs, data := tables["lineitem"], tpchData(stdLayout.Data)
+	scfg := shuffled(2)
 
 	out1, rep1, err := sess.RunSQLStaged(env, q12ExactSQL, tables, scfg)
 	if err != nil {
@@ -392,7 +324,7 @@ func TestSessionResultCache(t *testing.T) {
 
 	// Re-uploading a table overwrites objects in place under the same file
 	// references, so the upload clears the cache wholesale.
-	if _, err := sess.UploadTable(env, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000}); err != nil {
+	if _, err := sess.UploadTable(env, "tpch", "lineitem", data.lineitem, 4, stdLayout.Opts); err != nil {
 		t.Fatal(err)
 	}
 	if _, rep4, err := sess.RunSQLStaged(env, q12ExactSQL, tables, scfg); err != nil {
@@ -411,7 +343,7 @@ func TestSessionResultCache(t *testing.T) {
 		t.Errorf("repeated RunSQL: hit = %v, err = %v, want a cache hit", rep != nil && rep.CacheHit, err)
 	}
 	for i := 0; i < 2; i++ {
-		out, rep, err := sess.runSQL(env, q12ExactSQL, TableFiles{"lineitem": liRefs}, map[string]*columnar.Chunk{"orders": orders}, DefaultStageConfig())
+		out, rep, err := sess.runSQL(env, q12ExactSQL, TableFiles{"lineitem": liRefs}, map[string]*columnar.Chunk{"orders": data.orders}, DefaultStageConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,41 +369,23 @@ FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag`
 // peak respects the cap, the result is the single node's, and nothing is
 // left behind.
 func TestLaunchMatrix(t *testing.T) {
-	data := tpch.Gen{SF: 0.002, Seed: 33}.Generate()
-	want := singleNode(t, launchMatrixSQL, engine.Catalog{"lineitem": engine.NewMemSource(tpch.Schema(), data)})
+	want := singleNode(t, launchMatrixSQL, tpchData(33).catalog())
 	for _, fleet := range []int{1, 3, 4, 17} {
 		for _, tree := range []bool{true, false} {
 			for _, maxInFlight := range []int{0, 2, 32} {
-				k := simclock.New()
-				dep := NewSimulated(k, 71)
-				cfg := DefaultConfig()
-				cfg.PollInterval = 50 * time.Millisecond
+				cfg := desConfig()
 				cfg.TreeInvoke = tree
 				cfg.MaxInFlight = maxInFlight
-				sess := NewSession(dep, cfg)
 				var out *columnar.Chunk
 				var rep *Report
-				k.Go("driver", func(p *simclock.Proc) {
-					if err := sess.Install(); err != nil {
-						t.Error(err)
-						return
-					}
-					refs, err := sess.UploadTable(p, "tpch", "lineitem", data, fleet, lpq.WriterOptions{RowGroupRows: 2000})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if out, rep, err = sess.RunSQL(p, launchMatrixSQL, "lineitem", refs); err != nil {
-						t.Error(err)
-					}
+				sess, err := onDES(simulated(71), cfg, layout{Data: 33, LI: fleet, Opts: stdLayout.Opts}, func(p *simclock.Proc, sess *Session, tables TableFiles) (err error) {
+					out, rep, err = sess.RunSQL(p, launchMatrixSQL, "lineitem", tables["lineitem"])
+					return err
 				})
-				k.Run()
-				if k.Deadlocked() {
-					t.Fatalf("fleet %d tree %v cap %d: DES deadlocked", fleet, tree, maxInFlight)
+				if err != nil {
+					t.Fatalf("fleet %d tree %v cap %d: %v", fleet, tree, maxInFlight, err)
 				}
-				if t.Failed() {
-					t.FailNow()
-				}
+				dep := sess.dep
 				chunksIdentical(t, out, want)
 				invoked, _ := dep.Lambda.Invocations()
 				if rep.Workers != fleet || invoked != int64(fleet) || len(rep.WorkerProcessing) != fleet {

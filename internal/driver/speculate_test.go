@@ -1,14 +1,12 @@
 package driver
 
 import (
+	"lambada/internal/columnar"
 	"math"
 	"testing"
 	"time"
 
-	"lambada/internal/engine"
-	"lambada/internal/lpq"
 	"lambada/internal/simclock"
-	"lambada/internal/tpch"
 )
 
 // q6AllYearsSQL is Q6 with its year widened to every ship date, so that no
@@ -22,59 +20,35 @@ WHERE l_shipdate >= DATE '1992-01-01' AND l_shipdate < DATE '1999-01-01'
 // q6AllYearsRevenue is its single-node answer over the fixture's data.
 func q6AllYearsRevenue(t *testing.T) float64 {
 	t.Helper()
-	data := tpch.Gen{SF: 0.002, Seed: 41}.Generate()
-	want := singleNode(t, q6AllYearsSQL, engine.Catalog{"lineitem": engine.NewMemSource(tpch.Schema(), data)})
-	return want.Column("revenue").Float64s[0]
+	return singleNode(t, q6AllYearsSQL, tpchData(41).catalog()).Column("revenue").Float64s[0]
 }
 
 // runWithStraggler runs that query on the DES deployment with worker 2
 // stalled for stall and the given speculation policy; it returns the query
-// latency and the backup-invocation count.
+// latency, the backup-invocation count and the revenue.
 func runWithStraggler(t *testing.T, stall time.Duration, spec SpeculateConfig) (time.Duration, int, float64) {
 	t.Helper()
-	k := simclock.New()
-	dep := NewSimulated(k, 77)
-	var dur time.Duration
-	var speculated int
-	var revenue float64
-	k.Go("driver", func(p *simclock.Proc) {
-		cfg := DefaultConfig()
-		cfg.PollInterval = 50 * time.Millisecond
-		cfg.MaxWait = 5 * time.Minute
-		cfg.Speculate = spec
-		cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
-			// A degraded container stalls worker 2's first attempt; the
-			// backup (attempt 1) lands on a healthy container.
-			if workerID == 2 && attempt == 0 {
-				return stall
-			}
-			return 0
+	cfg := desConfig()
+	cfg.MaxWait = 5 * time.Minute
+	cfg.Speculate = spec
+	cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
+		// A degraded container stalls worker 2's first attempt; the backup
+		// (attempt 1) lands on a healthy container.
+		if workerID == 2 && attempt == 0 {
+			return stall
 		}
-		d := NewSession(dep, cfg)
-		if err := d.Install(); err != nil {
-			t.Error(err)
-			return
-		}
-		data := tpch.Gen{SF: 0.002, Seed: 41}.Generate()
-		refs, err := d.UploadTable(p, "tpch", "lineitem", data, 6, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		out, rep, err := d.RunSQL(p, q6AllYearsSQL, "lineitem", refs)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		dur = rep.Duration
-		speculated = rep.Speculated
-		revenue = out.Column("revenue").Float64s[0]
-	})
-	k.Run()
-	if k.Deadlocked() {
-		t.Fatal("DES deadlocked")
+		return 0
 	}
-	return dur, speculated, revenue
+	var out *columnar.Chunk
+	var rep *Report
+	_, err := onDES(simulated(77), cfg, layout{Data: 41, LI: 6, Opts: stdLayout.Opts}, func(p *simclock.Proc, d *Session, tables TableFiles) (err error) {
+		out, rep, err = d.RunSQL(p, q6AllYearsSQL, "lineitem", tables["lineitem"])
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Duration, rep.Speculated, out.Column("revenue").Float64s[0]
 }
 
 func TestSpeculationCutsStragglerTail(t *testing.T) {

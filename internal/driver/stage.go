@@ -161,22 +161,19 @@ func (d *query) acquireEpoch(table, queryID string) (int, error) {
 // parseEpochValue decodes an epoch item: "<epoch>@<writtenAtNs>" since the
 // TTL sweep was introduced, a bare integer before it. The timestamp is the
 // virtual write instant, used only to age items out (legacy items read as
-// written at time zero, so they age out first).
+// written at time zero, so they age out first). An epoch below 1 or a
+// negative instant is corrupt: acquireEpoch never writes one, and a run at
+// epoch 0 would fence nothing and clean up nothing.
 func parseEpochValue(v []byte) (epoch int, at int64, ok bool) {
-	s := string(v)
-	if i := strings.IndexByte(s, '@'); i >= 0 {
-		e, err1 := strconv.Atoi(s[:i])
-		a, err2 := strconv.ParseInt(s[i+1:], 10, 64)
-		if err1 != nil || err2 != nil {
-			return 0, 0, false
-		}
-		return e, a, true
+	e, ts, timed := strings.Cut(string(v), "@")
+	epoch, err := strconv.Atoi(e)
+	if timed && err == nil {
+		at, err = strconv.ParseInt(ts, 10, 64)
 	}
-	e, err := strconv.Atoi(s)
-	if err != nil {
+	if err != nil || epoch < 1 || at < 0 {
 		return 0, 0, false
 	}
-	return e, 0, true
+	return epoch, at, true
 }
 
 // sweepEpochs lazily deletes expired epoch fence items — without it the
@@ -184,11 +181,13 @@ func parseEpochValue(v []byte) (epoch int, at int64, ok bool) {
 // deployment. An item expires once EpochTTL of virtual time passed since
 // its last increment; the TTL must exceed the function timeout, so no
 // worker of a fenced run can still be alive when its fence goes. Before an
-// item goes, its query's prefix is swept (exchange.Sweep, every epoch, the
-// full bucket pool): the next run of that ID starts at epoch 1 again, and a
-// query at epoch 1 deletes only what it wrote itself, so debris of the
-// fenced runs would otherwise outlive their fence for good. Best effort:
-// errors are ignored, and an item whose sweep failed is kept for the next
+// item goes, what its runs left is reclaimed: the query's prefix is swept
+// (exchange.Sweep, every epoch, the full bucket pool), and its ready markers
+// (<queryID>/e<E>/s<N>) are deleted. The next run of that ID starts at epoch
+// 1 again, and a query at epoch 1 deletes only what it wrote itself, so the
+// debris would otherwise outlive its fence for good — and the markers would
+// seal the new run's stages with the old run's manifests. Best effort:
+// errors are ignored, and an item whose reclaim failed is kept for the next
 // sweep to retry; the delete/re-acquire race is safe — acquireEpoch's
 // conditional Put with a non-nil expect fails on a missing item and re-reads.
 func (d *query) sweepEpochs(table string) {
@@ -203,10 +202,19 @@ func (d *query) sweepEpochs(table string) {
 			continue
 		}
 		queryID := strings.TrimPrefix(it.Key, epochKey(""))
-		if _, err := exchange.Sweep(d.client(), buckets, queryPrefix(d.cfg.FunctionName, queryID)); err != nil {
-			continue
+		_, err := exchange.Sweep(d.client(), buckets, queryPrefix(d.cfg.FunctionName, queryID))
+		var markers []dynamo.Item
+		if err == nil {
+			markers, err = d.dep.Dynamo.Scan(d.env, table, queryID+"/")
 		}
-		d.dep.Dynamo.Delete(d.env, table, it.Key)
+		for _, m := range markers {
+			if err == nil {
+				err = d.dep.Dynamo.Delete(d.env, table, m.Key)
+			}
+		}
+		if err == nil {
+			d.dep.Dynamo.Delete(d.env, table, it.Key)
+		}
 	}
 }
 

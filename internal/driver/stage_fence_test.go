@@ -2,6 +2,7 @@ package driver
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,12 +13,10 @@ import (
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
 	"lambada/internal/exchange"
-	"lambada/internal/lpq"
 	"lambada/internal/obs"
 	"lambada/internal/simclock"
 	"lambada/internal/sqlfe"
 	"lambada/internal/stageplan"
-	"lambada/internal/tpch"
 )
 
 // q12PoisonSQL is the aborted run's query in the zombie-seal scenario: the
@@ -41,83 +40,45 @@ ORDER BY o_orderpriority`
 // publishes its boundary files and posts its seal mid-retry — and the retry
 // must not notice: the zombie's artifacts all carry epoch 1, the retry runs
 // as epoch 2.
-func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *Report, time.Duration, float64) {
+func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *Report) {
 	t.Helper()
 	const zombieStall = 28 * time.Second
-	k := simclock.New()
-	dep := NewSimulated(k, 97)
+	base := desConfig()
+	// Stage 1 is the lineitem scan (stage 0 is the join): a scan worker makes
+	// the sharpest zombie — woken, it immediately publishes its boundary files
+	// and posts its seal, no barriers in between. Worker 0 always exists,
+	// whatever file pruning leaves of the lineitem fleet.
+	cfg1 := base
+	cfg1.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
+		if stage == 1 && workerID == 0 && attempt == 0 {
+			return zombieStall
+		}
+		return 0
+	}
+	scfg := shuffled(2)
+	scfg.Exchange.Poll = 100 * time.Millisecond
+	// Driver 1's consumers give up well before the zombie wakes, so the abort
+	// happens first and its error seals die with its queue before the retry
+	// launches.
+	scfg.Exchange.MaxWait = 20 * time.Second
+	scfg.Exchange.Variant.WriteCombining = wc
+	scfg.Exchange.Variant.Levels = levels
 	var out *columnar.Chunk
 	var rep *Report
-	var dur time.Duration
-	var cost float64
-	k.Go("driver", func(p *simclock.Proc) {
-		base := DefaultConfig()
-		base.PollInterval = 50 * time.Millisecond
-		// Stage 1 is the lineitem scan (stage 0 is the join): a scan worker
-		// makes the sharpest zombie — woken, it immediately publishes its
-		// boundary files and posts its seal, no barriers in between.
-		cfg1 := base
-		cfg1.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
-			// Worker 0 always exists, whatever file pruning leaves of the
-			// lineitem fleet.
-			if stage == 1 && workerID == 0 && attempt == 0 {
-				return zombieStall
-			}
-			return 0
-		}
-		d1 := NewSession(dep, cfg1)
-		if err := d1.Install(); err != nil {
-			t.Error(err)
-			return
-		}
-		g := tpch.Gen{SF: 0.002, Seed: 41}
-		li := g.Generate()
-		orders := g.OrdersFor(li)
-		liRefs, err := d1.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ordRefs, err := d1.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		tables := TableFiles{"lineitem": liRefs, "orders": ordRefs}
-		scfg := DefaultStageConfig()
-		scfg.Partitions = 2
-		scfg.BroadcastRowLimit = -1
-		scfg.Exchange.Poll = 100 * time.Millisecond
-		// Driver 1's consumers give up well before the zombie wakes, so the
-		// abort happens first and its error seals die with its queue before
-		// the retry launches.
-		scfg.Exchange.MaxWait = 20 * time.Second
-		scfg.Exchange.Variant.WriteCombining = wc
-		scfg.Exchange.Variant.Levels = levels
-
+	d1, err := onDES(simulated(97), cfg1, layout{Data: 41, LI: 4, Ord: 2, Opts: stdLayout.Opts}, func(p *simclock.Proc, d1 *Session, tables TableFiles) (err error) {
 		d1Start := p.Now()
 		if _, _, err := d1.RunSQLStaged(p, q12PoisonSQL, tables, scfg); err == nil {
-			t.Error("aborted run unexpectedly succeeded (test premise broken)")
-			return
+			return errors.New("aborted run unexpectedly succeeded (test premise broken)")
 		}
-
-		// The retry: fresh driver, query numbering restarts at q1. The
-		// zombie of the aborted run is still asleep.
-		d2 := NewSession(dep, base)
-		if err := d2.Install(); err != nil {
-			t.Error(err)
-			return
+		// The retry: fresh driver, query numbering restarts at q1. The zombie
+		// of the aborted run is still asleep.
+		if d1Start+zombieStall <= p.Now() {
+			return fmt.Errorf("zombie woke at ≤%v, before the retry's start at %v (test premise broken)", d1Start+zombieStall, p.Now())
 		}
-		d2Start := p.Now()
-		if d1Start+zombieStall <= d2Start {
-			t.Errorf("zombie woke at ≤%v, before the retry's start at %v (test premise broken)",
-				d1Start+zombieStall, d2Start)
-			return
-		}
-		// Stall the retry's own (stage 1, worker 1) past the zombie's post,
-		// so the zombie's stale seal arrives while the retry is still
-		// waiting for that very worker — the exact interleaving that would
-		// have sealed the scan stage with the poison run's boundary data.
+		// Stall the retry's own (stage 1, worker 1) past the zombie's post, so
+		// the zombie's stale seal arrives while the retry is still waiting for
+		// that very worker — the exact interleaving that would have sealed the
+		// scan stage with the poison run's boundary data.
 		cfg2 := base
 		cfg2.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
 			if stage == 1 && workerID == 1 && attempt == 0 {
@@ -125,30 +86,21 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 			}
 			return 0
 		}
-		d2 = NewSession(dep, cfg2)
+		d2 := NewSession(d1.dep, cfg2)
 		if err := d2.Install(); err != nil {
-			t.Error(err)
-			return
+			return err
 		}
 		out, rep, err = d2.RunSQLStaged(p, q12ExactSQL, tables, scfg)
-		if err != nil {
-			t.Errorf("wc=%v: retry poisoned: %v", wc, err)
-			return
-		}
-		dur = rep.Duration
-		cost = rep.TotalCost
+		return err
 	})
-	k.Run()
-	if k.Deadlocked() {
-		t.Fatal("DES deadlocked")
-	}
-	if t.Failed() {
-		t.FailNow()
+	if err != nil {
+		t.Fatalf("wc=%v: retry poisoned: %v", wc, err)
 	}
 
 	// The zombie's seal must have been received — and discarded — during
 	// the retry's collection window: nothing may linger in the result
 	// queue once the simulation drained.
+	dep := d1.dep
 	if n := dep.SQS.Len(DefaultConfig().ResultQueue); n != 0 {
 		t.Errorf("wc=%v: %d messages left in the result queue (zombie posted outside the retry's window?)", wc, n)
 	}
@@ -164,7 +116,7 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 			t.Errorf("wc=%v: %d zombie boundary objects left in %s (first: %s)", wc, len(entries), b, entries[0].Key)
 		}
 	}
-	return out, rep, dur, cost
+	return out, rep
 }
 
 // bucketNamesFor mirrors InstallExchange's shard-bucket naming.
@@ -183,15 +135,9 @@ func bucketNamesFor(fn string, n int) []string {
 // with the whole boundary namespace (the zombie's epoch-1 debris included)
 // swept afterwards.
 func TestStagedZombieSealDiscarded(t *testing.T) {
-	g := tpch.Gen{SF: 0.002, Seed: 41}
-	li := g.Generate()
-	orders := g.OrdersFor(li)
-	want := singleNode(t, q12ExactSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
-	})
+	want := singleNode(t, q12ExactSQL, tpchData(41).catalog())
 	for _, wc := range []bool{false, true} {
-		out, rep, _, _ := runStagedZombieSeal(t, wc, 1)
+		out, rep := runStagedZombieSeal(t, wc, 1)
 		chunksIdentical(t, out, want)
 		if rep.QueryID != "q1" {
 			t.Errorf("wc=%v: retry ran as %s, want q1 (test premise broken)", wc, rep.QueryID)
@@ -206,10 +152,10 @@ func TestStagedZombieSealDiscarded(t *testing.T) {
 // fence increment, discarded stale seal and all — resolves identically
 // across DES runs.
 func TestStagedZombieSealDESDeterministic(t *testing.T) {
-	_, _, d1, c1 := runStagedZombieSeal(t, true, 1)
-	_, _, d2, c2 := runStagedZombieSeal(t, true, 1)
-	if d1 != d2 || c1 != c2 {
-		t.Errorf("zombie scenario not deterministic: (%v,%v) vs (%v,%v)", d1, c1, d2, c2)
+	_, a := runStagedZombieSeal(t, true, 1)
+	_, b := runStagedZombieSeal(t, true, 1)
+	if a.Duration != b.Duration || a.TotalCost != b.TotalCost {
+		t.Errorf("zombie scenario not deterministic: (%v,%v) vs (%v,%v)", a.Duration, a.TotalCost, b.Duration, b.TotalCost)
 	}
 }
 
@@ -222,65 +168,39 @@ func TestStagedZombieSealDESDeterministic(t *testing.T) {
 func TestStagedSealFromUnknownWorkerDiscarded(t *testing.T) {
 	const stall = 5 * time.Second
 	run := func(strays []resultMsg) (*columnar.Chunk, *Report) {
-		k := simclock.New()
-		dep := NewSimulated(k, 61)
-		dep.EnableTracing(obs.New())
+		cfg := desConfig()
+		// Hold the lineitem scan (stage 1) open until after the strays.
+		cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
+			if stage == 1 && workerID == 1 {
+				return stall
+			}
+			return 0
+		}
+		scfg := shuffled(2)
+		scfg.Exchange.Poll = 100 * time.Millisecond
 		var out *columnar.Chunk
 		var rep *Report
-		k.Go("driver", func(p *simclock.Proc) {
-			cfg := DefaultConfig()
-			cfg.PollInterval = 50 * time.Millisecond
-			// Hold the lineitem scan (stage 1) open until after the strays.
-			cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
-				if stage == 1 && workerID == 1 {
-					return stall
-				}
-				return 0
-			}
-			d := NewSession(dep, cfg)
-			if err := d.Install(); err != nil {
-				t.Error(err)
-				return
-			}
-			g := tpch.Gen{SF: 0.002, Seed: 41}
-			li := g.Generate()
-			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ordRefs, err := d.UploadTable(p, "tpch", "orders", g.OrdersFor(li), 2, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			scfg := DefaultStageConfig()
-			scfg.Partitions = 2
-			scfg.BroadcastRowLimit = -1
-			scfg.Exchange.Poll = 100 * time.Millisecond
-			k.GoAt(p.Now()+stall-time.Second, "stray", func(sp *simclock.Proc) {
+		_, err := onDES(func(k *simclock.Kernel) *Deployment {
+			dep := NewSimulated(k, 61)
+			dep.EnableTracing(obs.New())
+			return dep
+		}, cfg, layout{Data: 41, LI: 4, Ord: 2, Opts: stdLayout.Opts}, func(p *simclock.Proc, d *Session, tables TableFiles) (err error) {
+			p.Kernel().GoAt(p.Now()+stall-time.Second, "stray", func(sp *simclock.Proc) {
 				for _, rm := range strays {
 					body, err := json.Marshal(rm)
-					if err != nil {
-						t.Error(err)
-						return
+					if err == nil {
+						err = d.dep.SQS.Send(sp, queryQueueName(cfg.ResultQueue, "q1"), body)
 					}
-					if err := dep.SQS.Send(sp, queryQueueName(cfg.ResultQueue, "q1"), body); err != nil {
+					if err != nil {
 						t.Error(err)
 					}
 				}
 			})
-			out, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
-			if err != nil {
-				t.Error(err)
-			}
+			out, rep, err = d.RunSQLStaged(p, q12ExactSQL, tables, scfg)
+			return err
 		})
-		k.Run()
-		if k.Deadlocked() {
-			t.Fatal("DES deadlocked")
-		}
-		if t.Failed() {
-			t.FailNow()
+		if err != nil {
+			t.Fatal(err)
 		}
 		for _, ss := range rep.StageStats {
 			if ss.StageID == 1 && !ss.Regroup && ss.Sealed-ss.Launched < stall {
@@ -313,63 +233,15 @@ func TestStagedSealFromUnknownWorkerDiscarded(t *testing.T) {
 // the query completes far below the stall, byte-identical to single-node.
 func TestStagedAllStragglersRecovered(t *testing.T) {
 	const stall = 10 * time.Minute
-	k := simclock.New()
-	dep := NewSimulated(k, 59)
-	var out *columnar.Chunk
-	var rep *Report
-	var li, orders *columnar.Chunk
-	k.Go("driver", func(p *simclock.Proc) {
-		cfg := DefaultConfig()
-		cfg.PollInterval = 50 * time.Millisecond
-		cfg.Speculate = DefaultSpeculateConfig()
-		cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
-			if stage == 1 && attempt == 0 {
-				return stall // the whole first-attempt fleet of the lineitem scan
-			}
-			return 0
+	cfg := desConfig()
+	cfg.Speculate = DefaultSpeculateConfig()
+	cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
+		if stage == 1 && attempt == 0 {
+			return stall // the whole first-attempt fleet of the lineitem scan
 		}
-		d := NewSession(dep, cfg)
-		if err := d.Install(); err != nil {
-			t.Error(err)
-			return
-		}
-		g := tpch.Gen{SF: 0.002, Seed: 23}
-		li = g.Generate()
-		orders = g.OrdersFor(li)
-		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		scfg := DefaultStageConfig()
-		scfg.Partitions = 2
-		scfg.BroadcastRowLimit = -1
-		scfg.Exchange.Poll = 100 * time.Millisecond
-		scfg.Exchange.Variant.WriteCombining = false
-		scfg.Exchange.Variant.Levels = 1
-		scfg.MaxStageWait = 20 * time.Second
-		out, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
-		if err != nil {
-			t.Errorf("all-stragglers query failed: %v", err)
-		}
-	})
-	k.Run()
-	if k.Deadlocked() {
-		t.Fatal("DES deadlocked")
+		return 0
 	}
-	if t.Failed() {
-		t.FailNow()
-	}
-	want := singleNode(t, q12ExactSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
-	})
-	chunksIdentical(t, out, want)
+	rep := stalledQ12(t, 59, cfg, layout{Data: 23, LI: 4, Ord: 2, Opts: stdLayout.Opts})
 	if rep.Duration >= stall {
 		t.Errorf("latency %v waited out the %v stall (cap never fired)", rep.Duration, stall)
 	}
@@ -403,19 +275,13 @@ func TestStageFragmentSingleSealDeadline(t *testing.T) {
 	)
 	// Find the join stage's input order so the never-sealing producer is
 	// its LAST input — the case where the restarted deadline compounds.
-	g := tpch.Gen{SF: 0.002, Seed: 23}
-	li := g.Generate()
-	orders := g.OrdersFor(li)
-	plan := singleNodePlan(t, q12ExactSQL)
-	opt, err := engine.Optimize(plan, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema()),
-		"orders":   engine.NewMemSource(tpch.OrdersSchema()),
-	})
+	data := tpchData(23)
+	opt, err := engine.Optimize(singleNodePlan(t, q12ExactSQL), data.catalog())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp, err := stageplan.Decompose(opt, stageplan.Stats{Rows: map[string]int64{
-		"lineitem": int64(li.NumRows()), "orders": int64(orders.NumRows()),
+		"lineitem": int64(data.lineitem.NumRows()), "orders": int64(data.orders.NumRows()),
 	}}, stageplan.Config{Partitions: 2, BroadcastRowLimit: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -430,49 +296,32 @@ func TestStageFragmentSingleSealDeadline(t *testing.T) {
 		t.Fatal("no two-input join stage in the plan")
 	}
 
-	k := simclock.New()
-	dep := NewSimulated(k, 31)
+	cfg := desConfig()
+	cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
+		switch stage {
+		case firstIn:
+			return lateStall // seals late but within the fragment deadline
+		case lastIn:
+			return deadStall // never seals in time
+		}
+		return 0
+	}
+	scfg := shuffled(2)
+	scfg.Exchange.Poll = 100 * time.Millisecond
+	scfg.Exchange.MaxWait = sealWait
+	scfg.Exchange.Variant.WriteCombining = false
+	scfg.Exchange.Variant.Levels = 1
 	var elapsed time.Duration
 	var runErr error
-	k.Go("driver", func(p *simclock.Proc) {
-		cfg := DefaultConfig()
-		cfg.PollInterval = 50 * time.Millisecond
-		cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
-			switch stage {
-			case firstIn:
-				return lateStall // seals late but within the fragment deadline
-			case lastIn:
-				return deadStall // never seals in time
-			}
-			return 0
-		}
-		d := NewSession(dep, cfg)
-		if err := d.Install(); err != nil {
-			t.Error(err)
-			return
-		}
-		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		scfg := DefaultStageConfig()
-		scfg.Partitions = 2
-		scfg.BroadcastRowLimit = -1
-		scfg.Exchange.Poll = 100 * time.Millisecond
-		scfg.Exchange.MaxWait = sealWait
-		scfg.Exchange.Variant.WriteCombining = false
-		scfg.Exchange.Variant.Levels = 1
+	_, err = onDES(simulated(31), cfg, layout{Data: 23, LI: 4, Ord: 2, Opts: stdLayout.Opts}, func(p *simclock.Proc, d *Session, tables TableFiles) error {
 		start := p.Now()
-		_, _, runErr = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+		_, _, runErr = d.RunSQLStaged(p, q12ExactSQL, tables, scfg)
 		elapsed = p.Now() - start
+		return nil
 	})
-	k.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if runErr == nil {
 		t.Fatal("query with a dead producer unexpectedly succeeded")
 	}
@@ -580,63 +429,15 @@ func TestEpochPrefixesDisjoint(t *testing.T) {
 // further progress, re-invoking exactly the missing workers.
 func TestStagedSubQuorumStallRecovered(t *testing.T) {
 	const stall = 10 * time.Minute
-	k := simclock.New()
-	dep := NewSimulated(k, 83)
-	var out *columnar.Chunk
-	var rep *Report
-	var li, orders *columnar.Chunk
-	k.Go("driver", func(p *simclock.Proc) {
-		cfg := DefaultConfig()
-		cfg.PollInterval = 50 * time.Millisecond
-		cfg.Speculate = DefaultSpeculateConfig()
-		cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
-			if stage == 1 && workerID != 0 && attempt == 0 {
-				return stall // every scan worker but 0 hangs; 1 responds
-			}
-			return 0
+	cfg := desConfig()
+	cfg.Speculate = DefaultSpeculateConfig()
+	cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
+		if stage == 1 && workerID != 0 && attempt == 0 {
+			return stall // every scan worker but 0 hangs; 1 responds
 		}
-		d := NewSession(dep, cfg)
-		if err := d.Install(); err != nil {
-			t.Error(err)
-			return
-		}
-		g := tpch.Gen{SF: 0.002, Seed: 67}
-		li = g.Generate()
-		orders = g.OrdersFor(li)
-		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		scfg := DefaultStageConfig()
-		scfg.Partitions = 2
-		scfg.BroadcastRowLimit = -1
-		scfg.Exchange.Poll = 100 * time.Millisecond
-		scfg.Exchange.Variant.WriteCombining = false
-		scfg.Exchange.Variant.Levels = 1
-		scfg.MaxStageWait = 20 * time.Second
-		out, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
-		if err != nil {
-			t.Errorf("sub-quorum stall query failed: %v", err)
-		}
-	})
-	k.Run()
-	if k.Deadlocked() {
-		t.Fatal("DES deadlocked")
+		return 0
 	}
-	if t.Failed() {
-		t.FailNow()
-	}
-	want := singleNode(t, q12ExactSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
-	})
-	chunksIdentical(t, out, want)
+	rep := stalledQ12(t, 83, cfg, layout{Data: 67, LI: 4, Ord: 2, Opts: stdLayout.Opts})
 	if rep.Duration >= 2*time.Minute {
 		t.Errorf("latency %v, want well under 2m (cap fires ~20s after the lone response)", rep.Duration)
 	}
@@ -648,4 +449,27 @@ func TestStagedSubQuorumStallRecovered(t *testing.T) {
 				ss.Speculated, ss.Workers, ss.Workers-1)
 		}
 	}
+}
+
+// stalledQ12 runs staged q12 on basic single-round boundaries under a 20 s
+// all-stragglers cap, on a DES deployment of seed, and requires the answer
+// of a single node.
+func stalledQ12(t *testing.T, seed int64, cfg Config, l layout) *Report {
+	t.Helper()
+	scfg := shuffled(2)
+	scfg.Exchange.Poll = 100 * time.Millisecond
+	scfg.Exchange.Variant.WriteCombining = false
+	scfg.Exchange.Variant.Levels = 1
+	scfg.MaxStageWait = 20 * time.Second
+	var out *columnar.Chunk
+	var rep *Report
+	_, err := onDES(simulated(seed), cfg, l, func(p *simclock.Proc, d *Session, tables TableFiles) (err error) {
+		out, rep, err = d.RunSQLStaged(p, q12ExactSQL, tables, scfg)
+		return err
+	})
+	if err != nil {
+		t.Fatalf("stalled query failed: %v", err)
+	}
+	chunksIdentical(t, out, singleNode(t, q12ExactSQL, tpchData(l.Data).catalog()))
+	return rep
 }

@@ -12,7 +12,6 @@ import (
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
 	"lambada/internal/exchange"
-	"lambada/internal/lpq"
 	"lambada/internal/simclock"
 	"lambada/internal/stageplan"
 	"lambada/internal/tpch"
@@ -25,7 +24,8 @@ import (
 // A payload with neither is refused, not dereferenced. The regroup task is
 // built from the planner's regroup stage.
 func TestPayloadShapes(t *testing.T) {
-	d, env, refs, _ := localSetup(t, DefaultConfig(), 0.001, 2)
+	d, env, tables := goSession(t, DefaultConfig(), layout{Data: 33, LI: 2, Opts: stdLayout.Opts})
+	refs := tables["lineitem"]
 	q := d.newQuery(env)
 	defer q.close()
 	single := &stageplan.Stage{ID: 1, Plan: singleNodePlan(t, q6SQL), Table: "lineitem", Workers: 2}
@@ -96,61 +96,15 @@ func TestPayloadShapes(t *testing.T) {
 }
 
 // TestStagedMultiLevelByteIdentity forces every stage boundary through the
-// multi-level protocol (one regroup round) at a small partition count the
-// analytic model would never pick it for, and checks the answer is still
-// byte-identical to single-node execution — for both write-combining modes —
-// with the report attributing a regroup fleet to every boundary.
+// multi-level protocol at a partition count the analytic model would never
+// pick it for, in both write-combining modes: q12 grouped on l_partkey has
+// three boundaries — two scans into the join, the join into the final merge —
+// and a regroup fleet behind each, booked under its producer.
 func TestStagedMultiLevelByteIdentity(t *testing.T) {
-	for _, wc := range []bool{false, true} {
-		d, env, tables, li, orders := stagedSetup(t, 0.002, 6, 4)
-		cfg := DefaultStageConfig()
-		cfg.Partitions = 5
-		cfg.BroadcastRowLimit = -1
-		cfg.Exchange.Variant.WriteCombining = wc
-		cfg.Exchange.Variant.Levels = 2
-
-		got, rep, err := d.RunSQLStaged(env, q12ByPartSQL, tables, cfg)
-		if err != nil {
-			t.Fatalf("wc=%v: %v", wc, err)
-		}
-		want := singleNode(t, q12ByPartSQL, engine.Catalog{
-			"lineitem": engine.NewMemSource(tpch.Schema(), li),
-			"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
-		})
-		chunksIdentical(t, got, want)
-
-		wantVariant := exchange.Variant{Levels: 2, WriteCombining: wc}.String()
-		boundaries, regroups := 0, 0
-		for _, ss := range rep.StageStats {
-			if ss.Regroup {
-				regroups++
-				if ss.Variant != wantVariant {
-					t.Errorf("wc=%v: regroup of stage %d ran variant %q, want %q", wc, ss.StageID, ss.Variant, wantVariant)
-				}
-				if ss.Workers != exchange.Groups(cfg.Partitions) {
-					t.Errorf("wc=%v: regroup fleet of stage %d has %d workers, want Groups(%d)=%d",
-						wc, ss.StageID, ss.Workers, cfg.Partitions, exchange.Groups(cfg.Partitions))
-				}
-				continue
-			}
-			if ss.Variant != "" {
-				boundaries++
-				if ss.Variant != wantVariant {
-					t.Errorf("wc=%v: stage %d boundary ran variant %q, want %q", wc, ss.StageID, ss.Variant, wantVariant)
-				}
-			}
-		}
-		// Grouped on l_partkey, q12 has three boundaries: two scan stages
-		// feeding the join and the join+partial stage feeding the final merge.
-		if boundaries != 3 || regroups != 3 {
-			t.Errorf("wc=%v: %d boundaries / %d regroup fleets in stage stats, want 3/3: %+v",
-				wc, boundaries, regroups, rep.StageStats)
-		}
-		// Report.Stages counts fragments only; regroup stages are booked
-		// under their producer.
-		if rep.Stages != 4 {
-			t.Errorf("wc=%v: stages = %d, want 4", wc, rep.Stages)
-		}
+	c := planCase{Q: q12ByPart(), Layout: gzipLayout, Partitions: 5, BroadcastRowLimit: -1, Levels: 2, Goroutines: true}
+	for variant, basic := range map[string]bool{"2l": true, "2l-wc": false} {
+		c.Basic = basic
+		runCase(t, c, wantStages(4), wantRegroups(3), wantVariant(variant))
 	}
 }
 
@@ -170,69 +124,31 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 		t.Skip("1k-worker DES run skipped in -short mode")
 	}
 	const parts = 512
-	k := simclock.New()
-	dep := NewSimulated(k, 29)
 	var out *columnar.Chunk
 	var rep *Report
-	var li, orders *columnar.Chunk
 	var buckets []string
 	var before []s3.Stats
-	var scfg StageConfig
-	k.Go("driver", func(p *simclock.Proc) {
-		cfg := DefaultConfig()
-		cfg.PollInterval = 50 * time.Millisecond
-		d := NewSession(dep, cfg)
-		if err := d.Install(); err != nil {
-			t.Error(err)
-			return
-		}
-		g := tpch.Gen{SF: 0.002, Seed: 33}
-		li = g.Generate()
-		orders = g.OrdersFor(li)
-		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		scfg = DefaultStageConfig()
-		scfg.Partitions = parts
-		scfg.BroadcastRowLimit = -1
-		scfg.Exchange.Poll = 100 * time.Millisecond
-
+	scfg := shuffled(parts)
+	scfg.Exchange.Poll = 100 * time.Millisecond
+	d, err := onDES(simulated(29), desConfig(), layout{Data: 33, LI: 4, Ord: 2, Opts: stdLayout.Opts}, func(p *simclock.Proc, d *Session, tables TableFiles) (err error) {
 		// Snapshot the shard buckets before the query: the deltas are exactly
 		// the boundary traffic (table data lives in the tpch bucket).
 		buckets = d.InstallExchange()
 		for _, b := range buckets {
-			st, err := dep.S3.BucketStats(b)
+			st, err := d.dep.S3.BucketStats(b)
 			if err != nil {
-				t.Error(err)
-				return
+				return err
 			}
 			before = append(before, st)
 		}
-		out, rep, err = d.RunSQLStaged(p, q12ByPartSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
-		if err != nil {
-			t.Errorf("scale run failed: %v", err)
-		}
+		out, rep, err = d.RunSQLStaged(p, q12ByPartSQL, tables, scfg)
+		return err
 	})
-	k.Run()
-	if k.Deadlocked() {
-		t.Fatal("DES deadlocked")
+	if err != nil {
+		t.Fatalf("scale run failed: %v", err)
 	}
-	if t.Failed() {
-		t.FailNow()
-	}
-
-	want := singleNode(t, q12ByPartSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
-	})
-	chunksIdentical(t, out, want)
+	dep := d.dep
+	chunksIdentical(t, out, singleNode(t, q12ByPartSQL, tpchData(33).catalog()))
 
 	if rep.Workers < 1024 {
 		t.Errorf("fleet = %d workers, want >= 1024", rep.Workers)
@@ -314,13 +230,7 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 // rounds), and a chased second query is untouched.
 func TestStagedMultiLevelSpeculationCompletesViaBackup(t *testing.T) {
 	const stall = 10 * time.Minute
-	g := tpch.Gen{SF: 0.002, Seed: 17}
-	li := g.Generate()
-	orders := g.OrdersFor(li)
-	want := singleNode(t, q12ExactSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
-	})
+	want := singleNode(t, q12ExactSQL, tpchData(17).catalog())
 	first, second, rep := runStagedWithStraggler(t, true, 2, stall)
 	if t.Failed() {
 		return
@@ -349,15 +259,8 @@ func TestStagedMultiLevelSpeculationCompletesViaBackup(t *testing.T) {
 // files and its seal all carry the losing epoch, and neither the retry's
 // regroup fleets nor its receivers can see them.
 func TestStagedMultiLevelZombieSealDiscarded(t *testing.T) {
-	g := tpch.Gen{SF: 0.002, Seed: 41}
-	li := g.Generate()
-	orders := g.OrdersFor(li)
-	want := singleNode(t, q12ExactSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
-	})
-	out, rep, _, _ := runStagedZombieSeal(t, true, 2)
-	chunksIdentical(t, out, want)
+	out, rep := runStagedZombieSeal(t, true, 2)
+	chunksIdentical(t, out, singleNode(t, q12ExactSQL, tpchData(41).catalog()))
 	if rep.QueryID != "q1" {
 		t.Errorf("retry ran as %s, want q1 (test premise broken)", rep.QueryID)
 	}

@@ -27,60 +27,31 @@ import (
 // and the first report.
 func runStagedWithStraggler(t *testing.T, wc bool, levels int, stall time.Duration) (first, second *columnar.Chunk, rep *Report) {
 	t.Helper()
-	k := simclock.New()
-	dep := NewSimulated(k, 53)
-	k.Go("driver", func(p *simclock.Proc) {
-		cfg := DefaultConfig()
-		cfg.PollInterval = 50 * time.Millisecond
-		cfg.Speculate = DefaultSpeculateConfig()
-		cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
-			// A degraded container stalls the first attempt of scan-stage
-			// worker 1; the backup attempt lands on a healthy container.
-			if stage == 0 && workerID == 1 && attempt == 0 {
-				return stall
-			}
-			return 0
+	cfg := desConfig()
+	cfg.Speculate = DefaultSpeculateConfig()
+	cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
+		// A degraded container stalls the first attempt of scan-stage
+		// worker 1; the backup attempt lands on a healthy container.
+		if stage == 0 && workerID == 1 && attempt == 0 {
+			return stall
 		}
-		d := NewSession(dep, cfg)
-		if err := d.Install(); err != nil {
-			t.Error(err)
-			return
-		}
-		g := tpch.Gen{SF: 0.002, Seed: 17}
-		li := g.Generate()
-		orders := g.OrdersFor(li)
-		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		tables := TableFiles{"lineitem": liRefs, "orders": ordRefs}
-		scfg := DefaultStageConfig()
-		scfg.Partitions = 2
-		scfg.BroadcastRowLimit = -1
-		scfg.Exchange.Poll = 100 * time.Millisecond
-		scfg.Exchange.Variant.WriteCombining = wc
-		scfg.Exchange.Variant.Levels = levels
-		first, rep, err = d.RunSQLStaged(p, q12ExactSQL, tables, scfg)
-		if err != nil {
-			t.Errorf("wc=%v: straggler query failed: %v", wc, err)
-			return
+		return 0
+	}
+	scfg := shuffled(2)
+	scfg.Exchange.Poll = 100 * time.Millisecond
+	scfg.Exchange.Variant.WriteCombining = wc
+	scfg.Exchange.Variant.Levels = levels
+	_, err := onDES(simulated(53), cfg, layout{Data: 17, LI: 4, Ord: 2, Opts: stdLayout.Opts}, func(p *simclock.Proc, d *Session, tables TableFiles) (err error) {
+		if first, rep, err = d.RunSQLStaged(p, q12ExactSQL, tables, scfg); err != nil {
+			return fmt.Errorf("straggler query: %w", err)
 		}
 		// Run the same query again while the stalled loser attempt is still
 		// in flight; its leftovers must not poison this one.
 		second, _, err = d.RunSQLStaged(p, q12ExactSQL, tables, scfg)
-		if err != nil {
-			t.Errorf("wc=%v: follow-up query failed: %v", wc, err)
-		}
+		return err
 	})
-	k.Run()
-	if k.Deadlocked() {
-		t.Fatal("DES deadlocked")
+	if err != nil {
+		t.Fatalf("wc=%v: %v", wc, err)
 	}
 	return first, second, rep
 }
@@ -93,13 +64,7 @@ func runStagedWithStraggler(t *testing.T, wc bool, levels int, stall time.Durati
 // loser attempt's leftovers.
 func TestStagedSpeculationCompletesViaBackup(t *testing.T) {
 	const stall = 10 * time.Minute
-	g := tpch.Gen{SF: 0.002, Seed: 17}
-	li := g.Generate()
-	orders := g.OrdersFor(li)
-	want := singleNode(t, q12ExactSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
-	})
+	want := singleNode(t, q12ExactSQL, tpchData(17).catalog())
 	for _, wc := range []bool{false, true} {
 		first, second, rep := runStagedWithStraggler(t, wc, 1, stall)
 		if t.Failed() {
@@ -136,94 +101,68 @@ func TestStagedSpeculationCompletesViaBackup(t *testing.T) {
 // attempt collects the plant and miscounts.
 func TestStagedReadsTheSealedWinner(t *testing.T) {
 	const stalled = 1
-	g := tpch.Gen{SF: 0.002, Seed: 17}
-	li := g.Generate()
-	orders := g.OrdersFor(li)
-	want := singleNode(t, q12ExactSQL, engine.Catalog{
-		"lineitem": engine.NewMemSource(tpch.Schema(), li),
-		"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
-	})
+	want := singleNode(t, q12ExactSQL, tpchData(17).catalog())
 	// Writer 0's names of attempt 0, as writer 1's: the write-combined object
 	// (either form) and its commit marker, or a slot file.
 	asWriter1 := strings.NewReplacer("snd0-a0", "snd1-a0", "a0-snd0", "a0-snd1")
 	for _, wc := range []bool{false, true} {
-		k := simclock.New()
-		dep := NewSimulated(k, 53)
+		var dep *Deployment
 		var got *columnar.Chunk
 		var rep *Report
 		planted := 0
-		k.Go("driver", func(p *simclock.Proc) {
-			cfg := DefaultConfig()
-			cfg.PollInterval = 50 * time.Millisecond
-			cfg.Speculate = DefaultSpeculateConfig()
-			plant := func(p *simclock.Proc) {
-				client := s3.NewClient(dep.S3, p)
-				prefix := fmt.Sprintf("%s/q1/e1/s%d/", cfg.FunctionName, stalled)
-				for i := 0; i < exchange.ShardBuckets; i++ {
-					bucket := exchangeBucketName(cfg.FunctionName, i)
-					entries, err := client.List(bucket, prefix)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					for _, e := range entries {
-						dir, base := path.Split(e.Key)
-						if planting := asWriter1.Replace(base); planting != base {
-							data, _, err := client.Get(bucket, e.Key, 1)
-							if err == nil {
-								err = client.Put(bucket, dir+planting, data)
-							}
-							if err != nil {
-								t.Error(err)
-								return
-							}
-							planted++
+		cfg := desConfig()
+		cfg.Speculate = DefaultSpeculateConfig()
+		plant := func(p *simclock.Proc) {
+			client := s3.NewClient(dep.S3, p)
+			prefix := fmt.Sprintf("%s/q1/e1/s%d/", cfg.FunctionName, stalled)
+			for i := 0; i < exchange.ShardBuckets; i++ {
+				bucket := exchangeBucketName(cfg.FunctionName, i)
+				entries, err := client.List(bucket, prefix)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, e := range entries {
+					dir, base := path.Split(e.Key)
+					if planting := asWriter1.Replace(base); planting != base {
+						data, _, err := client.Get(bucket, e.Key, 1)
+						if err == nil {
+							err = client.Put(bucket, dir+planting, data)
 						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						planted++
 					}
 				}
 			}
-			cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
-				if stage != stalled || workerID != 1 {
-					return 0
-				}
-				if attempt == 0 {
-					return 10 * time.Minute
-				}
-				// The backup: writer 0 sealed before it was issued, so its
-				// objects are there to copy. The backup waits out the planting.
-				k.Go("plant", plant)
-				return 2 * time.Second
-			}
-			d := NewSession(dep, cfg)
-			if err := d.Install(); err != nil {
-				t.Error(err)
-				return
-			}
-			liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			scfg := DefaultStageConfig()
-			scfg.Partitions = 2
-			scfg.BroadcastRowLimit = -1
-			scfg.Exchange.Variant.WriteCombining = wc
-			scfg.Exchange.Variant.Levels = 1
-			if got, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg); err != nil {
-				t.Errorf("wc=%v: %v", wc, err)
-			}
-		})
-		k.Run()
-		if k.Deadlocked() {
-			t.Fatal("DES deadlocked")
 		}
-		if t.Failed() {
-			t.FailNow()
+		var k *simclock.Kernel
+		cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
+			if stage != stalled || workerID != 1 {
+				return 0
+			}
+			if attempt == 0 {
+				return 10 * time.Minute
+			}
+			// The backup: writer 0 sealed before it was issued, so its
+			// objects are there to copy. The backup waits out the planting.
+			k.Go("plant", plant)
+			return 2 * time.Second
+		}
+		scfg := shuffled(2)
+		scfg.Exchange.Variant.WriteCombining = wc
+		scfg.Exchange.Variant.Levels = 1
+		_, err := onDES(func(kern *simclock.Kernel) *Deployment {
+			k, dep = kern, NewSimulated(kern, 53)
+			return dep
+		}, cfg, layout{Data: 17, LI: 4, Ord: 2, Opts: stdLayout.Opts}, func(p *simclock.Proc, d *Session, tables TableFiles) (err error) {
+			got, rep, err = d.RunSQLStaged(p, q12ExactSQL, tables, scfg)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("wc=%v: %v", wc, err)
 		}
 		if planted == 0 {
 			t.Fatalf("wc=%v: nothing planted (test premise broken)", wc)
@@ -365,10 +304,8 @@ func TestStagedStaleArtifactsDoNotPoisonRetry(t *testing.T) {
 // shard bucket (all workers sealed before the driver deleted, so nothing is
 // republished afterwards).
 func TestStagedSweepClearsBoundaries(t *testing.T) {
-	d, env, tables, _, _ := stagedSetup(t, 0.002, 4, 2)
-	cfg := DefaultStageConfig()
-	cfg.Partitions = 2
-	cfg.BroadcastRowLimit = -1
+	d, env, tables := goSession(t, DefaultConfig(), layout{Data: 33, LI: 4, Ord: 2, Opts: gzipLayout.Opts})
+	cfg := shuffled(2)
 	// A concurrent query whose ID merely starts with this one's (q10 next to
 	// q1) owns a different namespace: q1's cleanup must leave it alone.
 	buckets := d.InstallExchange()

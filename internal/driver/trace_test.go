@@ -2,16 +2,15 @@ package driver
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
 	"lambada/internal/awssim/faults"
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/columnar"
-	"lambada/internal/lpq"
 	"lambada/internal/obs"
 	"lambada/internal/simclock"
-	"lambada/internal/tpch"
 )
 
 // tracedRun is one traced execution — staged q12, or single-scope q1.
@@ -45,85 +44,52 @@ func crashPlanQ12() faults.Plan {
 // — the chaos harness plus EnableTracing — and exports the trace.
 func runTraced(t *testing.T, o tracedOpts) tracedRun {
 	t.Helper()
-	k := simclock.New()
 	if o.seed == 0 {
 		o.seed = 71
 	}
-	var dep *Deployment
+	plan := faults.Plan{}
 	switch {
 	case o.chaos:
-		dep = NewChaos(k, o.seed, chaosPlanQ12())
+		plan = chaosPlanQ12()
 	case o.crash:
-		dep = NewChaos(k, o.seed, crashPlanQ12())
-	default:
-		dep = NewSimulated(k, o.seed)
+		plan = crashPlanQ12()
 	}
-	dep.EnableTracing(obs.New())
+	cfg := desConfig()
+	cfg.Speculate = DefaultSpeculateConfig()
+	scfg := shuffled(2)
+	scfg.Exchange.Poll = 100 * time.Millisecond
+	if o.crash {
+		scfg.MaxStageWait = 30 * time.Second
+	}
+	if o.flat {
+		scfg.Exchange.Variant.Levels = 1
+		scfg.Exchange.Variant.WriteCombining = false
+	}
 	var res tracedRun
-	ok := false
-	k.Go("driver", func(p *simclock.Proc) {
-		cfg := DefaultConfig()
-		cfg.PollInterval = 50 * time.Millisecond
-		cfg.Speculate = DefaultSpeculateConfig()
-		scfg := DefaultStageConfig()
-		scfg.Partitions = 2
-		scfg.BroadcastRowLimit = -1
-		scfg.Exchange.Poll = 100 * time.Millisecond
-		if o.crash {
-			scfg.MaxStageWait = 30 * time.Second
-		}
-		if o.flat {
-			scfg.Exchange.Variant.Levels = 1
-			scfg.Exchange.Variant.WriteCombining = false
-		}
-		d := NewSession(dep, cfg)
-		if err := d.Install(); err != nil {
-			t.Error(err)
-			return
-		}
-		g := tpch.Gen{SF: 0.002, Seed: 11}
-		li := g.Generate()
-		orders := g.OrdersFor(li)
-		liRefs, err := d.UploadTable(p, "tpch", "lineitem", li, 4, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ordRefs, err := d.UploadTable(p, "tpch", "orders", orders, 2, lpq.WriterOptions{RowGroupRows: 2000})
-		if err != nil {
-			t.Error(err)
-			return
-		}
+	_, err := onDES(func(k *simclock.Kernel) *Deployment {
+		dep := NewChaos(k, o.seed, plan)
+		dep.EnableTracing(obs.New())
+		return dep
+	}, cfg, stdLayout, func(p *simclock.Proc, d *Session, tables TableFiles) (err error) {
 		var out *columnar.Chunk
-		var rep *Report
 		if o.single {
-			out, rep, err = d.RunSQL(p, q1SQL, "lineitem", liRefs)
+			out, res.rep, err = d.RunSQL(p, q1SQL, "lineitem", tables["lineitem"])
 		} else {
-			out, rep, err = d.RunSQLStaged(p, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg)
+			out, res.rep, err = d.RunSQLStaged(p, q12ExactSQL, tables, scfg)
+		}
+		if err == nil && out.NumRows() == 0 {
+			err = errors.New("empty result")
 		}
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
-		if out.NumRows() == 0 {
-			t.Error("empty result")
-			return
-		}
-		res.rep = rep
 		var buf bytes.Buffer
-		if err := obs.ExportChromeTrace(&buf, rep.Trace.Spans()); err != nil {
-			t.Error(err)
-			return
-		}
+		err = obs.ExportChromeTrace(&buf, res.rep.Trace.Spans())
 		res.trace = buf.Bytes()
-		ok = true
+		return err
 	})
-	k.Run()
-	if k.Deadlocked() {
-		t.Fatal("DES deadlocked")
-	}
-	if !ok {
-		t.FailNow()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return res
 }
@@ -196,9 +162,7 @@ func TestConcurrentQueriesPartitionTheMeter(t *testing.T) {
 	k := simclock.New()
 	dep := NewSimulated(k, 71)
 	dep.EnableTracing(obs.New())
-	cfg := DefaultConfig()
-	cfg.PollInterval = 50 * time.Millisecond
-	r := runSessionConcurrentQ12(t, NewSession(dep, cfg), k, dep, 0, 2)
+	r := runSessionConcurrentQ12(t, NewSession(dep, desConfig()), k, dep, 0, 2)
 	if r.reps[0] == nil || r.reps[1] == nil {
 		t.Fatal("a query produced no report")
 	}
