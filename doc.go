@@ -40,7 +40,9 @@
 // issued, in issue order; the lanes' transfers queue on the one shaper, so a
 // window moves bytes no faster than the function can. A window costs no
 // request, no byte and no thread, and against a service without latencies
-// (NewLocal) no time either, so nothing switches it off.
+// (NewLocal) no time either, so nothing switches it off. The lane model itself
+// is simenv.Overlap, which nothing in it ties to S3: the driver's result loop
+// keeps a window of SQS Receives on it too.
 //
 // Every multi-request loop of the read path goes through it. The exchange's
 // four — a round's reads of one small range per writer, the per-shard Lists
@@ -190,21 +192,27 @@
 // boundaries it collects from and publishes into — and the worker has one
 // path through them: wait for each input's ready marker, collect, execute,
 // then publish or post the result. One launch loop: a stage's fleet is cut
-// once into launch units — one per worker, or, where invoke.UseTree picks
-// the two-level tree (§4.2) on a session without a concurrency cap, one per
-// first-generation worker with its children's payloads folded in — and a
-// launch pass walks them with take tokens → pace → Invoke, a tree unit being
-// a synchronous unpaced Invoke of 1+children tokens and a direct unit a
-// pipelined one paced at the Invoke API rate. The tokens come from an
-// invoke.Admission: the session's shared one under Config.MaxInFlight, a
-// private unlimited one — all pacer, no cap — otherwise, so capped and
-// uncapped launches are the same code; recovery re-invokes (failure
-// relaunches, speculation backups) are direct units admitted past the cap.
-// A stage is launchable (scheduler.launchable) once every stage it depends
-// on is fully launched, so invocation order is topological. One loop reads
-// the result queue and hands each message to scheduler.message — one
-// speculation policy, one failure-seal relaunch — and one merge follows, in
-// worker order, so results are deterministic. A plan pays only for the
+// once into launch units — one per worker, or, where invoke.UseTree finds the
+// two-level tree (§4.2) starts the fleet sooner on a session without a
+// concurrency cap, one per first-generation worker with its children's
+// payloads folded in — and a launch pass walks them with take tokens → pace →
+// Invoke. Every unit, direct or first-generation, is a pipelined Invoke paced
+// at Table 1's concurrent rate: the driver's one requester pool
+// (invoke.RequesterThreads, ≈ 294 Invokes/s to eu), so a 30-worker fleet is
+// out in 0.1 s and launches directly, while 256 workers still go through the
+// tree, whose first generation then pays one cold start before its children.
+// The tokens come from an invoke.Admission — which owns the pacer: the
+// session's shared one under Config.MaxInFlight, a private unlimited one —
+// all pacer, no cap — otherwise, so capped and uncapped launches are the same
+// code; recovery re-invokes (failure relaunches, speculation backups) are
+// direct units admitted past the cap. A stage is launchable
+// (scheduler.launchable) once every stage it depends on is fully launched and
+// has reported at least one winner, so invocation order is topological. One
+// loop reads the result queue — one Receive at a time, and while they come
+// back full a window of them (simenv.Overlap, at most one per ten seals still
+// missing) — and hands each message to scheduler.message — one speculation
+// policy, one failure-seal relaunch — and one merge follows, in worker order,
+// so results are deterministic. A plan pays only for the
 // machinery it uses, by two rules that hold for every plan:
 //
 //  1. The boundary namespace — shard buckets, the stages table, the durable
@@ -338,7 +346,7 @@
 //	                     tokens; a launch pass invokes what admission grants
 //	                     and reports each unit as its Invoke goes out with
 //	                     launched(r, workers, at): the first one launches it
-//	launched → launched  message(now, msg) discards zombies (older epoch,
+//	launched → launched  message(now, sent, msg) discards zombies (older epoch,
 //	                     unknown worker) and losers (a second seal of a
 //	                     worker, a failure of a superseded attempt), records
 //	                     a winner, or answers relaunch: re-invoke the
@@ -354,22 +362,26 @@
 //	                     unblocked and the consumers' cap clocks, armCaps(now)
 //
 // Every stage's payloads are computable up front and a stage is launchable
-// as soon as its producers' fleets are launched, so every fleet is invoked
-// the moment the query starts: consumer cold starts and invocation pacing
-// overlap upstream execution, and the DynamoDB ready marker — written when
-// the driver has seen every producer seal through the SQS result queue —
-// gates each worker's collect instead of its launch. (Wave-gated launch
-// survives only as a test seam, for the tests that need barrier reads in a
-// known order.) TestSchedulerTransitions walks the transitions without a
-// kernel or a deployment.
+// as soon as its producers' fleets are launched and each has reported a
+// winner: consumer cold starts and invocation pacing overlap the rest of
+// upstream execution, and the DynamoDB ready marker — written when the driver
+// has seen every producer seal through the SQS result queue — gates each
+// worker's collect instead of its launch. The first winner is the gate
+// because launching costs little at the pool's rate and waiting does not: a
+// consumer invoked with the query would idle, billed, on the ready barrier
+// through its producers' whole cold start and scan. The report prints each
+// stage's first winner (StageStat.FirstWinner, "first +…ms") beside its
+// launch. (Wave-gated launch survives only as a test seam, for the tests that
+// need barrier reads in a known order.) TestSchedulerTransitions walks the
+// transitions without a kernel or a deployment.
 //
 // The loop never stops listening. On the DES kernel each launch pass is a
 // kernel process of its own beside the loop, on the same clock, as the
 // paper's driver issues Invokes from requester threads while it collects
 // (§4.2): a seal that arrives while a 256-worker fleet is still being
 // invoked is consumed at once — winner recorded, ready marker written,
-// dependants launchable — instead of after the fleet's last synchronous
-// Invoke, and every worker already up stops billing that lag. On an
+// dependants launchable — instead of after the fleet's last Invoke, and every
+// worker already up stops billing that lag. On an
 // Immediate environment the pass runs inline, as a plain call: there is no
 // timeline to overlap. At most one pass per query is alive (a launch
 // requested meanwhile makes it rescan), the loop parks for the first message

@@ -197,6 +197,16 @@ func (s *Service) SetCompletionHook(fn func(env simenv.Env)) {
 	s.onSettle = fn
 }
 
+// ColdStart returns the mean cold-start delay of the service's containers
+// (zero without a model): what a launch plan expects a fresh worker to take
+// before its handler runs.
+func (s *Service) ColdStart() time.Duration {
+	if s.cfg.ColdStart == nil {
+		return 0
+	}
+	return s.cfg.ColdStart.Mean()
+}
+
 // BilledMiBNs returns the cumulative billed duration over all
 // invocations, in exact memoryMiB·nanoseconds.
 func (s *Service) BilledMiBNs() int64 { return s.cfg.Meter.Cost().LambdaMiBNs }

@@ -116,10 +116,13 @@ func TestStagedChaosDeterministicByteIdentical(t *testing.T) {
 
 // TestStagedChaosGroupByByteIdentical: the staged aggregation over a key the
 // footers cannot bound — scan, repartition, finalize, no join — under the
-// same storm.
+// same storm. Six files, not four: since the final stage launches on the
+// scan's first winner, the four-file run bills 28 S3 requests, not 33, and
+// draws neither the fixed rule's 25th GET nor a throttled marker read — a
+// storm no worker retried. Six scan workers read past the 25th GET.
 func TestStagedChaosGroupByByteIdentical(t *testing.T) {
 	q := groupBy("l_partkey", agg("COUNT(*)", "n"), agg("MIN(l_orderkey)", "first_ord"), agg("MAX(l_orderkey)", "last_ord"))
-	runCase(t, planCase{Q: q, Layout: layout{Data: 11, LI: 4, Opts: stdLayout.Opts}, Partitions: 2, Speculate: true, Faults: chaosPlanQ12()}, wantStages(2), inflation{})
+	runCase(t, planCase{Q: q, Layout: layout{Data: 11, LI: 6, Opts: stdLayout.Opts}, Partitions: 2, Speculate: true, Faults: chaosPlanQ12()}, wantStages(2), inflation{})
 }
 
 // TestStagedChaosCrashRecovery: a worker that crashes on invoke never posts
@@ -146,6 +149,46 @@ func TestStagedChaosCrashRecovery(t *testing.T) {
 	if crash.rep.Duration <= clean.rep.Duration {
 		t.Errorf("crash recovery took %v, clean %v — liveness cap never waited", crash.rep.Duration, clean.rep.Duration)
 	}
+}
+
+// TestChaosTreeParentCrash: a first-generation worker of a tree launch that
+// crashes on invoke never invokes its children either, so the whole subtree
+// stays silent. The liveness cap re-invokes each of its workers straight from
+// the driver, and the query answers like a single node. The 32-worker fleet
+// goes through the tree because the deployment starts containers without a
+// cold-start delay (warmStarts; TestLaunchMatrix has the arithmetic).
+func TestChaosTreeParentCrash(t *testing.T) {
+	const fleet, firstGen, perParent = 32, 6, 5 // invoke.TreeFanout(32)
+	cfg, scfg := desConfig(), DefaultStageConfig()
+	cfg.Speculate = DefaultSpeculateConfig()
+	scfg.MaxStageWait = 30 * time.Second
+	var out *columnar.Chunk
+	var rep *Report
+	// The crash skips two Invokes: the first-generation Invokes leave the
+	// driver 3.4 ms apart, ahead of any child's, so the third is one of them.
+	plan := faults.Plan{Seed: 9, Rules: []faults.Rule{{Op: faults.OpLambda, Kind: faults.KindCrash, Skip: 2, Count: 1}}}
+	sess, err := onDES(warmStarts(71, plan), cfg, layout{Data: 33, LI: fleet, Opts: stdLayout.Opts}, func(p *simclock.Proc, sess *Session, tables TableFiles) (err error) {
+		out, rep, err = sess.RunSQLStaged(p, launchMatrixSQL, tables, scfg)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunksIdentical(t, out, singleNode(t, launchMatrixSQL, tpchData(33).catalog()))
+	// Launched: the first generation and the children of the five parents
+	// that ran. Relaunched: the crashed parent and its five orphans.
+	invoked, _ := sess.dep.Lambda.Invocations()
+	if want := int64(fleet - perParent + 1 + perParent); invoked != want {
+		t.Errorf("%d invocations, want %d: %d launched through the tree, the crashed subtree's %d relaunched",
+			invoked, want, fleet-perParent, 1+perParent)
+	}
+	if got, want := driverInvokes(rep.Trace.Spans()), firstGen+1+perParent; got != want {
+		t.Errorf("%d driver-side Invokes, want %d: the first generation and the subtree's relaunches", got, want)
+	}
+	if rep.InjectedFaults[faults.OpLambda+"/"+string(faults.KindCrash)] != 1 {
+		t.Errorf("injected faults = %v, want one lambda/crash", rep.InjectedFaults)
+	}
+	assertQueryClean(t, sess, rep.QueryID)
 }
 
 // TestStagedChaosBudgetExhaustionFailureSeal: a throttle storm against the

@@ -213,6 +213,18 @@ func assertRequests(t *testing.T, name string, got, want map[string]int64) {
 // staged q12 25 → 21, 2l 36 → 37, 2l-wc 38 → 34, capped 42 → 41; DynamoDB
 // reads staged q12 8 → 7, 2l 25 → 28, 2l-wc 24 → 22, capped 12 → 11). Every
 // Lambda, S3 read, S3 write and DynamoDB-write count is unchanged.
+//
+// The polls were re-recorded once more, for one cause: the driver launches
+// from its requester pool and gates a consumer on its producers' first
+// winners. Every driver-side Invoke is pipelined and paced at Table 1's
+// concurrent rate, so a fleet is out in a few milliseconds where it took 36 ms
+// per Invoke, and the loop has fewer timed polls under a launch (SQS q1
+// 21 → 17, broadcast 13 → 12, 2l 37 → 35, capped 41 → 40). A consumer
+// launched once its producers reported parks on their ready markers for less
+// time, and polls them fewer times (DynamoDB reads 2l 28 → 14, 2l-wc
+// 22 → 13); the loop reacts to the producers' first seals to launch it and
+// takes fewer seals per Receive (SQS staged q12 21 → 23, 2l-wc 34 → 38).
+// Every Lambda, S3 read, S3 write and DynamoDB-write count is unchanged.
 func TestExecutorRequestGuard(t *testing.T) {
 	single := func(sql string) func(*Session, simenv.Env, TableFiles) error {
 		return func(d *Session, env simenv.Env, tables TableFiles) error {
@@ -226,7 +238,7 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// and the one worker's (S3 reads 13 as before, three workers' opens
 	// traded for the planner's; one Invoke, not four; SQS 18 → 11).
 	assertRequests(t, "q1", billedRequests(t, nil, single(q1SQL)), map[string]int64{
-		pricing.LabelLambdaRequests: 4, pricing.LabelS3Read: 24, pricing.LabelSQS: 21,
+		pricing.LabelLambdaRequests: 4, pricing.LabelS3Read: 24, pricing.LabelSQS: 17,
 	})
 	q6 := billedRequests(t, nil, single(q6SQL))
 	assertRequests(t, "q6", q6, map[string]int64{
@@ -276,7 +288,7 @@ func TestExecutorRequestGuard(t *testing.T) {
 	assertRequests(t, "staged q12", staged, map[string]int64{
 		pricing.LabelLambdaRequests: 6,
 		pricing.LabelS3Read:         34, pricing.LabelS3Write: 4,
-		pricing.LabelSQS: 21, pricing.LabelDynamoRead: 7, pricing.LabelDynamoWrite: 3,
+		pricing.LabelSQS: 23, pricing.LabelDynamoRead: 7, pricing.LabelDynamoWrite: 3,
 	})
 
 	// ORDERS broadcast: the driver reads the table through the source the
@@ -294,7 +306,7 @@ func TestExecutorRequestGuard(t *testing.T) {
 		}
 		return err
 	}), map[string]int64{
-		pricing.LabelLambdaRequests: 2, pricing.LabelS3Read: 22, pricing.LabelSQS: 13,
+		pricing.LabelLambdaRequests: 2, pricing.LabelS3Read: 22, pricing.LabelSQS: 12,
 	})
 
 	// Multi-level boundaries and admission-capped launch: the two scan
@@ -318,17 +330,17 @@ func TestExecutorRequestGuard(t *testing.T) {
 	assertRequests(t, "staged q12 2l", billedRequests(t, nil, twoLevel(false)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
 		pricing.LabelS3Read:         38, pricing.LabelS3Write: 12,
-		pricing.LabelSQS: 37, pricing.LabelDynamoRead: 28, pricing.LabelDynamoWrite: 5,
+		pricing.LabelSQS: 35, pricing.LabelDynamoRead: 14, pricing.LabelDynamoWrite: 5,
 	})
 	assertRequests(t, "staged q12 2l-wc", billedRequests(t, nil, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
 		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8,
-		pricing.LabelSQS: 34, pricing.LabelDynamoRead: 22, pricing.LabelDynamoWrite: 5,
+		pricing.LabelSQS: 38, pricing.LabelDynamoRead: 13, pricing.LabelDynamoWrite: 5,
 	})
 	capped := func(c *Config) { c.MaxInFlight = 2 }
 	assertRequests(t, "staged q12 2l-wc, MaxInFlight 2", billedRequests(t, capped, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
 		pricing.LabelS3Read:         38, pricing.LabelS3Write: 8,
-		pricing.LabelSQS: 41, pricing.LabelDynamoRead: 11, pricing.LabelDynamoWrite: 5,
+		pricing.LabelSQS: 40, pricing.LabelDynamoRead: 11, pricing.LabelDynamoWrite: 5,
 	})
 }

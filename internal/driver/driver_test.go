@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"lambada/internal/awssim/simenv"
+	"lambada/internal/invoke"
 	"lambada/internal/lpq"
+	"lambada/internal/netmodel"
 	"lambada/internal/simclock"
 	"lambada/internal/tpch"
 )
@@ -103,6 +106,24 @@ func TestWorkerErrorPropagates(t *testing.T) {
 func TestPlanErrorCaughtBeforeInvocation(t *testing.T) {
 	runCase(t, planCase{Q: sqlQuery{Items: []selItem{agg("SUM(no_such_column)", "s")}, From: "lineitem"},
 		Layout: localLayout, Refused: true, Goroutines: true})
+	runCase(t, planCase{Q: sqlQuery{Items: []selItem{agg("COUNT(*)", "n")}, From: "lineitem", Where: []string{"no_such_column > 1"}},
+		Layout: localLayout, Refused: true, Goroutines: true})
+}
+
+// The executor paces every driver-side Invoke — a query's own pacer and a
+// capped session's shared one alike — at the requester pool's rate, Table 1's
+// concurrent one.
+func TestExecutorPacesAtTheRequesterPool(t *testing.T) {
+	want := invoke.DriverPacing(netmodel.RegionEU, invoke.RequesterThreads)
+	for _, capacity := range []int{0, 4} {
+		cfg := DefaultConfig()
+		cfg.MaxInFlight = capacity
+		q := NewSession(NewLocal(), cfg).newQuery(simenv.NewImmediate())
+		if got := q.adm.Pacing(); got != want {
+			t.Errorf("MaxInFlight %d: pacing %+v, want %+v", capacity, got, want)
+		}
+		q.close()
+	}
 }
 
 func TestEmptyFilesRejected(t *testing.T) {

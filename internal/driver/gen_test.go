@@ -273,15 +273,12 @@ func (g *gen) rangeFilter() string {
 
 // aggregate draws an integer-exact aggregate: COUNT, SUM over integers, MIN
 // or MAX over anything — no float sum, whose value depends on merge order.
-// A global aggregate draws no MIN or MAX: a worker whose input is empty posts
-// a partial of zero for them, which the driver's merge takes for a value (see
-// ROADMAP, open items).
-func (g *gen) aggregate(i int, global bool) selItem {
+func (g *gen) aggregate(i int) selItem {
 	it := selItem{As: fmt.Sprintf("a%d", i), Agg: true}
 	switch n := g.rng.Intn(4); {
 	case n == 0:
 		it.Expr = "COUNT(*)"
-	case n == 1 || global:
+	case n == 1:
 		it.Expr = "SUM(" + g.expr(tInt, 1) + ")"
 	default:
 		fn, t := []string{"MIN", "MAX"}[g.rng.Intn(2)], []colType{tInt, tFloat}[g.rng.Intn(2)]
@@ -385,7 +382,7 @@ func genCase(seed int64) planCase {
 			q.Items = append(q.Items, selItem{Expr: g.cols(tInt)[col].name})
 		}
 		if rng.Intn(2) == 0 {
-			q.Items = append(q.Items, selItem{Expr: "(" + g.expr(tInt, 1) + ")", As: "e0"}) // a select item may not start with DATE
+			q.Items = append(q.Items, selItem{Expr: g.expr(tInt, 1), As: "e0"})
 		}
 		for _, it := range q.Items {
 			q.OrderBy = append(q.OrderBy, it.name())
@@ -406,7 +403,7 @@ func genCase(seed int64) planCase {
 			q.GroupBy, q.Items = []string{"l_partkey"}, []selItem{{Expr: "l_partkey"}}
 		}
 		for i := 0; i < 1+rng.Intn(3); i++ {
-			q.Items = append(q.Items, g.aggregate(i, len(q.GroupBy) == 0))
+			q.Items = append(q.Items, g.aggregate(i))
 		}
 		q.OrderBy = slices.Clone(q.GroupBy)
 	}
@@ -416,16 +413,22 @@ func genCase(seed int64) planCase {
 	c.Q = q
 
 	if rng.Intn(4) == 0 {
-		c.MaxInFlight = 2 + rng.Intn(6)
+		// Below the scan fleet: a consumer launches only once its producers
+		// reported, when their first containers are settling, so a cap no
+		// fleet reaches on its own would never bind.
+		c.MaxInFlight = 1 + rng.Intn(max(c.Layout.LI-1, 1))
 	}
 	c.Goroutines = len(c.Faults.Rules) == 0 && rng.Intn(5) == 0
 	if rng.Intn(12) == 0 {
-		// A table nobody registered, or an aggregate over a column no table
-		// has.
+		// A table nobody registered, or a column no table has — in an
+		// aggregate or in WHERE.
 		c.Refused = true
-		if len(q.Joins) > 0 && c.Resident == "" {
+		switch {
+		case len(q.Joins) > 0 && c.Resident == "":
 			c.Unregistered = q.Joins[0].Table
-		} else {
+		case rng.Intn(2) == 0:
+			c.Q.Where = append(slices.Clone(c.Q.Where), "l_no_such_column > 0")
+		default:
 			c.Q.Items = append(c.Q.Items, agg("SUM(l_no_such_column)", "bad"))
 		}
 	}

@@ -278,8 +278,9 @@ type (
 	// waveLaunch runs with wave-gated launch and requires every stage to
 	// launch after its producers sealed.
 	waveLaunch struct{}
-	// overlapped requires pipelined launch: every stage launched before the
-	// first seal.
+	// overlapped requires pipelined launch, gated on first winners: every
+	// consumer launched after each producer's first winner sent its seal, and
+	// some consumer before its producers all sealed.
 	overlapped struct{}
 	// inflation runs a fault-free twin of a faulted case and requires its
 	// rows, an injected storm that workers retried, billed S3 requests within
@@ -498,13 +499,7 @@ func (c planCase) invariants(a caseRun, o []any) error {
 		case waveLaunch:
 			err = wavesGated(rep)
 		case overlapped:
-			var lastLaunch, firstSeal time.Duration = 0, math.MaxInt64
-			for _, ss := range rep.StageStats {
-				lastLaunch, firstSeal = max(lastLaunch, ss.Launched), min(firstSeal, ss.Sealed)
-			}
-			if lastLaunch > firstSeal {
-				err = fmt.Errorf("pipelined launch not overlapped: last launch %v after the first seal %v", lastLaunch, firstSeal)
-			}
+			err = pipelined(rep)
 		}
 		if err != nil {
 			return err
@@ -516,18 +511,7 @@ func (c planCase) invariants(a caseRun, o []any) error {
 // wavesGated requires every stage of a wave-gated run to launch no earlier
 // than every stage it depends on sealed.
 func wavesGated(rep *Report) error {
-	stat := map[[2]int]StageStat{} // (booked ID, regroup) → stat
-	for _, ss := range rep.StageStats {
-		stat[[2]int{ss.StageID, map[bool]int{false: 0, true: 1}[ss.Regroup]}] = ss
-	}
-	of := func(id int) StageStat {
-		for _, st := range rep.Plan.Stages {
-			if producer, ok := st.RegroupOf(); ok && st.ID == id {
-				return stat[[2]int{producer, 1}]
-			}
-		}
-		return stat[[2]int{id, 0}]
-	}
+	of := stageStats(rep)
 	for _, st := range rep.Plan.Stages {
 		for _, dep := range st.DependsOn {
 			if of(st.ID).Launched < of(dep).Sealed {
@@ -536,6 +520,46 @@ func wavesGated(rep *Report) error {
 		}
 	}
 	return nil
+}
+
+// pipelined is the overlapped option's check: each consumer launched after
+// every producer's first winner, and some consumer before its producers all
+// sealed — one whose producers' seals all came in one Receive launches at the
+// seal.
+func pipelined(rep *Report) error {
+	of := stageStats(rep)
+	overlap := false
+	for _, st := range rep.Plan.Stages {
+		var lastSeal time.Duration
+		for _, dep := range st.DependsOn {
+			if of(st.ID).Launched < of(dep).FirstWinner {
+				return fmt.Errorf("launch not gated: stage %d launched %v, before stage %d's first winner at %v", st.ID, of(st.ID).Launched, dep, of(dep).FirstWinner)
+			}
+			lastSeal = max(lastSeal, of(dep).Sealed)
+		}
+		overlap = overlap || len(st.DependsOn) > 0 && of(st.ID).Launched < lastSeal
+	}
+	if !overlap {
+		return errors.New("pipelined launch not overlapped: every consumer launched after its producers sealed")
+	}
+	return nil
+}
+
+// stageStats looks up a run's StageStat by its dense stage ID, a regroup
+// stage's under the producer it is booked to.
+func stageStats(rep *Report) func(id int) StageStat {
+	stat := map[[2]int]StageStat{} // (booked ID, regroup) → stat
+	for _, ss := range rep.StageStats {
+		stat[[2]int{ss.StageID, map[bool]int{false: 0, true: 1}[ss.Regroup]}] = ss
+	}
+	return func(id int) StageStat {
+		for _, st := range rep.Plan.Stages {
+			if producer, ok := st.RegroupOf(); ok && st.ID == id {
+				return stat[[2]int{producer, 1}]
+			}
+		}
+		return stat[[2]int{id, 0}]
+	}
 }
 
 // inflation is the inflation option's check of a faulted run a.

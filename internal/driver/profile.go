@@ -120,9 +120,9 @@ func WriteReport(w io.Writer, rep *Report, opts RenderOptions) {
 		if ss.Variant != "" {
 			boundary = "   boundary " + ss.Variant
 		}
-		fmt.Fprintf(w, "  %s %d: %d workers   launched +%v   sealed +%v   lag %v   speculated %d%s\n",
-			label, ss.StageID, ss.Workers, ss.Launched.Round(time.Millisecond), ss.Sealed.Round(time.Millisecond),
-			(ss.Sealed - ss.LastWinner).Round(time.Millisecond), ss.Speculated, boundary)
+		fmt.Fprintf(w, "  %s %d: %d workers   launched +%v   first +%v   sealed +%v   lag %v   speculated %d%s\n",
+			label, ss.StageID, ss.Workers, ss.Launched.Round(time.Millisecond), ss.FirstWinner.Round(time.Millisecond),
+			ss.Sealed.Round(time.Millisecond), (ss.Sealed - ss.LastWinner).Round(time.Millisecond), ss.Speculated, boundary)
 	}
 	fmt.Fprintf(w, "query cost: $%.6f\n", rep.TotalCost)
 	lines, _ := pricing.Bill(rep.Cost)

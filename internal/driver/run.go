@@ -83,16 +83,19 @@ type Report struct {
 type StageStat struct {
 	StageID int
 	Workers int
-	// Launched, LastWinner and Sealed are offsets from the query start:
-	// Launched is the instant of the stage's first Invoke (under pipelined
-	// launch every stage's is near zero), LastWinner the instant its last
-	// winner sent the seal message that completed it, and Sealed the instant
-	// the driver consumed that seal. Sealed shows how the DAG actually
-	// overlapped; Sealed − LastWinner is the seal lag, how long the stage's
-	// consumers waited on the driver rather than on the stage.
-	Launched   time.Duration
-	LastWinner time.Duration
-	Sealed     time.Duration
+	// Launched, FirstWinner, LastWinner and Sealed are offsets from the
+	// query start: Launched is the instant of the stage's first Invoke,
+	// FirstWinner the instant its first winner sent its seal message — a
+	// consumer fleet launches only after each of its producers' — LastWinner
+	// the instant its last winner sent the seal message that completed it,
+	// and Sealed the instant the driver consumed that seal. Sealed shows how
+	// the DAG actually overlapped; Sealed − LastWinner is the seal lag, how
+	// long the stage's consumers waited on the driver rather than on the
+	// stage.
+	Launched    time.Duration
+	FirstWinner time.Duration
+	LastWinner  time.Duration
+	Sealed      time.Duration
 	// Speculated counts backup attempts invoked for this stage's
 	// stragglers.
 	Speculated int

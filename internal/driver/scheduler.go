@@ -35,11 +35,13 @@ type stageRun struct {
 	invoked  []bool
 
 	// launchedAt is the instant of the stage's first Invoke, sealedAt the
-	// instant its seal was consumed, and lastWin the instant its last winner
-	// sent the seal message that completed it: sealedAt − lastWin is how long
-	// the driver took to consume that seal.
+	// instant its seal was consumed, and firstWin and lastWin the instants its
+	// first and its last winner sent their seal messages: sealedAt − lastWin
+	// is how long the driver took to consume the seal that completed it, and
+	// firstWin is what its consumers' launch waits for (launchable).
 	launchedAt time.Duration
 	sealedAt   time.Duration
+	firstWin   time.Duration
 	lastWin    time.Duration
 	// winners records, per worker, the attempt whose seal arrived first.
 	// Later seals of the same worker — the losing half of a backup pair —
@@ -154,11 +156,17 @@ func (s *scheduler) depsSealed(r *stageRun) bool {
 // launched fleet stays launchable. The policy is pipelined launch: a stage is
 // invoked before its producers seal — its cold starts overlap their
 // execution; the DynamoDB ready barrier, not the launch, gates its collects —
-// but only once every producer it depends on has its WHOLE fleet launched.
-// Producers then always make progress with the tokens they hold, so
-// token-holding consumers parked on a ready barrier are never waiting on a
-// producer that admission starved — the inductive liveness argument bottoms
-// out at scan stages, which depend on nothing. Under waves: once they sealed.
+// but only once every producer it depends on has its WHOLE fleet launched and
+// has reported at least one winner (or sealed, which implies one). The first
+// rule is liveness: producers then always make progress with the tokens they
+// hold, so token-holding consumers parked on a ready barrier are never
+// waiting on a producer that admission starved — the inductive argument
+// bottoms out at scan stages, which depend on nothing. The second is price: a
+// fleet launched at the requester pool's rate is up long before its producers
+// can seal, and every worker parked on the ready barrier is billed for the
+// wait; a producer's first report says its workers are running, so what is
+// left of its wall overlaps the consumers' cold starts. Under waves: once
+// they sealed.
 func (s *scheduler) launchable(r *stageRun) bool {
 	if r.launched == len(r.payloads) {
 		return false
@@ -167,7 +175,7 @@ func (s *scheduler) launchable(r *stageRun) bool {
 		return s.depsSealed(r)
 	}
 	for _, dep := range r.st.DependsOn {
-		if p := s.byID[dep]; p != nil && p.launched < len(p.payloads) {
+		if p := s.byID[dep]; p != nil && (p.launched < len(p.payloads) || len(p.winners) == 0) {
 			return false
 		}
 	}
@@ -201,10 +209,10 @@ func (s *scheduler) launched(r *stageRun, workers []int, at time.Duration) bool 
 	return true
 }
 
-// message consumes one result message at instant now. It returns the run the
-// message counted for (nil: discarded) and what the driver must do about it;
-// the error is the query's terminal StageFailure.
-func (s *scheduler) message(now time.Duration, rm *resultMsg) (*stageRun, outcome, error) {
+// message consumes one result message, sent at sent, at instant now. It
+// returns the run the message counted for (nil: discarded) and what the
+// driver must do about it; the error is the query's terminal StageFailure.
+func (s *scheduler) message(now, sent time.Duration, rm *resultMsg) (*stageRun, outcome, error) {
 	if rm.QueryID != s.queryID || rm.Epoch != s.epoch {
 		// Leftover of an earlier aborted query — including a zombie worker of
 		// an aborted identically-numbered run posting its seal on this run's
@@ -249,6 +257,9 @@ func (s *scheduler) message(now time.Duration, rm *resultMsg) (*stageRun, outcom
 			return r, relaunch, nil
 		}
 		return r, nothing, &StageFailure{QueryID: s.queryID, Stage: rm.Stage, Worker: w, Attempt: rm.Attempt, Retryable: rm.Retryable, Msg: rm.Err}
+	}
+	if len(r.winners) == 0 {
+		r.firstWin = sent
 	}
 	r.winners[w], r.chunks[w], r.commits[w] = rm.Attempt, rm.Chunk, rm.Offsets
 	if rm.Cold {

@@ -70,7 +70,7 @@ func TestSchedulerTransitions(t *testing.T) {
 			if rm.QueryID == "" {
 				rm.QueryID, rm.Epoch = s.queryID, s.epoch
 			}
-			r, out, err := s.message(now, &rm)
+			r, out, err := s.message(now, now, &rm)
 			var sf *StageFailure
 			switch {
 			case errors.As(err, &sf):
@@ -177,7 +177,24 @@ func TestSchedulerTransitions(t *testing.T) {
 			launch(1, 1, 9*ms, "false cap=5"),
 			can("1:false 2:true 0:false"), // one producer's whole fleet is not both
 			launch(2, 2, 12*ms, "true cap=12"),
-			can("1:false 2:false 0:true"), // launched, not sealed, is enough
+			can("1:false 2:false 0:false"), // launched is not enough: no producer reported
+			win(20*ms, 1, 0, "nothing"),
+			can("1:false 2:false 0:false"), // one producer's first winner is not both
+			win(21*ms, 2, 1, "nothing"),
+			can("1:false 2:false 0:true"), // a winner each, not sealed, is enough
+		}},
+		{name: "the gate takes a producer's first winner, not its launch", steps: []step{
+			launch(1, 2, 0, "true cap=0"),
+			win(5*ms, 1, 0, "nothing"),    // a winner before the whole fleet of 2 is out
+			can("1:false 2:true 0:false"), // is not enough: stage 2 has not launched
+			launch(2, 1, 6*ms, "true cap=6"),
+			win(7*ms, 2, 0, "nothing"),
+			can("1:false 2:true 0:false"), // nor is a winner of a partly launched fleet
+			launch(2, 1, 8*ms, "false cap=7"),
+			can("1:false 2:false 0:true"),
+			win(9*ms, 1, 1, "sealed awaited=true"),
+			mark(1, 9*ms),
+			can("1:false 2:false 0:true"), // a sealed producer keeps it launchable
 		}},
 		{name: "waves wait for seals", waves: true, steps: []step{
 			launch(1, 2, 0, "true cap=0"),

@@ -105,7 +105,7 @@ func NewSession(dep *Deployment, cfg Config) *Session {
 	}
 	if cfg.MaxInFlight > 0 {
 		s.admission = invoke.NewAdmission(cfg.MaxInFlight,
-			invoke.DriverPacing(cfg.Region, 1))
+			invoke.DriverPacing(cfg.Region, invoke.RequesterThreads))
 		// Exact release accounting: one token back per settling container,
 		// crash paths included — the hook fires wherever the Lambda
 		// service's running gauge decrements.
@@ -211,7 +211,7 @@ func (s *Session) newQuery(env simenv.Env) *query {
 	s.dep.SQS.CreateQueue(cfg.ResultQueue)
 	q := &query{s: s, dep: s.dep, cfg: cfg, env: env, id: id, adm: s.admission}
 	if q.adm == nil {
-		q.adm = invoke.NewAdmission(0, invoke.DriverPacing(cfg.Region, 1))
+		q.adm = invoke.NewAdmission(0, invoke.DriverPacing(cfg.Region, invoke.RequesterThreads))
 	}
 	q.retry = s.retryPolicy(-1)
 	return q

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"lambada/internal/awssim/faults"
+	"lambada/internal/awssim/lambdasvc"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/awssim/sqs"
 	"lambada/internal/columnar"
@@ -360,17 +362,52 @@ const launchMatrixSQL = `
 SELECT l_returnflag, COUNT(*) AS n, SUM(l_linenumber) AS lines, MAX(l_shipdate) AS last_ship
 FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag`
 
+// warmStarts is NewChaos's deployment, traced, with no cold-start delay.
+// invoke.UseTree weighs the tree's extra worker generation at the mean cold
+// start, so at the calibrated 250 ms only a fleet of about 130 workers or more
+// goes through the tree; with none, a fleet of 25 or more does.
+func warmStarts(seed int64, plan faults.Plan) func(*simclock.Kernel) *Deployment {
+	return func(k *simclock.Kernel) *Deployment {
+		dep := NewChaos(k, seed, plan)
+		lcfg := lambdasvc.DefaultAWSConfig(dep.Meter, seed+1)
+		lcfg.ColdStart, lcfg.Faults = nil, dep.Faults
+		dep.Lambda = lambdasvc.New(lcfg, lambdasvc.SimRuntime{K: k})
+		dep.EnableTracing(obs.New())
+		return dep
+	}
+}
+
+// driverInvokes counts the invocations in spans that the driver issued: every
+// one but a tree child, whose span hangs under its parent worker's.
+func driverInvokes(spans []obs.Span) int {
+	n := 0
+	for _, s := range spans {
+		if s.Kind == obs.KindInvoke && (s.Parent == 0 || spans[s.Parent-1].Kind != obs.KindInvoke) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestLaunchMatrix drives the one launch loop through every kind of unit it
-// builds: fleets below and above the tree threshold, with the invocation
+// builds: fleets on both sides of the tree's crossover, with the invocation
 // tree on and off, on a session without a cap (tree units of 1+children
 // tokens where the policy picks the tree), under a cap the fleet overruns
 // (single-worker units, partial launches resumed from the event loop) and
 // under one it fits. Every worker is invoked exactly once, the admission
 // peak respects the cap, the result is the single node's, and nothing is
 // left behind.
+//
+// The deployment starts containers without a cold-start delay (warmStarts),
+// which puts the crossover between the 17- and the 32-worker fleet: at Table
+// 1's eu rates the tree starts 17 workers in 5 × 3.4 ms + 18 ms + 3 × 12.3 ms
+// ≈ 72 ms against 17 × 3.4 ms ≈ 58 ms from the driver's pool, and 32 in
+// 6 × 3.4 ms + 18 ms + 5 × 12.3 ms ≈ 100 ms against ≈ 109 ms. So the
+// uncapped 32-worker fleet with the tree on must be launched by ⌈√32⌉ = 6
+// driver-side Invokes, and every other cell by one Invoke per worker.
 func TestLaunchMatrix(t *testing.T) {
 	want := singleNode(t, launchMatrixSQL, tpchData(33).catalog())
-	for _, fleet := range []int{1, 3, 4, 17} {
+	for _, fleet := range []int{1, 3, 4, 17, 32} {
 		for _, tree := range []bool{true, false} {
 			for _, maxInFlight := range []int{0, 2, 32} {
 				cfg := desConfig()
@@ -378,7 +415,7 @@ func TestLaunchMatrix(t *testing.T) {
 				cfg.MaxInFlight = maxInFlight
 				var out *columnar.Chunk
 				var rep *Report
-				sess, err := onDES(simulated(71), cfg, layout{Data: 33, LI: fleet, Opts: stdLayout.Opts}, func(p *simclock.Proc, sess *Session, tables TableFiles) (err error) {
+				sess, err := onDES(warmStarts(71, faults.Plan{}), cfg, layout{Data: 33, LI: fleet, Opts: stdLayout.Opts}, func(p *simclock.Proc, sess *Session, tables TableFiles) (err error) {
 					out, rep, err = sess.RunSQL(p, launchMatrixSQL, "lineitem", tables["lineitem"])
 					return err
 				})
@@ -391,6 +428,13 @@ func TestLaunchMatrix(t *testing.T) {
 				if rep.Workers != fleet || invoked != int64(fleet) || len(rep.WorkerProcessing) != fleet {
 					t.Errorf("fleet %d tree %v cap %d: %d workers, %d invocations, %d seals — want %d of each",
 						fleet, tree, maxInFlight, rep.Workers, invoked, len(rep.WorkerProcessing), fleet)
+				}
+				wantDriverSide := fleet
+				if tree && maxInFlight == 0 && fleet == 32 {
+					wantDriverSide = 6
+				}
+				if got := driverInvokes(rep.Trace.Spans()); got != wantDriverSide {
+					t.Errorf("fleet %d tree %v cap %d: %d driver-side Invokes, want %d", fleet, tree, maxInFlight, got, wantDriverSide)
 				}
 				adm := sess.Admission()
 				if (adm != nil) != (maxInFlight > 0) {

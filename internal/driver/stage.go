@@ -246,21 +246,22 @@ var ErrInvalidPlan = errors.New("driver: query does not plan")
 // attempt-0 payload, with its second-generation children folded in when the
 // fleet goes through the invocation tree (§4.2). workers are the containers
 // the Invoke spawns — the invoked worker first, then its children — and their
-// count is what it holds of admission. A tree unit is a synchronous, unpaced
-// Invoke; a direct one is pipelined and paced at the Invoke API rate.
+// count is what it holds of admission. Every unit, direct or first-generation,
+// is a pipelined Invoke paced at the requester pool's rate.
 type launchUnit struct {
 	workers []int
 	body    []byte
-	tree    bool
 }
 
 // launchUnits builds a stage's launch units, and is where the invocation
-// policy is decided, per stage: small fleets (the final merge of a wide
-// query, say) launch directly even when big scan fleets go through the
-// tree. Under a concurrency cap every unit is a single worker, so a partial
-// grant still launches something.
+// policy is decided, per stage: a fleet goes through the tree only where
+// invoke.UseTree finds it starts sooner than from the driver's pool at the
+// deployment's mean cold start — a scan fleet of hundreds, not the final
+// merge of a wide query. Under a concurrency cap every unit is a single
+// worker, so a partial grant still launches something.
 func (d *query) launchUnits(payloads []workerPayload) ([]launchUnit, error) {
-	tree := d.adm.Capacity() <= 0 && invoke.UseTree(d.cfg.TreeInvoke, len(payloads))
+	tree := d.adm.Capacity() <= 0 && d.cfg.TreeInvoke &&
+		invoke.UseTree(d.adm.Pacing(), invoke.WorkerPacing(d.cfg.Region), d.dep.Lambda.ColdStart(), len(payloads))
 	// children[w] are the workers that unit w's worker invokes in turn: none
 	// in a direct launch, where every worker is a unit; TreeFanout's split
 	// in a tree, whose first generation is workers 0..g-1.
@@ -282,14 +283,14 @@ func (d *query) launchUnits(payloads []workerPayload) ([]launchUnit, error) {
 		if err != nil {
 			return nil, err
 		}
-		units[w] = launchUnit{workers: append([]int{w}, kids...), body: body, tree: tree}
+		units[w] = launchUnit{workers: append([]int{w}, kids...), body: body}
 	}
 	return units, nil
 }
 
 // invoke issues one unit's Invoke from env, its admission tokens already
-// taken and, for a direct unit, its pacing slot already slept. Like every
-// substrate call the driver makes it runs under the query's retry policy:
+// taken and its pacing slot already slept. Like every substrate call the
+// driver makes it runs under the query's retry policy:
 // transient invoke errors retry with backoff, quota rejections
 // (throttle-class Invoke errors are permanent capacity answers, not blips)
 // and payload errors stay fatal. span — the stage span — parents the
@@ -298,7 +299,7 @@ func (d *query) launchUnits(payloads []workerPayload) ([]launchUnit, error) {
 func (d *query) invoke(env simenv.Env, u launchUnit, span obs.SpanID) error {
 	err := d.retry.Do(env, "lambda.Invoke", func() error {
 		return d.dep.Lambda.Invoke(env, d.cfg.FunctionName, u.body,
-			lambdasvc.InvokeOptions{WorkerID: u.workers[0], Pipelined: !u.tree, Span: span})
+			lambdasvc.InvokeOptions{WorkerID: u.workers[0], Pipelined: true, Span: span})
 	})
 	if err != nil {
 		// Invoke fails before any container spawns: hand the tokens back.
@@ -749,9 +750,7 @@ func (l *launcher) launchReady(env simenv.Env) error {
 			u := r.pending[0]
 			r.pending = r.pending[1:]
 			from := env.Now()
-			if !u.tree {
-				d.adm.Pace(env)
-			}
+			d.adm.Pace(env)
 			if s.launched(r, u.workers, env.Now()) {
 				d.dep.Trace.SetStart(r.span, env.Now())
 			}
@@ -777,6 +776,10 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 	topic := "sqs/" + d.cfg.ResultQueue
 	// barrier is the park on the result queue, armed before each Receive.
 	var barrier simenv.Barrier
+	// window is how many Receives the next pass keeps in flight: one, until
+	// they come back full — a backlog of seals — then twice as many as came
+	// back full, but never more than the seals still missing could fill.
+	window := 1
 	defer func() {
 		// A return between the Receive and the park leaves no waiter behind.
 		barrier.Cancel()
@@ -804,7 +807,7 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 		// in flight ends the park below at once, instead of waiting out a
 		// whole PollInterval for a message already in the queue.
 		barrier = simenv.Arm(d.env, topic)
-		msgs, err := d.receive()
+		msgs, full, err := d.receive(window)
 		if err != nil {
 			return fmt.Errorf("driver: collecting seals: %w", err)
 		}
@@ -816,7 +819,7 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 			if err := json.Unmarshal(m.Body, &rm); err != nil {
 				return err
 			}
-			r, out, err := s.message(d.env.Now(), &rm)
+			r, out, err := s.message(d.env.Now(), m.SentAt, &rm)
 			if err != nil {
 				return err
 			}
@@ -858,6 +861,7 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 		if s.done() {
 			break
 		}
+		window = max(1, min(2*full, (s.missing()+receiveBatch-1)/receiveBatch))
 		// Straggler speculation: backup bursts pace like any other direct
 		// launch (reinvoke) — the liveness cap can re-invoke a whole stage
 		// fleet at once, which must not exceed the Invoke API rate.
@@ -895,13 +899,14 @@ func (d *query) report(s *scheduler, sp *stageplan.Plan) *Report {
 	sort.Slice(rep.WorkerProcessing, func(i, j int) bool { return rep.WorkerProcessing[i] < rep.WorkerProcessing[j] })
 	for _, r := range s.runs {
 		ss := StageStat{
-			StageID:    r.st.ID,
-			Workers:    len(r.payloads),
-			Launched:   r.launchedAt - d.start,
-			Sealed:     r.sealedAt - d.start,
-			LastWinner: r.lastWin - d.start,
-			Speculated: r.speculated,
-			Span:       r.span,
+			StageID:     r.st.ID,
+			Workers:     len(r.payloads),
+			Launched:    r.launchedAt - d.start,
+			Sealed:      r.sealedAt - d.start,
+			FirstWinner: r.firstWin - d.start,
+			LastWinner:  r.lastWin - d.start,
+			Speculated:  r.speculated,
+			Span:        r.span,
 		}
 		if producer, ok := r.st.RegroupOf(); ok {
 			ss.StageID, ss.Regroup = producer, true
@@ -927,16 +932,29 @@ func (d *query) report(s *scheduler, sp *stageplan.Plan) *Report {
 	return &rep
 }
 
-// receive reads up to one batch of the query's result queue under the retry
-// policy.
-func (d *query) receive() ([]sqs.Message, error) {
-	var msgs []sqs.Message
-	err := d.retry.Do(d.env, "sqs.Receive", func() error {
-		var rerr error
-		msgs, rerr = d.dep.SQS.Receive(d.env, d.cfg.ResultQueue, 10)
-		return rerr
+// receiveBatch is the most messages one SQS Receive returns.
+const receiveBatch = 10
+
+// receive reads the query's result queue under the retry policy: n Receives
+// of up to receiveBatch messages each, side by side in one request window
+// (simenv.Overlap), each lane bound to the driver's current span. It returns
+// the messages in lane order and how many Receives came back full.
+func (d *query) receive(n int) (msgs []sqs.Message, full int, err error) {
+	lanes := make([]simenv.Lane, n)
+	err = simenv.Overlap(d.env, d.dep.Trace, lanes, n, func(_, l int) error {
+		var batch []sqs.Message
+		err := d.retry.Do(&lanes[l], "sqs.Receive", func() error {
+			var rerr error
+			batch, rerr = d.dep.SQS.Receive(&lanes[l], d.cfg.ResultQueue, receiveBatch)
+			return rerr
+		})
+		if len(batch) == receiveBatch {
+			full++
+		}
+		msgs = append(msgs, batch...)
+		return err
 	})
-	return msgs, err
+	return msgs, full, err
 }
 
 // stagePayloads builds the st.Workers invocation payloads of one stage

@@ -65,7 +65,13 @@ func runStagedZombieSeal(t *testing.T, wc bool, levels int) (*columnar.Chunk, *R
 	scfg.Exchange.Variant.Levels = levels
 	var out *columnar.Chunk
 	var rep *Report
-	d1, err := onDES(simulated(97), cfg1, layout{Data: 41, LI: 4, Ord: 2, Opts: stdLayout.Opts}, func(p *simclock.Proc, d1 *Session, tables TableFiles) (err error) {
+	// Six lineitem files, not four: the poison query's date window prunes four
+	// files to one, and a lone stalled scan worker reports no winner, so the
+	// consumers — launched on their producers' first winners — would launch
+	// only once the zombie woke, and the aborted run would succeed. Six leave
+	// the lineitem scan two workers: worker 1's winner launches the join,
+	// whose wait on worker 0 times out.
+	d1, err := onDES(simulated(97), cfg1, layout{Data: 41, LI: 6, Ord: 2, Opts: stdLayout.Opts}, func(p *simclock.Proc, d1 *Session, tables TableFiles) (err error) {
 		d1Start := p.Now()
 		if _, _, err := d1.RunSQLStaged(p, q12PoisonSQL, tables, scfg); err == nil {
 			return errors.New("aborted run unexpectedly succeeded (test premise broken)")
@@ -296,12 +302,16 @@ func TestStageFragmentSingleSealDeadline(t *testing.T) {
 		t.Fatal("no two-input join stage in the plan")
 	}
 
+	// Worker 0 of each producer stalls, worker 1 does not: a consumer launches
+	// on its producers' first winners, so with whole fleets stalled the join
+	// would launch after the dead producer woke, and never wait at all.
 	cfg := desConfig()
 	cfg.testWorkerDelay = func(stage, workerID, attempt int) time.Duration {
-		switch stage {
-		case firstIn:
+		switch {
+		case workerID != 0:
+		case stage == firstIn:
 			return lateStall // seals late but within the fragment deadline
-		case lastIn:
+		case stage == lastIn:
 			return deadStall // never seals in time
 		}
 		return 0

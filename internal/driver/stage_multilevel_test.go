@@ -219,8 +219,12 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 	if rep.Duration >= 10*time.Second {
 		t.Errorf("query took %v, want under 10s", rep.Duration)
 	}
-	// The join fleet's launch (23 synchronous tree Invokes for 512 workers)
-	// outlasts the scans, and no seal may wait for it.
+	// The join fleet launches on the scans' first winners — 23
+	// first-generation Invokes from the requester pool, issued while the scans'
+	// last seals arrive — and no seal may wait for it. Nor may the join's own:
+	// its 512 seals come back as full batches, which the result loop takes
+	// through a window of Receives; one Receive at a time, the join sealed
+	// 175 ms behind its last winner.
 	assertSealLag(t, rep)
 }
 

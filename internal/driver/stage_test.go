@@ -79,6 +79,21 @@ func TestStagedDESDeterministic(t *testing.T) {
 	runCase(t, planCase{Q: q12Exact(), Layout: stdLayout, Partitions: 2, BroadcastRowLimit: -1}, wantStages(3))
 }
 
+// A global MIN and MAX over a join whose cross-table filter leaves one of the
+// two join workers no row: that worker's partial is a row of zeros, which the
+// driver's merge must not take for a value (found by FuzzGeneratedPlan: MIN
+// answered 0 where one node answers 1). Filtered to nothing at all, the
+// merge has no partial to read and answers the one row of zeros one node does.
+func TestStagedGlobalMinMaxOverEmptyWorker(t *testing.T) {
+	q := sqlQuery{Items: []selItem{agg("MIN(l_linenumber)", "lo"), agg("MAX(l_shipdate)", "last"), agg("COUNT(*)", "n")},
+		From: "lineitem", Joins: []sqlJoin{{"orders", "lineitem.l_orderkey = orders.o_orderkey"}},
+		Where: []string{"l_orderkey + o_custkey < 50"}}
+	c := planCase{Q: q, Layout: stdLayout, Partitions: 2, BroadcastRowLimit: -1}
+	runCase(t, c, wantStages(3))
+	c.Q.Where = []string{"l_orderkey + o_custkey < 0"}
+	runCase(t, c, wantStages(3))
+}
+
 // A shuffle join without aggregation posts the joined rows themselves.
 func TestStagedBareJoinRowsMatch(t *testing.T) {
 	q := sqlQuery{Items: []selItem{{Expr: "l_orderkey"}, {Expr: "l_linenumber"}, {Expr: "o_custkey"}}, From: "lineitem",
@@ -87,12 +102,17 @@ func TestStagedBareJoinRowsMatch(t *testing.T) {
 	runCase(t, planCase{Q: q, Layout: gzipLayout, Partitions: 2, BroadcastRowLimit: -1, Goroutines: true}, wantStages(3))
 }
 
-// Pipelined launch invokes every stage before the first seal; wave-gated
-// launch holds every stage back until its producers sealed.
+// Pipelined launch invokes a consumer once each of its producers reported a
+// winner, before they seal; wave-gated launch holds every stage back until its
+// producers sealed. The pipelined run is on DES: its check compares a
+// producer's first seal message, dated on the worker's clock, with the
+// consumer's launch, dated on the driver's, and goroutine workers each run a
+// clock of their own.
 func TestStagedPipelinedMatchesWaves(t *testing.T) {
 	c := planCase{Q: q12ByPart(), Layout: gzipLayout, Partitions: 3, BroadcastRowLimit: -1, Goroutines: true}
-	runCase(t, c, overlapped{})
 	runCase(t, c, waveLaunch{})
+	c.Goroutines = false
+	runCase(t, c, overlapped{})
 }
 
 // Grouped on a key the footers cannot bound, with float sums: partial
@@ -142,10 +162,12 @@ func assertSealLag(t *testing.T, rep *Report) {
 }
 
 // TestSealNeverBehindLaunch runs q12 at 256 partitions on DES: two 2-worker
-// scan stages into single-round boundaries, and the 256-worker join launched
-// through the invocation tree, 16 synchronous Invokes that outlast both
-// scans. Each scan stage must seal as soon as its last worker reported. With
-// the launch pass inline in the event loop they sealed only after the join's
+// scan stages into single-round boundaries, and the 256-worker join, launched
+// on the scans' first winners through the invocation tree — 16
+// first-generation Invokes from the requester pool, issued while the scans'
+// last seals arrive. Each scan stage must seal as soon as its last worker
+// reported. With the launch pass inline in the event loop, and the tree's
+// first generation invoked synchronously, they sealed only after the join's
 // last Invoke, 344 and 253 ms behind their last winners.
 //
 // And each join worker waits once and reads once: its four reads — two

@@ -16,10 +16,52 @@ func Optimize(p Plan, cat Catalog) (Plan, error) {
 		return nil, err
 	}
 	p = pushDownFilters(p)
+	if err := checkFilters(p); err != nil {
+		return nil, err
+	}
 	if err := pushDownProjections(p); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// checkFilters type-checks every predicate where push-down left it — in a
+// scan, against the table's columns; above a join, against the join's output
+// — so a WHERE that names a column its input lacks, or is no condition, is
+// refused with the plan, not by the worker that evaluates it.
+func checkFilters(p Plan) error {
+	var pred Expr
+	var in *columnar.Schema
+	switch n := p.(type) {
+	case nil:
+		return nil
+	case *JoinPlan:
+		if err := checkFilters(n.Left); err != nil {
+			return err
+		}
+		return checkFilters(n.Right)
+	case *ScanPlan:
+		pred, in = n.Filter, n.TableSchema
+	case *FilterPlan:
+		s, err := n.In.OutSchema()
+		if err != nil {
+			return err
+		}
+		pred, in = n.Pred, s
+	}
+	if pred != nil {
+		t, err := pred.Type(in)
+		if err != nil {
+			return err
+		}
+		if t != columnar.Bool {
+			return fmt.Errorf("engine: filter %s is not a condition", pred)
+		}
+	}
+	if _, scan := p.(*ScanPlan); scan {
+		return nil
+	}
+	return checkFilters(p.Child())
 }
 
 // pushDownFilters moves filter predicates adjacent to scans into the scan
@@ -296,9 +338,16 @@ const WorkerResultTable = "__worker_results"
 // SplitAggregate decomposes an aggregation into a worker partial and a
 // driver final merge. AVG becomes SUM+COUNT partials recombined by a final
 // projection; SUM/COUNT/MIN/MAX merge with SUM/SUM/MIN/MAX.
+//
+// A global aggregate yields one row even over no input, its MIN and MAX
+// zero, and zero is no identity of MIN or MAX: merged, a worker whose input
+// was empty would lower every MIN and raise every MAX to it. So a global
+// partial with a MIN or MAX also counts its rows, and the merge reads only the
+// partials that saw one — over none, it yields the one row a single node does.
 func SplitAggregate(p *AggregatePlan) (partial *AggregatePlan, final Plan, err error) {
 	partial = &AggregatePlan{In: p.In, GroupBy: p.GroupBy}
 	mergeAggs := []AggSpec{}
+	var rows string // the partial's row count, where the merge needs it
 	// Final projection reconstructing the requested outputs.
 	var exprs []Expr
 	var names []string
@@ -344,13 +393,23 @@ func SplitAggregate(p *AggregatePlan) (partial *AggregatePlan, final Plan, err e
 			return nil, nil, fmt.Errorf("engine: cannot split aggregate %v", a.Func)
 		}
 		names = append(names, a.Name)
+		if (a.Func == AggMin || a.Func == AggMax) && len(p.GroupBy) == 0 && rows == "" {
+			rows = partialName("rows", len(p.Aggs), "cnt")
+		}
+	}
+	if rows != "" {
+		partial.Aggs = append(partial.Aggs, AggSpec{Func: AggCount, Name: rows})
 	}
 	ws, err := partial.OutSchema()
 	if err != nil {
 		return nil, nil, err
 	}
+	var in Plan = &ScanPlan{Table: WorkerResultTable, TableSchema: ws}
+	if rows != "" {
+		in = &FilterPlan{In: in, Pred: NewBin(OpGT, Col(rows), ConstInt(0))}
+	}
 	merge := &AggregatePlan{
-		In:      &ScanPlan{Table: WorkerResultTable, TableSchema: ws},
+		In:      in,
 		GroupBy: p.GroupBy,
 		Aggs:    mergeAggs,
 	}

@@ -132,7 +132,7 @@ func Figure5(cfg Figure5Config) *Figure5Result {
 			res.AllRunning = s.at
 		}
 	}
-	res.DirectEstimate = invoke.DirectDuration(invoke.DriverPacing(cfg.Region, 128), cfg.Workers)
+	res.DirectEstimate = invoke.DirectDuration(invoke.DriverPacing(cfg.Region, invoke.RequesterThreads), cfg.Workers)
 	return res
 }
 

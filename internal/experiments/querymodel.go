@@ -179,6 +179,8 @@ func (m LambadaModel) Run(cfg RunConfig) *RunEstimate {
 	if !cfg.Cold {
 		start = 15 * time.Millisecond
 	}
+	// One requester thread: the model reproduces the paper's measured ramp
+	// (Figure 5), not the executor's concurrent pool.
 	inv := invoke.TreeDuration(invoke.DriverPacing(m.Region, 1), invoke.WorkerPacing(m.Region), start, workers)
 	collect := m.CollectBase + time.Duration(workers)*m.CollectPerMsg
 

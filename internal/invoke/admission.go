@@ -128,6 +128,10 @@ func (a *Admission) Release(n int) {
 	a.mu.Unlock()
 }
 
+// Pacing returns the pacer's rate model (Table 1): what every Invoke issued
+// through the controller is paced at.
+func (a *Admission) Pacing() Pacing { return a.pacing }
+
 // Pace charges one Invoke API slot against the rate pacer, sleeping the
 // caller until its slot: queries sharing the controller interleave at the
 // deployment's effective invocation rate instead of each assuming the full

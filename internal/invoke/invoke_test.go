@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"lambada/internal/awssim/lambdasvc"
 	"lambada/internal/netmodel"
 )
 
@@ -99,6 +100,33 @@ func TestDirectVsTreeDuration(t *testing.T) {
 	d1000 := DirectDuration(driver128, 1000)
 	if d1000 < 3400*time.Millisecond || d1000 > 4400*time.Millisecond {
 		t.Errorf("direct 1000 = %v, want 3.4-4.4 s", d1000)
+	}
+}
+
+// TestUseTreeAtTheRequesterPoolRate pins the executor's launch policy: its
+// pacer runs at Table 1's concurrent rate, 294 Invokes/s from Zurich to eu,
+// and at that rate and the calibrated Lambda config's mean cold start a
+// 30-worker fleet launches directly — the tree would wait out a cold start
+// for what the pool issues in 0.1 s — while 256 and 4 096 go through the tree.
+func TestUseTreeAtTheRequesterPoolRate(t *testing.T) {
+	driver := DriverPacing(netmodel.RegionEU, RequesterThreads)
+	rate := 294.0
+	if want := time.Duration(float64(time.Second) / rate); driver.Gap() != want {
+		t.Errorf("pool gap = %v, want %v", driver.Gap(), want)
+	}
+	worker := WorkerPacing(netmodel.RegionEU)
+	cold := lambdasvc.New(lambdasvc.DefaultAWSConfig(nil, 0), nil).ColdStart()
+	if cold != 250*time.Millisecond {
+		t.Fatalf("mean cold start = %v, want 250ms", cold)
+	}
+	for _, tc := range []struct {
+		total int
+		tree  bool
+	}{{1, false}, {4, false}, {30, false}, {100, false}, {256, true}, {4096, true}} {
+		if got := UseTree(driver, worker, cold, tc.total); got != tc.tree {
+			t.Errorf("UseTree(%d) = %v (tree %v, direct %v), want %v", tc.total, got,
+				TreeDuration(driver, worker, cold, tc.total), DirectDuration(driver, tc.total), tc.tree)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ package simclock
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -78,6 +79,7 @@ func (h *eventHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	e := old[n-1]
+	old[n-1] = event{} // the backing array must not keep a finished process alive
 	*h = old[:n-1]
 	return e
 }
@@ -259,6 +261,7 @@ func (k *Kernel) notifyKey(key string) {
 			kept = append(kept, w)
 		}
 	}
+	clear(k.compWaiters[len(kept):])
 	k.compWaiters = kept
 }
 
@@ -330,7 +333,7 @@ func (p *Proc) Disarm() {
 	k := p.k
 	for i, w := range k.compWaiters {
 		if w.p == p {
-			k.compWaiters = append(k.compWaiters[:i], k.compWaiters[i+1:]...)
+			k.compWaiters = slices.Delete(k.compWaiters, i, i+1) // zeroes the freed slot
 			return
 		}
 	}

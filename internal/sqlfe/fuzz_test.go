@@ -16,6 +16,7 @@ func FuzzParse(f *testing.F) {
 	for _, sql := range []string{
 		tpch.Q1SQL, tpch.Q6SQL, tpch.JoinSQL, tpch.Q12SQL,
 		"SELECT l_orderkey, l_quantity FROM lineitem ORDER BY l_quantity DESC, l_orderkey LIMIT 5",
+		"SELECT DATE '1994-01-01' AS e, l_orderkey FROM lineitem",
 	} {
 		f.Add(sql)
 	}

@@ -346,47 +346,37 @@ func contains(list []string, s string) bool {
 	return false
 }
 
+// aggFuncs are the keywords a select item's aggregate starts with.
+var aggFuncs = map[string]engine.AggFunc{"SUM": engine.AggSum, "COUNT": engine.AggCount, "AVG": engine.AggAvg,
+	"MIN": engine.AggMin, "MAX": engine.AggMax}
+
 func (p *parser) parseSelectItem(idx int) (selectItem, error) {
 	var it selectItem
-	if t := p.peek(); t.kind == tokKeyword {
-		switch t.text {
-		case "SUM", "COUNT", "AVG", "MIN", "MAX":
-			p.next()
-			if _, err := p.expect(tokSymbol, "("); err != nil {
-				return it, err
-			}
-			spec := engine.AggSpec{}
-			switch t.text {
-			case "SUM":
-				spec.Func = engine.AggSum
-			case "COUNT":
-				spec.Func = engine.AggCount
-			case "AVG":
-				spec.Func = engine.AggAvg
-			case "MIN":
-				spec.Func = engine.AggMin
-			case "MAX":
-				spec.Func = engine.AggMax
-			}
-			if p.accept(tokSymbol, "*") {
-				if spec.Func != engine.AggCount {
-					return it, fmt.Errorf("sqlfe: %s(*) not allowed", t.text)
-				}
-			} else {
-				arg, err := p.parseExpr()
-				if err != nil {
-					return it, err
-				}
-				spec.Arg = arg
-			}
-			if _, err := p.expect(tokSymbol, ")"); err != nil {
-				return it, err
-			}
-			it.agg = &spec
-			it.name = fmt.Sprintf("%s_%d", strings.ToLower(t.text), idx)
-		default:
-			return it, fmt.Errorf("sqlfe: unexpected keyword %q in select list", t.text)
+	// An aggregate starts with its function's keyword; anything else — a
+	// column, a literal, DATE '…' — is an expression.
+	t := p.peek()
+	if fn, ok := aggFuncs[t.text]; ok && t.kind == tokKeyword {
+		p.next()
+		if _, err := p.expect(tokSymbol, "("); err != nil {
+			return it, err
 		}
+		spec := engine.AggSpec{Func: fn}
+		if p.accept(tokSymbol, "*") {
+			if spec.Func != engine.AggCount {
+				return it, fmt.Errorf("sqlfe: %s(*) not allowed", t.text)
+			}
+		} else {
+			arg, err := p.parseExpr()
+			if err != nil {
+				return it, err
+			}
+			spec.Arg = arg
+		}
+		if _, err := p.expect(tokSymbol, ")"); err != nil {
+			return it, err
+		}
+		it.agg = &spec
+		it.name = fmt.Sprintf("%s_%d", strings.ToLower(t.text), idx)
 	} else {
 		e, err := p.parseExpr()
 		if err != nil {

@@ -60,6 +60,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT x FROM t trailing",
 		"SELECT x FROM t GROUP BY x", // group by without aggregates
 		"SELECT x FROM t WHERE DATE 'nonsense' < 3",
+		"SELECT FROM t",       // a keyword that starts no aggregate starts no item
 		"SELECT x FROM t\xe9", // a Latin-1 letter is not a letter
 		"SELECT x\xa0FROM t",  // nor a Latin-1 space a space
 	}
@@ -92,6 +93,18 @@ func TestDateLiteralArithmetic(t *testing.T) {
 	want := tpch.Q1ShipDateCutoff
 	if !strings.Contains(s, "(x <= "+itoa(want)+")") {
 		t.Errorf("date arithmetic wrong:\n%s (want cutoff %d)", s, want)
+	}
+}
+
+// A select item may start with DATE, as any expression may.
+func TestSelectItemStartsWithDate(t *testing.T) {
+	plan, err := Parse("SELECT DATE '1994-01-01' AS e, x FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := engine.Explain(plan)
+	if !strings.Contains(s, "731 AS e") { // 1992 and 1993 are 731 days
+		t.Errorf("DATE item wrong:\n%s", s)
 	}
 }
 
