@@ -37,11 +37,10 @@ func main() {
 		query    = flag.String("query", "q1", "q1, q6, join, q12 (two-large-sides join), or a SQL string over lineitem, supplier, orders")
 		memory   = flag.Int("m", 1792, "worker memory in MiB")
 		fPerW    = flag.Int("f", 1, "files per worker")
-		tree     = flag.Bool("tree", true, "use the two-level invocation tree")
 		gz       = flag.Bool("gzip", true, "GZIP-compress column chunks")
 		mode     = flag.String("mode", "local", "local (goroutine workers) or des (virtual-time simulation)")
 		seed     = flag.Int64("seed", 42, "data generation seed")
-		explain  = flag.Bool("v", false, "record a trace and print the stage plan, with where the aggregate merges and why, and per-worker processing times")
+		explain  = flag.Bool("v", false, "record a trace and print the stage plan, with where the aggregate merges and why, per-worker processing times and, with -profile, the critical path span by span")
 		useXchg  = flag.Bool("exchange", false, "keep the auxiliary tables (supplier, orders) as lpq files on S3, where the planner picks broadcast or shuffle per join from their footers, instead of in the driver's memory, from where they always broadcast")
 		parts    = flag.Int("partitions", 0, "exchange boundary fan-in (workers per join/final-merge stage); 0 = autotune from footer row counts")
 		bcast    = flag.Int64("broadcast-limit", 0, "S3 build sides up to this many rows broadcast instead of shuffling (0 = default, negative = always shuffle)")
@@ -51,7 +50,7 @@ func main() {
 		maxParts = flag.Int("max-partitions", 0, "cap the autotuned boundary fan-in (0 = stageplan default; with -partitions 0)")
 		fplan    = flag.String("fault-plan", "", "JSON fault plan file injected into the simulated substrate (with -mode des); see internal/awssim/faults")
 		fseed    = flag.Int64("fault-seed", 0, "override the fault plan's seed (0 = keep the plan's own; with -fault-plan)")
-		profile  = flag.Bool("profile", false, "EXPLAIN ANALYZE: record a trace and print the per-stage profile and critical path")
+		profile  = flag.Bool("profile", false, "EXPLAIN ANALYZE: record a trace and print the stage table's attempts, dollars and worker-seconds per phase, and the critical path by stage and phase")
 		traceOut = flag.String("trace-out", "", "write the query's Chrome trace-event JSON to this file (implies tracing; open in Perfetto or chrome://tracing)")
 	)
 	flag.Parse()
@@ -96,7 +95,6 @@ func main() {
 	cfg := driver.DefaultConfig()
 	cfg.WorkerMemoryMiB = *memory
 	cfg.FilesPerWorker = *fPerW
-	cfg.TreeInvoke = *tree
 	if *spec {
 		cfg.Speculate = driver.DefaultSpeculateConfig()
 	}

@@ -576,7 +576,7 @@
 //
 // One policy layer absorbs those faults everywhere: resilience.Policy.Do is
 // the only retry loop in the tree and the only place a substrate call's op
-// span is opened (lambda.start apart). It classifies errors
+// span is opened. It classifies errors
 // retryable-vs-fatal (a registry the services feed, e.g. S3 SlowDown), backs
 // off with decorrelated jitter — a pure hash of (scope seed, op, attempt),
 // virtual-time-safe because waits go through simenv, and never a draw from a
@@ -618,9 +618,16 @@
 //	stage    one stage run of its plan (a plan without a boundary has one;
 //	         a regroup stage's is named regroup-<producer>)
 //	invoke   one Lambda worker invocation (an attempt; tags carry worker,
-//	         cold, attempt, fault/timeout outcomes, rows and bytes moved)
+//	         query, stage, attempt, fault/timeout outcomes)
+//	phase    one step of an invocation, in turn: cold-start | warm, then the
+//	         worker path's spawn (tree children hang under it), wait-sealed
+//	         (polls), collect (bytes.in, gets), regroup, execute (rows.out;
+//	         the scan reads the engine pulls), publish (bytes.out), post —
+//	         they tile the invocation, so every op under it lies in one; and
+//	         the driver's plan, launch (one per pass that invokes), merge and
+//	         cleanup under the query
 //	op       one substrate call (s3.getrange, sqs.Receive, dynamo.PutIf,
-//	         lambda.start, …; tags carry retries and outcome)
+//	         lambda.Invoke, …; tags carry retries and outcome)
 //
 // Cost accounting has one unit and one ledger. obs.Cost is the unit: exact
 // integers — request counts per service, S3 bytes read, Lambda duration as
@@ -651,16 +658,21 @@
 // untraced run's Duration excludes.
 //
 // Everything downstream is derived from the span tree. Report.Profile
-// folds it into an EXPLAIN ANALYZE record: per-stage wall time, attempt
-// counts, rows and shuffle bytes, billed cost in exact units and dollars,
-// plus the critical path — obs.CriticalPath extracts the latency-bounding
+// folds it into an EXPLAIN ANALYZE record, one row per stage: launched,
+// first and last winner, sealed, attempts, billed cost in exact units and
+// dollars, and the worker time of each phase summed over the fleet and its
+// longest — Figure 11's split into invocation, fetch, process and return.
+// Then the critical path — obs.CriticalPath extracts the latency-bounding
 // chain with one sorted sweep (near-linear; the quadratic definition is
 // kept as the test reference), whose segments tile the query span exactly,
-// so their durations sum to the end-to-end virtual latency. The analyses
-// share one obs.Tree, the recording's child index. The CLI
-// prints it under -profile and writes a Chrome trace-event JSON file
-// under -trace-out (loadable in Perfetto; validated by cmd/tracecheck and
-// `make trace-smoke`). Timestamps come from the virtual clock and span
+// so their durations sum to the end-to-end virtual latency — folded into
+// at most 60 runs of (stage, phase). The analyses share one obs.Tree, the
+// recording's child index. The CLI prints the stage table under every
+// query, with its trace columns under -profile, the critical path under
+// -profile (span by span with -v), and writes a Chrome trace-event JSON
+// file under -trace-out (loadable in Perfetto; validated by cmd/tracecheck
+// and `make trace-smoke`, which reject a phase outside its invocation or
+// overlapping another of its phases). Timestamps come from the virtual clock and span
 // IDs from call order, so under the DES kernel two runs of the same
 // seeded query export byte-identical traces — the determinism suite
 // asserts this with the chaos plan active on both exchange variants.

@@ -47,9 +47,10 @@ type Ctx struct {
 	Cold      bool
 	// WorkerID is a caller-assigned identifier carried in InvokeOptions.
 	WorkerID int
-	// Span is this invocation's trace span (0 when tracing is off).
-	// Handlers tag it with application metadata (stage, attempt) and use
-	// it as the parent for child invocations.
+	// Span is this invocation's trace span (0 when tracing is off). Its
+	// first phase, cold-start or warm, is over when the handler runs;
+	// handlers tag the span with application metadata (stage, attempt) and
+	// open their own phases on Env (obs.Tracer.Phase).
 	Span obs.SpanID
 
 	svc *Service
@@ -323,17 +324,18 @@ func (s *Service) Invoke(env simenv.Env, name string, payload []byte, opts Invok
 	// The worker begins after roughly half the caller's round trip (the
 	// request leg) plus its container start delay.
 	s.rt.Spawn(fmt.Sprintf("%s#%d", name, opts.WorkerID), func(wenv simenv.Env) {
-		var span, startSpan obs.SpanID
+		var span, start obs.SpanID
 		if tr.Enabled() {
 			span = tr.StartSpan(obs.KindInvoke, f.Name, opts.Span, wenv.Now())
 			tr.SetTag(span, "worker", strconv.Itoa(opts.WorkerID))
+			phase := "warm"
 			if cold {
-				tr.SetTag(span, "cold", "true")
+				phase = "cold-start"
 			}
-			startSpan = tr.StartSpan(obs.KindOp, "lambda.start", span, wenv.Now())
+			start = tr.StartSpan(obs.KindPhase, phase, span, wenv.Now())
 		}
 		wenv.Sleep(invokeRTT/2 + startDelay)
-		tr.EndSpan(startSpan, wenv.Now())
+		tr.EndSpan(start, wenv.Now())
 		if crashOnStart {
 			// The container died before the handler ran: no handler duration
 			// to bill, no completion callback, and the container is gone —
@@ -383,8 +385,8 @@ func (s *Service) Invoke(env simenv.Env, name string, payload []byte, opts Invok
 		if crashed {
 			tr.SetTag(span, "fault", "crash-mid-run")
 		}
-		// Release closes the invocation span and back-fills any op spans a
-		// crash unwound past without popping.
+		// Release closes the invocation span and its last phase, and
+		// back-fills any op spans a crash unwound past without popping.
 		tr.Release(henv, wenv.Now())
 		s.mu.Lock()
 		s.running--

@@ -61,6 +61,7 @@ type shared struct {
 	mu         sync.Mutex
 	bytesRead  int64
 	bytesWrite int64
+	gets       int64
 	// busyUntil is when the last shaped transfer ends. A transfer starts no
 	// earlier, so overlapped requests queue on the one token bucket instead
 	// of each drawing the full rate; a serial caller has slept past it
@@ -120,6 +121,13 @@ func (c *Client) BytesRead() int64 {
 	return c.shared.bytesRead
 }
 
+// Gets returns how many downloads this client completed.
+func (c *Client) Gets() int64 {
+	c.shared.mu.Lock()
+	defer c.shared.mu.Unlock()
+	return c.shared.gets
+}
+
 // BytesWritten returns the total payload bytes uploaded by this client.
 func (c *Client) BytesWritten() int64 {
 	c.shared.mu.Lock()
@@ -150,11 +158,12 @@ func (c *Client) chargeTransfer(n int64, conns int) {
 }
 
 // received is the end of every download: the shaped transfer time of its n
-// bytes over conns connections, and the bytes counted.
+// bytes over conns connections, and the download and its bytes counted.
 func (c *Client) received(n int64, conns int) {
 	c.chargeTransfer(n, conns)
 	c.shared.mu.Lock()
 	c.shared.bytesRead += n
+	c.shared.gets++
 	c.shared.mu.Unlock()
 }
 

@@ -41,3 +41,13 @@ func TestBroadcastMissingTableFails(t *testing.T) {
 	c.Layout.Supp = 1
 	runCase(t, c)
 }
+
+// ORDERS filtered and LINEITEM under the broadcast limit: the planner swaps
+// the sides to build on LINEITEM, and the join must still expose what it
+// does on a single node — l_orderkey, which the build side's key became —
+// not o_orderkey.
+func TestBroadcastSwapKeepsColumns(t *testing.T) {
+	q := sqlQuery{Items: []selItem{agg("MIN(l_linenumber - l_orderkey)", "m"), agg("COUNT(*)", "n")}, From: "lineitem",
+		Joins: []sqlJoin{{"orders", "lineitem.l_orderkey = orders.o_orderkey"}}, Where: []string{"o_orderpriority < 3"}}
+	runCase(t, planCase{Q: q, Layout: layout{Data: 5, LI: 2, Ord: 3, Opts: stdLayout.Opts}, Default: true}, wantStages(1))
+}

@@ -127,8 +127,6 @@ type Config struct {
 	// FilesPerWorker is F of §5.2; a scan fleet has ceil(len(files)/F)
 	// workers.
 	FilesPerWorker int
-	// TreeInvoke enables the two-level invocation tree (§4.2).
-	TreeInvoke bool
 	// Region selects the Table 1 invocation profile.
 	Region netmodel.Region
 	// Scan configures the S3 scan operator.
@@ -170,9 +168,9 @@ type Config struct {
 	// UploadTable. 0 disables caching.
 	ResultCacheEntries int
 
-	// testWorkerDelay, when set by tests, stalls the given invocation
-	// before it executes its fragment — the straggler-injection seam.
-	// Stage is 0 for a one-stage plan; attempt 0 is the original
+	// testWorkerDelay, when set by tests, stalls the given invocation as
+	// its fragment starts, in its first phase — the straggler-injection
+	// seam. Stage is 0 for a one-stage plan; attempt 0 is the original
 	// invocation, higher attempts are speculation backups.
 	testWorkerDelay func(stage, workerID, attempt int) time.Duration
 	// testWaveLaunch, when set by tests, holds every stage back until its
@@ -188,7 +186,6 @@ func DefaultConfig() Config {
 		FunctionName:    "lambada-worker",
 		WorkerMemoryMiB: 1792,
 		FilesPerWorker:  1,
-		TreeInvoke:      true,
 		Region:          netmodel.RegionEU,
 		Scan:            scan.DefaultConfig(),
 		Timeout:         5 * time.Minute,
@@ -313,9 +310,11 @@ func (d *Session) workerHandler(ctx *lambdasvc.Ctx, payload []byte) error {
 	}
 
 	// First-generation workers launch their children before their own
-	// fragment (§4.2). Only the child's ID is read here; its payload — the
-	// broadcast blobs included — is decoded once, by the child.
+	// fragment (§4.2), in the spawn phase, under which the children's spans
+	// hang. Only the child's ID is read here; its payload — the broadcast
+	// blobs included — is decoded once, by the child.
 	if len(p.Children) > 0 {
+		spawn := d.dep.Trace.Phase(ctx.Env, "spawn", ctx.Env.Now())
 		pacing := invoke.WorkerPacing(d.cfg.Region)
 		for _, body := range p.Children {
 			var child struct {
@@ -324,7 +323,7 @@ func (d *Session) workerHandler(ctx *lambdasvc.Ctx, payload []byte) error {
 			err := json.Unmarshal(body, &child)
 			if err == nil {
 				err = ws.Do(ctx.Env, "lambda.Invoke", func() error {
-					return d.dep.Lambda.Invoke(ctx.Env, d.cfg.FunctionName, body, lambdasvc.InvokeOptions{WorkerID: child.WorkerID, Pipelined: true, Span: ctx.Span})
+					return d.dep.Lambda.Invoke(ctx.Env, d.cfg.FunctionName, body, lambdasvc.InvokeOptions{WorkerID: child.WorkerID, Pipelined: true, Span: spawn})
 				})
 			}
 			if err != nil {
@@ -336,9 +335,6 @@ func (d *Session) workerHandler(ctx *lambdasvc.Ctx, payload []byte) error {
 		}
 	}
 
-	if d.cfg.testWorkerDelay != nil {
-		ctx.Env.Sleep(d.cfg.testWorkerDelay(p.StageID, p.WorkerID, p.Attempt))
-	}
 	start := ctx.Env.Now()
 	chunk, offsets, err := d.executeFragment(ctx, ws, &p)
 	processing := ctx.Env.Now() - start
@@ -414,7 +410,10 @@ func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *work
 	return plan, cat, nil
 }
 
+// postResult is a task's last phase, post: its result, seal or failure seal
+// to the query's result queue.
 func (d *Session) postResult(env simenv.Env, ws resilience.Policy, p workerPayload, execErr error, chunk *columnar.Chunk, offsets []int64, processing time.Duration, cold bool) error {
+	d.dep.Trace.Phase(env, "post", env.Now())
 	msg := resultMsg{QueryID: p.QueryID, WorkerID: p.WorkerID, Stage: p.StageID, Attempt: p.Attempt, Epoch: p.Epoch,
 		Offsets: offsets, ProcessingNs: processing.Nanoseconds(), Cold: cold}
 	if execErr != nil {

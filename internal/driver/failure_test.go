@@ -105,9 +105,7 @@ func TestConcurrencyLimitRejectsInvocations(t *testing.T) {
 	}
 	var err error
 	k.Go("driver", func(p *simclock.Proc) {
-		dcfg := DefaultConfig()
-		dcfg.TreeInvoke = false
-		d := NewSession(dep, dcfg)
+		d := NewSession(dep, DefaultConfig())
 		if e := d.Install(); e != nil {
 			t.Error(e)
 			return

@@ -25,7 +25,7 @@ func planningReads(t *testing.T, rep *Report) (reads int64, launch time.Duration
 	tree := obs.NewTree(rep.Trace.Spans())
 	first := time.Duration(math.MaxInt64)
 	tree.Walk(rep.Span, func(s *obs.Span) {
-		if s.Name == "lambda.start" && s.Start < first {
+		if (s.Name == "cold-start" || s.Name == "warm") && s.Start < first {
 			first = s.Start
 		}
 	})

@@ -22,7 +22,6 @@ func payloadSeeds(t testing.TB) [][]byte {
 	dep := NewLocal()
 	env := simenv.NewImmediate()
 	cfg := DefaultConfig()
-	cfg.TreeInvoke = false // one task per payload, no children folded in
 	sess := NewSession(dep, cfg)
 	if err := sess.Install(); err != nil {
 		t.Fatal(err)
@@ -32,7 +31,12 @@ func payloadSeeds(t testing.TB) [][]byte {
 	var seeds [][]byte
 	err := dep.Lambda.CreateFunction(cfg.FunctionName, cfg.WorkerMemoryMiB, cfg.Timeout, func(ctx *lambdasvc.Ctx, payload []byte) error {
 		var p workerPayload
-		if err := json.Unmarshal(payload, &p); err == nil && p.WorkerID == 0 {
+		err := json.Unmarshal(payload, &p)
+		if len(p.Children) > 0 {
+			// Fleets this small launch from the driver, one task per payload.
+			t.Errorf("worker %d's payload folds in %d children", p.WorkerID, len(p.Children))
+		}
+		if err == nil && p.WorkerID == 0 {
 			mu.Lock()
 			seeds = append(seeds, payload)
 			mu.Unlock()

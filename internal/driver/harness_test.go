@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -288,6 +289,9 @@ type (
 	inflation struct{}
 	// configure edits the session config.
 	configure func(*Config)
+	// phased requires the phases of every invocation to tile it
+	// (phasesTile), and the replay to export a byte-identical trace.
+	phased struct{}
 )
 
 // runCase checks c and returns its shape classes. On a failure it shrinks c
@@ -437,6 +441,15 @@ func checkCase(c planCase, o []any) ([]string, error) {
 		if !c.Goroutines && (b.rep.Duration != a.rep.Duration || b.rep.Cost != a.rep.Cost) {
 			return nil, fmt.Errorf("replay (RunSQL %t) took %v and billed %+v, the first run %v and %+v", entrance, b.rep.Duration, b.rep.Cost, a.rep.Duration, a.rep.Cost)
 		}
+		if slices.ContainsFunc(o, func(v any) bool { _, ok := v.(phased); return ok }) {
+			var ea, eb bytes.Buffer
+			if err := errors.Join(obs.ExportChromeTrace(&ea, a.rep.Trace.Spans()), obs.ExportChromeTrace(&eb, b.rep.Trace.Spans())); err != nil {
+				return nil, err
+			}
+			if !bytes.Equal(ea.Bytes(), eb.Bytes()) {
+				return nil, fmt.Errorf("replay exported a different trace (%d bytes, the first run %d)", eb.Len(), ea.Len())
+			}
+		}
 	}
 	if slices.ContainsFunc(o, func(v any) bool { _, ok := v.(inflation); return ok }) {
 		if err := c.inflation(a, o); err != nil {
@@ -500,9 +513,53 @@ func (c planCase) invariants(a caseRun, o []any) error {
 			err = wavesGated(rep)
 		case overlapped:
 			err = pipelined(rep)
+		case phased:
+			err = phasesTile(rep.Trace.Spans())
 		}
 		if err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// phasesTile requires of every invocation in spans that its children are
+// phases with a stage-table column, so every span under it lies in one, and
+// that they tile it: each starts where the one before ended, the first at the
+// invocation's start, the last ending at its end — where a crash ends it,
+// Release's back-fill. The invocation itself carries its billed duration and
+// nothing else, so its phases' subtrees carry the rest of its subtree's cost.
+func phasesTile(spans []obs.Span) error {
+	tree := obs.NewTree(spans)
+	children := map[obs.SpanID][]obs.Span{}
+	for _, s := range spans {
+		children[s.Parent] = append(children[s.Parent], s)
+	}
+	for _, inv := range spans {
+		if inv.Kind != obs.KindInvoke {
+			continue
+		}
+		if inv.Cost != (obs.Cost{LambdaMiBNs: inv.Cost.LambdaMiBNs}) {
+			return fmt.Errorf("invocation %d is charged %+v outside its phases", inv.ID, inv.Cost)
+		}
+		at, cost := inv.Start, inv.Cost
+		for _, ph := range children[inv.ID] {
+			switch {
+			case ph.Kind != obs.KindPhase:
+				return fmt.Errorf("%s span %q hangs off invocation %d outside any phase", ph.Kind, ph.Name, inv.ID)
+			case !slices.Contains(phaseOrder, ph.Name):
+				return fmt.Errorf("invocation %d: phase %q has no column in the stage table", inv.ID, ph.Name)
+			case ph.Start != at:
+				return fmt.Errorf("invocation %d: phase %q starts at %v, the one before ended at %v", inv.ID, ph.Name, ph.Start, at)
+			}
+			at = ph.End
+			cost.Add(tree.SubtreeCost(ph.ID))
+		}
+		if at != inv.End {
+			return fmt.Errorf("invocation %d ends at %v, its phases at %v", inv.ID, inv.End, at)
+		}
+		if sub := tree.SubtreeCost(inv.ID); cost != sub {
+			return fmt.Errorf("invocation %d: phases and duration carry %+v, its subtree %+v", inv.ID, cost, sub)
 		}
 	}
 	return nil

@@ -378,11 +378,12 @@ func warmStarts(seed int64, plan faults.Plan) func(*simclock.Kernel) *Deployment
 }
 
 // driverInvokes counts the invocations in spans that the driver issued: every
-// one but a tree child, whose span hangs under its parent worker's.
+// one but a tree child, whose span hangs under its parent worker's spawn
+// phase.
 func driverInvokes(spans []obs.Span) int {
 	n := 0
 	for _, s := range spans {
-		if s.Kind == obs.KindInvoke && (s.Parent == 0 || spans[s.Parent-1].Kind != obs.KindInvoke) {
+		if s.Kind == obs.KindInvoke && (s.Parent == 0 || spans[s.Parent-1].Kind != obs.KindPhase) {
 			n++
 		}
 	}
@@ -390,67 +391,63 @@ func driverInvokes(spans []obs.Span) int {
 }
 
 // TestLaunchMatrix drives the one launch loop through every kind of unit it
-// builds: fleets on both sides of the tree's crossover, with the invocation
-// tree on and off, on a session without a cap (tree units of 1+children
-// tokens where the policy picks the tree), under a cap the fleet overruns
-// (single-worker units, partial launches resumed from the event loop) and
-// under one it fits. Every worker is invoked exactly once, the admission
-// peak respects the cap, the result is the single node's, and nothing is
-// left behind.
+// builds: fleets on both sides of the tree's crossover on a session without a
+// cap (tree units of 1+children tokens where the policy picks the tree),
+// under a cap the fleet overruns (single-worker units, partial launches
+// resumed from the event loop) and under one it fits. Every worker is invoked
+// exactly once, the admission peak respects the cap, the result is the single
+// node's, and nothing is left behind.
 //
 // The deployment starts containers without a cold-start delay (warmStarts),
 // which puts the crossover between the 17- and the 32-worker fleet: at Table
 // 1's eu rates the tree starts 17 workers in 5 × 3.4 ms + 18 ms + 3 × 12.3 ms
 // ≈ 72 ms against 17 × 3.4 ms ≈ 58 ms from the driver's pool, and 32 in
 // 6 × 3.4 ms + 18 ms + 5 × 12.3 ms ≈ 100 ms against ≈ 109 ms. So the
-// uncapped 32-worker fleet with the tree on must be launched by ⌈√32⌉ = 6
-// driver-side Invokes, and every other cell by one Invoke per worker.
+// uncapped 32-worker fleet must be launched by ⌈√32⌉ = 6 driver-side
+// Invokes, and every other cell by one Invoke per worker.
 func TestLaunchMatrix(t *testing.T) {
 	want := singleNode(t, launchMatrixSQL, tpchData(33).catalog())
 	for _, fleet := range []int{1, 3, 4, 17, 32} {
-		for _, tree := range []bool{true, false} {
-			for _, maxInFlight := range []int{0, 2, 32} {
-				cfg := desConfig()
-				cfg.TreeInvoke = tree
-				cfg.MaxInFlight = maxInFlight
-				var out *columnar.Chunk
-				var rep *Report
-				sess, err := onDES(warmStarts(71, faults.Plan{}), cfg, layout{Data: 33, LI: fleet, Opts: stdLayout.Opts}, func(p *simclock.Proc, sess *Session, tables TableFiles) (err error) {
-					out, rep, err = sess.RunSQL(p, launchMatrixSQL, "lineitem", tables["lineitem"])
-					return err
-				})
-				if err != nil {
-					t.Fatalf("fleet %d tree %v cap %d: %v", fleet, tree, maxInFlight, err)
-				}
-				dep := sess.dep
-				chunksIdentical(t, out, want)
-				invoked, _ := dep.Lambda.Invocations()
-				if rep.Workers != fleet || invoked != int64(fleet) || len(rep.WorkerProcessing) != fleet {
-					t.Errorf("fleet %d tree %v cap %d: %d workers, %d invocations, %d seals — want %d of each",
-						fleet, tree, maxInFlight, rep.Workers, invoked, len(rep.WorkerProcessing), fleet)
-				}
-				wantDriverSide := fleet
-				if tree && maxInFlight == 0 && fleet == 32 {
-					wantDriverSide = 6
-				}
-				if got := driverInvokes(rep.Trace.Spans()); got != wantDriverSide {
-					t.Errorf("fleet %d tree %v cap %d: %d driver-side Invokes, want %d", fleet, tree, maxInFlight, got, wantDriverSide)
-				}
-				adm := sess.Admission()
-				if (adm != nil) != (maxInFlight > 0) {
-					t.Fatalf("cap %d: session admission = %v", maxInFlight, adm)
-				}
-				if adm != nil {
-					if adm.Peak() > maxInFlight || adm.Oversized() != 0 || adm.Acquired() != uint64(fleet) {
-						t.Errorf("fleet %d tree %v cap %d: admission peak %d, oversized %d, acquired %d",
-							fleet, tree, maxInFlight, adm.Peak(), adm.Oversized(), adm.Acquired())
-					}
-					if held := adm.Blocked() > 0; held != (fleet > maxInFlight) {
-						t.Errorf("fleet %d tree %v cap %d: blocked %d times", fleet, tree, maxInFlight, adm.Blocked())
-					}
-				}
-				assertQueryClean(t, sess, rep.QueryID)
+		for _, maxInFlight := range []int{0, 2, 32} {
+			cfg := desConfig()
+			cfg.MaxInFlight = maxInFlight
+			var out *columnar.Chunk
+			var rep *Report
+			sess, err := onDES(warmStarts(71, faults.Plan{}), cfg, layout{Data: 33, LI: fleet, Opts: stdLayout.Opts}, func(p *simclock.Proc, sess *Session, tables TableFiles) (err error) {
+				out, rep, err = sess.RunSQL(p, launchMatrixSQL, "lineitem", tables["lineitem"])
+				return err
+			})
+			if err != nil {
+				t.Fatalf("fleet %d cap %d: %v", fleet, maxInFlight, err)
 			}
+			dep := sess.dep
+			chunksIdentical(t, out, want)
+			invoked, _ := dep.Lambda.Invocations()
+			if rep.Workers != fleet || invoked != int64(fleet) || len(rep.WorkerProcessing) != fleet {
+				t.Errorf("fleet %d cap %d: %d workers, %d invocations, %d seals — want %d of each",
+					fleet, maxInFlight, rep.Workers, invoked, len(rep.WorkerProcessing), fleet)
+			}
+			wantDriverSide := fleet
+			if maxInFlight == 0 && fleet == 32 {
+				wantDriverSide = 6
+			}
+			if got := driverInvokes(rep.Trace.Spans()); got != wantDriverSide {
+				t.Errorf("fleet %d cap %d: %d driver-side Invokes, want %d", fleet, maxInFlight, got, wantDriverSide)
+			}
+			adm := sess.Admission()
+			if (adm != nil) != (maxInFlight > 0) {
+				t.Fatalf("cap %d: session admission = %v", maxInFlight, adm)
+			}
+			if adm != nil {
+				if adm.Peak() > maxInFlight || adm.Oversized() != 0 || adm.Acquired() != uint64(fleet) {
+					t.Errorf("fleet %d cap %d: admission peak %d, oversized %d, acquired %d",
+						fleet, maxInFlight, adm.Peak(), adm.Oversized(), adm.Acquired())
+				}
+				if held := adm.Blocked() > 0; held != (fleet > maxInFlight) {
+					t.Errorf("fleet %d cap %d: blocked %d times", fleet, maxInFlight, adm.Blocked())
+				}
+			}
+			assertQueryClean(t, sess, rep.QueryID)
 		}
 	}
 }

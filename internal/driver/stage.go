@@ -260,7 +260,7 @@ type launchUnit struct {
 // merge of a wide query. Under a concurrency cap every unit is a single
 // worker, so a partial grant still launches something.
 func (d *query) launchUnits(payloads []workerPayload) ([]launchUnit, error) {
-	tree := d.adm.Capacity() <= 0 && d.cfg.TreeInvoke &&
+	tree := d.adm.Capacity() <= 0 &&
 		invoke.UseTree(d.adm.Pacing(), invoke.WorkerPacing(d.cfg.Region), d.dep.Lambda.ColdStart(), len(payloads))
 	// children[w] are the workers that unit w's worker invokes in turn: none
 	// in a direct launch, where every worker is a unit; TreeFanout's split
@@ -336,6 +336,7 @@ func (d *query) reinvoke(r *stageRun, worker int) error {
 // amounts of data read locally"), never opened, always broadcast.
 func (d *query) plan(plan engine.Plan, tables TableFiles, local map[string]*columnar.Chunk, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	d.begin()
+	d.dep.Trace.Phase(d.env, "plan", d.env.Now())
 
 	// Planning reads the footers of the tables the plan scans — a registered
 	// table the query does not touch costs it nothing and cannot fail it — in
@@ -520,12 +521,15 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 	if err != nil {
 		return nil, nil, err
 	}
+	tr := d.dep.Trace
+	tr.EndPhase(d.env, d.env.Now()) // plan
 	if err := d.schedule(s, ns.SealTable); err != nil {
 		return nil, nil, err
 	}
 
 	// Driver scope: merge the result stage's outputs in worker order (the
 	// arrival order is racy; worker order makes the merge deterministic).
+	tr.Phase(d.env, "merge", d.env.Now())
 	var chunks []*columnar.Chunk
 	for _, blob := range s.byID[resultStage.ID].chunks {
 		if len(blob) == 0 {
@@ -553,6 +557,7 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 		return nil, nil, err
 	}
 	cleaned = true
+	tr.EndPhase(d.env, d.env.Now()) // merge, or cleanup
 	return result, d.report(s, sp), nil
 }
 
@@ -608,6 +613,7 @@ func (d *query) cleanup(s *scheduler, ns boundarySpec, epoch int) error {
 	if epoch == 0 {
 		return nil
 	}
+	d.dep.Trace.Phase(d.env, "cleanup", d.env.Now())
 	var objs []exchange.Object
 	if s != nil {
 		var err error
@@ -735,7 +741,10 @@ func (l *launcher) wait() error {
 // its Invoke goes out, so a stage counts as launched from its first Invoke,
 // not from the end of its pass.
 func (l *launcher) launchReady(env simenv.Env) error {
-	d, s := l.d, l.s
+	d, s, tr := l.d, l.s, l.d.dep.Trace
+	// The pass is a launch phase from its first unit on: one opens while
+	// env is bound to the query span and nothing under it.
+	defer func() { tr.EndPhase(env, env.Now()) }()
 	for _, r := range s.runs {
 		if !s.launchable(r) {
 			continue
@@ -750,9 +759,12 @@ func (l *launcher) launchReady(env simenv.Env) error {
 			u := r.pending[0]
 			r.pending = r.pending[1:]
 			from := env.Now()
+			if tr.Current(env) == d.span {
+				tr.Phase(env, "launch", from)
+			}
 			d.adm.Pace(env)
 			if s.launched(r, u.workers, env.Now()) {
-				d.dep.Trace.SetStart(r.span, env.Now())
+				tr.SetStart(r.span, env.Now())
 			}
 			if err := d.invoke(env, u, r.span); err != nil {
 				return err
@@ -1033,6 +1045,8 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, files []scan.FileR
 // boundary spec touches no boundary: the zero spec has nothing to collect and
 // nothing to publish. A payload without a plan is a regroup task: the
 // intermediate round of its one input's multi-level boundary is all it does.
+// Each step opens its phase of the invocation as it begins (wait-sealed,
+// collect, regroup, execute — the scan's reads included — and publish).
 func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *workerPayload) (*columnar.Chunk, []int64, error) {
 	if err := p.check(); err != nil {
 		return nil, nil, err
@@ -1041,7 +1055,8 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 	if d.dep.Shaped {
 		copts = append(copts, s3.WithShaper(d.dep.Net, ctx.MemoryMiB))
 	}
-	client := s3.NewClient(d.dep.S3, ctx.Env, copts...)
+	env, tr := ctx.Env, d.dep.Trace
+	client := s3.NewClient(d.dep.S3, env, copts...)
 
 	x := p.Boundary
 	if x == nil {
@@ -1056,16 +1071,25 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 	// DynamoDB once every worker of it reported through SQS. Under pipelined
 	// launch this worker was invoked before its producers sealed, so the
 	// waits are where cold start and upstream execution overlap.
-	deadline := ctx.Env.Now() + time.Duration(x.MaxWaitNs)
+	deadline := env.Now() + time.Duration(x.MaxWaitNs)
+	if len(x.Inputs) > 0 {
+		tr.Phase(env, "wait-sealed", env.Now())
+	} else {
+		tr.Phase(env, "execute", env.Now())
+	}
+	if d.cfg.testWorkerDelay != nil {
+		env.Sleep(d.cfg.testWorkerDelay(p.StageID, p.WorkerID, p.Attempt))
+	}
 
 	if len(p.Plan) == 0 {
 		// Regroup attempts version their round-2 publishes exactly like
 		// sender attempts; the driver seals one per group.
-		in := x.Inputs[0]
-		manifest, err := d.waitSealed(ctx, ws, p, in.Ready, deadline)
+		in, polls := x.Inputs[0], 0
+		manifest, err := d.waitSealed(ctx, ws, p, in.Ready, deadline, &polls)
 		if err != nil {
 			return nil, nil, err
 		}
+		tr.Phase(env, "regroup", env.Now())
 		opts.Variant = in.Variant
 		offsets, err := exchange.RegroupSealed(client, opts, exchange.Boundary{
 			Stage:      in.StageID,
@@ -1080,59 +1104,61 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 	if err != nil {
 		return nil, nil, err
 	}
-	// Wait once: every ready marker, in input order, under the one deadline.
-	// A multi-level boundary is read once its regroup fleet sealed — the
-	// round-2 objects this worker reads exist only then, and its ready marker
-	// is their manifest.
-	inputs := make([]exchange.Input, len(x.Inputs))
-	for i, in := range x.Inputs {
-		manifest, err := d.waitSealed(ctx, ws, p, in.Ready, deadline)
+	if len(x.Inputs) > 0 {
+		// Wait once: every ready marker, in input order, under the one
+		// deadline. A multi-level boundary is read once its regroup fleet
+		// sealed — the round-2 objects this worker reads exist only then,
+		// and its ready marker is their manifest.
+		inputs, polls := make([]exchange.Input, len(x.Inputs)), 0
+		for i, in := range x.Inputs {
+			manifest, err := d.waitSealed(ctx, ws, p, in.Ready, deadline, &polls)
+			if err != nil {
+				return nil, nil, err
+			}
+			inputs[i] = exchange.Input{
+				Boundary: exchange.Boundary{Stage: in.StageID, Senders: in.Senders, Partitions: p.NumWorkers},
+				Variant:  in.Variant,
+				Sealed:   manifest,
+			}
+		}
+		// Read once: every input's partition through one request window.
+		collect := tr.Phase(env, "collect", env.Now())
+		chunks, err := exchange.CollectSealed(client, opts, p.WorkerID, inputs)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("collecting partition %d: %w", p.WorkerID, err)
 		}
-		inputs[i] = exchange.Input{
-			Boundary: exchange.Boundary{Stage: in.StageID, Senders: in.Senders, Partitions: p.NumWorkers},
-			Variant:  in.Variant,
-			Sealed:   manifest,
+		if tr.Enabled() {
+			tr.SetTag(collect, "bytes.in", strconv.FormatInt(client.BytesRead(), 10))
+			tr.SetTag(collect, "gets", strconv.FormatInt(client.Gets(), 10))
 		}
-	}
-	// Read once: every input's partition through one request window.
-	chunks, err := exchange.CollectSealed(client, opts, p.WorkerID, inputs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("collecting partition %d: %w", p.WorkerID, err)
-	}
-	// §3.3: report the working set exceeding the engine budget instead of
-	// dying silently. A join stage holds BOTH sides' partitions at once (plus
-	// build-side structures and output), so the guard sums over every input
-	// collected.
-	budget := engineMemoryBudget(ctx.MemoryMiB)
-	var collected int64
-	for i, chunk := range chunks {
-		collected += chunk.ByteSize()
-		if need := 3 * collected; need > budget {
-			return nil, nil, fmt.Errorf("%w: partition working set %d MiB exceeds engine budget %d MiB",
-				ErrWorkerOOM, need>>20, budget>>20)
+		// §3.3: report the working set exceeding the engine budget instead
+		// of dying silently. A join stage holds BOTH sides' partitions at
+		// once (plus build-side structures and output), so the guard sums
+		// over every input collected.
+		budget := engineMemoryBudget(ctx.MemoryMiB)
+		var collected int64
+		for i, chunk := range chunks {
+			collected += chunk.ByteSize()
+			if need := 3 * collected; need > budget {
+				return nil, nil, fmt.Errorf("%w: partition working set %d MiB exceeds engine budget %d MiB",
+					ErrWorkerOOM, need>>20, budget>>20)
+			}
+			cat[x.Inputs[i].Table] = engine.NewMemSource(chunk.Schema, chunk)
 		}
-		cat[x.Inputs[i].Table] = engine.NewMemSource(chunk.Schema, chunk)
+		tr.Phase(env, "execute", env.Now())
 	}
 
 	out, err := engine.Execute(plan, cat)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Exchange-volume tags: output rows of the fragment and bytes collected
-	// from upstream boundaries, read off the invocation span for the
-	// per-stage profile (rows/bytes exchanged).
-	tr := d.dep.Trace
-	if tr.Enabled() && ctx.Span != 0 {
-		tr.SetTag(ctx.Span, "rows.out", strconv.FormatInt(int64(out.NumRows()), 10))
-		if n := client.BytesRead(); n > 0 {
-			tr.SetTag(ctx.Span, "bytes.in", strconv.FormatInt(n, 10))
-		}
+	if tr.Enabled() {
+		tr.SetTag(tr.Current(env), "rows.out", strconv.Itoa(out.NumRows()))
 	}
 	if x.Output == nil {
 		return out, nil, nil
 	}
+	publish := tr.Phase(env, "publish", env.Now())
 	wrote := client.BytesWritten()
 	opts.Variant = x.Output.Variant
 	offsets, err := exchange.PublishSealed(client, opts, exchange.Boundary{
@@ -1144,8 +1170,8 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 	if err != nil {
 		return nil, nil, fmt.Errorf("publishing stage %d output: %w", p.StageID, err)
 	}
-	if tr.Enabled() && ctx.Span != 0 {
-		tr.SetTag(ctx.Span, "bytes.out", strconv.FormatInt(client.BytesWritten()-wrote, 10))
+	if tr.Enabled() {
+		tr.SetTag(publish, "bytes.out", strconv.FormatInt(client.BytesWritten()-wrote, 10))
 	}
 	// The seal travels through the result queue: no chunk, and the offsets
 	// the publish committed.
@@ -1161,13 +1187,18 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 // wakes at the instant the marker lands instead of at the next poll boundary
 // — with the timed poll as fallback. The park is armed before each Get
 // (simenv.Barrier): a marker Put while the Get is in flight ends it at once.
-func (d *Session) waitSealed(ctx *lambdasvc.Ctx, ws resilience.Policy, p *workerPayload, stageID int, deadline time.Duration) ([]byte, error) {
+// polls counts the Gets, across the task's waits: its wait-sealed phase's tag.
+func (d *Session) waitSealed(ctx *lambdasvc.Ctx, ws resilience.Policy, p *workerPayload, stageID int, deadline time.Duration, polls *int) ([]byte, error) {
 	table, key := p.Boundary.SealTable, sealKey(p.QueryID, p.Epoch, stageID)
+	if tr := d.dep.Trace; tr.Enabled() {
+		defer func() { tr.SetTag(tr.Current(ctx.Env), "polls", strconv.Itoa(*polls)) }()
+	}
 	// Only the dynamo.Put of this (query, epoch, stage) ready marker wakes
 	// the worker early.
 	topic := "dynamo/" + table + "/" + key
 	for {
 		barrier := simenv.Arm(ctx.Env, topic)
+		*polls++
 		var manifest []byte
 		err := ws.Do(ctx.Env, "dynamo.Get", func() error {
 			var gerr error

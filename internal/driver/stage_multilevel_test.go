@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
 	"lambada/internal/exchange"
+	"lambada/internal/obs"
 	"lambada/internal/simclock"
 	"lambada/internal/stageplan"
 	"lambada/internal/tpch"
@@ -130,7 +132,12 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 	var before []s3.Stats
 	scfg := shuffled(parts)
 	scfg.Exchange.Poll = 100 * time.Millisecond
-	d, err := onDES(simulated(29), desConfig(), layout{Data: 33, LI: 4, Ord: 2, Opts: stdLayout.Opts}, func(p *simclock.Proc, d *Session, tables TableFiles) (err error) {
+	traced := func(k *simclock.Kernel) *Deployment {
+		dep := NewSimulated(k, 29)
+		dep.EnableTracing(obs.New())
+		return dep
+	}
+	d, err := onDES(traced, desConfig(), layout{Data: 33, LI: 4, Ord: 2, Opts: stdLayout.Opts}, func(p *simclock.Proc, d *Session, tables TableFiles) (err error) {
 		// Snapshot the shard buckets before the query: the deltas are exactly
 		// the boundary traffic (table data lives in the tpch bucket).
 		buckets = d.InstallExchange()
@@ -226,6 +233,14 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 	// through a window of Receives; one Receive at a time, the join sealed
 	// 175 ms behind its last winner.
 	assertSealLag(t, rep)
+
+	// Its critical path still prints in a screenful.
+	var buf bytes.Buffer
+	WriteReport(&buf, rep, RenderOptions{Profile: true})
+	_, path, _ := strings.Cut(buf.String(), "critical path (stage, phase):\n")
+	if n := strings.Count(path, "\n"); n == 0 || n > 60 {
+		t.Errorf("the critical path prints in %d lines, want 1 to 60", n)
+	}
 }
 
 // TestStagedMultiLevelSpeculationCompletesViaBackup re-runs the straggler

@@ -3,6 +3,9 @@ package driver
 import (
 	"bytes"
 	"errors"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +14,7 @@ import (
 	"lambada/internal/columnar"
 	"lambada/internal/obs"
 	"lambada/internal/simclock"
+	"lambada/internal/tpch"
 )
 
 // tracedRun is one traced execution — staged q12, or single-scope q1.
@@ -240,5 +244,75 @@ func TestKeyedBroadcastReducesWakeups(t *testing.T) {
 			t.Errorf("seed %d: %d wakeups, over the %d the awaited topics can deliver", seed, r.rep.Wakeups, bound)
 		}
 		t.Logf("seed %d: %v, %d wakeups (bound %d), %d polls", seed, r.rep.Duration, r.rep.Wakeups, bound, c.DynamoReads)
+	}
+}
+
+// TestPhasesTileQ12: the 260-worker q12 — 256 partitions, the join launched
+// through the invocation tree — fault-free and under the checked-in storm,
+// which crashes workers on invoke and mid-run: every invocation is tiled by
+// its phases, they carry its cost, and a replay exports the same trace.
+func TestPhasesTileQ12(t *testing.T) {
+	storm, err := os.ReadFile("../../cmd/lambada/testdata/storm.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := faults.ParsePlan(storm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := planCase{Q: q12Exact(), Layout: fleetLayout, Partitions: 256, BroadcastRowLimit: -1}
+	t.Run("clean", func(t *testing.T) { runCase(t, c, phased{}, wantWorkers(260)) })
+	c.Speculate, c.Faults = true, plan
+	t.Run("storm", func(t *testing.T) {
+		if shapes := runCase(t, c, phased{}); !slices.Contains(shapes, "faults relaunched or speculated") {
+			t.Errorf("the storm recovered from no fault: shapes %v", shapes)
+		}
+	})
+}
+
+// TestProfileFitsAScreen: the 260-worker q12 as `cmd/lambada -mode des
+// -profile -query q12 -exchange -partitions 256 -broadcast-limit -1 -sf 0.002
+// -files 4` runs it reports in at most 80 lines — one row per stage, the
+// critical path in at most 60 — and its stage rows read what ROADMAP's stage
+// table reads. Verbose adds the critical path span by span.
+func TestProfileFitsAScreen(t *testing.T) {
+	var rep *Report
+	_, err := onDES(func(k *simclock.Kernel) *Deployment {
+		dep := NewChaos(k, 42, faults.Plan{})
+		dep.EnableTracing(obs.New())
+		return dep
+	}, DefaultConfig(), fleetLayout, func(p *simclock.Proc, sess *Session, tables TableFiles) (err error) {
+		_, rep, err = sess.RunSQLStaged(p, tpch.Q12SQL, tables, shuffled(256))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	WriteReport(&buf, rep, RenderOptions{Profile: true})
+	report := buf.String()
+	if n := strings.Count(report, "\n"); n > 80 {
+		t.Errorf("the report is %d lines, want at most 80:\n%s", n, report)
+	}
+	_, path, _ := strings.Cut(report, "critical path (stage, phase):\n")
+	if n := strings.Count(path, "\n"); n == 0 || n > 60 {
+		t.Errorf("the critical path prints in %d lines, want 1 to 60", n)
+	}
+	// stage, launched, first, sealed, lag.
+	for _, want := range [][5]string{{"1", "+64ms", "+453ms", "+495ms", "27ms"}, {"0", "+470ms", "+639ms", "+1.346s", "20ms"}} {
+		var row []string
+		for _, line := range strings.Split(report, "\n") {
+			if f := strings.Fields(line); len(f) > 6 && f[0] == want[0] {
+				row = []string{f[0], f[2], f[3], f[5], f[6]}
+			}
+		}
+		if !slices.Equal(row, want[:]) {
+			t.Errorf("stage %s: (stage, launched, first, sealed, lag) = %v, want %v", want[0], row, want)
+		}
+	}
+	buf.Reset()
+	WriteReport(&buf, rep, RenderOptions{Profile: true, Verbose: true})
+	if !strings.Contains(buf.String(), "critical path (spans):\n") {
+		t.Error("the verbose profile prints no per-span critical path")
 	}
 }

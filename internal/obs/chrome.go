@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // chromeEvent is one Chrome trace-event ("X" complete event). Field
@@ -28,9 +29,9 @@ type chromeTrace struct {
 // ExportChromeTrace writes the span set as Chrome trace-event JSON,
 // loadable directly in Perfetto / chrome://tracing. Spans are emitted in
 // ID (allocation) order as "X" complete events; each worker invocation
-// gets its own thread track (tid = invocation span ID), everything else
-// rides the driver track (tid 1). Tags and non-zero cost counters are
-// attached as args. Timestamps are virtual microseconds since the
+// gets its own thread track (tid = invocation span ID), which its phases
+// and ops ride, and everything else rides the driver track (tid 1). Tags
+// and non-zero cost counters are attached as args. Timestamps are virtual microseconds since the
 // simulation epoch — under DES the output is byte-identical across runs
 // of the same seeded query.
 func ExportChromeTrace(w io.Writer, spans []Span) error {
@@ -81,10 +82,17 @@ func ExportChromeTrace(w io.Writer, spans []Span) error {
 // ValidateChromeTrace checks data against the trace-event schema subset
 // this package emits: a top-level traceEvents array whose entries all
 // carry name/cat/ph/ts/pid/tid, with ph "X" events also carrying a
-// non-negative dur. Returns the event count.
+// non-negative dur. A phase of a worker invocation (cat "phase" under a
+// cat "invoke" parent, by the span/parent args) must ride its invocation's
+// track, lie inside it, and overlap none of its other phases. Returns the
+// event count.
 func ValidateChromeTrace(data []byte) (int, error) {
 	var doc struct {
-		TraceEvents []map[string]json.RawMessage `json:"traceEvents"`
+		TraceEvents []struct {
+			Name, Cat, Ph     *string
+			Ts, Dur, Pid, Tid *float64
+			Args              struct{ Span, Parent int }
+		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return 0, fmt.Errorf("trace: not valid JSON: %w", err)
@@ -92,55 +100,41 @@ func ValidateChromeTrace(data []byte) (int, error) {
 	if doc.TraceEvents == nil {
 		return 0, fmt.Errorf("trace: missing traceEvents array")
 	}
+	type invocation struct {
+		tid              float64
+		from, to, phased int64 // whole ns (the export writes ns/1e3); phased: where its last phase ended
+	}
+	invs := map[int]*invocation{}
 	for i, ev := range doc.TraceEvents {
-		var ph, name string
-		if err := requireString(ev, "ph", &ph); err != nil {
-			return 0, fmt.Errorf("trace: event %d: %w", i, err)
+		if ev.Name == nil || ev.Cat == nil || ev.Ph == nil || ev.Ts == nil || ev.Pid == nil || ev.Tid == nil {
+			return 0, fmt.Errorf("trace: event %d: missing one of name, cat, ph, ts, pid, tid", i)
 		}
-		if err := requireString(ev, "name", &name); err != nil {
-			return 0, fmt.Errorf("trace: event %d: %w", i, err)
+		var dur float64
+		if ev.Dur != nil {
+			dur = *ev.Dur
+		} else if *ev.Ph == "X" {
+			return 0, fmt.Errorf("trace: event %d (%s): missing dur", i, *ev.Name)
 		}
-		var ts float64
-		if err := requireNumber(ev, "ts", &ts); err != nil {
-			return 0, fmt.Errorf("trace: event %d (%s): %w", i, name, err)
+		if dur < 0 {
+			return 0, fmt.Errorf("trace: event %d (%s): negative dur %v", i, *ev.Name, dur)
 		}
-		for _, field := range []string{"pid", "tid"} {
-			var n float64
-			if err := requireNumber(ev, field, &n); err != nil {
-				return 0, fmt.Errorf("trace: event %d (%s): %w", i, name, err)
-			}
-		}
-		if ph == "X" {
-			var dur float64
-			if err := requireNumber(ev, "dur", &dur); err != nil {
-				return 0, fmt.Errorf("trace: event %d (%s): %w", i, name, err)
-			}
-			if dur < 0 {
-				return 0, fmt.Errorf("trace: event %d (%s): negative dur %v", i, name, dur)
-			}
+		from := int64(math.Round(*ev.Ts * 1e3))
+		to := from + int64(math.Round(dur*1e3))
+		// An invocation precedes its phases (IDs are allocated parents
+		// first), which come in the order they were opened.
+		switch inv := invs[ev.Args.Parent]; {
+		case *ev.Cat == string(KindInvoke):
+			invs[ev.Args.Span] = &invocation{tid: *ev.Tid, from: from, to: to, phased: from}
+		case *ev.Cat != string(KindPhase) || inv == nil:
+		case *ev.Tid != inv.tid:
+			return 0, fmt.Errorf("trace: event %d (phase %s): on track %v, its invocation on %v", i, *ev.Name, *ev.Tid, inv.tid)
+		case from < inv.from || to > inv.to:
+			return 0, fmt.Errorf("trace: event %d (phase %s): [%d, %d] ns outside its invocation's [%d, %d]", i, *ev.Name, from, to, inv.from, inv.to)
+		case from < inv.phased:
+			return 0, fmt.Errorf("trace: event %d (phase %s): starts at %d ns, before the phase ahead of it ends at %d", i, *ev.Name, from, inv.phased)
+		default:
+			inv.phased = to
 		}
 	}
 	return len(doc.TraceEvents), nil
-}
-
-func requireString(ev map[string]json.RawMessage, field string, out *string) error {
-	raw, ok := ev[field]
-	if !ok {
-		return fmt.Errorf("missing %q", field)
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("field %q: %w", field, err)
-	}
-	return nil
-}
-
-func requireNumber(ev map[string]json.RawMessage, field string, out *float64) error {
-	raw, ok := ev[field]
-	if !ok {
-		return fmt.Errorf("missing %q", field)
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("field %q: %w", field, err)
-	}
-	return nil
 }

@@ -1,7 +1,7 @@
 // Package obs is the deterministic tracing and metrics layer: a
 // virtual-clock-timestamped span tree over the whole query lifecycle
-// (query → stage → worker invocation → substrate operation) where every
-// span carries exact billed-cost attribution.
+// (query → stage → worker invocation → phase → substrate operation) where
+// every span carries exact billed-cost attribution.
 //
 // The package is dependency-free (standard library only) and nil-safe:
 // every method on a nil *Tracer is a no-op, so call sites thread a tracer
@@ -39,7 +39,7 @@ type Kind string
 
 const (
 	KindQuery  Kind = "query"  // one whole driver query
-	KindPhase  Kind = "phase"  // driver-side phase: plan, collect, merge, sweep
+	KindPhase  Kind = "phase"  // one step of a query or an invocation: plan, launch, cold-start, collect, execute, …
 	KindStage  Kind = "stage"  // one stage of the distributed plan
 	KindInvoke Kind = "invoke" // one Lambda worker invocation (an attempt)
 	KindOp     Kind = "op"     // one substrate operation (S3/SQS/DynamoDB/Lambda API call)
@@ -221,10 +221,50 @@ func (t *Tracer) Pop(env any) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.pop(env)
+}
+
+func (t *Tracer) pop(env any) {
 	if st := t.binds[env]; len(st) > 1 {
 		t.binds[env] = st[:len(st)-1]
 	} else {
 		delete(t.binds, env)
+	}
+}
+
+// Phase opens phase name at the instant at under env's innermost bound span
+// and binds it to env, ending that span first if it is a phase itself: the
+// phases one environment opens in turn tile its span, with neither gap nor
+// overlap. EndPhase, or Release, ends the last.
+func (t *Tracer) Phase(env any, name string, at time.Duration) SpanID {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.endPhase(env, at)
+	id := SpanID(len(t.spans) + 1)
+	t.spans = append(t.spans, Span{ID: id, Parent: t.current(env), Kind: KindPhase, Name: name, Start: at})
+	t.binds[env] = append(t.binds[env], id)
+	return id
+}
+
+// EndPhase ends env's innermost span at at and unbinds it, if it is a phase.
+func (t *Tracer) EndPhase(env any, at time.Duration) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.endPhase(env, at)
+}
+
+func (t *Tracer) endPhase(env any, at time.Duration) {
+	if id := t.current(env); id > 0 && t.spans[id-1].Kind == KindPhase {
+		if t.spans[id-1].End == 0 {
+			t.spans[id-1].End = at
+		}
+		t.pop(env)
 	}
 }
 
@@ -235,6 +275,10 @@ func (t *Tracer) Current(env any) SpanID {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.current(env)
+}
+
+func (t *Tracer) current(env any) SpanID {
 	if st := t.binds[env]; len(st) > 0 {
 		return st[len(st)-1]
 	}
@@ -250,8 +294,7 @@ func (t *Tracer) ChargeTo(env any, c Cost) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if st := t.binds[env]; len(st) > 0 {
-		id := st[len(st)-1]
+	if id := t.current(env); id > 0 {
 		t.spans[id-1].Cost.Add(c)
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -33,6 +34,43 @@ func TestNilTracerIsInert(t *testing.T) {
 	}
 	if _, ok := tr.Span(1); ok {
 		t.Fatal("nil Span(1) found a span")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		tr.Phase(&id, "execute", time.Second)
+		tr.EndPhase(&id, time.Second)
+	}); n != 0 {
+		t.Errorf("a phase on a nil tracer allocates %v times", n)
+	}
+}
+
+// TestPhasesTileTheirSpan: the phases one environment opens in turn end
+// where the next begins, take the charges made meanwhile, and unbind with
+// EndPhase; Release back-fills the one a crash left open.
+func TestPhasesTileTheirSpan(t *testing.T) {
+	tr := New()
+	env := "worker"
+	inv := tr.StartSpan(KindInvoke, "w0", 0, 0)
+	tr.Bind(env, inv)
+	a := tr.Phase(env, "collect", time.Second)
+	tr.ChargeTo(env, Cost{S3Get: 1})
+	b := tr.Phase(env, "execute", 2*time.Second)
+	tr.ChargeTo(env, Cost{S3Get: 2})
+	tr.EndPhase(env, 3*time.Second)
+	tr.EndPhase(env, 4*time.Second) // the invocation is no phase: a no-op
+	if tr.Current(env) != inv {
+		t.Fatalf("after EndPhase, %d is bound, want the invocation %d", tr.Current(env), inv)
+	}
+	c := tr.Phase(env, "post", 3*time.Second)
+	tr.Release(env, 5*time.Second)
+	want := []Span{
+		{ID: a, Parent: inv, Kind: KindPhase, Name: "collect", Start: time.Second, End: 2 * time.Second, Cost: Cost{S3Get: 1}},
+		{ID: b, Parent: inv, Kind: KindPhase, Name: "execute", Start: 2 * time.Second, End: 3 * time.Second, Cost: Cost{S3Get: 2}},
+		{ID: c, Parent: inv, Kind: KindPhase, Name: "post", Start: 3 * time.Second, End: 5 * time.Second},
+	}
+	for _, w := range want {
+		if got, _ := tr.Span(w.ID); !reflect.DeepEqual(got, w) {
+			t.Errorf("phase %q = %+v, want %+v", w.Name, got, w)
+		}
 	}
 }
 
@@ -222,5 +260,26 @@ func TestValidateChromeTraceRejections(t *testing.T) {
 	}
 	if n, err := ValidateChromeTrace([]byte(`{"traceEvents":[]}`)); err != nil || n != 0 {
 		t.Errorf("empty traceEvents: n=%d err=%v", n, err)
+	}
+
+	// The phases of an invocation over [1 ms, 4 ms].
+	for name, phases := range map[string][][2]time.Duration{
+		"phase before its invocation": {{0, 2 * time.Millisecond}},
+		"phase past its invocation":   {{time.Millisecond, 5 * time.Millisecond}},
+		"overlapping phases":          {{time.Millisecond, 3 * time.Millisecond}, {2 * time.Millisecond, 4 * time.Millisecond}},
+	} {
+		tr := New()
+		inv := tr.StartSpan(KindInvoke, "w0", 0, time.Millisecond)
+		for _, ph := range phases {
+			tr.EndSpan(tr.StartSpan(KindPhase, "execute", inv, ph[0]), ph[1])
+		}
+		tr.EndSpan(inv, 4*time.Millisecond)
+		var buf bytes.Buffer
+		if err := ExportChromeTrace(&buf, tr.Spans()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ValidateChromeTrace(buf.Bytes()); err == nil {
+			t.Errorf("%s: validated", name)
+		}
 	}
 }

@@ -31,8 +31,10 @@
 package stageplan
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"time"
 
@@ -407,11 +409,11 @@ func Decompose(p engine.Plan, stats Stats, cfg Config) (*Plan, error) {
 	var driver engine.Plan
 	switch {
 	case agg != nil:
+		agg.In = rowStage.Plan // the row source as compiled: its joins rebound or unswapped
 		partial, final, err := engine.SplitAggregate(agg)
 		if err != nil {
 			return nil, err
 		}
-		partial.In = rowStage.Plan
 		rowStage.Plan = partial
 		ps, err := partial.OutSchema()
 		if err != nil {
@@ -634,9 +636,10 @@ func (c *compiler) embedJoin(st *Stage, j *engine.JoinPlan) (engine.Plan, error)
 	limit := c.cfg.broadcastLimit()
 
 	// Prefer building on the smaller side: if only the left side is a
-	// broadcastable scan, swap the sides (inner joins commute; downstream
-	// operators resolve columns by name).
-	if !c.scanRows(j.Right, limit) && c.scanRows(j.Left, limit) {
+	// broadcastable scan, swap the sides (inner joins commute), and project
+	// the swapped join back to the columns the join as written exposes.
+	swapped := !c.scanRows(j.Right, limit) && c.scanRows(j.Left, limit)
+	if swapped {
 		j.Left, j.Right = j.Right, j.Left
 		j.LeftKey, j.RightKey = j.RightKey, j.LeftKey
 		j.LeftKeys, j.RightKeys = j.RightKeys, j.LeftKeys
@@ -650,6 +653,9 @@ func (c *compiler) embedJoin(st *Stage, j *engine.JoinPlan) (engine.Plan, error)
 		}
 		j.Left = left
 		c.broadcast[j.Right.(*engine.ScanPlan).Table] = true
+		if swapped {
+			return unswap(j)
+		}
 		return j, nil
 	}
 
@@ -687,6 +693,30 @@ func (c *compiler) embedJoin(st *Stage, j *engine.JoinPlan) (engine.Plan, error)
 		Right:    &engine.ScanPlan{Table: rt, TableSchema: rschema},
 		LeftKeys: lk, RightKeys: rk,
 	}, nil
+}
+
+// unswap projects a join whose sides embedJoin swapped onto the columns of
+// the join as written: its left side's, each key read off the right key it
+// equals — the swapped join drops them, as build-side keys — then its right
+// side's but their keys, as a single node exposes them.
+func unswap(j *engine.JoinPlan) (engine.Plan, error) {
+	rightKeys, leftKeys := joinKeys(j) // the sides as written
+	left, lerr := j.Right.OutSchema()
+	right, rerr := j.Left.OutSchema()
+	if err := errors.Join(lerr, rerr); err != nil {
+		return nil, err
+	}
+	p := &engine.ProjectPlan{In: j}
+	for _, f := range slices.Concat(left.Fields, right.Fields) {
+		col := f.Name
+		if i := slices.Index(leftKeys, col); i >= 0 {
+			col = rightKeys[i]
+		} else if slices.Contains(rightKeys, col) {
+			continue
+		}
+		p.Exprs, p.Names = append(p.Exprs, engine.Col(col)), append(p.Names, f.Name)
+	}
+	return p, nil
 }
 
 // scanRows reports whether p is a scan of a driver-resident table or a bare
