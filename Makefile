@@ -2,7 +2,7 @@ GO ?= go
 # trace-smoke output file (Chrome trace-event JSON; also the CI artifact).
 TRACE_OUT ?= trace-smoke.json
 
-.PHONY: build test race race-staged chaos scale-smoke fuzz-smoke bench bench-check vet trace-smoke trace-identical trace-identical-storm serve-smoke examples loc
+.PHONY: build test race race-staged chaos scale-smoke fuzz-smoke patterns bench bench-check vet trace-smoke trace-identical trace-identical-storm serve-smoke examples loc
 
 build:
 	$(GO) build ./...
@@ -66,14 +66,32 @@ fuzz-smoke:
 # the injector/resilience unit tests, the per-service fault tests, the
 # driver chaos acceptance tests (staged q12 under a seeded fault storm must
 # replay exactly and still produce the fault-free answer), and the generated
-# cases that draw a fault plan (TestGeneratedPlans' seed=N-faults subtests).
+# cases that draw a fault plan or a recovery scenario — stalled workers, an
+# aborted run's zombie, concurrent queries (TestGeneratedPlans' seed=N-faults,
+# -stall, -zombie and -concurrent subtests).
 chaos:
 	GOMAXPROCS=4 $(GO) test -race ./internal/awssim/faults/ ./internal/resilience/
 	GOMAXPROCS=4 $(GO) test -race \
 		-run 'Chaos|Injected|ClientRetries|ClientBudget|EpochSweep|SingleScopeDuplicate|KeyedDeleteListsNothing' \
 		./internal/awssim/s3/ ./internal/awssim/sqs/ ./internal/awssim/dynamo/ \
 		./internal/awssim/lambdasvc/ ./internal/driver/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestGeneratedPlans/faults' ./internal/driver/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestGeneratedPlans/faults|stall|zombie|concurrent' ./internal/driver/
+
+# patterns fails when a test selection in this Makefile or the CI workflow
+# selects nothing: each |-alternative of every -run, -fuzz and -bench pattern
+# (its top level, before any /) must match a name `go test -list` prints.
+# Comments and CI step names are not read; -run=NONE, which selects nothing
+# on purpose, is exempt.
+patterns:
+	@names=$$(mktemp); trap 'rm -f "$$names"' EXIT; \
+	$(GO) test -list . ./... | grep -E '^(Test|Fuzz|Benchmark|Example)' > "$$names"; \
+	grep -hvE '^[[:space:]]*(#|(- )?name:)' Makefile .github/workflows/ci.yml | \
+		grep -oE -- "-(run|fuzz|bench)[= ]('[^']*'|[^ ]+)" | \
+		sed -E "s/^-(run|fuzz|bench)[= ]//; s/'//g; s|/.*||" | tr '|' '\n' | grep -vx NONE | sort -u | \
+		{ bad=0; while read -r alt; do \
+			grep -qE -- "$$alt" "$$names" || { echo "patterns: '$$alt' matches no test"; bad=1; }; \
+		done; exit $$bad; } || exit 1; \
+	echo "patterns: every test selection matches a test"
 
 vet:
 	$(GO) vet ./...

@@ -47,7 +47,6 @@ func main() {
 		spec     = flag.Bool("speculate", false, "re-invoke stragglers as backup attempts once a quorum reported")
 		stgWait  = flag.Duration("max-stage-wait", time.Minute, "no-progress liveness cap: a runnable stage with no worker response for this long (window restarts per response) has its missing workers re-invoked as the next attempt (with -speculate; 0 disables)")
 		xlevels  = flag.Int("exchange-levels", 0, "force every stage boundary's round count: 1 = single-round, 2 = multi-level (intermediate regroup round); 0 = resolve per boundary from the analytic request model")
-		maxParts = flag.Int("max-partitions", 0, "cap the autotuned boundary fan-in (0 = stageplan default; with -partitions 0)")
 		fplan    = flag.String("fault-plan", "", "JSON fault plan file injected into the simulated substrate (with -mode des); see internal/awssim/faults")
 		fseed    = flag.Int64("fault-seed", 0, "override the fault plan's seed (0 = keep the plan's own; with -fault-plan)")
 		profile  = flag.Bool("profile", false, "EXPLAIN ANALYZE: record a trace and print the stage table's attempts, dollars and worker-seconds per phase, and the critical path by stage and phase")
@@ -142,7 +141,6 @@ func main() {
 		scfg.BroadcastRowLimit = *bcast
 		scfg.MaxStageWait = *stgWait
 		scfg.Exchange.Variant.Levels = *xlevels
-		scfg.MaxAutoPartitions = *maxParts
 		out, rep, err := sess.Run(env, plan, tf, local, scfg)
 		if err != nil {
 			return err

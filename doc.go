@@ -280,9 +280,8 @@
 // row counts: a genuinely small build side ships inside worker payloads as
 // before, everything else shuffles. Boundary fan-in autotunes from the
 // same row counts when unset (stageplan.AutoRowsPerPartition rows per
-// partition, capped at stageplan.MaxAutoPartitions — raise the ceiling per
-// query through driver.StageConfig.MaxAutoPartitions / -max-partitions
-// when driving multi-thousand-worker fleets).
+// partition, capped at stageplan.MaxAutoPartitions; a wider fleet is pinned
+// through driver.StageConfig.Partitions / -partitions).
 //
 // # Multi-level exchange boundaries
 //
@@ -742,12 +741,33 @@
 // cases included; and a plan the planner refuses fails with ErrInvalidPlan
 // before any Invoke. Options pin what a caller knows of the plan — stage,
 // worker and regroup counts, variants, wave gating, request inflation under
-// faults. genCase(seed) draws cases from a table of operators keyed by input
-// and output types, so every query is type-correct by construction; seeds
-// 1–3 are Q1, Q6 and Q12, and TestGeneratedPlans requires its seeds to cover
-// both merge arms, a bare shuffle join, both kinds of broadcast, two-round
+// faults.
+//
+// The recovery paths are checked the same way, by three scenarios held to
+// that contract and to counts of their own. Stall: attempt 0 of one, all or
+// all but one worker of a stage sleeps, with speculation on and a 20 s
+// liveness cap; the stage backs up exactly the stalled workers, an untraced
+// run returns its rows before the stall is over and before a speculation-off
+// twin does, and a loser that publishes after the query deletes what it
+// wrote. Zombie: the query runs as the retry of an aborted run of q1 — its
+// epoch fence, committed boundary objects under q1/e1 and stale seals on
+// q1's queue are there, and more q1/e1 objects, a stale-epoch seal and two
+// strays (worker −1 and worker n) arrive mid-run; the retry runs at epoch 2,
+// discards all five seals, relaunches nothing and sweeps the debris.
+// Concurrent n: the query and n−1 generated peers run at once on one session
+// under an admission cap; each answers as it would alone, their traced costs
+// sum to what the meter moved, and the cap binds and gets every token back.
+//
+// genCase(seed) draws cases from a table of operators keyed by input and
+// output types, so every query is type-correct by construction; seeds 1–3
+// are Q1, Q6 and Q12, and TestGeneratedPlans requires its seeds to cover both
+// merge arms, a bare shuffle join, both kinds of broadcast, two-round
 // boundaries with and without write combining, a binding admission cap and a
-// fault plan that forced a relaunch or a speculation. A failing case is
+// fault plan that forced a relaunch or a speculation; from seed 27 on each
+// case also runs a recovery scenario, and the seeds must cover a straggler
+// backed up, a stalled fleet the liveness cap re-invoked, a stall behind the
+// admission cap, a fenced zombie and concurrent queries (make chaos runs
+// those and the faulted seeds under the race detector). A failing case is
 // shrunk greedily — config knobs back to their defaults, files, LIMIT, WHERE
 // conjuncts, aggregates, unreferenced joins — and printed with its seed and
 // the command that replays it, for example

@@ -101,8 +101,8 @@ func (s *Service) CreateQueue(name string) {
 // free — the real API bills deletes at noise level). A resident session
 // runs each query over its own result queue and deletes it at query end so
 // the deployment does not accumulate one queue per query ever run; a
-// zombie worker posting to a deleted queue gets ErrNoSuchQueue, which is
-// harmless — its real work is long done and its debris is deleted anyway.
+// worker posting to a deleted queue gets ErrNoSuchQueue, and what it wrote
+// elsewhere is its own to delete — the query that would have is over.
 func (s *Service) DeleteQueue(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

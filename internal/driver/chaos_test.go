@@ -344,11 +344,11 @@ func TestSingleScopeChaosFailureSealRelaunched(t *testing.T) {
 	}
 }
 
-// TestCorruptEpochItemRefused: an epoch item that reads below 1, or written
-// at a negative instant, is corrupt. Taken for epoch 0, a run fenced nothing
+// TestCorruptEpochItemRefused: an epoch item that reads below 1, written at a
+// negative instant, or without its instant at all, is corrupt. Taken for epoch 0, a run fenced nothing
 // and its cleanup, which skips epoch 0, left its boundary objects behind.
 func TestCorruptEpochItemRefused(t *testing.T) {
-	for _, v := range []string{"-1@0", "0", "2@-1"} {
+	for _, v := range []string{"-1@0", "0", "2@-1", "7"} {
 		d, env, tables := goSession(t, DefaultConfig(), stdLayout)
 		table := stagesTableName(d.cfg.FunctionName)
 		d.dep.Dynamo.CreateTable(table)
@@ -366,8 +366,7 @@ func TestCorruptEpochItemRefused(t *testing.T) {
 }
 
 // TestEpochSweepTTL: the lazy sweep in acquireEpoch deletes epoch fence
-// items older than EpochTTL of virtual time — including pre-TTL legacy items
-// (bare integer, no timestamp) — and keeps fresh ones. It reclaims what it
+// items older than EpochTTL of virtual time and keeps fresh ones. It reclaims what it
 // orphans: the boundary debris under an expired query's prefix and its ready
 // markers go with its fence, since the next run of that ID starts at epoch 1,
 // lists nothing and waits on markers of its own names; debris and markers of
@@ -387,30 +386,20 @@ func TestEpochSweepTTL(t *testing.T) {
 		defer q.close()
 		table := stagesTableName(cfg.FunctionName)
 		dep.Dynamo.CreateTable(table)
-		// A legacy-format item from before the sweep existed: bare epoch,
-		// no timestamp — reads as written at virtual zero.
-		if err := dep.Dynamo.Put(p, table, epochKey("legacy"), []byte("7")); err != nil {
-			t.Error(err)
-			return
-		}
-
 		if e, err := q.acquireEpoch(table, "qA"); err != nil || e != 1 {
 			t.Errorf("qA epoch = %d, %v, want 1", e, err)
 		}
-		if e, err := q.acquireEpoch(table, "legacy"); err != nil || e != 8 {
-			t.Errorf("legacy epoch = %d, %v, want 8 (parsed bare item)", e, err)
-		}
 
-		p.Sleep(2 * time.Hour) // both items now exceed the 1h TTL
+		p.Sleep(2 * time.Hour) // the item now exceeds the 1h TTL
 
-		// Debris of the fenced runs, in two shard buckets, and their ready
+		// Debris of the fenced run, in two shard buckets, and their ready
 		// markers; and of qB, which has no fence yet.
 		buckets := d.InstallExchange()
 		client := s3.NewClient(dep.S3, p)
 		debris := func(queryID string) []string {
 			return []string{queryPrefix(cfg.FunctionName, queryID) + "e1/s1/snd0-a0", queryPrefix(cfg.FunctionName, queryID) + "e7/s2/p0/a1-snd3"}
 		}
-		for _, id := range []string{"qA", "legacy", "qB"} {
+		for _, id := range []string{"qA", "qB"} {
 			for i, key := range debris(id) {
 				if err := client.Put(buckets[i], key, []byte("x")); err != nil {
 					t.Error(err)
@@ -426,15 +415,12 @@ func TestEpochSweepTTL(t *testing.T) {
 		if e, err := q.acquireEpoch(table, "qB"); err != nil || e != 1 {
 			t.Errorf("qB epoch = %d, %v, want 1", e, err)
 		}
-		// The sweep that ran inside that acquire collected qA and legacy,
-		// their debris first.
+		// The sweep that ran inside that acquire collected qA, its debris
+		// first.
 		if _, err := dep.Dynamo.Get(p, table, epochKey("qA")); !errors.Is(err, dynamo.ErrNoSuchItem) {
 			t.Errorf("qA fence survived the sweep: %v", err)
 		}
-		if _, err := dep.Dynamo.Get(p, table, epochKey("legacy")); !errors.Is(err, dynamo.ErrNoSuchItem) {
-			t.Errorf("legacy fence survived the sweep: %v", err)
-		}
-		for _, id := range []string{"qA", "legacy", "qB"} {
+		for _, id := range []string{"qA", "qB"} {
 			for i, key := range debris(id) {
 				_, _, err := client.Get(buckets[i], key, 1)
 				if gone := errors.Is(err, s3.ErrNoSuchKey); gone != (id != "qB") {

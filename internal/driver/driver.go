@@ -23,6 +23,7 @@ import (
 	"lambada/internal/awssim/sqs"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
+	"lambada/internal/exchange"
 	"lambada/internal/invoke"
 	"lambada/internal/lpq"
 	"lambada/internal/netmodel"
@@ -258,6 +259,30 @@ func (p *workerPayload) check() error {
 	return nil
 }
 
+// output is where the task's attempt publishes: the options and boundary of
+// exchange.PublishSealed — or of RegroupSealed, for a task without a plan
+// (the second round of its one input). Call it on a checked payload.
+func (p *workerPayload) output() (exchange.Options, exchange.Boundary) {
+	x := p.Boundary
+	opts := exchange.Options{Variant: x.Output.Variant, Buckets: x.Buckets, Prefix: x.Prefix}
+	b := exchange.Boundary{Stage: p.StageID, Attempt: p.Attempt, Senders: p.NumWorkers, Partitions: x.Output.Partitions}
+	if len(p.Plan) == 0 {
+		in := x.Inputs[0]
+		opts.Variant, b.Stage, b.Senders = in.Variant, in.StageID, in.Senders
+	}
+	return opts, b
+}
+
+// written names every object the task's attempt may have published
+// (exchange.Written): none without an output.
+func (p *workerPayload) written() ([]exchange.Object, error) {
+	if err := p.check(); err != nil || p.Boundary == nil || p.Boundary.Output == nil {
+		return nil, err
+	}
+	opts, b := p.output()
+	return exchange.Written(nil, opts, b, p.WorkerID, len(p.Plan) == 0)
+}
+
 // resultMsg is the worker → driver completion message.
 type resultMsg struct {
 	QueryID  string `json:"queryId"`
@@ -338,7 +363,15 @@ func (d *Session) workerHandler(ctx *lambdasvc.Ctx, payload []byte) error {
 	start := ctx.Env.Now()
 	chunk, offsets, err := d.executeFragment(ctx, ws, &p)
 	processing := ctx.Env.Now() - start
-	return d.postResult(ctx.Env, ws, p, err, chunk, offsets, processing, ctx.Cold)
+	err = d.postResult(ctx.Env, ws, p, err, chunk, offsets, processing, ctx.Cold)
+	if errors.Is(err, sqs.ErrNoSuchQueue) {
+		// The query is over, its keyed delete maybe before this publish: delete
+		// it by the driver's names (best effort; the post's error is returned).
+		if objs, werr := p.written(); werr == nil {
+			_ = exchange.Delete(s3.NewClient(d.dep.S3, ctx.Env, s3.WithPolicy(ws)), objs)
+		}
+	}
+	return err
 }
 
 // ErrWorkerOOM is reported when a worker's working set exceeds its memory.

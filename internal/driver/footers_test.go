@@ -124,17 +124,16 @@ func TestSessionReadsFootersOnce(t *testing.T) {
 // blocked on a lock that a parked process holds — and both finish with the
 // serial answer.
 func TestConcurrentColdQueriesBothRead(t *testing.T) {
-	k := simclock.New()
-	dep := NewSimulated(k, 71)
-	dep.EnableTracing(obs.New())
-	r := runSessionConcurrentQ12(t, NewSession(dep, desConfig()), k, dep, 0, 2)
-	want := singleNode(t, q12ExactSQL, tpchData(33).catalog())
-	for i, rep := range r.reps {
-		if rep == nil {
-			t.Fatalf("query %d did not finish", i)
+	c := planCase{Q: q12Exact(), Layout: layout{Data: 33, LI: 4, Ord: 2, Opts: stdLayout.Opts}, Partitions: 2, BroadcastRowLimit: -1}
+	queries := []*queryRun{{c: c}, {c: c}}
+	footerSession(t, func(p *simclock.Proc, sess *Session, tables TableFiles, _ StageConfig) {
+		runConcurrently(p, sess, tables, queries)
+	})
+	for i, q := range queries {
+		if err := q.check(true); err != nil {
+			t.Fatalf("query %d: %v", i, err)
 		}
-		chunksIdentical(t, r.outs[i], want)
-		if reads, _ := planningReads(t, rep); reads != 6 {
+		if reads, _ := planningReads(t, q.rep); reads != 6 {
 			t.Errorf("query %d billed %d planning reads, want its own 6", i, reads)
 		}
 	}

@@ -283,17 +283,22 @@ func (g *gen) aggregate(i int) selItem {
 	return it
 }
 
-// genSeeds is how many seeds TestGeneratedPlans runs; it covers every shape
-// kind genCase cycles through at least twice.
-const genSeeds = 26
+// TestGeneratedPlans runs genSeeds seeds: the plain ones, which cover every
+// shape kind genCase cycles through at least twice, then each recovery
+// scenario once.
+const genPlainSeeds, genSeeds = 26, 31
 
-// genCase draws the case of a seed. Seeds 1–3 are TPC-H Q1, Q6 and Q12's
-// revenue join, with a float tolerance. From seed 4 on, the seed picks one of
-// eight kinds — an aggregate over LINEITEM at the default configuration, one
-// grouped on l_partkey over two-level boundaries, a shuffled LINEITEM ⋈
-// ORDERS aggregate, a bare shuffle join ordered on every column, a join the
-// planner broadcasts, one with a driver-resident side, two joins, and a
-// faulted run of any of these — and draws its query and configuration.
+// genCase draws the case of a seed. Seeds 1–3
+// are TPC-H Q1, Q6 and Q12's revenue join, with a float tolerance. From seed
+// 4 on, the seed picks one of eight kinds — an aggregate over LINEITEM at the
+// default configuration, one grouped on l_partkey over two-level boundaries,
+// a shuffled LINEITEM ⋈ ORDERS aggregate, a bare shuffle join ordered on
+// every column, a join the planner broadcasts, one with a driver-resident
+// side, two joins, and a faulted run of any of these — and draws its query
+// and configuration. From seed 27 on a case also runs a recovery scenario on
+// the DES kernel, the seed taking them in turn: a straggler, the leftovers of
+// an aborted run, concurrent peers, a stalled fleet, and a stalled fleet
+// behind the admission cap.
 func genCase(seed int64) planCase {
 	c := planCase{Seed: seed, Layout: layout{Data: seed, LI: 4, Ord: 2, Supp: 1, Opts: lpq.WriterOptions{RowGroupRows: 2000}}}
 	switch seed {
@@ -306,7 +311,17 @@ func genCase(seed int64) planCase {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	g := &gen{rng: rng, scope: slices.Clone(genColumns["lineitem"])}
+	scenario := int64(-1)
+	if seed > genPlainSeeds {
+		scenario = (seed - genPlainSeeds - 1) % 5
+	}
 	kind := seed % 8
+	switch {
+	case scenario == 0 || scenario == 1 || scenario == 4:
+		kind = 2 + seed%2 // a shuffle: an epoch fence, and a LINEITEM scan that publishes
+	case scenario == 3:
+		kind = seed % 7 // no faults: their backups would blur the stall's counts
+	}
 	if kind == 7 {
 		kind = rng.Int63n(7)
 		c.Speculate = true
@@ -415,8 +430,8 @@ func genCase(seed int64) planCase {
 		// fleet reaches on its own would never bind.
 		c.MaxInFlight = 1 + rng.Intn(max(c.Layout.LI-1, 1))
 	}
-	c.Goroutines = len(c.Faults.Rules) == 0 && rng.Intn(5) == 0
-	if rng.Intn(12) == 0 {
+	c.Goroutines = scenario < 0 && len(c.Faults.Rules) == 0 && rng.Intn(5) == 0
+	if scenario < 0 && rng.Intn(12) == 0 {
 		// A table nobody registered, or a column no table has — in an
 		// aggregate or in WHERE.
 		c.Refused = true
@@ -428,6 +443,26 @@ func genCase(seed int64) planCase {
 		default:
 			c.Q.Items = append(c.Q.Items, agg("SUM(l_no_such_column)", "bad"))
 		}
+	}
+
+	// A stall runs past the 20 s liveness cap, and — but in the last
+	// scenario — without an admission cap, under which the rest of a fleet
+	// waits for the tokens its stalled workers hold.
+	switch scenario {
+	case 0: // a LINEITEM scan straggler, whose loser publishes after the query
+		c.Speculate, c.MaxInFlight, c.Stall = true, 0, stall{stallOne, 1, 2 * time.Minute}
+	case 3: // all (but one, every other turn) of the result stage, or of a shuffle's stage 1
+		stage := 0
+		if (kind >= 1 && kind <= 3 || kind == 6 && c.BroadcastRowLimit < 0) && rng.Intn(2) == 0 {
+			stage = 1
+		}
+		c.Speculate, c.MaxInFlight, c.Stall = true, 0, stall{stalled(2 + seed/5%2), stage, 2 * time.Minute}
+	case 1:
+		c.Zombie = true
+	case 2:
+		c.Concurrent = 2 + rng.Intn(2)
+	case 4: // the LINEITEM scan, each worker but the first backed up as the cap lets it launch
+		c.Speculate, c.MaxInFlight, c.Stall = true, 1, stall{stallAll, 1, time.Minute}
 	}
 	return c
 }
@@ -456,15 +491,19 @@ func genFaults(rng *rand.Rand) faults.Plan {
 // TestGeneratedPlans runs the generator's first genSeeds seeds through the
 // harness, and requires every shape class among them: both merge arms, a
 // bare shuffle join, both kinds of broadcast, 2l boundaries with and without
-// write combining, a binding admission cap, and a fault plan that made the
-// scheduler relaunch or speculate.
+// write combining, a binding admission cap, a fault plan that made the
+// scheduler relaunch or speculate, a straggler backed up, a stalled fleet the
+// liveness cap re-invoked, one behind the admission cap, a fenced zombie and
+// concurrent queries. A subtest's name carries its faults and scenario.
 func TestGeneratedPlans(t *testing.T) {
 	seen, ran := map[string]bool{}, 0
 	for seed := int64(1); seed <= genSeeds; seed++ {
 		c := genCase(seed)
 		name := fmt.Sprintf("seed=%d", seed)
-		if len(c.Faults.Rules) > 0 {
-			name += "-faults"
+		for i, on := range []bool{len(c.Faults.Rules) > 0, c.Stall.Workers != 0, c.Zombie, c.Concurrent != 0} {
+			if on {
+				name += "-" + []string{"faults", "stall", "zombie", "concurrent"}[i]
+			}
 		}
 		t.Run(name, func(t *testing.T) {
 			ran++
@@ -478,7 +517,8 @@ func TestGeneratedPlans(t *testing.T) {
 	}
 	for _, class := range []string{"aggregate merged on the driver", "aggregate repartitioned", "bare shuffle join",
 		"planner-chosen broadcast", "driver-resident broadcast", "2l boundary", "2l-wc boundary", "admission cap",
-		"faults relaunched or speculated", "goroutine workers", "refused"} {
+		"faults relaunched or speculated", "goroutine workers", "refused", "straggler backed up",
+		"stalled fleet re-invoked by the cap", "stall behind the admission cap", "zombie fenced", "concurrent queries"} {
 		if !seen[class] {
 			t.Errorf("no seed in 1..%d exercised: %s", genSeeds, class)
 		}
@@ -488,5 +528,7 @@ func TestGeneratedPlans(t *testing.T) {
 // FuzzGeneratedPlan runs any seed through the harness.
 func FuzzGeneratedPlan(f *testing.F) {
 	f.Add(int64(genSeeds + 1))
-	f.Fuzz(func(t *testing.T, seed int64) { runCase(t, genCase(seed)) })
+	f.Fuzz(func(t *testing.T, seed int64) {
+		runCase(t, genCase(seed))
+	})
 }

@@ -2,21 +2,28 @@ package driver
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lambada/internal/awssim/faults"
-	"lambada/internal/awssim/pricing"
+	"lambada/internal/awssim/lambdasvc"
+	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
+	"lambada/internal/exchange"
 	"lambada/internal/invoke"
 	"lambada/internal/lpq"
 	"lambada/internal/obs"
@@ -32,6 +39,8 @@ import (
 // to an empty substrate afterwards. Its options — typed values, told apart
 // by a type switch — pin what a caller knows of the plan: stage, worker and
 // regroup counts, variants, launch gating, request inflation under faults.
+// Its recovery knobs stall workers, plant the leftovers of an aborted run or
+// run concurrent peers, and hold the recovery to its own counts.
 
 // layout is how a test's TPC-H tables lie on S3: the SF 0.002 data of seed
 // Data, each table in that many files (0: not uploaded), written with Opts.
@@ -236,6 +245,51 @@ type planCase struct {
 	// Goroutines runs on goroutine workers, where nothing replays, instead
 	// of the DES kernel.
 	Goroutines bool
+	// Stall stalls workers of one stage (with Speculate on, under a 20 s
+	// liveness cap); Zombie runs the query as the retry of an aborted run
+	// (plantZombie); Concurrent runs it and Concurrent−1 peers (peers) at
+	// once, each its own kernel process on the one session, under an
+	// admission cap of Concurrent unless MaxInFlight sets one.
+	Stall      stall
+	Zombie     bool
+	Concurrent int
+	// untraced runs without a tracer: Duration is then the instant the rows
+	// reached the caller.
+	untraced bool
+}
+
+// stall is attempt 0 of worker 0 (one), of every worker (all) or of every
+// worker but 0 (all-but-one) of stage Stage sleeping For. The scheduler must
+// back exactly those workers up: through the quorum's median deadline while
+// enough of the fleet responds, through the liveness cap when it does not.
+type stall struct {
+	Workers stalled
+	Stage   int
+	For     time.Duration
+}
+
+type stalled int
+
+const (
+	stallOne stalled = 1 + iota
+	stallAll
+	stallAllButOne
+)
+
+func (s stalled) String() string { return []string{"none", "one", "all", "all-but-one"}[s] }
+
+// delay is the Config.testWorkerDelay of s.
+func (s stall) delay(stage, worker, attempt int) time.Duration {
+	hit := map[stalled]bool{stallOne: worker == 0, stallAll: true, stallAllButOne: worker != 0}[s.Workers]
+	if stage != s.Stage || attempt != 0 || !hit {
+		return 0
+	}
+	return s.For
+}
+
+// count is how many workers of an n-worker stage s stalls.
+func (s stall) count(n int) int {
+	return map[stalled]int{stallOne: 1, stallAll: n, stallAllButOne: n - 1}[s.Workers]
 }
 
 func (c planCase) String() string {
@@ -250,6 +304,7 @@ func (c planCase) String() string {
 		{"partitions", c.Partitions != 0, c.Partitions}, {"broadcast rows", c.BroadcastRowLimit != 0, c.BroadcastRowLimit},
 		{"levels", c.Levels != 0, c.Levels}, {"basic", c.Basic, true}, {"max in flight", c.MaxInFlight != 0, c.MaxInFlight},
 		{"speculate", c.Speculate, true}, {"faults", len(c.Faults.Rules) > 0, c.Faults}, {"goroutines", c.Goroutines, true},
+		{"stall", c.Stall.Workers != 0, c.Stall}, {"zombie", c.Zombie, true}, {"concurrent", c.Concurrent != 0, c.Concurrent},
 	} {
 		if kv.on {
 			s += fmt.Sprintf(", %s %v", kv.name, kv.val)
@@ -260,6 +315,9 @@ func (c planCase) String() string {
 
 func (c planCase) stageConfig() StageConfig {
 	scfg := DefaultStageConfig()
+	if c.Stall.Workers != 0 {
+		scfg.MaxStageWait = 20 * time.Second
+	}
 	if c.Default {
 		return scfg
 	}
@@ -313,25 +371,36 @@ func runCase(t *testing.T, c planCase, options ...any) []string {
 	return nil
 }
 
-// caseRun is one execution of a case.
+// queryRun is one query of a run: its case, its answer, and the leak
+// audit's finding once the run is over.
+type queryRun struct {
+	c    planCase
+	out  *columnar.Chunk
+	rep  *Report
+	err  error
+	leak error
+}
+
+// caseRun is one execution of a case: its query, and its peers.
 type caseRun struct {
-	out *columnar.Chunk
-	rep *Report
-	err error
-	// invokes, s3 and sqs are the Lambda, S3 and SQS requests the query
-	// billed; leak is the leak audit's finding.
-	invokes, s3, sqs int64
-	leak             error
-	adm              *invoke.Admission
+	queryRun
+	peers []queryRun
+	// billed is what the meter moved while the queries ran.
+	billed obs.Cost
+	adm    *invoke.Admission
 }
 
 // run executes c once: fault-free when clean, through RunSQL when entrance.
 func (c planCase) run(o []any, clean, entrance bool) (r caseRun, err error) {
 	cfg := desConfig()
-	cfg.MaxInFlight = c.MaxInFlight
+	cfg.MaxInFlight = cmp.Or(c.MaxInFlight, c.Concurrent)
 	if c.Speculate {
 		cfg.Speculate = DefaultSpeculateConfig()
 	}
+	if c.Stall.Workers != 0 {
+		cfg.testWorkerDelay = c.Stall.delay
+	}
+	r.c, r.peers = c, c.peers()
 	for _, opt := range o {
 		switch v := opt.(type) {
 		case waveLaunch:
@@ -340,48 +409,153 @@ func (c planCase) run(o []any, clean, entrance bool) (r caseRun, err error) {
 			v(&cfg)
 		}
 	}
+	queries := []*queryRun{&r.queryRun}
+	for i := range r.peers {
+		queries = append(queries, &r.peers[i])
+	}
 	body := func(env simenv.Env, sess *Session, tables TableFiles) error {
-		local := map[string]*columnar.Chunk{}
-		if c.Resident != "" {
-			local[c.Resident] = tpchData(c.Layout.Data).table(c.Resident)
-			delete(tables, c.Resident)
+		if c.Zombie {
+			if err := plantZombie(env, sess); err != nil {
+				return err
+			}
 		}
-		delete(tables, c.Unregistered)
-		m := sess.dep.Meter
-		count := func() [3]int64 {
-			return [3]int64{m.Count(pricing.LabelLambdaRequests), m.Count(pricing.LabelS3Read) + m.Count(pricing.LabelS3Write), m.Count(pricing.LabelSQS)}
-		}
-		before := count()
-		if entrance {
-			r.out, r.rep, r.err = sess.RunSQL(env, c.Q.SQL(), c.Q.From, tables[c.Q.From])
+		before := sess.dep.Meter.Cost()
+		if len(queries) == 1 {
+			r.exec(env, sess, tables, entrance)
 		} else {
-			r.out, r.rep, r.err = sess.runSQL(env, c.Q.SQL(), tables, local, c.stageConfig())
+			runConcurrently(env.(*simclock.Proc), sess, tables, queries)
 		}
-		after := count()
-		r.invokes, r.s3, r.sqs = after[0]-before[0], after[1]-before[1], after[2]-before[2]
+		r.billed = sess.dep.Meter.Cost().Sub(before)
 		return nil
+	}
+	traced := func(dep *Deployment) *Deployment {
+		if !c.untraced {
+			dep.EnableTracing(obs.New())
+		}
+		return dep
 	}
 	var sess *Session
 	if c.Goroutines {
-		dep := NewLocal()
-		dep.EnableTracing(obs.New())
-		sess, err = onGoroutines(dep, cfg, c.Layout, body)
+		sess, err = onGoroutines(traced(NewLocal()), cfg, c.Layout, body)
 	} else {
 		plan := c.Faults
 		if clean {
 			plan = faults.Plan{}
 		}
-		sess, err = onDES(func(k *simclock.Kernel) *Deployment {
-			dep := NewChaos(k, 71+c.Seed, plan)
-			dep.EnableTracing(obs.New())
-			return dep
-		}, cfg, c.Layout, func(p *simclock.Proc, sess *Session, tables TableFiles) error { return body(p, sess, tables) })
+		sess, err = onDES(func(k *simclock.Kernel) *Deployment { return traced(NewChaos(k, 71+c.Seed, plan)) },
+			cfg, c.Layout, func(p *simclock.Proc, sess *Session, tables TableFiles) error { return body(p, sess, tables) })
 	}
 	if err != nil {
 		return r, err
 	}
-	r.leak, r.adm = queryLeaks(sess, "q1"), sess.Admission()
+	for i, q := range queries {
+		q.leak = queryLeaks(sess, fmt.Sprintf("q%d", i+1))
+	}
+	r.adm = sess.Admission()
 	return r, nil
+}
+
+// exec runs q's query on sess over files: its driver-resident table from
+// memory, its unregistered one dropped.
+func (q *queryRun) exec(env simenv.Env, sess *Session, files TableFiles, entrance bool) {
+	c := q.c
+	tables, local := maps.Clone(files), map[string]*columnar.Chunk{}
+	if c.Resident != "" {
+		local[c.Resident] = tpchData(c.Layout.Data).table(c.Resident)
+		delete(tables, c.Resident)
+	}
+	delete(tables, c.Unregistered)
+	if entrance {
+		q.out, q.rep, q.err = sess.RunSQL(env, c.Q.SQL(), c.Q.From, tables[c.Q.From])
+	} else {
+		q.out, q.rep, q.err = sess.runSQL(env, c.Q.SQL(), tables, local, c.stageConfig())
+	}
+}
+
+// runConcurrently runs queries at once on p's kernel, each its own process,
+// started in order — so the i-th is q<i+1> — and returns once all have.
+func runConcurrently(p *simclock.Proc, sess *Session, files TableFiles, queries []*queryRun) {
+	done := 0
+	for _, q := range queries {
+		p.Kernel().Go("query", func(qp *simclock.Proc) {
+			q.exec(qp, sess, files, false)
+			done++
+			qp.NotifyKey("test/done")
+		})
+	}
+	for done < len(queries) {
+		simenv.WaitNotifyKey(p, "test/done", time.Second)
+	}
+}
+
+// peers draws the Concurrent−1 queries that run beside c's: generated cases
+// over c's tables, each query with its own stage config, all under c's
+// session and deployment — so with c's faults, speculation and cap, and no
+// stall, zombie or peers of their own.
+func (c planCase) peers() []queryRun {
+	var out []queryRun
+	for seed := c.Seed*genSeeds + 1; len(out) < c.Concurrent-1; seed++ {
+		g := genCase(seed)
+		files := map[string]int{"lineitem": c.Layout.LI, "orders": c.Layout.Ord, "supplier": c.Layout.Supp}
+		if g.Refused || slices.ContainsFunc(g.Q.Joins, func(j sqlJoin) bool { return files[j.Table] == 0 && j.Table != g.Resident }) {
+			continue
+		}
+		out = append(out, queryRun{c: planCase{Seed: seed, Q: g.Q, Tol: g.Tol, Layout: c.Layout, Resident: g.Resident,
+			Default: g.Default, Partitions: g.Partitions, BroadcastRowLimit: g.BroadcastRowLimit, Levels: g.Levels, Basic: g.Basic,
+			MaxInFlight: c.MaxInFlight, Speculate: c.Speculate, Faults: c.Faults, Goroutines: c.Goroutines}})
+	}
+	return out
+}
+
+// zombieSeals is how many seals plantZombie posts: two before the run, three
+// during it.
+const zombieSeals = 5
+
+// plantZombie leaves on sess's deployment what an aborted run of q1 leaves
+// behind it: its epoch fence at 1, a committed boundary publish under q1/e1
+// whose rows would skew any answer that read them, and two seals of epoch 1
+// on q1's result queue, one a result chunk that is no lpq blob. And it
+// wraps the worker, so that the retry's first task, while the retry runs,
+// publishes more of the zombie's objects under q1/e1 and posts, before its
+// own seal, the zombie's seal and two strays of the retry's epoch — worker
+// −1, a retryable failure, and worker n of an n-worker stage.
+func plantZombie(env simenv.Env, sess *Session) error {
+	dep, cfg := sess.dep, sess.cfg
+	// A post that fails shows as a discard count short of zombieSeals.
+	post := func(env simenv.Env, queue string, msgs ...resultMsg) {
+		for _, rm := range msgs {
+			body, _ := json.Marshal(rm)
+			_ = dep.SQS.Send(env, queue, body)
+		}
+	}
+	table := stagesTableName(cfg.FunctionName)
+	dep.Dynamo.CreateTable(table)
+	opts := exchange.Options{Variant: exchange.Variant{Levels: 1}, Buckets: sess.InstallExchange(), Prefix: queryPrefix(cfg.FunctionName, "q1") + "e1"}
+	publish := func(env simenv.Env, sender int) error {
+		_, err := exchange.PublishSealed(s3.NewClient(dep.S3, env), opts, exchange.Boundary{Stage: 1, Senders: 4, Partitions: 2}, sender,
+			tpchData(stdLayout.Data).orders, []string{"o_orderkey"})
+		return err
+	}
+	err := publish(env, 0)
+	queue := queryQueueName(cfg.ResultQueue, "q1")
+	dep.SQS.CreateQueue(queue)
+	post(env, queue, resultMsg{QueryID: "q1", Epoch: 1, Stage: 1}, resultMsg{QueryID: "q1", Epoch: 1, Chunk: []byte("not an lpq blob")})
+	if err = errors.Join(err, dep.Dynamo.Put(env, table, epochKey("q1"), []byte("1@0"))); err != nil {
+		return err
+	}
+	var posted atomic.Bool // not a sync.Once: a DES post parks its process
+	return dep.Lambda.CreateFunction(cfg.FunctionName, cfg.WorkerMemoryMiB, cfg.Timeout, func(ctx *lambdasvc.Ctx, payload []byte) error {
+		var p workerPayload
+		if json.Unmarshal(payload, &p) == nil && len(p.Plan) > 0 && p.Epoch > 0 && posted.CompareAndSwap(false, true) {
+			if err := publish(ctx.Env, 1); err != nil {
+				return err // the task never seals, and the query fails
+			}
+			post(ctx.Env, p.ResultQueue, resultMsg{QueryID: p.QueryID, Epoch: p.Epoch - 1, Stage: p.StageID, WorkerID: p.WorkerID},
+				resultMsg{QueryID: p.QueryID, Epoch: p.Epoch, Stage: p.StageID, WorkerID: -1, Err: "stray", Retryable: true},
+				resultMsg{QueryID: p.QueryID, Epoch: p.Epoch, Stage: p.StageID, WorkerID: p.NumWorkers})
+		}
+		return sess.workerHandler(ctx, payload)
+	})
 }
 
 // checkCase runs c and returns its shape classes, or the first way it
@@ -395,24 +569,15 @@ func checkCase(c planCase, o []any) ([]string, error) {
 		switch {
 		case !errors.Is(a.err, ErrInvalidPlan):
 			return nil, fmt.Errorf("err = %v, want ErrInvalidPlan", a.err)
-		case a.invokes != 0:
-			return nil, fmt.Errorf("a refused plan invoked %d workers", a.invokes)
+		case a.billed.LambdaInvokes != 0:
+			return nil, fmt.Errorf("a refused plan invoked %d workers", a.billed.LambdaInvokes)
 		}
 		return []string{"refused"}, a.leak
 	}
-	plan, err := sqlfe.Parse(c.Q.SQL())
-	var want *columnar.Chunk
-	if err == nil {
-		want, err = engine.Execute(plan, tpchData(c.Layout.Data).catalog())
-	}
-	if err != nil {
-		return nil, fmt.Errorf("the query does not run on a single node: %v", err)
-	}
-	if a.err != nil {
-		return nil, fmt.Errorf("query failed: %w", a.err)
-	}
-	if err := sameRows(a.out, want, c.Tol); err != nil {
-		return nil, fmt.Errorf("rows against single-node: %w", err)
+	for _, q := range append([]queryRun{a.queryRun}, a.peers...) {
+		if err := q.check(len(a.peers) > 0); err != nil {
+			return nil, err
+		}
 	}
 	if err := c.invariants(a, o); err != nil {
 		return nil, err
@@ -421,25 +586,16 @@ func checkCase(c planCase, o []any) ([]string, error) {
 	// The replay: a second DES run must repeat the first to the row and the
 	// nanodollar, and a query over one table must plan, run and bill alike
 	// through either entrance.
-	entrance := c.Default && len(c.Q.Joins) == 0
+	entrance := c.Default && len(c.Q.Joins) == 0 && c.Stall.Workers == 0
 	if !c.Goroutines || entrance {
 		b, err := c.run(o, false, entrance)
-		switch {
-		case err != nil:
+		if err != nil {
 			return nil, err
-		case b.err != nil:
-			return nil, fmt.Errorf("replay (RunSQL %t) failed: %w", entrance, b.err)
-		case b.leak != nil:
-			return nil, b.leak
 		}
-		if err := sameRows(b.out, a.out, 0); err != nil {
-			return nil, fmt.Errorf("replay (RunSQL %t) rows: %w", entrance, err)
-		}
-		if b.rep.Workers != a.rep.Workers || b.rep.Stages != a.rep.Stages {
-			return nil, fmt.Errorf("replay (RunSQL %t) ran %d workers in %d stages, the first run %d in %d", entrance, b.rep.Workers, b.rep.Stages, a.rep.Workers, a.rep.Stages)
-		}
-		if !c.Goroutines && (b.rep.Duration != a.rep.Duration || b.rep.Cost != a.rep.Cost) {
-			return nil, fmt.Errorf("replay (RunSQL %t) took %v and billed %+v, the first run %v and %+v", entrance, b.rep.Duration, b.rep.Cost, a.rep.Duration, a.rep.Cost)
+		for i, q := range append([]queryRun{b.queryRun}, b.peers...) {
+			if err := q.repeats(append([]queryRun{a.queryRun}, a.peers...)[i], entrance); err != nil {
+				return nil, err
+			}
 		}
 		if slices.ContainsFunc(o, func(v any) bool { _, ok := v.(phased); return ok }) {
 			var ea, eb bytes.Buffer
@@ -456,31 +612,111 @@ func checkCase(c planCase, o []any) ([]string, error) {
 			return nil, err
 		}
 	}
-	return a.shapes(c), nil
+	if c.Stall.Workers != 0 {
+		if err := c.stalled(a, o); err != nil {
+			return nil, err
+		}
+	}
+	return a.shapes(), nil
 }
 
-// invariants holds one successful run to what every run owes, and to the
-// plan shape the options pin.
-func (c planCase) invariants(a caseRun, o []any) error {
-	rep := a.rep
-	if a.leak != nil {
-		return a.leak
+// check holds one query of a run to what every query owes: the single
+// node's rows, a clean substrate, an epoch iff a boundary, a winner per
+// worker, no Invoke for a stage that sealed, and — unless other queries
+// shared its window — a trace that carries the bill and, without faults, an
+// Invoke per worker, backup and relaunch; and to its knobs' counts.
+func (q queryRun) check(shared bool) error {
+	c, rep := q.c, q.rep
+	plan, err := sqlfe.Parse(c.Q.SQL())
+	var want *columnar.Chunk
+	if err == nil {
+		want, err = engine.Execute(plan, tpchData(c.Layout.Data).catalog())
+	}
+	switch {
+	case err != nil:
+		return fmt.Errorf("the query does not run on a single node: %v", err)
+	case q.err != nil:
+		return fmt.Errorf("query failed: %w", q.err)
+	case q.leak != nil:
+		return q.leak
+	}
+	if err := sameRows(q.out, want, c.Tol); err != nil {
+		return fmt.Errorf("rows against single-node: %w", err)
 	}
 	boundary := slices.ContainsFunc(rep.StageStats, func(ss StageStat) bool { return ss.Variant != "" })
-	if want := map[bool]int{false: 0, true: 1}[boundary]; rep.Epoch != want {
-		return fmt.Errorf("epoch %d with boundaries %t, want %d", rep.Epoch, boundary, want)
+	wantEpoch := map[bool]int{true: 1}[boundary] // 2 behind a zombie's fence
+	if c.Zombie {
+		wantEpoch *= 2
 	}
-	if len(rep.WorkerProcessing) != rep.Workers {
+	qs, _ := rep.Trace.Span(rep.Span)
+	zombies, tree, late := qs.Tags["zombieDiscards"], obs.NewTree(rep.Trace.Spans()), error(nil)
+	for _, ss := range rep.StageStats {
+		tree.Walk(ss.Span, func(s *obs.Span) {
+			if s.Kind == obs.KindInvoke && s.Start > qs.Start+ss.Sealed && late == nil {
+				late = fmt.Errorf("stage %d (regroup %t) sealed at %v, and invoked a worker at %v", ss.StageID, ss.Regroup, ss.Sealed, s.Start-qs.Start)
+			}
+		})
+	}
+	switch {
+	case late != nil:
+		return late
+	case rep.Epoch != wantEpoch:
+		return fmt.Errorf("epoch %d with boundaries %t, want %d", rep.Epoch, boundary, wantEpoch)
+	case len(rep.WorkerProcessing) != rep.Workers:
 		return fmt.Errorf("%d winners' processing times for %d workers", len(rep.WorkerProcessing), rep.Workers)
-	}
-	if !c.Goroutines && rep.Profile().Cost != rep.Cost {
+	case !c.Goroutines && !shared && rep.Profile().Cost != rep.Cost:
 		return fmt.Errorf("spans carry %+v, the meter moved %+v", rep.Profile().Cost, rep.Cost)
-	}
-	if len(c.Faults.Rules) == 0 && len(rep.InjectedFaults) != 0 {
+	case !shared && len(c.Faults.Rules) == 0 && rep.Cost.LambdaInvokes != int64(rep.Workers+rep.Speculated+rep.FailureSeals):
+		return fmt.Errorf("%d invocations for %d workers, %d backups and %d relaunches", rep.Cost.LambdaInvokes, rep.Workers, rep.Speculated, rep.FailureSeals)
+	case len(c.Faults.Rules) == 0 && len(rep.InjectedFaults) != 0:
 		return fmt.Errorf("no fault planned, %v injected", rep.InjectedFaults)
+	case c.Speculate && c.Stall.Workers == 0 && len(c.Faults.Rules) == 0 && rep.Speculated != 0:
+		return fmt.Errorf("no stall and no fault, and %d backups", rep.Speculated)
+	case c.Zombie && (zombies != strconv.Itoa(zombieSeals) || rep.FailureSeals != 0):
+		return fmt.Errorf("zombie: %q of %d planted seals discarded, %d failure seals relaunched", zombies, zombieSeals, rep.FailureSeals)
 	}
-	if adm := a.adm; adm != nil && len(c.Faults.Rules) == 0 && !c.Speculate && (adm.Peak() > c.MaxInFlight || adm.Overflow() != 0) {
-		return fmt.Errorf("admission peak %d, overflow %d, over the cap %d", adm.Peak(), adm.Overflow(), c.MaxInFlight)
+	return nil
+}
+
+// repeats requires replay r of query q to repeat its rows and fleet — and on
+// the DES kernel its Duration and Cost.
+func (r queryRun) repeats(q queryRun, entrance bool) error {
+	switch {
+	case r.err != nil:
+		return fmt.Errorf("replay (RunSQL %t) failed: %w", entrance, r.err)
+	case r.leak != nil:
+		return r.leak
+	}
+	if err := sameRows(r.out, q.out, 0); err != nil {
+		return fmt.Errorf("replay (RunSQL %t) rows: %w", entrance, err)
+	}
+	if r.rep.Workers != q.rep.Workers || r.rep.Stages != q.rep.Stages {
+		return fmt.Errorf("replay (RunSQL %t) ran %d workers in %d stages, the first run %d in %d", entrance, r.rep.Workers, r.rep.Stages, q.rep.Workers, q.rep.Stages)
+	}
+	if !q.c.Goroutines && (r.rep.Duration != q.rep.Duration || r.rep.Cost != q.rep.Cost) {
+		return fmt.Errorf("replay (RunSQL %t) took %v and billed %+v, the first run %v and %+v", entrance, r.rep.Duration, r.rep.Cost, q.rep.Duration, q.rep.Cost)
+	}
+	return nil
+}
+
+// invariants holds a successful run to the session's admission bounds and
+// to the plan shape the options pin.
+func (c planCase) invariants(a caseRun, o []any) error {
+	rep := a.rep
+	if adm := a.adm; adm != nil && len(c.Faults.Rules) == 0 && !c.Speculate && (adm.Peak() > adm.Capacity() || adm.Overflow() != 0) {
+		return fmt.Errorf("admission peak %d, overflow %d, over the cap %d", adm.Peak(), adm.Overflow(), adm.Capacity())
+	}
+	if len(a.peers) > 0 {
+		var sum obs.Cost
+		for _, q := range append([]queryRun{a.queryRun}, a.peers...) {
+			sum.Add(q.rep.Profile().Cost)
+		}
+		switch {
+		case sum != a.billed:
+			return fmt.Errorf("concurrent: the profiles sum to %+v, the meter moved %+v", sum, a.billed)
+		case a.adm.Blocked() == 0:
+			return fmt.Errorf("concurrent: the cap %d never blocked %d queries", a.adm.Capacity(), len(a.peers)+1)
+		}
 	}
 	regroups := 0
 	for _, ss := range rep.StageStats {
@@ -519,6 +755,44 @@ func (c planCase) invariants(a caseRun, o []any) error {
 		if err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// stalled is the Stall knob's check of run a: the stalled stage backed up
+// exactly the workers stalled, and — unless the admission cap held the rest
+// of its fleet behind them — the query returned before the stall was over
+// and before a speculation-off twin did. An untraced run shows when the
+// caller got its rows (a traced Duration waits out the losers,
+// query.quiesce): its Duration must end where a's query phases did, and it
+// too must leave nothing behind.
+func (c planCase) stalled(a caseRun, o []any) error {
+	ss := stageStats(a.rep)(c.Stall.Stage)
+	want := c.Stall.count(ss.Workers)
+	switch {
+	case ss.Workers == 0:
+		return fmt.Errorf("no stage %d to stall", c.Stall.Stage) // a failure of its own kind: shrink keeps the stage
+	case ss.Speculated != want:
+		return fmt.Errorf("stall: stage %d backed up %d of its %d workers, want %d", c.Stall.Stage, ss.Speculated, ss.Workers, want)
+	case want == 0 || a.adm != nil && a.adm.Blocked() > 0:
+		return nil
+	}
+	c.untraced = true // c is a copy
+	u, err := c.run(o, false, false)
+	c.Speculate = false // the speculation-off twin
+	t, terr := c.run(o, false, false)
+	if err = errors.Join(err, u.err, u.leak, terr, t.err); err != nil {
+		return fmt.Errorf("stall: untraced runs: %w", err)
+	}
+	qs, _ := a.rep.Trace.Span(a.rep.Span)
+	var returned time.Duration
+	for _, s := range a.rep.Trace.Spans() {
+		if s.Parent == a.rep.Span && s.Kind == obs.KindPhase {
+			returned = max(returned, s.End-qs.Start)
+		}
+	}
+	if got, off := u.rep.Duration, t.rep.Duration; got != returned || got >= c.Stall.For || got >= off {
+		return fmt.Errorf("stall: returned at %v (the traced run's phases ended at %v), stalled for %v, the speculation-off twin at %v", got, returned, c.Stall.For, off)
 	}
 	return nil
 }
@@ -628,23 +902,24 @@ func (c planCase) inflation(a caseRun, o []any) error {
 	if err != nil {
 		return fmt.Errorf("fault-free twin: %w", err)
 	}
+	s3Reqs := func(r caseRun) int64 { return r.billed.S3Get + r.billed.S3Put }
 	if err := sameRows(a.out, clean.out, 0); err != nil {
 		return fmt.Errorf("rows against the fault-free twin: %w", err)
 	}
 	switch {
 	case len(a.rep.InjectedFaults) == 0 || a.rep.WorkerRetries == 0:
 		return fmt.Errorf("injected %v, %d worker retries: want a storm the workers retried", a.rep.InjectedFaults, a.rep.WorkerRetries)
-	case a.s3 < clean.s3 || a.s3 > 2*clean.s3:
-		return fmt.Errorf("billed %d S3 requests, the fault-free twin %d: want within 2×", a.s3, clean.s3)
-	case a.sqs > 4*clean.sqs:
-		return fmt.Errorf("billed %d SQS requests, the fault-free twin %d: want within 4×", a.sqs, clean.sqs)
+	case s3Reqs(a) < s3Reqs(clean) || s3Reqs(a) > 2*s3Reqs(clean):
+		return fmt.Errorf("billed %d S3 requests, the fault-free twin %d: want within 2×", s3Reqs(a), s3Reqs(clean))
+	case a.billed.SQSRequests > 4*clean.billed.SQSRequests:
+		return fmt.Errorf("billed %d SQS requests, the fault-free twin %d: want within 4×", a.billed.SQSRequests, clean.billed.SQSRequests)
 	}
 	return nil
 }
 
-// shapes names the classes of plan a run of c exercised.
-func (a caseRun) shapes(c planCase) []string {
-	var out []string
+// shapes names the classes of plan a run exercised.
+func (a caseRun) shapes() []string {
+	c, out := a.c, []string(nil)
 	add := func(on bool, class string) {
 		if on {
 			out = append(out, class)
@@ -662,6 +937,15 @@ func (a caseRun) shapes(c planCase) []string {
 	add(a.adm != nil && a.adm.Blocked() > 0, "admission cap")
 	add(len(a.rep.InjectedFaults) > 0 && a.rep.FailureSeals+a.rep.Speculated > 0, "faults relaunched or speculated")
 	add(c.Goroutines, "goroutine workers")
+	if n := stageStats(a.rep)(c.Stall.Stage).Workers; c.Stall.Workers != 0 && c.Stall.count(n) > 0 {
+		blocked := a.adm != nil && a.adm.Blocked() > 0
+		quorum := n-c.Stall.count(n) >= max(int(speculateQuorum*float64(n)), 1)
+		add(blocked, "stall behind the admission cap")
+		add(!blocked && quorum, "straggler backed up")
+		add(!blocked && !quorum, "stalled fleet re-invoked by the cap")
+	}
+	add(c.Zombie, "zombie fenced")
+	add(len(a.peers) > 0, "concurrent queries")
 	return out
 }
 
@@ -700,7 +984,10 @@ func (c planCase) simpler() []planCase {
 		}
 	}
 	try(len(c.Faults.Rules) > 0, func(d *planCase) { d.Faults = faults.Plan{} })
-	try(c.Speculate, func(d *planCase) { d.Speculate = false })
+	try(c.Stall.Workers != 0, func(d *planCase) { d.Stall = stall{} })
+	try(c.Zombie, func(d *planCase) { d.Zombie = false })
+	try(c.Concurrent > 0, func(d *planCase) { d.Concurrent = 0 })
+	try(c.Speculate && c.Stall.Workers == 0, func(d *planCase) { d.Speculate = false })
 	try(c.MaxInFlight > 0, func(d *planCase) { d.MaxInFlight = 0 })
 	try(c.Levels > 0, func(d *planCase) { d.Levels = 0 })
 	try(c.Partitions > 2, func(d *planCase) { d.Partitions = 2 })

@@ -302,33 +302,20 @@ func (r *stageRun) manifest() []byte {
 	return b
 }
 
-// written names every object the query's writers may have published into
-// the boundary namespace ns: for each run with an output, each attempt
-// 0 … attempts[w] of each worker it invoked (exchange.Written). A regroup
-// run's boundary is its producer's — the producer's stage ID and sender
-// count, and the output they share.
-func (s *scheduler) written(ns boundarySpec) ([]exchange.Object, error) {
+// written names every object the query's writers may have published: for
+// each worker invoked (one never invoked wrote nothing), each attempt
+// 0 … attempts[w] of its task — by the names the task itself would delete
+// (workerPayload.written).
+func (s *scheduler) written() ([]exchange.Object, error) {
 	var objs []exchange.Object
 	for _, r := range s.runs {
-		out := r.st.Output
-		if out == nil {
-			continue
-		}
-		b := exchange.Boundary{Stage: r.st.ID, Senders: len(r.payloads), Partitions: out.Partitions}
-		producer, regroup := r.st.RegroupOf()
-		if regroup {
-			b.Stage, b.Senders = producer, len(s.byID[producer].payloads)
-		}
-		opts := exchange.Options{Variant: out.Variant, Buckets: ns.Buckets, Prefix: ns.Prefix}
 		for w, invoked := range r.invoked {
-			if !invoked {
-				continue // never invoked: no attempt of it wrote anything
-			}
-			for b.Attempt = 0; b.Attempt <= r.attempts[w]; b.Attempt++ {
-				var err error
-				if objs, err = exchange.Written(objs, opts, b, w, regroup); err != nil {
+			for p := r.payloads[w]; invoked && p.Attempt <= r.attempts[w]; p.Attempt++ {
+				names, err := p.written()
+				if err != nil {
 					return nil, err
 				}
+				objs = append(objs, names...)
 			}
 		}
 	}

@@ -234,10 +234,10 @@ func (d *query) source(client *s3.Client, files ...scan.FileRef) *scan.Source {
 
 // close releases the query's span binding — back-filling the end of any
 // driver-side span an error path left open — and tears down its private
-// queue. A zombie worker posting to the deleted queue gets a harmless
-// ErrNoSuchQueue; a later same-named query (fresh driver restart reusing
-// the counter) starts from an empty queue either way, and its epoch fence
-// discards any zombie that does land.
+// queue, if cleanup has not. A worker posting to the deleted queue gets
+// ErrNoSuchQueue (workerHandler); a later same-named query (fresh driver
+// restart reusing the counter) starts from an empty queue either way, and
+// its epoch fence discards any zombie that does land.
 func (d *query) close() {
 	d.dep.Trace.Release(d.env, d.env.Now())
 	d.dep.SQS.DeleteQueue(d.cfg.ResultQueue)

@@ -2,13 +2,10 @@ package driver
 
 import (
 	"errors"
-	"fmt"
 	"testing"
-	"time"
 
 	"lambada/internal/awssim/faults"
 	"lambada/internal/awssim/lambdasvc"
-	"lambada/internal/awssim/simenv"
 	"lambada/internal/awssim/sqs"
 	"lambada/internal/columnar"
 	"lambada/internal/obs"
@@ -31,237 +28,6 @@ func TestDeterministicMeansNoHostThreads(t *testing.T) {
 		if got := NewSession(dep, cfg).Config().Scan; got != cfg.Scan {
 			t.Errorf("%s session scans with %+v, want %+v", name, got, cfg.Scan)
 		}
-	}
-}
-
-// sessionRun captures everything one concurrent-session DES run exposes for
-// the acceptance assertions: per-query results and reports, the virtual end
-// time, and the epoch fence rows the queries left behind.
-type sessionRun struct {
-	outs   []*columnar.Chunk
-	reps   []*Report
-	epochs map[string]int
-	vend   time.Duration
-	// billed is what the meter moved from the first query's start until the
-	// last had returned.
-	billed obs.Cost
-}
-
-// runSessionConcurrentQ12 runs K staged q12 queries CONCURRENTLY — each as
-// its own DES process — on one resident session over one simulated
-// deployment, under a deployment-wide admission cap. Queries alternate
-// between 2 and 3 join partitions so the interleaved schedulers exercise
-// different fleet shapes.
-func runSessionConcurrentQ12(t *testing.T, sess *Session, k *simclock.Kernel, dep *Deployment, levels, K int) sessionRun {
-	t.Helper()
-	res := sessionRun{
-		outs:   make([]*columnar.Chunk, K),
-		reps:   make([]*Report, K),
-		epochs: map[string]int{},
-	}
-	done := 0
-	k.Go("setup", func(p *simclock.Proc) {
-		tables, err := layout{Data: 33, LI: 4, Ord: 2, Opts: stdLayout.Opts}.upload(p, sess)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		before := dep.Meter.Cost()
-		for i := 0; i < K; i++ {
-			i := i
-			k.Go(fmt.Sprintf("query%d", i), func(p *simclock.Proc) {
-				defer func() {
-					done++
-					simenv.BroadcastKey(p, "test/done")
-				}()
-				scfg := shuffled(2 + i%2)
-				scfg.Exchange.Poll = 100 * time.Millisecond
-				scfg.Exchange.Variant.Levels = levels
-				out, rep, err := sess.RunSQLStaged(p, q12ExactSQL, tables, scfg)
-				if err != nil {
-					t.Errorf("query %d: %v", i, err)
-					return
-				}
-				res.outs[i], res.reps[i] = out, rep
-			})
-		}
-		for done < K {
-			simenv.WaitNotifyKey(p, "test/done", 100*time.Millisecond)
-		}
-		res.billed = dep.Meter.Cost().Sub(before)
-		// Epoch fence rows: every live query ran under its own query ID, so
-		// the fence rows are disjoint and each sits at epoch 1.
-		table := stagesTableName(sess.Config().FunctionName)
-		for i := 1; i <= K; i++ {
-			qid := fmt.Sprintf("q%d", i)
-			v, err := dep.Dynamo.Get(p, table, epochKey(qid))
-			if err != nil {
-				t.Errorf("epoch row %s: %v", qid, err)
-				continue
-			}
-			e, _, ok := parseEpochValue(v)
-			if !ok {
-				t.Errorf("epoch row %s: corrupt value %q", qid, v)
-				continue
-			}
-			res.epochs[qid] = e
-		}
-		res.vend = p.Now()
-	})
-	k.Run()
-	if k.Deadlocked() {
-		t.Fatal("DES deadlocked")
-	}
-	return res
-}
-
-// TestSessionConcurrentStagedByteIdentical is the tentpole acceptance test:
-// K=4 staged queries interleaved on ONE resident session — sharing the
-// deployment, the admission budget, and the warm container pool, separated
-// only by query ID, epoch, and per-query result queue — produce results
-// byte-identical to sequential one-shot runs, for both exchange variants,
-// deterministically across two seeded runs, and the admission cap is never
-// exceeded.
-func TestSessionConcurrentStagedByteIdentical(t *testing.T) {
-	const K, maxInFlight = 4, 12
-	// Sequential one-shot baseline on a fresh classic driver.
-	d, env, tables := goSession(t, DefaultConfig(), layout{Data: 33, LI: 4, Ord: 2, Opts: stdLayout.Opts})
-	want := singleNode(t, q12ExactSQL, tpchData(33).catalog())
-	oneShot := map[int]*columnar.Chunk{}
-	for _, levels := range []int{1, 2} {
-		scfg := shuffled(2)
-		scfg.Exchange.Variant.Levels = levels
-		out, _, err := d.RunSQLStaged(env, q12ExactSQL, tables, scfg)
-		if err != nil {
-			t.Fatalf("one-shot baseline (levels=%d): %v", levels, err)
-		}
-		chunksIdentical(t, out, want)
-		oneShot[levels] = out
-	}
-
-	run := func(levels int) (sessionRun, *Session) {
-		k := simclock.New()
-		dep := NewSimulated(k, 71)
-		cfg := desConfig()
-		cfg.MaxInFlight = maxInFlight
-		sess := NewSession(dep, cfg)
-		return runSessionConcurrentQ12(t, sess, k, dep, levels, K), sess
-	}
-	for _, levels := range []int{1, 2} {
-		r1, s1 := run(levels)
-		r2, _ := run(levels)
-		for i := 0; i < K; i++ {
-			if r1.outs[i] == nil {
-				t.Fatalf("levels=%d: query %d produced no result", levels, i)
-			}
-			chunksIdentical(t, r1.outs[i], oneShot[levels])
-			chunksIdentical(t, r2.outs[i], r1.outs[i])
-			assertQueryClean(t, s1, r1.reps[i].QueryID)
-			if r1.reps[i].Duration != r2.reps[i].Duration || r1.reps[i].TotalCost != r2.reps[i].TotalCost {
-				t.Errorf("levels=%d: query %d not deterministic: (%v, %v) vs (%v, %v)", levels, i,
-					r1.reps[i].Duration, r1.reps[i].TotalCost, r2.reps[i].Duration, r2.reps[i].TotalCost)
-			}
-		}
-		if r1.vend != r2.vend {
-			t.Errorf("levels=%d: virtual end time not deterministic: %v vs %v", levels, r1.vend, r2.vend)
-		}
-		adm := s1.Admission()
-		if adm.Capacity() != maxInFlight {
-			t.Fatalf("levels=%d: capacity = %d, want %d", levels, adm.Capacity(), maxInFlight)
-		}
-		if adm.Peak() > maxInFlight {
-			t.Errorf("levels=%d: admission peak %d exceeded cap %d", levels, adm.Peak(), maxInFlight)
-		}
-		if of := adm.Overflow(); of != 0 {
-			t.Errorf("levels=%d: fault-free run admitted %d overflow invocations", levels, of)
-		}
-		if adm.Blocked() == 0 {
-			t.Errorf("levels=%d: cap %d never blocked %d concurrent fleets — cap not binding, test too weak", levels, maxInFlight, K)
-		}
-		if len(r1.epochs) != K {
-			t.Errorf("levels=%d: epoch rows = %v, want %d disjoint rows", levels, r1.epochs, K)
-		}
-		for qid, e := range r1.epochs {
-			if e != 1 {
-				t.Errorf("levels=%d: epoch[%s] = %d, want 1 (disjoint per-query fences)", levels, qid, e)
-			}
-		}
-	}
-}
-
-// TestSessionChaosConcurrentQueries: two staged queries in flight on one
-// session over a chaos deployment (transients, duplicates, throttles, cold
-// spikes, one mid-run crash) still both finish with byte-correct results,
-// deterministically. Recovery traffic is admitted past the cap rather than
-// risking a token deadlock, so Overflow may be positive here — the
-// fault-free bound is asserted in the test above.
-func TestSessionChaosConcurrentQueries(t *testing.T) {
-	run := func() ([]*columnar.Chunk, time.Duration, int) {
-		k := simclock.New()
-		dep := NewChaos(k, 71, chaosPlanQ12())
-		cfg := desConfig()
-		cfg.MaxInFlight = 10
-		// Speculation is what recovers the mid-run crash — without it the
-		// crashed worker's seal never arrives and its stage can't finish.
-		cfg.Speculate = DefaultSpeculateConfig()
-		// Two interleaved queries under a tight cap live much longer in
-		// virtual time than the single-query chaos runs, so the default
-		// 256-op retry budget drowns in injected receive timeouts alone.
-		cfg.RetryBudget = 4096
-		sess := NewSession(dep, cfg)
-		r := runSessionConcurrentQ12(t, sess, k, dep, 0, 2)
-		return r.outs, r.vend, dep.Faults.TotalInjected()
-	}
-	outs1, vend1, injected := run()
-	outs2, vend2, _ := run()
-	if injected == 0 {
-		t.Fatal("chaos plan injected nothing")
-	}
-	want := singleNode(t, q12ExactSQL, tpchData(33).catalog())
-	for i := range outs1 {
-		if outs1[i] == nil || outs2[i] == nil {
-			t.Fatalf("query %d produced no result under chaos", i)
-		}
-		chunksIdentical(t, outs1[i], want)
-		chunksIdentical(t, outs2[i], outs1[i])
-	}
-	if vend1 != vend2 {
-		t.Errorf("chaos run not deterministic: virtual end %v vs %v", vend1, vend2)
-	}
-}
-
-// TestSessionEpochFenceAcrossSessions: a second session on the same
-// deployment restarts query numbering at q1, landing on the same queue name
-// and fence row as the first session's q1 — the durable epoch counter keeps
-// the runs in disjoint epochs anyway, and the repeat query's result stays
-// byte-identical.
-func TestSessionEpochFenceAcrossSessions(t *testing.T) {
-	dep := NewLocal()
-	runOn := func() *columnar.Chunk {
-		t.Helper()
-		var out *columnar.Chunk
-		_, err := onGoroutines(dep, DefaultConfig(), stdLayout, func(env simenv.Env, sess *Session, tables TableFiles) (err error) {
-			out, _, err = sess.RunSQLStaged(env, q12ExactSQL, tables, shuffled(2))
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	out1 := runOn()
-	out2 := runOn()
-	chunksIdentical(t, out2, out1)
-
-	env := simenv.NewImmediate()
-	table := stagesTableName(DefaultConfig().FunctionName)
-	v, err := dep.Dynamo.Get(env, table, epochKey("q1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _, ok := parseEpochValue(v)
-	if !ok || e != 2 {
-		t.Fatalf("q1 fence after two sessions = %q (epoch %d), want epoch 2", v, e)
 	}
 }
 

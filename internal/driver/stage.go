@@ -51,11 +51,6 @@ type StageConfig struct {
 	// cases the quorum/median policy can never arm for: no response at all,
 	// and a sub-quorum stall. 0 disables the cap.
 	MaxStageWait time.Duration
-	// MaxAutoPartitions caps the autotuned boundary fan-in
-	// (0 = stageplan.MaxAutoPartitions). Paper-scale fleets raise it: with
-	// multi-level boundaries the boundary request count grows as O(√P·S)
-	// instead of O(S·P), so wide fan-ins stay affordable.
-	MaxAutoPartitions int
 }
 
 // DefaultStageConfig shuffles through the write-combining exchange with
@@ -158,16 +153,15 @@ func (d *query) acquireEpoch(table, queryID string) (int, error) {
 	}
 }
 
-// parseEpochValue decodes an epoch item: "<epoch>@<writtenAtNs>" since the
-// TTL sweep was introduced, a bare integer before it. The timestamp is the
-// virtual write instant, used only to age items out (legacy items read as
-// written at time zero, so they age out first). An epoch below 1 or a
-// negative instant is corrupt: acquireEpoch never writes one, and a run at
-// epoch 0 would fence nothing and clean up nothing.
+// parseEpochValue decodes an epoch item, "<epoch>@<writtenAtNs>". The
+// timestamp is the virtual write instant, used only to age items out. Any
+// other form is corrupt — a bare epoch, an epoch below 1, a negative instant:
+// acquireEpoch never writes one, and a run at epoch 0 would fence nothing and
+// clean up nothing.
 func parseEpochValue(v []byte) (epoch int, at int64, ok bool) {
-	e, ts, timed := strings.Cut(string(v), "@")
+	e, ts, _ := strings.Cut(string(v), "@")
 	epoch, err := strconv.Atoi(e)
-	if timed && err == nil {
+	if err == nil {
 		at, err = strconv.ParseInt(ts, 10, 64)
 	}
 	if err != nil || epoch < 1 || at < 0 {
@@ -434,7 +428,6 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, local map[string]*colu
 	sp, err := stageplan.Decompose(opt, stats, stageplan.Config{
 		Partitions:        cfg.Partitions,
 		BroadcastRowLimit: cfg.BroadcastRowLimit,
-		MaxAutoPartitions: cfg.MaxAutoPartitions,
 		Exchange:          cfg.Exchange.Variant,
 	})
 	if err != nil {
@@ -605,6 +598,10 @@ func (d *query) openNamespace(sp *stageplan.Plan, cfg StageConfig) (ns boundaryS
 // window. s is nil when the query failed before its scheduler existed, and
 // then nothing was invoked.
 //
+// The result queue goes first (free, no virtual time): a task still out —
+// a speculation loser — has then posted, so published, before the keyed
+// delete, or its post fails and it deletes what it published (workerHandler).
+//
 // Only one thing is listed, and only at epoch > 1: an earlier run of this
 // query ID took a fence, and its zombies may have written under its own
 // epochs' prefixes, names no live driver knows. The query's whole prefix is
@@ -614,10 +611,11 @@ func (d *query) cleanup(s *scheduler, ns boundarySpec, epoch int) error {
 		return nil
 	}
 	d.dep.Trace.Phase(d.env, "cleanup", d.env.Now())
+	d.dep.SQS.DeleteQueue(d.cfg.ResultQueue)
 	var objs []exchange.Object
 	if s != nil {
 		var err error
-		if objs, err = s.written(ns); err != nil {
+		if objs, err = s.written(); err != nil {
 			return err
 		}
 	}
@@ -1090,13 +1088,8 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 			return nil, nil, err
 		}
 		tr.Phase(env, "regroup", env.Now())
-		opts.Variant = in.Variant
-		offsets, err := exchange.RegroupSealed(client, opts, exchange.Boundary{
-			Stage:      in.StageID,
-			Attempt:    p.Attempt,
-			Senders:    in.Senders,
-			Partitions: x.Output.Partitions,
-		}, p.WorkerID, x.Output.Keys, manifest)
+		wopts, b := p.output()
+		offsets, err := exchange.RegroupSealed(client, wopts, b, p.WorkerID, x.Output.Keys, manifest)
 		return nil, offsets, err
 	}
 
@@ -1160,13 +1153,8 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 	}
 	publish := tr.Phase(env, "publish", env.Now())
 	wrote := client.BytesWritten()
-	opts.Variant = x.Output.Variant
-	offsets, err := exchange.PublishSealed(client, opts, exchange.Boundary{
-		Stage:      p.StageID,
-		Attempt:    p.Attempt,
-		Senders:    p.NumWorkers,
-		Partitions: x.Output.Partitions,
-	}, p.WorkerID, out, x.Output.Keys)
+	wopts, b := p.output()
+	offsets, err := exchange.PublishSealed(client, wopts, b, p.WorkerID, out, x.Output.Keys)
 	if err != nil {
 		return nil, nil, fmt.Errorf("publishing stage %d output: %w", p.StageID, err)
 	}

@@ -242,48 +242,3 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 		t.Errorf("the critical path prints in %d lines, want 1 to 60", n)
 	}
 }
-
-// TestStagedMultiLevelSpeculationCompletesViaBackup re-runs the straggler
-// scenario over forced multi-level boundaries: the regroup round must merge
-// the backup attempt's round-1 files (first committed attempt wins across
-// rounds), and a chased second query is untouched.
-func TestStagedMultiLevelSpeculationCompletesViaBackup(t *testing.T) {
-	const stall = 10 * time.Minute
-	want := singleNode(t, q12ExactSQL, tpchData(17).catalog())
-	first, second, rep := runStagedWithStraggler(t, true, 2, stall)
-	if t.Failed() {
-		return
-	}
-	chunksIdentical(t, first, want)
-	chunksIdentical(t, second, want)
-	if rep.Speculated == 0 {
-		t.Error("no backup attempts issued for the straggler")
-	}
-	if rep.Duration >= stall {
-		t.Errorf("latency %v waited out the %v stall", rep.Duration, stall)
-	}
-	found := false
-	for _, ss := range rep.StageStats {
-		if ss.StageID == 0 && !ss.Regroup && ss.Speculated > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("stage stats did not attribute the backup: %+v", rep.StageStats)
-	}
-}
-
-// TestStagedMultiLevelZombieSealDiscarded re-runs the epoch-fence zombie
-// scenario over forced multi-level boundaries: the zombie's grouped round-1
-// files and its seal all carry the losing epoch, and neither the retry's
-// regroup fleets nor its receivers can see them.
-func TestStagedMultiLevelZombieSealDiscarded(t *testing.T) {
-	out, rep := runStagedZombieSeal(t, true, 2)
-	chunksIdentical(t, out, singleNode(t, q12ExactSQL, tpchData(41).catalog()))
-	if rep.QueryID != "q1" {
-		t.Errorf("retry ran as %s, want q1 (test premise broken)", rep.QueryID)
-	}
-	if rep.Epoch != 2 {
-		t.Errorf("retry epoch = %d, want 2 (aborted run took 1)", rep.Epoch)
-	}
-}

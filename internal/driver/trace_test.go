@@ -156,34 +156,6 @@ func TestTraceCostAttributionExact(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueriesPartitionTheMeter: two staged queries in flight at
-// once on one traced session. Each Report.Cost window is deployment-wide
-// and so holds some of the other query's spend, but the traced profiles
-// partition the bill: what the meter moved across the pair equals the sum
-// of the two Profile().Cost exactly — every billed unit lands on exactly
-// one span even when windows overlap.
-func TestConcurrentQueriesPartitionTheMeter(t *testing.T) {
-	k := simclock.New()
-	dep := NewSimulated(k, 71)
-	dep.EnableTracing(obs.New())
-	r := runSessionConcurrentQ12(t, NewSession(dep, desConfig()), k, dep, 0, 2)
-	if r.reps[0] == nil || r.reps[1] == nil {
-		t.Fatal("a query produced no report")
-	}
-	a, b := r.reps[0].Profile().Cost, r.reps[1].Profile().Cost
-	sum := a
-	sum.Add(b)
-	if sum != r.billed {
-		t.Errorf("profiles sum to %+v\nmeter moved    %+v", sum, r.billed)
-	}
-	if a.IsZero() || b.IsZero() {
-		t.Errorf("a query carries no cost: %+v / %+v", a, b)
-	}
-	if r.reps[0].Cost == a && r.reps[1].Cost == b {
-		t.Error("the windows did not overlap: each Report.Cost equals its own profile")
-	}
-}
-
 // TestCriticalPathSumsToDuration: the critical path tiles the query span,
 // so its segment durations sum exactly to the report's end-to-end virtual
 // latency.

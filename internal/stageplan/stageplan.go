@@ -182,11 +182,6 @@ type Config struct {
 	// BroadcastRowLimit: a join build side of at most this many rows stays
 	// a broadcast join (0 = 65536; negative = never broadcast).
 	BroadcastRowLimit int64
-	// MaxAutoPartitions caps the autotuned fan-in (0 = MaxAutoPartitions).
-	// Paper-scale fleets raise it: with multi-level boundaries the request
-	// count grows as O(√P·S) instead of O(S·P), so wide fan-ins stay
-	// affordable.
-	MaxAutoPartitions int
 	// Exchange is the base of every boundary's variant: WriteCombining is
 	// inherited, Levels pins the round count (1 or 2; 0 leaves it to
 	// ChooseVariant), Buckets is ignored — ChooseVariant picks it.
@@ -204,7 +199,8 @@ const DefaultBroadcastRowLimit = 1 << 16
 const (
 	AutoRowsPerPartition = 1 << 16
 	// MaxAutoPartitions caps the derived fan-in: boundary request counts
-	// grow with S×P, so wide fan-ins must be asked for explicitly.
+	// grow with S×P, so wide fan-ins must be asked for explicitly
+	// (Config.Partitions).
 	MaxAutoPartitions = 32
 )
 
@@ -221,11 +217,7 @@ func (c Config) partitions(stats Stats) int {
 	if largest <= 0 {
 		return 4
 	}
-	limit := c.MaxAutoPartitions
-	if limit <= 0 {
-		limit = MaxAutoPartitions
-	}
-	return int(min((largest+AutoRowsPerPartition-1)/AutoRowsPerPartition, int64(limit)))
+	return int(min((largest+AutoRowsPerPartition-1)/AutoRowsPerPartition, MaxAutoPartitions))
 }
 
 // MinMultiLevelPartitions is the fan-in floor below which ChooseVariant
