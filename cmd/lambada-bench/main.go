@@ -84,13 +84,6 @@ var all = []exp{
 		}
 		return t.Render(), nil
 	}},
-	{"shuffles", "TB-scale exchange runtimes (§5.5, DES)", func(seed int64) (string, error) {
-		t, err := experiments.LargeShuffles(seed)
-		if err != nil {
-			return "", err
-		}
-		return t.Render(), nil
-	}},
 	{"fig13", "Exchange breakdown and stragglers (DES)", func(seed int64) (string, error) {
 		t, err := experiments.Figure13Table(seed)
 		if err != nil {

@@ -45,7 +45,7 @@ func main() {
 		parts    = flag.Int("partitions", 0, "exchange boundary fan-in (workers per join/final-merge stage); 0 = autotune from footer row counts")
 		bcast    = flag.Int64("broadcast-limit", 0, "S3 build sides up to this many rows broadcast instead of shuffling (0 = default, negative = always shuffle)")
 		spec     = flag.Bool("speculate", false, "re-invoke stragglers as backup attempts once a quorum reported")
-		stgWait  = flag.Duration("max-stage-wait", time.Minute, "no-progress liveness cap: a runnable stage with no worker response for this long (window restarts per response) has its missing workers re-invoked as the next attempt (with -speculate; 0 disables)")
+		stgWait  = flag.Duration("max-stage-wait", time.Minute, "no-progress liveness cap: a runnable stage with no worker response for this long (window restarts per response) has its missing workers invoked at least that long ago re-invoked as the next attempt (with -speculate; 0 disables)")
 		xlevels  = flag.Int("exchange-levels", 0, "force every stage boundary's round count: 1 = single-round, 2 = multi-level (intermediate regroup round); 0 = resolve per boundary from the analytic request model")
 		fplan    = flag.String("fault-plan", "", "JSON fault plan file injected into the simulated substrate (with -mode des); see internal/awssim/faults")
 		fseed    = flag.Int64("fault-seed", 0, "override the fault plan's seed (0 = keep the plan's own; with -fault-plan)")
@@ -94,9 +94,7 @@ func main() {
 	cfg := driver.DefaultConfig()
 	cfg.WorkerMemoryMiB = *memory
 	cfg.FilesPerWorker = *fPerW
-	if *spec {
-		cfg.Speculate = driver.DefaultSpeculateConfig()
-	}
+	cfg.Speculate = *spec
 
 	run := func(dep *driver.Deployment, env simenv.Env) error {
 		if *profile || *traceOut != "" || *explain {

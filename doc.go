@@ -391,8 +391,10 @@
 //
 // Straggler speculation (§5.5's aggressive-timeouts-and-retries theme)
 // applies per stage: once a quorum of a stage's workers sealed and a
-// straggler outlives a multiple of the median response time, the scheduler
-// re-invokes it as a new attempt. A round's object names are versioned by
+// straggler outlives a multiple of the median response time, both counted
+// from each worker's own Invoke, the scheduler re-invokes it as a new
+// attempt — once (speculateRetries), the same bound a failure relaunch
+// counts against. A round's object names are versioned by
 // attempt (s<stage>/p<part>/a<attempt>-snd<sender>, or s<stage>/snd<sender>-
 // a<attempt> write-combined), so a backup never races the original's files:
 // readers take the attempt the driver sealed — the first whose seal message
@@ -484,7 +486,9 @@
 // covered by the per-stage MaxStageWait cap: a runnable stage that goes
 // that long without any worker response (the window restarts on every
 // response) has its missing workers re-invoked as the next attempt — the
-// no-response and sub-quorum stalls quorum arithmetic can never arm for.
+// no-response and sub-quorum stalls quorum arithmetic can never arm for. A
+// worker the admission cap held back gets the whole window from its own
+// Invoke, so it is not backed up the moment its token comes.
 //
 // # Resident query service
 //
@@ -580,7 +584,9 @@
 // off with decorrelated jitter — a pure hash of (scope seed, op, attempt),
 // virtual-time-safe because waits go through simenv, and never a draw from a
 // service's latency sampler, so one client's retry cannot move another's
-// latencies — and charges every retry against a per-scope budget. A scope is
+// latencies — and charges every retry against a per-scope budget. The backoff
+// runs from 25 ms (backoffBase) to at most 2 s a delay (backoffCap), and an
+// operation gets at most 10 retries (maxRetries). A scope is
 // one Policy value: the driver side of a query holds one, each worker
 // invocation one of its own, and every call of the scope runs under it — SQS,
 // DynamoDB, Lambda, and S3 through s3.WithPolicy, the driver's planning
@@ -598,9 +604,9 @@
 // posting anything is recovered by the MaxStageWait liveness cap. A query
 // that cannot progress fails fast with a structured *StageFailure, and the
 // driver deletes what its attempts wrote by key, as after a success. Epoch
-// fence items themselves are garbage-collected lazily: acquireEpoch
-// periodically deletes epoch/<query> items older than EpochTTL of virtual
-// time, each after a sweep of its query's prefix and the deletion of its
+// fence items themselves are garbage-collected lazily: every
+// epochGCInterval-th (64th) acquireEpoch of a session deletes epoch/<query>
+// items older than epochTTL (24 hours) of virtual time, each after a sweep of its query's prefix and the deletion of its
 // ready markers — the next run of that ID starts at epoch 1, lists nothing,
 // and waits on markers under the first run's names.
 //

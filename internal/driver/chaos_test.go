@@ -130,7 +130,7 @@ func TestStagedChaosGroupByByteIdentical(t *testing.T) {
 // the silent worker, and the query completes with the exact clean answer.
 func TestStagedChaosCrashRecovery(t *testing.T) {
 	mut := func(cfg *Config, scfg *StageConfig) {
-		cfg.Speculate = DefaultSpeculateConfig()
+		cfg.Speculate = true
 		scfg.MaxStageWait = 30 * time.Second
 	}
 	clean := runStagedChaosQ12(t, simulated(71), mut)
@@ -160,7 +160,7 @@ func TestStagedChaosCrashRecovery(t *testing.T) {
 func TestChaosTreeParentCrash(t *testing.T) {
 	const fleet, firstGen, perParent = 32, 6, 5 // invoke.TreeFanout(32)
 	cfg, scfg := desConfig(), DefaultStageConfig()
-	cfg.Speculate = DefaultSpeculateConfig()
+	cfg.Speculate = true
 	scfg.MaxStageWait = 30 * time.Second
 	var out *columnar.Chunk
 	var rep *Report
@@ -251,7 +251,7 @@ func TestStagedChaosBudgetExhaustionFailureSeal(t *testing.T) {
 func TestStagedKeyedDeleteListsNothing(t *testing.T) {
 	const stragglerStall = 1400 * time.Millisecond
 	mut := func(cfg *Config, scfg *StageConfig) {
-		cfg.Speculate = DefaultSpeculateConfig()
+		cfg.Speculate = true
 		cfg.RetryBudget = 3
 		cfg.testWaveLaunch = true
 		scfg.Partitions = 1
@@ -366,7 +366,7 @@ func TestCorruptEpochItemRefused(t *testing.T) {
 }
 
 // TestEpochSweepTTL: the lazy sweep in acquireEpoch deletes epoch fence
-// items older than EpochTTL of virtual time and keeps fresh ones. It reclaims what it
+// items older than epochTTL of virtual time and keeps fresh ones. It reclaims what it
 // orphans: the boundary debris under an expired query's prefix and its ready
 // markers go with its fence, since the next run of that ID starts at epoch 1,
 // lists nothing and waits on markers of its own names; debris and markers of
@@ -379,9 +379,9 @@ func TestEpochSweepTTL(t *testing.T) {
 	dep := NewSimulated(k, 7)
 	k.Go("driver", func(p *simclock.Proc) {
 		cfg := DefaultConfig()
-		cfg.EpochGCInterval = 1 // sweep on every acquire
-		cfg.EpochTTL = time.Hour
 		d := NewSession(dep, cfg)
+		// sweepNext makes the session's next acquire the one that sweeps.
+		sweepNext := func() { d.epochAcquires = epochGCInterval - 1 }
 		q := d.newQuery(p)
 		defer q.close()
 		table := stagesTableName(cfg.FunctionName)
@@ -390,7 +390,7 @@ func TestEpochSweepTTL(t *testing.T) {
 			t.Errorf("qA epoch = %d, %v, want 1", e, err)
 		}
 
-		p.Sleep(2 * time.Hour) // the item now exceeds the 1h TTL
+		p.Sleep(epochTTL + time.Hour) // the item is now past the TTL
 
 		// Debris of the fenced run, in two shard buckets, and their ready
 		// markers; and of qB, which has no fence yet.
@@ -412,6 +412,7 @@ func TestEpochSweepTTL(t *testing.T) {
 			}
 		}
 
+		sweepNext()
 		if e, err := q.acquireEpoch(table, "qB"); err != nil || e != 1 {
 			t.Errorf("qB epoch = %d, %v, want 1", e, err)
 		}
@@ -434,6 +435,7 @@ func TestEpochSweepTTL(t *testing.T) {
 		}
 		// qB was just written — the next sweep must keep it, and its
 		// counter keeps fencing.
+		sweepNext()
 		if e, err := q.acquireEpoch(table, "qB"); err != nil || e != 2 {
 			t.Errorf("qB epoch after sweep = %d, %v, want 2 (item retained)", e, err)
 		}
@@ -448,10 +450,10 @@ func TestEpochSweepTTL(t *testing.T) {
 		t.Fatal("DES deadlocked")
 	}
 
-	// q1 again, two hours on, on a fresh session: the sweep collects its
-	// fence, and the rerun runs at epoch 1 under the first run's names.
+	// q1 again, past the TTL, on a fresh session whose first acquire sweeps:
+	// the sweep collects its fence, and the rerun runs at epoch 1 under the
+	// first run's names.
 	cfg := desConfig()
-	cfg.EpochGCInterval, cfg.EpochTTL = 1, time.Hour
 	_, err := onDES(simulated(7), cfg, stdLayout, func(p *simclock.Proc, d *Session, tables TableFiles) error {
 		for run := 0; run < 2; run++ {
 			out, rep, err := d.RunSQLStaged(p, q12ExactSQL, tables, shuffled(2))
@@ -464,11 +466,12 @@ func TestEpochSweepTTL(t *testing.T) {
 			if err := sameRows(out, singleNode(t, q12ExactSQL, tpchData(stdLayout.Data).catalog()), 0); err != nil {
 				return fmt.Errorf("run %d: %w", run, err)
 			}
-			p.Sleep(2 * time.Hour)
+			p.Sleep(epochTTL + time.Hour)
 			d = NewSession(d.dep, cfg)
 			if err := d.Install(); err != nil {
 				return err
 			}
+			d.epochAcquires = epochGCInterval - 1
 		}
 		return nil
 	})

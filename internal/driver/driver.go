@@ -40,7 +40,6 @@ type Deployment struct {
 	SQS    *sqs.Service
 	Dynamo *dynamo.Service
 	Meter  *pricing.CostMeter
-	Net    netmodel.LambdaNet
 
 	// Shaped enables per-worker bandwidth shaping of S3 transfers.
 	Shaped bool
@@ -78,7 +77,6 @@ func NewLocal() *Deployment {
 		SQS:    sqs.New(sqs.Config{Meter: meter}),
 		Dynamo: dynamo.New(dynamo.Config{Meter: meter}),
 		Meter:  meter,
-		Net:    netmodel.DefaultLambdaNet(),
 	}
 }
 
@@ -113,7 +111,6 @@ func NewChaos(k *simclock.Kernel, seed int64, plan faults.Plan) *Deployment {
 		SQS:    sqs.New(qcfg),
 		Dynamo: dynamo.New(dcfg),
 		Meter:  meter,
-		Net:    netmodel.DefaultLambdaNet(),
 		Shaped: true,
 		Faults: inj,
 	}
@@ -138,23 +135,23 @@ type Config struct {
 	ResultQueue string
 	// PollInterval is the driver's result poll interval.
 	PollInterval time.Duration
-	// MaxWait bounds result collection.
-	MaxWait time.Duration
-	// Speculate configures driver-side straggler mitigation.
-	Speculate SpeculateConfig
+	// Speculate enables driver-side straggler mitigation: once a quorum of
+	// a stage's workers has reported, any worker still missing after a
+	// multiple of the median response time is re-invoked ("backup
+	// requests"), as is every missing worker of a stage that made no
+	// progress for StageConfig.MaxStageWait — both clocks counted from the
+	// worker's own Invoke. The first result per worker wins; duplicates are
+	// discarded. This is the driver-side counterpart of the
+	// aggressive-timeouts-and-retries theme of §5.5 (footnote 17): tail
+	// latencies propagate, so the driver cuts the tail. Each stage arms
+	// independently over its own fleet, and a backup is launched as a new
+	// attempt whose boundary names cannot race the original's.
+	Speculate bool
 	// RetryBudget caps substrate retries per scope — the driver side of one
-	// query, or one worker invocation. 0 means the default of 256; negative
-	// means unlimited. A worker that exhausts its budget posts a typed
-	// retryable failure seal so the scheduler can re-invoke the fragment.
+	// query, or one worker invocation (≤ 0: defaultRetryBudget). A worker that
+	// exhausts its budget posts a typed retryable failure seal so the
+	// scheduler can re-invoke the fragment.
 	RetryBudget int
-	// EpochTTL bounds the lifetime of epoch fence items in the staging
-	// table; the driver lazily sweeps expired items when acquiring epochs.
-	// Must comfortably exceed the function timeout so a live query's fence
-	// is never collected. 0 means 24 hours of virtual time.
-	EpochTTL time.Duration
-	// EpochGCInterval is the number of epoch acquisitions between lazy
-	// sweeps of expired fence items (0 = every 64th).
-	EpochGCInterval int
 	// MaxInFlight, when positive, caps the deployment-wide number of
 	// concurrently running worker containers across every query of the
 	// session: queries acquire invocation tokens from one shared admission
@@ -192,7 +189,6 @@ func DefaultConfig() Config {
 		Timeout:         5 * time.Minute,
 		ResultQueue:     "lambada-results",
 		PollInterval:    25 * time.Millisecond,
-		MaxWait:         10 * time.Minute,
 	}
 }
 
@@ -398,15 +394,25 @@ func (m memGuardSource) ScanFiltered(proj []string, preds []lpq.Predicate, filte
 // guard wraps yield with the working-set budget check.
 func (m memGuardSource) guard(yield func(*columnar.Chunk) error) func(*columnar.Chunk) error {
 	return func(c *columnar.Chunk) error {
-		// The scan pipeline holds the decoded chunk plus the compressed
-		// download buffers; budget 3×, the factor of the paper's
-		// double-buffered scan, which also holds the next group.
-		if need := 3 * c.ByteSize(); need > m.budget {
-			return fmt.Errorf("%w: chunk working set %d MiB exceeds engine budget %d MiB",
-				ErrWorkerOOM, need>>20, m.budget>>20)
+		if err := checkWorkingSet("chunk", c.ByteSize(), m.budget); err != nil {
+			return err
 		}
 		return yield(c)
 	}
+}
+
+// checkWorkingSet is the engine's working-set rule: n bytes of input — a
+// scanned chunk, or the partitions a fragment collected — need 3× that
+// within the budget, or the worker reports ErrWorkerOOM (what names the
+// input). The scan pipeline holds the decoded chunk plus the compressed
+// download buffers, and a join its partitions plus build-side structures and
+// output; 3× is the factor of the paper's double-buffered scan, which also
+// holds the next group.
+func checkWorkingSet(what string, n, budget int64) error {
+	if need := 3 * n; need > budget {
+		return fmt.Errorf("%w: %s working set %d MiB exceeds engine budget %d MiB", ErrWorkerOOM, what, need>>20, budget>>20)
+	}
+	return nil
 }
 
 var _ engine.FilterableSource = memGuardSource{}

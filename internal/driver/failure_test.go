@@ -12,7 +12,6 @@ import (
 	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/sqs"
 	"lambada/internal/lpq"
-	"lambada/internal/netmodel"
 	"lambada/internal/simclock"
 	"lambada/internal/tpch"
 )
@@ -41,7 +40,6 @@ func TestQuerySurvivesThrottling(t *testing.T) {
 			SQS:    newSQSFor(meter),
 			Dynamo: nil,
 			Meter:  meter,
-			Net:    defaultNet(),
 			Shaped: true,
 		}
 		var revenue float64
@@ -101,7 +99,6 @@ func TestConcurrencyLimitRejectsInvocations(t *testing.T) {
 		Lambda: lambdasvc.New(lcfg, lambdasvc.SimRuntime{K: k}),
 		SQS:    newSQSFor(meter),
 		Meter:  meter,
-		Net:    defaultNet(),
 	}
 	var err error
 	k.Go("driver", func(p *simclock.Proc) {
@@ -176,5 +173,3 @@ func TestBigWorkerHandlesSameInput(t *testing.T) {
 func newSQSFor(meter *pricing.CostMeter) *sqs.Service {
 	return sqs.New(sqs.DefaultAWSConfig(meter, 2))
 }
-
-func defaultNet() netmodel.LambdaNet { return netmodel.DefaultLambdaNet() }

@@ -394,9 +394,7 @@ type caseRun struct {
 func (c planCase) run(o []any, clean, entrance bool) (r caseRun, err error) {
 	cfg := desConfig()
 	cfg.MaxInFlight = cmp.Or(c.MaxInFlight, c.Concurrent)
-	if c.Speculate {
-		cfg.Speculate = DefaultSpeculateConfig()
-	}
+	cfg.Speculate = c.Speculate
 	if c.Stall.Workers != 0 {
 		cfg.testWorkerDelay = c.Stall.delay
 	}

@@ -40,6 +40,16 @@ func TestSpeculationIdleOnHealthyFleet(t *testing.T) {
 	runCase(t, q6Case(func(c *planCase) { c.Speculate = true }))
 }
 
+// A worker the admission cap held back behind a stalled one is backed up only
+// if it straggles itself: both straggler clocks run from its own Invoke.
+func TestCappedStallBacksUpOnlyTheStalled(t *testing.T) {
+	runCase(t, q6Case(func(c *planCase) { stalling(stall{stallOne, 0, time.Minute})(c); c.MaxInFlight = 1 }))
+}
+
+func TestStagedCappedStallBacksUpOnlyTheStalled(t *testing.T) {
+	runCase(t, recoveryQ12(17, 4, func(c *planCase) { stalling(stall{stallOne, 1, 2 * time.Minute})(c); c.MaxInFlight = 1 }))
+}
+
 func TestStagedSpeculationCompletesViaBackup(t *testing.T) {
 	runCase(t, recoveryQ12(17, 4, stalling(stall{stallOne, 0, 2 * time.Minute})))
 }

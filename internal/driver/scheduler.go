@@ -27,12 +27,12 @@ type stageRun struct {
 	awaited bool
 	state   stageState
 	// pending are the launch units not yet invoked, built on first launch;
-	// launched counts the workers the invoked ones spawn, and invoked marks
-	// them by worker. A launch pass invokes as many units as admission grants
-	// and resumes on later passes.
-	pending  []launchUnit
-	launched int
-	invoked  []bool
+	// launched counts the workers the invoked ones spawn, and invokedAt holds
+	// each worker's Invoke instant (negative: not invoked yet). A launch pass
+	// invokes as many units as admission grants and resumes on later passes.
+	pending   []launchUnit
+	launched  int
+	invokedAt []time.Duration
 
 	// launchedAt is the instant of the stage's first Invoke, sealedAt the
 	// instant its seal was consumed, and firstWin and lastWin the instants its
@@ -56,25 +56,38 @@ type stageRun struct {
 	// relaunches and speculation backups alike; attempts[w] is also the
 	// attempt number of the latest invocation of w.
 	attempts map[int]int
-	// responses holds the winners' latencies since launchedAt, kept SORTED by
-	// a binary-search insert (message): the median read in overdue is O(1) instead
-	// of a re-sort per event-loop pass — at 4k workers the loop asks once per
-	// message batch per stage, and a copy+sort made each ask O(n²).
+	// responses holds the winners' latencies, each measured from its own
+	// worker's Invoke instant, kept SORTED by a binary-search insert
+	// (message): the median read in overdue is O(1) instead of a re-sort per
+	// event-loop pass — at 4k workers the loop asks once per message batch
+	// per stage, and a copy+sort made each ask O(n²).
 	responses []time.Duration
 	// capFrom is where the no-progress liveness window starts; negative
 	// until the stage is runnable. Once armed, scheduler.maxStageWait of
-	// virtual time without ANY response (the window restarts on every one)
-	// re-invokes the missing workers even though the quorum/median policy
-	// never armed — covering both the all-stragglers case (quorum arithmetic
-	// needs at least one response) and a sub-quorum stall. A fleet making
-	// progress keeps deferring the cap, so on-pace workers are never
-	// mass-re-invoked.
+	// virtual time without ANY response (the window restarts on every one),
+	// and since a worker's own Invoke, re-invokes that missing worker even
+	// though the quorum/median policy never armed — covering both the
+	// all-stragglers case (quorum arithmetic needs at least one response)
+	// and a sub-quorum stall. A fleet making progress keeps deferring the
+	// cap, so on-pace workers are never mass-re-invoked.
 	capFrom    time.Duration
 	speculated int
 	// span is the stage's trace span (0 when tracing is off): opened at
 	// payload build, re-timed to the launch instant, ended at the seal.
 	span obs.SpanID
 }
+
+const (
+	// speculateQuorum is the fraction of a stage's workers that must report
+	// before the median rule arms.
+	speculateQuorum = 0.75
+	// speculateLatencyFactor multiplies the median response time to form a
+	// worker's straggler deadline.
+	speculateLatencyFactor = 3
+	// speculateRetries bounds the re-invocations of a worker, failure
+	// relaunches and speculation backups alike.
+	speculateRetries = 1
+)
 
 // outcome is what a result message asks of the driver.
 type outcome int
@@ -99,7 +112,7 @@ type backup struct {
 type scheduler struct {
 	queryID   string
 	epoch     int
-	speculate SpeculateConfig
+	speculate bool // Config.Speculate
 	// maxStageWait is StageConfig.MaxStageWait, the liveness cap of every
 	// stage (0: none); waves is the Config.testWaveLaunch seam.
 	maxStageWait time.Duration
@@ -118,8 +131,11 @@ type scheduler struct {
 // add appends the run of stage st — after the runs of the stages it depends
 // on — and marks those awaited.
 func (s *scheduler) add(st *stageplan.Stage, payloads []workerPayload) *stageRun {
-	r := &stageRun{st: st, payloads: payloads, invoked: make([]bool, len(payloads)), winners: map[int]int{},
+	r := &stageRun{st: st, payloads: payloads, invokedAt: make([]time.Duration, len(payloads)), winners: map[int]int{},
 		chunks: make([][]byte, len(payloads)), commits: make([][]int64, len(payloads)), attempts: map[int]int{}, capFrom: -1}
+	for w := range r.invokedAt {
+		r.invokedAt[w] = -1
+	}
 	for _, dep := range st.DependsOn {
 		if p := s.byID[dep]; p != nil {
 			p.awaited = true
@@ -195,7 +211,7 @@ func (s *scheduler) launchable(r *stageRun) bool {
 func (s *scheduler) launched(r *stageRun, workers []int, at time.Duration) bool {
 	r.launched += len(workers)
 	for _, w := range workers {
-		r.invoked[w] = true
+		r.invokedAt[w] = at
 	}
 	if r.state != stagePending || r.launched == 0 {
 		return false
@@ -251,7 +267,7 @@ func (s *scheduler) message(now, sent time.Duration, rm *resultMsg) (*stageRun, 
 		// race the dead original. Every invocation gets at least one relaunch
 		// even with speculation disabled; deterministic plan or data errors
 		// fail the query immediately with a structured error.
-		if rm.Retryable && r.attempts[w] < max(s.speculate.MaxRetries, 1) {
+		if rm.Retryable && r.attempts[w] < speculateRetries {
 			r.attempts[w]++
 			s.rep.FailureSeals++
 			return r, relaunch, nil
@@ -266,8 +282,9 @@ func (s *scheduler) message(now, sent time.Duration, rm *resultMsg) (*stageRun, 
 		s.rep.ColdWorkers++
 	}
 	s.rep.WorkerProcessing = append(s.rep.WorkerProcessing, time.Duration(rm.ProcessingNs))
-	i, _ := slices.BinarySearch(r.responses, now-r.launchedAt)
-	r.responses = slices.Insert(r.responses, i, now-r.launchedAt)
+	resp := now - r.invokedAt[w]
+	i, _ := slices.BinarySearch(r.responses, resp)
+	r.responses = slices.Insert(r.responses, i, resp)
 	if r.capFrom >= 0 {
 		r.capFrom = now // progress defers the liveness cap
 	}
@@ -309,8 +326,8 @@ func (r *stageRun) manifest() []byte {
 func (s *scheduler) written() ([]exchange.Object, error) {
 	var objs []exchange.Object
 	for _, r := range s.runs {
-		for w, invoked := range r.invoked {
-			for p := r.payloads[w]; invoked && p.Attempt <= r.attempts[w]; p.Attempt++ {
+		for w, at := range r.invokedAt {
+			for p := r.payloads[w]; at >= 0 && p.Attempt <= r.attempts[w]; p.Attempt++ {
 				names, err := p.written()
 				if err != nil {
 					return nil, err
@@ -334,49 +351,56 @@ func (s *scheduler) armCaps(now time.Duration) {
 
 // stragglers returns the workers to re-invoke at now, stage by stage, their
 // attempt counters already bumped: their boundary publishes land in a fresh
-// attempt namespace, so whichever attempt commits first wins.
+// attempt namespace, so whichever attempt commits first wins. A stage whose
+// liveness cap fired restarts its window at now: the new attempts get a
+// fresh one.
 func (s *scheduler) stragglers(now time.Duration) []backup {
-	if !s.speculate.Enabled {
+	if !s.speculate {
 		return nil
 	}
 	var out []backup
 	for _, r := range s.runs {
-		if r.state != stageLaunched || !s.overdue(r, now) {
+		if r.state != stageLaunched {
 			continue
 		}
+		capped := false
 		// Workers not invoked yet — an admission backlog, or a tree unit
 		// later in the pass than the units already out — are not stragglers.
-		for w := range r.payloads {
-			if _, won := r.winners[w]; won || !r.invoked[w] || r.attempts[w] >= s.speculate.MaxRetries {
+		for w, at := range r.invokedAt {
+			if _, won := r.winners[w]; won || at < 0 || r.attempts[w] >= speculateRetries {
 				continue
 			}
+			due, byCap := s.overdue(r, w, now)
+			if !due {
+				continue
+			}
+			capped = capped || byCap
 			r.attempts[w]++
 			r.speculated++
 			s.rep.Speculated++
 			out = append(out, backup{r, w})
 		}
+		if capped {
+			r.capFrom = now
+		}
 	}
 	return out
 }
 
-// overdue reports whether r's missing workers are due a backup at now: a
-// quorum reported and the median-based deadline passed, or no response has
-// arrived for maxStageWait since the stage became runnable (or since the last
-// one). An expired cap window restarts at now: the new attempt gets a fresh one.
-func (s *scheduler) overdue(r *stageRun, now time.Duration) bool {
-	n := len(r.payloads)
-	if len(r.responses) >= n {
-		return false
-	}
-	if len(r.responses) >= max(int(speculateQuorum*float64(n)), 1) {
-		median := r.responses[len(r.responses)/2] // responses stay sorted
-		if now > r.launchedAt+time.Duration(float64(median)*speculateLatencyFactor) {
-			return true
+// overdue reports whether the missing worker w of r is due a backup at now,
+// and whether the liveness cap is what made it due. Both clocks run from w's
+// own Invoke, so a worker the admission cap held back is not late the moment
+// it launches: a quorum reported and w's median-based deadline passed, or no
+// response has arrived for maxStageWait since the stage became runnable, its
+// last response or w's Invoke, whichever came last.
+func (s *scheduler) overdue(r *stageRun, w int, now time.Duration) (due, byCap bool) {
+	at := r.invokedAt[w]
+	if n := len(r.responses); n >= max(int(speculateQuorum*float64(len(r.payloads))), 1) {
+		median := r.responses[n/2] // responses stay sorted
+		if now > at+time.Duration(float64(median)*speculateLatencyFactor) {
+			return true, false
 		}
 	}
-	if r.capFrom < 0 || s.maxStageWait <= 0 || now <= r.capFrom+s.maxStageWait {
-		return false
-	}
-	r.capFrom = now
-	return true
+	byCap = r.capFrom >= 0 && s.maxStageWait > 0 && now > max(r.capFrom, at)+s.maxStageWait
+	return byCap, byCap
 }

@@ -118,10 +118,9 @@ func TestSchedulerTransitions(t *testing.T) {
 		return resultMsg{Stage: stage, WorkerID: worker, Attempt: attempt, Err: "boom", Retryable: retryable}
 	}
 
-	spec := DefaultSpeculateConfig()
 	cases := []struct {
 		name  string
-		spec  SpeculateConfig
+		spec  bool
 		cap   time.Duration
 		waves bool
 		steps []step
@@ -138,12 +137,12 @@ func TestSchedulerTransitions(t *testing.T) {
 			msg(30*ms, resultMsg{Stage: 1, WorkerID: 0, Attempt: 1}, "discarded zombie=4 loser=3"), // loser after winner
 			msg(30*ms, fail(1, 0, 1, false), "discarded zombie=4 loser=4"),                         // and a failed loser
 		}},
-		{name: "superseded failure seal", spec: spec, steps: []step{
+		{name: "superseded failure seal", spec: true, steps: []step{
 			launch(1, 2, 10*ms, "true cap=10"),
 			win(20*ms, 1, 0, "nothing"),
 			backups(60*ms, "1/1@1"), // quorum 1 of 2, median 10ms: worker 1 is overdue past +30ms
 			// The straggling original dies after its backup went out: the
-			// budget (MaxRetries 1) is spent, yet the live attempt 1 decides.
+			// budget (speculateRetries) is spent, yet the live attempt 1 decides.
 			msg(70*ms, fail(1, 1, 0, true), "discarded zombie=0 loser=1"),
 			msg(70*ms, fail(1, 1, 0, false), "discarded zombie=0 loser=2"),
 			msg(80*ms, resultMsg{Stage: 1, WorkerID: 1, Attempt: 1}, "sealed awaited=true"),
@@ -154,7 +153,7 @@ func TestSchedulerTransitions(t *testing.T) {
 			msg(21*ms, fail(1, 0, 0, true), "discarded zombie=0 loser=1"), // the SQS duplicate
 			msg(30*ms, fail(1, 0, 1, true), "StageFailure stage=1 worker=0 attempt=1 retryable=true"),
 		}},
-		{name: "non-retryable failure", spec: spec, steps: []step{
+		{name: "non-retryable failure", spec: true, steps: []step{
 			launch(1, 2, 10*ms, "true cap=10"),
 			msg(20*ms, fail(1, 1, 0, false), "StageFailure stage=1 worker=1 attempt=0 retryable=false"),
 		}},
@@ -224,7 +223,7 @@ func TestSchedulerTransitions(t *testing.T) {
 			arm(22*ms, "1:10 2:20 0:22"),
 			arm(30*ms, "1:10 2:20 0:22"), // armed once
 		}},
-		{name: "quorum and median", spec: spec, steps: []step{
+		{name: "quorum and median", spec: true, steps: []step{
 			launchAll(0),
 			win(100*ms, 0, 0, "nothing"),
 			win(110*ms, 0, 1, "nothing"),
@@ -232,10 +231,10 @@ func TestSchedulerTransitions(t *testing.T) {
 			win(120*ms, 0, 2, "nothing"),
 			backups(330*ms, ""),      // median 110ms × 3
 			backups(331*ms, "0/3@1"), // stages 1 and 2 have no response: no quorum
-			backups(time.Minute, ""), // MaxRetries 1: one backup per worker
+			backups(time.Minute, ""), // speculateRetries: one backup per worker
 			msg(400*ms, resultMsg{Stage: 0, WorkerID: 3, Attempt: 1}, "sealed awaited=false"),
 		}},
-		{name: "cap expiry re-invokes the missing set", spec: spec, cap: time.Second, steps: []step{
+		{name: "cap expiry re-invokes the missing set", spec: true, cap: time.Second, steps: []step{
 			launch(1, 2, 0, "true cap=0"),
 			launch(2, 1, 0, "true cap=0"), // worker 1 still waits for admission
 			launch(0, 4, 0, "true cap=-1"),
@@ -243,7 +242,7 @@ func TestSchedulerTransitions(t *testing.T) {
 			backups(1001*ms, "1/0@1 1/1@1 2/0@1"), // never-launched 2/1 and unarmed stage 0 are no stragglers
 			backups(time.Minute, ""),              // budget spent
 		}},
-		{name: "a tree pass mid-launch nominates invoked workers only", spec: spec, cap: time.Second, steps: []step{
+		{name: "a tree pass mid-launch nominates invoked workers only", spec: true, cap: time.Second, steps: []step{
 			launch(1, 2, 0, "true cap=0"),
 			launch(2, 2, 0, "true cap=0"),
 			win(5*ms, 1, 0, "nothing"),
@@ -257,18 +256,40 @@ func TestSchedulerTransitions(t *testing.T) {
 			unit(0, 10*ms, "true cap=10", 0, 2),
 			backups(1011*ms, "0/0@1 0/2@1"), // counting tokens would take 0/1, and miss 0/2
 			unit(0, 1020*ms, "false cap=1011", 1, 3),
-			backups(2012*ms, "0/1@1 0/3@1"),
+			backups(2020*ms, ""), // the window runs from each worker's own Invoke
+			backups(2021*ms, "0/1@1 0/3@1"),
 		}},
-		{name: "progress defers the cap", spec: SpeculateConfig{Enabled: true, MaxRetries: 2}, cap: time.Second, steps: []step{
+		{name: "progress defers the cap", spec: true, cap: time.Second, steps: []step{
 			launch(0, 4, 0, "true cap=-1"),
 			arm(0, "1:-1 2:-1 0:-1"), // producers not sealed
 			launch(1, 2, 0, "true cap=0"),
 			win(900*ms, 1, 0, "nothing"),
 			backups(1500*ms, ""),      // without that response the cap had expired at +1s
 			backups(1901*ms, "1/1@1"), // 1s after the last response; the window restarts
+			arm(1902*ms, "1:1901 2:-1 0:-1"),
+			backups(time.Minute, ""), // budget spent
+		}},
+		{name: "the median rule fires beside the cap", spec: true, cap: 10 * time.Second, steps: []step{
+			launch(1, 2, 0, "true cap=0"),
+			win(900*ms, 1, 0, "nothing"),
 			backups(2700*ms, ""),
-			backups(2701*ms, "1/1@2"), // the median rule (900ms × 3) runs beside the cap
-			backups(time.Minute, ""),  // budget spent
+			backups(2701*ms, "1/1@1"),       // 900ms × 3, long before the cap
+			arm(2702*ms, "1:900 2:-1 0:-1"), // which did not fire: its window stays
+		}},
+		{name: "a worker the admission cap held back runs on its own clocks", spec: true, cap: time.Second, steps: []step{
+			launch(1, 1, 0, "true cap=0"),
+			win(100*ms, 1, 0, "nothing"),           // quorum 1 of 2, median 100ms
+			launch(1, 1, 5000*ms, "false cap=100"), // its token came back late
+			backups(5300*ms, ""),
+			backups(5301*ms, "1/1@1"), // 3× the median after its own Invoke
+		}},
+		{name: "a held-back worker gets the whole liveness window", spec: true, cap: time.Second, steps: []step{
+			launch(1, 1, 0, "true cap=0"),
+			backups(1001*ms, "1/0@1"),
+			launch(1, 1, 1500*ms, "false cap=1001"),
+			backups(2002*ms, ""), // the stage window expired, the worker's has not
+			backups(2501*ms, "1/1@1"),
+			arm(2502*ms, "1:2501 2:-1 0:-1"), // the cap fired: the window restarts
 		}},
 		{name: "speculation off", cap: time.Second, steps: []step{
 			launchAll(0),

@@ -64,6 +64,22 @@ type Session struct {
 	footers *scan.Footers
 }
 
+const (
+	// maxWait bounds result collection: a query whose seals are still
+	// missing this long after its first launch pass fails.
+	maxWait = 10 * time.Minute
+	// epochTTL bounds the lifetime of an epoch fence item in the staging
+	// table: the lazy sweep deletes an item this long after its last
+	// increment. It must comfortably exceed the function timeout, so a live
+	// query's fence is never collected.
+	epochTTL = 24 * time.Hour
+	// epochGCInterval is the number of epoch acquisitions between lazy
+	// sweeps of expired fence items.
+	epochGCInterval = 64
+	// defaultRetryBudget is Config.RetryBudget's default.
+	defaultRetryBudget = 256
+)
+
 // NewSession returns a resident session with the normalized configuration.
 // When cfg.MaxInFlight is positive the session installs its admission
 // controller as the deployment's Lambda completion hook — run at most one
@@ -84,20 +100,14 @@ func NewSession(dep *Deployment, cfg Config) *Session {
 	if cfg.PollInterval == 0 {
 		cfg.PollInterval = 25 * time.Millisecond
 	}
-	if cfg.MaxWait == 0 {
-		cfg.MaxWait = 10 * time.Minute
-	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 5 * time.Minute
 	}
 	if cfg.Region == "" {
 		cfg.Region = netmodel.RegionEU
 	}
-	if cfg.EpochTTL == 0 {
-		cfg.EpochTTL = 24 * time.Hour
-	}
-	if cfg.EpochGCInterval == 0 {
-		cfg.EpochGCInterval = 64
+	if cfg.RetryBudget <= 0 {
+		cfg.RetryBudget = defaultRetryBudget
 	}
 	s := &Session{dep: dep, cfg: cfg, footers: scan.NewFooters()}
 	if cfg.ResultCacheEntries > 0 {
@@ -133,18 +143,6 @@ func (d *Session) Install() error {
 	return d.dep.Lambda.CreateFunction(d.cfg.FunctionName, d.cfg.WorkerMemoryMiB, d.cfg.Timeout, d.workerHandler)
 }
 
-// retryBudget resolves Config.RetryBudget into a fresh per-scope budget.
-func (d *Session) retryBudget() *resilience.Budget {
-	n := d.cfg.RetryBudget
-	if n == 0 {
-		n = 256
-	}
-	if n < 0 {
-		return nil // unlimited
-	}
-	return resilience.NewBudget(n)
-}
-
 // retryPolicy returns the policy of one execution scope — the driver side
 // of one query, or one worker invocation: every substrate call of the scope,
 // S3 included, runs under it, so they share its fresh retry budget, its
@@ -152,7 +150,7 @@ func (d *Session) retryBudget() *resilience.Budget {
 // derived from seed — distinct seeds decorrelate concurrent scopes while
 // staying reproducible across runs.
 func (d *Session) retryPolicy(seed int64) resilience.Policy {
-	return resilience.Policy{Budget: d.retryBudget(), Stats: &resilience.Stats{}, Seed: seed, Trace: d.dep.Trace}
+	return resilience.Policy{Budget: resilience.NewBudget(d.cfg.RetryBudget), Stats: &resilience.Stats{}, Seed: seed, Trace: d.dep.Trace}
 }
 
 // bumpEpochAcquires counts one epoch acquisition session-wide and reports
@@ -161,7 +159,7 @@ func (d *Session) bumpEpochAcquires() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.epochAcquires++
-	return d.epochAcquires%d.cfg.EpochGCInterval == 0
+	return d.epochAcquires%epochGCInterval == 0
 }
 
 // query is one per-query scheduler instance: the driver-side state of a

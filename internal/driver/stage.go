@@ -20,6 +20,7 @@ import (
 	"lambada/internal/exchange"
 	"lambada/internal/invoke"
 	"lambada/internal/lpq"
+	"lambada/internal/netmodel"
 	"lambada/internal/obs"
 	"lambada/internal/resilience"
 	"lambada/internal/scan"
@@ -172,7 +173,7 @@ func parseEpochValue(v []byte) (epoch int, at int64, ok bool) {
 
 // sweepEpochs lazily deletes expired epoch fence items — without it the
 // stages table accumulates one item per query ID ever run on the
-// deployment. An item expires once EpochTTL of virtual time passed since
+// deployment. An item expires once epochTTL of virtual time passed since
 // its last increment; the TTL must exceed the function timeout, so no
 // worker of a fenced run can still be alive when its fence goes. Before an
 // item goes, what its runs left is reclaimed: the query's prefix is swept
@@ -189,7 +190,7 @@ func (d *query) sweepEpochs(table string) {
 	if err != nil {
 		return
 	}
-	cutoff := int64(d.env.Now()) - int64(d.cfg.EpochTTL)
+	cutoff := int64(d.env.Now()) - int64(epochTTL)
 	buckets := d.s.InstallExchange()
 	for _, it := range items {
 		if _, at, ok := parseEpochValue(it.Value); !ok || at >= cutoff {
@@ -800,7 +801,7 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 	if err := l.start(); err != nil {
 		return err
 	}
-	deadline := d.env.Now() + d.cfg.MaxWait
+	deadline := d.env.Now() + maxWait
 	if l.running {
 		// No worker can have posted before the pass's first Invoke: park on
 		// the result queue before the first Receive rather than bill an
@@ -881,7 +882,7 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 			}
 		}
 		if d.env.Now() >= deadline {
-			return fmt.Errorf("driver: %d seal messages missing after %v", s.missing(), d.cfg.MaxWait)
+			return fmt.Errorf("driver: %d seal messages missing after %v", s.missing(), maxWait)
 		}
 		if len(msgs) == 0 {
 			// Park on the result queue's completion topic: the loop wakes at
@@ -1051,7 +1052,7 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 	}
 	copts := []s3.ClientOption{s3.WithPolicy(ws)}
 	if d.dep.Shaped {
-		copts = append(copts, s3.WithShaper(d.dep.Net, ctx.MemoryMiB))
+		copts = append(copts, s3.WithShaper(netmodel.DefaultLambdaNet(), ctx.MemoryMiB))
 	}
 	env, tr := ctx.Env, d.dep.Trace
 	client := s3.NewClient(d.dep.S3, env, copts...)
@@ -1132,9 +1133,8 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 		var collected int64
 		for i, chunk := range chunks {
 			collected += chunk.ByteSize()
-			if need := 3 * collected; need > budget {
-				return nil, nil, fmt.Errorf("%w: partition working set %d MiB exceeds engine budget %d MiB",
-					ErrWorkerOOM, need>>20, budget>>20)
+			if err := checkWorkingSet("partition", collected, budget); err != nil {
+				return nil, nil, err
 			}
 			cat[x.Inputs[i].Table] = engine.NewMemSource(chunk.Schema, chunk)
 		}

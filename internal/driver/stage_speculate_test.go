@@ -34,7 +34,7 @@ func TestStagedReadsTheSealedWinner(t *testing.T) {
 		var rep *Report
 		planted := 0
 		cfg := desConfig()
-		cfg.Speculate = DefaultSpeculateConfig()
+		cfg.Speculate = true
 		plant := func(p *simclock.Proc) {
 			client := s3.NewClient(dep.S3, p)
 			prefix := fmt.Sprintf("%s/q1/e1/s%d/", cfg.FunctionName, stalled)

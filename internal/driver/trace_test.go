@@ -59,7 +59,7 @@ func runTraced(t *testing.T, o tracedOpts) tracedRun {
 		plan = crashPlanQ12()
 	}
 	cfg := desConfig()
-	cfg.Speculate = DefaultSpeculateConfig()
+	cfg.Speculate = true
 	scfg := shuffled(2)
 	scfg.Exchange.Poll = 100 * time.Millisecond
 	if o.crash {

@@ -190,39 +190,6 @@ func Table3(seed int64) (*Table, error) {
 	return t, nil
 }
 
-// LargeShuffles runs the 1 TB / 1250-worker and 3 TB / 2500-worker
-// configurations reported in §5.5.
-func LargeShuffles(seed int64) (*Table, error) {
-	t := &Table{ID: "Section 5.5", Title: "Exchange at TB scale",
-		Headers: []string{"data", "workers", "time"}}
-	cases := []struct {
-		bytes   int64
-		workers int
-	}{
-		{1 * netmodel.TB, 1250},
-		{3 * netmodel.TB, 2500},
-	}
-	for _, c := range cases {
-		res, err := RunExchangeDES(ExchangeRunConfig{
-			Workers:        c.workers,
-			TotalBytes:     c.bytes,
-			Variant:        exchange.Variant{Levels: 2, WriteCombining: true},
-			Buckets:        64,
-			MemoryMiB:      2048,
-			Seed:           seed,
-			StragglerSigma: stragglerSigmaFor(c.workers),
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d TB", c.bytes/netmodel.TB),
-			fmt.Sprintf("%d", c.workers), secs(res.Duration),
-		})
-	}
-	return t, nil
-}
-
 // stragglerSigmaFor grows the bandwidth-variation tail with scale: the
 // paper observes the slowest worker ~30 % above median at 1250 workers and
 // ~4× at 2500.

@@ -187,16 +187,19 @@ func (s *Stats) Retries() int64 {
 	return s.retries
 }
 
+const (
+	// backoffBase is the first backoff delay.
+	backoffBase = 25 * time.Millisecond
+	// backoffCap bounds a single backoff delay.
+	backoffCap = 2 * time.Second
+	// maxRetries bounds the retries of one operation.
+	maxRetries = 10
+)
+
 // Policy runs operations under classification, capped exponential backoff
 // with decorrelated jitter, and an optional shared budget. The zero value
-// is usable: defaults fill in on Do.
+// is usable.
 type Policy struct {
-	// Base is the first backoff delay (default 25ms).
-	Base time.Duration
-	// Cap bounds a single backoff delay (default 2s).
-	Cap time.Duration
-	// MaxRetries bounds retries per operation (default 10).
-	MaxRetries int
 	// Budget, when non-nil, is the scope-wide retry bound shared by every
 	// operation run under this policy.
 	Budget *Budget
@@ -211,48 +214,23 @@ type Policy struct {
 	Trace *obs.Tracer
 }
 
-func (p Policy) base() time.Duration {
-	if p.Base > 0 {
-		return p.Base
-	}
-	return 25 * time.Millisecond
-}
-
-func (p Policy) cap() time.Duration {
-	if p.Cap > 0 {
-		return p.Cap
-	}
-	return 2 * time.Second
-}
-
-func (p Policy) maxRetries() int {
-	if p.MaxRetries > 0 {
-		return p.MaxRetries
-	}
-	return 10
-}
-
 // Backoff returns the delay before retry attempt (1-based) of op:
-// decorrelated jitter — each delay drawn uniformly from [Base, 3×previous],
-// capped — per the AWS architecture blog's recommendation, with the draw a
+// decorrelated jitter — each delay drawn uniformly from [backoffBase,
+// 3×previous], capped at backoffCap — per the AWS architecture blog's recommendation, with the draw a
 // pure hash of (seed, op, attempt) so DES schedules replay exactly.
 func (p Policy) Backoff(op string, attempt int) time.Duration {
-	base, cap := p.base(), p.cap()
-	prev := base
-	d := base
+	prev := backoffBase
+	d := backoffBase
 	for i := 1; i <= attempt; i++ {
-		lo, hi := float64(base), 3*float64(prev)
-		d = time.Duration(lo + jitter(p.Seed, op, i)*(hi-lo))
-		if d > cap {
-			d = cap
-		}
+		lo, hi := float64(backoffBase), 3*float64(prev)
+		d = min(time.Duration(lo+jitter(p.Seed, op, i)*(hi-lo)), backoffCap)
 		prev = d
 	}
 	return d
 }
 
 // Do runs op under the policy: retryable errors back off and retry until
-// they succeed, turn fatal, exhaust MaxRetries, or exhaust the budget; the
+// they succeed, turn fatal, exhaust maxRetries, or exhaust the budget; the
 // two exhaustion cases return an *ExhaustedError wrapping the last error.
 // All waiting is virtual-time via env.Sleep, so DES runs stay deterministic.
 func (p Policy) Do(env simenv.Env, opName string, op func() error) error {
@@ -287,7 +265,7 @@ func (p Policy) Do(env simenv.Env, opName string, op func() error) error {
 		if err == nil || Classify(err) != ClassRetryable {
 			return err
 		}
-		if attempt >= p.maxRetries() {
+		if attempt >= maxRetries {
 			err = &ExhaustedError{Op: opName, Attempts: attempt + 1, Last: err}
 			return err
 		}

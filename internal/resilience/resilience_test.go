@@ -70,21 +70,21 @@ func TestBudget(t *testing.T) {
 }
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	p := Policy{Seed: 17, Base: 25 * time.Millisecond, Cap: 2 * time.Second}
+	p := Policy{Seed: 17}
 	for attempt := 1; attempt <= 12; attempt++ {
 		d1 := p.Backoff("s3.Get", attempt)
 		d2 := p.Backoff("s3.Get", attempt)
 		if d1 != d2 {
 			t.Fatalf("attempt %d: %v != %v", attempt, d1, d2)
 		}
-		if d1 < p.Base || d1 > p.Cap {
+		if d1 < backoffBase || d1 > backoffCap {
 			t.Errorf("attempt %d backoff %v outside [base, cap]", attempt, d1)
 		}
 	}
 	if p.Backoff("s3.Get", 3) == p.Backoff("sqs.Send", 3) {
 		t.Error("distinct ops should draw distinct jitter")
 	}
-	if p.Backoff("s3.Get", 3) == (Policy{Seed: 18, Base: p.Base, Cap: p.Cap}).Backoff("s3.Get", 3) {
+	if p.Backoff("s3.Get", 3) == (Policy{Seed: 18}).Backoff("s3.Get", 3) {
 		t.Error("distinct seeds should draw distinct jitter")
 	}
 }
@@ -95,13 +95,13 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 func TestDoBackoffScheduleReplays(t *testing.T) {
 	run := func() []time.Duration {
 		env := &recordEnv{}
-		p := Policy{Seed: 3, MaxRetries: 5}
+		p := Policy{Seed: 3}
 		p.Do(env, "dynamo.Put", func() error { return faults.ErrThrottled })
 		return env.sleeps
 	}
 	a, b := run(), run()
-	if len(a) != 5 || len(b) != 5 {
-		t.Fatalf("sleeps = %d/%d, want 5 retries", len(a), len(b))
+	if len(a) != maxRetries || len(b) != maxRetries {
+		t.Fatalf("sleeps = %d/%d, want %d retries", len(a), len(b), maxRetries)
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -141,12 +141,12 @@ func TestDoRecoversAfterTransients(t *testing.T) {
 
 func TestDoMaxRetriesExhaustion(t *testing.T) {
 	env := &recordEnv{}
-	err := Policy{MaxRetries: 3}.Do(env, "s3.Get", func() error { return faults.ErrTimeout })
+	err := Policy{}.Do(env, "s3.Get", func() error { return faults.ErrTimeout })
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v, want ExhaustedError", err)
 	}
-	if ex.BudgetSpent || ex.Attempts != 4 || ex.Op != "s3.Get" {
+	if ex.BudgetSpent || ex.Attempts != maxRetries+1 || ex.Op != "s3.Get" {
 		t.Errorf("exhausted = %+v", ex)
 	}
 	if !errors.Is(err, faults.ErrTimeout) {
@@ -162,7 +162,7 @@ func TestDoMaxRetriesExhaustion(t *testing.T) {
 func TestDoBudgetExhaustion(t *testing.T) {
 	env := &recordEnv{}
 	b := NewBudget(2)
-	err := Policy{Budget: b, MaxRetries: 10}.Do(env, "sqs.Send", func() error { return faults.ErrInternal })
+	err := Policy{Budget: b}.Do(env, "sqs.Send", func() error { return faults.ErrInternal })
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v, want ExhaustedError", err)
