@@ -293,28 +293,31 @@ func BenchmarkAblationExchangeVariants(b *testing.B) {
 }
 
 // BenchmarkAblationPruning measures row-group pruning on Q6's shipdate
-// range over the sorted relation (real scan path).
+// range over the sorted relation (real scan path): reading the row groups
+// the footer statistics keep against reading all of them.
 func BenchmarkAblationPruning(b *testing.B) {
 	data := tpch.Gen{SF: 0.01, Seed: 3}.Generate()
-	for _, stats := range []bool{true, false} {
-		name := "with-stats"
-		if !stats {
-			name = "no-stats"
+	raw, err := lpq.WriteFile(tpch.Schema(), lpq.WriterOptions{RowGroupRows: 2000}, data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	preds := []lpq.Predicate{{Column: "l_shipdate", Min: float64(tpch.Q6ShipDateLo), Max: float64(tpch.Q6ShipDateHi - 1)}}
+	for _, prune := range []bool{true, false} {
+		name := "pruned"
+		if !prune {
+			name = "all"
 		}
 		b.Run(name, func(b *testing.B) {
-			raw, err := lpq.WriteFile(tpch.Schema(), lpq.WriterOptions{RowGroupRows: 2000, DisableStats: !stats}, data)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.SetBytes(int64(len(raw)))
-			preds := []lpq.Predicate{{Column: "l_shipdate", Min: float64(tpch.Q6ShipDateLo), Max: float64(tpch.Q6ShipDateHi - 1)}}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r, err := lpq.OpenReader(readerAt(raw), int64(len(raw)))
 				if err != nil {
 					b.Fatal(err)
 				}
-				keep := lpq.PruneRowGroups(r.Meta(), preds)
+				keep := lpq.PruneRowGroups(r.Meta(), nil)
+				if prune {
+					keep = lpq.PruneRowGroups(r.Meta(), preds)
+				}
 				for _, g := range keep {
 					if _, err := r.ReadRowGroup(g, []int{10}); err != nil {
 						b.Fatal(err)

@@ -69,23 +69,27 @@
 // # Price-aware scan layer
 //
 // S3 bills a scan on two axes — a fixed price per GET request and a linear
-// price per byte — and the lpq v2 format plus the scan read path spend both
+// price per byte — and the lpq format plus the scan read path spend both
 // deliberately (Figure 7's request-size trade-off, applied to dollars
 // rather than bandwidth).
 //
-// An LPQ2 file extends every column chunk's footer entry with a distinct-
-// count estimate and a page index: chunks longer than WriterOptions.PageRows
-// are split into pages, each encoded and compressed independently, with
-// per-page row counts, byte extents and min/max bounds. The index is stored
+// An lpq file (trailer LPQ2) gives every column chunk's footer entry
+// min/max bounds, a distinct-count estimate and a page index: chunks longer
+// than WriterOptions.PageRows are split into pages, each encoded and
+// compressed independently, with per-page row counts, byte extents and
+// min/max bounds. The index is stored
 // compactly — lengths as uvarints with offsets reconstructed cumulatively,
 // Int64/Bool bounds zigzag-encoded, Float64 bounds raw — because every
 // reader downloads the footer before anything else. Page bounds are kept
 // only when they can actually prune: if the average page value range
 // exceeds half the chunk's range (an unclustered column), the writer drops
-// the page stats and the pages carry extents alone. LPQ1 files remain fully
-// readable; the footer read itself fetches a speculative tail sized to real
-// footers (lpq.FooterGuess) so opening metadata never re-downloads a small
-// object end to end.
+// the page stats and the pages carry extents alone. NaNs stay out of every
+// bound, and the columns of a row group are paged at the same rows: the
+// reader refuses a footer that is not, and one with any other trailer (the
+// LPQ1 layout, without page index or distinct counts, included). The footer
+// read itself fetches a speculative tail sized to real footers
+// (lpq.FooterGuess) so opening metadata never re-downloads a small object
+// end to end.
 //
 // Scans with a residual filter run in two phases (late materialization):
 // phase one fetches only the filter columns of the pages that survive
@@ -95,7 +99,7 @@
 // — first kept page to last kept page — so per-column requests never exceed
 // one and billed bytes never exceed the chunk. Across columns, ranges are
 // batched through s3fs.File.ReadRanges, which coalesces them into spans
-// when the gap is small (scan.Config.CoalesceGapBytes, default 128 KiB)
+// when the gap is small (at most s3fs.DefaultCoalesceGap, 128 KiB)
 // and the accumulated hole bytes stay under 1/8 of the span — trading one
 // fixed-price request against a bounded byte overhead, never an unbounded
 // one — and issues the spans through one request window of the client

@@ -132,7 +132,7 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 }
 
 // BenchmarkStagedSelectiveScan measures what the price-aware scan layer
-// actually bills: staged q12 (selective l_receiptdate range) on v2 paged
+// actually bills: staged q12 (selective l_receiptdate range) on paged
 // lineitem files under DES, reporting the modeled S3 cost per query —
 // billed GET requests and billed bytes — alongside the virtual latency.
 // These are the dollar axes of the paper's cost model: requests have a
@@ -142,7 +142,7 @@ func BenchmarkStagedSelectiveScan(b *testing.B) {
 	var virtual time.Duration
 	var gets, bytes int64
 	for i := 0; i < b.N; i++ {
-		_, rep := runStagedCost(b, pagedOpts, unpagedOpts, nil, true)
+		_, rep := runStagedCost(b, pagedOpts, unpagedOpts, true)
 		virtual += rep.Duration
 		gets += rep.Cost.S3Get
 		bytes += rep.Cost.S3ReadBytes

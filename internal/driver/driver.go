@@ -127,8 +127,6 @@ type Config struct {
 	FilesPerWorker int
 	// Region selects the Table 1 invocation profile.
 	Region netmodel.Region
-	// Scan configures the S3 scan operator.
-	Scan scan.Config
 	// Timeout is the worker function timeout.
 	Timeout time.Duration
 	// ResultQueue names the SQS result queue.
@@ -185,7 +183,6 @@ func DefaultConfig() Config {
 		WorkerMemoryMiB: 1792,
 		FilesPerWorker:  1,
 		Region:          netmodel.RegionEU,
-		Scan:            scan.DefaultConfig(),
 		Timeout:         5 * time.Minute,
 		ResultQueue:     "lambada-results",
 		PollInterval:    25 * time.Millisecond,
@@ -437,7 +434,7 @@ func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *work
 	}
 	cat := engine.Catalog{}
 	if len(p.Files) > 0 {
-		cat[p.Table] = memGuardSource{Source: scan.New(client, d.cfg.Scan, p.Files...), budget: engineMemoryBudget(ctx.MemoryMiB)}
+		cat[p.Table] = memGuardSource{Source: scan.New(client, scan.DefaultConfig(), p.Files...), budget: engineMemoryBudget(ctx.MemoryMiB)}
 	}
 	for name, blob := range p.Broadcast {
 		c, err := decodeChunk(blob, engineMemoryBudget(ctx.MemoryMiB))

@@ -225,7 +225,7 @@ func (d *query) client() *s3.Client {
 // source returns a driver-side scan source over files, reading through
 // client and sharing the session's footers.
 func (d *query) source(client *s3.Client, files ...scan.FileRef) *scan.Source {
-	src := scan.New(client, d.cfg.Scan, files...)
+	src := scan.New(client, scan.DefaultConfig(), files...)
 	src.Footers = d.s.footers
 	return src
 }

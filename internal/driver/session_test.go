@@ -2,6 +2,7 @@ package driver
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"lambada/internal/awssim/faults"
@@ -13,20 +14,19 @@ import (
 )
 
 // TestDeterministicMeansNoHostThreads: a worker starts no host thread on
-// either deployment — the scan has none to switch off — so a session leaves
-// the scan configuration as given on a DES deployment and on goroutine
+// either deployment — the scan has none to switch off, and no setting — so a
+// session keeps its Config as given on a DES deployment and on goroutine
 // workers alike: the two run the same worker code and differ only in runtime
 // and clock.
 func TestDeterministicMeansNoHostThreads(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Scan.DoubleBuffer, cfg.Scan.ParallelColumns, cfg.Scan.MetaPrefetch = true, true, true
-	cfg.Scan.ParallelFiles, cfg.Scan.CoalesceGapBytes, cfg.Scan.DisableLateMaterialize = 4, 1<<10, true
+	cfg.Speculate, cfg.RetryBudget, cfg.ResultCacheEntries = true, 3, 2
 	for name, dep := range map[string]*Deployment{
 		"simulated": NewSimulated(simclock.New(), 1),
 		"local":     NewLocal(),
 	} {
-		if got := NewSession(dep, cfg).Config().Scan; got != cfg.Scan {
-			t.Errorf("%s session scans with %+v, want %+v", name, got, cfg.Scan)
+		if got := NewSession(dep, cfg).Config(); !reflect.DeepEqual(got, cfg) {
+			t.Errorf("%s session runs with %+v, want %+v", name, got, cfg)
 		}
 	}
 }

@@ -11,7 +11,7 @@
 //
 // The layout is:
 //
-//	[column chunk bytes ...]* [footer] [footerLen uint32] [magic "LPQ1"]
+//	[column chunk bytes ...]* [footer] [footerLen uint32] [magic "LPQ2"]
 //
 // All integers in the footer are unsigned varints; values are little-endian.
 package lpq

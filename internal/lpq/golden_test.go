@@ -51,8 +51,10 @@ func goldenChunks() map[string]*columnar.Chunk {
 	}
 }
 
-// goldenCases enumerates {None, Gzip} × layouts × {v1, v2} × encoding modes ×
-// chunks as name → file bytes.
+// goldenCases enumerates {None, Gzip} × layouts × encoding modes × chunks as
+// name → file bytes. The names keep the "v2" segment of the format they were
+// recorded with, beside LPQ1 rows that are gone with the writer that made
+// them.
 func goldenCases(t *testing.T) map[string][]byte {
 	t.Helper()
 	layouts := []struct {
@@ -65,13 +67,11 @@ func goldenCases(t *testing.T) map[string][]byte {
 		{"multipaged", WriterOptions{RowGroupRows: 1000, PageRows: 256}},
 	}
 	modes := []struct {
-		name    string
-		force   bool
-		enc     Encoding
-		nostats bool
+		name  string
+		force bool
+		enc   Encoding
 	}{
 		{name: "auto"},
-		{name: "nostats", nostats: true},
 		{name: "plain", force: true, enc: Plain},
 		{name: "rle", force: true, enc: RLE},
 		{name: "delta", force: true, enc: Delta},
@@ -81,29 +81,21 @@ func goldenCases(t *testing.T) map[string][]byte {
 	for cname, c := range goldenChunks() {
 		for _, comp := range []Compression{None, Gzip} {
 			for _, l := range layouts {
-				for _, v1 := range []bool{false, true} {
-					for _, m := range modes {
-						opts := l.opts
-						opts.Compression = comp
-						opts.FormatV1 = v1
-						opts.DisableStats = m.nostats
-						if m.force {
-							opts.ForceEncoding = map[int]Encoding{}
-							for j := range c.Columns {
-								opts.ForceEncoding[j] = m.enc
-							}
+				for _, m := range modes {
+					opts := l.opts
+					opts.Compression = comp
+					if m.force {
+						opts.ForceEncoding = map[int]Encoding{}
+						for j := range c.Columns {
+							opts.ForceEncoding[j] = m.enc
 						}
-						version := "v2"
-						if v1 {
-							version = "v1"
-						}
-						name := fmt.Sprintf("%s/%s/%s/%s/%s", cname, comp, l.name, version, m.name)
-						data, err := WriteFile(c.Schema, opts, c)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						out[name] = data
 					}
+					name := fmt.Sprintf("%s/%s/%s/v2/%s", cname, comp, l.name, m.name)
+					data, err := WriteFile(c.Schema, opts, c)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					out[name] = data
 				}
 			}
 		}

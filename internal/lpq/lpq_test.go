@@ -230,7 +230,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 	// Valid magic but absurd footer length.
 	bad := make([]byte, 100)
-	copy(bad[96:], Magic[:])
+	copy(bad[96:], Magic2[:])
 	bad[92] = 0xff
 	bad[93] = 0xff
 	bad[94] = 0xff
@@ -263,15 +263,20 @@ func TestStatsAndPruning(t *testing.T) {
 	if keep := PruneRowGroups(meta, []Predicate{{Column: "id", Min: 5000, Max: 6000}}); keep != nil {
 		t.Errorf("out-of-range predicate kept %v", keep)
 	}
-	// Unknown columns and disabled stats keep everything.
+	// Unknown columns keep everything.
 	if keep := PruneRowGroups(meta, []Predicate{{Column: "zzz", Min: 0, Max: 0}}); len(keep) != 10 {
 		t.Errorf("unknown column pruned to %d groups", len(keep))
 	}
 }
 
+// TestDisableStats: every column chunk and page of a numeric column is
+// written with min/max statistics — there is no writer option to omit them —
+// and a NaN, wherever it stands, stays out of the bounds: a NaN bound admits
+// no predicate, so a chunk or page starting with NaN used to be pruned with
+// its matching rows. An all-NaN page has no bounds and is never pruned.
 func TestDisableStats(t *testing.T) {
 	chunk := makeChunk(100, 7)
-	data, err := WriteFile(testSchema(), WriterOptions{DisableStats: true}, chunk)
+	data, err := WriteFile(testSchema(), WriterOptions{}, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +284,62 @@ func TestDisableStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Meta().RowGroups[0].Columns[0].Stats.HasMinMax {
-		t.Error("stats present despite DisableStats")
+	for c, cc := range r.Meta().RowGroups[0].Columns[:2] {
+		if !cc.Stats.HasMinMax {
+			t.Errorf("column %d written without stats", c)
+		}
 	}
-	if keep := PruneRowGroups(r.Meta(), []Predicate{{Column: "id", Min: 1e9, Max: 2e9}}); len(keep) != 1 {
-		t.Errorf("stats-less pruning kept %d, want all", len(keep))
+
+	schema := columnar.NewSchema(columnar.Field{Name: "x", Type: columnar.Float64})
+	nan := math.NaN()
+	xs := columnar.NewChunk(schema, 0)
+	for _, x := range []float64{nan, 0.05, 0.06, nan, 0.01, 0.02, nan, nan, nan, 0.9} {
+		xs.Columns[0].AppendFloat64(x)
+	}
+	// bounds returns the stats rows [lo, hi) of xs must have.
+	bounds := func(lo, hi int64) Stats {
+		var st Stats
+		for _, x := range xs.Columns[0].Float64s[lo:hi] {
+			switch {
+			case x != x:
+			case !st.HasMinMax:
+				st = Stats{HasMinMax: true, MinF: x, MaxF: x}
+			default:
+				st.MinF, st.MaxF = min(st.MinF, x), max(st.MaxF, x)
+			}
+		}
+		st.MinInt, st.MaxInt = int64(st.MinF), int64(st.MaxF)
+		return st
+	}
+	// Row groups of three rows — the third all NaN — and of five in pages of
+	// two, where the first page is [NaN 0.05].
+	for _, opts := range []WriterOptions{{RowGroupRows: 3}, {RowGroupRows: 5, PageRows: 2}} {
+		_, r := writeRead(t, schema, opts, xs)
+		meta := r.Meta()
+		var start int64
+		for g, rg := range meta.RowGroups {
+			cc := rg.Columns[0]
+			if want := bounds(start, start+rg.NumRows); cc.Stats != want {
+				t.Errorf("%+v: group %d stats %+v, want %+v", opts, g, cc.Stats, want)
+			}
+			// A page without bounds means the chunk's pages dropped theirs
+			// (pageStatsUseful); the ones kept hold no NaN.
+			row := start
+			for p, pg := range cc.Pages {
+				if want := bounds(row, row+pg.NumRows); pg.Stats.HasMinMax && pg.Stats != want {
+					t.Errorf("%+v: group %d page %d stats %+v, want %+v", opts, g, p, pg.Stats, want)
+				}
+				row += pg.NumRows
+			}
+			start += rg.NumRows
+		}
+		pred := []Predicate{{Column: "x", Min: 0.05, Max: math.Inf(1)}}
+		if keep := PruneRowGroups(meta, pred); len(keep) == 0 || keep[0] != 0 {
+			t.Errorf("%+v: x >= 0.05 keeps groups %v, want group 0 among them", opts, keep)
+		}
+		if keep := PrunePages(meta, 0, pred); !keep[0] {
+			t.Errorf("%+v: x >= 0.05 prunes the first page of [NaN 0.05 ...]", opts)
+		}
 	}
 }
 

@@ -8,12 +8,10 @@ import (
 	"lambada/internal/columnar"
 )
 
-// Magic is the v1 file trailer magic.
-var Magic = [4]byte{'L', 'P', 'Q', '1'}
-
-// Magic2 is the v2 file trailer magic. A v2 footer extends every column
-// chunk with a distinct-count estimate and an optional page index (min/max
-// statistics at PageMeta granularity); v1 files keep reading unchanged.
+// Magic2 is the file trailer magic. Its footer gives every column chunk a
+// distinct-count estimate and an optional page index (min/max statistics at
+// PageMeta granularity). The reader refuses any other trailer, the LPQ1
+// layout without either included.
 var Magic2 = [4]byte{'L', 'P', 'Q', '2'}
 
 // Compression identifies the heavy-weight compression applied after
@@ -66,19 +64,19 @@ type ColumnChunkMeta struct {
 	Encoding        Encoding
 	Compression     Compression
 	Stats           Stats
-	// DistinctEst estimates the chunk's distinct value count (v2 footers;
-	// 0 = unknown). Exact for the row-group sizes the writer produces.
+	// DistinctEst estimates the chunk's distinct value count (0 =
+	// unknown). Exact for the row-group sizes the writer produces.
 	DistinctEst int64
-	// NullCount is the chunk's null-value count (v2 footers; 0 = none or
-	// unknown). The columnar layer has no null representation, so the
-	// writer always emits 0, but readers honor counts written by other
-	// producers: an all-null chunk prunes its row group for any predicate
-	// on the column, and partial counts tighten row estimates.
+	// NullCount is the chunk's null-value count (0 = none or unknown). The
+	// columnar layer has no null representation, so the writer always
+	// emits 0, but readers honor counts written by other producers: an
+	// all-null chunk prunes its row group for any predicate on the column,
+	// and partial counts tighten row estimates.
 	NullCount int64
-	// Pages is the v2 page index: the chunk split at WriterOptions.PageRows
+	// Pages is the page index: the chunk split at WriterOptions.PageRows
 	// boundaries, every page separately encoded (with the chunk's encoding)
-	// and compressed. Nil for v1 files and chunks of at most one page, whose
-	// byte layout is exactly the v1 single-blob form.
+	// and compressed. Nil for chunks of at most one page, stored as one
+	// blob.
 	Pages []PageMeta
 }
 
@@ -96,6 +94,17 @@ func (cc *ColumnChunkMeta) PageSpans(numRows int64) []PageMeta {
 		UncompressedLen: cc.UncompressedLen,
 		Stats:           cc.Stats,
 	}}
+}
+
+// tiling returns how the chunk of a numRows-row group is paged: its page
+// count and the rows of every page but the last, which holds the rest — the
+// only tiling a decoded page index can have (readPageIndex). An unpaged
+// chunk is one page of numRows.
+func (cc *ColumnChunkMeta) tiling(numRows int64) (pages int, rows int64) {
+	if len(cc.Pages) == 0 {
+		return 1, numRows
+	}
+	return len(cc.Pages), cc.Pages[0].NumRows
 }
 
 // RowGroupMeta describes one row group.
@@ -134,9 +143,11 @@ func (m *FileMeta) NumRowGroups() int { return len(m.RowGroups) }
 
 // check holds a decoded footer to the file it came from, whose column data
 // occupy the first dataLen bytes: every byte range lies inside the data,
-// every length fits what its bytes can hold, and the row counts add up. A
-// reader sizes its buffers and vectors by these numbers, so none may be
-// larger than the file can back.
+// every length fits what its bytes can hold, the row counts add up, and the
+// columns of a row group are paged at the same rows. A reader sizes its
+// buffers and vectors by these numbers, so none may be larger than the file
+// can back; a scan filters page slot i of one column and gathers slot i of
+// the others by the same selection, so the slots must cover the same rows.
 func (m *FileMeta) check(dataLen int64) error {
 	var total, stored int64
 	for g := range m.RowGroups {
@@ -147,6 +158,12 @@ func (m *FileMeta) check(dataLen int64) error {
 		total += rg.NumRows
 		for c := range rg.Columns {
 			cc := &rg.Columns[c]
+			if n, rows := cc.tiling(rg.NumRows); c > 0 {
+				if n0, rows0 := rg.Columns[0].tiling(rg.NumRows); n != n0 || rows != rows0 {
+					return fmt.Errorf("lpq: row group %d column %d is paged in %d pages of %d rows, column 0 in %d of %d",
+						g, c, n, rows, n0, rows0)
+				}
+			}
 			// Chunks do not overlap, so together they fit the data too.
 			if cc.CompressedLen < 0 || cc.CompressedLen > dataLen-stored || cc.Offset < 0 || cc.Offset > dataLen-cc.CompressedLen {
 				return fmt.Errorf("lpq: row group %d column %d: chunk [%d,+%d) outside the file's %d data bytes",
@@ -217,7 +234,7 @@ func readStats(r *byteReader) (Stats, error) {
 	return st, nil
 }
 
-// putPageIndex appends a column chunk's compact v2 page index. The footer
+// putPageIndex appends a column chunk's compact page index. The footer
 // is pure overhead every reader must download, so the index stores only
 // what cannot be derived: per-page byte lengths (offsets are cumulative —
 // the writer lays pages out contiguously) and, when present, typed bounds
@@ -337,9 +354,8 @@ func readPageIndex(r *byteReader, t columnar.Type, groupRows int64) ([]PageMeta,
 }
 
 // appendFooter appends the serialized footer body (without length/magic
-// trailer) to out. A v2 footer is the v1 layout plus, per column chunk, a
-// distinct-count estimate and the page index.
-func appendFooter(out []byte, m *FileMeta, v2 bool) []byte {
+// trailer) to out.
+func appendFooter(out []byte, m *FileMeta) []byte {
 	out = putUvarint(out, uint64(m.Schema.Len()))
 	for _, f := range m.Schema.Fields {
 		out = putUvarint(out, uint64(len(f.Name)))
@@ -355,11 +371,9 @@ func appendFooter(out []byte, m *FileMeta, v2 bool) []byte {
 			out = putUvarint(out, uint64(c.UncompressedLen))
 			out = append(out, byte(c.Encoding), byte(c.Compression))
 			out = putStats(out, c.Stats)
-			if v2 {
-				out = putUvarint(out, uint64(c.DistinctEst))
-				out = putUvarint(out, uint64(c.NullCount))
-				out = putPageIndex(out, c.Pages, m.Schema.Fields[ci].Type)
-			}
+			out = putUvarint(out, uint64(c.DistinctEst))
+			out = putUvarint(out, uint64(c.NullCount))
+			out = putPageIndex(out, c.Pages, m.Schema.Fields[ci].Type)
 		}
 	}
 	out = putUvarint(out, uint64(m.TotalRows))
@@ -367,7 +381,7 @@ func appendFooter(out []byte, m *FileMeta, v2 bool) []byte {
 }
 
 // decodeFooter parses a footer body.
-func decodeFooter(data []byte, v2 bool) (*FileMeta, error) {
+func decodeFooter(data []byte) (*FileMeta, error) {
 	r := &byteReader{b: data}
 	nf, err := r.uvarint()
 	if err != nil {
@@ -438,20 +452,18 @@ func decodeFooter(data []byte, v2 bool) (*FileMeta, error) {
 			if cc.Stats, err = readStats(r); err != nil {
 				return nil, err
 			}
-			if v2 {
-				de, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				cc.DistinctEst = int64(de)
-				nc, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				cc.NullCount = int64(nc)
-				if cc.Pages, err = readPageIndex(r, schema.Fields[c].Type, rg.NumRows); err != nil {
-					return nil, err
-				}
+			de, err := r.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			cc.DistinctEst = int64(de)
+			nc, err := r.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			cc.NullCount = int64(nc)
+			if cc.Pages, err = readPageIndex(r, schema.Fields[c].Type, rg.NumRows); err != nil {
+				return nil, err
 			}
 			rg.Columns = append(rg.Columns, cc)
 		}
@@ -469,7 +481,10 @@ func decodeFooter(data []byte, v2 bool) (*FileMeta, error) {
 }
 
 // computeStats derives min/max statistics for a vector — the page-level
-// pass; whole column chunks get theirs from the writer's profile pass.
+// pass; whole column chunks get theirs from the writer's profile pass. NaNs
+// are left out of the bounds, as they are there: a NaN bound admits nothing,
+// so it would prune a page that holds matching rows. An all-NaN vector has
+// no bounds.
 func computeStats(v *columnar.Vector) Stats {
 	var s Stats
 	switch v.Type {
@@ -489,20 +504,26 @@ func computeStats(v *columnar.Vector) Stats {
 		}
 		s.MinF, s.MaxF = float64(s.MinInt), float64(s.MaxInt)
 	case columnar.Float64:
-		if len(v.Float64s) == 0 {
-			return s
-		}
-		s.HasMinMax = true
-		s.MinF, s.MaxF = v.Float64s[0], v.Float64s[0]
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, x := range v.Float64s {
-			if x < s.MinF {
-				s.MinF = x
+			if x < lo {
+				lo = x
 			}
-			if x > s.MaxF {
-				s.MaxF = x
+			if x > hi {
+				hi = x
 			}
 		}
-		s.MinInt, s.MaxInt = int64(s.MinF), int64(s.MaxF)
+		s = floatStats(lo, hi)
 	}
 	return s
+}
+
+// floatStats are the bounds of a Float64 column whose non-NaN values lie in
+// [lo, hi], found by a pass that starts from lo = +Inf, hi = -Inf: lo > hi
+// after it means the column held no such value, and gets no bounds.
+func floatStats(lo, hi float64) Stats {
+	if lo > hi {
+		return Stats{}
+	}
+	return Stats{HasMinMax: true, MinInt: int64(lo), MaxInt: int64(hi), MinF: lo, MaxF: hi}
 }

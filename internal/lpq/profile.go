@@ -111,7 +111,7 @@ func (s *valueSet) profile(v *columnar.Vector) colProfile {
 		s.reset(n)
 		s.floats = slices.Grow(s.floats, n)
 		xs := v.Float64s
-		lo, hi := xs[0], xs[0]
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, x := range xs {
 			if x != x {
 				s.floats = append(s.floats, x)
@@ -129,7 +129,7 @@ func (s *valueSet) profile(v *columnar.Vector) colProfile {
 			}
 		}
 		p.distinct = int64(len(s.floats))
-		p.stats = Stats{HasMinMax: true, MinInt: int64(lo), MaxInt: int64(hi), MinF: lo, MaxF: hi}
+		p.stats = floatStats(lo, hi)
 	default:
 		p.runs, p.distinct = 1, 1
 		for i := 1; i < n; i++ {

@@ -65,13 +65,7 @@ func OpenTail(r io.ReaderAt, size int64, tail []byte) (*Reader, error) {
 	}
 	rd := &Reader{r: r, size: size}
 	trailer := tail[len(tail)-8:]
-	var v2 bool
-	switch {
-	case bytes.Equal(trailer[4:], Magic2[:]):
-		v2 = true
-	case bytes.Equal(trailer[4:], Magic[:]):
-		v2 = false
-	default:
+	if !bytes.Equal(trailer[4:], Magic2[:]) {
 		return nil, fmt.Errorf("lpq: bad magic %q", trailer[4:])
 	}
 	footerLen := int64(binary.LittleEndian.Uint32(trailer[:4]))
@@ -92,7 +86,7 @@ func OpenTail(r io.ReaderAt, size int64, tail []byte) (*Reader, error) {
 		copy(footer[missing:], tail[:guess-8])
 		rd.MetadataReads = 1
 	}
-	meta, err := decodeFooter(footer, v2)
+	meta, err := decodeFooter(footer)
 	if err != nil {
 		return nil, err
 	}
@@ -346,7 +340,7 @@ func (p *Predicate) Admits(st Stats, t columnar.Type) bool {
 
 // PruneRowGroups returns the row-group indices that may contain matching
 // rows, using footer statistics. Row groups without statistics are kept.
-// A group whose predicate column is entirely null (v2 null counts) is
+// A group whose predicate column is entirely null (its null count) is
 // pruned regardless of its min/max bounds: no row can satisfy a min/max
 // predicate on a null value.
 func PruneRowGroups(meta *FileMeta, preds []Predicate) []int {
@@ -377,20 +371,13 @@ func PruneRowGroups(meta *FileMeta, preds []Predicate) []int {
 }
 
 // PrunePages evaluates preds against the page index of row group g and
-// returns one keep-flag per page slot. The slot count is the maximum page
-// count over the group's columns; an unpaged column contributes its chunk
-// statistics to every slot. Pages the writer produces are row-aligned
-// across columns (all split at the same PageRows boundaries), so slot i of
-// every column covers the same rows.
+// returns one keep-flag per page. The columns of a group are paged at the
+// same rows — the writer splits them all at the same PageRows boundaries,
+// and OpenTail refuses a footer that does not — so page i covers the same
+// rows in every column, and an unpaged group is one page.
 func PrunePages(meta *FileMeta, g int, preds []Predicate) []bool {
 	rg := &meta.RowGroups[g]
-	npages := 1
-	for c := range rg.Columns {
-		if n := len(rg.Columns[c].Pages); n > npages {
-			npages = n
-		}
-	}
-	keep := make([]bool, npages)
+	keep := make([]bool, max(1, len(rg.Columns[0].Pages)))
 	for i := range keep {
 		keep[i] = true
 	}
@@ -402,15 +389,11 @@ func PrunePages(meta *FileMeta, g int, preds []Predicate) []bool {
 		t := meta.Schema.Fields[ci].Type
 		cc := &rg.Columns[ci]
 		if len(cc.Pages) == 0 {
-			if !p.Admits(cc.Stats, t) {
-				for i := range keep {
-					keep[i] = false
-				}
-			}
+			keep[0] = keep[0] && p.Admits(cc.Stats, t)
 			continue
 		}
 		for i := range cc.Pages {
-			if i < len(keep) && !p.Admits(cc.Pages[i].Stats, t) {
+			if !p.Admits(cc.Pages[i].Stats, t) {
 				keep[i] = false
 			}
 		}
@@ -421,9 +404,9 @@ func PrunePages(meta *FileMeta, g int, preds []Predicate) []bool {
 // EstimateRows bounds the number of rows of the file that may satisfy
 // preds, at page granularity: pruned row groups contribute nothing, pruned
 // pages of surviving groups contribute nothing, everything else counts in
-// full. Null counts (v2 footers) cap a surviving group's contribution at
-// NumRows minus the largest null count over its predicate columns — a null
-// never satisfies a min/max predicate. With no predicates this is exactly
+// full. Null counts cap a surviving group's contribution at NumRows minus
+// the largest null count over its predicate columns — a null never
+// satisfies a min/max predicate. With no predicates this is exactly
 // TotalRows.
 func EstimateRows(meta *FileMeta, preds []Predicate) int64 {
 	if len(preds) == 0 {
@@ -446,31 +429,10 @@ func EstimateRows(meta *FileMeta, preds []Predicate) int64 {
 			avail = 0
 		}
 		keep := PrunePages(meta, g, preds)
-		if len(keep) == 1 {
-			if keep[0] {
-				est += avail
-			}
-			continue
-		}
-		// Page slots are row-aligned; take each slot's row count from the
-		// first column that actually has that many pages.
-		var rows []int64
-		for c := range rg.Columns {
-			if len(rg.Columns[c].Pages) == len(keep) {
-				for _, pg := range rg.Columns[c].Pages {
-					rows = append(rows, pg.NumRows)
-				}
-				break
-			}
-		}
-		if rows == nil {
-			est += avail
-			continue
-		}
 		var kept int64
-		for i, k := range keep {
-			if k {
-				kept += rows[i]
+		for i, pg := range rg.Columns[0].PageSpans(rg.NumRows) {
+			if keep[i] {
+				kept += pg.NumRows
 			}
 		}
 		est += min(kept, avail)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -154,41 +155,26 @@ func TestV2PageIndex(t *testing.T) {
 	}
 }
 
-// TestFormatV1BackCompat locks the legacy layout: FormatV1 writes an LPQ1
-// trailer with no page index or distinct counts, and the reader keeps
-// accepting it.
+// TestFormatV1BackCompat: the legacy LPQ1 layout — no page index, no
+// distinct counts — is no longer read. A file with its trailer is refused
+// with the bad-magic error, at the first suffix read and with the tail in
+// hand alike.
 func TestFormatV1BackCompat(t *testing.T) {
-	c := makeChunk(500, 11)
-	data, r := writeRead(t, testSchema(), WriterOptions{RowGroupRows: 100, FormatV1: true}, c)
-	if !bytes.Equal(data[len(data)-4:], Magic[:]) {
-		t.Fatalf("trailer magic = %q, want LPQ1", data[len(data)-4:])
-	}
-	for g := range r.Meta().RowGroups {
-		for _, cc := range r.Meta().RowGroups[g].Columns {
-			if len(cc.Pages) != 0 || cc.DistinctEst != 0 {
-				t.Fatalf("v1 chunk has v2 extras: %+v", cc)
-			}
-		}
-	}
-	got, err := r.ReadAll()
+	data, err := WriteFile(testSchema(), WriterOptions{RowGroupRows: 100}, makeChunk(500, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Columns[0].Int64s, c.Columns[0].Int64s) {
-		t.Error("v1 round trip mismatch")
+	copy(data[len(data)-4:], "LPQ1")
+	if _, err := OpenReader(bytes.NewReader(data), int64(len(data))); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("OpenReader of an LPQ1 file: err = %v, want bad magic", err)
 	}
-	// A v1 file is strictly smaller: same data bytes, leaner footer.
-	v2, err := WriteFile(testSchema(), WriterOptions{RowGroupRows: 100}, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) >= len(v2) {
-		t.Errorf("v1 file %d bytes, v2 %d — v1 should be smaller", len(data), len(v2))
+	if _, err := OpenTail(bytes.NewReader(data), int64(len(data)), data[len(data)-64:]); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("OpenTail of an LPQ1 file: err = %v, want bad magic", err)
 	}
 }
 
-// TestSmallChunksStayUnpaged: row groups of at most PageRows keep the v1
-// single-blob chunk layout inside a v2 footer.
+// TestSmallChunksStayUnpaged: row groups of at most PageRows keep their
+// chunks as single blobs, without a page index.
 func TestSmallChunksStayUnpaged(t *testing.T) {
 	c := makeChunk(100, 5)
 	_, r := writeRead(t, testSchema(), WriterOptions{RowGroupRows: 100, PageRows: 128}, c)
@@ -342,8 +328,8 @@ func TestAdmitsMissingStats(t *testing.T) {
 	}
 }
 
-// TestNullCountFooterRoundTrip: v2 footers carry per-chunk null counts
-// losslessly; v1 footers have no slot for them and decode to zero.
+// TestNullCountFooterRoundTrip: footers carry per-chunk null counts
+// losslessly.
 func TestNullCountFooterRoundTrip(t *testing.T) {
 	schema := columnar.NewSchema(
 		columnar.Field{Name: "a", Type: columnar.Int64},
@@ -359,23 +345,12 @@ func TestNullCountFooterRoundTrip(t *testing.T) {
 			{Offset: 35, CompressedLen: 5, UncompressedLen: 5, NullCount: 1},
 		}},
 	}}
-	got, err := decodeFooter(appendFooter(nil, m, true), true)
+	got, err := decodeFooter(appendFooter(nil, m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, m) {
-		t.Errorf("v2 footer round trip:\n got %+v\nwant %+v", got, m)
-	}
-	got1, err := decodeFooter(appendFooter(nil, m, false), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g := range got1.RowGroups {
-		for c, cc := range got1.RowGroups[g].Columns {
-			if cc.NullCount != 0 {
-				t.Errorf("v1 chunk [%d][%d] decoded NullCount %d, want 0", g, c, cc.NullCount)
-			}
-		}
+		t.Errorf("footer round trip:\n got %+v\nwant %+v", got, m)
 	}
 }
 

@@ -19,21 +19,16 @@ type WriterOptions struct {
 	// ForceEncoding, if non-nil, overrides the per-column automatic
 	// encoding choice (keyed by column index).
 	ForceEncoding map[int]Encoding
-	// DisableStats omits min/max statistics (used for pruning ablations).
-	DisableStats bool
-	// PageRows is the page-index granularity of v2 files (default 4096):
-	// column chunks longer than PageRows are split into pages, each encoded
-	// and compressed independently with per-page min/max statistics.
+	// PageRows is the page-index granularity (default 4096): column chunks
+	// longer than PageRows are split into pages, each encoded and
+	// compressed independently with per-page min/max statistics.
 	PageRows int
-	// FormatV1 writes the legacy LPQ1 layout — no page index, no distinct
-	// counts — for back-compat tests and read-path ablations.
-	FormatV1 bool
 }
 
 // DefaultRowGroupRows is the default row-group size.
 const DefaultRowGroupRows = 131072
 
-// DefaultPageRows is the default v2 page-index granularity.
+// DefaultPageRows is the default page-index granularity.
 const DefaultPageRows = 4096
 
 // Writer writes an lpq file. Rows are buffered and flushed as row groups.
@@ -165,12 +160,11 @@ func (w *Writer) encodePage(pv *columnar.Vector, enc Encoding, profiled bool) (i
 	return len(w.raw), w.zw.Close()
 }
 
-// encodeColumnChunk encodes col into w.stored: as one blob — the v1 chunk
-// layout — or, when the row group is longer than PageRows in a v2 file,
-// split at PageRows boundaries into pages that are encoded and compressed
-// independently, so readers can fetch and decode pages on their own. All
-// pages share one encoding. prof is col's profile, whose distinct values
-// w.set still holds.
+// encodeColumnChunk encodes col into w.stored: as one blob or, when the row
+// group is longer than PageRows, split at PageRows boundaries into pages
+// that are encoded and compressed independently, so readers can fetch and
+// decode pages on their own. All pages share one encoding. prof is col's
+// profile, whose distinct values w.set still holds.
 func (w *Writer) encodeColumnChunk(col *columnar.Vector, enc Encoding, prof *colProfile) (ColumnChunkMeta, error) {
 	if !enc.encodes(col.Type) {
 		// Unsupported forced combinations fall back to Plain.
@@ -178,7 +172,7 @@ func (w *Writer) encodeColumnChunk(col *columnar.Vector, enc Encoding, prof *col
 	}
 	n := col.Len()
 	cc := ColumnChunkMeta{Encoding: enc, Compression: w.opts.Compression}
-	paged := !w.opts.FormatV1 && n > w.opts.PageRows
+	paged := n > w.opts.PageRows
 	pageRows := n
 	if paged {
 		pageRows = w.opts.PageRows
@@ -197,31 +191,24 @@ func (w *Writer) encodeColumnChunk(col *columnar.Vector, enc Encoding, prof *col
 		}
 		cc.UncompressedLen += int64(rawLen)
 		if paged {
-			pg := PageMeta{
+			cc.Pages = append(cc.Pages, PageMeta{
 				NumRows:         int64(pv.Len()),
 				RelOff:          int64(relOff),
 				CompressedLen:   int64(len(w.stored.b) - relOff),
 				UncompressedLen: int64(rawLen),
-			}
-			if !w.opts.DisableStats {
-				pg.Stats = computeStats(pv)
-			}
-			cc.Pages = append(cc.Pages, pg)
+				Stats:           computeStats(pv),
+			})
 		}
 	}
 	cc.CompressedLen = int64(len(w.stored.b))
-	if !w.opts.DisableStats {
-		cc.Stats = prof.stats
-	}
-	if !w.opts.FormatV1 {
-		cc.DistinctEst = prof.distinct
-		// The columnar layer stores no nulls; the footer records that
-		// fact exactly rather than leaving the count unknown.
-		cc.NullCount = 0
-		if paged && !pageStatsUseful(cc.Pages, cc.Stats) {
-			for p := range cc.Pages {
-				cc.Pages[p].Stats = Stats{}
-			}
+	cc.Stats = prof.stats
+	cc.DistinctEst = prof.distinct
+	// The columnar layer stores no nulls; the footer records that fact
+	// exactly rather than leaving the count unknown.
+	cc.NullCount = 0
+	if paged && !pageStatsUseful(cc.Pages, cc.Stats) {
+		for p := range cc.Pages {
+			cc.Pages[p].Stats = Stats{}
 		}
 	}
 	return cc, nil
@@ -301,14 +288,10 @@ func (w *Writer) Close() error {
 	if err := w.flushRowGroup(); err != nil {
 		return err
 	}
-	w.raw = appendFooter(w.raw[:0], &w.meta, !w.opts.FormatV1)
+	w.raw = appendFooter(w.raw[:0], &w.meta)
 	footerLen := len(w.raw)
-	magic := Magic2
-	if w.opts.FormatV1 {
-		magic = Magic
-	}
 	w.raw = binary.LittleEndian.AppendUint32(w.raw, uint32(footerLen))
-	w.raw = append(w.raw, magic[:]...)
+	w.raw = append(w.raw, Magic2[:]...)
 	if _, err := w.w.Write(w.raw); err != nil {
 		return err
 	}

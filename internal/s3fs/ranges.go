@@ -36,10 +36,9 @@ type Span struct {
 // accumulated holes stay at or under 1/8th of the resulting span, so each
 // saved GET is bought with at most 12.5% billed overhead — without the
 // bound, a span could chain many small holes and end up billing more dead
-// bytes than the uncoalesced reads, inverting the cost trade. A negative
-// gap disables merging entirely (one span per range, in offset order);
-// gap 0 merges only exactly-adjacent or overlapping ranges. Zero-length
-// ranges are dropped.
+// bytes than the uncoalesced reads, inverting the cost trade. Gap 0 merges
+// only exactly-adjacent or overlapping ranges. Zero-length ranges are
+// dropped.
 func PlanSpans(ranges []Range, gap int64) []Span {
 	idx := make([]int, 0, len(ranges))
 	for i, r := range ranges {
@@ -58,7 +57,7 @@ func PlanSpans(ranges []Range, gap int64) []Span {
 	var waste int64 // holes accumulated in the last span
 	for _, i := range idx {
 		r := ranges[i]
-		if len(spans) > 0 && gap >= 0 {
+		if len(spans) > 0 {
 			s := &spans[len(spans)-1]
 			hole := r.Off - (s.Off + s.Len)
 			if hole < 0 {
@@ -93,18 +92,14 @@ func (s *Span) Cut(buf []byte, ranges []Range, out [][]byte) {
 }
 
 // ReadRanges fetches every range, coalescing ranges separated by at most
-// gap bytes into one GET each (gap 0 means DefaultCoalesceGap; negative
-// disables coalescing). The spans share one request window of the handle's
-// client (s3.Client.Overlap): they are issued in offset order and pay their
-// first-byte latencies together, not one after another — the scan's
-// concurrency level 2 (§4.3.2), on either clock and without a goroutine. The
-// returned slices are indexed like ranges; slices of one span alias one
-// buffer.
-func (f *File) ReadRanges(ranges []Range, gap int64) ([][]byte, error) {
-	if gap == 0 {
-		gap = DefaultCoalesceGap
-	}
-	spans := PlanSpans(ranges, gap)
+// DefaultCoalesceGap bytes into one GET each. The spans share one request
+// window of the handle's client (s3.Client.Overlap): they are issued in
+// offset order and pay their first-byte latencies together, not one after
+// another — the scan's concurrency level 2 (§4.3.2), on either clock and
+// without a goroutine. The returned slices are indexed like ranges; slices
+// of one span alias one buffer.
+func (f *File) ReadRanges(ranges []Range) ([][]byte, error) {
+	spans := PlanSpans(ranges, DefaultCoalesceGap)
 	out := make([][]byte, len(ranges))
 	err := f.client.Overlap(len(spans), func(i int, lane *s3.Client) error {
 		s := spans[i]

@@ -42,15 +42,6 @@ func TestPlanSpansMerging(t *testing.T) {
 			},
 		},
 		{
-			name:   "negative gap never merges",
-			ranges: []Range{{0, 10}, {10, 10}},
-			gap:    -1,
-			want: []Span{
-				{Off: 0, Len: 10, Ranges: []int{0}},
-				{Off: 10, Len: 10, Ranges: []int{1}},
-			},
-		},
-		{
 			name:   "out of order inputs are sorted",
 			ranges: []Range{{50, 10}, {0, 10}, {60, 5}},
 			gap:    0,
@@ -164,11 +155,13 @@ func TestReadRangesCoalesces(t *testing.T) {
 
 	ranges := []Range{{0, 500}, {510, 500}, {2000, 100}, {3900, 100}}
 	before := f.Requests()
-	got, err := f.ReadRanges(ranges, 64)
+	got, err := f.ReadRanges(ranges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// {0,500} and {510,500} merge (10-byte hole); the others stand alone.
+	// {0,500} and {510,500} merge (10-byte hole); the others stand alone:
+	// their holes are within DefaultCoalesceGap but would make over an
+	// eighth of the span dead bytes.
 	if n := f.Requests() - before; n != 3 {
 		t.Errorf("coalesced read took %d requests, want 3", n)
 	}
@@ -180,20 +173,11 @@ func TestReadRangesCoalesces(t *testing.T) {
 	if f.BytesRead() == 0 {
 		t.Error("BytesRead not counted")
 	}
-
-	// The same ranges uncoalesced take one request each.
-	before = f.Requests()
-	if _, err := f.ReadRanges(ranges, -1); err != nil {
-		t.Fatal(err)
-	}
-	if n := f.Requests() - before; n != 4 {
-		t.Errorf("uncoalesced read took %d requests, want 4", n)
-	}
 }
 
 func TestReadRangesTruncation(t *testing.T) {
 	f := setup(t, make([]byte, 100))
-	if _, err := f.ReadRanges([]Range{{90, 50}}, 0); err == nil {
+	if _, err := f.ReadRanges([]Range{{90, 50}}); err == nil {
 		t.Error("range past EOF read without error")
 	}
 }
@@ -253,7 +237,7 @@ func TestReadRangesShareOneWindow(t *testing.T) {
 	sum := prev
 
 	got, ends, gets := run(func(f *File, mark func()) [][]byte {
-		out, err := f.ReadRanges(ranges, -1)
+		out, err := f.ReadRanges(ranges)
 		if err != nil {
 			t.Error(err)
 		}

@@ -35,12 +35,12 @@ import (
 	"lambada/internal/s3fs"
 )
 
-// Config tunes the operator.
+// Config is the operator's configuration, and has nothing left to set: the
+// operator reads as the paper's does (§4.3.1–4.3.2) — 16 MiB requests
+// (s3fs.DefaultChunkBytes) over four connections (conns), coalescing column
+// ranges up to s3fs.DefaultCoalesceGap apart and fetching payload columns
+// only for pages the filter selected rows from.
 type Config struct {
-	// ChunkBytes is the per-request range size (level 1). Default 16 MiB.
-	ChunkBytes int64
-	// Conns is the number of concurrent connections modeled per transfer.
-	Conns int
 	// DoubleBuffer, ParallelColumns, MetaPrefetch and ParallelFiles have no
 	// effect: a scan runs on its caller's goroutine, and levels 2 and 4 ride
 	// the client's request window, which costs no request, no byte and no
@@ -50,26 +50,14 @@ type Config struct {
 	ParallelColumns bool
 	MetaPrefetch    bool
 	ParallelFiles   int
-	// CoalesceGapBytes is the largest hole merged into one GET when
-	// fetching multiple chunk/page ranges (0 = s3fs.DefaultCoalesceGap,
-	// negative = no coalescing — one GET per range, the pre-coalescing
-	// request pattern, kept for ablations).
-	CoalesceGapBytes int64
-	// DisableLateMaterialize makes ScanFiltered fetch every projected
-	// column of every surviving row group before filtering (the
-	// pre-late-materialization read pattern, kept for ablations). Results
-	// are byte-identical either way.
-	DisableLateMaterialize bool
 }
 
-// DefaultConfig mirrors the paper's operator: 16 MiB chunks, four
-// connections.
-func DefaultConfig() Config {
-	return Config{
-		ChunkBytes: s3fs.DefaultChunkBytes,
-		Conns:      4,
-	}
-}
+// DefaultConfig returns the zero Config.
+func DefaultConfig() Config { return Config{} }
+
+// conns is the number of concurrent connections modeled per transfer: the
+// paper's operator downloads every chunk over four (Figure 7).
+const conns = 4
 
 // FileRef names one S3 object holding an lpq file.
 type FileRef struct {
@@ -81,7 +69,6 @@ type FileRef struct {
 type Source struct {
 	Client *s3.Client
 	Files  []FileRef
-	Cfg    Config
 	// Footers, when set, is the table a resident driver session keeps of the
 	// files it has opened: open asks it before it asks S3, and tells it what
 	// S3 answered. Nil — a worker's source — opens every file itself.
@@ -173,18 +160,11 @@ func (t *Footers) store(id string, gen uint64, ft footer) {
 	t.mu.Unlock()
 }
 
-// New returns a source over files.
-func New(client *s3.Client, cfg Config, files ...FileRef) *Source {
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = s3fs.DefaultChunkBytes
-	}
-	if cfg.Conns <= 0 {
-		cfg.Conns = 1
-	}
+// New returns a source over files. The Config has no effect.
+func New(client *s3.Client, _ Config, files ...FileRef) *Source {
 	return &Source{
 		Client: client,
 		Files:  files,
-		Cfg:    cfg,
 		opens:  make(map[string]*openState),
 	}
 }
@@ -261,8 +241,7 @@ func (s *Source) openVia(via *s3.Client, f FileRef) (*lpq.FileMeta, *s3fs.File, 
 		}
 		st.meta = ft.meta
 		st.h = s3fs.NewFile(s.Client, f.Bucket, f.Key, ft.size)
-		st.h.ChunkBytes = s.Cfg.ChunkBytes
-		st.h.Conns = s.Cfg.Conns
+		st.h.Conns = conns
 		s.handles = append(s.handles, st.h)
 	})
 	return st.meta, st.h, st.err
@@ -520,7 +499,7 @@ func (s *Source) readWholeGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []
 		cc := &rg.Columns[ci]
 		ranges[slot] = s3fs.Range{Off: cc.Offset, Len: cc.CompressedLen}
 	}
-	bufs, err := h.ReadRanges(ranges, s.Cfg.CoalesceGapBytes)
+	bufs, err := h.ReadRanges(ranges)
 	if err != nil {
 		return nil, err
 	}
@@ -586,12 +565,10 @@ func (s *Source) releaseState(st *lpq.DecodeState) {
 // and the payload columns were never transferred. Without such columns it is
 // readWholeGroup.
 func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []int, outSchema *columnar.Schema, preds []lpq.Predicate, filter engine.Expr) (*columnar.Chunk, error) {
-	rg := &meta.RowGroups[g]
-
 	// Split the projection into filter columns and payload columns. The
 	// optimizer guarantees filter columns ⊆ projection.
 	var fslots, pslots []int // slots into cols/out.Columns
-	if filter != nil && !s.Cfg.DisableLateMaterialize {
+	if filter != nil {
 		isFilterCol := map[string]bool{}
 		for _, name := range filter.Columns(nil) {
 			isFilterCol[name] = true
@@ -605,23 +582,18 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []in
 		}
 	}
 	if len(fslots) == 0 {
-		// Nothing to fetch first — no filter, the ablation, or a filter that
-		// references no projected column (e.g. a constant predicate): read
-		// every projected column, then filter.
+		// Nothing to fetch first — no filter, or a filter that references no
+		// projected column (e.g. a constant predicate): read every projected
+		// column, then filter.
 		return s.readWholeGroup(h, meta, g, cols, outSchema, filter)
 	}
 
 	// Phase 1: page-index pruning. Every column of a row group is paged at
-	// the same row boundaries (or the whole group is unpaged), so page slot
-	// i of every column covers the same rows.
+	// the same row boundaries (or the whole group is unpaged) — the footer
+	// was refused at open otherwise — so page slot i of every column covers
+	// the same rows.
 	keep := lpq.PrunePages(meta, g, preds)
 	npages := len(keep)
-	for _, ci := range cols {
-		if n := len(rg.Columns[ci].PageSpans(rg.NumRows)); n != npages {
-			return nil, fmt.Errorf("scan: column %q has %d pages, row group has %d page slots",
-				meta.Schema.Fields[ci].Name, n, npages)
-		}
-	}
 	kept := 0
 	for _, k := range keep {
 		if k {
@@ -704,10 +676,10 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []in
 // as ONE covering range from its first to its last kept page: interior
 // holes (pruned or filtered-out pages between kept ones) are billed dead
 // bytes, but the range never exceeds the column chunk and never takes more
-// than the one request the full-chunk read would — so the fetch dominates
-// the pre-page-index pattern in both billed GETs and billed bytes, and
-// ReadRanges' cross-column coalescing can only improve the request count
-// further. Columns with no kept page are skipped outright.
+// than the one request the full-chunk read would — so the fetch never bills
+// more GETs or bytes than reading whole column chunks, and ReadRanges'
+// cross-column coalescing can only improve the request count further.
+// Columns with no kept page are skipped outright.
 func (s *Source) fetchPages(h *s3fs.File, meta *lpq.FileMeta, g int, cols, slots []int, keep []bool) (map[int][]*columnar.Vector, error) {
 	rg := &meta.RowGroups[g]
 	npages := len(keep)
@@ -736,7 +708,7 @@ func (s *Source) fetchPages(h *s3fs.File, meta *lpq.FileMeta, g int, cols, slots
 		end := pages[hi].RelOff + pages[hi].CompressedLen
 		ranges[i] = s3fs.Range{Off: cc.Offset + start, Len: end - start}
 	}
-	bufs, err := h.ReadRanges(ranges, s.Cfg.CoalesceGapBytes)
+	bufs, err := h.ReadRanges(ranges)
 	if err != nil {
 		return nil, err
 	}

@@ -83,9 +83,8 @@ func TestS3fsReadAt(t *testing.T) {
 func TestScanMatchesReference(t *testing.T) {
 	for _, comp := range []lpq.Compression{lpq.None, lpq.Gzip} {
 		for _, cfg := range []Config{
-			{},              // one connection, New's chunk size
-			DefaultConfig(), // the paper's operator
-			{ParallelColumns: true, Conns: 4},
+			DefaultConfig(),
+			{ParallelColumns: true},
 		} {
 			svc := s3.New(s3.Config{})
 			refs, data := uploadLineitem(t, svc, 0.002, 4, comp)
@@ -175,7 +174,7 @@ func TestScanPruningSkipsWholeFiles(t *testing.T) {
 
 func TestChunkSizeDrivesRequestCount(t *testing.T) {
 	// Figure 7: halving the chunk size roughly doubles the request count
-	// and cost of a scan.
+	// and cost of a read.
 	counts := map[int64]int64{}
 	small, large := int64(64<<10), int64(256<<10)
 	for _, chunk := range []int64{small, large} {
@@ -191,10 +190,18 @@ func TestChunkSizeDrivesRequestCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		svc.Put(env, "data", "one.lpq", raw)
-		cfg := DefaultConfig()
-		cfg.ChunkBytes = chunk
-		src := New(newClient(svc), cfg, FileRef{Bucket: "data", Key: "one.lpq"})
-		if err := src.Scan(nil, nil, func(*columnar.Chunk) error { return nil }); err != nil {
+		// The scan reads at s3fs.DefaultChunkBytes; the request size is the
+		// file handle's, so the sizes compared are set there.
+		f, tail, err := s3fs.Open(newClient(svc), "data", "one.lpq", lpq.FooterGuess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.ChunkBytes = chunk
+		r, err := lpq.OpenTail(f, f.Size(), tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ReadAll(); err != nil {
 			t.Fatal(err)
 		}
 		counts[chunk] = meter.Count(pricing.LabelS3Read)
