@@ -688,13 +688,18 @@
 //
 // # Chunk pooling
 //
-// Hot paths avoid the allocator: columnar.Pool recycles vectors and chunks
-// between morsels. The ownership contract is documented on columnar.Pool —
-// in short, only the operator that got a chunk from the pool may recycle
-// it, and only at a pipeline breaker once the morsel is fully consumed. A
-// Pool is a mutex and free lists that die with the operator owning it, not
-// a sync.Pool: per-query sync.Pools stay reachable through the runtime's
-// registry for two collections after the query is gone.
+// Hot paths avoid the allocator: columnar.Pool recycles vectors, chunks and
+// selection vectors between morsels. The ownership contract is documented
+// on columnar.Pool — in short, only a buffer's owner returns it, once
+// nothing reads it, at one of three points: a scan.Source after it has
+// gathered a row group's decoded pages by their per-page selections into
+// the chunk it yields; an expression temporary (engine.Expr.Eval) once its
+// parent has read it; the aggregation breaker once it has folded the
+// morsel. A chunk a scan yields is never recycled: its consumers may keep
+// it. A Pool belongs to one scan source or one pipeline and is a mutex and
+// free lists that die with it, not a sync.Pool: per-query sync.Pools stay
+// reachable through the runtime's registry for two collections after the
+// query is gone.
 //
 // # The byte path
 //
@@ -711,12 +716,16 @@
 //     lpq.WriteFile and AppendFile take every row group of their last chunk
 //     that way, so a one-chunk file — every partition, result post and
 //     cached result — is never copied before it is encoded.
-//   - An lpq.DecodeState owns the inflate buffer and one gzip reader, Reset
-//     from page to page. Whoever decodes holds one per goroutine:
-//     Reader.AppendTo (and ReadAll on top of it) for a whole file, a
-//     scan.Source a free list of them for its row-group and page fetchers.
-//     Pages are decoded onto the destination vector directly; decoded
-//     values never alias the state.
+//   - An lpq.DecodeState owns the inflate buffer, one gzip reader, Reset
+//     from page to page, and the dictionary of the page it decodes. Whoever
+//     decodes holds one per goroutine: Reader.AppendTo (and ReadAll on top
+//     of it) for a whole file, a scan.Source a free list of them for its
+//     row-group and page fetchers. Pages are decoded onto the destination
+//     vector directly — a scan's onto vectors of its pool
+//     (DecodeState.DecodePageOnto); decoded values never alias the state.
+//   - A ranged GET's reply is the buffer a reader decodes from: a span one
+//     request covers comes back from s3fs as the reply itself, and only a
+//     span split over several requests is copied into one buffer.
 //   - A publishing worker partitions in one pass (exchange's scatter: a slot
 //     id per row, a histogram, prefix sums, one permuted copy per column,
 //     stable within a slot), so a partition and a §4.4.2 group of

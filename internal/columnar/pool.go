@@ -2,30 +2,38 @@ package columnar
 
 import "sync"
 
-// Pool recycles vectors and chunks across morsels of a query pipeline,
-// keeping the hot path allocation-free once warm.
+// Pool recycles vectors, chunks and selection vectors across the morsels
+// of one scan or one query pipeline, keeping the hot path allocation-free
+// once warm.
 //
-// Ownership contract (who may recycle, and when):
+// Ownership contract: only the owner of a buffer may return it, and only
+// once nothing reads it any more. A morsel's buffers have three recycle
+// points:
 //
-//   - Only the operator that obtained a chunk from the pool (via GetChunk)
-//     may return it (via PutChunk), and only after every consumer of the
-//     morsel it belongs to has finished reading it. In the morsel-driven
-//     executor that point is the pipeline breaker: the aggregation operator
-//     recycles a gathered chunk right after folding it into its hash table.
-//   - Chunks obtained from a scan source, schema projections, and Slice
-//     views must never be recycled: their vectors are shared with (or owned
-//     by) someone else. PutChunk on an aliased chunk is a use-after-free.
-//   - After PutChunk returns, the caller must not touch the chunk or any of
-//     its vectors again.
+//  1. a scan, once it has gathered a row group's decoded pages by their
+//     per-page selections into the chunk it yields: the pages and the
+//     selections;
+//  2. an expression temporary — a Bin, Not or constant result, never a
+//     column reference's shared vector — once its parent has consumed it;
+//  3. the aggregation breaker, once it has folded a morsel into its hash
+//     table: the morsel's gathered chunks and its argument vectors.
 //
-// A Pool belongs to one query operator and holds plain free lists, not
-// sync.Pools: what it recycled dies with it, instead of staying reachable
-// through the runtime's pool registry for two collections after the query.
-// It is safe for concurrent use.
+// A chunk a scan yields is never recycled: its consumers may keep it. Nor
+// are schema projections and Slice views, whose vectors are shared with (or
+// owned by) someone else: PutChunk or PutVector on an aliased buffer is a
+// use-after-free. After a Put returns, the caller must not touch the buffer
+// again.
+//
+// A Pool belongs to one scan source or one pipeline. It holds plain free
+// lists, not sync.Pools: what it recycled dies with its owner, instead of
+// staying reachable through the runtime's pool registry for two collections
+// after the query. It is safe for concurrent use. A nil *Pool allocates
+// every Get and drops every Put.
 type Pool struct {
 	mu     sync.Mutex
 	vecs   [3][]*Vector // indexed by Type
 	chunks []*Chunk
+	sels   [][]int
 }
 
 // NewPool returns an empty pool.
@@ -35,6 +43,9 @@ func NewPool() *Pool { return &Pool{} }
 // available (its capacity is whatever its previous life grew to; n is only a
 // hint for fresh allocations).
 func (p *Pool) GetVector(t Type, n int) *Vector {
+	if p == nil {
+		return NewVector(t, n)
+	}
 	p.mu.Lock()
 	free := p.vecs[t]
 	if len(free) == 0 {
@@ -50,7 +61,7 @@ func (p *Pool) GetVector(t Type, n int) *Vector {
 
 // PutVector recycles v. The caller must not use v afterwards.
 func (p *Pool) PutVector(v *Vector) {
-	if v == nil {
+	if p == nil || v == nil {
 		return
 	}
 	p.mu.Lock()
@@ -96,5 +107,32 @@ func (p *Pool) PutChunk(c *Chunk) {
 	c.Schema = nil
 	p.mu.Lock()
 	p.chunks = append(p.chunks, c)
+	p.mu.Unlock()
+}
+
+// GetSelection returns an empty selection vector, reusing a recycled one
+// when available.
+func (p *Pool) GetSelection() []int {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.sels)
+	if n == 0 {
+		return nil
+	}
+	sel := p.sels[n-1]
+	p.sels = p.sels[:n-1]
+	return sel[:0]
+}
+
+// PutSelection recycles sel. The caller must not use sel afterwards.
+func (p *Pool) PutSelection(sel []int) {
+	if p == nil || cap(sel) == 0 {
+		return
+	}
+	p.mu.Lock()
+	p.sels = append(p.sels, sel)
 	p.mu.Unlock()
 }

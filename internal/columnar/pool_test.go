@@ -42,6 +42,24 @@ func TestPoolRecyclesVectorsAndChunks(t *testing.T) {
 		t.Fatalf("GetVector = %v len %d", v.Type, v.Len())
 	}
 	p.PutVector(v)
+
+	// A recycled selection comes back empty, with its capacity.
+	sel := append(p.GetSelection(), 3, 5, 8)
+	p.PutSelection(sel)
+	if again := p.GetSelection(); len(again) != 0 || cap(again) != cap(sel) {
+		t.Fatalf("recycled selection: len %d cap %d, want 0 and %d", len(again), cap(again), cap(sel))
+	}
+
+	// A nil pool allocates every Get and drops every Put.
+	var none *Pool
+	if v := none.GetVector(Int64, 4); v.Type != Int64 || v.Len() != 0 || v.Cap() < 4 {
+		t.Fatalf("nil pool GetVector = %v len %d cap %d", v.Type, v.Len(), v.Cap())
+	}
+	none.PutVector(v)
+	none.PutSelection(sel)
+	if got := none.GetSelection(); got != nil {
+		t.Fatalf("nil pool GetSelection = %v", got)
+	}
 }
 
 func TestPoolConcurrentUse(t *testing.T) {

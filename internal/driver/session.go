@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -246,8 +247,9 @@ func (d *query) close() {
 // resultCache memoizes query results by (plan fingerprint, table files).
 // Entries hold the result as an lpq blob — the same wire form workers post —
 // so a hit decodes to a chunk byte-identical to a fresh run's. Eviction is
-// FIFO, which is deterministic; invalidation is by table name (UploadTable
-// and the service's invalidate endpoint) or wholesale.
+// least-recently-used — order runs from the coldest key to the last one
+// stored or hit — which is deterministic; invalidation is by table name
+// (UploadTable and the service's invalidate endpoint) or wholesale.
 type resultCache struct {
 	mu      sync.Mutex
 	max     int
@@ -275,6 +277,8 @@ func (c *resultCache) lookup(key string) ([]byte, bool) {
 	e, ok := c.entries[key]
 	if ok {
 		c.hits++
+		i := slices.Index(c.order, key)
+		c.order = append(slices.Delete(c.order, i, i+1), key)
 		return e.blob, true
 	}
 	c.misses++

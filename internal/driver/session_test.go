@@ -2,6 +2,7 @@ package driver
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -119,6 +120,19 @@ func TestSessionResultCache(t *testing.T) {
 			t.Errorf("run %d with a driver-resident table was served from the cache", i)
 		}
 		chunksIdentical(t, out, out1)
+	}
+
+	// Eviction is least-recently-used: a query hit between each of
+	// ResultCacheEntries later inserts is still cached after them all (first
+	// in, first out would drop it at the last insert).
+	for i := 0; i < cfg.ResultCacheEntries; i++ {
+		other := fmt.Sprintf("SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < %d", 10+i)
+		if _, rep, err := sess.RunSQL(env, other, "lineitem", liRefs); err != nil || rep.CacheHit {
+			t.Fatalf("insert %d: hit = %v, err = %v, want a fresh run", i, rep != nil && rep.CacheHit, err)
+		}
+		if _, rep, err := sess.RunSQL(env, q6SQL, "lineitem", liRefs); err != nil || !rep.CacheHit {
+			t.Fatalf("q6 after %d later inserts: hit = %v, err = %v, want a cache hit", i+1, rep != nil && rep.CacheHit, err)
+		}
 	}
 }
 

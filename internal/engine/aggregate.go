@@ -48,11 +48,13 @@ type aggBuilder struct {
 }
 
 // argView is one aggregate argument's typed value slices, extracted once
-// per chunk so the per-row loops read values directly.
+// per chunk so the per-row loops read values directly, and the vector they
+// view.
 type argView struct {
 	f  []float64
 	i  []int64
 	bl []bool
+	v  *columnar.Vector
 }
 
 // newAggBuilder validates the plan against the input schema and returns an
@@ -103,8 +105,9 @@ func (b *aggBuilder) addGroup() int32 {
 	return g
 }
 
-// addChunk folds one chunk into the builder.
-func (b *aggBuilder) addChunk(c *columnar.Chunk) error {
+// addChunk folds one chunk into the builder, evaluating the aggregates'
+// arguments through pool and handing them back to it once folded.
+func (b *aggBuilder) addChunk(c *columnar.Chunk, pool *columnar.Pool) error {
 	n := c.NumRows()
 	if n == 0 {
 		return nil
@@ -115,10 +118,11 @@ func (b *aggBuilder) addChunk(c *columnar.Chunk) error {
 	for _, a := range b.p.Aggs {
 		var view argView
 		if a.Arg != nil {
-			v, err := a.Arg.Eval(c)
+			v, err := a.Arg.Eval(c, pool)
 			if err != nil {
 				return err
 			}
+			view.v = v
 			switch v.Type {
 			case columnar.Float64:
 				view.f = v.Float64s
@@ -200,6 +204,11 @@ func (b *aggBuilder) addChunk(c *columnar.Chunk) error {
 					maxs[g] = 0
 				}
 			}
+		}
+	}
+	for ai, a := range b.p.Aggs {
+		if a.Arg != nil {
+			release(pool, a.Arg, args[ai].v)
 		}
 	}
 	return nil

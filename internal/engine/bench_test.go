@@ -50,12 +50,16 @@ func BenchmarkFilterEval(b *testing.B) {
 		NewBin(OpLT, Col("l_shipdate"), ConstInt(tpch.Q6ShipDateHi)),
 		NewBin(OpLT, Col("l_quantity"), ConstFloat(24)),
 	)
+	pool := columnar.NewPool()
 	b.SetBytes(int64(data.NumRows()))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pred.Eval(data); err != nil {
+		v, err := pred.Eval(data, pool)
+		if err != nil {
 			b.Fatal(err)
 		}
+		pool.PutVector(v)
 	}
 }
 

@@ -55,6 +55,52 @@ func q6Plan() Plan {
 	}
 }
 
+// TestExprTemporariesGoBackToThePool: a Q6-shaped predicate evaluated
+// through a pool hands every temporary back — once warm, a selection costs
+// no allocation — selects what a pool-less evaluation selects, and never
+// recycles a column of the chunk it read.
+func TestExprTemporariesGoBackToThePool(t *testing.T) {
+	data := tpch.Gen{SF: 0.001, Seed: 3}.Generate()
+	pred := And(
+		NewBin(OpGE, Col("l_shipdate"), ConstInt(tpch.Q6ShipDateLo)),
+		&Not{E: NewBin(OpGE, Col("l_shipdate"), ConstInt(tpch.Q6ShipDateHi))},
+		Between(Col("l_discount"), ConstFloat(0.0499999), ConstFloat(0.0700001)),
+		NewBin(OpLT, NewBin(OpMul, Col("l_quantity"), ConstInt(1)), ConstFloat(24)),
+	)
+	want, err := FilterSelection(data, pred, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || len(want) == data.NumRows() {
+		t.Fatalf("predicate selects %d of %d rows — test has no teeth", len(want), data.NumRows())
+	}
+	pool := columnar.NewPool()
+	sel := pool.GetSelection()
+	if n := testing.AllocsPerRun(20, func() {
+		if sel, err = FilterSelection(data, pred, sel, pool); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a warm pooled selection allocates %.0f times, want 0", n)
+	}
+	if !reflect.DeepEqual(sel, want) {
+		t.Error("pooled selection differs from the pool-less one")
+	}
+	// A Col's vector is the chunk's: a Bool column used as the predicate
+	// must not come back out of the pool.
+	flags := columnar.NewChunk(columnar.NewSchema(columnar.Field{Name: "b", Type: columnar.Bool}), 2)
+	flags.Columns[0].AppendBool(true)
+	flags.Columns[0].AppendBool(false)
+	if _, err := FilterSelection(flags, Col("b"), nil, pool); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if pool.GetVector(columnar.Bool, 0) == flags.Columns[0] {
+			t.Fatal("FilterSelection recycled a Col's shared vector")
+		}
+	}
+}
+
 func TestExprEvalAndTypes(t *testing.T) {
 	schema := columnar.NewSchema(
 		columnar.Field{Name: "i", Type: columnar.Int64},
@@ -67,12 +113,15 @@ func TestExprEvalAndTypes(t *testing.T) {
 		c.Columns[1].AppendFloat64(float64(i) * 1.5)
 		c.Columns[2].AppendBool(i%2 == 0)
 	}
+	// One pool across every evaluation: each reuses the temporaries the
+	// ones before it handed back.
+	pool := columnar.NewPool()
 
 	sum := NewBin(OpAdd, Col("i"), Col("i"))
 	if tp, _ := sum.Type(schema); tp != columnar.Int64 {
 		t.Errorf("int+int type = %v", tp)
 	}
-	v, err := sum.Eval(c)
+	v, err := sum.Eval(c, pool)
 	if err != nil || !reflect.DeepEqual(v.Int64s, []int64{2, 4, 6}) {
 		t.Errorf("int+int = %v, %v", v, err)
 	}
@@ -81,7 +130,7 @@ func TestExprEvalAndTypes(t *testing.T) {
 	if tp, _ := mixed.Type(schema); tp != columnar.Float64 {
 		t.Errorf("int*float type = %v", tp)
 	}
-	v, _ = mixed.Eval(c)
+	v, _ = mixed.Eval(c, pool)
 	if !reflect.DeepEqual(v.Float64s, []float64{0, 3, 9}) {
 		t.Errorf("int*float = %v", v.Float64s)
 	}
@@ -92,19 +141,19 @@ func TestExprEvalAndTypes(t *testing.T) {
 	}
 
 	cmp := NewBin(OpGE, Col("i"), ConstInt(2))
-	v, _ = cmp.Eval(c)
+	v, _ = cmp.Eval(c, pool)
 	if !reflect.DeepEqual(v.Bools, []bool{false, true, true}) {
 		t.Errorf("cmp = %v", v.Bools)
 	}
 
 	logic := NewBin(OpAnd, cmp, Col("b"))
-	v, _ = logic.Eval(c)
+	v, _ = logic.Eval(c, pool)
 	if !reflect.DeepEqual(v.Bools, []bool{false, false, true}) {
 		t.Errorf("and = %v", v.Bools)
 	}
 
 	not := &Not{E: Col("b")}
-	v, _ = not.Eval(c)
+	v, _ = not.Eval(c, pool)
 	if !reflect.DeepEqual(v.Bools, []bool{false, true, false}) {
 		t.Errorf("not = %v", v.Bools)
 	}

@@ -81,10 +81,11 @@ func ExecuteParallel(p Plan, cat Catalog, _ ParallelConfig) (*columnar.Chunk, er
 // vector scratch reused across chunks (pass nil the first time); the
 // possibly-grown scratch is returned for the next call. Gather copies the
 // selected rows, so reusing sel immediately is safe. When pool is non-nil
-// a gathered result comes from the pool (pooled=true); the caller owns
-// recycling it per the columnar.Pool contract.
+// the predicate is evaluated through it and a gathered result comes from it
+// (pooled=true); the caller owns recycling that per the columnar.Pool
+// contract.
 func applyFilter(c *columnar.Chunk, pred Expr, sel []int, pool *columnar.Pool) (out *columnar.Chunk, selOut []int, pooled bool, err error) {
-	sel, err = FilterSelection(c, pred, sel)
+	sel, err = FilterSelection(c, pred, sel, pool)
 	if err != nil {
 		return nil, sel, false, err
 	}
@@ -99,12 +100,13 @@ func applyFilter(c *columnar.Chunk, pred Expr, sel []int, pool *columnar.Pool) (
 	return c.Gather(sel), sel, false, nil
 }
 
-// FilterSelection evaluates pred over c and returns the indices of passing
-// rows, appended into the (reset) caller-owned scratch sel. It is the
-// selection kernel shared by the pipeline filter stage and filterable
+// FilterSelection evaluates pred over c through pool (nil allocates) and
+// returns the indices of passing rows, appended into the (reset)
+// caller-owned scratch sel; the predicate's vector goes back to pool. It is
+// the selection kernel shared by the pipeline filter stage and filterable
 // sources' late-materialized scans.
-func FilterSelection(c *columnar.Chunk, pred Expr, sel []int) ([]int, error) {
-	v, err := pred.Eval(c)
+func FilterSelection(c *columnar.Chunk, pred Expr, sel []int, pool *columnar.Pool) ([]int, error) {
+	v, err := pred.Eval(c, pool)
 	if err != nil {
 		return sel, err
 	}
@@ -118,6 +120,7 @@ func FilterSelection(c *columnar.Chunk, pred Expr, sel []int) ([]int, error) {
 			sel = append(sel, i)
 		}
 	}
+	release(pool, pred, v)
 	return sel, nil
 }
 

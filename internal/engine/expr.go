@@ -12,13 +12,16 @@
 // One executor runs those pipelines, Execute, one morsel at a time on the
 // caller's goroutine: scan chunks flow through the fused stages to a
 // breaker, and the aggregation breaker folds a per-chunk hash table into
-// its master table in arrival order, then recycles the morsel's chunks
-// through columnar.Pool (see the ownership contract there: the breaker is
-// the only recycle point, after its morsel is fully consumed).
+// its master table in arrival order. Transient buffers go back to a
+// columnar.Pool (see the ownership contract there): an expression hands
+// each temporary back once its parent has consumed it, and the aggregation
+// breaker recycles a morsel's gathered chunks and argument vectors after it
+// has folded the morsel.
 package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"lambada/internal/columnar"
@@ -28,8 +31,12 @@ import (
 type Expr interface {
 	// Type returns the result type under the given input schema.
 	Type(schema *columnar.Schema) (columnar.Type, error)
-	// Eval evaluates the expression over all rows of the chunk.
-	Eval(c *columnar.Chunk) (*columnar.Vector, error)
+	// Eval evaluates the expression over all rows of the chunk. Its
+	// temporaries come from pool and go back to it once their parent has
+	// read them. The result comes from pool too, unless it is a Col's
+	// shared vector; the caller owns it and hands it back once read (see
+	// release). A nil pool allocates.
+	Eval(c *columnar.Chunk, pool *columnar.Pool) (*columnar.Vector, error)
 	// Columns appends the referenced column names to dst.
 	Columns(dst []string) []string
 	// String renders the expression SQL-ishly.
@@ -48,8 +55,8 @@ func (e Col) Type(s *columnar.Schema) (columnar.Type, error) {
 	return s.Fields[i].Type, nil
 }
 
-// Eval returns the column vector (shared, not copied).
-func (e Col) Eval(c *columnar.Chunk) (*columnar.Vector, error) {
+// Eval returns the column vector (shared, not copied: never recycled).
+func (e Col) Eval(c *columnar.Chunk, _ *columnar.Pool) (*columnar.Vector, error) {
 	v := c.Column(string(e))
 	if v == nil {
 		return nil, fmt.Errorf("engine: unknown column %q", string(e))
@@ -70,10 +77,8 @@ type ConstInt int64
 func (e ConstInt) Type(*columnar.Schema) (columnar.Type, error) { return columnar.Int64, nil }
 
 // Eval broadcasts the literal.
-func (e ConstInt) Eval(c *columnar.Chunk) (*columnar.Vector, error) {
-	n := c.NumRows()
-	v := columnar.NewVector(columnar.Int64, n)
-	v.Int64s = v.Int64s[:n]
+func (e ConstInt) Eval(c *columnar.Chunk, pool *columnar.Pool) (*columnar.Vector, error) {
+	v := result(pool, columnar.Int64, c.NumRows())
 	for i := range v.Int64s {
 		v.Int64s[i] = int64(e)
 	}
@@ -93,10 +98,8 @@ type ConstFloat float64
 func (e ConstFloat) Type(*columnar.Schema) (columnar.Type, error) { return columnar.Float64, nil }
 
 // Eval broadcasts the literal.
-func (e ConstFloat) Eval(c *columnar.Chunk) (*columnar.Vector, error) {
-	n := c.NumRows()
-	v := columnar.NewVector(columnar.Float64, n)
-	v.Float64s = v.Float64s[:n]
+func (e ConstFloat) Eval(c *columnar.Chunk, pool *columnar.Pool) (*columnar.Vector, error) {
+	v := result(pool, columnar.Float64, c.NumRows())
 	for i := range v.Float64s {
 		v.Float64s[i] = float64(e)
 	}
@@ -185,6 +188,29 @@ func (e *Bin) Type(s *columnar.Schema) (columnar.Type, error) {
 	}
 }
 
+// result returns a vector of type t holding n values, for an expression to
+// write by index: a recycled one from pool when it has one.
+func result(pool *columnar.Pool, t columnar.Type, n int) *columnar.Vector {
+	v := pool.GetVector(t, n)
+	switch t {
+	case columnar.Int64:
+		v.Int64s = slices.Grow(v.Int64s, n)[:n]
+	case columnar.Float64:
+		v.Float64s = slices.Grow(v.Float64s, n)[:n]
+	default:
+		v.Bools = slices.Grow(v.Bools, n)[:n]
+	}
+	return v
+}
+
+// release hands v, what e evaluated to, back to pool once its reader is done
+// with it: every result is owned but a Col's, which is the chunk's vector.
+func release(pool *columnar.Pool, e Expr, v *columnar.Vector) {
+	if _, shared := e.(Col); !shared {
+		pool.PutVector(v)
+	}
+}
+
 // constSide extracts a literal operand, if any.
 func constSide(e Expr) (f float64, i int64, isInt, ok bool) {
 	switch v := e.(type) {
@@ -200,33 +226,29 @@ func constSide(e Expr) (f float64, i int64, isInt, ok bool) {
 // side is a literal, the scalar is folded into the loop instead of being
 // broadcast into a throwaway vector — comparisons against constants and
 // expressions like (1 - x) are the engine's hottest filter/projection work.
-func (e *Bin) Eval(c *columnar.Chunk) (*columnar.Vector, error) {
+func (e *Bin) Eval(c *columnar.Chunk, pool *columnar.Pool) (*columnar.Vector, error) {
 	if !e.Op.IsLogical() {
 		lf, li, lIsInt, lConst := constSide(e.L)
 		rf, ri, rIsInt, rConst := constSide(e.R)
 		if lConst != rConst { // exactly one literal side
-			var vec *columnar.Vector
-			var err error
+			side, cf, ci, cIsInt := e.L, rf, ri, rIsInt
 			if lConst {
-				vec, err = e.R.Eval(c)
-			} else {
-				vec, err = e.L.Eval(c)
+				side, cf, ci, cIsInt = e.R, lf, li, lIsInt
 			}
+			vec, err := side.Eval(c, pool)
 			if err != nil {
 				return nil, err
 			}
-			cf, ci, cIsInt := lf, li, lIsInt
-			if rConst {
-				cf, ci, cIsInt = rf, ri, rIsInt
-			}
-			return e.evalScalar(c, vec, lConst, cf, ci, cIsInt)
+			out, err := e.evalScalar(c, vec, lConst, cf, ci, cIsInt, pool)
+			release(pool, side, vec)
+			return out, err
 		}
 	}
-	lv, err := e.L.Eval(c)
+	lv, err := e.L.Eval(c, pool)
 	if err != nil {
 		return nil, err
 	}
-	rv, err := e.R.Eval(c)
+	rv, err := e.R.Eval(c, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -240,10 +262,9 @@ func (e *Bin) Eval(c *columnar.Chunk) (*columnar.Vector, error) {
 	}
 	// Each arm bulk-writes the preallocated output by index: no per-value
 	// append bookkeeping in these hot loops.
-	out := columnar.NewVector(rt, n)
+	out := result(pool, rt, n)
 	switch {
 	case e.Op.IsLogical():
-		out.Bools = out.Bools[:n]
 		if e.Op == OpAnd {
 			for i := range out.Bools {
 				out.Bools[i] = lv.Bools[i] && rv.Bools[i]
@@ -254,7 +275,6 @@ func (e *Bin) Eval(c *columnar.Chunk) (*columnar.Vector, error) {
 			}
 		}
 	case e.Op.IsComparison():
-		out.Bools = out.Bools[:n]
 		if lv.Type == columnar.Int64 && rv.Type == columnar.Int64 {
 			for i := range out.Bools {
 				out.Bools[i] = cmpInt(e.Op, lv.Int64s[i], rv.Int64s[i])
@@ -270,12 +290,10 @@ func (e *Bin) Eval(c *columnar.Chunk) (*columnar.Vector, error) {
 		}
 	default:
 		if rt == columnar.Int64 {
-			out.Int64s = out.Int64s[:n]
 			for i := range out.Int64s {
 				out.Int64s[i] = arithInt(e.Op, lv.Int64s[i], rv.Int64s[i])
 			}
 		} else {
-			out.Float64s = out.Float64s[:n]
 			if lv.Type == columnar.Float64 && rv.Type == columnar.Float64 {
 				for i := range out.Float64s {
 					out.Float64s[i] = arithFloat(e.Op, lv.Float64s[i], rv.Float64s[i])
@@ -287,22 +305,22 @@ func (e *Bin) Eval(c *columnar.Chunk) (*columnar.Vector, error) {
 			}
 		}
 	}
+	release(pool, e.L, lv)
+	release(pool, e.R, rv)
 	return out, nil
 }
 
 // evalScalar applies the operator between a vector and a literal scalar
 // (scalarOnLeft tells which operand the literal was), writing the output by
 // index with no broadcast vector for the literal.
-func (e *Bin) evalScalar(c *columnar.Chunk, vec *columnar.Vector, scalarOnLeft bool, cf float64, ci int64, cIsInt bool) (*columnar.Vector, error) {
+func (e *Bin) evalScalar(c *columnar.Chunk, vec *columnar.Vector, scalarOnLeft bool, cf float64, ci int64, cIsInt bool, pool *columnar.Pool) (*columnar.Vector, error) {
 	rt, err := e.Type(c.Schema) // also validates operand types
 	if err != nil {
 		return nil, err
 	}
-	n := vec.Len()
-	out := columnar.NewVector(rt, n)
+	out := result(pool, rt, vec.Len())
 	switch {
 	case e.Op.IsComparison():
-		out.Bools = out.Bools[:n]
 		switch {
 		case vec.Type == columnar.Int64 && cIsInt:
 			if scalarOnLeft {
@@ -336,7 +354,6 @@ func (e *Bin) evalScalar(c *columnar.Chunk, vec *columnar.Vector, scalarOnLeft b
 			}
 		}
 	case rt == columnar.Int64:
-		out.Int64s = out.Int64s[:n]
 		if scalarOnLeft {
 			for i := range out.Int64s {
 				out.Int64s[i] = arithInt(e.Op, ci, vec.Int64s[i])
@@ -347,7 +364,6 @@ func (e *Bin) evalScalar(c *columnar.Chunk, vec *columnar.Vector, scalarOnLeft b
 			}
 		}
 	default:
-		out.Float64s = out.Float64s[:n]
 		if vec.Type == columnar.Float64 {
 			if scalarOnLeft {
 				for i := range out.Float64s {
@@ -460,16 +476,16 @@ func (e *Not) Type(s *columnar.Schema) (columnar.Type, error) {
 }
 
 // Eval negates element-wise.
-func (e *Not) Eval(c *columnar.Chunk) (*columnar.Vector, error) {
-	v, err := e.E.Eval(c)
+func (e *Not) Eval(c *columnar.Chunk, pool *columnar.Pool) (*columnar.Vector, error) {
+	v, err := e.E.Eval(c, pool)
 	if err != nil {
 		return nil, err
 	}
-	out := columnar.NewVector(columnar.Bool, v.Len())
-	out.Bools = out.Bools[:v.Len()]
+	out := result(pool, columnar.Bool, v.Len())
 	for i, b := range v.Bools {
 		out.Bools[i] = !b
 	}
+	release(pool, e.E, v)
 	return out, nil
 }
 

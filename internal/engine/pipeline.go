@@ -22,11 +22,13 @@ package engine
 // default memory size (§4.1), and a DES process must not spawn goroutines,
 // so the engine starts none.
 //
-// Chunk recycling: gathered filter and join-probe outputs feeding an
-// aggregate sink are allocated from a per-node columnar.Pool and recycled
-// at the breaker, once the morsel is folded into the hash table (see the
-// ownership contract on columnar.Pool). Sinks that keep their chunks
-// (collect, sort, limit) never pool.
+// Recycling: a pipeline feeding an aggregate sink has a columnar.Pool of its
+// own. Its expressions evaluate through it, handing each temporary back once
+// read; its gathered filter and join-probe outputs and the aggregates'
+// argument vectors come from it and go back at the breaker, once the morsel
+// is folded into the hash table (see the ownership contract on
+// columnar.Pool). Sinks that keep their chunks (collect, sort, limit) never
+// pool.
 
 import (
 	"errors"
@@ -326,7 +328,7 @@ func applyStages(c *columnar.Chunk, stages []stage, sc *pipeScratch, pool *colum
 		default:
 			out := &columnar.Chunk{Schema: st.schema}
 			for _, e := range st.exprs {
-				v, err := e.Eval(c)
+				v, err := e.Eval(c, pool)
 				if err != nil {
 					return nil, err
 				}
@@ -453,12 +455,13 @@ func (s *aggSink) add(c *columnar.Chunk, owned []*columnar.Chunk) error {
 	if err != nil {
 		return err
 	}
-	if err := b.addChunk(c); err != nil {
+	if err := b.addChunk(c, s.pool); err != nil {
 		return err
 	}
 	s.master.mergeFrom(b)
 	// The morsel is folded into its hash table: the breaker is the recycle
-	// point for every pool chunk this morsel produced.
+	// point for every pool chunk this morsel produced (addChunk has already
+	// handed back its argument vectors).
 	for _, oc := range owned {
 		s.pool.PutChunk(oc)
 	}

@@ -164,14 +164,15 @@ func appendEncoded(dst []byte, v *columnar.Vector, enc Encoding, set *valueSet, 
 // DecodeColumn deserializes n values of type t from data.
 func DecodeColumn(data []byte, t columnar.Type, enc Encoding, n int) (*columnar.Vector, error) {
 	v := columnar.NewVector(t, n)
-	if err := decodeOnto(v, data, enc, n); err != nil {
+	if err := decodeOnto(v, data, enc, n, new(dictScratch)); err != nil {
 		return nil, err
 	}
 	return v, nil
 }
 
-// decodeOnto appends the n values serialized in data to dst.
-func decodeOnto(dst *columnar.Vector, data []byte, enc Encoding, n int) error {
+// decodeOnto appends the n values serialized in data to dst; a dictionary
+// page's dictionary is decoded into dict.
+func decodeOnto(dst *columnar.Vector, data []byte, enc Encoding, n int, dict *dictScratch) error {
 	if err := enc.check(dst.Type); err != nil {
 		return err
 	}
@@ -181,7 +182,7 @@ func decodeOnto(dst *columnar.Vector, data []byte, enc Encoding, n int) error {
 	case Delta:
 		return decodeDelta(dst, data, n)
 	case Dict:
-		return decodeDict(dst, data, n)
+		return decodeDict(dst, data, n, dict)
 	default:
 		return decodePlain(dst, data, n)
 	}
@@ -333,7 +334,14 @@ func decodeDelta(dst *columnar.Vector, data []byte, n int) error {
 	return nil
 }
 
-func decodeDict(dst *columnar.Vector, data []byte, n int) error {
+// dictScratch holds the dictionary of the page being decoded, reused from
+// page to page: values are copied out of it, so no vector aliases it.
+type dictScratch struct {
+	ints   []int64
+	floats []float64
+}
+
+func decodeDict(dst *columnar.Vector, data []byte, n int, scratch *dictScratch) error {
 	r := &byteReader{b: data}
 	size, err := r.uvarint()
 	if err != nil {
@@ -349,7 +357,8 @@ func decodeDict(dst *columnar.Vector, data []byte, n int) error {
 		return fmt.Errorf("lpq: dictionary of %d entries in %d bytes", size, r.remaining())
 	}
 	if dst.Type == columnar.Int64 {
-		dict := make([]int64, size)
+		dict := slices.Grow(scratch.ints[:0], int(size))[:size]
+		scratch.ints = dict
 		for i := range dict {
 			u, err := r.uvarint()
 			if err != nil {
@@ -369,7 +378,8 @@ func decodeDict(dst *columnar.Vector, data []byte, n int) error {
 		}
 		return nil
 	}
-	dict := make([]float64, size)
+	dict := slices.Grow(scratch.floats[:0], int(size))[:size]
+	scratch.floats = dict
 	for i := range dict {
 		b, err := r.bytes(8)
 		if err != nil {

@@ -137,15 +137,16 @@ func (r *Reader) appendColumn(dst *columnar.Vector, rg *RowGroupMeta, col int, s
 }
 
 // DecodeState is what decoding carries from one column chunk or page to the
-// next: the buffer gzip output is inflated into and the gzip reader itself,
-// whose 32 KiB window and Huffman tables Reset keeps. The zero value is
-// ready to use; one goroutine uses a state at a time. Decoded vectors never
-// alias it — every decoder copies values out — so a state is free for the
-// next page as soon as a call returns.
+// next: the buffer gzip output is inflated into, the gzip reader itself,
+// whose 32 KiB window and Huffman tables Reset keeps, and the dictionary
+// scratch. The zero value is ready to use; one goroutine uses a state at a
+// time. Decoded vectors never alias it — every decoder copies values out —
+// so a state is free for the next page as soon as a call returns.
 type DecodeState struct {
-	raw []byte
-	src bytes.Reader
-	zr  *gzip.Reader
+	raw  []byte
+	src  bytes.Reader
+	zr   *gzip.Reader
+	dict dictScratch
 }
 
 // maxInflated bounds the uncompressed length of n stored bytes: deflate
@@ -208,15 +209,23 @@ func (s *DecodeState) DecodeColumnChunk(stored []byte, t columnar.Type, cc Colum
 	return v, nil
 }
 
-// DecodePage decompresses and decodes one page of a paged column chunk.
-// stored must hold exactly the page's compressed bytes
-// (chunk bytes sliced at [pg.RelOff, pg.RelOff+pg.CompressedLen)).
+// DecodePage decompresses and decodes one page of a paged column chunk onto
+// a fresh vector: DecodePageOnto an empty one.
 func (s *DecodeState) DecodePage(stored []byte, t columnar.Type, cc ColumnChunkMeta, pg PageMeta) (*columnar.Vector, error) {
 	v := columnar.NewVector(t, int(pg.NumRows))
-	if err := s.appendBlob(v, stored, &cc, pg.UncompressedLen, pg.NumRows); err != nil {
+	if err := s.DecodePageOnto(v, stored, cc, pg); err != nil {
 		return nil, err
 	}
 	return v, nil
+}
+
+// DecodePageOnto decompresses and decodes one page of a paged column chunk,
+// appending its values to dst — a recycled vector, say, that grows only when
+// the page holds more values than it ever did. stored must hold exactly the
+// page's compressed bytes (chunk bytes sliced at [pg.RelOff,
+// pg.RelOff+pg.CompressedLen)). On error dst may hold part of the page.
+func (s *DecodeState) DecodePageOnto(dst *columnar.Vector, stored []byte, cc ColumnChunkMeta, pg PageMeta) error {
+	return s.appendBlob(dst, stored, &cc, pg.UncompressedLen, pg.NumRows)
 }
 
 // appendBlob decodes one independently encoded and compressed blob — an
@@ -226,7 +235,7 @@ func (s *DecodeState) appendBlob(dst *columnar.Vector, stored []byte, cc *Column
 	if err != nil {
 		return err
 	}
-	return decodeOnto(dst, raw, cc.Encoding, int(numRows))
+	return decodeOnto(dst, raw, cc.Encoding, int(numRows), &s.dict)
 }
 
 // appendColumnChunk decodes a column chunk onto dst, page by page when it is

@@ -99,26 +99,18 @@ func (f *File) readAt(via *s3.Client, p []byte, off int64) (int, error) {
 	if off+want > f.size {
 		want = f.size - off
 	}
-	chunk := f.ChunkBytes
-	if chunk <= 0 {
-		chunk = DefaultChunkBytes
-	}
+	chunk := f.chunkBytes()
 	var n int64
 	for n < want {
 		reqLen := chunk
 		if n+reqLen > want {
 			reqLen = want - n
 		}
-		data, got, err := via.GetRange(f.bucket, f.key, off+n, reqLen, f.Conns)
-		f.requests.Add(1)
+		data, err := f.get(via, off+n, reqLen)
 		if err != nil {
 			return int(n), err
 		}
-		f.bytes.Add(got)
-		if data == nil {
-			return int(n), fmt.Errorf("s3fs: synthetic object %s/%s has no bytes", f.bucket, f.key)
-		}
-		copy(p[n:n+got], data)
+		got := int64(copy(p[n:], data))
 		n += got
 		if got < reqLen {
 			break
@@ -130,18 +122,46 @@ func (f *File) readAt(via *s3.Client, p []byte, off int64) (int, error) {
 	return int(n), nil
 }
 
+// chunkBytes is ChunkBytes, or its default when unset.
+func (f *File) chunkBytes() int64 {
+	if f.ChunkBytes <= 0 {
+		return DefaultChunkBytes
+	}
+	return f.ChunkBytes
+}
+
+// get issues one ranged GET of n bytes at off through via, counts it on the
+// handle, and returns the reply's bytes: a buffer of the caller's own (the
+// service copies what it serves).
+func (f *File) get(via *s3.Client, off, n int64) ([]byte, error) {
+	data, got, err := via.GetRange(f.bucket, f.key, off, n, f.Conns)
+	f.requests.Add(1)
+	if err != nil {
+		return nil, err
+	}
+	f.bytes.Add(got)
+	if data == nil {
+		return nil, fmt.Errorf("s3fs: synthetic object %s/%s has no bytes", f.bucket, f.key)
+	}
+	return data[:got], nil
+}
+
 // ReadRange fetches [off, off+length) as a fresh buffer.
 func (f *File) ReadRange(off, length int64) ([]byte, error) {
 	return f.readRange(f.client, off, length)
 }
 
-// readRange is ReadRange over readAt(via, …).
+// readRange is ReadRange over readAt(via, …). A span one request covers is
+// that request's reply, not a copy of it.
 func (f *File) readRange(via *s3.Client, off, length int64) ([]byte, error) {
 	if off+length > f.size {
 		length = f.size - off
 	}
 	if length <= 0 {
 		return nil, nil
+	}
+	if off >= 0 && length <= f.chunkBytes() {
+		return f.get(via, off, length)
 	}
 	buf := make([]byte, length)
 	n, err := f.readAt(via, buf, off)

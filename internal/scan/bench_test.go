@@ -7,6 +7,7 @@ import (
 	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
+	"lambada/internal/engine"
 	"lambada/internal/lpq"
 	"lambada/internal/tpch"
 )
@@ -33,24 +34,38 @@ func benchFiles(b *testing.B) (*s3.Service, []FileRef, int64) {
 	return svc, refs, data.ByteSize()
 }
 
-// BenchmarkParallelScan times a multi-file scan of every column under the
-// default configuration.
-func BenchmarkParallelScan(b *testing.B) {
+// BenchmarkScan times a multi-file scan: of every column (all), and of
+// Q6's columns under its pushed-down filter (q6), the late-materialized read
+// whose pages and temporaries the source recycles.
+func BenchmarkScan(b *testing.B) {
 	svc, refs, bytes := benchFiles(b)
-	b.SetBytes(bytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := New(s3.NewClient(svc, simenv.NewImmediate()), DefaultConfig(), refs...)
-		rows := 0
-		err := src.Scan(nil, nil, func(c *columnar.Chunk) error {
-			rows += c.NumRows()
-			return nil
+	q6Cols := []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"}
+	for _, bc := range []struct {
+		name   string
+		proj   []string
+		filter engine.Expr
+	}{
+		{"all", nil, nil},
+		{"q6", q6Cols, q6Filter()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(bytes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src := New(s3.NewClient(svc, simenv.NewImmediate()), DefaultConfig(), refs...)
+				chunks := 0
+				err := src.ScanFiltered(bc.proj, nil, bc.filter, func(c *columnar.Chunk) error {
+					chunks++
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if chunks == 0 {
+					b.Fatal("no rows")
+				}
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rows == 0 {
-			b.Fatal("no rows")
-		}
 	}
 }

@@ -104,7 +104,7 @@ func referenceFiltered(t *testing.T, src *Source, proj []string, filter engine.E
 	return collectRows(t, schema, func(yield func(*columnar.Chunk) error) error {
 		return src.Scan(proj, nil, func(c *columnar.Chunk) error {
 			var err error
-			sel, err = engine.FilterSelection(c, filter, sel)
+			sel, err = engine.FilterSelection(c, filter, sel, nil)
 			if err != nil {
 				return err
 			}
@@ -136,8 +136,8 @@ func mustSchema(t *testing.T, src *Source, proj []string) *columnar.Schema {
 }
 
 // TestScanFilteredByteIdentity: ScanFiltered on paged and unpaged files,
-// gzip and raw, returns rows byte-identical to scan-then-filter, whatever
-// the Config's no-op fields say.
+// gzip and raw, pages of one size or of two, returns rows byte-identical to
+// scan-then-filter, whatever the Config's no-op fields say.
 func TestScanFilteredByteIdentity(t *testing.T) {
 	proj := []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice", "l_returnflag"}
 	for _, w := range []struct {
@@ -146,6 +146,9 @@ func TestScanFilteredByteIdentity(t *testing.T) {
 	}{
 		{"paged", lpq.WriterOptions{RowGroupRows: 2000, PageRows: 256}},
 		{"paged-gzip", lpq.WriterOptions{RowGroupRows: 2000, PageRows: 256, Compression: lpq.Gzip}},
+		// Each group's last page has 200 rows, decoded onto a recycled
+		// vector that last held 300, while the filter empties whole pages.
+		{"paged-uneven-gzip", lpq.WriterOptions{RowGroupRows: 2000, PageRows: 300, Compression: lpq.Gzip}},
 		{"unpaged", lpq.WriterOptions{RowGroupRows: 1000}},
 	} {
 		svc := s3.New(s3.Config{})

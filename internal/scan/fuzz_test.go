@@ -177,7 +177,7 @@ func checkScanFiltered(t *testing.T, data []byte, col uint8, k int16) {
 		return // a page the scan pruned or never fetched is corrupt
 	}
 	if filter != nil {
-		sel, err := engine.FilterSelection(all, filter, nil)
+		sel, err := engine.FilterSelection(all, filter, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,6 +87,11 @@ type Source struct {
 	// free list, not a sync.Pool: the states die with the Source instead of
 	// lingering in the runtime's pool registry for two GC cycles after it.
 	idle []*lpq.DecodeState
+	// pool recycles what a row group's read leaves behind once its chunk is
+	// gathered — decoded pages, per-page selections, the filter's
+	// temporaries — into the next row group's read. It dies with the Source
+	// too. A chunk the scan yields never comes from it.
+	pool columnar.Pool
 
 	// Stats.
 	rowGroupsRead   int64
@@ -515,10 +520,11 @@ func (s *Source) readWholeGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []
 	if filter == nil {
 		return out, nil
 	}
-	sel, err := engine.FilterSelection(out, filter, nil)
+	sel, err := engine.FilterSelection(out, filter, s.pool.GetSelection(), &s.pool)
 	if err != nil {
 		return nil, err
 	}
+	defer s.pool.PutSelection(sel)
 	switch len(sel) {
 	case 0:
 		return nil, nil
@@ -561,6 +567,8 @@ func (s *Source) releaseState(st *lpq.DecodeState) {
 //	(5) gather filter and payload columns by the selection, page by page in
 //	    order, into one output chunk.
 //
+// Pages are decoded onto vectors of the source's pool, the filter runs
+// through it, and the pages and selections go back to it once gathered.
 // Returns nil when no row of the group passes — the caller yields nothing
 // and the payload columns were never transferred. Without such columns it is
 // readWholeGroup.
@@ -608,13 +616,13 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []in
 	}
 
 	// Phase 2: fetch + decode filter columns for surviving pages.
-	fvecs, err := s.fetchPages(h, meta, g, cols, fslots, keep)
-	if err != nil {
+	vecs := make([][]*columnar.Vector, len(cols)) // [slot][page]
+	if err := s.fetchPages(h, meta, g, cols, fslots, keep, vecs); err != nil {
 		return nil, err
 	}
 
 	// Phase 3: evaluate the filter page by page into selections.
-	fschema := mustProjectSlots(outSchema, fslots)
+	fc := &columnar.Chunk{Schema: mustProjectSlots(outSchema, fslots), Columns: make([]*columnar.Vector, len(fslots))}
 	sels := make([][]int, npages)
 	total := 0
 	filtered := 0
@@ -622,15 +630,15 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []in
 		if !keep[p] {
 			continue
 		}
-		fc := &columnar.Chunk{Schema: fschema, Columns: make([]*columnar.Vector, len(fslots))}
 		for i, slot := range fslots {
-			fc.Columns[i] = fvecs[slot][p]
+			fc.Columns[i] = vecs[slot][p]
 		}
-		sel, err := engine.FilterSelection(fc, filter, nil)
+		sel, err := engine.FilterSelection(fc, filter, s.pool.GetSelection(), &s.pool)
 		if err != nil {
 			return nil, err
 		}
 		if len(sel) == 0 {
+			s.pool.PutSelection(sel)
 			keep[p] = false
 			filtered++
 			continue
@@ -642,12 +650,12 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []in
 	s.pagesFiltered += int64(filtered)
 	s.mu.Unlock()
 	if total == 0 {
+		s.recycle(vecs, nil)
 		return nil, nil
 	}
 
 	// Phase 4: fetch payload columns only for pages with selected rows.
-	pvecs, err := s.fetchPages(h, meta, g, cols, pslots, keep)
-	if err != nil {
+	if err := s.fetchPages(h, meta, g, cols, pslots, keep, vecs); err != nil {
 		return nil, err
 	}
 
@@ -657,22 +665,30 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []in
 		if !keep[p] {
 			continue
 		}
-		sel := sels[p]
 		for slot := range cols {
-			var src *columnar.Vector
-			if vs, ok := fvecs[slot]; ok {
-				src = vs[p]
-			} else {
-				src = pvecs[slot][p]
-			}
-			out.Columns[slot].AppendGather(src, sel)
+			out.Columns[slot].AppendGather(vecs[slot][p], sels[p])
 		}
 	}
+	s.recycle(vecs, sels)
 	return out, nil
 }
 
+// recycle hands a gathered row group's decoded pages and selections back to
+// the source's pool.
+func (s *Source) recycle(vecs [][]*columnar.Vector, sels [][]int) {
+	for _, pages := range vecs {
+		for _, v := range pages {
+			s.pool.PutVector(v)
+		}
+	}
+	for _, sel := range sels {
+		s.pool.PutSelection(sel)
+	}
+}
+
 // fetchPages fetches and decodes the kept pages of the given projection
-// slots of row group g, returning vecs[slot][page]. Each column is fetched
+// slots of row group g onto vectors of the source's pool, setting
+// vecs[slot][page] (nil for a page not kept). Each column is fetched
 // as ONE covering range from its first to its last kept page: interior
 // holes (pruned or filtered-out pages between kept ones) are billed dead
 // bytes, but the range never exceeds the column chunk and never takes more
@@ -680,9 +696,8 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []in
 // more GETs or bytes than reading whole column chunks, and ReadRanges'
 // cross-column coalescing can only improve the request count further.
 // Columns with no kept page are skipped outright.
-func (s *Source) fetchPages(h *s3fs.File, meta *lpq.FileMeta, g int, cols, slots []int, keep []bool) (map[int][]*columnar.Vector, error) {
+func (s *Source) fetchPages(h *s3fs.File, meta *lpq.FileMeta, g int, cols, slots []int, keep []bool, vecs [][]*columnar.Vector) error {
 	rg := &meta.RowGroups[g]
-	npages := len(keep)
 	lo, hi := -1, -1 // kept-page window, shared by every column
 	for p, k := range keep {
 		if k {
@@ -692,12 +707,11 @@ func (s *Source) fetchPages(h *s3fs.File, meta *lpq.FileMeta, g int, cols, slots
 			hi = p
 		}
 	}
-	vecs := make(map[int][]*columnar.Vector, len(slots))
 	for _, slot := range slots {
-		vecs[slot] = make([]*columnar.Vector, npages)
+		vecs[slot] = make([]*columnar.Vector, len(keep))
 	}
 	if lo < 0 || len(slots) == 0 {
-		return vecs, nil
+		return nil
 	}
 
 	ranges := make([]s3fs.Range, len(slots))
@@ -710,7 +724,7 @@ func (s *Source) fetchPages(h *s3fs.File, meta *lpq.FileMeta, g int, cols, slots
 	}
 	bufs, err := h.ReadRanges(ranges)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	st := s.decodeState()
 	defer s.releaseState(st)
@@ -726,18 +740,18 @@ func (s *Source) fetchPages(h *s3fs.File, meta *lpq.FileMeta, g int, cols, slots
 			}
 			pg := pages[p]
 			off := pg.RelOff - base
-			v, err := st.DecodePage(bufs[i][off:off+pg.CompressedLen], meta.Schema.Fields[ci].Type, cc, pg)
-			if err != nil {
-				return nil, err
-			}
+			v := s.pool.GetVector(meta.Schema.Fields[ci].Type, int(pg.NumRows))
 			vecs[slot][p] = v
+			if err := st.DecodePageOnto(v, bufs[i][off:off+pg.CompressedLen], cc, pg); err != nil {
+				return err
+			}
 			read++
 		}
 	}
 	s.mu.Lock()
 	s.pagesRead += int64(read)
 	s.mu.Unlock()
-	return vecs, nil
+	return nil
 }
 
 // mustProjectSlots builds the schema of the given slots of schema.
