@@ -36,7 +36,7 @@ race-staged:
 scale-smoke:
 	$(GO) test -run 'TestStagedQ12ScaleSmoke|TestMultiLevelRequestsMatchModel|TestSealedBoundaryMatchesDriverless' -v -timeout 10m ./internal/driver/ ./internal/exchange/
 
-# fuzz-smoke fuzzes the seven parsers of outside bytes, the scan over lpq
+# fuzz-smoke fuzzes the nine parsers of outside bytes, the scan over lpq
 # bytes, and the differential plan harness, for five seconds each from the
 # seed corpora under their testdata/fuzz: the exchange's key codec
 # (a key or a typed error, and parse inverts String), its seal-manifest
@@ -49,7 +49,10 @@ scale-smoke:
 # or a plan that Marshal → ParsePlan leaves unchanged), the SQL parser (an
 # error or a plan that MarshalPlan → UnmarshalPlan leaves unchanged), the
 # worker's payload decoder (an error or a task whose counts are a fleet's and
-# whose broadcast tables fit the engine budget, never a panic) and the
+# whose broadcast tables fit the engine budget, never a panic), the driver's
+# result-queue body (receipt on a fixed two-stage scheduler: discarded,
+# recorded or a typed StageFailure, never a panic), its epoch item (rejected,
+# or accepted and round-tripping through formatEpochValue) and the
 # service's POST /query body (400 or 413, or a parsed query handed to a
 # runner that runs nothing, never a panic); FuzzGeneratedPlan runs any seed's
 # generated case (internal/driver's genCase) through runCase, which holds it
@@ -62,6 +65,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s ./internal/awssim/faults/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/sqlfe/
 	$(GO) test -run=NONE -fuzz=FuzzWorkerPayload -fuzztime=5s ./internal/driver/
+	$(GO) test -run=NONE -fuzz=FuzzResultMessage -fuzztime=5s ./internal/driver/
+	$(GO) test -run=NONE -fuzz=FuzzEpochValue -fuzztime=5s ./internal/driver/
 	$(GO) test -run=NONE -fuzz=FuzzQueryBody -fuzztime=5s ./internal/service/
 	$(GO) test -run=NONE -fuzz=FuzzGeneratedPlan -fuzztime=5s ./internal/driver/
 

@@ -691,15 +691,18 @@
 // Hot paths avoid the allocator: columnar.Pool recycles vectors, chunks and
 // selection vectors between morsels. The ownership contract is documented
 // on columnar.Pool — in short, only a buffer's owner returns it, once
-// nothing reads it, at one of three points: a scan.Source after it has
+// nothing reads it, at one of four points: a scan.Source after it has
 // gathered a row group's decoded pages by their per-page selections into
 // the chunk it yields; an expression temporary (engine.Expr.Eval) once its
 // parent has read it; the aggregation breaker once it has folded the
-// morsel. A chunk a scan yields is never recycled: its consumers may keep
-// it. A Pool belongs to one scan source or one pipeline and is a mutex and
-// free lists that die with it, not a sync.Pool: per-query sync.Pools stay
-// reachable through the runtime's registry for two collections after the
-// query is gone.
+// morsel; and the same breaker, which then hands the chunk the scan yielded
+// back to its source (engine.Recycler), whose next row group gathers into
+// it. Sinks that keep their chunks — collect, sort, limit — hand none back.
+// A scan.Source keeps two pools, one for page-long vectors and one for the
+// row-group-long chunks it yields. A Pool belongs to one scan source or one
+// pipeline and is a mutex and free lists that die with it, not a sync.Pool:
+// per-query sync.Pools stay reachable through the runtime's registry for two
+// collections after the query is gone.
 //
 // # The byte path
 //

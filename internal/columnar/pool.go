@@ -7,7 +7,7 @@ import "sync"
 // once warm.
 //
 // Ownership contract: only the owner of a buffer may return it, and only
-// once nothing reads it any more. A morsel's buffers have three recycle
+// once nothing reads it any more. A morsel's buffers have four recycle
 // points:
 //
 //  1. a scan, once it has gathered a row group's decoded pages by their
@@ -16,13 +16,15 @@ import "sync"
 //  2. an expression temporary — a Bin, Not or constant result, never a
 //     column reference's shared vector — once its parent has consumed it;
 //  3. the aggregation breaker, once it has folded a morsel into its hash
-//     table: the morsel's gathered chunks and its argument vectors.
+//     table: the morsel's gathered chunks and its argument vectors;
+//  4. the same breaker, at the same moment: the chunk the scan yielded,
+//     handed back to the scan source through engine.Recycler. A sink that
+//     keeps its chunks (collect, sort, limit) hands back none.
 //
-// A chunk a scan yields is never recycled: its consumers may keep it. Nor
-// are schema projections and Slice views, whose vectors are shared with (or
-// owned by) someone else: PutChunk or PutVector on an aliased buffer is a
-// use-after-free. After a Put returns, the caller must not touch the buffer
-// again.
+// Schema projections and Slice views are never recycled: their vectors are
+// shared with (or owned by) someone else, and PutChunk or PutVector on an
+// aliased buffer is a use-after-free. After a Put returns, the caller must
+// not touch the buffer again.
 //
 // A Pool belongs to one scan source or one pipeline. It holds plain free
 // lists, not sync.Pools: what it recycled dies with its owner, instead of

@@ -412,7 +412,12 @@ func checkWorkingSet(what string, n, budget int64) error {
 	return nil
 }
 
-var _ engine.FilterableSource = memGuardSource{}
+// The embedded source's Recycle must stay reachable through the guard: a
+// wrapper that hid it would silently stop the scan's chunks coming back.
+var (
+	_ engine.FilterableSource = memGuardSource{}
+	_ engine.Recycler         = memGuardSource{}
+)
 
 // engineMemoryBudget returns the execution-engine limit: the function's
 // memory minus a fixed headroom for the handler and runtime.

@@ -505,9 +505,9 @@ func (c planCase) peers() []queryRun {
 	return out
 }
 
-// zombieSeals is how many seals plantZombie posts: two before the run, three
+// zombieSeals is how many seals plantZombie posts: two before the run, four
 // during it.
-const zombieSeals = 5
+const zombieSeals = 6
 
 // plantZombie leaves on sess's deployment what an aborted run of q1 leaves
 // behind it: its epoch fence at 1, a committed boundary publish under q1/e1
@@ -515,8 +515,9 @@ const zombieSeals = 5
 // on q1's result queue, one a result chunk that is no lpq blob. And it
 // wraps the worker, so that the retry's first task, while the retry runs,
 // publishes more of the zombie's objects under q1/e1 and posts, before its
-// own seal, the zombie's seal and two strays of the retry's epoch — worker
-// −1, a retryable failure, and worker n of an n-worker stage.
+// own seal, the zombie's seal, two strays of the retry's epoch — worker
+// −1, a retryable failure, and worker n of an n-worker stage — and a body
+// that is no JSON at all.
 func plantZombie(env simenv.Env, sess *Session) error {
 	dep, cfg := sess.dep, sess.cfg
 	// A post that fails shows as a discard count short of zombieSeals.
@@ -551,6 +552,7 @@ func plantZombie(env simenv.Env, sess *Session) error {
 			post(ctx.Env, p.ResultQueue, resultMsg{QueryID: p.QueryID, Epoch: p.Epoch - 1, Stage: p.StageID, WorkerID: p.WorkerID},
 				resultMsg{QueryID: p.QueryID, Epoch: p.Epoch, Stage: p.StageID, WorkerID: -1, Err: "stray", Retryable: true},
 				resultMsg{QueryID: p.QueryID, Epoch: p.Epoch, Stage: p.StageID, WorkerID: p.NumWorkers})
+			_ = dep.SQS.Send(ctx.Env, p.ResultQueue, []byte(`{"queryId":`))
 		}
 		return sess.workerHandler(ctx, payload)
 	})

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"encoding/json"
 	"slices"
 	"time"
 
@@ -223,6 +224,22 @@ func (s *scheduler) launched(r *stageRun, workers []int, at time.Duration) bool 
 	}
 	s.rep.Workers += len(r.payloads)
 	return true
+}
+
+// receipt decodes one result-queue body, sent at sent, and consumes it at
+// instant now (message). A body that is not a result message's JSON was
+// posted by no worker of this run — a worker posts its resultMsg encoded — so
+// it is discarded and counted as a zombie's stray is, and never fails the
+// query; a worker whose seal never arrives is the liveness clock's to
+// relaunch.
+func (s *scheduler) receipt(now, sent time.Duration, body []byte) (resultMsg, *stageRun, outcome, error) {
+	var rm resultMsg
+	if json.Unmarshal(body, &rm) != nil {
+		s.zombieDiscards++
+		return rm, nil, nothing, nil
+	}
+	r, out, err := s.message(now, sent, &rm)
+	return rm, r, out, err
 }
 
 // message consumes one result message, sent at sent, at instant now. It

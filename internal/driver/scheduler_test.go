@@ -87,6 +87,15 @@ func TestSchedulerTransitions(t *testing.T) {
 			return "nothing"
 		}, want}
 	}
+	// garbled hands receipt a body that is no result message's JSON.
+	garbled := func(now time.Duration, body, want string) step {
+		return step{func(s *scheduler) string {
+			if _, r, out, err := s.receipt(now, now, []byte(body)); r != nil || out != nothing || err != nil {
+				return fmt.Sprintf("run %v, outcome %d, err %v", r, out, err)
+			}
+			return fmt.Sprintf("discarded zombie=%d loser=%d", s.zombieDiscards, s.loserDiscards)
+		}, want}
+	}
 	win := func(now time.Duration, stage, worker int, want string) step {
 		return msg(now, resultMsg{Stage: stage, WorkerID: worker}, want)
 	}
@@ -136,6 +145,9 @@ func TestSchedulerTransitions(t *testing.T) {
 			win(20*ms, 1, 0, "nothing"),
 			msg(30*ms, resultMsg{Stage: 1, WorkerID: 0, Attempt: 1}, "discarded zombie=4 loser=3"), // loser after winner
 			msg(30*ms, fail(1, 0, 1, false), "discarded zombie=4 loser=4"),                         // and a failed loser
+			garbled(40*ms, "not json", "discarded zombie=5 loser=4"),
+			garbled(40*ms, `{"stage":1,"workerId":"1"}`, "discarded zombie=6 loser=4"), // JSON, but no result message
+			win(50*ms, 1, 1, "sealed awaited=true"),
 		}},
 		{name: "superseded failure seal", spec: true, steps: []step{
 			launch(1, 2, 10*ms, "true cap=10"),

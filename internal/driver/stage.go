@@ -140,7 +140,7 @@ func (d *query) acquireEpoch(table, queryID string) (int, error) {
 			}
 			next = prev + 1
 		}
-		val := []byte(fmt.Sprintf("%d@%d", next, int64(d.env.Now())))
+		val := formatEpochValue(next, int64(d.env.Now()))
 		putErr := d.retry.Do(d.env, "dynamo.PutIf", func() error {
 			return d.dep.Dynamo.PutIf(d.env, table, key, val, cur)
 		})
@@ -152,6 +152,11 @@ func (d *query) acquireEpoch(table, queryID string) (int, error) {
 		}
 		// Lost the increment race to a concurrent driver: re-read, go again.
 	}
+}
+
+// formatEpochValue encodes an epoch item: parseEpochValue's inverse.
+func formatEpochValue(epoch int, at int64) []byte {
+	return []byte(fmt.Sprintf("%d@%d", epoch, at))
 }
 
 // parseEpochValue decodes an epoch item, "<epoch>@<writtenAtNs>". The
@@ -826,11 +831,7 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 			barrier.Cancel() // the loop Receives again without parking
 		}
 		for _, m := range msgs {
-			var rm resultMsg
-			if err := json.Unmarshal(m.Body, &rm); err != nil {
-				return err
-			}
-			r, out, err := s.message(d.env.Now(), m.SentAt, &rm)
+			rm, r, out, err := s.receipt(d.env.Now(), m.SentAt, m.Body)
 			if err != nil {
 				return err
 			}

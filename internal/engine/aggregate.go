@@ -15,10 +15,10 @@ import (
 // per-column loop over that mapping. No per-row hashing on the common
 // paths, no per-row allocation anywhere.
 //
-// The aggregate sink computes one partial builder per morsel and folds the
-// partials into a master builder in arrival order (mergeFrom), so float
-// sums — the only non-associative aggregate — combine in the same order on
-// every run.
+// The aggregate sink computes a partial builder per morsel — one builder,
+// reset between morsels — and folds the partials into a master builder in
+// arrival order (mergeFrom), so float sums — the only non-associative
+// aggregate — combine in the same order on every run.
 //
 // Group addressing picks the cheapest workable scheme per chunk: a dense
 // direct-index table when the int64 key columns span a narrow range, a
@@ -88,6 +88,19 @@ func newAggBuilder(p *AggregatePlan, inSchema *columnar.Schema) (*aggBuilder, er
 }
 
 func (b *aggBuilder) numGroups() int { return len(b.counts) }
+
+// reset empties the builder for the next morsel, keeping what it allocated:
+// afterwards it has no group, as a fresh builder, so mapRows may take the
+// dense path again.
+func (b *aggBuilder) reset() {
+	b.keyVals, b.counts = b.keyVals[:0], b.counts[:0]
+	for ai := range b.p.Aggs {
+		b.sums[ai], b.isums[ai] = b.sums[ai][:0], b.isums[ai][:0]
+		b.mins[ai], b.maxs[ai] = b.mins[ai][:0], b.maxs[ai][:0]
+	}
+	clear(b.fgroups)
+	clear(b.groups)
+}
 
 // addGroup appends a new group and returns its ordinal. Every caller adds
 // groups on first sight, so ordinals are first-seen order. Min/max start at
@@ -228,9 +241,9 @@ func (b *aggBuilder) mapRows(c *columnar.Chunk, n int, rg []int32) {
 		return
 	}
 
-	// Dense path: a fresh builder (one chunk per builder is the normal
-	// contract) whose int64 key columns together span a narrow range gets
-	// a direct-index table — no key serialization, no hashing. Slots hold
+	// Dense path: a fresh or reset builder (one chunk per builder is the
+	// normal contract) whose int64 key columns together span a narrow range
+	// gets a direct-index table — no key serialization, no hashing. Slots hold
 	// ordinal+1 so the zeroed table needs no initialization.
 	if b.numGroups() == 0 {
 		if dense, los, strides, ok := b.denseTable(c, n); ok {
@@ -396,8 +409,8 @@ func (b *aggBuilder) lookup(o *aggBuilder, og int32) int32 {
 }
 
 // mergeFrom folds another builder's partial groups into b, in o's
-// first-seen order. Both builders must come from the same plan; o must not
-// be used afterwards. Callers fold partials in arrival order, so float sums
+// first-seen order. Both builders must come from the same plan; o is only
+// read. Callers fold partials in arrival order, so float sums
 // combine in the same order on every run.
 func (b *aggBuilder) mergeFrom(o *aggBuilder) {
 	nk := len(b.keyIdx)

@@ -102,7 +102,8 @@ func applyFilter(c *columnar.Chunk, pred Expr, sel []int, pool *columnar.Pool) (
 
 // FilterSelection evaluates pred over c through pool (nil allocates) and
 // returns the indices of passing rows, appended into the (reset)
-// caller-owned scratch sel; the predicate's vector goes back to pool. It is
+// caller-owned scratch sel — or, when sel is too small, into one slice of
+// exactly their count; the predicate's vector goes back to pool. It is
 // the selection kernel shared by the pipeline filter stage and filterable
 // sources' late-materialized scans.
 func FilterSelection(c *columnar.Chunk, pred Expr, sel []int, pool *columnar.Pool) ([]int, error) {
@@ -113,10 +114,21 @@ func FilterSelection(c *columnar.Chunk, pred Expr, sel []int, pool *columnar.Poo
 	if v.Type != columnar.Bool {
 		return sel, fmt.Errorf("engine: filter predicate of type %v", v.Type)
 	}
-	n := c.NumRows()
+	// Count first, so that a scratch too small is replaced once, at the
+	// exact size, instead of growing by append.
+	pass := v.Bools[:c.NumRows()]
+	k := 0
+	for _, b := range pass {
+		if b {
+			k++
+		}
+	}
+	if cap(sel) < k {
+		sel = make([]int, 0, k)
+	}
 	sel = sel[:0]
-	for i := 0; i < n; i++ {
-		if v.Bools[i] {
+	for i, b := range pass {
+		if b {
 			sel = append(sel, i)
 		}
 	}

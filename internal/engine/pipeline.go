@@ -8,8 +8,8 @@ package engine
 //
 //	collect    materialize the stream in arrival order (also the join
 //	           build side and the query result)
-//	aggregate  group-by (one aggBuilder partial per morsel, folded into
-//	           the master table in arrival order)
+//	aggregate  group-by (a partial aggBuilder per morsel, reset and
+//	           reused, folded into the master table in arrival order)
 //	sort       collect, then sortChunk
 //	limit      stream until N rows arrived, then cancel the scan (limit
 //	           pushdown into the sink)
@@ -27,8 +27,9 @@ package engine
 // read; its gathered filter and join-probe outputs and the aggregates'
 // argument vectors come from it and go back at the breaker, once the morsel
 // is folded into the hash table (see the ownership contract on
-// columnar.Pool). Sinks that keep their chunks (collect, sort, limit) never
-// pool.
+// columnar.Pool). The morsel the scan yielded goes back to its source
+// there too, when the source is a Recycler. Sinks that keep their chunks
+// (collect, sort, limit) never pool and never recycle.
 
 import (
 	"errors"
@@ -259,6 +260,12 @@ func (n *pnode) run() error {
 	if err != nil {
 		return err
 	}
+	// A consuming sink hands each morsel its scan yielded back to the
+	// source once folded; a breaker's materialized output is not a scan's.
+	var rec Recycler
+	if pool != nil && n.input == nil {
+		rec, _ = n.src.(Recycler)
+	}
 	var sc pipeScratch
 	err = n.stream(func(c *columnar.Chunk) error {
 		sc.owned = sc.owned[:0]
@@ -266,7 +273,13 @@ func (n *pnode) run() error {
 		if err != nil {
 			return err
 		}
-		return sk.add(out, sc.owned)
+		if err := sk.add(out, sc.owned); err != nil {
+			return err
+		}
+		if rec != nil {
+			rec.Recycle(c)
+		}
+		return nil
 	})
 	if err != nil && !errors.Is(err, errStopPipeline) {
 		return err
@@ -362,8 +375,9 @@ func newSink(n *pnode) (sink, *columnar.Pool, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		partial, _ := newAggBuilder(n.agg, n.aggIn) // master passed the same checks
 		pool := columnar.NewPool()
-		return &aggSink{p: n.agg, in: n.aggIn, out: n.outSchema, pool: pool, master: master}, pool, nil
+		return &aggSink{out: n.outSchema, pool: pool, master: master, partial: partial}, pool, nil
 	case sinkSort:
 		return &sortSink{collectSink: collectSink{schema: n.outSchema}, keys: n.keys}, nil, nil
 	case sinkLimit:
@@ -439,22 +453,20 @@ func (s *limitSink) finalize() (*columnar.Chunk, error) {
 }
 
 // aggSink is the aggregation breaker: every morsel is folded into a partial
-// hash table of its own, which merges into the master table in arrival
-// order, so the master's groups are in first-seen (morsel, row) order.
+// hash table of its own — one builder, reset for each morsel — which merges
+// into the master table in arrival order, so the master's groups are in
+// first-seen (morsel, row) order.
 type aggSink struct {
-	p    *AggregatePlan
-	in   *columnar.Schema
 	out  *columnar.Schema
 	pool *columnar.Pool
 
-	master *aggBuilder
+	master  *aggBuilder
+	partial *aggBuilder // reset for every morsel
 }
 
 func (s *aggSink) add(c *columnar.Chunk, owned []*columnar.Chunk) error {
-	b, err := newAggBuilder(s.p, s.in)
-	if err != nil {
-		return err
-	}
+	b := s.partial
+	b.reset()
 	if err := b.addChunk(c, s.pool); err != nil {
 		return err
 	}

@@ -33,6 +33,15 @@ type FilterableSource interface {
 	ScanFiltered(proj []string, preds []lpq.Predicate, filter Expr, yield func(*columnar.Chunk) error) error
 }
 
+// Recycler is a Source that takes back the chunks it yielded. A pipeline
+// whose sink consumes its morsels (the aggregate) hands each chunk the
+// source yielded to Recycle once the sink has folded it, and never touches
+// it again; a pipeline whose sink keeps its chunks (collect, sort, limit)
+// never calls it.
+type Recycler interface {
+	Recycle(*columnar.Chunk)
+}
+
 // AggFunc is an aggregate function kind.
 type AggFunc uint8
 

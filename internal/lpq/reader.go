@@ -197,16 +197,13 @@ func (s *DecodeState) inflate(stored []byte, comp Compression, uncompressedLen i
 	return raw, nil
 }
 
-// DecodeColumnChunk decompresses and decodes the stored bytes of one column
-// chunk of numRows values. It is exported so the S3 scan operator can
-// download bytes itself (with its own concurrency strategy) and still reuse
-// the decode path.
-func (s *DecodeState) DecodeColumnChunk(stored []byte, t columnar.Type, cc ColumnChunkMeta, numRows int64) (*columnar.Vector, error) {
-	v := columnar.NewVector(t, int(numRows))
-	if err := s.appendColumnChunk(v, stored, &cc, numRows); err != nil {
-		return nil, err
-	}
-	return v, nil
+// DecodeColumnChunkOnto decompresses and decodes the stored bytes of one
+// column chunk of numRows values, appending them to dst. It is exported so
+// the S3 scan operator can download bytes itself (with its own concurrency
+// strategy) and still reuse the decode path. On error dst may hold part of
+// the chunk.
+func (s *DecodeState) DecodeColumnChunkOnto(dst *columnar.Vector, stored []byte, cc ColumnChunkMeta, numRows int64) error {
+	return s.appendColumnChunk(dst, stored, &cc, numRows)
 }
 
 // DecodePage decompresses and decodes one page of a paged column chunk onto

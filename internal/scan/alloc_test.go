@@ -6,7 +6,9 @@ import (
 
 	"lambada/internal/awssim/s3"
 	"lambada/internal/columnar"
+	"lambada/internal/engine"
 	"lambada/internal/lpq"
+	"lambada/internal/tpch"
 )
 
 // allocated returns the bytes f allocates (TotalAlloc counts every
@@ -23,15 +25,11 @@ func allocated(t *testing.T, f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestScanFilteredRecyclesPages: a Q6-filtered scan of a file of 16 row
-// groups decodes every page onto a recycled vector and evaluates its filter
-// through recycled temporaries, so what it allocates beyond the chunks it
-// yields and the bytes it downloads (each GET's reply is a buffer of its own)
-// is two row groups' worth of decoded projection and a fixed overhead — not
-// a row group's worth per row group, as a fresh vector per page costs.
-func TestScanFilteredRecyclesPages(t *testing.T) {
-	const groupRows = 2000
-	proj := []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice", "l_returnflag"}
+// scanAllocation is what a filtered scan of proj over one file of at least
+// eight row groups of groupRows allocates, with the bytes it yielded in all,
+// the largest chunk it yielded, and the bytes it downloaded. With recycle set
+// the yield hands every chunk back to the source, as an aggregate does.
+func scanAllocation(t *testing.T, groupRows int, proj []string, filter engine.Expr, recycle bool) (got uint64, yielded, largest, downloaded int64) {
 	svc := s3.New(s3.Config{})
 	refs, _ := uploadLineitemOpts(t, svc, 0.005, 1, lpq.WriterOptions{RowGroupRows: groupRows, PageRows: 256, Compression: lpq.Gzip})
 	src := New(newClient(svc), Config{}, refs...)
@@ -42,11 +40,14 @@ func TestScanFilteredRecyclesPages(t *testing.T) {
 	if g := meta.NumRowGroups(); g < 8 {
 		t.Fatalf("%d row groups, want at least 8", g)
 	}
-	var yielded int64
 	opened := src.Stats()
-	got := allocated(t, func() {
-		err = src.ScanFiltered(proj, nil, q6Filter(), func(c *columnar.Chunk) error {
+	got = allocated(t, func() {
+		err = src.ScanFiltered(proj, nil, filter, func(c *columnar.Chunk) error {
 			yielded += c.ByteSize()
+			largest = max(largest, c.ByteSize())
+			if recycle {
+				src.Recycle(c)
+			}
 			return nil
 		})
 	})
@@ -60,14 +61,46 @@ func TestScanFilteredRecyclesPages(t *testing.T) {
 	if st.RowGroupsRead != int64(meta.NumRowGroups()) || st.PagesFiltered == 0 {
 		t.Fatalf("stats %+v: want every row group read and some pages filtered empty", st)
 	}
-	downloaded := st.BilledBytes - opened.BilledBytes
+	return got, yielded, largest, st.BilledBytes - opened.BilledBytes
+}
+
+// scanOverhead is one gzip inflater (about 64 KiB with its first output
+// buffer) and the request window's and the row groups' bookkeeping (about
+// 1 KiB a group).
+const scanOverhead = 96 << 10
+
+// TestScanFilteredRecyclesPages: a Q6-filtered scan of a file of 16 row
+// groups decodes every page onto a recycled vector and evaluates its filter
+// through recycled temporaries, so what it allocates beyond the chunks it
+// yields and the bytes it downloads (each GET's reply is a buffer of its own)
+// is two row groups' worth of decoded projection and a fixed overhead — not
+// a row group's worth per row group, as a fresh vector per page costs.
+func TestScanFilteredRecyclesPages(t *testing.T) {
+	const groupRows = 2000
+	proj := []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice", "l_returnflag"}
+	got, yielded, _, downloaded := scanAllocation(t, groupRows, proj, q6Filter(), false)
 	groupBytes := int64(groupRows * len(proj) * 8) // every projected column is 8 bytes a value
-	// One gzip inflater (about 64 KiB with its first output buffer) and
-	// the request window's and the row groups' bookkeeping (about 1 KiB a
-	// group).
-	const overhead = 96 << 10
-	if limit := uint64(yielded + downloaded + 2*groupBytes + overhead); got >= limit {
-		t.Errorf("scan of %d row groups allocated %d bytes, want < %d: %d yielded + %d downloaded + 2 × %d decoded a row group + %d",
-			meta.NumRowGroups(), got, limit, yielded, downloaded, groupBytes, overhead)
+	if limit := uint64(yielded + downloaded + 2*groupBytes + scanOverhead); got >= limit {
+		t.Errorf("scan allocated %d bytes, want < %d: %d yielded + %d downloaded + 2 × %d decoded a row group + %d",
+			got, limit, yielded, downloaded, groupBytes, scanOverhead)
+	}
+}
+
+// TestScanFilteredRecyclesYieldedChunks is TestScanFilteredRecyclesPages with
+// every yielded chunk handed back (Recycle) once read: the next row group
+// gathers into its vectors, so the chunks cost what the largest of them does,
+// not what all of them do. Its filter keeps the file's rows shipped before
+// 1995 — whole row groups of them, where Q6's keeps a few rows of a few
+// groups — so that what the chunks would cost unrecycled is far above the
+// bound's slack.
+func TestScanFilteredRecyclesYieldedChunks(t *testing.T) {
+	const groupRows = 2000
+	proj := []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice", "l_returnflag"}
+	before1995 := engine.NewBin(engine.OpLT, engine.Col("l_shipdate"), engine.ConstInt(tpch.Q6ShipDateHi))
+	got, _, largest, downloaded := scanAllocation(t, groupRows, proj, before1995, true)
+	groupBytes := int64(groupRows * len(proj) * 8)
+	if limit := uint64(largest + downloaded + 2*groupBytes + scanOverhead); got >= limit {
+		t.Errorf("scan allocated %d bytes, want < %d: %d the largest chunk + %d downloaded + 2 × %d decoded a row group + %d",
+			got, limit, largest, downloaded, groupBytes, scanOverhead)
 	}
 }

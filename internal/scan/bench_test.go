@@ -34,19 +34,23 @@ func benchFiles(b *testing.B) (*s3.Service, []FileRef, int64) {
 	return svc, refs, data.ByteSize()
 }
 
-// BenchmarkScan times a multi-file scan: of every column (all), and of
-// Q6's columns under its pushed-down filter (q6), the late-materialized read
-// whose pages and temporaries the source recycles.
+// BenchmarkScan times a multi-file scan: of every column (all), of Q6's
+// columns under its pushed-down filter (q6), the late-materialized read
+// whose pages and temporaries the source recycles, and of the same with
+// every yielded chunk handed back to the source, as an aggregate does
+// (q6-recycled).
 func BenchmarkScan(b *testing.B) {
 	svc, refs, bytes := benchFiles(b)
 	q6Cols := []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"}
 	for _, bc := range []struct {
-		name   string
-		proj   []string
-		filter engine.Expr
+		name    string
+		proj    []string
+		filter  engine.Expr
+		recycle bool
 	}{
-		{"all", nil, nil},
-		{"q6", q6Cols, q6Filter()},
+		{"all", nil, nil, false},
+		{"q6", q6Cols, q6Filter(), false},
+		{"q6-recycled", q6Cols, q6Filter(), true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(bytes)
@@ -57,6 +61,9 @@ func BenchmarkScan(b *testing.B) {
 				chunks := 0
 				err := src.ScanFiltered(bc.proj, nil, bc.filter, func(c *columnar.Chunk) error {
 					chunks++
+					if bc.recycle {
+						src.Recycle(c)
+					}
 					return nil
 				})
 				if err != nil {

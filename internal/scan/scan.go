@@ -90,8 +90,13 @@ type Source struct {
 	// pool recycles what a row group's read leaves behind once its chunk is
 	// gathered — decoded pages, per-page selections, the filter's
 	// temporaries — into the next row group's read. It dies with the Source
-	// too. A chunk the scan yields never comes from it.
+	// too. A chunk the scan yields comes from chunks, never from it.
 	pool columnar.Pool
+	// chunks is where every chunk the scan yields comes from, and where
+	// Recycle returns one a consumer has finished with. It is a pool of its
+	// own because its vectors are a row group long and pool's a page long: a
+	// free list shared by both would hand a page's vector to a group's gather.
+	chunks columnar.Pool
 
 	// Stats.
 	rowGroupsRead   int64
@@ -492,13 +497,12 @@ func (s *Source) scanFile(f FileRef, proj []string, preds []lpq.Predicate, filte
 }
 
 // readWholeGroup downloads the projected column chunks of one row group in
-// one coalesced batch of range reads, decodes them and, given a filter,
-// keeps the rows that pass — the read-then-filter of every scan that has
-// nothing to materialize late. Returns nil when no row passes.
+// one coalesced batch of range reads, decodes them onto a chunk of the
+// source's chunk pool and, given a filter, keeps the rows that pass — the
+// read-then-filter of every scan that has nothing to materialize late.
+// Returns nil when no row passes.
 func (s *Source) readWholeGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []int, outSchema *columnar.Schema, filter engine.Expr) (*columnar.Chunk, error) {
 	rg := &meta.RowGroups[g]
-	out := &columnar.Chunk{Schema: outSchema, Columns: make([]*columnar.Vector, len(cols))}
-
 	ranges := make([]s3fs.Range, len(cols))
 	for slot, ci := range cols {
 		cc := &rg.Columns[ci]
@@ -510,12 +514,11 @@ func (s *Source) readWholeGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []
 	}
 	st := s.decodeState()
 	defer s.releaseState(st)
+	out := s.chunks.GetChunk(outSchema, int(rg.NumRows))
 	for slot, ci := range cols {
-		v, err := st.DecodeColumnChunk(bufs[slot], meta.Schema.Fields[ci].Type, rg.Columns[ci], rg.NumRows)
-		if err != nil {
+		if err := st.DecodeColumnChunkOnto(out.Columns[slot], bufs[slot], rg.Columns[ci], rg.NumRows); err != nil {
 			return nil, err
 		}
-		out.Columns[slot] = v
 	}
 	if filter == nil {
 		return out, nil
@@ -527,11 +530,15 @@ func (s *Source) readWholeGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []
 	defer s.pool.PutSelection(sel)
 	switch len(sel) {
 	case 0:
+		s.chunks.PutChunk(out)
 		return nil, nil
 	case out.NumRows():
 		return out, nil
 	}
-	return out.Gather(sel), nil
+	kept := s.chunks.GetChunk(outSchema, len(sel))
+	kept.AppendGather(out, sel)
+	s.chunks.PutChunk(out)
+	return kept, nil
 }
 
 // decodeState hands the calling goroutine a decode state of its own — an
@@ -568,7 +575,8 @@ func (s *Source) releaseState(st *lpq.DecodeState) {
 //	    order, into one output chunk.
 //
 // Pages are decoded onto vectors of the source's pool, the filter runs
-// through it, and the pages and selections go back to it once gathered.
+// through it, and the pages and selections go back to it once gathered into
+// a chunk of the source's chunk pool.
 // Returns nil when no row of the group passes — the caller yields nothing
 // and the payload columns were never transferred. Without such columns it is
 // readWholeGroup.
@@ -660,7 +668,7 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []in
 	}
 
 	// Phase 5: gather by selection, page by page in order.
-	out := columnar.NewChunk(outSchema, total)
+	out := s.chunks.GetChunk(outSchema, total)
 	for p := 0; p < npages; p++ {
 		if !keep[p] {
 			continue
@@ -672,6 +680,11 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []in
 	s.recycle(vecs, sels)
 	return out, nil
 }
+
+// Recycle takes back a chunk this source yielded (engine.Recycler): its
+// consumer has folded it and will not read it again. The next row group
+// gathers into its vectors.
+func (s *Source) Recycle(c *columnar.Chunk) { s.chunks.PutChunk(c) }
 
 // recycle hands a gathered row group's decoded pages and selections back to
 // the source's pool.
@@ -788,4 +801,5 @@ func resolveProjection(schema *columnar.Schema, proj []string) ([]int, *columnar
 var (
 	_ engine.Source           = (*Source)(nil)
 	_ engine.FilterableSource = (*Source)(nil)
+	_ engine.Recycler         = (*Source)(nil)
 )
