@@ -93,11 +93,21 @@
 //
 // Scans with a residual filter run in two phases (late materialization):
 // phase one fetches only the filter columns of the pages that survive
-// zone-map pruning and evaluates the exact predicate; phase two fetches the
+// zone-map pruning and evaluates the exact predicate; phase two decodes the
 // payload columns only for pages where rows actually survived, then gathers
-// the surviving rows. Each phase fetches one covering byte range per column
-// — first kept page to last kept page — so per-column requests never exceed
-// one and billed bytes never exceed the chunk. Across columns, ranges are
+// the surviving rows. Whether phase two fetches the payload in a request
+// window of its own is priced per row group: a second window saves the
+// payload bytes of the pages the filter empties and costs one more S3
+// first-byte latency, and below a break-even those bytes download faster
+// than the latency elapses. The break-even is the mean GET first-byte
+// latency times the sustained Lambda ingress rate (≈ 32 ms × 90 MiB/s ≈
+// 2.9 MiB, §4.3.1 and Figure 7's request-size trade-off), derived from the
+// S3 and network models, not set. A group whose kept payload is at most that
+// fetches it in phase one's window, where ReadRanges coalesces it with the
+// filter's columns; a larger one waits for the filter and fetches only the
+// pages with surviving rows. Every read fetches one covering byte range per
+// column — first kept page to last kept page — so per-column requests never
+// exceed one and billed bytes never exceed the chunk. Across columns, ranges are
 // batched through s3fs.File.ReadRanges, which coalesces them into spans
 // when the gap is small (at most s3fs.DefaultCoalesceGap, 128 KiB)
 // and the accumulated hole bytes stay under 1/8 of the span — trading one

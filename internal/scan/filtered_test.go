@@ -217,7 +217,9 @@ func TestScanFilteredCostCounters(t *testing.T) {
 
 	// Needle filter: the date range drives page pruning, and the
 	// discount/quantity conjuncts (~0.2% joint selectivity) empty most
-	// surviving pages so their payload columns are never fetched.
+	// surviving pages so their payload columns are never decoded (the
+	// payload of these small groups rides the filter's request window, so
+	// its bytes are fetched either way).
 	needle := engine.And(
 		engine.NewBin(engine.OpGE, engine.Col("l_shipdate"), engine.ConstInt(tpch.Q6ShipDateLo)),
 		engine.NewBin(engine.OpLT, engine.Col("l_shipdate"), engine.ConstInt(tpch.Q6ShipDateHi)),

@@ -174,7 +174,7 @@ func checkScanFiltered(t *testing.T, data []byte, col uint8, k int16) {
 	}
 	all, err := r.ReadAll()
 	if err != nil {
-		return // a page the scan pruned or never fetched is corrupt
+		return // a page the scan pruned or never decoded is corrupt
 	}
 	if filter != nil {
 		sel, err := engine.FilterSelection(all, filter, nil, nil)

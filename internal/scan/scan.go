@@ -19,6 +19,15 @@
 // A scan runs on its caller's goroutine: files in order, row groups in order
 // within each file.
 //
+// Under a filter a row group is materialized late: the filter's columns are
+// fetched and evaluated first, and only pages with selected rows have their
+// payload columns decoded. Fetching the payload in a request window of its
+// own saves the bytes of the pages the filter empties and costs one more
+// first-byte latency, so it is done only when those bytes are worth it: a
+// payload of at most payloadBreakEven bytes — what one mean S3 GET latency
+// buys at the sustained Lambda ingress rate, ≈ 2.9 MiB (§4.3.1, Figure 7) —
+// is fetched in the filter's window instead.
+//
 // The operator implements engine.Source, so optimized plans push selections
 // (as min/max prune predicates) and projections into it.
 package scan
@@ -32,13 +41,14 @@ import (
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
 	"lambada/internal/lpq"
+	"lambada/internal/netmodel"
 	"lambada/internal/s3fs"
 )
 
 // Config is the operator's configuration, and has nothing left to set: the
 // operator reads as the paper's does (§4.3.1–4.3.2) — 16 MiB requests
 // (s3fs.DefaultChunkBytes) over four connections (conns), coalescing column
-// ranges up to s3fs.DefaultCoalesceGap apart and fetching payload columns
+// ranges up to s3fs.DefaultCoalesceGap apart and decoding payload columns
 // only for pages the filter selected rows from.
 type Config struct {
 	// DoubleBuffer, ParallelColumns, MetaPrefetch and ParallelFiles have no
@@ -184,10 +194,11 @@ type Stats struct {
 	RowGroupsRead   int64
 	RowGroupsPruned int64
 	FilesAllPruned  int64
-	// PagesRead counts column pages fetched; PagesPruned counts page slots
+	// PagesRead counts column pages decoded; PagesPruned counts page slots
 	// skipped by page-index statistics; PagesFiltered counts page slots
-	// whose filter selection came back empty, so payload columns were
-	// never fetched (late materialization).
+	// whose filter selection came back empty, so their payload columns were
+	// never decoded — nor fetched, unless they rode the filter's request
+	// window (late materialization).
 	PagesRead     int64
 	PagesPruned   int64
 	PagesFiltered int64
@@ -436,10 +447,10 @@ func (s *Source) Scan(proj []string, preds []lpq.Predicate, yield func(*columnar
 	return s.ScanFiltered(proj, preds, nil, yield)
 }
 
-// ScanFiltered is the two-phase late-materialized scan (engine.
-// FilterableSource): per surviving row group it fetches the filter's
-// columns first, evaluates the filter into a per-page selection, and
-// fetches payload columns only for pages where rows passed. Yielded chunks
+// ScanFiltered is the late-materialized scan (engine.FilterableSource): per
+// surviving row group it fetches the filter's columns first, evaluates the
+// filter into a per-page selection, and decodes payload columns only for
+// pages where rows passed (readRowGroup). Yielded chunks
 // contain exactly the selected rows (every row under a nil filter), files in
 // order and row groups in order within each file.
 func (s *Source) ScanFiltered(proj []string, preds []lpq.Predicate, filter engine.Expr, yield func(*columnar.Chunk) error) error {
@@ -465,7 +476,7 @@ func (s *Source) scanFile(f FileRef, proj []string, preds []lpq.Predicate, filte
 	if err != nil {
 		return err
 	}
-	cols, outSchema, err := resolveProjection(meta.Schema, proj)
+	pr, err := resolveProjection(meta.Schema, proj, filter)
 	if err != nil {
 		return err
 	}
@@ -479,7 +490,7 @@ func (s *Source) scanFile(f FileRef, proj []string, preds []lpq.Predicate, filte
 	// With nothing kept the worker loaded only the footer, pruned everything,
 	// and returns an empty result — the 100–200 ms workers of Figure 11.
 	for _, g := range keep {
-		c, err := s.readRowGroup(h, meta, g, cols, outSchema, preds, filter)
+		c, err := s.readRowGroup(h, meta, g, pr, preds, filter)
 		if err != nil {
 			return err
 		}
@@ -501,8 +512,9 @@ func (s *Source) scanFile(f FileRef, proj []string, preds []lpq.Predicate, filte
 // source's chunk pool and, given a filter, keeps the rows that pass — the
 // read-then-filter of every scan that has nothing to materialize late.
 // Returns nil when no row passes.
-func (s *Source) readWholeGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []int, outSchema *columnar.Schema, filter engine.Expr) (*columnar.Chunk, error) {
+func (s *Source) readWholeGroup(h *s3fs.File, meta *lpq.FileMeta, g int, pr *projection, filter engine.Expr) (*columnar.Chunk, error) {
 	rg := &meta.RowGroups[g]
+	cols, outSchema := pr.cols, pr.schema
 	ranges := make([]s3fs.Range, len(cols))
 	for slot, ci := range cols {
 		cc := &rg.Columns[ci]
@@ -562,46 +574,37 @@ func (s *Source) releaseState(st *lpq.DecodeState) {
 }
 
 // readRowGroup reads one row group. With filter columns to fetch first it is
-// the two-phase read:
+// the late-materialized read:
 //
 //	(1) prune the page index against the scan's predicates;
-//	(2) fetch and decode the filter's columns for surviving pages, in one
-//	    coalesced batch;
+//	(2) fetch the filter's columns for surviving pages and decode them, in
+//	    one coalesced batch — together with the payload's columns when those
+//	    cost no more than a round trip (payloadBreakEven);
 //	(3) evaluate the filter per page into a selection vector; pages with an
 //	    empty selection drop out;
-//	(4) fetch payload columns only for pages that still have selected rows,
-//	    again coalesced;
+//	(4) decode payload columns only for pages that still have selected rows,
+//	    fetching them first — again coalesced — unless (2) already did;
 //	(5) gather filter and payload columns by the selection, page by page in
 //	    order, into one output chunk.
+//
+// Step (2) decides between one request window and two. The second window
+// saves the payload bytes of the pages the filter empties, and costs a
+// first-byte latency to do it; below payloadBreakEven those bytes download in
+// less time than that latency, so a payload that small rides the filter's
+// window and the pages the filter empties are fetched but never decoded.
 //
 // Pages are decoded onto vectors of the source's pool, the filter runs
 // through it, and the pages and selections go back to it once gathered into
 // a chunk of the source's chunk pool.
 // Returns nil when no row of the group passes — the caller yields nothing
-// and the payload columns were never transferred. Without such columns it is
+// and no payload page was decoded. Without such columns it is
 // readWholeGroup.
-func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []int, outSchema *columnar.Schema, preds []lpq.Predicate, filter engine.Expr) (*columnar.Chunk, error) {
-	// Split the projection into filter columns and payload columns. The
-	// optimizer guarantees filter columns ⊆ projection.
-	var fslots, pslots []int // slots into cols/out.Columns
-	if filter != nil {
-		isFilterCol := map[string]bool{}
-		for _, name := range filter.Columns(nil) {
-			isFilterCol[name] = true
-		}
-		for slot, ci := range cols {
-			if isFilterCol[meta.Schema.Fields[ci].Name] {
-				fslots = append(fslots, slot)
-			} else {
-				pslots = append(pslots, slot)
-			}
-		}
-	}
-	if len(fslots) == 0 {
+func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, pr *projection, preds []lpq.Predicate, filter engine.Expr) (*columnar.Chunk, error) {
+	if len(pr.fslots) == 0 {
 		// Nothing to fetch first — no filter, or a filter that references no
 		// projected column (e.g. a constant predicate): read every projected
 		// column, then filter.
-		return s.readWholeGroup(h, meta, g, cols, outSchema, filter)
+		return s.readWholeGroup(h, meta, g, pr, filter)
 	}
 
 	// Phase 1: page-index pruning. Every column of a row group is paged at
@@ -610,12 +613,7 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []in
 	// the same rows.
 	keep := lpq.PrunePages(meta, g, preds)
 	npages := len(keep)
-	kept := 0
-	for _, k := range keep {
-		if k {
-			kept++
-		}
-	}
+	lo, hi, kept := pageWindow(keep)
 	s.mu.Lock()
 	s.pagesPruned += int64(npages - kept)
 	s.mu.Unlock()
@@ -623,14 +621,26 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []in
 		return nil, nil
 	}
 
-	// Phase 2: fetch + decode filter columns for surviving pages.
-	vecs := make([][]*columnar.Vector, len(cols)) // [slot][page]
-	if err := s.fetchPages(h, meta, g, cols, fslots, keep, vecs); err != nil {
+	// Phase 2: fetch + decode filter columns for surviving pages; the
+	// payload's ride along when they cost less than another round trip.
+	rg := &meta.RowGroups[g]
+	ranges := pageRanges(nil, rg, pr.cols, pr.fslots, lo, hi)
+	payload := pageRanges(nil, rg, pr.cols, pr.pslots, lo, hi)
+	early := coveredBytes(payload) <= payloadBreakEven
+	if early {
+		ranges = append(ranges, payload...)
+	}
+	bufs, err := h.ReadRanges(ranges)
+	if err != nil {
+		return nil, err
+	}
+	vecs := make([][]*columnar.Vector, len(pr.cols)) // [slot][page]
+	if err := s.decodePages(meta, g, pr.cols, pr.fslots, keep, lo, bufs, vecs); err != nil {
 		return nil, err
 	}
 
 	// Phase 3: evaluate the filter page by page into selections.
-	fc := &columnar.Chunk{Schema: mustProjectSlots(outSchema, fslots), Columns: make([]*columnar.Vector, len(fslots))}
+	fc := &columnar.Chunk{Schema: pr.fschema, Columns: make([]*columnar.Vector, len(pr.fslots))}
 	sels := make([][]int, npages)
 	total := 0
 	filtered := 0
@@ -638,7 +648,7 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []in
 		if !keep[p] {
 			continue
 		}
-		for i, slot := range fslots {
+		for i, slot := range pr.fslots {
 			fc.Columns[i] = vecs[slot][p]
 		}
 		sel, err := engine.FilterSelection(fc, filter, s.pool.GetSelection(), &s.pool)
@@ -662,18 +672,27 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, cols []in
 		return nil, nil
 	}
 
-	// Phase 4: fetch payload columns only for pages with selected rows.
-	if err := s.fetchPages(h, meta, g, cols, pslots, keep, vecs); err != nil {
+	// Phase 4: decode payload columns only for pages with selected rows —
+	// from the window above, or from a second one over those pages alone.
+	if early {
+		bufs = bufs[len(pr.fslots):]
+	} else {
+		lo, hi, _ = pageWindow(keep)
+		if bufs, err = h.ReadRanges(pageRanges(payload[:0], rg, pr.cols, pr.pslots, lo, hi)); err != nil {
+			return nil, err
+		}
+	}
+	if err := s.decodePages(meta, g, pr.cols, pr.pslots, keep, lo, bufs, vecs); err != nil {
 		return nil, err
 	}
 
 	// Phase 5: gather by selection, page by page in order.
-	out := s.chunks.GetChunk(outSchema, total)
+	out := s.chunks.GetChunk(pr.schema, total)
 	for p := 0; p < npages; p++ {
 		if !keep[p] {
 			continue
 		}
-		for slot := range cols {
+		for slot := range pr.cols {
 			out.Columns[slot].AppendGather(vecs[slot][p], sels[p])
 		}
 	}
@@ -699,46 +718,63 @@ func (s *Source) recycle(vecs [][]*columnar.Vector, sels [][]int) {
 	}
 }
 
-// fetchPages fetches and decodes the kept pages of the given projection
-// slots of row group g onto vectors of the source's pool, setting
-// vecs[slot][page] (nil for a page not kept). Each column is fetched
-// as ONE covering range from its first to its last kept page: interior
-// holes (pruned or filtered-out pages between kept ones) are billed dead
-// bytes, but the range never exceeds the column chunk and never takes more
-// than the one request the full-chunk read would — so the fetch never bills
-// more GETs or bytes than reading whole column chunks, and ReadRanges'
-// cross-column coalescing can only improve the request count further.
-// Columns with no kept page are skipped outright.
-func (s *Source) fetchPages(h *s3fs.File, meta *lpq.FileMeta, g int, cols, slots []int, keep []bool, vecs [][]*columnar.Vector) error {
-	rg := &meta.RowGroups[g]
-	lo, hi := -1, -1 // kept-page window, shared by every column
+// payloadBreakEven is the payload, in bytes, that downloads in one mean S3
+// GET first-byte latency at the sustained Lambda ingress rate: 32.2 ms ×
+// 90 MiB/s ≈ 2.9 MiB (§4.3.1, Figure 7). Below it a second request window
+// costs more time than the bytes it saves, so a row group whose kept payload
+// is at most this big fetches its payload in the filter's window.
+var payloadBreakEven = int64(s3.DefaultAWSConfig(nil, 0).GetLatency.Mean().Seconds() *
+	float64(netmodel.DefaultLambdaNet().Sustained))
+
+// pageWindow returns the first and last page slot keep admits, and how many
+// it admits; lo is -1 when it admits none.
+func pageWindow(keep []bool) (lo, hi, kept int) {
+	lo, hi = -1, -1
 	for p, k := range keep {
 		if k {
 			if lo < 0 {
 				lo = p
 			}
 			hi = p
+			kept++
 		}
 	}
-	for _, slot := range slots {
-		vecs[slot] = make([]*columnar.Vector, len(keep))
-	}
-	if lo < 0 || len(slots) == 0 {
-		return nil
-	}
+	return lo, hi, kept
+}
 
-	ranges := make([]s3fs.Range, len(slots))
-	for i, slot := range slots {
+// pageRanges appends to dst, for each of the given projection slots, ONE
+// covering range over its pages lo..hi of row group rg. Interior holes
+// (pruned or filtered-out pages between kept ones) are billed dead bytes, but
+// the range never exceeds the column chunk and never takes more than the one
+// request the full-chunk read would — so a read of them never bills more GETs
+// or bytes than reading whole column chunks, and ReadRanges' cross-column
+// coalescing can only improve the request count further.
+func pageRanges(dst []s3fs.Range, rg *lpq.RowGroupMeta, cols, slots []int, lo, hi int) []s3fs.Range {
+	for _, slot := range slots {
 		cc := &rg.Columns[cols[slot]]
 		pages := cc.PageSpans(rg.NumRows)
 		start := pages[lo].RelOff
 		end := pages[hi].RelOff + pages[hi].CompressedLen
-		ranges[i] = s3fs.Range{Off: cc.Offset + start, Len: end - start}
+		dst = append(dst, s3fs.Range{Off: cc.Offset + start, Len: end - start})
 	}
-	bufs, err := h.ReadRanges(ranges)
-	if err != nil {
-		return err
+	return dst
+}
+
+// coveredBytes sums the lengths of ranges.
+func coveredBytes(ranges []s3fs.Range) int64 {
+	var n int64
+	for _, r := range ranges {
+		n += r.Len
 	}
+	return n
+}
+
+// decodePages decodes the kept pages of the given projection slots of row
+// group g onto vectors of the source's pool, setting vecs[slot][page] (nil for
+// a page not kept). bufs[i] holds the pages of slots[i] from page lo on, as
+// pageRanges covered them; pages outside keep are never decoded.
+func (s *Source) decodePages(meta *lpq.FileMeta, g int, cols, slots []int, keep []bool, lo int, bufs [][]byte, vecs [][]*columnar.Vector) error {
+	rg := &meta.RowGroups[g]
 	st := s.decodeState()
 	defer s.releaseState(st)
 	read := 0
@@ -747,7 +783,8 @@ func (s *Source) fetchPages(h *s3fs.File, meta *lpq.FileMeta, g int, cols, slots
 		cc := rg.Columns[ci]
 		pages := cc.PageSpans(rg.NumRows)
 		base := pages[lo].RelOff
-		for p := lo; p <= hi; p++ {
+		vecs[slot] = make([]*columnar.Vector, len(keep))
+		for p := lo; p < len(keep); p++ {
 			if !keep[p] {
 				continue
 			}
@@ -776,25 +813,54 @@ func mustProjectSlots(schema *columnar.Schema, slots []int) *columnar.Schema {
 	return columnar.NewSchema(fields...)
 }
 
-func resolveProjection(schema *columnar.Schema, proj []string) ([]int, *columnar.Schema, error) {
+// projection is a scan's projection resolved against one file's schema: the
+// file columns it reads, by output slot, the output schema and, under a
+// filter, the slots the filter reads (fslots, with their schema fschema) and
+// the rest, the payload (pslots). The optimizer guarantees filter columns ⊆
+// projection.
+type projection struct {
+	cols           []int
+	schema         *columnar.Schema
+	fslots, pslots []int
+	fschema        *columnar.Schema
+}
+
+func resolveProjection(schema *columnar.Schema, proj []string, filter engine.Expr) (*projection, error) {
+	p := &projection{schema: schema}
 	if proj == nil {
-		cols := make([]int, schema.Len())
-		for i := range cols {
-			cols[i] = i
+		p.cols = make([]int, schema.Len())
+		for i := range p.cols {
+			p.cols[i] = i
 		}
-		return cols, schema, nil
-	}
-	cols := make([]int, len(proj))
-	fields := make([]columnar.Field, len(proj))
-	for i, name := range proj {
-		ci := schema.Index(name)
-		if ci < 0 {
-			return nil, nil, fmt.Errorf("scan: column %q not in file", name)
+	} else {
+		p.cols = make([]int, len(proj))
+		fields := make([]columnar.Field, len(proj))
+		for i, name := range proj {
+			ci := schema.Index(name)
+			if ci < 0 {
+				return nil, fmt.Errorf("scan: column %q not in file", name)
+			}
+			p.cols[i] = ci
+			fields[i] = schema.Fields[ci]
 		}
-		cols[i] = ci
-		fields[i] = schema.Fields[ci]
+		p.schema = columnar.NewSchema(fields...)
 	}
-	return cols, columnar.NewSchema(fields...), nil
+	if filter == nil {
+		return p, nil
+	}
+	isFilterCol := map[string]bool{}
+	for _, name := range filter.Columns(nil) {
+		isFilterCol[name] = true
+	}
+	for slot, ci := range p.cols {
+		if isFilterCol[schema.Fields[ci].Name] {
+			p.fslots = append(p.fslots, slot)
+		} else {
+			p.pslots = append(p.pslots, slot)
+		}
+	}
+	p.fschema = mustProjectSlots(p.schema, p.fslots)
+	return p, nil
 }
 
 // Ensure interface compliance.
