@@ -7,17 +7,20 @@ package lambada_test
 // rows/series.
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
+	"lambada/internal/awssim/pricing"
+	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
+	"lambada/internal/columnar"
 	"lambada/internal/driver"
 	"lambada/internal/exchange"
 	"lambada/internal/experiments"
 	"lambada/internal/lpq"
 	"lambada/internal/netmodel"
 	"lambada/internal/qaas"
+	"lambada/internal/scan"
 	"lambada/internal/simclock"
 	"lambada/internal/tpch"
 )
@@ -100,8 +103,7 @@ func BenchmarkFigure7(b *testing.B) {
 func BenchmarkFigure9(b *testing.B) {
 	var cost float64
 	for i := 0; i < b.N; i++ {
-		v := exchange.Variant{Levels: 1}
-		cost = float64(v.RequestCost(4096))
+		cost = requestUSD(exchange.Variant{Levels: 1}, 4096)
 	}
 	b.ReportMetric(cost, "1l-4096w-$")
 }
@@ -286,21 +288,39 @@ func BenchmarkAblationTreeVsDirect(b *testing.B) {
 func BenchmarkAblationExchangeVariants(b *testing.B) {
 	var basic, best float64
 	for i := 0; i < b.N; i++ {
-		basic = float64(exchange.Variant{Levels: 1}.RequestCost(1024))
-		best = float64(exchange.Variant{Levels: 3, WriteCombining: true}.RequestCost(1024))
+		basic = requestUSD(exchange.Variant{Levels: 1}, 1024)
+		best = requestUSD(exchange.Variant{Levels: 3, WriteCombining: true}, 1024)
 	}
 	b.ReportMetric(basic/best, "1l-vs-3lwc-cost-ratio")
 }
 
+// requestUSD prices the requests of one P-worker exchange (Table 2): reads,
+// writes, and write combining's lists.
+func requestUSD(v exchange.Variant, p int) float64 {
+	usd := pricing.USD(v.Reads(p))*pricing.S3Read + pricing.USD(v.Writes(p))*pricing.S3Write
+	if v.WriteCombining {
+		usd += pricing.USD(v.Lists(p)) * pricing.S3List
+	}
+	return float64(usd)
+}
+
 // BenchmarkAblationPruning measures row-group pruning on Q6's shipdate
-// range over the sorted relation (real scan path): reading the row groups
-// the footer statistics keep against reading all of them.
+// range over the sorted relation (real scan path): scanning l_extendedprice
+// from the row groups the footer statistics keep against scanning all of
+// them.
 func BenchmarkAblationPruning(b *testing.B) {
+	env := simenv.NewImmediate()
+	svc := s3.New(s3.Config{})
+	svc.MustCreateBucket("data")
 	data := tpch.Gen{SF: 0.01, Seed: 3}.Generate()
 	raw, err := lpq.WriteFile(tpch.Schema(), lpq.WriterOptions{RowGroupRows: 2000}, data)
 	if err != nil {
 		b.Fatal(err)
 	}
+	if err := svc.Put(env, "data", "lineitem.lpq", raw); err != nil {
+		b.Fatal(err)
+	}
+	ref := scan.FileRef{Bucket: "data", Key: "lineitem.lpq"}
 	preds := []lpq.Predicate{{Column: "l_shipdate", Min: float64(tpch.Q6ShipDateLo), Max: float64(tpch.Q6ShipDateHi - 1)}}
 	for _, prune := range []bool{true, false} {
 		name := "pruned"
@@ -310,22 +330,15 @@ func BenchmarkAblationPruning(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
 			for i := 0; i < b.N; i++ {
-				r, err := lpq.OpenReader(readerAt(raw), int64(len(raw)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				keep := lpq.PruneRowGroups(r.Meta(), nil)
+				src := scan.New(s3.NewClient(svc, env), scan.DefaultConfig(), ref)
+				var keep []lpq.Predicate
 				if prune {
-					keep = lpq.PruneRowGroups(r.Meta(), preds)
+					keep = preds
 				}
-				for _, g := range keep {
-					if _, err := r.ReadRowGroup(g, []int{10}); err != nil {
-						b.Fatal(err)
-					}
+				if err := src.Scan([]string{"l_extendedprice"}, keep, func(*columnar.Chunk) error { return nil }); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
 	}
 }
-
-func readerAt(b []byte) *bytes.Reader { return bytes.NewReader(b) }

@@ -282,7 +282,7 @@
 // writer and reads — no List, no commit marker, and names without offsets
 // (FuzzSealManifest holds the decoder to refs or a typed error on any
 // bytes). The paper's symmetric k-level grid exchange (exchange.Worker.Run
-// and RunSynthetic; Table 3, Figure 13) runs the driverless one, as §4.4.3
+// and RunSyntheticTraced; Table 3, Figure 13) runs the driverless one, as §4.4.3
 // built it: the reader "repeats until the files exist" — Lists until every
 // writer has a committed attempt, a write-combined object with the slot
 // offsets in its name or a basic writer's commit marker — takes each

@@ -31,10 +31,7 @@ func main() {
 		Reduce(dataflow.Sum(dataflow.Col("weighted"), "total"),
 			dataflow.Count("n"))
 
-	plan, err := pipeline.Plan()
-	if err != nil {
-		log.Fatal(err)
-	}
+	plan := pipeline.Plan()
 	fmt.Println("logical plan:")
 	fmt.Print(engine.Explain(plan))
 

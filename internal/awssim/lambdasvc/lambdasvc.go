@@ -28,7 +28,6 @@ import (
 var (
 	ErrNoSuchFunction  = errors.New("lambda: no such function")
 	ErrTooManyRequests = errors.New("lambda: too many requests (concurrency limit)")
-	ErrTimeout         = errors.New("lambda: function timed out")
 )
 
 // MaxMemoryMiB is the largest configurable function size in the era the
@@ -169,7 +168,6 @@ type Service struct {
 	rt      Runtime
 	fns     map[string]*Function
 	running int
-	peak    int
 	invokes int64
 	colds   int64
 	rng     *rand.Rand
@@ -234,24 +232,9 @@ func (s *Service) CreateFunction(name string, memoryMiB int, timeout time.Durati
 	return nil
 }
 
-// Warm pre-warms n containers of a function (models a prior hot run).
-func (s *Service) Warm(name string, n int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.fns[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchFunction, name)
-	}
-	f.warm += n
-	return nil
-}
-
 // InvokeOptions carries per-invocation metadata.
 type InvokeOptions struct {
 	WorkerID int
-	// OnDone, if non-nil, runs in the worker's context after the handler
-	// returns (success or error). Used by tests and the driver simulators.
-	OnDone func(env simenv.Env, err error)
 	// Pipelined skips the caller-side round-trip sleep: the caller issues
 	// invocations from a pool of requester threads and paces itself (the
 	// mass-invocation mode of §4.2). The worker still starts after the
@@ -276,9 +259,6 @@ func (s *Service) Invoke(env simenv.Env, name string, payload []byte, opts Invok
 		return ErrTooManyRequests
 	}
 	s.running++
-	if s.running > s.peak {
-		s.peak = s.running
-	}
 	s.invokes++
 	cold := f.warm <= 0
 	if !cold {
@@ -362,7 +342,7 @@ func (s *Service) Invoke(env simenv.Env, name string, payload []byte, opts Invok
 		ctx := &Ctx{Env: henv, Function: f.Name, MemoryMiB: f.MemoryMiB, Cold: cold, WorkerID: opts.WorkerID, Span: span, svc: s}
 		begin := wenv.Now()
 		crashed := false
-		err := func() (err error) {
+		func() {
 			defer func() {
 				if r := recover(); r != nil {
 					if _, ok := r.(crashPanic); !ok {
@@ -371,12 +351,13 @@ func (s *Service) Invoke(env simenv.Env, name string, payload []byte, opts Invok
 					crashed = true
 				}
 			}()
-			return f.Handler(ctx, payload)
+			// An asynchronous invocation has no caller to hand an error to:
+			// a worker reports through the result queue itself.
+			_ = f.Handler(ctx, payload)
 		}()
 		dur := wenv.Now() - begin
 		if f.Timeout > 0 && dur > f.Timeout {
 			dur = f.Timeout
-			err = fmt.Errorf("%w after %v", ErrTimeout, f.Timeout)
 			tr.SetTag(span, "timeout", "true")
 		}
 		// A mid-run crash bills the partial duration: the work ran until the
@@ -398,9 +379,6 @@ func (s *Service) Invoke(env simenv.Env, name string, payload []byte, opts Invok
 		if settle != nil {
 			settle(wenv)
 		}
-		if !crashed && opts.OnDone != nil {
-			opts.OnDone(wenv, err)
-		}
 	})
 
 	// Caller pays the full API round trip unless it pipelines requests.
@@ -415,13 +393,6 @@ func (s *Service) Running() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.running
-}
-
-// PeakConcurrency returns the maximum simultaneous instances observed.
-func (s *Service) PeakConcurrency() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peak
 }
 
 // Invocations returns total and cold invocation counts.

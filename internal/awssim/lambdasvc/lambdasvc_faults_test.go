@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"lambada/internal/awssim/faults"
-	"lambada/internal/awssim/simenv"
 	"lambada/internal/simclock"
 )
 
@@ -18,26 +17,22 @@ func TestInjectedCrashOnInvoke(t *testing.T) {
 		{Op: faults.OpLambda, Kind: faults.KindCrash, Count: 1},
 	}})
 	s := New(Config{Faults: inj}, SimRuntime{K: k})
-	ran, done := 0, 0
+	ran := 0
 	s.CreateFunction("f", 1792, time.Minute, func(ctx *Ctx, _ []byte) error {
 		ran++
 		return nil
 	})
 	k.Go("driver", func(p *simclock.Proc) {
-		opts := InvokeOptions{OnDone: func(simenv.Env, error) { done++ }}
-		if err := s.Invoke(p, "f", nil, opts); err != nil {
+		if err := s.Invoke(p, "f", nil, InvokeOptions{}); err != nil {
 			t.Errorf("crashed invocation returned error to invoker: %v", err)
 		}
-		if err := s.Invoke(p, "f", nil, opts); err != nil {
+		if err := s.Invoke(p, "f", nil, InvokeOptions{}); err != nil {
 			t.Error(err)
 		}
 	})
 	k.Run()
 	if ran != 1 {
 		t.Errorf("handler ran %d times, want 1 (first invocation crashed)", ran)
-	}
-	if done != 1 {
-		t.Errorf("OnDone fired %d times, want 1", done)
 	}
 	if s.Running() != 0 {
 		t.Errorf("running = %d after crash, want 0 (slot released)", s.Running())
@@ -58,7 +53,7 @@ func TestInjectedCrashMidRun(t *testing.T) {
 		{Op: faults.OpLambda, Kind: faults.KindCrashMidRun, Delay: 3 * time.Second, Count: 1},
 	}})
 	s := New(Config{Faults: inj}, SimRuntime{K: k})
-	var before, after, done int
+	var before, after int
 	s.CreateFunction("f", 1792, time.Minute, func(ctx *Ctx, _ []byte) error {
 		ctx.Env.Sleep(time.Second)
 		before++ // 1s in: still alive
@@ -67,25 +62,22 @@ func TestInjectedCrashMidRun(t *testing.T) {
 		return nil
 	})
 	k.Go("driver", func(p *simclock.Proc) {
-		if err := s.Invoke(p, "f", nil, InvokeOptions{OnDone: func(simenv.Env, error) { done++ }}); err != nil {
+		if err := s.Invoke(p, "f", nil, InvokeOptions{}); err != nil {
 			t.Error(err)
 		}
 	})
-	k.Run()
+	end := k.Run()
 	if k.Deadlocked() {
 		t.Fatal("DES deadlocked")
 	}
 	if before != 1 || after != 0 {
 		t.Errorf("before/after crash = %d/%d, want 1/0", before, after)
 	}
-	if done != 0 {
-		t.Error("OnDone fired for a crashed worker")
-	}
 	if s.Running() != 0 {
 		t.Errorf("running = %d, want 0", s.Running())
 	}
-	if k.Now() != 3*time.Second {
-		t.Errorf("virtual end = %v, want 3s (partial run billed to the crash instant)", k.Now())
+	if end != 3*time.Second {
+		t.Errorf("virtual end = %v, want 3s (partial run billed to the crash instant)", end)
 	}
 }
 

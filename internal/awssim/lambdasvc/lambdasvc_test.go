@@ -10,6 +10,7 @@ import (
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/netmodel"
+	"lambada/internal/obs"
 	"lambada/internal/simclock"
 )
 
@@ -77,9 +78,6 @@ func TestConcurrencyLimit(t *testing.T) {
 	if rejected != 3 {
 		t.Errorf("rejected = %d, want 3", rejected)
 	}
-	if s.PeakConcurrency() != 2 {
-		t.Errorf("peak = %d, want 2", s.PeakConcurrency())
-	}
 }
 
 func TestColdWarmAccounting(t *testing.T) {
@@ -114,26 +112,6 @@ func TestColdWarmAccounting(t *testing.T) {
 	}
 }
 
-func TestWarmPrewarming(t *testing.T) {
-	k := simclock.New()
-	s := New(Config{ColdStart: netmodel.Constant(time.Second)}, SimRuntime{K: k})
-	s.CreateFunction("f", 1792, time.Minute, func(ctx *Ctx, _ []byte) error {
-		if ctx.Cold {
-			t.Error("expected warm invocation")
-		}
-		return nil
-	})
-	s.Warm("f", 1)
-	k.Go("driver", func(p *simclock.Proc) {
-		s.Invoke(p, "f", nil, InvokeOptions{})
-	})
-	k.Run()
-	_, cold := s.Invocations()
-	if cold != 0 {
-		t.Errorf("cold = %d", cold)
-	}
-}
-
 func TestBillingGBSeconds(t *testing.T) {
 	meter := pricing.NewCostMeter()
 	k := simclock.New()
@@ -154,20 +132,27 @@ func TestBillingGBSeconds(t *testing.T) {
 	}
 }
 
+// TestTimeoutReported: a handler that runs past its function's timeout is
+// billed for the timeout, and its invocation span says it timed out.
 func TestTimeoutReported(t *testing.T) {
 	k := simclock.New()
-	s := New(Config{}, SimRuntime{K: k})
+	meter := pricing.NewCostMeter()
+	s := New(Config{Meter: meter}, SimRuntime{K: k})
+	tr := obs.New()
+	s.SetTracer(tr)
 	s.CreateFunction("f", 1792, time.Second, func(ctx *Ctx, _ []byte) error {
 		ctx.Env.Sleep(time.Minute)
 		return nil
 	})
-	var gotErr error
 	k.Go("driver", func(p *simclock.Proc) {
-		s.Invoke(p, "f", nil, InvokeOptions{OnDone: func(_ simenv.Env, err error) { gotErr = err }})
+		s.Invoke(p, "f", nil, InvokeOptions{})
 	})
 	k.Run()
-	if !errors.Is(gotErr, ErrTimeout) {
-		t.Errorf("err = %v, want timeout", gotErr)
+	if got, want := meter.Cost().LambdaMiBNs, int64(1792)*int64(time.Second); got != want {
+		t.Errorf("billed %d MiB·ns, want the timeout's %d", got, want)
+	}
+	if spans := tr.Spans(); len(spans) == 0 || spans[0].Tags["timeout"] != "true" {
+		t.Errorf("invocation span not tagged as timed out: %+v", spans)
 	}
 }
 

@@ -216,17 +216,6 @@ func (m *CostMeter) Labels() []string {
 	return out
 }
 
-// Breakdown returns a formatted multi-line cost report.
-func (m *CostMeter) Breakdown() string {
-	lines, total := Bill(m.Cost())
-	s := ""
-	for _, l := range lines {
-		s += fmt.Sprintf("%-24s %12s  (%d units)\n", l.Label, l.USD, l.Count)
-	}
-	s += fmt.Sprintf("%-24s %12s\n", "TOTAL", total)
-	return s
-}
-
 // Standard meter labels used by the service simulators.
 const (
 	LabelLambdaDuration = "lambda.duration"

@@ -111,9 +111,6 @@ func NewClient(svc *Service, env simenv.Env, opts ...ClientOption) *Client {
 // Env returns the client's environment.
 func (c *Client) Env() simenv.Env { return c.env }
 
-// Service returns the underlying service.
-func (c *Client) Service() *Service { return c.svc }
-
 // BytesRead returns the total payload bytes downloaded by this client.
 func (c *Client) BytesRead() int64 {
 	c.shared.mu.Lock()
@@ -134,10 +131,6 @@ func (c *Client) BytesWritten() int64 {
 	defer c.shared.mu.Unlock()
 	return c.shared.bytesWrite
 }
-
-// Retries returns the retries recorded in the policy's Stats: the client's
-// own under its default policy, its whole scope's under a shared one.
-func (c *Client) Retries() int64 { return c.policy.Stats.Retries() }
 
 // chargeTransfer sleeps for the shaped transfer time of n bytes using conns
 // parallel connections, after whatever transfer already holds the link. The
@@ -237,11 +230,6 @@ func (c *Client) List(bucket, prefix string) (out []ListEntry, err error) {
 		return e
 	})
 	return out, err
-}
-
-// Delete removes an object.
-func (c *Client) Delete(bucket, key string) error {
-	return c.policy.Do(c.env, "s3.delete", func() error { return c.svc.Delete(c.env, bucket, key) })
 }
 
 // DeleteBatch removes many objects through the batched DeleteObjects API —

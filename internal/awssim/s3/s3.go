@@ -420,26 +420,6 @@ func (s *Service) List(env simenv.Env, bucketName, prefix string) ([]ListEntry, 
 	return out, nil
 }
 
-// Delete removes an object. Deletes are free on AWS; only latency applies.
-func (s *Service) Delete(env simenv.Env, bucketName, key string) error {
-	if f, ok := s.cfg.Faults.Next(faults.OpS3Delete); ok {
-		if err := s.injected(env, f, obs.Cost{}, s.cfg.PutLatency); err != nil {
-			return err
-		}
-	}
-	s.mu.Lock()
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoSuchBucket, bucketName)
-	}
-	b.deletes++
-	delete(b.objects, key)
-	s.mu.Unlock()
-	s.sleepDist(env, s.cfg.PutLatency)
-	return nil
-}
-
 // DeleteBatch removes many objects in pages of up to 1000 keys — the
 // DeleteObjects API: one request round trip (one latency charge) per page
 // instead of one per object, and still free like single deletes. The
@@ -478,9 +458,6 @@ func (s *Service) sleepDist(env simenv.Env, d netmodel.Dist) {
 	}
 	env.Sleep(s.rng.sample(d))
 }
-
-// Meter returns the service's cost meter (may be nil).
-func (s *Service) Meter() *pricing.CostMeter { return s.cfg.Meter }
 
 // ReadBytes returns the total billed bytes served by Get/GetRange.
 func (s *Service) ReadBytes() int64 { return s.cfg.Meter.Cost().S3ReadBytes }

@@ -29,8 +29,8 @@ func TestClientRetriesInjectedTransients(t *testing.T) {
 	if err != nil || string(data) != "payload" {
 		t.Fatalf("get = %q, %v", data, err)
 	}
-	if c.Retries() != 2 {
-		t.Errorf("client retries = %d, want 2", c.Retries())
+	if c.policy.Stats.Retries() != 2 {
+		t.Errorf("client retries = %d, want 2", c.policy.Stats.Retries())
 	}
 	if got := meter.Count(pricing.LabelS3Read); got != 3 {
 		t.Errorf("billed %d reads, want 3 (2 failed + 1 success)", got)
@@ -50,8 +50,8 @@ func TestClientRetriesInjectedSlowDown(t *testing.T) {
 	if err := c.Put("b", "k", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if c.Retries() != 3 {
-		t.Errorf("client retries = %d, want 3", c.Retries())
+	if c.policy.Stats.Retries() != 3 {
+		t.Errorf("client retries = %d, want 3", c.policy.Stats.Retries())
 	}
 	if got := meter.Count(pricing.LabelS3Write); got != 1 {
 		t.Errorf("billed %d writes, want 1 (SlowDowns are unbilled)", got)
@@ -96,8 +96,8 @@ func TestClientRetriesLeaveServiceLatenciesAlone(t *testing.T) {
 		if _, _, err := a.Get("b", "k", 1); err != nil {
 			t.Fatal(err)
 		}
-		if want := int64(len(plan.Rules)) * 2; a.Retries() != want {
-			t.Fatalf("client A made %d retries, want %d", a.Retries(), want)
+		if want := int64(len(plan.Rules)) * 2; a.policy.Stats.Retries() != want {
+			t.Fatalf("client A made %d retries, want %d", a.policy.Stats.Retries(), want)
 		}
 		env := simenv.NewImmediate()
 		if _, _, err := NewClient(svc, env).Get("b", "k", 1); err != nil {

@@ -122,7 +122,7 @@ func TestDelete(t *testing.T) {
 	env := simenv.NewImmediate()
 	svc.MustCreateBucket("b")
 	svc.Put(env, "b", "k", []byte("x"))
-	if err := svc.Delete(env, "b", "k"); err != nil {
+	if err := svc.DeleteBatch(env, "b", []string{"k"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := svc.Get(env, "b", "k"); !errors.Is(err, ErrNoSuchKey) {
@@ -134,16 +134,16 @@ func TestSyntheticObjects(t *testing.T) {
 	svc := newTestService(nil)
 	env := simenv.NewImmediate()
 	svc.MustCreateBucket("b")
-	svc.PutSynthetic(env, "b", "big", 5*netmodel.GiB)
+	svc.PutSynthetic(env, "b", "big", 5<<30)
 	data, size, err := svc.Get(env, "b", "big")
-	if err != nil || data != nil || size != 5*netmodel.GiB {
+	if err != nil || data != nil || size != 5<<30 {
 		t.Errorf("synthetic get: data=%v size=%d err=%v", data, size, err)
 	}
-	_, n, err := svc.GetRange(env, "b", "big", 4*netmodel.GiB, 2*netmodel.GiB)
-	if err != nil || n != 1*netmodel.GiB {
+	_, n, err := svc.GetRange(env, "b", "big", 4<<30, 2<<30)
+	if err != nil || n != 1<<30 {
 		t.Errorf("synthetic range: n=%d err=%v", n, err)
 	}
-	if svc.TotalBytes("b") != 5*netmodel.GiB {
+	if svc.TotalBytes("b") != 5<<30 {
 		t.Errorf("total bytes = %d", svc.TotalBytes("b"))
 	}
 }
@@ -267,7 +267,7 @@ func TestClientTransferTimeShaped(t *testing.T) {
 	svc := newTestService(nil)
 	svc.MustCreateBucket("b")
 	im := simenv.NewImmediate()
-	svc.PutSynthetic(im, "b", "warm", 2*netmodel.GiB)
+	svc.PutSynthetic(im, "b", "warm", 2<<30)
 	svc.PutSynthetic(im, "b", "big", 1*netmodel.GB)
 	k := simclock.New()
 	var dur time.Duration
@@ -293,7 +293,7 @@ func TestBucketStatsAndBuckets(t *testing.T) {
 	svc.Put(env, "a", "k", []byte("x"))
 	svc.Get(env, "a", "k")
 	svc.List(env, "a", "")
-	svc.Delete(env, "a", "k")
+	svc.DeleteBatch(env, "a", []string{"k"})
 	st, err := svc.BucketStats("a")
 	if err != nil {
 		t.Fatal(err)
@@ -432,10 +432,10 @@ func TestGetSuffixSemantics(t *testing.T) {
 	if _, _, _, err := svc.GetSuffix(env, "nope", "k", 4); !errors.Is(err, ErrNoSuchBucket) {
 		t.Errorf("missing bucket: %v, want ErrNoSuchBucket", err)
 	}
-	svc.PutSynthetic(env, "b", "big", 5*netmodel.GiB)
-	for _, n := range []int64{4096, 6 * netmodel.GiB} {
+	svc.PutSynthetic(env, "b", "big", 5<<30)
+	for _, n := range []int64{4096, 6 << 30} {
 		data, got, total, err := svc.GetSuffix(env, "b", "big", n)
-		if err != nil || data != nil || got != min(n, 5*netmodel.GiB) || total != 5*netmodel.GiB {
+		if err != nil || data != nil || got != min(n, 5<<30) || total != 5<<30 {
 			t.Errorf("synthetic suffix %d: data=%v got=%d size=%d err=%v", n, data, got, total, err)
 		}
 	}
@@ -461,8 +461,8 @@ func TestClientGetSuffixIsARead(t *testing.T) {
 	if err != nil || string(data) != "load" || got != 4 || size != 7 {
 		t.Fatalf("suffix = %q (%d of %d), %v", data, got, size, err)
 	}
-	if c.Retries() != 2 || c.BytesRead() != 4 {
-		t.Errorf("client counts %d retries and %d bytes read, want 2 and 4", c.Retries(), c.BytesRead())
+	if c.policy.Stats.Retries() != 2 || c.BytesRead() != 4 {
+		t.Errorf("client counts %d retries and %d bytes read, want 2 and 4", c.policy.Stats.Retries(), c.BytesRead())
 	}
 	if bill := meter.Cost(); bill.S3Get != 3 || bill.S3ReadBytes != 4 {
 		t.Errorf("billed %+v, want 3 GETs (2 failed + 1 success) and 4 bytes", bill)
@@ -480,7 +480,7 @@ func TestClientGetSuffixIsARead(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		retries = sc.Retries()
+		retries = sc.policy.Stats.Retries()
 	})
 	if retries == 0 || end < 2*time.Second {
 		t.Errorf("3 reads at 1/s: %d retries, done at %v — the rate window did not apply", retries, end)

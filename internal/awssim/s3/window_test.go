@@ -207,7 +207,11 @@ func TestWindowTraceExact(t *testing.T) {
 			t.Errorf("span %d carries %+v, want its one GET", i, sp.Cost)
 		}
 	}
-	if got, want := obs.TotalCost(spans), meter.Cost().Sub(before); got != want {
+	var got obs.Cost
+	for _, sp := range spans {
+		got.Add(sp.Cost)
+	}
+	if want := meter.Cost().Sub(before); got != want {
 		t.Errorf("spans carry %+v, the meter moved %+v", got, want)
 	}
 }
@@ -240,8 +244,8 @@ func TestWindowLaneRetries(t *testing.T) {
 	if want := 3*lat + pol.Backoff("s3.get", 1) + pol.Backoff("s3.get", 2); end != want {
 		t.Errorf("window took %v, want %v", end, want)
 	}
-	if c.Retries() != 2 || budget.Remaining() != 3 {
-		t.Errorf("retries = %d, budget left = %d, want 2 and 3", c.Retries(), budget.Remaining())
+	if r, left := c.policy.Stats.Retries(), takeAll(budget); r != 2 || left != 3 {
+		t.Errorf("retries = %d, budget left = %d, want 2 and 3", r, left)
 	}
 	if got := meter.Cost().Sub(puts).S3Get; got != window+2 {
 		t.Errorf("billed %d GETs, want %d and the two failed tries", got, window)
@@ -254,6 +258,14 @@ func TestWindowLaneRetries(t *testing.T) {
 			t.Errorf("request %d tagged %v", i, sp.Tags)
 		}
 	}
+}
+
+// takeAll spends what is left of b and returns how much that was.
+func takeAll(b *resilience.Budget) (n int) {
+	for b.Take() {
+		n++
+	}
+	return n
 }
 
 // TestWindowSlowDownBacksOffOnItsLane: the request the bucket's rate window
@@ -288,8 +300,8 @@ func TestWindowSlowDownBacksOffOnItsLane(t *testing.T) {
 	if end != waited+lat {
 		t.Errorf("window took %v, want the %v of %d backoffs and a latency", end, waited, retries)
 	}
-	if r := c.Retries(); r != int64(retries) || budget.Remaining() != 10-retries {
-		t.Errorf("retries = %d, budget left = %d, want %d out of the budget's 10", r, budget.Remaining(), retries)
+	if r, left := c.policy.Stats.Retries(), takeAll(budget); r != int64(retries) || left != 10-retries {
+		t.Errorf("retries = %d, budget left = %d, want %d out of the budget's 10", r, left, retries)
 	}
 	if got := meter.Cost().Sub(puts).S3Get; got != n {
 		t.Errorf("billed %d GETs, want %d (SlowDowns are unbilled)", got, n)
@@ -400,7 +412,11 @@ func TestWindowCrashMidWindow(t *testing.T) {
 		t.Errorf("returned = %v, issued %d calls, billed %d GETs; want a dead worker and %d of each", returned, issued, moved.S3Get, 2*window)
 	}
 	spans := tr.Spans()
-	if got := obs.TotalCost(spans); got != moved {
+	var got obs.Cost
+	for _, sp := range spans {
+		got.Add(sp.Cost)
+	}
+	if got != moved {
 		t.Errorf("spans carry %+v, the meter moved %+v", got, moved)
 	}
 	for _, sp := range spans {

@@ -196,11 +196,6 @@ func (b Barrier) Cancel() {
 	}
 }
 
-// Wakeups returns the number of keyed-or-wildcard waiter wake-ups the
-// process-wide completion signal has performed (Immediate envs; the DES
-// kernel keeps its own counter on simclock.Kernel).
-func Wakeups() uint64 { return notifyWakeups.Load() }
-
 // NotifyKey broadcasts the process-wide completion signal for key
 // (Notifier).
 func (e *Immediate) NotifyKey(key string) { NotifyKey(key) }

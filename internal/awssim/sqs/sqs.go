@@ -200,13 +200,6 @@ func (s *Service) Receive(env simenv.Env, queue string, max int) ([]Message, err
 	return out, nil
 }
 
-// Len returns the number of queued messages.
-func (s *Service) Len(queue string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queues[queue])
-}
-
 func (s *Service) sleep(env simenv.Env, d netmodel.Dist) {
 	if d == nil {
 		return

@@ -58,8 +58,8 @@ func TestInjectedDuplicateKeepsOrder(t *testing.T) {
 	if len(ms) != 2 || string(ms[0].Body) != "a" || string(ms[1].Body) != "b" {
 		t.Fatalf("receive = %d messages, want visible a,b in order", len(ms))
 	}
-	if s.Len("q") != 1 {
-		t.Errorf("queue len = %d, want the hidden copy still queued", s.Len("q"))
+	if len(s.queues["q"]) != 1 {
+		t.Errorf("queue len = %d, want the hidden copy still queued", len(s.queues["q"]))
 	}
 }
 
@@ -78,7 +78,7 @@ func TestInjectedTransientAndTimeout(t *testing.T) {
 	if err := s.Send(env, "q", []byte("x")); !errors.Is(err, faults.ErrInternal) {
 		t.Fatalf("first send err = %v, want injected internal error", err)
 	}
-	if s.Len("q") != 0 {
+	if len(s.queues["q"]) != 0 {
 		t.Error("failed send enqueued a message")
 	}
 	if err := s.Send(env, "q", []byte("x")); err != nil {

@@ -33,7 +33,7 @@ func TestSendReceiveFIFO(t *testing.T) {
 			t.Errorf("message %d = %v", i, m.Body)
 		}
 	}
-	if s.Len("q") != 0 {
+	if len(s.queues["q"]) != 0 {
 		t.Error("queue not drained")
 	}
 }

@@ -75,9 +75,6 @@ func (s *Schema) Index(name string) int {
 	return -1
 }
 
-// Field returns the i-th field.
-func (s *Schema) Field(i int) Field { return s.Fields[i] }
-
 // Project returns a schema with only the named columns, in the given order.
 func (s *Schema) Project(names ...string) (*Schema, error) {
 	out := &Schema{}
@@ -170,18 +167,6 @@ func (v *Vector) AppendBool(x bool) {
 		panic("columnar: AppendBool on " + v.Type.String())
 	}
 	v.Bools = append(v.Bools, x)
-}
-
-// Append copies value i of src (same type) onto v.
-func (v *Vector) Append(src *Vector, i int) {
-	switch v.Type {
-	case Int64:
-		v.Int64s = append(v.Int64s, src.Int64s[i])
-	case Float64:
-		v.Float64s = append(v.Float64s, src.Float64s[i])
-	case Bool:
-		v.Bools = append(v.Bools, src.Bools[i])
-	}
 }
 
 // AppendVector bulk-appends all values of src (same type) onto v.
@@ -378,13 +363,6 @@ func (c *Chunk) Column(name string) *Vector {
 	return c.Columns[i]
 }
 
-// AppendRow copies row i of src (same schema order) onto c.
-func (c *Chunk) AppendRow(src *Chunk, i int) {
-	for j, col := range c.Columns {
-		col.Append(src.Columns[j], i)
-	}
-}
-
 // AppendChunk bulk-appends all rows of src (same schema order) onto c.
 func (c *Chunk) AppendChunk(src *Chunk) {
 	for j, col := range c.Columns {
@@ -404,6 +382,23 @@ func (c *Chunk) Slice(lo, hi int) *Chunk {
 	out := &Chunk{Schema: c.Schema, Columns: make([]*Vector, len(c.Columns))}
 	for i, col := range c.Columns {
 		out.Columns[i] = col.Slice(lo, hi)
+	}
+	return out
+}
+
+// Split cuts c into at most n contiguous views of ⌈rows/n⌉ rows, the last
+// one shorter — the way the paper stores one table as 320 Parquet files of
+// ~500 MB. An empty chunk yields one empty view, so an empty relation is
+// still one file.
+func (c *Chunk) Split(n int) []*Chunk {
+	rows := c.NumRows()
+	if rows == 0 {
+		return []*Chunk{c.Slice(0, 0)}
+	}
+	per := (rows + max(n, 1) - 1) / max(n, 1)
+	out := make([]*Chunk, 0, (rows+per-1)/per)
+	for lo := 0; lo < rows; lo += per {
+		out = append(out, c.Slice(lo, min(lo+per, rows)))
 	}
 	return out
 }

@@ -116,9 +116,9 @@ func TestChunkAppendRow(t *testing.T) {
 	src.Columns[0].AppendInt64(7)
 	src.Columns[1].AppendFloat64(3.5)
 	dst := NewChunk(twoColSchema(), 2)
-	dst.AppendRow(src, 0)
+	dst.AppendGather(src, []int{0})
 	if dst.NumRows() != 1 || dst.Columns[0].Int64s[0] != 7 || dst.Columns[1].Float64s[0] != 3.5 {
-		t.Error("AppendRow wrong")
+		t.Error("AppendGather of one row wrong")
 	}
 }
 

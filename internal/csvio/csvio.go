@@ -1,9 +1,7 @@
 // Package csvio reads and writes relations as CSV, the uncompressed
 // baseline format of the paper's evaluation (§5.1: "in uncompressed CSV,
 // the size of the relation is 705 GiB"). It provides the ingestion path a
-// deployment needs: CSV → columnar chunks → lpq files, plus an engine
-// source for querying CSV directly (at CSV prices: no projection push-down,
-// no pruning — every byte is read, which is exactly why Parquet wins).
+// deployment needs: CSV → columnar chunks → lpq files.
 package csvio
 
 import (
@@ -61,45 +59,28 @@ func Write(w io.Writer, c *columnar.Chunk) error {
 	return bw.Flush()
 }
 
-// ReadOptions configure parsing.
-type ReadOptions struct {
-	// Schema gives the expected columns. If nil, the header is parsed and
-	// all columns default to Float64 unless every value of a column parses
-	// as an integer (schema inference on the first chunk).
-	Schema *columnar.Schema
-	// ChunkRows is the number of rows per yielded chunk (default 65536).
-	ChunkRows int
-}
+// chunkRows is the number of rows Read yields at a time.
+const chunkRows = 65536
 
-// Read parses CSV (with header) into chunks, yielding every ChunkRows rows.
-func Read(r io.Reader, opts ReadOptions, yield func(*columnar.Chunk) error) error {
-	if opts.ChunkRows <= 0 {
-		opts.ChunkRows = 65536
-	}
+// Read parses CSV whose header names schema's columns, in order, into
+// chunks of chunkRows rows (the last one shorter).
+func Read(r io.Reader, schema *columnar.Schema, yield func(*columnar.Chunk) error) error {
 	br := bufio.NewReaderSize(r, 1<<20)
 	header, err := readLine(br)
 	if err != nil {
 		return fmt.Errorf("csvio: reading header: %w", err)
 	}
 	names := strings.Split(header, ",")
-	schema := opts.Schema
-	if schema != nil {
-		if schema.Len() != len(names) {
-			return fmt.Errorf("csvio: header has %d columns, schema %d", len(names), schema.Len())
-		}
-		for i, n := range names {
-			if schema.Fields[i].Name != strings.TrimSpace(n) {
-				return fmt.Errorf("csvio: header column %d is %q, schema says %q", i, n, schema.Fields[i].Name)
-			}
-		}
-	} else {
-		schema = &columnar.Schema{}
-		for _, n := range names {
-			schema.Fields = append(schema.Fields, columnar.Field{Name: strings.TrimSpace(n), Type: columnar.Float64})
+	if schema.Len() != len(names) {
+		return fmt.Errorf("csvio: header has %d columns, schema %d", len(names), schema.Len())
+	}
+	for i, n := range names {
+		if schema.Fields[i].Name != strings.TrimSpace(n) {
+			return fmt.Errorf("csvio: header column %d is %q, schema says %q", i, n, schema.Fields[i].Name)
 		}
 	}
 
-	chunk := columnar.NewChunk(schema, opts.ChunkRows)
+	chunk := columnar.NewChunk(schema, chunkRows)
 	lineNo := 1
 	for {
 		line, err := readLine(br)
@@ -140,11 +121,11 @@ func Read(r io.Reader, opts ReadOptions, yield func(*columnar.Chunk) error) erro
 				chunk.Columns[j].AppendBool(v)
 			}
 		}
-		if chunk.NumRows() >= opts.ChunkRows {
+		if chunk.NumRows() >= chunkRows {
 			if err := yield(chunk); err != nil {
 				return err
 			}
-			chunk = columnar.NewChunk(schema, opts.ChunkRows)
+			chunk = columnar.NewChunk(schema, chunkRows)
 		}
 	}
 	if chunk.NumRows() > 0 {
@@ -164,33 +145,11 @@ func readLine(br *bufio.Reader) (string, error) {
 	return strings.TrimRight(line, "\r\n"), nil
 }
 
-// ReadAll parses the whole input into one chunk.
-func ReadAll(r io.Reader, schema *columnar.Schema) (*columnar.Chunk, error) {
-	out := columnar.NewChunk(schema, 0)
-	err := Read(r, ReadOptions{Schema: schema}, func(c *columnar.Chunk) error {
-		for j := range out.Columns {
-			switch out.Columns[j].Type {
-			case columnar.Int64:
-				out.Columns[j].Int64s = append(out.Columns[j].Int64s, c.Columns[j].Int64s...)
-			case columnar.Float64:
-				out.Columns[j].Float64s = append(out.Columns[j].Float64s, c.Columns[j].Float64s...)
-			default:
-				out.Columns[j].Bools = append(out.Columns[j].Bools, c.Columns[j].Bools...)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Convert re-encodes CSV into an lpq file, the ETL step a Lambada adopter
 // runs once so that queries benefit from column pruning and statistics.
 func Convert(r io.Reader, w io.Writer, schema *columnar.Schema, opts lpq.WriterOptions) (rows int64, err error) {
 	lw := lpq.NewWriter(w, schema, opts)
-	err = Read(r, ReadOptions{Schema: schema}, func(c *columnar.Chunk) error {
+	err = Read(r, schema, func(c *columnar.Chunk) error {
 		rows += int64(c.NumRows())
 		return lw.Write(c)
 	})
@@ -198,32 +157,4 @@ func Convert(r io.Reader, w io.Writer, schema *columnar.Schema, opts lpq.WriterO
 		return rows, err
 	}
 	return rows, lw.Close()
-}
-
-// Source serves an in-memory CSV payload as an engine scan source. CSV has
-// no column chunks or statistics, so projection happens after full parsing
-// and prune predicates are ignored — the cost structure the paper's Parquet
-// choice avoids.
-type Source struct {
-	Data        []byte
-	TableSchema *columnar.Schema
-	ChunkRows   int
-}
-
-// Schema returns the declared schema.
-func (s *Source) Schema() (*columnar.Schema, error) { return s.TableSchema, nil }
-
-// Scan parses the entire payload, then projects.
-func (s *Source) Scan(proj []string, _ []lpq.Predicate, yield func(*columnar.Chunk) error) error {
-	return Read(strings.NewReader(string(s.Data)), ReadOptions{Schema: s.TableSchema, ChunkRows: s.ChunkRows},
-		func(c *columnar.Chunk) error {
-			if proj != nil {
-				p, err := c.Project(proj...)
-				if err != nil {
-					return err
-				}
-				c = p
-			}
-			return yield(c)
-		})
 }

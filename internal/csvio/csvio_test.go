@@ -2,17 +2,28 @@ package csvio
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"lambada/internal/columnar"
-	"lambada/internal/engine"
 	"lambada/internal/lpq"
 	"lambada/internal/tpch"
 )
+
+// readAll parses the whole input into one chunk.
+func readAll(r io.Reader, schema *columnar.Schema) (*columnar.Chunk, error) {
+	out := columnar.NewChunk(schema, 0)
+	err := Read(r, schema, func(c *columnar.Chunk) error {
+		out.AppendChunk(c)
+		return nil
+	})
+	return out, err
+}
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	data := tpch.Gen{SF: 0.001, Seed: 2}.Generate()
@@ -20,7 +31,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := Write(&buf, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()), tpch.Schema())
+	got, err := readAll(bytes.NewReader(buf.Bytes()), tpch.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,27 +49,26 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestReadChunking(t *testing.T) {
-	data := tpch.Gen{SF: 0.001, Seed: 2}.Generate()
+	schema := columnar.NewSchema(columnar.Field{Name: "a", Type: columnar.Int64})
+	const rows = 2*chunkRows + 7
 	var buf bytes.Buffer
-	Write(&buf, data)
+	buf.WriteString("a\n")
+	for i := 0; i < rows; i++ {
+		buf.WriteString(strconv.Itoa(i) + "\n")
+	}
 	var sizes []int
-	err := Read(bytes.NewReader(buf.Bytes()), ReadOptions{Schema: tpch.Schema(), ChunkRows: 1000},
-		func(c *columnar.Chunk) error {
-			sizes = append(sizes, c.NumRows())
-			return nil
-		})
+	err := Read(&buf, schema, func(c *columnar.Chunk) error {
+		if c.Columns[0].Int64s[0] != int64(chunkRows*len(sizes)) {
+			t.Errorf("chunk %d starts at row %d", len(sizes), c.Columns[0].Int64s[0])
+		}
+		sizes = append(sizes, c.NumRows())
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for i, s := range sizes {
-		total += s
-		if i < len(sizes)-1 && s != 1000 {
-			t.Errorf("chunk %d = %d rows", i, s)
-		}
-	}
-	if total != data.NumRows() {
-		t.Errorf("total = %d", total)
+	if want := []int{chunkRows, chunkRows, 7}; !reflect.DeepEqual(sizes, want) {
+		t.Errorf("chunk sizes = %v, want %v", sizes, want)
 	}
 }
 
@@ -77,7 +87,7 @@ func TestReadErrors(t *testing.T) {
 		{"wrong column count", "a\n1\n"},
 	}
 	for _, c := range cases {
-		err := Read(strings.NewReader(c.csv), ReadOptions{Schema: schema}, func(*columnar.Chunk) error { return nil })
+		err := Read(strings.NewReader(c.csv), schema, func(*columnar.Chunk) error { return nil })
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
@@ -86,16 +96,16 @@ func TestReadErrors(t *testing.T) {
 
 func TestHeaderOnlyAndBlankLines(t *testing.T) {
 	schema := columnar.NewSchema(columnar.Field{Name: "a", Type: columnar.Int64})
-	got, err := ReadAll(strings.NewReader("a\n"), schema)
+	got, err := readAll(strings.NewReader("a\n"), schema)
 	if err != nil || got.NumRows() != 0 {
 		t.Errorf("header-only: %v rows, err %v", got.NumRows(), err)
 	}
-	got, err = ReadAll(strings.NewReader("a\n1\n\n2\n"), schema)
+	got, err = readAll(strings.NewReader("a\n1\n\n2\n"), schema)
 	if err != nil || got.NumRows() != 2 {
 		t.Errorf("blank lines: %v rows, err %v", got.NumRows(), err)
 	}
 	// Missing trailing newline.
-	got, err = ReadAll(strings.NewReader("a\n1\n2"), schema)
+	got, err = readAll(strings.NewReader("a\n1\n2"), schema)
 	if err != nil || got.NumRows() != 2 {
 		t.Errorf("no trailing newline: %v rows, err %v", got.NumRows(), err)
 	}
@@ -132,38 +142,6 @@ func TestConvertToLpq(t *testing.T) {
 	}
 }
 
-func TestCSVSourceQueries(t *testing.T) {
-	data := tpch.Gen{SF: 0.001, Seed: 5}.Generate()
-	var buf bytes.Buffer
-	Write(&buf, data)
-	src := &Source{Data: buf.Bytes(), TableSchema: tpch.Schema()}
-	cat := engine.Catalog{"lineitem": src}
-	plan := &engine.AggregatePlan{
-		Aggs: []engine.AggSpec{{Func: engine.AggCount, Name: "n"}},
-		In: &engine.FilterPlan{
-			Pred: engine.NewBin(engine.OpGE, engine.Col("l_shipdate"), engine.ConstInt(tpch.Q6ShipDateLo)),
-			In:   &engine.ScanPlan{Table: "lineitem"},
-		},
-	}
-	opt, err := engine.Optimize(plan, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := engine.Execute(opt, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want int64
-	for _, s := range data.Column("l_shipdate").Int64s {
-		if s >= tpch.Q6ShipDateLo {
-			want++
-		}
-	}
-	if got := out.Column("n").Int64s[0]; got != want {
-		t.Errorf("count = %d, want %d", got, want)
-	}
-}
-
 // Property: any int64 matrix round-trips through CSV exactly.
 func TestPropertyIntRoundTrip(t *testing.T) {
 	schema := columnar.NewSchema(
@@ -182,7 +160,7 @@ func TestPropertyIntRoundTrip(t *testing.T) {
 		if err := Write(&buf, c); err != nil {
 			return false
 		}
-		got, err := ReadAll(bytes.NewReader(buf.Bytes()), schema)
+		got, err := readAll(bytes.NewReader(buf.Bytes()), schema)
 		if err != nil {
 			return false
 		}

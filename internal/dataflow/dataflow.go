@@ -19,7 +19,6 @@ import (
 // Dataset is a lazily-built query over one table.
 type Dataset struct {
 	plan engine.Plan
-	err  error
 }
 
 // FromTable starts a pipeline over a named table (bound to files or memory
@@ -30,94 +29,21 @@ func FromTable(name string) *Dataset {
 
 // Filter keeps rows satisfying pred.
 func (d *Dataset) Filter(pred engine.Expr) *Dataset {
-	if d.err != nil {
-		return d
-	}
 	return &Dataset{plan: &engine.FilterPlan{In: d.plan, Pred: pred}}
 }
 
 // Map computes one named expression per output column.
 func (d *Dataset) Map(names []string, exprs ...engine.Expr) *Dataset {
-	if d.err != nil {
-		return d
-	}
 	return &Dataset{plan: &engine.ProjectPlan{In: d.plan, Exprs: exprs, Names: names}}
-}
-
-// Select keeps the named columns.
-func (d *Dataset) Select(cols ...string) *Dataset {
-	if d.err != nil {
-		return d
-	}
-	exprs := make([]engine.Expr, len(cols))
-	for i, c := range cols {
-		exprs[i] = engine.Col(c)
-	}
-	return &Dataset{plan: &engine.ProjectPlan{In: d.plan, Exprs: exprs, Names: cols}}
 }
 
 // Reduce computes global aggregates (the .reduce of Listing 1).
 func (d *Dataset) Reduce(aggs ...engine.AggSpec) *Dataset {
-	if d.err != nil {
-		return d
-	}
 	return &Dataset{plan: &engine.AggregatePlan{In: d.plan, Aggs: aggs}}
 }
 
-// Join inner-joins this dataset (probe side) with a small broadcast
-// dataset on the given key columns.
-func (d *Dataset) Join(right *Dataset, leftKey, rightKey string) *Dataset {
-	if d.err != nil {
-		return d
-	}
-	if right.err != nil {
-		return right
-	}
-	return &Dataset{plan: &engine.JoinPlan{Left: d.plan, Right: right.plan, LeftKey: leftKey, RightKey: rightKey}}
-}
-
-// GroupBy starts a grouped aggregation.
-func (d *Dataset) GroupBy(cols ...string) *Grouped {
-	return &Grouped{in: d, cols: cols}
-}
-
-// Grouped is a group-by builder.
-type Grouped struct {
-	in   *Dataset
-	cols []string
-}
-
-// Agg completes the grouped aggregation.
-func (g *Grouped) Agg(aggs ...engine.AggSpec) *Dataset {
-	if g.in.err != nil {
-		return g.in
-	}
-	return &Dataset{plan: &engine.AggregatePlan{In: g.in.plan, GroupBy: g.cols, Aggs: aggs}}
-}
-
-// OrderBy sorts the (small, driver-side) result.
-func (d *Dataset) OrderBy(keys ...engine.OrderKey) *Dataset {
-	if d.err != nil {
-		return d
-	}
-	return &Dataset{plan: &engine.OrderByPlan{In: d.plan, Keys: keys}}
-}
-
-// Limit truncates the result.
-func (d *Dataset) Limit(n int) *Dataset {
-	if d.err != nil {
-		return d
-	}
-	return &Dataset{plan: &engine.LimitPlan{In: d.plan, N: n}}
-}
-
 // Plan returns the built logical plan.
-func (d *Dataset) Plan() (engine.Plan, error) {
-	if d.err != nil {
-		return nil, d.err
-	}
-	return d.plan, nil
-}
+func (d *Dataset) Plan() engine.Plan { return d.plan }
 
 // Convenience constructors for expressions, so pipelines read like
 // Listing 1 without importing engine at every call site.
@@ -125,32 +51,14 @@ func (d *Dataset) Plan() (engine.Plan, error) {
 // Col references a column.
 func Col(name string) engine.Expr { return engine.Col(name) }
 
-// Lit builds an integer literal.
-func Lit(v int64) engine.Expr { return engine.ConstInt(v) }
-
 // LitF builds a float literal.
 func LitF(v float64) engine.Expr { return engine.ConstFloat(v) }
 
 // Mul multiplies.
 func Mul(l, r engine.Expr) engine.Expr { return engine.NewBin(engine.OpMul, l, r) }
 
-// Add adds.
-func Add(l, r engine.Expr) engine.Expr { return engine.NewBin(engine.OpAdd, l, r) }
-
-// Sub subtracts.
-func Sub(l, r engine.Expr) engine.Expr { return engine.NewBin(engine.OpSub, l, r) }
-
 // GE compares >=.
 func GE(l, r engine.Expr) engine.Expr { return engine.NewBin(engine.OpGE, l, r) }
-
-// LT compares <.
-func LT(l, r engine.Expr) engine.Expr { return engine.NewBin(engine.OpLT, l, r) }
-
-// LE compares <=.
-func LE(l, r engine.Expr) engine.Expr { return engine.NewBin(engine.OpLE, l, r) }
-
-// And conjoins.
-func And(l, r engine.Expr) engine.Expr { return engine.NewBin(engine.OpAnd, l, r) }
 
 // Sum aggregates.
 func Sum(e engine.Expr, name string) engine.AggSpec {
@@ -160,19 +68,4 @@ func Sum(e engine.Expr, name string) engine.AggSpec {
 // Count counts rows.
 func Count(name string) engine.AggSpec {
 	return engine.AggSpec{Func: engine.AggCount, Name: name}
-}
-
-// Avg averages.
-func Avg(e engine.Expr, name string) engine.AggSpec {
-	return engine.AggSpec{Func: engine.AggAvg, Arg: e, Name: name}
-}
-
-// Min aggregates the minimum.
-func Min(e engine.Expr, name string) engine.AggSpec {
-	return engine.AggSpec{Func: engine.AggMin, Arg: e, Name: name}
-}
-
-// Max aggregates the maximum.
-func Max(e engine.Expr, name string) engine.AggSpec {
-	return engine.AggSpec{Func: engine.AggMax, Arg: e, Name: name}
 }

@@ -281,7 +281,7 @@ func TestStagedKeyedDeleteListsNothing(t *testing.T) {
 	}
 	// The stalled loser's seal reached the driver, and was discarded, before
 	// the query ended: its objects were there for the cleanup to delete.
-	if qs, _ := run.rep.Trace.Span(run.rep.Span); qs.Tags["loserDiscards"] == "" {
+	if qs := run.rep.Trace.Spans()[run.rep.Span-1]; qs.Tags["loserDiscards"] == "" {
 		t.Fatalf("the speculation loser published after the query (test premise broken): tags %v", qs.Tags)
 	}
 	if run.rep.Cost.S3List != 0 {

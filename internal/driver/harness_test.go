@@ -648,7 +648,7 @@ func (q queryRun) check(shared bool) error {
 	if c.Zombie {
 		wantEpoch *= 2
 	}
-	qs, _ := rep.Trace.Span(rep.Span)
+	qs := rep.Trace.Spans()[rep.Span-1]
 	zombies, tree, late := qs.Tags["zombieDiscards"], obs.NewTree(rep.Trace.Spans()), error(nil)
 	for _, ss := range rep.StageStats {
 		tree.Walk(ss.Span, func(s *obs.Span) {
@@ -784,7 +784,7 @@ func (c planCase) stalled(a caseRun, o []any) error {
 	if err = errors.Join(err, u.err, u.leak, terr, t.err); err != nil {
 		return fmt.Errorf("stall: untraced runs: %w", err)
 	}
-	qs, _ := a.rep.Trace.Span(a.rep.Span)
+	qs := a.rep.Trace.Spans()[a.rep.Span-1]
 	var returned time.Duration
 	for _, s := range a.rep.Trace.Spans() {
 		if s.Parent == a.rep.Span && s.Kind == obs.KindPhase {

@@ -126,9 +126,6 @@ func NewSession(dep *Deployment, cfg Config) *Session {
 	return s
 }
 
-// Config returns the session's normalized configuration.
-func (d *Session) Config() Config { return d.cfg }
-
 // Deployment returns the bound deployment.
 func (d *Session) Deployment() *Deployment { return d.dep }
 

@@ -8,10 +8,13 @@ import (
 
 	"lambada/internal/awssim/faults"
 	"lambada/internal/awssim/lambdasvc"
+	"lambada/internal/awssim/simenv"
 	"lambada/internal/awssim/sqs"
 	"lambada/internal/columnar"
+	"lambada/internal/lpq"
 	"lambada/internal/obs"
 	"lambada/internal/simclock"
+	"lambada/internal/tpch"
 )
 
 // TestDeterministicMeansNoHostThreads: a worker starts no host thread on
@@ -26,9 +29,41 @@ func TestDeterministicMeansNoHostThreads(t *testing.T) {
 		"simulated": NewSimulated(simclock.New(), 1),
 		"local":     NewLocal(),
 	} {
-		if got := NewSession(dep, cfg).Config(); !reflect.DeepEqual(got, cfg) {
+		if got := NewSession(dep, cfg).cfg; !reflect.DeepEqual(got, cfg) {
 			t.Errorf("%s session runs with %+v, want %+v", name, got, cfg)
 		}
+	}
+}
+
+// TestEmptyTableIsOneFile: an empty relation uploads as one empty lpq file,
+// so a query over it answers as SQL does — COUNT(*) is one row, 0, and a
+// GROUP BY has no rows — instead of failing on a table without files.
+func TestEmptyTableIsOneFile(t *testing.T) {
+	sess := NewSession(NewLocal(), DefaultConfig())
+	if err := sess.Install(); err != nil {
+		t.Fatal(err)
+	}
+	env := simenv.NewImmediate()
+	refs, err := sess.UploadTable(env, "tpch", "lineitem", columnar.NewChunk(tpch.Schema(), 0), 4, lpq.WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refs) != 1 {
+		t.Fatalf("empty relation uploaded as %d files, want 1", len(refs))
+	}
+	out, _, err := sess.RunSQL(env, "SELECT COUNT(*) AS n FROM lineitem", "lineitem", refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.NumRows() != 1 || out.Column("n").Int64s[0] != 0 {
+		t.Errorf("COUNT(*) over an empty table = %d rows %v, want one row, 0", out.NumRows(), out.Column("n"))
+	}
+	out, _, err = sess.RunSQL(env, "SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag", "lineitem", refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.NumRows() != 0 {
+		t.Errorf("GROUP BY over an empty table = %d rows, want 0", out.NumRows())
 	}
 }
 
@@ -219,9 +254,9 @@ func TestLaunchMatrix(t *testing.T) {
 				t.Fatalf("cap %d: session admission = %v", maxInFlight, adm)
 			}
 			if adm != nil {
-				if adm.Peak() > maxInFlight || adm.Oversized() != 0 || adm.Acquired() != uint64(fleet) {
-					t.Errorf("fleet %d cap %d: admission peak %d, oversized %d, acquired %d",
-						fleet, maxInFlight, adm.Peak(), adm.Oversized(), adm.Acquired())
+				if adm.Peak() > maxInFlight || adm.Acquired() != uint64(fleet) {
+					t.Errorf("fleet %d cap %d: admission peak %d, acquired %d",
+						fleet, maxInFlight, adm.Peak(), adm.Acquired())
 				}
 				if held := adm.Blocked() > 0; held != (fleet > maxInFlight) {
 					t.Errorf("fleet %d cap %d: blocked %d times", fleet, maxInFlight, adm.Blocked())

@@ -129,63 +129,6 @@ func BenchmarkHashJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkHashJoinSeedMap is the seed kernel kept for comparison: build a
-// map[int64][]int row index, probe row-at-a-time with per-match column
-// appends — the allocation baseline BenchmarkHashJoin is measured against.
-func BenchmarkHashJoinSeedMap(b *testing.B) {
-	cat, sup, bytes := joinBenchSetup(b)
-	plan := joinBenchPlan()
-	if err := Resolve(plan, cat); err != nil {
-		b.Fatal(err)
-	}
-	outSchema, err := plan.OutSchema()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ls, err := plan.Left.OutSchema()
-	if err != nil {
-		b.Fatal(err)
-	}
-	li := ls.Index(plan.LeftKey)
-	nLeft := ls.Len()
-	ri := sup.Schema.Index(plan.RightKey)
-	src := cat["lineitem"]
-	b.SetBytes(bytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		build := make(map[int64][]int, sup.NumRows())
-		for r := 0; r < sup.NumRows(); r++ {
-			k := sup.Columns[ri].Int64At(r)
-			build[k] = append(build[k], r)
-		}
-		result := columnar.NewChunk(outSchema, 0)
-		err := src.Scan(nil, nil, func(c *columnar.Chunk) error {
-			out := columnar.NewChunk(outSchema, c.NumRows())
-			keys := c.Columns[li]
-			for row := 0; row < c.NumRows(); row++ {
-				for _, m := range build[keys.Int64At(row)] {
-					for j := 0; j < nLeft; j++ {
-						out.Columns[j].Append(c.Columns[j], row)
-					}
-					col := nLeft
-					for j := 0; j < sup.Schema.Len(); j++ {
-						if j == ri {
-							continue
-						}
-						out.Columns[col].Append(sup.Columns[j], m)
-						col++
-					}
-				}
-			}
-			result.AppendChunk(out)
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPlanMarshalRoundTrip(b *testing.B) {
 	cat, _ := benchCatalog(b)
 	plan, err := Optimize(q1Plan(), cat)

@@ -401,7 +401,7 @@ func TestSplitDistributedAggEquivalence(t *testing.T) {
 		worker, driver := splitScopes(t, q)
 		// Partition input into 7 "files", run the worker plan on each.
 		var results []*columnar.Chunk
-		for _, f := range tpch.SplitFiles(data, 7) {
+		for _, f := range data.Split(7) {
 			wcat := Catalog{"lineitem": NewMemSource(tpch.Schema(), f)}
 			r, err := Execute(worker, wcat)
 			if err != nil {
@@ -454,7 +454,7 @@ func TestPropertyFilterDistributesOverChunks(t *testing.T) {
 			return false
 		}
 		n := int(splitRaw)%5 + 2
-		parts := tpch.SplitFiles(c, n)
+		parts := c.Split(n)
 		split, err := Execute(&FilterPlan{Pred: pred, In: &ScanPlan{Table: "t"}},
 			Catalog{"t": NewMemSource(schema, parts...)})
 		if err != nil {

@@ -396,7 +396,7 @@ func TestJoinDistributedSplit(t *testing.T) {
 	// Partition lineitem over 5 workers; supplier is broadcast (full copy
 	// in each worker catalog).
 	var results []*columnar.Chunk
-	for _, part := range tpch.SplitFiles(li, 5) {
+	for _, part := range li.Split(5) {
 		wcat := Catalog{
 			"lineitem": NewMemSource(tpch.Schema(), part),
 			"supplier": NewMemSource(tpch.SupplierSchema(), sup),

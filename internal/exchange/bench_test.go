@@ -59,7 +59,7 @@ func BenchmarkSyntheticExchangeDES(b *testing.B) {
 			k.Go("w", func(p *simclock.Proc) {
 				client := s3.NewClient(svc, p, s3.WithShaper(netmodel.DefaultLambdaNet(), 2048))
 				wk := Worker{ID: w, P: 256, Client: client}
-				if _, err := wk.RunSynthetic(opts, 64<<20); err != nil {
+				if _, _, err := wk.RunSyntheticTraced(opts, 64<<20); err != nil {
 					b.Error(err)
 				}
 			})

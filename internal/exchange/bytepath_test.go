@@ -107,7 +107,7 @@ func goldenService() (*s3.Service, []string) {
 // resulting object listing must match the recorded one byte for byte.
 func TestStageBoundaryGolden(t *testing.T) {
 	const senders = 4
-	inputs := tpch.SplitFiles(tpch.Gen{SF: 0.001, Seed: 7}.Generate(), senders)
+	inputs := tpch.Gen{SF: 0.001, Seed: 7}.Generate().Split(senders)
 	keys := []string{"l_orderkey", "l_linenumber"}
 	for _, parts := range []int{30, 256} {
 		for _, v := range AllVariants[:4] {
@@ -136,7 +136,7 @@ func TestStageBoundaryGolden(t *testing.T) {
 // (Worker.Run) the same way, at P = 6.
 func TestGridExchangeGolden(t *testing.T) {
 	const p = 6
-	inputs := tpch.SplitFiles(tpch.Gen{SF: 0.0002, Seed: 7}.Generate(), p)
+	inputs := tpch.Gen{SF: 0.0002, Seed: 7}.Generate().Split(p)
 	for _, v := range []Variant{{Levels: 1}, {Levels: 1, WriteCombining: true}, {Levels: 2}, {Levels: 2, WriteCombining: true}} {
 		svc, buckets := goldenService()
 		opts := DefaultOptions(v, buckets...)
@@ -233,7 +233,7 @@ func TestPublishAllocatesInProportion(t *testing.T) {
 		t.Skip("allocation bounds do not hold under the race detector")
 	}
 	const parts = 256
-	input := tpch.SplitFiles(tpch.Gen{SF: 0.001, Seed: 7}.Generate(), 4)[0]
+	input := tpch.Gen{SF: 0.001, Seed: 7}.Generate().Split(4)[0]
 	keys := []string{"l_orderkey"}
 	for _, v := range AllVariants[:4] {
 		svc, buckets := goldenService()

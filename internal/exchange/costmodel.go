@@ -78,23 +78,6 @@ func (v Variant) Lists(p int) float64 {
 // (one per level).
 func (v Variant) Scans() int { return v.Levels }
 
-// RequestCost prices all requests of one exchange of P workers, including
-// the list requests of write combining.
-func (v Variant) RequestCost(p int) pricing.USD {
-	c := v.ReadWriteCost(p)
-	if v.WriteCombining {
-		c += pricing.USD(v.Lists(p)) * pricing.S3List
-	}
-	return c
-}
-
-// ReadWriteCost prices only reads and writes — the two bar components
-// Figure 9 plots.
-func (v Variant) ReadWriteCost(p int) pricing.USD {
-	return pricing.USD(v.Reads(p))*pricing.S3Read +
-		pricing.USD(v.Writes(p))*pricing.S3Write
-}
-
 // WorkerCost estimates the cost of running the P workers for the exchange
 // itself, as in Figure 9's horizontal band: each worker moves bytesPerWorker
 // per scan at 85 MiB/s and costs $3.3e-5 per second (2 GiB workers).

@@ -172,19 +172,14 @@ func (w Worker) Run(opts Options, input *columnar.Chunk, key string) (*columnar.
 	return cur, nil
 }
 
-// RunSynthetic executes the exchange's request pattern on size-only
+// RunSyntheticTraced executes the exchange's request pattern on size-only
 // objects: the worker holds inputBytes of partition data, writes its round
-// files, and reads its incoming ranges. Used by the DES performance
-// experiments (Table 3, Figure 13) where object contents are irrelevant but
-// request counts, transfer volumes, rate limits and latencies are exact.
-// It returns the number of bytes received in the final round.
-func (w Worker) RunSynthetic(opts Options, inputBytes int64) (int64, error) {
-	n, _, err := w.RunSyntheticTraced(opts, inputBytes)
-	return n, err
-}
-
-// RunSyntheticTraced is RunSynthetic with a per-phase breakdown: Run's loop
-// on sizes, each level cutting what the worker holds into equal slots.
+// files, and reads its incoming ranges — Run's loop on sizes, each level
+// cutting what the worker holds into equal slots. Used by the DES
+// performance experiments (Table 3, Figure 13) where object contents are
+// irrelevant but request counts, transfer volumes, rate limits and
+// latencies are exact. It returns the number of bytes received in the final
+// round and the per-phase breakdown.
 func (w Worker) RunSyntheticTraced(opts Options, inputBytes int64) (int64, *Trace, error) {
 	opts, err := opts.ready()
 	if err != nil {

@@ -47,17 +47,22 @@ func TestVariantStringsAndTable2(t *testing.T) {
 }
 
 func TestFigure9CostShape(t *testing.T) {
+	// Figure 9 plots the read and write bars; the request bill adds write
+	// combining's list requests.
+	readWrite := func(v Variant, p int) pricing.USD {
+		return pricing.USD(v.Reads(p))*pricing.S3Read + pricing.USD(v.Writes(p))*pricing.S3Write
+	}
 	// §4.4.1: with 4k workers, BasicExchange costs about $100 in requests.
-	cost4k := AllVariants[0].RequestCost(4096)
+	cost4k := readWrite(AllVariants[0], 4096)
 	if cost4k < 80 || cost4k > 120 {
 		t.Errorf("1l at 4096 workers = %v, want ~$100", cost4k)
 	}
 	// Figure 9 orderings (read+write bars): for any worker count, each
 	// optimization reduces the plotted cost.
 	for _, p := range []int{64, 256, 1024, 4096, 16384} {
-		c1 := Variant{Levels: 1}.ReadWriteCost(p)
-		c1wc := Variant{Levels: 1, WriteCombining: true}.ReadWriteCost(p)
-		c2wc := Variant{Levels: 2, WriteCombining: true}.ReadWriteCost(p)
+		c1 := readWrite(Variant{Levels: 1}, p)
+		c1wc := readWrite(Variant{Levels: 1, WriteCombining: true}, p)
+		c2wc := readWrite(Variant{Levels: 2, WriteCombining: true}, p)
 		if !(c1 > c1wc && c1wc > c2wc) {
 			t.Errorf("P=%d: cost ordering violated: %v %v %v", p, c1, c1wc, c2wc)
 		}
@@ -65,7 +70,7 @@ func TestFigure9CostShape(t *testing.T) {
 		// dominate at small P — the crossover visible in Figure 9).
 		if p >= 4096 {
 			v3wc := Variant{Levels: 3, WriteCombining: true}
-			if c3wc := v3wc.ReadWriteCost(p); c3wc >= c2wc {
+			if c3wc := readWrite(v3wc, p); c3wc >= c2wc {
 				t.Errorf("P=%d: 3l-wc %v not below 2l-wc %v", p, c3wc, c2wc)
 			}
 		}
@@ -74,7 +79,8 @@ func TestFigure9CostShape(t *testing.T) {
 	// configurations (§4.4.4) — check at 1 GiB × 3 scans upper band.
 	p := 4096
 	v2wc := Variant{Levels: 2, WriteCombining: true}
-	if req, wrk := v2wc.RequestCost(p), v2wc.WorkerCost(p, 1<<30); req > wrk {
+	req := readWrite(v2wc, p) + pricing.USD(v2wc.Lists(p))*pricing.S3List
+	if wrk := v2wc.WorkerCost(p, 1<<30); req > wrk {
 		t.Errorf("2l-wc requests %v exceed worker cost %v", req, wrk)
 	}
 }
@@ -288,7 +294,7 @@ func TestSyntheticExchangeDES(t *testing.T) {
 			k.Go(fmt.Sprintf("w%d", wid), func(proc *simclock.Proc) {
 				client := s3.NewClient(svc, proc)
 				wk := Worker{ID: wid, P: p, Client: client}
-				n, err := wk.RunSynthetic(opts, bytesPer)
+				n, _, err := wk.RunSyntheticTraced(opts, bytesPer)
 				if err != nil {
 					t.Errorf("worker %d: %v", wid, err)
 					return

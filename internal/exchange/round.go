@@ -37,7 +37,7 @@
 //     and speculated like any stage fragment, and a staged regroup worker
 //     reads the senders' manifest, its receivers the regroup stage's.
 //   - The symmetric P-worker grid exchange of Table 2 (Worker.Run, and
-//     RunSynthetic on sizes) is k levels; along each level the workers that
+//     RunSyntheticTraced on sizes) is k levels; along each level the workers that
 //     agree on every other grid coordinate are a boundary of their own, with
 //     as many senders as partitions, in its own namespace and shard bucket.
 //     A k-level exchange is the loop bound.

@@ -212,7 +212,7 @@ func TestReadReportsLowestFailingWriter(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, gone := range []int{17, 5} {
-			if err := svc.Delete(env, refs[gone].bucket, refs[gone].key); err != nil {
+			if err := svc.DeleteBatch(env, refs[gone].bucket, []string{refs[gone].key}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -41,7 +41,6 @@ type Admission struct {
 	inFlight int
 	peak     int
 	blocked  uint64
-	oversize uint64
 	overflow uint64
 	acquired uint64
 
@@ -70,8 +69,7 @@ func (a *Admission) Capacity() int {
 // keeps consuming seal messages — a driver parked on the pool could never
 // write the ready marker that token-holding consumers parked on a barrier
 // are waiting for. A request larger than the whole capacity is admitted
-// once the pool is empty and counted in Oversized. Nil and unlimited
-// controllers always succeed.
+// once the pool is empty. Nil and unlimited controllers always succeed.
 func (a *Admission) TryAcquire(n int) bool {
 	if a == nil || a.capacity <= 0 || n <= 0 {
 		return true
@@ -81,9 +79,6 @@ func (a *Admission) TryAcquire(n int) bool {
 	if a.inFlight+n > a.capacity && !(n > a.capacity && a.inFlight == 0) {
 		a.blocked++
 		return false
-	}
-	if n > a.capacity {
-		a.oversize++
 	}
 	a.inFlight += n
 	a.acquired += uint64(n)
@@ -184,17 +179,6 @@ func (a *Admission) Blocked() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.blocked
-}
-
-// Oversized counts TryAcquire calls whose token need exceeded the whole
-// capacity and were admitted alone.
-func (a *Admission) Oversized() uint64 {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.oversize
 }
 
 // Overflow counts tokens taken past capacity by AcquireOverflow (recovery

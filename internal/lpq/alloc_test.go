@@ -128,8 +128,8 @@ func TestDecodeStateReusesInflater(t *testing.T) {
 	var st DecodeState
 	got := allocated(t, func() {
 		for _, pg := range cc.Pages {
-			v, err := st.DecodePage(stored[pg.RelOff:pg.RelOff+pg.CompressedLen], columnar.Int64, cc, pg)
-			if err != nil {
+			v := columnar.NewVector(columnar.Int64, int(pg.NumRows))
+			if err := st.DecodePageOnto(v, stored[pg.RelOff:pg.RelOff+pg.CompressedLen], cc, pg); err != nil {
 				t.Fatal(err)
 			}
 			if v.Len() != pageRows {

@@ -54,29 +54,6 @@ func BenchmarkReadAll(b *testing.B) {
 	}
 }
 
-func BenchmarkReadProjectedPruned(b *testing.B) {
-	// The scan operator's hot path: projection + min/max pruning.
-	data := benchData(b)
-	raw, err := WriteFile(tpch.Schema(), WriterOptions{RowGroupRows: 4096}, data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	preds := []Predicate{{Column: "l_shipdate", Min: float64(tpch.Q6ShipDateLo), Max: float64(tpch.Q6ShipDateHi)}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := OpenReader(bytes.NewReader(raw), int64(len(raw)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		cols := []int{4, 5, 6, 10}
-		for _, g := range PruneRowGroups(r.Meta(), preds) {
-			if _, err := r.ReadRowGroup(g, cols); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func BenchmarkEncodeDelta(b *testing.B) {
 	v := columnar.NewVector(columnar.Int64, 1<<16)
 	for i := 0; i < 1<<16; i++ {
@@ -85,7 +62,7 @@ func BenchmarkEncodeDelta(b *testing.B) {
 	b.SetBytes(int64(v.Len() * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeColumn(v, Delta); err != nil {
+		if _, err := appendEncoded(nil, v, Delta, new(valueSet), false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,11 +73,11 @@ func BenchmarkDecodeDelta(b *testing.B) {
 	for i := 0; i < 1<<16; i++ {
 		v.AppendInt64(int64(i) * 3)
 	}
-	raw, _ := EncodeColumn(v, Delta)
+	raw, _ := appendEncoded(nil, v, Delta, new(valueSet), false)
 	b.SetBytes(int64(v.Len() * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeColumn(raw, columnar.Int64, Delta, v.Len()); err != nil {
+		if err := decodeOnto(columnar.NewVector(columnar.Int64, v.Len()), raw, Delta, v.Len(), new(dictScratch)); err != nil {
 			b.Fatal(err)
 		}
 	}

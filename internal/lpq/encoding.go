@@ -104,13 +104,6 @@ func (e Encoding) maxRows(t columnar.Type, n int64) int64 {
 	}
 }
 
-// EncodeColumn serializes a vector with the given encoding. The vector's
-// type constrains the valid encodings: Delta applies to Int64 only; Dict to
-// Int64 and Float64; RLE to Int64 and Bool.
-func EncodeColumn(v *columnar.Vector, enc Encoding) ([]byte, error) {
-	return appendEncoded(nil, v, enc, new(valueSet), false)
-}
-
 // encodes reports whether the encoding can serialize columns of type t.
 func (e Encoding) encodes(t columnar.Type) bool {
 	switch e {
@@ -159,15 +152,6 @@ func appendEncoded(dst []byte, v *columnar.Vector, enc Encoding, set *valueSet, 
 	default:
 		return appendPlain(dst, v), nil
 	}
-}
-
-// DecodeColumn deserializes n values of type t from data.
-func DecodeColumn(data []byte, t columnar.Type, enc Encoding, n int) (*columnar.Vector, error) {
-	v := columnar.NewVector(t, n)
-	if err := decodeOnto(v, data, enc, n, new(dictScratch)); err != nil {
-		return nil, err
-	}
-	return v, nil
 }
 
 // decodeOnto appends the n values serialized in data to dst; a dictionary

@@ -63,13 +63,13 @@ func TestEncodingsRoundTrip(t *testing.T) {
 		{bools, Plain}, {bools, RLE},
 	}
 	for _, tc := range cases {
-		data, err := EncodeColumn(tc.v, tc.enc)
+		data, err := appendEncoded(nil, tc.v, tc.enc, new(valueSet), false)
 		if err != nil {
 			t.Errorf("%v/%v encode: %v", tc.v.Type, tc.enc, err)
 			continue
 		}
-		got, err := DecodeColumn(data, tc.v.Type, tc.enc, tc.v.Len())
-		if err != nil {
+		got := columnar.NewVector(tc.v.Type, tc.v.Len())
+		if err := decodeOnto(got, data, tc.enc, tc.v.Len(), new(dictScratch)); err != nil {
 			t.Errorf("%v/%v decode: %v", tc.v.Type, tc.enc, err)
 			continue
 		}
@@ -82,15 +82,15 @@ func TestEncodingsRoundTrip(t *testing.T) {
 func TestUnsupportedEncodings(t *testing.T) {
 	floats := columnar.NewVector(columnar.Float64, 0)
 	floats.AppendFloat64(1)
-	if _, err := EncodeColumn(floats, Delta); err == nil {
+	if _, err := appendEncoded(nil, floats, Delta, new(valueSet), false); err == nil {
 		t.Error("delta on float64 accepted")
 	}
-	if _, err := EncodeColumn(floats, RLE); err == nil {
+	if _, err := appendEncoded(nil, floats, RLE, new(valueSet), false); err == nil {
 		t.Error("RLE on float64 accepted")
 	}
 	bools := columnar.NewVector(columnar.Bool, 0)
 	bools.AppendBool(true)
-	if _, err := EncodeColumn(bools, Dict); err == nil {
+	if _, err := appendEncoded(nil, bools, Dict, new(valueSet), false); err == nil {
 		t.Error("dict on bool accepted")
 	}
 }
@@ -101,32 +101,36 @@ func TestCorruptDataErrors(t *testing.T) {
 		v.AppendInt64(int64(i * 1000))
 	}
 	for _, enc := range []Encoding{Plain, RLE, Delta, Dict} {
-		data, err := EncodeColumn(v, enc)
+		data, err := appendEncoded(nil, v, enc, new(valueSet), false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(data) < 2 {
 			continue
 		}
-		if _, err := DecodeColumn(data[:len(data)/2], columnar.Int64, enc, 10); err == nil {
+		if err := decodeOnto(columnar.NewVector(columnar.Int64, 10), data[:len(data)/2], enc, 10, new(dictScratch)); err == nil {
 			t.Errorf("%v: decoding truncated data succeeded", enc)
 		}
 	}
 }
 
 func TestChooseEncodingHeuristics(t *testing.T) {
+	choose := func(v *columnar.Vector) Encoding {
+		p := new(valueSet).profile(v)
+		return p.choose(v.Type, v.Len())
+	}
 	sorted := columnar.NewVector(columnar.Int64, 0)
 	for i := 0; i < 1000; i++ {
 		sorted.AppendInt64(int64(i * 3))
 	}
-	if e := ChooseEncoding(sorted); e != Delta {
+	if e := choose(sorted); e != Delta {
 		t.Errorf("sorted ints → %v, want DELTA", e)
 	}
 	runs := columnar.NewVector(columnar.Int64, 0)
 	for i := 0; i < 1000; i++ {
 		runs.AppendInt64(int64(i / 100))
 	}
-	if e := ChooseEncoding(runs); e != RLE {
+	if e := choose(runs); e != RLE {
 		t.Errorf("runny ints → %v, want RLE", e)
 	}
 	lowCard := columnar.NewVector(columnar.Int64, 0)
@@ -134,14 +138,14 @@ func TestChooseEncodingHeuristics(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		lowCard.AppendInt64(int64(rng.Intn(7)) * 1000000)
 	}
-	if e := ChooseEncoding(lowCard); e != Dict {
+	if e := choose(lowCard); e != Dict {
 		t.Errorf("low-cardinality ints → %v, want DICT", e)
 	}
 	random := columnar.NewVector(columnar.Float64, 0)
 	for i := 0; i < 1000; i++ {
 		random.AppendFloat64(rng.Float64())
 	}
-	if e := ChooseEncoding(random); e != Plain {
+	if e := choose(random); e != Plain {
 		t.Errorf("random floats → %v, want PLAIN", e)
 	}
 }
@@ -343,25 +347,6 @@ func TestDisableStats(t *testing.T) {
 	}
 }
 
-func TestProjectedReadRowGroup(t *testing.T) {
-	chunk := makeChunk(500, 3)
-	data, _ := WriteFile(testSchema(), WriterOptions{RowGroupRows: 500}, chunk)
-	r, err := OpenReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.ReadRowGroup(0, []int{2, 0}) // flag, id — reordered projection
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema.Fields[0].Name != "flag" || got.Schema.Fields[1].Name != "id" {
-		t.Errorf("projected schema = %v", got.Schema)
-	}
-	if !reflect.DeepEqual(got.Columns[1].Int64s, chunk.Columns[0].Int64s) {
-		t.Error("projected id column mismatch")
-	}
-}
-
 func TestByteRange(t *testing.T) {
 	chunk := makeChunk(600, 3)
 	data, _ := WriteFile(testSchema(), WriterOptions{RowGroupRows: 200}, chunk)
@@ -442,16 +427,18 @@ func TestPropertyPruningSound(t *testing.T) {
 			kept[g] = true
 		}
 		// Every row group containing a matching value must be kept.
-		for g := range r.Meta().RowGroups {
-			ch, err := r.ReadRowGroup(g, nil)
-			if err != nil {
-				return false
-			}
-			for _, x := range ch.Columns[0].Int64s {
+		all, err := r.ReadAll()
+		if err != nil {
+			return false
+		}
+		row := 0
+		for g, rg := range r.Meta().RowGroups {
+			for _, x := range all.Columns[0].Int64s[row : row+int(rg.NumRows)] {
 				if float64(x) >= lo && float64(x) <= hi && !kept[g] {
 					return false
 				}
 			}
+			row += int(rg.NumRows)
 		}
 		return true
 	}

@@ -161,14 +161,6 @@ func (p *colProfile) choose(t columnar.Type, n int) Encoding {
 	}
 }
 
-// ChooseEncoding picks a light-weight encoding for a vector by simple
-// analysis: sorted ints get Delta, runs get RLE, low-cardinality columns get
-// Dict, everything else Plain.
-func ChooseEncoding(v *columnar.Vector) Encoding {
-	p := new(valueSet).profile(v)
-	return p.choose(v.Type, v.Len())
-}
-
 // appendDict appends v's dictionary encoding to dst: the sorted distinct
 // values, then one index per value. The set must hold v's distinct values
 // (profile(v) was the last call on it); it is left holding them sorted.

@@ -103,25 +103,6 @@ func (r *Reader) Meta() *FileMeta { return r.meta }
 // Schema returns the file schema.
 func (r *Reader) Schema() *columnar.Schema { return r.meta.Schema }
 
-// readColumn reads, decompresses and decodes one column chunk through the
-// caller's decode state and read buffer (returned, possibly grown, for the
-// next call).
-func (r *Reader) readColumn(rowGroup, col int, st *DecodeState, buf []byte) (*columnar.Vector, []byte, error) {
-	if rowGroup < 0 || rowGroup >= len(r.meta.RowGroups) {
-		return nil, buf, fmt.Errorf("lpq: row group %d out of range", rowGroup)
-	}
-	rg := &r.meta.RowGroups[rowGroup]
-	if col < 0 || col >= len(rg.Columns) {
-		return nil, buf, fmt.Errorf("lpq: column %d out of range", col)
-	}
-	v := columnar.NewVector(r.meta.Schema.Fields[col].Type, int(rg.NumRows))
-	buf, err := r.appendColumn(v, rg, col, st, buf)
-	if err != nil {
-		return nil, buf, err
-	}
-	return v, buf, nil
-}
-
 // appendColumn reads column chunk col of rg into buf (grown as needed and
 // returned for the next call) and decodes it onto dst.
 func (r *Reader) appendColumn(dst *columnar.Vector, rg *RowGroupMeta, col int, st *DecodeState, buf []byte) ([]byte, error) {
@@ -206,16 +187,6 @@ func (s *DecodeState) DecodeColumnChunkOnto(dst *columnar.Vector, stored []byte,
 	return s.appendColumnChunk(dst, stored, &cc, numRows)
 }
 
-// DecodePage decompresses and decodes one page of a paged column chunk onto
-// a fresh vector: DecodePageOnto an empty one.
-func (s *DecodeState) DecodePage(stored []byte, t columnar.Type, cc ColumnChunkMeta, pg PageMeta) (*columnar.Vector, error) {
-	v := columnar.NewVector(t, int(pg.NumRows))
-	if err := s.DecodePageOnto(v, stored, cc, pg); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 // DecodePageOnto decompresses and decodes one page of a paged column chunk,
 // appending its values to dst — a recycled vector, say, that grows only when
 // the page holds more values than it ever did. stored must hold exactly the
@@ -257,31 +228,6 @@ func (s *DecodeState) appendColumnChunk(dst *columnar.Vector, stored []byte, cc 
 		return fmt.Errorf("lpq: page rows sum to %d, row group has %d", total, numRows)
 	}
 	return nil
-}
-
-// ReadRowGroup reads the given columns (by index; nil means all) of one row
-// group into a chunk.
-func (r *Reader) ReadRowGroup(rowGroup int, cols []int) (*columnar.Chunk, error) {
-	if cols == nil {
-		cols = make([]int, r.meta.Schema.Len())
-		for i := range cols {
-			cols[i] = i
-		}
-	}
-	fields := make([]columnar.Field, len(cols))
-	for i, c := range cols {
-		fields[i] = r.meta.Schema.Fields[c]
-	}
-	out := &columnar.Chunk{Schema: columnar.NewSchema(fields...), Columns: make([]*columnar.Vector, len(cols))}
-	var st DecodeState
-	var buf []byte
-	for i, c := range cols {
-		var err error
-		if out.Columns[i], buf, err = r.readColumn(rowGroup, c, &st, buf); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // ReadAll reads the whole file into one chunk (convenience for tests and

@@ -140,18 +140,18 @@ func TestV2PageIndex(t *testing.T) {
 		t.Error("paged file round trip mismatch")
 	}
 
-	// Pages decode independently through DecodePage.
+	// Pages decode independently through DecodePageOnto.
 	stored := make([]byte, cc.CompressedLen)
 	if _, err := bytes.NewReader(data).ReadAt(stored, cc.Offset); err != nil {
 		t.Fatal(err)
 	}
 	pg := cc.Pages[2]
-	v, err := new(DecodeState).DecodePage(stored[pg.RelOff:pg.RelOff+pg.CompressedLen], columnar.Int64, *cc, pg)
-	if err != nil {
+	v := columnar.NewVector(columnar.Int64, int(pg.NumRows))
+	if err := new(DecodeState).DecodePageOnto(v, stored[pg.RelOff:pg.RelOff+pg.CompressedLen], *cc, pg); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(v.Int64s, c.Columns[0].Int64s[128:192]) {
-		t.Error("DecodePage of page 2 mismatch")
+		t.Error("DecodePageOnto of page 2 mismatch")
 	}
 }
 
@@ -256,18 +256,18 @@ func TestPropertyPagePruningSound(t *testing.T) {
 		meta := r.Meta()
 		preds := []Predicate{{Column: "v", Min: float64(lo), Max: float64(hi),
 			HasInt: true, MinInt: lo, MaxInt: hi}}
+		all, err := r.ReadAll()
+		if err != nil {
+			return false
+		}
 		var matching int64
+		row := 0
 		for g := range meta.RowGroups {
 			keep := PrunePages(meta, g, preds)
-			ch, err := r.ReadRowGroup(g, nil)
-			if err != nil {
-				return false
-			}
 			pages := meta.RowGroups[g].Columns[0].PageSpans(meta.RowGroups[g].NumRows)
-			row := 0
 			for p, pg := range pages {
 				for i := 0; i < int(pg.NumRows); i++ {
-					x := ch.Columns[0].Int64s[row]
+					x := all.Columns[0].Int64s[row]
 					row++
 					if x >= lo && x <= hi {
 						matching++
@@ -304,8 +304,8 @@ func TestDeltaPagesSelfContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg := cc.Pages[3] // decode the last page alone
-	v, err := new(DecodeState).DecodePage(stored[pg.RelOff:pg.RelOff+pg.CompressedLen], columnar.Int64, cc, pg)
-	if err != nil {
+	v := columnar.NewVector(columnar.Int64, int(pg.NumRows))
+	if err := new(DecodeState).DecodePageOnto(v, stored[pg.RelOff:pg.RelOff+pg.CompressedLen], cc, pg); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(v.Int64s, c.Columns[0].Int64s[24:32]) {

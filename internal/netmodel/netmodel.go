@@ -13,12 +13,8 @@ import (
 
 // Byte-size units.
 const (
-	KiB = 1 << 10
 	MiB = 1 << 20
-	GiB = 1 << 30
-	TiB = 1 << 40
 
-	KB = 1000
 	MB = 1000 * 1000
 	GB = 1000 * 1000 * 1000
 	TB = 1000 * 1000 * 1000 * 1000
@@ -117,12 +113,6 @@ func NewTokenBucket(sustained, burst Rate, burstWindow time.Duration) *TokenBuck
 	return &TokenBucket{Sustained: sustained, Burst: burst, Capacity: cap, credits: cap}
 }
 
-// Credits returns the current burst budget in bytes, after refilling to now.
-func (b *TokenBucket) Credits(now time.Duration) float64 {
-	b.refill(now)
-	return b.credits
-}
-
 func (b *TokenBucket) refill(now time.Duration) {
 	if now < b.last {
 		return
@@ -180,15 +170,4 @@ func (b *TokenBucket) Transfer(now time.Duration, n int64, reqRate Rate) time.Du
 	b.credits = 0
 	b.last = now + d
 	return d
-}
-
-// EffectiveBandwidth returns the average rate achieved for an n-byte
-// transfer starting now at reqRate, without mutating the bucket.
-func (b *TokenBucket) EffectiveBandwidth(now time.Duration, n int64, reqRate Rate) Rate {
-	clone := *b
-	d := clone.Transfer(now, n, reqRate)
-	if d <= 0 {
-		return reqRate
-	}
-	return Rate(float64(n) / d.Seconds())
 }

@@ -338,30 +338,6 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// Span returns a copy of one span.
-func (t *Tracer) Span(id SpanID) (Span, bool) {
-	if t == nil || id <= 0 {
-		return Span{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if int(id) > len(t.spans) {
-		return Span{}, false
-	}
-	return t.spans[id-1], true
-}
-
-// TotalCost sums billed cost over every span. Because each charge lands
-// on exactly one span, this equals the pricing-meter movement over the
-// traced window.
-func TotalCost(spans []Span) Cost {
-	var c Cost
-	for _, s := range spans {
-		c.Add(s.Cost)
-	}
-	return c
-}
-
 // Tree is a recording with its child index, built once and shared by the
 // analyses of one recording: SubtreeCost, CriticalPath, and the driver's
 // per-stage volumes. spans[i] must have ID i+1, as Tracer.Spans returns.

@@ -32,9 +32,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("nil Spans = %v, want nil", got)
 	}
-	if _, ok := tr.Span(1); ok {
-		t.Fatal("nil Span(1) found a span")
-	}
 	if n := testing.AllocsPerRun(100, func() {
 		tr.Phase(&id, "execute", time.Second)
 		tr.EndPhase(&id, time.Second)
@@ -68,7 +65,7 @@ func TestPhasesTileTheirSpan(t *testing.T) {
 		{ID: c, Parent: inv, Kind: KindPhase, Name: "post", Start: 3 * time.Second, End: 5 * time.Second},
 	}
 	for _, w := range want {
-		if got, _ := tr.Span(w.ID); !reflect.DeepEqual(got, w) {
+		if got := tr.Spans()[w.ID-1]; !reflect.DeepEqual(got, w) {
 			t.Errorf("phase %q = %+v, want %+v", w.Name, got, w)
 		}
 	}
@@ -93,16 +90,19 @@ func TestChargeToInnermostBoundSpan(t *testing.T) {
 	tr.Release(env, 2*time.Second)
 	tr.ChargeTo(env, Cost{S3Put: 9}) // released: dropped
 
-	o, _ := tr.Span(outer)
-	i, _ := tr.Span(inner)
+	o, i := tr.Spans()[outer-1], tr.Spans()[inner-1]
 	if o.Cost != (Cost{S3Get: 1, SQSRequests: 3}) {
 		t.Errorf("outer cost %+v", o.Cost)
 	}
 	if i.Cost != (Cost{S3Get: 2, S3ReadBytes: 100}) {
 		t.Errorf("inner cost %+v", i.Cost)
 	}
-	if total := TotalCost(tr.Spans()); total != (Cost{S3Get: 3, S3ReadBytes: 100, SQSRequests: 3}) {
-		t.Errorf("TotalCost %+v", total)
+	var total Cost
+	for _, sp := range tr.Spans() {
+		total.Add(sp.Cost)
+	}
+	if total != (Cost{S3Get: 3, S3ReadBytes: 100, SQSRequests: 3}) {
+		t.Errorf("total cost %+v", total)
 	}
 	// Release back-fills End on spans still in the stack; inner was
 	// popped first, so only outer is closed.
@@ -136,7 +136,7 @@ func TestPopOfLastSpanDropsTheEnv(t *testing.T) {
 	if len(tr.binds) != 0 {
 		t.Errorf("%d environments still bound, want none", len(tr.binds))
 	}
-	if sp, _ := tr.Span(parent); sp.End != 0 {
+	if sp := tr.Spans()[parent-1]; sp.End != 0 {
 		t.Errorf("parent span closed at %v by a lane's Pop", sp.End)
 	}
 }

@@ -113,16 +113,6 @@ func (b *Budget) Take() bool {
 	return true
 }
 
-// Remaining returns the retries left (-1 when unlimited).
-func (b *Budget) Remaining() int {
-	if b == nil {
-		return -1
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.remaining
-}
-
 // ExhaustedError reports that an operation stayed retryable past its
 // attempt bound or retry budget — the typed failure upstream degradation
 // hooks on (a worker posts it as a retryable failure seal; the scheduler

@@ -64,9 +64,6 @@ func TestBudget(t *testing.T) {
 	if b.Take() {
 		t.Error("budget of 2 allowed a third take")
 	}
-	if b.Remaining() != 0 {
-		t.Errorf("remaining = %d", b.Remaining())
-	}
 }
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {

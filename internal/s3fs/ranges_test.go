@@ -185,7 +185,7 @@ func TestReadRangesTruncation(t *testing.T) {
 // TestReadRangesShareOneWindow: on a DES kernel against S3's measured
 // latencies, the spans of one ReadRanges are in flight together. Two services
 // on one seed draw the same three latencies in request order; one caller
-// takes the ranges one ReadRange at a time and notes each request's duration,
+// takes the ranges one readRange at a time and notes each request's duration,
 // the other asks for them in one ReadRanges, which must return the same
 // bytes for the same three billed GETs at the instant the slowest of those
 // requests ends — not at the sum the first caller pays.
@@ -220,7 +220,7 @@ func TestReadRangesShareOneWindow(t *testing.T) {
 	want, ends, serialGets := run(func(f *File, mark func()) [][]byte {
 		out := make([][]byte, len(ranges))
 		for i, r := range ranges {
-			buf, err := f.ReadRange(r.Off, r.Len)
+			buf, err := f.readRange(f.client, r.Off, r.Len)
 			if err != nil {
 				t.Error(err)
 			}

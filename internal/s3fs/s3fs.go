@@ -74,12 +74,6 @@ func (f *File) Requests() int64 { return f.requests.Load() }
 // BytesRead returns how many billed bytes this handle has fetched.
 func (f *File) BytesRead() int64 { return f.bytes.Load() }
 
-// Bucket returns the bucket name.
-func (f *File) Bucket() string { return f.bucket }
-
-// Key returns the object key.
-func (f *File) Key() string { return f.key }
-
 // ReadAt implements io.ReaderAt: it fills p from offset off using ranged
 // GETs of at most ChunkBytes each. Reads past the end return io.EOF with
 // the partial count, per the io.ReaderAt contract.
@@ -146,13 +140,8 @@ func (f *File) get(via *s3.Client, off, n int64) ([]byte, error) {
 	return data[:got], nil
 }
 
-// ReadRange fetches [off, off+length) as a fresh buffer.
-func (f *File) ReadRange(off, length int64) ([]byte, error) {
-	return f.readRange(f.client, off, length)
-}
-
-// readRange is ReadRange over readAt(via, …). A span one request covers is
-// that request's reply, not a copy of it.
+// readRange fetches [off, off+length) through via as a fresh buffer. A
+// span one request covers is that request's reply, not a copy of it.
 func (f *File) readRange(via *s3.Client, off, length int64) ([]byte, error) {
 	if off+length > f.size {
 		length = f.size - off

@@ -67,7 +67,7 @@ func TestOpenIsOneRequest(t *testing.T) {
 		if f.Requests() != 1 || f.BytesRead() != int64(len(tc.want)) {
 			t.Errorf("Open(tail %d): handle counts %d requests, %d bytes", tc.tail, f.Requests(), f.BytesRead())
 		}
-		if got, err := f.ReadRange(6, 4); err != nil || string(got) != "6789" || f.Requests() != 2 {
+		if got, err := f.readRange(f.client, 6, 4); err != nil || string(got) != "6789" || f.Requests() != 2 {
 			t.Errorf("read of the tail's bytes = %q, %v after %d requests, want a second request", got, err, f.Requests())
 		}
 	}
@@ -75,26 +75,26 @@ func TestOpenIsOneRequest(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	f := setup(t, []byte("hello"))
-	if f.Size() != 5 || f.Bucket() != "b" || f.Key() != "k" {
-		t.Errorf("accessors: %d %q %q", f.Size(), f.Bucket(), f.Key())
+	if f.Size() != 5 || f.bucket != "b" || f.key != "k" {
+		t.Errorf("accessors: %d %q %q", f.Size(), f.bucket, f.key)
 	}
 }
 
 func TestReadRange(t *testing.T) {
 	f := setup(t, []byte("0123456789"))
-	got, err := f.ReadRange(3, 4)
+	got, err := f.readRange(f.client, 3, 4)
 	if err != nil || string(got) != "3456" {
-		t.Errorf("ReadRange = %q, %v", got, err)
+		t.Errorf("readRange = %q, %v", got, err)
 	}
 	// Truncated at the end.
-	got, err = f.ReadRange(8, 10)
+	got, err = f.readRange(f.client, 8, 10)
 	if err != nil || string(got) != "89" {
-		t.Errorf("tail ReadRange = %q, %v", got, err)
+		t.Errorf("tail readRange = %q, %v", got, err)
 	}
 	// Empty beyond the end.
-	got, err = f.ReadRange(20, 5)
+	got, err = f.readRange(f.client, 20, 5)
 	if err != nil || got != nil {
-		t.Errorf("past-end ReadRange = %q, %v", got, err)
+		t.Errorf("past-end readRange = %q, %v", got, err)
 	}
 }
 

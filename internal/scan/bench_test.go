@@ -20,7 +20,7 @@ func benchFiles(b *testing.B) (*s3.Service, []FileRef, int64) {
 	svc.MustCreateBucket("data")
 	data := tpch.Gen{SF: 0.02, Seed: 9}.Generate()
 	var refs []FileRef
-	for i, part := range tpch.SplitFiles(data, 8) {
+	for i, part := range data.Split(8) {
 		raw, err := lpq.WriteFile(tpch.Schema(), lpq.WriterOptions{RowGroupRows: 4096, Compression: lpq.Gzip}, part)
 		if err != nil {
 			b.Fatal(err)

@@ -23,7 +23,7 @@ func uploadLineitemOpts(t *testing.T, svc *s3.Service, sf float64, nfiles int, o
 	svc.MustCreateBucket("data")
 	data := tpch.Gen{SF: sf, Seed: 9}.Generate()
 	var refs []FileRef
-	for i, part := range tpch.SplitFiles(data, nfiles) {
+	for i, part := range data.Split(nfiles) {
 		raw, err := lpq.WriteFile(tpch.Schema(), opts, part)
 		if err != nil {
 			t.Fatal(err)

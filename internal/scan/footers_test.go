@@ -88,12 +88,13 @@ func TestOpenAllIsOneWindow(t *testing.T) {
 			}
 			opened := p.Now()
 			for _, src := range srcs {
-				if _, err := src.Schema(); err != nil {
+				if _, err := src.CommonSchema(); err != nil {
 					t.Error(err)
 				}
-				rows, err := src.TotalRows()
-				if err != nil || rows == 0 {
-					t.Errorf("TotalRows = %d, %v", rows, err)
+				for _, f := range src.Files {
+					if rows, err := src.EstimateFileRows(f, nil); err != nil || rows == 0 {
+						t.Errorf("EstimateFileRows = %d, %v", rows, err)
+					}
 				}
 				if st := src.Stats(); st.BilledGets != int64(tc.files) {
 					t.Errorf("source billed %d GETs for %d opens", st.BilledGets, tc.files)
@@ -118,12 +119,29 @@ func TestOpenAllStopsAtMissingFile(t *testing.T) {
 	refs, svc, _ := uploadTables(t, 1, 2)
 	files := append(refs[0][:1:1], FileRef{Bucket: "data", Key: "nope.lpq"}, refs[0][1])
 	src := New(newClient(svc), Config{}, files...)
-	if _, err := src.TotalRows(); err == nil {
-		t.Fatal("TotalRows over a missing file succeeded")
+	if _, err := src.CommonSchema(); err == nil {
+		t.Fatal("CommonSchema over a missing file succeeded")
 	}
 	if _, err := src.Schema(); err != nil {
 		t.Errorf("first file after a failed window: %v", err)
 	}
+}
+
+// footerRows sums the row counts src's footers record, opening them in one
+// window.
+func footerRows(src *Source) (int64, error) {
+	if err := OpenAll(src); err != nil {
+		return 0, err
+	}
+	var total int64
+	for _, f := range src.Files {
+		n, err := src.EstimateFileRows(f, nil)
+		if err != nil {
+			return 0, err
+		}
+		total += n
+	}
+	return total, nil
 }
 
 // TestFootersOpenOncePerSession: sources that share a footer table open a
@@ -145,7 +163,7 @@ func TestFootersOpenOncePerSession(t *testing.T) {
 
 	first := New(newClient(svc), Config{}, refs[0]...)
 	first.Footers = shared
-	if _, err := first.TotalRows(); err != nil {
+	if err := OpenAll(first); err != nil {
 		t.Fatal(err)
 	}
 	if got := reads(); got != 3 || shared.len() != 3 {
@@ -157,9 +175,9 @@ func TestFootersOpenOncePerSession(t *testing.T) {
 	before := reads()
 	second := New(newClient(svc), Config{}, refs[0]...)
 	second.Footers = shared
-	total, err := second.TotalRows()
+	total, err := footerRows(second)
 	if err != nil || int(total) != want {
-		t.Fatalf("second source: TotalRows = %d, %v; want %d", total, err, want)
+		t.Fatalf("second source: footer rows = %d, %v; want %d", total, err, want)
 	}
 	if got := reads() - before; got != 0 {
 		t.Errorf("second source read %d times for footers the session holds", got)
@@ -176,7 +194,7 @@ func TestFootersOpenOncePerSession(t *testing.T) {
 
 	before = reads()
 	worker := New(newClient(svc), Config{}, refs[0]...)
-	if _, err := worker.TotalRows(); err != nil {
+	if err := OpenAll(worker); err != nil {
 		t.Fatal(err)
 	}
 	if got := reads() - before; got != 3 {
@@ -187,7 +205,7 @@ func TestFootersOpenOncePerSession(t *testing.T) {
 	before = reads()
 	third := New(newClient(svc), Config{}, refs[0]...)
 	third.Footers = shared
-	if _, err := third.TotalRows(); err != nil {
+	if err := OpenAll(third); err != nil {
 		t.Fatal(err)
 	}
 	if got := reads() - before; got != 3 || shared.len() != 3 {
@@ -262,9 +280,9 @@ func TestFootersConcurrentSources(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				src := New(newClient(svc), DefaultConfig(), refs...)
 				src.Footers = shared
-				total, err := src.TotalRows()
+				total, err := footerRows(src)
 				if err != nil || int(total) != data.NumRows() {
-					t.Errorf("TotalRows = %d, %v; want %d", total, err, data.NumRows())
+					t.Errorf("footer rows = %d, %v; want %d", total, err, data.NumRows())
 				}
 				rows := 0
 				err = src.Scan([]string{"l_orderkey"}, nil, func(c *columnar.Chunk) error {

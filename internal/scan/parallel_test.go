@@ -92,7 +92,7 @@ func TestParallelScanMatchesSerialByteIdentical(t *testing.T) {
 	for _, comp := range []lpq.Compression{lpq.None, lpq.Gzip} {
 		svc := s3.New(s3.Config{})
 		refs, data := uploadLineitem(t, svc, 0.005, 8, comp)
-		parts := tpch.SplitFiles(data, 8)
+		parts := data.Split(8)
 
 		src := New(newClient(svc), DefaultConfig(), refs...)
 		want := fileOrder(t, parts, 2000, nil, nil)
@@ -130,7 +130,7 @@ func TestParallelScanMoreFilesThanSlots(t *testing.T) {
 	svc.MustCreateBucket("data")
 	data := tpch.Gen{SF: 0.01, Seed: 5}.Generate()
 	var refs []FileRef
-	parts := tpch.SplitFiles(data, 12)
+	parts := data.Split(12)
 	for i, part := range parts {
 		// ~500-row groups → ~10 chunks per file.
 		raw, err := lpq.WriteFile(tpch.Schema(), lpq.WriterOptions{RowGroupRows: 500}, part)

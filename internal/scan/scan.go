@@ -365,22 +365,6 @@ func (s *Source) Schema() (*columnar.Schema, error) {
 	return meta.Schema, nil
 }
 
-// TotalRows sums the row counts recorded in every file's footer — a
-// metadata-only read: footers are a few hundred bytes, no column data.
-func (s *Source) TotalRows() (int64, error) { return s.EstimateRows(nil) }
-
-// EstimateRows bounds the rows that may satisfy preds, summing the
-// page-granular footer estimate over every file (without predicates, the
-// exact total). The planner makes the per-join broadcast-vs-shuffle choice
-// and sizes stage fan-out from it: selective queries get smaller fleets.
-func (s *Source) EstimateRows(preds []lpq.Predicate) (rows int64, err error) {
-	err = s.eachFooter(func(_ FileRef, m *lpq.FileMeta) error {
-		rows += lpq.EstimateRows(m, preds)
-		return nil
-	})
-	return rows, err
-}
-
 // EstimateFileRows bounds the rows of one file that may satisfy preds —
 // the per-file statistic behind pruned worker file assignment.
 func (s *Source) EstimateFileRows(f FileRef, preds []lpq.Predicate) (int64, error) {

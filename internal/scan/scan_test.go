@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 
 	"lambada/internal/awssim/pricing"
@@ -23,7 +24,7 @@ func uploadLineitem(t *testing.T, svc *s3.Service, sf float64, nfiles int, comp 
 	svc.MustCreateBucket("data")
 	data := tpch.Gen{SF: sf, Seed: 9}.Generate()
 	var refs []FileRef
-	for i, part := range tpch.SplitFiles(data, nfiles) {
+	for i, part := range data.Split(nfiles) {
 		raw, err := lpq.WriteFile(tpch.Schema(), lpq.WriterOptions{RowGroupRows: 2000, Compression: comp}, part)
 		if err != nil {
 			t.Fatal(err)
@@ -169,6 +170,34 @@ func TestScanPruningSkipsWholeFiles(t *testing.T) {
 	}
 	if n == 0 {
 		t.Error("scan returned no rows")
+	}
+}
+
+// TestScanReorderedProjection: a projection names its columns in any order,
+// and the scan yields them in that order, each with its own values.
+func TestScanReorderedProjection(t *testing.T) {
+	svc := s3.New(s3.Config{})
+	refs, data := uploadLineitem(t, svc, 0.002, 2, lpq.None)
+	proj := []string{"l_shipdate", "l_quantity", "l_orderkey"}
+	schema, err := tpch.Schema().Project(proj...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := columnar.NewChunk(schema, data.NumRows())
+	err = New(newClient(svc), DefaultConfig(), refs...).Scan(proj, nil, func(c *columnar.Chunk) error {
+		if !c.Schema.Equal(got.Schema) {
+			return fmt.Errorf("chunk schema %v, want %v", c.Schema, got.Schema)
+		}
+		got.AppendChunk(c)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range proj {
+		if !reflect.DeepEqual(got.Column(name), data.Column(name)) {
+			t.Errorf("column %s differs from the relation's", name)
+		}
 	}
 }
 

@@ -113,7 +113,7 @@ func TestDisarmWithdraws(t *testing.T) {
 		p.Sleep(20 * time.Millisecond)
 		p.NotifyKey("t/y")
 	})
-	k.Run()
+	end := k.Run()
 	if k.Deadlocked() {
 		t.Fatal("deadlocked")
 	}
@@ -123,8 +123,8 @@ func TestDisarmWithdraws(t *testing.T) {
 	if n := k.CompletionWakeups(); n != 1 {
 		t.Errorf("CompletionWakeups = %d, want 1 (only the armed entry at 35ms)", n)
 	}
-	if now := k.Now(); now != 40*time.Millisecond+time.Second {
-		t.Errorf("run ended at %v, want the last park's timeout at 1.04s", now)
+	if end != 40*time.Millisecond+time.Second {
+		t.Errorf("run ended at %v, want the last park's timeout at 1.04s", end)
 	}
 }
 

@@ -30,7 +30,6 @@ type Kernel struct {
 	parked chan struct{}
 	live   int
 	steps  uint64
-	limits Limits
 	// compWaiters are the processes armed on the completion signal — parked
 	// in Park, or still checking before they do — each with the topic it
 	// subscribed to. compWakeups counts every waiter a completion broadcast
@@ -42,16 +41,6 @@ type Kernel struct {
 type compWaiter struct {
 	p     *Proc
 	topic string
-}
-
-// Limits bounds a simulation run to protect against runaway models.
-type Limits struct {
-	// MaxSteps aborts Run (with a panic) after this many dispatched events.
-	// Zero means no limit.
-	MaxSteps uint64
-	// MaxTime aborts Run once virtual time passes this horizon. Zero means
-	// no limit.
-	MaxTime time.Duration
 }
 
 type event struct {
@@ -89,12 +78,6 @@ func New() *Kernel {
 	return &Kernel{parked: make(chan struct{})}
 }
 
-// SetLimits installs run limits. Must be called before Run.
-func (k *Kernel) SetLimits(l Limits) { k.limits = l }
-
-// Now returns the current virtual time.
-func (k *Kernel) Now() time.Duration { return k.now }
-
 // Steps returns the number of events dispatched so far.
 func (k *Kernel) Steps() uint64 { return k.steps }
 
@@ -117,9 +100,6 @@ type Proc struct {
 	// in which case its Park returns at once.
 	armed, parked, notified bool
 }
-
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.now }
@@ -173,12 +153,6 @@ func (k *Kernel) Run() time.Duration {
 			continue // dead process, or a cancelled (superseded) wake-up
 		}
 		k.steps++
-		if k.limits.MaxSteps > 0 && k.steps > k.limits.MaxSteps {
-			panic("simclock: MaxSteps exceeded")
-		}
-		if k.limits.MaxTime > 0 && e.at > k.limits.MaxTime {
-			panic("simclock: MaxTime exceeded")
-		}
 		k.now = e.at
 		e.p.pending = false
 		e.p.resume <- struct{}{}
@@ -208,9 +182,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.k.scheduleAt(p.k.now+d, p)
 	p.yield()
 }
-
-// Yield lets other processes scheduled at the same instant run.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // wakeCancel wakes a parked process at the current instant, cancelling any
 // wake-up it already has scheduled (a Park timer superseded by the broadcast

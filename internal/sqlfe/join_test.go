@@ -1,10 +1,13 @@
 package sqlfe
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"lambada/internal/engine"
+	"lambada/internal/tpch"
 )
 
 // findJoin walks the plan (probe sides) for the first JoinPlan.
@@ -97,5 +100,44 @@ func TestParseJoinErrors(t *testing.T) {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("accepted %q", src)
 		}
+	}
+}
+
+// TestQ12SQLMatchesReference: the engine's answer to tpch.Q12SQL — parsed,
+// optimized, hash-joined — equals tpch.Q12Reference, the join path's
+// independent oracle, row for row.
+func TestQ12SQLMatchesReference(t *testing.T) {
+	plan, err := Parse(tpch.Q12SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{1, 7, 33} {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			g := tpch.Gen{SF: 0.005, Seed: seed}
+			li := g.Generate()
+			orders := g.OrdersFor(li)
+			cat := engine.Catalog{
+				"lineitem": engine.NewMemSource(tpch.Schema(), li),
+				"orders":   engine.NewMemSource(tpch.OrdersSchema(), orders),
+			}
+			opt, err := engine.Optimize(plan, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := engine.Execute(opt, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := tpch.Q12Reference(li, orders)
+			if out.NumRows() != len(ref) || len(ref) != 5 {
+				t.Fatalf("rows = %d, reference %d; want 5 priorities", out.NumRows(), len(ref))
+			}
+			for i, r := range ref {
+				prio, n, total := out.Column("o_orderpriority").Int64s[i], out.Column("n").Int64s[i], out.Column("total").Float64s[i]
+				if prio != r.Priority || n != r.Count || math.Abs(total-r.Total) > 1e-9*r.Total {
+					t.Errorf("row %d = (%d, %d, %v), reference %+v", i, prio, n, total, r)
+				}
+			}
+		})
 	}
 }

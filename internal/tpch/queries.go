@@ -1,7 +1,6 @@
 package tpch
 
 import (
-	"fmt"
 	"sort"
 
 	"lambada/internal/columnar"
@@ -58,21 +57,10 @@ type Q1Row struct {
 	Count                     int64
 }
 
-// Q1Agg is the partial aggregate state for one Query 1 group; partial states
-// from distributed workers merge exactly.
+// Q1Agg is the partial aggregate state for one Query 1 group.
 type Q1Agg struct {
 	SumQty, SumBase, SumDisc, SumCharge, SumDiscount float64
 	Count                                            int64
-}
-
-// Merge folds other into a.
-func (a *Q1Agg) Merge(other Q1Agg) {
-	a.SumQty += other.SumQty
-	a.SumBase += other.SumBase
-	a.SumDisc += other.SumDisc
-	a.SumCharge += other.SumCharge
-	a.SumDiscount += other.SumDiscount
-	a.Count += other.Count
 }
 
 // Q1GroupKey identifies one Query 1 group.
@@ -227,34 +215,4 @@ func Q12Reference(lineitem, orders *columnar.Chunk) []Q12Row {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Priority < rows[j].Priority })
 	return rows
-}
-
-// Selectivity returns the fraction of rows passing the Q1 and Q6 filters —
-// §5.3 reports ~98 % for Q1 and ~2 % for Q6.
-func Selectivity(c *columnar.Chunk) (q1, q6 float64) {
-	ship := c.Column("l_shipdate").Int64s
-	qty := c.Column("l_quantity").Float64s
-	disc := c.Column("l_discount").Float64s
-	var n1, n6 int
-	for i := range ship {
-		if ship[i] <= Q1ShipDateCutoff {
-			n1++
-		}
-		if ship[i] >= Q6ShipDateLo && ship[i] < Q6ShipDateHi &&
-			disc[i] >= 0.0499999 && disc[i] <= 0.0700001 && qty[i] < 24 {
-			n6++
-		}
-	}
-	total := float64(len(ship))
-	return float64(n1) / total, float64(n6) / total
-}
-
-// FormatQ1 renders Query 1 rows like the TPC-H answer set.
-func FormatQ1(rows []Q1Row) string {
-	s := "l_returnflag | l_linestatus | sum_qty | sum_base_price | sum_disc_price | sum_charge | count\n"
-	for _, r := range rows {
-		s += fmt.Sprintf("%12d | %12d | %7.0f | %14.2f | %14.2f | %10.2f | %5d\n",
-			r.ReturnFlag, r.LineStatus, r.SumQty, r.SumBasePrice, r.SumDiscPrice, r.SumCharge, r.Count)
-	}
-	return s
 }

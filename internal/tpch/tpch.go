@@ -206,15 +206,6 @@ func (g Gen) Supplier() *columnar.Chunk {
 	return c
 }
 
-// Order priority codes replacing dbgen's '1-URGENT'..'5-LOW' strings.
-const (
-	PriorityUrgent = int64(0) // '1-URGENT'
-	PriorityHigh   = int64(1) // '2-HIGH'
-	PriorityMedium = int64(2) // '3-MEDIUM'
-	PriorityLow    = int64(3) // '4-NOT SPECIFIED'
-	PriorityNone   = int64(4) // '5-LOW'
-)
-
 // OrdersSchema returns the numeric ORDERS schema (the columns the join
 // queries need). ORDERS is the second large relation: at scale it is far
 // beyond any broadcast limit, so LINEITEM ⋈ ORDERS is the canonical
@@ -223,7 +214,7 @@ func OrdersSchema() *columnar.Schema {
 	return columnar.NewSchema(
 		columnar.Field{Name: "o_orderkey", Type: columnar.Int64},
 		columnar.Field{Name: "o_custkey", Type: columnar.Int64},
-		columnar.Field{Name: "o_orderpriority", Type: columnar.Int64},
+		columnar.Field{Name: "o_orderpriority", Type: columnar.Int64}, // dbgen's '1-URGENT'..'5-LOW' as 0..4
 		columnar.Field{Name: "o_totalprice", Type: columnar.Float64},
 		columnar.Field{Name: "o_orderdate", Type: columnar.Int64},
 	)
@@ -251,23 +242,4 @@ func (g Gen) OrdersFor(lineitem *columnar.Chunk) *columnar.Chunk {
 		c.Columns[4].AppendInt64(rng.Int63n(orderDateMax))
 	}
 	return c
-}
-
-// SplitFiles partitions a sorted relation into nfiles contiguous chunks, the
-// way the paper stores one table as 320 Parquet files of ~500 MB.
-func SplitFiles(c *columnar.Chunk, nfiles int) []*columnar.Chunk {
-	n := c.NumRows()
-	if nfiles < 1 {
-		nfiles = 1
-	}
-	out := make([]*columnar.Chunk, 0, nfiles)
-	per := (n + nfiles - 1) / nfiles
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		out = append(out, c.Slice(lo, hi))
-	}
-	return out
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"lambada/internal/columnar"
+	"lambada/internal/engine"
 	"lambada/internal/lpq"
+	"lambada/internal/sqlfe"
 )
 
 func bytesReaderAt(b []byte) *bytes.Reader { return bytes.NewReader(b) }
@@ -110,10 +113,29 @@ func TestReturnFlagConsistentWithReceiptDate(t *testing.T) {
 	}
 }
 
+// selectivity is the share of c's rows that query's WHERE clause keeps,
+// counted by the engine: SELECT COUNT(*) FROM lineitem WHERE ….
+func selectivity(t *testing.T, c *columnar.Chunk, query string) float64 {
+	t.Helper()
+	where := query[strings.Index(query, "WHERE"):]
+	if i := strings.Index(where, "GROUP BY"); i >= 0 {
+		where = where[:i]
+	}
+	plan, err := sqlfe.Parse("SELECT COUNT(*) AS n FROM lineitem " + where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := engine.Execute(plan, engine.Catalog{"lineitem": engine.NewMemSource(Schema(), c)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(out.Column("n").Int64s[0]) / float64(c.NumRows())
+}
+
 func TestPaperSelectivities(t *testing.T) {
 	// §5.3: Q1 selects ~98 %, Q6 ~2 %.
 	c := Gen{SF: 0.01, Seed: 7}.Generate() // ~60k rows
-	q1, q6 := Selectivity(c)
+	q1, q6 := selectivity(t, c, Q1SQL), selectivity(t, c, Q6SQL)
 	if q1 < 0.95 || q1 > 0.995 {
 		t.Errorf("Q1 selectivity = %.3f, want ~0.98", q1)
 	}
@@ -146,8 +168,7 @@ func TestQ1ReferenceProperties(t *testing.T) {
 			t.Error("charge below discounted price")
 		}
 	}
-	q1, _ := Selectivity(c)
-	if got := float64(total) / float64(c.NumRows()); math.Abs(got-q1) > 1e-9 {
+	if got, q1 := float64(total)/float64(c.NumRows()), selectivity(t, c, Q1SQL); math.Abs(got-q1) > 1e-9 {
 		t.Errorf("Q1 row total %.4f != selectivity %.4f", got, q1)
 	}
 	if !sort.SliceIsSorted(rows, func(i, j int) bool {
@@ -161,19 +182,11 @@ func TestQ1ReferenceProperties(t *testing.T) {
 }
 
 func TestQ1PartialMergeEqualsWhole(t *testing.T) {
-	// The distributed invariant: merging per-file partials equals the
-	// single-node aggregate.
+	// The partial state carries across files: the aggregate of the
+	// per-file chunks equals the aggregate of the relation.
 	c := genSmall(t)
 	whole := Q1Partial(c)
-	files := SplitFiles(c, 7)
-	merged := make(map[Q1GroupKey]Q1Agg)
-	for _, f := range files {
-		for k, a := range Q1Partial(f) {
-			m := merged[k]
-			m.Merge(a)
-			merged[k] = m
-		}
-	}
+	merged := Q1Partial(c.Split(7)...)
 	if len(merged) != len(whole) {
 		t.Fatalf("group counts differ: %d vs %d", len(merged), len(whole))
 	}
@@ -192,7 +205,7 @@ func TestQ6PartialSumEqualsWhole(t *testing.T) {
 		t.Fatal("Q6 result not positive")
 	}
 	var parts float64
-	for _, f := range SplitFiles(c, 5) {
+	for _, f := range c.Split(5) {
 		parts += Q6Reference(f)
 	}
 	if math.Abs(parts-whole) > 1e-6*whole {
@@ -202,7 +215,7 @@ func TestQ6PartialSumEqualsWhole(t *testing.T) {
 
 func TestSplitFilesCoversExactly(t *testing.T) {
 	c := genSmall(t)
-	files := SplitFiles(c, 9)
+	files := c.Split(9)
 	var rows int
 	for _, f := range files {
 		rows += f.NumRows()
@@ -214,8 +227,11 @@ func TestSplitFilesCoversExactly(t *testing.T) {
 		t.Errorf("files = %d", len(files))
 	}
 	// Degenerate cases.
-	if got := SplitFiles(c, 0); len(got) != 1 {
+	if got := c.Split(0); len(got) != 1 {
 		t.Error("nfiles=0 should yield one file")
+	}
+	if got := c.Slice(0, 0).Split(4); len(got) != 1 || got[0].NumRows() != 0 {
+		t.Error("an empty relation should yield one empty file")
 	}
 }
 
@@ -224,7 +240,7 @@ func TestShipdateSortednessEnablesPruning(t *testing.T) {
 	// outside Q6's one-year window — that is the mechanism behind the 80 %
 	// of workers that return immediately in Figure 11.
 	c := Gen{SF: 0.01, Seed: 3}.Generate()
-	files := SplitFiles(c, 32)
+	files := c.Split(32)
 	pruned := 0
 	for _, f := range files {
 		data, err := lpq.WriteFile(Schema(), lpq.WriterOptions{}, f)
@@ -248,14 +264,6 @@ func TestShipdateSortednessEnablesPruning(t *testing.T) {
 	}
 }
 
-func TestFormatQ1(t *testing.T) {
-	c := genSmall(t)
-	s := FormatQ1(Q1Reference(c))
-	if len(s) == 0 || s[0] != 'l' {
-		t.Error("format empty")
-	}
-}
-
 func TestOrdersForReferentialIntegrity(t *testing.T) {
 	g := Gen{SF: 0.001, Seed: 42}
 	li := g.Generate()
@@ -276,7 +284,7 @@ func TestOrdersForReferentialIntegrity(t *testing.T) {
 		}
 	}
 	for _, p := range orders.Column("o_orderpriority").Int64s {
-		if p < PriorityUrgent || p > PriorityNone {
+		if p < 0 || p > 4 {
 			t.Fatalf("priority %d out of range", p)
 		}
 	}
