@@ -46,7 +46,7 @@ scale-smoke:
 # allocation the input cannot back), the scan over the same bytes
 # (ScanFiltered with a pushed-down filter: a typed error or rows a full read
 # and the filter also yield, never a panic), the fault-plan parser (a typed error
-# or a plan that Marshal → ParsePlan leaves unchanged), the SQL parser (an
+# or a plan that marshal → ParsePlan leaves unchanged), the SQL parser (an
 # error or a plan that MarshalPlan → UnmarshalPlan leaves unchanged), the
 # worker's payload decoder (an error or a task whose counts are a fleet's and
 # whose broadcast tables fit the engine budget, never a panic), the driver's

@@ -41,7 +41,7 @@ func main() {
 		mode     = flag.String("mode", "local", "local (goroutine workers) or des (virtual-time simulation)")
 		seed     = flag.Int64("seed", 42, "data generation seed")
 		explain  = flag.Bool("v", false, "record a trace and print the stage plan, with where the aggregate merges and why, per-worker processing times and, with -profile, the critical path span by span")
-		useXchg  = flag.Bool("exchange", false, "keep the auxiliary tables (supplier, orders) as lpq files on S3, where the planner picks broadcast or shuffle per join from their footers, instead of in the driver's memory, from where they always broadcast")
+		useXchg  = flag.Bool("exchange", true, "accepted for old command lines and always true: the auxiliary tables (supplier, orders) live as lpq files on S3, where the planner picks broadcast or shuffle per join from their footers")
 		parts    = flag.Int("partitions", 0, "exchange boundary fan-in (workers per join/final-merge stage); 0 = autotune from footer row counts")
 		bcast    = flag.Int64("broadcast-limit", 0, "S3 build sides up to this many rows broadcast instead of shuffling (0 = default, negative = always shuffle)")
 		spec     = flag.Bool("speculate", false, "re-invoke stragglers as backup attempts once a quorum reported")
@@ -53,6 +53,10 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write the query's Chrome trace-event JSON to this file (implies tracing; open in Perfetto or chrome://tracing)")
 	)
 	flag.Parse()
+	if !*useXchg {
+		fmt.Fprintln(os.Stderr, "lambada: -exchange=false is gone: every table lives on S3, and the planner broadcasts the small ones")
+		os.Exit(2)
+	}
 
 	sql := *query
 	switch strings.ToLower(sql) {
@@ -70,11 +74,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lambada:", perr)
 		os.Exit(2)
 	}
-	// Tables beyond lineitem (supplier, orders) are generated alongside it:
-	// without -exchange they stay in the driver's memory and broadcast from
-	// there; with -exchange they upload to S3 and the planner picks broadcast
-	// or shuffle per join from the footer row counts. Either way the query is
-	// one call.
+	// Tables beyond lineitem (supplier, orders) are generated alongside it
+	// and upload to S3 too; the planner picks broadcast or shuffle per join
+	// from the footer row counts.
 	tables := planTables(plan, nil)
 	if !tables["lineitem"] {
 		fmt.Fprintln(os.Stderr, "lambada: query must scan the lineitem table")
@@ -111,20 +113,16 @@ func main() {
 		if err != nil {
 			return err
 		}
-		aux := map[string]*columnar.Chunk{}
-		if tables["supplier"] {
-			aux["supplier"] = g.Supplier()
-		}
-		if tables["orders"] {
-			aux["orders"] = g.OrdersFor(data)
-		}
 		tf := driver.TableFiles{"lineitem": refs}
-		local := map[string]*columnar.Chunk{}
-		for name, chunk := range aux {
-			if !*useXchg {
-				fmt.Printf("broadcasting %s (%d rows) with every worker payload\n", strings.ToUpper(name), chunk.NumRows())
-				local[name] = chunk
+		for _, name := range []string{"supplier", "orders"} {
+			if !tables[name] {
 				continue
+			}
+			var chunk *columnar.Chunk
+			if name == "supplier" {
+				chunk = g.Supplier()
+			} else {
+				chunk = g.OrdersFor(data)
 			}
 			nf := max(*files/2, 1)
 			fmt.Printf("uploading %s (%d rows, %d files)\n", strings.ToUpper(name), chunk.NumRows(), nf)
@@ -139,7 +137,7 @@ func main() {
 		scfg.BroadcastRowLimit = *bcast
 		scfg.MaxStageWait = *stgWait
 		scfg.Exchange.Variant.Levels = *xlevels
-		out, rep, err := sess.Run(env, plan, tf, local, scfg)
+		out, rep, err := sess.Run(env, plan, tf, scfg)
 		if err != nil {
 			return err
 		}

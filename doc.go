@@ -164,10 +164,10 @@
 // query reaches it as a stage plan (internal/stageplan) from one planner,
 // query.plan, behind one entrance, Session.Run; RunSQL and RunSQLStaged
 // parse query text for it, and the result cache sits in front of it for
-// every query whose inputs are all S3 files. The planner opens the footers
-// of every file of the tables the plan scans (one request window; a file
-// whose schema differs
-// from its table's first is a typed ErrInvalidPlan before any Invoke),
+// every query. Every table a query reads lives on S3. The planner opens the
+// footers of every file of the tables the plan scans (one request window; a
+// file whose schema differs from its table's first is a typed
+// ErrInvalidPlan before any Invoke),
 // optimizes against them, and hands stageplan.Decompose what they say — and
 // Decompose, not the caller, decides the shape of the plan from it:
 //
@@ -184,12 +184,13 @@
 //	                  ≤ 5); a computed key, a missing statistic or a wider
 //	                  range repartitions them into a final-merge stage
 //
-// A driver-resident table — a chunk the caller holds in memory, what
-// Run…Broadcast passes (§3.2's "small amounts of data read locally") — is
-// never opened and always broadcast: its rows and value ranges are the
-// chunk's own, and a query with one has no cache key. The plan Decompose
-// returns is complete — every fleet the query runs, with its size, every
-// boundary's exchange algorithm, and each multi-level boundary's regroup round
+// §3.2's "small amounts of data read locally that should be broadcasted" are
+// the tables the footers call small: an unfiltered scan of at most the
+// broadcast limit's rows, which the driver loads whole through the source
+// the planner opened and ships in every payload. No other rule broadcasts a
+// table. The plan Decompose returns is complete — every fleet the query
+// runs, with its size, every boundary's exchange algorithm, and each
+// multi-level boundary's regroup round
 // as a stage of its own (below) — and the driver builds payloads from it and
 // runs it as given; it sizes, resolves and adds nothing. stageplan.Explain
 // prints that DAG, a line per fleet in launch order, each boundary with its
@@ -763,8 +764,8 @@
 // harness (runCase) is a query over the TPC-H fixture — LINEITEM, ORDERS,
 // SUPPLIER at SF 0.002 from one seed — and the configuration it runs under:
 // file counts, partitions, broadcast limit, exchange levels and write
-// combining, an admission cap, speculation, a seeded fault plan, a
-// driver-resident table, and DES, chaos or goroutine workers. Every case
+// combining, an admission cap, speculation, a seeded fault plan, and DES,
+// chaos or goroutine workers. Every case
 // checks four things: its rows are byte-identical to engine.Execute on one
 // node (within a stated tolerance for float sums); a second DES run replays
 // its rows, Duration and Cost exactly — through RunSQL when the query scans
@@ -793,7 +794,7 @@
 // genCase(seed) draws cases from a table of operators keyed by input and
 // output types, so every query is type-correct by construction; seeds 1–3
 // are Q1, Q6 and Q12, and TestGeneratedPlans requires its seeds to cover both
-// merge arms, a bare shuffle join, both kinds of broadcast, two-round
+// merge arms, a bare shuffle join, a broadcast, two-round
 // boundaries with and without write combining, a binding admission cap and a
 // fault plan that forced a relaunch or a speculation; from seed 27 on each
 // case also runs a recovery scenario, and the seeds must cover a straggler

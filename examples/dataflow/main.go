@@ -7,12 +7,14 @@
 //
 // The pipeline builds a logical plan; the same optimizer then pushes the
 // filter and the projection into the S3 scan and splits the aggregation
-// into worker partials and a driver merge.
+// into worker partials and a driver merge. It exits non-zero when the
+// fleet's answer misses a direct scalar computation.
 package main
 
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/dataflow"
@@ -47,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, rep, err := sess.Run(env, plan, driver.TableFiles{"lineitem": files}, nil, driver.DefaultStageConfig())
+	out, rep, err := sess.Run(env, plan, driver.TableFiles{"lineitem": files}, driver.DefaultStageConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,8 +65,15 @@ func main() {
 			wantN++
 		}
 	}
-	got := out.Column("total").Float64s[0]
+	if out.NumRows() != 1 {
+		log.Fatalf("%d result rows, want 1", out.NumRows())
+	}
+	got, gotN := out.Column("total").Float64s[0], out.Column("n").Int64s[0]
 	fmt.Printf("\nsum(discount*price | discount >= 0.05) = %.4f (reference %.4f)\n", got, want)
-	fmt.Printf("matching rows: %d (reference %d)\n", out.Column("n").Int64s[0], wantN)
+	fmt.Printf("matching rows: %d (reference %d)\n", gotN, wantN)
 	fmt.Printf("%d workers, cost $%.6f\n", rep.Workers, rep.TotalCost)
+	// The fleet's partial sums add in another order than the loop above.
+	if math.Abs(got-want) > 1e-9*math.Abs(want) || gotN != wantN {
+		log.Fatal("the fleet's answer differs from the reference")
+	}
 }

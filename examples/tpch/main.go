@@ -1,9 +1,10 @@
 // TPC-H example: runs Query 1 and Query 6 — the paper's two most scan-bound
 // queries — on the simulated serverless fleet twice: once on the functional
 // (goroutine) deployment to validate the answers against a reference
-// implementation, and once on the discrete-event-simulated deployment with
-// the calibrated AWS latency/bandwidth/pricing models, reporting interactive
-// virtual-time latencies and per-query cost (the setting of Figures 10-12).
+// implementation — it exits non-zero on a miss — and once on the
+// discrete-event-simulated deployment with the calibrated AWS
+// latency/bandwidth/pricing models, reporting interactive virtual-time
+// latencies and per-query cost (the setting of Figures 10-12).
 package main
 
 import (
@@ -59,14 +60,19 @@ func main() {
 	}
 	fmt.Println("Q1 (distributed):")
 	ref := tpch.Q1Reference(data)
+	if out.NumRows() != len(ref) {
+		log.Fatalf("Q1: %d groups, reference %d", out.NumRows(), len(ref))
+	}
+	ok := true
 	for i, r := range ref {
 		got := out.Column("sum_charge").Float64s[i]
+		n := out.Column("count_order").Int64s[i]
 		status := "OK"
-		if math.Abs(got-r.SumCharge) > 1e-6*r.SumCharge {
-			status = "MISMATCH"
+		if out.Column("l_returnflag").Int64s[i] != r.ReturnFlag || out.Column("l_linestatus").Int64s[i] != r.LineStatus ||
+			!near(out.Column("sum_qty").Float64s[i], r.SumQty) || !near(got, r.SumCharge) || n != r.Count {
+			status, ok = "MISMATCH", false
 		}
-		fmt.Printf("  group(%d,%d): sum_charge=%.2f count=%d  [%s]\n",
-			r.ReturnFlag, r.LineStatus, got, out.Column("count_order").Int64s[i], status)
+		fmt.Printf("  group(%d,%d): sum_charge=%.2f count=%d  [%s]\n", r.ReturnFlag, r.LineStatus, got, n, status)
 	}
 	fmt.Printf("  workers=%d cost=$%.6f\n\n", rep.Workers, rep.TotalCost)
 
@@ -75,7 +81,14 @@ func main() {
 		log.Fatal(err)
 	}
 	want := tpch.Q6Reference(data)
-	fmt.Printf("Q6 revenue: %.4f (reference %.4f)\n\n", out6.Column("revenue").Float64s[0], want)
+	if out6.NumRows() != 1 {
+		log.Fatalf("Q6: %d rows, want 1", out6.NumRows())
+	}
+	got6 := out6.Column("revenue").Float64s[0]
+	fmt.Printf("Q6 revenue: %.4f (reference %.4f)\n\n", got6, want)
+	if !ok || !near(got6, want) {
+		log.Fatal("the distributed answers differ from the reference")
+	}
 
 	// ---- DES run: virtual-time latency and cost under the AWS models.
 	k := simclock.New()
@@ -107,3 +120,7 @@ func main() {
 	})
 	k.Run()
 }
+
+// near reports whether got is within a relative 1e-9 of want: the partial
+// sums of a fleet add in another order than the reference's one loop.
+func near(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want) }

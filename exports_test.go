@@ -21,16 +21,13 @@ import (
 
 // exportAllowlist names what TestNoTestOnlyExports may find, each with the
 // reason it stays. A key is the package path under internal/, then the
-// declaration: "lpq.WriterOptions.ForceEncoding".
+// declaration: "awssim/s3.Service.Buckets".
 var exportAllowlist = map[string]string{
-	"awssim/lambdasvc.Ctx.Compute":         "ROADMAP direction 4(a) puts a worker's compute on the virtual clock through it",
-	"awssim/lambdasvc.Ctx.CPUShare":        "ROADMAP direction 4(a): the vCPU share Compute charges against",
-	"awssim/faults.Plan.Marshal":           "the inverse FuzzParsePlan holds ParsePlan to",
-	"awssim/faults.Injector.TotalInjected": "chaos tests prove their faults fired",
-	"awssim/s3.Service.Buckets":            "leak-audit observer: the driver's tests list every bucket a query left",
-	"lpq.WriterOptions.ForceEncoding":      "the golden matrix forces every encoder the writer's own choice would not pick",
-	"netmodel.Constant":                    "the latency fixture tests across packages pin every modeled delay with",
-	"tpch.Q12Reference":                    "reference implementation: the join path's independent oracle for tpch.Q12SQL",
+	"awssim/lambdasvc.Ctx.Compute":  "ROADMAP direction 4(a) puts a worker's compute on the virtual clock through it",
+	"awssim/lambdasvc.Ctx.CPUShare": "ROADMAP direction 4(a): the vCPU share Compute charges against",
+	"awssim/s3.Service.Buckets":     "leak-audit observer: the driver's tests list every bucket a query left",
+	"netmodel.Constant":             "the latency fixture tests across packages pin every modeled delay with",
+	"tpch.Q12Reference":             "reference implementation: the join path's independent oracle for tpch.Q12SQL",
 }
 
 // TestNoTestOnlyExports: everything internal/ exports is there for a
@@ -593,7 +590,7 @@ type finding struct {
 // findings lists internal/'s exported declarations no program reaches (a
 // method only if its type is reached), and the exported fields of reached
 // types that a program reads and never sets, keyed by package path under
-// internal/ and name: "lpq.WriterOptions.ForceEncoding".
+// internal/ and name: "awssim/s3.Service.Buckets".
 func (r *reach) findings() map[string]finding {
 	out := map[string]finding{}
 	for _, obj := range r.internal {

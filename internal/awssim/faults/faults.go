@@ -164,8 +164,8 @@ func ParsePlan(data []byte) (Plan, error) {
 	return p, nil
 }
 
-// Marshal encodes the plan as JSON.
-func (p Plan) Marshal() ([]byte, error) { return json.Marshal(p) }
+// marshal encodes the plan as JSON: the inverse ParsePlan is held to.
+func (p Plan) marshal() ([]byte, error) { return json.Marshal(p) }
 
 // Fault is one injected fault decision.
 type Fault struct {
@@ -237,15 +237,6 @@ func (i *Injector) Injected() map[string]int {
 		out[k] = v
 	}
 	return out
-}
-
-// TotalInjected returns the total number of injected faults.
-func (i *Injector) TotalInjected() int {
-	total := 0
-	for _, v := range i.Injected() {
-		total += v
-	}
-	return total
 }
 
 // String summarizes injected fault counts, sorted by key.

@@ -33,7 +33,7 @@ var suitePlans = []Plan{
 
 func TestPlanJSONRoundTrip(t *testing.T) {
 	for _, p := range suitePlans {
-		data, err := p.Marshal()
+		data, err := p.marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,12 +68,12 @@ func TestParsePlanValidation(t *testing.T) {
 }
 
 // FuzzParsePlan: whatever the bytes, ParsePlan returns ErrInvalidPlan or a
-// plan that survives Marshal → ParsePlan unchanged and that an injector can
+// plan that survives marshal → ParsePlan unchanged and that an injector can
 // be driven with; it never panics. Seeds: the suites' plans, the checked-in
 // storm, and the edge cases under testdata/fuzz/FuzzParsePlan.
 func FuzzParsePlan(f *testing.F) {
 	for _, p := range suitePlans {
-		data, err := p.Marshal()
+		data, err := p.marshal()
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func FuzzParsePlan(f *testing.F) {
 			}
 			return
 		}
-		out, err := p.Marshal()
+		out, err := p.marshal()
 		if err != nil {
 			t.Fatalf("parsed plan %+v does not marshal: %v", p, err)
 		}
@@ -111,7 +111,7 @@ func TestNilInjector(t *testing.T) {
 	if _, ok := inj.Next(OpS3Get); ok {
 		t.Error("nil injector injected a fault")
 	}
-	if inj.Injected() != nil || inj.TotalInjected() != 0 {
+	if inj.Injected() != nil {
 		t.Error("nil injector reported injections")
 	}
 	if NewInjector(Plan{Seed: 7}) != nil {
@@ -138,7 +138,7 @@ func TestDeterministicReplay(t *testing.T) {
 			}
 		}
 	}
-	if a.TotalInjected() == 0 {
+	if len(a.Injected()) == 0 {
 		t.Error("plan with rate 0.3+ rules injected nothing over 1400 ops")
 	}
 }

@@ -14,20 +14,21 @@ func nationRevenue() sqlQuery {
 	return q
 }
 
-// SUPPLIER in the driver's memory, shipped in every payload: the fleet is
-// the lineitem scan's, one worker per file.
+// SUPPLIER over three files on S3, loaded whole by the driver and shipped in
+// every payload: the fleet is the lineitem scan's, one worker per file.
 func TestBroadcastJoinEndToEnd(t *testing.T) {
-	c := planCase{Q: nationRevenue(), Tol: 1e-9, Layout: localLayout, Resident: "supplier", Goroutines: true}
-	c.Layout.Supp = 1
+	c := planCase{Q: nationRevenue(), Tol: 1e-9, Layout: localLayout, Goroutines: true}
+	c.Layout.Supp = 3
 	runCase(t, c, wantWorkers(8), wantStages(1))
 }
 
 func TestBroadcastJoinDESDeterministic(t *testing.T) {
 	l := layout{Data: 61, LI: 6, Supp: 1, Opts: lpq.WriterOptions{RowGroupRows: 2000}}
-	runCase(t, planCase{Q: nationRevenue(), Tol: 1e-9, Layout: l, Resident: "supplier"}, wantStages(1))
+	runCase(t, planCase{Q: nationRevenue(), Tol: 1e-9, Layout: l}, wantStages(1))
 }
 
-// SUPPLIER on S3, which the planner broadcasts by its footer row count.
+// SUPPLIER in one file on S3, which the planner broadcasts by its footer row
+// count.
 func TestSQLJoinEndToEnd(t *testing.T) {
 	c := planCase{Q: nationRevenue(), Tol: 1e-9, Layout: localLayout, Goroutines: true}
 	c.Layout.Supp = 1

@@ -59,7 +59,9 @@ func tryStagedChaosQ12(t *testing.T, mkDep func(k *simclock.Kernel) *Deployment,
 		m := d.dep.Meter
 		res.s3Requests = m.Count(pricing.LabelS3Read) + m.Count(pricing.LabelS3Write)
 		res.sqsReqs = m.Count(pricing.LabelSQS)
-		res.injected = d.dep.Faults.TotalInjected()
+		for _, n := range d.dep.Faults.Injected() {
+			res.injected += n
+		}
 		return nil
 	})
 	if err != nil {

@@ -7,10 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/invoke"
 	"lambada/internal/lpq"
 	"lambada/internal/netmodel"
+	"lambada/internal/scan"
 	"lambada/internal/simclock"
 	"lambada/internal/tpch"
 )
@@ -48,29 +50,14 @@ func TestFilesPerWorkerControlsFleetSize(t *testing.T) {
 
 func TestWorkerErrorPropagates(t *testing.T) {
 	d, env, tables := goSession(t, DefaultConfig(), layout{Data: 33, LI: 2, Opts: localLayout.Opts})
-	refs := tables["lineitem"]
-	// Corrupt a data page of one input object after upload, its footer
-	// intact: the plan stands, the assigned worker fails at the page decode
-	// and reports through the result queue (§3.3: "if an error occurred ...
-	// the handler posts a corresponding message").
-	store := d.Deployment().S3
-	blob, _, err := store.Get(env, refs[1].Bucket, refs[1].Key)
-	if err != nil {
+	refs, store := tables["lineitem"], d.Deployment().S3
+	// The plan stands, the assigned worker fails at the page decode and
+	// reports through the result queue (§3.3: "if an error occurred ... the
+	// handler posts a corresponding message").
+	if err := corruptColumnChunk(env, store, refs[1], "l_quantity"); err != nil {
 		t.Fatal(err)
 	}
-	blob = bytes.Clone(blob)
-	r, err := lpq.OpenReader(bytes.NewReader(blob), int64(len(blob)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := r.Meta().RowGroups[0].Columns[tpch.Schema().Index("l_quantity")]
-	for i := cc.Offset; i < cc.Offset+cc.CompressedLen; i++ {
-		blob[i] ^= 0xff
-	}
-	if err := store.Put(env, refs[1].Bucket, refs[1].Key, blob); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = d.RunSQL(env, q1SQL, "lineitem", refs)
+	_, _, err := d.RunSQL(env, q1SQL, "lineitem", refs)
 	if err == nil {
 		t.Fatal("expected worker failure to propagate")
 	}
@@ -99,6 +86,26 @@ func TestWorkerErrorPropagates(t *testing.T) {
 	if after, _ := d.Deployment().Lambda.Invocations(); after != before {
 		t.Errorf("workers invoked despite the open error: %d -> %d", before, after)
 	}
+}
+
+// corruptColumnChunk flips every byte of column col's first chunk in a
+// LINEITEM object, its footer intact: the planner opens the file as ever,
+// and the worker that scans it fails at the page decode.
+func corruptColumnChunk(env simenv.Env, store *s3.Service, ref scan.FileRef, col string) error {
+	blob, _, err := store.Get(env, ref.Bucket, ref.Key)
+	if err != nil {
+		return err
+	}
+	blob = bytes.Clone(blob)
+	r, err := lpq.OpenReader(bytes.NewReader(blob), int64(len(blob)))
+	if err != nil {
+		return err
+	}
+	cc := r.Meta().RowGroups[0].Columns[tpch.Schema().Index(col)]
+	for i := cc.Offset; i < cc.Offset+cc.CompressedLen; i++ {
+		blob[i] ^= 0xff
+	}
+	return store.Put(env, ref.Bucket, ref.Key, blob)
 }
 
 // Unknown columns are caught at driver-side optimization time — no workers

@@ -12,6 +12,7 @@ import (
 	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/sqs"
 	"lambada/internal/lpq"
+	"lambada/internal/obs"
 	"lambada/internal/simclock"
 	"lambada/internal/tpch"
 )
@@ -172,4 +173,77 @@ func TestBigWorkerHandlesSameInput(t *testing.T) {
 
 func newSQSFor(meter *pricing.CostMeter) *sqs.Service {
 	return sqs.New(sqs.DefaultAWSConfig(meter, 2))
+}
+
+// TestFailureStopsTheLaunchPass: a query fails while a concurrent DES launch
+// pass is still invoking a fleet. LINEITEM's worker 1 reads a corrupt column
+// chunk behind valid footers, held back until its stage's worker 0 and
+// ORDERS' worker have won and the 128-worker join fleet is launching, one
+// single-worker unit at a time under a cap it never reaches. Its failure
+// stops the pass at its next unit, and the loop waits for the pass to exit
+// before it returns the StageFailure: the join fleet is launched in part, no
+// Invoke follows the start of cleanup, and the query leaves nothing behind.
+func TestFailureStopsTheLaunchPass(t *testing.T) {
+	// failAfter lands the failure seal at 987 ms, mid-way through the join
+	// fleet's launch (688 ms to about 1.12 s, a unit every 3.4 ms).
+	const joinWorkers, failAfter = 128, 400 * time.Millisecond
+	cfg := desConfig()
+	cfg.MaxInFlight = 2 * joinWorkers
+	cfg.testWorkerDelay = func(stage, worker, _ int) time.Duration {
+		if stage != 0 && worker == 1 { // LINEITEM's second file: ORDERS has one
+			return failAfter
+		}
+		return 0
+	}
+	// The join workers launched wait for a LINEITEM seal that never comes:
+	// they give up after two seconds, not ten minutes.
+	scfg := shuffled(joinWorkers)
+	scfg.Exchange.MaxWait = 2 * time.Second
+	tr := obs.New()
+	var qerr error
+	sess, err := onDES(func(k *simclock.Kernel) *Deployment {
+		dep := NewSimulated(k, 5)
+		dep.EnableTracing(tr)
+		return dep
+	}, cfg, layout{Data: 33, LI: 2, Ord: 1, Opts: lpq.WriterOptions{RowGroupRows: 2000}}, func(p *simclock.Proc, sess *Session, tables TableFiles) error {
+		if err := corruptColumnChunk(p, sess.dep.S3, tables["lineitem"][1], "l_receiptdate"); err != nil {
+			return err
+		}
+		_, _, qerr = sess.RunSQLStaged(p, q12ExactSQL, tables, scfg)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sf *StageFailure
+	if !errors.As(qerr, &sf) || sf.Retryable || sf.Worker != 1 {
+		t.Fatalf("err = %v, want a non-retryable *StageFailure of worker 1", qerr)
+	}
+	cleanup := time.Duration(-1)
+	for _, s := range tr.Spans() {
+		if s.Kind == obs.KindPhase && s.Name == "cleanup" {
+			cleanup = s.Start
+		}
+	}
+	joined, late := 0, 0
+	for _, s := range tr.Spans() {
+		if s.Kind != obs.KindInvoke {
+			continue
+		}
+		if s.Tags["stage"] == "0" {
+			joined++
+		}
+		if s.Start > cleanup {
+			late++
+		}
+	}
+	switch {
+	case cleanup < 0:
+		t.Error("the failed query never began its cleanup")
+	case late > 0:
+		t.Errorf("%d Invokes after cleanup began at %v", late, cleanup)
+	case joined == 0 || joined >= joinWorkers:
+		t.Errorf("%d of the %d join workers invoked: want the pass stopped mid-launch (or retune failAfter)", joined, joinWorkers)
+	}
+	assertQueryClean(t, sess, sf.QueryID)
 }

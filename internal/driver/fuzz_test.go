@@ -11,7 +11,6 @@ import (
 	"lambada/internal/awssim/lambdasvc"
 	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
-	"lambada/internal/columnar"
 	"lambada/internal/lpq"
 	"lambada/internal/stageplan"
 	"lambada/internal/tpch"
@@ -20,7 +19,7 @@ import (
 // payloadSeeds returns one payload of every task shape the scheduler builds,
 // as its workers receive them: q1's scan task; q12's at three partitions over
 // multi-level boundaries — scan, regroup and join tasks; and q12's scan task
-// with ORDERS a driver-resident table, its blob inside.
+// with ORDERS broadcast, its blob inside.
 func payloadSeeds(t testing.TB) [][]byte {
 	dep := NewLocal()
 	env := simenv.NewImmediate()
@@ -68,7 +67,8 @@ func payloadSeeds(t testing.TB) [][]byte {
 	if _, _, err := sess.RunSQLStaged(env, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, scfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sess.runSQL(env, q12ExactSQL, TableFiles{"lineitem": liRefs}, map[string]*columnar.Chunk{"orders": orders}, DefaultStageConfig()); err != nil {
+	// At the default limit the planner broadcasts the small ORDERS.
+	if _, _, err := sess.RunSQLStaged(env, q12ExactSQL, TableFiles{"lineitem": liRefs, "orders": ordRefs}, DefaultStageConfig()); err != nil {
 		t.Fatal(err)
 	}
 	return seeds

@@ -293,12 +293,12 @@ const genPlainSeeds, genSeeds = 26, 31
 // 4 on, the seed picks one of eight kinds — an aggregate over LINEITEM at the
 // default configuration, one grouped on l_partkey over two-level boundaries,
 // a shuffled LINEITEM ⋈ ORDERS aggregate, a bare shuffle join ordered on
-// every column, a join the planner broadcasts, one with a driver-resident
-// side, two joins, and a faulted run of any of these — and draws its query
-// and configuration. From seed 27 on a case also runs a recovery scenario on
-// the DES kernel, the seed taking them in turn: a straggler, the leftovers of
-// an aborted run, concurrent peers, a stalled fleet, and a stalled fleet
-// behind the admission cap.
+// every column, a join the planner broadcasts, one with ORDERS or SUPPLIER
+// that the footers and filters decide, two joins, and a faulted run of any
+// of these — and draws its query and configuration. From seed 27 on a case
+// also runs a recovery scenario on the DES kernel, the seed taking them in
+// turn: a straggler, the leftovers of an aborted run, concurrent peers, a
+// stalled fleet, and a stalled fleet behind the admission cap.
 func genCase(seed int64) planCase {
 	c := planCase{Seed: seed, Layout: layout{Data: seed, LI: 4, Ord: 2, Supp: 1, Opts: lpq.WriterOptions{RowGroupRows: 2000}}}
 	switch seed {
@@ -371,7 +371,7 @@ func genCase(seed int64) planCase {
 			on = supplierOn
 		}
 		join(t, on)
-		c.Resident = t
+		c.BroadcastRowLimit = 0
 	case 6:
 		join("orders", ordersOn)
 		join("supplier", supplierOn)
@@ -436,7 +436,7 @@ func genCase(seed int64) planCase {
 		// aggregate or in WHERE.
 		c.Refused = true
 		switch {
-		case len(q.Joins) > 0 && c.Resident == "":
+		case len(q.Joins) > 0:
 			c.Unregistered = q.Joins[0].Table
 		case rng.Intn(2) == 0:
 			c.Q.Where = append(slices.Clone(c.Q.Where), "l_no_such_column > 0")
@@ -516,7 +516,7 @@ func TestGeneratedPlans(t *testing.T) {
 		return
 	}
 	for _, class := range []string{"aggregate merged on the driver", "aggregate repartitioned", "bare shuffle join",
-		"planner-chosen broadcast", "driver-resident broadcast", "2l boundary", "2l-wc boundary", "admission cap",
+		"planner-chosen broadcast", "2l boundary", "2l-wc boundary", "admission cap",
 		"faults relaunched or speculated", "goroutine workers", "refused", "straggler backed up",
 		"stalled fleet re-invoked by the cap", "stall behind the admission cap", "zombie fenced", "concurrent queries"} {
 		if !seen[class] {

@@ -227,9 +227,8 @@ type planCase struct {
 	// Tol is the relative tolerance on float columns; 0 is bit-identity.
 	Tol    float64
 	Layout layout
-	// Resident is a table the driver holds in memory and broadcasts;
-	// Unregistered, one the query scans that nobody registered.
-	Resident, Unregistered string
+	// Unregistered is a table the query scans that nobody registered.
+	Unregistered string
 	// Refused: the planner must refuse the query, typed, before any Invoke.
 	Refused bool
 	// Default runs at DefaultStageConfig(), the knobs below ignored; a query
@@ -299,7 +298,7 @@ func (c planCase) String() string {
 		on   bool
 		val  any
 	}{
-		{"resident", c.Resident != "", c.Resident}, {"unregistered", c.Unregistered != "", c.Unregistered},
+		{"unregistered", c.Unregistered != "", c.Unregistered},
 		{"refused", c.Refused, true}, {"default stage config", c.Default, true},
 		{"partitions", c.Partitions != 0, c.Partitions}, {"broadcast rows", c.BroadcastRowLimit != 0, c.BroadcastRowLimit},
 		{"levels", c.Levels != 0, c.Levels}, {"basic", c.Basic, true}, {"max in flight", c.MaxInFlight != 0, c.MaxInFlight},
@@ -453,20 +452,15 @@ func (c planCase) run(o []any, clean, entrance bool) (r caseRun, err error) {
 	return r, nil
 }
 
-// exec runs q's query on sess over files: its driver-resident table from
-// memory, its unregistered one dropped.
+// exec runs q's query on sess over files, its unregistered table dropped.
 func (q *queryRun) exec(env simenv.Env, sess *Session, files TableFiles, entrance bool) {
 	c := q.c
-	tables, local := maps.Clone(files), map[string]*columnar.Chunk{}
-	if c.Resident != "" {
-		local[c.Resident] = tpchData(c.Layout.Data).table(c.Resident)
-		delete(tables, c.Resident)
-	}
+	tables := maps.Clone(files)
 	delete(tables, c.Unregistered)
 	if entrance {
 		q.out, q.rep, q.err = sess.RunSQL(env, c.Q.SQL(), c.Q.From, tables[c.Q.From])
 	} else {
-		q.out, q.rep, q.err = sess.runSQL(env, c.Q.SQL(), tables, local, c.stageConfig())
+		q.out, q.rep, q.err = sess.RunSQLStaged(env, c.Q.SQL(), tables, c.stageConfig())
 	}
 }
 
@@ -495,10 +489,10 @@ func (c planCase) peers() []queryRun {
 	for seed := c.Seed*genSeeds + 1; len(out) < c.Concurrent-1; seed++ {
 		g := genCase(seed)
 		files := map[string]int{"lineitem": c.Layout.LI, "orders": c.Layout.Ord, "supplier": c.Layout.Supp}
-		if g.Refused || slices.ContainsFunc(g.Q.Joins, func(j sqlJoin) bool { return files[j.Table] == 0 && j.Table != g.Resident }) {
+		if g.Refused || slices.ContainsFunc(g.Q.Joins, func(j sqlJoin) bool { return files[j.Table] == 0 }) {
 			continue
 		}
-		out = append(out, queryRun{c: planCase{Seed: seed, Q: g.Q, Tol: g.Tol, Layout: c.Layout, Resident: g.Resident,
+		out = append(out, queryRun{c: planCase{Seed: seed, Q: g.Q, Tol: g.Tol, Layout: c.Layout,
 			Default: g.Default, Partitions: g.Partitions, BroadcastRowLimit: g.BroadcastRowLimit, Levels: g.Levels, Basic: g.Basic,
 			MaxInFlight: c.MaxInFlight, Speculate: c.Speculate, Faults: c.Faults, Goroutines: c.Goroutines}})
 	}
@@ -929,8 +923,7 @@ func (a caseRun) shapes() []string {
 	add(strings.HasPrefix(sp.Merge, "driver"), "aggregate merged on the driver")
 	add(strings.HasPrefix(sp.Merge, "repartition"), "aggregate repartitioned")
 	add(sp.Merge == "" && slices.ContainsFunc(sp.Stages, func(st *stageplan.Stage) bool { return len(st.Inputs) == 2 }), "bare shuffle join")
-	add(slices.ContainsFunc(sp.Broadcast, func(t string) bool { return t != c.Resident }), "planner-chosen broadcast")
-	add(slices.Contains(sp.Broadcast, c.Resident), "driver-resident broadcast")
+	add(len(sp.Broadcast) > 0, "planner-chosen broadcast")
 	for _, v := range []string{"2l", "2l-wc"} {
 		add(slices.ContainsFunc(a.rep.StageStats, func(ss StageStat) bool { return ss.Variant == v }), v+" boundary")
 	}
@@ -1015,12 +1008,7 @@ func (c planCase) simpler() []planCase {
 		rest := c.Q.clone()
 		rest.Joins = slices.Delete(rest.Joins, i, i+1)
 		used := regexp.MustCompile(`\b` + j.Table[:1] + `_`).MatchString(rest.SQL())
-		try(!used, func(d *planCase) {
-			d.Q.Joins = slices.Delete(d.Q.Joins, i, i+1)
-			if d.Resident == j.Table {
-				d.Resident = ""
-			}
-		})
+		try(!used, func(d *planCase) { d.Q.Joins = slices.Delete(d.Q.Joins, i, i+1) })
 	}
 	return out
 }

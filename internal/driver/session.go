@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -14,7 +15,6 @@ import (
 	"lambada/internal/engine"
 	"lambada/internal/invoke"
 	"lambada/internal/lpq"
-	"lambada/internal/netmodel"
 	"lambada/internal/obs"
 	"lambada/internal/resilience"
 	"lambada/internal/scan"
@@ -81,32 +81,20 @@ const (
 	defaultRetryBudget = 256
 )
 
-// NewSession returns a resident session with the normalized configuration.
+// NewSession returns a resident session with the normalized configuration:
+// a zero field of cfg takes DefaultConfig's value.
 // When cfg.MaxInFlight is positive the session installs its admission
 // controller as the deployment's Lambda completion hook — run at most one
 // admission-enabled session per deployment, or token accounting splits.
 func NewSession(dep *Deployment, cfg Config) *Session {
-	if cfg.FunctionName == "" {
-		cfg.FunctionName = "lambada-worker"
-	}
-	if cfg.ResultQueue == "" {
-		cfg.ResultQueue = "lambada-results"
-	}
-	if cfg.WorkerMemoryMiB == 0 {
-		cfg.WorkerMemoryMiB = 1792
-	}
-	if cfg.FilesPerWorker == 0 {
-		cfg.FilesPerWorker = 1
-	}
-	if cfg.PollInterval == 0 {
-		cfg.PollInterval = 25 * time.Millisecond
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 5 * time.Minute
-	}
-	if cfg.Region == "" {
-		cfg.Region = netmodel.RegionEU
-	}
+	def := DefaultConfig()
+	cfg.FunctionName = cmp.Or(cfg.FunctionName, def.FunctionName)
+	cfg.ResultQueue = cmp.Or(cfg.ResultQueue, def.ResultQueue)
+	cfg.WorkerMemoryMiB = cmp.Or(cfg.WorkerMemoryMiB, def.WorkerMemoryMiB)
+	cfg.FilesPerWorker = cmp.Or(cfg.FilesPerWorker, def.FilesPerWorker)
+	cfg.PollInterval = cmp.Or(cfg.PollInterval, def.PollInterval)
+	cfg.Timeout = cmp.Or(cfg.Timeout, def.Timeout)
+	cfg.Region = cmp.Or(cfg.Region, def.Region)
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = defaultRetryBudget
 	}
@@ -399,35 +387,25 @@ func (d *Session) CacheStats() (hits, misses uint64) { return d.cache.stats() }
 
 // RunSQL parses and runs a SQL query over one table.
 func (d *Session) RunSQL(env simenv.Env, sql, table string, files []scan.FileRef) (*columnar.Chunk, *Report, error) {
-	return d.runSQL(env, sql, TableFiles{table: files}, nil, DefaultStageConfig())
+	return d.RunSQLStaged(env, sql, TableFiles{table: files}, DefaultStageConfig())
 }
 
 // RunSQLStaged is RunSQL over any number of tables, the planner's knobs exposed.
 func (d *Session) RunSQLStaged(env simenv.Env, sql string, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
-	return d.runSQL(env, sql, tables, nil, cfg)
-}
-
-// runSQL is Run on the parsed text.
-func (d *Session) runSQL(env simenv.Env, sql string, tables TableFiles, local map[string]*columnar.Chunk, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	plan, err := sqlfe.Parse(sql)
 	if err != nil {
 		return nil, nil, err
 	}
-	return d.Run(env, plan, tables, local, cfg)
+	return d.Run(env, plan, tables, cfg)
 }
 
 // Run is the one entrance: it opens a per-query scheduler on the caller's
-// environment, plans and runs the query on it — over tables, the S3-backed
-// ones, and local, the driver-resident ones — and tears its queue down. A
-// query whose inputs are all S3 files consults the result cache first: a hit
-// is the memoized result (byte-identical to a fresh run), the deployment
-// untouched. One with driver-resident tables has no key: the cache cannot
-// tell one chunk's contents from another's.
-func (d *Session) Run(env simenv.Env, plan engine.Plan, tables TableFiles, local map[string]*columnar.Chunk, cfg StageConfig) (*columnar.Chunk, *Report, error) {
-	key := ""
-	if len(local) == 0 {
-		key = d.cacheKey(plan, tables)
-	}
+// environment, plans and runs the query on it over tables — every table a
+// query reads lives on S3 — and tears its queue down. It consults the result
+// cache first: a hit is the memoized result (byte-identical to a fresh run),
+// the deployment untouched.
+func (d *Session) Run(env simenv.Env, plan engine.Plan, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
+	key := d.cacheKey(plan, tables)
 	if blob, ok := d.cache.lookup(key); ok {
 		c, err := decodeChunk(blob, 0)
 		if err == nil {
@@ -438,7 +416,7 @@ func (d *Session) Run(env simenv.Env, plan engine.Plan, tables TableFiles, local
 	}
 	q := d.newQuery(env)
 	defer q.close()
-	res, rep, err := q.plan(plan, tables, local, cfg)
+	res, rep, err := q.plan(plan, tables, cfg)
 	if err == nil {
 		d.cache.store(key, tables, res)
 	}

@@ -138,21 +138,28 @@ func TestSessionResultCache(t *testing.T) {
 	}
 
 	// The cache is the one entrance's, whichever shim reaches it: a repeated
-	// RunSQL hits. A query with a driver-resident table has no key — the cache
-	// cannot tell one chunk's contents from another's — and always runs.
+	// RunSQL hits.
 	if _, _, err := sess.RunSQL(env, q6SQL, "lineitem", liRefs); err != nil {
 		t.Fatal(err)
 	}
 	if _, rep, err := sess.RunSQL(env, q6SQL, "lineitem", liRefs); err != nil || !rep.CacheHit {
 		t.Errorf("repeated RunSQL: hit = %v, err = %v, want a cache hit", rep != nil && rep.CacheHit, err)
 	}
+
+	// A query whose small ORDERS the planner broadcasts answers as the
+	// shuffled one did, and is cached like any other: the key is the plan
+	// and its files, not the stage config.
+	sess.InvalidateTable("orders")
 	for i := 0; i < 2; i++ {
-		out, rep, err := sess.runSQL(env, q12ExactSQL, TableFiles{"lineitem": liRefs}, map[string]*columnar.Chunk{"orders": data.orders}, DefaultStageConfig())
+		out, rep, err := sess.RunSQLStaged(env, q12ExactSQL, tables, DefaultStageConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.CacheHit {
-			t.Errorf("run %d with a driver-resident table was served from the cache", i)
+		if rep.CacheHit != (i == 1) {
+			t.Errorf("broadcast run %d: hit = %v, want %v", i, rep.CacheHit, i == 1)
+		}
+		if i == 0 && rep.Stages != 1 {
+			t.Errorf("fresh run ran %d stages, want 1: the join broadcast", rep.Stages)
 		}
 		chunksIdentical(t, out, out1)
 	}

@@ -331,10 +331,10 @@ func (d *query) reinvoke(r *stageRun, worker int) error {
 // on the driver or behind a repartition per the footer bounds of its group
 // keys; every fleet sized, every boundary's algorithm chosen, every regroup
 // round a stage), pruned file assignment, and the broadcast blobs the planner
-// asked for — runStages runs the DAG as given. local holds the
-// driver-resident tables: chunks in the driver's memory (§3.2's "small
-// amounts of data read locally"), never opened, always broadcast.
-func (d *query) plan(plan engine.Plan, tables TableFiles, local map[string]*columnar.Chunk, cfg StageConfig) (*columnar.Chunk, *Report, error) {
+// asked for — §3.2's "small amounts of data read locally", which the driver
+// loads whole through the sources it opened — runStages runs the DAG as
+// given.
+func (d *query) plan(plan engine.Plan, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	d.begin()
 	d.dep.Trace.Phase(d.env, "plan", d.env.Now())
 
@@ -344,13 +344,10 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, local map[string]*colu
 	// iteration. The files the session has not opened before are opened
 	// through one request window; the rest cost no request.
 	var names []string
-	stats := stageplan.Stats{Rows: map[string]int64{}, Workers: map[string]int{}, Resident: map[string]bool{}}
+	stats := stageplan.Stats{Rows: map[string]int64{}, Workers: map[string]int{}}
 	optCat := engine.Catalog{}
 	engine.VisitScans(plan, func(s *engine.ScanPlan) {
-		if chunk, ok := local[s.Table]; ok {
-			optCat[s.Table] = engine.NewMemSource(chunk.Schema)
-			stats.Rows[s.Table], stats.Resident[s.Table] = int64(chunk.NumRows()), true
-		} else if !slices.Contains(names, s.Table) {
+		if !slices.Contains(names, s.Table) {
 			names = append(names, s.Table)
 		}
 	})
@@ -422,12 +419,8 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, local map[string]*colu
 		f := d.cfg.FilesPerWorker
 		scanFiles[name], stats.Workers[name] = kept, (len(kept)+f-1)/f // F files per worker
 	}
-	// Asked by Decompose for the group keys of the plan's aggregate only: the
-	// footers' value range for an S3 table, the chunk's for a resident one.
+	// Asked by Decompose for the group keys of the plan's aggregate only.
 	stats.Bounds = func(table, column string) (lo, hi int64, ok bool) {
-		if chunk, ok := local[table]; ok {
-			return chunkBounds(chunk, column)
-		}
 		return srcs[table].Bounds(column)
 	}
 
@@ -440,32 +433,19 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, local map[string]*colu
 		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
 	}
 
-	// The tables the planner kept as broadcast joins: the driver-resident
-	// ones as they are, the genuinely small S3 ones loaded whole.
+	// The tables the planner kept as broadcast joins, loaded whole through
+	// the source the planner opened: the footers are paid for.
 	blobs := map[string][]byte{}
 	for _, name := range sp.Broadcast {
-		chunk := local[name]
-		if chunk == nil {
-			// Through the source the planner opened: the footers are paid for.
-			chunk, err = engine.Execute(&engine.ScanPlan{Table: name}, engine.Catalog{name: srcs[name]})
-			if err != nil {
-				return nil, nil, fmt.Errorf("driver: loading broadcast table %q: %w", name, err)
-			}
+		chunk, err := engine.Execute(&engine.ScanPlan{Table: name}, engine.Catalog{name: srcs[name]})
+		if err != nil {
+			return nil, nil, fmt.Errorf("driver: loading broadcast table %q: %w", name, err)
 		}
 		if blobs[name], err = lpq.WriteFile(chunk.Schema, lpq.WriterOptions{}, chunk); err != nil {
 			return nil, nil, err
 		}
 	}
 	return d.runStages(sp, scanFiles, blobs, cfg)
-}
-
-// chunkBounds is scan.Source.Bounds for a driver-resident table.
-func chunkBounds(c *columnar.Chunk, col string) (lo, hi int64, ok bool) {
-	i := c.Schema.Index(col)
-	if i < 0 || c.Schema.Fields[i].Type != columnar.Int64 || c.NumRows() == 0 {
-		return 0, 0, false
-	}
-	return slices.Min(c.Columns[i].Int64s), slices.Max(c.Columns[i].Int64s), true
 }
 
 // runStages is the executor — the one place a query's fleet is launched and

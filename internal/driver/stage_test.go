@@ -34,14 +34,11 @@ func TestShuffleJoinByteIdenticalAcrossConfigs(t *testing.T) {
 	runCase(t, c, wantStages(3), wantVariant("1l-wc"))
 }
 
-// Q12's float revenue shuffled, broadcast from the driver's memory, and
-// broadcast because the planner chose it.
+// Q12's float revenue shuffled, and broadcast because the planner chose it.
 func TestStagedQ12MatchesBroadcastAndReference(t *testing.T) {
 	c := planCase{Q: q12Revenue(), Tol: 1e-9, Layout: gzipLayout, BroadcastRowLimit: -1, Goroutines: true}
 	runCase(t, c, wantStages(3))
-	c.Resident = "orders"
-	runCase(t, c, wantStages(1))
-	c.Resident, c.BroadcastRowLimit = "", 1<<30
+	c.BroadcastRowLimit = 1 << 30
 	runCase(t, c, wantStages(1))
 }
 

@@ -105,9 +105,9 @@ func joinBenchSetup(b *testing.B) (Catalog, *columnar.Chunk, int64) {
 
 func joinBenchPlan() *JoinPlan {
 	return &JoinPlan{
-		Left:    &ScanPlan{Table: "lineitem"},
-		Right:   &ScanPlan{Table: "supplier"},
-		LeftKey: "l_suppkey", RightKey: "s_suppkey",
+		Left:     &ScanPlan{Table: "lineitem"},
+		Right:    &ScanPlan{Table: "supplier"},
+		LeftKeys: []string{"l_suppkey"}, RightKeys: []string{"s_suppkey"},
 	}
 }
 

@@ -20,24 +20,13 @@ var ErrJoinKey = errors.New("unsupported join key")
 // on the driver to read "small amounts of data locally that should be
 // broadcasted into the serverless workers").
 //
-// Keys are given either as the single-key pair LeftKey/RightKey or as the
-// equal-length lists LeftKeys/RightKeys (which take precedence when set).
-// All key columns must be Int64: single keys use the table's dense or
-// open-addressing int64 modes, multi-key joins the encoded-string mode.
+// Keys are the equal-length lists LeftKeys/RightKeys: row i of the left
+// keys joins against row i of the right keys. All key columns must be
+// Int64: a single key uses the table's dense or open-addressing int64
+// modes, several keys the encoded-string mode.
 type JoinPlan struct {
-	Left, Right       Plan
-	LeftKey, RightKey string
-	// LeftKeys/RightKeys is the multi-column form: row i of the left keys
-	// joins against row i of the right keys.
+	Left, Right         Plan
 	LeftKeys, RightKeys []string
-}
-
-// keyNames returns the normalized key column lists.
-func (p *JoinPlan) keyNames() (left, right []string) {
-	if len(p.LeftKeys) > 0 || len(p.RightKeys) > 0 {
-		return p.LeftKeys, p.RightKeys
-	}
-	return []string{p.LeftKey}, []string{p.RightKey}
 }
 
 // normalizeKeys flips key pairs written in the wrong orientation: when a
@@ -56,18 +45,14 @@ func (p *JoinPlan) normalizeKeys() {
 	if err != nil {
 		return
 	}
-	lk, rk := p.keyNames()
+	lk, rk := p.LeftKeys, p.RightKeys
 	if len(lk) != len(rk) {
 		return
 	}
 	for i := range lk {
 		if ls.Index(lk[i]) < 0 && rs.Index(lk[i]) >= 0 &&
 			ls.Index(rk[i]) >= 0 && rs.Index(rk[i]) < 0 {
-			if len(p.LeftKeys) > 0 || len(p.RightKeys) > 0 {
-				p.LeftKeys[i], p.RightKeys[i] = p.RightKeys[i], p.LeftKeys[i]
-			} else {
-				p.LeftKey, p.RightKey = p.RightKey, p.LeftKey
-			}
+			lk[i], rk[i] = rk[i], lk[i]
 		}
 	}
 }
@@ -78,7 +63,7 @@ func (p *JoinPlan) normalizeKeys() {
 // (ErrJoinKey): keys must be Int64 on both sides — bool and float keys
 // fail here, at planning time, instead of panicking at build time.
 func (p *JoinPlan) OutSchema() (*columnar.Schema, error) {
-	lk, rk := p.keyNames()
+	lk, rk := p.LeftKeys, p.RightKeys
 	if len(lk) == 0 || len(lk) != len(rk) {
 		return nil, fmt.Errorf("engine: join needs matching key lists, got %d left / %d right", len(lk), len(rk))
 	}
@@ -127,7 +112,7 @@ func (p *JoinPlan) Child() Plan { return p.Left }
 
 // String describes the join.
 func (p *JoinPlan) String() string {
-	lk, rk := p.keyNames()
+	lk, rk := p.LeftKeys, p.RightKeys
 	pairs := make([]string, len(lk))
 	for i := range lk {
 		r := ""

@@ -100,9 +100,9 @@ func joinFixtures() []joinFixture {
 		},
 		plan: func() Plan {
 			return &JoinPlan{
-				Left:    &ScanPlan{Table: "probe"},
-				Right:   &ScanPlan{Table: "build"},
-				LeftKey: "k", RightKey: "bk",
+				Left:     &ScanPlan{Table: "probe"},
+				Right:    &ScanPlan{Table: "build"},
+				LeftKeys: []string{"k"}, RightKeys: []string{"bk"},
 			}
 		},
 	})
@@ -122,9 +122,9 @@ func joinFixtures() []joinFixture {
 		},
 		plan: func() Plan {
 			return &JoinPlan{
-				Left:    &ScanPlan{Table: "probe"},
-				Right:   &ScanPlan{Table: "build"},
-				LeftKey: "k", RightKey: "bk",
+				Left:     &ScanPlan{Table: "probe"},
+				Right:    &ScanPlan{Table: "build"},
+				LeftKeys: []string{"k"}, RightKeys: []string{"bk"},
 			}
 		},
 	})
@@ -139,9 +139,9 @@ func joinFixtures() []joinFixture {
 		},
 		plan: func() Plan {
 			return &JoinPlan{
-				Left:    &ScanPlan{Table: "probe"},
-				Right:   &ScanPlan{Table: "build"},
-				LeftKey: "k", RightKey: "bk",
+				Left:     &ScanPlan{Table: "probe"},
+				Right:    &ScanPlan{Table: "build"},
+				LeftKeys: []string{"k"}, RightKeys: []string{"bk"},
 			}
 		},
 	})
@@ -180,9 +180,9 @@ func joinFixtures() []joinFixture {
 					{Func: AggCount, Name: "n"},
 				},
 				In: &JoinPlan{
-					Left:    &ScanPlan{Table: "probe"},
-					Right:   &ScanPlan{Table: "build"},
-					LeftKey: "k", RightKey: "bk",
+					Left:     &ScanPlan{Table: "probe"},
+					Right:    &ScanPlan{Table: "build"},
+					LeftKeys: []string{"k"}, RightKeys: []string{"bk"},
 				},
 			}
 		},
@@ -205,8 +205,8 @@ func joinFixtures() []joinFixture {
 						Pred: NewBin(OpLT, Col("k"), ConstInt(18)),
 						In:   &ScanPlan{Table: "probe"},
 					},
-					Right:   &ScanPlan{Table: "build"},
-					LeftKey: "k", RightKey: "bk",
+					Right:    &ScanPlan{Table: "build"},
+					LeftKeys: []string{"k"}, RightKeys: []string{"bk"},
 				},
 			}}
 		},
@@ -269,9 +269,9 @@ func TestJoinKeyTypeRejected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		j := &JoinPlan{
-			Left:    &ScanPlan{Table: "l"},
-			Right:   &ScanPlan{Table: "r"},
-			LeftKey: tc.lk, RightKey: tc.rk,
+			Left:     &ScanPlan{Table: "l"},
+			Right:    &ScanPlan{Table: "r"},
+			LeftKeys: []string{tc.lk}, RightKeys: []string{tc.rk},
 		}
 		if err := Resolve(j, cat); err != nil {
 			t.Fatal(err)

@@ -32,10 +32,10 @@ func revenueByNationPlan() Plan {
 				{Func: AggCount, Name: "n"},
 			},
 			In: &JoinPlan{
-				Left:     &ScanPlan{Table: "lineitem"},
-				Right:    &ScanPlan{Table: "supplier"},
-				LeftKey:  "l_suppkey",
-				RightKey: "s_suppkey",
+				Left:      &ScanPlan{Table: "lineitem"},
+				Right:     &ScanPlan{Table: "supplier"},
+				LeftKeys:  []string{"l_suppkey"},
+				RightKeys: []string{"s_suppkey"},
 			},
 		},
 	}
@@ -87,10 +87,10 @@ func TestHashJoinMatchesScalar(t *testing.T) {
 func TestJoinSchemaAndErrors(t *testing.T) {
 	cat, _, _ := joinCatalog(t, 0.001)
 	j := &JoinPlan{
-		Left:     &ScanPlan{Table: "lineitem"},
-		Right:    &ScanPlan{Table: "supplier"},
-		LeftKey:  "l_suppkey",
-		RightKey: "s_suppkey",
+		Left:      &ScanPlan{Table: "lineitem"},
+		Right:     &ScanPlan{Table: "supplier"},
+		LeftKeys:  []string{"l_suppkey"},
+		RightKeys: []string{"s_suppkey"},
 	}
 	if err := Resolve(j, cat); err != nil {
 		t.Fatal(err)
@@ -110,11 +110,11 @@ func TestJoinSchemaAndErrors(t *testing.T) {
 		t.Error("right payload column missing")
 	}
 	// Bad keys.
-	bad := &JoinPlan{Left: j.Left, Right: j.Right, LeftKey: "nope", RightKey: "s_suppkey"}
+	bad := &JoinPlan{Left: j.Left, Right: j.Right, LeftKeys: []string{"nope"}, RightKeys: []string{"s_suppkey"}}
 	if _, err := bad.OutSchema(); err == nil {
 		t.Error("bad left key accepted")
 	}
-	bad = &JoinPlan{Left: j.Left, Right: j.Right, LeftKey: "l_suppkey", RightKey: "nope"}
+	bad = &JoinPlan{Left: j.Left, Right: j.Right, LeftKeys: []string{"l_suppkey"}, RightKeys: []string{"nope"}}
 	if _, err := bad.OutSchema(); err == nil {
 		t.Error("bad right key accepted")
 	}
@@ -130,9 +130,9 @@ func TestJoinFilterPushdownThroughJoin(t *testing.T) {
 				Pred: NewBin(OpGE, Col("l_shipdate"), ConstInt(tpch.Q6ShipDateLo)),
 				In:   &ScanPlan{Table: "lineitem"},
 			},
-			Right:    &ScanPlan{Table: "supplier"},
-			LeftKey:  "l_suppkey",
-			RightKey: "s_suppkey",
+			Right:     &ScanPlan{Table: "supplier"},
+			LeftKeys:  []string{"l_suppkey"},
+			RightKeys: []string{"s_suppkey"},
 		},
 	}
 	opt, err := Optimize(plan, cat)
@@ -172,18 +172,18 @@ func TestJoinFilterPushdownThroughJoin(t *testing.T) {
 func TestJoinSwappedKeysNormalized(t *testing.T) {
 	cat, _, _ := joinCatalog(t, 0.002)
 	swapped := &JoinPlan{
-		Left:    &ScanPlan{Table: "lineitem"},
-		Right:   &ScanPlan{Table: "supplier"},
-		LeftKey: "s_suppkey", RightKey: "l_suppkey",
+		Left:     &ScanPlan{Table: "lineitem"},
+		Right:    &ScanPlan{Table: "supplier"},
+		LeftKeys: []string{"s_suppkey"}, RightKeys: []string{"l_suppkey"},
 	}
 	got, err := Execute(swapped, cat)
 	if err != nil {
 		t.Fatalf("swapped single-key join: %v", err)
 	}
 	straight := &JoinPlan{
-		Left:    &ScanPlan{Table: "lineitem"},
-		Right:   &ScanPlan{Table: "supplier"},
-		LeftKey: "l_suppkey", RightKey: "s_suppkey",
+		Left:     &ScanPlan{Table: "lineitem"},
+		Right:    &ScanPlan{Table: "supplier"},
+		LeftKeys: []string{"l_suppkey"}, RightKeys: []string{"s_suppkey"},
 	}
 	want, err := Execute(straight, cat)
 	if err != nil {
@@ -211,10 +211,10 @@ func TestWhereAboveJoinPushesThroughJoin(t *testing.T) {
 	cat, li, sup := joinCatalog(t, 0.002)
 	mkJoin := func() Plan {
 		return &JoinPlan{
-			Left:     &ScanPlan{Table: "lineitem"},
-			Right:    &ScanPlan{Table: "supplier"},
-			LeftKey:  "l_suppkey",
-			RightKey: "s_suppkey",
+			Left:      &ScanPlan{Table: "lineitem"},
+			Right:     &ScanPlan{Table: "supplier"},
+			LeftKeys:  []string{"l_suppkey"},
+			RightKeys: []string{"s_suppkey"},
 		}
 	}
 	plan := &AggregatePlan{

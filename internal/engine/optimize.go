@@ -309,7 +309,7 @@ func requiredColumns(p Plan) (map[string]bool, map[*ScanPlan]bool) {
 		case *LimitPlan:
 			walk(t.In, parentNeedsAll)
 		case *JoinPlan:
-			lk, rk := t.keyNames()
+			lk, rk := t.LeftKeys, t.RightKeys
 			for _, k := range lk {
 				needed[k] = true
 			}

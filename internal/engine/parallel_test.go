@@ -297,9 +297,9 @@ func TestExecuteSpawnsNoGoroutines(t *testing.T) {
 		{"q1", q1Plan, Catalog{"lineitem": probed(li)}},
 		{"hashed-join", func() Plan {
 			return &JoinPlan{
-				Left:    &ScanPlan{Table: "probe"},
-				Right:   &ScanPlan{Table: "build"},
-				LeftKey: "k", RightKey: "bk",
+				Left:     &ScanPlan{Table: "probe"},
+				Right:    &ScanPlan{Table: "build"},
+				LeftKeys: []string{"k"}, RightKeys: []string{"bk"},
 			}
 		}, Catalog{
 			"probe": probed(chunked(probe.Schema, probe, 300)),
@@ -402,10 +402,10 @@ func TestParallelJoinByteIdentical(t *testing.T) {
 		"supplier": NewMemSource(small.Schema, small),
 	}
 	out, err := Execute(&JoinPlan{
-		Left:     &ScanPlan{Table: "lineitem"},
-		Right:    &ScanPlan{Table: "supplier"},
-		LeftKey:  "l_suppkey",
-		RightKey: "s_suppkey",
+		Left:      &ScanPlan{Table: "lineitem"},
+		Right:     &ScanPlan{Table: "supplier"},
+		LeftKeys:  []string{"l_suppkey"},
+		RightKeys: []string{"s_suppkey"},
 	}, cat)
 	if err != nil {
 		t.Fatal(err)

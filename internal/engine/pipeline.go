@@ -216,7 +216,7 @@ func (g *graph) probeStage(j *JoinPlan) (*probeStage, error) {
 	if err != nil {
 		return nil, err
 	}
-	lk, rk := j.keyNames()
+	lk, rk := j.LeftKeys, j.RightKeys
 	ps := &probeStage{outSchema: outSchema, nLeft: ls.Len()}
 	isKey := make(map[int]bool, len(rk))
 	for i := range lk {

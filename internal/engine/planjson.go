@@ -131,11 +131,8 @@ type planJSON struct {
 	Keys    []OrderKey  `json:"keys,omitempty"`
 	N       int         `json:"n,omitempty"`
 
-	// join; single keys travel as leftKey/rightKey, multi-column keys as
-	// leftKeys/rightKeys (the pipeline compiler normalizes either form).
+	// join
 	Right     *planJSON `json:"right,omitempty"`
-	LeftKey   string    `json:"leftKey,omitempty"`
-	RightKey  string    `json:"rightKey,omitempty"`
 	LeftKeys  []string  `json:"leftKeys,omitempty"`
 	RightKeys []string  `json:"rightKeys,omitempty"`
 }
@@ -252,7 +249,6 @@ func encodePlanNode(p Plan) (*planJSON, error) {
 		}
 		return &planJSON{
 			Kind: "join", In: left, Right: right,
-			LeftKey: n.LeftKey, RightKey: n.RightKey,
 			LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
 		}, nil
 	default:
@@ -352,7 +348,6 @@ func decodePlanNode(j *planJSON) (Plan, error) {
 		}
 		return &JoinPlan{
 			Left: left, Right: right,
-			LeftKey: j.LeftKey, RightKey: j.RightKey,
 			LeftKeys: j.LeftKeys, RightKeys: j.RightKeys,
 		}, nil
 	default:

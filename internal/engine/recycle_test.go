@@ -105,7 +105,7 @@ func TestRecycleContract(t *testing.T) {
 		{"collect", &FilterPlan{Pred: NewBin(OpLT, Col("l_quantity"), ConstFloat(25)), In: scan()}, false},
 		{"sort", &OrderByPlan{Keys: []OrderKey{{Column: "l_orderkey"}}, In: scan()}, false},
 		{"limit", &LimitPlan{N: 700, In: scan()}, false},
-		{"join-collect", &JoinPlan{Left: scan(), Right: &ScanPlan{Table: "supplier"}, LeftKey: "l_suppkey", RightKey: "s_suppkey"}, false},
+		{"join-collect", &JoinPlan{Left: scan(), Right: &ScanPlan{Table: "supplier"}, LeftKeys: []string{"l_suppkey"}, RightKeys: []string{"s_suppkey"}}, false},
 		{"aggregate-over-breaker", &AggregatePlan{Aggs: []AggSpec{{Func: AggCount, Name: "n"}}, In: &LimitPlan{N: 1 << 30, In: scan()}}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -85,9 +85,9 @@ func goldenCases(t *testing.T) map[string][]byte {
 					opts := l.opts
 					opts.Compression = comp
 					if m.force {
-						opts.ForceEncoding = map[int]Encoding{}
+						opts.forceEncoding = map[int]Encoding{}
 						for j := range c.Columns {
-							opts.ForceEncoding[j] = m.enc
+							opts.forceEncoding[j] = m.enc
 						}
 					}
 					name := fmt.Sprintf("%s/%s/%s/v2/%s", cname, comp, l.name, m.name)

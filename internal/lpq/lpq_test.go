@@ -188,11 +188,11 @@ func TestGzipActuallyCompresses(t *testing.T) {
 		c.Columns[1].AppendFloat64(float64(i % 3))
 		c.Columns[2].AppendBool(i%2 == 0)
 	}
-	plain, err := WriteFile(testSchema(), WriterOptions{ForceEncoding: map[int]Encoding{0: Plain, 1: Plain, 2: Plain}}, c)
+	plain, err := WriteFile(testSchema(), WriterOptions{forceEncoding: map[int]Encoding{0: Plain, 1: Plain, 2: Plain}}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zipped, err := WriteFile(testSchema(), WriterOptions{Compression: Gzip, ForceEncoding: map[int]Encoding{0: Plain, 1: Plain, 2: Plain}}, c)
+	zipped, err := WriteFile(testSchema(), WriterOptions{Compression: Gzip, forceEncoding: map[int]Encoding{0: Plain, 1: Plain, 2: Plain}}, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,7 +207,7 @@ func TestPropertyV2PagedRoundTrip(t *testing.T) {
 		opts := WriterOptions{
 			RowGroupRows:  rg,
 			PageRows:      pageRows,
-			ForceEncoding: map[int]Encoding{0: encs[int(encRaw)%len(encs)]},
+			forceEncoding: map[int]Encoding{0: encs[int(encRaw)%len(encs)]},
 		}
 		if gz {
 			opts.Compression = Gzip
@@ -294,7 +294,7 @@ func TestDeltaPagesSelfContained(t *testing.T) {
 		c.Columns[0].AppendInt64(int64(1000 + i*3))
 	}
 	data, r := writeRead(t, schema, WriterOptions{RowGroupRows: 32, PageRows: 8,
-		ForceEncoding: map[int]Encoding{0: Delta}}, c)
+		forceEncoding: map[int]Encoding{0: Delta}}, c)
 	cc := r.Meta().RowGroups[0].Columns[0]
 	if len(cc.Pages) != 4 || cc.Encoding != Delta {
 		t.Fatalf("chunk = %+v", cc)

@@ -16,9 +16,10 @@ type WriterOptions struct {
 	// Compression is the heavy-weight scheme applied to every column chunk
 	// after encoding (default None).
 	Compression Compression
-	// ForceEncoding, if non-nil, overrides the per-column automatic
-	// encoding choice (keyed by column index).
-	ForceEncoding map[int]Encoding
+	// forceEncoding, if non-nil, overrides the per-column automatic
+	// encoding choice (keyed by column index): the package's tests force
+	// every encoder the writer's own choice would not pick.
+	forceEncoding map[int]Encoding
 	// PageRows is the page-index granularity (default 4096): column chunks
 	// longer than PageRows are split into pages, each encoded and
 	// compressed independently with per-page min/max statistics.
@@ -261,7 +262,7 @@ func (w *Writer) encodeRowGroup(rg *columnar.Chunk) error {
 	for j, col := range rg.Columns {
 		prof := w.set.profile(col)
 		enc := prof.choose(col.Type, n)
-		if forced, ok := w.opts.ForceEncoding[j]; ok {
+		if forced, ok := w.opts.forceEncoding[j]; ok {
 			enc = forced
 		}
 		cc, err := w.encodeColumnChunk(col, enc, &prof)

@@ -288,7 +288,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var rep *driver.Report
 	runErr := s.cfg.Runner.Run(func(env simenv.Env) error {
 		var qerr error
-		out, rep, qerr = s.cfg.Session.Run(env, plan, s.cfg.Tables, nil, scfg)
+		out, rep, qerr = s.cfg.Session.Run(env, plan, s.cfg.Tables, scfg)
 		return qerr
 	})
 	if runErr != nil {

@@ -167,9 +167,6 @@ type Stats struct {
 	// Bounds answers with the smallest and largest value the footers record
 	// for an Int64 column of a table. Nil, or !ok, is an unknown bound.
 	Bounds func(table, column string) (lo, hi int64, ok bool)
-	// Resident marks the tables that live in the driver's memory, not on S3:
-	// always broadcast, whatever their size, and never opened.
-	Resident map[string]bool
 }
 
 // Config tunes the decomposition.
@@ -323,14 +320,6 @@ func (c Config) broadcastLimit() int64 {
 // InputTable names the catalog binding of a stage's boundary in consuming
 // fragments.
 func InputTable(stageID int) string { return fmt.Sprintf("__stage%d", stageID) }
-
-// joinKeys normalizes a join's key columns to the multi-key form.
-func joinKeys(j *engine.JoinPlan) (left, right []string) {
-	if len(j.LeftKeys) > 0 || len(j.RightKeys) > 0 {
-		return j.LeftKeys, j.RightKeys
-	}
-	return []string{j.LeftKey}, []string{j.RightKey}
-}
 
 type compiler struct {
 	cfg       Config
@@ -624,7 +613,6 @@ func (c *compiler) embed(st *Stage, p engine.Plan) (engine.Plan, error) {
 // materializes both sides as upstream stages partitioned on the join keys
 // and rebinds the join to their boundaries.
 func (c *compiler) embedJoin(st *Stage, j *engine.JoinPlan) (engine.Plan, error) {
-	lk, rk := joinKeys(j)
 	limit := c.cfg.broadcastLimit()
 
 	// Prefer building on the smaller side: if only the left side is a
@@ -633,9 +621,7 @@ func (c *compiler) embedJoin(st *Stage, j *engine.JoinPlan) (engine.Plan, error)
 	swapped := !c.scanRows(j.Right, limit) && c.scanRows(j.Left, limit)
 	if swapped {
 		j.Left, j.Right = j.Right, j.Left
-		j.LeftKey, j.RightKey = j.RightKey, j.LeftKey
 		j.LeftKeys, j.RightKeys = j.RightKeys, j.LeftKeys
-		lk, rk = joinKeys(j)
 	}
 
 	if c.scanRows(j.Right, limit) {
@@ -652,7 +638,7 @@ func (c *compiler) embedJoin(st *Stage, j *engine.JoinPlan) (engine.Plan, error)
 	}
 
 	// Shuffle: both sides become stages partitioned on their join keys.
-	parts := c.parts
+	parts, lk, rk := c.parts, j.LeftKeys, j.RightKeys
 	ls, err := c.build(j.Left)
 	if err != nil {
 		return nil, err
@@ -692,7 +678,7 @@ func (c *compiler) embedJoin(st *Stage, j *engine.JoinPlan) (engine.Plan, error)
 // equals — the swapped join drops them, as build-side keys — then its right
 // side's but their keys, as a single node exposes them.
 func unswap(j *engine.JoinPlan) (engine.Plan, error) {
-	rightKeys, leftKeys := joinKeys(j) // the sides as written
+	rightKeys, leftKeys := j.LeftKeys, j.RightKeys // the sides as written
 	left, lerr := j.Right.OutSchema()
 	right, rerr := j.Left.OutSchema()
 	if err := errors.Join(lerr, rerr); err != nil {
@@ -711,17 +697,14 @@ func unswap(j *engine.JoinPlan) (engine.Plan, error) {
 	return p, nil
 }
 
-// scanRows reports whether p is a scan of a driver-resident table or a bare
-// base-table scan of at most limit rows — the broadcast criterion. Subtrees
+// scanRows reports whether p is a bare base-table scan of at most limit rows
+// — the broadcast criterion. Subtrees
 // with joins or filters above the scan shuffle instead (their output size is
 // not footer-predictable). Filtered scans are excluded even when the
 // post-filter estimate is small: broadcast ships the whole table inside every
 // worker payload, and the estimate bounds selected rows, not shipped bytes.
 func (c *compiler) scanRows(p engine.Plan, limit int64) bool {
 	s, ok := p.(*engine.ScanPlan)
-	if ok && c.stats.Resident[s.Table] {
-		return true
-	}
 	if !ok || limit <= 0 || s.Filter != nil {
 		return false
 	}

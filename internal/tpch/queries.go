@@ -29,7 +29,8 @@ WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01'
   AND l_discount BETWEEN 0.0499999 AND 0.0700001 AND l_quantity < 24`
 
 // JoinSQL is the canonical broadcast-join shape: LINEITEM (big, on S3)
-// INNER JOIN SUPPLIER (small, shipped from the driver), revenue per nation.
+// INNER JOIN SUPPLIER (small, on S3 too: the planner broadcasts it by its
+// footer row count), revenue per nation.
 const JoinSQL = `
 SELECT s_nationkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue, COUNT(*) AS n
 FROM lineitem INNER JOIN supplier ON lineitem.l_suppkey = supplier.s_suppkey
@@ -38,8 +39,9 @@ ORDER BY s_nationkey`
 
 // Q12SQL is the TPC-H Query 12-shaped two-large-sides join: LINEITEM
 // INNER JOIN ORDERS, late lineitems per order priority. The stage
-// planner shuffles both sides through S3 (neither fits a broadcast at
-// scale) unless ORDERS is handed over as a driver-resident table.
+// planner shuffles both sides through S3 once ORDERS outgrows the broadcast
+// limit (at scale neither side fits a broadcast); below it, it broadcasts
+// ORDERS.
 const Q12SQL = `
 SELECT o_orderpriority, COUNT(*) AS n, SUM(l_extendedprice) AS total
 FROM lineitem INNER JOIN orders ON lineitem.l_orderkey = orders.o_orderkey
