@@ -48,8 +48,9 @@ scale-smoke:
 # and the filter also yield, never a panic), the fault-plan parser (a typed error
 # or a plan that marshal → ParsePlan leaves unchanged), the SQL parser (an
 # error or a plan that MarshalPlan → UnmarshalPlan leaves unchanged), the
-# worker's payload decoder (an error or a task whose counts are a fleet's and
-# whose broadcast tables fit the engine budget, never a panic), the driver's
+# worker's payload decoder (an error or a task whose counts are a fleet's,
+# whose scan files' shipped footers decode and whose broadcast tables fit the
+# engine budget, never a panic and never an S3 request), the driver's
 # result-queue body (receipt on a fixed two-stage scheduler: discarded,
 # recorded or a typed StageFailure, never a panic), its epoch item (rejected,
 # or accepted and round-tripping through formatEpochValue) and the
@@ -147,7 +148,7 @@ examples:
 # track, inside it, and overlapping none of its other phases. The file is
 # uploaded as a CI artifact.
 trace-smoke:
-	$(GO) run ./cmd/lambada -mode des -exchange -query q12 -sf 0.002 -files 4 \
+	$(GO) run ./cmd/lambada -mode des -query q12 -sf 0.002 -files 4 \
 		-profile -trace-out $(TRACE_OUT)
 	$(GO) run ./cmd/tracecheck $(TRACE_OUT)
 
@@ -179,7 +180,7 @@ trace-smoke:
 #                          with speculation and a 2 s liveness cap: fails only
 #                          if the result rows differ, and prints both sides'
 #                          fleet, retry and cost lines to be read, not gated.
-TRACE_Q12 = -mode des -profile -query q12 -exchange -broadcast-limit -1 -sf 0.002 -files 4
+TRACE_Q12 = -mode des -profile -query q12 -broadcast-limit -1 -sf 0.002 -files 4
 define TRACE_BUILD
 test -n "$(BASE)" || { echo "usage: make $@ BASE=<rev>"; exit 2; }; \
 set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/base"; \

@@ -41,7 +41,6 @@ func main() {
 		mode     = flag.String("mode", "local", "local (goroutine workers) or des (virtual-time simulation)")
 		seed     = flag.Int64("seed", 42, "data generation seed")
 		explain  = flag.Bool("v", false, "record a trace and print the stage plan, with where the aggregate merges and why, per-worker processing times and, with -profile, the critical path span by span")
-		useXchg  = flag.Bool("exchange", true, "accepted for old command lines and always true: the auxiliary tables (supplier, orders) live as lpq files on S3, where the planner picks broadcast or shuffle per join from their footers")
 		parts    = flag.Int("partitions", 0, "exchange boundary fan-in (workers per join/final-merge stage); 0 = autotune from footer row counts")
 		bcast    = flag.Int64("broadcast-limit", 0, "S3 build sides up to this many rows broadcast instead of shuffling (0 = default, negative = always shuffle)")
 		spec     = flag.Bool("speculate", false, "re-invoke stragglers as backup attempts once a quorum reported")
@@ -53,10 +52,6 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write the query's Chrome trace-event JSON to this file (implies tracing; open in Perfetto or chrome://tracing)")
 	)
 	flag.Parse()
-	if !*useXchg {
-		fmt.Fprintln(os.Stderr, "lambada: -exchange=false is gone: every table lives on S3, and the planner broadcasts the small ones")
-		os.Exit(2)
-	}
 
 	sql := *query
 	switch strings.ToLower(sql) {

@@ -11,7 +11,8 @@
 // The paper's scan exploits concurrency at four levels (§4.3.2, Figure 8):
 //
 //	(4) the footers of all files of a scan opened together, ahead of the
-//	    first file's data (scan.OpenAll);
+//	    first file's data — by the driver, at plan time (scan.OpenAll),
+//	    which ships each worker its files' footers (scan.Source.Pin);
 //	(3) row groups double-buffered: download overlaps decompression;
 //	(2) the column ranges of a row group fetched together
 //	    (s3fs.File.ReadRanges);
@@ -57,7 +58,11 @@
 // before are opened in one window (scan.OpenAll) — one first-byte latency for
 // up to sixteen files, where two serial requests per file were 0.4 s at the
 // head of every staged query; a scan over several files opens them the same
-// way before it reads the first. And a scan's data reads (level 2): the
+// way before it reads the first. A worker opens nothing: its payload carries
+// each of its files' size and trailing footer bytes as the planner's open read
+// them, which it decodes (scan.Pinned, with all of lpq.OpenTail's checks)
+// before its first request, so a warm scan worker's first round trip is its
+// data. And a scan's data reads (level 2): the
 // coalesced spans of one s3fs.File.ReadRanges are one window, so the two or
 // three spans that a third to two thirds of a worker's reads plan pay their
 // ≈ 30 ms latencies together. Level 1's chunks follow one another on the lane
@@ -86,10 +91,10 @@
 // the page stats and the pages carry extents alone. NaNs stay out of every
 // bound, and the columns of a row group are paged at the same rows: the
 // reader refuses a footer that is not, and one with any other trailer (the
-// LPQ1 layout, without page index or distinct counts, included). The footer
-// read itself fetches a speculative tail sized to real footers
+// LPQ1 layout, without page index or distinct counts, included). The
+// driver's footer read fetches a speculative tail sized to real footers
 // (lpq.FooterGuess) so opening metadata never re-downloads a small object
-// end to end.
+// end to end; a worker reads no footer at all.
 //
 // Scans with a residual filter run in two phases (late materialization):
 // phase one fetches only the filter columns of the pages that survive
@@ -556,10 +561,12 @@
 // are immutable until UploadTable, InvalidateTable, InvalidateResultCache or
 // the service's /invalidate says otherwise, and each of them drops the table
 // whole (footers are kept by object; which table an object belongs to is the
-// caller's knowledge). Workers never see it and always read the footers of
-// the files they scan, so a stale entry can mis-plan a query — prune a file
-// that now matches, size a fleet from old row counts — and never mis-decode
-// one. Two rules keep it safe under concurrent queries: it never makes one
+// caller's knowledge). Workers never see the table. Each gets its files'
+// footers from the query's own opens, shipped in its payload as the bytes the
+// open read, so a Drop while the query runs takes nothing from it. The
+// contract therefore covers the data reads as well as the plan: a file
+// overwritten behind the session's back, or by an UploadTable that overlaps a
+// query scanning it, can be read through its old footer. Two rules keep it safe under concurrent queries: it never makes one
 // query wait for another's open (two that miss together both read; under DES
 // a process blocked on a lock that a parked process holds stalls the kernel),
 // and an open issued before an invalidation stores nothing after it.

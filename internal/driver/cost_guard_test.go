@@ -64,9 +64,13 @@ var (
 // two 2000-row groups keep their five spans. The bytes are unchanged: no
 // filter emptied a page at either end of a kept window, so every payload
 // range is the one the two-phase read fetched.
+//
+// 43 → 38 GETs and 165 265 → 124 305 bytes when the footers began to ride
+// the payload: the five scan workers' opens are gone, one suffix read of
+// lpq.FooterGuess (8 192) bytes each.
 func TestStagedSelectiveScanCostGuard(t *testing.T) {
 	const (
-		wantGets, wantBytes = 43, 165265
+		wantGets, wantBytes = 38, 124305
 		prePageIndexGets    = 45
 		prePageIndexBytes   = 174782
 	)
@@ -231,6 +235,16 @@ func assertRequests(t *testing.T, name string, got, want map[string]int64) {
 // 17 → 15, q6 10 → 8, staged q12 23 → 22, broadcast 12 → 11, 2l 35 → 37,
 // 2l-wc 38 → 36; DynamoDB reads 2l 14 → 13, 2l-wc 13 → 11, capped 11 → 10).
 // Every Lambda, S3 write and DynamoDB-write count is unchanged.
+//
+// The S3 reads were re-recorded once more, for one cause: a worker opens no
+// file. The driver ships each scan file's size and footer bytes in the
+// payload, so every worker's open is gone from every row — one S3 read per
+// file a scan worker was given (q1 16 → 12, q6 7 → 6, staged q12 31 → 27,
+// broadcast 19 → 17, the 2l rows 35 → 31). The scans start their data reads
+// a round trip sooner, so the polls are as measured (SQS staged q12
+// 22 → 26, broadcast 11 → 10, 2l 37 → 36, 2l-wc 36 → 34, capped 40 → 39;
+// DynamoDB reads staged q12 7 → 6, 2l 13 → 15). Every Lambda, S3 write and
+// DynamoDB-write count is unchanged.
 func TestExecutorRequestGuard(t *testing.T) {
 	single := func(sql string) func(*Session, simenv.Env, TableFiles) error {
 		return func(d *Session, env simenv.Env, tables TableFiles) error {
@@ -246,13 +260,14 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// q1: 24 → 16, one GET fewer in each of its eight row groups — the
 	// payload's one span merges into the filter's. q6: 13 → 7, three fewer in
 	// each of its two — the payload fills the holes between the filter's three
-	// spans, and the five columns are one span.
+	// spans, and the five columns are one span. q1: 16 → 12, q6: 7 → 6 — the
+	// planner's opens are the only ones left.
 	assertRequests(t, "q1", billedRequests(t, nil, single(q1SQL)), map[string]int64{
-		pricing.LabelLambdaRequests: 4, pricing.LabelS3Read: 16, pricing.LabelSQS: 15,
+		pricing.LabelLambdaRequests: 4, pricing.LabelS3Read: 12, pricing.LabelSQS: 15,
 	})
 	q6 := billedRequests(t, nil, single(q6SQL))
 	assertRequests(t, "q6", q6, map[string]int64{
-		pricing.LabelLambdaRequests: 1, pricing.LabelS3Read: 7, pricing.LabelSQS: 8,
+		pricing.LabelLambdaRequests: 1, pricing.LabelS3Read: 6, pricing.LabelSQS: 8,
 	})
 
 	// The rules follow the plan, not the entrance: q6 through the other
@@ -296,11 +311,13 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// SQS 30 → 24, DynamoDB reads 18 → 8. No LIST is left: the protocol
 	// reads from manifests and the driver deletes by key. 34 → 31 S3 reads:
 	// one fewer in each of the three lineitem row groups the scan keeps — the
-	// filter's one span merges into one of the payload's three.
+	// filter's one span merges into one of the payload's three. 31 → 27: the
+	// scan workers' four opens are gone; the planner's six are all that is
+	// left of ten.
 	assertRequests(t, "staged q12", staged, map[string]int64{
 		pricing.LabelLambdaRequests: 6,
-		pricing.LabelS3Read:         31, pricing.LabelS3Write: 4,
-		pricing.LabelSQS: 22, pricing.LabelDynamoRead: 7, pricing.LabelDynamoWrite: 3,
+		pricing.LabelS3Read:         27, pricing.LabelS3Write: 4,
+		pricing.LabelSQS: 26, pricing.LabelDynamoRead: 6, pricing.LabelDynamoWrite: 3,
 	})
 
 	// ORDERS broadcast: the driver reads the table through the source the
@@ -308,7 +325,8 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// to shuffle — one stage, no boundary, so rule 1 gives it no DynamoDB
 	// request and no LIST at all. Eight opens, the planner's six and the two
 	// lineitem workers' (26 → 22 S3 reads: the final stage's collects;
-	// 22 → 19: the three lineitem row groups' one GET fewer each, as above).
+	// 22 → 19: the three lineitem row groups' one GET fewer each, as above;
+	// 19 → 17: the two workers' opens).
 	assertRequests(t, "staged q12, orders broadcast", billedRequests(t, nil, func(d *Session, env simenv.Env, tables TableFiles) error {
 		scfg := DefaultStageConfig()
 		scfg.Partitions = 2
@@ -319,7 +337,7 @@ func TestExecutorRequestGuard(t *testing.T) {
 		}
 		return err
 	}), map[string]int64{
-		pricing.LabelLambdaRequests: 2, pricing.LabelS3Read: 19, pricing.LabelSQS: 11,
+		pricing.LabelLambdaRequests: 2, pricing.LabelS3Read: 17, pricing.LabelSQS: 10,
 	})
 
 	// Multi-level boundaries and admission-capped launch: the two scan
@@ -330,7 +348,8 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// DynamoDB-write and Lambda counts
 	// are timing-free; the SQS and DynamoDB-read counts are polls and move
 	// with the launch schedule — recorded as measured. 38 → 35 S3 reads on
-	// each: the three lineitem row groups' one GET fewer each, as above.
+	// each: the three lineitem row groups' one GET fewer each, as above;
+	// 35 → 31: the four scan workers' opens.
 	twoLevel := func(wc bool) func(*Session, simenv.Env, TableFiles) error {
 		return func(d *Session, env simenv.Env, tables TableFiles) error {
 			scfg := shuffled(2)
@@ -343,18 +362,18 @@ func TestExecutorRequestGuard(t *testing.T) {
 	}
 	assertRequests(t, "staged q12 2l", billedRequests(t, nil, twoLevel(false)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
-		pricing.LabelS3Read:         35, pricing.LabelS3Write: 12,
-		pricing.LabelSQS: 37, pricing.LabelDynamoRead: 13, pricing.LabelDynamoWrite: 5,
+		pricing.LabelS3Read:         31, pricing.LabelS3Write: 12,
+		pricing.LabelSQS: 36, pricing.LabelDynamoRead: 15, pricing.LabelDynamoWrite: 5,
 	})
 	assertRequests(t, "staged q12 2l-wc", billedRequests(t, nil, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
-		pricing.LabelS3Read:         35, pricing.LabelS3Write: 8,
-		pricing.LabelSQS: 36, pricing.LabelDynamoRead: 11, pricing.LabelDynamoWrite: 5,
+		pricing.LabelS3Read:         31, pricing.LabelS3Write: 8,
+		pricing.LabelSQS: 34, pricing.LabelDynamoRead: 11, pricing.LabelDynamoWrite: 5,
 	})
 	capped := func(c *Config) { c.MaxInFlight = 2 }
 	assertRequests(t, "staged q12 2l-wc, MaxInFlight 2", billedRequests(t, capped, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
-		pricing.LabelS3Read:         35, pricing.LabelS3Write: 8,
-		pricing.LabelSQS: 40, pricing.LabelDynamoRead: 10, pricing.LabelDynamoWrite: 5,
+		pricing.LabelS3Read:         31, pricing.LabelS3Write: 8,
+		pricing.LabelSQS: 39, pricing.LabelDynamoRead: 10, pricing.LabelDynamoWrite: 5,
 	})
 }

@@ -198,8 +198,10 @@ type workerPayload struct {
 	NumWorkers int    `json:"numWorkers"`
 	// Plan is the fragment to execute; a task without one is the regroup
 	// round of a multi-level boundary.
-	Plan        json.RawMessage   `json:"plan,omitempty"`
-	Table       string            `json:"table"`
+	Plan  json.RawMessage `json:"plan,omitempty"`
+	Table string          `json:"table"`
+	// Files are the files the task scans, each pinned (scan.Source.Pin):
+	// its size and footer bytes ride along, so the worker opens none.
 	Files       []scan.FileRef    `json:"files"`
 	ResultQueue string            `json:"resultQueue"`
 	Children    []json.RawMessage `json:"children,omitempty"`
@@ -249,8 +251,18 @@ func (p *workerPayload) check() error {
 	if len(p.Plan) == 0 && (len(x.Inputs) != 1 || x.Output == nil) {
 		return errors.New("task carries neither a plan nor a boundary to regroup")
 	}
+	for _, f := range p.Files {
+		if len(f.Footer) == 0 {
+			return fmt.Errorf("%w: %s/%s carries none", errShippedFooter, f.Bucket, f.Key)
+		}
+	}
 	return nil
 }
+
+// errShippedFooter fails a task whose scan file comes without its footer, or
+// with one that does not decode against its size: a worker never opens a
+// file itself, so there is nothing to fall back on.
+var errShippedFooter = errors.New("driver: scan file footer")
 
 // output is where the task's attempt publishes: the options and boundary of
 // exchange.PublishSealed — or of RegroupSealed, for a task without a plan
@@ -431,7 +443,8 @@ func engineMemoryBudget(memoryMiB int) int64 {
 }
 
 // fragmentCatalog decodes the task's plan fragment and binds what it scans:
-// the worker's files behind the memory guard, and the broadcast tables.
+// the worker's files behind the memory guard — every shipped footer decoded
+// here, before any request (scan.Pinned) — and the broadcast tables.
 func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *workerPayload) (engine.Plan, engine.Catalog, error) {
 	plan, err := engine.UnmarshalPlan(p.Plan)
 	if err != nil {
@@ -439,7 +452,11 @@ func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *work
 	}
 	cat := engine.Catalog{}
 	if len(p.Files) > 0 {
-		cat[p.Table] = memGuardSource{Source: scan.New(client, scan.DefaultConfig(), p.Files...), budget: engineMemoryBudget(ctx.MemoryMiB)}
+		src, err := scan.Pinned(client, p.Files...)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: %w", errShippedFooter, err)
+		}
+		cat[p.Table] = memGuardSource{Source: src, budget: engineMemoryBudget(ctx.MemoryMiB)}
 	}
 	for name, blob := range p.Broadcast {
 		c, err := decodeChunk(blob, engineMemoryBudget(ctx.MemoryMiB))

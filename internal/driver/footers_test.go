@@ -225,6 +225,31 @@ GROUP BY l_returnflag ORDER BY l_returnflag`
 	}
 }
 
+// TestPrunedWorkerReadsNothing: a query whose predicates prune every file
+// still launches one scan worker, so that its stage seals; that worker prunes
+// the footer its payload carries and bills no S3 request at all. Cold, the
+// query's only reads are the planner's four opens; on a session that knows
+// the footers it reads nothing.
+func TestPrunedWorkerReadsNothing(t *testing.T) {
+	const sql = `SELECT COUNT(*) AS n FROM lineitem WHERE l_shipdate >= DATE '2100-01-01'`
+	d, env, tables := goSession(t, DefaultConfig(), layout{Data: 33, LI: 4, Opts: gzipLayout.Opts})
+	want := singleNode(t, sql, tpchData(33).catalog())
+	for i, wantReads := range []int64{4, 0} {
+		before := d.dep.Meter.Count(pricing.LabelS3Read)
+		out, rep, err := d.RunSQL(env, sql, "lineitem", tables["lineitem"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunksIdentical(t, out, want)
+		if rep.Workers != 1 {
+			t.Errorf("query %d launched %d workers, want the one kept alive", i+1, rep.Workers)
+		}
+		if n := d.dep.Meter.Count(pricing.LabelS3Read) - before; n != wantReads {
+			t.Errorf("query %d billed %d S3 reads, want %d", i+1, n, wantReads)
+		}
+	}
+}
+
 // TestPlanningReadsOnlyScannedTables: a registered table the plan does not
 // scan is not read, so a file of it that is missing cannot fail the query;
 // a plan over a table that is not registered does not plan, and is refused

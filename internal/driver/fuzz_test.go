@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"runtime"
@@ -9,9 +11,12 @@ import (
 	"time"
 
 	"lambada/internal/awssim/lambdasvc"
+	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
+	"lambada/internal/engine"
 	"lambada/internal/lpq"
+	"lambada/internal/scan"
 	"lambada/internal/stageplan"
 	"lambada/internal/tpch"
 )
@@ -76,13 +81,16 @@ func payloadSeeds(t testing.TB) [][]byte {
 
 // FuzzWorkerPayload: the invocation blob is outside bytes to the worker that
 // receives it. Whatever they are, decoding them, checking the task's counts
-// (workerPayload.check) and binding its fragment (fragmentCatalog: the plan
-// JSON, the broadcast blobs) gives an error or a task — never a panic, and
-// never more memory than the worker's engine budget allows, however many rows
-// a blob's footer claims. The deployment has no file behind any name: nothing
-// here reads one. testdata/fuzz/FuzzWorkerPayload holds the seeds as built at
-// PR 24 (the two regroup ones as the planner builds them since PR 25) and the
-// crashers found since.
+// and that every scan file carries its footer (workerPayload.check) and
+// binding its fragment (fragmentCatalog: the plan JSON, the shipped footers,
+// the broadcast blobs) gives an error or a task — never a panic, never an S3
+// request, and never more memory than the worker's engine budget allows,
+// however many rows a blob's or a file's footer claims. The deployment has no
+// file behind any name, and nothing here reads one. testdata/fuzz/
+// FuzzWorkerPayload holds the seeds as built at PR 24 (the two regroup ones
+// as the planner builds them since PR 25; their scan files carry no footer,
+// which check now refuses), a scan task as the planner pins it
+// (q1-scan-pinned) and the crashers found since.
 func FuzzWorkerPayload(f *testing.F) {
 	for _, seed := range payloadSeeds(f) {
 		f.Add(seed)
@@ -93,6 +101,7 @@ func FuzzWorkerPayload(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
+		reads := sess.dep.Meter.Count(pricing.LabelS3Read)
 		var p workerPayload
 		err := json.Unmarshal(data, &p)
 		if err == nil {
@@ -107,11 +116,73 @@ func FuzzWorkerPayload(f *testing.F) {
 		if err == nil && (p.WorkerID >= p.NumWorkers || p.NumWorkers > maxFanout) {
 			t.Errorf("accepted worker %d of %d", p.WorkerID, p.NumWorkers)
 		}
+		if n := sess.dep.Meter.Count(pricing.LabelS3Read) - reads; n != 0 {
+			t.Errorf("binding the task billed %d S3 reads", n)
+		}
 		runtime.ReadMemStats(&after)
 		if alloc := after.TotalAlloc - before.TotalAlloc; len(data) <= 256<<10 && alloc > 64<<20 {
 			t.Errorf("%d input bytes allocated %d MiB", len(data), alloc>>20)
 		}
 	})
+}
+
+// TestShippedFooterRefused: a worker trusts no footer its payload carries. A
+// scan file without one is refused by check, and one whose bytes do not
+// decode against its size — a bad magic, bytes cut short of the footer, a
+// footer length beyond the object, an object too small for the column
+// chunks the footer places — by fragmentCatalog, each with the typed
+// errShippedFooter, no panic and no S3 request. The file as the planner
+// pinned it binds without a request either.
+func TestShippedFooterRefused(t *testing.T) {
+	d, env, tables := goSession(t, DefaultConfig(), layout{Data: 33, LI: 2, Opts: gzipLayout.Opts})
+	pinned, err := scan.New(s3.NewClient(d.dep.S3, env), scan.DefaultConfig(), tables["lineitem"]...).Pin(tables["lineitem"][:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := engine.MarshalPlan(&engine.ScanPlan{Table: "lineitem"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := pinned[0]
+	footerLen := len(good.Footer) - 8
+	ctx := &lambdasvc.Ctx{Env: env, MemoryMiB: 1792}
+	client := s3.NewClient(d.dep.S3, env)
+	bind := func(f scan.FileRef) error {
+		p := workerPayload{QueryID: "q1", NumWorkers: 1, Plan: plan, Table: "lineitem", Files: []scan.FileRef{f}}
+		err := p.check()
+		if err == nil {
+			_, _, err = d.fragmentCatalog(ctx, client, &p)
+		}
+		return err
+	}
+	reads := d.dep.Meter.Count(pricing.LabelS3Read)
+	if err := bind(good); err != nil {
+		t.Fatalf("the pinned file: %v", err)
+	}
+	mutated := func(edit func(b []byte)) []byte {
+		b := bytes.Clone(good.Footer)
+		edit(b)
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		f    scan.FileRef
+	}{
+		{"no footer", scan.FileRef{Bucket: good.Bucket, Key: good.Key, Size: good.Size}},
+		{"bad magic", scan.FileRef{Bucket: good.Bucket, Key: good.Key, Size: good.Size,
+			Footer: mutated(func(b []byte) { b[len(b)-1] ^= 0xff })}},
+		{"truncated", scan.FileRef{Bucket: good.Bucket, Key: good.Key, Size: good.Size, Footer: good.Footer[1:]}},
+		{"footer length beyond size", scan.FileRef{Bucket: good.Bucket, Key: good.Key, Size: good.Size,
+			Footer: mutated(func(b []byte) { binary.LittleEndian.PutUint32(b[len(b)-8:], uint32(good.Size)) })}},
+		{"size below the column chunks", scan.FileRef{Bucket: good.Bucket, Key: good.Key, Size: int64(footerLen + 9), Footer: good.Footer}},
+	} {
+		if err := bind(tc.f); !errors.Is(err, errShippedFooter) {
+			t.Errorf("%s: %v, want errShippedFooter", tc.name, err)
+		}
+	}
+	if n := d.dep.Meter.Count(pricing.LabelS3Read) - reads; n != 0 {
+		t.Errorf("binding the tasks billed %d S3 reads", n)
+	}
 }
 
 // FuzzResultMessage: a result-queue body is outside bytes to the driver that

@@ -413,11 +413,18 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, cfg StageConfig) (*col
 		if len(kept) == 0 {
 			// Every file pruned: keep one worker alive so the stage still
 			// launches and seals (exchange consumers wait on its senders);
-			// its scan reads only the footer and yields nothing.
+			// its scan prunes the footer it was given and reads nothing.
 			kept = src.Files[:1]
 		}
+		// Each worker gets its files' footers in its payload, from this
+		// query's own source: it opens nothing, and a concurrent Drop of the
+		// session's table cannot take them away halfway through the query.
+		pinned, err := src.Pin(kept)
+		if err != nil {
+			return nil, nil, fmt.Errorf("driver: opening %q: %w", name, err)
+		}
 		f := d.cfg.FilesPerWorker
-		scanFiles[name], stats.Workers[name] = kept, (len(kept)+f-1)/f // F files per worker
+		scanFiles[name], stats.Workers[name] = pinned, (len(kept)+f-1)/f // F files per worker
 	}
 	// Asked by Decompose for the group keys of the plan's aggregate only.
 	stats.Bounds = func(table, column string) (lo, hi int64, ok bool) {

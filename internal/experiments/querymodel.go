@@ -45,7 +45,9 @@ type LambadaModel struct {
 	// ColdStart and HandlerOverhead model per-worker fixed costs.
 	ColdStart       time.Duration
 	HandlerOverhead time.Duration
-	// MetaLatency is the footer round trip.
+	// MetaLatency is the paper's per-worker footer round trip, one per file.
+	// The executor no longer pays it: the driver ships each worker its files'
+	// footers in the payload (ROADMAP direction 4(d) reconciles the two).
 	MetaLatency time.Duration
 	// ColdSlowdown is the execution penalty of cold runs ("not only due to
 	// a slower invocation time, but also somewhat slower execution").

@@ -461,8 +461,10 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // TestOpenTail: a caller that holds the file's last bytes opens it with no
 // read when they hold the footer and with one read, of exactly the missing
 // prefix, when they do not; either way the metadata is what OpenReader
-// decodes, and none of it aliases the tail. A footer longer than FooterGuess
-// is the case OpenReader itself pays the second read for.
+// decodes, none of it aliases the tail, and Trailer is the file's last
+// footerLen+8 bytes. Without a reader the exact trailer opens and a shorter
+// tail is refused. A footer longer than FooterGuess is the case OpenReader
+// itself pays the second read for.
 func TestOpenTail(t *testing.T) {
 	// Many small paged row groups: a footer well past the guess.
 	data, err := WriteFile(testSchema(), WriterOptions{RowGroupRows: 64, PageRows: 16}, makeChunk(6000, 7))
@@ -499,6 +501,9 @@ func TestOpenTail(t *testing.T) {
 		if src.reads != tc.reads || r.MetadataReads != tc.reads {
 			t.Errorf("tail of %d bytes: %d reads (reader says %d), want %d", tc.tail, src.reads, r.MetadataReads, tc.reads)
 		}
+		if !bytes.Equal(r.Trailer(), data[size-footerLen-8:]) {
+			t.Errorf("tail of %d bytes: a %d-byte trailer, want the file's last %d bytes", tc.tail, len(r.Trailer()), footerLen+8)
+		}
 		for i := range tail {
 			tail[i] = 0xff // the caller drops the tail: nothing may still look at it
 		}
@@ -520,5 +525,11 @@ func TestOpenTail(t *testing.T) {
 	}
 	if _, err := OpenTail(bytes.NewReader(data), size, nil); err == nil {
 		t.Error("a nil tail — a synthetic object's — opened")
+	}
+	if r, err := OpenTail(nil, size, data[size-footerLen-8:]); err != nil || !reflect.DeepEqual(r.Meta(), ref.Meta()) {
+		t.Errorf("the exact trailer without a reader: %v", err)
+	}
+	if _, err := OpenTail(nil, size, data[size-footerLen-7:]); err == nil {
+		t.Error("a tail one byte short of the footer opened without a reader")
 	}
 }

@@ -23,7 +23,8 @@ import (
 // for a 13-column table in one or two unpaged row groups, 4.4 KB for the
 // same table in row groups of four pages — which at 4 KiB took two reads to
 // open. 8 KiB holds every footer the benchmark's tables have. An object
-// shorter than the guess is fetched whole, once.
+// shorter than the guess is fetched whole, once. Only the driver opens over
+// S3: a worker's footers travel in its payload (scan.Pinned).
 const FooterGuess = 8 * 1024
 
 // Reader reads an lpq file from any io.ReaderAt — an in-memory buffer, an
@@ -32,6 +33,8 @@ type Reader struct {
 	r    io.ReaderAt
 	size int64
 	meta *FileMeta
+	// trailer is the file's last footerLen+8 bytes, as stored.
+	trailer []byte
 	// MetadataReads counts how many ReadAt calls opening the footer took.
 	MetadataReads int
 }
@@ -56,8 +59,10 @@ func OpenReader(r io.ReaderAt, size int64) (*Reader, error) {
 
 // OpenTail is OpenReader for a caller that already holds the file's last
 // len(tail) bytes — an S3 open gets them with the object's size, in its one
-// request. The tail is parsed and not kept: nothing the reader or its
-// metadata holds aliases it.
+// request. A footer longer than the tail costs one read of the missing prefix
+// through r; with a nil r it is refused instead, so a caller that must not
+// read (a worker given its footers) opens from the exact trailer or fails.
+// Nothing the reader's metadata holds aliases the tail; Trailer may.
 func OpenTail(r io.ReaderAt, size int64, tail []byte) (*Reader, error) {
 	guess := int64(len(tail))
 	if guess < 8 || guess > size {
@@ -72,20 +77,22 @@ func OpenTail(r io.ReaderAt, size int64, tail []byte) (*Reader, error) {
 	if footerLen+8 > size {
 		return nil, fmt.Errorf("lpq: footer length %d exceeds file size %d", footerLen, size)
 	}
-	var footer []byte
 	if footerLen+8 <= guess {
-		footer = tail[guess-8-footerLen : guess-8]
+		rd.trailer = tail[guess-8-footerLen:]
+	} else if r == nil {
+		return nil, fmt.Errorf("lpq: %d-byte footer is longer than its %d-byte tail", footerLen, guess)
 	} else {
 		// The tail already holds the footer's suffix; fetch only the
 		// missing prefix rather than re-billing bytes in hand.
-		footer = make([]byte, footerLen)
+		rd.trailer = make([]byte, footerLen+8)
 		missing := footerLen + 8 - guess
-		if _, err := r.ReadAt(footer[:missing], size-8-footerLen); err != nil {
+		if _, err := r.ReadAt(rd.trailer[:missing], size-8-footerLen); err != nil {
 			return nil, fmt.Errorf("lpq: reading long footer: %w", err)
 		}
-		copy(footer[missing:], tail[:guess-8])
+		copy(rd.trailer[missing:], tail)
 		rd.MetadataReads = 1
 	}
+	footer := rd.trailer[:footerLen]
 	meta, err := decodeFooter(footer)
 	if err != nil {
 		return nil, err
@@ -99,6 +106,12 @@ func OpenTail(r io.ReaderAt, size int64, tail []byte) (*Reader, error) {
 
 // Meta returns the file metadata.
 func (r *Reader) Meta() *FileMeta { return r.meta }
+
+// Trailer returns the file's last footerLen+8 bytes — the encoded footer, its
+// length and the magic — exactly as stored: what OpenTail opens the file from
+// again without a read. It aliases the tail OpenTail was given, when that held
+// them.
+func (r *Reader) Trailer() []byte { return r.trailer }
 
 // Schema returns the file schema.
 func (r *Reader) Schema() *columnar.Schema { return r.meta.Schema }

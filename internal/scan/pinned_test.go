@@ -1,0 +1,103 @@
+package scan
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+
+	"lambada/internal/awssim/pricing"
+	"lambada/internal/awssim/s3"
+	"lambada/internal/awssim/simenv"
+	"lambada/internal/columnar"
+	"lambada/internal/lpq"
+)
+
+// TestPinShipsTheStoredTrailer: a pinned ref carries the object's size and
+// its last footerLen+8 bytes, byte for byte — a footer inside the open's
+// guess and one longer than it alike — and pinning what a source opened
+// costs no request, even once the session's table has been dropped.
+func TestPinShipsTheStoredTrailer(t *testing.T) {
+	var short, long bool
+	for _, opts := range []lpq.WriterOptions{{RowGroupRows: 2000}, {RowGroupRows: 64, PageRows: 16}} {
+		meter := pricing.NewCostMeter()
+		svc := s3.New(s3.Config{Meter: meter})
+		refs, _ := uploadLineitemOpts(t, svc, 0.002, 2, opts)
+		src := New(newClient(svc), DefaultConfig(), refs...)
+		src.Footers = NewFooters()
+		if err := OpenAll(src); err != nil {
+			t.Fatal(err)
+		}
+		src.Footers.Drop()
+		before := meter.Count(pricing.LabelS3Read)
+		pinned, err := src.Pin(refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := meter.Count(pricing.LabelS3Read) - before; n != 0 {
+			t.Errorf("pinning opened files billed %d S3 reads", n)
+		}
+		for _, f := range pinned {
+			raw, _, err := svc.Get(simenv.NewImmediate(), f.Bucket, f.Key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trailer := int(binary.LittleEndian.Uint32(raw[len(raw)-8:])) + 8
+			short, long = short || trailer <= lpq.FooterGuess, long || trailer > lpq.FooterGuess
+			if f.Size != int64(len(raw)) || !bytes.Equal(f.Footer, raw[len(raw)-trailer:]) {
+				t.Errorf("%s: pinned %d bytes of a %d-byte object, want its last %d of %d exactly",
+					f.Key, len(f.Footer), f.Size, trailer, len(raw))
+			}
+		}
+	}
+	if !short || !long {
+		t.Errorf("footers within the guess: %v, beyond it: %v — want both", short, long)
+	}
+}
+
+// TestPinnedSourceBillsOnlyData: a source over pinned refs decodes their
+// footers without a request and bills, scanning, exactly the data GETs and
+// bytes a source that opens its own files bills beyond its opens — the same
+// rows, and nothing reaches the service that its counters do not show.
+func TestPinnedSourceBillsOnlyData(t *testing.T) {
+	proj := []string{"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"}
+	meter := pricing.NewCostMeter()
+	svc := s3.New(s3.Config{Meter: meter})
+	refs, _ := uploadLineitemOpts(t, svc, 0.01, 4, lpq.WriterOptions{RowGroupRows: 4000, PageRows: 512})
+
+	opening := New(newClient(svc), DefaultConfig(), refs...)
+	want := collectRows(t, mustSchema(t, opening, proj), func(yield func(*columnar.Chunk) error) error {
+		return opening.ScanFiltered(proj, q6Preds(), q6Filter(), yield)
+	})
+	ref := opening.Stats()
+	if opening.openGets < int64(len(refs)) {
+		t.Fatalf("the opening source billed %d opens for %d files", opening.openGets, len(refs))
+	}
+	pinned, err := opening.Pin(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := meter.Count(pricing.LabelS3Read)
+	src, err := Pinned(newClient(svc), pinned...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := meter.Count(pricing.LabelS3Read) - before; n != 0 {
+		t.Fatalf("Pinned billed %d S3 reads", n)
+	}
+	got := collectRows(t, want.Schema, func(yield func(*columnar.Chunk) error) error {
+		return src.ScanFiltered(proj, q6Preds(), q6Filter(), yield)
+	})
+	requireIdentical(t, "pinned vs opening source", got, want)
+	st := src.Stats()
+	if src.openGets != 0 || src.openBytes != 0 {
+		t.Errorf("the pinned source billed %d opens (%d bytes)", src.openGets, src.openBytes)
+	}
+	if st.BilledGets != ref.BilledGets-opening.openGets || st.BilledBytes != ref.BilledBytes-opening.openBytes {
+		t.Errorf("pinned scan billed %d GETs, %d bytes; want the opening scan's %d, %d less its opens' %d, %d",
+			st.BilledGets, st.BilledBytes, ref.BilledGets, ref.BilledBytes, opening.openGets, opening.openBytes)
+	}
+	if n := meter.Count(pricing.LabelS3Read) - before; n != st.BilledGets {
+		t.Errorf("the service billed %d S3 reads, the source counts %d", n, st.BilledGets)
+	}
+}

@@ -6,7 +6,8 @@
 // after another on the lane that carries their read:
 //
 //	(4) the footers of all files opened in one request window ahead of the
-//	    first file's data (OpenAll);
+//	    first file's data (OpenAll) — by the driver, at plan time: a worker's
+//	    footers travel in its payload (Pin, Pinned), so its scan opens none;
 //	(3) up to two row groups downloaded asynchronously (double buffering),
 //	    overlapping download with decompression of the previous group — not
 //	    modeled yet: compute is free on the virtual clock, so a download has
@@ -33,6 +34,7 @@
 package scan
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -69,10 +71,15 @@ func DefaultConfig() Config { return Config{} }
 // paper's operator downloads every chunk over four (Figure 7).
 const conns = 4
 
-// FileRef names one S3 object holding an lpq file.
+// FileRef names one S3 object holding an lpq file. A pinned ref (Source.Pin)
+// also carries what opening the object read — its size and its last
+// footerLen+8 bytes, the footer as stored — so that a source over it
+// (Pinned) opens nothing.
 type FileRef struct {
 	Bucket string
 	Key    string
+	Size   int64  `json:",omitempty"`
+	Footer []byte `json:",omitempty"`
 }
 
 // Source scans a list of lpq files from S3. It implements engine.Source.
@@ -81,7 +88,8 @@ type Source struct {
 	Files  []FileRef
 	// Footers, when set, is the table a resident driver session keeps of the
 	// files it has opened: open asks it before it asks S3, and tells it what
-	// S3 answered. Nil — a worker's source — opens every file itself.
+	// S3 answered. A worker's source (Pinned) has one of its own, filled from
+	// its payload with every file it scans, so it never asks S3.
 	Footers *Footers
 
 	mu    sync.Mutex
@@ -122,17 +130,19 @@ type Source struct {
 // exactly once and every one of them shares the result.
 type openState struct {
 	once sync.Once
-	meta *lpq.FileMeta
+	ft   footer
 	h    *s3fs.File
 	err  error
 }
 
-// footer is what opening a file learns: its size and its decoded metadata,
-// both immutable. A handle is not part of it — a handle is bound to one
-// client, and s3fs.NewFile makes one from the size for free.
+// footer is what opening a file learns: its size, its decoded metadata and
+// the trailing bytes that metadata was decoded from (Pin ships them), all
+// immutable. A handle is not part of it — a handle is bound to one client,
+// and s3fs.NewFile makes one from the size for free.
 type footer struct {
-	size int64
-	meta *lpq.FileMeta
+	size    int64
+	meta    *lpq.FileMeta
+	trailer []byte
 }
 
 // Footers is a table of opened files' footers by object, shared by the
@@ -189,6 +199,41 @@ func New(client *s3.Client, _ Config, files ...FileRef) *Source {
 	}
 }
 
+// Pinned returns a source over files that carry their footers (Pin). Each is
+// decoded here, before any request, through lpq.OpenTail with all of its
+// checks and none of its reads, so the source never opens a file from S3 and
+// every request it makes is a data read. A file without its footer, or with
+// one that does not decode against its size, fails it.
+func Pinned(client *s3.Client, files ...FileRef) (*Source, error) {
+	t := NewFooters()
+	for _, f := range files {
+		r, err := lpq.OpenTail(nil, f.Size, f.Footer)
+		if err != nil {
+			return nil, fmt.Errorf("scan: %s/%s: shipped footer: %w", f.Bucket, f.Key, err)
+		}
+		t.known[f.Bucket+"/"+f.Key] = footer{size: f.Size, meta: r.Meta(), trailer: r.Trailer()}
+	}
+	s := New(client, Config{}, files...)
+	s.Footers = t
+	return s, nil
+}
+
+// Pin returns files as refs that carry what this source's opens of them read
+// (FileRef.Size, FileRef.Footer), opening any it has not: what a worker's
+// source (Pinned) opens them from without a request. The bytes are the
+// source's own, so a Footers.Drop after its opens does not reach them.
+func (s *Source) Pin(files []FileRef) ([]FileRef, error) {
+	out := make([]FileRef, len(files))
+	for i, f := range files {
+		ft, _, err := s.openVia(s.Client, f)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = FileRef{Bucket: f.Bucket, Key: f.Key, Size: ft.size, Footer: ft.trailer}
+	}
+	return out, nil
+}
+
 // Stats reports scan counters.
 type Stats struct {
 	RowGroupsRead   int64
@@ -234,14 +279,15 @@ func (s *Source) Stats() Stats {
 // the same file block on one in-flight fetch instead of issuing duplicates;
 // a failed open is forgotten so a later caller can retry.
 func (s *Source) open(f FileRef) (*lpq.FileMeta, *s3fs.File, error) {
-	return s.openVia(s.Client, f)
+	ft, h, err := s.openVia(s.Client, f)
+	return ft.meta, h, err
 }
 
 // openVia is open with the request, if one is needed, issued through via: the
 // source's client, or a lane of its request window (OpenAll). Either way the
 // handle data is read through is the client's own — a lane's clock ends with
 // its window.
-func (s *Source) openVia(via *s3.Client, f FileRef) (*lpq.FileMeta, *s3fs.File, error) {
+func (s *Source) openVia(via *s3.Client, f FileRef) (footer, *s3fs.File, error) {
 	id := f.Bucket + "/" + f.Key
 	s.mu.Lock()
 	st, ok := s.opens[id]
@@ -260,12 +306,12 @@ func (s *Source) openVia(via *s3.Client, f FileRef) (*lpq.FileMeta, *s3fs.File, 
 			delete(s.opens, id)
 			return
 		}
-		st.meta = ft.meta
+		st.ft = ft
 		st.h = s3fs.NewFile(s.Client, f.Bucket, f.Key, ft.size)
 		st.h.Conns = conns
 		s.handles = append(s.handles, st.h)
 	})
-	return st.meta, st.h, st.err
+	return st.ft, st.h, st.err
 }
 
 // readFooter returns f's footer: from the session's table when it is there,
@@ -294,7 +340,8 @@ func (s *Source) readFooter(via *s3.Client, f FileRef, id string) (footer, error
 	if err != nil {
 		return footer{}, fmt.Errorf("scan: opening %s: %w", id, err)
 	}
-	ft := footer{size: h.Size(), meta: r.Meta()}
+	// The trailer, not the guessed tail it may sit in: that is what Pin ships.
+	ft := footer{size: h.Size(), meta: r.Meta(), trailer: bytes.Clone(r.Trailer())}
 	if s.Footers != nil && via == s.Client {
 		s.Footers.store(id, gen, ft)
 	}
@@ -336,9 +383,9 @@ func OpenAll(srcs ...*Source) error {
 	learnt := make([]footer, len(missing))
 	err := missing[0].s.Client.Overlap(len(missing), func(i int, lane *s3.Client) error {
 		m := missing[i]
-		meta, h, err := m.s.openVia(lane, m.f)
+		ft, _, err := m.s.openVia(lane, m.f)
 		if err == nil {
-			learnt[i] = footer{size: h.Size(), meta: meta}
+			learnt[i] = ft
 		}
 		return err
 	})
@@ -439,8 +486,9 @@ func (s *Source) Scan(proj []string, preds []lpq.Predicate, yield func(*columnar
 // order and row groups in order within each file.
 func (s *Source) ScanFiltered(proj []string, preds []lpq.Predicate, filter engine.Expr, yield func(*columnar.Chunk) error) error {
 	// Level 4: the footers of all files in one request window, ahead of the
-	// first file's data. A failed open is forgotten and resurfaces, in file
-	// order, when its file is scanned.
+	// first file's data — none on a Pinned source, whose table knows them. A
+	// failed open is forgotten and resurfaces, in file order, when its file
+	// is scanned.
 	if len(s.Files) > 1 {
 		_ = OpenAll(s)
 	}
@@ -471,8 +519,9 @@ func (s *Source) scanFile(f FileRef, proj []string, preds []lpq.Predicate, filte
 		s.filesAllPruned++
 	}
 	s.mu.Unlock()
-	// With nothing kept the worker loaded only the footer, pruned everything,
-	// and returns an empty result — the 100–200 ms workers of Figure 11.
+	// With nothing kept the worker pruned everything from the footer its
+	// payload carried and returns an empty result without a request — the
+	// 100–200 ms workers of Figure 11, which paid a footer read for it.
 	for _, g := range keep {
 		c, err := s.readRowGroup(h, meta, g, pr, preds, filter)
 		if err != nil {
