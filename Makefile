@@ -36,14 +36,17 @@ race-staged:
 scale-smoke:
 	$(GO) test -run 'TestStagedQ12ScaleSmoke|TestMultiLevelRequestsMatchModel|TestSealedBoundaryMatchesDriverless' -v -timeout 10m ./internal/driver/ ./internal/exchange/
 
-# fuzz-smoke fuzzes the nine parsers of outside bytes, the scan over lpq
+# fuzz-smoke fuzzes the ten parsers of outside bytes, the scan over lpq
 # bytes, and the differential plan harness, for five seconds each from the
 # seed corpora under their testdata/fuzz: the exchange's key codec
 # (a key or a typed error, and parse inverts String), its seal-manifest
 # decoder (refs or a typed error for any round, no allocation the bytes
 # cannot back, and AppendCommit → decode round-trips), the lpq reader
 # (OpenReader + ReadAll: a typed error or a valid chunk, never a panic, no
-# allocation the input cannot back), the scan over the same bytes
+# allocation the input cannot back), its bounded decoder of whole files
+# (ReadFiles, the one every worker, result and cache decode goes through: a
+# typed error or a valid chunk within the bound, never more allocated than
+# the bound plus what the bytes back), the scan over the same bytes
 # (ScanFiltered with a pushed-down filter: a typed error or rows a full read
 # and the filter also yield, never a panic), the fault-plan parser (a typed error
 # or a plan that marshal → ParsePlan leaves unchanged), the SQL parser (an
@@ -62,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBoundaryKey -fuzztime=5s ./internal/exchange/
 	$(GO) test -run=NONE -fuzz=FuzzSealManifest -fuzztime=5s ./internal/exchange/
 	$(GO) test -run=NONE -fuzz=FuzzOpenReadAll -fuzztime=5s ./internal/lpq/
+	$(GO) test -run=NONE -fuzz=FuzzReadFiles -fuzztime=5s ./internal/lpq/
 	$(GO) test -run=NONE -fuzz=FuzzScanFiltered -fuzztime=5s ./internal/scan/
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s ./internal/awssim/faults/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/sqlfe/

@@ -1,8 +1,8 @@
-// Package csvio reads and writes relations as CSV, the uncompressed
-// baseline format of the paper's evaluation (§5.1: "in uncompressed CSV,
-// the size of the relation is 705 GiB"). It provides the ingestion path a
-// deployment needs: CSV → columnar chunks → lpq files.
-package csvio
+package main
+
+// CSV is the uncompressed baseline format of the paper's evaluation (§5.1:
+// "in uncompressed CSV, the size of the relation is 705 GiB"). This file is
+// the ingestion path a deployment needs: CSV → columnar chunks → lpq files.
 
 import (
 	"bufio"
@@ -15,8 +15,8 @@ import (
 	"lambada/internal/lpq"
 )
 
-// Write serializes a chunk as CSV with a header row.
-func Write(w io.Writer, c *columnar.Chunk) error {
+// writeCSV serializes a chunk as CSV with a header row.
+func writeCSV(w io.Writer, c *columnar.Chunk) error {
 	bw := bufio.NewWriter(w)
 	for i, f := range c.Schema.Fields {
 		if i > 0 {
@@ -59,24 +59,24 @@ func Write(w io.Writer, c *columnar.Chunk) error {
 	return bw.Flush()
 }
 
-// chunkRows is the number of rows Read yields at a time.
+// chunkRows is the number of rows readCSV yields at a time.
 const chunkRows = 65536
 
-// Read parses CSV whose header names schema's columns, in order, into
+// readCSV parses CSV whose header names schema's columns, in order, into
 // chunks of chunkRows rows (the last one shorter).
-func Read(r io.Reader, schema *columnar.Schema, yield func(*columnar.Chunk) error) error {
+func readCSV(r io.Reader, schema *columnar.Schema, yield func(*columnar.Chunk) error) error {
 	br := bufio.NewReaderSize(r, 1<<20)
 	header, err := readLine(br)
 	if err != nil {
-		return fmt.Errorf("csvio: reading header: %w", err)
+		return fmt.Errorf("csv: reading header: %w", err)
 	}
 	names := strings.Split(header, ",")
 	if schema.Len() != len(names) {
-		return fmt.Errorf("csvio: header has %d columns, schema %d", len(names), schema.Len())
+		return fmt.Errorf("csv: header has %d columns, schema %d", len(names), schema.Len())
 	}
 	for i, n := range names {
 		if schema.Fields[i].Name != strings.TrimSpace(n) {
-			return fmt.Errorf("csvio: header column %d is %q, schema says %q", i, n, schema.Fields[i].Name)
+			return fmt.Errorf("csv: header column %d is %q, schema says %q", i, n, schema.Fields[i].Name)
 		}
 	}
 
@@ -96,7 +96,7 @@ func Read(r io.Reader, schema *columnar.Schema, yield func(*columnar.Chunk) erro
 		}
 		fields := strings.Split(line, ",")
 		if len(fields) != schema.Len() {
-			return fmt.Errorf("csvio: line %d has %d fields, want %d", lineNo, len(fields), schema.Len())
+			return fmt.Errorf("csv: line %d has %d fields, want %d", lineNo, len(fields), schema.Len())
 		}
 		for j, s := range fields {
 			s = strings.TrimSpace(s)
@@ -104,19 +104,19 @@ func Read(r io.Reader, schema *columnar.Schema, yield func(*columnar.Chunk) erro
 			case columnar.Int64:
 				v, err := strconv.ParseInt(s, 10, 64)
 				if err != nil {
-					return fmt.Errorf("csvio: line %d column %q: %w", lineNo, schema.Fields[j].Name, err)
+					return fmt.Errorf("csv: line %d column %q: %w", lineNo, schema.Fields[j].Name, err)
 				}
 				chunk.Columns[j].AppendInt64(v)
 			case columnar.Float64:
 				v, err := strconv.ParseFloat(s, 64)
 				if err != nil {
-					return fmt.Errorf("csvio: line %d column %q: %w", lineNo, schema.Fields[j].Name, err)
+					return fmt.Errorf("csv: line %d column %q: %w", lineNo, schema.Fields[j].Name, err)
 				}
 				chunk.Columns[j].AppendFloat64(v)
 			default:
 				v, err := strconv.ParseBool(s)
 				if err != nil {
-					return fmt.Errorf("csvio: line %d column %q: %w", lineNo, schema.Fields[j].Name, err)
+					return fmt.Errorf("csv: line %d column %q: %w", lineNo, schema.Fields[j].Name, err)
 				}
 				chunk.Columns[j].AppendBool(v)
 			}
@@ -145,11 +145,11 @@ func readLine(br *bufio.Reader) (string, error) {
 	return strings.TrimRight(line, "\r\n"), nil
 }
 
-// Convert re-encodes CSV into an lpq file, the ETL step a Lambada adopter
+// convertCSV re-encodes CSV into an lpq file, the ETL step a Lambada adopter
 // runs once so that queries benefit from column pruning and statistics.
-func Convert(r io.Reader, w io.Writer, schema *columnar.Schema, opts lpq.WriterOptions) (rows int64, err error) {
+func convertCSV(r io.Reader, w io.Writer, schema *columnar.Schema, opts lpq.WriterOptions) (rows int64, err error) {
 	lw := lpq.NewWriter(w, schema, opts)
-	err = Read(r, schema, func(c *columnar.Chunk) error {
+	err = readCSV(r, schema, func(c *columnar.Chunk) error {
 		rows += int64(c.NumRows())
 		return lw.Write(c)
 	})

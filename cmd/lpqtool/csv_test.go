@@ -1,4 +1,4 @@
-package csvio
+package main
 
 import (
 	"bytes"
@@ -18,7 +18,7 @@ import (
 // readAll parses the whole input into one chunk.
 func readAll(r io.Reader, schema *columnar.Schema) (*columnar.Chunk, error) {
 	out := columnar.NewChunk(schema, 0)
-	err := Read(r, schema, func(c *columnar.Chunk) error {
+	err := readCSV(r, schema, func(c *columnar.Chunk) error {
 		out.AppendChunk(c)
 		return nil
 	})
@@ -28,7 +28,7 @@ func readAll(r io.Reader, schema *columnar.Schema) (*columnar.Chunk, error) {
 func TestWriteReadRoundTrip(t *testing.T) {
 	data := tpch.Gen{SF: 0.001, Seed: 2}.Generate()
 	var buf bytes.Buffer
-	if err := Write(&buf, data); err != nil {
+	if err := writeCSV(&buf, data); err != nil {
 		t.Fatal(err)
 	}
 	got, err := readAll(bytes.NewReader(buf.Bytes()), tpch.Schema())
@@ -57,7 +57,7 @@ func TestReadChunking(t *testing.T) {
 		buf.WriteString(strconv.Itoa(i) + "\n")
 	}
 	var sizes []int
-	err := Read(&buf, schema, func(c *columnar.Chunk) error {
+	err := readCSV(&buf, schema, func(c *columnar.Chunk) error {
 		if c.Columns[0].Int64s[0] != int64(chunkRows*len(sizes)) {
 			t.Errorf("chunk %d starts at row %d", len(sizes), c.Columns[0].Int64s[0])
 		}
@@ -87,7 +87,7 @@ func TestReadErrors(t *testing.T) {
 		{"wrong column count", "a\n1\n"},
 	}
 	for _, c := range cases {
-		err := Read(strings.NewReader(c.csv), schema, func(*columnar.Chunk) error { return nil })
+		err := readCSV(strings.NewReader(c.csv), schema, func(*columnar.Chunk) error { return nil })
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
@@ -114,9 +114,9 @@ func TestHeaderOnlyAndBlankLines(t *testing.T) {
 func TestConvertToLpq(t *testing.T) {
 	data := tpch.Gen{SF: 0.001, Seed: 5}.Generate()
 	var csvBuf bytes.Buffer
-	Write(&csvBuf, data)
+	writeCSV(&csvBuf, data)
 	var lpqBuf bytes.Buffer
-	rows, err := Convert(bytes.NewReader(csvBuf.Bytes()), &lpqBuf, tpch.Schema(),
+	rows, err := convertCSV(bytes.NewReader(csvBuf.Bytes()), &lpqBuf, tpch.Schema(),
 		lpq.WriterOptions{RowGroupRows: 2000, Compression: lpq.Gzip})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestPropertyIntRoundTrip(t *testing.T) {
 		c.Columns[0].Int64s = append(c.Columns[0].Int64s, as[:n]...)
 		c.Columns[1].Int64s = append(c.Columns[1].Int64s, bs[:n]...)
 		var buf bytes.Buffer
-		if err := Write(&buf, c); err != nil {
+		if err := writeCSV(&buf, c); err != nil {
 			return false
 		}
 		got, err := readAll(bytes.NewReader(buf.Bytes()), schema)

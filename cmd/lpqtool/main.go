@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"os"
 
-	"lambada/internal/csvio"
 	"lambada/internal/lpq"
 	"lambada/internal/tpch"
 )
@@ -60,7 +59,7 @@ func convert(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	n, err := csvio.Convert(src, dst, tpch.Schema(), lpq.WriterOptions{RowGroupRows: *rows, Compression: comp})
+	n, err := convertCSV(src, dst, tpch.Schema(), lpq.WriterOptions{RowGroupRows: *rows, Compression: comp})
 	if err != nil {
 		fatal(err)
 	}
@@ -90,7 +89,7 @@ func gen(args []string) {
 		fatal(err)
 	}
 	if *asCSV {
-		if err := csvio.Write(f, data); err != nil {
+		if err := writeCSV(f, data); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {

@@ -739,8 +739,8 @@
 //     cached result — is never copied before it is encoded.
 //   - An lpq.DecodeState owns the inflate buffer, one gzip reader, Reset
 //     from page to page, and the dictionary of the page it decodes. Whoever
-//     decodes holds one per goroutine: Reader.AppendTo (and ReadAll on top
-//     of it) for a whole file, a scan.Source a free list of them for its
+//     decodes holds one per goroutine: lpq.ReadFiles and Reader.ReadAll one
+//     per whole file, a scan.Source a free list of them for its
 //     row-group and page fetchers. Pages are decoded onto the destination
 //     vector directly — a scan's onto vectors of its pool
 //     (DecodeState.DecodePageOnto); decoded values never alias the state.
@@ -753,9 +753,10 @@
 //     consecutive partitions are Slice views of the one scattered chunk,
 //     and encodes slot after slot into a single buffer. Write-combining
 //     senders Put that buffer whole with the slot offsets in the object
-//     name; the others Put its slices. A collecting worker opens the footers
-//     of what it fetched, sizes the output chunk once from their row counts
-//     and decodes every blob into its place.
+//     name; the others Put its slices. A collecting worker hands what it
+//     fetched to lpq.ReadFiles, which opens the footers, sizes the output
+//     chunk once from their row counts and decodes every blob into its
+//     place.
 //
 // None of this moved a byte: the writer's output and every boundary's
 // object names, sizes and contents are pinned by golden tables recorded
@@ -764,6 +765,23 @@
 // bytes and therefore every modeled latency and dollar stayed bit-identical
 // across the change. Allocation-regression tests in both packages bound the
 // bytes a small file, a streamed file, a page decode and a publish may cost.
+//
+// The memory limit is one budget and one decoder. §3.3 has the worker start
+// its engine "with a memory limit slightly lower than that of the serverless
+// function such that it can report out-of-memory situations … rather than
+// dying silently": the engine budget is the function's memory less 192 MiB,
+// and a working set needs 3× its input within it. A scanned chunk is checked
+// as it streams past; the inputs a task holds whole — its broadcast tables,
+// the partitions it collected, or a regroup's group — share one third of the
+// budget. A few bytes of lpq can claim any number of rows (a run is two
+// varints), so every lpq byte from S3, a payload, a result message or the
+// result cache is decoded by lpq.ReadFiles, which sums the rows × widths its
+// footers claim and refuses, typed, before it allocates past its bound: on a
+// worker the bound is what is left of the resident budget, and the refusal is
+// its ErrWorkerOOM failure seal; the driver holds each result to the engine
+// budget of the worker that held it, and a cache entry to the size it was
+// stored at. Only the driverless exchange (CollectStage, RegroupStage, the
+// grid's Worker.Run) decodes unbounded: it reads what its own process wrote.
 //
 // # Testing: one differential harness
 //

@@ -1,14 +1,16 @@
-// Dataflow example: the paper's Listing 1 expressed in the Go frontend —
+// Dataflow example: the paper's Listing 1 —
 //
 //	data = lambada.from_parquet('s3://bucket/*.parquet')
 //	             .filter(lambda x: x[1] >= 0.05)
 //	             .map(lambda x: x[1] * x[2])
 //	             .reduce(lambda x, y: x + y)
 //
-// The pipeline builds a logical plan; the same optimizer then pushes the
-// filter and the projection into the S3 scan and splits the aggregation
-// into worker partials and a driver merge. It exits non-zero when the
-// fleet's answer misses a direct scalar computation.
+// — as the engine's logical plan, one node per step, each wrapping the one
+// before. The "UDFs" are expression trees over named columns, which keeps
+// them analyzable: the optimizer pushes the filter and the projection into
+// the S3 scan and splits the aggregation into worker partials and a driver
+// merge. It exits non-zero when the fleet's answer misses a direct scalar
+// computation.
 package main
 
 import (
@@ -17,7 +19,6 @@ import (
 	"math"
 
 	"lambada/internal/awssim/simenv"
-	"lambada/internal/dataflow"
 	"lambada/internal/driver"
 	"lambada/internal/engine"
 	"lambada/internal/lpq"
@@ -25,15 +26,17 @@ import (
 )
 
 func main() {
-	// Build the Listing 1 pipeline over named columns.
-	pipeline := dataflow.FromTable("lineitem").
-		Filter(dataflow.GE(dataflow.Col("l_discount"), dataflow.LitF(0.05))).
-		Map([]string{"weighted"},
-			dataflow.Mul(dataflow.Col("l_discount"), dataflow.Col("l_extendedprice"))).
-		Reduce(dataflow.Sum(dataflow.Col("weighted"), "total"),
-			dataflow.Count("n"))
+	// from_parquet → filter → map → reduce, over named columns.
+	var plan engine.Plan = &engine.ScanPlan{Table: "lineitem"}
+	plan = &engine.FilterPlan{In: plan,
+		Pred: engine.NewBin(engine.OpGE, engine.Col("l_discount"), engine.ConstFloat(0.05))}
+	plan = &engine.ProjectPlan{In: plan, Names: []string{"weighted"},
+		Exprs: []engine.Expr{engine.NewBin(engine.OpMul, engine.Col("l_discount"), engine.Col("l_extendedprice"))}}
+	plan = &engine.AggregatePlan{In: plan, Aggs: []engine.AggSpec{
+		{Func: engine.AggSum, Arg: engine.Col("weighted"), Name: "total"},
+		{Func: engine.AggCount, Name: "n"},
+	}}
 
-	plan := pipeline.Plan()
 	fmt.Println("logical plan:")
 	fmt.Print(engine.Explain(plan))
 

@@ -368,7 +368,7 @@ func (d *Session) workerHandler(ctx *lambdasvc.Ctx, payload []byte) error {
 	start := ctx.Env.Now()
 	chunk, offsets, err := d.executeFragment(ctx, ws, &p)
 	processing := ctx.Env.Now() - start
-	err = d.postResult(ctx.Env, ws, p, err, chunk, offsets, processing, ctx.Cold)
+	err = d.postResult(ctx.Env, ws, p, outOfMemory(err), chunk, offsets, processing, ctx.Cold)
 	if errors.Is(err, sqs.ErrNoSuchQueue) {
 		// The query is over, its keyed delete maybe before this publish: delete
 		// it by the driver's names (best effort; the post's error is returned).
@@ -403,25 +403,38 @@ func (m memGuardSource) ScanFiltered(proj []string, preds []lpq.Predicate, filte
 // guard wraps yield with the working-set budget check.
 func (m memGuardSource) guard(yield func(*columnar.Chunk) error) func(*columnar.Chunk) error {
 	return func(c *columnar.Chunk) error {
-		if err := checkWorkingSet("chunk", c.ByteSize(), m.budget); err != nil {
+		if err := checkWorkingSet(c.ByteSize(), m.budget); err != nil {
 			return err
 		}
 		return yield(c)
 	}
 }
 
-// checkWorkingSet is the engine's working-set rule: n bytes of input — a
-// scanned chunk, or the partitions a fragment collected — need 3× that
-// within the budget, or the worker reports ErrWorkerOOM (what names the
-// input). The scan pipeline holds the decoded chunk plus the compressed
-// download buffers, and a join its partitions plus build-side structures and
-// output; 3× is the factor of the paper's double-buffered scan, which also
-// holds the next group.
-func checkWorkingSet(what string, n, budget int64) error {
+// checkWorkingSet is the engine's working-set rule: n bytes of input need 3×
+// that within the budget, or the worker reports ErrWorkerOOM. The scan
+// pipeline holds the decoded chunk plus the compressed download buffers, and
+// a join its inputs plus build-side structures and output; 3× is the factor
+// of the paper's double-buffered scan, which also holds the next group. A
+// scanned chunk is checked here; the inputs a task holds whole — its
+// broadcast tables, the partitions it collected, or a regroup's group —
+// share one residentBudget, which the decoder (lpq.ReadFiles) holds each to
+// before it allocates.
+func checkWorkingSet(n, budget int64) error {
 	if need := 3 * n; need > budget {
-		return fmt.Errorf("%w: %s working set %d MiB exceeds engine budget %d MiB", ErrWorkerOOM, what, need>>20, budget>>20)
+		return fmt.Errorf("%w: chunk working set %d MiB exceeds engine budget %d MiB", ErrWorkerOOM, need>>20, budget>>20)
 	}
 	return nil
+}
+
+func residentBudget(memoryMiB int) int64 { return engineMemoryBudget(memoryMiB) / 3 }
+
+// outOfMemory reports lpq bytes the decoder refused at its bound as
+// ErrWorkerOOM; any other error passes through.
+func outOfMemory(err error) error {
+	if errors.Is(err, lpq.ErrOverBound) {
+		return fmt.Errorf("%w: %w", ErrWorkerOOM, err)
+	}
+	return err
 }
 
 // The embedded source's Recycle must stay reachable through the guard: a
@@ -435,37 +448,36 @@ var (
 // memory minus a fixed headroom for the handler and runtime.
 func engineMemoryBudget(memoryMiB int) int64 {
 	const headroomMiB = 192
-	b := int64(memoryMiB-headroomMiB) << 20
-	if b < 1<<20 {
-		b = 1 << 20
-	}
-	return b
+	return max(int64(memoryMiB-headroomMiB)<<20, 1<<20)
 }
 
 // fragmentCatalog decodes the task's plan fragment and binds what it scans:
 // the worker's files behind the memory guard — every shipped footer decoded
-// here, before any request (scan.Pinned) — and the broadcast tables.
-func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *workerPayload) (engine.Plan, engine.Catalog, error) {
+// here, before any request (scan.Pinned) — and the broadcast tables, the
+// first draw on the task's resident budget. It returns what is left of it.
+func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *workerPayload) (engine.Plan, engine.Catalog, int64, error) {
 	plan, err := engine.UnmarshalPlan(p.Plan)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	cat := engine.Catalog{}
 	if len(p.Files) > 0 {
 		src, err := scan.Pinned(client, p.Files...)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %w", errShippedFooter, err)
+			return nil, nil, 0, fmt.Errorf("%w: %w", errShippedFooter, err)
 		}
 		cat[p.Table] = memGuardSource{Source: src, budget: engineMemoryBudget(ctx.MemoryMiB)}
 	}
+	rest := residentBudget(ctx.MemoryMiB)
 	for name, blob := range p.Broadcast {
-		c, err := decodeChunk(blob, engineMemoryBudget(ctx.MemoryMiB))
+		c, err := lpq.ReadFiles(rest, blob)
 		if err != nil {
-			return nil, nil, fmt.Errorf("decoding broadcast table %q: %w", name, err)
+			return nil, nil, 0, fmt.Errorf("decoding broadcast table %q: %w", name, err)
 		}
+		rest -= c.ByteSize()
 		cat[name] = engine.NewMemSource(c.Schema, c)
 	}
-	return plan, cat, nil
+	return plan, cat, rest, nil
 }
 
 // postResult is a task's last phase, post: its result, seal or failure seal

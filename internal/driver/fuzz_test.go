@@ -108,9 +108,12 @@ func FuzzWorkerPayload(f *testing.F) {
 			err = p.check()
 		}
 		if err == nil && len(p.Plan) > 0 {
-			plan, bound, cerr := sess.fragmentCatalog(ctx, client, &p)
+			plan, bound, rest, cerr := sess.fragmentCatalog(ctx, client, &p)
 			if err = cerr; err == nil && (plan == nil || len(bound) < len(p.Broadcast)) {
 				t.Errorf("fragment bound to plan %v and %d of %d broadcast tables, without an error", plan, len(bound), len(p.Broadcast))
+			}
+			if err == nil && (rest < 0 || rest > residentBudget(ctx.MemoryMiB)) {
+				t.Errorf("broadcast tables left %d of the %d-byte resident budget", rest, residentBudget(ctx.MemoryMiB))
 			}
 		}
 		if err == nil && (p.WorkerID >= p.NumWorkers || p.NumWorkers > maxFanout) {
@@ -151,7 +154,7 @@ func TestShippedFooterRefused(t *testing.T) {
 		p := workerPayload{QueryID: "q1", NumWorkers: 1, Plan: plan, Table: "lineitem", Files: []scan.FileRef{f}}
 		err := p.check()
 		if err == nil {
-			_, _, err = d.fragmentCatalog(ctx, client, &p)
+			_, _, _, err = d.fragmentCatalog(ctx, client, &p)
 		}
 		return err
 	}
@@ -230,7 +233,7 @@ func FuzzResultMessage(f *testing.F) {
 				t.Fatalf("outcome %d for worker %d, which is not recorded as a winner", out, rm.WorkerID)
 			}
 			if len(rm.Chunk) > 0 {
-				if c, err := decodeChunk(rm.Chunk, 16<<20); err == nil && c == nil {
+				if c, err := lpq.ReadFiles(16<<20, rm.Chunk); err == nil && c == nil {
 					t.Fatal("a winner's chunk decoded to neither a chunk nor an error")
 				}
 			}

@@ -1,14 +1,10 @@
 package driver
 
 import (
-	"bytes"
-	"fmt"
 	"time"
 
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/simenv"
-	"lambada/internal/columnar"
-	"lambada/internal/lpq"
 	"lambada/internal/obs"
 	"lambada/internal/stageplan"
 )
@@ -161,19 +157,4 @@ func (d *query) fillCostDelta(rep *Report) {
 	if d.dep.Faults != nil {
 		rep.InjectedFaults = d.dep.Faults.Injected()
 	}
-}
-
-// decodeChunk reads an lpq blob that decodes to at most budget bytes. A few
-// bytes of lpq can stand for any number of rows (a run is two varints), so a
-// worker holds a blob off the wire to its engine budget by the rows the
-// footer claims; 0 is no limit, for the blobs the driver wrote or asked for.
-func decodeChunk(blob []byte, budget int64) (*columnar.Chunk, error) {
-	r, err := lpq.OpenReader(bytes.NewReader(blob), int64(len(blob)))
-	if err != nil {
-		return nil, err
-	}
-	if rows := r.Meta().TotalRows; budget > 0 && rows > budget/int64(8*max(r.Schema().Len(), 1)) {
-		return nil, fmt.Errorf("%w: a table of %d rows exceeds engine budget %d MiB", ErrWorkerOOM, rows, budget>>20)
-	}
-	return r.ReadAll()
 }

@@ -246,6 +246,7 @@ type resultCache struct {
 
 type cacheEntry struct {
 	blob   []byte
+	size   int64 // the result's ByteSize, the bound blob decodes within
 	tables map[string]bool
 }
 
@@ -253,9 +254,9 @@ func newResultCache(max int) *resultCache {
 	return &resultCache{max: max, entries: make(map[string]cacheEntry)}
 }
 
-func (c *resultCache) lookup(key string) ([]byte, bool) {
+func (c *resultCache) lookup(key string) (cacheEntry, bool) {
 	if c == nil || key == "" {
-		return nil, false
+		return cacheEntry{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -264,10 +265,10 @@ func (c *resultCache) lookup(key string) ([]byte, bool) {
 		c.hits++
 		i := slices.Index(c.order, key)
 		c.order = append(slices.Delete(c.order, i, i+1), key)
-		return e.blob, true
+		return e, true
 	}
 	c.misses++
-	return nil, false
+	return cacheEntry{}, false
 }
 
 func (c *resultCache) store(key string, tables TableFiles, chunk *columnar.Chunk) {
@@ -292,7 +293,7 @@ func (c *resultCache) store(key string, tables TableFiles, chunk *columnar.Chunk
 		}
 		c.order = append(c.order, key)
 	}
-	c.entries[key] = cacheEntry{blob: blob, tables: names}
+	c.entries[key] = cacheEntry{blob: blob, size: chunk.ByteSize(), tables: names}
 }
 
 func (c *resultCache) invalidateTable(name string) {
@@ -406,8 +407,8 @@ func (d *Session) RunSQLStaged(env simenv.Env, sql string, tables TableFiles, cf
 // the deployment untouched.
 func (d *Session) Run(env simenv.Env, plan engine.Plan, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	key := d.cacheKey(plan, tables)
-	if blob, ok := d.cache.lookup(key); ok {
-		c, err := decodeChunk(blob, 0)
+	if e, ok := d.cache.lookup(key); ok {
+		c, err := lpq.ReadFiles(e.size, e.blob)
 		if err == nil {
 			return c, &Report{CacheHit: true}, nil
 		}

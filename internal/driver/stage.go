@@ -514,16 +514,17 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 	}
 
 	// Driver scope: merge the result stage's outputs in worker order (the
-	// arrival order is racy; worker order makes the merge deterministic).
+	// arrival order is racy; worker order makes the merge deterministic),
+	// each bounded by the engine budget of the worker that held it.
 	tr.Phase(d.env, "merge", d.env.Now())
 	var chunks []*columnar.Chunk
 	for _, blob := range s.byID[resultStage.ID].chunks {
 		if len(blob) == 0 {
 			continue
 		}
-		c, err := decodeChunk(blob, 0)
+		c, err := lpq.ReadFiles(engineMemoryBudget(d.cfg.WorkerMemoryMiB), blob)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("decoding a worker's result: %w", outOfMemory(err))
 		}
 		chunks = append(chunks, c)
 	}
@@ -1078,11 +1079,11 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 		}
 		tr.Phase(env, "regroup", env.Now())
 		wopts, b := p.output()
-		offsets, err := exchange.RegroupSealed(client, wopts, b, p.WorkerID, x.Output.Keys, manifest)
+		offsets, err := exchange.RegroupSealed(client, wopts, b, p.WorkerID, x.Output.Keys, manifest, residentBudget(ctx.MemoryMiB))
 		return nil, offsets, err
 	}
 
-	plan, cat, err := d.fragmentCatalog(ctx, client, p)
+	plan, cat, rest, err := d.fragmentCatalog(ctx, client, p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1103,9 +1104,10 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 				Sealed:   manifest,
 			}
 		}
-		// Read once: every input's partition through one request window.
+		// Read once: every input's partition through one request window,
+		// within what the broadcast tables left of the resident budget.
 		collect := tr.Phase(env, "collect", env.Now())
-		chunks, err := exchange.CollectSealed(client, opts, p.WorkerID, inputs)
+		chunks, err := exchange.CollectSealed(client, opts, p.WorkerID, inputs, rest)
 		if err != nil {
 			return nil, nil, fmt.Errorf("collecting partition %d: %w", p.WorkerID, err)
 		}
@@ -1113,17 +1115,7 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 			tr.SetTag(collect, "bytes.in", strconv.FormatInt(client.BytesRead(), 10))
 			tr.SetTag(collect, "gets", strconv.FormatInt(client.Gets(), 10))
 		}
-		// §3.3: report the working set exceeding the engine budget instead
-		// of dying silently. A join stage holds BOTH sides' partitions at
-		// once (plus build-side structures and output), so the guard sums
-		// over every input collected.
-		budget := engineMemoryBudget(ctx.MemoryMiB)
-		var collected int64
 		for i, chunk := range chunks {
-			collected += chunk.ByteSize()
-			if err := checkWorkingSet("partition", collected, budget); err != nil {
-				return nil, nil, err
-			}
 			cat[x.Inputs[i].Table] = engine.NewMemSource(chunk.Schema, chunk)
 		}
 		tr.Phase(env, "execute", env.Now())

@@ -3,10 +3,12 @@ package exchange
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"lambada/internal/awssim/s3"
 	"lambada/internal/columnar"
+	"lambada/internal/lpq"
 )
 
 // Options configure one exchange execution.
@@ -162,7 +164,7 @@ func (w Worker) Run(opts Options, input *columnar.Chunk, key string) (*columnar.
 		if err == nil {
 			var blobs [][]byte
 			if blobs, _, _, err = w.trade(opts, g, level, body, offsets); err == nil {
-				cur, err = decodeBlobs(blobs)
+				cur, err = lpq.ReadFiles(math.MaxInt64, blobs...) // unbounded: the grid is one process
 			}
 		}
 		if err != nil {

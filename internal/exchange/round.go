@@ -56,6 +56,10 @@
 // a sixteenth of its first-byte latencies. Writers Put one object after
 // another: an upload cannot ride a lane of the window.
 //
+// A reader decodes what it fetched with lpq.ReadFiles, within what is left of
+// its task's resident budget on the staged protocol (CollectSealed,
+// RegroupSealed); the driverless runs read what their own process wrote.
+//
 // Cleanup follows the protocol too. A staged writer's names are a function of
 // the boundary, the writer and the attempt (Written), so a driver that knows
 // every attempt it invoked deletes a query's boundary objects by key and

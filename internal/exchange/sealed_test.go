@@ -34,7 +34,7 @@ func runSealedBoundary(t *testing.T, client *s3.Client, opts Options, b Boundary
 
 // collectOne is CollectSealed over the one input b, read with opts.Variant.
 func collectOne(client *s3.Client, opts Options, b Boundary, part int, sealed []byte) (*columnar.Chunk, error) {
-	out, err := CollectSealed(client, opts, part, []Input{{Boundary: b, Variant: opts.Variant, Sealed: sealed}})
+	out, err := CollectSealed(client, opts, part, []Input{{Boundary: b, Variant: opts.Variant, Sealed: sealed}}, math.MaxInt64)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +56,7 @@ func sealBoundary(t *testing.T, client *s3.Client, opts Options, b Boundary, inp
 	if opts.Variant.Levels >= 2 {
 		var regrouped []byte
 		for g := 0; g < Groups(b.Partitions); g++ {
-			offsets, err := RegroupSealed(client, opts, b, g, keys, sealed)
+			offsets, err := RegroupSealed(client, opts, b, g, keys, sealed, math.MaxInt64)
 			if err != nil {
 				t.Fatalf("%v regroup group %d: %v", opts.Variant, g, err)
 			}
@@ -98,7 +98,7 @@ func TestCollectSealedManyInputs(t *testing.T) {
 		}
 		for part := 0; part < parts; part++ {
 			before, start := billed(t, svc, buckets).Gets, p.Now()
-			got, err := CollectSealed(client, opts, part, inputs)
+			got, err := CollectSealed(client, opts, part, inputs, math.MaxInt64)
 			if err != nil {
 				t.Fatalf("partition %d: %v", part, err)
 			}
@@ -213,12 +213,12 @@ func TestSealedReadsTheSealedAttempt(t *testing.T) {
 				ba := b
 				if g == 0 {
 					// Regroup worker 0's attempt 0 merged the poisoned attempt.
-					if _, err := RegroupSealed(client, opts, ba, g, keys, poisoned); err != nil {
+					if _, err := RegroupSealed(client, opts, ba, g, keys, poisoned, math.MaxInt64); err != nil {
 						t.Fatal(err)
 					}
 					ba.Attempt = 1
 				}
-				offsets, err := RegroupSealed(client, opts, ba, g, keys, sealed)
+				offsets, err := RegroupSealed(client, opts, ba, g, keys, sealed, math.MaxInt64)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -306,7 +306,7 @@ func TestWrittenNamesWhatPublishLeaves(t *testing.T) {
 			}
 			for g := 0; v.Levels >= 2 && g < Groups(parts); g++ {
 				check(b, g, true, func() error {
-					_, err := RegroupSealed(client, opts, b, g, keys, sealed)
+					_, err := RegroupSealed(client, opts, b, g, keys, sealed, math.MaxInt64)
 					return err
 				})
 			}

@@ -1,7 +1,6 @@
 package exchange
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -218,10 +217,10 @@ func (r round) commit(writer, attempt int, body []byte, offsets []int64) ([]int6
 	return offsets, nil
 }
 
-// collect reads slot of the round and decodes the blobs into one chunk, in
-// writer order: located by the manifest when the round is sealed, by
-// discovery otherwise.
-func (r round) collect(slot int, m manifest) (*columnar.Chunk, error) {
+// collect reads slot of the round and decodes the blobs into one chunk of at
+// most bound bytes (lpq.ReadFiles), in writer order: located by the manifest
+// when the round is sealed, by discovery otherwise.
+func (r round) collect(slot int, m manifest, bound int64) (*columnar.Chunk, error) {
 	var refs []ref
 	var err error
 	if r.sealed {
@@ -236,7 +235,7 @@ func (r round) collect(slot int, m manifest) (*columnar.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeBlobs(blobs)
+	return lpq.ReadFiles(bound, blobs...)
 }
 
 // source is the round partition part is read from — the senders' round of a
@@ -254,14 +253,15 @@ func (b Boundary) source(client *s3.Client, opts Options, part int, sealed bool)
 // senders ascending, on the driverless protocol: from every sender's lowest
 // committed attempt, or, for a multi-level boundary, from the lowest
 // committed attempt of the partition's regroup worker — one List and one read
-// instead of one read per sender.
+// instead of one read per sender. Its decode is unbounded: the driverless
+// runs read only what their own process wrote.
 func CollectStage(client *s3.Client, opts Options, b Boundary, part int) (*columnar.Chunk, error) {
 	opts, err := b.ready(opts)
 	if err != nil {
 		return nil, err
 	}
 	r, _ := b.source(client, opts, part, false)
-	return r.collect(part, manifest{})
+	return r.collect(part, manifest{}, math.MaxInt64)
 }
 
 // Input is one boundary a fragment collects on the staged protocol: the
@@ -283,8 +283,8 @@ type Input struct {
 // that collects two boundaries so pays one round of first-byte latencies, not
 // two, and each chunk is byte-identical to a collect of its input alone.
 // opts gives the namespace (Buckets, Prefix); each input's own Variant
-// replaces opts.Variant.
-func CollectSealed(client *s3.Client, opts Options, part int, inputs []Input) ([]*columnar.Chunk, error) {
+// replaces opts.Variant. The chunks hold at most bound bytes together.
+func CollectSealed(client *s3.Client, opts Options, part int, inputs []Input, bound int64) ([]*columnar.Chunk, error) {
 	refs := make([][]ref, len(inputs))
 	for i, in := range inputs {
 		if in.Sealed == nil {
@@ -308,9 +308,10 @@ func CollectSealed(client *s3.Client, opts Options, part int, inputs []Input) ([
 	out := make([]*columnar.Chunk, len(inputs))
 	for i := range out {
 		n := len(refs[i])
-		if out[i], err = decodeBlobs(blobs[:n]); err != nil {
+		if out[i], err = lpq.ReadFiles(bound, blobs[:n]...); err != nil {
 			return nil, err
 		}
+		bound -= out[i].ByteSize()
 		blobs = blobs[n:]
 	}
 	return out, nil
@@ -322,23 +323,25 @@ func CollectSealed(client *s3.Client, opts Options, part int, inputs []Input) ([
 // partitions under this regroup attempt (b.Attempt — regroup workers are
 // speculated and retried like any fragment). The merge is sender-ascending
 // and the split keeps row order, so receivers collect exactly the rows, in
-// the order, a single-round boundary would have given them.
+// the order, a single-round boundary would have given them. Its decode is
+// unbounded: the driverless runs read only what their own process wrote.
 func RegroupStage(client *s3.Client, opts Options, b Boundary, group int, keys []string) error {
-	_, err := regroupStage(client, opts, b, group, keys, nil)
+	_, err := regroupStage(client, opts, b, group, keys, nil, math.MaxInt64)
 	return err
 }
 
 // RegroupSealed is RegroupStage on the staged protocol: sealed is the ready
 // marker of the sender stage, and the commit returned is the regroup
-// worker's own, as PublishSealed returns a sender's.
-func RegroupSealed(client *s3.Client, opts Options, b Boundary, group int, keys []string, sealed []byte) ([]int64, error) {
+// worker's own, as PublishSealed returns a sender's. The group it merges
+// holds at most bound bytes.
+func RegroupSealed(client *s3.Client, opts Options, b Boundary, group int, keys []string, sealed []byte, bound int64) ([]int64, error) {
 	if sealed == nil {
 		return nil, fmt.Errorf("%w: stage %d has no manifest", errManifest, b.Stage)
 	}
-	return regroupStage(client, opts, b, group, keys, sealed)
+	return regroupStage(client, opts, b, group, keys, sealed, bound)
 }
 
-func regroupStage(client *s3.Client, opts Options, b Boundary, group int, keys []string, sealed []byte) ([]int64, error) {
+func regroupStage(client *s3.Client, opts Options, b Boundary, group int, keys []string, sealed []byte, bound int64) ([]int64, error) {
 	opts, err := b.ready(opts)
 	if err != nil {
 		return nil, err
@@ -346,7 +349,7 @@ func regroupStage(client *s3.Client, opts Options, b Boundary, group int, keys [
 	if groups := Groups(b.Partitions); group < 0 || group >= groups {
 		return nil, fmt.Errorf("exchange: regroup group %d of %d", group, groups)
 	}
-	merged, err := b.senders(client, opts, sealed != nil).collect(group, manifest{sealed, b.Senders})
+	merged, err := b.senders(client, opts, sealed != nil).collect(group, manifest{sealed, b.Senders}, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -442,36 +445,4 @@ func Sweep(client *s3.Client, buckets []string, prefix string) (int, error) {
 		return nil
 	})
 	return removed, err
-}
-
-// decodeBlobs concatenates the rows of the lpq blobs, in order, into one
-// chunk of the first blob's schema — lpq files are self-describing, so
-// boundaries need no schema plumbing. A nil blob — a ref read did not read —
-// holds no file; any other is one, an empty one included. The chunk is sized
-// once from the footers' row counts and every page is decoded straight into
-// its place.
-func decodeBlobs(blobs [][]byte) (*columnar.Chunk, error) {
-	readers := make([]*lpq.Reader, 0, len(blobs))
-	var rows int64
-	for _, blob := range blobs {
-		if blob == nil {
-			continue
-		}
-		r, err := lpq.OpenReader(bytes.NewReader(blob), int64(len(blob)))
-		if err != nil {
-			return nil, err
-		}
-		readers = append(readers, r)
-		rows += r.Meta().TotalRows
-	}
-	if len(readers) == 0 {
-		return nil, nil
-	}
-	out := columnar.NewChunk(readers[0].Schema(), int(rows))
-	for _, r := range readers {
-		if err := r.AppendTo(out); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

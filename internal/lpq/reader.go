@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"lambada/internal/columnar"
 )
@@ -243,37 +245,69 @@ func (s *DecodeState) appendColumnChunk(dst *columnar.Vector, stored []byte, cc 
 	return nil
 }
 
-// ReadAll reads the whole file into one chunk (convenience for tests and
-// small driver-side scans).
-func (r *Reader) ReadAll() (*columnar.Chunk, error) {
-	out := columnar.NewChunk(r.meta.Schema, int(r.meta.TotalRows))
-	if err := r.AppendTo(out); err != nil {
-		return nil, err
+// ReadAll reads the whole file into one chunk, unbounded: for a caller that
+// wrote the file itself. Bytes from elsewhere go through ReadFiles.
+func (r *Reader) ReadAll() (*columnar.Chunk, error) { return readAll(math.MaxInt64, r) }
+
+// ErrOverBound is ReadFiles refusing footers that claim more than its bound.
+var ErrOverBound = errors.New("lpq: files decode past their bound")
+
+// ReadFiles decodes whole lpq files, in order, into one chunk of their
+// schema; a nil blob holds no file and is skipped. A few bytes of lpq can
+// claim any number of rows — a run is two varints — so before it allocates
+// anything it sums what the footers claim, rows × Type.Width (the chunk's
+// ByteSize), and fails with ErrOverBound past bound bytes.
+func ReadFiles(bound int64, blobs ...[]byte) (*columnar.Chunk, error) {
+	var readers []*Reader
+	for _, blob := range blobs {
+		if blob != nil {
+			r, err := OpenReader(bytes.NewReader(blob), int64(len(blob)))
+			if err != nil {
+				return nil, err
+			}
+			readers = append(readers, r)
+		}
 	}
-	return out, nil
+	if len(readers) == 0 {
+		return nil, errors.New("lpq: no file to read")
+	}
+	return readAll(bound, readers...)
 }
 
-// AppendTo decodes every row of the file onto dst, whose schema must equal
-// the file's. Values are decoded where they stay — no per-row-group chunk in
-// between — through one DecodeState and one read buffer, so a caller that
-// sized dst for the rows to come (FileMeta.TotalRows) allocates nothing more
-// per page. On error dst may hold part of the file's rows.
-func (r *Reader) AppendTo(dst *columnar.Chunk) error {
-	if !dst.Schema.Equal(r.meta.Schema) {
-		return fmt.Errorf("lpq: file schema %q != destination schema %q", r.meta.Schema, dst.Schema)
+// readAll decodes every row of the files onto one chunk of their schema,
+// sized once for at most bound bytes. Values are decoded where they stay —
+// no per-row-group chunk in between — through one DecodeState and one read
+// buffer, so nothing more is allocated per page.
+func readAll(bound int64, readers ...*Reader) (*columnar.Chunk, error) {
+	schema := readers[0].Schema()
+	var width, rows int64
+	for _, f := range schema.Fields {
+		width += int64(f.Type.Width())
 	}
+	for _, r := range readers {
+		if !r.Schema().Equal(schema) {
+			return nil, fmt.Errorf("lpq: file schema %q != first file's %q", r.Schema(), schema)
+		}
+		if n := r.meta.TotalRows; n > bound/width-rows {
+			return nil, fmt.Errorf("%w: %d more rows of %d bytes after %d, bound %d", ErrOverBound, n, width, rows, bound)
+		}
+		rows += r.meta.TotalRows
+	}
+	out := columnar.NewChunk(schema, int(rows))
 	var st DecodeState
 	var buf []byte
-	for g := range r.meta.RowGroups {
-		rg := &r.meta.RowGroups[g]
-		for col := range rg.Columns {
-			var err error
-			if buf, err = r.appendColumn(dst.Columns[col], rg, col, &st, buf); err != nil {
-				return err
+	for _, r := range readers {
+		for g := range r.meta.RowGroups {
+			rg := &r.meta.RowGroups[g]
+			for col := range rg.Columns {
+				var err error
+				if buf, err = r.appendColumn(out.Columns[col], rg, col, &st, buf); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // Predicate is a min/max-testable condition on one column, used for
