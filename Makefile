@@ -1,6 +1,7 @@
 GO ?= go
-# trace-smoke output file (Chrome trace-event JSON; also the CI artifact).
+# trace-smoke output files (Chrome trace-event JSON; also the CI artifact).
 TRACE_OUT ?= trace-smoke.json
+TRACE_SCAN_OUT ?= trace-smoke-scan.json
 
 .PHONY: build test race race-staged chaos scale-smoke fuzz-smoke patterns bench bench-check vet trace-smoke trace-identical trace-identical-storm serve-smoke examples loc
 
@@ -146,15 +147,21 @@ serve-smoke:
 examples:
 	for ex in quickstart tpch dataflow exchange; do $(GO) run ./examples/$$ex || exit 1; done
 
-# trace-smoke runs a traced staged query under the DES kernel, exports the
-# Chrome trace-event JSON, and validates it against the schema subset the
-# obs package emits: every phase of a worker invocation on its invocation's
-# track, inside it, and overlapping none of its other phases. The file is
-# uploaded as a CI artifact.
+# trace-smoke runs two traced queries under the DES kernel, exports each
+# one's Chrome trace-event JSON, and validates it against the schema subset
+# the obs package emits: every phase of a worker invocation on its
+# invocation's track, inside it, and overlapping none of its other phases.
+# The first is q12 with its ORDERS broadcast; the second a multi-file scan,
+# q1 with both files on one worker (-files 2 -f 2), whose row groups share
+# one request window: its s3.getrange op spans, one per file, overlap inside
+# one execute phase. Both files are uploaded as CI artifacts.
 trace-smoke:
 	$(GO) run ./cmd/lambada -mode des -query q12 -sf 0.002 -files 4 \
 		-profile -trace-out $(TRACE_OUT)
 	$(GO) run ./cmd/tracecheck $(TRACE_OUT)
+	$(GO) run ./cmd/lambada -mode des -query q1 -sf 0.01 -files 2 -f 2 \
+		-profile -trace-out $(TRACE_SCAN_OUT)
+	$(GO) run ./cmd/tracecheck $(TRACE_SCAN_OUT)
 
 # trace-identical BASE=<rev> is how a driver change that claims to preserve
 # behaviour is checked, where the benchmark cannot vouch for it (speculation

@@ -14,14 +14,17 @@
 //	    first file's data — by the driver, at plan time (scan.OpenAll),
 //	    which ships each worker its files' footers (scan.Source.Pin);
 //	(3) row groups double-buffered: download overlaps decompression;
-//	(2) the column ranges of a row group fetched together
-//	    (s3fs.File.ReadRanges);
+//	(2) the column ranges of consecutive row groups fetched together, across
+//	    files, while they add up to at most the scan's payload break-even
+//	    (s3fs.ReadWindow);
 //	(1) multiple chunked requests per read, only as a fallback, since
 //	    extra requests cost money (Figure 7).
 //
 // Levels 1, 2 and 4 are requests, kept in flight the same way on both clocks.
-// Level 3 is not modeled yet: compute is free on the virtual clock, so a
-// download has no decompression to overlap with (ROADMAP, direction 4(b)). A
+// Level 3 is modeled only in part: the downloads of small consecutive row
+// groups overlap each other (level 2 spans them), but compute is free on the
+// virtual clock, so a download has no decompression to overlap with (ROADMAP,
+// direction 4(b)). A
 // worker runs on one thread everywhere — a DES process and a goroutine worker
 // alike, so the two deployments run the same worker code and differ only in
 // runtime and clock: it has one vCPU at the paper's default 1 792 MiB (§4.1),
@@ -62,10 +65,14 @@
 // each of its files' size and trailing footer bytes as the planner's open read
 // them, which it decodes (scan.Pinned, with all of lpq.OpenTail's checks)
 // before its first request, so a warm scan worker's first round trip is its
-// data. And a scan's data reads (level 2): the
-// coalesced spans of one s3fs.File.ReadRanges are one window, so the two or
-// three spans that a third to two thirds of a worker's reads plan pay their
-// ≈ 30 ms latencies together. Level 1's chunks follow one another on the lane
+// data. And a scan's data reads (level 2): a
+// scan plans each row group's first read from the footer alone, and packs
+// consecutive groups — across file boundaries — into one window while their
+// bytes add up to at most the payload break-even (≈ 2.9 MiB, below), so a
+// worker's two files or two row groups pay one ≈ 30 ms latency together, not
+// one each; the spans are still planned per row group (s3fs.PlanSpans), so the
+// GETs and bytes are what reading the groups one by one bills, and a consumer
+// that stops early (a LIMIT) has paid for at most the rest of its window. Level 1's chunks follow one another on the lane
 // that carries their read: no read on any workload reaches the 16 MiB chunk
 // size. Uploads cannot ride a lane: a Put makes its object visible, and wakes
 // the readers parked on its key, after its latency, and a lane has no instant
@@ -108,17 +115,20 @@
 // latency times the sustained Lambda ingress rate (≈ 32 ms × 90 MiB/s ≈
 // 2.9 MiB, §4.3.1 and Figure 7's request-size trade-off), derived from the
 // S3 and network models, not set. A group whose kept payload is at most that
-// fetches it in phase one's window, where ReadRanges coalesces it with the
-// filter's columns; a larger one waits for the filter and fetches only the
-// pages with surviving rows. Every read fetches one covering byte range per
+// fetches it in phase one's window, where it coalesces with the filter's
+// columns; a larger one waits for the filter and fetches only the pages with
+// surviving rows. Phase one's window is shared by as many consecutive row
+// groups, of one file or several, as fit under the same break-even; the
+// pages of a group too large to decode within a worker's engine budget are
+// refused from the footer before they are fetched. Every read fetches one covering byte range per
 // column — first kept page to last kept page — so per-column requests never
 // exceed one and billed bytes never exceed the chunk. Across columns, ranges are
-// batched through s3fs.File.ReadRanges, which coalesces them into spans
+// batched through s3fs.ReadWindow, which coalesces each group's into spans
 // when the gap is small (at most s3fs.DefaultCoalesceGap, 128 KiB)
 // and the accumulated hole bytes stay under 1/8 of the span — trading one
 // fixed-price request against a bounded byte overhead, never an unbounded
-// one — and issues the spans through one request window of the client
-// (level 2). The same page index feeds planning: stage fan-out uses the
+// one — and issues the spans of all of a window's groups through one
+// request window of the client (level 2). The same page index feeds planning: stage fan-out uses the
 // pruning-aware lpq.EstimateRows instead of raw footer row counts, so
 // selective queries launch fewer scan workers. scan.Stats and the driver
 // Report expose the billed request and byte counters the cost-guard tests
@@ -770,8 +780,10 @@
 // its engine "with a memory limit slightly lower than that of the serverless
 // function such that it can report out-of-memory situations … rather than
 // dying silently": the engine budget is the function's memory less 192 MiB,
-// and a working set needs 3× its input within it. A scanned chunk is checked
-// as it streams past; the inputs a task holds whole — its broadcast tables,
+// and a working set needs 3× its input within it. A scanned row group is
+// held to the budget twice: its kept rows × projected widths, from the footer
+// before any of its bytes are fetched (scan.Pinned's bound), and its chunk as
+// it streams past; the inputs a task holds whole — its broadcast tables,
 // the partitions it collected, or a regroup's group — share one third of the
 // budget. A few bytes of lpq can claim any number of rows (a run is two
 // varints), so every lpq byte from S3, a payload, a result message or the

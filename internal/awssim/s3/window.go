@@ -10,8 +10,9 @@ import (
 // paper's worker overlaps its requests because each pays a first-byte latency
 // that a small read cannot amortise (§4.3.2, Figure 7). One constant for every
 // caller (the exchange's rounds, deletes and sweeps, a staged fragment's one
-// collect over all of its inputs, scan.OpenAll, s3fs's ReadRanges): 256 small
-// reads pay 16 latencies, and large ones are bound by the link.
+// collect over all of its inputs, scan.OpenAll, and s3fs.ReadWindow — a scan's
+// consecutive row groups, across files, up to its payload break-even): 256
+// small reads pay 16 latencies, and large ones are bound by the link.
 const window = 16
 
 // ErrLaneWrite is returned by Put and PutSynthetic on a lane of a request

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"runtime"
@@ -9,9 +10,11 @@ import (
 	"testing"
 
 	"lambada/internal/awssim/lambdasvc"
+	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/lpq"
+	"lambada/internal/scan"
 	"lambada/internal/tpch"
 )
 
@@ -161,4 +164,51 @@ func rleBomb(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestScanGroupOverBudgetRefusedBeforeRead: a scan worker's shipped footer
+// claims one row group of ten million rows of one Int64 column — 80 MB
+// decoded from the five bytes of one RLE run, five times the 16 MiB engine
+// budget. The worker refuses the group from its footer, before the group's
+// window is issued: the failure seal is ErrWorkerOOM, the only S3 read billed
+// is the planner's open, and the query allocates less than the budget. A
+// worker that read first fetched the run and decoded all 80 MB before its
+// memory guard saw the chunk.
+func TestScanGroupOverBudgetRefusedBeforeRead(t *testing.T) {
+	const memoryMiB = 208 // engine budget 16 MiB
+	d, env, _ := budgetSession(t, memoryMiB, 0.002, tpch.Gen{SF: 0.01}.Supplier())
+	ref := scan.FileRef{Bucket: "tpch", Key: "bomb/part-0.lpq"}
+	if err := d.dep.S3.Put(env, ref.Bucket, ref.Key, oneGroupBomb(10_000_000)); err != nil {
+		t.Fatal(err)
+	}
+	before := d.dep.Meter.Count(pricing.LabelS3Read)
+	var st, end runtime.MemStats
+	runtime.ReadMemStats(&st)
+	_, _, err := d.RunSQL(env, "SELECT SUM(v) AS s FROM bomb", "bomb", []scan.FileRef{ref})
+	runtime.ReadMemStats(&end)
+	wantOOM(t, err, "scan: ")
+	if n := d.dep.Meter.Count(pricing.LabelS3Read) - before; n != 1 {
+		t.Errorf("%d S3 reads billed, want the planner's one open", n)
+	}
+	if alloc, budget := end.TotalAlloc-st.TotalAlloc, uint64(engineMemoryBudget(memoryMiB)); alloc > budget {
+		t.Errorf("the query allocated %d MiB, past the %d MiB budget", alloc>>20, budget>>20)
+	}
+}
+
+// oneGroupBomb is an lpq file of one Int64 column v whose one unpaged row
+// group holds rows equal values: one RLE run, five bytes at ten million rows.
+// The lpq writer buffers a whole group, so the footer is written here.
+func oneGroupBomb(rows uint64) []byte {
+	uv := binary.AppendUvarint
+	data := uv(uv(nil, rows), 14) // a run of rows values, zigzag(7)
+	footer := append(uv(uv(nil, 1), 1), 'v', byte(columnar.Int64))
+	footer = uv(uv(footer, 1), rows) // one row group
+	// Offset, stored and raw length, RLE, no compression, no stats, one
+	// distinct value, no nulls, unpaged.
+	footer = uv(uv(uv(footer, 0), uint64(len(data))), uint64(len(data)))
+	footer = append(footer, byte(lpq.RLE), byte(lpq.None), 0)
+	footer = uv(uv(uv(footer, 1), 0), 0)
+	footer = uv(footer, rows) // total rows
+	out := binary.LittleEndian.AppendUint32(append(data, footer...), uint32(len(footer)))
+	return append(out, "LPQ2"...)
 }

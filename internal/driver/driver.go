@@ -414,11 +414,15 @@ func (m memGuardSource) guard(yield func(*columnar.Chunk) error) func(*columnar.
 // that within the budget, or the worker reports ErrWorkerOOM. The scan
 // pipeline holds the decoded chunk plus the compressed download buffers, and
 // a join its inputs plus build-side structures and output; 3× is the factor
-// of the paper's double-buffered scan, which also holds the next group. A
-// scanned chunk is checked here; the inputs a task holds whole — its
-// broadcast tables, the partitions it collected, or a regroup's group —
-// share one residentBudget, which the decoder (lpq.ReadFiles) holds each to
-// before it allocates.
+// of the paper's double-buffered scan, which also holds the next group. What
+// the scan's request window holds beyond the group being decoded — at most
+// its payload break-even, ≈ 2.9 MiB of compressed bytes of the groups after
+// it — is that next group's share. A scanned chunk is checked here, after its
+// row group's rows × widths were held to the budget from the footer before
+// any of its bytes were fetched (scan.Pinned). The inputs a task holds whole
+// — its broadcast tables, the partitions it collected, or a regroup's group
+// — share one residentBudget, which the decoder (lpq.ReadFiles) holds each
+// to before it allocates.
 func checkWorkingSet(n, budget int64) error {
 	if need := 3 * n; need > budget {
 		return fmt.Errorf("%w: chunk working set %d MiB exceeds engine budget %d MiB", ErrWorkerOOM, need>>20, budget>>20)
@@ -453,7 +457,8 @@ func engineMemoryBudget(memoryMiB int) int64 {
 
 // fragmentCatalog decodes the task's plan fragment and binds what it scans:
 // the worker's files behind the memory guard — every shipped footer decoded
-// here, before any request (scan.Pinned) — and the broadcast tables, the
+// here, before any request (scan.Pinned), and every row group held to the
+// engine budget before its bytes are fetched — and the broadcast tables, the
 // first draw on the task's resident budget. It returns what is left of it.
 func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *workerPayload) (engine.Plan, engine.Catalog, int64, error) {
 	plan, err := engine.UnmarshalPlan(p.Plan)
@@ -462,11 +467,12 @@ func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *work
 	}
 	cat := engine.Catalog{}
 	if len(p.Files) > 0 {
-		src, err := scan.Pinned(client, p.Files...)
+		budget := engineMemoryBudget(ctx.MemoryMiB)
+		src, err := scan.Pinned(client, budget, p.Files...)
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("%w: %w", errShippedFooter, err)
 		}
-		cat[p.Table] = memGuardSource{Source: src, budget: engineMemoryBudget(ctx.MemoryMiB)}
+		cat[p.Table] = memGuardSource{Source: src, budget: budget}
 	}
 	rest := residentBudget(ctx.MemoryMiB)
 	for name, blob := range p.Broadcast {

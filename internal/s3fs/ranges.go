@@ -12,7 +12,7 @@ import (
 // ranges are separated by a gap smaller than the per-request overhead is
 // worth, fetching the gap as dead bytes inside one larger request is
 // strictly cheaper (the trade-off Figure 7 quantifies). PlanSpans computes
-// the merged spans, ReadRanges executes them.
+// the merged spans, ReadWindow executes them.
 
 // DefaultCoalesceGap is the largest hole (in bytes) merged into one request
 // (128 KiB — at S3's modeled per-request cost, dead bytes below this are
@@ -91,18 +91,39 @@ func (s *Span) Cut(buf []byte, ranges []Range, out [][]byte) {
 	}
 }
 
-// ReadRanges fetches every range, coalescing ranges separated by at most
-// DefaultCoalesceGap bytes into one GET each. The spans share one request
-// window of the handle's client (s3.Client.Overlap): they are issued in
-// offset order and pay their first-byte latencies together, not one after
-// another — the scan's concurrency level 2 (§4.3.2), on either clock and
-// without a goroutine. The returned slices are indexed like ranges; slices
-// of one span alias one buffer.
+// ReadRanges fetches every range of the file in one request window: the
+// one-file case of ReadWindow. The returned slices are indexed like ranges.
 func (f *File) ReadRanges(ranges []Range) ([][]byte, error) {
-	spans := PlanSpans(ranges, DefaultCoalesceGap)
-	out := make([][]byte, len(ranges))
-	err := f.client.Overlap(len(spans), func(i int, lane *s3.Client) error {
-		s := spans[i]
+	out, err := ReadWindow(f.client, []Read{{File: f, Ranges: ranges}})
+	return out[0], err
+}
+
+// Read is one read of a request window: ranges of one file.
+type Read struct {
+	File   *File
+	Ranges []Range
+}
+
+// ReadWindow fetches every range of every read, each read's ranges coalesced
+// into spans (PlanSpans, DefaultCoalesceGap) on their own, so a window bills
+// what its reads would alone. All the spans share one request window of
+// client (s3.Client.Overlap), issued in read and offset order: they pay their
+// first-byte latencies together — level 2 (§4.3.2) across row groups and
+// files, on either clock and without a goroutine. out[r] is indexed like
+// reads[r].Ranges, and partly filled on error; slices of one span alias one
+// buffer.
+func ReadWindow(client *s3.Client, reads []Read) ([][][]byte, error) {
+	var spans []Span
+	var of []int // the read each span serves
+	out := make([][][]byte, len(reads))
+	for r, rd := range reads {
+		out[r] = make([][]byte, len(rd.Ranges))
+		for _, s := range PlanSpans(rd.Ranges, DefaultCoalesceGap) {
+			spans, of = append(spans, s), append(of, r)
+		}
+	}
+	err := client.Overlap(len(spans), func(i int, lane *s3.Client) error {
+		s, f := spans[i], reads[of[i]].File
 		buf, err := f.readRange(lane, s.Off, s.Len)
 		if err != nil {
 			return err
@@ -111,11 +132,8 @@ func (f *File) ReadRanges(ranges []Range) ([][]byte, error) {
 			return fmt.Errorf("s3fs: span [%d,%d) of %s/%s truncated to %d bytes",
 				s.Off, s.Off+s.Len, f.bucket, f.key, len(buf))
 		}
-		s.Cut(buf, ranges, out)
+		s.Cut(buf, reads[of[i]].Ranges, out[of[i]])
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }

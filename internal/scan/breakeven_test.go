@@ -34,11 +34,14 @@ func TestPayloadBreakEven(t *testing.T) {
 // TestScanFilteredStraddlesBreakEven scans one file whose two row groups fall
 // on either side of the break-even: a small gzip group, whose payload rides
 // the filter's request window, and an uncompressed one whose kept payload is
-// above payloadBreakEven, read in two windows as before. In the small group
+// above payloadBreakEven, read in two windows as before. The large group's
+// first window — its filter columns, ≈ 512 KB of delta and run-length pages —
+// fits beside the small group's under payloadBreakEven, so the two groups
+// share one. In the small group
 // page-index pruning drops the first pages, so its window starts past the
 // chunk's first byte, and the filter empties every other page, the first
-// kept one included. The first group must yield after one window, the second
-// after two more; payload pages the filter emptied are never decoded
+// kept one included. The first group must yield after the shared window, the
+// second after its payload's window; payload pages the filter emptied are never decoded
 // (PagesRead is the two-phase read's); the rows are scan-then-filter's.
 func TestScanFilteredStraddlesBreakEven(t *testing.T) {
 	const (
@@ -113,9 +116,11 @@ func TestScanFilteredStraddlesBreakEven(t *testing.T) {
 		st = src.Stats()
 	})
 	requireIdentical(t, "straddling file", got, referenceFiltered(t, New(newClient(svc), Config{}, ref), nil, filter))
-	// The open, then one window for group 0 and two for group 1.
-	if want := []time.Duration{2 * lat, 4 * lat}; len(yieldedAt) != 2 || yieldedAt[0] != want[0] || yieldedAt[1] != want[1] {
-		t.Errorf("groups yielded at %v, want %v: one request window for the small group, two for the large one", yieldedAt, want)
+	// The open, then one window for both groups' first reads, then group 1's
+	// payload: 2·lat, 3·lat (2·lat, 4·lat when each group had a first window
+	// of its own).
+	if want := []time.Duration{2 * lat, 3 * lat}; len(yieldedAt) != 2 || yieldedAt[0] != want[0] || yieldedAt[1] != want[1] {
+		t.Errorf("groups yielded at %v, want %v: one request window shared by both groups, a second for the large one's payload", yieldedAt, want)
 	}
 	if st.PagesRead != twoPhasePages {
 		t.Errorf("PagesRead = %d, want the two-phase read's %d: a payload page the filter emptied was decoded", st.PagesRead, twoPhasePages)

@@ -14,6 +14,7 @@ import (
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
 	"lambada/internal/lpq"
+	"lambada/internal/s3fs"
 )
 
 // fuzzDecodeValues is the decoded size up to which FuzzScanFiltered scans
@@ -118,11 +119,13 @@ func TestScanRefusesMisalignedPages(t *testing.T) {
 	}
 }
 
-// FuzzScanFiltered: scanning arbitrary bytes as an lpq object, with a filter
-// on one column pushed down as a prune predicate, returns a typed error or
-// rows that a full read (OpenReader + ReadAll) and the same filter also
-// yield — a sub-multiset, since footer statistics that lie may prune rows
-// that pass — and never panics.
+// FuzzScanFiltered: scanning arbitrary bytes as two lpq objects, with a
+// filter on one column pushed down as a prune predicate, returns a typed
+// error or rows that a full read (OpenReader + ReadAll) of each and the same
+// filter also yield — a sub-multiset, since footer statistics that lie may
+// prune rows that pass — and never panics. The two files' row groups share
+// request windows; what the scan bills is still, row group by row group, the
+// GETs and bytes s3fs.PlanSpans plans for that group alone.
 func FuzzScanFiltered(f *testing.F) {
 	for i, seed := range fuzzSeeds(f) {
 		f.Add(seed, uint8(i), int16(1100))
@@ -137,10 +140,15 @@ func checkScanFiltered(t *testing.T, data []byte, col uint8, k int16) {
 	}
 	svc := s3.New(s3.Config{})
 	svc.MustCreateBucket("data")
-	if err := svc.Put(simenv.NewImmediate(), "data", "f.lpq", data); err != nil {
-		t.Fatal(err)
+	refs := []FileRef{{Bucket: "data", Key: "f0.lpq"}, {Bucket: "data", Key: "f1.lpq"}}
+	for _, ref := range refs {
+		if err := svc.Put(simenv.NewImmediate(), ref.Bucket, ref.Key, data); err != nil {
+			t.Fatal(err)
+		}
 	}
-	src := New(newClient(svc), DefaultConfig(), FileRef{Bucket: "data", Key: "f.lpq"})
+	src := New(newClient(svc), DefaultConfig(), refs...)
+	_ = OpenAll(src)
+	opened := src.Stats()
 
 	// The filter: column col >= k (k/100 on a Float64 column), and the
 	// predicate the optimizer would push down for it; none on a Bool column.
@@ -185,7 +193,7 @@ func checkScanFiltered(t *testing.T, data []byte, col uint8, k int16) {
 	}
 	want := map[string]int{}
 	for i := range all.NumRows() {
-		want[rowKey(all, i)]++
+		want[rowKey(all, i)] += len(refs)
 	}
 	for _, c := range got {
 		if err := c.Validate(); err != nil {
@@ -199,6 +207,46 @@ func checkScanFiltered(t *testing.T, data []byte, col uint8, k int16) {
 			want[key]--
 		}
 	}
+	st := src.Stats()
+	if gets, bytes, ok := plannedSpans(t, svc, refs, preds, filter); ok &&
+		(st.BilledGets-opened.BilledGets != gets || st.BilledBytes-opened.BilledBytes != bytes) {
+		t.Errorf("scan billed %d GETs, %d bytes past its opens; its row groups' own spans are %d, %d",
+			st.BilledGets-opened.BilledGets, st.BilledBytes-opened.BilledBytes, gets, bytes)
+	}
+}
+
+// plannedSpans sums, over every row group of refs a filtered scan keeps, the
+// GETs and bytes s3fs.PlanSpans plans for that group's first window alone.
+// !ok: some group's payload waits for a second window, which the filter's
+// results size.
+func plannedSpans(t *testing.T, svc *s3.Service, refs []FileRef, preds []lpq.Predicate, filter engine.Expr) (gets, bytes int64, ok bool) {
+	probe := New(newClient(svc), DefaultConfig(), refs...)
+	for _, f := range refs {
+		meta, h, err := probe.open(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := resolveProjection(meta.Schema, nil, filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range lpq.PruneRowGroups(meta, preds) {
+			r, err := probe.plan(f, h, meta, g, pr, preds)
+			if err != nil {
+				t.Fatal(err) // the probe has no bound to refuse a group at
+			}
+			if r == nil {
+				continue
+			}
+			if r.keep != nil && !r.early {
+				return 0, 0, false
+			}
+			for _, s := range s3fs.PlanSpans(r.first, s3fs.DefaultCoalesceGap) {
+				gets, bytes = gets+1, bytes+s.Len
+			}
+		}
+	}
+	return gets, bytes, true
 }
 
 // rowKey spells row i of c by its values' bits, so NaNs match.

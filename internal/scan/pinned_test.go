@@ -3,6 +3,7 @@ package scan
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"lambada/internal/awssim/pricing"
@@ -78,7 +79,7 @@ func TestPinnedSourceBillsOnlyData(t *testing.T) {
 	}
 
 	before := meter.Count(pricing.LabelS3Read)
-	src, err := Pinned(newClient(svc), pinned...)
+	src, err := Pinned(newClient(svc), 0, pinned...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,5 +100,35 @@ func TestPinnedSourceBillsOnlyData(t *testing.T) {
 	}
 	if n := meter.Count(pricing.LabelS3Read) - before; n != st.BilledGets {
 		t.Errorf("the service billed %d S3 reads, the source counts %d", n, st.BilledGets)
+	}
+}
+
+// TestPinnedBoundRefusesBeforeFetch: a pinned source refuses a row group whose
+// rows × projected widths are past its bound from the footer alone — typed,
+// and before any GET — and scans one exactly at its bound.
+func TestPinnedBoundRefusesBeforeFetch(t *testing.T) {
+	const groupRows = 4000
+	proj := []string{"l_orderkey", "l_discount"} // 16 bytes a row
+	meter := pricing.NewCostMeter()
+	svc := s3.New(s3.Config{Meter: meter})
+	refs, _ := uploadLineitemOpts(t, svc, 0.002, 1, lpq.WriterOptions{RowGroupRows: groupRows})
+	pinned, err := New(newClient(svc), DefaultConfig(), refs...).Pin(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bound := range []int64{16*groupRows - 1, 16 * groupRows} {
+		src, err := Pinned(newClient(svc), bound, pinned...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := meter.Count(pricing.LabelS3Read)
+		err = src.Scan(proj, nil, func(*columnar.Chunk) error { return nil })
+		gets := meter.Count(pricing.LabelS3Read) - before
+		switch refused := errors.Is(err, lpq.ErrOverBound); {
+		case bound < 16*groupRows && (!refused || gets != 0):
+			t.Errorf("bound %d: err = %v after %d GETs, want lpq.ErrOverBound before any", bound, err, gets)
+		case bound == 16*groupRows && (err != nil || gets == 0):
+			t.Errorf("bound %d: err = %v after %d GETs, want the groups scanned", bound, err, gets)
+		}
 	}
 }

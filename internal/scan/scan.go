@@ -9,11 +9,13 @@
 //	    first file's data (OpenAll) — by the driver, at plan time: a worker's
 //	    footers travel in its payload (Pin, Pinned), so its scan opens none;
 //	(3) up to two row groups downloaded asynchronously (double buffering),
-//	    overlapping download with decompression of the previous group — not
-//	    modeled yet: compute is free on the virtual clock, so a download has
-//	    nothing to overlap with (ROADMAP, direction 4(b));
-//	(2) the coalesced column ranges of one read issued in one request window
-//	    (s3fs.File.ReadRanges);
+//	    overlapping download with decompression of the previous group — in
+//	    part: small groups' downloads overlap each other (level 2), but
+//	    compute is free on the virtual clock, so nothing overlaps a download
+//	    (ROADMAP, direction 4(b));
+//	(2) the coalesced column ranges of consecutive row groups, across files,
+//	    issued in one request window while their bytes add up to at most
+//	    payloadBreakEven (s3fs.ReadWindow; ScanFiltered);
 //	(1) multiple chunked requests per read, only as a fallback, since extra
 //	    requests cost money (Figure 7).
 //
@@ -91,6 +93,9 @@ type Source struct {
 	// S3 answered. A worker's source (Pinned) has one of its own, filled from
 	// its payload with every file it scans, so it never asks S3.
 	Footers *Footers
+	// bound, when positive, caps what a row group's kept rows decode to: a
+	// worker's engine budget (Pinned).
+	bound int64
 
 	mu    sync.Mutex
 	opens map[string]*openState
@@ -203,8 +208,9 @@ func New(client *s3.Client, _ Config, files ...FileRef) *Source {
 // decoded here, before any request, through lpq.OpenTail with all of its
 // checks and none of its reads, so the source never opens a file from S3 and
 // every request it makes is a data read. A file without its footer, or with
-// one that does not decode against its size, fails it.
-func Pinned(client *s3.Client, files ...FileRef) (*Source, error) {
+// one that does not decode against its size, fails it. A row group that would
+// decode past bound bytes (> 0) fails the scan before its bytes are fetched.
+func Pinned(client *s3.Client, bound int64, files ...FileRef) (*Source, error) {
 	t := NewFooters()
 	for _, f := range files {
 		r, err := lpq.OpenTail(nil, f.Size, f.Footer)
@@ -214,7 +220,7 @@ func Pinned(client *s3.Client, files ...FileRef) (*Source, error) {
 		t.known[f.Bucket+"/"+f.Key] = footer{size: f.Size, meta: r.Meta(), trailer: r.Trailer()}
 	}
 	s := New(client, Config{}, files...)
-	s.Footers = t
+	s.Footers, s.bound = t, bound
 	return s, nil
 }
 
@@ -481,52 +487,147 @@ func (s *Source) Scan(proj []string, preds []lpq.Predicate, yield func(*columnar
 // ScanFiltered is the late-materialized scan (engine.FilterableSource): per
 // surviving row group it fetches the filter's columns first, evaluates the
 // filter into a per-page selection, and decodes payload columns only for
-// pages where rows passed (readRowGroup). Yielded chunks
-// contain exactly the selected rows (every row under a nil filter), files in
-// order and row groups in order within each file.
+// pages where rows passed. Yielded chunks contain exactly the selected rows
+// (every row under a nil filter), files in order and row groups in order
+// within each file.
+//
+// A row group is read in two steps, plan and finish, around its first request
+// window, which consecutive groups share, across files, while their reads add
+// up to at most payloadBreakEven (a window takes at least one). The trade: a
+// consumer that stops early (a LIMIT the first group meets) has paid for the
+// rest of its window — at most payloadBreakEven bytes and their GETs.
 func (s *Source) ScanFiltered(proj []string, preds []lpq.Predicate, filter engine.Expr, yield func(*columnar.Chunk) error) error {
 	// Level 4: the footers of all files in one request window, ahead of the
 	// first file's data — none on a Pinned source, whose table knows them. A
-	// failed open is forgotten and resurfaces, in file order, when its file
-	// is scanned.
+	// failed open is forgotten and resurfaces, in file order, once the groups
+	// of the files before it are yielded.
 	if len(s.Files) > 1 {
 		_ = OpenAll(s)
 	}
+	var window []*groupRead
+	var size int64
 	for _, f := range s.Files {
-		if err := s.scanFile(f, proj, preds, filter, yield); err != nil {
+		meta, h, err := s.open(f)
+		var pr *projection
+		if err == nil {
+			pr, err = resolveProjection(meta.Schema, proj, filter)
+		}
+		if err != nil {
+			if werr := s.readWindow(window, filter, yield); werr != nil {
+				return werr
+			}
 			return err
 		}
+		keep := lpq.PruneRowGroups(meta, preds)
+		s.mu.Lock()
+		s.rowGroupsPruned += int64(meta.NumRowGroups() - len(keep))
+		if len(keep) == 0 {
+			s.filesAllPruned++
+		}
+		s.mu.Unlock()
+		// With nothing kept the worker pruned everything from the footer its
+		// payload carried and returns an empty result without a request — the
+		// 100–200 ms workers of Figure 11, which paid a footer read for it.
+		for _, g := range keep {
+			r, err := s.plan(f, h, meta, g, pr, preds)
+			if err != nil {
+				return err
+			} else if r == nil {
+				continue
+			}
+			n := coveredBytes(r.first)
+			if len(window) > 0 && size+n > payloadBreakEven {
+				if err := s.readWindow(window, filter, yield); err != nil {
+					return err
+				}
+				window, size = window[:0], 0
+			}
+			window, size = append(window, r), size+n
+		}
 	}
-	return nil
+	return s.readWindow(window, filter, yield)
 }
 
-// scanFile scans one file: footer-level row-group pruning, then every
-// surviving row group, in order, through readRowGroup. A group whose
-// selection comes back entirely empty is counted as read but yields nothing.
-func (s *Source) scanFile(f FileRef, proj []string, preds []lpq.Predicate, filter engine.Expr, yield func(*columnar.Chunk) error) error {
-	meta, h, err := s.open(f)
+// groupRead is a row group's read between plan and finish: the page slots the
+// page index kept (nil: read whole) from lo on, and its first window's ranges.
+type groupRead struct {
+	h     *s3fs.File
+	meta  *lpq.FileMeta
+	g, lo int
+	pr    *projection
+	keep  []bool
+	first []s3fs.Range
+	early bool
+}
+
+// plan is a row group's first step, from the footer alone: its first window
+// is its projected column chunks when read whole (no filter column to fetch
+// first), else the filter's pages the page index kept (all columns are paged
+// alike) and, early, the payload's — at most payloadBreakEven, cheaper than
+// another latency. It refuses a group whose kept rows × projected widths pass
+// the bound, wrapping lpq.ErrOverBound. nil: the page index kept nothing.
+func (s *Source) plan(f FileRef, h *s3fs.File, meta *lpq.FileMeta, g int, pr *projection, preds []lpq.Predicate) (*groupRead, error) {
+	rg := &meta.RowGroups[g]
+	r := &groupRead{h: h, meta: meta, g: g, pr: pr}
+	rows := rg.NumRows
+	if len(pr.fslots) == 0 {
+		for _, ci := range pr.cols {
+			r.first = append(r.first, s3fs.Range{Off: rg.Columns[ci].Offset, Len: rg.Columns[ci].CompressedLen})
+		}
+	} else {
+		r.keep = lpq.PrunePages(meta, g, preds)
+		lo, hi, kept := pageWindow(r.keep)
+		s.mu.Lock()
+		s.pagesPruned += int64(len(r.keep) - kept)
+		if kept == 0 {
+			s.rowGroupsRead++
+		}
+		s.mu.Unlock()
+		if kept == 0 {
+			return nil, nil
+		}
+		rows = 0
+		for p, pg := range rg.Columns[pr.cols[0]].PageSpans(rg.NumRows) {
+			if r.keep[p] {
+				rows += pg.NumRows
+			}
+		}
+		r.lo = lo
+		r.first = pageRanges(nil, rg, pr.cols, pr.fslots, lo, hi)
+		payload := pageRanges(nil, rg, pr.cols, pr.pslots, lo, hi)
+		if r.early = coveredBytes(payload) <= payloadBreakEven; r.early {
+			r.first = append(r.first, payload...)
+		}
+	}
+	var width int64
+	for _, fl := range pr.schema.Fields {
+		width += int64(fl.Type.Width())
+	}
+	if s.bound > 0 && width > 0 && rows > s.bound/width {
+		return nil, fmt.Errorf("scan: %s/%s row group %d: %w: %d rows of %d bytes, bound %d",
+			f.Bucket, f.Key, g, lpq.ErrOverBound, rows, width, s.bound)
+	}
+	return r, nil
+}
+
+// readWindow fetches the planned groups' first reads in one request window
+// (s3fs.ReadWindow), then finishes and yields the groups in order, letting
+// each one's bytes go once it is decoded.
+func (s *Source) readWindow(window []*groupRead, filter engine.Expr, yield func(*columnar.Chunk) error) error {
+	reads := make([]s3fs.Read, len(window))
+	for i, r := range window {
+		reads[i] = s3fs.Read{File: r.h, Ranges: r.first}
+	}
+	bufs, err := s3fs.ReadWindow(s.Client, reads)
 	if err != nil {
 		return err
 	}
-	pr, err := resolveProjection(meta.Schema, proj, filter)
-	if err != nil {
-		return err
-	}
-	keep := lpq.PruneRowGroups(meta, preds)
-	s.mu.Lock()
-	s.rowGroupsPruned += int64(meta.NumRowGroups() - len(keep))
-	if len(keep) == 0 {
-		s.filesAllPruned++
-	}
-	s.mu.Unlock()
-	// With nothing kept the worker pruned everything from the footer its
-	// payload carried and returns an empty result without a request — the
-	// 100–200 ms workers of Figure 11, which paid a footer read for it.
-	for _, g := range keep {
-		c, err := s.readRowGroup(h, meta, g, pr, preds, filter)
+	for i, r := range window {
+		c, err := s.finish(r, bufs[i], filter)
 		if err != nil {
 			return err
 		}
+		bufs[i] = nil
 		s.mu.Lock()
 		s.rowGroupsRead++
 		s.mu.Unlock()
@@ -540,144 +641,25 @@ func (s *Source) scanFile(f FileRef, proj []string, preds []lpq.Predicate, filte
 	return nil
 }
 
-// readWholeGroup downloads the projected column chunks of one row group in
-// one coalesced batch of range reads, decodes them onto a chunk of the
-// source's chunk pool and, given a filter, keeps the rows that pass — the
-// read-then-filter of every scan that has nothing to materialize late.
-// Returns nil when no row passes.
-func (s *Source) readWholeGroup(h *s3fs.File, meta *lpq.FileMeta, g int, pr *projection, filter engine.Expr) (*columnar.Chunk, error) {
-	rg := &meta.RowGroups[g]
-	cols, outSchema := pr.cols, pr.schema
-	ranges := make([]s3fs.Range, len(cols))
-	for slot, ci := range cols {
-		cc := &rg.Columns[ci]
-		ranges[slot] = s3fs.Range{Off: cc.Offset, Len: cc.CompressedLen}
+// finish is a row group's second step, on its first window's bytes (bufs, like
+// r.first). Read late: decode the filter's pages, filter each into a selection
+// (an empty one drops the page), decode the payload of the pages left —
+// fetched first in a second window unless early — and gather, page by page,
+// into a chunk of the chunk pool, the pages going back to the pool. nil: no
+// row passes, and no payload page was decoded.
+func (s *Source) finish(r *groupRead, bufs [][]byte, filter engine.Expr) (*columnar.Chunk, error) {
+	if r.keep == nil {
+		return s.finishWhole(r, bufs, filter)
 	}
-	bufs, err := h.ReadRanges(ranges)
-	if err != nil {
-		return nil, err
-	}
-	st := s.decodeState()
-	defer s.releaseState(st)
-	out := s.chunks.GetChunk(outSchema, int(rg.NumRows))
-	for slot, ci := range cols {
-		if err := st.DecodeColumnChunkOnto(out.Columns[slot], bufs[slot], rg.Columns[ci], rg.NumRows); err != nil {
-			return nil, err
-		}
-	}
-	if filter == nil {
-		return out, nil
-	}
-	sel, err := engine.FilterSelection(out, filter, s.pool.GetSelection(), &s.pool)
-	if err != nil {
-		return nil, err
-	}
-	defer s.pool.PutSelection(sel)
-	switch len(sel) {
-	case 0:
-		s.chunks.PutChunk(out)
-		return nil, nil
-	case out.NumRows():
-		return out, nil
-	}
-	kept := s.chunks.GetChunk(outSchema, len(sel))
-	kept.AppendGather(out, sel)
-	s.chunks.PutChunk(out)
-	return kept, nil
-}
-
-// decodeState hands the calling goroutine a decode state of its own — an
-// idle one when there is one — to thread through the pages it decodes and
-// give back with releaseState.
-func (s *Source) decodeState() *lpq.DecodeState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.idle); n > 0 {
-		st := s.idle[n-1]
-		s.idle = s.idle[:n-1]
-		return st
-	}
-	return new(lpq.DecodeState)
-}
-
-func (s *Source) releaseState(st *lpq.DecodeState) {
-	s.mu.Lock()
-	s.idle = append(s.idle, st)
-	s.mu.Unlock()
-}
-
-// readRowGroup reads one row group. With filter columns to fetch first it is
-// the late-materialized read:
-//
-//	(1) prune the page index against the scan's predicates;
-//	(2) fetch the filter's columns for surviving pages and decode them, in
-//	    one coalesced batch — together with the payload's columns when those
-//	    cost no more than a round trip (payloadBreakEven);
-//	(3) evaluate the filter per page into a selection vector; pages with an
-//	    empty selection drop out;
-//	(4) decode payload columns only for pages that still have selected rows,
-//	    fetching them first — again coalesced — unless (2) already did;
-//	(5) gather filter and payload columns by the selection, page by page in
-//	    order, into one output chunk.
-//
-// Step (2) decides between one request window and two. The second window
-// saves the payload bytes of the pages the filter empties, and costs a
-// first-byte latency to do it; below payloadBreakEven those bytes download in
-// less time than that latency, so a payload that small rides the filter's
-// window and the pages the filter empties are fetched but never decoded.
-//
-// Pages are decoded onto vectors of the source's pool, the filter runs
-// through it, and the pages and selections go back to it once gathered into
-// a chunk of the source's chunk pool.
-// Returns nil when no row of the group passes — the caller yields nothing
-// and no payload page was decoded. Without such columns it is
-// readWholeGroup.
-func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, pr *projection, preds []lpq.Predicate, filter engine.Expr) (*columnar.Chunk, error) {
-	if len(pr.fslots) == 0 {
-		// Nothing to fetch first — no filter, or a filter that references no
-		// projected column (e.g. a constant predicate): read every projected
-		// column, then filter.
-		return s.readWholeGroup(h, meta, g, pr, filter)
-	}
-
-	// Phase 1: page-index pruning. Every column of a row group is paged at
-	// the same row boundaries (or the whole group is unpaged) — the footer
-	// was refused at open otherwise — so page slot i of every column covers
-	// the same rows.
-	keep := lpq.PrunePages(meta, g, preds)
-	npages := len(keep)
-	lo, hi, kept := pageWindow(keep)
-	s.mu.Lock()
-	s.pagesPruned += int64(npages - kept)
-	s.mu.Unlock()
-	if kept == 0 {
-		return nil, nil
-	}
-
-	// Phase 2: fetch + decode filter columns for surviving pages; the
-	// payload's ride along when they cost less than another round trip.
-	rg := &meta.RowGroups[g]
-	ranges := pageRanges(nil, rg, pr.cols, pr.fslots, lo, hi)
-	payload := pageRanges(nil, rg, pr.cols, pr.pslots, lo, hi)
-	early := coveredBytes(payload) <= payloadBreakEven
-	if early {
-		ranges = append(ranges, payload...)
-	}
-	bufs, err := h.ReadRanges(ranges)
-	if err != nil {
-		return nil, err
-	}
+	meta, g, pr, keep := r.meta, r.g, r.pr, r.keep
 	vecs := make([][]*columnar.Vector, len(pr.cols)) // [slot][page]
-	if err := s.decodePages(meta, g, pr.cols, pr.fslots, keep, lo, bufs, vecs); err != nil {
+	if err := s.decodePages(meta, g, pr.cols, pr.fslots, keep, r.lo, bufs, vecs); err != nil {
 		return nil, err
 	}
-
-	// Phase 3: evaluate the filter page by page into selections.
 	fc := &columnar.Chunk{Schema: pr.fschema, Columns: make([]*columnar.Vector, len(pr.fslots))}
-	sels := make([][]int, npages)
-	total := 0
-	filtered := 0
-	for p := 0; p < npages; p++ {
+	sels := make([][]int, len(keep))
+	total, filtered := 0, 0
+	for p := range keep {
 		if !keep[p] {
 			continue
 		}
@@ -705,23 +687,18 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, pr *proje
 		return nil, nil
 	}
 
-	// Phase 4: decode payload columns only for pages with selected rows —
-	// from the window above, or from a second one over those pages alone.
-	if early {
-		bufs = bufs[len(pr.fslots):]
-	} else {
-		lo, hi, _ = pageWindow(keep)
-		if bufs, err = h.ReadRanges(pageRanges(payload[:0], rg, pr.cols, pr.pslots, lo, hi)); err != nil {
-			return nil, err
-		}
+	lo, hi, _ := pageWindow(keep)
+	var err error
+	if r.early {
+		lo, bufs = r.lo, bufs[len(pr.fslots):]
+	} else if bufs, err = r.h.ReadRanges(pageRanges(nil, &meta.RowGroups[g], pr.cols, pr.pslots, lo, hi)); err != nil {
+		return nil, err
 	}
 	if err := s.decodePages(meta, g, pr.cols, pr.pslots, keep, lo, bufs, vecs); err != nil {
 		return nil, err
 	}
-
-	// Phase 5: gather by selection, page by page in order.
 	out := s.chunks.GetChunk(pr.schema, total)
-	for p := 0; p < npages; p++ {
+	for p := range keep {
 		if !keep[p] {
 			continue
 		}
@@ -731,6 +708,60 @@ func (s *Source) readRowGroup(h *s3fs.File, meta *lpq.FileMeta, g int, pr *proje
 	}
 	s.recycle(vecs, sels)
 	return out, nil
+}
+
+// finishWhole is finish for a group read whole: its projected column chunks
+// decoded onto a chunk of the source's chunk pool and, given a filter, the
+// rows that pass kept. Returns nil when no row passes.
+func (s *Source) finishWhole(r *groupRead, bufs [][]byte, filter engine.Expr) (*columnar.Chunk, error) {
+	rg := &r.meta.RowGroups[r.g]
+	st := s.decodeState()
+	defer s.releaseState(st)
+	out := s.chunks.GetChunk(r.pr.schema, int(rg.NumRows))
+	for slot, ci := range r.pr.cols {
+		if err := st.DecodeColumnChunkOnto(out.Columns[slot], bufs[slot], rg.Columns[ci], rg.NumRows); err != nil {
+			return nil, err
+		}
+	}
+	if filter == nil {
+		return out, nil
+	}
+	sel, err := engine.FilterSelection(out, filter, s.pool.GetSelection(), &s.pool)
+	if err != nil {
+		return nil, err
+	}
+	defer s.pool.PutSelection(sel)
+	switch len(sel) {
+	case 0:
+		s.chunks.PutChunk(out)
+		return nil, nil
+	case out.NumRows():
+		return out, nil
+	}
+	kept := s.chunks.GetChunk(r.pr.schema, len(sel))
+	kept.AppendGather(out, sel)
+	s.chunks.PutChunk(out)
+	return kept, nil
+}
+
+// decodeState hands the calling goroutine a decode state of its own — an
+// idle one when there is one — to thread through the pages it decodes and
+// give back with releaseState.
+func (s *Source) decodeState() *lpq.DecodeState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.idle); n > 0 {
+		st := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		return st
+	}
+	return new(lpq.DecodeState)
+}
+
+func (s *Source) releaseState(st *lpq.DecodeState) {
+	s.mu.Lock()
+	s.idle = append(s.idle, st)
+	s.mu.Unlock()
 }
 
 // Recycle takes back a chunk this source yielded (engine.Recycler): its
@@ -755,7 +786,8 @@ func (s *Source) recycle(vecs [][]*columnar.Vector, sels [][]int) {
 // GET first-byte latency at the sustained Lambda ingress rate: 32.2 ms ×
 // 90 MiB/s ≈ 2.9 MiB (§4.3.1, Figure 7). Below it a second request window
 // costs more time than the bytes it saves, so a row group whose kept payload
-// is at most this big fetches its payload in the filter's window.
+// is at most this big fetches its payload in the filter's window, and
+// consecutive row groups whose first windows add up to at most this share one.
 var payloadBreakEven = int64(s3.DefaultAWSConfig(nil, 0).GetLatency.Mean().Seconds() *
 	float64(netmodel.DefaultLambdaNet().Sustained))
 
