@@ -30,8 +30,9 @@ race-staged:
 # scale-smoke is the multi-level acceptance point: staged q12 on the DES
 # kernel at 512 partitions (a 1k+ worker fleet), checking the resolved
 # boundary variants and that the billed S3 requests match the analytic
-# request model of the staged protocol integer-exactly, and both protocols'
-# models on 64 seeded boundary shapes. Uninstrumented: it takes a second or
+# request model of the staged protocol integer-exactly, that the leak audit
+# finds nothing of the fleet once the kernel drained (the reclaim runs behind
+# the result), and both protocols' models on 64 seeded boundary shapes. Uninstrumented: it takes a second or
 # two now that the byte path allocates what it encodes, and race mode would
 # add no interleaving coverage the -short race suites don't already have.
 scale-smoke:
@@ -79,14 +80,16 @@ fuzz-smoke:
 # chaos runs the deterministic fault-injection suites race-instrumented:
 # the injector/resilience unit tests, the per-service fault tests, the
 # driver chaos acceptance tests (staged q12 under a seeded fault storm must
-# replay exactly and still produce the fault-free answer), and the generated
+# replay exactly and still produce the fault-free answer), the reclaim that
+# runs behind a query's result or error, and fails without failing it
+# (TestReclaim*), and the generated
 # cases that draw a fault plan or a recovery scenario — stalled workers, an
 # aborted run's zombie, concurrent queries (TestGeneratedPlans' seed=N-faults,
 # -stall, -zombie and -concurrent subtests).
 chaos:
 	GOMAXPROCS=4 $(GO) test -race ./internal/awssim/faults/ ./internal/resilience/
 	GOMAXPROCS=4 $(GO) test -race \
-		-run 'Chaos|Injected|ClientRetries|ClientBudget|EpochSweep|SingleScopeDuplicate|KeyedDeleteListsNothing' \
+		-run 'Chaos|Injected|ClientRetries|ClientBudget|EpochSweep|SingleScopeDuplicate|KeyedDeleteListsNothing|Reclaim' \
 		./internal/awssim/s3/ ./internal/awssim/sqs/ ./internal/awssim/dynamo/ \
 		./internal/awssim/lambdasvc/ ./internal/driver/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestGeneratedPlans/faults|stall|zombie|concurrent' ./internal/driver/

@@ -51,8 +51,8 @@
 // Every multi-request loop of the read path goes through it. The exchange's
 // four — a round's reads of one small range per writer, the per-shard Lists
 // of a driverless round's discovery pass, the driver's keyed delete of what a
-// query wrote (one DeleteObjects per bucket), and, past epoch 1 only, a
-// sweep's List and DeleteObjects per bucket —
+// query wrote (one DeleteObjects per bucket, behind the query's result), and,
+// past epoch 1 only, a sweep's List and DeleteObjects per bucket —
 // because a worker that pays 256 latencies of ~35 ms one after another for
 // 256 KB is not the paper's worker (§4.3.2, §4.4.2), and the fleet behind it
 // idles, billed, until it is done. The opens (level 4): opening a file is one
@@ -252,7 +252,11 @@
 //     S3 LIST at all: a one-stage query bills the planner's footer reads, its
 //     invocations, its workers' scans and its result polls, nothing else. A
 //     plan with boundaries issues nothing before its first Invoke but the
-//     fence's requests, and at epoch 1 lists no bucket either.
+//     fence's one conditional write, and at epoch 1 lists no bucket either.
+//     Nor does it wait for its keyed delete: the DeleteObjects are free and
+//     nobody reads the objects once the merge has its rows, so on the DES
+//     kernel the delete is a process of its own that runs behind the result,
+//     and the query returns at its merge.
 //  2. A stage's DynamoDB ready marker is written iff some other stage run
 //     waits on it. Nobody waits on the result stage, so it writes none.
 //
@@ -469,7 +473,10 @@
 //	acquire   the driver atomically increments the query's epoch item in
 //	          the <fn>-stages DynamoDB table (conditional Put; the durable
 //	          counter itself is the uniqueness source — no wall clock, no
-//	          randomness, so DES runs stay deterministic)
+//	          randomness, so DES runs stay deterministic). A query ID is
+//	          fresh, so the first try is a conditional create of epoch 1, one
+//	          write and no read; only a restarted driver reusing the ID fails
+//	          it, reads the item and increments what it read
 //	stamp     the epoch rides in every worker payload, every seal message,
 //	          every ready-marker key (q<N>/e<E>/s<stage>) and the whole
 //	          boundary namespace
@@ -478,11 +485,14 @@
 //	          current one; consumers wait on this epoch's ready markers
 //	          and collect under this epoch's prefix, so an older epoch's
 //	          artifacts are invisible rather than merely improbable
-//	reclaim   after the query the driver deletes its own objects by key; at
-//	          epoch > 1 it also sweeps the query's whole prefix across
-//	          epochs, reclaiming the zombies' debris (the only LIST a staged
-//	          query bills), and the epoch GC sweeps an expired fence's
-//	          prefix and deletes its ready markers before the fence goes
+//	reclaim   after the query the driver deletes its own objects by key,
+//	          behind the result (a DES process of its own; a traced query
+//	          waits for it). At epoch > 1 it sweeps the query's whole prefix
+//	          across epochs instead, before the query returns, reclaiming the
+//	          zombies' debris (the only LIST a staged query bills). Either is
+//	          best effort: what a failed delete leaves, the epoch GC sweeps
+//	          from an expired fence's prefix, with its ready markers, before
+//	          the fence goes
 //
 // A zombie worker of an aborted epoch can therefore wake at any time,
 // publish anywhere in its own e<E-1> namespace and post any seal it likes:

@@ -757,9 +757,10 @@ func (c planCase) invariants(a caseRun, o []any) error {
 // exactly the workers stalled, and — unless the admission cap held the rest
 // of its fleet behind them — the query returned before the stall was over
 // and before a speculation-off twin did. An untraced run shows when the
-// caller got its rows (a traced Duration waits out the losers,
-// query.quiesce): its Duration must end where a's query phases did, and it
-// too must leave nothing behind.
+// caller got its rows (a traced Duration waits out the losers and the
+// reclaim, query.quiesce): its Duration must end where a's merge phase did —
+// the reclaim of the query's objects runs behind it — and it too must leave
+// nothing behind.
 func (c planCase) stalled(a caseRun, o []any) error {
 	ss := stageStats(a.rep)(c.Stall.Stage)
 	want := c.Stall.count(ss.Workers)
@@ -781,12 +782,12 @@ func (c planCase) stalled(a caseRun, o []any) error {
 	qs := a.rep.Trace.Spans()[a.rep.Span-1]
 	var returned time.Duration
 	for _, s := range a.rep.Trace.Spans() {
-		if s.Parent == a.rep.Span && s.Kind == obs.KindPhase {
-			returned = max(returned, s.End-qs.Start)
+		if s.Parent == a.rep.Span && s.Kind == obs.KindPhase && s.Name == "merge" {
+			returned = s.End - qs.Start
 		}
 	}
 	if got, off := u.rep.Duration, t.rep.Duration; got != returned || got >= c.Stall.For || got >= off {
-		return fmt.Errorf("stall: returned at %v (the traced run's phases ended at %v), stalled for %v, the speculation-off twin at %v", got, returned, c.Stall.For, off)
+		return fmt.Errorf("stall: returned at %v (the traced run's merge ended at %v), stalled for %v, the speculation-off twin at %v", got, returned, c.Stall.For, off)
 	}
 	return nil
 }

@@ -25,7 +25,11 @@ type Report struct {
 	// Stages counts the executed plan's fragments — its stages bar the
 	// regroup ones (1 when nothing shuffles: no join with two large sides,
 	// an aggregate merged on the driver).
-	Stages   int
+	Stages int
+	// Duration is the query's latency. Untraced, it ends at the merge, where
+	// the caller has its rows (on a DES process the reclaim of the exchange's
+	// objects runs behind it); traced, it also waits out stragglers and the
+	// reclaim (query.quiesce).
 	Duration time.Duration
 	// Invocation is the driver-side time spent launching workers.
 	Invocation time.Duration
@@ -131,18 +135,20 @@ func (d *query) wakeupCount() uint64 {
 	return 0
 }
 
-// quiesce, on traced runs, waits until no worker invocation is still
-// executing before the cost window closes. Straggler losers — speculation
-// backups whose original won, zombie attempts — bill their Lambda duration
-// when their handler returns; waiting for them makes the per-span cost
-// attribution sum exactly to the Report's meter deltas, at the price of the
-// traced Duration including the straggler tail. Untraced runs report the
-// instant the result is complete.
-func (d *query) quiesce() {
+// quiesce, on traced runs, waits until the query's reclaim pass has ended
+// and, with stragglers, until no worker invocation is still executing, before
+// the cost window closes. Straggler losers — speculation backups whose
+// original won, zombie attempts — bill their Lambda duration when their
+// handler returns; waiting for them makes the per-span cost attribution sum
+// exactly to the Report's meter deltas, and waiting for the pass keeps its
+// cleanup phase inside the query span, at the price of the traced Duration
+// including both tails. Untraced runs report the instant the result is
+// complete.
+func (d *query) quiesce(stragglers bool) {
 	if !d.dep.Trace.Enabled() {
 		return
 	}
-	for d.dep.Lambda.Running() > 0 {
+	for d.reclaiming || stragglers && d.dep.Lambda.Running() > 0 {
 		simenv.WaitNotifyKey(d.env, "", d.cfg.PollInterval)
 	}
 }

@@ -175,6 +175,8 @@ type query struct {
 	wakeupsBefore uint64
 	start         time.Duration
 	span          obs.SpanID
+	// reclaiming: the query's reclaim pass is a kernel process still running.
+	reclaiming bool
 }
 
 // queryQueueName derives a query's private result-queue name.
@@ -218,7 +220,7 @@ func (d *query) source(client *s3.Client, files ...scan.FileRef) *scan.Source {
 
 // close releases the query's span binding — back-filling the end of any
 // driver-side span an error path left open — and tears down its private
-// queue, if cleanup has not. A worker posting to the deleted queue gets
+// queue, if reclaim has not. A worker posting to the deleted queue gets
 // ErrNoSuchQueue (workerHandler); a later same-named query (fresh driver
 // restart reusing the counter) starts from an empty queue either way, and
 // its epoch fence discards any zombie that does land.

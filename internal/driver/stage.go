@@ -114,23 +114,29 @@ func queryPrefix(fn, queryID string) string { return fn + "/" + queryID + "/" }
 // their seals, ready markers and boundary files all carry the losing epoch.
 // The uniqueness source is the durable counter itself (no wall clock, no
 // randomness), so DES runs stay deterministic.
+//
+// Every query ID a session issues is fresh, so the first try is one write and
+// no read: a conditional create of epoch 1, which fails only where the item
+// exists — a restarted driver reusing the ID. Only then is the item read and
+// incremented, each increment conditional on the value read.
 func (d *query) acquireEpoch(table, queryID string) (int, error) {
 	if d.s.bumpEpochAcquires() {
 		d.sweepEpochs(table)
 	}
 	key := epochKey(queryID)
-	for {
+	for read := false; ; read = true {
 		var cur []byte
-		err := d.retry.Do(d.env, "dynamo.Get", func() error {
-			var gerr error
-			cur, gerr = d.dep.Dynamo.Get(d.env, table, key)
-			return gerr
-		})
-		if err != nil {
-			if !errors.Is(err, dynamo.ErrNoSuchItem) {
+		if read {
+			err := d.retry.Do(d.env, "dynamo.Get", func() error {
+				var gerr error
+				cur, gerr = d.dep.Dynamo.Get(d.env, table, key)
+				return gerr
+			})
+			if errors.Is(err, dynamo.ErrNoSuchItem) {
+				cur = nil
+			} else if err != nil {
 				return 0, err
 			}
-			cur = nil
 		}
 		next := 1
 		if cur != nil {
@@ -150,7 +156,8 @@ func (d *query) acquireEpoch(table, queryID string) (int, error) {
 		if !errors.Is(putErr, dynamo.ErrConditionFailed) {
 			return 0, putErr
 		}
-		// Lost the increment race to a concurrent driver: re-read, go again.
+		// The item exists, or a concurrent driver won the increment race:
+		// read it, go again.
 	}
 }
 
@@ -467,9 +474,11 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, cfg StageConfig) (*col
 // they collect by), retryable failure seals
 // and Config.Speculate's stragglers are re-invoked as attempt-versioned
 // backups whose boundary publishes cannot race the originals' (the first
-// sealed attempt per worker wins); the finish merges, deletes what the query
-// wrote (cleanup) and reports. It all runs on the query's private result
-// queue and retry scope, so N of these interleave on one session.
+// sealed attempt per worker wins); the finish merges, starts the reclaim of
+// what the query wrote — on the DES kernel it runs behind the result, so the
+// query returns at its merge — and reports. It all runs on the query's
+// private result queue and retry scope, so N of these interleave on one
+// session.
 //
 // A plan pays only for the machinery it uses, by two rules that hold for
 // every plan:
@@ -478,7 +487,7 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, cfg StageConfig) (*col
 //     epoch fence and the keyed delete of the boundary objects — exists iff
 //     some stage has an Output. A plan without boundaries runs at epoch 0 and
 //     issues no DynamoDB or S3 LIST request at all; one with boundaries lists
-//     nothing either unless its epoch is past 1.
+//     nothing either unless its epoch is past 1, and its fence is one write.
 //  2. A stage writes its DynamoDB ready marker iff some other stage run
 //     depends on it; nobody waits on the result stage, so it writes none.
 //
@@ -493,30 +502,34 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 	if err != nil {
 		return nil, nil, err
 	}
-	var s *scheduler
-	cleaned := false
-	defer func() {
-		// Reclaim the boundary namespace — winner files and loser attempts
-		// alike — even when the query fails. Best effort: the query's own
-		// error is the one to report.
-		if !cleaned {
-			_ = d.cleanup(s, ns, epoch)
-		}
-	}()
-	s, err = d.newScheduler(sp, scanFiles, blobs, cfg, ns, epoch)
-	if err != nil {
-		return nil, nil, err
-	}
 	tr := d.dep.Trace
-	tr.EndPhase(d.env, d.env.Now()) // plan
-	if err := d.schedule(s, ns.SealTable); err != nil {
+	s, err := d.newScheduler(sp, scanFiles, blobs, cfg, ns, epoch)
+	var result *columnar.Chunk
+	if err == nil {
+		tr.EndPhase(d.env, d.env.Now()) // plan
+		if err = d.schedule(s, ns.SealTable); err == nil {
+			result, err = d.merge(s, sp, resultStage)
+		}
+	}
+	tr.EndPhase(d.env, d.env.Now()) // merge, or what an error left open
+
+	// Reclaim the boundary namespace — winner files and loser attempts
+	// alike — whether the query succeeded or not. On success every stage
+	// sealed, so no winner is still publishing.
+	d.reclaim(s, ns, epoch)
+	if err != nil {
+		d.quiesce(false)
 		return nil, nil, err
 	}
+	return result, d.report(s, sp), nil
+}
 
-	// Driver scope: merge the result stage's outputs in worker order (the
-	// arrival order is racy; worker order makes the merge deterministic),
-	// each bounded by the engine budget of the worker that held it.
-	tr.Phase(d.env, "merge", d.env.Now())
+// merge is the driver scope: it merges the result stage's outputs in worker
+// order (the arrival order is racy; worker order makes the merge
+// deterministic), each bounded by the engine budget of the worker that held
+// it.
+func (d *query) merge(s *scheduler, sp *stageplan.Plan, resultStage *stageplan.Stage) (*columnar.Chunk, error) {
+	d.dep.Trace.Phase(d.env, "merge", d.env.Now())
 	var chunks []*columnar.Chunk
 	for _, blob := range s.byID[resultStage.ID].chunks {
 		if len(blob) == 0 {
@@ -524,28 +537,16 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 		}
 		c, err := lpq.ReadFiles(engineMemoryBudget(d.cfg.WorkerMemoryMiB), blob)
 		if err != nil {
-			return nil, nil, fmt.Errorf("decoding a worker's result: %w", outOfMemory(err))
+			return nil, fmt.Errorf("decoding a worker's result: %w", outOfMemory(err))
 		}
 		chunks = append(chunks, c)
 	}
 	rs, err := resultStage.Plan.OutSchema()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	dcat := engine.Catalog{engine.WorkerResultTable: engine.NewMemSource(rs, chunks...)}
-	result, err := engine.Execute(sp.Driver, dcat)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// All stages sealed, so no winner is still publishing: delete what the
-	// query wrote now and let its requests count toward the query.
-	if err := d.cleanup(s, ns, epoch); err != nil {
-		return nil, nil, err
-	}
-	cleaned = true
-	tr.EndPhase(d.env, d.env.Now()) // merge, or cleanup
-	return result, d.report(s, sp), nil
+	return engine.Execute(sp.Driver, dcat)
 }
 
 // openNamespace sets up rule 1's machinery when sp has a boundary — the shard
@@ -571,7 +572,7 @@ func (d *query) openNamespace(sp *stageplan.Plan, cfg StageConfig) (ns boundaryS
 	// zombieDiscards) on a queue that newQuery created and close deletes,
 	// and its objects lie under another e<E> prefix, which no reader of
 	// this epoch ever names. Its debris is reclaimed after the query
-	// (cleanup), not raced before it.
+	// (reclaim), not raced before it.
 	if epoch, err = d.acquireEpoch(sealTable, d.id); err != nil {
 		return ns, 0, fmt.Errorf("driver: acquiring epoch for %s: %w", d.id, err)
 	}
@@ -584,46 +585,65 @@ func (d *query) openNamespace(sp *stageplan.Plan, cfg StageConfig) (ns boundaryS
 	}, epoch, nil
 }
 
-// cleanup deletes what the query wrote, whether it succeeded or failed: the
+// reclaim deletes what the query wrote, whether it succeeded or failed. The
+// result queue goes first (free, no virtual time): a task still out — a
+// speculation loser — has then posted, so published, before the delete, or
+// its post fails and it deletes what it published (workerHandler).
+//
+// The rest is the cleanup phase. At epoch 1 it is the keyed delete of the
 // objects every stage run with an output may have published — for every
 // worker it invoked, every attempt 0 … attempts[w], so winners, speculation
-// losers and relaunched attempts alike (scheduler.written) — by key, one
+// losers and relaunched attempts alike (scheduler.written) — one
 // DeleteObjects per shard bucket, the buckets side by side in one request
-// window. s is nil when the query failed before its scheduler existed, and
-// then nothing was invoked.
+// window. Those requests are free, and nobody reads the objects, so the
+// delete runs behind the result: on a DES process it is a kernel process of
+// its own, bound to the query span like a launch pass (quiesce waits for it
+// on traced runs); on any other environment it runs inline. s is nil when
+// the query failed before its scheduler existed, and then nothing was
+// invoked.
 //
-// The result queue goes first (free, no virtual time): a task still out —
-// a speculation loser — has then posted, so published, before the keyed
-// delete, or its post fails and it deletes what it published (workerHandler).
+// At epoch > 1 an earlier run of this query ID took a fence, and its zombies
+// may have written under its own epochs' prefixes, names no live driver
+// knows. The query's whole prefix is swept then, every epoch and the full
+// bucket pool (exchange.Sweep), the keyed delete's objects with it. The
+// sweep's LISTs are billed, so it runs inline, inside the query's window.
 //
-// Only one thing is listed, and only at epoch > 1: an earlier run of this
-// query ID took a fence, and its zombies may have written under its own
-// epochs' prefixes, names no live driver knows. The query's whole prefix is
-// swept then, every epoch and the full bucket pool (exchange.Sweep).
-func (d *query) cleanup(s *scheduler, ns boundarySpec, epoch int) error {
+// Both are best effort: a query whose rows are ready does not fail over its
+// scratch. What a failed delete leaves stays under the query's prefix, which
+// sweepEpochs sweeps before the fence expires.
+func (d *query) reclaim(s *scheduler, ns boundarySpec, epoch int) {
 	if epoch == 0 {
-		return nil
+		return
 	}
-	d.dep.Trace.Phase(d.env, "cleanup", d.env.Now())
 	d.dep.SQS.DeleteQueue(d.cfg.ResultQueue)
 	var objs []exchange.Object
-	if s != nil {
-		var err error
-		if objs, err = s.written(); err != nil {
-			return err
+	if s != nil && epoch == 1 {
+		objs, _ = s.written()
+	}
+	tr := d.dep.Trace
+	pass := func(env simenv.Env) {
+		tr.Phase(env, "cleanup", env.Now())
+		client := s3.NewClient(d.dep.S3, env, s3.WithPolicy(d.retry))
+		if epoch > 1 {
+			_, _ = exchange.Sweep(client, ns.Buckets, queryPrefix(d.cfg.FunctionName, d.id))
+		} else {
+			_ = exchange.Delete(client, objs)
 		}
+		tr.EndPhase(env, env.Now())
 	}
-	client := d.client()
-	if err := exchange.Delete(client, objs); err != nil {
-		return fmt.Errorf("driver: deleting the boundary objects of %s: %w", d.id, err)
+	p, ok := d.env.(*simclock.Proc)
+	if !ok || epoch > 1 {
+		pass(d.env)
+		return
 	}
-	if epoch > 1 {
-		prefix := queryPrefix(d.cfg.FunctionName, d.id)
-		if _, err := exchange.Sweep(client, ns.Buckets, prefix); err != nil {
-			return fmt.Errorf("driver: sweeping boundary %s: %w", prefix, err)
-		}
-	}
-	return nil
+	d.reclaiming = true
+	p.Kernel().Go(d.id+"/reclaim", func(p *simclock.Proc) {
+		tr.Bind(p, d.span)
+		pass(p)
+		tr.Pop(p)
+		d.reclaiming = false
+		p.NotifyKey("reclaim/" + d.cfg.ResultQueue)
+	})
 }
 
 // newScheduler builds the payloads of every fleet sp names, in its launch
@@ -891,7 +911,7 @@ func (d *query) report(s *scheduler, sp *stageplan.Plan) *Report {
 	// Close the cost window only after every invocation — speculation and
 	// relaunch losers included — finished billing, so per-span attribution
 	// and the Report deltas agree exactly (no-op when tracing is off).
-	d.quiesce()
+	d.quiesce(true)
 	endTime := d.env.Now()
 	rep := s.rep // a copy: the Report must not keep the scheduler's payloads alive
 	rep.QueryID, rep.Epoch = s.queryID, s.epoch

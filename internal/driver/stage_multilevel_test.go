@@ -119,8 +119,9 @@ func TestStagedMultiLevelByteIdentity(t *testing.T) {
 // its own (no forcing), the billed S3 requests against the shard buckets
 // must match the per-boundary analytic model of the staged protocol
 // integer-exactly — puts, gets, and lists: neither the protocol nor the
-// driver's cleanup lists anything — and the answer stays byte-identical to
-// single-node execution.
+// driver's cleanup lists anything — the answer stays byte-identical to
+// single-node execution, and the leak audit finds nothing once the kernel
+// drained.
 func TestStagedQ12ScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-worker DES run skipped in -short mode")
@@ -241,4 +242,9 @@ func TestStagedQ12ScaleSmoke(t *testing.T) {
 	if n := strings.Count(path, "\n"); n == 0 || n > 60 {
 		t.Errorf("the critical path prints in %d lines, want 1 to 60", n)
 	}
+
+	// The kernel has drained, so the reclaim behind the result has run: the
+	// 1k-worker fleet's every object, winners and regroup rounds alike, is
+	// gone. Last, because the audit lists the shard buckets.
+	assertQueryClean(t, d, rep.QueryID)
 }
