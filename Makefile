@@ -191,10 +191,18 @@ trace-smoke:
 #                          not.
 #   trace-identical-storm  the same at 30 partitions (34 workers; 64 before
 #                          PR 24) under the checked-in fault storm
-#                          with speculation and a 2 s liveness cap: fails only
-#                          if the result rows differ, and prints both sides'
-#                          fleet, retry and cost lines to be read, not gated.
+#                          with speculation and a 2 s liveness cap, then the
+#                          broadcast q12 (ORDERS read by every LINEITEM worker
+#                          in its first request window) under the same storm,
+#                          its seed set to 5: at the plan's own seed only a
+#                          cold spike lands on that query's few requests, at 5
+#                          two of its workers' GETs fail once and an Invoke
+#                          crashes.
+#                          Fails only if either query's result rows differ,
+#                          and prints both sides' fleet, retry and cost lines
+#                          to be read, not gated.
 TRACE_Q12 = -mode des -profile -query q12 -broadcast-limit -1 -sf 0.002 -files 4
+TRACE_STORM = -partitions 30 -speculate -max-stage-wait 2s -fault-plan cmd/lambada/testdata/storm.json
 define TRACE_BUILD
 test -n "$(BASE)" || { echo "usage: make $@ BASE=<rev>"; exit 2; }; \
 set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/base"; \
@@ -230,7 +238,11 @@ trace-identical-storm: LINES = ^(workers|retries|query cost):
 trace-identical-storm:
 	@$(TRACE_BUILD); \
 	for side in base head; do \
-		"$$tmp/lambada.$$side" $(TRACE_Q12) -partitions 30 -speculate -max-stage-wait 2s \
-			-fault-plan cmd/lambada/testdata/storm.json > "$$tmp/$$side.out"; \
+		"$$tmp/lambada.$$side" $(TRACE_Q12) $(TRACE_STORM) > "$$tmp/$$side.out"; \
+	done; \
+	$(TRACE_ROWS); \
+	echo "broadcast q12:"; \
+	for side in base head; do \
+		"$$tmp/lambada.$$side" -mode des -profile -query q12 -sf 0.002 -files 4 $(TRACE_STORM) -fault-seed 5 > "$$tmp/$$side.out"; \
 	done; \
 	$(TRACE_ROWS)

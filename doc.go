@@ -72,11 +72,18 @@
 // worker's two files or two row groups pay one ≈ 30 ms latency together, not
 // one each; the spans are still planned per row group (s3fs.PlanSpans), so the
 // GETs and bytes are what reading the groups one by one bills, and a consumer
-// that stops early (a LIMIT) has paid for at most the rest of its window. Level 1's chunks follow one another on the lane
-// that carries their read: no read on any workload reaches the 16 MiB chunk
-// size. Uploads cannot ride a lane: a Put makes its object visible, and wakes
-// the readers parked on its key, after its latency, and a lane has no instant
-// of its own at which to do so (Put on a lane returns s3.ErrLaneWrite).
+// that stops early (a LIMIT) has paid for at most the rest of its window.
+// The tables of one task share their first window: the worker tells each
+// source the scan its fragment runs over it, and the first scan of any plans
+// and fetches every source's first window at once, so a broadcast join's
+// build and probe sides pay one first-byte latency together. A build side's
+// row group is one GET over its projected columns (scan.Source.Hold): every
+// worker of the stage pays it, and the holes between them transfer for free. Level 1's chunks
+// follow one another on the lane that carries their read: no read on any
+// workload reaches the 16 MiB chunk size. Uploads cannot ride a lane: a Put
+// makes its object visible, and wakes the readers parked on its key, after
+// its latency, and a lane has no instant of its own at which to do so (Put on
+// a lane returns s3.ErrLaneWrite).
 //
 // # Price-aware scan layer
 //
@@ -201,12 +208,15 @@
 //
 // §3.2's "small amounts of data read locally that should be broadcasted" are
 // the tables the footers call small: an unfiltered scan of at most the
-// broadcast limit's rows, which the driver loads whole through the source
-// the planner opened and ships in every payload. No other rule broadcasts a
-// table. The plan Decompose returns is complete — every fleet the query
-// runs, with its size, every boundary's exchange algorithm, and each
-// multi-level boundary's regroup round
-// as a stage of its own (below) — and the driver builds payloads from it and
+// broadcast limit's rows. The driver reads no table data: it pins every file
+// of such a build table into the payloads of the stage that joins it, beside
+// the stage's own files, and each worker reads the build side itself in its
+// first request window — both sides' first reads share one first-byte
+// latency, where the driver's load of the table used to precede every
+// Invoke. No other rule broadcasts a table. The plan Decompose returns is
+// complete — every fleet the query runs, with its size, every boundary's
+// exchange algorithm, and each multi-level boundary's regroup round as a
+// stage of its own (below) — and the driver builds payloads from it and
 // runs it as given; it sizes, resolves and adds nothing. stageplan.Explain
 // prints that DAG, a line per fleet in launch order, each boundary with its
 // algorithm and shard-bucket count ("stage 1 scan=lineitem workers=2
@@ -218,19 +228,20 @@
 //
 // From there on there is one of everything. One task shape: the invocation
 // blob carries the worker's ID, its plan fragment and its inputs (§3.3) —
-// files to scan, broadcast tables, and at most one boundary spec naming the
-// boundaries it collects from and publishes into — and the worker has one
-// path through them: wait for each input's ready marker, collect, execute,
-// then publish or post the result. One launch loop: a stage's fleet is cut
-// once into launch units — one per worker, or, where invoke.UseTree finds the
-// two-level tree (§4.2) starts the fleet sooner on a session without a
-// concurrency cap, one per first-generation worker with its children's
-// payloads folded in — and a launch pass walks them with take tokens → pace →
-// Invoke. Every unit, direct or first-generation, is a pipelined Invoke paced
-// at Table 1's concurrent rate: the driver's one requester pool
-// (invoke.RequesterThreads, ≈ 294 Invokes/s to eu), so a 30-worker fleet is
-// out in 0.1 s and launches directly, while 256 workers still go through the
-// tree, whose first generation then pays one cold start before its children.
+// files to scan, its build tables' files, and at most one boundary spec
+// naming the boundaries it collects from and publishes into — and the worker
+// has one path through them: wait for each input's ready marker, collect,
+// execute, then publish or post the result. One launch loop: a stage's fleet
+// is cut once into launch units — one per worker, or, where invoke.UseTree
+// finds the two-level tree (§4.2) starts the fleet sooner on a session
+// without a concurrency cap, one per first-generation worker with its
+// children's payloads folded in — and a launch pass walks them with take
+// tokens → pace → Invoke. Every unit, direct or first-generation, is a
+// pipelined Invoke paced at Table 1's concurrent rate: the driver's one
+// requester pool (invoke.RequesterThreads, ≈ 294 Invokes/s to eu), so a
+// 30-worker fleet is out in 0.1 s and launches directly, while 256 workers
+// still go through the tree, whose first generation then pays one cold start
+// before its children.
 // The tokens come from an invoke.Admission — which owns the pacer: the
 // session's shared one under Config.MaxInFlight, a private unlimited one —
 // all pacer, no cap — otherwise, so capped and uncapped launches are the same
@@ -311,11 +322,12 @@
 // senders as partitions, so the experiments time the same round.
 //
 // The planner chooses broadcast-vs-shuffle per join from the lpq footer
-// row counts: a genuinely small build side ships inside worker payloads as
-// before, everything else shuffles. Boundary fan-in autotunes from the
-// same row counts when unset (stageplan.AutoRowsPerPartition rows per
-// partition, capped at stageplan.MaxAutoPartitions; a wider fleet is pinned
-// through driver.StageConfig.Partitions / -partitions).
+// row counts: a genuinely small build side is read whole by every worker of
+// the stage that joins it, everything else shuffles. Boundary fan-in
+// autotunes from the same row counts when unset
+// (stageplan.AutoRowsPerPartition rows per partition, capped at
+// stageplan.MaxAutoPartitions; a wider fleet is pinned through
+// driver.StageConfig.Partitions / -partitions).
 //
 // # Multi-level exchange boundaries
 //
@@ -584,10 +596,12 @@
 // caller's knowledge). Workers never see the table. Each gets its files'
 // footers from the query's own opens, shipped in its payload as the bytes the
 // open read, so a Drop while the query runs takes nothing from it. The
-// contract therefore covers the data reads as well as the plan: a file
-// overwritten behind the session's back, or by an UploadTable that overlaps a
-// query scanning it, can be read through its old footer. Two rules keep it safe under concurrent queries: it never makes one
-// query wait for another's open (two that miss together both read; under DES
+// contract therefore covers the data reads as well as the plan — build sides
+// included, which every worker reads through the footer the planner saw: a
+// file overwritten behind the session's back, or by an UploadTable that
+// overlaps a query scanning it, can be read through its old footer. Two
+// rules keep it safe under concurrent queries: it never makes one query wait
+// for another's open (two that miss together both read; under DES
 // a process blocked on a lock that a parked process holds stalls the kernel),
 // and an open issued before an invalidation stores nothing after it.
 //
@@ -632,8 +646,8 @@
 // one Policy value: the driver side of a query holds one, each worker
 // invocation one of its own, and every call of the scope runs under it — SQS,
 // DynamoDB, Lambda, and S3 through s3.WithPolicy, the driver's planning
-// reads, broadcast loads, sweeps and table uploads included — so one budget
-// bounds them all and Report.DriverRetries / WorkerRetries count them all.
+// reads, sweeps and table uploads included — so one budget bounds them all
+// and Report.DriverRetries / WorkerRetries count them all.
 // Retried requests are still billed, because the real substrate bills them
 // too. A fault plan is outside input: faults.ParsePlan rejects, typed, a rule
 // for a stream no service consults or of a kind its service has no case for.
@@ -793,10 +807,13 @@
 // and a working set needs 3× its input within it. A scanned row group is
 // held to the budget twice: its kept rows × projected widths, from the footer
 // before any of its bytes are fetched (scan.Pinned's bound), and its chunk as
-// it streams past; the inputs a task holds whole — its broadcast tables,
-// the partitions it collected, or a regroup's group — share one third of the
-// budget. A few bytes of lpq can claim any number of rows (a run is two
-// varints), so every lpq byte from S3, a payload, a result message or the
+// it streams past; the inputs a task holds whole — its build sides, the
+// partitions it collected, or a regroup's group — share one third of the
+// budget, a build side charged from its footers (twice its rows × projected
+// widths: the build pipeline holds the scanned chunks and the one it
+// concatenates them into) before the task's first request window. A few
+// bytes of lpq can claim any number of rows (a run is two varints), so every
+// lpq byte from S3, a payload, a result message or the
 // result cache is decoded by lpq.ReadFiles, which sums the rows × widths its
 // footers claim and refuses, typed, before it allocates past its bound: on a
 // worker the bound is what is left of the resident budget, and the refusal is

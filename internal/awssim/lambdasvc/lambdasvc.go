@@ -28,7 +28,16 @@ import (
 var (
 	ErrNoSuchFunction  = errors.New("lambda: no such function")
 	ErrTooManyRequests = errors.New("lambda: too many requests (concurrency limit)")
+	// ErrPayloadTooLarge is Lambda's refusal of an asynchronous invocation
+	// whose payload is over MaxAsyncPayloadBytes: not billed, not counted,
+	// and no retry helps.
+	ErrPayloadTooLarge = errors.New("lambda: request payload exceeds the asynchronous invocation limit")
 )
+
+// MaxAsyncPayloadBytes is Lambda's invocation payload quota for an
+// asynchronous invocation, 256 KB
+// (https://docs.aws.amazon.com/lambda/latest/dg/gettingstarted-limits.html).
+const MaxAsyncPayloadBytes = 256 << 10
 
 // MaxMemoryMiB is the largest configurable function size in the era the
 // paper measures.
@@ -246,8 +255,13 @@ type InvokeOptions struct {
 
 // Invoke performs an asynchronous invocation: the caller pays the Invoke
 // API round trip; the worker body is spawned on the runtime. It returns
-// ErrTooManyRequests if the concurrency limit is reached.
+// ErrTooManyRequests if the concurrency limit is reached, and refuses a
+// payload over MaxAsyncPayloadBytes with ErrPayloadTooLarge before anything
+// else.
 func (s *Service) Invoke(env simenv.Env, name string, payload []byte, opts InvokeOptions) error {
+	if len(payload) > MaxAsyncPayloadBytes {
+		return fmt.Errorf("%w: %d bytes to %s, over %d", ErrPayloadTooLarge, len(payload), name, MaxAsyncPayloadBytes)
+	}
 	s.mu.Lock()
 	f, ok := s.fns[name]
 	if !ok {

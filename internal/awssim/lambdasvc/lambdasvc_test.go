@@ -11,6 +11,7 @@ import (
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/netmodel"
 	"lambada/internal/obs"
+	"lambada/internal/resilience"
 	"lambada/internal/simclock"
 )
 
@@ -221,5 +222,38 @@ func TestManyWorkersSimRuntime(t *testing.T) {
 	}
 	if s.Running() != 0 {
 		t.Errorf("running = %d after completion", s.Running())
+	}
+}
+
+// TestPayloadLimit: an asynchronous payload of MaxAsyncPayloadBytes is
+// invoked; one byte more is refused with the typed, non-retryable
+// ErrPayloadTooLarge, before the service counts or bills the invocation or
+// draws a start delay for it.
+func TestPayloadLimit(t *testing.T) {
+	meter := pricing.NewCostMeter()
+	rt := &GoRuntime{}
+	s := New(Config{Meter: meter}, rt)
+	var ran atomic.Int32
+	if err := s.CreateFunction("f", 1792, time.Minute, func(*Ctx, []byte) error { ran.Add(1); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	env := simenv.NewImmediate()
+	if err := s.Invoke(env, "f", make([]byte, MaxAsyncPayloadBytes), InvokeOptions{}); err != nil {
+		t.Fatalf("a payload at the limit: %v", err)
+	}
+	rt.WaitIdle()
+	err := s.Invoke(env, "f", make([]byte, MaxAsyncPayloadBytes+1), InvokeOptions{})
+	switch {
+	case !errors.Is(err, ErrPayloadTooLarge):
+		t.Fatalf("a payload one byte over the limit: err = %v, want ErrPayloadTooLarge", err)
+	case resilience.Retryable(err):
+		t.Errorf("ErrPayloadTooLarge classified retryable")
+	}
+	rt.WaitIdle()
+	if total, _ := s.Invocations(); total != 1 || ran.Load() != 1 {
+		t.Errorf("%d invocations counted, %d ran; want the one at the limit", total, ran.Load())
+	}
+	if n := meter.Count(pricing.LabelLambdaRequests); n != 1 {
+		t.Errorf("%d Invoke requests billed, want 1", n)
 	}
 }

@@ -18,7 +18,7 @@ import (
 	"lambada/internal/tpch"
 )
 
-// The resident budget: a task's broadcast tables, the partitions it
+// The resident budget: a task's build sides, the partitions it
 // collected and a regroup's group draw on one third of the engine budget
 // (residentBudget), and every lpq byte a worker or the driver decodes is
 // held to its bound before it is allocated. Each repro below is a query an
@@ -211,4 +211,44 @@ func oneGroupBomb(rows uint64) []byte {
 	footer = uv(footer, rows) // total rows
 	out := binary.LittleEndian.AppendUint32(append(data, footer...), uint32(len(footer)))
 	return append(out, "LPQ2"...)
+}
+
+// TestBuildSideOverBudgetRefusedBeforeRead: a hash join holds its build side
+// whole, so a worker charges it to its resident budget from the footers
+// before its first request window. ORDERS at SF 0.02 — 30 000 rows of the
+// two columns q12 projects, 480 KB — is under the broadcast row limit and
+// past the smallest worker's resident budget: every worker fails with a
+// non-retryable ErrWorkerOOM seal, and the only GETs its bucket bills are
+// the planner's two opens. A full-size worker runs the same query and reads
+// the build side.
+func TestBuildSideOverBudgetRefusedBeforeRead(t *testing.T) {
+	run := func(memoryMiB int) (int64, error) {
+		cfg := DefaultConfig()
+		cfg.WorkerMemoryMiB = memoryMiB
+		d, env, _ := goSession(t, cfg, layout{})
+		g := tpch.Gen{SF: 0.02, Seed: 5}
+		li := g.Generate()
+		tables := TableFiles{}
+		var err error
+		if tables["lineitem"], err = d.UploadTable(env, "tpch", "lineitem", li, 4, lpq.WriterOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if tables["orders"], err = d.UploadTable(env, "build", "orders", g.OrdersFor(li), 2, lpq.WriterOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := d.dep.S3.BucketStats("build")
+		_, _, err = d.RunSQLStaged(env, q12ExactSQL, tables, DefaultStageConfig())
+		after, _ := d.dep.S3.BucketStats("build")
+		return after.Gets - before.Gets, err
+	}
+	gets, err := run(smallWorker)
+	wantOOM(t, err, "build side")
+	if gets != 2 {
+		t.Errorf("the build side's bucket billed %d GETs, want the planner's 2 opens", gets)
+	}
+	if gets, err = run(DefaultConfig().WorkerMemoryMiB); err != nil {
+		t.Fatalf("a full-size worker: %v", err)
+	} else if gets <= 2 {
+		t.Errorf("a full-size worker's query billed %d GETs on the build side's bucket, want its workers' reads past the 2 opens", gets)
+	}
 }

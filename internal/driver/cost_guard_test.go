@@ -264,6 +264,12 @@ func assertRequests(t *testing.T, name string, got, want map[string]int64) {
 // sooner, so the driver's polls are as measured (SQS staged q12 25 → 24).
 // Every Lambda, S3 and DynamoDB-write count is unchanged: the keyed delete
 // that now runs behind the result is free and never was counted here.
+//
+// The broadcast row's S3 reads were re-recorded once more, for one cause: a
+// build side is a pinned file. The driver reads no table data; every worker
+// of a stage that scans a build table reads its files itself, one GET per
+// file, in its first request window (broadcast 17 → 19). Every other count
+// of every row is unchanged.
 func TestExecutorRequestGuard(t *testing.T) {
 	single := func(sql string) func(*Session, simenv.Env, TableFiles) error {
 		return func(d *Session, env simenv.Env, tables TableFiles) error {
@@ -339,13 +345,15 @@ func TestExecutorRequestGuard(t *testing.T) {
 		pricing.LabelSQS: 24, pricing.LabelDynamoRead: 5, pricing.LabelDynamoWrite: 3,
 	})
 
-	// ORDERS broadcast: the driver reads the table through the source the
-	// planner opened it with, and with the merge on the driver nothing is left
-	// to shuffle — one stage, no boundary, so rule 1 gives it no DynamoDB
+	// ORDERS broadcast: with the merge on the driver nothing is left to
+	// shuffle — one stage, no boundary, so rule 1 gives it no DynamoDB
 	// request and no LIST at all. Eight opens, the planner's six and the two
 	// lineitem workers' (26 → 22 S3 reads: the final stage's collects;
 	// 22 → 19: the three lineitem row groups' one GET fewer each, as above;
-	// 19 → 17: the two workers' opens).
+	// 19 → 17: the two workers' opens). 17 → 19: the build side is a pinned
+	// file. The driver no longer loads ORDERS (two GETs, one per file), and
+	// each of the two lineitem workers reads both ORDERS files in its first
+	// request window, one GET each (four). The SQS polls did not move.
 	assertRequests(t, "staged q12, orders broadcast", billedRequests(t, nil, func(d *Session, env simenv.Env, tables TableFiles) error {
 		scfg := DefaultStageConfig()
 		scfg.Partitions = 2
@@ -356,7 +364,7 @@ func TestExecutorRequestGuard(t *testing.T) {
 		}
 		return err
 	}), map[string]int64{
-		pricing.LabelLambdaRequests: 2, pricing.LabelS3Read: 17, pricing.LabelSQS: 10,
+		pricing.LabelLambdaRequests: 2, pricing.LabelS3Read: 19, pricing.LabelSQS: 10,
 	})
 
 	// Multi-level boundaries and admission-capped launch: the two scan

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 	"time"
 
@@ -223,9 +224,10 @@ type workerPayload struct {
 	// identically-numbered run is structurally unable to satisfy this run's
 	// barriers, no matter when it wakes. 0 for plans without a boundary.
 	Epoch int `json:"epoch,omitempty"`
-	// Broadcast carries small driver-side tables (lpq blobs by table name)
-	// referenced by join plans.
-	Broadcast map[string][]byte `json:"broadcast,omitempty"`
+	// Build holds the files of the broadcast joins' build sides, by table:
+	// every file of each, pinned like Files. The worker reads them itself,
+	// in its first request window.
+	Build map[string][]scan.FileRef `json:"build,omitempty"`
 }
 
 // maxFanout bounds the counts of a payload that size a worker's slices: far
@@ -251,12 +253,40 @@ func (p *workerPayload) check() error {
 	if len(p.Plan) == 0 && (len(x.Inputs) != 1 || x.Output == nil) {
 		return errors.New("task carries neither a plan nor a boundary to regroup")
 	}
-	for _, f := range p.Files {
-		if len(f.Footer) == 0 {
-			return fmt.Errorf("%w: %s/%s carries none", errShippedFooter, f.Bucket, f.Key)
+	for name, files := range p.Build {
+		if name == p.Table || len(files) == 0 {
+			return fmt.Errorf("build table %q: no files, or the task's own scan table", name)
+		}
+	}
+	_, tables := p.tables()
+	for _, files := range tables {
+		for _, f := range files {
+			if len(f.Footer) == 0 {
+				return fmt.Errorf("%w: %s/%s carries none", errShippedFooter, f.Bucket, f.Key)
+			}
 		}
 	}
 	return nil
+}
+
+// tables lists every table the task scans from S3 — its own and its build
+// sides' — in name order, with their files.
+func (p *workerPayload) tables() (names []string, files [][]scan.FileRef) {
+	for name := range p.Build {
+		names = append(names, name)
+	}
+	if len(p.Files) > 0 {
+		names = append(names, p.Table)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f, build := p.Build[name]
+		if !build {
+			f = p.Files
+		}
+		files = append(files, f)
+	}
+	return names, files
 }
 
 // errShippedFooter fails a task whose scan file comes without its footer, or
@@ -341,8 +371,8 @@ func (d *Session) workerHandler(ctx *lambdasvc.Ctx, payload []byte) error {
 
 	// First-generation workers launch their children before their own
 	// fragment (§4.2), in the spawn phase, under which the children's spans
-	// hang. Only the child's ID is read here; its payload — the broadcast
-	// blobs included — is decoded once, by the child.
+	// hang. Only the child's ID is read here; its payload — the pinned
+	// footers included — is decoded once, by the child.
 	if len(p.Children) > 0 {
 		spawn := d.dep.Trace.Phase(ctx.Env, "spawn", ctx.Env.Now())
 		pacing := invoke.WorkerPacing(d.cfg.Region)
@@ -417,12 +447,14 @@ func (m memGuardSource) guard(yield func(*columnar.Chunk) error) func(*columnar.
 // of the paper's double-buffered scan, which also holds the next group. What
 // the scan's request window holds beyond the group being decoded — at most
 // its payload break-even, ≈ 2.9 MiB of compressed bytes of the groups after
-// it — is that next group's share. A scanned chunk is checked here, after its
-// row group's rows × widths were held to the budget from the footer before
-// any of its bytes were fetched (scan.Pinned). The inputs a task holds whole
-// — its broadcast tables, the partitions it collected, or a regroup's group
-// — share one residentBudget, which the decoder (lpq.ReadFiles) holds each
-// to before it allocates.
+// it, and as much for each other table while the task's first window waits
+// to be scanned — is that next group's share. A scanned chunk is checked
+// here, after its row group's rows × widths were held to the budget from the
+// footer before any of its bytes were fetched (scan.Pinned). The inputs a
+// task holds whole — its build sides, the partitions it collected, or a
+// regroup's group — share one residentBudget: a build side is charged from
+// its footers (scan.Source.Hold), the rest are held to it by the decoder
+// (lpq.ReadFiles) before it allocates.
 func checkWorkingSet(n, budget int64) error {
 	if need := 3 * n; need > budget {
 		return fmt.Errorf("%w: chunk working set %d MiB exceeds engine budget %d MiB", ErrWorkerOOM, need>>20, budget>>20)
@@ -455,33 +487,49 @@ func engineMemoryBudget(memoryMiB int) int64 {
 	return max(int64(memoryMiB-headroomMiB)<<20, 1<<20)
 }
 
-// fragmentCatalog decodes the task's plan fragment and binds what it scans:
-// the worker's files behind the memory guard — every shipped footer decoded
-// here, before any request (scan.Pinned), and every row group held to the
-// engine budget before its bytes are fetched — and the broadcast tables, the
-// first draw on the task's resident budget. It returns what is left of it.
+// fragmentCatalog decodes the task's plan fragment and binds every table it
+// scans from S3 — its own files and its build sides' — behind the memory
+// guard, through one scan.Pinned call: every shipped footer is decoded here,
+// before any request, and every row group held to the engine budget before
+// its bytes are fetched. Each source is told the one scan the fragment runs
+// over it (Expect), so the first scan of any of them fetches the first
+// request window of all of them at once. A hash join holds its build side
+// whole: twice each build table's rows × projected widths, from its footers,
+// is the first draw on the task's resident budget, refused past it before any
+// byte is fetched. It returns what is left of that budget.
 func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *workerPayload) (engine.Plan, engine.Catalog, int64, error) {
 	plan, err := engine.UnmarshalPlan(p.Plan)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	cat := engine.Catalog{}
-	if len(p.Files) > 0 {
-		budget := engineMemoryBudget(ctx.MemoryMiB)
-		src, err := scan.Pinned(client, budget, p.Files...)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("%w: %w", errShippedFooter, err)
-		}
-		cat[p.Table] = memGuardSource{Source: src, budget: budget}
+	names, files := p.tables()
+	budget := engineMemoryBudget(ctx.MemoryMiB)
+	srcs, err := scan.Pinned(client, budget, files...)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("%w: %w", errShippedFooter, err)
 	}
-	rest := residentBudget(ctx.MemoryMiB)
-	for name, blob := range p.Broadcast {
-		c, err := lpq.ReadFiles(rest, blob)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("decoding broadcast table %q: %w", name, err)
+	scans := map[string][]*engine.ScanPlan{}
+	engine.VisitScans(plan, func(s *engine.ScanPlan) {
+		scans[s.Table] = append(scans[s.Table], s)
+	})
+	cat, rest := engine.Catalog{}, residentBudget(ctx.MemoryMiB)
+	for i, name := range names {
+		src := srcs[i]
+		if sc := scans[name]; len(sc) == 1 {
+			src.Expect(sc[0].Projection, sc[0].Prune, sc[0].Filter)
 		}
-		rest -= c.ByteSize()
-		cat[name] = engine.NewMemSource(c.Schema, c)
+		if _, build := p.Build[name]; build {
+			// The build pipeline holds the side twice at its peak: the
+			// chunks the scan yielded, and the one it concatenates them into.
+			for _, sc := range scans[name] {
+				n, err := src.Hold(sc.Projection, sc.Prune, rest/2)
+				if err != nil {
+					return nil, nil, 0, fmt.Errorf("build side %q: %w", name, err)
+				}
+				rest -= 2 * n
+			}
+		}
+		cat[name] = memGuardSource{Source: src, budget: budget}
 	}
 	return plan, cat, rest, nil
 }

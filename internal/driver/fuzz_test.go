@@ -24,7 +24,7 @@ import (
 // payloadSeeds returns one payload of every task shape the scheduler builds,
 // as its workers receive them: q1's scan task; q12's at three partitions over
 // multi-level boundaries — scan, regroup and join tasks; and q12's scan task
-// with ORDERS broadcast, its blob inside.
+// with ORDERS broadcast, its files pinned beside the task's own.
 func payloadSeeds(t testing.TB) [][]byte {
 	dep := NewLocal()
 	env := simenv.NewImmediate()
@@ -82,15 +82,19 @@ func payloadSeeds(t testing.TB) [][]byte {
 // FuzzWorkerPayload: the invocation blob is outside bytes to the worker that
 // receives it. Whatever they are, decoding them, checking the task's counts
 // and that every scan file carries its footer (workerPayload.check) and
-// binding its fragment (fragmentCatalog: the plan JSON, the shipped footers,
-// the broadcast blobs) gives an error or a task — never a panic, never an S3
-// request, and never more memory than the worker's engine budget allows,
-// however many rows a blob's or a file's footer claims. The deployment has no
+// binding its fragment (fragmentCatalog: the plan JSON, the shipped footers
+// of its files and its build sides', the build sides' resident charge) gives
+// an error or a task with every table it names bound — never a panic, never
+// an S3 request, and never more memory than the worker's engine budget
+// allows, however many rows a file's footer claims. The deployment has no
 // file behind any name, and nothing here reads one. testdata/fuzz/
 // FuzzWorkerPayload holds the seeds as built at PR 24 (the two regroup ones
 // as the planner builds them since PR 25; their scan files carry no footer,
 // which check now refuses), a scan task as the planner pins it
-// (q1-scan-pinned) and the crashers found since.
+// (q1-scan-pinned), the broadcast q12 task with its ORDERS files pinned
+// (q12-broadcast-pinned) and the crashers found since; the two that carry a
+// broadcast blob (broadcast-run-bomb, q12-resident-orders) decode to tasks
+// without it.
 func FuzzWorkerPayload(f *testing.F) {
 	for _, seed := range payloadSeeds(f) {
 		f.Add(seed)
@@ -109,11 +113,12 @@ func FuzzWorkerPayload(f *testing.F) {
 		}
 		if err == nil && len(p.Plan) > 0 {
 			plan, bound, rest, cerr := sess.fragmentCatalog(ctx, client, &p)
-			if err = cerr; err == nil && (plan == nil || len(bound) < len(p.Broadcast)) {
-				t.Errorf("fragment bound to plan %v and %d of %d broadcast tables, without an error", plan, len(bound), len(p.Broadcast))
+			names, _ := p.tables()
+			if err = cerr; err == nil && (plan == nil || len(bound) != len(names)) {
+				t.Errorf("fragment bound to plan %v and %d of %d tables, without an error", plan, len(bound), len(names))
 			}
 			if err == nil && (rest < 0 || rest > residentBudget(ctx.MemoryMiB)) {
-				t.Errorf("broadcast tables left %d of the %d-byte resident budget", rest, residentBudget(ctx.MemoryMiB))
+				t.Errorf("build sides left %d of the %d-byte resident budget", rest, residentBudget(ctx.MemoryMiB))
 			}
 		}
 		if err == nil && (p.WorkerID >= p.NumWorkers || p.NumWorkers > maxFanout) {
@@ -134,8 +139,10 @@ func FuzzWorkerPayload(f *testing.F) {
 // decode against its size — a bad magic, bytes cut short of the footer, a
 // footer length beyond the object, an object too small for the column
 // chunks the footer places — by fragmentCatalog, each with the typed
-// errShippedFooter, no panic and no S3 request. The file as the planner
-// pinned it binds without a request either.
+// errShippedFooter, no panic and no S3 request. A build side's file is held
+// to the same: each case is refused as the task's own file and as its build
+// table's. The file as the planner pinned it binds without a request either,
+// in both places.
 func TestShippedFooterRefused(t *testing.T) {
 	d, env, tables := goSession(t, DefaultConfig(), layout{Data: 33, LI: 2, Opts: gzipLayout.Opts})
 	pinned, err := scan.New(s3.NewClient(d.dep.S3, env), scan.DefaultConfig(), tables["lineitem"]...).Pin(tables["lineitem"][:1])
@@ -150,8 +157,11 @@ func TestShippedFooterRefused(t *testing.T) {
 	footerLen := len(good.Footer) - 8
 	ctx := &lambdasvc.Ctx{Env: env, MemoryMiB: 1792}
 	client := s3.NewClient(d.dep.S3, env)
-	bind := func(f scan.FileRef) error {
+	bind := func(f scan.FileRef, build bool) error {
 		p := workerPayload{QueryID: "q1", NumWorkers: 1, Plan: plan, Table: "lineitem", Files: []scan.FileRef{f}}
+		if build {
+			p.Files, p.Build = []scan.FileRef{good}, map[string][]scan.FileRef{"build": {f}}
+		}
 		err := p.check()
 		if err == nil {
 			_, _, _, err = d.fragmentCatalog(ctx, client, &p)
@@ -159,8 +169,10 @@ func TestShippedFooterRefused(t *testing.T) {
 		return err
 	}
 	reads := d.dep.Meter.Count(pricing.LabelS3Read)
-	if err := bind(good); err != nil {
-		t.Fatalf("the pinned file: %v", err)
+	for _, build := range []bool{false, true} {
+		if err := bind(good, build); err != nil {
+			t.Fatalf("the pinned file (build side: %t): %v", build, err)
+		}
 	}
 	mutated := func(edit func(b []byte)) []byte {
 		b := bytes.Clone(good.Footer)
@@ -179,8 +191,10 @@ func TestShippedFooterRefused(t *testing.T) {
 			Footer: mutated(func(b []byte) { binary.LittleEndian.PutUint32(b[len(b)-8:], uint32(good.Size)) })}},
 		{"size below the column chunks", scan.FileRef{Bucket: good.Bucket, Key: good.Key, Size: int64(footerLen + 9), Footer: good.Footer}},
 	} {
-		if err := bind(tc.f); !errors.Is(err, errShippedFooter) {
-			t.Errorf("%s: %v, want errShippedFooter", tc.name, err)
+		for _, build := range []bool{false, true} {
+			if err := bind(tc.f, build); !errors.Is(err, errShippedFooter) {
+				t.Errorf("%s (build side: %t): %v, want errShippedFooter", tc.name, build, err)
+			}
 		}
 	}
 	if n := d.dep.Meter.Count(pricing.LabelS3Read) - reads; n != 0 {

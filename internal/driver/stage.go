@@ -41,9 +41,10 @@ type StageConfig struct {
 	// partition, at most stageplan.MaxAutoPartitions).
 	Partitions int
 	// BroadcastRowLimit: a join build side of at most this many rows (per
-	// the lpq file footers) is loaded by the driver and broadcast inside
-	// worker payloads instead of shuffled (0 = stageplan's default;
-	// negative = never broadcast).
+	// the lpq file footers) is broadcast instead of shuffled: its files ride
+	// pinned in the payloads of the stage that joins it, and every worker
+	// of that stage reads it whole (0 = stageplan's default; negative =
+	// never broadcast).
 	BroadcastRowLimit int64
 	// MaxStageWait is the no-progress liveness cap: under speculation, a
 	// runnable stage (producers sealed) that goes this long without ANY
@@ -337,10 +338,11 @@ func (d *query) reinvoke(r *stageRun, worker int) error {
 // (joins shuffle or broadcast per the footer row counts, the aggregate merges
 // on the driver or behind a repartition per the footer bounds of its group
 // keys; every fleet sized, every boundary's algorithm chosen, every regroup
-// round a stage), pruned file assignment, and the broadcast blobs the planner
-// asked for — §3.2's "small amounts of data read locally", which the driver
-// loads whole through the sources it opened — runStages runs the DAG as
-// given.
+// round a stage), pruned file assignment, and the build tables of the
+// broadcast joins the planner kept — §3.2's "small amounts of data", which
+// the workers read themselves: every file of each is pinned into the payloads
+// that scan it, and the driver reads no table data — runStages runs the DAG
+// as given.
 func (d *query) plan(plan engine.Plan, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	d.begin()
 	d.dep.Trace.Phase(d.env, "plan", d.env.Now())
@@ -447,19 +449,17 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, cfg StageConfig) (*col
 		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
 	}
 
-	// The tables the planner kept as broadcast joins, loaded whole through
-	// the source the planner opened: the footers are paid for.
-	blobs := map[string][]byte{}
+	// The tables the planner kept as broadcast joins' build sides ride the
+	// payloads that scan them as pinned files, every file of each: the
+	// workers read them in their first request window, and the driver reads
+	// no table data.
+	build := TableFiles{}
 	for _, name := range sp.Broadcast {
-		chunk, err := engine.Execute(&engine.ScanPlan{Table: name}, engine.Catalog{name: srcs[name]})
-		if err != nil {
-			return nil, nil, fmt.Errorf("driver: loading broadcast table %q: %w", name, err)
-		}
-		if blobs[name], err = lpq.WriteFile(chunk.Schema, lpq.WriterOptions{}, chunk); err != nil {
-			return nil, nil, err
+		if build[name], err = srcs[name].Pin(srcs[name].Files); err != nil {
+			return nil, nil, fmt.Errorf("driver: opening %q: %w", name, err)
 		}
 	}
-	return d.runStages(sp, scanFiles, blobs, cfg)
+	return d.runStages(sp, scanFiles, build, cfg)
 }
 
 // runStages is the executor — the one place a query's fleet is launched and
@@ -491,9 +491,10 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, cfg StageConfig) (*col
 //  2. A stage writes its DynamoDB ready marker iff some other stage run
 //     depends on it; nobody waits on the result stage, so it writes none.
 //
-// scanFiles assigns each scanned table its files; blobs are the broadcast
-// tables (lpq blobs by name) shipped inside the payloads that scan them.
-func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[string][]byte, cfg StageConfig) (*columnar.Chunk, *Report, error) {
+// scanFiles assigns each scanned table its files; build holds the broadcast
+// joins' build tables, every file pinned, shipped inside the payloads that
+// scan them.
+func (d *query) runStages(sp *stageplan.Plan, scanFiles, build TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	resultStage := sp.ResultStage()
 	if resultStage == nil {
 		return nil, nil, fmt.Errorf("driver: stage plan has no result stage")
@@ -503,7 +504,7 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, blobs map[st
 		return nil, nil, err
 	}
 	tr := d.dep.Trace
-	s, err := d.newScheduler(sp, scanFiles, blobs, cfg, ns, epoch)
+	s, err := d.newScheduler(sp, scanFiles, build, cfg, ns, epoch)
 	var result *columnar.Chunk
 	if err == nil {
 		tr.EndPhase(d.env, d.env.Now()) // plan
@@ -651,11 +652,11 @@ func (d *query) reclaim(s *scheduler, ns boundarySpec, epoch int) {
 // launched yet. Every stage's payloads are computable up front — the plan
 // fixes the fleet sizes — so pipelined launch can invoke consumers before
 // their producers seal.
-func (d *query) newScheduler(sp *stageplan.Plan, scanFiles TableFiles, blobs map[string][]byte, cfg StageConfig, ns boundarySpec, epoch int) (*scheduler, error) {
+func (d *query) newScheduler(sp *stageplan.Plan, scanFiles, build TableFiles, cfg StageConfig, ns boundarySpec, epoch int) (*scheduler, error) {
 	s := &scheduler{queryID: d.id, epoch: epoch, speculate: d.cfg.Speculate,
 		maxStageWait: cfg.MaxStageWait, waves: d.cfg.testWaveLaunch, byID: map[int]*stageRun{}}
 	for _, st := range sp.Stages {
-		ps, err := d.stagePayloads(epoch, st, scanFiles[st.Table], s.byID, blobs, ns)
+		ps, err := d.stagePayloads(epoch, st, scanFiles[st.Table], s.byID, build, ns)
 		if err != nil {
 			return nil, err
 		}
@@ -983,7 +984,7 @@ func (d *query) receive(n int) (msgs []sqs.Message, full int, err error) {
 // ships no boundary spec: its payload is the bare fragment plus its files.
 // byID holds the runs of the stage's producers (stages arrive in
 // topological order); ns is the query's boundary namespace.
-func (d *query) stagePayloads(epoch int, st *stageplan.Stage, files []scan.FileRef, byID map[int]*stageRun, blobs map[string][]byte, ns boundarySpec) ([]workerPayload, error) {
+func (d *query) stagePayloads(epoch int, st *stageplan.Stage, files []scan.FileRef, byID map[int]*stageRun, build TableFiles, ns boundarySpec) ([]workerPayload, error) {
 	n := st.Workers
 	var planJSON []byte
 	if st.Plan != nil {
@@ -1005,15 +1006,14 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, files []scan.FileR
 		spec = &ns
 	}
 
-	// Only ship the broadcast blobs the fragment scans (join build sides
-	// included).
-	var stageBlobs map[string][]byte
+	// Only ship the build tables the fragment scans.
+	var stageBuild TableFiles
 	engine.VisitScans(st.Plan, func(s *engine.ScanPlan) {
-		if blob, ok := blobs[s.Table]; ok {
-			if stageBlobs == nil {
-				stageBlobs = map[string][]byte{}
+		if files, ok := build[s.Table]; ok {
+			if stageBuild == nil {
+				stageBuild = TableFiles{}
 			}
-			stageBlobs[s.Table] = blob
+			stageBuild[s.Table] = files
 		}
 	})
 
@@ -1029,7 +1029,7 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, files []scan.FileR
 			StageID:     st.ID,
 			Boundary:    spec,
 			Epoch:       epoch,
-			Broadcast:   stageBlobs,
+			Build:       stageBuild,
 		}
 		if st.Table != "" {
 			hi := min((w+1)*per, len(files))
@@ -1125,7 +1125,7 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 			}
 		}
 		// Read once: every input's partition through one request window,
-		// within what the broadcast tables left of the resident budget.
+		// within what the build sides left of the resident budget.
 		collect := tr.Phase(env, "collect", env.Now())
 		chunks, err := exchange.CollectSealed(client, opts, p.WorkerID, inputs, rest)
 		if err != nil {

@@ -16,9 +16,9 @@ var ErrJoinKey = errors.New("unsupported join key")
 
 // JoinPlan is an inner hash join: the Right (small) side is materialized
 // into a hash table, the Left side streams through it. In distributed
-// plans the right side is a driver-broadcast table (§3.2: small scopes run
-// on the driver to read "small amounts of data locally that should be
-// broadcasted into the serverless workers").
+// plans the right side is a broadcast table (§3.2's "small amounts of data
+// ... that should be broadcasted into the serverless workers"), which every
+// worker of the stage reads whole.
 //
 // Keys are the equal-length lists LeftKeys/RightKeys: row i of the left
 // keys joins against row i of the right keys. All key columns must be

@@ -5,12 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
+	"time"
 
 	"lambada/internal/awssim/pricing"
 	"lambada/internal/awssim/s3"
 	"lambada/internal/awssim/simenv"
 	"lambada/internal/columnar"
 	"lambada/internal/lpq"
+	"lambada/internal/netmodel"
+	"lambada/internal/simclock"
 )
 
 // TestPinShipsTheStoredTrailer: a pinned ref carries the object's size and
@@ -79,10 +82,11 @@ func TestPinnedSourceBillsOnlyData(t *testing.T) {
 	}
 
 	before := meter.Count(pricing.LabelS3Read)
-	src, err := Pinned(newClient(svc), 0, pinned...)
+	srcs, err := Pinned(newClient(svc), 0, pinned)
 	if err != nil {
 		t.Fatal(err)
 	}
+	src := srcs[0]
 	if n := meter.Count(pricing.LabelS3Read) - before; n != 0 {
 		t.Fatalf("Pinned billed %d S3 reads", n)
 	}
@@ -117,10 +121,11 @@ func TestPinnedBoundRefusesBeforeFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bound := range []int64{16*groupRows - 1, 16 * groupRows} {
-		src, err := Pinned(newClient(svc), bound, pinned...)
+		srcs, err := Pinned(newClient(svc), bound, pinned)
 		if err != nil {
 			t.Fatal(err)
 		}
+		src := srcs[0]
 		before := meter.Count(pricing.LabelS3Read)
 		err = src.Scan(proj, nil, func(*columnar.Chunk) error { return nil })
 		gets := meter.Count(pricing.LabelS3Read) - before
@@ -130,5 +135,122 @@ func TestPinnedBoundRefusesBeforeFetch(t *testing.T) {
 		case bound == 16*groupRows && (err != nil || gets == 0):
 			t.Errorf("bound %d: err = %v after %d GETs, want the groups scanned", bound, err, gets)
 		}
+	}
+}
+
+// TestPinnedTablesShareTheFirstWindow: the sources of one Pinned call, each
+// told the scan it will run (Expect), fetch their first request windows
+// together at the first scan of either: two one-file tables scanned one
+// after the other on DES take one first-byte latency, where the same sources
+// without an expectation take one each. The rows, GETs and bytes are the
+// separate scans'. A scan that asks for something other than its source
+// expects still reads its rows.
+func TestPinnedTablesShareTheFirstWindow(t *testing.T) {
+	proj := []string{"l_orderkey", "l_partkey"} // adjacent: a span a row group
+	meter := pricing.NewCostMeter()
+	svc := s3.New(s3.Config{Meter: meter, GetLatency: netmodel.Constant(lat)})
+	refs, _ := uploadLineitemOpts(t, svc, 0.002, 2, lpq.WriterOptions{RowGroupRows: 2000})
+	pinned, err := New(newClient(svc), DefaultConfig(), refs...).Pin(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := [][]FileRef{pinned[:1], pinned[1:]}
+	var want []*columnar.Chunk
+	var wantGets, wantBytes int64
+	for _, files := range tables {
+		srcs, err := Pinned(newClient(svc), 0, files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, collectScan(t, srcs[0], proj, nil)...)
+		st := srcs[0].Stats()
+		wantGets, wantBytes = wantGets+st.BilledGets, wantBytes+st.BilledBytes
+	}
+
+	for _, expect := range []bool{true, false} {
+		var got []*columnar.Chunk
+		var gets, bytes int64
+		took := onKernel(t, func(p *simclock.Proc) {
+			srcs, err := Pinned(s3.NewClient(svc, p), 0, tables...)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, src := range srcs {
+				if expect {
+					src.Expect(proj, nil, nil)
+				}
+			}
+			for _, src := range srcs {
+				got = append(got, collectScan(t, src, proj, nil)...)
+				st := src.Stats()
+				gets, bytes = gets+st.BilledGets, bytes+st.BilledBytes
+			}
+		})
+		chunksIdentical(t, got, want)
+		if gets != wantGets || bytes != wantBytes {
+			t.Errorf("expect=%t: billed %d GETs, %d bytes; the separate scans %d, %d", expect, gets, bytes, wantGets, wantBytes)
+		}
+		if windows := map[bool]time.Duration{true: 1, false: 2}[expect]; took != windows*lat {
+			t.Errorf("expect=%t: the two scans took %v, want %d first-byte latencies of %v", expect, took, windows, lat)
+		}
+	}
+
+	srcs, err := Pinned(newClient(svc), 0, tables...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs[0].Expect(proj, nil, nil)
+	srcs[1].Expect(proj[:1], nil, nil)
+	got := collectScan(t, srcs[0], proj, nil)
+	got = append(got, collectScan(t, srcs[1], proj, nil)...)
+	chunksIdentical(t, got, want)
+}
+
+// TestHoldReadsAGroupInOneGet: a held source — a build side — reads each row
+// group of a scan without a filter in one GET over its projected column
+// chunks, holes included, where s3fs.PlanSpans' waste bound splits two
+// far-apart columns into two; the rows are the same. Hold counts what the
+// scan keeps, rows × projected widths from the footers, and refuses one byte
+// less with lpq.ErrOverBound before any request.
+func TestHoldReadsAGroupInOneGet(t *testing.T) {
+	proj := []string{"l_orderkey", "l_shipdate"} // 16 bytes a row, far apart
+	meter := pricing.NewCostMeter()
+	svc := s3.New(s3.Config{Meter: meter})
+	refs, data := uploadLineitemOpts(t, svc, 0.002, 2, lpq.WriterOptions{RowGroupRows: 2000})
+	pinned, err := New(newClient(svc), DefaultConfig(), refs...).Pin(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bind := func() *Source {
+		srcs, err := Pinned(newClient(svc), 0, pinned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srcs[0]
+	}
+	plain := bind()
+	want := collectScan(t, plain, proj, nil)
+	gets, _ := groupSpans(t, plain, proj)
+	groups := int64(len(gets))
+	if st := plain.Stats(); st.BilledGets != 2*groups {
+		t.Fatalf("an unheld scan billed %d GETs for %d row groups, want two far-apart spans each", st.BilledGets, groups)
+	}
+
+	rows := int64(data.NumRows())
+	before := meter.Count(pricing.LabelS3Read)
+	if _, err := bind().Hold(proj, nil, 16*rows-1); !errors.Is(err, lpq.ErrOverBound) {
+		t.Errorf("held under its %d bytes: err = %v, want lpq.ErrOverBound", 16*rows, err)
+	}
+	held := bind()
+	if n, err := held.Hold(proj, nil, 16*rows); err != nil || n != 16*rows {
+		t.Fatalf("Hold = %d, %v; want %d", n, err, 16*rows)
+	}
+	if n := meter.Count(pricing.LabelS3Read) - before; n != 0 {
+		t.Errorf("Hold billed %d S3 reads", n)
+	}
+	chunksIdentical(t, collectScan(t, held, proj, nil), want)
+	if st := held.Stats(); st.BilledGets != groups {
+		t.Errorf("the held scan billed %d GETs for %d row groups, want one each", st.BilledGets, groups)
 	}
 }

@@ -15,7 +15,9 @@
 //	    (ROADMAP, direction 4(b));
 //	(2) the coalesced column ranges of consecutive row groups, across files,
 //	    issued in one request window while their bytes add up to at most
-//	    payloadBreakEven (s3fs.ReadWindow; ScanFiltered);
+//	    payloadBreakEven (s3fs.ReadWindow; ScanFiltered) — and the first
+//	    such window of every table one task scans, issued together (Pinned,
+//	    Expect);
 //	(1) multiple chunked requests per read, only as a fallback, since extra
 //	    requests cost money (Figure 7).
 //
@@ -39,6 +41,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 
 	"lambada/internal/awssim/s3"
@@ -96,6 +99,14 @@ type Source struct {
 	// bound, when positive, caps what a row group's kept rows decode to: a
 	// worker's engine budget (Pinned).
 	bound int64
+	// shared is the first request window this source shares with the other
+	// sources of its Pinned call; expect, the scan it was told to expect
+	// there (Expect) and, once that window is fetched, what it read for it.
+	shared *firstWindow
+	expect *walk
+	// whole marks a source whose consumer holds all it yields (Hold): a row
+	// group read whole is one range over its projected column chunks.
+	whole bool
 
 	mu    sync.Mutex
 	opens map[string]*openState
@@ -204,24 +215,35 @@ func New(client *s3.Client, _ Config, files ...FileRef) *Source {
 	}
 }
 
-// Pinned returns a source over files that carry their footers (Pin). Each is
-// decoded here, before any request, through lpq.OpenTail with all of its
-// checks and none of its reads, so the source never opens a file from S3 and
-// every request it makes is a data read. A file without its footer, or with
-// one that does not decode against its size, fails it. A row group that would
-// decode past bound bytes (> 0) fails the scan before its bytes are fetched.
-func Pinned(client *s3.Client, bound int64, files ...FileRef) (*Source, error) {
-	t := NewFooters()
-	for _, f := range files {
-		r, err := lpq.OpenTail(nil, f.Size, f.Footer)
-		if err != nil {
-			return nil, fmt.Errorf("scan: %s/%s: shipped footer: %w", f.Bucket, f.Key, err)
+// Pinned returns a source per table, in order, over its files, which carry
+// their footers (Pin). Each footer is decoded here, before any request,
+// through lpq.OpenTail with all of its checks and none of its reads, so no
+// source ever opens a file from S3 and every request one makes is a data
+// read. A file without its footer, or with one that does not decode against
+// its size, fails the call. A row group that would decode past bound bytes
+// (> 0) fails its scan before its bytes are fetched.
+//
+// The sources share their first request window: the first scan of any of
+// them plans the first window of every source that was told what its scan
+// will ask for (Expect) and fetches them all at once (s3fs.ReadWindow), so a
+// task that scans a join's two sides pays one first-byte latency for both
+// before each goes on with its own windows.
+func Pinned(client *s3.Client, bound int64, tables ...[]FileRef) ([]*Source, error) {
+	shared := &firstWindow{}
+	for _, files := range tables {
+		t := NewFooters()
+		for _, f := range files {
+			r, err := lpq.OpenTail(nil, f.Size, f.Footer)
+			if err != nil {
+				return nil, fmt.Errorf("scan: %s/%s: shipped footer: %w", f.Bucket, f.Key, err)
+			}
+			t.known[f.Bucket+"/"+f.Key] = footer{size: f.Size, meta: r.Meta(), trailer: r.Trailer()}
 		}
-		t.known[f.Bucket+"/"+f.Key] = footer{size: f.Size, meta: r.Meta(), trailer: r.Trailer()}
+		s := New(client, Config{}, files...)
+		s.Footers, s.bound, s.shared = t, bound, shared
+		shared.srcs = append(shared.srcs, s)
 	}
-	s := New(client, Config{}, files...)
-	s.Footers, s.bound = t, bound
-	return s, nil
+	return shared.srcs, nil
 }
 
 // Pin returns files as refs that carry what this source's opens of them read
@@ -495,7 +517,10 @@ func (s *Source) Scan(proj []string, preds []lpq.Predicate, yield func(*columnar
 // window, which consecutive groups share, across files, while their reads add
 // up to at most payloadBreakEven (a window takes at least one). The trade: a
 // consumer that stops early (a LIMIT the first group meets) has paid for the
-// rest of its window — at most payloadBreakEven bytes and their GETs.
+// rest of its window — at most payloadBreakEven bytes and their GETs. On a
+// source of a Pinned call, the first scan of any of its sources fetches the
+// first window of every one that expects a scan (Expect); a scan that asks
+// for what its source expects starts from the groups fetched there.
 func (s *Source) ScanFiltered(proj []string, preds []lpq.Predicate, filter engine.Expr, yield func(*columnar.Chunk) error) error {
 	// Level 4: the footers of all files in one request window, ahead of the
 	// first file's data — none on a Pinned source, whose table knows them. A
@@ -504,21 +529,110 @@ func (s *Source) ScanFiltered(proj []string, preds []lpq.Predicate, filter engin
 	if len(s.Files) > 1 {
 		_ = OpenAll(s)
 	}
-	var window []*groupRead
+	if fw := s.shared; fw != nil && !fw.fetched {
+		fw.fetch()
+	}
+	var fresh walk
+	w := s.expect
+	s.expect = nil
+	if w == nil || !w.asks(proj, preds, filter) {
+		fresh = walk{proj: proj, preds: preds, filter: filter}
+		w = &fresh
+	} else if err := s.yieldWindow(w.ahead, w.bufs, filter, yield); err != nil {
+		return err
+	} else if w.err != nil {
+		return w.err
+	}
+	for !w.done {
+		window, err := s.nextWindow(w)
+		if rerr := s.readWindow(window, filter, yield); rerr != nil {
+			return rerr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// walk is a scan between two request windows: what it asks for, the next
+// file it opens, the kept row groups of the file before that it has not
+// planned yet, and a group it planned past the last window's end. An
+// expected scan's walk (Expect) also holds what the shared first window
+// fetched for it: the groups, their bytes, and the error the walk met
+// planning them, which the scan returns once they are yielded.
+type walk struct {
+	proj   []string
+	preds  []lpq.Predicate
+	filter engine.Expr
+
+	file int
+	f    FileRef
+	meta *lpq.FileMeta
+	h    *s3fs.File
+	pr   *projection
+	keep []int
+	next *groupRead
+	done bool
+	// window is the last window's backing array, which the next one reuses
+	// once the last is yielded.
+	window []*groupRead
+
+	ahead []*groupRead
+	bufs  [][][]byte
+	err   error
+}
+
+// asks reports whether a scan of proj, preds and filter is the one w walks.
+func (w *walk) asks(proj []string, preds []lpq.Predicate, filter engine.Expr) bool {
+	return reflect.DeepEqual(w.proj, proj) && reflect.DeepEqual(w.preds, preds) && reflect.DeepEqual(w.filter, filter)
+}
+
+// nextWindow plans w's next request window: consecutive row groups, across
+// files, while their first reads add up to at most payloadBreakEven (a window
+// takes at least one). A file that fails to open or to resolve the projection
+// ends the walk with its error, after the window planned before it; a group
+// past the bound ends it at once, with no window.
+func (s *Source) nextWindow(w *walk) ([]*groupRead, error) {
+	window := w.window[:0]
 	var size int64
-	for _, f := range s.Files {
+	if r := w.next; r != nil {
+		window, size, w.next = append(window, r), coveredBytes(r.first), nil
+	}
+	for {
+		for len(w.keep) > 0 {
+			g := w.keep[0]
+			w.keep = w.keep[1:]
+			r, err := s.plan(w.f, w.h, w.meta, g, w.pr, w.preds)
+			if err != nil {
+				w.done = true
+				return nil, err
+			} else if r == nil {
+				continue
+			}
+			n := coveredBytes(r.first)
+			if len(window) > 0 && size+n > payloadBreakEven {
+				w.next, w.window = r, window
+				return window, nil
+			}
+			window, size = append(window, r), size+n
+		}
+		if w.file == len(s.Files) {
+			w.done = true
+			return window, nil
+		}
+		f := s.Files[w.file]
+		w.file++
 		meta, h, err := s.open(f)
 		var pr *projection
 		if err == nil {
-			pr, err = resolveProjection(meta.Schema, proj, filter)
+			pr, err = resolveProjection(meta.Schema, w.proj, w.filter)
 		}
 		if err != nil {
-			if werr := s.readWindow(window, filter, yield); werr != nil {
-				return werr
-			}
-			return err
+			w.done = true
+			return window, err
 		}
-		keep := lpq.PruneRowGroups(meta, preds)
+		keep := lpq.PruneRowGroups(meta, w.preds)
 		s.mu.Lock()
 		s.rowGroupsPruned += int64(meta.NumRowGroups() - len(keep))
 		if len(keep) == 0 {
@@ -528,24 +642,84 @@ func (s *Source) ScanFiltered(proj []string, preds []lpq.Predicate, filter engin
 		// With nothing kept the worker pruned everything from the footer its
 		// payload carried and returns an empty result without a request — the
 		// 100–200 ms workers of Figure 11, which paid a footer read for it.
-		for _, g := range keep {
-			r, err := s.plan(f, h, meta, g, pr, preds)
-			if err != nil {
-				return err
-			} else if r == nil {
-				continue
+		w.f, w.meta, w.h, w.pr, w.keep = f, meta, h, pr, keep
+	}
+}
+
+// firstWindow is the request window the sources of one Pinned call — one
+// task's tables, scanned on one goroutine — share.
+type firstWindow struct {
+	srcs    []*Source
+	fetched bool
+}
+
+// Expect tells a source of a Pinned call the one scan its task will run over
+// it: its first request window is then planned and fetched with the other
+// sources' at the first scan of any of them. A scan that asks for anything
+// else reads as if nothing were expected, and that window's bytes were
+// fetched for nothing.
+func (s *Source) Expect(proj []string, preds []lpq.Predicate, filter engine.Expr) {
+	s.expect = &walk{proj: proj, preds: preds, filter: filter}
+}
+
+// fetch plans the first window of every expected scan and reads them all in
+// one request window (s3fs.ReadWindow). A failed read fails every one of
+// those scans.
+func (fw *firstWindow) fetch() {
+	fw.fetched = true
+	var reads []s3fs.Read
+	for _, s := range fw.srcs {
+		if w := s.expect; w != nil {
+			w.ahead, w.err = s.nextWindow(w)
+			for _, r := range w.ahead {
+				reads = append(reads, s3fs.Read{File: r.h, Ranges: r.first})
 			}
-			n := coveredBytes(r.first)
-			if len(window) > 0 && size+n > payloadBreakEven {
-				if err := s.readWindow(window, filter, yield); err != nil {
-					return err
-				}
-				window, size = window[:0], 0
-			}
-			window, size = append(window, r), size+n
 		}
 	}
-	return s.readWindow(window, filter, yield)
+	if len(reads) == 0 {
+		return
+	}
+	bufs, err := s3fs.ReadWindow(fw.srcs[0].Client, reads)
+	for _, s := range fw.srcs {
+		if w := s.expect; w != nil && err != nil {
+			w.ahead, w.err, w.done = nil, err, true
+		} else if w != nil {
+			w.bufs, bufs = bufs[:len(w.ahead)], bufs[len(w.ahead):]
+		}
+	}
+}
+
+// Hold tells the source that its consumer keeps every row the scan of proj
+// under preds yields — a hash join's build side — and returns what that
+// holds: from the footers alone, the rows preds may keep (lpq.EstimateRows) ×
+// the projected widths, refused past bound bytes with lpq.ErrOverBound before
+// any of them is fetched. Each row group the source then reads whole is one
+// GET, a range over its projected column chunks with the holes between them:
+// a build side rides every worker's first window, where
+// a GET per column chunk would be billed once per worker, while the holes
+// between its columns transfer for free and are at most what a load of the
+// whole table reads.
+func (s *Source) Hold(proj []string, preds []lpq.Predicate, bound int64) (int64, error) {
+	s.whole = true
+	var n int64
+	for _, f := range s.Files {
+		meta, _, err := s.open(f)
+		if err != nil {
+			return 0, err
+		}
+		pr, err := resolveProjection(meta.Schema, proj, nil)
+		if err != nil {
+			return 0, err
+		}
+		width := pr.width()
+		rows := lpq.EstimateRows(meta, preds)
+		if width > 0 && rows > (bound-n)/width {
+			return 0, fmt.Errorf("scan: %s/%s: %w: %d more rows of %d bytes after %d bytes, bound %d",
+				f.Bucket, f.Key, lpq.ErrOverBound, rows, width, n, bound)
+		}
+		n += rows * width
+	}
+	return n, nil
 }
 
 // groupRead is a row group's read between plan and finish: the page slots the
@@ -558,11 +732,13 @@ type groupRead struct {
 	keep  []bool
 	first []s3fs.Range
 	early bool
+	whole bool // first is one range over the projected column chunks (Hold)
 }
 
 // plan is a row group's first step, from the footer alone: its first window
 // is its projected column chunks when read whole (no filter column to fetch
-// first), else the filter's pages the page index kept (all columns are paged
+// first) — on a held source one range over them, holes included — else the
+// filter's pages the page index kept (all columns are paged
 // alike) and, early, the payload's — at most payloadBreakEven, cheaper than
 // another latency. It refuses a group whose kept rows × projected widths pass
 // the bound, wrapping lpq.ErrOverBound. nil: the page index kept nothing.
@@ -571,8 +747,16 @@ func (s *Source) plan(f FileRef, h *s3fs.File, meta *lpq.FileMeta, g int, pr *pr
 	r := &groupRead{h: h, meta: meta, g: g, pr: pr}
 	rows := rg.NumRows
 	if len(pr.fslots) == 0 {
+		lo, hi := int64(math.MaxInt64), int64(0)
 		for _, ci := range pr.cols {
-			r.first = append(r.first, s3fs.Range{Off: rg.Columns[ci].Offset, Len: rg.Columns[ci].CompressedLen})
+			cc := &rg.Columns[ci]
+			r.first = append(r.first, s3fs.Range{Off: cc.Offset, Len: cc.CompressedLen})
+			if cc.CompressedLen > 0 {
+				lo, hi = min(lo, cc.Offset), max(hi, cc.Offset+cc.CompressedLen)
+			}
+		}
+		if r.whole = s.whole && lo < hi; r.whole {
+			r.first = []s3fs.Range{{Off: lo, Len: hi - lo}}
 		}
 	} else {
 		r.keep = lpq.PrunePages(meta, g, preds)
@@ -599,11 +783,7 @@ func (s *Source) plan(f FileRef, h *s3fs.File, meta *lpq.FileMeta, g int, pr *pr
 			r.first = append(r.first, payload...)
 		}
 	}
-	var width int64
-	for _, fl := range pr.schema.Fields {
-		width += int64(fl.Type.Width())
-	}
-	if s.bound > 0 && width > 0 && rows > s.bound/width {
+	if width := pr.width(); s.bound > 0 && width > 0 && rows > s.bound/width {
 		return nil, fmt.Errorf("scan: %s/%s row group %d: %w: %d rows of %d bytes, bound %d",
 			f.Bucket, f.Key, g, lpq.ErrOverBound, rows, width, s.bound)
 	}
@@ -611,9 +791,11 @@ func (s *Source) plan(f FileRef, h *s3fs.File, meta *lpq.FileMeta, g int, pr *pr
 }
 
 // readWindow fetches the planned groups' first reads in one request window
-// (s3fs.ReadWindow), then finishes and yields the groups in order, letting
-// each one's bytes go once it is decoded.
+// (s3fs.ReadWindow), then finishes and yields them (yieldWindow).
 func (s *Source) readWindow(window []*groupRead, filter engine.Expr, yield func(*columnar.Chunk) error) error {
+	if len(window) == 0 {
+		return nil
+	}
 	reads := make([]s3fs.Read, len(window))
 	for i, r := range window {
 		reads[i] = s3fs.Read{File: r.h, Ranges: r.first}
@@ -622,6 +804,13 @@ func (s *Source) readWindow(window []*groupRead, filter engine.Expr, yield func(
 	if err != nil {
 		return err
 	}
+	return s.yieldWindow(window, bufs, filter, yield)
+}
+
+// yieldWindow finishes and yields a window's groups in order, on the bytes
+// its request window read for each (bufs), letting each one's bytes go once
+// it is decoded.
+func (s *Source) yieldWindow(window []*groupRead, bufs [][][]byte, filter engine.Expr, yield func(*columnar.Chunk) error) error {
 	for i, r := range window {
 		c, err := s.finish(r, bufs[i], filter)
 		if err != nil {
@@ -719,7 +908,16 @@ func (s *Source) finishWhole(r *groupRead, bufs [][]byte, filter engine.Expr) (*
 	defer s.releaseState(st)
 	out := s.chunks.GetChunk(r.pr.schema, int(rg.NumRows))
 	for slot, ci := range r.pr.cols {
-		if err := st.DecodeColumnChunkOnto(out.Columns[slot], bufs[slot], rg.Columns[ci], rg.NumRows); err != nil {
+		cc := rg.Columns[ci]
+		var buf []byte
+		switch {
+		case !r.whole:
+			buf = bufs[slot]
+		case cc.CompressedLen > 0:
+			off := cc.Offset - r.first[0].Off
+			buf = bufs[0][off : off+cc.CompressedLen]
+		}
+		if err := st.DecodeColumnChunkOnto(out.Columns[slot], buf, cc, rg.NumRows); err != nil {
 			return nil, err
 		}
 	}
@@ -888,6 +1086,15 @@ type projection struct {
 	schema         *columnar.Schema
 	fslots, pslots []int
 	fschema        *columnar.Schema
+}
+
+// width is the bytes a row of the projection decodes to.
+func (p *projection) width() int64 {
+	var n int64
+	for _, f := range p.schema.Fields {
+		n += int64(f.Type.Width())
+	}
+	return n
 }
 
 func resolveProjection(schema *columnar.Schema, proj []string, filter engine.Expr) (*projection, error) {

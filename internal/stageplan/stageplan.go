@@ -132,8 +132,9 @@ type Plan struct {
 	// engine.WorkerResultTable binds to the result stage's collected
 	// outputs (ordered by worker ID).
 	Driver engine.Plan
-	// Broadcast names the tables the driver must materialize and ship
-	// inside worker payloads (the small sides of broadcast joins).
+	// Broadcast names the build tables of broadcast joins, the small sides:
+	// every worker of a stage that joins one reads all of its files itself,
+	// pinned into its payload by the driver.
 	Broadcast []string
 	// Merge says where the plan's aggregate merges its partials and from
 	// which numbers that was decided ("" without an aggregate) — for Explain.
@@ -185,8 +186,8 @@ type Config struct {
 	Exchange exchange.Variant
 }
 
-// DefaultBroadcastRowLimit is the build-side row count up to which shipping
-// the table inside worker payloads beats a shuffle.
+// DefaultBroadcastRowLimit is the build-side row count up to which every
+// worker reading the whole table beats a shuffle.
 const DefaultBroadcastRowLimit = 1 << 16
 
 // Partition autotuning (Config.Partitions = 0): each boundary partition
@@ -609,7 +610,7 @@ func (c *compiler) embed(st *Stage, p engine.Plan) (engine.Plan, error) {
 }
 
 // embedJoin chooses broadcast or shuffle for one join. Broadcast keeps the
-// join inside st with its build side shipped in worker payloads; shuffle
+// join inside st, every worker of it reading the whole build side; shuffle
 // materializes both sides as upstream stages partitioned on the join keys
 // and rebinds the join to their boundaries.
 func (c *compiler) embedJoin(st *Stage, j *engine.JoinPlan) (engine.Plan, error) {
@@ -701,8 +702,8 @@ func unswap(j *engine.JoinPlan) (engine.Plan, error) {
 // — the broadcast criterion. Subtrees
 // with joins or filters above the scan shuffle instead (their output size is
 // not footer-predictable). Filtered scans are excluded even when the
-// post-filter estimate is small: broadcast ships the whole table inside every
-// worker payload, and the estimate bounds selected rows, not shipped bytes.
+// post-filter estimate is small: every worker of a broadcast reads the whole
+// table, and the estimate bounds selected rows, not the bytes read.
 func (c *compiler) scanRows(p engine.Plan, limit int64) bool {
 	s, ok := p.(*engine.ScanPlan)
 	if !ok || limit <= 0 || s.Filter != nil {
