@@ -188,7 +188,10 @@ trace-smoke:
 #                          differ by design (phase spans in the trace, the one
 #                          stage table and the folded critical path in the
 #                          report); the workers: and query cost: lines must
-#                          not.
+#                          not. Then the broadcast q12 (ORDERS pinned into
+#                          every LINEITEM worker's payload and read in its
+#                          first request window), fault-free: its rows, trace
+#                          and report are held to the same byte identity.
 #   trace-identical-storm  the same at 30 partitions (34 workers; 64 before
 #                          PR 24) under the checked-in fault storm
 #                          with speculation and a 2 s liveness cap, then the
@@ -221,18 +224,27 @@ cmp "$$tmp/base.rows" "$$tmp/head.rows"; \
 echo "$@: rows identical to $(BASE)"
 endef
 
+# TRACE_SAME runs both sides with the arguments $(1), each exporting its
+# Chrome trace, compares their rows (TRACE_ROWS), then their traces and
+# their reports minus the last line, which names the trace file.
+define TRACE_SAME
+for side in base head; do \
+	"$$tmp/lambada.$$side" $(1) -trace-out "$$tmp/$$side.json" > "$$tmp/$$side.out"; \
+	sed -i '$$d' "$$tmp/$$side.out"; \
+done; \
+$(TRACE_ROWS); \
+cmp "$$tmp/base.json" "$$tmp/head.json"; \
+cmp "$$tmp/base.out" "$$tmp/head.out"
+endef
+
 trace-identical: LINES = ^(workers:|  +(stage|[0-9]+(rg)?) |query cost:|traced cost:)
 trace-identical:
 	@$(TRACE_BUILD); \
-	for side in base head; do \
-		"$$tmp/lambada.$$side" $(TRACE_Q12) -partitions 256 \
-			-trace-out "$$tmp/$$side.json" > "$$tmp/$$side.out"; \
-		sed -i '$$d' "$$tmp/$$side.out"; \
-	done; \
-	$(TRACE_ROWS); \
-	cmp "$$tmp/base.json" "$$tmp/head.json"; \
-	cmp "$$tmp/base.out" "$$tmp/head.out"; \
-	echo "$@: trace and report byte-identical to $(BASE)"
+	$(call TRACE_SAME,$(TRACE_Q12) -partitions 256); \
+	echo "$@: trace and report byte-identical to $(BASE)"; \
+	echo "broadcast q12:"; \
+	$(call TRACE_SAME,-mode des -profile -query q12 -sf 0.002 -files 4); \
+	echo "$@: broadcast trace and report byte-identical to $(BASE)"
 
 trace-identical-storm: LINES = ^(workers|retries|query cost):
 trace-identical-storm:

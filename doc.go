@@ -208,15 +208,19 @@
 //
 // §3.2's "small amounts of data read locally that should be broadcasted" are
 // the tables the footers call small: an unfiltered scan of at most the
-// broadcast limit's rows. The driver reads no table data: it pins every file
-// of such a build table into the payloads of the stage that joins it, beside
-// the stage's own files, and each worker reads the build side itself in its
-// first request window — both sides' first reads share one first-byte
-// latency, where the driver's load of the table used to precede every
-// Invoke. No other rule broadcasts a table. The plan Decompose returns is
-// complete — every fleet the query runs, with its size, every boundary's
-// exchange algorithm, and each multi-level boundary's regroup round as a
-// stage of its own (below) — and the driver builds payloads from it and
+// broadcast limit's rows, of a table the probe side does not scan (a
+// self-join shuffles). The driver reads no table data, and a build table is
+// a table like any other: the planner pins each table's kept files once — an
+// unfiltered scan prunes none, so a build side keeps them all, as does a
+// table the plan scans twice — and every
+// payload carries the files of each base table its fragment scans, the stage's
+// own table's as this worker's share, a build side's whole. Each worker reads
+// the build side itself in its first request window — both sides' first reads
+// share one first-byte latency, where the driver's load of the table used to
+// precede every Invoke. No other rule broadcasts a table. The plan Decompose
+// returns is complete — every fleet the query runs, with its size, every
+// boundary's exchange algorithm, and each multi-level boundary's regroup round
+// as a stage of its own (below) — and the driver builds payloads from it and
 // runs it as given; it sizes, resolves and adds nothing. stageplan.Explain
 // prints that DAG, a line per fleet in launch order, each boundary with its
 // algorithm and shard-bucket count ("stage 1 scan=lineitem workers=2
@@ -228,8 +232,9 @@
 //
 // From there on there is one of everything. One task shape: the invocation
 // blob carries the worker's ID, its plan fragment and its inputs (§3.3) —
-// files to scan, its build tables' files, and at most one boundary spec
-// naming the boundaries it collects from and publishes into — and the worker
+// one map from each base table the fragment scans to its files, none for a
+// regroup or final-merge task, and at most one boundary spec naming the
+// boundaries it collects from and publishes into — and the worker
 // has one path through them: wait for each input's ready marker, collect,
 // execute, then publish or post the result. One launch loop: a stage's fleet
 // is cut once into launch units — one per worker, or, where invoke.UseTree
@@ -811,7 +816,9 @@
 // partitions it collected, or a regroup's group — share one third of the
 // budget, a build side charged from its footers (twice its rows × projected
 // widths: the build pipeline holds the scanned chunks and the one it
-// concatenates them into) before the task's first request window. A few
+// concatenates them into) before the task's first request window. The
+// fragment says what is a build side: a table is charged when a hash join's
+// build input is a bare scan of it, the operator that keeps its rows. A few
 // bytes of lpq can claim any number of rows (a run is two varints), so every
 // lpq byte from S3, a payload, a result message or the
 // result cache is decoded by lpq.ReadFiles, which sums the rows × widths its

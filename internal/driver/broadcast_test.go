@@ -1,7 +1,12 @@
 package driver
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"reflect"
 	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -17,6 +22,8 @@ import (
 	"lambada/internal/s3fs"
 	"lambada/internal/scan"
 	"lambada/internal/simclock"
+	"lambada/internal/sqlfe"
+	"lambada/internal/stageplan"
 	"lambada/internal/tpch"
 )
 
@@ -67,15 +74,217 @@ func TestBroadcastSwapKeepsColumns(t *testing.T) {
 	runCase(t, planCase{Q: q, Layout: layout{Data: 5, LI: 2, Ord: 3, Opts: stdLayout.Opts}, Default: true}, wantStages(1))
 }
 
+// buildBesideCollect joins LINEITEM with ORDERS and SUPPLIER. At a row limit
+// of 1 000 over SF 0.002 ORDERS shuffles and SUPPLIER broadcasts.
+func buildBesideCollect() sqlQuery {
+	q := groupBy("s_nationkey", agg("SUM(l_extendedprice * (1 - l_discount))", "revenue"), agg("COUNT(*)", "n"))
+	q.Joins = []sqlJoin{{"orders", "lineitem.l_orderkey = orders.o_orderkey"}, {"supplier", "lineitem.l_suppkey = supplier.s_suppkey"}}
+	return q
+}
+
 // TestBuildSideBesideACollect: the join stage of LINEITEM ⋈ ORDERS shuffled
 // (ORDERS' 3 040 rows over the row limit) collects both sides' partitions
 // and scans SUPPLIER (20 rows, under it) as a broadcast join's build side, in
 // a request window of its own, and returns what a single node does.
 func TestBuildSideBesideACollect(t *testing.T) {
-	q := groupBy("s_nationkey", agg("SUM(l_extendedprice * (1 - l_discount))", "revenue"), agg("COUNT(*)", "n"))
-	q.Joins = []sqlJoin{{"orders", "lineitem.l_orderkey = orders.o_orderkey"}, {"supplier", "lineitem.l_suppkey = supplier.s_suppkey"}}
 	l := layout{Data: 7, LI: 4, Ord: 2, Supp: 2, Opts: stdLayout.Opts}
-	runCase(t, planCase{Q: q, Tol: 1e-9, Layout: l, Partitions: 2, BroadcastRowLimit: 1000}, wantStages(3))
+	runCase(t, planCase{Q: buildBesideCollect(), Tol: 1e-9, Layout: l, Partitions: 2, BroadcastRowLimit: 1000}, wantStages(3))
+}
+
+// A self-join never broadcasts: a worker gets one file list per table, its
+// share of its stage's own table, so a build side of that table could not be
+// read whole. SUPPLIER over two files, under the row limit, shuffles both
+// sides and returns what a single node does. So does LINEITEM joined on
+// l_orderkey with its rows shipped before day 600: the filter alone keeps
+// one file of four, but the table's one file list serves both scans, so it
+// prunes none.
+func TestSelfJoinShuffles(t *testing.T) {
+	l := layout{Data: 7, LI: 4, Supp: 2, Opts: stdLayout.Opts}
+	cat := tpchData(l.Data).catalog()
+	scfg := DefaultStageConfig()
+	scfg.Partitions, scfg.BroadcastRowLimit = 2, 1<<20
+	parse := func(sql string) engine.Plan {
+		p, err := sqlfe.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, c := range []struct {
+		name    string
+		plan    func() engine.Plan // fresh each call: planning rewrites it
+		workers int
+	}{
+		{"supplier", func() engine.Plan {
+			return parse("SELECT COUNT(*) AS n FROM supplier JOIN supplier ON s_nationkey = s_nationkey")
+		}, 2 + 2 + 2},
+		{"lineitem", func() engine.Plan {
+			return &engine.AggregatePlan{In: &engine.JoinPlan{
+				Left:     parse("SELECT l_orderkey FROM lineitem WHERE l_shipdate < 600"),
+				Right:    parse("SELECT l_orderkey FROM lineitem"),
+				LeftKeys: []string{"l_orderkey"}, RightKeys: []string{"l_orderkey"},
+			}, Aggs: []engine.AggSpec{{Func: engine.AggCount, Name: "n"}}}
+		}, 4 + 4 + 2},
+	} {
+		opt, err := engine.Optimize(c.plan(), cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := engine.Execute(opt, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = onDES(simulated(71), desConfig(), l, func(p *simclock.Proc, sess *Session, tables TableFiles) error {
+			got, rep, err := sess.Run(p, c.plan(), tables, scfg)
+			if err != nil {
+				return err
+			}
+			var shape error
+			if rep.Stages != 3 || rep.Workers != c.workers {
+				shape = fmt.Errorf("%d stages, %d workers; want 3 (two scans and the join), %d", rep.Stages, rep.Workers, c.workers)
+			}
+			return errors.Join(sameRows(got, want, 0), shape)
+		})
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// buildSides lists the base tables st's fragment scans beside its own: the
+// build sides of its broadcast joins, the only other tables a stage scans.
+func buildSides(st *stageplan.Stage) []string {
+	var out []string
+	engine.VisitScans(st.Plan, func(s *engine.ScanPlan) {
+		if s.Table != st.Table && !slices.ContainsFunc(st.Inputs, func(in stageplan.Input) bool { return in.Table == s.Table }) {
+			out = append(out, s.Table)
+		}
+	})
+	return out
+}
+
+// TestPayloadTables: every Invoke body of the broadcast q12, of
+// TestBuildSideBesideACollect's plan and of an aggregate repartitioned over
+// a two-level boundary carries under "tables" exactly the base tables its
+// fragment scans, and no "tables" key when it scans none: a regroup or
+// final-merge task. The shares of a stage's own table, in worker order, are
+// the files the planner kept, as it pinned them; every worker of a stage
+// gets every file of its broadcast build side.
+func TestPayloadTables(t *testing.T) {
+	var bodies [][]byte // the kernel runs one process at a time
+	_, err := onDES(func(k *simclock.Kernel) *Deployment {
+		dep := NewSimulated(k, 71)
+		dep.EnableTracing(obs.New()) // the report's Plan
+		return dep
+	}, desConfig(), layout{Data: 7, LI: 4, Ord: 2, Supp: 2, Opts: stdLayout.Opts},
+		func(p *simclock.Proc, sess *Session, tables TableFiles) error {
+			err := sess.dep.Lambda.CreateFunction(sess.cfg.FunctionName, sess.cfg.WorkerMemoryMiB, sess.cfg.Timeout, func(ctx *lambdasvc.Ctx, payload []byte) error {
+				bodies = append(bodies, payload)
+				return sess.workerHandler(ctx, payload)
+			})
+			if err != nil {
+				return err
+			}
+			beside := DefaultStageConfig()
+			beside.Partitions, beside.BroadcastRowLimit = 2, 1000
+			regrouped := shuffled(2)
+			regrouped.Exchange.Variant.Levels = 2
+			var regroups, merges int
+			for _, run := range []struct {
+				sql  string
+				scfg StageConfig
+			}{
+				{q12ExactSQL, DefaultStageConfig()},
+				{buildBesideCollect().SQL(), beside},
+				{"SELECT l_partkey, COUNT(*) AS n FROM lineitem GROUP BY l_partkey", regrouped},
+			} {
+				bodies = nil
+				_, rep, err := sess.RunSQLStaged(p, run.sql, tables, run.scfg)
+				if err != nil {
+					return err
+				}
+				for _, st := range rep.Plan.Stages {
+					if _, ok := st.RegroupOf(); ok {
+						regroups++
+					} else if st.Table == "" && len(buildSides(st)) == 0 {
+						merges++
+					}
+				}
+				checkPayloadTables(t, s3.NewClient(sess.dep.S3, p), rep.Plan, tables, bodies)
+			}
+			if regroups == 0 || merges == 0 {
+				t.Errorf("%d regroup and %d merge stages, want some of each", regroups, merges)
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkPayloadTables holds the Invoke bodies of one query on sp, over the
+// uploaded tables, to TestPayloadTables's contract.
+func checkPayloadTables(t *testing.T, client *s3.Client, sp *stageplan.Plan, tables TableFiles, bodies [][]byte) {
+	t.Helper()
+	pinned := TableFiles{}
+	for name, files := range tables {
+		var err error
+		if pinned[name], err = scan.New(client, scan.DefaultConfig(), files...).Pin(files); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shares := map[int][][]scan.FileRef{}
+	for _, body := range bodies {
+		var p workerPayload
+		var keys map[string]json.RawMessage
+		if err := errors.Join(json.Unmarshal(body, &p), json.Unmarshal(body, &keys)); err != nil {
+			t.Fatal(err)
+		}
+		st := sp.Stages[slices.IndexFunc(sp.Stages, func(st *stageplan.Stage) bool { return st.ID == p.StageID })]
+		want := buildSides(st)
+		if st.Table != "" {
+			want = append(want, st.Table)
+		}
+		sort.Strings(want)
+		if _, ok := keys["tables"]; ok != (len(want) > 0) || !slices.Equal(p.tables(), want) {
+			t.Errorf("stage %d worker %d: tables %v (key present: %t), want %v", st.ID, p.WorkerID, p.tables(), ok, want)
+		}
+		for _, name := range buildSides(st) {
+			if !reflect.DeepEqual(p.Tables[name], pinned[name]) {
+				t.Errorf("stage %d worker %d: build side %q of %d files, want all %d", st.ID, p.WorkerID, name, len(p.Tables[name]), len(pinned[name]))
+			}
+		}
+		if st.Table != "" {
+			if shares[st.ID] == nil {
+				shares[st.ID] = make([][]scan.FileRef, p.NumWorkers)
+			}
+			shares[st.ID][p.WorkerID] = p.Tables[st.Table]
+		}
+	}
+	for _, st := range sp.Stages {
+		if st.Table == "" {
+			continue
+		}
+		var prune []lpq.Predicate
+		engine.VisitScans(st.Plan, func(s *engine.ScanPlan) {
+			if s.Table == st.Table {
+				prune = s.Prune
+			}
+		})
+		var kept []scan.FileRef
+		for _, f := range pinned[st.Table] {
+			r, err := lpq.OpenTail(nil, f.Size, f.Footer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(prune) == 0 || lpq.EstimateRows(r.Meta(), prune) > 0 {
+				kept = append(kept, f)
+			}
+		}
+		if got := slices.Concat(shares[st.ID]...); len(got) == 0 || !reflect.DeepEqual(got, kept) {
+			t.Errorf("stage %d: its workers' shares of %q are %d files, want the %d the planner kept, in order", st.ID, st.Table, len(got), len(kept))
+		}
+	}
 }
 
 // orderPrioritySQL joins every LINEITEM row with its ORDERS row: no filter

@@ -91,10 +91,12 @@ func TestRegroupOverBudgetFailsTyped(t *testing.T) {
 }
 
 // TestJoinWorkingSetCountsBroadcast: a join stage that collects LINEITEM ⋈
-// ORDERS partitions (≈ 270 KB at SF 0.01 and four partitions) and holds a
-// broadcast SUPPLIER counts both in one sum. With a 5 000-row SUPPLIER
-// (120 KB) the sum is past the smallest worker's resident budget and the
-// collect fails, typed; with a 100-row one the same partitions fit.
+// ORDERS partitions (270–274 KB at SF 0.01 and four partitions) and holds a
+// broadcast SUPPLIER counts both in one sum. A 5 000-row SUPPLIER is charged
+// 80 000 B, twice its rows × the 8 B of s_suppkey, the one column the join
+// reads; that leaves 269 525 B of the smallest worker's 349 525 B resident
+// budget, less than any of the collects needs, and the collect fails, typed.
+// With a 100-row one the same partitions fit.
 func TestJoinWorkingSetCountsBroadcast(t *testing.T) {
 	const q = countJoin + " INNER JOIN supplier ON l_suppkey = s_suppkey"
 	scfg := DefaultStageConfig()

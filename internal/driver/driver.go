@@ -191,21 +191,22 @@ func DefaultConfig() Config {
 }
 
 // workerPayload is the invocation parameter blob (§3.3): the worker's ID,
-// its plan fragment and its inputs — the files it scans, the broadcast
-// tables it joins against and the boundaries it trades through.
+// its plan fragment and its inputs — the files of the tables it scans and
+// the boundaries it trades through.
 type workerPayload struct {
 	QueryID    string `json:"queryId"`
 	WorkerID   int    `json:"workerId"`
 	NumWorkers int    `json:"numWorkers"`
 	// Plan is the fragment to execute; a task without one is the regroup
 	// round of a multi-level boundary.
-	Plan  json.RawMessage `json:"plan,omitempty"`
-	Table string          `json:"table"`
-	// Files are the files the task scans, each pinned (scan.Source.Pin):
-	// its size and footer bytes ride along, so the worker opens none.
-	Files       []scan.FileRef    `json:"files"`
-	ResultQueue string            `json:"resultQueue"`
-	Children    []json.RawMessage `json:"children,omitempty"`
+	Plan json.RawMessage `json:"plan,omitempty"`
+	// Tables holds the files of every base table the fragment scans, each
+	// pinned (scan.Source.Pin): its size and footer bytes ride along, so the
+	// worker opens none. The stage's own table holds this worker's share of
+	// its files, a broadcast join's build side all of its files.
+	Tables      map[string][]scan.FileRef `json:"tables,omitempty"`
+	ResultQueue string                    `json:"resultQueue"`
+	Children    []json.RawMessage         `json:"children,omitempty"`
 	// StageID names the task's stage in the stage plan (internal/stageplan).
 	StageID int `json:"stageId,omitempty"`
 	// Boundary, present when the stage touches an exchange boundary, tells
@@ -224,10 +225,6 @@ type workerPayload struct {
 	// identically-numbered run is structurally unable to satisfy this run's
 	// barriers, no matter when it wakes. 0 for plans without a boundary.
 	Epoch int `json:"epoch,omitempty"`
-	// Build holds the files of the broadcast joins' build sides, by table:
-	// every file of each, pinned like Files. The worker reads them itself,
-	// in its first request window.
-	Build map[string][]scan.FileRef `json:"build,omitempty"`
 }
 
 // maxFanout bounds the counts of a payload that size a worker's slices: far
@@ -253,13 +250,11 @@ func (p *workerPayload) check() error {
 	if len(p.Plan) == 0 && (len(x.Inputs) != 1 || x.Output == nil) {
 		return errors.New("task carries neither a plan nor a boundary to regroup")
 	}
-	for name, files := range p.Build {
-		if name == p.Table || len(files) == 0 {
-			return fmt.Errorf("build table %q: no files, or the task's own scan table", name)
+	for _, name := range p.tables() {
+		files := p.Tables[name]
+		if len(files) == 0 {
+			return fmt.Errorf("table %q: no files", name)
 		}
-	}
-	_, tables := p.tables()
-	for _, files := range tables {
 		for _, f := range files {
 			if len(f.Footer) == 0 {
 				return fmt.Errorf("%w: %s/%s carries none", errShippedFooter, f.Bucket, f.Key)
@@ -269,24 +264,15 @@ func (p *workerPayload) check() error {
 	return nil
 }
 
-// tables lists every table the task scans from S3 — its own and its build
-// sides' — in name order, with their files.
-func (p *workerPayload) tables() (names []string, files [][]scan.FileRef) {
-	for name := range p.Build {
+// tables lists every table the task scans from S3 in name order, the order
+// its first request window issues their reads in.
+func (p *workerPayload) tables() []string {
+	names := make([]string, 0, len(p.Tables))
+	for name := range p.Tables {
 		names = append(names, name)
 	}
-	if len(p.Files) > 0 {
-		names = append(names, p.Table)
-	}
 	sort.Strings(names)
-	for _, name := range names {
-		f, build := p.Build[name]
-		if !build {
-			f = p.Files
-		}
-		files = append(files, f)
-	}
-	return names, files
+	return names
 }
 
 // errShippedFooter fails a task whose scan file comes without its footer, or
@@ -488,46 +474,62 @@ func engineMemoryBudget(memoryMiB int) int64 {
 }
 
 // fragmentCatalog decodes the task's plan fragment and binds every table it
-// scans from S3 — its own files and its build sides' — behind the memory
-// guard, through one scan.Pinned call: every shipped footer is decoded here,
-// before any request, and every row group held to the engine budget before
-// its bytes are fetched. Each source is told the one scan the fragment runs
-// over it (Expect), so the first scan of any of them fetches the first
-// request window of all of them at once. A hash join holds its build side
-// whole: twice each build table's rows × projected widths, from its footers,
-// is the first draw on the task's resident budget, refused past it before any
-// byte is fetched. It returns what is left of that budget.
+// scans from S3 behind the memory guard, through one scan.Pinned call: every
+// shipped footer is decoded here, before any request, and every row group
+// held to the engine budget before its bytes are fetched. Each source is told
+// the one scan the fragment runs over it (Expect), so the first scan of any
+// of them fetches the first request window of all of them at once. A hash
+// join whose build input is a bare scan of such a table holds it whole:
+// twice its rows × projected widths, from its footers, is the first draw on
+// the task's resident budget, refused past it before any byte is fetched. It
+// returns what is left of that budget.
 func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *workerPayload) (engine.Plan, engine.Catalog, int64, error) {
 	plan, err := engine.UnmarshalPlan(p.Plan)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	names, files := p.tables()
+	names := p.tables()
+	files := make([][]scan.FileRef, len(names))
+	for i, name := range names {
+		files[i] = p.Tables[name]
+	}
 	budget := engineMemoryBudget(ctx.MemoryMiB)
 	srcs, err := scan.Pinned(client, budget, files...)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("%w: %w", errShippedFooter, err)
 	}
-	scans := map[string][]*engine.ScanPlan{}
-	engine.VisitScans(plan, func(s *engine.ScanPlan) {
-		scans[s.Table] = append(scans[s.Table], s)
-	})
+	// One walk, as engine.VisitScans: every scan by table, and apart the
+	// scans a join builds its hash table from, a bare scan as its Right.
+	scans, builds := map[string][]*engine.ScanPlan{}, map[string][]*engine.ScanPlan{}
+	var walk func(engine.Plan)
+	walk = func(p engine.Plan) {
+		for n := p; n != nil; n = n.Child() {
+			switch n := n.(type) {
+			case *engine.ScanPlan:
+				scans[n.Table] = append(scans[n.Table], n)
+			case *engine.JoinPlan:
+				if s, ok := n.Right.(*engine.ScanPlan); ok {
+					builds[s.Table] = append(builds[s.Table], s)
+				}
+				walk(n.Right)
+			}
+		}
+	}
+	walk(plan)
 	cat, rest := engine.Catalog{}, residentBudget(ctx.MemoryMiB)
 	for i, name := range names {
 		src := srcs[i]
 		if sc := scans[name]; len(sc) == 1 {
 			src.Expect(sc[0].Projection, sc[0].Prune, sc[0].Filter)
 		}
-		if _, build := p.Build[name]; build {
-			// The build pipeline holds the side twice at its peak: the
-			// chunks the scan yielded, and the one it concatenates them into.
-			for _, sc := range scans[name] {
-				n, err := src.Hold(sc.Projection, sc.Prune, rest/2)
-				if err != nil {
-					return nil, nil, 0, fmt.Errorf("build side %q: %w", name, err)
-				}
-				rest -= 2 * n
+		// The build pipeline holds the side twice at its peak: the chunks
+		// the scan yielded, and the one it concatenates them into.
+		for _, sc := range builds[name] {
+			n, err := src.Hold(sc.Projection, sc.Prune, rest/2)
+			if err != nil {
+				return nil, nil, 0, fmt.Errorf("build side %q: %w", name, err)
 			}
+			rest -= 2 * n
 		}
 		cat[name] = memGuardSource{Source: src, budget: budget}
 	}

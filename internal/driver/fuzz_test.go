@@ -92,9 +92,11 @@ func payloadSeeds(t testing.TB) [][]byte {
 // as the planner builds them since PR 25; their scan files carry no footer,
 // which check now refuses), a scan task as the planner pins it
 // (q1-scan-pinned), the broadcast q12 task with its ORDERS files pinned
-// (q12-broadcast-pinned) and the crashers found since; the two that carry a
-// broadcast blob (broadcast-run-bomb, q12-resident-orders) decode to tasks
-// without it.
+// (q12-broadcast-pinned), worker 1's regroup task of an aggregate over a
+// two-level boundary (regroup-no-tables) and the crashers found since; the
+// two that carry a broadcast blob (broadcast-run-bomb, q12-resident-orders)
+// decode to tasks without it. Every seed names its files in the one "tables"
+// map; a task that scans no table has no such key.
 func FuzzWorkerPayload(f *testing.F) {
 	for _, seed := range payloadSeeds(f) {
 		f.Add(seed)
@@ -113,7 +115,7 @@ func FuzzWorkerPayload(f *testing.F) {
 		}
 		if err == nil && len(p.Plan) > 0 {
 			plan, bound, rest, cerr := sess.fragmentCatalog(ctx, client, &p)
-			names, _ := p.tables()
+			names := p.tables()
 			if err = cerr; err == nil && (plan == nil || len(bound) != len(names)) {
 				t.Errorf("fragment bound to plan %v and %d of %d tables, without an error", plan, len(bound), len(names))
 			}
@@ -139,10 +141,10 @@ func FuzzWorkerPayload(f *testing.F) {
 // decode against its size — a bad magic, bytes cut short of the footer, a
 // footer length beyond the object, an object too small for the column
 // chunks the footer places — by fragmentCatalog, each with the typed
-// errShippedFooter, no panic and no S3 request. A build side's file is held
-// to the same: each case is refused as the task's own file and as its build
-// table's. The file as the planner pinned it binds without a request either,
-// in both places.
+// errShippedFooter, no panic and no S3 request. Every table of the payload
+// is held to the same: each case is refused as the only table's file and as
+// a second table's. The file as the planner pinned it binds without a
+// request either, in both places.
 func TestShippedFooterRefused(t *testing.T) {
 	d, env, tables := goSession(t, DefaultConfig(), layout{Data: 33, LI: 2, Opts: gzipLayout.Opts})
 	pinned, err := scan.New(s3.NewClient(d.dep.S3, env), scan.DefaultConfig(), tables["lineitem"]...).Pin(tables["lineitem"][:1])
@@ -157,10 +159,10 @@ func TestShippedFooterRefused(t *testing.T) {
 	footerLen := len(good.Footer) - 8
 	ctx := &lambdasvc.Ctx{Env: env, MemoryMiB: 1792}
 	client := s3.NewClient(d.dep.S3, env)
-	bind := func(f scan.FileRef, build bool) error {
-		p := workerPayload{QueryID: "q1", NumWorkers: 1, Plan: plan, Table: "lineitem", Files: []scan.FileRef{f}}
-		if build {
-			p.Files, p.Build = []scan.FileRef{good}, map[string][]scan.FileRef{"build": {f}}
+	bind := func(f scan.FileRef, second bool) error {
+		p := workerPayload{QueryID: "q1", NumWorkers: 1, Plan: plan, Tables: TableFiles{"lineitem": {f}}}
+		if second {
+			p.Tables = TableFiles{"lineitem": {good}, "second": {f}}
 		}
 		err := p.check()
 		if err == nil {
@@ -169,9 +171,9 @@ func TestShippedFooterRefused(t *testing.T) {
 		return err
 	}
 	reads := d.dep.Meter.Count(pricing.LabelS3Read)
-	for _, build := range []bool{false, true} {
-		if err := bind(good, build); err != nil {
-			t.Fatalf("the pinned file (build side: %t): %v", build, err)
+	for _, second := range []bool{false, true} {
+		if err := bind(good, second); err != nil {
+			t.Fatalf("the pinned file (second table: %t): %v", second, err)
 		}
 	}
 	mutated := func(edit func(b []byte)) []byte {
@@ -191,9 +193,9 @@ func TestShippedFooterRefused(t *testing.T) {
 			Footer: mutated(func(b []byte) { binary.LittleEndian.PutUint32(b[len(b)-8:], uint32(good.Size)) })}},
 		{"size below the column chunks", scan.FileRef{Bucket: good.Bucket, Key: good.Key, Size: int64(footerLen + 9), Footer: good.Footer}},
 	} {
-		for _, build := range []bool{false, true} {
-			if err := bind(tc.f, build); !errors.Is(err, errShippedFooter) {
-				t.Errorf("%s (build side: %t): %v, want errShippedFooter", tc.name, build, err)
+		for _, second := range []bool{false, true} {
+			if err := bind(tc.f, second); !errors.Is(err, errShippedFooter) {
+				t.Errorf("%s (second table: %t): %v, want errShippedFooter", tc.name, second, err)
 			}
 		}
 	}

@@ -924,7 +924,7 @@ func (a caseRun) shapes() []string {
 	add(strings.HasPrefix(sp.Merge, "driver"), "aggregate merged on the driver")
 	add(strings.HasPrefix(sp.Merge, "repartition"), "aggregate repartitioned")
 	add(sp.Merge == "" && slices.ContainsFunc(sp.Stages, func(st *stageplan.Stage) bool { return len(st.Inputs) == 2 }), "bare shuffle join")
-	add(len(sp.Broadcast) > 0, "planner-chosen broadcast")
+	add(slices.ContainsFunc(sp.Stages, func(st *stageplan.Stage) bool { return len(buildSides(st)) > 0 }), "planner-chosen broadcast")
 	for _, v := range []string{"2l", "2l-wc"} {
 		add(slices.ContainsFunc(a.rep.StageStats, func(ss StageStat) bool { return ss.Variant == v }), v+" boundary")
 	}

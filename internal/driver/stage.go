@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -338,11 +339,11 @@ func (d *query) reinvoke(r *stageRun, worker int) error {
 // (joins shuffle or broadcast per the footer row counts, the aggregate merges
 // on the driver or behind a repartition per the footer bounds of its group
 // keys; every fleet sized, every boundary's algorithm chosen, every regroup
-// round a stage), pruned file assignment, and the build tables of the
-// broadcast joins the planner kept — §3.2's "small amounts of data", which
-// the workers read themselves: every file of each is pinned into the payloads
-// that scan it, and the driver reads no table data — runStages runs the DAG
-// as given.
+// round a stage), and pruned file assignment: each table's kept files are
+// pinned once, a broadcast join's build side — §3.2's "small amounts of
+// data", which has no filter and so keeps every file — like any other, and
+// the workers read them all themselves: the driver reads no table data.
+// runStages runs the DAG as given.
 func (d *query) plan(plan engine.Plan, tables TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	d.begin()
 	d.dep.Trace.Phase(d.env, "plan", d.env.Now())
@@ -398,16 +399,20 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, cfg StageConfig) (*col
 	// its footer statistics let them match: their sum sizes the stage DAG, not
 	// the full table, and a file with none gets no scan worker at all — fewer
 	// invocations, and the surviving workers still prune at row-group/page
-	// granularity.
-	tablePreds := map[string][]lpq.Predicate{}
+	// granularity. A table the plan scans more than once keeps every file:
+	// its one file list serves every scan of it, and each scan prunes its row
+	// groups itself.
+	tablePreds, scans := map[string][]lpq.Predicate{}, map[string]int{}
 	engine.VisitScans(opt, func(s *engine.ScanPlan) {
-		if len(s.Prune) > 0 {
-			tablePreds[s.Table] = s.Prune
-		}
+		tablePreds[s.Table] = s.Prune
+		scans[s.Table]++
 	})
 	scanFiles := TableFiles{}
 	for _, name := range names {
 		src, preds := srcs[name], tablePreds[name]
+		if scans[name] > 1 {
+			preds = nil
+		}
 		var kept []scan.FileRef
 		for _, f := range src.Files {
 			rows, err := src.EstimateFileRows(f, preds)
@@ -448,18 +453,7 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, cfg StageConfig) (*col
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %w", ErrInvalidPlan, err)
 	}
-
-	// The tables the planner kept as broadcast joins' build sides ride the
-	// payloads that scan them as pinned files, every file of each: the
-	// workers read them in their first request window, and the driver reads
-	// no table data.
-	build := TableFiles{}
-	for _, name := range sp.Broadcast {
-		if build[name], err = srcs[name].Pin(srcs[name].Files); err != nil {
-			return nil, nil, fmt.Errorf("driver: opening %q: %w", name, err)
-		}
-	}
-	return d.runStages(sp, scanFiles, build, cfg)
+	return d.runStages(sp, scanFiles, cfg)
 }
 
 // runStages is the executor — the one place a query's fleet is launched and
@@ -491,10 +485,9 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, cfg StageConfig) (*col
 //  2. A stage writes its DynamoDB ready marker iff some other stage run
 //     depends on it; nobody waits on the result stage, so it writes none.
 //
-// scanFiles assigns each scanned table its files; build holds the broadcast
-// joins' build tables, every file pinned, shipped inside the payloads that
-// scan them.
-func (d *query) runStages(sp *stageplan.Plan, scanFiles, build TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
+// scanFiles holds each scanned table's files, pinned, shipped inside the
+// payloads that scan them.
+func (d *query) runStages(sp *stageplan.Plan, scanFiles TableFiles, cfg StageConfig) (*columnar.Chunk, *Report, error) {
 	resultStage := sp.ResultStage()
 	if resultStage == nil {
 		return nil, nil, fmt.Errorf("driver: stage plan has no result stage")
@@ -504,7 +497,7 @@ func (d *query) runStages(sp *stageplan.Plan, scanFiles, build TableFiles, cfg S
 		return nil, nil, err
 	}
 	tr := d.dep.Trace
-	s, err := d.newScheduler(sp, scanFiles, build, cfg, ns, epoch)
+	s, err := d.newScheduler(sp, scanFiles, cfg, ns, epoch)
 	var result *columnar.Chunk
 	if err == nil {
 		tr.EndPhase(d.env, d.env.Now()) // plan
@@ -652,11 +645,11 @@ func (d *query) reclaim(s *scheduler, ns boundarySpec, epoch int) {
 // launched yet. Every stage's payloads are computable up front — the plan
 // fixes the fleet sizes — so pipelined launch can invoke consumers before
 // their producers seal.
-func (d *query) newScheduler(sp *stageplan.Plan, scanFiles, build TableFiles, cfg StageConfig, ns boundarySpec, epoch int) (*scheduler, error) {
+func (d *query) newScheduler(sp *stageplan.Plan, scanFiles TableFiles, cfg StageConfig, ns boundarySpec, epoch int) (*scheduler, error) {
 	s := &scheduler{queryID: d.id, epoch: epoch, speculate: d.cfg.Speculate,
 		maxStageWait: cfg.MaxStageWait, waves: d.cfg.testWaveLaunch, byID: map[int]*stageRun{}}
 	for _, st := range sp.Stages {
-		ps, err := d.stagePayloads(epoch, st, scanFiles[st.Table], s.byID, build, ns)
+		ps, err := d.stagePayloads(epoch, st, scanFiles, s.byID, ns)
 		if err != nil {
 			return nil, err
 		}
@@ -982,9 +975,12 @@ func (d *query) receive(n int) (msgs []sqs.Message, full int, err error) {
 // (attempt 0), every one stamped with the query's epoch fence token. A stage
 // that touches no boundary — no inputs to collect, no output to publish —
 // ships no boundary spec: its payload is the bare fragment plus its files.
-// byID holds the runs of the stage's producers (stages arrive in
-// topological order); ns is the query's boundary namespace.
-func (d *query) stagePayloads(epoch int, st *stageplan.Stage, files []scan.FileRef, byID map[int]*stageRun, build TableFiles, ns boundarySpec) ([]workerPayload, error) {
+// Each worker gets the files of every base table the fragment scans: its
+// share of the stage's own table's (st.Table), all of any other's — the
+// stage plan admits no other but a broadcast join's build side. byID holds
+// the runs of the stage's producers (stages arrive in topological order); ns
+// is the query's boundary namespace.
+func (d *query) stagePayloads(epoch int, st *stageplan.Stage, scanFiles TableFiles, byID map[int]*stageRun, ns boundarySpec) ([]workerPayload, error) {
 	n := st.Workers
 	var planJSON []byte
 	if st.Plan != nil {
@@ -1006,19 +1002,15 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, files []scan.FileR
 		spec = &ns
 	}
 
-	// Only ship the build tables the fragment scans.
-	var stageBuild TableFiles
+	tables := TableFiles{}
 	engine.VisitScans(st.Plan, func(s *engine.ScanPlan) {
-		if files, ok := build[s.Table]; ok {
-			if stageBuild == nil {
-				stageBuild = TableFiles{}
-			}
-			stageBuild[s.Table] = files
+		if files, ok := scanFiles[s.Table]; ok {
+			tables[s.Table] = files
 		}
 	})
 
 	payloads := make([]workerPayload, n)
-	per := (len(files) + n - 1) / n
+	per := (len(tables[st.Table]) + n - 1) / n
 	for w := 0; w < n; w++ {
 		p := workerPayload{
 			QueryID:     d.id,
@@ -1029,12 +1021,13 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, files []scan.FileR
 			StageID:     st.ID,
 			Boundary:    spec,
 			Epoch:       epoch,
-			Build:       stageBuild,
 		}
-		if st.Table != "" {
+		if len(tables) > 0 {
+			p.Tables = maps.Clone(tables)
+		}
+		if files, ok := p.Tables[st.Table]; ok {
 			hi := min((w+1)*per, len(files))
-			p.Table = st.Table
-			p.Files = files[min(w*per, hi):hi]
+			p.Tables[st.Table] = files[min(w*per, hi):hi]
 		}
 		payloads[w] = p
 	}

@@ -21,18 +21,17 @@ import (
 
 // TestPayloadShapes pins the one task shape at its two ends: a single-scope
 // payload is the bare fragment plus its files — no boundary spec on the
-// wire — and a regroup payload is a boundary spec with no plan, which
-// survives the JSON round trip a tree launch puts child payloads through.
-// A payload with neither is refused, not dereferenced. The regroup task is
-// built from the planner's regroup stage.
+// wire — and a regroup payload is a boundary spec with no plan and no
+// tables, which survives the JSON round trip a tree launch puts child
+// payloads through. A payload with neither is refused, not dereferenced. The
+// regroup task is built from the planner's regroup stage.
 func TestPayloadShapes(t *testing.T) {
 	d, env, tables := goSession(t, DefaultConfig(), layout{Data: 33, LI: 2, Opts: stdLayout.Opts})
-	refs := tables["lineitem"]
 	q := d.newQuery(env)
 	defer q.close()
 	single := &stageplan.Stage{ID: 1, Plan: singleNodePlan(t, q6SQL), Table: "lineitem", Workers: 2}
 
-	ps, err := q.stagePayloads(0, single, refs, nil, nil, boundarySpec{})
+	ps, err := q.stagePayloads(0, single, tables, nil, boundarySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +60,12 @@ func TestPayloadShapes(t *testing.T) {
 		t.Fatalf("stage behind the scan is not its regroup:\n%s", stageplan.Explain(sp))
 	}
 	ns := boundarySpec{Buckets: []string{"b0", "b1"}, Prefix: "fn/q1/e3", PollNs: 5, MaxWaitNs: 7, SealTable: "fn-stages"}
-	if ps, err = q.stagePayloads(3, scan, refs, nil, nil, ns); err != nil {
+	if ps, err = q.stagePayloads(3, scan, tables, nil, ns); err != nil {
 		t.Fatal(err)
 	}
 	byID := map[int]*stageRun{scan.ID: {st: scan, payloads: ps}}
 	groups := exchange.Groups(scan.Output.Partitions)
-	if ps, err = q.stagePayloads(3, regroup, nil, byID, nil, ns); err != nil {
+	if ps, err = q.stagePayloads(3, regroup, tables, byID, ns); err != nil {
 		t.Fatal(err)
 	}
 	if len(ps) != groups {
@@ -76,8 +75,8 @@ func TestPayloadShapes(t *testing.T) {
 	if body, err = json.Marshal(&rg); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(body, []byte(`"plan"`)) {
-		t.Errorf("regroup payload carries a plan: %s", body)
+	if bytes.Contains(body, []byte(`"plan"`)) || bytes.Contains(body, []byte(`"tables"`)) {
+		t.Errorf("regroup payload carries a plan or tables: %s", body)
 	}
 	var back workerPayload
 	if err := json.Unmarshal(body, &back); err != nil {

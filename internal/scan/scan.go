@@ -695,10 +695,9 @@ func (fw *firstWindow) fetch() {
 // the projected widths, refused past bound bytes with lpq.ErrOverBound before
 // any of them is fetched. Each row group the source then reads whole is one
 // GET, a range over its projected column chunks with the holes between them:
-// a build side rides every worker's first window, where
-// a GET per column chunk would be billed once per worker, while the holes
-// between its columns transfer for free and are at most what a load of the
-// whole table reads.
+// a build side rides every worker's first window, where a GET per column
+// chunk would be billed once per worker, while the holes between its columns
+// transfer for free and are at most what a load of the whole table reads.
 func (s *Source) Hold(proj []string, preds []lpq.Predicate, bound int64) (int64, error) {
 	s.whole = true
 	var n int64

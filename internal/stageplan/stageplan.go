@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
 	"time"
 
 	"lambada/internal/awssim/dynamo"
@@ -132,10 +131,6 @@ type Plan struct {
 	// engine.WorkerResultTable binds to the result stage's collected
 	// outputs (ordered by worker ID).
 	Driver engine.Plan
-	// Broadcast names the build tables of broadcast joins, the small sides:
-	// every worker of a stage that joins one reads all of its files itself,
-	// pinned into its payload by the driver.
-	Broadcast []string
 	// Merge says where the plan's aggregate merges its partials and from
 	// which numbers that was decided ("" without an aggregate) — for Explain.
 	Merge string
@@ -323,12 +318,11 @@ func (c Config) broadcastLimit() int64 {
 func InputTable(stageID int) string { return fmt.Sprintf("__stage%d", stageID) }
 
 type compiler struct {
-	cfg       Config
-	stats     Stats
-	parts     int // resolved boundary fan-in (explicit or autotuned)
-	stages    []*Stage
-	broadcast map[string]bool
-	nextID    int
+	cfg    Config
+	stats  Stats
+	parts  int // resolved boundary fan-in (explicit or autotuned)
+	stages []*Stage
+	nextID int
 }
 
 // Decompose converts an optimized, resolved plan into the stage DAG the
@@ -342,7 +336,7 @@ type compiler struct {
 // a one-way pass. Callers wanting a single-node reference must build the
 // plan twice, not reuse p afterwards.
 func Decompose(p engine.Plan, stats Stats, cfg Config) (*Plan, error) {
-	c := &compiler{cfg: cfg, stats: stats, parts: cfg.partitions(stats), broadcast: map[string]bool{}}
+	c := &compiler{cfg: cfg, stats: stats, parts: cfg.partitions(stats)}
 
 	// Peel the driver-only tail (OrderBy, Limit) and an optional top-level
 	// projection.
@@ -463,10 +457,6 @@ func Decompose(p engine.Plan, stats Stats, cfg Config) (*Plan, error) {
 	}
 
 	out.Stages, out.Driver = c.boundaries(), driver
-	for t := range c.broadcast {
-		out.Broadcast = append(out.Broadcast, t)
-	}
-	sort.Strings(out.Broadcast)
 	return out, nil
 }
 
@@ -580,9 +570,6 @@ func (c *compiler) build(p engine.Plan) (*Stage, error) {
 func (c *compiler) embed(st *Stage, p engine.Plan) (engine.Plan, error) {
 	switch n := p.(type) {
 	case *engine.ScanPlan:
-		if c.broadcast[n.Table] {
-			return n, nil
-		}
 		if st.Table != "" && st.Table != n.Table {
 			return nil, fmt.Errorf("stageplan: stage %d scans both %q and %q — a shuffle join should have split them", st.ID, st.Table, n.Table)
 		}
@@ -619,19 +606,18 @@ func (c *compiler) embedJoin(st *Stage, j *engine.JoinPlan) (engine.Plan, error)
 	// Prefer building on the smaller side: if only the left side is a
 	// broadcastable scan, swap the sides (inner joins commute), and project
 	// the swapped join back to the columns the join as written exposes.
-	swapped := !c.scanRows(j.Right, limit) && c.scanRows(j.Left, limit)
+	swapped := !c.buildable(j.Right, j.Left, limit) && c.buildable(j.Left, j.Right, limit)
 	if swapped {
 		j.Left, j.Right = j.Right, j.Left
 		j.LeftKeys, j.RightKeys = j.RightKeys, j.LeftKeys
 	}
 
-	if c.scanRows(j.Right, limit) {
+	if c.buildable(j.Right, j.Left, limit) {
 		left, err := c.embed(st, j.Left)
 		if err != nil {
 			return nil, err
 		}
 		j.Left = left
-		c.broadcast[j.Right.(*engine.ScanPlan).Table] = true
 		if swapped {
 			return unswap(j)
 		}
@@ -698,19 +684,26 @@ func unswap(j *engine.JoinPlan) (engine.Plan, error) {
 	return p, nil
 }
 
-// scanRows reports whether p is a bare base-table scan of at most limit rows
-// — the broadcast criterion. Subtrees
-// with joins or filters above the scan shuffle instead (their output size is
-// not footer-predictable). Filtered scans are excluded even when the
-// post-filter estimate is small: every worker of a broadcast reads the whole
-// table, and the estimate bounds selected rows, not the bytes read.
-func (c *compiler) scanRows(p engine.Plan, limit int64) bool {
-	s, ok := p.(*engine.ScanPlan)
+// buildable reports whether build can be the build side of a broadcast join
+// against probe: a bare base-table scan of at most limit rows of a table
+// probe does not scan. Subtrees with joins or filters above the scan shuffle
+// instead (their output size is not footer-predictable). Filtered scans are
+// excluded even when the post-filter estimate is small: every worker of a
+// broadcast reads the whole table, and the estimate bounds selected rows, not
+// the bytes read. A table the probe side scans too — a self-join — shuffles:
+// a worker gets one file list per table, its share of its stage's own table,
+// so the build side could not be read whole.
+func (c *compiler) buildable(build, probe engine.Plan, limit int64) bool {
+	s, ok := build.(*engine.ScanPlan)
 	if !ok || limit <= 0 || s.Filter != nil {
 		return false
 	}
-	rows, known := c.stats.Rows[s.Table]
-	return known && rows > 0 && rows <= limit
+	if rows, known := c.stats.Rows[s.Table]; !known || rows <= 0 || rows > limit {
+		return false
+	}
+	probed := false
+	engine.VisitScans(probe, func(p *engine.ScanPlan) { probed = probed || p.Table == s.Table })
+	return !probed
 }
 
 // checkKeys validates that a boundary's partition keys exist in the stage's

@@ -39,6 +39,20 @@ WHERE l_receiptdate >= DATE '1994-01-01' AND l_receiptdate < DATE '1995-01-01'
 GROUP BY o_orderpriority
 ORDER BY o_orderpriority`
 
+// broadcasts lists the build sides of sp's broadcast joins, read off its
+// stage fragments: each base table a stage scans beside its own.
+func broadcasts(sp *Plan) []string {
+	var out []string
+	for _, st := range sp.Stages {
+		engine.VisitScans(st.Plan, func(s *engine.ScanPlan) {
+			if s.Table != st.Table && !slices.ContainsFunc(st.Inputs, func(in Input) bool { return in.Table == s.Table }) {
+				out = append(out, s.Table)
+			}
+		})
+	}
+	return out
+}
+
 func bigStats() Stats {
 	return Stats{Rows: map[string]int64{"lineitem": 1 << 20, "orders": 1 << 18, "supplier": 50}}
 }
@@ -51,8 +65,8 @@ func TestDecomposeShuffleJoinWithGroupBy(t *testing.T) {
 	if len(sp.Stages) != 4 {
 		t.Fatalf("stages = %d, want 4 (scan, scan, join+partial, final):\n%s", len(sp.Stages), Explain(sp))
 	}
-	if len(sp.Broadcast) != 0 {
-		t.Fatalf("broadcast = %v, want none", sp.Broadcast)
+	if b := broadcasts(sp); len(b) != 0 {
+		t.Fatalf("broadcast = %v, want none", b)
 	}
 	scanL, scanR, join, final := sp.Stages[0], sp.Stages[1], sp.Stages[2], sp.Stages[3]
 	if scanL.Table != "lineitem" || scanR.Table != "orders" {
@@ -105,8 +119,8 @@ GROUP BY s_nationkey ORDER BY s_nationkey`
 	if len(sp.Stages) != 2 {
 		t.Fatalf("stages = %d:\n%s", len(sp.Stages), Explain(sp))
 	}
-	if len(sp.Broadcast) != 1 || sp.Broadcast[0] != "supplier" {
-		t.Fatalf("broadcast = %v", sp.Broadcast)
+	if b := broadcasts(sp); !slices.Equal(b, []string{"supplier"}) {
+		t.Fatalf("broadcast = %v", b)
 	}
 	if sp.Stages[0].Table != "lineitem" {
 		t.Fatalf("stage 0 table = %q", sp.Stages[0].Table)
@@ -124,8 +138,8 @@ GROUP BY s_nationkey ORDER BY s_nationkey`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sp.Broadcast) != 1 || sp.Broadcast[0] != "supplier" {
-		t.Fatalf("broadcast = %v (left small side not swapped)", sp.Broadcast)
+	if b := broadcasts(sp); !slices.Equal(b, []string{"supplier"}) {
+		t.Fatalf("broadcast = %v (left small side not swapped)", b)
 	}
 	if sp.Stages[0].Table != "lineitem" {
 		t.Fatalf("probe stage table = %q", sp.Stages[0].Table)
