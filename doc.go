@@ -76,9 +76,10 @@
 // The tables of one task share their first window: the worker tells each
 // source the scan its fragment runs over it, and the first scan of any plans
 // and fetches every source's first window at once, so a broadcast join's
-// build and probe sides pay one first-byte latency together. A build side's
-// row group is one GET over its projected columns (scan.Source.Hold): every
-// worker of the stage pays it, and the holes between them transfer for free. Level 1's chunks
+// build and probe sides pay one first-byte latency together. A row group's
+// projected columns are one GET whenever the holes between them add up to at
+// most s3fs.DefaultCoalesceGap: they transfer for free, and a build side's
+// GETs are billed once per worker of its stage. Level 1's chunks
 // follow one another on the lane that carries their read: no read on any
 // workload reaches the 16 MiB chunk size. Uploads cannot ride a lane: a Put
 // makes its object visible, and wakes the readers parked on its key, after
@@ -131,11 +132,10 @@
 // column — first kept page to last kept page — so per-column requests never
 // exceed one and billed bytes never exceed the chunk. Across columns, ranges are
 // batched through s3fs.ReadWindow, which coalesces each group's into spans
-// when the gap is small (at most s3fs.DefaultCoalesceGap, 128 KiB)
-// and the accumulated hole bytes stay under 1/8 of the span — trading one
-// fixed-price request against a bounded byte overhead, never an unbounded
-// one — and issues the spans of all of a window's groups through one
-// request window of the client (level 2). The same page index feeds planning: stage fan-out uses the
+// while a span's holes add up to at most s3fs.DefaultCoalesceGap (128 KiB) —
+// the holes transfer for free, so a saved request costs only bounded transfer
+// time and memory — and issues the spans of all of a window's groups through
+// one request window of the client (level 2). The same page index feeds planning: stage fan-out uses the
 // pruning-aware lpq.EstimateRows instead of raw footer row counts, so
 // selective queries launch fewer scan workers. scan.Stats and the driver
 // Report expose the billed request and byte counters the cost-guard tests

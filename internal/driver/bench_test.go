@@ -142,7 +142,7 @@ func BenchmarkStagedSelectiveScan(b *testing.B) {
 	var virtual time.Duration
 	var gets, bytes int64
 	for i := 0; i < b.N; i++ {
-		_, rep := runStagedCost(b, pagedOpts, unpagedOpts, true)
+		_, rep := runStagedCost(b, pagedOpts, unpagedOpts, true, false)
 		virtual += rep.Duration
 		gets += rep.Cost.S3Get
 		bytes += rep.Cost.S3ReadBytes

@@ -75,11 +75,14 @@ func tryStagedChaosQ12(t *testing.T, mkDep func(k *simclock.Kernel) *Deployment,
 // transients on both paths, SQS duplicate delivery and receive timeouts,
 // DynamoDB throttling on the barrier reads, Lambda cold-start spikes, and
 // one mid-run crash. The 2-partition q12 reads too few objects for the 5 %
-// GET rule to draw a fault, so the last rule fails the query's 25th S3 GET
-// once, whatever the draws: a worker's read inside a request window — on a
+// GET rule to draw a fault, so the last rule fails the query's 13th S3 GET
+// once, whatever the draws: past the planner's six opens and the scan
+// workers' five reads, a worker's read inside a request window — on a
 // single-round boundary the second of the join worker's four (both inputs in
 // one window), on a multi-level one a regroup worker's — retried on its lane
-// while the others are in flight.
+// while the others are in flight. It was the 25th while a scan worker's row
+// group took up to three GETs; at one GET a group the 2-partition runs bill
+// 19 to 24 GETs, and the 25th was never drawn.
 func chaosPlanQ12() faults.Plan {
 	return faults.Plan{
 		Seed: 20260808,
@@ -92,7 +95,7 @@ func chaosPlanQ12() faults.Plan {
 			{Op: faults.OpDynamoGet, Kind: faults.KindThrottle, Rate: 0.05},
 			{Op: faults.OpLambda, Kind: faults.KindColdSpike, Rate: 0.1, Delay: 300 * time.Millisecond},
 			{Op: faults.OpLambda, Kind: faults.KindCrashMidRun, Skip: 5, Count: 1, Delay: 150 * time.Millisecond},
-			{Op: faults.OpS3Get, Kind: faults.KindTransient, Skip: 24, Count: 1},
+			{Op: faults.OpS3Get, Kind: faults.KindTransient, Skip: 12, Count: 1},
 		},
 	}
 }
@@ -118,10 +121,9 @@ func TestStagedChaosDeterministicByteIdentical(t *testing.T) {
 
 // TestStagedChaosGroupByByteIdentical: the staged aggregation over a key the
 // footers cannot bound — scan, repartition, finalize, no join — under the
-// same storm. Six files, not four: since the final stage launches on the
-// scan's first winner, the four-file run bills 28 S3 requests, not 33, and
-// draws neither the fixed rule's 25th GET nor a throttled marker read — a
-// storm no worker retried. Six scan workers read past the 25th GET.
+// same storm, on six files: they were picked when the fixed rule failed the
+// 25th GET, which the four-file run (28 S3 requests) never drew. At the 13th
+// either layout's storm has a worker read retried.
 func TestStagedChaosGroupByByteIdentical(t *testing.T) {
 	q := groupBy("l_partkey", agg("COUNT(*)", "n"), agg("MIN(l_orderkey)", "first_ord"), agg("MAX(l_orderkey)", "last_ord"))
 	runCase(t, planCase{Q: q, Layout: layout{Data: 11, LI: 6, Opts: stdLayout.Opts}, Partitions: 2, Speculate: true, Faults: chaosPlanQ12()}, wantStages(2), inflation{})

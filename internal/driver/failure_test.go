@@ -25,16 +25,20 @@ import (
 // of the same query and seed. The bound is relative, not absolute: an
 // absolute one encodes whatever the barriers happened to waste — a limit of
 // 40 requests a second never bit q6's two workers, and the run still cleared
-// 500 ms only by a wake-up the driver's result loop lost.
+// 500 ms only by a wake-up the driver's result loop lost. So is the rate: a
+// fixed 8 reads a second stopped biting once each row group was one GET. It
+// is taken from the unthrottled run's own GETs instead. That run lasts under
+// a second, so its GETs fall in at most two of the limiter's one-second
+// windows, and a throttled run that never throttled would be the same run:
+// under half its GETs a second must throttle it.
 func TestQuerySurvivesThrottling(t *testing.T) {
 	run := func(rate float64) *Report {
 		k := simclock.New()
 		meter := pricing.NewCostMeter()
 		cfg := s3.DefaultAWSConfig(meter, 3)
-		if rate > 0 {
-			cfg.ReadsPerSecond = rate // brutal: the workers' opens and reads outrun it
-			cfg.WritesPerSecond = rate
-		}
+		// Reads alone: q6 writes nothing to S3, and throttled uploads would
+		// draw latencies the unthrottled run does not.
+		cfg.ReadsPerSecond = rate
 		dep := &Deployment{
 			S3:     s3.New(cfg),
 			Lambda: lambdasvc.New(lambdasvc.DefaultAWSConfig(meter, 4), lambdasvc.SimRuntime{K: k}),
@@ -76,15 +80,23 @@ func TestQuerySurvivesThrottling(t *testing.T) {
 		}
 		return rep
 	}
-	clean, throttled := run(0), run(8)
+	clean := run(0)
+	if clean.Duration >= time.Second {
+		t.Fatalf("the unthrottled run took %v: its GETs may span more than two one-second windows", clean.Duration)
+	}
+	rate := float64((clean.Cost.S3Get - 1) / 2)
+	if rate < 1 {
+		t.Fatalf("the unthrottled run billed %d GETs: too few to throttle", clean.Cost.S3Get)
+	}
+	throttled := run(rate)
 	if throttled.DriverRetries+throttled.WorkerRetries == 0 {
 		t.Error("no request was retried: the rate limit never bit")
 	}
 	if throttled.Duration <= clean.Duration {
 		t.Errorf("throttled query took %v, no longer than the unthrottled %v", throttled.Duration, clean.Duration)
 	}
-	t.Logf("unthrottled %v; throttled %v, %d driver and %d worker retries",
-		clean.Duration, throttled.Duration, throttled.DriverRetries, throttled.WorkerRetries)
+	t.Logf("unthrottled %v, %d GETs; throttled at %v reads/s %v, %d driver and %d worker retries",
+		clean.Duration, clean.Cost.S3Get, rate, throttled.Duration, throttled.DriverRetries, throttled.WorkerRetries)
 }
 
 // TestConcurrencyLimitRejectsInvocations verifies the fleet launch surfaces

@@ -901,15 +901,37 @@ func (c planCase) inflation(a caseRun, o []any) error {
 	if err := sameRows(a.out, clean.out, 0); err != nil {
 		return fmt.Errorf("rows against the fault-free twin: %w", err)
 	}
+	// The twin's later attempts are speculative backups: work its first
+	// attempts also did, which a faulted run need not duplicate.
+	first := s3Reqs(clean) - laterAttemptS3Reqs(clean)
 	switch {
 	case len(a.rep.InjectedFaults) == 0 || a.rep.WorkerRetries == 0:
 		return fmt.Errorf("injected %v, %d worker retries: want a storm the workers retried", a.rep.InjectedFaults, a.rep.WorkerRetries)
-	case s3Reqs(a) < s3Reqs(clean) || s3Reqs(a) > 2*s3Reqs(clean):
-		return fmt.Errorf("billed %d S3 requests, the fault-free twin %d: want within 2×", s3Reqs(a), s3Reqs(clean))
+	case s3Reqs(a) < first || s3Reqs(a) > 2*s3Reqs(clean):
+		return fmt.Errorf("billed %d S3 requests, the fault-free twin %d, %d of them its first attempts': want at least those and within 2×",
+			s3Reqs(a), s3Reqs(clean), first)
 	case a.billed.SQSRequests > 4*clean.billed.SQSRequests:
 		return fmt.Errorf("billed %d SQS requests, the fault-free twin %d: want within 4×", a.billed.SQSRequests, clean.billed.SQSRequests)
 	}
 	return nil
+}
+
+// laterAttemptS3Reqs sums the S3 requests r's trace charges to worker
+// invocations past their first attempt — relaunches and speculative backups —
+// each request to its nearest invocation span.
+func laterAttemptS3Reqs(r caseRun) int64 {
+	spans := r.rep.Trace.Spans()
+	var n int64
+	for _, s := range spans {
+		id := s.ID
+		for id != 0 && spans[id-1].Kind != obs.KindInvoke {
+			id = spans[id-1].Parent
+		}
+		if id != 0 && spans[id-1].Tags["attempt"] != "" {
+			n += s.Cost.S3Get + s.Cost.S3Put
+		}
+	}
+	return n
 }
 
 // shapes names the classes of plan a run exercised.

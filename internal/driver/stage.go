@@ -1139,7 +1139,14 @@ func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *w
 		return nil, nil, err
 	}
 	if tr.Enabled() {
+		var dead int64 // the holes the task's scans fetched between wanted ranges
+		for _, src := range cat {
+			if m, ok := src.(memGuardSource); ok {
+				dead += m.Stats().DeadBytes
+			}
+		}
 		tr.SetTag(tr.Current(env), "rows.out", strconv.Itoa(out.NumRows()))
+		tr.SetTag(tr.Current(env), "bytes.dead", strconv.FormatInt(dead, 10))
 	}
 	if x.Output == nil {
 		return out, nil, nil

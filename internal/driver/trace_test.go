@@ -287,7 +287,15 @@ func TestProfileFitsAScreen(t *testing.T) {
 	// (stage 1 +64 → +59, +402 → +397, +446 → +442; the join +427 → +421,
 	// +584 → +580, +1.299s → +1.294s). The lags are as measured (24 → 25,
 	// 20 → 19).
-	for _, want := range [][5]string{{"1", "+59ms", "+397ms", "+442ms", "25ms"}, {"0", "+421ms", "+580ms", "+1.294s", "19ms"}} {
+	// Then a span came to carry up to s3fs.DefaultCoalesceGap dead bytes in
+	// all, whatever share of it they are: the two scan stages bill 6 GETs
+	// fewer (1 040 → 1 034), and stage 1 reports 13 ms sooner and seals 25 ms
+	// sooner (+397 → +384, +442 → +417). Fewer requests re-draw every later
+	// latency: stage 2 first reports 14 ms later (+409 → +423), so the join,
+	// launched once both scan stages have reported, launches 18 ms later
+	// (+421 → +439), first reports 19 ms sooner (+580 → +561) and seals 23 ms
+	// later (+1.294s → +1.317s). The lags are as measured (25 → 32, 19 → 12).
+	for _, want := range [][5]string{{"1", "+59ms", "+384ms", "+417ms", "32ms"}, {"0", "+439ms", "+561ms", "+1.317s", "12ms"}} {
 		var row []string
 		for _, line := range strings.Split(report, "\n") {
 			if f := strings.Fields(line); len(f) > 6 && f[0] == want[0] {

@@ -8,15 +8,16 @@ import (
 )
 
 // Range coalescing: merging near-adjacent column-chunk and page ranges into
-// one billed GET each. S3 bills per request plus per byte; when two wanted
-// ranges are separated by a gap smaller than the per-request overhead is
-// worth, fetching the gap as dead bytes inside one larger request is
-// strictly cheaper (the trade-off Figure 7 quantifies). PlanSpans computes
-// the merged spans, ReadWindow executes them.
+// one billed GET each. S3 bills per request; transfer from S3 into Lambda in
+// one region is free, so fetching the holes between wanted ranges as dead
+// bytes inside one larger request trades a GET's price and first-byte latency
+// for transfer time and memory alone (the trade Figure 7 quantifies).
+// PlanSpans computes the merged spans, ReadWindow executes them.
 
-// DefaultCoalesceGap is the largest hole (in bytes) merged into one request
-// (128 KiB — at S3's modeled per-request cost, dead bytes below this are
-// cheaper than the extra GET).
+// DefaultCoalesceGap is the most dead bytes one span carries, its holes
+// summed (128 KiB): enough to fold a row group's column chunks into one GET,
+// little enough to bound what each span adds to a worker's transfer time and
+// memory.
 const DefaultCoalesceGap = 128 << 10
 
 // Range identifies a wanted byte range [Off, Off+Len).
@@ -25,19 +26,17 @@ type Range struct {
 }
 
 // Span is one planned GET covering [Off, Off+Len); Ranges indexes the input
-// ranges it satisfies.
+// ranges it satisfies, and Dead counts the bytes of the holes between them.
 type Span struct {
-	Off, Len int64
-	Ranges   []int
+	Off, Len, Dead int64
+	Ranges         []int
 }
 
-// PlanSpans merges ranges whose gaps are at most gap bytes into single
-// spans. Merging is waste-bounded: a span swallows a hole only while its
-// accumulated holes stay at or under 1/8th of the resulting span, so each
-// saved GET is bought with at most 12.5% billed overhead — without the
-// bound, a span could chain many small holes and end up billing more dead
-// bytes than the uncoalesced reads, inverting the cost trade. Gap 0 merges
-// only exactly-adjacent or overlapping ranges. Zero-length ranges are
+// PlanSpans merges ranges into spans, in offset order: a span swallows the
+// next range while the holes it has swallowed, summed, stay at or under gap
+// bytes. Holes are not billed by the byte, so the rule buys no dead bytes with
+// requests; it only bounds what a span costs in transfer time and memory. Gap
+// 0 merges only touching or overlapping ranges. Zero-length ranges are
 // dropped.
 func PlanSpans(ranges []Range, gap int64) []Span {
 	idx := make([]int, 0, len(ranges))
@@ -54,28 +53,18 @@ func PlanSpans(ranges []Range, gap int64) []Span {
 		return ra.Len < rb.Len
 	})
 	var spans []Span
-	var waste int64 // holes accumulated in the last span
 	for _, i := range idx {
 		r := ranges[i]
 		if len(spans) > 0 {
 			s := &spans[len(spans)-1]
-			hole := r.Off - (s.Off + s.Len)
-			if hole < 0 {
-				hole = 0
-			}
-			newLen := s.Len
-			if end := r.Off + r.Len; end > s.Off+s.Len {
-				newLen = end - s.Off
-			}
-			if hole <= gap && (waste+hole)*8 <= newLen {
-				s.Len = newLen
+			if hole := max(r.Off-(s.Off+s.Len), 0); s.Dead+hole <= gap {
+				s.Len = max(s.Len, r.Off+r.Len-s.Off)
 				s.Ranges = append(s.Ranges, i)
-				waste += hole
+				s.Dead += hole
 				continue
 			}
 		}
 		spans = append(spans, Span{Off: r.Off, Len: r.Len, Ranges: []int{i}})
-		waste = 0
 	}
 	return spans
 }
@@ -105,13 +94,13 @@ type Read struct {
 }
 
 // ReadWindow fetches every range of every read, each read's ranges coalesced
-// into spans (PlanSpans, DefaultCoalesceGap) on their own, so a window bills
-// what its reads would alone. All the spans share one request window of
-// client (s3.Client.Overlap), issued in read and offset order: they pay their
-// first-byte latencies together — level 2 (§4.3.2) across row groups and
-// files, on either clock and without a goroutine. out[r] is indexed like
-// reads[r].Ranges, and partly filled on error; slices of one span alias one
-// buffer.
+// into spans on their own (PlanSpans, up to DefaultCoalesceGap dead bytes a
+// span), so a window bills what its reads would alone. All the spans share one
+// request window of client (s3.Client.Overlap), issued in read and offset
+// order: they pay their first-byte latencies together — level 2 (§4.3.2)
+// across row groups and files, on either clock and without a goroutine. out[r]
+// is indexed like reads[r].Ranges, and partly filled on error; slices of one
+// span alias one buffer.
 func ReadWindow(client *s3.Client, reads []Read) ([][][]byte, error) {
 	var spans []Span
 	var of []int // the read each span serves
@@ -132,6 +121,7 @@ func ReadWindow(client *s3.Client, reads []Read) ([][][]byte, error) {
 			return fmt.Errorf("s3fs: span [%d,%d) of %s/%s truncated to %d bytes",
 				s.Off, s.Off+s.Len, f.bucket, f.key, len(buf))
 		}
+		f.dead.Add(s.Dead)
 		s.Cut(buf, reads[of[i]].Ranges, out[of[i]])
 		return nil
 	})

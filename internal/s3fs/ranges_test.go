@@ -30,7 +30,7 @@ func TestPlanSpansMerging(t *testing.T) {
 			name:   "small hole merges within gap",
 			ranges: []Range{{0, 100}, {104, 100}},
 			gap:    8,
-			want:   []Span{{Off: 0, Len: 204, Ranges: []int{0, 1}}},
+			want:   []Span{{Off: 0, Len: 204, Dead: 4, Ranges: []int{0, 1}}},
 		},
 		{
 			name:   "hole beyond gap splits",
@@ -63,36 +63,16 @@ func TestPlanSpansMerging(t *testing.T) {
 			want:   []Span{{Off: 0, Len: 30, Ranges: []int{0, 1}}},
 		},
 		{
-			// Waste bound: a 20-byte hole against 40 useful bytes is 33%
-			// overhead — over the 1/8 cap, so the span splits even though
-			// the hole fits the gap.
-			name:   "waste-bounded split",
-			ranges: []Range{{0, 20}, {40, 20}},
-			gap:    1 << 20,
+			// The gap caps a span's holes in total, not each hole alone:
+			// the first two 100-byte holes fit a 250-byte gap together, the
+			// third would make 300 dead bytes, so the chain breaks there and
+			// the next span starts with none.
+			name:   "accumulated holes split the chain",
+			ranges: []Range{{0, 1000}, {1100, 100}, {1300, 100}, {1500, 100}, {1700, 100}},
+			gap:    250,
 			want: []Span{
-				{Off: 0, Len: 20, Ranges: []int{0}},
-				{Off: 40, Len: 20, Ranges: []int{1}},
-			},
-		},
-		{
-			// Same hole against enough payload merges: 20/1044 < 1/8.
-			name:   "waste within bound merges",
-			ranges: []Range{{0, 1000}, {1020, 24}},
-			gap:    1 << 20,
-			want:   []Span{{Off: 0, Len: 1044, Ranges: []int{0, 1}}},
-		},
-		{
-			// Accumulated waste is capped across a chain of merges, not
-			// only per hole: the first 100-byte hole fits (100/1200), the
-			// second would push total holes to 200 of 1400 — over 1/8 —
-			// so the chain breaks there.
-			name:   "accumulated waste splits the chain",
-			ranges: []Range{{0, 1000}, {1100, 100}, {1300, 100}, {1500, 100}},
-			gap:    1 << 20,
-			want: []Span{
-				{Off: 0, Len: 1200, Ranges: []int{0, 1}},
-				{Off: 1300, Len: 100, Ranges: []int{2}},
-				{Off: 1500, Len: 100, Ranges: []int{3}},
+				{Off: 0, Len: 1400, Dead: 200, Ranges: []int{0, 1, 2}},
+				{Off: 1500, Len: 300, Dead: 100, Ranges: []int{3, 4}},
 			},
 		},
 	} {
@@ -103,26 +83,22 @@ func TestPlanSpansMerging(t *testing.T) {
 	}
 }
 
-// Property: spans cover every input range exactly once, in offset order.
+// Property: spans are sorted, disjoint and never touch; each non-empty range
+// is listed by exactly one span and lies inside it; a span's Dead is its
+// length less the union of its ranges, and at most gap, so at gap 0 only
+// touching or overlapping ranges merge; and there are no more spans than
+// non-empty ranges.
 func TestPropertyPlanSpansSound(t *testing.T) {
-	f := func(offs []uint16, lens []uint8, gapRaw uint8) bool {
-		n := len(offs)
-		if len(lens) < n {
-			n = len(lens)
-		}
-		ranges := make([]Range, n)
-		for i := 0; i < n; i++ {
-			ranges[i] = Range{Off: int64(offs[i]), Len: int64(lens[i])}
-		}
-		gap := int64(gapRaw)
+	sound := func(ranges []Range, gap int64) bool {
 		spans := PlanSpans(ranges, gap)
 		seen := map[int]bool{}
 		var prevEnd int64 = -1
 		for _, s := range spans {
 			if s.Off <= prevEnd {
-				return false // spans must not touch or overlap
+				return false // spans must be sorted and must not touch or overlap
 			}
 			prevEnd = s.Off + s.Len
+			var live, end int64 = 0, s.Off // union of the span's ranges, in offset order
 			for _, i := range s.Ranges {
 				r := ranges[i]
 				if seen[i] || r.Len == 0 {
@@ -132,14 +108,32 @@ func TestPropertyPlanSpansSound(t *testing.T) {
 				if r.Off < s.Off || r.Off+r.Len > s.Off+s.Len {
 					return false // range not covered by its span
 				}
+				if r.Off+r.Len > end {
+					live += r.Off + r.Len - max(r.Off, end)
+					end = r.Off + r.Len
+				}
+			}
+			if s.Dead != s.Len-live || s.Dead > gap {
+				return false // dead bytes miscounted, or more than the gap allows
 			}
 		}
+		nonEmpty := 0
 		for i, r := range ranges {
-			if r.Len > 0 && !seen[i] {
-				return false
+			if r.Len > 0 {
+				nonEmpty++
+				if !seen[i] {
+					return false
+				}
 			}
 		}
-		return true
+		return len(spans) <= nonEmpty
+	}
+	f := func(offs []uint16, lens []uint8, gapRaw uint8) bool {
+		ranges := make([]Range, min(len(offs), len(lens)))
+		for i := range ranges {
+			ranges[i] = Range{Off: int64(offs[i]), Len: int64(lens[i])}
+		}
+		return sound(ranges, int64(gapRaw)) && sound(ranges, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -147,23 +141,26 @@ func TestPropertyPlanSpansSound(t *testing.T) {
 }
 
 func TestReadRangesCoalesces(t *testing.T) {
-	data := make([]byte, 4000)
+	data := make([]byte, 300<<10)
 	for i := range data {
 		data[i] = byte(i % 251)
 	}
 	f := setup(t, data)
 
-	ranges := []Range{{0, 500}, {510, 500}, {2000, 100}, {3900, 100}}
+	ranges := []Range{{0, 500}, {510, 500}, {2000, 100}, {3900, 100}, {200 << 10, 100}}
 	before := f.Requests()
 	got, err := f.ReadRanges(ranges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// {0,500} and {510,500} merge (10-byte hole); the others stand alone:
-	// their holes are within DefaultCoalesceGap but would make over an
-	// eighth of the span dead bytes.
-	if n := f.Requests() - before; n != 3 {
-		t.Errorf("coalesced read took %d requests, want 3", n)
+	// The first four merge: their holes, 2800 bytes in all, stay within
+	// DefaultCoalesceGap. The last one, ~196 KiB on, would pass it and
+	// stands alone.
+	if n := f.Requests() - before; n != 2 {
+		t.Errorf("coalesced read took %d requests, want 2", n)
+	}
+	if n := f.DeadBytes(); n != 2800 {
+		t.Errorf("coalesced read fetched %d dead bytes, want 2800", n)
 	}
 	for i, r := range ranges {
 		if !bytes.Equal(got[i], data[r.Off:r.Off+r.Len]) {

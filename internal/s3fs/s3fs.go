@@ -33,8 +33,10 @@ type File struct {
 	// requests is atomic: one handle serves every concurrent scan of the
 	// source that opened it.
 	requests atomic.Int64
-	// bytes counts the billed bytes fetched through this handle.
+	// bytes counts the billed bytes fetched through this handle; dead, those
+	// of them that were holes between the ranges a ReadWindow wanted.
 	bytes atomic.Int64
+	dead  atomic.Int64
 }
 
 // Open is the one request opening an object costs: a suffix read of its last
@@ -73,6 +75,10 @@ func (f *File) Requests() int64 { return f.requests.Load() }
 
 // BytesRead returns how many billed bytes this handle has fetched.
 func (f *File) BytesRead() int64 { return f.bytes.Load() }
+
+// DeadBytes returns how many of BytesRead were holes a span carried between
+// the ranges its read wanted (PlanSpans).
+func (f *File) DeadBytes() int64 { return f.dead.Load() }
 
 // ReadAt implements io.ReaderAt: it fills p from offset off using ranged
 // GETs of at most ChunkBytes each. Reads past the end return io.EOF with

@@ -207,12 +207,12 @@ func TestPinnedTablesShareTheFirstWindow(t *testing.T) {
 	chunksIdentical(t, got, want)
 }
 
-// TestHoldReadsAGroupInOneGet: a held source — a build side — reads each row
-// group of a scan without a filter in one GET over its projected column
-// chunks, holes included, where s3fs.PlanSpans' waste bound splits two
-// far-apart columns into two; the rows are the same. Hold counts what the
-// scan keeps, rows × projected widths from the footers, and refuses one byte
-// less with lpq.ErrOverBound before any request.
+// TestHoldReadsAGroupInOneGet: a held source — a build side — reads what an
+// unheld one reads: each row group of a scan without a filter is one GET over
+// its projected column chunks, holes included, since the holes between two
+// far-apart columns stay within s3fs.DefaultCoalesceGap; the rows are the
+// same. Hold counts what the scan keeps, rows × projected widths from the
+// footers, and refuses one byte less with lpq.ErrOverBound before any request.
 func TestHoldReadsAGroupInOneGet(t *testing.T) {
 	proj := []string{"l_orderkey", "l_shipdate"} // 16 bytes a row, far apart
 	meter := pricing.NewCostMeter()
@@ -233,8 +233,8 @@ func TestHoldReadsAGroupInOneGet(t *testing.T) {
 	want := collectScan(t, plain, proj, nil)
 	gets, _ := groupSpans(t, plain, proj)
 	groups := int64(len(gets))
-	if st := plain.Stats(); st.BilledGets != 2*groups {
-		t.Fatalf("an unheld scan billed %d GETs for %d row groups, want two far-apart spans each", st.BilledGets, groups)
+	if st := plain.Stats(); st.BilledGets != groups {
+		t.Fatalf("an unheld scan billed %d GETs for %d row groups, want one each", st.BilledGets, groups)
 	}
 
 	rows := int64(data.NumRows())
@@ -250,7 +250,8 @@ func TestHoldReadsAGroupInOneGet(t *testing.T) {
 		t.Errorf("Hold billed %d S3 reads", n)
 	}
 	chunksIdentical(t, collectScan(t, held, proj, nil), want)
-	if st := held.Stats(); st.BilledGets != groups {
-		t.Errorf("the held scan billed %d GETs for %d row groups, want one each", st.BilledGets, groups)
+	if st, unheld := held.Stats(), plain.Stats(); st.BilledGets != unheld.BilledGets || st.BilledBytes != unheld.BilledBytes {
+		t.Errorf("the held scan billed %d GETs, %d bytes; the unheld one %d, %d — want the same",
+			st.BilledGets, st.BilledBytes, unheld.BilledGets, unheld.BilledBytes)
 	}
 }

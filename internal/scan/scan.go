@@ -104,9 +104,6 @@ type Source struct {
 	// there (Expect) and, once that window is fetched, what it read for it.
 	shared *firstWindow
 	expect *walk
-	// whole marks a source whose consumer holds all it yields (Hold): a row
-	// group read whole is one range over its projected column chunks.
-	whole bool
 
 	mu    sync.Mutex
 	opens map[string]*openState
@@ -277,9 +274,11 @@ type Stats struct {
 	PagesFiltered int64
 	// BilledGets / BilledBytes sum the S3 requests and bytes issued by
 	// every file handle this source opened — the two cost drivers of the
-	// paper's pricing model.
+	// paper's pricing model. DeadBytes are the holes among BilledBytes that
+	// coalesced spans carried between wanted ranges, fetched for free.
 	BilledGets  int64
 	BilledBytes int64
+	DeadBytes   int64
 }
 
 // Stats returns the operator's counters.
@@ -299,6 +298,7 @@ func (s *Source) Stats() Stats {
 	for _, h := range s.handles {
 		st.BilledGets += h.Requests()
 		st.BilledBytes += h.BytesRead()
+		st.DeadBytes += h.DeadBytes()
 	}
 	return st
 }
@@ -689,17 +689,12 @@ func (fw *firstWindow) fetch() {
 	}
 }
 
-// Hold tells the source that its consumer keeps every row the scan of proj
-// under preds yields — a hash join's build side — and returns what that
-// holds: from the footers alone, the rows preds may keep (lpq.EstimateRows) ×
-// the projected widths, refused past bound bytes with lpq.ErrOverBound before
-// any of them is fetched. Each row group the source then reads whole is one
-// GET, a range over its projected column chunks with the holes between them:
-// a build side rides every worker's first window, where a GET per column
-// chunk would be billed once per worker, while the holes between its columns
-// transfer for free and are at most what a load of the whole table reads.
+// Hold returns what a consumer that keeps every row the scan of proj under
+// preds yields — a hash join's build side — holds: from the footers alone, the
+// rows preds may keep (lpq.EstimateRows) × the projected widths, refused past
+// bound bytes with lpq.ErrOverBound before any of them is fetched. It changes
+// nothing the scan then reads: its row groups are spanned like any other's.
 func (s *Source) Hold(proj []string, preds []lpq.Predicate, bound int64) (int64, error) {
-	s.whole = true
 	var n int64
 	for _, f := range s.Files {
 		meta, _, err := s.open(f)
@@ -731,13 +726,11 @@ type groupRead struct {
 	keep  []bool
 	first []s3fs.Range
 	early bool
-	whole bool // first is one range over the projected column chunks (Hold)
 }
 
 // plan is a row group's first step, from the footer alone: its first window
 // is its projected column chunks when read whole (no filter column to fetch
-// first) — on a held source one range over them, holes included — else the
-// filter's pages the page index kept (all columns are paged
+// first), else the filter's pages the page index kept (all columns are paged
 // alike) and, early, the payload's — at most payloadBreakEven, cheaper than
 // another latency. It refuses a group whose kept rows × projected widths pass
 // the bound, wrapping lpq.ErrOverBound. nil: the page index kept nothing.
@@ -746,16 +739,9 @@ func (s *Source) plan(f FileRef, h *s3fs.File, meta *lpq.FileMeta, g int, pr *pr
 	r := &groupRead{h: h, meta: meta, g: g, pr: pr}
 	rows := rg.NumRows
 	if len(pr.fslots) == 0 {
-		lo, hi := int64(math.MaxInt64), int64(0)
 		for _, ci := range pr.cols {
 			cc := &rg.Columns[ci]
 			r.first = append(r.first, s3fs.Range{Off: cc.Offset, Len: cc.CompressedLen})
-			if cc.CompressedLen > 0 {
-				lo, hi = min(lo, cc.Offset), max(hi, cc.Offset+cc.CompressedLen)
-			}
-		}
-		if r.whole = s.whole && lo < hi; r.whole {
-			r.first = []s3fs.Range{{Off: lo, Len: hi - lo}}
 		}
 	} else {
 		r.keep = lpq.PrunePages(meta, g, preds)
@@ -907,16 +893,7 @@ func (s *Source) finishWhole(r *groupRead, bufs [][]byte, filter engine.Expr) (*
 	defer s.releaseState(st)
 	out := s.chunks.GetChunk(r.pr.schema, int(rg.NumRows))
 	for slot, ci := range r.pr.cols {
-		cc := rg.Columns[ci]
-		var buf []byte
-		switch {
-		case !r.whole:
-			buf = bufs[slot]
-		case cc.CompressedLen > 0:
-			off := cc.Offset - r.first[0].Off
-			buf = bufs[0][off : off+cc.CompressedLen]
-		}
-		if err := st.DecodeColumnChunkOnto(out.Columns[slot], buf, cc, rg.NumRows); err != nil {
+		if err := st.DecodeColumnChunkOnto(out.Columns[slot], bufs[slot], rg.Columns[ci], rg.NumRows); err != nil {
 			return nil, err
 		}
 	}
@@ -1006,11 +983,12 @@ func pageWindow(keep []bool) (lo, hi, kept int) {
 
 // pageRanges appends to dst, for each of the given projection slots, ONE
 // covering range over its pages lo..hi of row group rg. Interior holes
-// (pruned or filtered-out pages between kept ones) are billed dead bytes, but
-// the range never exceeds the column chunk and never takes more than the one
-// request the full-chunk read would — so a read of them never bills more GETs
-// or bytes than reading whole column chunks, and ReadRanges' cross-column
-// coalescing can only improve the request count further.
+// (pruned or filtered-out pages between kept ones) are fetched as dead bytes,
+// but the range never exceeds the column chunk and never takes more than the
+// one request the full-chunk read would — so a read of them never bills more
+// GETs than reading whole column chunks — and ReadWindow's cross-column
+// coalescing, which fetches the free holes between them, can only lower the
+// request count further.
 func pageRanges(dst []s3fs.Range, rg *lpq.RowGroupMeta, cols, slots []int, lo, hi int) []s3fs.Range {
 	for _, slot := range slots {
 		cc := &rg.Columns[cols[slot]]

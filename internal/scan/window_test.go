@@ -22,18 +22,22 @@ import (
 
 // TestRequestLevelsRideTheWindowOnDES: a DES process scans four files with
 // the default configuration, and levels 2 and 4 engage without a goroutine:
-// the four footers cost one first-byte latency, and the two far-apart column
-// spans of all 16 row groups — 520 KB in all, under payloadBreakEven, so one
-// request window across the four files — cost ⌈32 / 16⌉ more, where they cost
-// one each when read in turn; the requests, the bytes and the chunks are the
-// serial scan's.
+// the four footers cost one first-byte latency, and the spans s3fs.PlanSpans
+// plans for all 16 row groups — their wanted bytes under payloadBreakEven, so
+// one request window across the four files — cost ⌈spans / 16⌉ more, where
+// they cost one each when read in turn; the requests, the bytes and the chunks
+// are the serial scan's.
 func TestRequestLevelsRideTheWindowOnDES(t *testing.T) {
 	svc := s3.New(s3.Config{GetLatency: netmodel.Constant(lat)})
 	refs, _ := uploadLineitemOpts(t, svc, 0.01, 4, lpq.WriterOptions{RowGroupRows: 4000, PageRows: 512})
 	proj := []string{"l_orderkey", "l_shipdate"}
-	// Recorded at the parent of the PR that moved the spans onto the window,
-	// on its serial path: four opens and two spans for each of 16 row groups.
-	const parentGets, parentBytes, groups = 36, 520694, 16
+	// Recorded at the parent of the change that moved the spans onto the
+	// window, on its serial path: four opens and two spans for each of 16 row
+	// groups, 36 GETs and 520 694 bytes. 20 GETs and 1 896 635 bytes since a
+	// span carries up to s3fs.DefaultCoalesceGap dead bytes in total, whatever
+	// share of it they are: each group's two far-apart columns are one span,
+	// the hole between them fetched for free.
+	const serialGets, serialBytes, groups = 20, 1896635, 16
 
 	serial := New(newClient(svc), Config{}, refs...)
 	want := collectScan(t, serial, proj, nil)
@@ -59,15 +63,21 @@ func TestRequestLevelsRideTheWindowOnDES(t *testing.T) {
 		st = src.Stats()
 	})
 	chunksIdentical(t, got, want)
-	if st.BilledGets != parentGets || st.BilledBytes != parentBytes || st.RowGroupsRead != groups {
+	if st.BilledGets != serialGets || st.BilledBytes != serialBytes || st.RowGroupsRead != groups {
 		t.Errorf("billed %d GETs, %d bytes for %d row groups; the serial scan bills %d, %d for %d",
-			st.BilledGets, st.BilledBytes, st.RowGroupsRead, parentGets, parentBytes, groups)
+			st.BilledGets, st.BilledBytes, st.RowGroupsRead, serialGets, serialBytes, groups)
 	}
-	// 17 latencies when every row group had a window of its own.
-	const spans, lanes = 2 * groups, 16
+	// 17 latencies when every row group had a window of its own; 3, 120 ms,
+	// when each group was two spans.
+	const lanes = 16
+	gets, _ := groupSpans(t, serial, proj)
+	var spans int64
+	for _, n := range gets {
+		spans += n
+	}
 	if wantEnd := time.Duration(1+(spans+lanes-1)/lanes) * lat; end != wantEnd {
 		t.Errorf("scan took %v, want %v: one latency for the footers and ⌈%d spans / %d lanes⌉ for the one data window (%v with every request in turn)",
-			end, wantEnd, spans, lanes, parentGets*lat)
+			end, wantEnd, spans, lanes, serialGets*lat)
 	}
 }
 
