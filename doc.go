@@ -239,14 +239,17 @@
 // execute, then publish or post the result. One launch loop: a stage's fleet
 // is cut once into launch units — one per worker, or, where invoke.UseTree
 // finds the two-level tree (§4.2) starts the fleet sooner on a session
-// without a concurrency cap, one per first-generation worker with its
-// children's payloads folded in — and a launch pass walks them with take
-// tokens → pace → Invoke. Every unit, direct or first-generation, is a
-// pipelined Invoke paced at Table 1's concurrent rate: the driver's one
-// requester pool (invoke.RequesterThreads, ≈ 294 Invokes/s to eu), so a
-// 30-worker fleet is out in 0.1 s and launches directly, while 256 workers
-// still go through the tree, whose first generation then pays one cold start
-// before its children.
+// without a concurrency cap, one per first-generation worker carrying its
+// children's shares — and a launch pass walks them with take tokens → pace →
+// Invoke. A stage is one task and a worker is its share (its ID and its slice
+// of the stage's own table): every payload, the ones a first-generation
+// worker builds for its children included, is the task's forWorker of a
+// share, checked whole before its worker invokes anyone. Every unit, direct
+// or first-generation, is a pipelined Invoke paced at Table 1's concurrent
+// rate: the driver's one requester pool (invoke.RequesterThreads, ≈ 294
+// Invokes/s to eu), so a 30-worker fleet is out in 0.1 s and launches
+// directly, while 256 workers still go through the tree, whose first
+// generation then pays one cold start before its children.
 // The tokens come from an invoke.Admission — which owns the pacer: the
 // session's shared one under Config.MaxInFlight, a private unlimited one —
 // all pacer, no cap — otherwise, so capped and uncapped launches are the same
@@ -387,9 +390,9 @@
 // loop stays O(1) per completion event at 4k workers.
 //
 // The scheduler is event-driven rather than lock-step dependency waves. It
-// keeps one stageRun per stage — payloads, pending launch units, winners,
-// attempts, response times, the liveness-cap window — in one of three
-// states, and every transition is a method that takes the instant as an
+// keeps one stageRun per stage — its task and shares, pending launch units,
+// winners, attempts, response times, the liveness-cap window — in one of
+// three states, and every transition is a method that takes the instant as an
 // argument and answers with what the driver must do:
 //
 //	pending  → launched  launchable(r) says the stage may take admission

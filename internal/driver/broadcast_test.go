@@ -246,8 +246,8 @@ func checkPayloadTables(t *testing.T, client *s3.Client, sp *stageplan.Plan, tab
 			want = append(want, st.Table)
 		}
 		sort.Strings(want)
-		if _, ok := keys["tables"]; ok != (len(want) > 0) || !slices.Equal(p.tables(), want) {
-			t.Errorf("stage %d worker %d: tables %v (key present: %t), want %v", st.ID, p.WorkerID, p.tables(), ok, want)
+		if _, ok := keys["tables"]; ok != (len(want) > 0) || !slices.Equal(sortedStringKeys(p.Tables), want) {
+			t.Errorf("stage %d worker %d: tables %v (key present: %t), want %v", st.ID, p.WorkerID, sortedStringKeys(p.Tables), ok, want)
 		}
 		for _, name := range buildSides(st) {
 			if !reflect.DeepEqual(p.Tables[name], pinned[name]) {

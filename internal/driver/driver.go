@@ -11,7 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
 	"strconv"
 	"time"
 
@@ -204,9 +204,9 @@ type workerPayload struct {
 	// pinned (scan.Source.Pin): its size and footer bytes ride along, so the
 	// worker opens none. The stage's own table holds this worker's share of
 	// its files, a broadcast join's build side all of its files.
-	Tables      map[string][]scan.FileRef `json:"tables,omitempty"`
-	ResultQueue string                    `json:"resultQueue"`
-	Children    []json.RawMessage         `json:"children,omitempty"`
+	Tables      TableFiles `json:"tables,omitempty"`
+	ResultQueue string     `json:"resultQueue"`
+	Children    []share    `json:"children,omitempty"` // the shares of the workers it invokes (§4.2)
 	// StageID names the task's stage in the stage plan (internal/stageplan).
 	StageID int `json:"stageId,omitempty"`
 	// Boundary, present when the stage touches an exchange boundary, tells
@@ -227,12 +227,32 @@ type workerPayload struct {
 	Epoch int `json:"epoch,omitempty"`
 }
 
+// share is what sets one worker of a stage apart from the stage's task: its
+// ID and its slice of the stage's own table.
+type share struct {
+	WorkerID int        `json:"workerId"`
+	Tables   TableFiles `json:"tables,omitempty"`
+}
+
+// forWorker is the one definition of a worker's payload: the task with the
+// share's ID, the share's tables in place of the task's, and no children.
+func (p *workerPayload) forWorker(s share) workerPayload {
+	q := *p
+	q.WorkerID, q.Children = s.WorkerID, nil
+	if len(s.Tables) > 0 {
+		q.Tables = make(TableFiles, len(p.Tables)+len(s.Tables))
+		maps.Copy(q.Tables, p.Tables)
+		maps.Copy(q.Tables, s.Tables)
+	}
+	return q
+}
+
 // maxFanout bounds the counts of a payload that size a worker's slices: far
 // above any fleet the scheduler builds, far below what a hostile one allocates.
 const maxFanout = 1 << 16
 
 // check refuses a payload no scheduler builds — the blob comes off the wire —
-// before one of its counts sizes a slice or indexes one.
+// before one of its counts sizes a slice or indexes one, or a child is invoked.
 func (p *workerPayload) check() error {
 	x := p.Boundary
 	if x == nil {
@@ -240,39 +260,42 @@ func (p *workerPayload) check() error {
 	}
 	sized := func(n int) bool { return n >= 1 && n <= maxFanout }
 	ok := sized(p.NumWorkers) && p.WorkerID >= 0 && p.WorkerID < p.NumWorkers && p.Attempt >= 0 &&
-		(x.Output == nil || sized(x.Output.Partitions))
+		(x.Output == nil || sized(x.Output.Partitions)) && len(p.Children) < p.NumWorkers
 	for _, in := range x.Inputs {
 		ok = ok && sized(in.Senders)
 	}
+	for _, c := range p.Children {
+		ok = ok && c.WorkerID >= 0 && c.WorkerID < p.NumWorkers && c.WorkerID != p.WorkerID
+	}
 	if !ok {
-		return fmt.Errorf("task of worker %d/%d, attempt %d: a count outside [1, %d]", p.WorkerID, p.NumWorkers, p.Attempt, maxFanout)
+		return fmt.Errorf("task of worker %d/%d, attempt %d, %d children: a count outside [1, %d] or a child outside the fleet",
+			p.WorkerID, p.NumWorkers, p.Attempt, len(p.Children), maxFanout)
 	}
 	if len(p.Plan) == 0 && (len(x.Inputs) != 1 || x.Output == nil) {
 		return errors.New("task carries neither a plan nor a boundary to regroup")
 	}
-	for _, name := range p.tables() {
-		files := p.Tables[name]
-		if len(files) == 0 {
+	// A child's payload is this task with the child's ID and tables
+	// (forWorker), so it passes where they do.
+	err := checkFiles(p.Tables)
+	for i := 0; err == nil && i < len(p.Children); i++ {
+		err = checkFiles(p.Children[i].Tables)
+	}
+	return err
+}
+
+// checkFiles refuses a table without files or a file without its footer.
+func checkFiles(tables TableFiles) error {
+	for _, name := range sortedStringKeys(tables) {
+		if len(tables[name]) == 0 {
 			return fmt.Errorf("table %q: no files", name)
 		}
-		for _, f := range files {
+		for _, f := range tables[name] {
 			if len(f.Footer) == 0 {
 				return fmt.Errorf("%w: %s/%s carries none", errShippedFooter, f.Bucket, f.Key)
 			}
 		}
 	}
 	return nil
-}
-
-// tables lists every table the task scans from S3 in name order, the order
-// its first request window issues their reads in.
-func (p *workerPayload) tables() []string {
-	names := make([]string, 0, len(p.Tables))
-	for name := range p.Tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // errShippedFooter fails a task whose scan file comes without its footer, or
@@ -355,25 +378,26 @@ func (d *Session) workerHandler(ctx *lambdasvc.Ctx, payload []byte) error {
 		}
 	}
 
+	// A task no scheduler builds fails here, before it invokes anyone.
+	if err := p.check(); err != nil {
+		return d.postResult(ctx.Env, ws, p, err, nil, nil, 0, ctx.Cold)
+	}
+
 	// First-generation workers launch their children before their own
 	// fragment (§4.2), in the spawn phase, under which the children's spans
-	// hang. Only the child's ID is read here; its payload — the pinned
-	// footers included — is decoded once, by the child.
+	// hang. A child's body is what a direct launch of it sends.
 	if len(p.Children) > 0 {
 		spawn := d.dep.Trace.Phase(ctx.Env, "spawn", ctx.Env.Now())
 		pacing := invoke.WorkerPacing(d.cfg.Region)
-		for _, body := range p.Children {
-			var child struct {
-				WorkerID int `json:"workerId"`
-			}
-			err := json.Unmarshal(body, &child)
+		for _, c := range p.Children {
+			body, err := json.Marshal(p.forWorker(c))
 			if err == nil {
 				err = ws.Do(ctx.Env, "lambda.Invoke", func() error {
-					return d.dep.Lambda.Invoke(ctx.Env, d.cfg.FunctionName, body, lambdasvc.InvokeOptions{WorkerID: child.WorkerID, Pipelined: true, Span: spawn})
+					return d.dep.Lambda.Invoke(ctx.Env, d.cfg.FunctionName, body, lambdasvc.InvokeOptions{WorkerID: c.WorkerID, Pipelined: true, Span: spawn})
 				})
 			}
 			if err != nil {
-				err = fmt.Errorf("invoking child %d: %w", child.WorkerID, err)
+				err = fmt.Errorf("invoking child %d: %w", c.WorkerID, err)
 				d.postResult(ctx.Env, ws, p, err, nil, nil, 0, ctx.Cold)
 				return err
 			}
@@ -488,7 +512,7 @@ func (d *Session) fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *work
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	names := p.tables()
+	names := sortedStringKeys(p.Tables) // the order the first request window reads them in
 	files := make([][]scan.FileRef, len(names))
 	for i, name := range names {
 		files[i] = p.Tables[name]

@@ -41,7 +41,7 @@ func payloadSeeds(t testing.TB) [][]byte {
 		err := json.Unmarshal(payload, &p)
 		if len(p.Children) > 0 {
 			// Fleets this small launch from the driver, one task per payload.
-			t.Errorf("worker %d's payload folds in %d children", p.WorkerID, len(p.Children))
+			t.Errorf("worker %d's payload carries %d children", p.WorkerID, len(p.Children))
 		}
 		if err == nil && p.WorkerID == 0 {
 			mu.Lock()
@@ -80,20 +80,23 @@ func payloadSeeds(t testing.TB) [][]byte {
 }
 
 // FuzzWorkerPayload: the invocation blob is outside bytes to the worker that
-// receives it. Whatever they are, decoding them, checking the task's counts
-// and that every scan file carries its footer (workerPayload.check) and
-// binding its fragment (fragmentCatalog: the plan JSON, the shipped footers
-// of its files and its build sides', the build sides' resident charge) gives
-// an error or a task with every table it names bound — never a panic, never
-// an S3 request, and never more memory than the worker's engine budget
-// allows, however many rows a file's footer claims. The deployment has no
-// file behind any name, and nothing here reads one. testdata/fuzz/
-// FuzzWorkerPayload holds the seeds as built at PR 24 (the two regroup ones
-// as the planner builds them since PR 25; their scan files carry no footer,
-// which check now refuses), a scan task as the planner pins it
-// (q1-scan-pinned), the broadcast q12 task with its ORDERS files pinned
-// (q12-broadcast-pinned), worker 1's regroup task of an aggregate over a
-// two-level boundary (regroup-no-tables) and the crashers found since; the
+// receives it. Whatever they are, decoding them, checking the task's counts,
+// its children and that every scan file carries its footer
+// (workerPayload.check) and binding its fragment (fragmentCatalog: the plan
+// JSON, the shipped footers of its files and its build sides', the build
+// sides' resident charge) gives an error or a task with every table it names
+// bound — never a panic, never an S3 request, and never more memory than the
+// worker's engine budget allows, however many rows a file's footer claims.
+// Every child of an accepted task is sent a payload that passes check too.
+// The deployment has no file behind any name, and nothing here reads one.
+// testdata/fuzz/FuzzWorkerPayload holds the seeds of the first staged
+// payload shapes (the two regroup ones with dense regroup stage IDs; their
+// scan files carry no footer, which check now refuses), a scan task as the
+// planner pins it (q1-scan-pinned), the broadcast q12 task with its ORDERS
+// files pinned (q12-broadcast-pinned), worker 1's regroup task of an
+// aggregate over a two-level boundary (regroup-no-tables), worker 0's
+// first-generation task of a 25-worker q1 launched through the tree with its
+// four children's shares (q1-tree-parent), and the crashers found since; the
 // two that carry a broadcast blob (broadcast-run-bomb, q12-resident-orders)
 // decode to tasks without it. Every seed names its files in the one "tables"
 // map; a task that scans no table has no such key.
@@ -115,7 +118,7 @@ func FuzzWorkerPayload(f *testing.F) {
 		}
 		if err == nil && len(p.Plan) > 0 {
 			plan, bound, rest, cerr := sess.fragmentCatalog(ctx, client, &p)
-			names := p.tables()
+			names := sortedStringKeys(p.Tables)
 			if err = cerr; err == nil && (plan == nil || len(bound) != len(names)) {
 				t.Errorf("fragment bound to plan %v and %d of %d tables, without an error", plan, len(bound), len(names))
 			}
@@ -132,6 +135,19 @@ func FuzzWorkerPayload(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		if alloc := after.TotalAlloc - before.TotalAlloc; len(data) <= 256<<10 && alloc > 64<<20 {
 			t.Errorf("%d input bytes allocated %d MiB", len(data), alloc>>20)
+		}
+		for i := 0; err == nil && i < len(p.Children); i++ {
+			var child workerPayload
+			body, cerr := json.Marshal(p.forWorker(p.Children[i]))
+			if cerr == nil {
+				cerr = json.Unmarshal(body, &child)
+			}
+			if cerr == nil {
+				cerr = child.check()
+			}
+			if cerr != nil {
+				t.Errorf("accepted a task whose child %d is refused: %v", p.Children[i].WorkerID, cerr)
+			}
 		}
 	})
 }
@@ -224,8 +240,8 @@ func FuzzResultMessage(f *testing.F) {
 	f.Add([]byte(`{"queryId":`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := &scheduler{queryID: "q1", epoch: 3, byID: map[int]*stageRun{}}
-		s.add(&stageplan.Stage{ID: 1}, make([]workerPayload, 2))
-		s.add(&stageplan.Stage{ID: 0, DependsOn: []int{1}}, make([]workerPayload, 2))
+		s.add(&stageplan.Stage{ID: 1}, workerPayload{}, make([]share, 2))
+		s.add(&stageplan.Stage{ID: 0, DependsOn: []int{1}}, workerPayload{}, make([]share, 2))
 		for _, r := range s.runs {
 			s.launched(r, []int{0, 1}, 0)
 		}

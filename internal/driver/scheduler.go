@@ -21,8 +21,9 @@ const (
 
 // stageRun is everything the scheduler knows about one stage of one query.
 type stageRun struct {
-	st       *stageplan.Stage
-	payloads []workerPayload // attempt-0 payloads, one per worker
+	st     *stageplan.Stage
+	task   workerPayload // worker w's attempt-0 payload is task.forWorker(shares[w])
+	shares []share
 	// awaited: some other run depends on this one, so its seal writes a
 	// DynamoDB ready marker (rule 2 of runStages).
 	awaited bool
@@ -131,9 +132,9 @@ type scheduler struct {
 
 // add appends the run of stage st — after the runs of the stages it depends
 // on — and marks those awaited.
-func (s *scheduler) add(st *stageplan.Stage, payloads []workerPayload) *stageRun {
-	r := &stageRun{st: st, payloads: payloads, invokedAt: make([]time.Duration, len(payloads)), winners: map[int]int{},
-		chunks: make([][]byte, len(payloads)), commits: make([][]int64, len(payloads)), attempts: map[int]int{}, capFrom: -1}
+func (s *scheduler) add(st *stageplan.Stage, task workerPayload, shares []share) *stageRun {
+	r := &stageRun{st: st, task: task, shares: shares, invokedAt: make([]time.Duration, len(shares)), winners: map[int]int{},
+		chunks: make([][]byte, len(shares)), commits: make([][]int64, len(shares)), attempts: map[int]int{}, capFrom: -1}
 	for w := range r.invokedAt {
 		r.invokedAt[w] = -1
 	}
@@ -154,7 +155,7 @@ func (s *scheduler) missing() int {
 	n := 0
 	for _, r := range s.runs {
 		if r.state == stageLaunched {
-			n += len(r.payloads) - len(r.winners)
+			n += len(r.shares) - len(r.winners)
 		}
 	}
 	return n
@@ -185,14 +186,14 @@ func (s *scheduler) depsSealed(r *stageRun) bool {
 // left of its wall overlaps the consumers' cold starts. Under waves: once
 // they sealed.
 func (s *scheduler) launchable(r *stageRun) bool {
-	if r.launched == len(r.payloads) {
+	if r.launched == len(r.shares) {
 		return false
 	}
 	if s.waves {
 		return s.depsSealed(r)
 	}
 	for _, dep := range r.st.DependsOn {
-		if p := s.byID[dep]; p != nil && (p.launched < len(p.payloads) || len(p.winners) == 0) {
+		if p := s.byID[dep]; p != nil && (p.launched < len(p.shares) || len(p.winners) == 0) {
 			return false
 		}
 	}
@@ -222,7 +223,7 @@ func (s *scheduler) launched(r *stageRun, workers []int, at time.Duration) bool 
 	if s.depsSealed(r) {
 		r.capFrom = at
 	}
-	s.rep.Workers += len(r.payloads)
+	s.rep.Workers += len(r.shares)
 	return true
 }
 
@@ -259,7 +260,7 @@ func (s *scheduler) message(now, sent time.Duration, rm *resultMsg) (*stageRun, 
 		return nil, nothing, nil
 	}
 	w := rm.WorkerID
-	if w < 0 || w >= len(r.payloads) {
+	if w < 0 || w >= len(r.shares) {
 		// A seal from a worker the stage does not have is a stray, whoever
 		// wrote it: counted as a winner it would seal the stage one real
 		// worker early, and relaunching it has no payload.
@@ -305,7 +306,7 @@ func (s *scheduler) message(now, sent time.Duration, rm *resultMsg) (*stageRun, 
 	if r.capFrom >= 0 {
 		r.capFrom = now // progress defers the liveness cap
 	}
-	if len(r.winners) < len(r.payloads) {
+	if len(r.winners) < len(r.shares) {
 		return r, nothing, nil
 	}
 	return r, sealed, nil
@@ -344,7 +345,7 @@ func (s *scheduler) written() ([]exchange.Object, error) {
 	var objs []exchange.Object
 	for _, r := range s.runs {
 		for w, at := range r.invokedAt {
-			for p := r.payloads[w]; at >= 0 && p.Attempt <= r.attempts[w]; p.Attempt++ {
+			for p := r.task.forWorker(r.shares[w]); at >= 0 && p.Attempt <= r.attempts[w]; p.Attempt++ {
 				names, err := p.written()
 				if err != nil {
 					return nil, err
@@ -412,7 +413,7 @@ func (s *scheduler) stragglers(now time.Duration) []backup {
 // last response or w's Invoke, whichever came last.
 func (s *scheduler) overdue(r *stageRun, w int, now time.Duration) (due, byCap bool) {
 	at := r.invokedAt[w]
-	if n := len(r.responses); n >= max(int(speculateQuorum*float64(len(r.payloads))), 1) {
+	if n := len(r.responses); n >= max(int(speculateQuorum*float64(len(r.shares))), 1) {
 		median := r.responses[n/2] // responses stay sorted
 		if now > at+time.Duration(float64(median)*speculateLatencyFactor) {
 			return true, false

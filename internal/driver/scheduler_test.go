@@ -60,7 +60,7 @@ func TestSchedulerTransitions(t *testing.T) {
 	launchAll := func(at time.Duration) step {
 		return step{func(s *scheduler) string {
 			for _, r := range s.runs {
-				launch(r.st.ID, len(r.payloads), at, "").do(s)
+				launch(r.st.ID, len(r.shares), at, "").do(s)
 			}
 			return ""
 		}, ""}
@@ -312,9 +312,9 @@ func TestSchedulerTransitions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &scheduler{queryID: "q1", epoch: 3, speculate: tc.spec,
 				maxStageWait: tc.cap, waves: tc.waves, byID: map[int]*stageRun{}}
-			s.add(&stageplan.Stage{ID: 1}, make([]workerPayload, 2))
-			s.add(&stageplan.Stage{ID: 2}, make([]workerPayload, 2))
-			s.add(&stageplan.Stage{ID: 0, DependsOn: []int{1, 2}}, make([]workerPayload, 4))
+			s.add(&stageplan.Stage{ID: 1}, workerPayload{}, make([]share, 2))
+			s.add(&stageplan.Stage{ID: 2}, workerPayload{}, make([]share, 2))
+			s.add(&stageplan.Stage{ID: 0, DependsOn: []int{1, 2}}, workerPayload{}, make([]share, 4))
 			for i, st := range tc.steps {
 				if got := st.do(s); got != st.want {
 					t.Fatalf("step %d: got %q, want %q", i, got, st.want)

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -345,14 +344,9 @@ func (d *Session) cacheKey(plan engine.Plan, tables TableFiles) string {
 	if err != nil {
 		return ""
 	}
-	names := make([]string, 0, len(tables))
-	for name := range tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var b strings.Builder
 	b.WriteString(fp)
-	for _, name := range names {
+	for _, name := range sortedStringKeys(tables) {
 		b.WriteByte(';')
 		b.WriteString(name)
 		b.WriteByte('=')

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -252,11 +251,11 @@ func (e *StageFailure) Error() string {
 var ErrInvalidPlan = errors.New("driver: query does not plan")
 
 // launchUnit is one driver-side Invoke of a stage launch: a worker's
-// attempt-0 payload, with its second-generation children folded in when the
-// fleet goes through the invocation tree (§4.2). workers are the containers
-// the Invoke spawns — the invoked worker first, then its children — and their
-// count is what it holds of admission. Every unit, direct or first-generation,
-// is a pipelined Invoke paced at the requester pool's rate.
+// attempt-0 payload, with its children's shares in it when the fleet goes
+// through the invocation tree (§4.2). workers are the containers the Invoke
+// spawns — the invoked worker first, then its children — and their count is
+// what it holds of admission. Every unit, direct or first-generation, is a
+// pipelined Invoke paced at the requester pool's rate.
 type launchUnit struct {
 	workers []int
 	body    []byte
@@ -268,25 +267,21 @@ type launchUnit struct {
 // deployment's mean cold start — a scan fleet of hundreds, not the final
 // merge of a wide query. Under a concurrency cap every unit is a single
 // worker, so a partial grant still launches something.
-func (d *query) launchUnits(payloads []workerPayload) ([]launchUnit, error) {
+func (d *query) launchUnits(r *stageRun) ([]launchUnit, error) {
 	tree := d.adm.Capacity() <= 0 &&
-		invoke.UseTree(d.adm.Pacing(), invoke.WorkerPacing(d.cfg.Region), d.dep.Lambda.ColdStart(), len(payloads))
+		invoke.UseTree(d.adm.Pacing(), invoke.WorkerPacing(d.cfg.Region), d.dep.Lambda.ColdStart(), len(r.shares))
 	// children[w] are the workers that unit w's worker invokes in turn: none
 	// in a direct launch, where every worker is a unit; TreeFanout's split
 	// in a tree, whose first generation is workers 0..g-1.
-	children := make([][]int, len(payloads))
+	children := make([][]int, len(r.shares))
 	if tree {
-		_, children = invoke.TreeFanout(len(payloads))
+		_, children = invoke.TreeFanout(len(r.shares))
 	}
 	units := make([]launchUnit, len(children))
 	for w, kids := range children {
-		p := payloads[w]
+		p := r.task.forWorker(r.shares[w])
 		for _, c := range kids {
-			body, err := json.Marshal(&payloads[c])
-			if err != nil {
-				return nil, err
-			}
-			p.Children = append(p.Children, body)
+			p.Children = append(p.Children, r.shares[c])
 		}
 		body, err := json.Marshal(&p)
 		if err != nil {
@@ -323,7 +318,7 @@ func (d *query) invoke(env simenv.Env, u launchUnit, span obs.SpanID) error {
 // past the cap (counted in Overflow) instead of waiting; it is stamped per
 // (worker, attempt), so it never goes through the tree.
 func (d *query) reinvoke(r *stageRun, worker int) error {
-	p := r.payloads[worker]
+	p := r.task.forWorker(r.shares[worker])
 	p.Attempt = r.attempts[worker]
 	body, err := json.Marshal(&p)
 	if err != nil {
@@ -640,20 +635,19 @@ func (d *query) reclaim(s *scheduler, ns boundarySpec, epoch int) {
 	})
 }
 
-// newScheduler builds the payloads of every fleet sp names, in its launch
-// order, and returns the scheduler over the resulting stage runs, nothing
-// launched yet. Every stage's payloads are computable up front — the plan
-// fixes the fleet sizes — so pipelined launch can invoke consumers before
-// their producers seal.
+// newScheduler builds the task and shares of every fleet sp names, in launch
+// order, and returns the scheduler over their stage runs, nothing launched.
+// The plan fixes every fleet's size, so pipelined launch can invoke consumers
+// before their producers seal.
 func (d *query) newScheduler(sp *stageplan.Plan, scanFiles TableFiles, cfg StageConfig, ns boundarySpec, epoch int) (*scheduler, error) {
 	s := &scheduler{queryID: d.id, epoch: epoch, speculate: d.cfg.Speculate,
 		maxStageWait: cfg.MaxStageWait, waves: d.cfg.testWaveLaunch, byID: map[int]*stageRun{}}
 	for _, st := range sp.Stages {
-		ps, err := d.stagePayloads(epoch, st, scanFiles, s.byID, ns)
+		task, shares, err := d.stageTask(epoch, st, scanFiles, s.byID, ns)
 		if err != nil {
 			return nil, err
 		}
-		r := s.add(st, ps)
+		r := s.add(st, task, shares)
 		if tr := d.dep.Trace; tr.Enabled() {
 			name := "stage-" + strconv.Itoa(st.ID)
 			if producer, ok := st.RegroupOf(); ok {
@@ -757,7 +751,7 @@ func (l *launcher) launchReady(env simenv.Env) error {
 		}
 		if r.pending == nil {
 			var err error
-			if r.pending, err = d.launchUnits(r.payloads); err != nil {
+			if r.pending, err = d.launchUnits(r); err != nil {
 				return err
 			}
 		}
@@ -858,7 +852,7 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 				}
 				s.marked(r, m.SentAt, d.env.Now())
 				if tr.Enabled() {
-					tr.SetTag(r.span, "workers", strconv.Itoa(len(r.payloads)))
+					tr.SetTag(r.span, "workers", strconv.Itoa(len(r.shares)))
 					if r.speculated > 0 {
 						tr.SetTag(r.span, "speculated", strconv.Itoa(r.speculated))
 					}
@@ -914,7 +908,7 @@ func (d *query) report(s *scheduler, sp *stageplan.Plan) *Report {
 	for _, r := range s.runs {
 		ss := StageStat{
 			StageID:     r.st.ID,
-			Workers:     len(r.payloads),
+			Workers:     len(r.shares),
 			Launched:    r.launchedAt - d.start,
 			Sealed:      r.sealedAt - d.start,
 			FirstWinner: r.firstWin - d.start,
@@ -971,35 +965,33 @@ func (d *query) receive(n int) (msgs []sqs.Message, full int, err error) {
 	return msgs, full, err
 }
 
-// stagePayloads builds the st.Workers invocation payloads of one stage
-// (attempt 0), every one stamped with the query's epoch fence token. A stage
-// that touches no boundary — no inputs to collect, no output to publish —
-// ships no boundary spec: its payload is the bare fragment plus its files.
-// Each worker gets the files of every base table the fragment scans: its
-// share of the stage's own table's (st.Table), all of any other's — the
-// stage plan admits no other but a broadcast join's build side. byID holds
-// the runs of the stage's producers (stages arrive in topological order); ns
-// is the query's boundary namespace.
-func (d *query) stagePayloads(epoch int, st *stageplan.Stage, scanFiles TableFiles, byID map[int]*stageRun, ns boundarySpec) ([]workerPayload, error) {
+// stageTask builds one stage's task, stamped with the query's epoch fence
+// token, and its st.Workers shares (attempt 0). A stage that touches no
+// boundary — no inputs to collect, no output to publish — ships no boundary
+// spec. The task carries every table the fragment scans whole — the stage
+// plan admits none but a broadcast join's build side — and each share its
+// worker's slice of the stage's own table (st.Table). byID holds the runs of
+// the stage's producers (stages arrive in topological order); ns is the
+// query's boundary namespace.
+func (d *query) stageTask(epoch int, st *stageplan.Stage, scanFiles TableFiles, byID map[int]*stageRun, ns boundarySpec) (workerPayload, []share, error) {
 	n := st.Workers
-	var planJSON []byte
+	task := workerPayload{QueryID: d.id, NumWorkers: n, ResultQueue: d.cfg.ResultQueue, StageID: st.ID, Epoch: epoch}
 	if st.Plan != nil {
 		var err error
-		if planJSON, err = engine.MarshalPlan(st.Plan); err != nil {
-			return nil, err
+		if task.Plan, err = engine.MarshalPlan(st.Plan); err != nil {
+			return task, nil, err
 		}
 	}
-	var spec *boundarySpec
 	if len(st.Inputs) > 0 || st.Output != nil {
 		ns.Output = st.Output
 		for _, in := range st.Inputs {
 			up := byID[in.StageID]
 			if up == nil || up.st.Output == nil {
-				return nil, fmt.Errorf("driver: stage %d collects from stage %d, which publishes no boundary", st.ID, in.StageID)
+				return task, nil, fmt.Errorf("driver: stage %d collects from stage %d, which publishes no boundary", st.ID, in.StageID)
 			}
-			ns.Inputs = append(ns.Inputs, stageInputSpec{Input: in, Senders: len(up.payloads), Variant: up.st.Output.Variant})
+			ns.Inputs = append(ns.Inputs, stageInputSpec{Input: in, Senders: len(up.shares), Variant: up.st.Output.Variant})
 		}
-		spec = &ns
+		task.Boundary = &ns
 	}
 
 	tables := TableFiles{}
@@ -1008,30 +1000,22 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, scanFiles TableFil
 			tables[s.Table] = files
 		}
 	})
-
-	payloads := make([]workerPayload, n)
-	per := (len(tables[st.Table]) + n - 1) / n
-	for w := 0; w < n; w++ {
-		p := workerPayload{
-			QueryID:     d.id,
-			WorkerID:    w,
-			NumWorkers:  n,
-			Plan:        planJSON,
-			ResultQueue: d.cfg.ResultQueue,
-			StageID:     st.ID,
-			Boundary:    spec,
-			Epoch:       epoch,
-		}
-		if len(tables) > 0 {
-			p.Tables = maps.Clone(tables)
-		}
-		if files, ok := p.Tables[st.Table]; ok {
-			hi := min((w+1)*per, len(files))
-			p.Tables[st.Table] = files[min(w*per, hi):hi]
-		}
-		payloads[w] = p
+	own, scansOwn := tables[st.Table]
+	delete(tables, st.Table)
+	if len(tables) > 0 {
+		task.Tables = tables
 	}
-	return payloads, nil
+
+	shares := make([]share, n)
+	per := (len(own) + n - 1) / n
+	for w := range shares {
+		shares[w].WorkerID = w
+		if scansOwn {
+			hi := min((w+1)*per, len(own))
+			shares[w].Tables = TableFiles{st.Table: own[min(w*per, hi):hi]}
+		}
+	}
+	return task, shares, nil
 }
 
 // executeFragment is the worker side of a task: wait out every upstream ready
@@ -1049,9 +1033,6 @@ func (d *query) stagePayloads(epoch int, st *stageplan.Stage, scanFiles TableFil
 // Each step opens its phase of the invocation as it begins (wait-sealed,
 // collect, regroup, execute — the scan's reads included — and publish).
 func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *workerPayload) (*columnar.Chunk, []int64, error) {
-	if err := p.check(); err != nil {
-		return nil, nil, err
-	}
 	copts := []s3.ClientOption{s3.WithPolicy(ws)}
 	if d.dep.Shaped {
 		copts = append(copts, s3.WithShaper(netmodel.DefaultLambdaNet(), ctx.MemoryMiB))

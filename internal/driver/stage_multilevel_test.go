@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"lambada/internal/awssim/lambdasvc"
 	"lambada/internal/awssim/s3"
 	"lambada/internal/columnar"
 	"lambada/internal/engine"
@@ -22,24 +21,26 @@ import (
 // TestPayloadShapes pins the one task shape at its two ends: a single-scope
 // payload is the bare fragment plus its files — no boundary spec on the
 // wire — and a regroup payload is a boundary spec with no plan and no
-// tables, which survives the JSON round trip a tree launch puts child
-// payloads through. A payload with neither is refused, not dereferenced. The
-// regroup task is built from the planner's regroup stage.
+// tables, which survives the JSON round trip a first-generation worker puts
+// its own payload through before it derives its children's. A payload with
+// neither is refused. The regroup task is built from the planner's regroup
+// stage.
 func TestPayloadShapes(t *testing.T) {
 	d, env, tables := goSession(t, DefaultConfig(), layout{Data: 33, LI: 2, Opts: stdLayout.Opts})
 	q := d.newQuery(env)
 	defer q.close()
 	single := &stageplan.Stage{ID: 1, Plan: singleNodePlan(t, q6SQL), Table: "lineitem", Workers: 2}
 
-	ps, err := q.stagePayloads(0, single, tables, nil, boundarySpec{})
+	task, shares, err := q.stageTask(0, single, tables, nil, boundarySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(&ps[0])
+	p0 := task.forWorker(shares[0])
+	body, err := json.Marshal(&p0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps[0].Boundary != nil || bytes.Contains(body, []byte(`"boundary"`)) || !bytes.Contains(body, []byte(`"plan"`)) {
+	if p0.Boundary != nil || bytes.Contains(body, []byte(`"boundary"`)) || !bytes.Contains(body, []byte(`"plan"`)) {
 		t.Errorf("single-scope payload = %s, want a plan and no boundary spec", body)
 	}
 
@@ -60,18 +61,18 @@ func TestPayloadShapes(t *testing.T) {
 		t.Fatalf("stage behind the scan is not its regroup:\n%s", stageplan.Explain(sp))
 	}
 	ns := boundarySpec{Buckets: []string{"b0", "b1"}, Prefix: "fn/q1/e3", PollNs: 5, MaxWaitNs: 7, SealTable: "fn-stages"}
-	if ps, err = q.stagePayloads(3, scan, tables, nil, ns); err != nil {
+	if task, shares, err = q.stageTask(3, scan, tables, nil, ns); err != nil {
 		t.Fatal(err)
 	}
-	byID := map[int]*stageRun{scan.ID: {st: scan, payloads: ps}}
+	byID := map[int]*stageRun{scan.ID: {st: scan, task: task, shares: shares}}
 	groups := exchange.Groups(scan.Output.Partitions)
-	if ps, err = q.stagePayloads(3, regroup, tables, byID, ns); err != nil {
+	if task, shares, err = q.stageTask(3, regroup, tables, byID, ns); err != nil {
 		t.Fatal(err)
 	}
-	if len(ps) != groups {
-		t.Fatalf("regroup fleet = %d payloads, want Groups(5) = %d", len(ps), groups)
+	if len(shares) != groups {
+		t.Fatalf("regroup fleet = %d shares, want Groups(5) = %d", len(shares), groups)
 	}
-	rg := ps[groups-1]
+	rg := task.forWorker(shares[groups-1])
 	if body, err = json.Marshal(&rg); err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +91,8 @@ func TestPayloadShapes(t *testing.T) {
 		t.Errorf("regroup payload = %s, want the producer's boundary as its one input and its output", body)
 	}
 
-	ctx := &lambdasvc.Ctx{Env: env, MemoryMiB: d.cfg.WorkerMemoryMiB}
-	if _, _, err := d.executeFragment(ctx, d.retryPolicy(1), &workerPayload{QueryID: "q1"}); err == nil {
-		t.Error("a payload with neither plan nor boundary was executed")
+	if err := (&workerPayload{QueryID: "q1", NumWorkers: 1}).check(); err == nil {
+		t.Error("a payload with neither plan nor boundary was accepted")
 	}
 }
 
