@@ -15,8 +15,8 @@ race:
 	$(GO) test -race ./...
 
 # race-staged runs the staged-execution suites (scheduler, speculation,
-# epoch fencing, exchange boundaries, stage planner, and the DES/notify
-# primitives under them) race-instrumented at a fixed GOMAXPROCS so
+# epoch fencing, the worker that runs each task, exchange boundaries, stage
+# planner, and the DES/notify primitives under them) race-instrumented at a fixed GOMAXPROCS so
 # goroutine interleavings actually happen on 1-CPU runners. The S3 client is
 # among them: goroutine workers share one, and the lanes of its request
 # window share its counters and link (TestWindowsConcurrentOnOneClient). So
@@ -25,7 +25,7 @@ race:
 # -short skips the 1k-worker scale smoke, which runs uninstrumented via
 # scale-smoke.
 race-staged:
-	GOMAXPROCS=4 $(GO) test -race -short ./internal/driver/ ./internal/exchange/ ./internal/stageplan/ ./internal/simclock/ ./internal/awssim/dynamo/ ./internal/awssim/s3/ ./internal/lpq/ ./internal/s3fs/ ./internal/scan/ ./internal/service/
+	GOMAXPROCS=4 $(GO) test -race -short ./internal/driver/ ./internal/worker/ ./internal/exchange/ ./internal/stageplan/ ./internal/simclock/ ./internal/awssim/dynamo/ ./internal/awssim/s3/ ./internal/lpq/ ./internal/s3fs/ ./internal/scan/ ./internal/service/
 
 # scale-smoke is the multi-level acceptance point: staged q12 on the DES
 # kernel at 512 partitions (a 1k+ worker fleet), checking the resolved
@@ -53,8 +53,9 @@ scale-smoke:
 # and the filter also yield, never a panic), the fault-plan parser (a typed error
 # or a plan that marshal → ParsePlan leaves unchanged), the SQL parser (an
 # error or a plan that MarshalPlan → UnmarshalPlan leaves unchanged), the
-# worker's payload decoder (an error or a task whose counts are a fleet's,
-# whose scan files' shipped footers decode and whose broadcast tables fit the
+# payload decoder of internal/worker (an error or a task whose counts are a
+# fleet's, whose children are other workers of it, each named once, whose
+# scan files' shipped footers decode and whose broadcast tables fit the
 # engine budget, never a panic and never an S3 request), the driver's
 # result-queue body (receipt on a fixed two-stage scheduler: discarded,
 # recorded or a typed StageFailure, never a panic), its epoch item (rejected,
@@ -71,7 +72,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzScanFiltered -fuzztime=5s ./internal/scan/
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=5s ./internal/awssim/faults/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/sqlfe/
-	$(GO) test -run=NONE -fuzz=FuzzWorkerPayload -fuzztime=5s ./internal/driver/
+	$(GO) test -run=NONE -fuzz=FuzzWorkerPayload -fuzztime=5s ./internal/worker/
 	$(GO) test -run=NONE -fuzz=FuzzResultMessage -fuzztime=5s ./internal/driver/
 	$(GO) test -run=NONE -fuzz=FuzzEpochValue -fuzztime=5s ./internal/driver/
 	$(GO) test -run=NONE -fuzz=FuzzQueryBody -fuzztime=5s ./internal/service/

@@ -182,7 +182,10 @@
 // the loop that feeds it instants and messages and does every Invoke,
 // sqs.Receive, dynamo.Put, span edit and wait its answers ask for — the
 // launch Invokes from a launch pass that, on the DES kernel, runs beside the
-// loop (below). Every
+// loop (below). The workers it invokes run another program, internal/worker
+// (§3.3: a driver and stateless workers): a worker.Payload in, a
+// worker.Result out, and nothing of the driver imported
+// (TestWorkerImportsNoDriver). Every
 // query reaches it as a stage plan (internal/stageplan) from one planner,
 // query.plan, behind one entrance, Session.Run; RunSQL and RunSQLStaged
 // parse query text for it, and the result cache sits in front of it for
@@ -230,12 +233,14 @@
 // repartition ×256 (l_orderkey unbounded)"); cmd/lambada -v prints it above
 // the report.
 //
-// From there on there is one of everything. One task shape: the invocation
-// blob carries the worker's ID, its plan fragment and its inputs (§3.3) —
-// one map from each base table the fragment scans to its files, none for a
-// regroup or final-merge task, and at most one boundary spec naming the
-// boundaries it collects from and publishes into — and the worker
-// has one path through them: wait for each input's ready marker, collect,
+// From there on there is one of everything. One task shape, the wire
+// contract internal/worker owns: the invocation blob (worker.Payload)
+// carries the worker's ID, its plan fragment and its inputs (§3.3) — one map
+// from each base table the fragment scans to its files, none for a regroup
+// or final-merge task, and at most one boundary spec naming the boundaries
+// it collects from and publishes into, each input as the planner completed
+// it, its senders and variant included — and the worker has one path through
+// them: wait for each input's ready marker, collect,
 // execute, then publish or post the result. One launch loop: a stage's fleet
 // is cut once into launch units — one per worker, or, where invoke.UseTree
 // finds the two-level tree (§4.2) starts the fleet sooner on a session
@@ -243,8 +248,9 @@
 // children's shares — and a launch pass walks them with take tokens → pace →
 // Invoke. A stage is one task and a worker is its share (its ID and its slice
 // of the stage's own table): every payload, the ones a first-generation
-// worker builds for its children included, is the task's forWorker of a
-// share, checked whole before its worker invokes anyone. Every unit, direct
+// worker builds for its children included, is the task's ForWorker of a
+// share, checked whole (worker.Payload.Check, which refuses a child named
+// twice) before its worker invokes anyone. Every unit, direct
 // or first-generation, is a pipelined Invoke paced at Table 1's concurrent
 // rate: the driver's one requester pool (invoke.RequesterThreads, ≈ 294
 // Invokes/s to eu), so a 30-worker fleet is out in 0.1 s and launches
@@ -808,26 +814,28 @@
 // across the change. Allocation-regression tests in both packages bound the
 // bytes a small file, a streamed file, a page decode and a publish may cost.
 //
-// The memory limit is one budget and one decoder. §3.3 has the worker start
-// its engine "with a memory limit slightly lower than that of the serverless
-// function such that it can report out-of-memory situations … rather than
-// dying silently": the engine budget is the function's memory less 192 MiB,
-// and a working set needs 3× its input within it. A scanned row group is
-// held to the budget twice: its kept rows × projected widths, from the footer
-// before any of its bytes are fetched (scan.Pinned's bound), and its chunk as
-// it streams past; the inputs a task holds whole — its build sides, the
-// partitions it collected, or a regroup's group — share one third of the
-// budget, a build side charged from its footers (twice its rows × projected
-// widths: the build pipeline holds the scanned chunks and the one it
-// concatenates them into) before the task's first request window. The
+// The memory limit is one budget and one decoder, and internal/engine owns the
+// budget, where the worker and the planner both import it. §3.3 has the worker
+// start its engine "with a memory limit slightly lower than that of the
+// serverless function such that it can report out-of-memory situations …
+// rather than dying silently": the engine budget (engine.MemoryBudget) is the
+// function's memory less 192 MiB, and a working set needs 3× its input within
+// it (engine.CheckWorkingSet). A scanned row group is held to the budget
+// twice: its kept rows × projected widths, from the footer before any of its
+// bytes are fetched (scan.Pinned's bound), and its chunk as it streams past;
+// the inputs a task holds whole — its build sides, the partitions it
+// collected, or a regroup's group — share one third of the budget
+// (engine.ResidentBudget), a build side charged from its footers (twice its
+// rows × projected widths: the build pipeline holds the scanned chunks and the
+// one it concatenates them into) before the task's first request window. The
 // fragment says what is a build side: a table is charged when a hash join's
 // build input is a bare scan of it, the operator that keeps its rows. A few
 // bytes of lpq can claim any number of rows (a run is two varints), so every
-// lpq byte from S3, a payload, a result message or the
-// result cache is decoded by lpq.ReadFiles, which sums the rows × widths its
-// footers claim and refuses, typed, before it allocates past its bound: on a
-// worker the bound is what is left of the resident budget, and the refusal is
-// its ErrWorkerOOM failure seal; the driver holds each result to the engine
+// lpq byte from S3, a payload, a result message or the result cache is decoded
+// by lpq.ReadFiles, which sums the rows × widths its footers claim and
+// refuses, typed, before it allocates past its bound: on a worker the bound is
+// what is left of the resident budget, and the refusal is its
+// engine.ErrWorkerOOM failure seal; the driver holds each result to the engine
 // budget of the worker that held it, and a cache entry to the size it was
 // stored at. Only the driverless exchange (CollectStage, RegroupStage, the
 // grid's Worker.Run) decodes unbounded: it reads what its own process wrote.

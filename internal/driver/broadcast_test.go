@@ -25,6 +25,7 @@ import (
 	"lambada/internal/sqlfe"
 	"lambada/internal/stageplan"
 	"lambada/internal/tpch"
+	"lambada/internal/worker"
 )
 
 // nationRevenue joins LINEITEM (big, on S3) with SUPPLIER (small, broadcast)
@@ -180,7 +181,7 @@ func TestPayloadTables(t *testing.T) {
 		func(p *simclock.Proc, sess *Session, tables TableFiles) error {
 			err := sess.dep.Lambda.CreateFunction(sess.cfg.FunctionName, sess.cfg.WorkerMemoryMiB, sess.cfg.Timeout, func(ctx *lambdasvc.Ctx, payload []byte) error {
 				bodies = append(bodies, payload)
-				return sess.workerHandler(ctx, payload)
+				return sess.worker.Handle(ctx, payload)
 			})
 			if err != nil {
 				return err
@@ -235,7 +236,7 @@ func checkPayloadTables(t *testing.T, client *s3.Client, sp *stageplan.Plan, tab
 	}
 	shares := map[int][][]scan.FileRef{}
 	for _, body := range bodies {
-		var p workerPayload
+		var p worker.Payload
 		var keys map[string]json.RawMessage
 		if err := errors.Join(json.Unmarshal(body, &p), json.Unmarshal(body, &keys)); err != nil {
 			t.Fatal(err)
@@ -246,8 +247,8 @@ func checkPayloadTables(t *testing.T, client *s3.Client, sp *stageplan.Plan, tab
 			want = append(want, st.Table)
 		}
 		sort.Strings(want)
-		if _, ok := keys["tables"]; ok != (len(want) > 0) || !slices.Equal(sortedStringKeys(p.Tables), want) {
-			t.Errorf("stage %d worker %d: tables %v (key present: %t), want %v", st.ID, p.WorkerID, sortedStringKeys(p.Tables), ok, want)
+		if _, ok := keys["tables"]; ok != (len(want) > 0) || !slices.Equal(p.Tables.Names(), want) {
+			t.Errorf("stage %d worker %d: tables %v (key present: %t), want %v", st.ID, p.WorkerID, p.Tables.Names(), ok, want)
 		}
 		for _, name := range buildSides(st) {
 			if !reflect.DeepEqual(p.Tables[name], pinned[name]) {
@@ -463,7 +464,7 @@ func TestBroadcastPayloadUnderLambdaLimit(t *testing.T) {
 		mu.Lock()
 		largest = max(largest, len(payload))
 		mu.Unlock()
-		return sess.workerHandler(ctx, payload)
+		return sess.worker.Handle(ctx, payload)
 	})
 	if err != nil {
 		t.Fatal(err)

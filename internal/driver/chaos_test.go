@@ -14,6 +14,7 @@ import (
 	"lambada/internal/columnar"
 	"lambada/internal/obs"
 	"lambada/internal/simclock"
+	"lambada/internal/worker"
 )
 
 // chaosRun is one staged q12 execution on the DES kernel, with everything
@@ -411,7 +412,7 @@ func TestEpochSweepTTL(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := dep.Dynamo.Put(p, table, sealKey(id, 1, i+1), []byte("x")); err != nil {
+				if err := dep.Dynamo.Put(p, table, worker.SealKey(id, 1, i+1), []byte("x")); err != nil {
 					t.Error(err)
 					return
 				}
@@ -433,9 +434,9 @@ func TestEpochSweepTTL(t *testing.T) {
 				if gone := errors.Is(err, s3.ErrNoSuchKey); gone != (id != "qB") {
 					t.Errorf("%s debris %s: Get = %v after the sweep", id, key, err)
 				}
-				_, err = dep.Dynamo.Get(p, table, sealKey(id, 1, i+1))
+				_, err = dep.Dynamo.Get(p, table, worker.SealKey(id, 1, i+1))
 				if gone := errors.Is(err, dynamo.ErrNoSuchItem); gone != (id != "qB") {
-					t.Errorf("%s ready marker %s: Get = %v after the sweep", id, sealKey(id, 1, i+1), err)
+					t.Errorf("%s ready marker %s: Get = %v after the sweep", id, worker.SealKey(id, 1, i+1), err)
 				}
 			}
 		}

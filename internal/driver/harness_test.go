@@ -31,6 +31,7 @@ import (
 	"lambada/internal/sqlfe"
 	"lambada/internal/stageplan"
 	"lambada/internal/tpch"
+	"lambada/internal/worker"
 )
 
 // The differential harness. A case is a query over the TPC-H fixture and the
@@ -515,7 +516,7 @@ const zombieSeals = 6
 func plantZombie(env simenv.Env, sess *Session) error {
 	dep, cfg := sess.dep, sess.cfg
 	// A post that fails shows as a discard count short of zombieSeals.
-	post := func(env simenv.Env, queue string, msgs ...resultMsg) {
+	post := func(env simenv.Env, queue string, msgs ...worker.Result) {
 		for _, rm := range msgs {
 			body, _ := json.Marshal(rm)
 			_ = dep.SQS.Send(env, queue, body)
@@ -532,23 +533,23 @@ func plantZombie(env simenv.Env, sess *Session) error {
 	err := publish(env, 0)
 	queue := queryQueueName(cfg.ResultQueue, "q1")
 	dep.SQS.CreateQueue(queue)
-	post(env, queue, resultMsg{QueryID: "q1", Epoch: 1, Stage: 1}, resultMsg{QueryID: "q1", Epoch: 1, Chunk: []byte("not an lpq blob")})
+	post(env, queue, worker.Result{QueryID: "q1", Epoch: 1, Stage: 1}, worker.Result{QueryID: "q1", Epoch: 1, Chunk: []byte("not an lpq blob")})
 	if err = errors.Join(err, dep.Dynamo.Put(env, table, epochKey("q1"), []byte("1@0"))); err != nil {
 		return err
 	}
 	var posted atomic.Bool // not a sync.Once: a DES post parks its process
 	return dep.Lambda.CreateFunction(cfg.FunctionName, cfg.WorkerMemoryMiB, cfg.Timeout, func(ctx *lambdasvc.Ctx, payload []byte) error {
-		var p workerPayload
+		var p worker.Payload
 		if json.Unmarshal(payload, &p) == nil && len(p.Plan) > 0 && p.Epoch > 0 && posted.CompareAndSwap(false, true) {
 			if err := publish(ctx.Env, 1); err != nil {
 				return err // the task never seals, and the query fails
 			}
-			post(ctx.Env, p.ResultQueue, resultMsg{QueryID: p.QueryID, Epoch: p.Epoch - 1, Stage: p.StageID, WorkerID: p.WorkerID},
-				resultMsg{QueryID: p.QueryID, Epoch: p.Epoch, Stage: p.StageID, WorkerID: -1, Err: "stray", Retryable: true},
-				resultMsg{QueryID: p.QueryID, Epoch: p.Epoch, Stage: p.StageID, WorkerID: p.NumWorkers})
+			post(ctx.Env, p.ResultQueue, worker.Result{QueryID: p.QueryID, Epoch: p.Epoch - 1, Stage: p.StageID, WorkerID: p.WorkerID},
+				worker.Result{QueryID: p.QueryID, Epoch: p.Epoch, Stage: p.StageID, WorkerID: -1, Err: "stray", Retryable: true},
+				worker.Result{QueryID: p.QueryID, Epoch: p.Epoch, Stage: p.StageID, WorkerID: p.NumWorkers})
 			_ = dep.SQS.Send(ctx.Env, p.ResultQueue, []byte(`{"queryId":`))
 		}
-		return sess.workerHandler(ctx, payload)
+		return sess.worker.Handle(ctx, payload)
 	})
 }
 

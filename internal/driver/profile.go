@@ -200,7 +200,12 @@ func WriteReport(w io.Writer, rep *Report, opts RenderOptions) {
 	}
 	if len(rep.InjectedFaults) > 0 {
 		fmt.Fprintln(w, "injected faults:")
-		for _, k := range sortedStringKeys(rep.InjectedFaults) {
+		kinds := make([]string, 0, len(rep.InjectedFaults))
+		for k := range rep.InjectedFaults {
+			kinds = append(kinds, k)
+		}
+		sort.Strings(kinds)
+		for _, k := range kinds {
 			fmt.Fprintf(w, "  %-24s %d\n", k, rep.InjectedFaults[k])
 		}
 	}
@@ -283,13 +288,4 @@ func writeCriticalPath(w io.Writer, rep *Report, p *Profile, verbose bool) {
 		fmt.Fprintf(w, "  +%-10v %9v  %-6s %s\n",
 			(seg.From - base).Round(time.Millisecond), seg.Duration().Round(time.Millisecond), s.Kind, s.Name)
 	}
-}
-
-func sortedStringKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

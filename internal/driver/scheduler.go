@@ -8,6 +8,7 @@ import (
 	"lambada/internal/exchange"
 	"lambada/internal/obs"
 	"lambada/internal/stageplan"
+	"lambada/internal/worker"
 )
 
 // stageState tracks one stage through the scheduler.
@@ -22,8 +23,8 @@ const (
 // stageRun is everything the scheduler knows about one stage of one query.
 type stageRun struct {
 	st     *stageplan.Stage
-	task   workerPayload // worker w's attempt-0 payload is task.forWorker(shares[w])
-	shares []share
+	task   worker.Payload // worker w's attempt-0 payload is task.ForWorker(shares[w])
+	shares []worker.Share
 	// awaited: some other run depends on this one, so its seal writes a
 	// DynamoDB ready marker (rule 2 of runStages).
 	awaited bool
@@ -132,7 +133,7 @@ type scheduler struct {
 
 // add appends the run of stage st — after the runs of the stages it depends
 // on — and marks those awaited.
-func (s *scheduler) add(st *stageplan.Stage, task workerPayload, shares []share) *stageRun {
+func (s *scheduler) add(st *stageplan.Stage, task worker.Payload, shares []worker.Share) *stageRun {
 	r := &stageRun{st: st, task: task, shares: shares, invokedAt: make([]time.Duration, len(shares)), winners: map[int]int{},
 		chunks: make([][]byte, len(shares)), commits: make([][]int64, len(shares)), attempts: map[int]int{}, capFrom: -1}
 	for w := range r.invokedAt {
@@ -229,12 +230,12 @@ func (s *scheduler) launched(r *stageRun, workers []int, at time.Duration) bool 
 
 // receipt decodes one result-queue body, sent at sent, and consumes it at
 // instant now (message). A body that is not a result message's JSON was
-// posted by no worker of this run — a worker posts its resultMsg encoded — so
+// posted by no worker of this run — a worker posts its worker.Result encoded — so
 // it is discarded and counted as a zombie's stray is, and never fails the
 // query; a worker whose seal never arrives is the liveness clock's to
 // relaunch.
-func (s *scheduler) receipt(now, sent time.Duration, body []byte) (resultMsg, *stageRun, outcome, error) {
-	var rm resultMsg
+func (s *scheduler) receipt(now, sent time.Duration, body []byte) (worker.Result, *stageRun, outcome, error) {
+	var rm worker.Result
 	if json.Unmarshal(body, &rm) != nil {
 		s.zombieDiscards++
 		return rm, nil, nothing, nil
@@ -246,7 +247,7 @@ func (s *scheduler) receipt(now, sent time.Duration, body []byte) (resultMsg, *s
 // message consumes one result message, sent at sent, at instant now. It
 // returns the run the message counted for (nil: discarded) and what the
 // driver must do about it; the error is the query's terminal StageFailure.
-func (s *scheduler) message(now, sent time.Duration, rm *resultMsg) (*stageRun, outcome, error) {
+func (s *scheduler) message(now, sent time.Duration, rm *worker.Result) (*stageRun, outcome, error) {
 	if rm.QueryID != s.queryID || rm.Epoch != s.epoch {
 		// Leftover of an earlier aborted query — including a zombie worker of
 		// an aborted identically-numbered run posting its seal on this run's
@@ -340,13 +341,13 @@ func (r *stageRun) manifest() []byte {
 // written names every object the query's writers may have published: for
 // each worker invoked (one never invoked wrote nothing), each attempt
 // 0 … attempts[w] of its task — by the names the task itself would delete
-// (workerPayload.written).
+// (worker.Payload.Written).
 func (s *scheduler) written() ([]exchange.Object, error) {
 	var objs []exchange.Object
 	for _, r := range s.runs {
 		for w, at := range r.invokedAt {
-			for p := r.task.forWorker(r.shares[w]); at >= 0 && p.Attempt <= r.attempts[w]; p.Attempt++ {
-				names, err := p.written()
+			for p := r.task.ForWorker(r.shares[w]); at >= 0 && p.Attempt <= r.attempts[w]; p.Attempt++ {
+				names, err := p.Written()
 				if err != nil {
 					return nil, err
 				}

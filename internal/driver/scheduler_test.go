@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lambada/internal/stageplan"
+	"lambada/internal/worker"
 )
 
 // TestSchedulerTransitions drives the stage state machine alone — no kernel,
@@ -65,7 +66,7 @@ func TestSchedulerTransitions(t *testing.T) {
 			return ""
 		}, ""}
 	}
-	msg := func(now time.Duration, rm resultMsg, want string) step {
+	msg := func(now time.Duration, rm worker.Result, want string) step {
 		return step{func(s *scheduler) string {
 			if rm.QueryID == "" {
 				rm.QueryID, rm.Epoch = s.queryID, s.epoch
@@ -96,8 +97,8 @@ func TestSchedulerTransitions(t *testing.T) {
 			return fmt.Sprintf("discarded zombie=%d loser=%d", s.zombieDiscards, s.loserDiscards)
 		}, want}
 	}
-	win := func(now time.Duration, stage, worker int, want string) step {
-		return msg(now, resultMsg{Stage: stage, WorkerID: worker}, want)
+	win := func(now time.Duration, stage, w int, want string) step {
+		return msg(now, worker.Result{Stage: stage, WorkerID: w}, want)
 	}
 	mark := func(stage int, now time.Duration) step {
 		return step{func(s *scheduler) string { s.marked(s.byID[stage], now, now); return fmt.Sprint(s.done()) }, "false"}
@@ -123,8 +124,8 @@ func TestSchedulerTransitions(t *testing.T) {
 			return strings.TrimSpace(b.String())
 		}, want}
 	}
-	fail := func(stage, worker, attempt int, retryable bool) resultMsg {
-		return resultMsg{Stage: stage, WorkerID: worker, Attempt: attempt, Err: "boom", Retryable: retryable}
+	fail := func(stage, w, attempt int, retryable bool) worker.Result {
+		return worker.Result{Stage: stage, WorkerID: w, Attempt: attempt, Err: "boom", Retryable: retryable}
 	}
 
 	cases := []struct {
@@ -136,15 +137,15 @@ func TestSchedulerTransitions(t *testing.T) {
 	}{
 		{name: "discards", steps: []step{
 			launch(1, 2, 10*ms, "true cap=10"),
-			msg(20*ms, resultMsg{QueryID: "q1", Epoch: 2, Stage: 1}, "discarded zombie=1 loser=0"), // older epoch
-			msg(20*ms, resultMsg{QueryID: "q9", Epoch: 3, Stage: 1}, "discarded zombie=2 loser=0"),
+			msg(20*ms, worker.Result{QueryID: "q1", Epoch: 2, Stage: 1}, "discarded zombie=1 loser=0"), // older epoch
+			msg(20*ms, worker.Result{QueryID: "q9", Epoch: 3, Stage: 1}, "discarded zombie=2 loser=0"),
 			win(20*ms, 7, 0, "discarded zombie=2 loser=1"),  // unknown stage
 			win(20*ms, 2, 0, "discarded zombie=2 loser=2"),  // stage not launched
 			win(20*ms, 1, 2, "discarded zombie=3 loser=2"),  // worker out of range
 			win(20*ms, 1, -1, "discarded zombie=4 loser=2"), // worker out of range
 			win(20*ms, 1, 0, "nothing"),
-			msg(30*ms, resultMsg{Stage: 1, WorkerID: 0, Attempt: 1}, "discarded zombie=4 loser=3"), // loser after winner
-			msg(30*ms, fail(1, 0, 1, false), "discarded zombie=4 loser=4"),                         // and a failed loser
+			msg(30*ms, worker.Result{Stage: 1, WorkerID: 0, Attempt: 1}, "discarded zombie=4 loser=3"), // loser after winner
+			msg(30*ms, fail(1, 0, 1, false), "discarded zombie=4 loser=4"),                             // and a failed loser
 			garbled(40*ms, "not json", "discarded zombie=5 loser=4"),
 			garbled(40*ms, `{"stage":1,"workerId":"1"}`, "discarded zombie=6 loser=4"), // JSON, but no result message
 			win(50*ms, 1, 1, "sealed awaited=true"),
@@ -157,7 +158,7 @@ func TestSchedulerTransitions(t *testing.T) {
 			// budget (speculateRetries) is spent, yet the live attempt 1 decides.
 			msg(70*ms, fail(1, 1, 0, true), "discarded zombie=0 loser=1"),
 			msg(70*ms, fail(1, 1, 0, false), "discarded zombie=0 loser=2"),
-			msg(80*ms, resultMsg{Stage: 1, WorkerID: 1, Attempt: 1}, "sealed awaited=true"),
+			msg(80*ms, worker.Result{Stage: 1, WorkerID: 1, Attempt: 1}, "sealed awaited=true"),
 		}},
 		{name: "duplicate of a relaunched failure seal", steps: []step{
 			launch(1, 2, 10*ms, "true cap=10"),
@@ -244,7 +245,7 @@ func TestSchedulerTransitions(t *testing.T) {
 			backups(330*ms, ""),      // median 110ms × 3
 			backups(331*ms, "0/3@1"), // stages 1 and 2 have no response: no quorum
 			backups(time.Minute, ""), // speculateRetries: one backup per worker
-			msg(400*ms, resultMsg{Stage: 0, WorkerID: 3, Attempt: 1}, "sealed awaited=false"),
+			msg(400*ms, worker.Result{Stage: 0, WorkerID: 3, Attempt: 1}, "sealed awaited=false"),
 		}},
 		{name: "cap expiry re-invokes the missing set", spec: true, cap: time.Second, steps: []step{
 			launch(1, 2, 0, "true cap=0"),
@@ -312,9 +313,9 @@ func TestSchedulerTransitions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &scheduler{queryID: "q1", epoch: 3, speculate: tc.spec,
 				maxStageWait: tc.cap, waves: tc.waves, byID: map[int]*stageRun{}}
-			s.add(&stageplan.Stage{ID: 1}, workerPayload{}, make([]share, 2))
-			s.add(&stageplan.Stage{ID: 2}, workerPayload{}, make([]share, 2))
-			s.add(&stageplan.Stage{ID: 0, DependsOn: []int{1, 2}}, workerPayload{}, make([]share, 4))
+			s.add(&stageplan.Stage{ID: 1}, worker.Payload{}, make([]worker.Share, 2))
+			s.add(&stageplan.Stage{ID: 2}, worker.Payload{}, make([]worker.Share, 2))
+			s.add(&stageplan.Stage{ID: 0, DependsOn: []int{1, 2}}, worker.Payload{}, make([]worker.Share, 4))
 			for i, st := range tc.steps {
 				if got := st.do(s); got != st.want {
 					t.Fatalf("step %d: got %q, want %q", i, got, st.want)

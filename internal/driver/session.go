@@ -19,6 +19,7 @@ import (
 	"lambada/internal/scan"
 	"lambada/internal/sqlfe"
 	"lambada/internal/stageplan"
+	"lambada/internal/worker"
 )
 
 // Session is the resident layer of the driver: one long-lived binding to a
@@ -36,8 +37,9 @@ import (
 // then Run — or RunSQL / RunSQLStaged on query text — with the caller's
 // environment on every call.
 type Session struct {
-	dep *Deployment
-	cfg Config
+	dep    *Deployment
+	cfg    Config
+	worker *worker.Function // the installed function's handler, built by Install
 
 	mu sync.Mutex
 	// queryCounter numbers queries session-wide; the ID namespaces the
@@ -58,9 +60,9 @@ type Session struct {
 	// footer once per session, not once per query. It stands under the
 	// result cache's contract and is dropped, whole, wherever results are:
 	// the files a session knows are immutable until UploadTable,
-	// InvalidateTable or InvalidateResultCache says otherwise. Workers never
-	// see it — they read the footers of the files they scan themselves — so
-	// a stale entry can mis-plan a query, never mis-decode one.
+	// InvalidateTable or InvalidateResultCache says otherwise. Workers read
+	// the footers the planner pins from it (worker.Payload.Tables), so a stale
+	// entry can mis-decode a query as well as mis-plan it.
 	footers *scan.Footers
 }
 
@@ -125,11 +127,13 @@ func (d *Session) Admission() *invoke.Admission { return d.admission }
 // session. Individual queries derive their own queues from the base name.
 func (d *Session) Install() error {
 	d.dep.SQS.CreateQueue(d.cfg.ResultQueue)
-	return d.dep.Lambda.CreateFunction(d.cfg.FunctionName, d.cfg.WorkerMemoryMiB, d.cfg.Timeout, d.workerHandler)
+	d.worker = &worker.Function{Name: d.cfg.FunctionName, Region: d.cfg.Region, RetryBudget: d.cfg.RetryBudget, Stall: d.cfg.testWorkerDelay,
+		S3: d.dep.S3, Dynamo: d.dep.Dynamo, SQS: d.dep.SQS, Lambda: d.dep.Lambda, Shaped: d.dep.Shaped, Trace: d.dep.Trace}
+	return d.dep.Lambda.CreateFunction(d.cfg.FunctionName, d.cfg.WorkerMemoryMiB, d.cfg.Timeout, d.worker.Handle)
 }
 
-// retryPolicy returns the policy of one execution scope — the driver side
-// of one query, or one worker invocation: every substrate call of the scope,
+// retryPolicy returns the policy of one driver-side execution scope — one
+// query's, or an upload's: every substrate call of the scope,
 // S3 included, runs under it, so they share its fresh retry budget, its
 // stats counter (surfaced in the Report) and its backoff jitter stream,
 // derived from seed — distinct seeds decorrelate concurrent scopes while
@@ -220,9 +224,9 @@ func (d *query) source(client *s3.Client, files ...scan.FileRef) *scan.Source {
 // close releases the query's span binding — back-filling the end of any
 // driver-side span an error path left open — and tears down its private
 // queue, if reclaim has not. A worker posting to the deleted queue gets
-// ErrNoSuchQueue (workerHandler); a later same-named query (fresh driver
-// restart reusing the counter) starts from an empty queue either way, and
-// its epoch fence discards any zombie that does land.
+// ErrNoSuchQueue (worker.Function.Handle); a later same-named query (a fresh
+// driver reusing the counter) starts from an empty queue either way, and its
+// epoch fence discards any zombie that does land.
 func (d *query) close() {
 	d.dep.Trace.Release(d.env, d.env.Now())
 	d.dep.SQS.DeleteQueue(d.cfg.ResultQueue)
@@ -247,8 +251,8 @@ type resultCache struct {
 
 type cacheEntry struct {
 	blob   []byte
-	size   int64 // the result's ByteSize, the bound blob decodes within
-	tables map[string]bool
+	size   int64    // the result's ByteSize, the bound blob decodes within
+	tables []string // the names of the tables it read
 }
 
 func newResultCache(max int) *resultCache {
@@ -280,10 +284,6 @@ func (c *resultCache) store(key string, tables TableFiles, chunk *columnar.Chunk
 	if err != nil {
 		return
 	}
-	names := make(map[string]bool, len(tables))
-	for name := range tables {
-		names[name] = true
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; !ok {
@@ -294,7 +294,7 @@ func (c *resultCache) store(key string, tables TableFiles, chunk *columnar.Chunk
 		}
 		c.order = append(c.order, key)
 	}
-	c.entries[key] = cacheEntry{blob: blob, size: chunk.ByteSize(), tables: names}
+	c.entries[key] = cacheEntry{blob: blob, size: chunk.ByteSize(), tables: tables.Names()}
 }
 
 func (c *resultCache) invalidateTable(name string) {
@@ -305,7 +305,7 @@ func (c *resultCache) invalidateTable(name string) {
 	defer c.mu.Unlock()
 	kept := c.order[:0]
 	for _, key := range c.order {
-		if c.entries[key].tables[name] {
+		if slices.Contains(c.entries[key].tables, name) {
 			delete(c.entries, key)
 			continue
 		}
@@ -346,7 +346,7 @@ func (d *Session) cacheKey(plan engine.Plan, tables TableFiles) string {
 	}
 	var b strings.Builder
 	b.WriteString(fp)
-	for _, name := range sortedStringKeys(tables) {
+	for _, name := range tables.Names() {
 		b.WriteByte(';')
 		b.WriteString(name)
 		b.WriteByte('=')

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -20,12 +19,11 @@ import (
 	"lambada/internal/exchange"
 	"lambada/internal/invoke"
 	"lambada/internal/lpq"
-	"lambada/internal/netmodel"
 	"lambada/internal/obs"
-	"lambada/internal/resilience"
 	"lambada/internal/scan"
 	"lambada/internal/simclock"
 	"lambada/internal/stageplan"
+	"lambada/internal/worker"
 )
 
 // StageConfig tunes the planner (internal/stageplan: the query as a DAG of
@@ -62,43 +60,10 @@ func DefaultStageConfig() StageConfig {
 }
 
 // TableFiles maps each base table of a query to its lpq files on S3.
-type TableFiles map[string][]scan.FileRef
-
-// boundarySpec is the one boundary spec a task's payload carries: which
-// boundaries the task collects from and publishes into, and the namespace
-// they live in. The query ID, epoch and stage ID that scope object names and
-// ready markers are the payload's own.
-type boundarySpec struct {
-	Inputs []stageInputSpec  `json:"inputs,omitempty"`
-	Output *stageplan.Output `json:"output,omitempty"`
-
-	Buckets   []string `json:"buckets"`
-	Prefix    string   `json:"prefix"`
-	PollNs    int64    `json:"pollNs"`
-	MaxWaitNs int64    `json:"maxWaitNs"`
-	// SealTable is the DynamoDB table holding per-stage ready markers.
-	SealTable string `json:"sealTable"`
-}
-
-// stageInputSpec is the planner's Input plus the runtime sender count and
-// the resolved boundary variant.
-type stageInputSpec struct {
-	stageplan.Input
-	// Senders is the producing stage's worker count.
-	Senders int `json:"senders"`
-	// Variant is the producing boundary's resolved exchange algorithm; the
-	// collector must read with the same variant the senders wrote with.
-	Variant exchange.Variant `json:"inVariant"`
-}
+type TableFiles = worker.TableFiles
 
 // stagesTableName names the DynamoDB seal/ready table of an installation.
 func stagesTableName(fn string) string { return fn + "-stages" }
-
-// sealKey names a stage's ready marker; the epoch segment fences markers of
-// an aborted identically-numbered run out of this run's barrier.
-func sealKey(queryID string, epoch, stageID int) string {
-	return fmt.Sprintf("%s/e%d/s%d", queryID, epoch, stageID)
-}
 
 // epochKey names the durable per-query epoch item in the stages table.
 func epochKey(queryID string) string { return "epoch/" + queryID }
@@ -279,7 +244,7 @@ func (d *query) launchUnits(r *stageRun) ([]launchUnit, error) {
 	}
 	units := make([]launchUnit, len(children))
 	for w, kids := range children {
-		p := r.task.forWorker(r.shares[w])
+		p := r.task.ForWorker(r.shares[w])
 		for _, c := range kids {
 			p.Children = append(p.Children, r.shares[c])
 		}
@@ -317,16 +282,16 @@ func (d *query) invoke(env simenv.Env, u launchUnit, span obs.SpanID) error {
 // workers parked on the very fragment being recovered, so it is admitted
 // past the cap (counted in Overflow) instead of waiting; it is stamped per
 // (worker, attempt), so it never goes through the tree.
-func (d *query) reinvoke(r *stageRun, worker int) error {
-	p := r.task.forWorker(r.shares[worker])
-	p.Attempt = r.attempts[worker]
+func (d *query) reinvoke(r *stageRun, w int) error {
+	p := r.task.ForWorker(r.shares[w])
+	p.Attempt = r.attempts[w]
 	body, err := json.Marshal(&p)
 	if err != nil {
 		return err
 	}
 	d.adm.AcquireOverflow()
 	d.adm.Pace(d.env)
-	return d.invoke(d.env, launchUnit{workers: []int{worker}, body: body}, r.span)
+	return d.invoke(d.env, launchUnit{workers: []int{w}, body: body}, r.span)
 }
 
 // plan is the planner, the one way from a logical plan to runStages: footer
@@ -348,15 +313,11 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, cfg StageConfig) (*col
 	// sorted order, because the request sequence must not follow map
 	// iteration. The files the session has not opened before are opened
 	// through one request window; the rest cost no request.
-	var names []string
+	scanned := TableFiles{}
+	engine.VisitScans(plan, func(s *engine.ScanPlan) { scanned[s.Table] = nil })
+	names := scanned.Names()
 	stats := stageplan.Stats{Rows: map[string]int64{}, Workers: map[string]int{}}
 	optCat := engine.Catalog{}
-	engine.VisitScans(plan, func(s *engine.ScanPlan) {
-		if !slices.Contains(names, s.Table) {
-			names = append(names, s.Table)
-		}
-	})
-	sort.Strings(names)
 	driverClient := d.client()
 	srcs := map[string]*scan.Source{}
 	all := make([]*scan.Source, len(names))
@@ -524,9 +485,9 @@ func (d *query) merge(s *scheduler, sp *stageplan.Plan, resultStage *stageplan.S
 		if len(blob) == 0 {
 			continue
 		}
-		c, err := lpq.ReadFiles(engineMemoryBudget(d.cfg.WorkerMemoryMiB), blob)
+		c, err := lpq.ReadFiles(engine.MemoryBudget(d.cfg.WorkerMemoryMiB), blob)
 		if err != nil {
-			return nil, fmt.Errorf("decoding a worker's result: %w", outOfMemory(err))
+			return nil, fmt.Errorf("decoding a worker's result: %w", engine.OutOfMemory(err))
 		}
 		chunks = append(chunks, c)
 	}
@@ -544,7 +505,7 @@ func (d *query) merge(s *scheduler, sp *stageplan.Plan, resultStage *stageplan.S
 // boundary namespace every task of the query shares; the prefix the payloads
 // carry is the fenced e<epoch> sub-prefix of the query's. A plan without
 // boundaries gets the zero namespace and epoch 0.
-func (d *query) openNamespace(sp *stageplan.Plan, cfg StageConfig) (ns boundarySpec, epoch int, err error) {
+func (d *query) openNamespace(sp *stageplan.Plan, cfg StageConfig) (ns worker.Boundary, epoch int, err error) {
 	if !slices.ContainsFunc(sp.Stages, func(st *stageplan.Stage) bool { return st.Output != nil }) {
 		return ns, 0, nil
 	}
@@ -565,7 +526,7 @@ func (d *query) openNamespace(sp *stageplan.Plan, cfg StageConfig) (ns boundaryS
 	if epoch, err = d.acquireEpoch(sealTable, d.id); err != nil {
 		return ns, 0, fmt.Errorf("driver: acquiring epoch for %s: %w", d.id, err)
 	}
-	return boundarySpec{
+	return worker.Boundary{
 		Buckets:   buckets,
 		Prefix:    queryPrefix(d.cfg.FunctionName, d.id) + "e" + strconv.Itoa(epoch),
 		PollNs:    int64(cfg.Exchange.Poll),
@@ -577,7 +538,7 @@ func (d *query) openNamespace(sp *stageplan.Plan, cfg StageConfig) (ns boundaryS
 // reclaim deletes what the query wrote, whether it succeeded or failed. The
 // result queue goes first (free, no virtual time): a task still out — a
 // speculation loser — has then posted, so published, before the delete, or
-// its post fails and it deletes what it published (workerHandler).
+// its post fails and it deletes what it published (worker.Function.Handle).
 //
 // The rest is the cleanup phase. At epoch 1 it is the keyed delete of the
 // objects every stage run with an output may have published — for every
@@ -600,7 +561,7 @@ func (d *query) openNamespace(sp *stageplan.Plan, cfg StageConfig) (ns boundaryS
 // Both are best effort: a query whose rows are ready does not fail over its
 // scratch. What a failed delete leaves stays under the query's prefix, which
 // sweepEpochs sweeps before the fence expires.
-func (d *query) reclaim(s *scheduler, ns boundarySpec, epoch int) {
+func (d *query) reclaim(s *scheduler, ns worker.Boundary, epoch int) {
 	if epoch == 0 {
 		return
 	}
@@ -639,11 +600,11 @@ func (d *query) reclaim(s *scheduler, ns boundarySpec, epoch int) {
 // order, and returns the scheduler over their stage runs, nothing launched.
 // The plan fixes every fleet's size, so pipelined launch can invoke consumers
 // before their producers seal.
-func (d *query) newScheduler(sp *stageplan.Plan, scanFiles TableFiles, cfg StageConfig, ns boundarySpec, epoch int) (*scheduler, error) {
+func (d *query) newScheduler(sp *stageplan.Plan, scanFiles TableFiles, cfg StageConfig, ns worker.Boundary, epoch int) (*scheduler, error) {
 	s := &scheduler{queryID: d.id, epoch: epoch, speculate: d.cfg.Speculate,
 		maxStageWait: cfg.MaxStageWait, waves: d.cfg.testWaveLaunch, byID: map[int]*stageRun{}}
 	for _, st := range sp.Stages {
-		task, shares, err := d.stageTask(epoch, st, scanFiles, s.byID, ns)
+		task, shares, err := d.stageTask(epoch, st, scanFiles, ns)
 		if err != nil {
 			return nil, err
 		}
@@ -845,7 +806,7 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 				if r.awaited {
 					manifest := r.manifest()
 					if err := d.retry.Do(d.env, "dynamo.Put", func() error {
-						return d.dep.Dynamo.Put(d.env, sealTable, sealKey(s.queryID, s.epoch, r.st.ID), manifest)
+						return d.dep.Dynamo.Put(d.env, sealTable, worker.SealKey(s.queryID, s.epoch, r.st.ID), manifest)
 					}); err != nil {
 						return err
 					}
@@ -904,7 +865,7 @@ func (d *query) report(s *scheduler, sp *stageplan.Plan) *Report {
 	rep := s.rep // a copy: the Report must not keep the scheduler's payloads alive
 	rep.QueryID, rep.Epoch = s.queryID, s.epoch
 	rep.Duration = endTime - d.start
-	sort.Slice(rep.WorkerProcessing, func(i, j int) bool { return rep.WorkerProcessing[i] < rep.WorkerProcessing[j] })
+	slices.Sort(rep.WorkerProcessing)
 	for _, r := range s.runs {
 		ss := StageStat{
 			StageID:     r.st.ID,
@@ -968,14 +929,14 @@ func (d *query) receive(n int) (msgs []sqs.Message, full int, err error) {
 // stageTask builds one stage's task, stamped with the query's epoch fence
 // token, and its st.Workers shares (attempt 0). A stage that touches no
 // boundary — no inputs to collect, no output to publish — ships no boundary
-// spec. The task carries every table the fragment scans whole — the stage
-// plan admits none but a broadcast join's build side — and each share its
-// worker's slice of the stage's own table (st.Table). byID holds the runs of
-// the stage's producers (stages arrive in topological order); ns is the
-// query's boundary namespace.
-func (d *query) stageTask(epoch int, st *stageplan.Stage, scanFiles TableFiles, byID map[int]*stageRun, ns boundarySpec) (workerPayload, []share, error) {
+// spec; one that does ships the planner's inputs and output as they are, in
+// ns, the query's boundary namespace. The task carries every table the
+// fragment scans whole — the stage plan admits none but a broadcast join's
+// build side — and each share its worker's slice of the stage's own table
+// (st.Table).
+func (d *query) stageTask(epoch int, st *stageplan.Stage, scanFiles TableFiles, ns worker.Boundary) (worker.Payload, []worker.Share, error) {
 	n := st.Workers
-	task := workerPayload{QueryID: d.id, NumWorkers: n, ResultQueue: d.cfg.ResultQueue, StageID: st.ID, Epoch: epoch}
+	task := worker.Payload{QueryID: d.id, NumWorkers: n, ResultQueue: d.cfg.ResultQueue, StageID: st.ID, Epoch: epoch}
 	if st.Plan != nil {
 		var err error
 		if task.Plan, err = engine.MarshalPlan(st.Plan); err != nil {
@@ -983,14 +944,7 @@ func (d *query) stageTask(epoch int, st *stageplan.Stage, scanFiles TableFiles, 
 		}
 	}
 	if len(st.Inputs) > 0 || st.Output != nil {
-		ns.Output = st.Output
-		for _, in := range st.Inputs {
-			up := byID[in.StageID]
-			if up == nil || up.st.Output == nil {
-				return task, nil, fmt.Errorf("driver: stage %d collects from stage %d, which publishes no boundary", st.ID, in.StageID)
-			}
-			ns.Inputs = append(ns.Inputs, stageInputSpec{Input: in, Senders: len(up.shares), Variant: up.st.Output.Variant})
-		}
+		ns.Inputs, ns.Output = st.Inputs, st.Output
 		task.Boundary = &ns
 	}
 
@@ -1006,7 +960,7 @@ func (d *query) stageTask(epoch int, st *stageplan.Stage, scanFiles TableFiles, 
 		task.Tables = tables
 	}
 
-	shares := make([]share, n)
+	shares := make([]worker.Share, n)
 	per := (len(own) + n - 1) / n
 	for w := range shares {
 		shares[w].WorkerID = w
@@ -1016,172 +970,4 @@ func (d *query) stageTask(epoch int, st *stageplan.Stage, scanFiles TableFiles, 
 		}
 	}
 	return task, shares, nil
-}
-
-// executeFragment is the worker side of a task: wait out every upstream ready
-// marker, then collect this worker's partition of every input boundary from
-// the manifests they hold in one call — one request window for all of them,
-// so a join pays one round of first-byte latencies, not one per side —
-// execute the fragment (engine.Execute), and either publish the partitioned
-// output into this stage's attempt namespace — returning the offsets its
-// seal message commits — or hand the chunk back for the SQS result post.
-// Every boundary runs on the staged protocol (exchange.PublishSealed,
-// RegroupSealed, CollectSealed). A payload without a
-// boundary spec touches no boundary: the zero spec has nothing to collect and
-// nothing to publish. A payload without a plan is a regroup task: the
-// intermediate round of its one input's multi-level boundary is all it does.
-// Each step opens its phase of the invocation as it begins (wait-sealed,
-// collect, regroup, execute — the scan's reads included — and publish).
-func (d *Session) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *workerPayload) (*columnar.Chunk, []int64, error) {
-	copts := []s3.ClientOption{s3.WithPolicy(ws)}
-	if d.dep.Shaped {
-		copts = append(copts, s3.WithShaper(netmodel.DefaultLambdaNet(), ctx.MemoryMiB))
-	}
-	env, tr := ctx.Env, d.dep.Trace
-	client := s3.NewClient(d.dep.S3, env, copts...)
-
-	x := p.Boundary
-	if x == nil {
-		x = &boundarySpec{}
-	}
-	opts := exchange.Options{Buckets: x.Buckets, Prefix: x.Prefix}
-	// One wait deadline for the whole task: a k-input stage gets MaxWait
-	// across ALL its ready-marker waits, not MaxWait per input (which would
-	// let a fragment wait k×MaxWait before reporting failure). The collects
-	// themselves never wait — a sealed stage's objects all exist — and the
-	// data reads are not cut short. The driver marks a stage sealed in
-	// DynamoDB once every worker of it reported through SQS. Under pipelined
-	// launch this worker was invoked before its producers sealed, so the
-	// waits are where cold start and upstream execution overlap.
-	deadline := env.Now() + time.Duration(x.MaxWaitNs)
-	if len(x.Inputs) > 0 {
-		tr.Phase(env, "wait-sealed", env.Now())
-	} else {
-		tr.Phase(env, "execute", env.Now())
-	}
-	if d.cfg.testWorkerDelay != nil {
-		env.Sleep(d.cfg.testWorkerDelay(p.StageID, p.WorkerID, p.Attempt))
-	}
-
-	if len(p.Plan) == 0 {
-		// Regroup attempts version their round-2 publishes exactly like
-		// sender attempts; the driver seals one per group.
-		in, polls := x.Inputs[0], 0
-		manifest, err := d.waitSealed(ctx, ws, p, in.Ready, deadline, &polls)
-		if err != nil {
-			return nil, nil, err
-		}
-		tr.Phase(env, "regroup", env.Now())
-		wopts, b := p.output()
-		offsets, err := exchange.RegroupSealed(client, wopts, b, p.WorkerID, x.Output.Keys, manifest, residentBudget(ctx.MemoryMiB))
-		return nil, offsets, err
-	}
-
-	plan, cat, rest, err := d.fragmentCatalog(ctx, client, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(x.Inputs) > 0 {
-		// Wait once: every ready marker, in input order, under the one
-		// deadline. A multi-level boundary is read once its regroup fleet
-		// sealed — the round-2 objects this worker reads exist only then,
-		// and its ready marker is their manifest.
-		inputs, polls := make([]exchange.Input, len(x.Inputs)), 0
-		for i, in := range x.Inputs {
-			manifest, err := d.waitSealed(ctx, ws, p, in.Ready, deadline, &polls)
-			if err != nil {
-				return nil, nil, err
-			}
-			inputs[i] = exchange.Input{
-				Boundary: exchange.Boundary{Stage: in.StageID, Senders: in.Senders, Partitions: p.NumWorkers},
-				Variant:  in.Variant,
-				Sealed:   manifest,
-			}
-		}
-		// Read once: every input's partition through one request window,
-		// within what the build sides left of the resident budget.
-		collect := tr.Phase(env, "collect", env.Now())
-		chunks, err := exchange.CollectSealed(client, opts, p.WorkerID, inputs, rest)
-		if err != nil {
-			return nil, nil, fmt.Errorf("collecting partition %d: %w", p.WorkerID, err)
-		}
-		if tr.Enabled() {
-			tr.SetTag(collect, "bytes.in", strconv.FormatInt(client.BytesRead(), 10))
-			tr.SetTag(collect, "gets", strconv.FormatInt(client.Gets(), 10))
-		}
-		for i, chunk := range chunks {
-			cat[x.Inputs[i].Table] = engine.NewMemSource(chunk.Schema, chunk)
-		}
-		tr.Phase(env, "execute", env.Now())
-	}
-
-	out, err := engine.Execute(plan, cat)
-	if err != nil {
-		return nil, nil, err
-	}
-	if tr.Enabled() {
-		var dead int64 // the holes the task's scans fetched between wanted ranges
-		for _, src := range cat {
-			if m, ok := src.(memGuardSource); ok {
-				dead += m.Stats().DeadBytes
-			}
-		}
-		tr.SetTag(tr.Current(env), "rows.out", strconv.Itoa(out.NumRows()))
-		tr.SetTag(tr.Current(env), "bytes.dead", strconv.FormatInt(dead, 10))
-	}
-	if x.Output == nil {
-		return out, nil, nil
-	}
-	publish := tr.Phase(env, "publish", env.Now())
-	wrote := client.BytesWritten()
-	wopts, b := p.output()
-	offsets, err := exchange.PublishSealed(client, wopts, b, p.WorkerID, out, x.Output.Keys)
-	if err != nil {
-		return nil, nil, fmt.Errorf("publishing stage %d output: %w", p.StageID, err)
-	}
-	if tr.Enabled() {
-		tr.SetTag(publish, "bytes.out", strconv.FormatInt(client.BytesWritten()-wrote, 10))
-	}
-	// The seal travels through the result queue: no chunk, and the offsets
-	// the publish committed.
-	return nil, offsets, nil
-}
-
-// waitSealed waits for the DynamoDB ready marker of a producing stage, up
-// to the fragment-wide deadline, and returns its value: the stage's manifest,
-// where the worker's collect finds every writer's sealed attempt and offsets.
-// The marker key carries the query epoch, so a marker written by an aborted
-// identically-numbered run can never satisfy this run's barrier. Between
-// checks the worker parks on the completion signal dynamo.Put broadcasts — it
-// wakes at the instant the marker lands instead of at the next poll boundary
-// — with the timed poll as fallback. The park is armed before each Get
-// (simenv.Barrier): a marker Put while the Get is in flight ends it at once.
-// polls counts the Gets, across the task's waits: its wait-sealed phase's tag.
-func (d *Session) waitSealed(ctx *lambdasvc.Ctx, ws resilience.Policy, p *workerPayload, stageID int, deadline time.Duration, polls *int) ([]byte, error) {
-	table, key := p.Boundary.SealTable, sealKey(p.QueryID, p.Epoch, stageID)
-	if tr := d.dep.Trace; tr.Enabled() {
-		defer func() { tr.SetTag(tr.Current(ctx.Env), "polls", strconv.Itoa(*polls)) }()
-	}
-	// Only the dynamo.Put of this (query, epoch, stage) ready marker wakes
-	// the worker early.
-	topic := "dynamo/" + table + "/" + key
-	for {
-		barrier := simenv.Arm(ctx.Env, topic)
-		*polls++
-		var manifest []byte
-		err := ws.Do(ctx.Env, "dynamo.Get", func() error {
-			var gerr error
-			manifest, gerr = d.dep.Dynamo.Get(ctx.Env, table, key)
-			return gerr
-		})
-		if errors.Is(err, dynamo.ErrNoSuchItem) && ctx.Env.Now() < deadline {
-			barrier.Wait(time.Duration(p.Boundary.PollNs))
-			continue
-		}
-		barrier.Cancel()
-		if errors.Is(err, dynamo.ErrNoSuchItem) {
-			return nil, fmt.Errorf("stage %d never sealed: %w", stageID, err)
-		}
-		return manifest, err
-	}
 }

@@ -16,6 +16,7 @@ import (
 	"lambada/internal/simclock"
 	"lambada/internal/stageplan"
 	"lambada/internal/tpch"
+	"lambada/internal/worker"
 )
 
 // TestPayloadShapes pins the one task shape at its two ends: a single-scope
@@ -31,11 +32,11 @@ func TestPayloadShapes(t *testing.T) {
 	defer q.close()
 	single := &stageplan.Stage{ID: 1, Plan: singleNodePlan(t, q6SQL), Table: "lineitem", Workers: 2}
 
-	task, shares, err := q.stageTask(0, single, tables, nil, boundarySpec{})
+	task, shares, err := q.stageTask(0, single, tables, worker.Boundary{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0 := task.forWorker(shares[0])
+	p0 := task.ForWorker(shares[0])
 	body, err := json.Marshal(&p0)
 	if err != nil {
 		t.Fatal(err)
@@ -60,26 +61,22 @@ func TestPayloadShapes(t *testing.T) {
 	if producer, ok := regroup.RegroupOf(); !ok || producer != scan.ID {
 		t.Fatalf("stage behind the scan is not its regroup:\n%s", stageplan.Explain(sp))
 	}
-	ns := boundarySpec{Buckets: []string{"b0", "b1"}, Prefix: "fn/q1/e3", PollNs: 5, MaxWaitNs: 7, SealTable: "fn-stages"}
-	if task, shares, err = q.stageTask(3, scan, tables, nil, ns); err != nil {
-		t.Fatal(err)
-	}
-	byID := map[int]*stageRun{scan.ID: {st: scan, task: task, shares: shares}}
+	ns := worker.Boundary{Buckets: []string{"b0", "b1"}, Prefix: "fn/q1/e3", PollNs: 5, MaxWaitNs: 7, SealTable: "fn-stages"}
 	groups := exchange.Groups(scan.Output.Partitions)
-	if task, shares, err = q.stageTask(3, regroup, tables, byID, ns); err != nil {
+	if task, shares, err = q.stageTask(3, regroup, tables, ns); err != nil {
 		t.Fatal(err)
 	}
 	if len(shares) != groups {
 		t.Fatalf("regroup fleet = %d shares, want Groups(5) = %d", len(shares), groups)
 	}
-	rg := task.forWorker(shares[groups-1])
+	rg := task.ForWorker(shares[groups-1])
 	if body, err = json.Marshal(&rg); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(body, []byte(`"plan"`)) || bytes.Contains(body, []byte(`"tables"`)) {
 		t.Errorf("regroup payload carries a plan or tables: %s", body)
 	}
-	var back workerPayload
+	var back worker.Payload
 	if err := json.Unmarshal(body, &back); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +88,7 @@ func TestPayloadShapes(t *testing.T) {
 		t.Errorf("regroup payload = %s, want the producer's boundary as its one input and its output", body)
 	}
 
-	if err := (&workerPayload{QueryID: "q1", NumWorkers: 1}).check(); err == nil {
+	if err := (&worker.Payload{QueryID: "q1", NumWorkers: 1}).Check(); err == nil {
 		t.Error("a payload with neither plan nor boundary was accepted")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"lambada/internal/netmodel"
 	"lambada/internal/obs"
 	"lambada/internal/simclock"
+	"lambada/internal/worker"
 )
 
 // The staged ≡ single-node suites of the hand-picked queries are cases of
@@ -285,7 +286,7 @@ func TestStagedDrainsStaleResults(t *testing.T) {
 	// behind under the same name.
 	q1Queue := queryQueueName(d.cfg.ResultQueue, "q1")
 	d.dep.SQS.CreateQueue(q1Queue)
-	stale, err := json.Marshal(resultMsg{QueryID: "q999", WorkerID: 3, Stage: 1})
+	stale, err := json.Marshal(worker.Result{QueryID: "q999", WorkerID: 3, Stage: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

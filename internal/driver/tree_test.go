@@ -10,13 +10,15 @@ import (
 	"lambada/internal/columnar"
 	"lambada/internal/scan"
 	"lambada/internal/stageplan"
+	"lambada/internal/worker"
 )
 
 // TestRefusedParentInvokesNoChild: a first-generation worker checks its
 // payload, children included, before it invokes anyone. A parent whose child
 // could not run — the parent's own ID, an ID outside the fleet, a scan file
-// without its footer, more children than the fleet has other workers — issues
-// no Invoke and posts its failure seal.
+// without its footer, more children than the fleet has other workers — or
+// that names a child twice (each entry would be a billed Invoke) issues no
+// Invoke and posts its failure seal.
 func TestRefusedParentInvokesNoChild(t *testing.T) {
 	d, env, tables := goSession(t, DefaultConfig(), layout{Data: 33, LI: 4, Opts: stdLayout.Opts})
 	pinned, err := scan.New(s3.NewClient(d.dep.S3, env), scan.DefaultConfig(), tables["lineitem"]...).Pin(tables["lineitem"])
@@ -26,21 +28,22 @@ func TestRefusedParentInvokesNoChild(t *testing.T) {
 	q := d.newQuery(env)
 	defer q.close()
 	st := &stageplan.Stage{Plan: singleNodePlan(t, q6SQL), Table: "lineitem", Workers: 4}
-	task, shares, err := q.stageTask(0, st, TableFiles{"lineitem": pinned}, nil, boundarySpec{})
+	task, shares, err := q.stageTask(0, st, TableFiles{"lineitem": pinned}, worker.Boundary{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent := task.forWorker(shares[0])
-	if parent.Children = shares[1:]; parent.check() != nil {
-		t.Fatalf("the driver's own tree parent is refused: %v", parent.check())
+	parent := task.ForWorker(shares[0])
+	if parent.Children = shares[1:]; parent.Check() != nil {
+		t.Fatalf("the driver's own tree parent is refused: %v", parent.Check())
 	}
-	unpinned := share{WorkerID: 1, Tables: TableFiles{"lineitem": tables["lineitem"][1:2]}}
-	for name, kids := range map[string][]share{
+	unpinned := worker.Share{WorkerID: 1, Tables: TableFiles{"lineitem": tables["lineitem"][1:2]}}
+	for name, kids := range map[string][]worker.Share{
 		"own ID":         {shares[1], shares[0]},
 		"outside fleet":  {shares[1], {WorkerID: 4, Tables: shares[2].Tables}},
 		"no footer":      {unpinned, shares[2]},
 		"fleet of kids":  {shares[1], shares[2], shares[3], shares[1]},
 		"negative child": {{WorkerID: -1, Tables: shares[1].Tables}},
+		"twin children":  {shares[1], shares[1], shares[1]},
 	} {
 		parent.Children = kids
 		body, err := json.Marshal(&parent)
@@ -48,14 +51,14 @@ func TestRefusedParentInvokesNoChild(t *testing.T) {
 			t.Fatal(err)
 		}
 		before, _ := d.dep.Lambda.Invocations()
-		if err := d.workerHandler(&lambdasvc.Ctx{Env: env, MemoryMiB: d.cfg.WorkerMemoryMiB}, body); err != nil {
+		if err := d.worker.Handle(&lambdasvc.Ctx{Env: env, MemoryMiB: d.cfg.WorkerMemoryMiB}, body); err != nil {
 			t.Errorf("%s: the handler failed to post its seal: %v", name, err)
 		}
 		if after, _ := d.dep.Lambda.Invocations(); after != before {
 			t.Errorf("%s: the refused parent issued %d Invokes", name, after-before)
 		}
 		msgs, err := d.dep.SQS.Receive(env, q.cfg.ResultQueue, 10)
-		var rm resultMsg
+		var rm worker.Result
 		if err == nil && len(msgs) == 1 {
 			err = json.Unmarshal(msgs[0].Body, &rm)
 		}
@@ -71,7 +74,7 @@ func TestRefusedParentInvokesNoChild(t *testing.T) {
 // enough files that a first-generation body holding its children's whole
 // payloads would pass Lambda's 256 KiB limit. It returns the direct launch's
 // rows; every child's Invoke body is the one a direct launch of that worker
-// sends — json.Marshal of the driver's task.forWorker(share) — and every
+// sends — json.Marshal of the driver's task.ForWorker(share) — and every
 // first-generation body is its own leaf plus its children's shares.
 func TestTreeLaunchCarriesShares(t *testing.T) {
 	l := layout{Data: 33, LI: 160, Ord: 128, Opts: stdLayout.Opts}
@@ -82,13 +85,13 @@ func TestTreeLaunchCarriesShares(t *testing.T) {
 		var mu sync.Mutex
 		bodies := map[int][]byte{}
 		err := sess.dep.Lambda.CreateFunction(cfg.FunctionName, cfg.WorkerMemoryMiB, cfg.Timeout, func(ctx *lambdasvc.Ctx, payload []byte) error {
-			var p workerPayload
+			var p worker.Payload
 			if err := json.Unmarshal(payload, &p); err == nil {
 				mu.Lock()
 				bodies[p.WorkerID] = payload
 				mu.Unlock()
 			}
-			return sess.workerHandler(ctx, payload)
+			return sess.worker.Handle(ctx, payload)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +111,7 @@ func TestTreeLaunchCarriesShares(t *testing.T) {
 
 	parents := 0
 	for w, body := range bodies {
-		var p workerPayload
+		var p worker.Payload
 		if err := json.Unmarshal(body, &p); err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -12,14 +13,14 @@ import (
 )
 
 // TestWorkerPathStartsNoGoroutine: no package a worker runs — its format,
-// its scan, its engine, its exchange, its plan and the driver that hands it
-// out — holds a go statement or a channel type outside its tests. A worker
-// has one vCPU at the paper's default memory size (§4.1), and a DES process
-// is one thread of control; a host thread on this path needs a measured case
-// of its own.
+// its scan, its engine, its exchange, its plan, the worker itself and the
+// driver that hands it out — holds a go statement or a channel type outside
+// its tests. A worker has one vCPU at the paper's default memory size
+// (§4.1), and a DES process is one thread of control; a host thread on this
+// path needs a measured case of its own.
 func TestWorkerPathStartsNoGoroutine(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, pkg := range []string{"columnar", "lpq", "s3fs", "scan", "engine", "exchange", "stageplan", "driver"} {
+	for _, pkg := range []string{"columnar", "lpq", "s3fs", "scan", "engine", "exchange", "stageplan", "worker", "driver"} {
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
 		if err != nil {
 			t.Fatal(err)
@@ -45,6 +46,24 @@ func TestWorkerPathStartsNoGoroutine(t *testing.T) {
 				return true
 			})
 		}
+	}
+}
+
+// TestWorkerImportsNoDriver: the worker is a program of its own (§3.3), and
+// its invocation parameters are all it gets. Neither internal/worker nor any
+// package it imports imports internal/driver, so a worker cannot read the
+// driver's state.
+func TestWorkerImportsNoDriver(t *testing.T) {
+	out, err := exec.Command("go", "list", "-e", "-deps", "lambada/internal/worker").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	deps := strings.Fields(string(out))
+	if !slices.Contains(deps, "lambada/internal/worker") {
+		t.Fatalf("go list named no worker package: %v", deps)
+	}
+	if slices.Contains(deps, "lambada/internal/driver") {
+		t.Error("internal/worker builds on internal/driver")
 	}
 }
 

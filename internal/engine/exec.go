@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"lambada/internal/columnar"
+	"lambada/internal/lpq"
 )
 
 // Catalog maps table names to scan sources.
@@ -182,4 +184,53 @@ func sortChunk(c *columnar.Chunk, keys []OrderKey) (*columnar.Chunk, error) {
 		return false
 	})
 	return c.Gather(idx), nil
+}
+
+// ---- the memory budget of a worker ----
+
+// ErrWorkerOOM is reported when a worker's working set exceeds its memory.
+var ErrWorkerOOM = errors.New("worker out of memory")
+
+// MemoryBudget returns the execution-engine limit of a worker of memoryMiB,
+// which it holds its inputs to and the driver its result: the function's
+// memory minus a fixed headroom for the handler and runtime. §3.3: the handler
+// "starts the execution engine ... with a memory limit slightly lower than
+// that of the serverless function such that it can report out-of-memory
+// situations ... rather than dying silently".
+func MemoryBudget(memoryMiB int) int64 {
+	const headroomMiB = 192
+	return max(int64(memoryMiB-headroomMiB)<<20, 1<<20)
+}
+
+// ResidentBudget is the share of MemoryBudget that the inputs a task holds
+// whole draw on together: its build sides, charged from their footers
+// (scan.Source.Hold), and the partitions it collected or a regroup's group,
+// held to it by the decoder (lpq.ReadFiles) before it allocates.
+func ResidentBudget(memoryMiB int) int64 { return MemoryBudget(memoryMiB) / 3 }
+
+// CheckWorkingSet is the engine's working-set rule: n bytes of input need 3×
+// that within the budget, or the worker reports ErrWorkerOOM. The scan
+// pipeline holds the decoded chunk plus the compressed download buffers, and
+// a join its inputs plus build-side structures and output; 3× is the factor
+// of the paper's double-buffered scan, which also holds the next group. What
+// the scan's request window holds beyond the group being decoded — at most
+// its payload break-even, ≈ 2.9 MiB of compressed bytes of the groups after
+// it, and as much for each other table while the task's first window waits
+// to be scanned — is that next group's share. A scanned chunk is checked
+// here, after its row group's rows × widths were held to the budget from the
+// footer before any of its bytes were fetched (scan.Pinned).
+func CheckWorkingSet(n, budget int64) error {
+	if need := 3 * n; need > budget {
+		return fmt.Errorf("%w: chunk working set %d MiB exceeds engine budget %d MiB", ErrWorkerOOM, need>>20, budget>>20)
+	}
+	return nil
+}
+
+// OutOfMemory reports lpq bytes the decoder refused at its bound as
+// ErrWorkerOOM; any other error passes through.
+func OutOfMemory(err error) error {
+	if errors.Is(err, lpq.ErrOverBound) {
+		return fmt.Errorf("%w: %w", ErrWorkerOOM, err)
+	}
+	return err
 }

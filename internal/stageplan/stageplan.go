@@ -61,8 +61,8 @@ func Fingerprint(p engine.Plan) (string, error) {
 }
 
 // Output is a stage's exchange boundary: its result rows are hash-
-// partitioned on Keys into Partitions partitions. The JSON tags are the
-// wire form of the driver's worker payloads (boundarySpec).
+// partitioned on Keys into Partitions partitions. The JSON tags, and
+// Input's, are the wire form of a worker's payload (worker.Boundary).
 type Output struct {
 	// Keys are the partition key columns (all Int64), hash-combined.
 	Keys []string `json:"keys"`
@@ -83,6 +83,10 @@ type Input struct {
 	// single-round boundary, the regroup stage of a multi-level one — the
 	// objects a consumer reads exist only once it sealed.
 	Ready int `json:"ready"`
+	// Senders is the producer's worker count, and Variant the exchange
+	// algorithm its senders wrote with, which the collector reads with.
+	Senders int              `json:"senders"`
+	Variant exchange.Variant `json:"inVariant"`
 }
 
 // Stage is one gang-scheduled fleet of a distributed plan.
@@ -461,18 +465,21 @@ func Decompose(p engine.Plan, stats Stats, cfg Config) (*Plan, error) {
 }
 
 // boundaries resolves every boundary's exchange algorithm from its producing
-// fleet and gives each multi-level one its regroup stage: right behind the
+// fleet, completes every input with its producer's fleet size and variant,
+// and gives each multi-level boundary its regroup stage: right behind the
 // producer, with the next free ID, so the planner's stages keep theirs and
 // their order. The boundary's consumers depend on the regroup stage too, and
 // wait for its seal, not the producer's, before they collect.
 func (c *compiler) boundaries() []*Stage {
 	stages := make([]*Stage, 0, len(c.stages))
-	ready := map[int]int{} // producer → the stage whose seal makes its boundary readable
+	ready := map[int]Input{} // producer → how its consumers read it: the stage whose seal makes it readable, its senders and variant
 	for _, st := range c.stages {
 		stages = append(stages, st)
 		for i, in := range st.Inputs {
-			if st.Inputs[i].Ready = ready[in.StageID]; ready[in.StageID] != in.StageID {
-				st.DependsOn = append(st.DependsOn, ready[in.StageID])
+			st.Inputs[i] = ready[in.StageID]
+			st.Inputs[i].Table = in.Table
+			if r := st.Inputs[i].Ready; r != in.StageID {
+				st.DependsOn = append(st.DependsOn, r)
 			}
 		}
 		out := st.Output
@@ -480,13 +487,14 @@ func (c *compiler) boundaries() []*Stage {
 			continue
 		}
 		out.Variant = ChooseVariant(st.Workers, out.Partitions, exchange.ShardBuckets, c.cfg.Exchange, c.cfg.Exchange.Levels)
-		ready[st.ID] = st.ID
+		in := Input{StageID: st.ID, Ready: st.ID, Senders: st.Workers, Variant: out.Variant}
 		if out.Variant.Levels >= 2 {
 			rg := &Stage{ID: c.id(), Workers: exchange.Groups(out.Partitions), Output: out,
-				Inputs: []Input{{StageID: st.ID, Ready: st.ID}}, DependsOn: []int{st.ID}}
-			ready[st.ID] = rg.ID
+				Inputs: []Input{in}, DependsOn: []int{st.ID}}
+			in.Ready = rg.ID
 			stages = append(stages, rg)
 		}
+		ready[st.ID] = in
 	}
 	return stages
 }

@@ -520,6 +520,36 @@ func TestDecomposeResolvesDAG(t *testing.T) {
 	}
 }
 
+// TestDecomposeCompletesInputs: every input carries what its collector reads
+// the boundary with — its producer's Workers as Senders, and the variant the
+// producer's Output publishes with — so a task's boundary is complete as the
+// planner made it. The fleets differ, so a wrong producer shows: three and two
+// scan workers, five join workers, three regroup workers per two-level
+// boundary.
+func TestDecomposeCompletesInputs(t *testing.T) {
+	stats := q12Footers(false)
+	stats.Workers = map[string]int{"lineitem": 3, "orders": 2}
+	for _, levels := range []int{1, 2} {
+		sp, err := Decompose(optimized(t, q12SQL), stats, Config{Partitions: 5, BroadcastRowLimit: -1, Exchange: exchange.Variant{Levels: levels}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		byID, inputs := map[int]*Stage{}, 0
+		for _, st := range sp.Stages {
+			byID[st.ID] = st
+			for _, in := range st.Inputs {
+				inputs++
+				if up := byID[in.StageID]; up == nil || up.Output == nil || in.Senders != up.Workers || in.Variant != up.Output.Variant {
+					t.Errorf("levels %d: stage %d input %+v, producer %+v\n%s", levels, st.ID, in, up, Explain(sp))
+				}
+			}
+		}
+		if want := []int{3, 6}[levels-1]; inputs != want {
+			t.Errorf("levels %d: %d inputs, want %d\n%s", levels, inputs, want, Explain(sp))
+		}
+	}
+}
+
 // TestExplainQ12: the rendering cmd/lambada -v prints is the DAG that runs,
 // each fleet with its size and each boundary with its algorithm and shard
 // buckets. Re-recorded when the exact request model took over the shard
