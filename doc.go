@@ -30,7 +30,11 @@
 // runtime and clock: it has one vCPU at the paper's default 1 792 MiB (§4.1),
 // so neither the scan nor the operators above it have a second core to fan
 // out to. A scan reads its files in order, and the row groups of each in
-// order, on its caller's goroutine. Requests are kept in flight by the S3
+// order, on its caller's goroutine, and what it reads through — its source,
+// file handles and pools, built per query or per invocation — is that
+// goroutine's alone and holds no lock; the one table a scan shares is a
+// resident session's footers (scan.Footers), which concurrent queries use.
+// Requests are kept in flight by the S3
 // client, as a model of time that runs the same on both clocks, in two parts.
 // The per-function token-bucket shaper models
 // bandwidth: a transfer takes the time its bytes need at the rate its
@@ -167,8 +171,8 @@
 // chunks in file order, and the engine consumes them in that order —
 // aggregation folds per-chunk partials as they arrive, collect sinks keep
 // arrival order, and the limit sink takes the first N rows. No package on the
-// worker path starts a goroutine or makes a channel
-// (TestWorkerPathStartsNoGoroutine).
+// worker path starts a goroutine, makes a channel or, but for the session's
+// shared tables, takes a lock (TestWorkerPathStartsNoGoroutine).
 //
 // # One executor
 //
@@ -788,8 +792,8 @@
 //   - An lpq.DecodeState owns the inflate buffer, one gzip reader, Reset
 //     from page to page, and the dictionary of the page it decodes. Whoever
 //     decodes holds one per goroutine: lpq.ReadFiles and Reader.ReadAll one
-//     per whole file, a scan.Source a free list of them for its
-//     row-group and page fetchers. Pages are decoded onto the destination
+//     per whole file, a scan.Source one for every page and column chunk it
+//     decodes. Pages are decoded onto the destination
 //     vector directly — a scan's onto vectors of its pool
 //     (DecodeState.DecodePageOnto); decoded values never alias the state.
 //   - A ranged GET's reply is the buffer a reader decodes from: a span one
@@ -820,12 +824,13 @@
 // serverless function such that it can report out-of-memory situations …
 // rather than dying silently": the engine budget (engine.MemoryBudget) is the
 // function's memory less 192 MiB, and a working set needs 3× its input within
-// it (engine.CheckWorkingSet). A scanned row group is held to the budget
-// twice: its kept rows × projected widths, from the footer before any of its
-// bytes are fetched (scan.Pinned's bound), and its chunk as it streams past;
-// the inputs a task holds whole — its build sides, the partitions it
-// collected, or a regroup's group — share one third of the budget
-// (engine.ResidentBudget), a build side charged from its footers (twice its
+// it, so a task's inputs are held to one third of it (engine.ResidentBudget),
+// each before any of its bytes is fetched or allocated. A scanned row group is
+// held to it alone, once: its kept rows × projected widths, from the footer
+// (scan.Pinned's bound) — the decoders emit exactly the footer's rows, so its
+// chunk needs no second check after the decode. The inputs a task holds whole
+// — its build sides, the partitions it collected, or a regroup's group —
+// share it, a build side charged from its footers (twice its
 // rows × projected widths: the build pipeline holds the scanned chunks and the
 // one it concatenates them into) before the task's first request window. The
 // fragment says what is a build side: a table is charged when a hash join's

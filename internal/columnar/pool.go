@@ -1,7 +1,5 @@
 package columnar
 
-import "sync"
-
 // Pool recycles vectors, chunks and selection vectors across the morsels
 // of one scan or one query pipeline, keeping the hot path allocation-free
 // once warm.
@@ -26,13 +24,12 @@ import "sync"
 // aliased buffer is a use-after-free. After a Put returns, the caller must
 // not touch the buffer again.
 //
-// A Pool belongs to one scan source or one pipeline. It holds plain free
-// lists, not sync.Pools: what it recycled dies with its owner, instead of
-// staying reachable through the runtime's pool registry for two collections
-// after the query. It is safe for concurrent use. A nil *Pool allocates
-// every Get and drops every Put.
+// A Pool belongs to one scan source or one pipeline, and is used by the one
+// goroutine that runs it: it holds plain free lists, with no lock and not
+// sync.Pools, so what it recycled dies with its owner instead of staying
+// reachable through the runtime's pool registry for two collections after
+// the query. A nil *Pool allocates every Get and drops every Put.
 type Pool struct {
-	mu     sync.Mutex
 	vecs   [3][]*Vector // indexed by Type
 	chunks []*Chunk
 	sels   [][]int
@@ -48,15 +45,12 @@ func (p *Pool) GetVector(t Type, n int) *Vector {
 	if p == nil {
 		return NewVector(t, n)
 	}
-	p.mu.Lock()
 	free := p.vecs[t]
 	if len(free) == 0 {
-		p.mu.Unlock()
 		return NewVector(t, n)
 	}
 	v := free[len(free)-1]
 	p.vecs[t] = free[:len(free)-1]
-	p.mu.Unlock()
 	v.Reset()
 	return v
 }
@@ -66,21 +60,17 @@ func (p *Pool) PutVector(v *Vector) {
 	if p == nil || v == nil {
 		return
 	}
-	p.mu.Lock()
 	p.vecs[v.Type] = append(p.vecs[v.Type], v)
-	p.mu.Unlock()
 }
 
 // GetChunk returns an empty chunk for schema with capacity hint n, reusing
 // recycled vectors and chunk shells when available.
 func (p *Pool) GetChunk(schema *Schema, n int) *Chunk {
 	var c *Chunk
-	p.mu.Lock()
-	if n := len(p.chunks); n > 0 {
-		c = p.chunks[n-1]
-		p.chunks = p.chunks[:n-1]
+	if p != nil && len(p.chunks) > 0 {
+		c = p.chunks[len(p.chunks)-1]
+		p.chunks = p.chunks[:len(p.chunks)-1]
 	}
-	p.mu.Unlock()
 	if c != nil {
 		if cap(c.Columns) < schema.Len() {
 			c.Columns = make([]*Vector, schema.Len())
@@ -99,7 +89,7 @@ func (p *Pool) GetChunk(schema *Schema, n int) *Chunk {
 // PutChunk recycles c and all its vectors. See the ownership contract above:
 // c must have come from GetChunk and must no longer be referenced anywhere.
 func (p *Pool) PutChunk(c *Chunk) {
-	if c == nil {
+	if p == nil || c == nil {
 		return
 	}
 	for i, v := range c.Columns {
@@ -107,9 +97,7 @@ func (p *Pool) PutChunk(c *Chunk) {
 		c.Columns[i] = nil
 	}
 	c.Schema = nil
-	p.mu.Lock()
 	p.chunks = append(p.chunks, c)
-	p.mu.Unlock()
 }
 
 // GetSelection returns an empty selection vector, reusing a recycled one
@@ -118,8 +106,6 @@ func (p *Pool) GetSelection() []int {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	n := len(p.sels)
 	if n == 0 {
 		return nil
@@ -134,7 +120,5 @@ func (p *Pool) PutSelection(sel []int) {
 	if p == nil || cap(sel) == 0 {
 		return
 	}
-	p.mu.Lock()
 	p.sels = append(p.sels, sel)
-	p.mu.Unlock()
 }

@@ -1,9 +1,6 @@
 package columnar
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestPoolRecyclesVectorsAndChunks(t *testing.T) {
 	p := NewPool()
@@ -60,31 +57,12 @@ func TestPoolRecyclesVectorsAndChunks(t *testing.T) {
 	if got := none.GetSelection(); got != nil {
 		t.Fatalf("nil pool GetSelection = %v", got)
 	}
-}
-
-func TestPoolConcurrentUse(t *testing.T) {
-	p := NewPool()
-	schema := NewSchema(Field{Name: "x", Type: Int64})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				c := p.GetChunk(schema, 32)
-				for j := 0; j < 32; j++ {
-					c.Columns[0].AppendInt64(int64(w*1000 + j))
-				}
-				// The chunk must be private to this goroutine until Put.
-				for j := 0; j < 32; j++ {
-					if c.Columns[0].Int64s[j] != int64(w*1000+j) {
-						t.Errorf("worker %d saw foreign data", w)
-						return
-					}
-				}
-				p.PutChunk(c)
-			}
-		}(w)
+	nc := none.GetChunk(schema, 4)
+	if err := nc.Validate(); err != nil || nc.NumRows() != 0 || len(nc.Columns) != schema.Len() {
+		t.Fatalf("nil pool GetChunk = %d rows, %d columns, %v", nc.NumRows(), len(nc.Columns), err)
 	}
-	wg.Wait()
+	none.PutChunk(nc)
+	if nc.Schema != schema {
+		t.Fatal("nil pool PutChunk took the chunk it was to drop")
+	}
 }

@@ -17,7 +17,12 @@ import (
 // driver that hands it out — holds a go statement or a channel type outside
 // its tests. A worker has one vCPU at the paper's default memory size
 // (§4.1), and a DES process is one thread of control; a host thread on this
-// path needs a measured case of its own.
+// path needs a measured case of its own. Nor does any of them but the driver
+// lock: a source, a file handle or a pool is one query's or one invocation's,
+// used by its one goroutine, so none imports sync or sync/atomic. The scan
+// may lock only in Footers, the table a resident session's concurrent
+// queries share; the driver's Session and result cache are shared the same
+// way.
 func TestWorkerPathStartsNoGoroutine(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, pkg := range []string{"columnar", "lpq", "s3fs", "scan", "engine", "exchange", "stageplan", "worker", "driver"} {
@@ -37,11 +42,21 @@ func TestWorkerPathStartsNoGoroutine(t *testing.T) {
 				t.Fatal(err)
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				switch n.(type) {
+				switch n := n.(type) {
 				case *ast.GoStmt:
 					t.Errorf("%s: go statement on the worker path", fset.Position(n.Pos()))
 				case *ast.ChanType:
 					t.Errorf("%s: channel on the worker path", fset.Position(n.Pos()))
+				case *ast.ImportSpec:
+					if imp := strings.Trim(n.Path.Value, `"`); (imp == "sync" || imp == "sync/atomic") && pkg != "driver" && pkg != "scan" {
+						t.Errorf("%s: %s imported on the worker path", fset.Position(n.Pos()), imp)
+					}
+				case *ast.TypeSpec:
+					return pkg != "scan" || n.Name.Name != "Footers"
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && pkg == "scan" && (x.Name == "sync" || x.Name == "atomic") {
+						t.Errorf("%s: %s.%s in the scan outside Footers", fset.Position(n.Pos()), x.Name, n.Sel.Name)
+					}
 				}
 				return true
 			})

@@ -202,29 +202,26 @@ func MemoryBudget(memoryMiB int) int64 {
 	return max(int64(memoryMiB-headroomMiB)<<20, 1<<20)
 }
 
-// ResidentBudget is the share of MemoryBudget that the inputs a task holds
-// whole draw on together: its build sides, charged from their footers
+// ResidentBudget is the third of MemoryBudget that a task's inputs are held
+// to, each before any of its bytes is fetched or allocated: the inputs it
+// holds whole together — its build sides, charged from their footers
 // (scan.Source.Hold), and the partitions it collected or a regroup's group,
-// held to it by the decoder (lpq.ReadFiles) before it allocates.
+// held to it by the decoder (lpq.ReadFiles) — and each row group it scans
+// alone, its kept rows × projected widths from its footer (scan.Pinned). The
+// decoders emit exactly the footer's rows, and a chunk's bytes are its rows
+// × its columns' widths, so a group that passes this check decodes to a
+// chunk within it.
+//
+// The third is the engine's working-set rule: n bytes of input need 3× that
+// within the budget, or the worker reports ErrWorkerOOM. The scan pipeline
+// holds the decoded chunk plus the compressed download buffers, and a join
+// its inputs plus build-side structures and output; 3× is the factor of the
+// paper's double-buffered scan, which also holds the next group. What the
+// scan's request window holds beyond the group being decoded — at most its
+// payload break-even, ≈ 2.9 MiB of compressed bytes of the groups after it,
+// and as much for each other table while the task's first window waits to be
+// scanned — is that next group's share.
 func ResidentBudget(memoryMiB int) int64 { return MemoryBudget(memoryMiB) / 3 }
-
-// CheckWorkingSet is the engine's working-set rule: n bytes of input need 3×
-// that within the budget, or the worker reports ErrWorkerOOM. The scan
-// pipeline holds the decoded chunk plus the compressed download buffers, and
-// a join its inputs plus build-side structures and output; 3× is the factor
-// of the paper's double-buffered scan, which also holds the next group. What
-// the scan's request window holds beyond the group being decoded — at most
-// its payload break-even, ≈ 2.9 MiB of compressed bytes of the groups after
-// it, and as much for each other table while the task's first window waits
-// to be scanned — is that next group's share. A scanned chunk is checked
-// here, after its row group's rows × widths were held to the budget from the
-// footer before any of its bytes were fetched (scan.Pinned).
-func CheckWorkingSet(n, budget int64) error {
-	if need := 3 * n; need > budget {
-		return fmt.Errorf("%w: chunk working set %d MiB exceeds engine budget %d MiB", ErrWorkerOOM, need>>20, budget>>20)
-	}
-	return nil
-}
 
 // OutOfMemory reports lpq bytes the decoder refused at its bound as
 // ErrWorkerOOM; any other error passes through.

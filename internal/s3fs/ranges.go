@@ -121,7 +121,7 @@ func ReadWindow(client *s3.Client, reads []Read) ([][][]byte, error) {
 			return fmt.Errorf("s3fs: span [%d,%d) of %s/%s truncated to %d bytes",
 				s.Off, s.Off+s.Len, f.bucket, f.key, len(buf))
 		}
-		f.dead.Add(s.Dead)
+		f.dead += s.Dead
 		s.Cut(buf, reads[of[i]].Ranges, out[of[i]])
 		return nil
 	})

@@ -9,7 +9,6 @@ package s3fs
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"lambada/internal/awssim/s3"
 )
@@ -18,7 +17,8 @@ import (
 // size at which a single connection approaches peak throughput in Fig. 7).
 const DefaultChunkBytes = 16 << 20
 
-// File is a random-access view of one S3 object.
+// File is a random-access view of one S3 object, read and counted by the one
+// goroutine of the scan that opened it.
 type File struct {
 	client *s3.Client
 	bucket string
@@ -30,13 +30,10 @@ type File struct {
 	// Conns is the number of concurrent connections modeled per read.
 	Conns int
 
-	// requests is atomic: one handle serves every concurrent scan of the
-	// source that opened it.
-	requests atomic.Int64
-	// bytes counts the billed bytes fetched through this handle; dead, those
-	// of them that were holes between the ranges a ReadWindow wanted.
-	bytes atomic.Int64
-	dead  atomic.Int64
+	// requests counts the requests issued through this handle, bytes the
+	// billed bytes they fetched and dead those of them that were holes
+	// between the ranges a ReadWindow wanted.
+	requests, bytes, dead int64
 }
 
 // Open is the one request opening an object costs: a suffix read of its last
@@ -50,8 +47,7 @@ func Open(client *s3.Client, bucket, key string, tail int64) (*File, []byte, err
 		return nil, nil, err
 	}
 	f := NewFile(client, bucket, key, size)
-	f.requests.Add(1)
-	f.bytes.Add(got)
+	f.requests, f.bytes = 1, got
 	return f, data, nil
 }
 
@@ -71,14 +67,14 @@ func NewFile(client *s3.Client, bucket, key string, size int64) *File {
 func (f *File) Size() int64 { return f.size }
 
 // Requests returns how many S3 requests this handle has issued.
-func (f *File) Requests() int64 { return f.requests.Load() }
+func (f *File) Requests() int64 { return f.requests }
 
 // BytesRead returns how many billed bytes this handle has fetched.
-func (f *File) BytesRead() int64 { return f.bytes.Load() }
+func (f *File) BytesRead() int64 { return f.bytes }
 
 // DeadBytes returns how many of BytesRead were holes a span carried between
 // the ranges its read wanted (PlanSpans).
-func (f *File) DeadBytes() int64 { return f.dead.Load() }
+func (f *File) DeadBytes() int64 { return f.dead }
 
 // ReadAt implements io.ReaderAt: it fills p from offset off using ranged
 // GETs of at most ChunkBytes each. Reads past the end return io.EOF with
@@ -135,11 +131,11 @@ func (f *File) chunkBytes() int64 {
 // service copies what it serves).
 func (f *File) get(via *s3.Client, off, n int64) ([]byte, error) {
 	data, got, err := via.GetRange(f.bucket, f.key, off, n, f.Conns)
-	f.requests.Add(1)
+	f.requests++
 	if err != nil {
 		return nil, err
 	}
-	f.bytes.Add(got)
+	f.bytes += got
 	if data == nil {
 		return nil, fmt.Errorf("s3fs: synthetic object %s/%s has no bytes", f.bucket, f.key)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 
 	"lambada/internal/awssim/pricing"
@@ -215,26 +214,28 @@ func (*stopError) Error() string { return "stop" }
 func TestOpenSingleflight(t *testing.T) {
 	meter := pricing.NewCostMeter()
 	svc := s3.New(s3.Config{Meter: meter})
-	refs, _ := uploadLineitem(t, svc, 0.001, 1, lpq.None)
+	refs, _ := uploadLineitem(t, svc, 0.001, 3, lpq.None)
 	src := New(newClient(svc), DefaultConfig(), refs...)
 
-	// Hammer open from many goroutines: the footer must be fetched once.
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := src.Schema(); err != nil {
-				t.Error(err)
-			}
-		}()
+	// Ask for the footers again and again: each file is opened once. One open
+	// costs exactly one read request — the suffix read that returns the size
+	// with the footer; it was two, a HEAD and the footer fetch.
+	for i := 0; i < 3; i++ {
+		if _, err := src.Schema(); err != nil {
+			t.Fatal(err)
+		}
+		if err := OpenAll(src); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wg.Wait()
-	// One open costs exactly one read request — the suffix read that returns
-	// the size with the footer; it was two, a HEAD and the footer fetch — no
-	// matter how many goroutines raced for it.
-	if got := meter.Count(pricing.LabelS3Read); got != 1 {
-		t.Errorf("open requests = %d, want exactly 1 (singleflight)", got)
+	if got := meter.Count(pricing.LabelS3Read); got != int64(len(refs)) {
+		t.Errorf("open requests = %d, want exactly %d, one per file", got, len(refs))
+	}
+	for i := 0; i < 2; i++ {
+		collectScan(t, src, []string{"l_quantity"}, nil)
+	}
+	if src.openGets != int64(len(refs)) || len(src.handles) != len(refs) {
+		t.Errorf("after two scans: %d open requests, %d handles, want %d of each", src.openGets, len(src.handles), len(refs))
 	}
 
 	// A failed open is forgotten so a later caller can retry.

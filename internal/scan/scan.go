@@ -22,7 +22,9 @@
 //	    requests cost money (Figure 7).
 //
 // A scan runs on its caller's goroutine: files in order, row groups in order
-// within each file.
+// within each file. A Source is built per query or per invocation and belongs
+// to that one goroutine, so it holds no lock; the one table concurrent queries
+// share is a resident session's Footers.
 //
 // Under a filter a row group is materialized late: the filter's columns are
 // fetched and evaluated first, and only pages with selected rows have their
@@ -87,17 +89,18 @@ type FileRef struct {
 	Footer []byte `json:",omitempty"`
 }
 
-// Source scans a list of lpq files from S3. It implements engine.Source.
+// Source scans a list of lpq files from S3. It implements engine.Source, and
+// belongs to the one goroutine that scans it: nothing in it locks.
 type Source struct {
 	Client *s3.Client
 	Files  []FileRef
 	// Footers, when set, is the table a resident driver session keeps of the
 	// files it has opened: open asks it before it asks S3, and tells it what
-	// S3 answered. A worker's source (Pinned) has one of its own, filled from
-	// its payload with every file it scans, so it never asks S3.
+	// S3 answered. A worker's source (Pinned) has none: its payload's footers
+	// are in its opens from the start, so it never asks S3.
 	Footers *Footers
 	// bound, when positive, caps what a row group's kept rows decode to: a
-	// worker's engine budget (Pinned).
+	// worker's resident budget (Pinned).
 	bound int64
 	// shared is the first request window this source shares with the other
 	// sources of its Pinned call; expect, the scan it was told to expect
@@ -105,8 +108,9 @@ type Source struct {
 	shared *firstWindow
 	expect *walk
 
-	mu    sync.Mutex
-	opens map[string]*openState
+	// opens holds every file this source has opened, by object; a failed
+	// open is not kept, so a later call tries it again.
+	opens map[string]opened
 	// handles lists every file handle data is read through, and openGets /
 	// openBytes what the opens themselves were billed, for summing billed
 	// request/byte counters without touching the opens map.
@@ -114,10 +118,8 @@ type Source struct {
 	openGets  int64
 	openBytes int64
 
-	// idle holds the decode states no goroutine is using. It is a plain
-	// free list, not a sync.Pool: the states die with the Source instead of
-	// lingering in the runtime's pool registry for two GC cycles after it.
-	idle []*lpq.DecodeState
+	// st is threaded through every page the source decodes.
+	st lpq.DecodeState
 	// pool recycles what a row group's read leaves behind once its chunk is
 	// gathered — decoded pages, per-page selections, the filter's
 	// temporaries — into the next row group's read. It dies with the Source
@@ -138,14 +140,11 @@ type Source struct {
 	pagesFiltered   int64
 }
 
-// openState is the singleflight slot of one file's footer fetch: however
-// many queries race to open a file of one source, the footer is fetched
-// exactly once and every one of them shares the result.
-type openState struct {
-	once sync.Once
-	ft   footer
-	h    *s3fs.File
-	err  error
+// opened is an open file: its footer, and the handle its data is read
+// through.
+type opened struct {
+	ft footer
+	h  *s3fs.File
 }
 
 // footer is what opening a file learns: its size, its decoded metadata and
@@ -162,10 +161,11 @@ type footer struct {
 // sources of one resident session so that a file is opened once per session
 // and not once per query. Its contract is the result cache's: the objects are
 // immutable until the owner says otherwise by calling Drop. Its concurrent
-// callers are the session's queries. It never makes one query's source wait
-// for another's open — two that miss together both read, and store the same
-// thing — because under DES a process blocked on a Go lock that a parked
-// process holds stalls the kernel. Safe for concurrent use.
+// callers are the session's queries, so it is the one thing of the package
+// that locks. It never makes one query's source wait for another's open —
+// two that miss together both read, and store the same thing — because under
+// DES a process blocked on a Go lock that a parked process holds stalls the
+// kernel: its lock is held across no request. Safe for concurrent use.
 type Footers struct {
 	mu sync.Mutex
 	// gen counts Drops: an open that began before one must not store after
@@ -208,17 +208,19 @@ func New(client *s3.Client, _ Config, files ...FileRef) *Source {
 	return &Source{
 		Client: client,
 		Files:  files,
-		opens:  make(map[string]*openState),
+		opens:  make(map[string]opened),
 	}
 }
 
 // Pinned returns a source per table, in order, over its files, which carry
 // their footers (Pin). Each footer is decoded here, before any request,
-// through lpq.OpenTail with all of its checks and none of its reads, so no
-// source ever opens a file from S3 and every request one makes is a data
-// read. A file without its footer, or with one that does not decode against
-// its size, fails the call. A row group that would decode past bound bytes
-// (> 0) fails its scan before its bytes are fetched.
+// through lpq.OpenTail with all of its checks and none of its reads, and put
+// in its source's opens, so no source ever opens a file from S3 and every
+// request one makes is a data read. A file without its footer, or with one
+// that does not decode against its size, fails the call. A row group whose
+// kept rows × projected widths pass bound bytes (> 0) — a worker's resident
+// budget, engine.ResidentBudget — fails its scan from the footer, before its
+// bytes are fetched.
 //
 // The sources share their first request window: the first scan of any of
 // them plans the first window of every source that was told what its scan
@@ -228,16 +230,15 @@ func New(client *s3.Client, _ Config, files ...FileRef) *Source {
 func Pinned(client *s3.Client, bound int64, tables ...[]FileRef) ([]*Source, error) {
 	shared := &firstWindow{}
 	for _, files := range tables {
-		t := NewFooters()
+		s := New(client, Config{}, files...)
+		s.bound, s.shared = bound, shared
 		for _, f := range files {
 			r, err := lpq.OpenTail(nil, f.Size, f.Footer)
 			if err != nil {
 				return nil, fmt.Errorf("scan: %s/%s: shipped footer: %w", f.Bucket, f.Key, err)
 			}
-			t.known[f.Bucket+"/"+f.Key] = footer{size: f.Size, meta: r.Meta(), trailer: r.Trailer()}
+			s.remember(f, footer{size: f.Size, meta: r.Meta(), trailer: r.Trailer()})
 		}
-		s := New(client, Config{}, files...)
-		s.Footers, s.bound, s.shared = t, bound, shared
 		shared.srcs = append(shared.srcs, s)
 	}
 	return shared.srcs, nil
@@ -250,11 +251,11 @@ func Pinned(client *s3.Client, bound int64, tables ...[]FileRef) ([]*Source, err
 func (s *Source) Pin(files []FileRef) ([]FileRef, error) {
 	out := make([]FileRef, len(files))
 	for i, f := range files {
-		ft, _, err := s.openVia(s.Client, f)
+		o, err := s.openVia(s.Client, f)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = FileRef{Bucket: f.Bucket, Key: f.Key, Size: ft.size, Footer: ft.trailer}
+		out[i] = FileRef{Bucket: f.Bucket, Key: f.Key, Size: o.ft.size, Footer: o.ft.trailer}
 	}
 	return out, nil
 }
@@ -283,8 +284,6 @@ type Stats struct {
 
 // Stats returns the operator's counters.
 func (s *Source) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := Stats{
 		RowGroupsRead:   s.rowGroupsRead,
 		RowGroupsPruned: s.rowGroupsPruned,
@@ -303,43 +302,37 @@ func (s *Source) Stats() Stats {
 	return st
 }
 
-// open returns the (cached) metadata and handle of f. Concurrent callers for
-// the same file block on one in-flight fetch instead of issuing duplicates;
-// a failed open is forgotten so a later caller can retry.
+// open returns the metadata and handle of f, opening it once per source; a
+// failed open is forgotten, so a later call tries again.
 func (s *Source) open(f FileRef) (*lpq.FileMeta, *s3fs.File, error) {
-	ft, h, err := s.openVia(s.Client, f)
-	return ft.meta, h, err
+	o, err := s.openVia(s.Client, f)
+	return o.ft.meta, o.h, err
 }
 
 // openVia is open with the request, if one is needed, issued through via: the
-// source's client, or a lane of its request window (OpenAll). Either way the
-// handle data is read through is the client's own — a lane's clock ends with
-// its window.
-func (s *Source) openVia(via *s3.Client, f FileRef) (footer, *s3fs.File, error) {
+// source's client, or a lane of its request window (OpenAll).
+func (s *Source) openVia(via *s3.Client, f FileRef) (opened, error) {
 	id := f.Bucket + "/" + f.Key
-	s.mu.Lock()
-	st, ok := s.opens[id]
-	if !ok {
-		st = &openState{}
-		s.opens[id] = st
+	if o, ok := s.opens[id]; ok {
+		return o, nil
 	}
-	s.mu.Unlock()
+	ft, err := s.readFooter(via, f, id)
+	if err != nil {
+		return opened{}, err
+	}
+	return s.remember(f, ft), nil
+}
 
-	st.once.Do(func() {
-		ft, err := s.readFooter(via, f, id)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if err != nil {
-			st.err = err
-			delete(s.opens, id)
-			return
-		}
-		st.ft = ft
-		st.h = s3fs.NewFile(s.Client, f.Bucket, f.Key, ft.size)
-		st.h.Conns = conns
-		s.handles = append(s.handles, st.h)
-	})
-	return st.ft, st.h, st.err
+// remember records f as opened with footer ft. The handle its data is read
+// through is the source's client's own, whatever the footer came through — a
+// lane's clock ends with its window.
+func (s *Source) remember(f FileRef, ft footer) opened {
+	h := s3fs.NewFile(s.Client, f.Bucket, f.Key, ft.size)
+	h.Conns = conns
+	s.handles = append(s.handles, h)
+	o := opened{ft: ft, h: h}
+	s.opens[f.Bucket+"/"+f.Key] = o
+	return o
 }
 
 // readFooter returns f's footer: from the session's table when it is there,
@@ -361,10 +354,8 @@ func (s *Source) readFooter(via *s3.Client, f FileRef, id string) (footer, error
 		return footer{}, err
 	}
 	r, err := lpq.OpenTail(h, h.Size(), tail)
-	s.mu.Lock()
 	s.openGets += h.Requests()
 	s.openBytes += h.BytesRead()
-	s.mu.Unlock()
 	if err != nil {
 		return footer{}, fmt.Errorf("scan: opening %s: %w", id, err)
 	}
@@ -393,9 +384,7 @@ func OpenAll(srcs ...*Source) error {
 	for _, s := range srcs {
 		for _, f := range s.Files {
 			id := f.Bucket + "/" + f.Key
-			s.mu.Lock()
 			_, known := s.opens[id]
-			s.mu.Unlock()
 			var gen uint64
 			if !known && s.Footers != nil {
 				_, gen, known = s.Footers.lookup(id)
@@ -411,10 +400,8 @@ func OpenAll(srcs ...*Source) error {
 	learnt := make([]footer, len(missing))
 	err := missing[0].s.Client.Overlap(len(missing), func(i int, lane *s3.Client) error {
 		m := missing[i]
-		ft, _, err := m.s.openVia(lane, m.f)
-		if err == nil {
-			learnt[i] = ft
-		}
+		o, err := m.s.openVia(lane, m.f)
+		learnt[i] = o.ft
 		return err
 	})
 	// A lane runs ahead of its caller's clock. Had its open told the session
@@ -633,12 +620,10 @@ func (s *Source) nextWindow(w *walk) ([]*groupRead, error) {
 			return window, err
 		}
 		keep := lpq.PruneRowGroups(meta, w.preds)
-		s.mu.Lock()
 		s.rowGroupsPruned += int64(meta.NumRowGroups() - len(keep))
 		if len(keep) == 0 {
 			s.filesAllPruned++
 		}
-		s.mu.Unlock()
 		// With nothing kept the worker pruned everything from the footer its
 		// payload carried and returns an empty result without a request — the
 		// 100–200 ms workers of Figure 11, which paid a footer read for it.
@@ -746,13 +731,9 @@ func (s *Source) plan(f FileRef, h *s3fs.File, meta *lpq.FileMeta, g int, pr *pr
 	} else {
 		r.keep = lpq.PrunePages(meta, g, preds)
 		lo, hi, kept := pageWindow(r.keep)
-		s.mu.Lock()
 		s.pagesPruned += int64(len(r.keep) - kept)
 		if kept == 0 {
 			s.rowGroupsRead++
-		}
-		s.mu.Unlock()
-		if kept == 0 {
 			return nil, nil
 		}
 		rows = 0
@@ -802,9 +783,7 @@ func (s *Source) yieldWindow(window []*groupRead, bufs [][][]byte, filter engine
 			return err
 		}
 		bufs[i] = nil
-		s.mu.Lock()
 		s.rowGroupsRead++
-		s.mu.Unlock()
 		if c == nil {
 			continue
 		}
@@ -853,9 +832,7 @@ func (s *Source) finish(r *groupRead, bufs [][]byte, filter engine.Expr) (*colum
 		sels[p] = sel
 		total += len(sel)
 	}
-	s.mu.Lock()
 	s.pagesFiltered += int64(filtered)
-	s.mu.Unlock()
 	if total == 0 {
 		s.recycle(vecs, nil)
 		return nil, nil
@@ -889,11 +866,9 @@ func (s *Source) finish(r *groupRead, bufs [][]byte, filter engine.Expr) (*colum
 // rows that pass kept. Returns nil when no row passes.
 func (s *Source) finishWhole(r *groupRead, bufs [][]byte, filter engine.Expr) (*columnar.Chunk, error) {
 	rg := &r.meta.RowGroups[r.g]
-	st := s.decodeState()
-	defer s.releaseState(st)
 	out := s.chunks.GetChunk(r.pr.schema, int(rg.NumRows))
 	for slot, ci := range r.pr.cols {
-		if err := st.DecodeColumnChunkOnto(out.Columns[slot], bufs[slot], rg.Columns[ci], rg.NumRows); err != nil {
+		if err := s.st.DecodeColumnChunkOnto(out.Columns[slot], bufs[slot], rg.Columns[ci], rg.NumRows); err != nil {
 			return nil, err
 		}
 	}
@@ -916,26 +891,6 @@ func (s *Source) finishWhole(r *groupRead, bufs [][]byte, filter engine.Expr) (*
 	kept.AppendGather(out, sel)
 	s.chunks.PutChunk(out)
 	return kept, nil
-}
-
-// decodeState hands the calling goroutine a decode state of its own — an
-// idle one when there is one — to thread through the pages it decodes and
-// give back with releaseState.
-func (s *Source) decodeState() *lpq.DecodeState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.idle); n > 0 {
-		st := s.idle[n-1]
-		s.idle = s.idle[:n-1]
-		return st
-	}
-	return new(lpq.DecodeState)
-}
-
-func (s *Source) releaseState(st *lpq.DecodeState) {
-	s.mu.Lock()
-	s.idle = append(s.idle, st)
-	s.mu.Unlock()
 }
 
 // Recycle takes back a chunk this source yielded (engine.Recycler): its
@@ -1015,8 +970,6 @@ func coveredBytes(ranges []s3fs.Range) int64 {
 // pageRanges covered them; pages outside keep are never decoded.
 func (s *Source) decodePages(meta *lpq.FileMeta, g int, cols, slots []int, keep []bool, lo int, bufs [][]byte, vecs [][]*columnar.Vector) error {
 	rg := &meta.RowGroups[g]
-	st := s.decodeState()
-	defer s.releaseState(st)
 	read := 0
 	for i, slot := range slots {
 		ci := cols[slot]
@@ -1032,15 +985,13 @@ func (s *Source) decodePages(meta *lpq.FileMeta, g int, cols, slots []int, keep 
 			off := pg.RelOff - base
 			v := s.pool.GetVector(meta.Schema.Fields[ci].Type, int(pg.NumRows))
 			vecs[slot][p] = v
-			if err := st.DecodePageOnto(v, bufs[i][off:off+pg.CompressedLen], cc, pg); err != nil {
+			if err := s.st.DecodePageOnto(v, bufs[i][off:off+pg.CompressedLen], cc, pg); err != nil {
 				return err
 			}
 			read++
 		}
 	}
-	s.mu.Lock()
 	s.pagesRead += int64(read)
-	s.mu.Unlock()
 	return nil
 }
 

@@ -19,42 +19,47 @@ import (
 // from the footers, before it fetches a byte, and seals the refusal typed.
 
 // smallWorker is the memory of a worker with the smallest engine budget,
-// 1 MiB: its resident inputs get 349 525 bytes, and a scanned chunk as much.
+// 1 MiB: its resident inputs get 349 525 bytes, and a scanned row group as
+// much.
 const smallWorker = 193
 
 // TestScanGroupOverBudgetRefusedBeforeRead: a scan worker's shipped footer
-// claims one row group of ten million rows of one Int64 column — 80 MB
-// decoded from the five bytes of one RLE run, five times the 16 MiB engine
-// budget. The worker refuses the group from its footer, before the group's
-// window is issued: the failure seal is ErrWorkerOOM, the worker bills no S3
-// read, and it allocates less than the budget. A worker that read first
-// fetched the run and decoded all 80 MB before its memory guard saw the
-// chunk.
+// claims one row group of one Int64 column, decoded from the five bytes of
+// one RLE run, past the worker's resident budget — a third of its 16 MiB
+// engine budget. Ten million rows, 80 MB, are five times the engine budget;
+// one million, 8 MB, fit the engine budget but not the 3× working set a
+// scanned group needs in it. The worker refuses either group from its
+// footer, before the group's window is issued: the failure seal is
+// ErrWorkerOOM, the worker bills no S3 read, and it allocates less than the
+// budget. A worker that read first fetched the run and decoded the whole
+// group before a check of the chunk saw it.
 func TestScanGroupOverBudgetRefusedBeforeRead(t *testing.T) {
-	const memoryMiB = 208 // engine budget 16 MiB
-	b := newTestbed()
-	ref := scan.FileRef{Bucket: "tpch", Key: "bomb/part-0.lpq"}
-	b.fn.S3.MustCreateBucket(ref.Bucket)
-	if err := b.fn.S3.Put(b.env, ref.Bucket, ref.Key, oneGroupBomb(10_000_000)); err != nil {
-		t.Fatal(err)
-	}
-	pinned, err := scan.New(s3.NewClient(b.fn.S3, b.env), scan.DefaultConfig(), ref).Pin([]scan.FileRef{ref})
-	if err != nil {
-		t.Fatal(err)
-	}
-	schema := columnar.NewSchema(columnar.Field{Name: "v", Type: columnar.Int64})
-	plan := marshalled(t, optimized(t, "SELECT SUM(v) AS s FROM bomb", map[string]*columnar.Schema{"bomb": schema}))
-	before := b.meter.Count(pricing.LabelS3Read)
-	var st, end runtime.MemStats
-	runtime.ReadMemStats(&st)
-	r := b.seal(t, memoryMiB, Payload{QueryID: "q1", NumWorkers: 1, Plan: plan, Tables: TableFiles{"bomb": pinned}})
-	runtime.ReadMemStats(&end)
-	wantOOM(t, r, "scan: ")
-	if n := b.meter.Count(pricing.LabelS3Read) - before; n != 0 {
-		t.Errorf("%d S3 reads billed, want none", n)
-	}
-	if alloc, budget := end.TotalAlloc-st.TotalAlloc, uint64(engine.MemoryBudget(memoryMiB)); alloc > budget {
-		t.Errorf("the task allocated %d MiB, past the %d MiB budget", alloc>>20, budget>>20)
+	const memoryMiB = 208 // engine budget 16 MiB, resident budget 5.3 MiB
+	for _, rows := range []uint64{10_000_000, 1_000_000} {
+		b := newTestbed()
+		ref := scan.FileRef{Bucket: "tpch", Key: "bomb/part-0.lpq"}
+		b.fn.S3.MustCreateBucket(ref.Bucket)
+		if err := b.fn.S3.Put(b.env, ref.Bucket, ref.Key, oneGroupBomb(rows)); err != nil {
+			t.Fatal(err)
+		}
+		pinned, err := scan.New(s3.NewClient(b.fn.S3, b.env), scan.DefaultConfig(), ref).Pin([]scan.FileRef{ref})
+		if err != nil {
+			t.Fatal(err)
+		}
+		schema := columnar.NewSchema(columnar.Field{Name: "v", Type: columnar.Int64})
+		plan := marshalled(t, optimized(t, "SELECT SUM(v) AS s FROM bomb", map[string]*columnar.Schema{"bomb": schema}))
+		before := b.meter.Count(pricing.LabelS3Read)
+		var st, end runtime.MemStats
+		runtime.ReadMemStats(&st)
+		r := b.seal(t, memoryMiB, Payload{QueryID: "q1", NumWorkers: 1, Plan: plan, Tables: TableFiles{"bomb": pinned}})
+		runtime.ReadMemStats(&end)
+		wantOOM(t, r, "scan: ")
+		if n := b.meter.Count(pricing.LabelS3Read) - before; n != 0 {
+			t.Errorf("%d rows: %d S3 reads billed, want none", rows, n)
+		}
+		if alloc, budget := end.TotalAlloc-st.TotalAlloc, uint64(engine.MemoryBudget(memoryMiB)); alloc > budget {
+			t.Errorf("%d rows: the task allocated %d MiB, past the %d MiB budget", rows, alloc>>20, budget>>20)
+		}
 	}
 }
 

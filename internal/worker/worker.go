@@ -314,44 +314,16 @@ func (f *Function) Handle(ctx *lambdasvc.Ctx, payload []byte) error {
 	return err
 }
 
-// memGuardSource wraps a worker's scan source and fails with an
-// out-of-memory error when a materialized chunk exceeds the execution-engine
-// budget (engine.CheckWorkingSet).
-type memGuardSource struct {
-	*scan.Source
-	budget int64
-}
-
-func (m memGuardSource) Scan(proj []string, preds []lpq.Predicate, yield func(*columnar.Chunk) error) error {
-	return m.ScanFiltered(proj, preds, nil, yield)
-}
-
-func (m memGuardSource) ScanFiltered(proj []string, preds []lpq.Predicate, filter engine.Expr, yield func(*columnar.Chunk) error) error {
-	return m.Source.ScanFiltered(proj, preds, filter, func(c *columnar.Chunk) error {
-		if err := engine.CheckWorkingSet(c.ByteSize(), m.budget); err != nil {
-			return err
-		}
-		return yield(c)
-	})
-}
-
-// The embedded source's Recycle must stay reachable through the guard: a
-// wrapper that hid it would silently stop the scan's chunks coming back.
-var (
-	_ engine.FilterableSource = memGuardSource{}
-	_ engine.Recycler         = memGuardSource{}
-)
-
 // fragmentCatalog decodes the task's plan fragment and binds every table it
-// scans from S3 behind the memory guard, through one scan.Pinned call: every
-// shipped footer is decoded here, before any request, and every row group
-// held to the engine budget before its bytes are fetched. Each source is told
-// the one scan the fragment runs over it (Expect), so the first scan of any
-// of them fetches the first request window of all of them at once. A hash
-// join whose build input is a bare scan of such a table holds it whole:
-// twice its rows × projected widths, from its footers, is the first draw on
-// the task's resident budget, refused past it before any byte is fetched. It
-// returns what is left of that budget.
+// scans from S3 through one scan.Pinned call: every shipped footer is decoded
+// here, before any request, and every row group held to the resident budget
+// from its footer before its bytes are fetched. Each source is told the one
+// scan the fragment runs over it (Expect), so the first scan of any of them
+// fetches the first request window of all of them at once. A hash join whose
+// build input is a bare scan of such a table holds it whole: twice its rows ×
+// projected widths, from its footers, is the first draw on the task's
+// resident budget, refused past it before any byte is fetched. It returns
+// what is left of that budget.
 func fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *Payload) (engine.Plan, engine.Catalog, int64, error) {
 	plan, err := engine.UnmarshalPlan(p.Plan)
 	if err != nil {
@@ -362,8 +334,7 @@ func fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *Payload) (engine.
 	for i, name := range names {
 		files[i] = p.Tables[name]
 	}
-	budget := engine.MemoryBudget(ctx.MemoryMiB)
-	srcs, err := scan.Pinned(client, budget, files...)
+	srcs, err := scan.Pinned(client, engine.ResidentBudget(ctx.MemoryMiB), files...)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("%w: %w", errShippedFooter, err)
 	}
@@ -400,7 +371,7 @@ func fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *Payload) (engine.
 			}
 			rest -= 2 * n
 		}
-		cat[name] = memGuardSource{Source: src, budget: budget}
+		cat[name] = src
 	}
 	return plan, cat, rest, nil
 }
@@ -502,8 +473,8 @@ func (f *Function) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *
 	if tr.Enabled() {
 		var dead int64 // the holes the task's scans fetched between wanted ranges
 		for _, src := range cat {
-			if m, ok := src.(memGuardSource); ok {
-				dead += m.Stats().DeadBytes
+			if s, ok := src.(*scan.Source); ok {
+				dead += s.Stats().DeadBytes
 			}
 		}
 		tr.SetTag(tr.Current(env), "rows.out", strconv.Itoa(out.NumRows()))
