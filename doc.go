@@ -156,16 +156,19 @@
 // and starts none of its own (the form DES deployments require): joins,
 // nested breakers and arbitrary operator chains all run this one way.
 //
-// Hash joins build a sealed-then-shared table in one of three key modes
-// (mirroring the aggregation kernel's group-addressing matrix):
+// Hash joins, hash aggregates and the lpq writer's profile pass number their
+// keys through one table, columnar.KeyTable, in one of two modes:
 //
-//	dense   single int64 key spanning a narrow range: direct-index CSR
-//	int64   single wide int64 key: open addressing
-//	string  multi-column keys: encoded-key map
+//	dense   an empty table's first batch of up to four key columns whose
+//	        spans multiply to under 2^16 and at most 4 × rows + 64:
+//	        direct index
+//	hashed  anything else, and a dense table that meets a key outside its
+//	        range: linear probing slotted by the top bits of the key's hash,
+//	        which an exchange boundary's partitions do not share
 //
-// Float and bool join keys are rejected at planning time with
-// engine.ErrJoinKey. Probes gather matches through selection vectors in
-// (probe row, build row) order.
+// A join seals its build side's key numbers into CSR buckets. Float and bool
+// join keys are rejected at planning time with engine.ErrJoinKey. Probes
+// gather matches through selection vectors in (probe row, build row) order.
 //
 // Everything above level 1 is deterministic in its results: a scan delivers
 // chunks in file order, and the engine consumes them in that order —

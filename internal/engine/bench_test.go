@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lambada/internal/columnar"
+	"lambada/internal/exchange"
 	"lambada/internal/tpch"
 )
 
@@ -113,14 +114,44 @@ func joinBenchPlan() *JoinPlan {
 
 // BenchmarkHashJoin measures the sealed-table join kernel (allocs/op is
 // the headline: the sealed CSR table and selection-vector gather replace
-// the seed's map[int64][]int build and row-at-a-time appends).
+// the seed's map[int64][]int build and row-at-a-time appends). "supplier"
+// joins LINEITEM with SUPPLIER; "partition256" builds and probes the 50 000
+// sparse keys of one partition of a 256-way exchange boundary, whose
+// boundary hashes all agree in their low bits.
 func BenchmarkHashJoin(b *testing.B) {
-	cat, _, bytes := joinBenchSetup(b)
-	plan := joinBenchPlan()
-	if err := Resolve(plan, cat); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(bytes)
+	b.Run("supplier", func(b *testing.B) {
+		cat, _, bytes := joinBenchSetup(b)
+		plan := joinBenchPlan()
+		if err := Resolve(plan, cat); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(bytes)
+		runJoinBench(b, plan, cat)
+	})
+	b.Run("partition256", func(b *testing.B) {
+		schema := columnar.NewSchema(columnar.Field{Name: "k", Type: columnar.Int64})
+		probe := columnar.NewChunk(schema, 50000)
+		key := []*columnar.Vector{columnar.NewVector(columnar.Int64, 1)}
+		key[0].AppendInt64(0)
+		for i := int64(0); probe.NumRows() < 50000; i++ {
+			if key[0].Int64s[0] = i * 1000000007; exchange.HashPartition(key, 0, 256) == 0 {
+				probe.Columns[0].AppendInt64(key[0].Int64s[0])
+			}
+		}
+		build := makeBuild(probe.Columns[0].Int64s, 1, false)
+		cat := Catalog{
+			"probe": chunked(schema, probe, 4096),
+			"build": NewMemSource(build.Schema, build),
+		}
+		runJoinBench(b, &JoinPlan{
+			Left:     &ScanPlan{Table: "probe"},
+			Right:    &ScanPlan{Table: "build"},
+			LeftKeys: []string{"k"}, RightKeys: []string{"bk"},
+		}, cat)
+	})
+}
+
+func runJoinBench(b *testing.B, plan Plan, cat Catalog) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Execute(plan, cat); err != nil {

@@ -468,48 +468,55 @@ func TestPropertyFilterDistributesOverChunks(t *testing.T) {
 }
 
 // Property: SUM/COUNT/MIN/MAX over random data match a straightforward
-// scalar implementation.
+// scalar implementation, groups in first-seen order, whether the keys are
+// narrow (the key table's dense mode), wide single keys or two-column keys
+// (its hashed mode), in one chunk or several (partials merged).
 func TestPropertyAggregatesMatchScalar(t *testing.T) {
 	schema := columnar.NewSchema(
 		columnar.Field{Name: "k", Type: columnar.Int64},
+		columnar.Field{Name: "k2", Type: columnar.Int64},
 		columnar.Field{Name: "v", Type: columnar.Float64},
 	)
-	f := func(keys []uint8, seedRaw int64) bool {
+	type acc struct {
+		sum      float64
+		n        int64
+		min, max float64
+	}
+	f := func(keys []uint8, shape uint8) bool {
 		if len(keys) == 0 {
 			return true
 		}
 		c := columnar.NewChunk(schema, len(keys))
-		want := map[int64]*struct {
-			sum      float64
-			n        int64
-			min, max float64
-		}{}
-		for i, kr := range keys {
-			k := int64(kr % 4)
+		want := map[[2]int64]*acc{}
+		var order [][2]int64
+		for _, kr := range keys {
+			k := [2]int64{int64(kr % 4)}
+			switch shape % 3 {
+			case 1:
+				k[0] = int64(kr%16) * 1000000007
+			case 2:
+				k = [2]int64{int64(kr % 3), int64(kr%5) * -1000000007}
+			}
 			v := float64(int8(kr)) * 1.25
-			c.Columns[0].AppendInt64(k)
-			c.Columns[1].AppendFloat64(v)
+			c.Columns[0].AppendInt64(k[0])
+			c.Columns[1].AppendInt64(k[1])
+			c.Columns[2].AppendFloat64(v)
 			w := want[k]
 			if w == nil {
-				w = &struct {
-					sum      float64
-					n        int64
-					min, max float64
-				}{min: v, max: v}
+				w = &acc{min: v, max: v}
 				want[k] = w
+				order = append(order, k)
 			}
 			w.sum += v
 			w.n++
-			if v < w.min {
-				w.min = v
-			}
-			if v > w.max {
-				w.max = v
-			}
-			_ = i
+			w.min, w.max = math.Min(w.min, v), math.Max(w.max, v)
+		}
+		groupBy := []string{"k"}
+		if shape%3 == 2 {
+			groupBy = append(groupBy, "k2")
 		}
 		plan := &AggregatePlan{
-			GroupBy: []string{"k"},
+			GroupBy: groupBy,
 			Aggs: []AggSpec{
 				{Func: AggSum, Arg: Col("v"), Name: "s"},
 				{Func: AggCount, Name: "n"},
@@ -518,20 +525,15 @@ func TestPropertyAggregatesMatchScalar(t *testing.T) {
 			},
 			In: &ScanPlan{Table: "t"},
 		}
-		out, err := Execute(plan, Catalog{"t": NewMemSource(schema, c)})
-		if err != nil {
+		out, err := Execute(plan, Catalog{"t": NewMemSource(schema, c.Split(int(shape/3)%4+1)...)})
+		if err != nil || out.NumRows() != len(order) {
 			return false
 		}
-		if out.NumRows() != len(want) {
-			return false
-		}
-		for i := 0; i < out.NumRows(); i++ {
-			k := out.Column("k").Int64s[i]
+		for i, k := range order {
 			w := want[k]
-			if w == nil {
-				return false
-			}
-			if math.Abs(out.Column("s").Float64s[i]-w.sum) > 1e-9 ||
+			if out.Column("k").Int64s[i] != k[0] ||
+				shape%3 == 2 && out.Column("k2").Int64s[i] != k[1] ||
+				math.Abs(out.Column("s").Float64s[i]-w.sum) > 1e-9 ||
 				out.Column("n").Int64s[i] != w.n ||
 				out.Column("lo").Float64s[i] != w.min ||
 				out.Column("hi").Float64s[i] != w.max {
@@ -540,7 +542,31 @@ func TestPropertyAggregatesMatchScalar(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAggregateBoolKey: a GROUP BY over a BOOLEAN column returns each key as
+// a BOOLEAN with its count (writing the keys back as BIGINT panicked).
+func TestAggregateBoolKey(t *testing.T) {
+	schema := columnar.NewSchema(columnar.Field{Name: "b", Type: columnar.Bool})
+	c := columnar.NewChunk(schema, 5)
+	for _, x := range []bool{true, false, true, true, false} {
+		c.Columns[0].AppendBool(x)
+	}
+	out, err := Execute(&AggregatePlan{
+		GroupBy: []string{"b"},
+		Aggs:    []AggSpec{{Func: AggCount, Name: "n"}},
+		In:      &ScanPlan{Table: "t"},
+	}, Catalog{"t": NewMemSource(schema, c)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Column("b").Bools; !reflect.DeepEqual(got, []bool{true, false}) {
+		t.Errorf("keys %v, want [true false]", got)
+	}
+	if got := out.Column("n").Int64s; !reflect.DeepEqual(got, []int64{3, 2}) {
+		t.Errorf("counts %v, want [3 2]", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"testing/quick"
 
 	"lambada/internal/columnar"
 	"lambada/internal/lpq"
@@ -86,7 +87,8 @@ func joinFixtures() []joinFixture {
 
 	fixtures := []joinFixture{}
 
-	// Duplicate build keys, dense int64 mode (keys 0..19, contiguous).
+	// Duplicate build keys in the key table's dense mode (keys 0..19,
+	// contiguous).
 	denseKeys := make([]int64, 20)
 	for i := range denseKeys {
 		denseKeys[i] = int64(i)
@@ -107,8 +109,8 @@ func joinFixtures() []joinFixture {
 		},
 	})
 
-	// Sparse int64 keys force the open-addressing mode (spread defeats the
-	// dense-span heuristic).
+	// Sparse keys force the key table's hashed mode (spread defeats the
+	// dense-span rule).
 	sparseKeys := make([]int64, 40)
 	for i := range sparseKeys {
 		sparseKeys[i] = int64(i) * 1000000007
@@ -146,7 +148,7 @@ func joinFixtures() []joinFixture {
 		},
 	})
 
-	// Composite keys exercise the encoded-string mode.
+	// Composite keys: two key columns in one key table.
 	fixtures = append(fixtures, joinFixture{
 		name: "composite-string-keys",
 		rows: 1142, digest: "88a667ed35002625",
@@ -234,6 +236,76 @@ func TestJoinParallelByteIdentity(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestPropertyJoinMatchesNestedLoop: the hash join returns what a nested
+// loop over both sides returns, pairs in (probe row, build row) order, for
+// narrow single keys (the key table's dense mode), sparse single keys and
+// two-column keys (its hashed mode), the probe side in one chunk or several.
+func TestPropertyJoinMatchesNestedLoop(t *testing.T) {
+	probeSchema := columnar.NewSchema(
+		columnar.Field{Name: "k", Type: columnar.Int64},
+		columnar.Field{Name: "k2", Type: columnar.Int64},
+		columnar.Field{Name: "row", Type: columnar.Int64},
+	)
+	buildSchema := columnar.NewSchema(
+		columnar.Field{Name: "bk", Type: columnar.Int64},
+		columnar.Field{Name: "bk2", Type: columnar.Int64},
+		columnar.Field{Name: "payload", Type: columnar.Int64},
+	)
+	f := func(probe, build []uint8, shape uint8) bool {
+		key := func(x uint8) [2]int64 {
+			switch shape % 3 {
+			case 0:
+				return [2]int64{int64(x % 16)}
+			case 1:
+				return [2]int64{int64(x%16) * 1000000007}
+			default:
+				return [2]int64{int64(x % 4), int64(x%3) * -1000000007}
+			}
+		}
+		side := func(schema *columnar.Schema, xs []uint8) *columnar.Chunk {
+			c := columnar.NewChunk(schema, len(xs))
+			for i, x := range xs {
+				k := key(x)
+				c.Columns[0].AppendInt64(k[0])
+				c.Columns[1].AppendInt64(k[1])
+				c.Columns[2].AppendInt64(int64(i))
+			}
+			return c
+		}
+		plan := &JoinPlan{
+			Left:     &ScanPlan{Table: "probe"},
+			Right:    &ScanPlan{Table: "build"},
+			LeftKeys: []string{"k"}, RightKeys: []string{"bk"},
+		}
+		if shape%3 == 2 {
+			plan.LeftKeys, plan.RightKeys = []string{"k", "k2"}, []string{"bk", "bk2"}
+		}
+		out, err := Execute(plan, Catalog{
+			"probe": NewMemSource(probeSchema, side(probeSchema, probe).Split(int(shape/3)%4+1)...),
+			"build": NewMemSource(buildSchema, side(buildSchema, build)),
+		})
+		if err != nil {
+			return false
+		}
+		r := 0
+		for i := range probe {
+			for j := range build {
+				if key(probe[i]) != key(build[j]) {
+					continue
+				}
+				if r >= out.NumRows() || out.Column("row").Int64s[r] != int64(i) || out.Column("payload").Int64s[r] != int64(j) {
+					return false
+				}
+				r++
+			}
+		}
+		return r == out.NumRows()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
 	}
 }
 

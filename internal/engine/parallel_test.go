@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -273,7 +274,7 @@ func (s *goroutineProbe) Scan(proj []string, prune []lpq.Predicate, yield func(*
 // TestExecuteSpawnsNoGoroutines: the executor runs every pipeline on the
 // caller's goroutine, whatever GOMAXPROCS and whatever ParallelConfig says —
 // the goroutine count seen at every morsel of q1 and of a join whose build
-// side takes the open-addressing mode is the count before the call.
+// side's key table takes the hashed mode is the count before the call.
 func TestExecuteSpawnsNoGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	var counts []int
@@ -285,8 +286,9 @@ func TestExecuteSpawnsNoGoroutines(t *testing.T) {
 		sparse[i] = int64(i) * 1000000007
 	}
 	build := makeBuild(sparse, 1, false)
-	if m := buildJoinTable(build, []int{0}).mode; m != joinInt64 {
-		t.Fatalf("build side join mode = %d, want joinInt64", m)
+	// The key table's mode is unexported in columnar; reflect reads it.
+	if reflect.ValueOf(buildJoinTable(build, []int{0}).keys).FieldByName("dense").Bool() {
+		t.Fatal("build side key table is dense, want the hashed mode")
 	}
 	probe := makeProbe(6000, 3000, 1000000007)
 	cases := []struct {

@@ -60,7 +60,7 @@ type stage struct {
 // build pipeline.
 type probeStage struct {
 	build       *pnode // node materializing the build (right) side
-	table       *joinTable
+	table       joinTable
 	leftKeyIdx  []int            // key positions in the probe-side chunk
 	buildKeyIdx []int            // key positions in the build chunk
 	rightCols   []int            // build columns emitted (right minus keys)
@@ -240,11 +240,10 @@ func (g *graph) probeStage(j *JoinPlan) (*probeStage, error) {
 
 // pipeScratch is a pipeline's reusable per-morsel state.
 type pipeScratch struct {
-	sel    []int // filter selection vector
-	lsel   []int // probe-side match rows
-	rsel   []int // build-side match rows
-	keyBuf []byte
-	owned  []*columnar.Chunk // pooled chunks to recycle at the breaker
+	sel   []int             // filter selection vector
+	lsel  []int             // probe-side match rows
+	rsel  []int             // build-side match rows
+	owned []*columnar.Chunk // pooled chunks to recycle at the breaker
 }
 
 // run seals the node's join tables, streams its morsels through the stages
@@ -322,7 +321,7 @@ func applyStages(c *columnar.Chunk, stages []stage, sc *pipeScratch, pool *colum
 			}
 		case st.probe != nil:
 			ps := st.probe
-			sc.lsel, sc.rsel, sc.keyBuf = ps.table.probeChunk(c, ps.leftKeyIdx, sc.lsel[:0], sc.rsel[:0], sc.keyBuf)
+			sc.lsel, sc.rsel = ps.table.probeChunk(c, ps.leftKeyIdx, sc.lsel[:0], sc.rsel[:0])
 			var out *columnar.Chunk
 			if pool != nil {
 				out = pool.GetChunk(ps.outSchema, len(sc.lsel))

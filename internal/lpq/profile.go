@@ -20,95 +20,58 @@ type colProfile struct {
 }
 
 // valueSet is the hash set behind the profile pass: one column's distinct
-// values in first-seen order, found through an open-addressing table. A
-// writer owns one and reuses it from column to column, so profiling costs
-// no allocation once the table has grown to the row-group size. The dict
-// encoder reads the values the profile pass left here instead of collecting
-// them again.
+// values in first-seen order, numbered by a key table. A writer owns one and
+// reuses it from column to column, so profiling costs no allocation once the
+// table has grown to the row-group size. The dict encoder reads the values
+// the profile pass left here instead of collecting them again.
 type valueSet struct {
-	slots []setSlot // power-of-two length, linear probing, at most half full
-	// Exactly one list is in use, by column type. A Float64 column's ±0 are
-	// one value (the first seen is kept) and each NaN is its own.
-	ints   []int64
+	keys columnar.KeyTable // an Int64 column's values, or a Float64 column's floatKeys
+	// floats are a Float64 column's distinct values in first-seen order: its
+	// ±0 are one value (the first seen is kept) and each NaN is its own.
 	floats []float64
 }
 
-// setSlot maps a value's 64 bits to ref-1, its index in the distinct list;
-// ref 0 marks an empty slot.
-type setSlot struct {
-	key uint64
-	ref int
-}
-
-// reset empties the set and sizes the table for up to n distinct values.
-func (s *valueSet) reset(n int) {
-	size := 16
-	for size < 2*n {
-		size <<= 1
+// floatKey is x's table key, which sorts as x does: the bits of x + 0 (+0
+// for either zero, so ±0 are one value), a negative's flipped. NaNs never
+// enter the table.
+func floatKey(x float64) int64 {
+	k := int64(math.Float64bits(x + 0))
+	if k < 0 {
+		k ^= math.MaxInt64
 	}
-	if cap(s.slots) < size {
-		s.slots = make([]setSlot, size)
-	} else {
-		s.slots = s.slots[:size]
-		clear(s.slots)
-	}
-	s.ints, s.floats = s.ints[:0], s.floats[:0]
-}
-
-// find returns key's slot, or the empty slot where key belongs.
-func (s *valueSet) find(key uint64) *setSlot {
-	mask := uint64(len(s.slots) - 1)
-	for i := columnar.Hash64(int64(key)) & mask; ; i = (i + 1) & mask {
-		if sl := &s.slots[i]; sl.ref == 0 || sl.key == key {
-			return sl
-		}
-	}
-}
-
-// floatKey is x's table key: its bits, with -0 folded onto +0 so the two
-// compare equal as they do as floats. NaNs never enter the table.
-func floatKey(x float64) uint64 {
-	if x == 0 {
-		return 0
-	}
-	return math.Float64bits(x)
+	return k
 }
 
 // profile scans v once, leaving its distinct values in the set.
 func (s *valueSet) profile(v *columnar.Vector) colProfile {
 	var p colProfile
 	n := v.Len()
+	s.keys.Reset(1)
+	s.floats = s.floats[:0]
 	if n == 0 {
-		s.reset(0)
 		return p
 	}
+	var key [1]int64
 	switch v.Type {
 	case columnar.Int64:
-		s.reset(n)
-		s.ints = slices.Grow(s.ints, n)
 		xs := v.Int64s
 		p.sorted, p.runs = true, 1
 		lo, hi := xs[0], xs[0]
-		for i, x := range xs {
-			if i > 0 {
-				if x == xs[i-1] {
-					continue
-				}
+		for i := 1; i < n; i++ {
+			if x := xs[i]; x != xs[i-1] {
 				p.runs++
-				if x < xs[i-1] {
-					p.sorted = false
-				}
-			}
-			lo, hi = min(lo, x), max(hi, x)
-			if sl := s.find(uint64(x)); sl.ref == 0 {
-				s.ints = append(s.ints, x)
-				sl.key, sl.ref = uint64(x), len(s.ints)
+				p.sorted = p.sorted && x > xs[i-1]
+				lo, hi = min(lo, x), max(hi, x)
 			}
 		}
-		p.distinct = int64(len(s.ints))
+		// Grown for n values before Number may index them densely, the
+		// table allocates once for every column of the row group.
+		s.keys.Grow(n)
+		s.keys.Number([][]int64{xs}, nil)
+		p.distinct = int64(s.keys.Len())
 		p.stats = Stats{HasMinMax: true, MinInt: lo, MaxInt: hi, MinF: float64(lo), MaxF: float64(hi)}
 	case columnar.Float64:
-		s.reset(n)
+		s.keys.Grow(n)
 		s.floats = slices.Grow(s.floats, n)
 		xs := v.Float64s
 		lo, hi := math.Inf(1), math.Inf(-1)
@@ -123,9 +86,9 @@ func (s *valueSet) profile(v *columnar.Vector) colProfile {
 			if x > hi {
 				hi = x
 			}
-			if sl := s.find(floatKey(x)); sl.ref == 0 {
+			key[0] = floatKey(x)
+			if _, added := s.keys.Insert(key[:]); added {
 				s.floats = append(s.floats, x)
-				sl.key, sl.ref = floatKey(x), len(s.floats)
 			}
 		}
 		p.distinct = int64(len(s.floats))
@@ -163,34 +126,36 @@ func (p *colProfile) choose(t columnar.Type, n int) Encoding {
 
 // appendDict appends v's dictionary encoding to dst: the sorted distinct
 // values, then one index per value. The set must hold v's distinct values
-// (profile(v) was the last call on it); it is left holding them sorted.
+// (profile(v) was the last call on it); it is left holding them sorted, a
+// value's ordinal its rank.
 func (s *valueSet) appendDict(dst []byte, v *columnar.Vector) []byte {
+	s.keys.Sort()
+	var key [1]int64
 	if v.Type == columnar.Int64 {
-		slices.Sort(s.ints)
-		dst = putUvarint(dst, uint64(len(s.ints)))
-		for i, x := range s.ints {
-			s.find(uint64(x)).ref = i + 1
+		dst = putUvarint(dst, uint64(s.keys.Len()))
+		for _, x := range s.keys.Keys() {
 			dst = putUvarint(dst, zigzag(x))
 		}
 		for _, x := range v.Int64s {
-			dst = putUvarint(dst, uint64(s.find(uint64(x)).ref-1))
+			key[0] = x
+			dst = putUvarint(dst, uint64(s.keys.Find(key[:])))
 		}
 		return dst
 	}
-	// NaNs sort first and no value ever equals one, so each NaN in the
-	// column takes index 0 — the first NaN entry.
+	// NaNs sort first and stay out of the table, so each NaN in the column
+	// takes index 0 (the first NaN entry) and any other value its rank past
+	// them.
 	sort.Float64s(s.floats)
+	nans := len(s.floats) - s.keys.Len()
 	dst = putUvarint(dst, uint64(len(s.floats)))
-	for i, x := range s.floats {
-		if x == x {
-			s.find(floatKey(x)).ref = i + 1
-		}
+	for _, x := range s.floats {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 	}
 	for _, x := range v.Float64s {
 		idx := 0
 		if x == x {
-			idx = s.find(floatKey(x)).ref - 1
+			key[0] = floatKey(x)
+			idx = nans + int(s.keys.Find(key[:]))
 		}
 		dst = putUvarint(dst, uint64(idx))
 	}
