@@ -88,6 +88,15 @@ func (s *Schema) Project(names ...string) (*Schema, error) {
 	return out, nil
 }
 
+// Width returns the bytes a row of the schema takes in memory.
+func (s *Schema) Width() int64 {
+	var n int64
+	for _, f := range s.Fields {
+		n += int64(f.Type.Width())
+	}
+	return n
+}
+
 // Equal reports whether two schemas have identical fields.
 func (s *Schema) Equal(o *Schema) bool {
 	if s.Len() != o.Len() {

@@ -5,7 +5,7 @@ package columnar
 // once warm.
 //
 // Ownership contract: only the owner of a buffer may return it, and only
-// once nothing reads it any more. A morsel's buffers have four recycle
+// once nothing reads it any more. A morsel's buffers have five recycle
 // points:
 //
 //  1. a scan, once it has gathered a row group's decoded pages by their
@@ -16,8 +16,11 @@ package columnar
 //  3. the aggregation breaker, once it has folded a morsel into its hash
 //     table: the morsel's gathered chunks and its argument vectors;
 //  4. the same breaker, at the same moment: the chunk the scan yielded,
-//     handed back to the scan source through engine.Recycler. A sink that
-//     keeps its chunks (collect, sort, limit) hands back none.
+//     handed back to the scan source through engine.Recycler;
+//  5. the collect breaker of a stream its source counted (engine.RowCounter),
+//     once it has copied the morsel into its exact-size output: the chunk the
+//     scan yielded, handed back the same way. Any other collect, a sort and a
+//     limit keep their chunks and hand back none.
 //
 // Schema projections and Slice views are never recycled: their vectors are
 // shared with (or owned by) someone else, and PutChunk or PutVector on an

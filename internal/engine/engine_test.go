@@ -215,6 +215,15 @@ func TestExecuteLimitAndOrder(t *testing.T) {
 	if !reflect.DeepEqual(out.Columns[0].Int64s, []int64{5, 4, 3}) {
 		t.Errorf("result = %v", out.Columns[0].Int64s)
 	}
+	// A negative LIMIT off a payload's plan JSON is outside input: it returns
+	// an error or no rows, never a panic.
+	neg, err := UnmarshalPlan([]byte(`{"kind":"limit","n":-1,"in":{"kind":"scan","table":"t"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := Execute(neg, cat); err == nil && out.NumRows() != 0 {
+		t.Errorf("LIMIT -1 returned %d rows", out.NumRows())
+	}
 }
 
 func TestQ1MatchesReference(t *testing.T) {

@@ -419,6 +419,9 @@ func TestLimitStopsScanEarly(t *testing.T) {
 	if out.NumRows() != 25 {
 		t.Fatalf("rows = %d, want 25", out.NumRows())
 	}
+	if c := out.Column("k").Cap(); c != 25 {
+		t.Errorf("output capacity %d, want 25: the rows past the limit stay reachable", c)
+	}
 	for i := 0; i < 25; i++ {
 		if out.Column("k").Int64s[i] != int64(i) {
 			t.Fatalf("row %d = %d, want %d", i, out.Column("k").Int64s[i], i)

@@ -6,8 +6,8 @@ package engine
 // by fused filter/projection/join-probe stages — terminated by a breaker
 // sink:
 //
-//	collect    materialize the stream in arrival order (also the join
-//	           build side and the query result)
+//	collect    materialize the stream in arrival order, each row written
+//	           at most once (also the join build side and the query result)
 //	aggregate  group-by (a partial aggBuilder per morsel, reset and
 //	           reused, folded into the master table in arrival order)
 //	sort       collect, then sortChunk
@@ -28,8 +28,9 @@ package engine
 // argument vectors come from it and go back at the breaker, once the morsel
 // is folded into the hash table (see the ownership contract on
 // columnar.Pool). The morsel the scan yielded goes back to its source
-// there too, when the source is a Recycler. Sinks that keep their chunks
-// (collect, sort, limit) never pool and never recycle.
+// there too, when the source is a Recycler — and at a collect or sort whose
+// stream was counted (see collectSink), once the morsel is copied into the
+// exact-size output. No other sink pools or recycles: each keeps its chunks.
 
 import (
 	"errors"
@@ -259,10 +260,10 @@ func (n *pnode) run() error {
 	if err != nil {
 		return err
 	}
-	// A consuming sink hands each morsel its scan yielded back to the
-	// source once folded; a breaker's materialized output is not a scan's.
+	// A sink done with a morsel hands the chunk its scan yielded back to the
+	// source; a breaker's materialized output is not a scan's.
 	var rec Recycler
-	if pool != nil && n.input == nil {
+	if n.input == nil {
 		rec, _ = n.src.(Recycler)
 	}
 	var sc pipeScratch
@@ -272,13 +273,11 @@ func (n *pnode) run() error {
 		if err != nil {
 			return err
 		}
-		if err := sk.add(out, sc.owned); err != nil {
-			return err
-		}
-		if rec != nil {
+		done, err := sk.add(out, sc.owned)
+		if done && rec != nil {
 			rec.Recycle(c)
 		}
-		return nil
+		return err
 	})
 	if err != nil && !errors.Is(err, errStopPipeline) {
 		return err
@@ -360,8 +359,9 @@ var errStopPipeline = errors.New("engine: pipeline satisfied")
 type sink interface {
 	// add consumes the stage output of the next morsel. owned are the pooled
 	// chunks backing it: a sink that fully consumes the morsel recycles them
-	// into its pool before returning.
-	add(c *columnar.Chunk, owned []*columnar.Chunk) error
+	// into its pool before returning, and reports it done — it never reads the
+	// morsel again, so its source may have it back.
+	add(c *columnar.Chunk, owned []*columnar.Chunk) (done bool, err error)
 	finalize() (*columnar.Chunk, error)
 }
 
@@ -378,27 +378,72 @@ func newSink(n *pnode) (sink, *columnar.Pool, error) {
 		pool := columnar.NewPool()
 		return &aggSink{out: n.outSchema, pool: pool, master: master, partial: partial}, pool, nil
 	case sinkSort:
-		return &sortSink{collectSink: collectSink{schema: n.outSchema}, keys: n.keys}, nil, nil
+		return &sortSink{collectSink: collectSink{schema: n.outSchema, counted: n.counted()}, keys: n.keys}, nil, nil
 	case sinkLimit:
 		return &limitSink{schema: n.outSchema, n: n.limit}, nil, nil
 	default:
-		return &collectSink{schema: n.outSchema}, nil, nil
+		return &collectSink{schema: n.outSchema, counted: n.counted()}, nil, nil
 	}
 }
 
-// collectSink materializes the stream in arrival order.
-type collectSink struct {
-	schema *columnar.Schema
-	chunks []*columnar.Chunk
+// counted returns the rows a collect pipeline streams when it keeps every
+// row its scan yields — no scan filter, no filter or probe stage, no upstream
+// breaker — and its source both counts them within its bound (RowCounter)
+// and takes its morsels back (Recycler); -1 otherwise.
+func (n *pnode) counted() int {
+	rc, counts := n.src.(RowCounter)
+	_, recycles := n.src.(Recycler)
+	if n.input != nil || n.scan.Filter != nil || !counts || !recycles {
+		return -1
+	}
+	for _, st := range n.stages {
+		if st.filter != nil || st.probe != nil {
+			return -1
+		}
+	}
+	if rows, ok := rc.Rows(n.scan.Prune, n.outSchema.Width()); ok {
+		return int(rows)
+	}
+	return -1
 }
 
-func (s *collectSink) add(c *columnar.Chunk, _ []*columnar.Chunk) error {
-	s.chunks = append(s.chunks, c)
-	return nil
+// collectSink materializes the stream in arrival order, writing each row at
+// most once: a lone morsel is the output as it is, and several are
+// concatenated into one chunk of their summed rows. A counted stream
+// (pnode.counted) is instead copied into one output of its count as it
+// arrives, each morsel then done with.
+type collectSink struct {
+	schema  *columnar.Schema
+	counted int // the rows a counted stream yields; -1: not counted
+	chunks  []*columnar.Chunk
+	out     *columnar.Chunk // a counted stream's output, once a morsel arrived
+}
+
+func (s *collectSink) add(c *columnar.Chunk, _ []*columnar.Chunk) (bool, error) {
+	if s.counted < 0 {
+		s.chunks = append(s.chunks, c)
+		return false, nil
+	}
+	if s.out == nil {
+		s.out = columnar.NewChunk(s.schema, s.counted)
+		s.chunks = append(s.chunks, s.out)
+	}
+	s.out.AppendChunk(c)
+	return true, nil
 }
 
 func (s *collectSink) finalize() (*columnar.Chunk, error) {
-	out := columnar.NewChunk(s.schema, 0)
+	switch len(s.chunks) {
+	case 0:
+		return columnar.NewChunk(s.schema, 0), nil
+	case 1:
+		return &columnar.Chunk{Schema: s.schema, Columns: s.chunks[0].Columns}, nil
+	}
+	rows := 0
+	for _, c := range s.chunks {
+		rows += c.NumRows()
+	}
+	out := columnar.NewChunk(s.schema, rows)
 	for _, c := range s.chunks {
 		out.AppendChunk(c)
 	}
@@ -429,24 +474,24 @@ type limitSink struct {
 	prefix []*columnar.Chunk
 }
 
-func (s *limitSink) add(c *columnar.Chunk, _ []*columnar.Chunk) error {
+func (s *limitSink) add(c *columnar.Chunk, _ []*columnar.Chunk) (bool, error) {
 	s.prefix = append(s.prefix, c)
 	if s.got += c.NumRows(); s.got >= s.n {
-		return errStopPipeline
+		return false, errStopPipeline
 	}
-	return nil
+	return false, nil
 }
 
+// finalize copies the first N rows into an output of exactly their count.
 func (s *limitSink) finalize() (*columnar.Chunk, error) {
-	out := columnar.NewChunk(s.schema, 0)
+	left := max(s.n, 0)
+	out := columnar.NewChunk(s.schema, min(s.got, left))
 	for _, c := range s.prefix {
-		out.AppendChunk(c)
-		if out.NumRows() >= s.n {
-			break
+		k := min(c.NumRows(), left)
+		for j, col := range out.Columns {
+			col.AppendRange(c.Columns[j], 0, k)
 		}
-	}
-	if out.NumRows() > s.n {
-		return out.Slice(0, s.n), nil
+		left -= k
 	}
 	return out, nil
 }
@@ -463,11 +508,11 @@ type aggSink struct {
 	partial *aggBuilder // reset for every morsel
 }
 
-func (s *aggSink) add(c *columnar.Chunk, owned []*columnar.Chunk) error {
+func (s *aggSink) add(c *columnar.Chunk, owned []*columnar.Chunk) (bool, error) {
 	b := s.partial
 	b.reset()
 	if err := b.addChunk(c, s.pool); err != nil {
-		return err
+		return false, err
 	}
 	s.master.mergeFrom(b)
 	// The morsel is folded into its hash table: the breaker is the recycle
@@ -476,7 +521,7 @@ func (s *aggSink) add(c *columnar.Chunk, owned []*columnar.Chunk) error {
 	for _, oc := range owned {
 		s.pool.PutChunk(oc)
 	}
-	return nil
+	return true, nil
 }
 
 func (s *aggSink) finalize() (*columnar.Chunk, error) {

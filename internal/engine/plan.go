@@ -34,12 +34,20 @@ type FilterableSource interface {
 }
 
 // Recycler is a Source that takes back the chunks it yielded. A pipeline
-// whose sink consumes its morsels (the aggregate) hands each chunk the
-// source yielded to Recycle once the sink has folded it, and never touches
-// it again; a pipeline whose sink keeps its chunks (collect, sort, limit)
-// never calls it.
+// whose sink is done with its morsels — the aggregate once it has folded one,
+// a counted collect (RowCounter) once it has copied one — hands each chunk the
+// source yielded to Recycle then, and never touches it again; a pipeline whose
+// sink keeps its chunks (any other collect, sort, limit) never calls it.
 type Recycler interface {
 	Recycle(*columnar.Chunk)
+}
+
+// RowCounter is a Source that counts, from footers it holds and without a
+// request, the rows an unfiltered scan under preds yields, so that a collect
+// keeping them all allocates its output once; !ok when it cannot, or when
+// that many rows of width bytes would pass the bound it holds its scans to.
+type RowCounter interface {
+	Rows(preds []lpq.Predicate, width int64) (rows int64, ok bool)
 }
 
 // AggFunc is an aggregate function kind.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"lambada/internal/columnar"
@@ -60,6 +61,18 @@ func (s *recyclingSource) ScanFiltered(proj []string, preds []lpq.Predicate, fil
 	})
 }
 
+// rowCountingSource is a recyclingSource that counts its rows up front
+// (RowCounter), with no bound: every row its chunks hold, whatever preds.
+type rowCountingSource struct{ *recyclingSource }
+
+func (s rowCountingSource) Rows([]lpq.Predicate, int64) (int64, bool) {
+	var n int64
+	for _, c := range s.mem.Chunks {
+		n += int64(c.NumRows())
+	}
+	return n, true
+}
+
 func (s *recyclingSource) Recycle(c *columnar.Chunk) {
 	if !s.out[c] {
 		s.t.Errorf("Recycle of a chunk that is not out: never yielded, or handed back twice")
@@ -84,9 +97,10 @@ func (s *recyclingSource) Recycle(c *columnar.Chunk) {
 }
 
 // TestRecycleContract: an aggregate pipeline hands every chunk its scan
-// yielded back exactly once, before the scan yields the next; a pipeline
-// whose sink keeps its chunks (collect, sort, limit), a join's build side and
-// a pipeline fed by an upstream breaker hand back none.
+// yielded back exactly once, before the scan yields the next, and so does a
+// collect or sort that keeps every row its scan yields — a join's build side
+// too — when the source counts them (counts); any other collect, sort or
+// limit, and a pipeline fed by an upstream breaker, hands back none.
 func TestRecycleContract(t *testing.T) {
 	g := tpch.Gen{SF: 0.002, Seed: 13}
 	li, sup := g.Generate(), g.Supplier()
@@ -94,23 +108,34 @@ func TestRecycleContract(t *testing.T) {
 	supMem := chunked(tpch.SupplierSchema(), sup, 4)
 	scan := func() Plan { return &ScanPlan{Table: "lineitem"} }
 	for _, tc := range []struct {
-		name   string
-		plan   Plan
-		liBack bool // every lineitem chunk comes back
+		name    string
+		plan    Plan
+		liBack  bool // every lineitem chunk comes back
+		counts  bool // both sources count their rows (rowCountingSource)
+		supBack bool // every supplier chunk comes back
 	}{
-		{"aggregate", &AggregatePlan{GroupBy: []string{"l_suppkey"}, Aggs: []AggSpec{{Func: AggCount, Name: "n"}}, In: scan()}, true},
-		{"q1", q1Plan(), true},
-		{"q6", q6Plan(), true},
-		{"join-under-aggregate", revenueByNationPlan(), true},
-		{"collect", &FilterPlan{Pred: NewBin(OpLT, Col("l_quantity"), ConstFloat(25)), In: scan()}, false},
-		{"sort", &OrderByPlan{Keys: []OrderKey{{Column: "l_orderkey"}}, In: scan()}, false},
-		{"limit", &LimitPlan{N: 700, In: scan()}, false},
-		{"join-collect", &JoinPlan{Left: scan(), Right: &ScanPlan{Table: "supplier"}, LeftKeys: []string{"l_suppkey"}, RightKeys: []string{"s_suppkey"}}, false},
-		{"aggregate-over-breaker", &AggregatePlan{Aggs: []AggSpec{{Func: AggCount, Name: "n"}}, In: &LimitPlan{N: 1 << 30, In: scan()}}, false},
+		{"aggregate", &AggregatePlan{GroupBy: []string{"l_suppkey"}, Aggs: []AggSpec{{Func: AggCount, Name: "n"}}, In: scan()}, true, false, false},
+		{"q1", q1Plan(), true, false, false},
+		{"q6", q6Plan(), true, false, false},
+		{"join-under-aggregate", revenueByNationPlan(), true, false, false},
+		{"collect", &FilterPlan{Pred: NewBin(OpLT, Col("l_quantity"), ConstFloat(25)), In: scan()}, false, false, false},
+		{"sort", &OrderByPlan{Keys: []OrderKey{{Column: "l_orderkey"}}, In: scan()}, false, false, false},
+		{"limit", &LimitPlan{N: 700, In: scan()}, false, false, false},
+		{"join-collect", &JoinPlan{Left: scan(), Right: &ScanPlan{Table: "supplier"}, LeftKeys: []string{"l_suppkey"}, RightKeys: []string{"s_suppkey"}}, false, false, false},
+		{"aggregate-over-breaker", &AggregatePlan{Aggs: []AggSpec{{Func: AggCount, Name: "n"}}, In: &LimitPlan{N: 1 << 30, In: scan()}}, false, false, false},
+		{"counted-collect", scan(), true, true, false},
+		{"counted-sort", &OrderByPlan{Keys: []OrderKey{{Column: "l_orderkey"}}, In: scan()}, true, true, false},
+		{"counted-join-collect", &JoinPlan{Left: scan(), Right: &ScanPlan{Table: "supplier"}, LeftKeys: []string{"l_suppkey"}, RightKeys: []string{"s_suppkey"}}, false, true, true},
+		{"counted-filtered-collect", &FilterPlan{Pred: NewBin(OpLT, Col("l_quantity"), ConstFloat(25)), In: scan()}, false, true, false},
+		{"counted-limit", &LimitPlan{N: 700, In: scan()}, false, true, false},
+		{"counted-join-under-aggregate", revenueByNationPlan(), true, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lis, sups := newRecyclingSource(t, liMem, false), newRecyclingSource(t, supMem, false)
 			cat := Catalog{"lineitem": lis, "supplier": sups}
+			if tc.counts {
+				cat = Catalog{"lineitem": rowCountingSource{lis}, "supplier": rowCountingSource{sups}}
+			}
 			p, err := Optimize(tc.plan, cat)
 			if err != nil {
 				t.Fatal(err)
@@ -121,34 +146,46 @@ func TestRecycleContract(t *testing.T) {
 			if lis.yielded == 0 {
 				t.Fatal("the scan yielded nothing — test has no teeth")
 			}
-			if sups.recycled != 0 {
-				t.Errorf("a join's build side handed back %d chunks, want 0", sups.recycled)
-			}
-			if !tc.liBack {
-				if lis.recycled != 0 {
-					t.Errorf("handed back %d of %d chunks, want 0", lis.recycled, lis.yielded)
-				}
-				return
-			}
-			if lis.recycled != lis.yielded || lis.held != 0 {
-				t.Errorf("handed back %d of %d chunks, %d still out when a yield returned; want all, each before the next", lis.recycled, lis.yielded, lis.held)
-			}
+			lis.handedBack(t, "lineitem", tc.liBack)
+			sups.handedBack(t, "supplier", tc.supBack)
 		})
+	}
+}
+
+// handedBack checks that every chunk s yielded came back, each before the
+// next was yielded (all), or that none did.
+func (s *recyclingSource) handedBack(t *testing.T, table string, all bool) {
+	t.Helper()
+	switch {
+	case !all && s.recycled != 0:
+		t.Errorf("%s: handed back %d of %d chunks, want 0", table, s.recycled, s.yielded)
+	case all && s.yielded < 2:
+		t.Errorf("%s: yielded %d chunks — test has no teeth", table, s.yielded)
+	case all && (s.recycled != s.yielded || s.held != 0):
+		t.Errorf("%s: handed back %d of %d chunks, %d still out when a yield returned; want all, each before the next", table, s.recycled, s.yielded, s.held)
 	}
 }
 
 // TestRecycledChunksAreNotReadAgain: a source that overwrites every chunk
 // handed back to it gives results byte-identical to a source that keeps its
-// chunks, so nothing reads a morsel after the sink has folded it.
+// chunks, so nothing reads a morsel after the sink has folded or copied it.
+// The counted plans run on sources that count their rows, so that their
+// collects copy and hand back their morsels too.
 func TestRecycledChunksAreNotReadAgain(t *testing.T) {
 	g := tpch.Gen{SF: 0.002, Seed: 13}
 	li, sup := g.Generate(), g.Supplier()
 	liMem := chunked(tpch.Schema(), li, 500)
 	supMem := chunked(tpch.SupplierSchema(), sup, 4)
+	join := func() Plan {
+		return &JoinPlan{Left: &ScanPlan{Table: "lineitem"}, Right: &ScanPlan{Table: "supplier"}, LeftKeys: []string{"l_suppkey"}, RightKeys: []string{"s_suppkey"}}
+	}
 	for name, plan := range map[string]func() Plan{
-		"q1":                   q1Plan,
-		"q6":                   q6Plan,
-		"join-under-aggregate": revenueByNationPlan,
+		"q1":                           q1Plan,
+		"q6":                           q6Plan,
+		"join-under-aggregate":         revenueByNationPlan,
+		"counted-collect":              func() Plan { return &ScanPlan{Table: "lineitem"} },
+		"counted-join-collect":         join,
+		"counted-join-under-aggregate": revenueByNationPlan,
 	} {
 		t.Run(name, func(t *testing.T) {
 			run := func(cat Catalog) *columnar.Chunk {
@@ -163,9 +200,13 @@ func TestRecycledChunksAreNotReadAgain(t *testing.T) {
 				return out
 			}
 			want := run(Catalog{"lineitem": liMem, "supplier": supMem})
-			lis := newRecyclingSource(t, liMem, true)
-			got := run(Catalog{"lineitem": lis, "supplier": newRecyclingSource(t, supMem, true)})
-			if lis.recycled == 0 {
+			lis, sups := newRecyclingSource(t, liMem, true), newRecyclingSource(t, supMem, true)
+			cat := Catalog{"lineitem": lis, "supplier": sups}
+			if strings.HasPrefix(name, "counted-") {
+				cat = Catalog{"lineitem": rowCountingSource{lis}, "supplier": rowCountingSource{sups}}
+			}
+			got := run(cat)
+			if lis.recycled+sups.recycled == 0 {
 				t.Fatal("nothing was handed back — test has no teeth")
 			}
 			chunksIdentical(t, got, want)
@@ -230,7 +271,7 @@ func TestAggSinkResetsItsPartial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range morsels {
-			if err := sk.add(c, nil); err != nil {
+			if _, err := sk.add(c, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -280,10 +280,7 @@ func ReadFiles(bound int64, blobs ...[]byte) (*columnar.Chunk, error) {
 // buffer, so nothing more is allocated per page.
 func readAll(bound int64, readers ...*Reader) (*columnar.Chunk, error) {
 	schema := readers[0].Schema()
-	var width, rows int64
-	for _, f := range schema.Fields {
-		width += int64(f.Type.Width())
-	}
+	width, rows := schema.Width(), int64(0)
 	for _, r := range readers {
 		if !r.Schema().Equal(schema) {
 			return nil, fmt.Errorf("lpq: file schema %q != first file's %q", r.Schema(), schema)

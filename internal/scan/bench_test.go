@@ -76,3 +76,30 @@ func BenchmarkScan(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBuildSide times what a broadcast join's build pipeline runs on a
+// worker: an unfiltered collect of two columns over a pinned source of the 8
+// files, which counts its rows from the footers and copies each row group
+// into one output of that size. Its B/op is about that output, one row
+// group's chunk and the downloaded bytes.
+func BenchmarkBuildSide(b *testing.B) {
+	svc, refs, _ := benchFiles(b)
+	pinned, err := New(s3.NewClient(svc, simenv.NewImmediate()), DefaultConfig(), refs...).Pin(refs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srcs, err := Pinned(s3.NewClient(svc, simenv.NewImmediate()), 1<<30, pinned)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan := &engine.ScanPlan{Table: "orders", Projection: []string{"l_orderkey", "l_suppkey"}}
+		out, err := engine.Execute(plan, engine.Catalog{"orders": srcs[0]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(out.ByteSize())
+	}
+}

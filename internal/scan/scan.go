@@ -690,7 +690,7 @@ func (s *Source) Hold(proj []string, preds []lpq.Predicate, bound int64) (int64,
 		if err != nil {
 			return 0, err
 		}
-		width := pr.width()
+		width := pr.schema.Width()
 		rows := lpq.EstimateRows(meta, preds)
 		if width > 0 && rows > (bound-n)/width {
 			return 0, fmt.Errorf("scan: %s/%s: %w: %d more rows of %d bytes after %d bytes, bound %d",
@@ -699,6 +699,29 @@ func (s *Source) Hold(proj []string, preds []lpq.Predicate, bound int64) (int64,
 		n += rows * width
 	}
 	return n, nil
+}
+
+// Rows counts the rows a scan without a filter under preds yields
+// (engine.RowCounter): those of every row group lpq.PruneRowGroups keeps, from
+// the footers in the source's opens. It never issues a request, so it fails
+// (!ok) on a file not open yet; and it fails once the rows of width bytes pass
+// the source's bound — a source without one (Pinned's) counts none.
+func (s *Source) Rows(preds []lpq.Predicate, width int64) (rows int64, ok bool) {
+	limit := s.bound / max(width, 1)
+	for _, f := range s.Files {
+		o, open := s.opens[f.Bucket+"/"+f.Key]
+		if !open {
+			return 0, false
+		}
+		for _, g := range lpq.PruneRowGroups(o.ft.meta, preds) {
+			n := o.ft.meta.RowGroups[g].NumRows
+			if n > limit-rows {
+				return 0, false
+			}
+			rows += n
+		}
+	}
+	return rows, true
 }
 
 // groupRead is a row group's read between plan and finish: the page slots the
@@ -749,7 +772,7 @@ func (s *Source) plan(f FileRef, h *s3fs.File, meta *lpq.FileMeta, g int, pr *pr
 			r.first = append(r.first, payload...)
 		}
 	}
-	if width := pr.width(); s.bound > 0 && width > 0 && rows > s.bound/width {
+	if width := pr.schema.Width(); s.bound > 0 && width > 0 && rows > s.bound/width {
 		return nil, fmt.Errorf("scan: %s/%s row group %d: %w: %d rows of %d bytes, bound %d",
 			f.Bucket, f.Key, g, lpq.ErrOverBound, rows, width, s.bound)
 	}
@@ -894,7 +917,7 @@ func (s *Source) finishWhole(r *groupRead, bufs [][]byte, filter engine.Expr) (*
 }
 
 // Recycle takes back a chunk this source yielded (engine.Recycler): its
-// consumer has folded it and will not read it again. The next row group
+// consumer has folded or copied it and will not read it again. The next row group
 // gathers into its vectors.
 func (s *Source) Recycle(c *columnar.Chunk) { s.chunks.PutChunk(c) }
 
@@ -1016,15 +1039,6 @@ type projection struct {
 	fschema        *columnar.Schema
 }
 
-// width is the bytes a row of the projection decodes to.
-func (p *projection) width() int64 {
-	var n int64
-	for _, f := range p.schema.Fields {
-		n += int64(f.Type.Width())
-	}
-	return n
-}
-
 func resolveProjection(schema *columnar.Schema, proj []string, filter engine.Expr) (*projection, error) {
 	p := &projection{schema: schema}
 	if proj == nil {
@@ -1068,4 +1082,5 @@ var (
 	_ engine.Source           = (*Source)(nil)
 	_ engine.FilterableSource = (*Source)(nil)
 	_ engine.Recycler         = (*Source)(nil)
+	_ engine.RowCounter       = (*Source)(nil)
 )

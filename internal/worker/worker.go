@@ -362,8 +362,9 @@ func fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *Payload) (engine.
 		if sc := scans[name]; len(sc) == 1 {
 			src.Expect(sc[0].Projection, sc[0].Prune, sc[0].Filter)
 		}
-		// The build pipeline holds the side twice at its peak: the chunks
-		// the scan yielded, and the one it concatenates them into.
+		// A build side is charged twice: a filtered one holds the chunks the
+		// scan yielded and their concatenation at its peak; an unfiltered one
+		// (scan.Source.Rows) its counted output and one row group's chunk.
 		for _, sc := range builds[name] {
 			n, err := src.Hold(sc.Projection, sc.Prune, rest/2)
 			if err != nil {
