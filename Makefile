@@ -64,6 +64,9 @@ scale-smoke:
 # runner that runs nothing, never a panic); FuzzGeneratedPlan runs any seed's
 # generated case (internal/driver's genCase) through runCase, which holds it
 # to single-node engine.Execute, its own DES replay and a clean substrate.
+# Last, the engine's two property tests (the hash aggregate against a scalar
+# fold, the hash join against a nested loop) run 7 500 random cases each
+# where go test runs 150.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBoundaryKey -fuzztime=5s ./internal/exchange/
 	$(GO) test -run=NONE -fuzz=FuzzSealManifest -fuzztime=5s ./internal/exchange/
@@ -77,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzEpochValue -fuzztime=5s ./internal/driver/
 	$(GO) test -run=NONE -fuzz=FuzzQueryBody -fuzztime=5s ./internal/service/
 	$(GO) test -run=NONE -fuzz=FuzzGeneratedPlan -fuzztime=5s ./internal/driver/
+	$(GO) test -run 'TestPropertyAggregatesMatchScalar|TestPropertyJoinMatchesNestedLoop' ./internal/engine/ -quickchecks 5000
 
 # chaos runs the deterministic fault-injection suites race-instrumented:
 # the injector/resilience unit tests, the per-service fault tests, the

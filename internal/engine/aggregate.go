@@ -8,10 +8,16 @@ import (
 )
 
 // aggBuilder accumulates group-by state over chunks in struct-of-arrays
-// form: groups are dense ordinals into per-aggregate value arrays, and each
-// chunk is folded in two vectorized passes — first rows are mapped to group
-// ordinals (selection-vector style), then every aggregate runs a tight
-// per-column loop over that mapping. No per-row allocation anywhere.
+// form: groups are dense ordinals into per-group state, and each chunk is
+// folded in two vectorized passes — first rows are mapped to group
+// ordinals (selection-vector style), then every aggregate but COUNT
+// evaluates its argument once and runs one tight loop over that mapping,
+// writing its one state slice. No per-row allocation anywhere.
+//
+// Every group has a row count, which COUNT reads and AVG divides by. Beside
+// it each other aggregate keeps one accumulator, in its argument's type: a
+// BIGINT SUM, MIN or MAX folds into an []int64, so it is exact, and AVG or a
+// DOUBLE SUM, MIN or MAX into a []float64.
 //
 // The aggregate sink computes a partial builder per morsel — one builder,
 // reset between morsels — and folds the partials into a master builder in
@@ -22,31 +28,24 @@ import (
 // a morsel whose keys span a narrow range is indexed directly, any other is
 // hashed.
 type aggBuilder struct {
-	p      *AggregatePlan
 	keyIdx []int
 	keys   columnar.KeyTable // group keys → group ordinals, first-seen order
+	counts []int64           // rows per group, ordinal-indexed
+	accs   []accumulator     // one per aggregate
 
-	// Per-group state, ordinal-indexed.
-	counts []int64 // per group; every aggregate shares the row count
-	// Per aggregate, per group.
-	sums  [][]float64
-	isums [][]int64
-	mins  [][]float64
-	maxs  [][]float64
-
-	cols      [][]int64 // reusable per-chunk key columns, BOOLEAN ones widened
-	args      []argView // reusable per-chunk argument views
-	rowGroups []int32   // reusable row → group-ordinal mapping
+	cols [][]int64 // reusable per-chunk key columns, BOOLEAN ones widened
+	to   []int32   // reusable mapping into the groups: a chunk's rows, or a merged partial's groups
 }
 
-// argView is one aggregate argument's typed value slices, extracted once
-// per chunk so the per-row loops read values directly, and the vector they
-// view.
-type argView struct {
-	f  []float64
-	i  []int64
-	bl []bool
-	v  *columnar.Vector
+// accumulator is one aggregate's per-group state, ordinal-indexed: ints for
+// a BIGINT SUM, MIN or MAX, floats for AVG and a DOUBLE SUM, MIN or MAX,
+// neither for COUNT.
+type accumulator struct {
+	fn     AggFunc
+	arg    Expr // nil for COUNT, which reads the builder's counts
+	exact  bool // the state is ints
+	ints   []int64
+	floats []float64
 }
 
 // newAggBuilder validates the plan against the input schema and returns an
@@ -63,13 +62,25 @@ func newAggBuilder(p *AggregatePlan, inSchema *columnar.Schema) (*aggBuilder, er
 		}
 	}
 	b := &aggBuilder{
-		p:      p,
 		keyIdx: keyIdx,
-		sums:   make([][]float64, len(p.Aggs)),
-		isums:  make([][]int64, len(p.Aggs)),
-		mins:   make([][]float64, len(p.Aggs)),
-		maxs:   make([][]float64, len(p.Aggs)),
+		accs:   make([]accumulator, len(p.Aggs)),
 		cols:   make([][]int64, len(keyIdx)),
+	}
+	for i, a := range p.Aggs {
+		if a.Func > AggMax || a.Func != AggCount && a.Arg == nil {
+			return nil, fmt.Errorf("engine: bad aggregate %s", a)
+		}
+		b.accs[i].fn = a.Func
+		if a.Arg == nil {
+			continue
+		}
+		t, err := a.Arg.Type(inSchema)
+		if err != nil {
+			return nil, err
+		}
+		if a.Func != AggCount {
+			b.accs[i].arg, b.accs[i].exact = a.Arg, t == columnar.Int64 && a.Func != AggAvg
+		}
 	}
 	b.keys.Reset(len(keyIdx))
 	return b, nil
@@ -82,63 +93,58 @@ func (b *aggBuilder) numGroups() int { return len(b.counts) }
 // the next morsel directly again.
 func (b *aggBuilder) reset() {
 	b.counts = b.counts[:0]
-	for ai := range b.p.Aggs {
-		b.sums[ai], b.isums[ai] = b.sums[ai][:0], b.isums[ai][:0]
-		b.mins[ai], b.maxs[ai] = b.mins[ai][:0], b.maxs[ai][:0]
+	for i := range b.accs {
+		a := &b.accs[i]
+		a.ints, a.floats = a.ints[:0], a.floats[:0]
 	}
 	b.keys.Reset(len(b.keyIdx))
 }
 
-// addGroup appends a new group. Groups are added as the key table numbers
-// them, so ordinals are first-seen order. Min/max start at the infinities;
-// every group has at least one row, so they collapse to the true extrema in
-// the aggregate pass.
-func (b *aggBuilder) addGroup() {
-	b.counts = append(b.counts, 0)
-	for ai := range b.p.Aggs {
-		b.sums[ai] = append(b.sums[ai], 0)
-		b.isums[ai] = append(b.isums[ai], 0)
-		b.mins[ai] = append(b.mins[ai], math.Inf(1))
-		b.maxs[ai] = append(b.maxs[ai], math.Inf(-1))
+// grow extends every state to n groups. Groups are added as the key table
+// numbers them, so ordinals are first-seen order.
+func (b *aggBuilder) grow(n int) {
+	b.counts = extend(b.counts, n, AggCount, 0, 0)
+	for i := range b.accs {
+		a := &b.accs[i]
+		switch {
+		case a.arg == nil:
+		case a.exact:
+			a.ints = extend(a.ints, n, a.fn, math.MaxInt64, math.MinInt64)
+		default:
+			a.floats = extend(a.floats, n, a.fn, math.Inf(1), math.Inf(-1))
+		}
 	}
 }
 
+// extend appends to s until it holds n groups, each new one at fn's start:
+// top for MIN and bottom for MAX, which the group's first value replaces,
+// and 0 for a sum or a count.
+func extend[T int64 | float64](s []T, n int, fn AggFunc, top, bottom T) []T {
+	var v T
+	switch fn {
+	case AggMin:
+		v = top
+	case AggMax:
+		v = bottom
+	}
+	for len(s) < n {
+		s = append(s, v)
+	}
+	return s
+}
+
 // addChunk folds one chunk into the builder, evaluating the aggregates'
-// arguments through pool and handing them back to it once folded.
+// arguments through pool and handing each back to it once folded.
 func (b *aggBuilder) addChunk(c *columnar.Chunk, pool *columnar.Pool) error {
 	n := c.NumRows()
 	if n == 0 {
 		return nil
 	}
-	// Evaluate aggregate arguments once per chunk (vectorized) and pull
-	// out their typed slices.
-	args := b.args[:0]
-	for _, a := range b.p.Aggs {
-		var view argView
-		if a.Arg != nil {
-			v, err := a.Arg.Eval(c, pool)
-			if err != nil {
-				return err
-			}
-			view.v = v
-			switch v.Type {
-			case columnar.Float64:
-				view.f = v.Float64s
-			case columnar.Int64:
-				view.i = v.Int64s
-			default:
-				view.bl = v.Bools
-			}
-		}
-		args = append(args, view)
-	}
-	b.args = args
-
 	// Pass 1: map every row to its group ordinal.
-	if cap(b.rowGroups) < n {
-		b.rowGroups = make([]int32, n)
+	if cap(b.to) < n {
+		b.to = make([]int32, n)
 	}
-	rg := b.rowGroups[:n]
+	rg := b.to[:n]
 	b.mapRows(c, rg)
 
 	// Pass 2: one tight loop per aggregate over the row → group mapping.
@@ -146,70 +152,59 @@ func (b *aggBuilder) addChunk(c *columnar.Chunk, pool *columnar.Pool) error {
 	for _, g := range rg {
 		counts[g]++
 	}
-	for ai := range args {
-		av := &args[ai]
-		sums, isums := b.sums[ai], b.isums[ai]
-		mins, maxs := b.mins[ai], b.maxs[ai]
+	for ai := range b.accs {
+		a := &b.accs[ai]
+		if a.arg == nil {
+			continue
+		}
+		v, err := a.arg.Eval(c, pool)
+		if err != nil {
+			return err
+		}
 		switch {
-		case av.f != nil:
+		case a.exact:
+			fold(a.fn, a.ints, v.Int64s, rg)
+		case v.Type == columnar.Float64:
+			fold(a.fn, a.floats, v.Float64s, rg)
+		case v.Type == columnar.Int64: // AVG over BIGINT
 			for i, g := range rg {
-				v := av.f[i]
-				sums[g] += v
-				isums[g] += int64(v)
-				if v < mins[g] {
-					mins[g] = v
-				}
-				if v > maxs[g] {
-					maxs[g] = v
-				}
+				a.floats[g] += float64(v.Int64s[i])
 			}
-		case av.i != nil:
+		default: // AVG over BOOLEAN
 			for i, g := range rg {
-				x := av.i[i]
-				v := float64(x)
-				sums[g] += v
-				isums[g] += x
-				if v < mins[g] {
-					mins[g] = v
-				}
-				if v > maxs[g] {
-					maxs[g] = v
-				}
-			}
-		case av.bl != nil:
-			for i, g := range rg {
-				var v float64
-				if av.bl[i] {
-					v = 1
-					isums[g]++
-				}
-				sums[g] += v
-				if v < mins[g] {
-					mins[g] = v
-				}
-				if v > maxs[g] {
-					maxs[g] = v
-				}
-			}
-		default:
-			// COUNT(*): no argument; zeros still bound min/max like the
-			// row-at-a-time executor did.
-			for _, g := range rg {
-				if 0 < mins[g] {
-					mins[g] = 0
-				}
-				if 0 > maxs[g] {
-					maxs[g] = 0
+				if v.Bools[i] {
+					a.floats[g]++
 				}
 			}
 		}
-	}
-	for ai, a := range b.p.Aggs {
-		if a.Arg != nil {
-			release(pool, a.Arg, args[ai].v)
-		}
+		release(pool, a.arg, v)
 	}
 	return nil
+}
+
+// fold folds the values xs into the state s by fn, xs[i] into s[to[i]]: a
+// chunk's argument values through its row → group mapping, or a partial
+// builder's state through its group → group mapping.
+func fold[T int64 | float64](fn AggFunc, s, xs []T, to []int32) {
+	to = to[:len(xs)]
+	switch fn {
+	case AggMin:
+		for i, x := range xs {
+			if x < s[to[i]] {
+				s[to[i]] = x
+			}
+		}
+	case AggMax:
+		for i, x := range xs {
+			if x > s[to[i]] {
+				s[to[i]] = x
+			}
+		}
+	default: // a sum, a count
+		for i, x := range xs {
+			s[to[i]] += x
+		}
+	}
 }
 
 // mapRows fills rg with each row's group ordinal, creating groups on first
@@ -228,9 +223,7 @@ func (b *aggBuilder) mapRows(c *columnar.Chunk, rg []int32) {
 		b.cols[j] = wide
 	}
 	b.keys.Number(b.cols, rg)
-	for b.numGroups() < b.keys.Len() {
-		b.addGroup()
-	}
+	b.grow(b.keys.Len())
 }
 
 // mergeFrom folds another builder's partial groups into b, in o's
@@ -240,80 +233,62 @@ func (b *aggBuilder) mapRows(c *columnar.Chunk, rg []int32) {
 func (b *aggBuilder) mergeFrom(o *aggBuilder) {
 	nk := len(b.keyIdx)
 	okeys := o.keys.Keys()
-	for og := 0; og < o.numGroups(); og++ {
-		g, added := b.keys.Insert(okeys[og*nk : (og+1)*nk])
-		if added {
-			b.addGroup()
-		}
-		b.counts[g] += o.counts[og]
-		for ai := range b.p.Aggs {
-			b.sums[ai][g] += o.sums[ai][og]
-			b.isums[ai][g] += o.isums[ai][og]
-			if o.mins[ai][og] < b.mins[ai][g] {
-				b.mins[ai][g] = o.mins[ai][og]
-			}
-			if o.maxs[ai][og] > b.maxs[ai][g] {
-				b.maxs[ai][g] = o.maxs[ai][og]
-			}
-		}
+	to := b.to[:0]
+	for og := range o.numGroups() {
+		g, _ := b.keys.Insert(okeys[og*nk : (og+1)*nk])
+		to = append(to, g)
+	}
+	b.to = to
+	b.grow(b.keys.Len())
+	fold(AggCount, b.counts, o.counts, to)
+	for i := range b.accs {
+		a, oa := &b.accs[i], &o.accs[i]
+		fold(a.fn, a.ints, oa.ints, to) // a state not kept is empty: a no-op
+		fold(a.fn, a.floats, oa.floats, to)
 	}
 }
 
-// finalize emits the result chunk, groups in ordinal (first-seen) order.
+// finalize emits the result chunk, groups in ordinal (first-seen) order,
+// each output column written in one pass.
 func (b *aggBuilder) finalize(outSchema *columnar.Schema) (*columnar.Chunk, error) {
 	// A global aggregate over empty input still yields one row of zeros
 	// (COUNT = 0), matching SQL semantics.
-	if len(b.p.GroupBy) == 0 && b.numGroups() == 0 {
-		b.addGroup()
-		for ai := range b.p.Aggs {
-			b.mins[ai][0] = 0
-			b.maxs[ai][0] = 0
+	if len(b.keyIdx) == 0 && b.numGroups() == 0 {
+		b.grow(1)
+		for i := range b.accs {
+			clear(b.accs[i].ints)
+			clear(b.accs[i].floats)
 		}
 	}
 
-	nk := len(b.p.GroupBy)
+	n, nk := b.numGroups(), len(b.keyIdx)
 	keys := b.keys.Keys()
-	out := columnar.NewChunk(outSchema, b.numGroups())
-	for g := 0; g < b.numGroups(); g++ {
-		col := 0
-		for j := 0; j < nk; j++ {
-			if k := keys[g*nk+j]; out.Columns[col].Type == columnar.Bool {
-				out.Columns[col].AppendBool(k != 0)
+	out := columnar.NewChunk(outSchema, n)
+	for j, col := range out.Columns[:nk] {
+		for g := range n {
+			if k := keys[g*nk+j]; col.Type == columnar.Bool {
+				col.Bools = append(col.Bools, k != 0)
 			} else {
-				out.Columns[col].AppendInt64(k)
+				col.Int64s = append(col.Int64s, k)
 			}
-			col++
 		}
-		for ai, a := range b.p.Aggs {
-			switch a.Func {
-			case AggCount:
-				out.Columns[col].AppendInt64(b.counts[g])
-			case AggSum:
-				if outSchema.Fields[col].Type == columnar.Int64 {
-					out.Columns[col].AppendInt64(b.isums[ai][g])
-				} else {
-					out.Columns[col].AppendFloat64(b.sums[ai][g])
+	}
+	for i, a := range b.accs {
+		col := out.Columns[nk+i]
+		switch {
+		case a.fn == AggCount:
+			col.Int64s = append(col.Int64s, b.counts...)
+		case a.fn == AggAvg:
+			for g, sum := range a.floats {
+				avg := math.NaN()
+				if b.counts[g] != 0 {
+					avg = sum / float64(b.counts[g])
 				}
-			case AggAvg:
-				if b.counts[g] == 0 {
-					out.Columns[col].AppendFloat64(math.NaN())
-				} else {
-					out.Columns[col].AppendFloat64(b.sums[ai][g] / float64(b.counts[g]))
-				}
-			case AggMin:
-				if outSchema.Fields[col].Type == columnar.Int64 {
-					out.Columns[col].AppendInt64(int64(b.mins[ai][g]))
-				} else {
-					out.Columns[col].AppendFloat64(b.mins[ai][g])
-				}
-			case AggMax:
-				if outSchema.Fields[col].Type == columnar.Int64 {
-					out.Columns[col].AppendInt64(int64(b.maxs[ai][g]))
-				} else {
-					out.Columns[col].AppendFloat64(b.maxs[ai][g])
-				}
+				col.Float64s = append(col.Float64s, avg)
 			}
-			col++
+		default: // the state kept, the other one being empty
+			col.Int64s = append(col.Int64s, a.ints...)
+			col.Float64s = append(col.Float64s, a.floats...)
 		}
 	}
 	return out, nil

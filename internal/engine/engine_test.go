@@ -215,14 +215,10 @@ func TestExecuteLimitAndOrder(t *testing.T) {
 	if !reflect.DeepEqual(out.Columns[0].Int64s, []int64{5, 4, 3}) {
 		t.Errorf("result = %v", out.Columns[0].Int64s)
 	}
-	// A negative LIMIT off a payload's plan JSON is outside input: it returns
-	// an error or no rows, never a panic.
-	neg, err := UnmarshalPlan([]byte(`{"kind":"limit","n":-1,"in":{"kind":"scan","table":"t"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out, err := Execute(neg, cat); err == nil && out.NumRows() != 0 {
-		t.Errorf("LIMIT -1 returned %d rows", out.NumRows())
+	// A negative LIMIT off a payload's plan JSON is outside input: it fails
+	// at decode, before anything runs.
+	if _, err := UnmarshalPlan([]byte(`{"kind":"limit","n":-1,"in":{"kind":"scan","table":"t"}}`)); err == nil {
+		t.Error("LIMIT -1 decoded")
 	}
 }
 
@@ -283,15 +279,32 @@ func TestGlobalAggregateOnEmptyInput(t *testing.T) {
 	schema := columnar.NewSchema(columnar.Field{Name: "x", Type: columnar.Int64})
 	cat := Catalog{"t": NewMemSource(schema)}
 	plan := &AggregatePlan{
-		Aggs: []AggSpec{{Func: AggCount, Name: "n"}, {Func: AggSum, Arg: Col("x"), Name: "s"}},
-		In:   &ScanPlan{Table: "t"},
+		Aggs: []AggSpec{{Func: AggCount, Name: "n"}, {Func: AggSum, Arg: Col("x"), Name: "s"},
+			{Func: AggMin, Arg: Col("x"), Name: "lo"}, {Func: AggMax, Arg: Col("x"), Name: "hi"}},
+		In: &ScanPlan{Table: "t"},
 	}
 	out, err := Execute(plan, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.NumRows() != 1 || out.Column("n").Int64s[0] != 0 {
-		t.Errorf("empty aggregate = %v rows, n=%v", out.NumRows(), out.Column("n"))
+		t.Fatalf("empty aggregate = %v rows, n=%v", out.NumRows(), out.Column("n"))
+	}
+	if s, lo, hi := out.Column("s").Int64s[0], out.Column("lo").Int64s[0], out.Column("hi").Int64s[0]; s != 0 || lo != 0 || hi != 0 {
+		t.Errorf("empty aggregate: SUM %d, MIN %d, MAX %d; want zeros", s, lo, hi)
+	}
+}
+
+// TestAggregateRejectsBadSpec: an aggregate other than COUNT without an
+// argument, or one of no known function, as a payload's plan JSON can carry
+// them, fails at Execute.
+func TestAggregateRejectsBadSpec(t *testing.T) {
+	schema := columnar.NewSchema(columnar.Field{Name: "x", Type: columnar.Int64})
+	cat := Catalog{"t": NewMemSource(schema)}
+	for _, a := range []AggSpec{{Func: AggMin, Name: "m"}, {Func: AggFunc(9), Arg: Col("x"), Name: "f"}} {
+		if _, err := Execute(&AggregatePlan{Aggs: []AggSpec{a}, In: &ScanPlan{Table: "t"}}, cat); err == nil {
+			t.Errorf("aggregate %v accepted", a)
+		}
 	}
 }
 
@@ -479,17 +492,22 @@ func TestPropertyFilterDistributesOverChunks(t *testing.T) {
 // Property: SUM/COUNT/MIN/MAX over random data match a straightforward
 // scalar implementation, groups in first-seen order, whether the keys are
 // narrow (the key table's dense mode), wide single keys or two-column keys
-// (its hashed mode), in one chunk or several (partials merged).
+// (its hashed mode), in one chunk or several (partials merged). Over a
+// BIGINT whose values lie beyond 2^53, where a DOUBLE drops their low bits,
+// SUM, MIN and MAX are exact and AVG is within rounding.
 func TestPropertyAggregatesMatchScalar(t *testing.T) {
 	schema := columnar.NewSchema(
 		columnar.Field{Name: "k", Type: columnar.Int64},
 		columnar.Field{Name: "k2", Type: columnar.Int64},
 		columnar.Field{Name: "v", Type: columnar.Float64},
+		columnar.Field{Name: "iv", Type: columnar.Int64},
 	)
 	type acc struct {
-		sum      float64
-		n        int64
-		min, max float64
+		sum        float64
+		n          int64
+		min, max   float64
+		isum       int64
+		imin, imax int64
 	}
 	f := func(keys []uint8, shape uint8) bool {
 		if len(keys) == 0 {
@@ -507,18 +525,22 @@ func TestPropertyAggregatesMatchScalar(t *testing.T) {
 				k = [2]int64{int64(kr % 3), int64(kr%5) * -1000000007}
 			}
 			v := float64(int8(kr)) * 1.25
+			iv := (int64(kr%8)-4)<<55 | int64(kr) // |iv| ≤ 2^57: a SUM of under 64 rows fits
 			c.Columns[0].AppendInt64(k[0])
 			c.Columns[1].AppendInt64(k[1])
 			c.Columns[2].AppendFloat64(v)
+			c.Columns[3].AppendInt64(iv)
 			w := want[k]
 			if w == nil {
-				w = &acc{min: v, max: v}
+				w = &acc{min: v, max: v, imin: iv, imax: iv}
 				want[k] = w
 				order = append(order, k)
 			}
 			w.sum += v
 			w.n++
 			w.min, w.max = math.Min(w.min, v), math.Max(w.max, v)
+			w.isum += iv
+			w.imin, w.imax = min(w.imin, iv), max(w.imax, iv)
 		}
 		groupBy := []string{"k"}
 		if shape%3 == 2 {
@@ -531,6 +553,10 @@ func TestPropertyAggregatesMatchScalar(t *testing.T) {
 				{Func: AggCount, Name: "n"},
 				{Func: AggMin, Arg: Col("v"), Name: "lo"},
 				{Func: AggMax, Arg: Col("v"), Name: "hi"},
+				{Func: AggSum, Arg: Col("iv"), Name: "is"},
+				{Func: AggMin, Arg: Col("iv"), Name: "ilo"},
+				{Func: AggMax, Arg: Col("iv"), Name: "ihi"},
+				{Func: AggAvg, Arg: Col("iv"), Name: "iavg"},
 			},
 			In: &ScanPlan{Table: "t"},
 		}
@@ -545,13 +571,18 @@ func TestPropertyAggregatesMatchScalar(t *testing.T) {
 				math.Abs(out.Column("s").Float64s[i]-w.sum) > 1e-9 ||
 				out.Column("n").Int64s[i] != w.n ||
 				out.Column("lo").Float64s[i] != w.min ||
-				out.Column("hi").Float64s[i] != w.max {
+				out.Column("hi").Float64s[i] != w.max ||
+				out.Column("is").Int64s[i] != w.isum ||
+				out.Column("ilo").Int64s[i] != w.imin ||
+				out.Column("ihi").Int64s[i] != w.imax ||
+				math.Abs(out.Column("iavg").Float64s[i]-float64(w.isum)/float64(w.n)) > 1<<17 { // 2^-40 of 2^57
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	// 150 cases, or 1.5 × -quickchecks (make fuzz-smoke's wider sweep).
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 1.5}); err != nil {
 		t.Error(err)
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"lambada/internal/columnar"
@@ -167,14 +168,18 @@ func buildJoinTable(build *columnar.Chunk, keyIdx []int) joinTable {
 
 // probeChunk appends the (probe row, build row) match pairs of chunk c to
 // the caller-owned selection vectors lsel/rsel, in (probe row asc, build
-// row asc) order — the row-at-a-time reference kernel's order.
+// row asc) order — the row-at-a-time reference kernel's order. It first
+// grows them to room for one match a probe row, so a 1:1 join appends
+// without reallocating.
 func (t *joinTable) probeChunk(c *columnar.Chunk, leftKeyIdx []int, lsel, rsel []int) ([]int, []int) {
+	n := c.NumRows()
+	lsel, rsel = slices.Grow(lsel, n), slices.Grow(rsel, n)
 	var buf [4]int64 // the probe tuple, on the stack for up to four keys
 	key := buf[:0]
 	for range leftKeyIdx {
 		key = append(key, 0)
 	}
-	for row, n := 0, c.NumRows(); row < n; row++ {
+	for row := 0; row < n; row++ {
 		for j, ki := range leftKeyIdx {
 			key[j] = c.Columns[ki].Int64s[row]
 		}

@@ -304,7 +304,8 @@ func TestPropertyJoinMatchesNestedLoop(t *testing.T) {
 		}
 		return r == out.NumRows()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	// 150 cases, or 1.5 × -quickchecks (make fuzz-smoke's wider sweep).
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 1.5}); err != nil {
 		t.Error(err)
 	}
 }

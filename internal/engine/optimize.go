@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"lambada/internal/columnar"
 	"lambada/internal/lpq"
@@ -357,10 +358,10 @@ func SplitAggregate(p *AggregatePlan) (partial *AggregatePlan, final Plan, err e
 	}
 	for i, a := range p.Aggs {
 		switch a.Func {
-		case AggSum:
-			name := partialName(a.Name, i, "sum")
-			partial.Aggs = append(partial.Aggs, AggSpec{Func: AggSum, Arg: a.Arg, Name: name})
-			mergeAggs = append(mergeAggs, AggSpec{Func: AggSum, Arg: Col(name), Name: name})
+		case AggSum, AggMin, AggMax:
+			name := partialName(a.Name, i, strings.ToLower(a.Func.String()))
+			partial.Aggs = append(partial.Aggs, AggSpec{Func: a.Func, Arg: a.Arg, Name: name})
+			mergeAggs = append(mergeAggs, AggSpec{Func: a.Func, Arg: Col(name), Name: name})
 			exprs = append(exprs, Col(name))
 		case AggCount:
 			name := partialName(a.Name, i, "cnt")
@@ -379,16 +380,6 @@ func SplitAggregate(p *AggregatePlan) (partial *AggregatePlan, final Plan, err e
 				AggSpec{Func: AggSum, Arg: Col(cname), Name: cname},
 			)
 			exprs = append(exprs, NewBin(OpDiv, Col(sname), Col(cname)))
-		case AggMin:
-			name := partialName(a.Name, i, "min")
-			partial.Aggs = append(partial.Aggs, AggSpec{Func: AggMin, Arg: a.Arg, Name: name})
-			mergeAggs = append(mergeAggs, AggSpec{Func: AggMin, Arg: Col(name), Name: name})
-			exprs = append(exprs, Col(name))
-		case AggMax:
-			name := partialName(a.Name, i, "max")
-			partial.Aggs = append(partial.Aggs, AggSpec{Func: AggMax, Arg: a.Arg, Name: name})
-			mergeAggs = append(mergeAggs, AggSpec{Func: AggMax, Arg: Col(name), Name: name})
-			exprs = append(exprs, Col(name))
 		default:
 			return nil, nil, fmt.Errorf("engine: cannot split aggregate %v", a.Func)
 		}

@@ -8,8 +8,9 @@ package engine
 //
 //	collect    materialize the stream in arrival order, each row written
 //	           at most once (also the join build side and the query result)
-//	aggregate  group-by (a partial aggBuilder per morsel, reset and
-//	           reused, folded into the master table in arrival order)
+//	aggregate  group-by, one accumulator per aggregate in its argument's
+//	           type (a partial aggBuilder per morsel, reset and reused,
+//	           folded into the master table in arrival order)
 //	sort       collect, then sortChunk
 //	limit      stream until N rows arrived, then cancel the scan (limit
 //	           pushdown into the sink)
@@ -484,7 +485,7 @@ func (s *limitSink) add(c *columnar.Chunk, _ []*columnar.Chunk) (bool, error) {
 
 // finalize copies the first N rows into an output of exactly their count.
 func (s *limitSink) finalize() (*columnar.Chunk, error) {
-	left := max(s.n, 0)
+	left := s.n
 	out := columnar.NewChunk(s.schema, min(s.got, left))
 	for _, c := range s.prefix {
 		k := min(c.NumRows(), left)

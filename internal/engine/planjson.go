@@ -336,6 +336,9 @@ func decodePlanNode(j *planJSON) (Plan, error) {
 		if err != nil {
 			return nil, err
 		}
+		if j.N < 0 {
+			return nil, fmt.Errorf("engine: negative limit %d", j.N)
+		}
 		return &LimitPlan{In: in, N: j.N}, nil
 	case "join":
 		left, err := decodePlanNode(j.In)
