@@ -66,7 +66,9 @@ scale-smoke:
 # to single-node engine.Execute, its own DES replay and a clean substrate.
 # Last, the engine's two property tests (the hash aggregate against a scalar
 # fold, the hash join against a nested loop) run 7 500 random cases each
-# where go test runs 150.
+# where go test runs 150; the aggregate's also holds SplitAggregate's partial
+# over 1–4 workers and its final to the single node, bit for bit, overflow
+# included: a BIGINT SUM out of range fails typed on both.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBoundaryKey -fuzztime=5s ./internal/exchange/
 	$(GO) test -run=NONE -fuzz=FuzzSealManifest -fuzztime=5s ./internal/exchange/

@@ -549,8 +549,8 @@
 // hundred-sender shuffle no longer wakes every parked barrier in the
 // simulation on each Put (Report.Wakeups counts the delivered wakeups). The
 // timed poll remains the fallback for waiters whose write never comes. A
-// functional-mode goroutine (simenv.Immediate) arms nothing: it parks through
-// simenv.WaitNotifyKey, and every wake-up charges the full interval. A driverless round's commit
+// functional-mode goroutine (simenv.Immediate) arms nothing: its Barrier.Wait
+// is a timed wait, and every wake-up charges the full interval. A driverless round's commit
 // discovery is batched: one List of the round's commit namespace per shard
 // bucket per pass, only of buckets still hosting an unseen writer, and an
 // object naming a writer outside the round fails the collect with a

@@ -92,40 +92,13 @@ func (s *Service) CreateTable(name string) {
 	}
 }
 
-// Put stores value under key. Like s3.put, the write becomes visible — and
-// the completion signal fires — only after the write latency elapsed:
-// waiters parked on the signal must not observe (or be woken by) a write
-// the writer is still paying for. An item over MaxItemBytes is refused
-// before anything else.
+// Put stores value under key: the write whose condition always holds. Like
+// s3.put, the write becomes visible — and the completion signal fires — only
+// after the write latency elapsed: waiters parked on the signal must not
+// observe (or be woken by) a write the writer is still paying for. An item
+// over MaxItemBytes is refused before anything else.
 func (s *Service) Put(env simenv.Env, table, key string, value []byte) error {
-	if err := fits(table, key, value); err != nil {
-		return err
-	}
-	if f, ok := s.cfg.Faults.Next(faults.OpDynamoPut); ok && f.Kind == faults.KindThrottle {
-		return ErrThrottled
-	}
-	s.mu.Lock()
-	_, ok := s.tables[table]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchTable, table)
-	}
-	s.cfg.Meter.Charge(env, obs.Cost{DynamoWrites: 1})
-	s.sleep(env, s.cfg.WriteLatency)
-	s.mu.Lock()
-	t, ok := s.tables[table]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoSuchTable, table)
-	}
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	t[key] = cp
-	s.mu.Unlock()
-	// Completion signal: wake pollers parked on this item's topic —
-	// pipelined stage workers park on the ready marker this Put may be.
-	simenv.BroadcastKey(env, "dynamo/"+table+"/"+key)
-	return nil
+	return s.write(env, faults.OpDynamoPut, table, key, value, nil)
 }
 
 // PutIf stores value under key only when the item's current state matches
@@ -138,10 +111,24 @@ func (s *Service) Put(env simenv.Env, table, key string, value []byte) error {
 // write (DynamoDB charges failed conditional writes) and returns
 // ErrConditionFailed. An item over MaxItemBytes is refused as by Put.
 func (s *Service) PutIf(env simenv.Env, table, key string, value, expect []byte) error {
+	return s.write(env, faults.OpDynamoPutIf, table, key, value, func(cur []byte, exists bool) bool {
+		if expect == nil {
+			return !exists
+		}
+		return exists && bytes.Equal(cur, expect)
+	})
+}
+
+// write is Put's and PutIf's one path, drawing its faults from op's stream:
+// the size check, an injected throttle, the table check, the charge, the
+// write latency, then — under the lock — the condition (nil always holds)
+// and the store, and last the completion signal: pollers parked on this
+// item's topic wake, pipelined stage workers on the ready marker it may be.
+func (s *Service) write(env simenv.Env, op, table, key string, value []byte, cond func(cur []byte, exists bool) bool) error {
 	if err := fits(table, key, value); err != nil {
 		return err
 	}
-	if f, ok := s.cfg.Faults.Next(faults.OpDynamoPutIf); ok && f.Kind == faults.KindThrottle {
+	if f, ok := s.cfg.Faults.Next(op); ok && f.Kind == faults.KindThrottle {
 		return ErrThrottled
 	}
 	s.mu.Lock()
@@ -158,22 +145,14 @@ func (s *Service) PutIf(env simenv.Env, table, key string, value, expect []byte)
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNoSuchTable, table)
 	}
-	cur, exists := t[key]
-	met := false
-	if expect == nil {
-		met = !exists
-	} else {
-		met = exists && bytes.Equal(cur, expect)
-	}
-	if met {
-		cp := make([]byte, len(value))
-		copy(cp, value)
-		t[key] = cp
-	}
-	s.mu.Unlock()
-	if !met {
+	if cur, exists := t[key]; cond != nil && !cond(cur, exists) {
+		s.mu.Unlock()
 		return fmt.Errorf("%w: %s/%s", ErrConditionFailed, table, key)
 	}
+	cp := make([]byte, len(value))
+	copy(cp, value)
+	t[key] = cp
+	s.mu.Unlock()
 	simenv.BroadcastKey(env, "dynamo/"+table+"/"+key)
 	return nil
 }

@@ -86,8 +86,8 @@ type Runtime interface {
 type SimRuntime struct{ K *simclock.Kernel }
 
 // DES processes carry the kernel's completion signal, so services can wake
-// pollers (simenv.BroadcastKey / simenv.WaitNotifyKey) in both runtimes, and
-// barriers (simenv.Arm) arm before their check.
+// pollers (simenv.BroadcastKey) in both runtimes, and barriers (simenv.Arm,
+// the one way to wait) arm before their check.
 var (
 	_ simenv.Notifier = (*simclock.Proc)(nil)
 	_ simenv.Armer    = (*simclock.Proc)(nil)
@@ -424,10 +424,9 @@ type crashPanic struct{}
 // crashEnv wraps a worker's environment and kills the worker — by panicking
 // with crashPanic — once virtual time reaches deadline. All worker waiting
 // funnels through Env (compute sleeps, service latencies, barrier parks), so
-// clamping Sleep, WaitNotifyKey and Park to the deadline is exactly "the
-// container died at that instant": whatever the worker had already written
-// (S3 partial output, child invocations) survives, everything after never
-// happens.
+// clamping Sleep and Park to the deadline is exactly "the container died at
+// that instant": whatever the worker had already written (S3 partial output,
+// child invocations) survives, everything after never happens.
 type crashEnv struct {
 	inner    simenv.Env
 	deadline time.Duration
@@ -458,18 +457,13 @@ func (c *crashEnv) crash() {
 	panic(crashPanic{})
 }
 
-// NotifyKey and WaitNotifyKey keep crashEnv a simenv.Notifier, and Arm, Park
-// and Disarm a simenv.Armer: both runtimes' worker environments are
-// Notifiers, and barriers built on simenv.Arm must keep arming before their
-// check and parking on the completion signal (not degrade to fixed polls)
-// under a crash plan — otherwise chaos runs would park differently than
-// clean runs for reasons unrelated to the injected faults.
+// NotifyKey keeps crashEnv a simenv.Notifier, and Arm, Park and Disarm a
+// simenv.Armer: both runtimes' worker environments are Notifiers, and
+// barriers built on simenv.Arm must keep arming before their check and
+// parking on the completion signal (not degrade to fixed polls) under a crash
+// plan — otherwise chaos runs would park differently than clean runs for
+// reasons unrelated to the injected faults.
 func (c *crashEnv) NotifyKey(key string) { simenv.BroadcastKey(c.inner, key) }
-
-func (c *crashEnv) WaitNotifyKey(topic string, d time.Duration) bool {
-	c.Arm(topic)
-	return c.Park(d)
-}
 
 func (c *crashEnv) Arm(topic string) { c.armed = simenv.Arm(c.inner, topic) }
 

@@ -96,25 +96,21 @@ func (e *Immediate) Sleep(d time.Duration) {
 		runtime.Gosched()
 		return
 	}
-	e.WaitNotifyKey("", d)
+	e.wait("", d)
 }
 
-// Notifier is an Env that carries a completion signal waiters can park on
-// directly instead of a timed poll: *simclock.Proc routes through the DES
-// kernel's completion signal (waking at the exact virtual instant of the
-// broadcast), Immediate through the process-wide notify channel. Services
-// broadcast when they produce something a poller may await (an object or
-// marker appearing, a message arriving).
+// Notifier is an Env that carries a completion signal a Barrier can park on
+// instead of a timed poll: *simclock.Proc routes through the DES kernel's
+// completion signal (waking at the exact virtual instant of the broadcast),
+// Immediate through the process-wide notify channel. Services broadcast when
+// they produce something a poller may await (an object or marker appearing,
+// a message arriving).
 type Notifier interface {
 	Env
 	// NotifyKey broadcasts the completion signal for a written key, waking
 	// only waiters parked on a matching topic (a prefix of key); the empty
 	// key wakes every waiter.
 	NotifyKey(key string)
-	// WaitNotifyKey parks the caller until a broadcast whose key matches
-	// topic (prefix match; empty topic matches everything) or until d of
-	// virtual time passed, and reports whether the broadcast arrived.
-	WaitNotifyKey(topic string, d time.Duration) bool
 }
 
 // BroadcastKey signals that something became visible under key: services
@@ -130,19 +126,6 @@ func BroadcastKey(env Env, key string) {
 	NotifyKey(key)
 }
 
-// WaitNotifyKey parks env's caller for at most d of virtual time, waking
-// early on a completion broadcast whose key matches topic, and reports
-// whether the broadcast arrived. Envs without a Notifier implementation
-// fall back to a plain timed Sleep — the polling behavior barriers had
-// before the signal existed.
-func WaitNotifyKey(env Env, topic string, d time.Duration) bool {
-	if n, ok := env.(Notifier); ok {
-		return n.WaitNotifyKey(topic, d)
-	}
-	env.Sleep(d)
-	return false
-}
-
 // Armer is a Notifier whose caller can register its wake-up before the check
 // it parks after (*simclock.Proc): Arm takes a waiter entry on topic, a
 // matching broadcast that lands while the caller checks marks it, and Park
@@ -154,14 +137,16 @@ type Armer interface {
 	Disarm()
 }
 
-// Barrier is a check-then-park wait that cannot lose its wake-up: every
-// barrier arms, then checks, then parks. A check takes virtual time — a
-// request's latency — and a broadcast that lands during it would be missed by
-// a park armed only afterwards, which then sleeps out a whole poll for a
-// write that already happened. Arm it before the check; after the check,
-// Wait if the condition is still false, Cancel otherwise. On an env that is
-// not an Armer (Immediate) Wait is WaitNotifyKey, whose every wake-up charges
-// the full interval, and Cancel does nothing.
+// Barrier is the one way to wait for a completion broadcast: a
+// check-then-park wait that cannot lose its wake-up. Every barrier arms, then
+// checks, then parks; a wait with nothing to check arms and parks at once. A
+// check takes virtual time — a request's latency — and a broadcast that lands
+// during it would be missed by a park armed only afterwards, which then
+// sleeps out a whole poll for a write that already happened. Arm it before
+// the check; after the check, Wait if the condition is still false, Cancel
+// otherwise. On an env that is not an Armer Cancel does nothing, and Wait is
+// Immediate's timed wait, whose every wake-up charges the full interval, or
+// on an env with no completion signal a plain Sleep.
 type Barrier struct {
 	env   Env
 	a     Armer
@@ -184,7 +169,11 @@ func (b Barrier) Wait(d time.Duration) bool {
 	if b.a != nil {
 		return b.a.Park(d)
 	}
-	return WaitNotifyKey(b.env, b.topic, d)
+	if e, ok := b.env.(*Immediate); ok {
+		return e.wait(b.topic, d)
+	}
+	b.env.Sleep(d)
+	return false
 }
 
 // Cancel withdraws the barrier's entry: the check succeeded, or the caller
@@ -204,16 +193,17 @@ func (e *Immediate) NotifyKey(key string) { NotifyKey(key) }
 // same interface assertion the driver uses for *simclock.Proc.
 func (e *Immediate) CompletionWakeups() uint64 { return notifyWakeups.Load() }
 
-// WaitNotifyKey parks on the topic's channel (the wildcard channel when
-// topic is empty) with the pollGuard timer as the real-time fallback
-// (Notifier). Every wake-up — notified or not — charges the full d of
+// wait is Barrier.Wait on an Immediate, and its poll-sized Sleep: it parks on
+// the topic's channel (the wildcard channel when topic is empty) with the
+// pollGuard timer as the real-time fallback, and reports whether a matching
+// broadcast arrived. Every wake-up — notified or not — charges the full d of
 // virtual time, exactly like the Sleep-based poll loop it replaces: an
 // Immediate env has no cross-goroutine clock to date the broadcast with,
 // and charging less would let a waiter whose condition never turns true
 // spin below its virtual deadline for as long as unrelated broadcasts keep
 // arriving. (DES processes don't have this problem: their kernel clock
 // advances to the broadcast's true instant.)
-func (e *Immediate) WaitNotifyKey(topic string, d time.Duration) bool {
+func (e *Immediate) wait(topic string, d time.Duration) bool {
 	if d > 0 {
 		e.elapsed.Add(int64(d))
 	}

@@ -86,7 +86,7 @@ func TestSleepWithoutSignalStillProgresses(t *testing.T) {
 func TestImmediateWaitNotify(t *testing.T) {
 	e := NewImmediate()
 	done := make(chan bool)
-	go func() { done <- e.WaitNotifyKey("", time.Second) }()
+	go func() { done <- Arm(e, "").Wait(time.Second) }()
 	time.Sleep(2 * time.Millisecond)
 	NotifyKey("")
 	select {
@@ -100,7 +100,7 @@ func TestImmediateWaitNotify(t *testing.T) {
 
 	// With no broadcaster the guard expires; the charge is the same.
 	before := e.Now()
-	e.WaitNotifyKey("", 3*time.Second)
+	Arm(e, "").Wait(3 * time.Second)
 	if got := e.Now() - before; got != 3*time.Second {
 		t.Errorf("timeout charged %v, want 3s", got)
 	}
@@ -117,7 +117,7 @@ func (plainEnv) Sleep(time.Duration) {}
 func TestBroadcastFallsBackToNotify(t *testing.T) {
 	e := NewImmediate()
 	done := make(chan bool)
-	go func() { done <- e.WaitNotifyKey("", 10*time.Second) }()
+	go func() { done <- Arm(e, "").Wait(10 * time.Second) }()
 	time.Sleep(2 * time.Millisecond)
 	BroadcastKey(plainEnv{}, "") // implements Env only
 	select {

@@ -152,10 +152,10 @@ func (s *Service) Send(env simenv.Env, queue string, body []byte) error {
 
 	s.cfg.Meter.Charge(env, obs.Cost{SQSRequests: 1})
 	// Completion signal: wake pollers parked on this queue's topic — DES
-	// processes in Proc.WaitNotifyKey and Immediate-env pollers blocked in
-	// Sleep — so result collectors react to the message at its exact arrival
-	// instant instead of on their next throttled poll tick, and collectors
-	// of other queues stay parked.
+	// processes parked on a simenv.Barrier and Immediate-env pollers blocked
+	// in Sleep or a Barrier's timed wait — so result collectors react to the
+	// message at its exact arrival instant instead of on their next throttled
+	// poll tick, and collectors of other queues stay parked.
 	simenv.BroadcastKey(env, "sqs/"+queue)
 	s.sleep(env, s.cfg.SendLatency)
 	return nil

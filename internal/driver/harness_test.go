@@ -477,7 +477,7 @@ func runConcurrently(p *simclock.Proc, sess *Session, files TableFiles, queries 
 		})
 	}
 	for done < len(queries) {
-		simenv.WaitNotifyKey(p, "test/done", time.Second)
+		simenv.Arm(p, "test/done").Wait(time.Second)
 	}
 }
 

@@ -149,7 +149,7 @@ func (d *query) quiesce(stragglers bool) {
 		return
 	}
 	for d.reclaiming || stragglers && d.dep.Lambda.Running() > 0 {
-		simenv.WaitNotifyKey(d.env, "", d.cfg.PollInterval)
+		simenv.Arm(d.env, "").Wait(d.cfg.PollInterval)
 	}
 }
 

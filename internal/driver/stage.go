@@ -688,7 +688,7 @@ func (l *launcher) run(p *simclock.Proc) {
 func (l *launcher) wait() error {
 	l.stop = true
 	for l.running {
-		simenv.WaitNotifyKey(l.d.env, l.topic(), l.d.cfg.PollInterval)
+		simenv.Arm(l.d.env, l.topic()).Wait(l.d.cfg.PollInterval)
 	}
 	return l.err
 }
@@ -768,7 +768,7 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 		// No worker can have posted before the pass's first Invoke: park on
 		// the result queue before the first Receive rather than bill an
 		// empty one.
-		simenv.WaitNotifyKey(d.env, topic, d.cfg.PollInterval)
+		simenv.Arm(d.env, topic).Wait(d.cfg.PollInterval)
 	}
 	for !s.done() {
 		// Resume partial launches: containers of this or other queries

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -14,10 +15,11 @@ import (
 // evaluates its argument once and runs one tight loop over that mapping,
 // writing its one state slice. No per-row allocation anywhere.
 //
-// Every group has a row count, which COUNT reads and AVG divides by. Beside
-// it each other aggregate keeps one accumulator, in its argument's type: a
-// BIGINT SUM, MIN or MAX folds into an []int64, so it is exact, and AVG or a
-// DOUBLE SUM, MIN or MAX into a []float64.
+// Every group has a row count, which COUNT reads. Beside it each other
+// aggregate keeps one accumulator, in its argument's type: a BIGINT SUM, MIN
+// or MAX folds into an []int64, so it is exact (a SUM out of range fails with
+// ErrSumOverflow), and a DOUBLE one into a []float64. AVG is not here: it is
+// SplitAggregate's SUM ÷ COUNT, on a single node too (splitLocal).
 //
 // The aggregate sink computes a partial builder per morsel — one builder,
 // reset between morsels — and folds the partials into a master builder in
@@ -29,6 +31,7 @@ import (
 // hashed.
 type aggBuilder struct {
 	keyIdx []int
+	aggs   []AggSpec         // the plan's, which errors name
 	keys   columnar.KeyTable // group keys → group ordinals, first-seen order
 	counts []int64           // rows per group, ordinal-indexed
 	accs   []accumulator     // one per aggregate
@@ -38,8 +41,7 @@ type aggBuilder struct {
 }
 
 // accumulator is one aggregate's per-group state, ordinal-indexed: ints for
-// a BIGINT SUM, MIN or MAX, floats for AVG and a DOUBLE SUM, MIN or MAX,
-// neither for COUNT.
+// a BIGINT SUM, MIN or MAX, floats for a DOUBLE one, neither for COUNT.
 type accumulator struct {
 	fn     AggFunc
 	arg    Expr // nil for COUNT, which reads the builder's counts
@@ -48,8 +50,12 @@ type accumulator struct {
 	floats []float64
 }
 
+// ErrSumOverflow is reported when a BIGINT SUM leaves int64's range: the
+// aggregate fails rather than return a wrapped total.
+var ErrSumOverflow = errors.New("engine: BIGINT SUM overflows")
+
 // newAggBuilder validates the plan against the input schema and returns an
-// empty builder.
+// empty builder. It refuses AVG, which runs as SplitAggregate's SUM ÷ COUNT.
 func newAggBuilder(p *AggregatePlan, inSchema *columnar.Schema) (*aggBuilder, error) {
 	keyIdx := make([]int, len(p.GroupBy))
 	for i, g := range p.GroupBy {
@@ -63,11 +69,12 @@ func newAggBuilder(p *AggregatePlan, inSchema *columnar.Schema) (*aggBuilder, er
 	}
 	b := &aggBuilder{
 		keyIdx: keyIdx,
+		aggs:   p.Aggs,
 		accs:   make([]accumulator, len(p.Aggs)),
 		cols:   make([][]int64, len(keyIdx)),
 	}
 	for i, a := range p.Aggs {
-		if a.Func > AggMax || a.Func != AggCount && a.Arg == nil {
+		if a.Func > AggMax || a.Func == AggAvg || a.Func != AggCount && a.Arg == nil {
 			return nil, fmt.Errorf("engine: bad aggregate %s", a)
 		}
 		b.accs[i].fn = a.Func
@@ -79,7 +86,7 @@ func newAggBuilder(p *AggregatePlan, inSchema *columnar.Schema) (*aggBuilder, er
 			return nil, err
 		}
 		if a.Func != AggCount {
-			b.accs[i].arg, b.accs[i].exact = a.Arg, t == columnar.Int64 && a.Func != AggAvg
+			b.accs[i].arg, b.accs[i].exact = a.Arg, t == columnar.Int64
 		}
 	}
 	b.keys.Reset(len(keyIdx))
@@ -161,30 +168,43 @@ func (b *aggBuilder) addChunk(c *columnar.Chunk, pool *columnar.Pool) error {
 		if err != nil {
 			return err
 		}
-		switch {
-		case a.exact:
-			fold(a.fn, a.ints, v.Int64s, rg)
-		case v.Type == columnar.Float64:
-			fold(a.fn, a.floats, v.Float64s, rg)
-		case v.Type == columnar.Int64: // AVG over BIGINT
-			for i, g := range rg {
-				a.floats[g] += float64(v.Int64s[i])
-			}
-		default: // AVG over BOOLEAN
-			for i, g := range rg {
-				if v.Bools[i] {
-					a.floats[g]++
-				}
-			}
-		}
+		ok := a.add(v.Int64s, v.Float64s, rg)
 		release(pool, a.arg, v)
+		if !ok {
+			return fmt.Errorf("%w: %s", ErrSumOverflow, b.aggs[ai])
+		}
 	}
 	return nil
 }
 
+// add folds the values of the type a keeps — ints or floats, the other
+// ignored — into a's state, value i into group to[i], and reports whether a
+// BIGINT SUM stayed in int64's range.
+func (a *accumulator) add(ints []int64, floats []float64, to []int32) bool {
+	if !a.exact {
+		fold(a.fn, a.floats, floats, to)
+		return true
+	}
+	if a.fn != AggSum {
+		fold(a.fn, a.ints, ints, to)
+		return true
+	}
+	s := a.ints
+	to = to[:len(ints)]
+	var wrapped int64
+	for i, x := range ints {
+		g := to[i]
+		sum := s[g] + x
+		wrapped |= (s[g] ^ sum) & (x ^ sum) // negative: the sum's sign is neither addend's
+		s[g] = sum
+	}
+	return wrapped >= 0
+}
+
 // fold folds the values xs into the state s by fn, xs[i] into s[to[i]]: a
 // chunk's argument values through its row → group mapping, or a partial
-// builder's state through its group → group mapping.
+// builder's state through its group → group mapping. A BIGINT SUM folds in
+// accumulator.add, which checks its range.
 func fold[T int64 | float64](fn AggFunc, s, xs []T, to []int32) {
 	to = to[:len(xs)]
 	switch fn {
@@ -230,7 +250,7 @@ func (b *aggBuilder) mapRows(c *columnar.Chunk, rg []int32) {
 // first-seen order. Both builders must come from the same plan; o's groups
 // are left as they were. Callers fold partials in arrival order, so float
 // sums combine in the same order on every run.
-func (b *aggBuilder) mergeFrom(o *aggBuilder) {
+func (b *aggBuilder) mergeFrom(o *aggBuilder) error {
 	nk := len(b.keyIdx)
 	okeys := o.keys.Keys()
 	to := b.to[:0]
@@ -243,9 +263,11 @@ func (b *aggBuilder) mergeFrom(o *aggBuilder) {
 	fold(AggCount, b.counts, o.counts, to)
 	for i := range b.accs {
 		a, oa := &b.accs[i], &o.accs[i]
-		fold(a.fn, a.ints, oa.ints, to) // a state not kept is empty: a no-op
-		fold(a.fn, a.floats, oa.floats, to)
+		if !a.add(oa.ints, oa.floats, to) {
+			return fmt.Errorf("%w: %s", ErrSumOverflow, b.aggs[i])
+		}
 	}
+	return nil
 }
 
 // finalize emits the result chunk, groups in ordinal (first-seen) order,
@@ -275,18 +297,9 @@ func (b *aggBuilder) finalize(outSchema *columnar.Schema) (*columnar.Chunk, erro
 	}
 	for i, a := range b.accs {
 		col := out.Columns[nk+i]
-		switch {
-		case a.fn == AggCount:
+		if a.fn == AggCount {
 			col.Int64s = append(col.Int64s, b.counts...)
-		case a.fn == AggAvg:
-			for g, sum := range a.floats {
-				avg := math.NaN()
-				if b.counts[g] != 0 {
-					avg = sum / float64(b.counts[g])
-				}
-				col.Float64s = append(col.Float64s, avg)
-			}
-		default: // the state kept, the other one being empty
+		} else { // the state kept, the other one being empty
 			col.Int64s = append(col.Int64s, a.ints...)
 			col.Float64s = append(col.Float64s, a.floats...)
 		}

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/big"
 	"reflect"
 	"strings"
 	"testing"
@@ -489,12 +492,17 @@ func TestPropertyFilterDistributesOverChunks(t *testing.T) {
 	}
 }
 
-// Property: SUM/COUNT/MIN/MAX over random data match a straightforward
+// Property: SUM/COUNT/MIN/MAX/AVG over random data match a straightforward
 // scalar implementation, groups in first-seen order, whether the keys are
 // narrow (the key table's dense mode), wide single keys or two-column keys
 // (its hashed mode), in one chunk or several (partials merged). Over a
 // BIGINT whose values lie beyond 2^53, where a DOUBLE drops their low bits,
-// SUM, MIN and MAX are exact and AVG is within rounding.
+// SUM, MIN and MAX are exact and AVG is the exact SUM over the COUNT; over
+// BIGINTs near 2^62, where a group's sum may leave int64's range, Execute
+// fails with ErrSumOverflow instead. Differential leg: SplitAggregate's
+// partial over 1–4 contiguous runs of the morsels, as that many workers, and
+// its final over their partials in worker order give every column bit-equal
+// to Execute's, or the same typed error.
 func TestPropertyAggregatesMatchScalar(t *testing.T) {
 	schema := columnar.NewSchema(
 		columnar.Field{Name: "k", Type: columnar.Int64},
@@ -506,7 +514,7 @@ func TestPropertyAggregatesMatchScalar(t *testing.T) {
 		sum        float64
 		n          int64
 		min, max   float64
-		isum       int64
+		isum       big.Int
 		imin, imax int64
 	}
 	f := func(keys []uint8, shape uint8) bool {
@@ -526,6 +534,9 @@ func TestPropertyAggregatesMatchScalar(t *testing.T) {
 			}
 			v := float64(int8(kr)) * 1.25
 			iv := (int64(kr%8)-4)<<55 | int64(kr) // |iv| ≤ 2^57: a SUM of under 64 rows fits
+			if shape/48%2 == 1 {
+				iv = int64(kr%4+1)<<60 | int64(kr) // ≤ 2^62 + 255, all positive: overflow is the total's
+			}
 			c.Columns[0].AppendInt64(k[0])
 			c.Columns[1].AppendInt64(k[1])
 			c.Columns[2].AppendFloat64(v)
@@ -539,7 +550,7 @@ func TestPropertyAggregatesMatchScalar(t *testing.T) {
 			w.sum += v
 			w.n++
 			w.min, w.max = math.Min(w.min, v), math.Max(w.max, v)
-			w.isum += iv
+			w.isum.Add(&w.isum, big.NewInt(iv))
 			w.imin, w.imax = min(w.imin, iv), max(w.imax, iv)
 		}
 		groupBy := []string{"k"}
@@ -560,22 +571,30 @@ func TestPropertyAggregatesMatchScalar(t *testing.T) {
 			},
 			In: &ScanPlan{Table: "t"},
 		}
-		out, err := Execute(plan, Catalog{"t": NewMemSource(schema, c.Split(int(shape/3)%4+1)...)})
-		if err != nil || out.NumRows() != len(order) {
+		parts := c.Split(int(shape/3)%4 + 1)
+		out, err := Execute(plan, Catalog{"t": NewMemSource(schema, parts...)})
+		split, serr := runSplit(plan, schema, parts, int(shape/12)%4+1)
+		for _, w := range want {
+			if !w.isum.IsInt64() {
+				return errors.Is(err, ErrSumOverflow) && errors.Is(serr, ErrSumOverflow)
+			}
+		}
+		if err != nil || serr != nil || out.NumRows() != len(order) || chunkDigest(split) != chunkDigest(out) {
 			return false
 		}
 		for i, k := range order {
 			w := want[k]
+			isum := w.isum.Int64()
 			if out.Column("k").Int64s[i] != k[0] ||
 				shape%3 == 2 && out.Column("k2").Int64s[i] != k[1] ||
 				math.Abs(out.Column("s").Float64s[i]-w.sum) > 1e-9 ||
 				out.Column("n").Int64s[i] != w.n ||
 				out.Column("lo").Float64s[i] != w.min ||
 				out.Column("hi").Float64s[i] != w.max ||
-				out.Column("is").Int64s[i] != w.isum ||
+				out.Column("is").Int64s[i] != isum ||
 				out.Column("ilo").Int64s[i] != w.imin ||
 				out.Column("ihi").Int64s[i] != w.imax ||
-				math.Abs(out.Column("iavg").Float64s[i]-float64(w.isum)/float64(w.n)) > 1<<17 { // 2^-40 of 2^57
+				out.Column("iavg").Float64s[i] != float64(isum)/float64(w.n) {
 				return false
 			}
 		}
@@ -584,6 +603,89 @@ func TestPropertyAggregatesMatchScalar(t *testing.T) {
 	// 150 cases, or 1.5 × -quickchecks (make fuzz-smoke's wider sweep).
 	if err := quick.Check(f, &quick.Config{MaxCountScale: 1.5}); err != nil {
 		t.Error(err)
+	}
+}
+
+// runSplit runs p over table t as a staged query does: SplitAggregate's
+// partial on each of workers workers — contiguous runs of parts, in order,
+// as its morsels — then its final over their partials in worker order. It
+// returns the first error.
+func runSplit(p *AggregatePlan, schema *columnar.Schema, parts []*columnar.Chunk, workers int) (*columnar.Chunk, error) {
+	if err := Resolve(p, Catalog{"t": NewMemSource(schema)}); err != nil {
+		return nil, err
+	}
+	partial, final, err := SplitAggregate(p)
+	if err != nil {
+		return nil, err
+	}
+	var results []*columnar.Chunk
+	for w := range workers {
+		mine := parts[w*len(parts)/workers : (w+1)*len(parts)/workers]
+		r, err := Execute(partial, Catalog{"t": NewMemSource(schema, mine...)})
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, r)
+	}
+	ws, err := partial.OutSchema()
+	if err != nil {
+		return nil, err
+	}
+	return Execute(final, Catalog{WorkerResultTable: NewMemSource(ws, results...)})
+}
+
+// int64Table is one BIGINT column v holding vals.
+func int64Table(vals ...int64) *columnar.Chunk {
+	c := columnar.NewChunk(columnar.NewSchema(columnar.Field{Name: "v", Type: columnar.Int64}), len(vals))
+	for _, v := range vals {
+		c.Columns[0].AppendInt64(v)
+	}
+	return c
+}
+
+// TestAvgIsTheSplits: a single node's AVG is SplitAggregate's, the exact
+// BIGINT SUM divided once by the COUNT. Over three rows of 2^53+1 both give
+// 9007199254740994, where a per-row float sum gave 9007199254740992.
+func TestAvgIsTheSplits(t *testing.T) {
+	c := int64Table(1<<53+1, 1<<53+1, 1<<53+1)
+	plan := &AggregatePlan{Aggs: []AggSpec{{Func: AggAvg, Arg: Col("v"), Name: "a"}}, In: &ScanPlan{Table: "t"}}
+	single, err := Execute(plan, Catalog{"t": NewMemSource(c.Schema, c)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := runSplit(plan, c.Schema, c.Split(3), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 9007199254740994
+	if got, staged := single.Columns[0].Float64s[0], split.Columns[0].Float64s[0]; got != want || staged != want {
+		t.Errorf("AVG = %.0f single-node, %.0f split; want %.0f", got, staged, float64(want))
+	}
+}
+
+// TestBigintSumOverflowFailsTyped: a BIGINT SUM past int64's range — three
+// rows of 2^62, which wrapped to -2^62 — fails with ErrSumOverflow naming the
+// aggregate, on a single node and split, whether the range is left inside a
+// morsel, where morsels' partials merge or where the final merges workers'
+// partials; so does an AVG over it.
+func TestBigintSumOverflowFailsTyped(t *testing.T) {
+	c := int64Table(1<<62, 1<<62, 1<<62)
+	for _, fn := range []AggFunc{AggSum, AggAvg} {
+		plan := &AggregatePlan{Aggs: []AggSpec{{Func: fn, Arg: Col("v"), Name: "total"}}, In: &ScanPlan{Table: "t"}}
+		check := func(path string, out *columnar.Chunk, err error) {
+			if !errors.Is(err, ErrSumOverflow) || !strings.Contains(err.Error(), "total") {
+				t.Errorf("%s %s: got %v, err %v; want %v naming the aggregate", fn, path, out, err, ErrSumOverflow)
+			}
+		}
+		for morsels := 1; morsels <= 3; morsels++ {
+			parts := c.Split(morsels)
+			out, err := Execute(plan, Catalog{"t": NewMemSource(c.Schema, parts...)})
+			check(fmt.Sprintf("single-node over %d morsels", morsels), out, err)
+			for workers := 1; workers <= morsels; workers++ {
+				out, err := runSplit(plan, c.Schema, parts, workers)
+				check(fmt.Sprintf("split over %d morsels, %d workers", morsels, workers), out, err)
+			}
+		}
 	}
 }
 

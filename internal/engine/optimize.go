@@ -338,7 +338,9 @@ const WorkerResultTable = "__worker_results"
 
 // SplitAggregate decomposes an aggregation into a worker partial and a
 // driver final merge. AVG becomes SUM+COUNT partials recombined by a final
-// projection; SUM/COUNT/MIN/MAX merge with SUM/SUM/MIN/MAX.
+// projection; SUM/COUNT/MIN/MAX merge with SUM/SUM/MIN/MAX. It is the
+// engine's one AVG: a single node runs the final over the partial too
+// (splitLocal), dividing the same exact SUM by the same COUNT.
 //
 // A global aggregate yields one row even over no input, its MIN and MAX
 // zero, and zero is no identity of MIN or MAX: merged, a worker whose input
@@ -346,6 +348,9 @@ const WorkerResultTable = "__worker_results"
 // partial with a MIN or MAX also counts its rows, and the merge reads only the
 // partials that saw one — over none, it yields the one row a single node does.
 func SplitAggregate(p *AggregatePlan) (partial *AggregatePlan, final Plan, err error) {
+	if _, err := p.OutSchema(); err != nil { // refused as written, not as its partial
+		return nil, nil, err
+	}
 	partial = &AggregatePlan{In: p.In, GroupBy: p.GroupBy}
 	mergeAggs := []AggSpec{}
 	var rows string // the partial's row count, where the merge needs it
@@ -406,6 +411,21 @@ func SplitAggregate(p *AggregatePlan) (partial *AggregatePlan, final Plan, err e
 	}
 	final = &ProjectPlan{In: merge, Exprs: exprs, Names: names}
 	return partial, final, nil
+}
+
+// splitLocal is p as a single node runs it: SplitAggregate's final with its
+// partial spliced in where the worker results would be scanned.
+func splitLocal(p *AggregatePlan) (Plan, error) {
+	partial, final, err := SplitAggregate(p)
+	if err != nil {
+		return nil, err
+	}
+	in := &final.(*ProjectPlan).In.(*AggregatePlan).In
+	if f, ok := (*in).(*FilterPlan); ok {
+		in = &f.In
+	}
+	*in = partial
+	return final, nil
 }
 
 func partialName(name string, i int, kind string) string {

@@ -10,7 +10,8 @@ package engine
 //	           at most once (also the join build side and the query result)
 //	aggregate  group-by, one accumulator per aggregate in its argument's
 //	           type (a partial aggBuilder per morsel, reset and reused,
-//	           folded into the master table in arrival order)
+//	           folded into the master table in arrival order); one with an
+//	           AVG runs as SplitAggregate's final over its partial
 //	sort       collect, then sortChunk
 //	limit      stream until N rows arrived, then cancel the scan (limit
 //	           pushdown into the sink)
@@ -36,6 +37,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"lambada/internal/columnar"
 )
@@ -108,8 +110,15 @@ func compileGraph(p Plan, cat Catalog) (*graph, *pnode, error) {
 }
 
 // node compiles the subplan rooted at p into a pipeline whose materialized
-// output equals the subplan's result.
+// output equals the subplan's result; an aggregate with an AVG as splitLocal's.
 func (g *graph) node(p Plan) (*pnode, error) {
+	if a, ok := p.(*AggregatePlan); ok && slices.ContainsFunc(a.Aggs, func(s AggSpec) bool { return s.Func == AggAvg }) {
+		final, err := splitLocal(a)
+		if err != nil {
+			return nil, err
+		}
+		return g.node(final)
+	}
 	n := &pnode{sink: sinkCollect, limit: -1}
 	chainIn := p
 	switch t := p.(type) {
@@ -515,7 +524,9 @@ func (s *aggSink) add(c *columnar.Chunk, owned []*columnar.Chunk) (bool, error) 
 	if err := b.addChunk(c, s.pool); err != nil {
 		return false, err
 	}
-	s.master.mergeFrom(b)
+	if err := s.master.mergeFrom(b); err != nil {
+		return false, err
+	}
 	// The morsel is folded into its hash table: the breaker is the recycle
 	// point for every pool chunk this morsel produced (addChunk has already
 	// handed back its argument vectors).

@@ -217,19 +217,19 @@ func (p *AggregatePlan) OutSchema() (*columnar.Schema, error) {
 	}
 	for _, a := range p.Aggs {
 		t := columnar.Float64
-		switch a.Func {
-		case AggCount:
+		switch {
+		case a.Func == AggCount:
 			t = columnar.Int64
-		case AggSum, AggMin, AggMax:
-			if a.Arg != nil {
-				at, err := a.Arg.Type(in)
-				if err != nil {
-					return nil, err
-				}
+		case a.Arg != nil:
+			at, err := a.Arg.Type(in)
+			if err != nil {
+				return nil, err
+			}
+			if at == columnar.Bool {
+				return nil, fmt.Errorf("engine: %s over boolean", a.Func)
+			}
+			if a.Func != AggAvg {
 				t = at
-				if t == columnar.Bool {
-					return nil, fmt.Errorf("engine: %s over boolean", a.Func)
-				}
 			}
 		}
 		out.Fields = append(out.Fields, columnar.Field{Name: a.Name, Type: t})

@@ -23,7 +23,7 @@ type Options struct {
 	Prefix string
 	// Poll is a driverless reader's retry interval while waiting for
 	// commits. It is an upper bound: waits park on the completion signal
-	// s3.Put broadcasts (simenv.WaitNotifyKey) and wake the moment a writer's
+	// s3.Put broadcasts (a simenv.Barrier) and wake the moment a writer's
 	// commit lands. A staged reader never waits.
 	Poll time.Duration
 	// MaxWait bounds a driverless reader's total wait for one round's commits.

@@ -5,6 +5,12 @@ import (
 	"time"
 )
 
+// armPark is the wait a barrier with nothing to check makes: Arm, then Park.
+func armPark(p *Proc, topic string, d time.Duration) bool {
+	p.Arm(topic)
+	return p.Park(d)
+}
+
 // TestWaitNotifyKeyTopicMatching: a keyed broadcast wakes only the
 // waiters whose topic prefix-matches the written key; everyone else
 // sleeps through to their timeout.
@@ -13,7 +19,7 @@ func TestWaitNotifyKeyTopicMatching(t *testing.T) {
 	woke := map[string]bool{}
 	park := func(name, topic string) {
 		k.Go(name, func(p *Proc) {
-			woke[name] = p.WaitNotifyKey(topic, time.Minute)
+			woke[name] = armPark(p, topic, time.Minute)
 		})
 	}
 	park("exact", "s3/bucket-a/key-1")
@@ -43,7 +49,7 @@ func TestNotifyAllWakesEveryTopic(t *testing.T) {
 	for _, topic := range []string{"a/", "b/", ""} {
 		tp := topic
 		k.Go("w-"+tp, func(p *Proc) {
-			if p.WaitNotifyKey(tp, time.Minute) {
+			if armPark(p, tp, time.Minute) {
 				woken++
 			}
 		})
@@ -134,7 +140,7 @@ func TestWaitNotifyKeyTimeoutWithdraws(t *testing.T) {
 	k := New()
 	var got bool
 	k.Go("waiter", func(p *Proc) {
-		got = p.WaitNotifyKey("t/", 100*time.Millisecond)
+		got = armPark(p, "t/", 100*time.Millisecond)
 		p.Sleep(10 * time.Second) // stay alive past the broadcast
 	})
 	k.Go("writer", func(p *Proc) {

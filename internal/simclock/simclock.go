@@ -4,10 +4,10 @@
 // Processes are ordinary goroutines scheduled cooperatively: exactly one
 // process runs at any instant, and control returns to the kernel whenever a
 // process blocks on virtual time (Sleep) or on the keyed completion signal
-// (Arm then Park, or WaitNotifyKey for both at once; woken by NotifyKey or
-// its timeout) — the one synchronization primitive. Events at the same
-// virtual instant are ordered by creation sequence, which makes every run
-// deterministic regardless of how the Go runtime schedules goroutines.
+// (Arm, then Park or Disarm; woken by NotifyKey or its timeout) — the one
+// synchronization primitive. Events at the same virtual instant are ordered
+// by creation sequence, which makes every run deterministic regardless of how
+// the Go runtime schedules goroutines.
 //
 // The kernel is the substrate for the cloud-service simulators in
 // internal/awssim: worker fleets of thousands of serverless functions and
@@ -241,20 +241,6 @@ func (k *Kernel) notifyKey(key string) {
 // DynamoDB item, an SQS message), waking only the waiters parked on a
 // matching topic (every waiter, for the empty key).
 func (p *Proc) NotifyKey(key string) { p.k.notifyKey(key) }
-
-// WaitNotifyKey parks p until a completion broadcast whose key matches
-// topic (prefix match; empty topic matches everything) or until d of
-// virtual time passed, and reports whether the broadcast arrived: Arm, then
-// Park. Together with NotifyKey it satisfies simenv.Notifier, so barriers
-// built on simenv.WaitNotifyKey resolve at the exact virtual instant of the
-// write they await instead of at the next poll boundary. Keyed parking is
-// what lets hundred-sender fleets coexist with parked barriers: an exchange
-// write wakes the one consumer waiting on that stage's prefix, not every
-// waiter in the simulation.
-func (p *Proc) WaitNotifyKey(topic string, d time.Duration) bool {
-	p.Arm(topic)
-	return p.Park(d)
-}
 
 // Arm registers p's entry on topic ahead of the check a barrier makes before
 // it parks. A check takes virtual time — a request's latency — and a matching

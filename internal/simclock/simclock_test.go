@@ -104,7 +104,7 @@ func TestSignalBroadcastWakesAll(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		i := i
 		k.Go("w", func(p *Proc) {
-			if p.WaitNotifyKey("", time.Duration(i+1)*time.Hour) {
+			if armPark(p, "", time.Duration(i+1)*time.Hour) {
 				woken++
 			}
 		})
@@ -128,7 +128,7 @@ func TestSignalBroadcastWakesAll(t *testing.T) {
 }
 
 // TestDeadlockDetection: a live process parked with no wake-up scheduled
-// ends the run and is reported. Sleep and WaitNotifyKey both arm a timer, so
+// ends the run and is reported. Sleep and Park both arm a timer, so
 // only a kernel bug gets a process there; the test parks one by hand.
 func TestDeadlockDetection(t *testing.T) {
 	k := New()
@@ -234,7 +234,7 @@ func TestSignalWaitTimeoutBroadcastWins(t *testing.T) {
 	var notified bool
 	var wokeAt time.Duration
 	k.Go("waiter", func(p *Proc) {
-		notified = p.WaitNotifyKey("", time.Minute)
+		notified = armPark(p, "", time.Minute)
 		wokeAt = p.Now()
 	})
 	k.Go("caster", func(p *Proc) {
@@ -260,7 +260,7 @@ func TestSignalWaitTimeoutExpires(t *testing.T) {
 	k := New()
 	wakeups := 0
 	k.Go("waiter", func(p *Proc) {
-		if p.WaitNotifyKey("", 2*time.Second) {
+		if armPark(p, "", 2*time.Second) {
 			t.Error("spurious notification")
 		}
 		wakeups++
@@ -289,9 +289,9 @@ func TestProcWaitNotify(t *testing.T) {
 	var first, second bool
 	var firstAt time.Duration
 	k.Go("waiter", func(p *Proc) {
-		first = p.WaitNotifyKey("", time.Minute)
+		first = armPark(p, "", time.Minute)
 		firstAt = p.Now()
-		second = p.WaitNotifyKey("", time.Second) // nothing else fires: times out
+		second = armPark(p, "", time.Second) // nothing else fires: times out
 	})
 	k.Go("producer", func(p *Proc) {
 		p.Sleep(700 * time.Millisecond)
@@ -320,7 +320,7 @@ func TestSignalWaitTimeoutDeterministic(t *testing.T) {
 				if i%2 == 0 {
 					d = time.Minute
 				}
-				if p.WaitNotifyKey("", d) {
+				if armPark(p, "", d) {
 					order += string(rune('A' + i))
 				} else {
 					order += string(rune('a' + i))

@@ -213,6 +213,18 @@ func TestDecomposeGlobalAggregate(t *testing.T) {
 	}
 }
 
+// TestDecomposeAvgOverBooleanRefused: AVG over a BOOLEAN is refused with the
+// plan, with the error a single node gives — not the one of the partial's SUM
+// it splits into, while a single node returned the share of trues.
+func TestDecomposeAvgOverBooleanRefused(t *testing.T) {
+	const sql = `SELECT AVG(l_quantity < 5) AS share FROM lineitem`
+	_, err := Decompose(optimized(t, sql), bigStats(), Config{})
+	out, single := engine.Execute(optimized(t, sql), engine.Catalog{"lineitem": engine.NewMemSource(tpch.Schema())})
+	if err == nil || single == nil || err.Error() != single.Error() || !strings.Contains(err.Error(), "AVG over boolean") {
+		t.Errorf("staged: %v; single node: %v, err %v; want one AVG over boolean error", err, out, single)
+	}
+}
+
 func TestDecomposeNonIntGroupKeyFallsBackToDriverMerge(t *testing.T) {
 	// l_quantity is FLOAT: partials cannot repartition on it, so they
 	// funnel to the driver instead.

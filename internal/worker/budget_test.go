@@ -3,6 +3,7 @@ package worker
 import (
 	"encoding/binary"
 	"runtime"
+	"strings"
 	"testing"
 
 	"lambada/internal/awssim/pricing"
@@ -113,5 +114,24 @@ func TestBuildSideOverBudgetRefusedBeforeRead(t *testing.T) {
 		t.Fatalf("a full-size worker: %s", r.Err)
 	} else if gets == 0 {
 		t.Error("a full-size worker billed no GET on the build side's bucket, want its reads")
+	}
+}
+
+// TestSumOverflowSealsNonRetryable: a BIGINT SUM past int64's range fails the
+// task with engine.ErrSumOverflow naming the aggregate, and the worker seals
+// it non-retryable — another attempt sums the same rows — where a wrapped
+// total was once posted as the answer.
+func TestSumOverflowSealsNonRetryable(t *testing.T) {
+	b := newTestbed()
+	schema := columnar.NewSchema(columnar.Field{Name: "v", Type: columnar.Int64})
+	data := columnar.NewChunk(schema, 3)
+	for range 3 {
+		data.Columns[0].AppendInt64(1 << 62)
+	}
+	plan := marshalled(t, optimized(t, "SELECT SUM(v) AS total FROM big", map[string]*columnar.Schema{"big": schema}))
+	tables := TableFiles{"big": b.upload(t, "tpch", "big", data, 1, lpq.WriterOptions{})}
+	r := b.seal(t, 1792, Payload{QueryID: "q1", NumWorkers: 1, Plan: plan, Tables: tables})
+	if r.Retryable || !strings.Contains(r.Err, engine.ErrSumOverflow.Error()+": SUM(v) AS total") {
+		t.Errorf("seal %q (retryable: %t), want a non-retryable %q naming SUM(v) AS total", r.Err, r.Retryable, engine.ErrSumOverflow)
 	}
 }
