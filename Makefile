@@ -64,11 +64,12 @@ scale-smoke:
 # runner that runs nothing, never a panic); FuzzGeneratedPlan runs any seed's
 # generated case (internal/driver's genCase) through runCase, which holds it
 # to single-node engine.Execute, its own DES replay and a clean substrate.
-# Last, the engine's two property tests (the hash aggregate against a scalar
-# fold, the hash join against a nested loop) run 7 500 random cases each
-# where go test runs 150; the aggregate's also holds SplitAggregate's partial
-# over 1–4 workers and its final to the single node, bit for bit, overflow
-# included: a BIGINT SUM out of range fails typed on both.
+# Last, the engine's three property tests (the hash aggregate against a
+# scalar fold, the hash join against a nested loop, the sorted and limited
+# collect against sort.SliceStable over rows as []any) run 7 500 random cases
+# each where go test runs 150; the aggregate's also holds SplitAggregate's
+# partial over 1–4 workers and its final to the single node, bit for bit,
+# overflow included: a BIGINT SUM out of range fails typed on both.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBoundaryKey -fuzztime=5s ./internal/exchange/
 	$(GO) test -run=NONE -fuzz=FuzzSealManifest -fuzztime=5s ./internal/exchange/
@@ -82,7 +83,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzEpochValue -fuzztime=5s ./internal/driver/
 	$(GO) test -run=NONE -fuzz=FuzzQueryBody -fuzztime=5s ./internal/service/
 	$(GO) test -run=NONE -fuzz=FuzzGeneratedPlan -fuzztime=5s ./internal/driver/
-	$(GO) test -run 'TestPropertyAggregatesMatchScalar|TestPropertyJoinMatchesNestedLoop' ./internal/engine/ -quickchecks 5000
+	$(GO) test -run 'TestPropertyAggregatesMatchScalar|TestPropertyJoinMatchesNestedLoop|TestPropertyCollectMatchesSorted' ./internal/engine/ -quickchecks 5000
 
 # chaos runs the deterministic fault-injection suites race-instrumented:
 # the injector/resilience unit tests, the per-service fault tests, the

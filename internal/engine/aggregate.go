@@ -54,6 +54,12 @@ type accumulator struct {
 // aggregate fails rather than return a wrapped total.
 var ErrSumOverflow = errors.New("engine: BIGINT SUM overflows")
 
+// overflow is aggregate i's ErrSumOverflow, naming the user's output column
+// whether i is the user's SUM, a partial or a merge of one.
+func (b *aggBuilder) overflow(i int) error {
+	return fmt.Errorf("%w in column %s", ErrSumOverflow, userName(b.aggs[i].Name))
+}
+
 // newAggBuilder validates the plan against the input schema and returns an
 // empty builder. It refuses AVG, which runs as SplitAggregate's SUM ÷ COUNT.
 func newAggBuilder(p *AggregatePlan, inSchema *columnar.Schema) (*aggBuilder, error) {
@@ -171,7 +177,7 @@ func (b *aggBuilder) addChunk(c *columnar.Chunk, pool *columnar.Pool) error {
 		ok := a.add(v.Int64s, v.Float64s, rg)
 		release(pool, a.arg, v)
 		if !ok {
-			return fmt.Errorf("%w: %s", ErrSumOverflow, b.aggs[ai])
+			return b.overflow(ai)
 		}
 	}
 	return nil
@@ -264,7 +270,7 @@ func (b *aggBuilder) mergeFrom(o *aggBuilder) error {
 	for i := range b.accs {
 		a, oa := &b.accs[i], &o.accs[i]
 		if !a.add(oa.ints, oa.floats, to) {
-			return fmt.Errorf("%w: %s", ErrSumOverflow, b.aggs[i])
+			return b.overflow(i)
 		}
 	}
 	return nil

@@ -34,7 +34,13 @@ func leastAllocated(t *testing.T, f func()) uint64 {
 // a small constant for the plan; over one chunk it allocates no vector at all,
 // the chunk being the output as it is. Appending the chunks onto an empty
 // output instead grows every column by reallocating it, about five times its
-// bytes in all.
+// bytes in all. An ORDER BY over the 8 chunks allocates its output once plus
+// an 8-byte index entry a row — concatenating the chunks first and then
+// gathering them into sorted order wrote every row twice — and an ORDER BY …
+// LIMIT 10 the index and its 10 rows, where a second pipeline for the LIMIT
+// copied them once more. A bare LIMIT 10 allocates no vector the size of its
+// input: it keeps the first chunk's 10 rows (TestLimitStopsScanEarly checks
+// that it stops the scan there).
 func TestCollectWritesEachRowOnce(t *testing.T) {
 	const rows, overhead = 1 << 15, 16 << 10
 	schema := columnar.NewSchema(
@@ -42,27 +48,40 @@ func TestCollectWritesEachRowOnce(t *testing.T) {
 		columnar.Field{Name: "v", Type: columnar.Float64},
 	)
 	whole := columnar.NewChunk(schema, rows)
+	reversed := columnar.NewChunk(schema, rows)
 	for i := range rows {
 		whole.Columns[0].AppendInt64(int64(i))
 		whole.Columns[1].AppendFloat64(float64(i) / 4)
+		reversed.Columns[0].AppendInt64(int64(rows - 1 - i))
+		reversed.Columns[1].AppendFloat64(float64(rows-1-i) / 4)
 	}
 	outBytes := uint64(whole.ByteSize())
-	for _, k := range []int{1, 8} {
-		src := chunked(schema, whole, rows/k)
+	scan := &ScanPlan{Table: "t"}
+	desc := &OrderByPlan{Keys: []OrderKey{{Column: "v", Desc: true}}, In: scan}
+	for _, tc := range []struct {
+		name   string
+		plan   Plan
+		chunks int
+		want   *columnar.Chunk
+		limit  uint64
+	}{
+		{"a collect of 1 chunk", scan, 1, whole, overhead}, // less than one of its vectors, 256 KiB
+		{"a collect of 8 chunks", scan, 8, whole, outBytes + overhead},
+		{"an ORDER BY of 8 chunks", desc, 8, reversed, outBytes + 8*rows + overhead},
+		{"an ORDER BY … LIMIT 10 of 8 chunks", &LimitPlan{N: 10, In: desc}, 8, reversed.Slice(0, 10), 8*rows + overhead},
+		{"a LIMIT 10 of 8 chunks", &LimitPlan{N: 10, In: scan}, 8, whole.Slice(0, 10), overhead},
+	} {
+		src := chunked(schema, whole, rows/tc.chunks)
 		var out *columnar.Chunk
 		got := leastAllocated(t, func() {
 			var err error
-			if out, err = Execute(&ScanPlan{Table: "t"}, Catalog{"t": src}); err != nil {
+			if out, err = Execute(tc.plan, Catalog{"t": src}); err != nil {
 				t.Fatal(err)
 			}
 		})
-		chunksIdentical(t, out, whole)
-		limit := outBytes + overhead
-		if k == 1 {
-			limit = overhead // less than one of its vectors, 256 KiB
-		}
-		if got > limit {
-			t.Errorf("a collect of %d chunks, %d bytes, allocated %d bytes; want at most %d", k, outBytes, got, limit)
+		chunksIdentical(t, out, tc.want)
+		if got > tc.limit {
+			t.Errorf("%s, %d bytes, allocated %d bytes; want at most %d", tc.name, outBytes, got, tc.limit)
 		}
 	}
 }

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/big"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -217,6 +219,15 @@ func TestExecuteLimitAndOrder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out.Columns[0].Int64s, []int64{5, 4, 3}) {
 		t.Errorf("result = %v", out.Columns[0].Int64s)
+	}
+	// A LIMIT directly over an ORDER BY is one pipeline: one collect, sorted
+	// and limited.
+	g, _, err := compileGraph(plan, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.nodes) != 1 {
+		t.Errorf("ORDER BY … LIMIT compiled into %d pipelines, want 1", len(g.nodes))
 	}
 	// A negative LIMIT off a payload's plan JSON is outside input: it fails
 	// at decode, before anything runs.
@@ -606,6 +617,94 @@ func TestPropertyAggregatesMatchScalar(t *testing.T) {
 	}
 }
 
+// Property: an ORDER BY, with or without a LIMIT, returns what a reference
+// that shares no engine code returns — rows as []any, sort.SliceStable, the
+// first LIMIT of them — bit for bit: over 1–4 morsels, from a plain source or
+// a counted one that takes every morsel back (and garbles it) once copied;
+// with no limit, LIMIT 0, one inside the rows and one past them; by one to
+// three keys mixing ASC and DESC over BIGINTs beyond 2^53 (which collapse as
+// DOUBLEs), DOUBLEs and BOOLEANs, all with ties, which keep arrival order.
+func TestPropertyCollectMatchesSorted(t *testing.T) {
+	schema := columnar.NewSchema(
+		columnar.Field{Name: "b", Type: columnar.Int64},
+		columnar.Field{Name: "d", Type: columnar.Float64},
+		columnar.Field{Name: "f", Type: columnar.Bool},
+		columnar.Field{Name: "i", Type: columnar.Int64},
+	)
+	cols := []string{"b", "d", "f", "b"}
+	appendRow := func(c *columnar.Chunk, row []any) {
+		c.Columns[0].AppendInt64(row[0].(int64))
+		c.Columns[1].AppendFloat64(row[1].(float64))
+		c.Columns[2].AppendBool(row[2].(bool))
+		c.Columns[3].AppendInt64(row[3].(int64))
+	}
+	f := func(vals []uint8, spec uint16) bool {
+		c := columnar.NewChunk(schema, len(vals))
+		rows := make([][]any, len(vals))
+		for i, x := range vals {
+			rows[i] = []any{(int64(x%3)-1)<<60 + int64(x%5), float64(int8(x)>>5) * 0.5, x%7 < 3, int64(i)}
+			appendRow(c, rows[i])
+		}
+		var keys []OrderKey
+		var at []int
+		for k := range int(spec/16%3) + 1 {
+			col := int(spec>>(6+3*k)) % 4
+			keys = append(keys, OrderKey{Column: cols[col], Desc: spec>>(8+3*k)%2 == 1})
+			at = append(at, col%3)
+		}
+		sort.SliceStable(rows, func(a, b int) bool {
+			for k, key := range keys {
+				x, y := rows[a][at[k]], rows[b][at[k]]
+				var c int
+				switch x := x.(type) {
+				case int64:
+					c = cmp.Compare(x, y.(int64))
+				case float64:
+					c = cmp.Compare(x, y.(float64))
+				case bool:
+					switch {
+					case x == y.(bool):
+					case x:
+						c = 1
+					default:
+						c = -1
+					}
+				}
+				if key.Desc {
+					c = -c
+				}
+				if c != 0 {
+					return c < 0
+				}
+			}
+			return false
+		})
+		var p Plan = &OrderByPlan{Keys: keys, In: &ScanPlan{Table: "t"}}
+		switch spec / 4 % 4 {
+		case 1:
+			rows, p = rows[:0], &LimitPlan{N: 0, In: p}
+		case 2:
+			rows, p = rows[:len(rows)/2], &LimitPlan{N: len(rows) / 2, In: p}
+		case 3:
+			p = &LimitPlan{N: len(rows) + 5, In: p}
+		}
+		want := columnar.NewChunk(schema, len(rows))
+		for _, row := range rows {
+			appendRow(want, row)
+		}
+		var src Source = NewMemSource(schema, c.Split(int(spec%4)+1)...)
+		if spec&(1<<15) != 0 {
+			src = rowCountingSource{newRecyclingSource(t, src.(*MemSource), true)}
+		}
+		out, err := Execute(p, Catalog{"t": src})
+		return err == nil && chunkDigest(out) == chunkDigest(want)
+	}
+	// 150 cases, or 1.5 × -quickchecks (make fuzz-smoke's wider sweep).
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 1.5}); err != nil {
+		t.Error(err)
+	}
+}
+
 // runSplit runs p over table t as a staged query does: SplitAggregate's
 // partial on each of workers workers — contiguous runs of parts, in order,
 // as its morsels — then its final over their partials in worker order. It
@@ -665,16 +764,16 @@ func TestAvgIsTheSplits(t *testing.T) {
 
 // TestBigintSumOverflowFailsTyped: a BIGINT SUM past int64's range — three
 // rows of 2^62, which wrapped to -2^62 — fails with ErrSumOverflow naming the
-// aggregate, on a single node and split, whether the range is left inside a
-// morsel, where morsels' partials merge or where the final merges workers'
-// partials; so does an AVG over it.
+// user's column, never a partial's, on a single node and split, whether the
+// range is left inside a morsel, where morsels' partials merge, in a worker's
+// partial or where the final merges workers' partials; so does an AVG over it.
 func TestBigintSumOverflowFailsTyped(t *testing.T) {
 	c := int64Table(1<<62, 1<<62, 1<<62)
 	for _, fn := range []AggFunc{AggSum, AggAvg} {
 		plan := &AggregatePlan{Aggs: []AggSpec{{Func: fn, Arg: Col("v"), Name: "total"}}, In: &ScanPlan{Table: "t"}}
 		check := func(path string, out *columnar.Chunk, err error) {
-			if !errors.Is(err, ErrSumOverflow) || !strings.Contains(err.Error(), "total") {
-				t.Errorf("%s %s: got %v, err %v; want %v naming the aggregate", fn, path, out, err, ErrSumOverflow)
+			if !errors.Is(err, ErrSumOverflow) || !strings.Contains(err.Error(), "total") || strings.Contains(err.Error(), "__p") {
+				t.Errorf("%s %s: got %v, err %v; want %v naming column total", fn, path, out, err, ErrSumOverflow)
 			}
 		}
 		for morsels := 1; morsels <= 3; morsels++ {

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"lambada/internal/columnar"
 	"lambada/internal/lpq"
@@ -136,54 +135,6 @@ func FilterSelection(c *columnar.Chunk, pred Expr, sel []int, pool *columnar.Poo
 	}
 	release(pool, pred, v)
 	return sel, nil
-}
-
-// sortChunk sorts by keys, stable. Each key column is compared in its own
-// type: int64 keys as int64 (a float64 comparison would silently collapse
-// neighbouring keys beyond 2^53), float64 as float64, bool as false < true.
-func sortChunk(c *columnar.Chunk, keys []OrderKey) (*columnar.Chunk, error) {
-	idx := make([]int, c.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	cols := make([]*columnar.Vector, len(keys))
-	for i, k := range keys {
-		cols[i] = c.Column(k.Column)
-		if cols[i] == nil {
-			return nil, fmt.Errorf("engine: order key %q missing", k.Column)
-		}
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for i, k := range keys {
-			var less bool
-			switch cols[i].Type {
-			case columnar.Int64:
-				av, bv := cols[i].Int64s[idx[a]], cols[i].Int64s[idx[b]]
-				if av == bv {
-					continue
-				}
-				less = av < bv
-			case columnar.Float64:
-				av, bv := cols[i].Float64s[idx[a]], cols[i].Float64s[idx[b]]
-				if av == bv {
-					continue
-				}
-				less = av < bv
-			default:
-				av, bv := cols[i].Bools[idx[a]], cols[i].Bools[idx[b]]
-				if av == bv {
-					continue
-				}
-				less = !av
-			}
-			if k.Desc {
-				return !less
-			}
-			return less
-		}
-		return false
-	})
-	return c.Gather(idx), nil
 }
 
 // ---- the memory budget of a worker ----

@@ -62,10 +62,6 @@ func (p *JoinPlan) normalizeKeys() {
 // (ErrJoinKey): keys must be Int64 on both sides — bool and float keys
 // fail here, at planning time, instead of panicking at build time.
 func (p *JoinPlan) OutSchema() (*columnar.Schema, error) {
-	lk, rk := p.LeftKeys, p.RightKeys
-	if len(lk) == 0 || len(lk) != len(rk) {
-		return nil, fmt.Errorf("engine: join needs matching key lists, got %d left / %d right", len(lk), len(rk))
-	}
 	ls, err := p.Left.OutSchema()
 	if err != nil {
 		return nil, err
@@ -73,6 +69,16 @@ func (p *JoinPlan) OutSchema() (*columnar.Schema, error) {
 	rs, err := p.Right.OutSchema()
 	if err != nil {
 		return nil, err
+	}
+	return p.schemaFrom(ls, rs)
+}
+
+// schemaFrom is the output schema over the left and right input schemas ls
+// and rs.
+func (p *JoinPlan) schemaFrom(ls, rs *columnar.Schema) (*columnar.Schema, error) {
+	lk, rk := p.LeftKeys, p.RightKeys
+	if len(lk) == 0 || len(lk) != len(rk) {
+		return nil, fmt.Errorf("engine: join needs matching key lists, got %d left / %d right", len(lk), len(rk))
 	}
 	rightKeys := make(map[int]bool, len(rk))
 	for i := range lk {

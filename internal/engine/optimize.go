@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"lambada/internal/columnar"
@@ -348,7 +349,11 @@ const WorkerResultTable = "__worker_results"
 // partial with a MIN or MAX also counts its rows, and the merge reads only the
 // partials that saw one — over none, it yields the one row a single node does.
 func SplitAggregate(p *AggregatePlan) (partial *AggregatePlan, final Plan, err error) {
-	if _, err := p.OutSchema(); err != nil { // refused as written, not as its partial
+	inSchema, err := p.In.OutSchema()
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := p.schemaFrom(inSchema); err != nil { // refused as written, not as its partial
 		return nil, nil, err
 	}
 	partial = &AggregatePlan{In: p.In, GroupBy: p.GroupBy}
@@ -396,7 +401,7 @@ func SplitAggregate(p *AggregatePlan) (partial *AggregatePlan, final Plan, err e
 	if rows != "" {
 		partial.Aggs = append(partial.Aggs, AggSpec{Func: AggCount, Name: rows})
 	}
-	ws, err := partial.OutSchema()
+	ws, err := partial.schemaFrom(inSchema)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -428,6 +433,18 @@ func splitLocal(p *AggregatePlan) (Plan, error) {
 	return final, nil
 }
 
+// partialName names the kind column SplitAggregate derives from the user's
+// aggregate i, output column name: "__p<i>_<kind>_<name>".
 func partialName(name string, i int, kind string) string {
-	return fmt.Sprintf("__p%d_%s_%s", i, kind, name)
+	return "__p" + strconv.Itoa(i) + "_" + kind + "_" + name
+}
+
+// userName is the user's output column a partialName was derived from, or
+// name itself when partialName did not make it: an error about a partial or
+// merge column names what the user wrote.
+func userName(name string) string {
+	if parts := strings.SplitN(name, "_", 5); len(parts) == 5 && strings.HasPrefix(name, "__p") {
+		return parts[4]
+	}
+	return name
 }

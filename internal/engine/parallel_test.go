@@ -417,27 +417,30 @@ func TestParallelJoinByteIdentical(t *testing.T) {
 
 func TestSortChunkInt64PrecisionRegression(t *testing.T) {
 	// Keys adjacent near MaxInt64 are indistinguishable as float64; the
-	// sort must compare them as int64.
+	// sort must compare them as int64, across the morsels it collected.
 	schema := columnar.NewSchema(columnar.Field{Name: "k", Type: columnar.Int64})
 	c := columnar.NewChunk(schema, 4)
 	hi := int64(math.MaxInt64)
 	for _, k := range []int64{hi - 1, hi, hi - 2, hi - 3} {
 		c.Columns[0].AppendInt64(k)
 	}
-	sorted, err := sortChunk(c, []OrderKey{{Column: "k"}})
-	if err != nil {
-		t.Fatal(err)
+	sortBy := func(desc bool) *columnar.Chunk {
+		t.Helper()
+		out, err := Execute(&OrderByPlan{Keys: []OrderKey{{Column: "k", Desc: desc}}, In: &ScanPlan{Table: "t"}},
+			Catalog{"t": NewMemSource(schema, c.Split(2)...)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
+	sorted := sortBy(false)
 	want := []int64{hi - 3, hi - 2, hi - 1, hi}
 	for i, w := range want {
 		if got := sorted.Column("k").Int64s[i]; got != w {
 			t.Fatalf("row %d = %d, want %d (float64 key comparison lost precision)", i, got, w)
 		}
 	}
-	desc, err := sortChunk(c, []OrderKey{{Column: "k", Desc: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	desc := sortBy(true)
 	for i, w := range []int64{hi, hi - 1, hi - 2, hi - 3} {
 		if got := desc.Column("k").Int64s[i]; got != w {
 			t.Fatalf("desc row %d = %d, want %d", i, got, w)

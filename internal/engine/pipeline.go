@@ -4,21 +4,24 @@ package engine
 // decomposes any plan into a DAG of pipelines, each a streamable chain — a
 // scan source (or the materialized output of an upstream pipeline) followed
 // by fused filter/projection/join-probe stages — terminated by a breaker
-// sink:
+// sink, one of two:
 //
-//	collect    materialize the stream in arrival order, each row written
-//	           at most once (also the join build side and the query result)
+//	collect    materialize the stream, each kept row written at most once
+//	           (also the join build side and the query result): in arrival
+//	           order, or stable-sorted by ORDER BY keys through an index over
+//	           the morsels as they arrived; a LIMIT keeps the first N rows
+//	           (without keys it cancels the scan once N arrived — limit
+//	           pushdown into the sink), and a LIMIT directly over an ORDER BY
+//	           is the same collect
 //	aggregate  group-by, one accumulator per aggregate in its argument's
 //	           type (a partial aggBuilder per morsel, reset and reused,
 //	           folded into the master table in arrival order); one with an
 //	           AVG runs as SplitAggregate's final over its partial
-//	sort       collect, then sortChunk
-//	limit      stream until N rows arrived, then cancel the scan (limit
-//	           pushdown into the sink)
 //
-// compileGraph appends every pipeline after the ones it depends on: a
-// join's build pipeline completes (and its hash table seals) before the
-// probe pipeline starts; a breaker's output node completes before the
+// compileGraph types each plan node once, over its input's schema, as it
+// compiles bottom-up. It appends every pipeline after the ones it depends
+// on: a join's build pipeline completes (and its hash table seals) before
+// the probe pipeline starts; a breaker's output node completes before the
 // pipeline it feeds. Execute runs the nodes in that order, one morsel at a
 // time, on the caller's goroutine: a worker has one vCPU at the paper's
 // default memory size (§4.1), and a DES process must not spawn goroutines,
@@ -30,8 +33,8 @@ package engine
 // argument vectors come from it and go back at the breaker, once the morsel
 // is folded into the hash table (see the ownership contract on
 // columnar.Pool). The morsel the scan yielded goes back to its source
-// there too, when the source is a Recycler — and at a collect or sort whose
-// stream was counted (see collectSink), once the morsel is copied into the
+// there too, when the source is a Recycler — and at a collect whose stream
+// was counted (see collectSink), once the morsel is copied into the
 // exact-size output. No other sink pools or recycles: each keeps its chunks.
 
 import (
@@ -40,16 +43,6 @@ import (
 	"slices"
 
 	"lambada/internal/columnar"
-)
-
-// sinkKind names a pipeline breaker.
-type sinkKind uint8
-
-const (
-	sinkCollect sinkKind = iota
-	sinkAgg
-	sinkSort
-	sinkLimit
 )
 
 // stage is one fused non-breaking operator of a pipeline.
@@ -72,7 +65,8 @@ type probeStage struct {
 	nLeft       int
 }
 
-// pnode is one pipeline of the graph: source, fused stages, breaker sink.
+// pnode is one pipeline of the graph: source, fused stages, breaker sink —
+// an aggregate when agg is set, else a collect.
 type pnode struct {
 	// Source: either a scan ...
 	scan *ScanPlan
@@ -82,14 +76,19 @@ type pnode struct {
 
 	stages []stage
 
-	sink      sinkKind
-	agg       *AggregatePlan   // sinkAgg
+	agg       *AggregatePlan   // aggregate sink
 	aggIn     *columnar.Schema // aggregate input schema
-	keys      []OrderKey       // sinkSort
-	limit     int              // sinkLimit
+	keys      []sortKey        // collect: ORDER BY keys; none keeps arrival order
+	limit     int              // collect: rows kept; -1 keeps all
 	outSchema *columnar.Schema
 
 	out *columnar.Chunk // materialized result, set when the node completes
+}
+
+// sortKey is one ORDER BY key, resolved to its column.
+type sortKey struct {
+	col  int
+	desc bool
 }
 
 // graph is a compiled plan: pipelines in dependency (topological) order —
@@ -110,7 +109,9 @@ func compileGraph(p Plan, cat Catalog) (*graph, *pnode, error) {
 }
 
 // node compiles the subplan rooted at p into a pipeline whose materialized
-// output equals the subplan's result; an aggregate with an AVG as splitLocal's.
+// output equals the subplan's result; an aggregate with an AVG as
+// splitLocal's. A LIMIT directly over an ORDER BY is one collect, sorted and
+// limited.
 func (g *graph) node(p Plan) (*pnode, error) {
 	if a, ok := p.(*AggregatePlan); ok && slices.ContainsFunc(a.Aggs, func(s AggSpec) bool { return s.Func == AggAvg }) {
 		final, err := splitLocal(a)
@@ -119,40 +120,57 @@ func (g *graph) node(p Plan) (*pnode, error) {
 		}
 		return g.node(final)
 	}
-	n := &pnode{sink: sinkCollect, limit: -1}
+	n := &pnode{limit: -1}
 	chainIn := p
+	var order *OrderByPlan
 	switch t := p.(type) {
 	case *AggregatePlan:
-		n.sink, n.agg, chainIn = sinkAgg, t, t.In
-		in, err := t.In.OutSchema()
-		if err != nil {
-			return nil, err
-		}
-		n.aggIn = in
-	case *OrderByPlan:
-		n.sink, n.keys, chainIn = sinkSort, t.Keys, t.In
+		n.agg, chainIn = t, t.In
 	case *LimitPlan:
-		n.sink, n.limit, chainIn = sinkLimit, t.N, t.In
+		if t.N < 0 {
+			return nil, fmt.Errorf("engine: negative limit %d", t.N)
+		}
+		n.limit, chainIn = t.N, t.In
+		order, _ = t.In.(*OrderByPlan)
+	case *OrderByPlan:
+		order = t
 	}
-	schema, err := p.OutSchema()
+	if order != nil {
+		chainIn = order.In
+	}
+	in, err := g.chain(chainIn, n)
 	if err != nil {
 		return nil, err
 	}
-	n.outSchema = schema
-	if err := g.chain(chainIn, n); err != nil {
-		return nil, err
+	n.outSchema = in
+	if n.agg != nil {
+		n.aggIn = in
+		if n.outSchema, err = n.agg.schemaFrom(in); err != nil {
+			return nil, err
+		}
+	}
+	if order != nil {
+		for _, k := range order.Keys {
+			col := in.Index(k.Column)
+			if col < 0 {
+				return nil, fmt.Errorf("engine: order key %q missing", k.Column)
+			}
+			n.keys = append(n.keys, sortKey{col: col, desc: k.Desc})
+		}
 	}
 	g.nodes = append(g.nodes, n)
 	return n, nil
 }
 
-// chain compiles the streamable operator chain below a sink: it walks down
-// through Filter/Project/Join nodes to the pipeline's source (a scan, or a
-// nested breaker that becomes an input node), then records the stages in
-// execution order. Join probe sides continue the chain; build sides become
-// nodes of their own, compiled (and so run) first.
-func (g *graph) chain(p Plan, n *pnode) error {
+// chain compiles the streamable operator chain below a sink and returns its
+// output schema: it walks down through Filter/Project/Join nodes to the
+// pipeline's source (a scan, or a nested breaker that becomes an input node),
+// then records the stages in execution order, typing each over the schema
+// below it. Join probe sides continue the chain; build sides become nodes of
+// their own, compiled (and so run) first.
+func (g *graph) chain(p Plan, n *pnode) (*columnar.Schema, error) {
 	var ops []Plan
+	var schema *columnar.Schema
 	cur := p
 walk:
 	for {
@@ -160,9 +178,13 @@ walk:
 		case *ScanPlan:
 			src := g.cat[t.Table]
 			if src == nil {
-				return fmt.Errorf("engine: unknown table %q", t.Table)
+				return nil, fmt.Errorf("engine: unknown table %q", t.Table)
 			}
-			n.scan, n.src = t, src
+			s, err := t.OutSchema()
+			if err != nil {
+				return nil, err
+			}
+			n.scan, n.src, schema = t, src, s
 			break walk
 		case *FilterPlan:
 			ops = append(ops, t)
@@ -176,12 +198,12 @@ walk:
 		case *AggregatePlan, *OrderByPlan, *LimitPlan:
 			sub, err := g.node(cur)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			n.input = sub
+			n.input, schema = sub, sub.outSchema
 			break walk
 		default:
-			return fmt.Errorf("engine: unknown plan node %T", cur)
+			return nil, fmt.Errorf("engine: unknown plan node %T", cur)
 		}
 	}
 	if n.scan != nil && n.scan.Filter != nil {
@@ -196,39 +218,39 @@ walk:
 		case *FilterPlan:
 			n.stages = append(n.stages, stage{filter: op.Pred})
 		case *ProjectPlan:
-			schema, err := op.OutSchema()
+			s, err := op.schemaFrom(schema)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			n.stages = append(n.stages, stage{exprs: op.Exprs, schema: schema})
+			n.stages = append(n.stages, stage{exprs: op.Exprs, schema: s})
+			schema = s
 		case *JoinPlan:
-			ps, err := g.probeStage(op)
+			ps, err := g.probeStage(op, schema)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			n.stages = append(n.stages, stage{probe: ps})
+			schema = ps.outSchema
 		}
 	}
-	return nil
+	return schema, nil
 }
 
-// probeStage compiles a join: the build side becomes its own (collect)
-// pipeline, the probe metadata is precomputed against the resolved schemas.
-func (g *graph) probeStage(j *JoinPlan) (*probeStage, error) {
-	outSchema, err := j.OutSchema() // validates key lists and types
+// probeStage compiles a join whose probe side has schema ls: the build side
+// becomes its own (collect) pipeline, the probe metadata is precomputed
+// against the two sides' schemas.
+func (g *graph) probeStage(j *JoinPlan, ls *columnar.Schema) (*probeStage, error) {
+	build, err := g.node(j.Right)
 	if err != nil {
 		return nil, err
 	}
-	ls, err := j.Left.OutSchema()
-	if err != nil {
-		return nil, err
-	}
-	rs, err := j.Right.OutSchema()
+	rs := build.outSchema
+	outSchema, err := j.schemaFrom(ls, rs) // validates key lists and types
 	if err != nil {
 		return nil, err
 	}
 	lk, rk := j.LeftKeys, j.RightKeys
-	ps := &probeStage{outSchema: outSchema, nLeft: ls.Len()}
+	ps := &probeStage{build: build, outSchema: outSchema, nLeft: ls.Len()}
 	isKey := make(map[int]bool, len(rk))
 	for i := range lk {
 		ps.leftKeyIdx = append(ps.leftKeyIdx, ls.Index(lk[i]))
@@ -241,11 +263,6 @@ func (g *graph) probeStage(j *JoinPlan) (*probeStage, error) {
 			ps.rightCols = append(ps.rightCols, i)
 		}
 	}
-	build, err := g.node(j.Right)
-	if err != nil {
-		return nil, err
-	}
-	ps.build = build
 	return ps, nil
 }
 
@@ -361,8 +378,8 @@ func applyStages(c *columnar.Chunk, stages []stage, sc *pipeScratch, pool *colum
 	return c, nil
 }
 
-// errStopPipeline is the limit sink's early-exit signal: stop the scan, no
-// error.
+// errStopPipeline is a limited collect's early-exit signal: stop the scan,
+// no error.
 var errStopPipeline = errors.New("engine: pipeline satisfied")
 
 // sink materializes one pipeline's breaker.
@@ -378,32 +395,26 @@ type sink interface {
 // newSink builds the node's sink; the returned pool is non-nil only for
 // sinks that consume morsels at the breaker (safe to recycle into).
 func newSink(n *pnode) (sink, *columnar.Pool, error) {
-	switch n.sink {
-	case sinkAgg:
-		master, err := newAggBuilder(n.agg, n.aggIn)
-		if err != nil {
-			return nil, nil, err
-		}
-		partial, _ := newAggBuilder(n.agg, n.aggIn) // master passed the same checks
-		pool := columnar.NewPool()
-		return &aggSink{out: n.outSchema, pool: pool, master: master, partial: partial}, pool, nil
-	case sinkSort:
-		return &sortSink{collectSink: collectSink{schema: n.outSchema, counted: n.counted()}, keys: n.keys}, nil, nil
-	case sinkLimit:
-		return &limitSink{schema: n.outSchema, n: n.limit}, nil, nil
-	default:
-		return &collectSink{schema: n.outSchema, counted: n.counted()}, nil, nil
+	if n.agg == nil {
+		return &collectSink{schema: n.outSchema, keys: n.keys, limit: n.limit, counted: n.counted()}, nil, nil
 	}
+	master, err := newAggBuilder(n.agg, n.aggIn)
+	if err != nil {
+		return nil, nil, err
+	}
+	partial, _ := newAggBuilder(n.agg, n.aggIn) // master passed the same checks
+	pool := columnar.NewPool()
+	return &aggSink{out: n.outSchema, pool: pool, master: master, partial: partial}, pool, nil
 }
 
 // counted returns the rows a collect pipeline streams when it keeps every
-// row its scan yields — no scan filter, no filter or probe stage, no upstream
-// breaker — and its source both counts them within its bound (RowCounter)
-// and takes its morsels back (Recycler); -1 otherwise.
+// row its scan yields — no limit, no scan filter, no filter or probe stage,
+// no upstream breaker — and its source both counts them within its bound
+// (RowCounter) and takes its morsels back (Recycler); -1 otherwise.
 func (n *pnode) counted() int {
 	rc, counts := n.src.(RowCounter)
 	_, recycles := n.src.(Recycler)
-	if n.input != nil || n.scan.Filter != nil || !counts || !recycles {
+	if n.limit >= 0 || n.input != nil || n.scan.Filter != nil || !counts || !recycles {
 		return -1
 	}
 	for _, st := range n.stages {
@@ -417,21 +428,32 @@ func (n *pnode) counted() int {
 	return -1
 }
 
-// collectSink materializes the stream in arrival order, writing each row at
-// most once: a lone morsel is the output as it is, and several are
-// concatenated into one chunk of their summed rows. A counted stream
-// (pnode.counted) is instead copied into one output of its count as it
-// arrives, each morsel then done with.
+// collectSink materializes the stream, writing each row it keeps at most
+// once. Without sort keys it keeps arrival order: a lone morsel kept whole is
+// the output as it is, and otherwise the rows kept are concatenated into one
+// chunk of their count; a limit stops the scan once that many rows arrived.
+// With sort keys it keeps the morsels as they arrived, stable-sorts an index
+// of their rows, and gathers the first limit rows of it into an output of
+// exactly their count. A counted stream (pnode.counted) is instead copied
+// into one chunk of its count as it arrives, each morsel then done with; that
+// chunk is the output, or the one morsel a sort gathers from.
 type collectSink struct {
 	schema  *columnar.Schema
-	counted int // the rows a counted stream yields; -1: not counted
+	keys    []sortKey // none: arrival order
+	limit   int       // rows kept; -1: all
+	counted int       // the rows a counted stream yields; -1: not counted
 	chunks  []*columnar.Chunk
+	rows    int             // rows arrived
 	out     *columnar.Chunk // a counted stream's output, once a morsel arrived
 }
 
 func (s *collectSink) add(c *columnar.Chunk, _ []*columnar.Chunk) (bool, error) {
+	s.rows += c.NumRows()
 	if s.counted < 0 {
 		s.chunks = append(s.chunks, c)
+		if s.keys == nil && s.limit >= 0 && s.rows >= s.limit {
+			return false, errStopPipeline
+		}
 		return false, nil
 	}
 	if s.out == nil {
@@ -443,67 +465,78 @@ func (s *collectSink) add(c *columnar.Chunk, _ []*columnar.Chunk) (bool, error) 
 }
 
 func (s *collectSink) finalize() (*columnar.Chunk, error) {
-	switch len(s.chunks) {
-	case 0:
+	keep := s.rows
+	if s.limit >= 0 {
+		keep = min(keep, s.limit)
+	}
+	switch {
+	case s.keys != nil:
+		return s.sorted(keep), nil
+	case len(s.chunks) == 0:
 		return columnar.NewChunk(s.schema, 0), nil
-	case 1:
+	case len(s.chunks) == 1 && keep == s.rows:
 		return &columnar.Chunk{Schema: s.schema, Columns: s.chunks[0].Columns}, nil
 	}
-	rows := 0
+	out := columnar.NewChunk(s.schema, keep)
 	for _, c := range s.chunks {
-		rows += c.NumRows()
-	}
-	out := columnar.NewChunk(s.schema, rows)
-	for _, c := range s.chunks {
-		out.AppendChunk(c)
-	}
-	return out, nil
-}
-
-// sortSink collects, then sorts.
-type sortSink struct {
-	collectSink
-	keys []OrderKey
-}
-
-func (s *sortSink) finalize() (*columnar.Chunk, error) {
-	in, err := s.collectSink.finalize()
-	if err != nil {
-		return nil, err
-	}
-	return sortChunk(in, s.keys)
-}
-
-// limitSink streams until N rows arrived, then stops the pipeline — a scan
-// feeding only a LIMIT reads just enough morsels instead of materializing
-// its whole input.
-type limitSink struct {
-	schema *columnar.Schema
-	n      int
-	got    int
-	prefix []*columnar.Chunk
-}
-
-func (s *limitSink) add(c *columnar.Chunk, _ []*columnar.Chunk) (bool, error) {
-	s.prefix = append(s.prefix, c)
-	if s.got += c.NumRows(); s.got >= s.n {
-		return false, errStopPipeline
-	}
-	return false, nil
-}
-
-// finalize copies the first N rows into an output of exactly their count.
-func (s *limitSink) finalize() (*columnar.Chunk, error) {
-	left := s.n
-	out := columnar.NewChunk(s.schema, min(s.got, left))
-	for _, c := range s.prefix {
-		k := min(c.NumRows(), left)
+		k := min(c.NumRows(), keep-out.NumRows())
 		for j, col := range out.Columns {
 			col.AppendRange(c.Columns[j], 0, k)
 		}
-		left -= k
 	}
 	return out, nil
+}
+
+// rowRef is row r of morsel m.
+type rowRef struct{ m, r int32 }
+
+// sorted orders the rows arrived by the keys, stable, and gathers the first
+// keep of them, each once, into an output of their count.
+func (s *collectSink) sorted(keep int) *columnar.Chunk {
+	idx := make([]rowRef, 0, s.rows)
+	for m, c := range s.chunks {
+		for r := range c.NumRows() {
+			idx = append(idx, rowRef{int32(m), int32(r)})
+		}
+	}
+	slices.SortStableFunc(idx, s.compare)
+	out := columnar.NewChunk(s.schema, keep)
+	for _, x := range idx[:keep] {
+		for j, col := range out.Columns {
+			col.AppendRange(s.chunks[x.m].Columns[j], int(x.r), int(x.r)+1)
+		}
+	}
+	return out
+}
+
+// compare orders rows a and b by the keys, each compared in its own type:
+// BIGINT as int64 (a float64 comparison would collapse neighbouring keys
+// beyond 2^53), DOUBLE as float64, BOOLEAN as false < true. A DESC key puts
+// b first whenever a is not less; rows equal on every key keep their order.
+func (s *collectSink) compare(a, b rowRef) int {
+	for _, k := range s.keys {
+		va, vb := s.chunks[a.m].Columns[k.col], s.chunks[b.m].Columns[k.col]
+		var eq, less bool
+		switch va.Type {
+		case columnar.Int64:
+			x, y := va.Int64s[a.r], vb.Int64s[b.r]
+			eq, less = x == y, x < y
+		case columnar.Float64:
+			x, y := va.Float64s[a.r], vb.Float64s[b.r]
+			eq, less = x == y, x < y
+		default:
+			x, y := va.Bools[a.r], vb.Bools[b.r]
+			eq, less = x == y, !x
+		}
+		switch {
+		case eq:
+		case less != k.desc:
+			return -1
+		default:
+			return 1
+		}
+	}
+	return 0
 }
 
 // aggSink is the aggregation breaker: every morsel is folded into a partial

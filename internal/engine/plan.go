@@ -37,7 +37,8 @@ type FilterableSource interface {
 // whose sink is done with its morsels — the aggregate once it has folded one,
 // a counted collect (RowCounter) once it has copied one — hands each chunk the
 // source yielded to Recycle then, and never touches it again; a pipeline whose
-// sink keeps its chunks (any other collect, sort, limit) never calls it.
+// sink keeps its chunks (any other collect, a limited one included) never
+// calls it.
 type Recycler interface {
 	Recycle(*columnar.Chunk)
 }
@@ -107,7 +108,9 @@ type ScanPlan struct {
 	// Filter is a pushed-down predicate evaluated right after each chunk
 	// is materialized.
 	Filter Expr
-	// Prune holds min/max-testable predicates used for row-group pruning.
+	// Prune holds min/max-testable predicates used for row-group pruning:
+	// always ExtractPrunePredicates(Filter, TableSchema), which the optimizer
+	// builds and plan JSON derives on decode.
 	Prune []lpq.Predicate
 	// schema is the resolved source schema (set by the planner).
 	TableSchema *columnar.Schema
@@ -170,6 +173,11 @@ func (p *ProjectPlan) OutSchema() (*columnar.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.schemaFrom(in)
+}
+
+// schemaFrom types each expression over the input schema in.
+func (p *ProjectPlan) schemaFrom(in *columnar.Schema) (*columnar.Schema, error) {
 	out := &columnar.Schema{}
 	for i, e := range p.Exprs {
 		t, err := e.Type(in)
@@ -207,6 +215,11 @@ func (p *AggregatePlan) OutSchema() (*columnar.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.schemaFrom(in)
+}
+
+// schemaFrom is the output schema over the input schema in.
+func (p *AggregatePlan) schemaFrom(in *columnar.Schema) (*columnar.Schema, error) {
 	out := &columnar.Schema{}
 	for _, g := range p.GroupBy {
 		i := in.Index(g)

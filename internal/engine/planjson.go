@@ -3,10 +3,8 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"lambada/internal/columnar"
-	"lambada/internal/lpq"
 )
 
 // Plans and expressions are serialized as tagged JSON unions so the driver
@@ -102,23 +100,13 @@ type aggJSON struct {
 	Name string    `json:"name"`
 }
 
-type predJSON struct {
-	Column string  `json:"column"`
-	Min    float64 `json:"min,omitempty"`
-	Max    float64 `json:"max,omitempty"`
-	// JSON cannot carry ±Inf; open bounds are flagged instead.
-	NoMin bool `json:"noMin,omitempty"`
-	NoMax bool `json:"noMax,omitempty"`
-}
-
 type planJSON struct {
 	Kind string `json:"kind"`
 
-	// scan
+	// scan; its prune predicates are derived from its filter on decode
 	Table      string      `json:"table,omitempty"`
 	Projection []string    `json:"projection,omitempty"`
 	Filter     *exprJSON   `json:"filter,omitempty"`
-	Prune      []predJSON  `json:"prune,omitempty"`
 	Schema     []fieldJSON `json:"schema,omitempty"`
 
 	// filter / project / agg / orderby / limit
@@ -173,16 +161,6 @@ func encodePlanNode(p Plan) (*planJSON, error) {
 			return nil, err
 		}
 		out.Filter = f
-		for _, pr := range n.Prune {
-			pj := predJSON{Column: pr.Column, Min: pr.Min, Max: pr.Max}
-			if pr.Min < -1e308 {
-				pj.NoMin, pj.Min = true, 0
-			}
-			if pr.Max > 1e308 {
-				pj.NoMax, pj.Max = true, 0
-			}
-			out.Prune = append(out.Prune, pj)
-		}
 		return out, nil
 	case *FilterPlan:
 		in, err := encodePlanNode(n.In)
@@ -271,17 +249,9 @@ func decodePlanNode(j *planJSON) (Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.Filter = f
-		for _, pj := range j.Prune {
-			pr := lpq.Predicate{Column: pj.Column, Min: pj.Min, Max: pj.Max}
-			if pj.NoMin {
-				pr.Min = negInf
-			}
-			if pj.NoMax {
-				pr.Max = posInf
-			}
-			out.Prune = append(out.Prune, pr)
-		}
+		// A scan's prune predicates are its filter's, as pushDownFilters
+		// derives them: the exact integer bounds the planner pruned with.
+		out.Filter, out.Prune = f, ExtractPrunePredicates(f, out.TableSchema)
 		return out, nil
 	case "filter":
 		in, err := decodePlanNode(j.In)
@@ -357,11 +327,6 @@ func decodePlanNode(j *planJSON) (Plan, error) {
 		return nil, fmt.Errorf("engine: unknown plan kind %q", j.Kind)
 	}
 }
-
-var (
-	posInf = math.Inf(1)
-	negInf = math.Inf(-1)
-)
 
 // MarshalPlan serializes a plan to JSON.
 func MarshalPlan(p Plan) ([]byte, error) {

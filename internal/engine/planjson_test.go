@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"lambada/internal/columnar"
@@ -49,15 +51,15 @@ func TestPlanJSONRoundTripQ1(t *testing.T) {
 }
 
 func TestPlanJSONInfinitePruneBounds(t *testing.T) {
-	scan := &ScanPlan{
-		Table:       "t",
-		TableSchema: tpch.Schema(),
-		Prune: []lpq.Predicate{
-			{Column: "l_shipdate", Min: math.Inf(-1), Max: 100},
-			{Column: "l_quantity", Min: 5, Max: math.Inf(1)},
-		},
+	scan := &ScanPlan{Table: "t", TableSchema: tpch.Schema()}
+	plan, err := Optimize(&FilterPlan{
+		Pred: And(NewBin(OpLE, Col("l_shipdate"), ConstInt(100)), NewBin(OpGE, Col("l_quantity"), ConstFloat(5))),
+		In:   scan,
+	}, Catalog{"t": NewMemSource(tpch.Schema())})
+	if err != nil {
+		t.Fatal(err)
 	}
-	data, err := MarshalPlan(scan)
+	data, err := MarshalPlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +73,62 @@ func TestPlanJSONInfinitePruneBounds(t *testing.T) {
 	}
 	if bs.Prune[1].Min != 5 || !math.IsInf(bs.Prune[1].Max, 1) {
 		t.Errorf("prune[1] = %+v", bs.Prune[1])
+	}
+}
+
+// TestPlanJSONPrunesLikeThePlanner: a scan decoded from plan JSON prunes the
+// same row groups and pages as the optimized plan it was encoded from, with
+// the exact integer bounds: over BIGINT keys beyond 2^53, whose float mirrors
+// collapse, and for a strict < at a page's minimum, which a float bound
+// admits.
+func TestPlanJSONPrunesLikeThePlanner(t *testing.T) {
+	for _, base := range []int64{0, 1 << 62} {
+		schema := columnar.NewSchema(columnar.Field{Name: "k", Type: columnar.Int64})
+		c := columnar.NewChunk(schema, 64)
+		for i := range int64(64) {
+			c.Columns[0].AppendInt64(base + i)
+		}
+		var buf bytes.Buffer
+		w := lpq.NewWriter(&buf, schema, lpq.WriterOptions{RowGroupRows: 8, PageRows: 4})
+		if err := w.Write(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := lpq.OpenReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta := r.Meta()
+		plan, err := Optimize(&FilterPlan{Pred: NewBin(OpLT, Col("k"), ConstInt(base+4)), In: &ScanPlan{Table: "t"}},
+			Catalog{"t": NewMemSource(schema)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := MarshalPlan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := UnmarshalPlan(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := plan.(*ScanPlan).Prune, back.(*ScanPlan).Prune
+		groups := lpq.PruneRowGroups(meta, want)
+		if !reflect.DeepEqual(groups, []int{0}) {
+			t.Fatalf("k < %d: the optimized plan keeps row groups %v, want [0] — test has no teeth", base+4, groups)
+		}
+		if g := lpq.PruneRowGroups(meta, got); !reflect.DeepEqual(g, groups) {
+			t.Errorf("k < %d: decoded plan keeps row groups %v, the optimized one %v", base+4, g, groups)
+		}
+		pages := lpq.PrunePages(meta, 0, want)
+		if !reflect.DeepEqual(pages, []bool{true, false}) {
+			t.Fatalf("k < %d: the optimized plan keeps pages %v of group 0, want [true false] — test has no teeth", base+4, pages)
+		}
+		if p := lpq.PrunePages(meta, 0, got); !reflect.DeepEqual(p, pages) {
+			t.Errorf("k < %d: decoded plan keeps pages %v of group 0, the optimized one %v", base+4, p, pages)
+		}
 	}
 }
 

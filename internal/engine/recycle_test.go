@@ -266,7 +266,7 @@ func TestAggSinkResetsItsPartial(t *testing.T) {
 		}
 		want, _ := master.finalize(out)
 
-		sk, _, err := newSink(&pnode{sink: sinkAgg, agg: p, aggIn: in, outSchema: out})
+		sk, _, err := newSink(&pnode{agg: p, aggIn: in, outSchema: out})
 		if err != nil {
 			t.Fatal(err)
 		}

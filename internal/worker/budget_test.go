@@ -118,9 +118,9 @@ func TestBuildSideOverBudgetRefusedBeforeRead(t *testing.T) {
 }
 
 // TestSumOverflowSealsNonRetryable: a BIGINT SUM past int64's range fails the
-// task with engine.ErrSumOverflow naming the aggregate, and the worker seals
-// it non-retryable — another attempt sums the same rows — where a wrapped
-// total was once posted as the answer.
+// task with engine.ErrSumOverflow naming the aggregate's column, and the
+// worker seals it non-retryable — another attempt sums the same rows — where
+// a wrapped total was once posted as the answer.
 func TestSumOverflowSealsNonRetryable(t *testing.T) {
 	b := newTestbed()
 	schema := columnar.NewSchema(columnar.Field{Name: "v", Type: columnar.Int64})
@@ -131,7 +131,7 @@ func TestSumOverflowSealsNonRetryable(t *testing.T) {
 	plan := marshalled(t, optimized(t, "SELECT SUM(v) AS total FROM big", map[string]*columnar.Schema{"big": schema}))
 	tables := TableFiles{"big": b.upload(t, "tpch", "big", data, 1, lpq.WriterOptions{})}
 	r := b.seal(t, 1792, Payload{QueryID: "q1", NumWorkers: 1, Plan: plan, Tables: tables})
-	if r.Retryable || !strings.Contains(r.Err, engine.ErrSumOverflow.Error()+": SUM(v) AS total") {
-		t.Errorf("seal %q (retryable: %t), want a non-retryable %q naming SUM(v) AS total", r.Err, r.Retryable, engine.ErrSumOverflow)
+	if r.Retryable || !strings.Contains(r.Err, engine.ErrSumOverflow.Error()+" in column total") {
+		t.Errorf("seal %q (retryable: %t), want a non-retryable %q naming column total", r.Err, r.Retryable, engine.ErrSumOverflow)
 	}
 }
