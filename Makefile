@@ -86,7 +86,8 @@ fuzz-smoke:
 	$(GO) test -run 'TestPropertyAggregatesMatchScalar|TestPropertyJoinMatchesNestedLoop|TestPropertyCollectMatchesSorted' ./internal/engine/ -quickchecks 5000
 
 # chaos runs the deterministic fault-injection suites race-instrumented:
-# the injector/resilience unit tests, the per-service fault tests, the
+# the injector/resilience unit tests, the fault rule every service's requests
+# go through (simenv's TestInjectedFaultRule), the per-service fault tests, the
 # driver chaos acceptance tests (staged q12 under a seeded fault storm must
 # replay exactly and still produce the fault-free answer), the reclaim that
 # runs behind a query's result or error, and fails without failing it
@@ -98,8 +99,8 @@ chaos:
 	GOMAXPROCS=4 $(GO) test -race ./internal/awssim/faults/ ./internal/resilience/
 	GOMAXPROCS=4 $(GO) test -race \
 		-run 'Chaos|Injected|ClientRetries|ClientBudget|EpochSweep|SingleScopeDuplicate|KeyedDeleteListsNothing|Reclaim' \
-		./internal/awssim/s3/ ./internal/awssim/sqs/ ./internal/awssim/dynamo/ \
-		./internal/awssim/lambdasvc/ ./internal/driver/
+		./internal/awssim/simenv/ ./internal/awssim/s3/ ./internal/awssim/sqs/ \
+		./internal/awssim/dynamo/ ./internal/awssim/lambdasvc/ ./internal/driver/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestGeneratedPlans/faults|stall|zombie|concurrent' ./internal/driver/
 
 # patterns fails when a test selection in this Makefile or the CI workflow

@@ -7,7 +7,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -74,13 +73,12 @@ type Service struct {
 	mu     sync.Mutex
 	cfg    Config
 	tables map[string]map[string][]byte
-	rng    *rand.Rand
-	rngMu  sync.Mutex
+	ep     *simenv.Endpoint
 }
 
 // New returns a service with the given configuration.
 func New(cfg Config) *Service {
-	return &Service{cfg: cfg, tables: make(map[string]map[string][]byte), rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Service{cfg: cfg, tables: make(map[string]map[string][]byte), ep: simenv.NewEndpoint("dynamo", ErrThrottled, cfg.Seed, cfg.Meter, cfg.Faults)}
 }
 
 // CreateTable creates an empty table (idempotent).
@@ -128,23 +126,17 @@ func (s *Service) write(env simenv.Env, op, table, key string, value []byte, con
 	if err := fits(table, key, value); err != nil {
 		return err
 	}
-	if f, ok := s.cfg.Faults.Next(op); ok && f.Kind == faults.KindThrottle {
-		return ErrThrottled
+	if _, err := s.ep.Fault(env, op, obs.Cost{DynamoWrites: 1}, s.cfg.WriteLatency); err != nil {
+		return err
 	}
 	s.mu.Lock()
-	_, ok := s.tables[table]
+	t, ok := s.tables[table]
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchTable, table)
 	}
-	s.cfg.Meter.Charge(env, obs.Cost{DynamoWrites: 1})
-	s.sleep(env, s.cfg.WriteLatency)
+	s.ep.Request(env, obs.Cost{DynamoWrites: 1}, s.cfg.WriteLatency)
 	s.mu.Lock()
-	t, ok := s.tables[table]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNoSuchTable, table)
-	}
 	if cur, exists := t[key]; cond != nil && !cond(cur, exists) {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %s/%s", ErrConditionFailed, table, key)
@@ -159,8 +151,8 @@ func (s *Service) write(env simenv.Env, op, table, key string, value []byte, con
 
 // Get returns the value under key.
 func (s *Service) Get(env simenv.Env, table, key string) ([]byte, error) {
-	if f, ok := s.cfg.Faults.Next(faults.OpDynamoGet); ok && f.Kind == faults.KindThrottle {
-		return nil, ErrThrottled
+	if _, err := s.ep.Fault(env, faults.OpDynamoGet, obs.Cost{DynamoReads: 1}, s.cfg.ReadLatency); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	t, ok := s.tables[table]
@@ -175,8 +167,7 @@ func (s *Service) Get(env simenv.Env, table, key string) ([]byte, error) {
 		copy(cp, v)
 	}
 	s.mu.Unlock()
-	s.cfg.Meter.Charge(env, obs.Cost{DynamoReads: 1})
-	s.sleep(env, s.cfg.ReadLatency)
+	s.ep.Request(env, obs.Cost{DynamoReads: 1}, s.cfg.ReadLatency)
 	if !okKey {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchItem, table, key)
 	}
@@ -193,8 +184,7 @@ func (s *Service) Delete(env simenv.Env, table, key string) error {
 	}
 	delete(t, key)
 	s.mu.Unlock()
-	s.cfg.Meter.Charge(env, obs.Cost{DynamoWrites: 1})
-	s.sleep(env, s.cfg.WriteLatency)
+	s.ep.Request(env, obs.Cost{DynamoWrites: 1}, s.cfg.WriteLatency)
 	return nil
 }
 
@@ -226,18 +216,7 @@ func (s *Service) Scan(env simenv.Env, table, prefix string) ([]Item, error) {
 	if n == 0 {
 		n = 1
 	}
-	s.cfg.Meter.Charge(env, obs.Cost{DynamoReads: n})
-	s.sleep(env, s.cfg.ReadLatency)
+	s.ep.Request(env, obs.Cost{DynamoReads: n}, s.cfg.ReadLatency)
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
-}
-
-func (s *Service) sleep(env simenv.Env, d netmodel.Dist) {
-	if d == nil {
-		return
-	}
-	s.rngMu.Lock()
-	v := d.Sample(s.rng)
-	s.rngMu.Unlock()
-	env.Sleep(v)
 }

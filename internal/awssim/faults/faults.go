@@ -215,7 +215,10 @@ func (i *Injector) Next(op string) (Fault, bool) {
 		if r.Count > 0 && i.fired[ri] >= r.Count {
 			continue
 		}
-		if r.Rate > 0 && roll(i.plan.Seed, ri, op, n) >= r.Rate {
+		// The rule's draw for the stream's n-th operation, salted "lambada":
+		// independent per stream and per rule, so schedules compose
+		// without interference.
+		if r.Rate > 0 && Draw(i.plan.Seed, 0x6c616d62616461, op, uint64(ri)<<40^uint64(n)) >= r.Rate {
 			continue
 		}
 		i.fired[ri]++
@@ -254,16 +257,16 @@ func (i *Injector) String() string {
 	return s
 }
 
-// roll derives the rule's fault probability draw for the n-th operation of
-// the stream: a splitmix64 hash of (seed, rule, op, n) mapped to [0, 1).
-// Independent per stream and per rule, so schedules compose without
-// interference.
-func roll(seed int64, rule int, op string, n int) float64 {
-	h := splitmix64(uint64(seed) ^ 0x6c616d62616461) // "lambada"
+// Draw maps (seed, salt, op, n) to [0, 1): splitmix64 over seed^salt, then
+// over each byte of op, then over n. A pure function, so a schedule drawn from
+// it replays exactly: the injector draws each rule's fault probability per
+// stream operation from it, and resilience its retry backoffs.
+func Draw(seed int64, salt uint64, op string, n uint64) float64 {
+	h := splitmix64(uint64(seed) ^ salt)
 	for _, c := range []byte(op) {
 		h = splitmix64(h ^ uint64(c))
 	}
-	h = splitmix64(h ^ uint64(rule)<<40 ^ uint64(n))
+	h = splitmix64(h ^ n)
 	return float64(h>>11) / float64(1<<53)
 }
 

@@ -11,7 +11,6 @@ package lambdasvc
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"sync"
 	"time"
@@ -179,7 +178,7 @@ type Service struct {
 	running int
 	invokes int64
 	colds   int64
-	rng     *rand.Rand
+	ep      *simenv.Endpoint
 	// trace receives invocation spans; nil (the default) traces nothing.
 	// Set before use via SetTracer. Billed cost reaches it through the meter.
 	trace *obs.Tracer
@@ -225,7 +224,7 @@ func New(cfg Config, rt Runtime) *Service {
 		cfg: cfg,
 		rt:  rt,
 		fns: make(map[string]*Function),
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		ep:  simenv.NewEndpoint("lambda", nil, cfg.Seed, cfg.Meter, cfg.Faults),
 	}
 }
 
@@ -275,34 +274,41 @@ func (s *Service) Invoke(env simenv.Env, name string, payload []byte, opts Invok
 	s.running++
 	s.invokes++
 	cold := f.warm <= 0
-	if !cold {
-		f.warm--
-	} else {
+	startLat := s.cfg.WarmStart
+	if cold {
 		s.colds++
+		startLat = s.cfg.ColdStart
+	} else {
+		f.warm--
 	}
-	var startDelay time.Duration
-	if cold && s.cfg.ColdStart != nil {
-		startDelay = s.cfg.ColdStart.Sample(s.rng)
-	} else if !cold && s.cfg.WarmStart != nil {
-		startDelay = s.cfg.WarmStart.Sample(s.rng)
-	}
-	var invokeRTT time.Duration
-	if s.cfg.InvokeLatency != nil {
-		invokeRTT = s.cfg.InvokeLatency.Sample(s.rng)
-	}
+	startDelay := s.ep.Sample(startLat)
+	invokeRTT := s.ep.Sample(s.cfg.InvokeLatency)
 	s.mu.Unlock()
 
 	// Fault-plan decision for this invocation. The invoker never observes a
 	// crash: asynchronous invocation means the Invoke API accepted the
 	// request; the worker simply never reports. Recovery is the driver's job
-	// (speculation, attempt re-invocation, MaxStageWait).
-	fault, injectFault := s.cfg.Faults.Next(faults.OpLambda)
-	if injectFault && fault.Kind == faults.KindColdSpike {
+	// (speculation, attempt re-invocation, MaxStageWait). An Invoke request
+	// that failed invoked nothing: it hands its container back.
+	fault, err := s.ep.Fault(env, faults.OpLambda, obs.Cost{LambdaInvokes: 1}, s.cfg.InvokeLatency)
+	if err != nil {
+		s.mu.Lock()
+		s.running--
+		s.invokes--
+		if cold {
+			s.colds--
+		} else {
+			f.warm++
+		}
+		s.mu.Unlock()
+		return err
+	}
+	if fault.Kind == faults.KindColdSpike {
 		startDelay += fault.Delay
 	}
-	crashOnStart := injectFault && fault.Kind == faults.KindCrash
+	crashOnStart := fault.Kind == faults.KindCrash
 	var crashAfter time.Duration
-	if injectFault && fault.Kind == faults.KindCrashMidRun {
+	if fault.Kind == faults.KindCrashMidRun {
 		if fault.Delay > 0 {
 			crashAfter = fault.Delay
 		} else {

@@ -1,10 +1,12 @@
 package lambdasvc
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"lambada/internal/awssim/faults"
+	"lambada/internal/awssim/pricing"
 	"lambada/internal/simclock"
 )
 
@@ -101,5 +103,45 @@ func TestInjectedColdSpike(t *testing.T) {
 	k.Run()
 	if startedAt != 5*time.Second {
 		t.Errorf("handler started at %v, want 5s (injected spike, zero base latencies)", startedAt)
+	}
+}
+
+// TestInjectedTransientInvoke: an Invoke request that fails with an injected
+// 500 is billed and fails under the lambda prefix, and invokes nothing: no
+// handler runs, no invocation or cold start is counted, and the warm
+// container it took goes back to the pool for the next invocation.
+func TestInjectedTransientInvoke(t *testing.T) {
+	k := simclock.New()
+	meter := pricing.NewCostMeter()
+	inj := faults.NewInjector(faults.Plan{Rules: []faults.Rule{
+		{Op: faults.OpLambda, Kind: faults.KindTransient, Skip: 1, Count: 1},
+	}})
+	s := New(Config{Meter: meter, Faults: inj}, SimRuntime{K: k})
+	ran := 0
+	s.CreateFunction("f", 1792, time.Minute, func(ctx *Ctx, _ []byte) error {
+		ran++
+		return nil
+	})
+	k.Go("driver", func(p *simclock.Proc) {
+		for i := 0; i < 3; i++ {
+			err := s.Invoke(p, "f", nil, InvokeOptions{})
+			if want := i == 1; want != (err != nil) {
+				t.Errorf("invoke %d: err = %v", i, err)
+			}
+			if i == 1 && (!errors.Is(err, faults.ErrInternal) || err.Error() != "lambda: injected internal error (500)") {
+				t.Errorf("err = %v, want lambda's injected 500", err)
+			}
+			p.Sleep(time.Second)
+		}
+	})
+	k.Run()
+	if ran != 2 || s.Running() != 0 {
+		t.Errorf("handler ran %d times, %d running; want 2, 0", ran, s.Running())
+	}
+	if total, cold := s.Invocations(); total != 2 || cold != 1 {
+		t.Errorf("invocations = %d/%d cold, want 2/1 (the failed request hands its warm container back)", total, cold)
+	}
+	if got := meter.Cost().LambdaInvokes; got != 3 {
+		t.Errorf("billed %d invoke requests, want 3", got)
 	}
 }

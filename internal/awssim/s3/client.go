@@ -1,7 +1,6 @@
 package s3
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
@@ -13,23 +12,6 @@ import (
 // The organic SlowDown rejection is as retryable as any injected fault;
 // register it so every layer classifying through resilience agrees.
 func init() { resilience.RegisterRetryable(ErrSlowDown) }
-
-// lockedRand is a seeded rand.Rand safe for concurrent use in the
-// functional layer (the DES layer is single-threaded anyway).
-type lockedRand struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func newLockedRand(seed int64) *lockedRand {
-	return &lockedRand{rng: rand.New(rand.NewSource(seed))}
-}
-
-func (l *lockedRand) sample(d netmodel.Dist) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return d.Sample(l.rng)
-}
 
 // Client is one worker's (or the driver's) view of S3. It owns the
 // per-function ingress bandwidth shaper, so concurrent range reads by the

@@ -121,7 +121,7 @@ type Service struct {
 	mu      sync.Mutex
 	cfg     Config
 	buckets map[string]*bucket
-	rng     *lockedRand
+	ep      *simenv.Endpoint
 	// trace is the tracer the clients' op spans are recorded on (nil =
 	// off); billed cost reaches it through the meter.
 	trace *obs.Tracer
@@ -136,7 +136,7 @@ func New(cfg Config) *Service {
 	return &Service{
 		cfg:     cfg,
 		buckets: make(map[string]*bucket),
-		rng:     newLockedRand(cfg.Seed),
+		ep:      simenv.NewEndpoint("s3", ErrSlowDown, cfg.Seed, cfg.Meter, cfg.Faults),
 	}
 }
 
@@ -202,35 +202,10 @@ func (s *Service) TotalBytes(name string) int64 {
 	return n
 }
 
-// injected applies a fault-plan decision to one request. An injected
-// SlowDown returns unbilled and immediately, exactly like the organic
-// rate-window rejection it mimics. Transient 500s and timeouts model
-// requests that reached the service and failed there: they are billed
-// (bill is the request's charge; zero for free requests) and pay the
-// request latency before erring — so a chaos run's retry inflation is
-// visible in the meter's request counts.
-func (s *Service) injected(env simenv.Env, f faults.Fault, bill obs.Cost, lat netmodel.Dist) error {
-	switch f.Kind {
-	case faults.KindSlowDown:
-		return ErrSlowDown
-	case faults.KindTransient:
-		s.cfg.Meter.Charge(env, bill)
-		s.sleepDist(env, lat)
-		return fmt.Errorf("s3: %w", faults.ErrInternal)
-	case faults.KindTimeout:
-		s.cfg.Meter.Charge(env, bill)
-		s.sleepDist(env, lat)
-		return fmt.Errorf("s3: %w", faults.ErrTimeout)
-	}
-	return nil
-}
-
 // put stores an object after rate-limit and latency accounting.
 func (s *Service) put(env simenv.Env, bucketName, key string, obj *Object) error {
-	if f, ok := s.cfg.Faults.Next(faults.OpS3Put); ok {
-		if err := s.injected(env, f, obs.Cost{S3Put: 1}, s.cfg.PutLatency); err != nil {
-			return err
-		}
+	if _, err := s.ep.Fault(env, faults.OpS3Put, obs.Cost{S3Put: 1}, s.cfg.PutLatency); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	b, ok := s.buckets[bucketName]
@@ -245,8 +220,7 @@ func (s *Service) put(env simenv.Env, bucketName, key string, obj *Object) error
 	b.puts++
 	s.mu.Unlock()
 
-	s.cfg.Meter.Charge(env, obs.Cost{S3Put: 1})
-	s.sleepDist(env, s.cfg.PutLatency)
+	s.ep.Request(env, obs.Cost{S3Put: 1}, s.cfg.PutLatency)
 
 	s.mu.Lock()
 	b.objects[key] = obj
@@ -288,10 +262,8 @@ func (s *Service) Head(env simenv.Env, bucketName, key string) (int64, error) {
 // get performs rate limiting, charging and latency for a read and returns
 // the object.
 func (s *Service) get(env simenv.Env, bucketName, key string) (*Object, error) {
-	if f, ok := s.cfg.Faults.Next(faults.OpS3Get); ok {
-		if err := s.injected(env, f, obs.Cost{S3Get: 1}, s.cfg.GetLatency); err != nil {
-			return nil, err
-		}
+	if _, err := s.ep.Fault(env, faults.OpS3Get, obs.Cost{S3Get: 1}, s.cfg.GetLatency); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	b, ok := s.buckets[bucketName]
@@ -307,8 +279,7 @@ func (s *Service) get(env simenv.Env, bucketName, key string) (*Object, error) {
 	o, okKey := b.objects[key]
 	s.mu.Unlock()
 
-	s.cfg.Meter.Charge(env, obs.Cost{S3Get: 1})
-	s.sleepDist(env, s.cfg.GetLatency)
+	s.ep.Request(env, obs.Cost{S3Get: 1}, s.cfg.GetLatency)
 	if !okKey {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bucketName, key)
 	}
@@ -390,10 +361,8 @@ type ListEntry struct {
 // (pagination is not modeled; one page holds 1000 keys on AWS, and the
 // paper's exchange groups stay below that).
 func (s *Service) List(env simenv.Env, bucketName, prefix string) ([]ListEntry, error) {
-	if f, ok := s.cfg.Faults.Next(faults.OpS3List); ok {
-		if err := s.injected(env, f, obs.Cost{S3List: 1}, s.cfg.ListLatency); err != nil {
-			return nil, err
-		}
+	if _, err := s.ep.Fault(env, faults.OpS3List, obs.Cost{S3List: 1}, s.cfg.ListLatency); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	b, ok := s.buckets[bucketName]
@@ -414,8 +383,7 @@ func (s *Service) List(env simenv.Env, bucketName, prefix string) ([]ListEntry, 
 	}
 	s.mu.Unlock()
 
-	s.cfg.Meter.Charge(env, obs.Cost{S3List: 1})
-	s.sleepDist(env, s.cfg.ListLatency)
+	s.ep.Request(env, obs.Cost{S3List: 1}, s.cfg.ListLatency)
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
 }
@@ -425,10 +393,8 @@ func (s *Service) List(env simenv.Env, bucketName, prefix string) ([]ListEntry, 
 // instead of one per object, and still free like single deletes. The
 // driver deletes a query's boundary objects through it.
 func (s *Service) DeleteBatch(env simenv.Env, bucketName string, keys []string) error {
-	if f, ok := s.cfg.Faults.Next(faults.OpS3Delete); ok {
-		if err := s.injected(env, f, obs.Cost{}, s.cfg.PutLatency); err != nil {
-			return err
-		}
+	if _, err := s.ep.Fault(env, faults.OpS3Delete, obs.Cost{}, s.cfg.PutLatency); err != nil {
+		return err
 	}
 	const page = 1000
 	for lo := 0; lo < len(keys); lo += page {
@@ -447,16 +413,9 @@ func (s *Service) DeleteBatch(env simenv.Env, bucketName string, keys []string) 
 		}
 		b.deletes += int64(hi - lo)
 		s.mu.Unlock()
-		s.sleepDist(env, s.cfg.PutLatency)
+		s.ep.Sleep(env, s.cfg.PutLatency)
 	}
 	return nil
-}
-
-func (s *Service) sleepDist(env simenv.Env, d netmodel.Dist) {
-	if d == nil {
-		return
-	}
-	env.Sleep(s.rng.sample(d))
 }
 
 // ReadBytes returns the total billed bytes served by Get/GetRange.

@@ -1,7 +1,9 @@
 // Package simenv defines the execution-environment abstraction shared by all
-// cloud-service simulators: a virtual clock the service charges latencies to.
+// cloud-service simulators: a virtual clock the service charges latencies to,
+// and the one request path every simulated service takes (Endpoint: fail as
+// the fault plan says, bill, sleep one seeded latency draw).
 //
-// Two implementations matter:
+// Two implementations of the clock matter:
 //   - *simclock.Proc (the DES kernel) — performance experiments run here;
 //     Sleep advances virtual time deterministically.
 //   - Immediate — the functional layer; latencies are skipped so correctness

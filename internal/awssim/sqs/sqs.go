@@ -11,7 +11,6 @@ package sqs
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -65,27 +64,12 @@ type Service struct {
 	mu     sync.Mutex
 	cfg    Config
 	queues map[string][]Message
-	rng    *lockedRand
-}
-
-type lockedRand struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func newLockedRand(seed int64) *lockedRand {
-	return &lockedRand{rng: rand.New(rand.NewSource(seed))}
-}
-
-func (l *lockedRand) sample(d netmodel.Dist) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return d.Sample(l.rng)
+	ep     *simenv.Endpoint
 }
 
 // New returns a service with the given configuration.
 func New(cfg Config) *Service {
-	return &Service{cfg: cfg, queues: make(map[string][]Message), rng: newLockedRand(cfg.Seed)}
+	return &Service{cfg: cfg, queues: make(map[string][]Message), ep: simenv.NewEndpoint("sqs", nil, cfg.Seed, cfg.Meter, cfg.Faults)}
 }
 
 // CreateQueue creates an empty queue (idempotent, free).
@@ -109,33 +93,14 @@ func (s *Service) DeleteQueue(name string) {
 	delete(s.queues, name)
 }
 
-// injected applies a fault-plan decision to a billed SQS request: transient
-// errors and timeouts charge the request (it reached the service) and pay
-// its latency before failing. Other kinds are handled by the caller.
-func (s *Service) injected(env simenv.Env, f faults.Fault, lat netmodel.Dist) error {
-	switch f.Kind {
-	case faults.KindTransient:
-		s.cfg.Meter.Charge(env, obs.Cost{SQSRequests: 1})
-		s.sleep(env, lat)
-		return fmt.Errorf("sqs: %w", faults.ErrInternal)
-	case faults.KindTimeout:
-		s.cfg.Meter.Charge(env, obs.Cost{SQSRequests: 1})
-		s.sleep(env, lat)
-		return fmt.Errorf("sqs: %w", faults.ErrTimeout)
-	}
-	return nil
-}
-
 // Send appends a message. Under an injected duplicate fault the message is
 // enqueued twice — the at-least-once delivery of real SQS — with the second
 // copy optionally hidden until now+Delay (delayed redelivery). One Send is
 // one billed request regardless: the duplication is server-side.
 func (s *Service) Send(env simenv.Env, queue string, body []byte) error {
-	fault, injectFault := s.cfg.Faults.Next(faults.OpSQSSend)
-	if injectFault {
-		if err := s.injected(env, fault, s.cfg.SendLatency); err != nil {
-			return err
-		}
+	fault, err := s.ep.Fault(env, faults.OpSQSSend, obs.Cost{SQSRequests: 1}, s.cfg.SendLatency)
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	if _, ok := s.queues[queue]; !ok {
@@ -145,7 +110,7 @@ func (s *Service) Send(env simenv.Env, queue string, body []byte) error {
 	cp := make([]byte, len(body))
 	copy(cp, body)
 	s.queues[queue] = append(s.queues[queue], Message{Body: cp, SentAt: env.Now()})
-	if injectFault && fault.Kind == faults.KindDuplicate {
+	if fault.Kind == faults.KindDuplicate {
 		s.queues[queue] = append(s.queues[queue], Message{Body: cp, SentAt: env.Now(), VisibleAt: env.Now() + fault.Delay})
 	}
 	s.mu.Unlock()
@@ -157,7 +122,7 @@ func (s *Service) Send(env simenv.Env, queue string, body []byte) error {
 	// message at its exact arrival instant instead of on their next throttled
 	// poll tick, and collectors of other queues stay parked.
 	simenv.BroadcastKey(env, "sqs/"+queue)
-	s.sleep(env, s.cfg.SendLatency)
+	s.ep.Sleep(env, s.cfg.SendLatency)
 	return nil
 }
 
@@ -171,10 +136,8 @@ func (s *Service) Receive(env simenv.Env, queue string, max int) ([]Message, err
 	if max > 10 {
 		max = 10 // AWS caps batch receives at ten messages
 	}
-	if f, ok := s.cfg.Faults.Next(faults.OpSQSReceive); ok {
-		if err := s.injected(env, f, s.cfg.ReceiveLatency); err != nil {
-			return nil, err
-		}
+	if _, err := s.ep.Fault(env, faults.OpSQSReceive, obs.Cost{SQSRequests: 1}, s.cfg.ReceiveLatency); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	q, ok := s.queues[queue]
@@ -195,14 +158,6 @@ func (s *Service) Receive(env simenv.Env, queue string, max int) ([]Message, err
 	s.queues[queue] = rest
 	s.mu.Unlock()
 
-	s.cfg.Meter.Charge(env, obs.Cost{SQSRequests: 1})
-	s.sleep(env, s.cfg.ReceiveLatency)
+	s.ep.Request(env, obs.Cost{SQSRequests: 1}, s.cfg.ReceiveLatency)
 	return out, nil
-}
-
-func (s *Service) sleep(env simenv.Env, d netmodel.Dist) {
-	if d == nil {
-		return
-	}
-	env.Sleep(s.rng.sample(d))
 }

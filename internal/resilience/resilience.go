@@ -207,13 +207,15 @@ type Policy struct {
 // Backoff returns the delay before retry attempt (1-based) of op:
 // decorrelated jitter — each delay drawn uniformly from [backoffBase,
 // 3×previous], capped at backoffCap — per the AWS architecture blog's recommendation, with the draw a
-// pure hash of (seed, op, attempt) so DES schedules replay exactly.
+// pure hash of (seed, op, attempt), the fault injector's own (faults.Draw),
+// so backoff schedules replay wherever the fault schedule does.
 func (p Policy) Backoff(op string, attempt int) time.Duration {
 	prev := backoffBase
 	d := backoffBase
 	for i := 1; i <= attempt; i++ {
 		lo, hi := float64(backoffBase), 3*float64(prev)
-		d = min(time.Duration(lo+jitter(p.Seed, op, i)*(hi-lo)), backoffCap)
+		u := faults.Draw(p.Seed, 0x7265736c69656e63, op, uint64(i)) // salt "reslienc"
+		d = min(time.Duration(lo+u*(hi-lo)), backoffCap)
 		prev = d
 	}
 	return d
@@ -267,23 +269,4 @@ func (p Policy) Do(env simenv.Env, opName string, op func() error) error {
 		retries++
 		env.Sleep(p.Backoff(opName, attempt+1))
 	}
-}
-
-// jitter maps (seed, op, attempt) to [0, 1) via splitmix64 — the same
-// construction the fault injector uses, so backoff schedules are replayable
-// wherever the fault schedule is.
-func jitter(seed int64, op string, attempt int) float64 {
-	h := splitmix64(uint64(seed) ^ 0x7265736c69656e63) // "reslienc"
-	for _, c := range []byte(op) {
-		h = splitmix64(h ^ uint64(c))
-	}
-	h = splitmix64(h ^ uint64(attempt))
-	return float64(h>>11) / float64(1<<53)
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
