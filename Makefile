@@ -38,12 +38,15 @@ race-staged:
 scale-smoke:
 	$(GO) test -run 'TestStagedQ12ScaleSmoke|TestMultiLevelRequestsMatchModel|TestSealedBoundaryMatchesDriverless' -v -timeout 10m ./internal/driver/ ./internal/exchange/
 
-# fuzz-smoke fuzzes the ten parsers of outside bytes, the scan over lpq
+# fuzz-smoke fuzzes the eleven parsers of outside bytes, the scan over lpq
 # bytes, and the differential plan harness, for five seconds each from the
 # seed corpora under their testdata/fuzz: the exchange's key codec
 # (a key or a typed error, and parse inverts String), its seal-manifest
 # decoder (refs or a typed error for any round, no allocation the bytes
-# cannot back, and AppendCommit → decode round-trips), the lpq reader
+# cannot back, and AppendCommit → decode round-trips), its ready-marker
+# splitter (a consumer's marker into one manifest per input: subslices that
+# rebuild the value, or a typed error, never more manifests than the bytes
+# hold, and AppendMarker → SplitMarker round-trips), the lpq reader
 # (OpenReader + ReadAll: a typed error or a valid chunk, never a panic, no
 # allocation the input cannot back), its bounded decoder of whole files
 # (ReadFiles, the one every worker, result and cache decode goes through: a
@@ -73,6 +76,7 @@ scale-smoke:
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBoundaryKey -fuzztime=5s ./internal/exchange/
 	$(GO) test -run=NONE -fuzz=FuzzSealManifest -fuzztime=5s ./internal/exchange/
+	$(GO) test -run=NONE -fuzz=FuzzReadyMarker -fuzztime=5s ./internal/exchange/
 	$(GO) test -run=NONE -fuzz=FuzzOpenReadAll -fuzztime=5s ./internal/lpq/
 	$(GO) test -run=NONE -fuzz=FuzzReadFiles -fuzztime=5s ./internal/lpq/
 	$(GO) test -run=NONE -fuzz=FuzzScanFiltered -fuzztime=5s ./internal/scan/

@@ -247,7 +247,7 @@
 // or final-merge task, and at most one boundary spec naming the boundaries
 // it collects from and publishes into, each input as the planner completed
 // it, its senders and variant included — and the worker has one path through
-// them: wait for each input's ready marker, collect,
+// them: wait for its stage's one ready marker, collect,
 // execute, then publish or post the result. One launch loop: a stage's fleet
 // is cut once into launch units — one per worker, or, where invoke.UseTree
 // finds the two-level tree (§4.2) starts the fleet sooner on a session
@@ -289,8 +289,11 @@
 //     nobody reads the objects once the merge has its rows, so on the DES
 //     kernel the delete is a process of its own that runs behind the result,
 //     and the query returns at its merge.
-//  2. A stage's DynamoDB ready marker is written iff some other stage run
-//     waits on it. Nobody waits on the result stage, so it writes none.
+//  2. A stage has a DynamoDB ready marker iff it has inputs: one item per
+//     consumer stage, keyed by its own ID and written when the last stage its
+//     inputs name as Ready seals, holding every input's manifest in input
+//     order. A worker waits on that one item whatever it reads; a scan stage
+//     waits on nothing, and the result stage's seal completes no marker.
 //
 // TestExecutorRequestGuard pins both as integer billed-request counts per
 // pricing label.
@@ -420,8 +423,9 @@
 //	                     backups the same way; a failure seal that may not
 //	                     be relaunched is the query's StageFailure
 //	launched → sealed    message answers sealed on the stage's last winner;
-//	                     the loop writes the DynamoDB ready marker (rule 2),
-//	                     the stage's manifest as its value,
+//	                     the loop writes the DynamoDB ready marker of each
+//	                     consumer whose last input this seal completes
+//	                     (markers, rule 2), its inputs' manifests as its value,
 //	                     calls marked(r, sent, now) — sent is the sealing
 //	                     message's SentAt, so sealed − sent is the seal lag
 //	                     the report prints — starts a pass for what that
@@ -430,9 +434,9 @@
 // Every stage's payloads are computable up front and a stage is launchable
 // as soon as its producers' fleets are launched and each has reported a
 // winner: consumer cold starts and invocation pacing overlap the rest of
-// upstream execution, and the DynamoDB ready marker — written when the driver
-// has seen every producer seal through the SQS result queue — gates each
-// worker's collect instead of its launch. The first winner is the gate
+// upstream execution, and the stage's DynamoDB ready marker — written when the
+// driver has seen every producer seal through the SQS result queue — gates
+// each worker's collect instead of its launch. The first winner is the gate
 // because launching costs little at the pool's rate and waiting does not: a
 // consumer invoked with the query would idle, billed, on the ready barrier
 // through its producers' whole cold start and scan. The report prints each
@@ -511,7 +515,7 @@
 //	          write and no read; only a restarted driver reusing the ID fails
 //	          it, reads the item and increments what it read
 //	stamp     the epoch rides in every worker payload, every seal message,
-//	          every ready-marker key (q<N>/e<E>/s<stage>) and the whole
+//	          every ready-marker key (q<N>/e<E>/s<consumer stage>) and the whole
 //	          boundary namespace
 //	          (<fn>/q<N>/e<E>/s<stage>/p<part>/a<attempt>-snd<sender>)
 //	discard   the scheduler drops seal messages whose epoch is not the

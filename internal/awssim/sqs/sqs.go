@@ -3,9 +3,13 @@
 // result channel: every worker posts a success or error message, and the
 // driver polls until it has heard back from all workers (§3.3).
 //
-// Receive is non-blocking by design; callers implement poll loops with
-// env.Sleep so that both the DES kernel and the functional goroutine layer
-// work with the same code.
+// Receive is non-blocking by design. A caller that waits for messages arms a
+// simenv.Barrier on the queue's topic ("sqs/<queue>") before each Receive and,
+// when it comes back empty, parks on it with its poll interval as the timeout:
+// a Send broadcasts the topic, so the waiter wakes the instant a message lands,
+// even one sent while its Receive was in flight. The driver's result loop
+// waits so, on the DES kernel and on goroutine workers alike, with the same
+// code.
 package sqs
 
 import (

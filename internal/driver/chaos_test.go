@@ -197,7 +197,7 @@ func TestChaosTreeParentCrash(t *testing.T) {
 }
 
 // TestStagedChaosBudgetExhaustionFailureSeal: a throttle storm against the
-// seal-barrier reads exhausts one worker's retry budget. The worker posts a
+// join worker's reads of its ready marker exhausts its retry budget. The worker posts a
 // typed retryable failure seal, the scheduler re-invokes it through the
 // attempt machinery (speculation disabled — the failure path alone must
 // recover), and the remaining storm fits the fresh budget.
@@ -208,13 +208,14 @@ func TestStagedChaosBudgetExhaustionFailureSeal(t *testing.T) {
 		scfg.Partitions = 1       // exactly one consumer hits the storm
 	}
 	clean := runStagedChaosQ12(t, simulated(71), mut)
-	// Skip 1 exempts the driver's epoch fence read; the next six dynamo
-	// Gets are the consumer's barrier reads. Budget 3 means attempt 0 dies
-	// after four throttles (3 retries + the exhausted take), the relaunch
-	// absorbs the remaining two.
+	// The driver reads no DynamoDB item: a fresh query's epoch fence is one
+	// conditional create. So every dynamo Get is the consumer's read of its
+	// one ready marker, and the storm starts at the first (Skip 0). Budget 3
+	// means attempt 0 dies after four throttles (3 retries + the exhausted
+	// take), the relaunch absorbs the remaining two.
 	storm := runStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment {
 		return NewChaos(k, 71, faults.Plan{Seed: 4, Rules: []faults.Rule{
-			{Op: faults.OpDynamoGet, Kind: faults.KindThrottle, Skip: 1, Count: 6},
+			{Op: faults.OpDynamoGet, Kind: faults.KindThrottle, Count: 6},
 		}})
 	}, mut)
 	chunksIdentical(t, storm.out, clean.out)
@@ -232,7 +233,7 @@ func TestStagedChaosBudgetExhaustionFailureSeal(t *testing.T) {
 	// substrate as clean as after a success.
 	dead := tryStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment {
 		return NewChaos(k, 71, faults.Plan{Seed: 4, Rules: []faults.Rule{
-			{Op: faults.OpDynamoGet, Kind: faults.KindThrottle, Skip: 1, Count: 8},
+			{Op: faults.OpDynamoGet, Kind: faults.KindThrottle, Count: 8},
 		}})
 	}, mut)
 	var sf *StageFailure
@@ -247,7 +248,9 @@ func TestStagedChaosBudgetExhaustionFailureSeal(t *testing.T) {
 
 // TestStagedKeyedDeleteListsNothing: a staged q12 at epoch 1 that speculates
 // a straggler and relaunches a failure — the budget storm of
-// TestStagedChaosBudgetExhaustionFailureSeal on the join worker, and a stall
+// TestStagedChaosBudgetExhaustionFailureSeal on the join worker's ready-marker
+// reads, from the query's first dynamo Get on (no driver read precedes them:
+// the epoch fence is one conditional create), and a stall
 // on attempt 0 of a lineitem scan worker long enough for its backup to win
 // and short enough that it publishes before the join ends — bills no S3 LIST
 // at all, answers like the fault-free run, and leaves nothing behind: the
@@ -266,7 +269,7 @@ func TestStagedKeyedDeleteListsNothing(t *testing.T) {
 	clean := runStagedChaosQ12(t, simulated(71), mut)
 	run := runStagedChaosQ12(t, func(k *simclock.Kernel) *Deployment {
 		dep := NewChaos(k, 71, faults.Plan{Seed: 4, Rules: []faults.Rule{
-			{Op: faults.OpDynamoGet, Kind: faults.KindThrottle, Skip: 1, Count: 6},
+			{Op: faults.OpDynamoGet, Kind: faults.KindThrottle, Count: 6},
 		}})
 		dep.EnableTracing(obs.New())
 		return dep

@@ -309,6 +309,19 @@ func assertRequests(t *testing.T, name string, got, want map[string]int64) {
 // 10 → 9, 2l-wc 9 → 10, capped 9 → 11). Every Lambda, S3 write and
 // DynamoDB-write count is unchanged, and so is every q1 and q6 count: their
 // groups were one span each already.
+//
+// The DynamoDB counts were re-recorded once more, for one cause: there is one
+// ready marker per consumer stage. The driver writes one item per stage with
+// inputs, keyed by that stage and holding every input's manifest, where it
+// wrote one per producer, so a staged row bills the fence and one write per
+// consumer (staged q12 3 → 2: the join's marker where each scan stage had
+// one; the 2l rows 5 → 4: the two regroup fleets' markers and the join's,
+// where both scan stages and both regroup fleets had one). A worker reads one
+// item where it read one per input, so a join worker waits on one marker, not
+// two (DynamoDB reads staged q12 7 → 4, 2l 9 → 7, 2l-wc 10 → 9, capped
+// 11 → 8). The join workers collect a read sooner, so the polls are as
+// measured (SQS capped 37 → 36; the other rows' did not move). Every Lambda
+// and S3 count is unchanged.
 func TestExecutorRequestGuard(t *testing.T) {
 	single := func(sql string) func(*Session, simenv.Env, TableFiles) error {
 		return func(d *Session, env simenv.Env, tables TableFiles) error {
@@ -368,8 +381,9 @@ func TestExecutorRequestGuard(t *testing.T) {
 	})
 	// Three stages — scan, scan, join+partial — and ten opens: the planner's
 	// six (four lineitem files, two orders) and the scan workers' four. The
-	// three DynamoDB writes are the epoch fence and the two scan stages' ready
-	// markers; nobody waits on the join stage, which posts to the driver.
+	// two DynamoDB writes are the epoch fence and the join stage's ready
+	// marker, both scans' manifests in one item; a scan stage waits on
+	// nothing, and the join posts to the driver.
 	// Against the four-stage plan: six Invokes, not eight; 38 → 34 S3 reads,
 	// 6 → 4 writes and 22 → 20 LISTs (the final stage's two collects); polls
 	// SQS 30 → 24, DynamoDB reads 18 → 8. No LIST is left: the protocol
@@ -379,11 +393,13 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// scan workers' four opens are gone; the planner's six are all that is
 	// left of ten. 27 → 19: each of the three lineitem groups is one span
 	// where it was three (−6), and each of the two ORDERS groups one where its
-	// two far-apart columns were two (−2).
+	// two far-apart columns were two (−2). DynamoDB 3 → 2 writes, 7 → 4
+	// reads: one marker for the join, which its two workers poll four times
+	// in all, where they polled the two scans' markers seven times.
 	assertRequests(t, "staged q12", staged, map[string]int64{
 		pricing.LabelLambdaRequests: 6,
 		pricing.LabelS3Read:         19, pricing.LabelS3Write: 4,
-		pricing.LabelSQS: 21, pricing.LabelDynamoRead: 7, pricing.LabelDynamoWrite: 3,
+		pricing.LabelSQS: 21, pricing.LabelDynamoRead: 4, pricing.LabelDynamoWrite: 2,
 	})
 
 	// ORDERS broadcast: with the merge on the driver nothing is left to
@@ -413,8 +429,10 @@ func TestExecutorRequestGuard(t *testing.T) {
 	// Multi-level boundaries and admission-capped launch: the two scan
 	// boundaries with a regroup fleet of two each — ten Invokes (the
 	// four-stage plan's fourteen had the final stage and the join boundary's
-	// regroup fleet), five DynamoDB writes (the fence, and a marker per scan
-	// stage and per regroup fleet), no S3 List. The S3,
+	// regroup fleet), four DynamoDB writes (the fence, and a marker per
+	// consumer: each regroup fleet's, holding its scan's manifest, and the
+	// join's, holding both regroup fleets'; five with a marker per producer),
+	// no S3 List. The S3,
 	// DynamoDB-write and Lambda counts
 	// are timing-free; the SQS and DynamoDB-read counts are polls and move
 	// with the launch schedule — recorded as measured. 38 → 35 S3 reads on
@@ -434,17 +452,17 @@ func TestExecutorRequestGuard(t *testing.T) {
 	assertRequests(t, "staged q12 2l", billedRequests(t, nil, twoLevel(false)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
 		pricing.LabelS3Read:         23, pricing.LabelS3Write: 12,
-		pricing.LabelSQS: 35, pricing.LabelDynamoRead: 9, pricing.LabelDynamoWrite: 5,
+		pricing.LabelSQS: 35, pricing.LabelDynamoRead: 7, pricing.LabelDynamoWrite: 4,
 	})
 	assertRequests(t, "staged q12 2l-wc", billedRequests(t, nil, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
 		pricing.LabelS3Read:         23, pricing.LabelS3Write: 8,
-		pricing.LabelSQS: 35, pricing.LabelDynamoRead: 10, pricing.LabelDynamoWrite: 5,
+		pricing.LabelSQS: 35, pricing.LabelDynamoRead: 9, pricing.LabelDynamoWrite: 4,
 	})
 	capped := func(c *Config) { c.MaxInFlight = 2 }
 	assertRequests(t, "staged q12 2l-wc, MaxInFlight 2", billedRequests(t, capped, twoLevel(true)), map[string]int64{
 		pricing.LabelLambdaRequests: 10,
 		pricing.LabelS3Read:         23, pricing.LabelS3Write: 8,
-		pricing.LabelSQS: 37, pricing.LabelDynamoRead: 11, pricing.LabelDynamoWrite: 5,
+		pricing.LabelSQS: 36, pricing.LabelDynamoRead: 8, pricing.LabelDynamoWrite: 4,
 	})
 }

@@ -17,7 +17,7 @@ type stageState int
 const (
 	stagePending  stageState = iota // not yet invoked
 	stageLaunched                   // fleet invoked (at least in part), seals outstanding
-	stageSealed                     // every worker sealed, ready marker written
+	stageSealed                     // every worker sealed, the markers it completed written
 )
 
 // stageRun is everything the scheduler knows about one stage of one query.
@@ -25,10 +25,7 @@ type stageRun struct {
 	st     *stageplan.Stage
 	task   worker.Payload // worker w's attempt-0 payload is task.ForWorker(shares[w])
 	shares []worker.Share
-	// awaited: some other run depends on this one, so its seal writes a
-	// DynamoDB ready marker (rule 2 of runStages).
-	awaited bool
-	state   stageState
+	state  stageState
 	// pending are the launch units not yet invoked, built on first launch;
 	// launched counts the workers the invoked ones spawn, and invokedAt holds
 	// each worker's Invoke instant (negative: not invoked yet). A launch pass
@@ -98,7 +95,7 @@ type outcome int
 const (
 	nothing  outcome = iota // recorded or discarded; no I/O follows
 	relaunch                // a retryable failure seal: re-invoke the worker's next attempt
-	sealed                  // the stage's last winner: write its marker, then call marked
+	sealed                  // the stage's last winner: write the markers it completes, then call marked
 )
 
 // backup is one straggler to re-invoke as its next attempt.
@@ -131,18 +128,13 @@ type scheduler struct {
 	zombieDiscards, loserDiscards int
 }
 
-// add appends the run of stage st — after the runs of the stages it depends
-// on — and marks those awaited.
+// add appends the run of stage st, after the runs of the stages it depends
+// on.
 func (s *scheduler) add(st *stageplan.Stage, task worker.Payload, shares []worker.Share) *stageRun {
 	r := &stageRun{st: st, task: task, shares: shares, invokedAt: make([]time.Duration, len(shares)), winners: map[int]int{},
 		chunks: make([][]byte, len(shares)), commits: make([][]int64, len(shares)), attempts: map[int]int{}, capFrom: -1}
 	for w := range r.invokedAt {
 		r.invokedAt[w] = -1
-	}
-	for _, dep := range st.DependsOn {
-		if p := s.byID[dep]; p != nil {
-			p.awaited = true
-		}
 	}
 	s.runs = append(s.runs, r)
 	s.byID[st.ID] = r
@@ -314,18 +306,53 @@ func (s *scheduler) message(now, sent time.Duration, rm *worker.Result) (*stageR
 }
 
 // marked seals r at now: its last winner reported — its seal message was sent
-// at lastWin — and, if anyone awaits it, its ready marker is written.
+// at lastWin — and the ready markers its seal completed (markers) are written.
 func (s *scheduler) marked(r *stageRun, lastWin, now time.Duration) {
 	r.state = stageSealed
 	r.sealedAt, r.lastWin = now, lastWin
 	s.nSealed++
 }
 
-// manifest is the value of r's ready marker once every worker reported: for
-// each worker in order, the attempt recorded as its winner and the offsets
-// that attempt committed (exchange.AppendCommit). The stage's consumers read
-// their boundary's objects from it, so the first seal of a worker is the one
-// they read, whichever attempt committed first or lowest.
+// marker is one consumer stage's DynamoDB ready marker: the run whose workers
+// wait on it, and its value.
+type marker struct {
+	run   *stageRun
+	value []byte
+}
+
+// markers returns the ready markers that r's seal completes, r's last winner
+// just recorded: one for each run that reads a boundary r makes readable
+// (Input.Ready), once the Ready stages of its other inputs sealed too. Its
+// value is every input's manifest, in input order (exchange.AppendMarker), so
+// each of its workers waits on one item whatever it reads. A scan stage waits
+// on nothing, so it has no marker, and the result stage has no output, so its
+// seal completes none.
+func (s *scheduler) markers(r *stageRun) []marker {
+	var out []marker
+	for _, c := range s.runs {
+		reads, ready := false, true
+		for _, in := range c.st.Inputs {
+			p := s.byID[in.Ready]
+			reads = reads || p == r
+			ready = ready && (p == r || p != nil && p.state == stageSealed)
+		}
+		if !reads || !ready {
+			continue
+		}
+		var value []byte
+		for _, in := range c.st.Inputs {
+			value = exchange.AppendMarker(value, s.byID[in.Ready].manifest())
+		}
+		out = append(out, marker{c, value})
+	}
+	return out
+}
+
+// manifest is r's seal manifest once every worker reported: for each worker
+// in order, the attempt recorded as its winner and the offsets that attempt
+// committed (exchange.AppendCommit). The consumers reading r's boundary find
+// its objects through it, in their ready marker, so the first seal of a worker
+// is the one they read, whichever attempt committed first or lowest.
 func (r *stageRun) manifest() []byte {
 	n := 0
 	for _, c := range r.commits {

@@ -1,12 +1,14 @@
 package driver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"lambada/internal/exchange"
 	"lambada/internal/stageplan"
 	"lambada/internal/worker"
 )
@@ -83,7 +85,23 @@ func TestSchedulerTransitions(t *testing.T) {
 			case out == relaunch:
 				return fmt.Sprintf("relaunch attempt=%d seals=%d", r.attempts[rm.WorkerID], s.rep.FailureSeals)
 			case out == sealed:
-				return fmt.Sprintf("sealed awaited=%t", r.awaited)
+				// The markers this seal completes, by consumer, each holding
+				// its inputs' manifests in input order.
+				var ids []int
+				for _, mk := range s.markers(r) {
+					ins := mk.run.st.Inputs
+					got, err := exchange.SplitMarker(mk.value, len(ins))
+					for i := 0; err == nil && i < len(ins); i++ {
+						if !bytes.Equal(got[i], s.byID[ins[i].Ready].manifest()) {
+							err = fmt.Errorf("input %d holds %x", i, got[i])
+						}
+					}
+					if err != nil {
+						return fmt.Sprintf("stage %d's marker: %v", mk.run.st.ID, err)
+					}
+					ids = append(ids, mk.run.st.ID)
+				}
+				return fmt.Sprintf("sealed markers=%v", ids)
 			}
 			return "nothing"
 		}, want}
@@ -148,7 +166,7 @@ func TestSchedulerTransitions(t *testing.T) {
 			msg(30*ms, fail(1, 0, 1, false), "discarded zombie=4 loser=4"),                             // and a failed loser
 			garbled(40*ms, "not json", "discarded zombie=5 loser=4"),
 			garbled(40*ms, `{"stage":1,"workerId":"1"}`, "discarded zombie=6 loser=4"), // JSON, but no result message
-			win(50*ms, 1, 1, "sealed awaited=true"),
+			win(50*ms, 1, 1, "sealed markers=[]"),
 		}},
 		{name: "superseded failure seal", spec: true, steps: []step{
 			launch(1, 2, 10*ms, "true cap=10"),
@@ -158,7 +176,7 @@ func TestSchedulerTransitions(t *testing.T) {
 			// budget (speculateRetries) is spent, yet the live attempt 1 decides.
 			msg(70*ms, fail(1, 1, 0, true), "discarded zombie=0 loser=1"),
 			msg(70*ms, fail(1, 1, 0, false), "discarded zombie=0 loser=2"),
-			msg(80*ms, worker.Result{Stage: 1, WorkerID: 1, Attempt: 1}, "sealed awaited=true"),
+			msg(80*ms, worker.Result{Stage: 1, WorkerID: 1, Attempt: 1}, "sealed markers=[]"),
 		}},
 		{name: "duplicate of a relaunched failure seal", steps: []step{
 			launch(1, 2, 10*ms, "true cap=10"),
@@ -173,13 +191,16 @@ func TestSchedulerTransitions(t *testing.T) {
 		{name: "seals and rule 2", steps: []step{
 			launchAll(0),
 			win(10*ms, 1, 1, "nothing"),
-			win(11*ms, 1, 0, "sealed awaited=true"),
+			win(11*ms, 1, 0, "sealed markers=[]"), // stage 0 reads stage 2 too
 			mark(1, 12*ms),
 			win(13*ms, 1, 0, "discarded zombie=0 loser=1"), // a loser after the stage sealed
+			win(14*ms, 2, 0, "nothing"),
+			win(15*ms, 2, 1, "sealed markers=[0]"), // its last input: stage 0's one marker
+			mark(2, 16*ms),
 			win(20*ms, 0, 0, "nothing"),
 			win(20*ms, 0, 1, "nothing"),
 			win(20*ms, 0, 2, "nothing"),
-			win(20*ms, 0, 3, "sealed awaited=false"), // nobody waits on the result stage
+			win(20*ms, 0, 3, "sealed markers=[]"), // nobody reads the result stage
 		}},
 		{name: "pipelined launch gate", steps: []step{
 			can("1:true 2:true 0:false"),
@@ -204,7 +225,7 @@ func TestSchedulerTransitions(t *testing.T) {
 			can("1:false 2:true 0:false"), // nor is a winner of a partly launched fleet
 			launch(2, 1, 8*ms, "false cap=7"),
 			can("1:false 2:false 0:true"),
-			win(9*ms, 1, 1, "sealed awaited=true"),
+			win(9*ms, 1, 1, "sealed markers=[]"),
 			mark(1, 9*ms),
 			can("1:false 2:false 0:true"), // a sealed producer keeps it launchable
 		}},
@@ -213,11 +234,11 @@ func TestSchedulerTransitions(t *testing.T) {
 			launch(2, 2, 0, "true cap=0"),
 			can("1:false 2:false 0:false"),
 			win(10*ms, 1, 0, "nothing"),
-			win(10*ms, 1, 1, "sealed awaited=true"),
+			win(10*ms, 1, 1, "sealed markers=[]"),
 			mark(1, 10*ms),
 			can("1:false 2:false 0:false"),
 			win(11*ms, 2, 0, "nothing"),
-			win(11*ms, 2, 1, "sealed awaited=true"),
+			win(11*ms, 2, 1, "sealed markers=[0]"),
 			mark(2, 11*ms),
 			can("1:false 2:false 0:true"),
 			launch(0, 4, 20*ms, "true cap=20"), // producers sealed: armed at launch
@@ -227,11 +248,11 @@ func TestSchedulerTransitions(t *testing.T) {
 			launch(2, 2, 2*ms, "true cap=2"),
 			launch(0, 4, 3*ms, "true cap=-1"), // idling on the ready barrier is not straggling
 			win(10*ms, 1, 0, "nothing"),
-			win(10*ms, 1, 1, "sealed awaited=true"),
+			win(10*ms, 1, 1, "sealed markers=[]"),
 			mark(1, 10*ms),
 			arm(11*ms, "1:10 2:2 0:-1"), // stage 1's window moved with its responses
 			win(20*ms, 2, 0, "nothing"),
-			win(20*ms, 2, 1, "sealed awaited=true"),
+			win(20*ms, 2, 1, "sealed markers=[0]"),
 			mark(2, 20*ms),
 			arm(22*ms, "1:10 2:20 0:22"),
 			arm(30*ms, "1:10 2:20 0:22"), // armed once
@@ -245,7 +266,7 @@ func TestSchedulerTransitions(t *testing.T) {
 			backups(330*ms, ""),      // median 110ms × 3
 			backups(331*ms, "0/3@1"), // stages 1 and 2 have no response: no quorum
 			backups(time.Minute, ""), // speculateRetries: one backup per worker
-			msg(400*ms, worker.Result{Stage: 0, WorkerID: 3, Attempt: 1}, "sealed awaited=false"),
+			msg(400*ms, worker.Result{Stage: 0, WorkerID: 3, Attempt: 1}, "sealed markers=[]"),
 		}},
 		{name: "cap expiry re-invokes the missing set", spec: true, cap: time.Second, steps: []step{
 			launch(1, 2, 0, "true cap=0"),
@@ -259,10 +280,10 @@ func TestSchedulerTransitions(t *testing.T) {
 			launch(1, 2, 0, "true cap=0"),
 			launch(2, 2, 0, "true cap=0"),
 			win(5*ms, 1, 0, "nothing"),
-			win(5*ms, 1, 1, "sealed awaited=true"),
+			win(5*ms, 1, 1, "sealed markers=[]"),
 			mark(1, 5*ms),
 			win(6*ms, 2, 0, "nothing"),
-			win(6*ms, 2, 1, "sealed awaited=true"),
+			win(6*ms, 2, 1, "sealed markers=[0]"),
 			mark(2, 6*ms),
 			// Stage 0 goes through the tree: its first unit is worker 0 with
 			// its child 2, and the second (worker 1 with child 3) is not out yet.
@@ -315,7 +336,8 @@ func TestSchedulerTransitions(t *testing.T) {
 				maxStageWait: tc.cap, waves: tc.waves, byID: map[int]*stageRun{}}
 			s.add(&stageplan.Stage{ID: 1}, worker.Payload{}, make([]worker.Share, 2))
 			s.add(&stageplan.Stage{ID: 2}, worker.Payload{}, make([]worker.Share, 2))
-			s.add(&stageplan.Stage{ID: 0, DependsOn: []int{1, 2}}, worker.Payload{}, make([]worker.Share, 4))
+			s.add(&stageplan.Stage{ID: 0, DependsOn: []int{1, 2}, Inputs: []stageplan.Input{{StageID: 1, Ready: 1}, {StageID: 2, Ready: 2}}},
+				worker.Payload{}, make([]worker.Share, 4))
 			for i, st := range tc.steps {
 				if got := st.do(s); got != st.want {
 					t.Fatalf("step %d: got %q, want %q", i, got, st.want)

@@ -438,8 +438,10 @@ func (d *query) plan(plan engine.Plan, tables TableFiles, cfg StageConfig) (*col
 //     some stage has an Output. A plan without boundaries runs at epoch 0 and
 //     issues no DynamoDB or S3 LIST request at all; one with boundaries lists
 //     nothing either unless its epoch is past 1, and its fence is one write.
-//  2. A stage writes its DynamoDB ready marker iff some other stage run
-//     depends on it; nobody waits on the result stage, so it writes none.
+//  2. A stage has a DynamoDB ready marker iff it has inputs: one item, keyed
+//     by its own stage ID, written when the last stage its inputs name as
+//     Ready seals, and holding every input's manifest. A scan stage waits on
+//     nothing and the result stage's seal completes no marker.
 //
 // scanFiles holds each scanned table's files, pinned, shipped inside the
 // payloads that scan them.
@@ -738,11 +740,11 @@ func (l *launcher) launchReady(env simenv.Env) error {
 
 // schedule is the event loop, and every substrate call of it but a
 // concurrent pass's Invokes: start a launch pass, consume seal messages as
-// they arrive, write the ready marker the moment a stage's last worker
-// sealed, start a pass for whatever that unblocked, and re-invoke what the
-// scheduler nominates. It returns once every stage sealed, and never while
-// its pass is alive: on an error the pass stops at its next unit and the loop
-// waits for it.
+// they arrive, write the ready markers a stage's seal completes the moment
+// its last worker sealed, start a pass for whatever that unblocked, and
+// re-invoke what the scheduler nominates. It returns once every stage sealed,
+// and never while its pass is alive: on an error the pass stops at its next
+// unit and the loop waits for it.
 func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 	tr := d.dep.Trace
 	l := &launcher{d: d, s: s}
@@ -799,14 +801,14 @@ func (d *query) schedule(s *scheduler, sealTable string) (err error) {
 				}
 			case sealed:
 				// Seal: every worker of the stage reported through SQS.
-				// Ready: record it in DynamoDB for the consumers' barrier,
-				// the stage's manifest as its value (the Put broadcasts the
-				// completion signal, waking workers parked in waitSealed at
-				// this exact instant).
-				if r.awaited {
-					manifest := r.manifest()
+				// Ready: for each consumer whose inputs this seal completes,
+				// record its marker in DynamoDB, every input's manifest as
+				// its value (the Put broadcasts the completion signal, waking
+				// the consumer's workers parked in waitSealed at this exact
+				// instant).
+				for _, mk := range s.markers(r) {
 					if err := d.retry.Do(d.env, "dynamo.Put", func() error {
-						return d.dep.Dynamo.Put(d.env, sealTable, worker.SealKey(s.queryID, s.epoch, r.st.ID), manifest)
+						return d.dep.Dynamo.Put(d.env, sealTable, worker.SealKey(s.queryID, s.epoch, mk.run.st.ID), mk.value)
 					}); err != nil {
 						return err
 					}

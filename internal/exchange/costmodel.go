@@ -69,7 +69,7 @@ func (v Variant) Writes(p int) float64 {
 // Lists returns the list-request count of the paper's driverless exchange,
 // O(P) for all variants (write combining discovers file names and offsets
 // via lists). A staged boundary lists nothing: its readers take both from
-// the ready marker (SealedRequests).
+// the seal manifest in their ready marker (SealedRequests).
 func (v Variant) Lists(p int) float64 {
 	return float64(v.Levels) * float64(p)
 }
@@ -156,7 +156,7 @@ func (v Variant) Requests(senders, partitions, buckets int) RequestCount {
 // P-partition stage boundary on the staged protocol (PublishSealed,
 // RegroupSealed, CollectSealed) — what a boundary the driver seals bills, and
 // what the planner chooses variants by. Readers take every commit from the
-// ready marker, so nothing is listed, and a basic writer's seal message is
+// seal manifest, so nothing is listed, and a basic writer's seal message is
 // its commit, so it Puts no marker. The shard-bucket count changes none of
 // it. With G for Groups(P):
 //
@@ -189,11 +189,11 @@ const (
 	manifestOffsetBytes = binary.MaxVarintLen32
 )
 
-// ManifestBytes bounds the largest ready marker a stage of an S-sender,
-// P-partition boundary seals on the staged protocol: per writer the header
-// and, write-combined, slots+1 offsets. A single-round boundary's senders
-// have P slots each; a multi-level one's have G = Groups(P), and its regroup
-// workers GroupSize(P).
+// ManifestBytes bounds the largest seal manifest a stage of an S-sender,
+// P-partition boundary seals on the staged protocol, which is what it adds to
+// its consumer's ready marker: per writer the header and, write-combined,
+// slots+1 offsets. A single-round boundary's senders have P slots each; a
+// multi-level one's have G = Groups(P), and its regroup workers GroupSize(P).
 func (v Variant) ManifestBytes(senders, partitions int) int64 {
 	entry := func(slots int) int64 {
 		if !v.WriteCombining {

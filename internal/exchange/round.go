@@ -17,10 +17,12 @@
 //     RegroupStage and CollectStage run it.
 //   - Staged (PublishSealed, RegroupSealed, CollectSealed): a driver seals
 //     the writing stage once every worker reported through its seal message,
-//     and the stage's ready marker is the round's manifest — per writer, the
-//     attempt the driver sealed (first seal wins) and its offsets. Readers
-//     take their refs from it and never List; names carry no offsets, and the
-//     seal message is a basic writer's commit.
+//     and writes the round's manifest — per writer, the attempt the driver
+//     sealed (first seal wins) and its offsets — into the ready marker of the
+//     stage that reads it (AppendMarker), beside the manifests of that
+//     stage's other inputs. Readers take their refs from it and never List;
+//     names carry no offsets, and the seal message is a basic writer's
+//     commit.
 //
 // Everything else composes rounds:
 //
@@ -82,8 +84,9 @@ import (
 // errKey marks an object name the key codec does not produce; errShape marks
 // a well-formed name, or a row, that does not belong to the round it was
 // found in — a writer outside the round, another slot count, a misrouted row.
-// errManifest marks a ready-marker value that is not a manifest of the round
-// being read: truncated, padded, or of another writer or offset count.
+// errManifest marks a ready-marker value that does not split into its inputs'
+// manifests, or a manifest that is not one of the round being read:
+// truncated, padded, or of another writer or offset count.
 var (
 	errKey      = errors.New("exchange: bad boundary key")
 	errShape    = errors.New("exchange: boundary shape mismatch")
@@ -529,7 +532,38 @@ func AppendCommit(dst []byte, attempt int, offsets []int64) []byte {
 	return dst
 }
 
-// manifest is a sealed stage's ready marker as a reader of one of its rounds
+// AppendMarker appends one input's seal manifest to a consumer stage's ready
+// marker: its length as a uvarint, then its bytes. A driver appends one per
+// input of the consumer, in input order; SplitMarker takes them apart.
+func AppendMarker(dst, manifest []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(manifest))), manifest...)
+}
+
+// SplitMarker splits a consumer stage's ready marker into its n inputs' seal
+// manifests, in input order, each a subslice of b. A length that runs past
+// the value, bytes after the last manifest, or another count than n fails
+// typed (errManifest), before anything is allocated: every entry takes a
+// byte of length at least, so n never outgrows what b can back.
+func SplitMarker(b []byte, n int) ([][]byte, error) {
+	if n < 1 || n > len(b) {
+		return nil, fmt.Errorf("%w: %d bytes cannot hold %d manifests", errManifest, len(b), n)
+	}
+	out := make([][]byte, n)
+	rest := b
+	for i := range out {
+		size, tail, ok := cutUvarint(rest)
+		if !ok || size > uint64(len(tail)) {
+			return nil, fmt.Errorf("%w: manifest %d of %d runs past the %d-byte marker", errManifest, i, n, len(b))
+		}
+		out[i], rest = tail[:size:size], tail[size:]
+	}
+	if len(rest) > 0 {
+		return nil, fmt.Errorf("%w: %d bytes after %d manifests", errManifest, len(rest), n)
+	}
+	return out, nil
+}
+
+// manifest is a sealed stage's seal manifest, as a reader of one of its rounds
 // holds it: the AppendCommit entries of the stage's writers, in order. A
 // boundary's senders are the writers of its first round; a multi-level
 // boundary's regroup stage has one writer per group, the only writer of that

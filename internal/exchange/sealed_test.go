@@ -1,11 +1,13 @@
 package exchange
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -459,6 +461,72 @@ func FuzzSealManifest(f *testing.F) {
 					t.Fatalf("writer %d slot %d: read %+v, sealed %+v", i, at, got, want)
 				}
 			}
+		}
+	})
+}
+
+// FuzzReadyMarker: a consumer's ready marker comes off DynamoDB too. Splitting
+// any bytes into any count of manifests gives a typed error, or that many
+// manifests that leave at least a byte of the value to each length prefix and
+// that AppendMarker rebuilds into a value splitting into them again — never a
+// panic, and no more manifests than the bytes hold. (A prefix may be an
+// overlong uvarint, so the rebuilt value can be shorter.) And AppendMarker →
+// SplitMarker round-trips manifests cut from the input, empty ones included.
+func FuzzReadyMarker(f *testing.F) {
+	f.Add([]byte{2, 0, 3, 3, 1, 2, 3}, 2)
+	f.Add(AppendMarker(AppendMarker(nil, []byte{0, 0}), []byte{1, 0, 0, 0}), 2)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 1)
+	f.Add([]byte{5, 1}, 1)
+	f.Add([]byte{0, 0}, 1)
+	f.Fuzz(func(t *testing.T, data []byte, n int) {
+		parts, err := SplitMarker(data, n)
+		if err != nil {
+			if !errors.Is(err, errManifest) {
+				t.Fatalf("untyped error %v", err)
+			}
+		} else {
+			held := n
+			var rebuilt []byte
+			for _, p := range parts {
+				held += len(p)
+				rebuilt = AppendMarker(rebuilt, p)
+			}
+			if len(parts) != n || held > len(data) {
+				t.Fatalf("%d manifests of %d, %d bytes with a prefix each, from %d bytes", len(parts), n, held, len(data))
+			}
+			again, err := SplitMarker(rebuilt, n)
+			if err != nil || !slices.EqualFunc(again, parts, bytes.Equal) {
+				t.Fatalf("split %x into %x, which rebuild %x, which splits into %x, %v", data, parts, rebuilt, again, err)
+			}
+		}
+
+		// Round trip: k manifests cut from the input at lengths it draws.
+		k := 1 + absMod(n, 5)
+		var marker []byte
+		want := make([][]byte, k)
+		rest := data
+		for i := range want {
+			size := 0
+			if len(rest) > 0 {
+				size = int(rest[0]) % (len(rest) + 1)
+			}
+			want[i], rest = rest[:size], rest[size:]
+			marker = AppendMarker(marker, want[i])
+		}
+		got, err := SplitMarker(marker, k)
+		if err != nil {
+			t.Fatalf("round trip of %d manifests: %v", k, err)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("manifest %d: split %x, appended %x", i, got[i], want[i])
+			}
+		}
+		if _, err := SplitMarker(append(marker, 0), k); err == nil {
+			t.Fatalf("%d manifests and a trailing byte split clean", k)
+		}
+		if _, err := SplitMarker(marker, k+1); err == nil {
+			t.Fatalf("%d manifests split as %d", k, k+1)
 		}
 	})
 }

@@ -240,7 +240,7 @@ func (r round) collect(slot int, m manifest, bound int64) (*columnar.Chunk, erro
 
 // source is the round partition part is read from — the senders' round of a
 // single-round boundary, the round of the partition's group of a multi-level
-// one — and how many writers the ready marker of that round's stage holds:
+// one — and how many writers the manifest of that round's stage holds:
 // the senders, or one regroup worker per group.
 func (b Boundary) source(client *s3.Client, opts Options, part int, sealed bool) (round, int) {
 	if opts.Variant.Levels >= 2 {
@@ -265,7 +265,7 @@ func CollectStage(client *s3.Client, opts Options, b Boundary, part int) (*colum
 }
 
 // Input is one boundary a fragment collects on the staged protocol: the
-// boundary, the variant its writers wrote with, and Sealed, the ready marker
+// boundary, the variant its writers wrote with, and Sealed, the seal manifest
 // of the stage the partition is read from — the senders of a single-round
 // boundary, the regroup stage of a multi-level one, whose entries are its
 // groups.
@@ -330,8 +330,8 @@ func RegroupStage(client *s3.Client, opts Options, b Boundary, group int, keys [
 	return err
 }
 
-// RegroupSealed is RegroupStage on the staged protocol: sealed is the ready
-// marker of the sender stage, and the commit returned is the regroup
+// RegroupSealed is RegroupStage on the staged protocol: sealed is the seal
+// manifest of the sender stage, and the commit returned is the regroup
 // worker's own, as PublishSealed returns a sender's. The group it merges
 // holds at most bound bytes.
 func RegroupSealed(client *s3.Client, opts Options, b Boundary, group int, keys []string, sealed []byte, bound int64) ([]int64, error) {

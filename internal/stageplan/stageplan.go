@@ -79,9 +79,12 @@ type Input struct {
 	StageID int `json:"stageId"`
 	// Table is the catalog name the fragment scans the partition under.
 	Table string `json:"table"`
-	// Ready is the stage whose seal gates the collect: the producer of a
-	// single-round boundary, the regroup stage of a multi-level one — the
-	// objects a consumer reads exist only once it sealed.
+	// Ready is the stage whose seal makes the boundary readable: the producer
+	// of a single-round boundary, the regroup stage of a multi-level one — the
+	// objects a consumer reads exist only once it sealed. The driver writes
+	// the consumer's one ready marker, every input's manifest in input order,
+	// when the last of its inputs' Ready stages seals; a worker waits on that
+	// marker, by its own stage's ID, and reads no Ready.
 	Ready int `json:"ready"`
 	// Senders is the producer's worker count, and Variant the exchange
 	// algorithm its senders wrote with, which the collector reads with.
@@ -112,8 +115,9 @@ type Stage struct {
 	// and their regroup stages. Their launch gates this stage's launch — the
 	// driver's scheduler invokes a stage once every stage it depends on has
 	// its whole fleet invoked, so its cold starts overlap upstream execution
-	// — and their seal gates its collect: a worker reads a boundary only once
-	// its Input.Ready stage's DynamoDB ready marker is there.
+	// — and their seal gates its collect: a worker reads its boundaries only
+	// once its stage's DynamoDB ready marker is there, which the driver writes
+	// when the last of its Input.Ready stages seals.
 	DependsOn []int
 }
 
@@ -236,7 +240,8 @@ const MinMultiLevelPartitions = 32
 // Write combining is inherited from base — it is strictly fewer requests —
 // unless the variant is inadmissible: its worst-case manifest
 // (Variant.ManifestBytes) would not fit one DynamoDB item, so the ready
-// marker could not be written. That round count then runs basic.
+// marker could not be written. That round count then runs basic. Decompose
+// then holds each consumer's inputs to one item together (admitTogether).
 func ChooseVariant(senders, partitions, buckets int, base exchange.Variant, forceLevels int) exchange.Variant {
 	single := admissible(exchange.Variant{Levels: 1, WriteCombining: base.WriteCombining}, senders, partitions)
 	multi := admissible(exchange.Variant{Levels: 2, WriteCombining: base.WriteCombining}, senders, partitions)
@@ -267,6 +272,35 @@ func admissible(v exchange.Variant, senders, partitions int) exchange.Variant {
 		v.WriteCombining = false
 	}
 	return v
+}
+
+// admitTogether holds st's ready marker to one DynamoDB item: the marker
+// carries every input's manifest, so the worst-case manifests of its inputs'
+// boundaries (Variant.ManifestBytes) must fit MaxItemBytes together. While
+// they do not, the largest write-combined one is planned again basic. Each
+// manifest's length prefix (exchange.AppendMarker, at most three bytes under
+// the limit) is covered by the bound's per-writer header, which counts five
+// bytes for an attempt that takes one. A stage of one input fits already:
+// ChooseVariant admitted its boundary alone.
+func (c *compiler) admitTogether(st *Stage, byID map[int]*Stage) {
+	size := func(p *Stage) int64 { return p.Output.Variant.ManifestBytes(p.Workers, p.Output.Partitions) }
+	for {
+		var total int64
+		var largest *Stage
+		for _, in := range st.Inputs {
+			p := byID[in.StageID]
+			total += size(p)
+			if p.Output.Variant.WriteCombining && (largest == nil || size(p) > size(largest)) {
+				largest = p
+			}
+		}
+		if total <= dynamo.MaxItemBytes || largest == nil {
+			return
+		}
+		base := c.cfg.Exchange
+		base.WriteCombining = false
+		largest.Output.Variant = ChooseVariant(largest.Workers, largest.Output.Partitions, exchange.ShardBuckets, base, base.Levels)
+	}
 }
 
 // MaxBucketRoundRequests is the request budget one exchange round may put on
@@ -469,8 +503,21 @@ func Decompose(p engine.Plan, stats Stats, cfg Config) (*Plan, error) {
 // and gives each multi-level boundary its regroup stage: right behind the
 // producer, with the next free ID, so the planner's stages keep theirs and
 // their order. The boundary's consumers depend on the regroup stage too, and
-// wait for its seal, not the producer's, before they collect.
+// wait for its seal, not the producer's, before they collect. Every variant is
+// chosen before any input is completed, so a consumer whose inputs' manifests
+// would not fit its ready marker together can still have one of them planned
+// basic (admitTogether).
 func (c *compiler) boundaries() []*Stage {
+	byID := map[int]*Stage{}
+	for _, st := range c.stages {
+		byID[st.ID] = st
+		if out := st.Output; out != nil {
+			out.Variant = ChooseVariant(st.Workers, out.Partitions, exchange.ShardBuckets, c.cfg.Exchange, c.cfg.Exchange.Levels)
+		}
+	}
+	for _, st := range c.stages {
+		c.admitTogether(st, byID)
+	}
 	stages := make([]*Stage, 0, len(c.stages))
 	ready := map[int]Input{} // producer → how its consumers read it: the stage whose seal makes it readable, its senders and variant
 	for _, st := range c.stages {
@@ -486,7 +533,6 @@ func (c *compiler) boundaries() []*Stage {
 		if out == nil {
 			continue
 		}
-		out.Variant = ChooseVariant(st.Workers, out.Partitions, exchange.ShardBuckets, c.cfg.Exchange, c.cfg.Exchange.Levels)
 		in := Input{StageID: st.ID, Ready: st.ID, Senders: st.Workers, Variant: out.Variant}
 		if out.Variant.Levels >= 2 {
 			rg := &Stage{ID: c.id(), Workers: exchange.Groups(out.Partitions), Output: out,

@@ -360,6 +360,67 @@ func TestChooseVariantRefusesOversizedManifest(t *testing.T) {
 	}
 }
 
+// TestDecomposeFitsEachConsumersMarker: a consumer's ready marker holds every
+// input's manifest, so the planner admits a join's two boundaries together
+// only while their worst-case manifests fit one DynamoDB item. At 512
+// partitions a 1l-wc writer's entry is bounded by 10 + 513 · 5 = 2 575 bytes:
+// 100 lineitem senders (257 500 bytes) and 80 orders senders (206 000) each
+// fit, together they do not, so the larger boundary is planned basic and the
+// smaller keeps write combining. A stage of one input — the repartitioned
+// aggregate's final merge — gets what ChooseVariant gives its boundary alone,
+// on either side of the limit (159 senders: 409 425 bytes; 160: 412 000).
+func TestDecomposeFitsEachConsumersMarker(t *testing.T) {
+	const parts = 512
+	wc := exchange.Variant{Levels: 1, WriteCombining: true}
+	variants := func(sql string, stats Stats) []string {
+		sp, err := Decompose(optimized(t, sql), stats, Config{Partitions: parts, BroadcastRowLimit: -1, Exchange: wc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, s := range sp.Stages {
+			if s.Output != nil {
+				out = append(out, s.Table+":"+s.Output.Variant.String())
+			}
+			var total int64
+			for _, in := range s.Inputs {
+				total += in.Variant.ManifestBytes(in.Senders, parts)
+			}
+			if total > dynamo.MaxItemBytes {
+				t.Errorf("stage %d: its inputs' manifests take up to %d bytes together, over the %d of an item", s.ID, total, dynamo.MaxItemBytes)
+			}
+		}
+		return out
+	}
+	stats := q12Footers(true)
+	for _, fleet := range []int{100, 80} {
+		if n := wc.ManifestBytes(fleet, parts); n > dynamo.MaxItemBytes {
+			t.Fatalf("%d senders alone: %d bytes, over an item (test premise broken)", fleet, n)
+		}
+	}
+	stats.Workers = map[string]int{"lineitem": 100, "orders": 80}
+	if got, want := variants(q12SQL, stats), []string{"lineitem:1l", "orders:1l-wc"}; !slices.Equal(got, want) {
+		t.Errorf("q12, 100 × 80 senders: boundaries %v, want %v", got, want)
+	}
+	stats.Workers = map[string]int{"lineitem": 80, "orders": 100}
+	if got, want := variants(q12SQL, stats), []string{"lineitem:1l-wc", "orders:1l"}; !slices.Equal(got, want) {
+		t.Errorf("q12, 80 × 100 senders: boundaries %v, want %v", got, want)
+	}
+	stats.Workers = map[string]int{"lineitem": 60, "orders": 40} // 257 500 bytes together
+	if got, want := variants(q12SQL, stats), []string{"lineitem:1l-wc", "orders:1l-wc"}; !slices.Equal(got, want) {
+		t.Errorf("q12, 60 × 40 senders: boundaries %v, want %v", got, want)
+	}
+
+	groupBy := `SELECT l_partkey, COUNT(*) AS n FROM lineitem GROUP BY l_partkey`
+	for _, fleet := range []int{159, 160} {
+		want := ChooseVariant(fleet, parts, exchange.ShardBuckets, wc, 1)
+		got := variants(groupBy, Stats{Rows: bigStats().Rows, Workers: map[string]int{"lineitem": fleet}})
+		if len(got) != 1 || got[0] != "lineitem:"+want.String() {
+			t.Errorf("group by over %d senders: boundaries %v, want ChooseVariant's %v", fleet, got, want)
+		}
+	}
+}
+
 // TestDecomposeMergeChoice: where an aggregate's partials merge is decided
 // from the footers — the provenance of each group key's bound, and the rule
 // G × fleet ≤ DefaultBroadcastRowLimit on both sides of its edge — and from

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"lambada/internal/awssim/lambdasvc"
@@ -237,5 +238,60 @@ func TestShippedFooterRefused(t *testing.T) {
 	}
 	if n := b.meter.Count(pricing.LabelS3Read) - reads; n != 0 {
 		t.Errorf("binding the tasks billed %d S3 reads", n)
+	}
+}
+
+// TestMalformedReadyMarkerSealsTyped: a worker splits its stage's ready
+// marker, bytes off DynamoDB, into one manifest per input. A length that runs
+// past the value, bytes after the last manifest, or another count of
+// manifests than the task has inputs fails the task before any S3 request,
+// with the non-retryable failure seal of a manifest that does not decode. A
+// regroup task (one input) and a join task (two) are each held to it.
+func TestMalformedReadyMarkerSealsTyped(t *testing.T) {
+	b := newTestbed()
+	ns := Boundary{Buckets: []string{"x"}, Prefix: "q1/e1", PollNs: 1e6, MaxWaitNs: 1e9, SealTable: "stages"}
+	b.fn.Dynamo.CreateTable(ns.SealTable)
+	in := func(stage int) stageplan.Input {
+		return stageplan.Input{StageID: stage, Table: stageplan.InputTable(stage), Ready: stage, Senders: 1, Variant: exchange.Variant{Levels: 1}}
+	}
+	regroup := ns
+	regroup.Inputs = []stageplan.Input{in(1)}
+	regroup.Output = &stageplan.Output{Keys: []string{"l_orderkey"}, Partitions: 4, Variant: exchange.Variant{Levels: 2}}
+	schema := tpch.Schema()
+	join := ns
+	join.Inputs = []stageplan.Input{in(1), in(2)}
+	joinPlan := marshalled(t, &engine.JoinPlan{
+		Left:     &engine.ScanPlan{Table: join.Inputs[0].Table, TableSchema: schema},
+		Right:    &engine.ScanPlan{Table: join.Inputs[1].Table, TableSchema: schema},
+		LeftKeys: []string{"l_orderkey"}, RightKeys: []string{"l_orderkey"},
+	})
+	manifest := exchange.AppendCommit(nil, 0, nil)
+	one := exchange.AppendMarker(nil, manifest)
+	two := exchange.AppendMarker(bytes.Clone(one), manifest)
+	for _, tc := range []struct {
+		name   string
+		p      Payload
+		marker []byte
+	}{
+		{"regroup: length past the value", Payload{Boundary: &regroup}, []byte{5, 0, 0}},
+		{"regroup: trailing bytes", Payload{Boundary: &regroup}, append(bytes.Clone(one), 0)},
+		{"regroup: two manifests", Payload{Boundary: &regroup}, two},
+		{"regroup: empty", Payload{Boundary: &regroup}, []byte{}},
+		{"join: one manifest", Payload{Plan: joinPlan, Boundary: &join}, one},
+		{"join: length past the value", Payload{Plan: joinPlan, Boundary: &join}, append(bytes.Clone(one), 9, 0)},
+		{"join: trailing bytes", Payload{Plan: joinPlan, Boundary: &join}, append(bytes.Clone(two), 1)},
+	} {
+		tc.p.QueryID, tc.p.NumWorkers, tc.p.Epoch, tc.p.StageID = "q1", 1, 1, 3
+		if err := b.fn.Dynamo.Put(b.env, ns.SealTable, SealKey("q1", 1, 3), tc.marker); err != nil {
+			t.Fatal(err)
+		}
+		reads := b.meter.Count(pricing.LabelS3Read)
+		r := b.seal(t, 1792, tc.p)
+		if r.Retryable || !strings.Contains(r.Err, "bad seal manifest") {
+			t.Errorf("%s: seal %q (retryable: %t), want a non-retryable bad seal manifest", tc.name, r.Err, r.Retryable)
+		}
+		if n := b.meter.Count(pricing.LabelS3Read) - reads; n != 0 {
+			t.Errorf("%s: the task billed %d S3 reads", tc.name, n)
+		}
 	}
 }

@@ -111,7 +111,8 @@ type Boundary struct {
 	Prefix    string   `json:"prefix"`
 	PollNs    int64    `json:"pollNs"`
 	MaxWaitNs int64    `json:"maxWaitNs"`
-	// SealTable is the DynamoDB table holding per-stage ready markers.
+	// SealTable is the DynamoDB table holding the ready markers, one per
+	// consumer stage (SealKey).
 	SealTable string `json:"sealTable"`
 }
 
@@ -220,8 +221,10 @@ type Result struct {
 	Cold         bool    `json:"cold"`
 }
 
-// SealKey names a stage's ready marker; the epoch segment fences markers of
-// an aborted identically-numbered run out of this run's barrier.
+// SealKey names the ready marker of a consumer stage — one with inputs — by
+// that stage's own ID: the one item its workers wait on, holding every
+// input's manifest. The epoch segment fences markers of an aborted
+// identically-numbered run out of this run's barrier.
 func SealKey(queryID string, epoch, stageID int) string {
 	return fmt.Sprintf("%s/e%d/s%d", queryID, epoch, stageID)
 }
@@ -377,7 +380,7 @@ func fragmentCatalog(ctx *lambdasvc.Ctx, client *s3.Client, p *Payload) (engine.
 	return plan, cat, rest, nil
 }
 
-// executeFragment is the worker side of a task: wait out every upstream ready
+// executeFragment is the worker side of a task: wait out its stage's ready
 // marker, collect this worker's partition of every input boundary in one
 // request window (exchange.CollectSealed), execute the fragment, and either
 // publish the partitioned output into this stage's attempt namespace —
@@ -400,11 +403,10 @@ func (f *Function) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *
 		x = &Boundary{}
 	}
 	opts := exchange.Options{Buckets: x.Buckets, Prefix: x.Prefix}
-	// One wait deadline for the whole task: a k-input stage gets MaxWait
-	// across ALL its ready-marker waits, not k×MaxWait. The collects never
-	// wait — a sealed stage's objects all exist. Under pipelined launch this
-	// worker was invoked before its producers sealed, so the waits are where
-	// cold start and upstream execution overlap.
+	// The wait deadline runs from the task's start. The collects never wait —
+	// a sealed stage's objects all exist. Under pipelined launch this worker
+	// was invoked before its producers sealed, so the wait is where cold
+	// start and upstream execution overlap.
 	deadline := env.Now() + time.Duration(x.MaxWaitNs)
 	if len(x.Inputs) > 0 {
 		tr.Phase(env, "wait-sealed", env.Now())
@@ -418,14 +420,13 @@ func (f *Function) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *
 	if len(p.Plan) == 0 {
 		// Regroup attempts version their round-2 publishes exactly like
 		// sender attempts; the driver seals one per group.
-		in, polls := x.Inputs[0], 0
-		manifest, err := f.waitSealed(ctx, ws, p, in.Ready, deadline, &polls)
+		manifests, err := f.waitSealed(ctx, ws, p, deadline)
 		if err != nil {
 			return nil, nil, err
 		}
 		tr.Phase(env, "regroup", env.Now())
 		wopts, b := p.output()
-		offsets, err := exchange.RegroupSealed(client, wopts, b, p.WorkerID, x.Output.Keys, manifest, engine.ResidentBudget(ctx.MemoryMiB))
+		offsets, err := exchange.RegroupSealed(client, wopts, b, p.WorkerID, x.Output.Keys, manifests[0], engine.ResidentBudget(ctx.MemoryMiB))
 		return nil, offsets, err
 	}
 
@@ -434,20 +435,20 @@ func (f *Function) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *
 		return nil, nil, err
 	}
 	if len(x.Inputs) > 0 {
-		// Wait once: every ready marker, in input order, under the one
-		// deadline. A multi-level boundary is read once its regroup fleet
-		// sealed — the round-2 objects this worker reads exist only then,
-		// and its ready marker is their manifest.
-		inputs, polls := make([]exchange.Input, len(x.Inputs)), 0
+		// Wait once: the stage's one ready marker, every input's manifest in
+		// input order. A multi-level boundary's manifest is its regroup
+		// fleet's — the round-2 objects this worker reads exist only once
+		// that fleet sealed.
+		manifests, err := f.waitSealed(ctx, ws, p, deadline)
+		if err != nil {
+			return nil, nil, err
+		}
+		inputs := make([]exchange.Input, len(x.Inputs))
 		for i, in := range x.Inputs {
-			manifest, err := f.waitSealed(ctx, ws, p, in.Ready, deadline, &polls)
-			if err != nil {
-				return nil, nil, err
-			}
 			inputs[i] = exchange.Input{
 				Boundary: exchange.Boundary{Stage: in.StageID, Senders: in.Senders, Partitions: p.NumWorkers},
 				Variant:  in.Variant,
-				Sealed:   manifest,
+				Sealed:   manifests[i],
 			}
 		}
 		// Read once: every input's partition through one request window,
@@ -499,28 +500,30 @@ func (f *Function) executeFragment(ctx *lambdasvc.Ctx, ws resilience.Policy, p *
 	return nil, offsets, nil
 }
 
-// waitSealed waits for the DynamoDB ready marker of a producing stage, up
-// to the fragment-wide deadline, and returns its value: the stage's manifest,
-// where the worker's collect finds every writer's sealed attempt and offsets.
-// Between checks the worker parks on the completion signal dynamo.Put
-// broadcasts, armed before each Get (simenv.Barrier), with the timed poll as
-// fallback: it wakes the instant the marker lands. polls counts the Gets,
-// across the task's waits: its wait-sealed phase's tag.
-func (f *Function) waitSealed(ctx *lambdasvc.Ctx, ws resilience.Policy, p *Payload, stageID int, deadline time.Duration, polls *int) ([]byte, error) {
-	table, key := p.Boundary.SealTable, SealKey(p.QueryID, p.Epoch, stageID)
+// waitSealed waits for the task's stage's DynamoDB ready marker, up to the
+// deadline, and returns its inputs' manifests, in input order: where the
+// worker's collect finds every writer's sealed attempt and offsets. Between
+// checks the worker parks on the completion signal dynamo.Put broadcasts,
+// armed before each Get (simenv.Barrier), with the timed poll as fallback: it
+// wakes the instant the marker lands. A marker that does not split into one
+// manifest per input fails the task typed, as a manifest that does not decode
+// does. The Gets it took are its wait-sealed phase's polls tag.
+func (f *Function) waitSealed(ctx *lambdasvc.Ctx, ws resilience.Policy, p *Payload, deadline time.Duration) ([][]byte, error) {
+	table, key := p.Boundary.SealTable, SealKey(p.QueryID, p.Epoch, p.StageID)
+	polls := 0
 	if tr := f.Trace; tr.Enabled() {
-		defer func() { tr.SetTag(tr.Current(ctx.Env), "polls", strconv.Itoa(*polls)) }()
+		defer func() { tr.SetTag(tr.Current(ctx.Env), "polls", strconv.Itoa(polls)) }()
 	}
 	// Only the dynamo.Put of this (query, epoch, stage) ready marker wakes
 	// the worker early.
 	topic := "dynamo/" + table + "/" + key
 	for {
 		barrier := simenv.Arm(ctx.Env, topic)
-		*polls++
-		var manifest []byte
+		polls++
+		var marker []byte
 		err := ws.Do(ctx.Env, "dynamo.Get", func() error {
 			var gerr error
-			manifest, gerr = f.Dynamo.Get(ctx.Env, table, key)
+			marker, gerr = f.Dynamo.Get(ctx.Env, table, key)
 			return gerr
 		})
 		if errors.Is(err, dynamo.ErrNoSuchItem) && ctx.Env.Now() < deadline {
@@ -529,9 +532,16 @@ func (f *Function) waitSealed(ctx *lambdasvc.Ctx, ws resilience.Policy, p *Paylo
 		}
 		barrier.Cancel()
 		if errors.Is(err, dynamo.ErrNoSuchItem) {
-			return nil, fmt.Errorf("stage %d never sealed: %w", stageID, err)
+			return nil, fmt.Errorf("stage %d's inputs never sealed: %w", p.StageID, err)
 		}
-		return manifest, err
+		if err != nil {
+			return nil, err
+		}
+		manifests, err := exchange.SplitMarker(marker, len(p.Boundary.Inputs))
+		if err != nil {
+			return nil, fmt.Errorf("stage %d's ready marker: %w", p.StageID, err)
+		}
+		return manifests, nil
 	}
 }
 
